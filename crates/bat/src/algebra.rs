@@ -1,10 +1,15 @@
 //! The kernel algebra over bats: the operators the paper's example plans
 //! use (Figure 1) plus the usual aggregates.
 //!
-//! MonetDB's execution paradigm materializes every intermediate result;
-//! all operators here return fresh bats.
+//! MonetDB's execution paradigm materializes every intermediate result.
+//! Here a result that *is* one of its inputs (a union with nothing, a
+//! difference that removes nothing) is that input's buffers shared, and
+//! the operators exploit a dense ([`Head::Void`]) head wherever one shows
+//! up: membership in it is a range check, a join against it a positional
+//! fetch, and rows appended past its end leave it void.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::bat::{Bat, BatError, Head, Oid, Tail};
 
@@ -111,16 +116,117 @@ fn numeric_bounds(lo: &Atom, hi: &Atom, expected: &'static str) -> Result<(f64, 
     }
 }
 
-fn take_rows(b: &Bat, idx: &[usize]) -> Bat {
-    let head = Head::Oids(idx.iter().map(|&i| b.head_at(i)).collect());
-    let tail = match b.tail() {
-        Tail::Int(v) => Tail::Int(idx.iter().map(|&i| v[i]).collect()),
-        Tail::Dbl(v) => Tail::Dbl(idx.iter().map(|&i| v[i]).collect()),
-        Tail::Oid(v) => Tail::Oid(idx.iter().map(|&i| v[i]).collect()),
-        Tail::Str(v) => Tail::Str(idx.iter().map(|&i| v[i].clone()).collect()),
+/// Whether `idx` selects every one of `len` rows in place.
+fn is_identity(idx: &[usize], len: usize) -> bool {
+    idx.len() == len && idx.iter().enumerate().all(|(k, &i)| k == i)
+}
+
+/// Head oids of rows `idx` of `b`; the identity selection shares `b`'s
+/// head (and so keeps a void head void).
+fn take_head(b: &Bat, idx: &[usize]) -> Head {
+    if is_identity(idx, b.len()) {
+        return b.head().clone();
+    }
+    Head::Oids(Arc::new(idx.iter().map(|&i| b.head_at(i)).collect()))
+}
+
+/// Tail values of rows `idx` of `b`; the identity selection shares `b`'s
+/// tail.
+fn take_tail(b: &Bat, idx: &[usize]) -> Tail {
+    if is_identity(idx, b.len()) {
+        return b.tail().clone();
+    }
+    match b.tail() {
+        Tail::Int(v) => Tail::Int(Arc::new(idx.iter().map(|&i| v[i]).collect())),
+        Tail::Dbl(v) => Tail::Dbl(Arc::new(idx.iter().map(|&i| v[i]).collect())),
+        Tail::Oid(v) => Tail::Oid(Arc::new(idx.iter().map(|&i| v[i]).collect())),
+        Tail::Str(v) => Tail::Str(Arc::new(idx.iter().map(|&i| v[i].clone()).collect())),
         Tail::Nil(_) => Tail::Nil(idx.len()),
-    };
-    Bat::new(head, tail).expect("lengths match by construction")
+    }
+}
+
+fn take_rows(b: &Bat, idx: &[usize]) -> Bat {
+    Bat::new(take_head(b, idx), take_tail(b, idx)).expect("lengths match by construction")
+}
+
+/// Position of `oid` under a void head of `len` rows starting at `base`.
+fn void_position(base: Oid, len: usize, oid: Oid) -> Option<usize> {
+    oid.checked_sub(base)
+        .filter(|&p| p < len as u64)
+        .map(|p| p as usize)
+}
+
+/// End-of-chain marker in [`Positions::next`].
+const END: usize = usize::MAX;
+
+/// The positions of every distinct oid of a list, ascending, with no
+/// allocation per key: `first` maps an oid to its first position and
+/// `next[p]` is the following position holding the same oid.
+struct Positions {
+    first: HashMap<Oid, usize>,
+    next: Vec<usize>,
+}
+
+impl Positions {
+    fn of(oids: &[Oid]) -> Self {
+        let mut first = HashMap::with_capacity(oids.len());
+        let mut next = vec![END; oids.len()];
+        for (p, &oid) in oids.iter().enumerate().rev() {
+            if let Some(later) = first.insert(oid, p) {
+                next[p] = later;
+            }
+        }
+        Positions { first, next }
+    }
+
+    fn at(&self, oid: Oid) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.first.get(&oid).copied(), |&p| {
+            Some(self.next[p]).filter(|&q| q != END)
+        })
+    }
+}
+
+/// For each row of `b`, whether its head oid occurs among `other`'s heads.
+/// Density decides the work: a void `other` is a range check per row, a
+/// void `b` is one positional mark per row of `other`, and two explicit
+/// heads hash the shorter one and stream the longer.
+fn head_hits(b: &Bat, other: &Bat) -> Vec<bool> {
+    let mut hit = vec![false; b.len()];
+    match (b.head(), other.head()) {
+        (_, Head::Void { base }) => {
+            for (i, h) in hit.iter_mut().enumerate() {
+                *h = void_position(*base, other.len(), b.head_at(i)).is_some();
+            }
+        }
+        (Head::Void { base }, Head::Oids(theirs)) => {
+            for &oid in theirs.iter() {
+                if let Some(p) = void_position(*base, b.len(), oid) {
+                    hit[p] = true;
+                }
+            }
+        }
+        (Head::Oids(ours), Head::Oids(theirs)) if theirs.len() <= ours.len() => {
+            let theirs: HashSet<Oid> = theirs.iter().copied().collect();
+            for (h, oid) in hit.iter_mut().zip(ours.iter()) {
+                *h = theirs.contains(oid);
+            }
+        }
+        (Head::Oids(ours), Head::Oids(theirs)) => {
+            let ours = Positions::of(ours);
+            for &oid in theirs.iter() {
+                for p in ours.at(oid) {
+                    hit[p] = true;
+                }
+            }
+        }
+    }
+    hit
+}
+
+/// The rows of `b` whose [`head_hits`] flag equals `want`.
+fn rows_flagged(b: &Bat, hit: &[bool], want: bool) -> Bat {
+    let idx: Vec<usize> = (0..hit.len()).filter(|&i| hit[i] == want).collect();
+    take_rows(b, &idx)
 }
 
 /// `algebra.select(b, lo, hi)`: rows whose tail value lies in `[lo, hi]`.
@@ -132,58 +238,46 @@ pub fn select(b: &Bat, lo: &Atom, hi: &Atom) -> Result<Bat, BatError> {
 /// `algebra.uselect(b, lo, hi)`: qualifying head oids with a nil tail.
 pub fn uselect(b: &Bat, lo: &Atom, hi: &Atom) -> Result<Bat, BatError> {
     let idx = selected_indices(b, lo, hi)?;
-    let n = idx.len();
-    let head = Head::Oids(idx.into_iter().map(|i| b.head_at(i)).collect());
-    Ok(Bat::new(head, Tail::Nil(n)).expect("lengths match"))
+    Ok(Bat::new(take_head(b, &idx), Tail::Nil(idx.len())).expect("lengths match"))
 }
 
 /// `algebra.kunion(a, b)`: all rows of `a` plus the rows of `b` whose head
-/// oid does not occur in `a`.
+/// oid does not occur in `a`. An empty side hands the other back shared.
 pub fn kunion(a: &Bat, b: &Bat) -> Result<Bat, BatError> {
-    if std::mem::discriminant(a.tail()) != std::mem::discriminant(b.tail())
-        && !a.is_empty()
-        && !b.is_empty()
-    {
+    if a.is_empty() {
+        return Ok(b.clone());
+    }
+    if b.is_empty() {
+        return Ok(a.clone());
+    }
+    if std::mem::discriminant(a.tail()) != std::mem::discriminant(b.tail()) {
         return Err(BatError::TypeMismatch {
             expected: a.tail().type_name(),
             got: b.tail().type_name(),
         });
     }
-    let seen: HashSet<Oid> = (0..a.len()).map(|i| a.head_at(i)).collect();
-    let extra: Vec<usize> = (0..b.len())
-        .filter(|&i| !seen.contains(&b.head_at(i)))
-        .collect();
-    let first = take_rows(a, &(0..a.len()).collect::<Vec<_>>());
-    let second = take_rows(b, &extra);
-    append(&first, &second)
+    append(a, &rows_flagged(b, &head_hits(b, a), false))
 }
 
 /// `algebra.kdifference(a, b)`: rows of `a` whose head oid does not occur
-/// in `b`.
+/// in `b`. Nothing to remove hands `a` back shared.
 pub fn kdifference(a: &Bat, b: &Bat) -> Result<Bat, BatError> {
-    let drop: HashSet<Oid> = (0..b.len()).map(|i| b.head_at(i)).collect();
-    let keep: Vec<usize> = (0..a.len())
-        .filter(|&i| !drop.contains(&a.head_at(i)))
-        .collect();
-    Ok(take_rows(a, &keep))
+    if a.is_empty() || b.is_empty() {
+        return Ok(a.clone());
+    }
+    Ok(rows_flagged(a, &head_hits(a, b), false))
 }
 
 /// `algebra.kintersect(a, b)`: rows of `a` whose head oid occurs in `b`.
 pub fn kintersect(a: &Bat, b: &Bat) -> Result<Bat, BatError> {
-    let keep_set: HashSet<Oid> = (0..b.len()).map(|i| b.head_at(i)).collect();
-    let keep: Vec<usize> = (0..a.len())
-        .filter(|&i| keep_set.contains(&a.head_at(i)))
-        .collect();
-    Ok(take_rows(a, &keep))
+    Ok(rows_flagged(a, &head_hits(a, b), true))
 }
 
 /// `algebra.markT(b, base)`: keeps the head, renumbers the tail with
 /// consecutive oids from `base` — the tuple-renumbering step of Figure 1.
 pub fn mark_t(b: &Bat, base: Oid) -> Bat {
-    let n = b.len();
-    let head = Head::Oids((0..n).map(|i| b.head_at(i)).collect());
-    let tail = Tail::Oid((0..n as u64).map(|i| base + i).collect());
-    Bat::new(head, tail).expect("lengths match")
+    let tail = Tail::Oid(Arc::new((0..b.len() as u64).map(|i| base + i).collect()));
+    Bat::new(b.head().clone(), tail).expect("lengths match")
 }
 
 /// `bat.reverse(b)`: swaps head and tail; the tail must be oid-typed.
@@ -191,35 +285,45 @@ pub fn reverse(b: &Bat) -> Result<Bat, BatError> {
     let Tail::Oid(tails) = b.tail() else {
         return Err(BatError::OidTailRequired);
     };
-    let head = Head::Oids(tails.clone());
-    let tail = Tail::Oid((0..b.len()).map(|i| b.head_at(i)).collect());
-    Bat::new(head, tail).map_err(|_| BatError::LengthMismatch)
+    let tail = match b.head() {
+        Head::Void { .. } => Tail::Oid(Arc::new(b.head_oids())),
+        Head::Oids(heads) => Tail::Oid(Arc::clone(heads)),
+    };
+    Bat::new(Head::Oids(Arc::clone(tails)), tail).map_err(|_| BatError::LengthMismatch)
 }
 
 /// `algebra.join(a, b)`: matches `a`'s tail oids against `b`'s head oids,
-/// producing `(a.head, b.tail)` pairs.
+/// producing `(a.head, b.tail)` pairs in `a`'s row order (then `b`'s).
+/// A void inner head is a positional fetch per outer row; explicit inner
+/// heads hash the shorter input and stream the longer once.
 pub fn join(a: &Bat, b: &Bat) -> Result<Bat, BatError> {
-    let Tail::Oid(a_tails) = a.tail() else {
+    let Tail::Oid(probe) = a.tail() else {
         return Err(BatError::OidTailRequired);
     };
-    // Hash b's heads.
-    let mut index: std::collections::HashMap<Oid, Vec<usize>> = std::collections::HashMap::new();
-    for j in 0..b.len() {
-        index.entry(b.head_at(j)).or_default().push(j);
-    }
-    let mut heads = Vec::new();
-    let mut rows = Vec::new();
-    for (i, t) in a_tails.iter().enumerate() {
-        if let Some(matches) = index.get(t) {
-            for &j in matches {
-                heads.push(a.head_at(i));
-                rows.push(j);
+    // (row of a, row of b) per match.
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    match b.head() {
+        Head::Void { base } => {
+            for (i, &t) in probe.iter().enumerate() {
+                pairs.extend(void_position(*base, b.len(), t).map(|j| (i, j)));
             }
         }
+        Head::Oids(heads) if heads.len() <= probe.len() => {
+            let inner = Positions::of(heads);
+            for (i, &t) in probe.iter().enumerate() {
+                pairs.extend(inner.at(t).map(|j| (i, j)));
+            }
+        }
+        Head::Oids(heads) => {
+            let outer = Positions::of(probe);
+            for (j, &h) in heads.iter().enumerate() {
+                pairs.extend(outer.at(h).map(|i| (i, j)));
+            }
+            pairs.sort_unstable();
+        }
     }
-    let picked = take_rows(b, &rows);
-    let tail = picked.tail().clone();
-    Bat::new(Head::Oids(heads), tail)
+    let (outer_rows, inner_rows): (Vec<usize>, Vec<usize>) = pairs.into_iter().unzip();
+    Bat::new(take_head(a, &outer_rows), take_tail(b, &inner_rows))
 }
 
 /// `bat.slice(b, lo, hi)`: rows `lo..=hi` (clamped).
@@ -231,21 +335,29 @@ pub fn slice(b: &Bat, lo: usize, hi: usize) -> Bat {
     take_rows(b, &(lo..=hi).collect::<Vec<_>>())
 }
 
-/// Appends `b`'s rows to `a` (same tail type).
+/// `x` followed by `y`, each copied once into a buffer sized up front.
+fn concat<T: Clone>(x: &[T], y: &[T]) -> Arc<Vec<T>> {
+    let mut out = Vec::with_capacity(x.len() + y.len());
+    out.extend_from_slice(x);
+    out.extend_from_slice(y);
+    Arc::new(out)
+}
+
+/// Appends `b`'s rows to `a` (same tail type). An empty side hands the
+/// other back shared, and a void head stays void when `b`'s oids continue
+/// its range.
 pub fn append(a: &Bat, b: &Bat) -> Result<Bat, BatError> {
     if a.is_empty() {
-        return Ok(take_rows(b, &(0..b.len()).collect::<Vec<_>>()));
+        return Ok(b.clone());
     }
     if b.is_empty() {
-        return Ok(take_rows(a, &(0..a.len()).collect::<Vec<_>>()));
+        return Ok(a.clone());
     }
-    let mut heads = a.head_oids();
-    heads.extend(b.head_oids());
     let tail = match (a.tail(), b.tail()) {
-        (Tail::Int(x), Tail::Int(y)) => Tail::Int(x.iter().chain(y.iter()).copied().collect()),
-        (Tail::Dbl(x), Tail::Dbl(y)) => Tail::Dbl(x.iter().chain(y.iter()).copied().collect()),
-        (Tail::Oid(x), Tail::Oid(y)) => Tail::Oid(x.iter().chain(y.iter()).copied().collect()),
-        (Tail::Str(x), Tail::Str(y)) => Tail::Str(x.iter().chain(y.iter()).cloned().collect()),
+        (Tail::Int(x), Tail::Int(y)) => Tail::Int(concat(x, y)),
+        (Tail::Dbl(x), Tail::Dbl(y)) => Tail::Dbl(concat(x, y)),
+        (Tail::Oid(x), Tail::Oid(y)) => Tail::Oid(concat(x, y)),
+        (Tail::Str(x), Tail::Str(y)) => Tail::Str(concat(x, y)),
         (Tail::Nil(x), Tail::Nil(y)) => Tail::Nil(x + y),
         (x, y) => {
             return Err(BatError::TypeMismatch {
@@ -254,7 +366,17 @@ pub fn append(a: &Bat, b: &Bat) -> Result<Bat, BatError> {
             })
         }
     };
-    Bat::new(Head::Oids(heads), tail)
+    let head = match a.head() {
+        Head::Void { base }
+            if base
+                .checked_add(a.len() as u64)
+                .is_some_and(|next| b.head().continues_from(next)) =>
+        {
+            a.head().clone()
+        }
+        _ => Head::Oids(concat(&a.head_oids(), &b.head_oids())),
+    };
+    Bat::new(head, tail)
 }
 
 /// `aggr.count(b)`.
@@ -320,7 +442,7 @@ mod tests {
         let r = select(&b, &Atom::Dbl(205.1), &Atom::Dbl(205.12)).unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(r.head_oids(), vec![1, 3]);
-        assert_eq!(r.tail(), &Tail::Dbl(vec![205.11, 205.115]));
+        assert_eq!(r.tail(), &Tail::Dbl(vec![205.11, 205.115].into()));
     }
 
     #[test]
@@ -346,21 +468,84 @@ mod tests {
 
     #[test]
     fn kunion_deduplicates_by_head() {
-        let a = Bat::new(Head::Oids(vec![0, 1]), Tail::Int(vec![10, 11])).unwrap();
-        let b = Bat::new(Head::Oids(vec![1, 2]), Tail::Int(vec![99, 12])).unwrap();
+        let a = Bat::new(
+            Head::Oids(vec![0, 1].into()),
+            Tail::Int(vec![10, 11].into()),
+        )
+        .unwrap();
+        let b = Bat::new(
+            Head::Oids(vec![1, 2].into()),
+            Tail::Int(vec![99, 12].into()),
+        )
+        .unwrap();
         let u = kunion(&a, &b).unwrap();
         assert_eq!(u.head_oids(), vec![0, 1, 2]);
         assert_eq!(
             u.tail(),
-            &Tail::Int(vec![10, 11, 12]),
+            &Tail::Int(vec![10, 11, 12].into()),
             "a's value wins for oid 1"
         );
     }
 
     #[test]
+    fn an_empty_side_shares_the_other_input() {
+        let a = Bat::new(
+            Head::Oids(vec![3, 1].into()),
+            Tail::Int(vec![30, 10].into()),
+        )
+        .unwrap();
+        let none = a.empty_like();
+        assert!(kunion(&a, &none).unwrap().shares_storage_with(&a));
+        assert!(kunion(&none, &a).unwrap().shares_storage_with(&a));
+        assert!(kdifference(&a, &none).unwrap().shares_storage_with(&a));
+        assert!(append(&a, &none).unwrap().shares_storage_with(&a));
+        // Nothing removed is the same bat too, and keeps a void head void.
+        let dense = Bat::dense_int(vec![1, 2, 3]);
+        let elsewhere = Bat::new(Head::Void { base: 10 }, Tail::Nil(2)).unwrap();
+        assert!(kdifference(&dense, &elsewhere)
+            .unwrap()
+            .shares_storage_with(&dense));
+        assert!(kintersect(&dense, &dense)
+            .unwrap()
+            .shares_storage_with(&dense));
+    }
+
+    #[test]
+    fn rows_past_a_void_head_keep_it_void() {
+        let base = Bat::dense_int(vec![10, 11, 12]);
+        let inserts = Bat::new(
+            Head::Oids(vec![3, 4].into()),
+            Tail::Int(vec![13, 14].into()),
+        );
+        let u = kunion(&base, &inserts.unwrap()).unwrap();
+        assert_eq!(u, Bat::dense_int(vec![10, 11, 12, 13, 14]));
+        let gap = Bat::new(Head::Oids(vec![4].into()), Tail::Int(vec![14].into())).unwrap();
+        let u = kunion(&base, &gap).unwrap();
+        assert_eq!(u.head(), &Head::Oids(vec![0, 1, 2, 4].into()));
+    }
+
+    #[test]
+    fn join_against_a_void_head_fetches_by_position() {
+        let probe = Bat::new(
+            Head::Void { base: 0 },
+            Tail::Oid(vec![102, 99, 100, 103].into()),
+        )
+        .unwrap();
+        let inner = Bat::new(Head::Void { base: 100 }, Tail::Int(vec![7, 8, 9].into())).unwrap();
+        let j = join(&probe, &inner).unwrap();
+        // 99 and 103 fall outside [100, 103).
+        assert_eq!(j.head_oids(), vec![0, 2]);
+        assert_eq!(j.tail(), &Tail::Int(vec![9, 7].into()));
+    }
+
+    #[test]
     fn kdifference_and_kintersect_partition() {
-        let a = Bat::new(Head::Oids(vec![0, 1, 2, 3]), Tail::Int(vec![1, 2, 3, 4])).unwrap();
-        let b = Bat::new(Head::Oids(vec![1, 3]), Tail::Nil(2)).unwrap();
+        let a = Bat::new(
+            Head::Oids(vec![0, 1, 2, 3].into()),
+            Tail::Int(vec![1, 2, 3, 4].into()),
+        )
+        .unwrap();
+        let b = Bat::new(Head::Oids(vec![1, 3].into()), Tail::Nil(2)).unwrap();
         let d = kdifference(&a, &b).unwrap();
         let i = kintersect(&a, &b).unwrap();
         assert_eq!(d.head_oids(), vec![0, 2]);
@@ -371,13 +556,13 @@ mod tests {
     #[test]
     fn mark_then_reverse_builds_renumbering_map() {
         // The X25 -> X28 -> X29 pattern of Figure 1.
-        let picked = Bat::new(Head::Oids(vec![42, 17, 99]), Tail::Nil(3)).unwrap();
+        let picked = Bat::new(Head::Oids(vec![42, 17, 99].into()), Tail::Nil(3)).unwrap();
         let marked = mark_t(&picked, 0);
-        assert_eq!(marked.tail(), &Tail::Oid(vec![0, 1, 2]));
+        assert_eq!(marked.tail(), &Tail::Oid(vec![0, 1, 2].into()));
         let rev = reverse(&marked).unwrap();
         // New head: dense result oids; tail: original oids.
         assert_eq!(rev.head_oids(), vec![0, 1, 2]);
-        assert_eq!(rev.tail(), &Tail::Oid(vec![42, 17, 99]));
+        assert_eq!(rev.tail(), &Tail::Oid(vec![42, 17, 99].into()));
     }
 
     #[test]
@@ -391,16 +576,24 @@ mod tests {
     #[test]
     fn join_matches_tail_to_head() {
         // a: result-oid -> row-oid; b: row-oid -> value.
-        let a = Bat::new(Head::Oids(vec![0, 1]), Tail::Oid(vec![10, 12])).unwrap();
-        let b = Bat::new(Head::Oids(vec![10, 11, 12]), Tail::Int(vec![100, 110, 120])).unwrap();
+        let a = Bat::new(
+            Head::Oids(vec![0, 1].into()),
+            Tail::Oid(vec![10, 12].into()),
+        )
+        .unwrap();
+        let b = Bat::new(
+            Head::Oids(vec![10, 11, 12].into()),
+            Tail::Int(vec![100, 110, 120].into()),
+        )
+        .unwrap();
         let j = join(&a, &b).unwrap();
         assert_eq!(j.head_oids(), vec![0, 1]);
-        assert_eq!(j.tail(), &Tail::Int(vec![100, 120]));
+        assert_eq!(j.tail(), &Tail::Int(vec![100, 120].into()));
     }
 
     #[test]
     fn join_drops_dangling_oids() {
-        let a = Bat::new(Head::Oids(vec![0]), Tail::Oid(vec![77])).unwrap();
+        let a = Bat::new(Head::Oids(vec![0].into()), Tail::Oid(vec![77].into())).unwrap();
         let b = Bat::dense_int(vec![1, 2]);
         let j = join(&a, &b).unwrap();
         assert!(j.is_empty());
@@ -410,7 +603,7 @@ mod tests {
     fn slice_clamps() {
         let b = Bat::dense_int(vec![1, 2, 3, 4, 5]);
         let s = slice(&b, 1, 3);
-        assert_eq!(s.tail(), &Tail::Int(vec![2, 3, 4]));
+        assert_eq!(s.tail(), &Tail::Int(vec![2, 3, 4].into()));
         assert_eq!(s.head_oids(), vec![1, 2, 3]);
         assert!(slice(&b, 4, 2).is_empty());
         let whole = slice(&b, 0, 100);
@@ -420,10 +613,10 @@ mod tests {
     #[test]
     fn append_concatenates_same_types() {
         let a = Bat::dense_int(vec![1]);
-        let b = Bat::new(Head::Oids(vec![5]), Tail::Int(vec![2])).unwrap();
+        let b = Bat::new(Head::Oids(vec![5].into()), Tail::Int(vec![2].into())).unwrap();
         let c = append(&a, &b).unwrap();
         assert_eq!(c.head_oids(), vec![0, 5]);
-        assert_eq!(c.tail(), &Tail::Int(vec![1, 2]));
+        assert_eq!(c.tail(), &Tail::Int(vec![1, 2].into()));
         assert!(append(&a, &Bat::dense_dbl(vec![1.0])).is_err());
     }
 

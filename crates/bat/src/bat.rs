@@ -9,6 +9,15 @@
 //! Heads are always oid-typed (the SQL compiler maps relational tables to
 //! collections of bats whose head column is an oid); dense ("void") heads
 //! are stored as just a base oid.
+//!
+//! Stored heads and tails live in shared immutable buffers, so cloning a
+//! bat — binding a catalog column to a plan variable, handing an operator
+//! input back as its result — is a reference-count bump, never a copy of
+//! the column. The buffer is a frozen `Vec` (`Arc<Vec<T>>`, not
+//! `Arc<[T]>`): every operator builds its result in a `Vec`, and freezing
+//! one is free where converting it to a shared slice would copy it again.
+
+use std::sync::Arc;
 
 /// Object identifier, MonetDB's positional surrogate.
 pub type Oid = u64;
@@ -52,10 +61,28 @@ pub enum Head {
         base: Oid,
     },
     /// Explicit oid list.
-    Oids(Vec<Oid>),
+    Oids(Arc<Vec<Oid>>),
 }
 
 impl Head {
+    /// The head for `oids`: [`Head::Void`] when they are consecutive from
+    /// their first element (one pass), explicit otherwise.
+    pub fn from_oids(oids: Vec<Oid>) -> Head {
+        match oids.first() {
+            Some(&base) if consecutive_from(&oids, base) => Head::Void { base },
+            _ => Head::Oids(oids.into()),
+        }
+    }
+
+    /// Whether this head's oids are exactly `first, first + 1, …` — what
+    /// lets rows appended after a void head keep it void.
+    pub(crate) fn continues_from(&self, first: Oid) -> bool {
+        match self {
+            Head::Void { base } => *base == first,
+            Head::Oids(v) => consecutive_from(v, first),
+        }
+    }
+
     /// Oid at position `i`.
     pub fn get(&self, i: usize) -> Oid {
         match self {
@@ -73,17 +100,23 @@ impl Head {
     }
 }
 
+fn consecutive_from(oids: &[Oid], first: Oid) -> bool {
+    oids.iter()
+        .enumerate()
+        .all(|(i, &o)| first.checked_add(i as u64) == Some(o))
+}
+
 /// The tail column: one of the kernel's value types.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Tail {
     /// 64-bit integers (`:int`/`:lng`).
-    Int(Vec<i64>),
+    Int(Arc<Vec<i64>>),
     /// 64-bit floats (`:dbl`).
-    Dbl(Vec<f64>),
+    Dbl(Arc<Vec<f64>>),
     /// Oids (`:oid`).
-    Oid(Vec<Oid>),
+    Oid(Arc<Vec<Oid>>),
     /// Strings (`:str`).
-    Str(Vec<String>),
+    Str(Arc<Vec<String>>),
     /// No tail values (`:void` results of `uselect`); carries the length.
     Nil(usize),
 }
@@ -139,7 +172,7 @@ impl Bat {
     pub fn dense_int(values: Vec<i64>) -> Self {
         Bat {
             head: Head::Void { base: 0 },
-            tail: Tail::Int(values),
+            tail: Tail::Int(values.into()),
         }
     }
 
@@ -147,7 +180,7 @@ impl Bat {
     pub fn dense_dbl(values: Vec<f64>) -> Self {
         Bat {
             head: Head::Void { base: 0 },
-            tail: Tail::Dbl(values),
+            tail: Tail::Dbl(values.into()),
         }
     }
 
@@ -155,23 +188,44 @@ impl Bat {
     pub fn dense_oid(values: Vec<Oid>) -> Self {
         Bat {
             head: Head::Void { base: 0 },
-            tail: Tail::Oid(values),
+            tail: Tail::Oid(values.into()),
         }
     }
 
     /// An empty bat of the same tail type as `self`.
     pub fn empty_like(&self) -> Self {
         let tail = match &self.tail {
-            Tail::Int(_) => Tail::Int(Vec::new()),
-            Tail::Dbl(_) => Tail::Dbl(Vec::new()),
-            Tail::Oid(_) => Tail::Oid(Vec::new()),
-            Tail::Str(_) => Tail::Str(Vec::new()),
+            Tail::Int(_) => Tail::Int(Arc::default()),
+            Tail::Dbl(_) => Tail::Dbl(Arc::default()),
+            Tail::Oid(_) => Tail::Oid(Arc::default()),
+            Tail::Str(_) => Tail::Str(Arc::default()),
             Tail::Nil(_) => Tail::Nil(0),
         };
         Bat {
-            head: Head::Oids(Vec::new()),
+            head: Head::Oids(Arc::default()),
             tail,
         }
+    }
+
+    /// Whether `self` and `other` are the same rows held in the same
+    /// buffers — what a clone, or an operator that hands an input back as
+    /// its result, yields. Columns that store nothing (void heads, nil
+    /// tails) compare by value.
+    pub fn shares_storage_with(&self, other: &Bat) -> bool {
+        let same_head = match (&self.head, &other.head) {
+            (Head::Void { base: a }, Head::Void { base: b }) => a == b,
+            (Head::Oids(a), Head::Oids(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        let same_tail = match (&self.tail, &other.tail) {
+            (Tail::Int(a), Tail::Int(b)) => Arc::ptr_eq(a, b),
+            (Tail::Dbl(a), Tail::Dbl(b)) => Arc::ptr_eq(a, b),
+            (Tail::Oid(a), Tail::Oid(b)) => Arc::ptr_eq(a, b),
+            (Tail::Str(a), Tail::Str(b)) => Arc::ptr_eq(a, b),
+            (Tail::Nil(a), Tail::Nil(b)) => a == b,
+            _ => false,
+        };
+        same_head && same_tail
     }
 
     /// Row count.
@@ -236,7 +290,7 @@ mod tests {
 
     #[test]
     fn new_rejects_length_mismatch() {
-        let err = Bat::new(Head::Oids(vec![1, 2]), Tail::Int(vec![5])).unwrap_err();
+        let err = Bat::new(Head::Oids(vec![1, 2].into()), Tail::Int(vec![5].into())).unwrap_err();
         assert_eq!(err, BatError::LengthMismatch);
     }
 
@@ -249,9 +303,44 @@ mod tests {
 
     #[test]
     fn bytes_counts_stored_columns() {
-        let b = Bat::new(Head::Oids(vec![0, 1]), Tail::Dbl(vec![1.0, 2.0])).unwrap();
+        let b = Bat::new(
+            Head::Oids(vec![0, 1].into()),
+            Tail::Dbl(vec![1.0, 2.0].into()),
+        )
+        .unwrap();
         assert_eq!(b.bytes(), 32);
         assert_eq!(Bat::dense_int(vec![1, 2, 3]).bytes(), 24);
+    }
+
+    #[test]
+    fn clone_shares_storage_instead_of_copying() {
+        let b = Bat::new(Head::Oids(vec![4, 9].into()), Tail::Int(vec![1, 2].into())).unwrap();
+        assert!(b.clone().shares_storage_with(&b));
+        let same_rows =
+            Bat::new(Head::Oids(vec![4, 9].into()), Tail::Int(vec![1, 2].into())).unwrap();
+        assert_eq!(same_rows, b);
+        assert!(
+            !same_rows.shares_storage_with(&b),
+            "equal rows, own buffers"
+        );
+        let dense = Bat::dense_dbl(vec![1.0]);
+        assert!(dense.clone().shares_storage_with(&dense));
+    }
+
+    #[test]
+    fn from_oids_recognizes_consecutive_runs() {
+        assert_eq!(Head::from_oids(vec![5, 6, 7]), Head::Void { base: 5 });
+        assert_eq!(
+            Head::from_oids(vec![5, 7, 8]),
+            Head::Oids(vec![5, 7, 8].into())
+        );
+        assert_eq!(Head::from_oids(vec![6, 5]), Head::Oids(vec![6, 5].into()));
+        assert_eq!(Head::from_oids(vec![]), Head::Oids(Arc::default()));
+        assert_eq!(
+            Head::from_oids(vec![u64::MAX, 0]),
+            Head::Oids(vec![u64::MAX, 0].into()),
+            "no wrap-around"
+        );
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! algebra the example plans use: `select`, `uselect`, `kunion`,
 //! `kdifference`, `kintersect`, `markT`, `reverse`, `join`, `slice`, and
 //! the aggregates. Every operator materializes its result, mirroring
-//! MonetDB's execution paradigm.
+//! MonetDB's execution paradigm; columns live in shared immutable buffers,
+//! so a clone — or a result that is one of its inputs — copies nothing.
 //!
 //! ```
 //! use soc_bat::{algebra, Atom, Bat};
@@ -27,6 +28,8 @@
 
 pub mod algebra;
 pub mod bat;
+#[cfg(test)]
+mod reference;
 
 pub use algebra::Atom;
 pub use bat::{Bat, BatError, Head, Oid, Tail};

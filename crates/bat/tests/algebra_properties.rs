@@ -14,7 +14,7 @@ fn arb_bat() -> impl Strategy<Value = Bat> {
         pairs.sort_by_key(|(h, _)| *h);
         pairs.dedup_by_key(|(h, _)| *h);
         let (heads, tails): (Vec<u64>, Vec<i64>) = pairs.into_iter().unzip();
-        Bat::new(Head::Oids(heads), Tail::Int(tails)).expect("lengths equal")
+        Bat::new(Head::Oids(heads.into()), Tail::Int(tails.into())).expect("lengths equal")
     })
 }
 
@@ -81,7 +81,7 @@ proptest! {
         let rev = algebra::reverse(&marked).unwrap();
         // reverse(markT(a, base)) maps dense result oids back to a's heads.
         let Tail::Oid(orig) = rev.tail() else { panic!() };
-        prop_assert_eq!(orig.clone(), a.head_oids());
+        prop_assert_eq!(orig.to_vec(), a.head_oids());
         prop_assert_eq!(rev.head_oids(), (base..base + a.len() as u64).collect::<Vec<_>>());
     }
 
@@ -94,7 +94,7 @@ proptest! {
         // Reference: for each (d, h) in rev, for each row of b with head h.
         let Tail::Oid(rev_tails) = rev.tail() else { panic!() };
         let mut expect = 0usize;
-        for t in rev_tails {
+        for t in rev_tails.iter() {
             expect += (0..b.len()).filter(|&i| b.head_at(i) == *t).count();
         }
         prop_assert_eq!(j.len(), expect);

@@ -50,7 +50,13 @@ impl Instruction {
         }
     }
 
-    /// `module.function` for display and matching.
+    /// Whether this calls `module.function` — the allocation-free match
+    /// the optimizer passes use.
+    pub fn is(&self, module: &str, function: &str) -> bool {
+        self.module == module && self.function == function
+    }
+
+    /// `module.function`, rendered for error messages.
     pub fn qualified(&self) -> String {
         format!("{}.{}", self.module, self.function)
     }
@@ -157,6 +163,8 @@ mod tests {
             ],
         );
         assert_eq!(i.qualified(), "algebra.select");
+        assert!(i.is("algebra", "select"));
+        assert!(!i.is("algebra", "uselect") && !i.is("bat", "select"));
         let p = Program {
             stmts: vec![Stmt::Assign(i)],
         };

@@ -16,6 +16,8 @@
 //! segment optimizer injects), and reorganization accounting flows out of
 //! `adaptation()` uniformly.
 
+use std::sync::Arc;
+
 use soc_bat::{algebra::Atom, Bat, BatError, Head, Oid, Tail};
 use soc_core::model::SegmentationModel;
 use soc_core::{
@@ -108,7 +110,7 @@ trait TailValue: ColumnValue {
 
 impl TailValue for i64 {
     fn make_tail(values: Vec<Self>) -> Tail {
-        Tail::Int(values)
+        Tail::Int(values.into())
     }
 
     fn bound_lo(x: f64) -> Option<Self> {
@@ -142,7 +144,7 @@ impl TailValue for i64 {
 
 impl TailValue for u64 {
     fn make_tail(values: Vec<Self>) -> Tail {
-        Tail::Oid(values)
+        Tail::Oid(values.into())
     }
 
     fn bound_lo(x: f64) -> Option<Self> {
@@ -175,7 +177,7 @@ impl TailValue for u64 {
 
 impl TailValue for OrdF64 {
     fn make_tail(values: Vec<Self>) -> Tail {
-        Tail::Dbl(values.into_iter().map(OrdF64::get).collect())
+        Tail::Dbl(Arc::new(values.into_iter().map(OrdF64::get).collect()))
     }
 
     fn bound_lo(x: f64) -> Option<Self> {
@@ -452,7 +454,7 @@ fn bat_of_pairs<V: TailValue>(pairs: Vec<Pair<V>>) -> Result<Bat, BpmError> {
         heads.push(p.oid);
         values.push(p.value);
     }
-    Ok(Bat::new(Head::Oids(heads), V::make_tail(values))?)
+    Ok(Bat::new(Head::Oids(heads.into()), V::make_tail(values))?)
 }
 
 enum PairColumn {
@@ -640,6 +642,17 @@ impl SegmentedBat {
         on_seg!(&self.inner, s => s.piece_bat(i))
     }
 
+    /// An empty bat typed like this column's tail — what a delta bind is
+    /// shaped after. Read off the column's type, so it costs no piece
+    /// read and holds for a column with no pieces at all.
+    pub fn empty_like(&self) -> Bat {
+        match &self.inner {
+            PairColumn::Int(_) => Bat::dense_int(Vec::new()),
+            PairColumn::Dbl(_) => Bat::dense_dbl(Vec::new()),
+            PairColumn::Oid(_) => Bat::dense_oid(Vec::new()),
+        }
+    }
+
     /// All pieces overlapping the closed query `[lo, hi]`, in value
     /// order — the bulk form of [`Self::piece_bat`] the interpreter's
     /// segment iterator uses (one piece-range computation for the whole
@@ -733,8 +746,25 @@ mod tests {
     }
 
     #[test]
+    fn empty_like_reads_the_tail_type_without_reading_a_piece() {
+        let model = || Box::new(AlwaysSplit);
+        let int = SegmentedBat::new(Bat::dense_int(vec![]), 0.0, 10.0, model()).unwrap();
+        let dbl = SegmentedBat::new(Bat::dense_dbl(vec![1.5]), 0.0, 10.0, model()).unwrap();
+        let oid = SegmentedBat::new(Bat::dense_oid(vec![]), 0.0, 10.0, model()).unwrap();
+        for (seg, name) in [(int, "int"), (dbl, "dbl"), (oid, "oid")] {
+            let e = seg.empty_like();
+            assert!(e.is_empty());
+            assert_eq!(e.tail().type_name(), name);
+        }
+    }
+
+    #[test]
     fn rejects_string_tails() {
-        let bat = Bat::new(Head::Void { base: 0 }, Tail::Str(vec!["a".into()])).unwrap();
+        let bat = Bat::new(
+            Head::Void { base: 0 },
+            Tail::Str(vec!["a".to_owned()].into()),
+        )
+        .unwrap();
         assert!(matches!(
             SegmentedBat::new(bat, 0.0, 1.0, Box::new(AlwaysSplit)),
             Err(BpmError::UnsupportedTail("str"))

@@ -37,6 +37,7 @@
 //! Figure 1 merged bat.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 use std::thread;
 
 use soc_bat::{algebra::Atom, Bat, BatError, Head, Oid, Tail};
@@ -136,7 +137,7 @@ impl ColumnDeltas {
 
 fn atoms_to_bat(key: &str, heads: &[Oid], vals: &[Atom], like: &Bat) -> Result<Bat, CatalogError> {
     let tail = match like.tail() {
-        Tail::Int(_) => Tail::Int(
+        Tail::Int(_) => Tail::Int(Arc::new(
             vals.iter()
                 .map(|a| match a {
                     Atom::Int(v) => *v,
@@ -145,13 +146,13 @@ fn atoms_to_bat(key: &str, heads: &[Oid], vals: &[Atom], like: &Bat) -> Result<B
                     _ => 0,
                 })
                 .collect(),
-        ),
-        Tail::Dbl(_) => Tail::Dbl(
+        )),
+        Tail::Dbl(_) => Tail::Dbl(Arc::new(
             vals.iter()
                 .map(|a| a.as_f64().unwrap_or(f64::NAN))
                 .collect(),
-        ),
-        Tail::Oid(_) => Tail::Oid(
+        )),
+        Tail::Oid(_) => Tail::Oid(Arc::new(
             vals.iter()
                 .map(|a| match a {
                     Atom::Oid(v) => *v,
@@ -159,18 +160,18 @@ fn atoms_to_bat(key: &str, heads: &[Oid], vals: &[Atom], like: &Bat) -> Result<B
                     _ => 0,
                 })
                 .collect(),
-        ),
-        Tail::Str(_) => Tail::Str(
+        )),
+        Tail::Str(_) => Tail::Str(Arc::new(
             vals.iter()
                 .map(|a| match a {
                     Atom::Str(s) => s.clone(),
                     other => other.to_string(),
                 })
                 .collect(),
-        ),
+        )),
         Tail::Nil(_) => Tail::Nil(vals.len()),
     };
-    Bat::new(Head::Oids(heads.to_vec()), tail).map_err(|source| CatalogError::MalformedDelta {
+    Bat::new(Head::from_oids(heads.to_vec()), tail).map_err(|source| CatalogError::MalformedDelta {
         key: key.to_owned(),
         source,
     })
@@ -662,7 +663,7 @@ impl Catalog {
     pub(crate) fn dbat(&self, schema: &str, table: &str) -> Result<Bat, CatalogError> {
         let key = Self::table_key(schema, table);
         let deleted = self.deleted.get(&key).cloned().unwrap_or_default();
-        Bat::new(Head::Void { base: 0 }, Tail::Oid(deleted))
+        Bat::new(Head::Void { base: 0 }, Tail::Oid(deleted.into()))
             .map_err(|source| CatalogError::MalformedDelta { key, source })
     }
 
@@ -821,8 +822,9 @@ impl Catalog {
     /// merged snapshot under its registered [`StrategySpec`] (the same
     /// snapshot-rebuild machinery background migrations use) with the
     /// full-column rewrite charged to its reorganization bill. Plain
-    /// columns are rebuilt with explicit oid heads. Afterwards the
-    /// table's delta bats and deletion list are empty.
+    /// columns are rebuilt in oid order — with a void head while no row
+    /// is missing, explicit oids once a delete has been folded in.
+    /// Afterwards the table's delta bats and deletion list are empty.
     ///
     /// Deltas recorded against column names that were never registered
     /// are inert (no base column ever binds them): they are neither
@@ -1780,7 +1782,7 @@ mod tests {
         let like = Bat::dense_dbl(vec![]);
         let ins = c.delta_bat("sys.P.ra", 1, &like).unwrap();
         assert_eq!(ins.head_oids(), vec![3, 4]);
-        assert_eq!(ins.tail(), &Tail::Dbl(vec![4.0, 5.0]));
+        assert_eq!(ins.tail(), &Tail::Dbl(vec![4.0, 5.0].into()));
     }
 
     #[test]
@@ -1792,9 +1794,9 @@ mod tests {
         let like = Bat::dense_dbl(vec![]);
         let upd = c.delta_bat("sys.P.ra", 2, &like).unwrap();
         assert_eq!(upd.head_oids(), vec![1]);
-        assert_eq!(upd.tail(), &Tail::Dbl(vec![9.0]));
+        assert_eq!(upd.tail(), &Tail::Dbl(vec![9.0].into()));
         let dbat = c.dbat("sys", "P").unwrap();
-        assert_eq!(dbat.tail(), &Tail::Oid(vec![0]));
+        assert_eq!(dbat.tail(), &Tail::Oid(vec![0].into()));
         // Untouched columns still produce empty deltas.
         assert!(c.delta_bat("sys.P.nope", 1, &like).unwrap().is_empty());
     }

@@ -22,6 +22,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use soc_bat::{algebra::Atom, Bat, Head, Oid, Tail};
 use soc_core::{MergePolicy, OrdF64, SegId, SizeEstimator, StrategyKind, StrategySpec, ValueRange};
@@ -273,7 +274,9 @@ fn tail_tag(tail: &Tail) -> &'static str {
 }
 
 /// Reads one column's rows back. `strrows` supplies the tail for `str`
-/// columns (oid-keyed, collected from the manifest).
+/// columns (oid-keyed, collected from the manifest). A consecutive oid
+/// list comes back as the void head it was saved from, so the restored
+/// column is as positional as the original.
 fn load_column(
     dir: &Path,
     key: &str,
@@ -284,14 +287,14 @@ fn load_column(
     let store = SegmentStore::open(col_dir(dir, key))?;
     let heads: Vec<Oid> = load_values(&store, HEADS, rows)?;
     let tail = match tag {
-        "int" => Tail::Int(load_values(&store, VALUES, rows)?),
-        "oid" => Tail::Oid(load_values(&store, VALUES, rows)?),
-        "dbl" => Tail::Dbl(
+        "int" => Tail::Int(load_values(&store, VALUES, rows)?.into()),
+        "oid" => Tail::Oid(load_values(&store, VALUES, rows)?.into()),
+        "dbl" => Tail::Dbl(Arc::new(
             load_values::<OrdF64>(&store, VALUES, rows)?
                 .into_iter()
                 .map(OrdF64::get)
                 .collect(),
-        ),
+        )),
         "str" => {
             let mut vals = vec![String::new(); rows];
             if strrows.len() != rows {
@@ -308,7 +311,7 @@ fn load_column(
                 }
                 vals[i] = s.clone();
             }
-            Tail::Str(vals)
+            Tail::Str(vals.into())
         }
         "nil" => Tail::Nil(rows),
         other => {
@@ -317,7 +320,8 @@ fn load_column(
             )))
         }
     };
-    Bat::new(Head::Oids(heads), tail).map_err(|e| CheckpointError::Malformed(format!("{key}: {e}")))
+    Bat::new(Head::from_oids(heads), tail)
+        .map_err(|e| CheckpointError::Malformed(format!("{key}: {e}")))
 }
 
 fn split_key(key: &str) -> Result<(&str, &str, &str), CheckpointError> {
@@ -609,7 +613,7 @@ mod tests {
             "name",
             Bat::new(
                 Head::Void { base: 0 },
-                Tail::Str((0..500).map(|i| format!("obj {i}")).collect()),
+                Tail::Str(Arc::new((0..500).map(|i| format!("obj {i}")).collect())),
             )
             .unwrap(),
         );
@@ -657,12 +661,9 @@ mod tests {
             c.strategy_spec("sys.P.ra").map(|s| s.kind),
             restored.strategy_spec("sys.P.ra").map(|s| s.kind)
         );
-        // Plain bats restore with explicit oid heads (a dense Void head
-        // becomes Oids) — compare the logical rows, not the encoding.
+        // Plain bats restore as they were saved, dense heads included.
         for key in ["sys.P.objid", "sys.P.name"] {
-            let (a, b) = (c.bat(key).unwrap(), restored.bat(key).unwrap());
-            assert_eq!(a.head_oids(), b.head_oids(), "{key}");
-            assert_eq!(a.tail(), b.tail(), "{key}");
+            assert_eq!(c.bat(key).unwrap(), restored.bat(key).unwrap(), "{key}");
         }
         assert_eq!(
             restored.pending_delta_rows("sys", "P"),
@@ -676,6 +677,35 @@ mod tests {
         // rows + the one pending insert -> next is 501).
         let mut r = restored;
         assert_eq!(r.insert_row("sys", "P", &[("objid", Atom::Int(1))]), 501);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn dense_heads_restore_void_and_gapped_heads_restore_explicit() {
+        let dir = tmp("density");
+        let mut c = Catalog::new();
+        c.register_bat("sys", "T", "i", Bat::dense_int((0..300).collect()));
+        c.register_bat(
+            "sys",
+            "T",
+            "d",
+            Bat::dense_dbl((0..300).map(f64::from).collect()),
+        );
+        // Oid 2 is missing, as after a merged delete.
+        let gapped = Bat::new(
+            Head::Oids(vec![0, 1, 3].into()),
+            Tail::Int(vec![10, 11, 13].into()),
+        )
+        .unwrap();
+        c.register_bat("sys", "G", "i", gapped.clone());
+        c.save_all(&dir).unwrap();
+        let restored = Catalog::load_all(&dir).unwrap();
+        for key in ["sys.T.i", "sys.T.d"] {
+            let b = restored.bat(key).unwrap();
+            assert_eq!(b.head(), &Head::Void { base: 0 }, "{key}");
+            assert_eq!(b, c.bat(key).unwrap(), "{key}");
+        }
+        assert_eq!(restored.bat("sys.G.i").unwrap(), &gapped);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,10 +1,11 @@
 //! The MAL interpreter: executes parsed programs against a [`Catalog`].
 //!
 //! Mirrors the MonetDB execution paradigm of Section 2 — every operator
-//! materializes its result into a fresh bat bound to a plan variable —
-//! and implements the `bpm` calls the segment optimizer injects
-//! (Section 3.1), including the predicate-enhanced segment iterator
-//! driving `barrier`/`redo`/`exit` blocks.
+//! materializes its result into a bat bound to a plan variable (binding a
+//! column, fetching an argument and returning the result set clone a bat,
+//! which shares its buffers) — and implements the `bpm` calls the segment
+//! optimizer injects (Section 3.1), including the predicate-enhanced
+//! segment iterator driving `barrier`/`redo`/`exit` blocks.
 
 use std::collections::HashMap;
 
@@ -317,7 +318,7 @@ impl<'a> Interp<'a> {
                     let like = if let Some(b) = self.catalog.bat(&key) {
                         b.empty_like()
                     } else if let Some(seg) = self.catalog.segmented(&key) {
-                        seg.piece_bat(0)?.empty_like()
+                        seg.empty_like()
                     } else {
                         return Err(ExecError::UnknownColumn(key));
                     };
@@ -534,7 +535,7 @@ impl<'a> Interp<'a> {
                             });
                         }
                         Ok(MalValue::Bat(acc.unwrap_or(Bat::new(
-                            Head::Oids(Vec::new()),
+                            Head::Void { base: 0 },
                             Tail::Nil(0),
                         )?)))
                     }
@@ -684,9 +685,54 @@ end s1_0;
         let Tail::Int(ids) = result.tail() else {
             panic!("int tail")
         };
-        let mut ids = ids.clone();
+        let mut ids = ids.to_vec();
         ids.sort_unstable();
         assert_eq!(ids, vec![9002, 9004]);
+    }
+
+    #[test]
+    fn binds_and_pass_through_operators_share_the_catalog_column() {
+        // No pending deltas: every union/difference on the projection side
+        // has an empty operand, so X36 is still the catalog's own buffers.
+        let mut c = catalog(false);
+        let prog = parse(FIGURE1).unwrap();
+        let mut interp = Interp::new(&mut c);
+        let result = interp
+            .run(&prog, &[Atom::Dbl(205.1), Atom::Dbl(205.12)])
+            .unwrap()
+            .expect("result");
+        let bound = |var: &str| match interp.get(var) {
+            Some(MalValue::Bat(b)) => b.clone(),
+            other => panic!("{var} must be a bat, got {other:?}"),
+        };
+        let (x30, x36, x37) = (bound("X30"), bound("X36"), bound("X37"));
+        assert!(result.shares_storage_with(&x37), "run() hands X37 out");
+        drop(interp);
+        let objid = c.bat("sys.P.objid").unwrap();
+        assert!(x30.shares_storage_with(objid), "sql.bind(…,0) copied");
+        assert!(x36.shares_storage_with(objid), "delta merge copied");
+    }
+
+    #[test]
+    fn delta_binds_are_typed_like_the_segmented_base() {
+        let mut c = catalog(true);
+        c.insert_row("sys", "P", &[("ra", Atom::Dbl(205.111))]);
+        let prog = parse(
+            r#"I := sql.bind("sys","P","ra",1);
+               U := sql.bind("sys","P","ra",2);"#,
+        )
+        .unwrap();
+        let mut interp = Interp::new(&mut c);
+        interp.run(&prog, &[]).unwrap();
+        let Some(MalValue::Bat(ins)) = interp.get("I") else {
+            panic!("I must be a bat")
+        };
+        assert_eq!(ins.tail(), &Tail::Dbl(vec![205.111].into()));
+        let Some(MalValue::Bat(upd)) = interp.get("U") else {
+            panic!("U must be a bat")
+        };
+        assert!(upd.is_empty());
+        assert_eq!(upd.tail().type_name(), "dbl");
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl SegmentOptimizer {
         let mut seg_binds: Vec<(String, String)> = Vec::new(); // (var, key)
         for s in &prog.stmts {
             let Stmt::Assign(i) = s else { continue };
-            if i.qualified() != "sql.bind" || i.args.len() < 4 {
+            if !i.is("sql", "bind") || i.args.len() < 4 {
                 continue;
             }
             let consts: Vec<Option<&Atom>> = i
@@ -114,7 +114,7 @@ impl SegmentOptimizer {
                 out.push(s.clone());
                 continue;
             };
-            let is_select = matches!(i.qualified().as_str(), "algebra.select" | "algebra.uselect");
+            let is_select = i.is("algebra", "select") || i.is("algebra", "uselect");
             let bind = i
                 .args
                 .first()
@@ -160,9 +160,7 @@ impl SegmentOptimizer {
         out.retain(|s| {
             let Stmt::Assign(i) = s else { return true };
             let Some(t) = &i.target else { return true };
-            !(i.qualified() == "sql.bind"
-                && rewritten_bind_vars.contains(t)
-                && !referenced.contains(t))
+            !(i.is("sql", "bind") && rewritten_bind_vars.contains(t) && !referenced.contains(t))
         });
         report.dropped_binds = before - out.len();
 

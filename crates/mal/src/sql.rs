@@ -663,7 +663,7 @@ mod tests {
         let Tail::Int(ids) = result.tail() else {
             panic!()
         };
-        let mut ids = ids.clone();
+        let mut ids = ids.to_vec();
         ids.sort_unstable();
         assert_eq!(ids, vec![2, 4]);
     }

@@ -166,7 +166,7 @@ fn background_set_strategy_serves_stale_reads_until_install() {
         let Tail::Int(vals) = packed.tail() else {
             panic!("int tail expected");
         };
-        let mut vals = vals.clone();
+        let mut vals = vals.to_vec();
         vals.sort_unstable();
         assert_eq!(vals, expected_sorted, "round {round}: rows mutated");
         // The column still accepts deltas after every switch.

@@ -1,7 +1,7 @@
 //! End-to-end MAL: parse → optimize → execute, across repeated queries
 //! with self-organization enabled (the Section 3.1 integration story).
 
-use socdb::bat::{Atom, Bat, Tail};
+use socdb::bat::{Atom, Bat, Head, Tail};
 use socdb::mal::{parse, Catalog, Interp, MalValue, RewriteStrategy, SegmentOptimizer};
 use socdb::prelude::{StrategyKind, StrategySpec};
 
@@ -64,7 +64,7 @@ fn result_ids(result: &Bat) -> Vec<i64> {
     let Tail::Int(ids) = result.tail() else {
         panic!("objid result must be an int tail")
     };
-    let mut ids = ids.clone();
+    let mut ids = ids.to_vec();
     ids.sort_unstable();
     ids
 }
@@ -219,7 +219,7 @@ fn figure1_merges_inserts_updates_and_deletes() {
         let Tail::Int(ids) = result.tail() else {
             panic!("objid result must be int")
         };
-        let mut ids = ids.clone();
+        let mut ids = ids.to_vec();
         ids.sort_unstable();
         ids
     };
@@ -265,6 +265,79 @@ fn figure1_merges_inserts_updates_and_deletes() {
     // Delete the inserted row too.
     c.delete_row("sys", "P", 5);
     assert_eq!(run(&mut c), vec![9000]);
+}
+
+/// A restored catalog answers like the one that was saved, on both
+/// reconstruction paths: the objid column comes back with its void head
+/// (positional fetch), and the pending objid update punches a hole in it —
+/// `kdifference(X33, X34)` leaves explicit oids — so `X36` is no longer
+/// dense and the join hashes its few outer oids and streams the column.
+#[test]
+fn figure1_on_a_restored_catalog_with_pending_deltas_returns_the_same_rows() {
+    let plan = parse(FIGURE1).unwrap();
+    let mut c = catalog(2_000, true);
+    let args = [Atom::Dbl(150.0), Atom::Dbl(152.0)];
+    let run = |c: &mut Catalog, optimize: bool| {
+        let plan = if optimize {
+            SegmentOptimizer::new().optimize(&plan, c).0
+        } else {
+            plan.clone()
+        };
+        let mut interp = Interp::new(c);
+        let result = interp.run(&plan, &args).unwrap().unwrap();
+        let Some(MalValue::Bat(x36)) = interp.get("X36") else {
+            panic!("X36 must be a bat")
+        };
+        (result_ids(&result), x36.head().clone())
+    };
+
+    let (base_ids, x36_head) = run(&mut c, true);
+    assert!(base_ids.len() > 10, "the range must select rows");
+    assert_eq!(x36_head, Head::Void { base: 0 }, "no deltas: X36 is X30");
+    let (updated, deleted) = ((base_ids[0] - 9_000) as u64, (base_ids[1] - 9_000) as u64);
+
+    c.insert_row(
+        "sys",
+        "P",
+        &[("ra", Atom::Dbl(151.0)), ("objid", Atom::Int(77_777))],
+    );
+    c.insert_row(
+        "sys",
+        "P",
+        &[("ra", Atom::Dbl(250.0)), ("objid", Atom::Int(77_778))],
+    );
+    let (with_inserts, x36_head) = run(&mut c, true);
+    assert!(with_inserts.contains(&77_777));
+    assert_eq!(
+        x36_head,
+        Head::Void { base: 0 },
+        "insert oids continue the dense range"
+    );
+    c.update_value("sys", "P", "objid", updated, Atom::Int(99_999));
+    c.delete_row("sys", "P", deleted);
+
+    let (before, x36_head) = run(&mut c, true);
+    assert!(
+        matches!(x36_head, Head::Oids(_)),
+        "the update punched a hole"
+    );
+    assert!(before.contains(&77_777) && before.contains(&99_999));
+    assert!(!before.contains(&base_ids[0]) && !before.contains(&base_ids[1]));
+    assert_eq!(before.len(), base_ids.len(), "+1 insert, -1 delete");
+
+    let dir = std::env::temp_dir().join(format!("socdb_e2e_restore_{}", std::process::id()));
+    c.save_all(&dir).unwrap();
+    let mut restored = Catalog::load_all(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        restored.bat("sys.P.objid").unwrap().head(),
+        &Head::Void { base: 0 }
+    );
+    for optimize in [false, true] {
+        let (after, x36_head) = run(&mut restored, optimize);
+        assert_eq!(after, before, "optimize={optimize}");
+        assert!(matches!(x36_head, Head::Oids(_)));
+    }
 }
 
 /// Bulk-merging the deltas is invisible to query results: the Figure 1
