@@ -18,6 +18,33 @@ use crate::strategy::ColumnStrategy;
 use crate::tracker::{AccessTracker, NullTracker};
 use crate::value::ColumnValue;
 
+/// The single-segment fold both baselines share: clip the delta to the
+/// segment's range (the column domain), fold it into the one payload, and
+/// re-check the segment. `sorted` keeps [`FullySorted`]'s order.
+fn fold_segment<V: ColumnValue>(
+    segment: &mut SegmentData<V>,
+    inserts: &[V],
+    tombstones: &[V],
+    sorted: bool,
+    tracker: &mut dyn AccessTracker,
+) -> Option<u64> {
+    let (tombs, outside) = crate::delta::clip_fold(&segment.range(), inserts, tombstones)?;
+    if inserts.is_empty() && tombs.is_empty() {
+        return Some(outside);
+    }
+    let unmatched = outside + segment.fold_delta(inserts, tombs, sorted, tracker);
+    crate::debug_assert_valid!(
+        crate::validate::segment(segment).and_then(|()| {
+            if sorted && !segment.decoded().windows(2).all(|w| w[0] <= w[1]) {
+                return Err(crate::validate::Violation::NotSorted { index: 0 });
+            }
+            Ok(())
+        }),
+        "baseline fold"
+    );
+    Some(unmatched)
+}
+
 /// A column that never reorganizes: one segment, always fully scanned.
 #[derive(Debug)]
 pub struct NonSegmented<V> {
@@ -71,7 +98,7 @@ impl<V: ColumnValue> NonSegmented<V> {
     }
 }
 
-// contract: ColumnStrategy thread-safety: no interior mutability; re-encoding happens only inside &mut self select calls, and &self accessors read immutable state.
+// contract: ColumnStrategy thread-safety: no interior mutability; re-encoding and delta folds happen only inside &mut self select / fold_delta calls, and &self accessors read immutable state.
 impl<V: ColumnValue> ColumnStrategy<V> for NonSegmented<V> {
     fn name(&self) -> String {
         "NoSegm".to_owned()
@@ -98,6 +125,15 @@ impl<V: ColumnValue> ColumnStrategy<V> for NonSegmented<V> {
         let mut out = Vec::new();
         self.segment.collect_in(q, &mut out);
         out
+    }
+
+    fn fold_delta(
+        &mut self,
+        inserts: &[V],
+        tombstones: &[V],
+        tracker: &mut dyn AccessTracker,
+    ) -> Option<u64> {
+        fold_segment(&mut self.segment, inserts, tombstones, false, tracker)
     }
 
     fn storage_bytes(&self) -> u64 {
@@ -171,7 +207,7 @@ impl<V: ColumnValue> FullySorted<V> {
     }
 }
 
-// contract: ColumnStrategy thread-safety: no interior mutability; re-encoding happens only inside &mut self select calls, and &self accessors read immutable state.
+// contract: ColumnStrategy thread-safety: no interior mutability; re-encoding and delta folds happen only inside &mut self select / fold_delta calls, and &self accessors read immutable state.
 impl<V: ColumnValue> ColumnStrategy<V> for FullySorted<V> {
     fn name(&self) -> String {
         "FullSort".to_owned()
@@ -220,6 +256,15 @@ impl<V: ColumnValue> ColumnStrategy<V> for FullySorted<V> {
             self.segment.collect_in(q, &mut out);
             out
         }
+    }
+
+    fn fold_delta(
+        &mut self,
+        inserts: &[V],
+        tombstones: &[V],
+        tracker: &mut dyn AccessTracker,
+    ) -> Option<u64> {
+        fold_segment(&mut self.segment, inserts, tombstones, true, tracker)
     }
 
     fn storage_bytes(&self) -> u64 {

@@ -267,6 +267,44 @@ impl<V: ColumnValue> SegmentedColumn<V> {
         Ok(())
     }
 
+    /// Folds a delta (both sides ascending) into the segments that own its
+    /// values: each touched segment absorbs its inserts and cancels one
+    /// occurrence per tombstone ([`SegmentData::fold_delta`] — a packed
+    /// payload is decoded and left raw), charged as one read plus one write
+    /// of that segment. Untouched segments, and every segment boundary,
+    /// stay exactly as they were.
+    ///
+    /// Returns the tombstones that found no occurrence, or `None` — with
+    /// nothing changed — when an insert lies outside the domain.
+    pub fn fold_delta(
+        &mut self,
+        inserts: &[V],
+        tombstones: &[V],
+        tracker: &mut dyn AccessTracker,
+    ) -> Option<u64> {
+        let (mut tombs, mut unmatched) =
+            crate::delta::clip_fold(&self.domain, inserts, tombstones)?;
+        let mut ins = inserts;
+        while let Some(next) = match (ins.first(), tombs.first()) {
+            (Some(a), Some(b)) => Some(*a.min(b)),
+            (a, b) => a.or(b).copied(),
+        } {
+            // Segments tile the domain, so some segment owns `next`.
+            let idx = self.segments.partition_point(|s| s.range().hi() < next);
+            let seg = &mut self.segments[idx];
+            let hi = seg.range().hi();
+            let (i, t) = (
+                ins.partition_point(|v| *v <= hi),
+                tombs.partition_point(|v| *v <= hi),
+            );
+            let before = seg.len();
+            unmatched += seg.fold_delta(&ins[..i], &tombs[..t], false, tracker);
+            self.total_len = self.total_len - before + seg.len();
+            (ins, tombs) = (&ins[i..], &tombs[t..]);
+        }
+        Some(unmatched)
+    }
+
     /// One sweep of the per-segment encoding choice, applied at
     /// reorganization boundaries (Section 4's reorganize step is also
     /// where the physical representation is reconsidered).

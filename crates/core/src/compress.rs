@@ -961,6 +961,30 @@ impl<V: ColumnValue> PiecePayload<V> {
         }
     }
 
+    /// Folds a slice of a delta into the payload in place: `inserts` join
+    /// the stored values, then each `tombstones` entry cancels one
+    /// occurrence (both ascending; inserts first, so a tombstone can cancel
+    /// an insert folded in the same step). A packed payload is decoded and
+    /// left [`PiecePayload::Raw`] — the next encoding sweep reconsiders it.
+    /// `sorted` promises an ascending payload and keeps it ascending (the
+    /// galloping merge and subtraction instead of an append and a
+    /// per-value cancel). Returns the tombstones that found no occurrence.
+    pub fn fold_delta(&mut self, inserts: &[V], tombstones: &[V], sorted: bool) -> u64 {
+        let mut values = std::mem::replace(self, PiecePayload::Raw(Vec::new())).into_values();
+        let unmatched = if sorted {
+            let (mut merged, mut kept) = (Vec::new(), Vec::new());
+            crate::kernels::merge_sorted(&values, inserts, &mut merged);
+            crate::kernels::subtract_sorted(&merged, tombstones, &mut kept);
+            values = kept;
+            (tombstones.len() + values.len() - merged.len()) as u64
+        } else {
+            values.extend_from_slice(inserts);
+            crate::kernels::cancel_occurrences(&mut values, tombstones)
+        };
+        *self = PiecePayload::Raw(values);
+        unmatched
+    }
+
     /// Packs with whichever codec shrinks the payload most, if any does.
     /// Returns `false` when the payload stays as-is.
     pub fn pack_best(&mut self) -> bool {

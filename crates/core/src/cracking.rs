@@ -133,6 +133,19 @@ impl<V: ColumnValue> CrackedColumn<V> {
         boundaries: Vec<(V, usize)>,
         cracks: u64,
     ) -> Result<Self, String> {
+        let bounds = Self::check_partition(&values, &boundaries)?;
+        let mut restored = CrackedColumn::with_bounds(values, bounds);
+        restored.index = boundaries.into_iter().collect();
+        restored.cracks = cracks;
+        Ok(restored)
+    }
+
+    /// The cracker-index invariant over `values` and ascending
+    /// `boundaries`: positions monotone and inside the data, every value
+    /// left of a boundary's position `<` the boundary and every value at or
+    /// right of it `>=`. Returns the data's `(min, max)`, derived by the
+    /// same pass.
+    fn check_partition(values: &[V], boundaries: &[(V, usize)]) -> Result<Option<(V, V)>, String> {
         for w in boundaries.windows(2) {
             if w[0].0 >= w[1].0 {
                 return Err(format!(
@@ -155,9 +168,7 @@ impl<V: ColumnValue> CrackedColumn<V> {
                 ));
             }
         }
-        // Partition invariant: one pass over the data against the piece
-        // each position falls in. The same pass derives the data's
-        // `(min, max)`, so the restore avoids `new`'s extra fold.
+        // One pass over the data against the piece each position falls in.
         let mut piece = 0usize;
         let mut bounds: Option<(V, V)> = None;
         for (i, v) in values.iter().enumerate() {
@@ -181,10 +192,22 @@ impl<V: ColumnValue> CrackedColumn<V> {
                 Some((lo, hi)) => (lo.min(*v), hi.max(*v)),
             });
         }
-        let mut restored = CrackedColumn::with_bounds(values, bounds);
-        restored.index = boundaries.into_iter().collect();
-        restored.cracks = cracks;
-        Ok(restored)
+        Ok(bounds)
+    }
+
+    /// Full structural check of the live state: the cracker index
+    /// partitions the data and the cached bounds are the data's exact
+    /// `(min, max)` — what a restore verifies, run after every delta fold
+    /// in debug builds.
+    pub fn validate(&self) -> Result<(), String> {
+        let bounds = Self::check_partition(&self.data, &self.boundaries())?;
+        if bounds != self.bounds {
+            return Err(format!(
+                "cached bounds {:?} but the data spans {bounds:?}",
+                self.bounds
+            ));
+        }
+        Ok(())
     }
 
     /// The piece `[start, end)` that a crack at `v` must partition.
@@ -261,6 +284,28 @@ impl<V: ColumnValue> CrackedColumn<V> {
         (lo, hi.max(lo))
     }
 
+    /// Recomputes the cached `(min, max)` after a fold changed the logical
+    /// content: pieces are value-ordered, so the minimum lives in the first
+    /// non-empty piece and the maximum in the last — two piece folds, not a
+    /// pass over the column.
+    fn refresh_bounds(&mut self) {
+        let cuts: Vec<usize> = [0]
+            .into_iter()
+            .chain(self.index.values().copied())
+            .chain([self.data.len()])
+            .collect();
+        let mut pieces = cuts
+            .windows(2)
+            .map(|w| &self.data[w[0]..w[1]])
+            .filter(|p| !p.is_empty());
+        let first = pieces.next();
+        let last = pieces.next_back().or(first);
+        self.bounds = first
+            .and_then(crate::kernels::min_max_all)
+            .zip(last.and_then(crate::kernels::min_max_all))
+            .map(|((lo, _), (_, hi))| (lo, hi));
+    }
+
     /// The flat pieces as `(value range, stored bytes)` pairs, positionally
     /// aligned: entry `i` of [`ColumnStrategy::segment_bytes`] must
     /// describe the same piece as entry `i` of
@@ -303,7 +348,7 @@ impl<V: ColumnValue> CrackedColumn<V> {
     }
 }
 
-// contract: ColumnStrategy thread-safety: cracking reorders data only inside &mut self selects; &self accessors are pure reads.
+// contract: ColumnStrategy thread-safety: cracking reorders data only inside &mut self selects, delta folds rebuild it only inside &mut self fold_delta; &self accessors are pure reads.
 impl<V: ColumnValue> ColumnStrategy<V> for CrackedColumn<V> {
     fn name(&self) -> String {
         "Cracking".to_owned()
@@ -342,6 +387,61 @@ impl<V: ColumnValue> ColumnStrategy<V> for CrackedColumn<V> {
         out.extend_from_slice(&self.data[lo_end..hi_start]);
         crate::kernels::collect_range(&self.data[hi_start..hi_end], q, &mut out);
         out
+    }
+
+    fn fold_delta(
+        &mut self,
+        inserts: &[V],
+        tombstones: &[V],
+        tracker: &mut dyn AccessTracker,
+    ) -> Option<u64> {
+        if inserts.is_empty() && tombstones.is_empty() {
+            return Some(0);
+        }
+        // One pass rebuilds the value array piece by piece: piece k holds
+        // the values below boundary k (the last piece everything else), so
+        // any value has an owner and the fold always absorbs. Untouched
+        // pieces are copied as they are; a touched piece takes its inserts
+        // and drops its tombstoned occurrences on the way, and every
+        // boundary position shifts by the net growth left of it.
+        let old = std::mem::take(&mut self.data);
+        let mut data = Vec::with_capacity(old.len() + inserts.len());
+        let mut piece: Vec<V> = Vec::new();
+        let (mut ins, mut tombs) = (inserts, tombstones);
+        let mut unmatched = 0u64;
+        let mut start = 0usize;
+        let pieces = self.index.iter().map(|(b, end)| (Some(*b), *end));
+        let pieces: Vec<(Option<V>, usize)> = pieces.chain([(None, old.len())]).collect();
+        let mut shifted = Vec::with_capacity(pieces.len());
+        for (upper, end) in pieces {
+            let (i, t) = match upper {
+                Some(b) => (
+                    ins.partition_point(|v| *v < b),
+                    tombs.partition_point(|v| *v < b),
+                ),
+                None => (ins.len(), tombs.len()),
+            };
+            if i == 0 && t == 0 {
+                data.extend_from_slice(&old[start..end]);
+            } else {
+                tracker.scan(self.id, (end - start) as u64 * V::BYTES);
+                piece.clear();
+                piece.extend_from_slice(&old[start..end]);
+                piece.extend_from_slice(&ins[..i]);
+                unmatched += crate::kernels::cancel_occurrences(&mut piece, &tombs[..t]);
+                tracker.materialize(self.id, piece.len() as u64 * V::BYTES);
+                data.extend_from_slice(&piece);
+            }
+            shifted.push(data.len());
+            (ins, tombs, start) = (&ins[i..], &tombs[t..], end);
+        }
+        self.data = data;
+        for (pos, new) in self.index.values_mut().zip(shifted) {
+            *pos = new;
+        }
+        self.refresh_bounds();
+        crate::debug_assert_valid!(self.validate(), "cracked column fold");
+        Some(unmatched)
     }
 
     fn storage_bytes(&self) -> u64 {

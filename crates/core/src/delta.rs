@@ -26,6 +26,13 @@
 //!   prefix of the oldest run therefore folds safely, which is what the
 //!   incremental compactor exploits ([`DeltaRun::split_for_fold`],
 //!   bounded by [`CompactionPolicy::rows_per_step`]).
+//! * A fold is an LSM flush in the small: it rewrites the components it
+//!   overlaps, not the store. The compactor hands each step's rows to
+//!   [`ColumnStrategy::fold_delta`](crate::ColumnStrategy::fold_delta),
+//!   which edits the physical pieces owning those values in place — no
+//!   piece boundary moves, untouched pieces are neither rewritten nor
+//!   charged — and a strategy that cannot absorb rows leaves them here,
+//!   in the overlay, where every read already sees them.
 //!
 //! Read semantics are multiset arithmetic by value: a query's answer is
 //! `base + inserts − tombstones`, evaluated per run through the
@@ -332,12 +339,34 @@ impl<V: ColumnValue> DeltaRun<V> {
     }
 }
 
+/// The part of an ascending delta side that falls inside `range`.
+pub(crate) fn run_in<'a, V: ColumnValue>(sorted: &'a [V], range: &ValueRange<V>) -> &'a [V] {
+    let (start, end) = crate::kernels::sorted_run(sorted, range);
+    &sorted[start..end]
+}
+
+/// Clips a fold to the `domain` a strategy's pieces tile: `None` when an
+/// insert lies outside it (no piece can own the row, so the fold cannot be
+/// absorbed), otherwise the tombstones inside the domain plus the count of
+/// those outside — which can match nothing and are unmatched by definition.
+pub(crate) fn clip_fold<'a, V: ColumnValue>(
+    domain: &ValueRange<V>,
+    inserts: &[V],
+    tombstones: &'a [V],
+) -> Option<(&'a [V], u64)> {
+    if run_in(inserts, domain).len() != inserts.len() {
+        return None;
+    }
+    let inside = run_in(tombstones, domain);
+    Some((inside, (tombstones.len() - inside.len()) as u64))
+}
+
 /// Hysteresis watermarks and the per-step budget of the incremental
 /// compactor: folding starts when the pending rows across all runs reach
 /// [`start_above`](Self::start_above), proceeds at most
 /// [`rows_per_step`](Self::rows_per_step) delta rows per reorganization
-/// step (each step rebuilds the base once, charged as reorganization
-/// bytes), and stops once pending rows fall to
+/// step (each step rewrites only the pieces its rows land in, charged as
+/// reorganization bytes), and stops once pending rows fall to
 /// [`stop_below`](Self::stop_below) — so a column hovering at the
 /// threshold does not thrash between folding and accumulating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

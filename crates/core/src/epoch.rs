@@ -20,11 +20,13 @@
 //!   short-lived write lock; readers never wait for reorganization or for
 //!   a [`ConcurrentColumn::set_strategy`] migration.
 //!
-//! Epochs share structure: a piece whose value range is unchanged between
-//! two epochs holds byte-identical content (reorganization is purely
-//! physical — the logical column never changes), so the new snapshot reuses
-//! the old piece's `Arc` instead of re-extracting it. A crack that splits
-//! one piece re-materializes only that piece's successors.
+//! Epochs share structure: reorganization is purely physical, so a piece
+//! whose value range is unchanged between two epochs holds byte-identical
+//! content unless a delta fold put a value inside that range — and the
+//! writer knows which values it folded. The new snapshot reuses the old
+//! piece's `Arc` for every such range and re-extracts only the rest: a
+//! crack re-materializes one piece's successors, a fold of 1024 rows at
+//! most 1024 pieces.
 //!
 //! Every piece carries a [`PieceSynopsis`] zone map, so reads prune:
 //! disjoint pieces charge [`AccessTracker::skip`] (zero scan bytes, with
@@ -41,9 +43,14 @@
 //! through the galloping kernels), each run prunes through its own zone
 //! maps, and the writer *compacts* the oldest runs into the base a bounded
 //! number of rows per reorganization step — hysteresis watermarks in
-//! [`CompactionPolicy`] — instead of the catalog's historical
-//! stop-the-world rebuild. A column with no pending deltas takes exactly
-//! the pre-overlay read path: the overlay loop is over an empty vector.
+//! [`CompactionPolicy`]. A fold is **piece-local**
+//! ([`ColumnStrategy::fold_delta`]): each row lands in the piece(s) owning
+//! its value and no boundary moves, so the organization the workload
+//! earned survives the write. A strategy that cannot absorb a fold (one
+//! that only wraps others, such as a sharded column) keeps its rows in the
+//! overlay, visible to every read. A column with no pending deltas takes
+//! exactly the pre-overlay read path: the overlay loop is over an empty
+//! vector.
 //!
 //! # Equivalence to the serial `&mut` path
 //!
@@ -141,6 +148,9 @@ pub struct StrategySnapshot<V: ColumnValue> {
     /// Background `set_strategy` migrations whose rebuild failed (the old
     /// strategy stays in force; diagnosable, never a panic on a reader).
     failed_migrations: u64,
+    /// Folded tombstones that found no occurrence to cancel: an invariant
+    /// break upstream, counted instead of vanishing into the arithmetic.
+    unmatched_tombstones: u64,
     /// Pending delta runs overlaid on the base pieces, oldest (smallest
     /// seq) first. Every read folds them in; the vector is empty on a
     /// column with no pending writes, restoring the exact pre-delta path.
@@ -157,6 +167,18 @@ impl<V: ColumnValue> std::fmt::Debug for StrategySnapshot<V> {
             .finish_non_exhaustive()
     }
 }
+
+/// One (query, piece) unit of a count-batch plan.
+enum BatchUnit {
+    /// Resolved inline by the coordinator: a pruned or covered piece —
+    /// `skip` accounting plus a synopsis-known count.
+    Inline { id: SegId, bytes: u64, count: u64 },
+    /// A straddling scan running on the pool, by job index.
+    Pooled(usize),
+}
+
+/// A straddling piece's morsel: its count and its private event log.
+type CountJob = Box<dyn FnOnce() -> (u64, EventLog) + Send>;
 
 /// Extends `live` (a strategy's sorted, disjoint `segment_ranges()`) into a
 /// partition tiling all of `domain`: gaps between pieces — cracking omits
@@ -198,24 +220,31 @@ fn tile_domain<V: ColumnValue>(
 
 impl<V: ColumnValue> StrategySnapshot<V> {
     /// Freezes `strategy`'s current organization, reusing the pieces of
-    /// `prev` whose value range is unchanged (their content is a pure
-    /// function of the range — the logical column never changes).
+    /// `prev` whose value range is unchanged and holds none of the values
+    /// `folded` (ascending) into the base since `prev` was captured — a
+    /// piece's content is a pure function of its range and the logical
+    /// column, and only a fold changes the latter, only at those values.
     #[allow(clippy::too_many_arguments)]
     fn capture(
         strategy: &dyn ColumnStrategy<V>,
         domain: ValueRange<V>,
         prev: Option<&StrategySnapshot<V>>,
+        folded: &[V],
         ids: &mut SegIdGen,
         epoch: u64,
         retired: AdaptationStats,
         reorg: QueryStats,
-        failed_migrations: u64,
+        (failed_migrations, unmatched_tombstones): (u64, u64),
         deltas: Vec<DeltaRun<V>>,
     ) -> Self {
+        let untouched = |range: &ValueRange<V>| crate::delta::run_in(folded, range).is_empty();
         let pieces = tile_domain(domain, strategy.segment_ranges())
             .into_iter()
             .map(|range| {
-                if let Some(p) = prev.and_then(|s| s.piece_with_range(&range)) {
+                let kept = prev
+                    .and_then(|s| s.piece_with_range(&range))
+                    .filter(|_| untouched(&range));
+                if let Some(p) = kept {
                     SnapshotPiece {
                         range,
                         values: Arc::clone(&p.values),
@@ -229,11 +258,7 @@ impl<V: ColumnValue> StrategySnapshot<V> {
             })
             .collect();
         let mut adaptation = strategy.adaptation();
-        adaptation.splits += retired.splits;
-        adaptation.merges += retired.merges;
-        adaptation.replicas_created += retired.replicas_created;
-        adaptation.drops += retired.drops;
-        adaptation.budget_declines += retired.budget_declines;
+        adaptation.absorb(&retired);
         StrategySnapshot {
             epoch,
             pieces,
@@ -244,6 +269,7 @@ impl<V: ColumnValue> StrategySnapshot<V> {
             adaptation,
             reorg,
             failed_migrations,
+            unmatched_tombstones,
             deltas,
         }
     }
@@ -264,11 +290,12 @@ impl<V: ColumnValue> StrategySnapshot<V> {
             strategy,
             domain,
             None,
+            &[],
             &mut ids,
             0,
             AdaptationStats::default(),
             QueryStats::default(),
-            0,
+            (0, 0),
             deltas,
         )
     }
@@ -402,9 +429,11 @@ impl<V: ColumnValue> StrategySnapshot<V> {
 
     /// One-pass `SUM(v) WHERE v IN q` over the snapshot, pruned like
     /// [`Self::select_count`]: covered pieces contribute their stored
-    /// synopsis sum — accumulated by [`kernels::sum_all`] with the same
-    /// chunking as the masked [`kernels::sum_range`] it replaces, so the
-    /// total is bit-identical to an unpruned scan.
+    /// synopsis sum, straddling pieces sum only their qualifying run
+    /// ([`kernels::sorted_run`] + [`kernels::sum_sorted_run`]) — both
+    /// accumulated with the chunking of the masked [`kernels::sum_range`]
+    /// they replace, so the total is bit-identical to an unpruned scan
+    /// while reading O(result), not O(piece).
     ///
     /// Pending deltas fold in as `+ inserts − tombstones` per overlapping
     /// run. For integer-valued columns whose totals stay below 2^53 every
@@ -412,6 +441,10 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     /// materialized merge's; float columns inherit the usual
     /// accumulation-order caveat.
     pub fn select_sum(&self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> f64 {
+        let run_sum = |sorted: &[V]| {
+            let (start, end) = kernels::sorted_run(sorted, q);
+            kernels::sum_sorted_run(sorted, start, end)
+        };
         let mut total = 0.0f64;
         for p in self.overlapping(q) {
             match p.classify(q) {
@@ -424,15 +457,15 @@ impl<V: ColumnValue> StrategySnapshot<V> {
                 }
                 SynopsisClass::Straddle => {
                     tracker.scan(p.id, p.bytes);
-                    total += kernels::sum_range(&p.values, q);
+                    total += run_sum(&p.values);
                 }
             }
         }
         for run in &self.deltas {
             if run.overlaps(q) {
                 tracker.delta_scan(run.id(), run.bytes());
-                total += kernels::sum_range(run.inserts(), q);
-                total -= kernels::sum_range(run.tombstones(), q);
+                total += run_sum(run.inserts());
+                total -= run_sum(run.tombstones());
             } else {
                 tracker.skip(run.id(), run.bytes());
             }
@@ -527,163 +560,63 @@ impl<V: ColumnValue> StrategySnapshot<V> {
         }
     }
 
-    /// Answers a batch of count queries with straddling pieces fanned out
-    /// over `pool` as morsels, one per (query, piece).
-    ///
-    /// Disjoint and covered pieces never leave the coordinator — they are
-    /// O(1) decisions. Each straddling morsel scans into its own
-    /// [`EventLog`]; the logs are replayed into `tracker` in (query,
-    /// piece) order after the whole batch completes, so the counts *and*
-    /// the accounting are bit-identical to calling
-    /// [`Self::select_count`] serially per query. Pending deltas fold in
-    /// at the coordinator, per query after its piece replay — the same
-    /// position the serial walk charges them, so the equivalence holds
-    /// with an overlay too.
-    pub fn select_count_batch(
-        &self,
-        queries: &[ValueRange<V>],
-        pool: &mut ScanPool,
-        tracker: &mut dyn AccessTracker,
-    ) -> Vec<u64> {
-        /// One (query, piece) unit of the batch plan.
-        enum Unit {
-            /// Resolved inline by the coordinator: a pruned or covered
-            /// piece — `skip` accounting plus a synopsis-known count.
-            Inline { id: SegId, bytes: u64, count: u64 },
-            /// A straddling scan running on the pool, by job index.
-            Pooled(usize),
-        }
-
-        let mut plans: Vec<Vec<Unit>> = Vec::with_capacity(queries.len());
-        let mut jobs: Vec<Box<dyn FnOnce() -> (u64, EventLog) + Send>> = Vec::new();
-        for q in queries {
-            let mut units = Vec::new();
-            for p in self.overlapping(q) {
-                match p.classify(q) {
-                    SynopsisClass::Disjoint => units.push(Unit::Inline {
+    /// Plans a batch of count queries: per query one [`BatchUnit`] per
+    /// overlapping piece, plus the pooled jobs the straddling units index.
+    /// Disjoint and covered pieces are O(1) decisions the coordinator
+    /// resolves inline; only straddlers become morsels, each scanning into
+    /// its own [`EventLog`].
+    fn plan_count_batch(&self, queries: &[ValueRange<V>]) -> (Vec<Vec<BatchUnit>>, Vec<CountJob>) {
+        let mut jobs: Vec<CountJob> = Vec::new();
+        let plans = queries
+            .iter()
+            .map(|q| {
+                let mut units = Vec::new();
+                for p in self.overlapping(q) {
+                    let inline = |count| BatchUnit::Inline {
                         id: p.id,
                         bytes: p.bytes,
-                        count: 0,
-                    }),
-                    SynopsisClass::Covered => units.push(Unit::Inline {
-                        id: p.id,
-                        bytes: p.bytes,
-                        count: p.values.len() as u64,
-                    }),
-                    SynopsisClass::Straddle => {
-                        let values = Arc::clone(&p.values);
-                        let (id, bytes, q) = (p.id, p.bytes, *q);
-                        jobs.push(Box::new(move || {
-                            let mut log = EventLog::new();
-                            log.scan(id, bytes);
-                            let (s, e) = kernels::sorted_run(&values, &q);
-                            ((e - s) as u64, log)
-                        }));
-                        units.push(Unit::Pooled(jobs.len() - 1));
-                    }
-                }
-            }
-            plans.push(units);
-        }
-
-        let mut done: Vec<Option<(u64, EventLog)>> =
-            pool.execute(jobs).into_iter().map(Some).collect();
-        plans
-            .into_iter()
-            .zip(queries.iter())
-            .map(|(units, q)| {
-                let mut n = 0;
-                for unit in units {
-                    match unit {
-                        Unit::Inline { id, bytes, count } => {
-                            tracker.skip(id, bytes);
-                            n += count;
+                        count,
+                    };
+                    units.push(match p.classify(q) {
+                        SynopsisClass::Disjoint => inline(0),
+                        SynopsisClass::Covered => inline(p.values.len() as u64),
+                        SynopsisClass::Straddle => {
+                            let values = Arc::clone(&p.values);
+                            let (id, bytes, q) = (p.id, p.bytes, *q);
+                            jobs.push(Box::new(move || {
+                                let mut log = EventLog::new();
+                                log.scan(id, bytes);
+                                let (s, e) = kernels::sorted_run(&values, &q);
+                                ((e - s) as u64, log)
+                            }));
+                            BatchUnit::Pooled(jobs.len() - 1)
                         }
-                        Unit::Pooled(i) => {
-                            let (count, log) = done[i]
-                                .take()
-                                // soc-lint: allow(L1-panic-free, each job index is planned and taken exactly once)
-                                .expect("each morsel result is consumed once");
-                            log.replay_into(tracker);
-                            n += count;
-                        }
-                    }
+                    });
                 }
-                let (added, removed) = self.delta_fold_count(q, tracker);
-                (n + added).saturating_sub(removed)
+                units
             })
-            .collect()
+            .collect();
+        (plans, jobs)
     }
 
-    /// As [`Self::select_count_batch`], but a query whose pooled morsels
-    /// hit a dead or panicked worker fails typed instead of unwinding the
-    /// coordinator — the rest of the batch still answers.
-    ///
-    /// A failed query replays none of its accounting (its scan never
-    /// completed); every successful query's counts and tracker events are
-    /// bit-identical to the serial path, replayed in (query, piece) order.
-    pub fn try_select_count_batch(
+    /// Replays a planned batch's morsel outcomes into `tracker` in (query,
+    /// piece) order and folds each query's count. A query with a failed
+    /// morsel fails typed and replays **none** of its accounting — partial
+    /// replay would corrupt the tracker contract — overlay included.
+    fn replay_count_batch(
         &self,
         queries: &[ValueRange<V>],
-        pool: &mut ScanPool,
+        plans: Vec<Vec<BatchUnit>>,
+        outcomes: Vec<Result<(u64, EventLog), ScanError>>,
         tracker: &mut dyn AccessTracker,
     ) -> Vec<Result<u64, ScanError>> {
-        /// One (query, piece) unit of the batch plan.
-        enum Unit {
-            /// Resolved inline by the coordinator.
-            Inline { id: SegId, bytes: u64, count: u64 },
-            /// A straddling scan running on the pool, by job index.
-            Pooled(usize),
-        }
-
-        let mut plans: Vec<Vec<Unit>> = Vec::with_capacity(queries.len());
-        let mut jobs: Vec<Box<dyn FnOnce() -> (u64, EventLog) + Send>> = Vec::new();
-        for q in queries {
-            let mut units = Vec::new();
-            for p in self.overlapping(q) {
-                match p.classify(q) {
-                    SynopsisClass::Disjoint => units.push(Unit::Inline {
-                        id: p.id,
-                        bytes: p.bytes,
-                        count: 0,
-                    }),
-                    SynopsisClass::Covered => units.push(Unit::Inline {
-                        id: p.id,
-                        bytes: p.bytes,
-                        count: p.values.len() as u64,
-                    }),
-                    SynopsisClass::Straddle => {
-                        let values = Arc::clone(&p.values);
-                        let (id, bytes, q) = (p.id, p.bytes, *q);
-                        jobs.push(Box::new(move || {
-                            let mut log = EventLog::new();
-                            log.scan(id, bytes);
-                            let (s, e) = kernels::sorted_run(&values, &q);
-                            ((e - s) as u64, log)
-                        }));
-                        units.push(Unit::Pooled(jobs.len() - 1));
-                    }
-                }
-            }
-            plans.push(units);
-        }
-
-        let mut done: Vec<Option<Result<(u64, EventLog), ScanError>>> =
-            pool.try_execute(jobs).into_iter().map(Some).collect();
         plans
             .into_iter()
-            .zip(queries.iter())
+            .zip(queries)
             .map(|(units, q)| {
-                // Peek first: if any of this query's morsels failed, the
-                // whole query fails typed and none of its accounting
-                // replays — partial replay would corrupt the tracker
-                // contract.
                 let failed = units.iter().find_map(|unit| match unit {
-                    Unit::Pooled(i) => match done[*i].as_ref() {
-                        Some(Err(e)) => Some(e.clone()),
-                        _ => None,
-                    },
-                    Unit::Inline { .. } => None,
+                    BatchUnit::Pooled(i) => outcomes[*i].as_ref().err().cloned(),
+                    BatchUnit::Inline { .. } => None,
                 });
                 if let Some(e) = failed {
                     return Err(e);
@@ -691,28 +624,62 @@ impl<V: ColumnValue> StrategySnapshot<V> {
                 let mut n = 0;
                 for unit in units {
                     match unit {
-                        Unit::Inline { id, bytes, count } => {
+                        BatchUnit::Inline { id, bytes, count } => {
                             tracker.skip(id, bytes);
                             n += count;
                         }
-                        Unit::Pooled(i) => match done[i].take() {
-                            Some(Ok((count, log))) => {
+                        BatchUnit::Pooled(i) => {
+                            if let Ok((count, log)) = &outcomes[i] {
                                 log.replay_into(tracker);
                                 n += count;
                             }
-                            // soc-lint: allow(L1-panic-free, errors were peeked above and each planned index is taken exactly once)
-                            _ => {
-                                unreachable!("each surviving morsel result is Ok and consumed once")
-                            }
-                        },
+                        }
                     }
                 }
-                // Deltas fold only on the success path: a failed query
-                // replays none of its accounting, overlay included.
                 let (added, removed) = self.delta_fold_count(q, tracker);
                 Ok((n + added).saturating_sub(removed))
             })
             .collect()
+    }
+
+    /// Answers a batch of count queries with straddling pieces fanned out
+    /// over `pool` as morsels, one per (query, piece).
+    ///
+    /// The morsel logs are replayed into `tracker` in (query, piece) order
+    /// after the whole batch completes, so the counts *and* the accounting
+    /// are bit-identical to calling [`Self::select_count`] serially per
+    /// query. Pending deltas fold in at the coordinator, per query after
+    /// its piece replay — the same position the serial walk charges them,
+    /// so the equivalence holds with an overlay too. A panicking morsel is
+    /// re-raised here ([`ScanPool::execute`]).
+    pub fn select_count_batch(
+        &self,
+        queries: &[ValueRange<V>],
+        pool: &mut ScanPool,
+        tracker: &mut dyn AccessTracker,
+    ) -> Vec<u64> {
+        let (plans, jobs) = self.plan_count_batch(queries);
+        let outcomes = pool.execute(jobs).into_iter().map(Ok).collect();
+        self.replay_count_batch(queries, plans, outcomes, tracker)
+            .into_iter()
+            // soc-lint: allow(L1-panic-free, every outcome was wrapped Ok above so no query can have failed)
+            .map(|count| count.expect("execute returns only completed morsels"))
+            .collect()
+    }
+
+    /// As [`Self::select_count_batch`], but a query whose pooled morsels
+    /// hit a dead or panicked worker fails typed instead of unwinding the
+    /// coordinator — the rest of the batch still answers, every successful
+    /// query bit-identical to the serial path.
+    pub fn try_select_count_batch(
+        &self,
+        queries: &[ValueRange<V>],
+        pool: &mut ScanPool,
+        tracker: &mut dyn AccessTracker,
+    ) -> Vec<Result<u64, ScanError>> {
+        let (plans, jobs) = self.plan_count_batch(queries);
+        let outcomes = pool.try_execute(jobs);
+        self.replay_count_batch(queries, plans, outcomes, tracker)
     }
 
     /// The epoch number (0 = the construction snapshot).
@@ -761,10 +728,16 @@ impl<V: ColumnValue> StrategySnapshot<V> {
         self.reorg
     }
 
-    /// Background migrations whose rebuild failed so far (including
-    /// compaction folds — both go through the spec's rebuild).
+    /// Background migrations whose rebuild failed so far.
     pub fn failed_migrations(&self) -> u64 {
         self.failed_migrations
+    }
+
+    /// Tombstones folded into the base so far that found no occurrence to
+    /// cancel. Zero on a correct write stream; a non-zero count means some
+    /// layer above deleted (or updated away) a value the column never held.
+    pub fn unmatched_tombstones(&self) -> u64 {
+        self.unmatched_tombstones
     }
 
     /// Pending delta runs overlaid on this epoch.
@@ -850,7 +823,7 @@ enum WriterCmd<V: ColumnValue> {
     /// epoch's overlay. Deltas are data, not hints: senders block on a
     /// full queue instead of dropping.
     Deltas(DeltaBatch<V>),
-    /// Fold **every** pending run into the base in one rebuild — the bulk
+    /// Fold **every** pending run into the base in one step — the bulk
     /// merge the benchmarks baseline incremental compaction against —
     /// then reply like `Sync`.
     Drain(mpsc::SyncSender<()>),
@@ -871,24 +844,23 @@ struct Writer<V: ColumnValue> {
     /// Cumulative reorganization accounting (folded queries + migrations).
     reorg: CountingTracker,
     failed_migrations: u64,
+    /// Folded tombstones that found no occurrence, cumulative.
+    unmatched_tombstones: u64,
     /// Pending delta runs, oldest (smallest seq) first.
     runs: Vec<DeltaRun<V>>,
     /// Seal order for the next run.
     next_seq: u64,
-    /// The spec compaction folds rebuild under. `None` — a bare strategy
-    /// wrapped without a spec — disables folding until
-    /// [`ConcurrentColumn::set_strategy`] establishes one; reads stay
-    /// delta-visible either way, the overlay just cannot shrink.
-    spec: Option<StrategySpec>,
     /// Hysteresis watermarks and per-step budget for incremental folds.
     policy: CompactionPolicy,
     /// Whether the compactor is between its start and stop watermarks.
     compacting: bool,
-    /// Set by a successful fold: the base's *logical* content changed, so
-    /// the next publish must not reuse prev-epoch pieces by range (their
-    /// content is a pure function of the range only while the logical
-    /// column is immutable).
-    base_changed: bool,
+    /// Cleared when the strategy refuses a fold, so the watermarks stop
+    /// retrying one that cannot absorb; a migration installs one that can.
+    absorbs: bool,
+    /// Most commands one epoch takes before it compacts and publishes (the
+    /// queue capacity): hints arriving faster than the writer drains them
+    /// must not keep folds, publishes and `quiesce` replies waiting forever.
+    batch_limit: usize,
 }
 
 impl<V: ColumnValue> Writer<V> {
@@ -899,9 +871,8 @@ impl<V: ColumnValue> Writer<V> {
             let mut dirty = false;
             let mut drain = false;
             let mut syncs: Vec<mpsc::SyncSender<()>> = Vec::new();
-            let mut next = Some(first);
-            loop {
-                let Some(cmd) = next else { break };
+            let batch = std::iter::once(first).chain(rx.try_iter());
+            for cmd in batch.take(self.batch_limit) {
                 match cmd {
                     WriterCmd::Reorganize(q) => {
                         self.strategy.select_count(&q, &mut self.reorg);
@@ -924,18 +895,19 @@ impl<V: ColumnValue> Writer<V> {
                     }
                     WriterCmd::Sync(reply) => syncs.push(reply),
                 }
-                next = rx.try_recv().ok();
             }
             // One compaction step per folded batch: the bounded fold that
             // amortizes merge cost across epochs instead of spiking. A
             // drain folds everything at once (the bulk-merge baseline).
-            if drain {
-                dirty |= self.fold_step(u64::MAX);
+            let folded = if drain {
+                self.fold_step(u64::MAX)
             } else if self.should_compact() {
-                dirty |= self.fold_step(self.policy.rows_per_step());
-            }
-            if dirty {
-                self.publish();
+                self.fold_step(self.policy.rows_per_step())
+            } else {
+                Vec::new()
+            };
+            if dirty || !folded.is_empty() {
+                self.publish(&folded);
             }
             for reply in syncs {
                 let _ = reply.send(());
@@ -954,20 +926,14 @@ impl<V: ColumnValue> Writer<V> {
         let bytes = rows.len() as u64 * V::BYTES;
         match spec.build(self.domain, rows) {
             Ok(rebuilt) => {
-                let a = self.strategy.adaptation();
-                self.retired.splits += a.splits;
-                self.retired.merges += a.merges;
-                self.retired.replicas_created += a.replicas_created;
-                self.retired.drops += a.drops;
-                self.retired.budget_declines += a.budget_declines;
+                self.retired.absorb(&self.strategy.adaptation());
                 // The migration is itself reorganization: one full read of
                 // the old layout, one full write of the new.
                 let seg = self.ids.fresh();
                 self.reorg.scan(seg, bytes);
                 self.reorg.materialize(seg, bytes);
                 self.strategy = rebuilt;
-                // Future compaction folds rebuild under the new spec.
-                self.spec = Some(spec);
+                self.absorbs = true;
             }
             Err(_) => self.failed_migrations += 1,
         }
@@ -978,7 +944,7 @@ impl<V: ColumnValue> Writer<V> {
     /// stops once they fall to `policy.stop_below()` — so a column
     /// hovering at the threshold does not thrash.
     fn should_compact(&mut self) -> bool {
-        if self.spec.is_none() || self.runs.is_empty() {
+        if self.runs.is_empty() || !self.absorbs {
             self.compacting = false;
             return false;
         }
@@ -992,17 +958,13 @@ impl<V: ColumnValue> Writer<V> {
         self.compacting
     }
 
-    /// Folds up to `budget` delta rows from the oldest runs into the base:
-    /// one bounded rebuild under the current spec, charged as
-    /// reorganization bytes. Runs are not touched until the rebuild
-    /// succeeds, so a failure leaves both base and overlay serving.
-    fn fold_step(&mut self, budget: u64) -> bool {
-        let Some(spec) = self.spec else {
-            return false;
-        };
-        if self.runs.is_empty() {
-            return false;
-        }
+    /// Folds up to `budget` delta rows from the oldest runs into the pieces
+    /// of the base that own them ([`ColumnStrategy::fold_delta`]), charged
+    /// as reorganization bytes of the touched pieces only. Returns the
+    /// folded values, ascending — what the next capture re-extracts around
+    /// — or nothing when the strategy cannot absorb the step, which leaves
+    /// the runs untouched and both base and overlay serving.
+    fn fold_step(&mut self, budget: u64) -> Vec<V> {
         // Gather parts oldest-run first, tombstones before inserts within
         // a run — the only order whose tombstones are guaranteed to target
         // rows already in (base ∪ folded inserts); see crate::delta.
@@ -1028,62 +990,38 @@ impl<V: ColumnValue> Writer<V> {
         }
         let fold_ins = merge_parts(ins_parts);
         let fold_tombs = merge_parts(tomb_parts);
-        let fold_bytes = (fold_ins.len() + fold_tombs.len()) as u64 * V::BYTES;
-        let mut base = self.strategy.peek_collect(&self.domain);
-        base.sort_unstable();
-        let base_bytes = base.len() as u64 * V::BYTES;
-        // (base ∪ inserts) ∖ tombstones: merge before subtracting so a
-        // younger run's tombstone still cancels an older run's insert
-        // folded in the very same step.
-        let mut merged = Vec::new();
-        kernels::merge_sorted(&base, &fold_ins, &mut merged);
-        let mut kept = Vec::new();
-        kernels::subtract_sorted(&merged, &fold_tombs, &mut kept);
-        let kept_bytes = kept.len() as u64 * V::BYTES;
-        match spec.build(self.domain, kept) {
-            Ok(rebuilt) => {
-                let a = self.strategy.adaptation();
-                self.retired.splits += a.splits;
-                self.retired.merges += a.merges;
-                self.retired.replicas_created += a.replicas_created;
-                self.retired.drops += a.drops;
-                self.retired.budget_declines += a.budget_declines;
-                // The fold is reorganization: one read of the old layout
-                // plus the folded delta rows, one write of the new base.
-                let seg = self.ids.fresh();
-                self.reorg.scan(seg, base_bytes + fold_bytes);
-                self.reorg.materialize(seg, kept_bytes);
-                self.strategy = rebuilt;
-                self.runs.splice(0..replaced, remainder);
-                self.base_changed = true;
-                true
-            }
-            Err(_) => {
-                // Unreachable through the shipped strategies (the fold's
-                // rows come out of the domain); a pathological custom
-                // spec keeps the old base serving and the runs pending.
-                self.failed_migrations += 1;
-                self.compacting = false;
-                false
-            }
-        }
+        // The strategy applies inserts before tombstones, so a younger
+        // run's tombstone still cancels an older run's insert folded in
+        // the very same step.
+        let Some(unmatched) = self
+            .strategy
+            .fold_delta(&fold_ins, &fold_tombs, &mut self.reorg)
+        else {
+            // The strategy cannot absorb writes (it only wraps others, or
+            // a row lies outside its domain): the overlay keeps serving.
+            self.absorbs = false;
+            return Vec::new();
+        };
+        self.unmatched_tombstones += unmatched;
+        self.runs.splice(0..replaced, remainder);
+        merge_parts(vec![fold_ins, fold_tombs])
     }
 
-    fn publish(&mut self) {
+    /// Publishes the next epoch; `folded` are the values a fold step put
+    /// into (or cancelled from) the base since the last publish.
+    fn publish(&mut self, folded: &[V]) {
         self.epoch += 1;
         let prev = self.cell.load();
-        // A fold rewrote the logical base: prev pieces are stale by
-        // content even where their ranges survived, so skip reuse once.
-        let reuse = (!std::mem::take(&mut self.base_changed)).then_some(&*prev);
         let snap = StrategySnapshot::capture(
             self.strategy.as_ref(),
             self.domain,
-            reuse,
+            Some(&prev),
+            folded,
             &mut self.ids,
             self.epoch,
             self.retired,
             self.reorg.totals(),
-            self.failed_migrations,
+            (self.failed_migrations, self.unmatched_tombstones),
             self.runs.clone(),
         );
         crate::debug_assert_valid!(snap.validate(), "epoch publish");
@@ -1094,20 +1032,12 @@ impl<V: ColumnValue> Writer<V> {
 /// Merges per-run sorted parts into one ascending multiset (repeated
 /// two-run gallops; the part count is small — one per folded run).
 fn merge_parts<V: ColumnValue>(parts: Vec<Vec<V>>) -> Vec<V> {
-    let mut acc: Vec<V> = Vec::new();
-    for p in parts {
-        if p.is_empty() {
-            continue;
-        }
-        if acc.is_empty() {
-            acc = p;
-            continue;
-        }
+    let merge = |acc: Vec<V>, part: Vec<V>| {
         let mut next = Vec::new();
-        kernels::merge_sorted(&acc, &p, &mut next);
-        acc = next;
-    }
-    acc
+        kernels::merge_sorted(&acc, &part, &mut next);
+        next
+    };
+    parts.into_iter().reduce(merge).unwrap_or_default()
 }
 
 /// A column any number of threads read while a single writer thread folds
@@ -1160,7 +1090,11 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
     /// sharded column — anything implementing the trait), spawning the
     /// writer thread. `domain` must cover the strategy's values; it is the
     /// range migrations rebuild over. The writer queue is bounded at
-    /// [`Self::DEFAULT_QUEUE_CAPACITY`].
+    /// [`Self::DEFAULT_QUEUE_CAPACITY`]. Pending deltas compact under the
+    /// default [`CompactionPolicy`] whenever the strategy can absorb them
+    /// ([`ColumnStrategy::fold_delta`] — every strategy of this crate
+    /// can); one that cannot keeps them in the overlay, visible to every
+    /// read.
     pub fn new(strategy: Box<dyn ColumnStrategy<V>>, domain: ValueRange<V>) -> Self {
         Self::with_queue_capacity(strategy, domain, Self::DEFAULT_QUEUE_CAPACITY)
     }
@@ -1175,20 +1109,14 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
         domain: ValueRange<V>,
         queue_capacity: usize,
     ) -> Self {
-        Self::build(
-            strategy,
-            domain,
-            queue_capacity,
-            None,
-            CompactionPolicy::default(),
-        )
+        let policy = CompactionPolicy::default();
+        Self::build(strategy, domain, queue_capacity, policy)
     }
 
     fn build(
         strategy: Box<dyn ColumnStrategy<V>>,
         domain: ValueRange<V>,
         queue_capacity: usize,
-        spec: Option<StrategySpec>,
         policy: CompactionPolicy,
     ) -> Self {
         let mut ids = SegIdGen::new();
@@ -1196,11 +1124,12 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
             strategy.as_ref(),
             domain,
             None,
+            &[],
             &mut ids,
             0,
             AdaptationStats::default(),
             QueryStats::default(),
-            0,
+            (0, 0),
             Vec::new(),
         );
         let cell = Arc::new(SnapshotCell {
@@ -1209,7 +1138,8 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
         });
         // Bounded by design: an unbounded channel here would let overload
         // buffer reorganization work without limit (soc-lint rule L6).
-        let (tx, rx) = mpsc::sync_channel(queue_capacity.max(1));
+        let queue_capacity = queue_capacity.max(1);
+        let (tx, rx) = mpsc::sync_channel(queue_capacity);
         let writer_state = Writer {
             strategy,
             domain,
@@ -1219,12 +1149,13 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
             retired: AdaptationStats::default(),
             reorg: CountingTracker::new(),
             failed_migrations: 0,
+            unmatched_tombstones: 0,
             runs: Vec::new(),
             next_seq: 0,
-            spec,
             policy,
             compacting: false,
-            base_changed: false,
+            absorbs: true,
+            batch_limit: queue_capacity,
         };
         let writer = thread::Builder::new()
             .name("soc-epoch-writer".into())
@@ -1239,9 +1170,8 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
         }
     }
 
-    /// Builds the spec's strategy over `values` and wraps it. The spec is
-    /// remembered for delta compaction (each fold rebuilds under it), with
-    /// the default [`CompactionPolicy`] watermarks.
+    /// Builds the spec's strategy over `values` and wraps it, with the
+    /// default [`CompactionPolicy`] watermarks.
     ///
     /// # Errors
     /// The [`ColumnError`] of the underlying constructor when a value lies
@@ -1271,7 +1201,6 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
             spec.build(domain, values)?,
             domain,
             Self::DEFAULT_QUEUE_CAPACITY,
-            Some(*spec),
             policy,
         ))
     }
@@ -1475,13 +1404,12 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
         self.snapshot().pending_delta_rows()
     }
 
-    /// Folds **every** pending run into the base in one rebuild and
-    /// blocks until the resulting epoch publishes — the bulk merge the
-    /// benchmarks baseline incremental compaction against, and the
-    /// barrier to call before [`Self::into_strategy`] when the handed-back
-    /// strategy must hold the folded rows. On a column wrapped without a
-    /// spec ([`Self::new`], before any [`Self::set_strategy`]) nothing can
-    /// rebuild, so this degrades to a sync barrier.
+    /// Folds **every** pending run into the base in one step and blocks
+    /// until the resulting epoch publishes — the bulk merge the benchmarks
+    /// baseline incremental compaction against, and the barrier to call
+    /// before [`Self::into_strategy`] when the handed-back strategy must
+    /// hold the folded rows. Over a strategy that cannot absorb deltas
+    /// (see [`Self::new`]) this degrades to a sync barrier.
     pub fn drain_deltas(&self) {
         let (reply, done) = mpsc::sync_channel(1);
         if self.sender().send(WriterCmd::Drain(reply)).is_ok() {
@@ -1527,6 +1455,7 @@ impl<V: ColumnValue> Drop for ConcurrentColumn<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::DeltaOp;
     use crate::spec::StrategyKind;
     use crate::tracker::NullTracker;
 
@@ -1545,6 +1474,15 @@ mod tests {
                 ValueRange::must(lo, lo + 750)
             })
             .collect()
+    }
+
+    /// A batch inserting `values` as the rows `first_oid..`.
+    fn insert_batch(first_oid: u64, values: impl IntoIterator<Item = u32>) -> DeltaBatch<u32> {
+        let mut batch = DeltaBatch::new();
+        for (oid, value) in (first_oid..).zip(values) {
+            batch.push(DeltaOp::Insert { oid, value });
+        }
+        batch
     }
 
     #[test]
@@ -1638,6 +1576,25 @@ mod tests {
             shared > 0,
             "unchanged pieces must be structurally shared across epochs"
         );
+
+        // A fold is piece-local too: the one piece owning the folded value
+        // is re-extracted, every other piece rides along as the same Arc,
+        // and no boundary moves.
+        concurrent.apply_deltas(insert_batch(900_000, [7_777]));
+        concurrent.drain_deltas();
+        let folded = concurrent.snapshot();
+        assert_eq!(folded.pending_delta_rows(), 0);
+        assert_eq!(folded.piece_ranges(), after.piece_ranges());
+        assert_eq!(folded.segment_count(), after.segment_count());
+        assert_eq!(folded.total_rows(), after.total_rows() + 1);
+        for (old, new) in after.pieces.iter().zip(&folded.pieces) {
+            assert_eq!(
+                Arc::ptr_eq(&old.values, &new.values),
+                !new.range.contains(7_777),
+                "piece {:?}",
+                new.range
+            );
+        }
     }
 
     #[test]
@@ -1688,19 +1645,25 @@ mod tests {
         concurrent.snapshot().validate().unwrap();
     }
 
-    /// A converged snapshot (the workload has split the column into many
-    /// pieces) to exercise pruning against.
-    fn converged() -> Arc<StrategySnapshot<u32>> {
-        let spec = StrategySpec::new(StrategyKind::ApmSegm)
+    /// A converged column: the workload has split it into many pieces.
+    /// Wrapped bare — folding deltas needs no spec to rebuild under.
+    fn converged_column() -> ConcurrentColumn<u32> {
+        let strategy = StrategySpec::new(StrategyKind::ApmSegm)
             .with_apm_bounds(256, 1024)
-            .with_model_seed(3);
-        let concurrent =
-            ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
+            .with_model_seed(3)
+            .build(domain(), values())
+            .expect("values in domain");
+        let concurrent = ConcurrentColumn::new(strategy, domain());
         for q in queries() {
             concurrent.select_count(&q, &mut NullTracker);
         }
         concurrent.quiesce();
-        concurrent.snapshot()
+        concurrent
+    }
+
+    /// A converged snapshot to exercise pruning against.
+    fn converged() -> Arc<StrategySnapshot<u32>> {
+        converged_column().snapshot()
     }
 
     #[test]
@@ -1904,17 +1867,8 @@ mod tests {
     fn try_batch_fails_only_poisoned_queries_typed() {
         use crate::faults::{Fault, FaultPlan, FaultSite};
 
-        let spec = StrategySpec::new(StrategyKind::ApmSegm)
-            .with_apm_bounds(256, 1024)
-            .with_model_seed(5);
-        let concurrent =
-            ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
-        // Adapt first so the snapshot has straddling pieces → pooled jobs.
-        for q in queries() {
-            let _ = concurrent.select_count(&q, &mut NullTracker);
-        }
-        concurrent.quiesce();
-        let snap = concurrent.snapshot();
+        // Adapted, so the snapshot has straddling pieces → pooled jobs.
+        let snap = converged();
         let qs = queries();
         let expect: Vec<u64> = qs
             .iter()
@@ -1953,15 +1907,14 @@ mod tests {
         );
     }
 
-    use crate::delta::DeltaOp;
-
     #[test]
     fn deltas_are_visible_in_every_read() {
         let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(256, 1024);
         let concurrent =
             ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
         let mut expected: Vec<u32> = values();
-        let mut batch = DeltaBatch::new();
+        let rows: Vec<u32> = (0..100).map(|i| (i * 97) % 10_000).collect();
+        let mut batch = insert_batch(1_000_000, rows.clone());
         for oid in 0..50u64 {
             batch.push(DeltaOp::Delete {
                 oid,
@@ -1974,14 +1927,7 @@ mod tests {
             batch.push(DeltaOp::Update { oid, old, new });
             expected[oid as usize] = new;
         }
-        for i in 0..100u64 {
-            let v = ((i * 97) % 10_000) as u32;
-            batch.push(DeltaOp::Insert {
-                oid: 1_000_000 + i,
-                value: v,
-            });
-            expected.push(v);
-        }
+        expected.extend(rows);
         expected.drain(0..50);
         concurrent.apply_deltas(batch);
         concurrent.quiesce();
@@ -2027,19 +1973,9 @@ mod tests {
         let spec = StrategySpec::new(StrategyKind::FullSort);
         let concurrent =
             ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
-        let mut low = DeltaBatch::new();
-        low.push(DeltaOp::Insert {
-            oid: 900_000,
-            value: 5,
-        });
-        concurrent.apply_deltas(low);
+        concurrent.apply_deltas(insert_batch(900_000, [5]));
         concurrent.quiesce();
-        let mut high = DeltaBatch::new();
-        high.push(DeltaOp::Insert {
-            oid: 900_001,
-            value: 9_995,
-        });
-        concurrent.apply_deltas(high);
+        concurrent.apply_deltas(insert_batch(900_001, [9_995]));
         concurrent.quiesce();
         let snap = concurrent.snapshot();
         assert_eq!(snap.delta_runs(), 2);
@@ -2065,16 +2001,10 @@ mod tests {
         let concurrent = ConcurrentColumn::from_spec_with_policy(&spec, domain(), values(), policy)
             .expect("values in domain");
         let mut expected = values();
-        let mut oid = 500_000u64;
         for round in 0..20u32 {
-            let mut batch = DeltaBatch::new();
-            for i in 0..10u32 {
-                let v = (round * 389 + i * 53) % 10_000;
-                batch.push(DeltaOp::Insert { oid, value: v });
-                expected.push(v);
-                oid += 1;
-            }
-            concurrent.apply_deltas(batch);
+            let rows: Vec<u32> = (0..10).map(|i| (round * 389 + i * 53) % 10_000).collect();
+            expected.extend(&rows);
+            concurrent.apply_deltas(insert_batch(500_000 + u64::from(round) * 10, rows));
             concurrent.quiesce();
         }
         // 200 rows arrived; with start_above=64 the writer must have been
@@ -2106,49 +2036,42 @@ mod tests {
     }
 
     #[test]
-    fn drain_deltas_is_the_bulk_merge_barrier() {
-        let spec = StrategySpec::new(StrategyKind::Cracking);
-        let concurrent =
-            ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
-        let mut batch = DeltaBatch::new();
+    fn drain_folds_everything_and_keeps_the_organization() {
+        let concurrent = converged_column();
+        let before = concurrent.snapshot();
+        assert!(before.segment_count() > 4, "the workload must have split");
+        // Past the default start watermark: the writer compacts on its own
+        // (the column has no spec — none is needed); the drain finishes.
+        let rows: Vec<u32> = (0..5_000u32).map(|i| (i * 7_919) % 10_000).collect();
         let mut expected = values();
-        for i in 0..500u64 {
-            let v = ((i * 31) % 10_000) as u32;
-            batch.push(DeltaOp::Insert {
-                oid: 700_000 + i,
-                value: v,
-            });
-            expected.push(v);
+        expected.extend(&rows);
+        let mut batch = insert_batch(600_000, rows);
+        for (oid, value) in (0..).zip(expected.drain(0..300)) {
+            batch.push(DeltaOp::Delete { oid, value });
         }
         concurrent.apply_deltas(batch);
+        concurrent.quiesce();
+        assert!(concurrent.pending_delta_rows() < 5_300, "must compact");
         concurrent.drain_deltas();
         let snap = concurrent.snapshot();
         assert_eq!(snap.pending_delta_rows(), 0, "drain folds everything");
         assert_eq!(snap.total_rows(), expected.len() as u64);
-        for q in queries().into_iter().take(10) {
+        // The organization the queries earned survives the writes.
+        assert_eq!(snap.segment_count(), before.segment_count());
+        assert_eq!(snap.piece_ranges(), before.piece_ranges());
+        assert_eq!(snap.adaptation(), before.adaptation());
+        assert_eq!(snap.unmatched_tombstones(), 0);
+        for q in queries() {
             let expect = expected.iter().filter(|v| q.contains(**v)).count() as u64;
-            assert_eq!(snap.select_count(&q, &mut NullTracker), expect);
+            assert_eq!(snap.select_count(&q, &mut NullTracker), expect, "{q:?}");
         }
         snap.validate().unwrap();
     }
 
     #[test]
     fn batch_counts_fold_deltas_identically_to_serial() {
-        let spec = StrategySpec::new(StrategyKind::ApmSegm)
-            .with_apm_bounds(256, 1024)
-            .with_model_seed(3);
-        let concurrent =
-            ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
-        for q in queries() {
-            concurrent.select_count(&q, &mut NullTracker);
-        }
-        let mut batch = DeltaBatch::new();
-        for i in 0..300u64 {
-            batch.push(DeltaOp::Insert {
-                oid: 800_000 + i,
-                value: ((i * 61) % 10_000) as u32,
-            });
-        }
+        let concurrent = converged_column();
+        let mut batch = insert_batch(800_000, (0..300u32).map(|i| (i * 61) % 10_000));
         for (oid, v) in values().into_iter().enumerate().take(40) {
             batch.push(DeltaOp::Delete {
                 oid: oid as u64,
@@ -2186,6 +2109,73 @@ mod tests {
                 .as_deref(),
             Some(serial.as_slice())
         );
+    }
+
+    #[test]
+    fn a_stray_tombstone_is_counted_and_changes_nothing() {
+        let concurrent = converged_column();
+        let before = concurrent.snapshot();
+        let absent = (0..10_000u32)
+            .find(|v| !values().contains(v))
+            .expect("6000 rows leave gaps in a 10000-value domain");
+        let mut batch = DeltaBatch::new();
+        batch.push(DeltaOp::Delete {
+            oid: 123_456,
+            value: absent,
+        });
+        concurrent.apply_deltas(batch);
+        concurrent.drain_deltas();
+        let snap = concurrent.snapshot();
+        assert_eq!(snap.unmatched_tombstones(), 1, "the stray must be counted");
+        assert_eq!(snap.pending_delta_rows(), 0);
+        assert_eq!(snap.total_rows(), before.total_rows());
+        assert_eq!(snap.piece_ranges(), before.piece_ranges());
+        assert_eq!(
+            snap.select_collect(&domain(), &mut NullTracker),
+            before.select_collect(&domain(), &mut NullTracker)
+        );
+        snap.validate().unwrap();
+    }
+
+    #[test]
+    fn saturating_hints_cannot_starve_folds_publishes_or_barriers() {
+        use std::sync::atomic::AtomicBool;
+
+        let spec = StrategySpec::new(StrategyKind::NoSegm);
+        let policy = CompactionPolicy::new(64, 16, 32);
+        let concurrent = ConcurrentColumn::from_spec_with_policy(&spec, domain(), values(), policy)
+            .expect("values in domain");
+        let stop = AtomicBool::new(false);
+        let q = ValueRange::must(1_000u32, 1_999);
+        // Asserted after the scope: a panic inside it would leave the
+        // reader spinning and the scope's join hanging.
+        let (mut worst_pending, mut all_visible) = (0, true);
+        std::thread::scope(|s| {
+            // Each hint costs the writer a full scan of the unsegmented
+            // column and the reader only a try_send: the queue never runs
+            // empty, which used to keep the writer inside one epoch forever.
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    concurrent.hint_reorganize(&q);
+                }
+            });
+            for round in 0..40u32 {
+                let rows = (0..10).map(|i| (round * 389 + i * 53) % 10_000);
+                concurrent.apply_deltas(insert_batch(800_000 + u64::from(round) * 10, rows));
+                concurrent.quiesce();
+                let snap = concurrent.snapshot();
+                let pending = snap.pending_delta_rows();
+                worst_pending = pending.max(worst_pending);
+                all_visible &= snap.total_rows() + pending == 6_010 + u64::from(round) * 10;
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert!(
+            all_visible,
+            "every quiesce must publish the batch before it"
+        );
+        assert!(worst_pending <= policy.start_above() + policy.rows_per_step());
+        assert!(concurrent.reorg_hints_dropped() > 0, "the reader saturated");
     }
 
     #[test]

@@ -184,6 +184,32 @@ pub fn sorted_run<V: ColumnValue>(sorted: &[V], q: &ValueRange<V>) -> (usize, us
     (start, end.max(start))
 }
 
+/// Sum of the `to_f64` projections of `sorted[start..end]` — the qualifying
+/// run [`sorted_run`] delimits — accumulated per [`CHUNK`] with the chunk
+/// boundaries aligned to the start of `sorted`, not of the run.
+///
+/// That alignment is what makes the result **bit-identical** to the masked
+/// [`sum_range`] over the whole slice: the masked kernel adds an exact
+/// `0.0` for every value outside the run (finite `v`, so `0.0 * v` is a
+/// zero, and an accumulator that starts at `+0.0` never changes by adding
+/// one), so per chunk both kernels add the same values in the same order,
+/// and chunks wholly outside the run contribute `0.0` to the total. Only
+/// the O(run) values are read instead of the whole piece.
+pub fn sum_sorted_run<V: ColumnValue>(sorted: &[V], start: usize, end: usize) -> f64 {
+    let mut total = 0.0f64;
+    let mut at = start;
+    while at < end {
+        let stop = ((at / CHUNK + 1) * CHUNK).min(end);
+        let mut acc = 0.0f64;
+        for &v in &sorted[at..stop] {
+            acc += v.to_f64();
+        }
+        total += acc;
+        at = stop;
+    }
+    total
+}
+
 /// Galloping merge of two ascending runs into `out` (ascending, stable:
 /// ties take from `a` first).
 ///
@@ -233,6 +259,36 @@ pub fn subtract_sorted<V: ColumnValue>(base: &[V], tombstones: &[V], out: &mut V
         }
     }
     out.extend_from_slice(&base[i..]);
+}
+
+/// Cancels one occurrence of each `tombstones` entry (ascending) from
+/// `values` (any order, which is preserved), returning how many tombstones
+/// found **no** occurrence — the in-place counterpart of
+/// [`subtract_sorted`] for pieces that are not sorted, and the one place a
+/// stray tombstone is counted instead of silently absorbed.
+///
+/// One pass over `values`: each value binary-searches the start of its
+/// equal run among the tombstones, and a per-run cursor hands out the next
+/// unconsumed tombstone, so duplicates cancel one occurrence apiece.
+pub fn cancel_occurrences<V: ColumnValue>(values: &mut Vec<V>, tombstones: &[V]) -> u64 {
+    if tombstones.is_empty() {
+        return 0;
+    }
+    // next[s]: first unconsumed tombstone of the equal run starting at s.
+    let mut next: Vec<usize> = (0..tombstones.len()).collect();
+    let mut matched = 0u64;
+    values.retain(|v| {
+        let s = tombstones.partition_point(|t| t < v);
+        match next.get(s).copied() {
+            Some(i) if tombstones.get(i) == Some(v) => {
+                next[s] = i + 1;
+                matched += 1;
+                false
+            }
+            _ => true,
+        }
+    });
+    tombstones.len() as u64 - matched
 }
 
 /// Delete-mask count of one delta run against `q`: how many inserts and
@@ -606,6 +662,81 @@ mod tests {
             let tombs: Vec<&[u32]> = vec![&t];
             assert_eq!(net_min(&adds, &tombs), survivors.first().copied());
             assert_eq!(net_max(&adds, &tombs), survivors.last().copied());
+        }
+    }
+
+    #[test]
+    fn cancel_occurrences_cancels_one_each_and_counts_strays() {
+        // Unordered values: order of the survivors is preserved.
+        let mut values = vec![7u32, 2, 9, 2, 5, 2, 7];
+        assert_eq!(cancel_occurrences(&mut values, &[2, 2, 7]), 0);
+        assert_eq!(values, vec![9, 5, 2, 7]);
+
+        // Strays — absent values and surplus duplicates — are counted and
+        // leave the survivors alone.
+        let mut values = vec![4u32, 4, 1];
+        assert_eq!(cancel_occurrences(&mut values, &[0, 4, 4, 4, 8]), 3);
+        assert_eq!(values, vec![1]);
+
+        let mut values = vec![3u32, 1];
+        assert_eq!(cancel_occurrences(&mut values, &[]), 0);
+        assert_eq!(values, vec![3, 1]);
+        assert_eq!(cancel_occurrences(&mut Vec::<u32>::new(), &[1, 2]), 2);
+    }
+
+    /// `sum_sorted_run` over the qualifying run must reproduce the masked
+    /// whole-slice `sum_range` bit for bit.
+    fn assert_run_sum_matches_masked_sum<V: ColumnValue>(mut values: Vec<V>, a: V, b: V) {
+        values.sort_unstable();
+        let q = ValueRange::must(a.min(b), a.max(b));
+        let (s, e) = sorted_run(&values, &q);
+        assert_eq!(
+            sum_sorted_run(&values, s, e).to_bits(),
+            sum_range(&values, &q).to_bits(),
+            "run [{s}, {e}) of {} values, {q:?}",
+            values.len()
+        );
+    }
+
+    mod properties {
+        use super::*;
+        use crate::value::OrdF64;
+        use proptest::prelude::*;
+
+        // Up to three chunks, narrow value bands: duplicates everywhere and
+        // runs that start, end and span across chunk boundaries.
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn sum_sorted_run_equals_sum_range_u32(
+                values in proptest::collection::vec(0u32..6_000, 0..3 * CHUNK),
+                a in 0u32..6_000,
+                b in 0u32..6_000,
+            ) {
+                assert_run_sum_matches_masked_sum(values, a, b);
+            }
+
+            #[test]
+            fn sum_sorted_run_equals_sum_range_i64(
+                values in proptest::collection::vec(-3_000i64..3_000, 0..3 * CHUNK),
+                a in -3_000i64..3_000,
+                b in -3_000i64..3_000,
+            ) {
+                assert_run_sum_matches_masked_sum(values, a, b);
+            }
+
+            #[test]
+            fn sum_sorted_run_equals_sum_range_f64(
+                values in proptest::collection::vec(-3_000i64..3_000, 0..3 * CHUNK),
+                a in -3_000i64..3_000,
+                b in -3_000i64..3_000,
+            ) {
+                // Non-dyadic fractions: every addition rounds, so only the
+                // same order of the same additions gives the same bits.
+                let f = |i: i64| OrdF64::from_finite(i as f64 * 0.37);
+                assert_run_sum_matches_masked_sum(values.into_iter().map(f).collect(), f(a), f(b));
+            }
         }
     }
 

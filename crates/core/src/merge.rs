@@ -132,7 +132,7 @@ impl<V: ColumnValue> MergingSegmentation<V> {
     }
 }
 
-// contract: ColumnStrategy thread-safety: merge passes mutate only inside &mut self selects; &self accessors delegate to the inner column's immutable state.
+// contract: ColumnStrategy thread-safety: merge passes mutate only inside &mut self selects, delta folds inside &mut self fold_delta; &self accessors delegate to the inner column's immutable state.
 impl<V: ColumnValue> ColumnStrategy<V> for MergingSegmentation<V> {
     fn name(&self) -> String {
         format!("{}+Merge", self.inner.name())
@@ -152,6 +152,15 @@ impl<V: ColumnValue> ColumnStrategy<V> for MergingSegmentation<V> {
 
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
         self.inner.peek_collect(q)
+    }
+
+    fn fold_delta(
+        &mut self,
+        inserts: &[V],
+        tombstones: &[V],
+        tracker: &mut dyn AccessTracker,
+    ) -> Option<u64> {
+        self.inner.fold_delta(inserts, tombstones, tracker)
     }
 
     fn storage_bytes(&self) -> u64 {

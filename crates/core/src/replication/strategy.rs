@@ -227,7 +227,7 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
     }
 }
 
-// contract: ColumnStrategy thread-safety: replica promotion mutates the tree only inside &mut self run_select; &self accessors are pure reads.
+// contract: ColumnStrategy thread-safety: replica promotion and delta folds mutate the tree only inside &mut self run_select / fold_delta; &self accessors are pure reads.
 impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveReplication<V> {
     fn name(&self) -> String {
         format!("{} Repl", self.model.name())
@@ -260,6 +260,17 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveReplication<V> {
             }
         }
         out
+    }
+
+    fn fold_delta(
+        &mut self,
+        inserts: &[V],
+        tombstones: &[V],
+        tracker: &mut dyn AccessTracker,
+    ) -> Option<u64> {
+        let unmatched = self.tree.fold_delta(inserts, tombstones, tracker);
+        crate::debug_assert_valid!(self.tree.validate(), "adaptive replication fold");
+        unmatched
     }
 
     fn storage_bytes(&self) -> u64 {

@@ -350,6 +350,52 @@ impl<V: ColumnValue> ReplicaTree<V> {
         flips
     }
 
+    /// Folds a delta (both sides ascending) into **every** materialized
+    /// replica whose range holds one of its values, keeping the data
+    /// invariant — each materialized node holds exactly the column values
+    /// inside its range — at every level of the tree. A packed replica is
+    /// decoded and left raw; each touched replica is charged one read of
+    /// its old payload plus one write of the new (a free and a
+    /// materialization, like an encoding flip). Virtual nodes hold no
+    /// data and keep their estimates; no node is created or dropped.
+    ///
+    /// Returns the tombstones that found no occurrence (counted once, at
+    /// the top level, which tiles the domain with materialized nodes), or
+    /// `None` — with nothing changed — when an insert lies outside the
+    /// domain.
+    pub fn fold_delta(
+        &mut self,
+        inserts: &[V],
+        tombstones: &[V],
+        tracker: &mut dyn AccessTracker,
+    ) -> Option<u64> {
+        let (tombs, mut unmatched) = crate::delta::clip_fold(&self.domain, inserts, tombstones)?;
+        for (_, node) in self.arena.iter_mut() {
+            let NodePayload::Materialized(payload) = &mut node.payload else {
+                continue;
+            };
+            let (ins, tombs) = (
+                crate::delta::run_in(inserts, &node.range),
+                crate::delta::run_in(tombs, &node.range),
+            );
+            if ins.is_empty() && tombs.is_empty() {
+                continue;
+            }
+            let old = payload.bytes();
+            tracker.scan(node.seg_id, old);
+            let stray = payload.fold_delta(ins, tombs, false);
+            let new = payload.bytes();
+            tracker.free(node.seg_id, old);
+            tracker.materialize(node.seg_id, new);
+            self.mat_bytes = self.mat_bytes - old + new;
+            if node.parent.is_none() {
+                unmatched += stray;
+            }
+        }
+        self.reset_logical_totals();
+        Some(unmatched)
+    }
+
     /// Re-estimates the virtual children of `parent` so all children sum to
     /// the parent's tuple count, distributing the residue proportionally to
     /// range width.

@@ -270,6 +270,33 @@ impl<V: ColumnValue> SegmentData<V> {
         }
     }
 
+    /// Folds the part of a delta this segment owns into its payload (see
+    /// [`PiecePayload::fold_delta`]; the caller has already cut `inserts`
+    /// and `tombstones` to the segment's range), refreshing the synopsis
+    /// and charging one read of the old payload plus one write of the new
+    /// (reported, like every representation change, as a free of the old
+    /// footprint and a materialization of the new one). Returns the
+    /// tombstones that found no occurrence.
+    pub fn fold_delta(
+        &mut self,
+        inserts: &[V],
+        tombstones: &[V],
+        sorted: bool,
+        tracker: &mut dyn AccessTracker,
+    ) -> u64 {
+        debug_assert!(
+            inserts.iter().all(|v| self.range.contains(*v)),
+            "folded inserts must lie within the segment range"
+        );
+        let old = self.bytes();
+        tracker.scan(self.id, old);
+        let unmatched = self.payload.fold_delta(inserts, tombstones, sorted);
+        self.refresh_synopsis();
+        tracker.free(self.id, old);
+        tracker.materialize(self.id, self.bytes());
+        unmatched
+    }
+
     /// Classifies `q` against the cached synopsis. An empty segment has
     /// no synopsis and nothing to find, so it classifies as disjoint.
     #[inline]

@@ -211,7 +211,7 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
     }
 }
 
-// contract: ColumnStrategy thread-safety: splits mutate the piece table only inside &mut self run_select; &self accessors are pure reads.
+// contract: ColumnStrategy thread-safety: splits and delta folds mutate the piece table only inside &mut self run_select / fold_delta; &self accessors are pure reads.
 impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveSegmentation<V> {
     fn name(&self) -> String {
         format!("{} Segm", self.model.name())
@@ -233,6 +233,17 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveSegmentation<V> {
             self.column.segments()[idx].collect_in(q, &mut out);
         }
         out
+    }
+
+    fn fold_delta(
+        &mut self,
+        inserts: &[V],
+        tombstones: &[V],
+        tracker: &mut dyn AccessTracker,
+    ) -> Option<u64> {
+        let unmatched = self.column.fold_delta(inserts, tombstones, tracker);
+        crate::debug_assert_valid!(self.column.validate(), "adaptive segmentation fold");
+        unmatched
     }
 
     fn storage_bytes(&self) -> u64 {

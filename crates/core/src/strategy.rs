@@ -30,6 +30,18 @@ pub struct AdaptationStats {
     pub budget_declines: u64,
 }
 
+impl AdaptationStats {
+    /// Accumulates `other` into `self` — how the counters of strategies
+    /// retired by a migration, or of the nodes of a sharded column, add up.
+    pub fn absorb(&mut self, other: &AdaptationStats) {
+        self.splits += other.splits;
+        self.merges += other.merges;
+        self.replicas_created += other.replicas_created;
+        self.drops += other.drops;
+        self.budget_declines += other.budget_declines;
+    }
+}
+
 /// A column organization that can answer range selections and may
 /// reorganize itself as a side effect (the paper's "reorganization decisions
 /// … made an integral part of query execution").
@@ -43,9 +55,10 @@ pub struct AdaptationStats {
 /// scoped threads. Concretely:
 ///
 /// * the **mutating** methods ([`Self::select_count`],
-///   [`Self::select_collect`]) take `&mut self`, so they are exclusive per
-///   strategy *instance*; concurrency comes from running *distinct*
-///   instances (one per shard node) in parallel, never from sharing one;
+///   [`Self::select_collect`], [`Self::fold_delta`]) take `&mut self`, so
+///   they are exclusive per strategy *instance*; concurrency comes from
+///   running *distinct* instances (one per shard node) in parallel, never
+///   from sharing one;
 /// * the **read-only** methods ([`Self::peek_collect`],
 ///   [`Self::storage_bytes`], [`Self::segment_count`],
 ///   [`Self::segment_bytes`], [`Self::segment_ranges`],
@@ -105,6 +118,34 @@ pub trait ColumnStrategy<V: ColumnValue>: Send + Sync {
     /// (cracking's empty boundary pieces) may return fewer entries than
     /// [`Self::segment_count`].
     fn segment_ranges(&self) -> Vec<ValueRange<V>>;
+
+    /// Folds a batch of pending writes into the physical pieces that own
+    /// them, **in place**: every value of `inserts` joins the piece(s)
+    /// whose range holds it, then every value of `tombstones` cancels one
+    /// occurrence there (both slices ascending; inserts apply first, so a
+    /// tombstone may cancel an insert of the same call). The strategy's
+    /// organization survives — no piece boundary moves, untouched pieces
+    /// are not rewritten — and only the touched pieces are charged to
+    /// `tracker`, as one `scan` of the old payload plus one `materialize`
+    /// of the new.
+    ///
+    /// Returns `Some(n)` when the batch was absorbed, `n` being the
+    /// tombstones that found no occurrence to cancel (a caller's invariant
+    /// break made countable — the survivors are never touched by one), or
+    /// `None` when the strategy cannot absorb the batch, in which case it
+    /// must have changed nothing and the rows stay in the caller's overlay.
+    /// The default absorbs nothing, which is correct for any strategy that
+    /// only wraps others (a sharded column); every data-holding strategy
+    /// of this crate overrides it.
+    fn fold_delta(
+        &mut self,
+        inserts: &[V],
+        tombstones: &[V],
+        tracker: &mut dyn AccessTracker,
+    ) -> Option<u64> {
+        let _ = (inserts, tombstones, tracker);
+        None
+    }
 
     /// How much self-organization has been performed so far.
     ///

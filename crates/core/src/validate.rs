@@ -25,6 +25,7 @@ use crate::compress::{EncodedPayload, PiecePayload};
 use crate::kernels;
 use crate::range::ValueRange;
 use crate::replication::ReplicaTree;
+use crate::segment::SegmentData;
 use crate::strategy::ColumnStrategy;
 use crate::synopsis::PieceSynopsis;
 use crate::value::ColumnValue;
@@ -324,6 +325,14 @@ pub fn synopsis_consistent<V: ColumnValue>(
     Ok(())
 }
 
+/// Deep validation of one segment: payload consistent and inside the
+/// segment's range ([`payload`]), cached synopsis exact against the
+/// decoded values ([`synopsis_consistent`]).
+pub fn segment<V: ColumnValue>(seg: &SegmentData<V>) -> Result<(), Violation> {
+    payload(&seg.range(), seg.payload())?;
+    synopsis_consistent(seg.synopsis().as_ref(), &seg.decoded())
+}
+
 /// Deep structural validation of a [`SegmentedColumn`]: segment ranges
 /// partition the domain, every payload is consistent and in range, every
 /// cached synopsis matches its data, and the per-segment tuple counts sum
@@ -334,9 +343,7 @@ pub fn column<V: ColumnValue>(col: &SegmentedColumn<V>) -> Result<(), Violation>
     ranges_partition(&domain, &ranges)?;
     let mut count = 0u64;
     for (i, seg) in col.segments().iter().enumerate() {
-        payload(&seg.range(), seg.payload()).map_err(|v| at_index(v, i))?;
-        let syn = seg.synopsis();
-        synopsis_consistent(syn.as_ref(), &seg.decoded()).map_err(|v| at_index(v, i))?;
+        segment(seg).map_err(|v| at_index(v, i))?;
         count += seg.len();
     }
     if count != col.total_len() {

@@ -6,6 +6,19 @@ impl<V: ColumnValue> ColumnStrategy<V> for Documented<V> {
     fn name(&self) -> String {
         "documented".to_owned()
     }
+
+    fn fold_delta(
+        &mut self,
+        inserts: &[V],
+        tombstones: &[V],
+        tracker: &mut dyn AccessTracker,
+    ) -> Option<u64> {
+        tracker.scan(self.id, self.payload_bytes);
+        let unmatched = self.payload.fold_delta(inserts, tombstones, false);
+        tracker.free(self.id, self.payload_bytes);
+        tracker.materialize(self.id, self.payload.bytes());
+        Some(unmatched)
+    }
 }
 
 impl Documented {
@@ -25,6 +38,12 @@ impl Documented {
     fn counted(&self, q: ValueRange<u64>, tracker: &mut dyn AccessTracker) -> u64 {
         tracker.scan(self.payload_bytes);
         kernels::count_range(&self.values, q)
+    }
+
+    fn summed(&self, q: ValueRange<u64>, tracker: &mut dyn AccessTracker) -> f64 {
+        tracker.scan(self.id, self.payload_bytes);
+        let (s, e) = kernels::sorted_run(&self.values, &q);
+        kernels::sum_sorted_run(&self.values, s, e)
     }
 
     fn replays(&self, events: &[TrackerEvent], target: &mut dyn AccessTracker) {

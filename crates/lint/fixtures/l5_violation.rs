@@ -1,8 +1,13 @@
 // Fixture: a tracker-taking function that calls a scan kernel without
-// charging or forwarding the tracker must fire.
+// charging or forwarding the tracker must fire — once per function, for
+// the masked count and for the sorted-run sum alike.
 
 impl Scanner {
     fn count(&self, q: ValueRange<u64>, tracker: &mut dyn AccessTracker) -> u64 {
         kernels::count_range(&self.values, q)
+    }
+
+    fn sum(&self, start: usize, end: usize, tracker: &mut dyn AccessTracker) -> f64 {
+        kernels::sum_sorted_run(&self.values, start, end)
     }
 }

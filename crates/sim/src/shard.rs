@@ -922,12 +922,7 @@ impl<V: ColumnValue> ShardedColumn<V> {
         // and that self-inflicted activity must not count.
         let mut retired = self.retired;
         for node in &self.nodes {
-            let a = node.call(|s| s.adaptation());
-            retired.splits += a.splits;
-            retired.merges += a.merges;
-            retired.replicas_created += a.replicas_created;
-            retired.drops += a.drops;
-            retired.budget_declines += a.budget_declines;
+            retired.absorb(&node.call(|s| s.adaptation()));
         }
 
         // 1. The live partitioning, restricted to each node's ownership:
@@ -1084,7 +1079,7 @@ impl<V: ColumnValue> ShardedColumn<V> {
     }
 }
 
-// contract: ColumnStrategy thread-safety: shard access serializes through each node's worker; re-placement mutates the partition only inside &mut self selects, and &self accessors read the cached plan.
+// contract: ColumnStrategy thread-safety: shard access serializes through each node's worker; re-placement mutates the partition only inside &mut self selects, and &self accessors read the cached plan. fold_delta keeps the trait default (absorbs nothing): pending deltas of a wrapped sharded column stay in the epoch layer's overlay.
 impl<V: ColumnValue> ColumnStrategy<V> for ShardedColumn<V> {
     fn name(&self) -> String {
         let inner = self
@@ -1176,12 +1171,7 @@ impl<V: ColumnValue> ColumnStrategy<V> for ShardedColumn<V> {
     fn adaptation(&self) -> AdaptationStats {
         let mut total = self.retired;
         for node in &self.nodes {
-            let a = node.call(|s| s.adaptation());
-            total.splits += a.splits;
-            total.merges += a.merges;
-            total.replicas_created += a.replicas_created;
-            total.drops += a.drops;
-            total.budget_declines += a.budget_declines;
+            total.absorb(&node.call(|s| s.adaptation()));
         }
         total
     }
@@ -1729,6 +1719,49 @@ mod tests {
             );
         }
         assert_eq!(sharded.node_recoveries(), 0, "slowness needs no rebuild");
+    }
+
+    #[test]
+    fn sharded_column_behind_the_epoch_layer_serves_deltas_from_the_overlay() {
+        use soc_core::{ConcurrentColumn, DeltaBatch, DeltaOp};
+
+        let values = uniform_values(6_000, &domain(), 23);
+        let sharded = ShardedColumn::new(
+            spec(StrategyKind::ApmSegm),
+            PlacementPolicy::RangeContiguous,
+            3,
+            domain(),
+            values.clone(),
+        )
+        .expect("shard construction");
+        let column = ConcurrentColumn::new(Box::new(sharded), domain());
+        let mut expected = values.clone();
+        let mut batch = DeltaBatch::new();
+        // Past the start watermark: the writer asks the strategy to fold.
+        for i in 0..5_000u64 {
+            let value = ((i * 7_919) % (DOMAIN_HI as u64 + 1)) as u32;
+            batch.push(DeltaOp::Insert {
+                oid: 1_000_000 + i,
+                value,
+            });
+            expected.push(value);
+        }
+        batch.push(DeltaOp::Delete {
+            oid: 0,
+            value: values[0],
+        });
+        expected.swap_remove(0);
+        column.apply_deltas(batch);
+        column.drain_deltas();
+        // A sharded column holds no data of its own and absorbs nothing:
+        // the rows stay pending, and every read still sees them.
+        let snap = column.snapshot();
+        assert_eq!(snap.pending_delta_rows(), 5_001);
+        assert_eq!(snap.total_rows(), values.len() as u64);
+        for q in workload(40, 24) {
+            let expect = expected.iter().filter(|v| q.contains(**v)).count() as u64;
+            assert_eq!(column.select_count(&q, &mut NullTracker), expect, "{q:?}");
+        }
     }
 
     #[test]
