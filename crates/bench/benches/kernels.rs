@@ -6,10 +6,10 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use soc_core::{
-    kernels, AdaptivePageModel, AdaptiveSegmentation, ColumnStrategy, NonSegmented, NullTracker,
-    PiecePayload, SegmentEncoding, SegmentedColumn, SizeEstimator, ValueRange,
+    kernels, AdaptivePageModel, AdaptiveSegmentation, ColumnStrategy, ColumnValue, NonSegmented,
+    NullTracker, OrdF64, PiecePayload, SegmentEncoding, SegmentedColumn, SizeEstimator, ValueRange,
 };
-use soc_workload::{uniform_values, WorkloadSpec};
+use soc_workload::{skyserver_domain, skyserver_ra, uniform_values, WorkloadSpec};
 
 const DOMAIN_HI: u32 = 999_999;
 const COLUMN_LEN: usize = 100_000;
@@ -189,12 +189,85 @@ fn bench_packed_scans(c: &mut Criterion) {
     group.finish();
 }
 
+/// The reorganizing scans on the paper's `ra` column (`OrdF64`, 8 MB): the
+/// kernels behind `scanMat` and segment splits. `scan_fill` runs against
+/// the loops it replaced — one `count_range` pass plus one `collect_range`
+/// pass per replica — which live on only here, as the reference.
+fn bench_reorganizing_scans(c: &mut Criterion) {
+    const N: usize = 1_000_000;
+    let values = skyserver_ra(N, 7);
+    let domain = skyserver_domain();
+    let (lo, width) = (domain.lo().to_f64(), domain.width());
+    // The closed range covering fractions [from, to] of the domain.
+    let frac = |from: f64, to: f64| {
+        ValueRange::must(
+            OrdF64::from_f64(lo + from * width),
+            OrdF64::from_f64(lo + to * width),
+        )
+    };
+    let mut group = c.benchmark_group("reorganizing_scans_f64");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(N as u64));
+
+    let q = frac(0.4, 0.402);
+    group.bench_function(BenchmarkId::new("count_range", N), |b| {
+        b.iter(|| black_box(kernels::count_range(&values, &q)))
+    });
+    for sel in [0.002, 0.1, 0.5] {
+        let r = frac(0.4, 0.4 + sel);
+        group.bench_function(BenchmarkId::new("collect_range", sel), |b| {
+            b.iter(|| {
+                let mut out = Vec::new();
+                kernels::collect_range(&values, &r, &mut out);
+                black_box(out.len())
+            })
+        });
+    }
+
+    // APM's rule 3 keeps "the smallest superset" of the query — up to half
+    // the segment — so the fills are wide while the query is narrow.
+    let one = vec![frac(0.4, 0.9)];
+    let three = vec![frac(0.1, 0.2), frac(0.4, 0.6), frac(0.7, 0.9)];
+    for (name, fills) in [("1_fill", &one), ("3_fills", &three)] {
+        group.bench_function(BenchmarkId::new("scan_fill", name), |b| {
+            b.iter(|| {
+                let mut outs = vec![Vec::new(); fills.len()];
+                let n = kernels::scan_fill(&values, &q, None, fills, &mut outs);
+                black_box((n, outs))
+            })
+        });
+        group.bench_function(BenchmarkId::new("count_then_collect_per_fill", name), |b| {
+            b.iter(|| {
+                let n = kernels::count_range(&values, &q);
+                let outs: Vec<Vec<OrdF64>> = fills
+                    .iter()
+                    .map(|r| {
+                        let mut out = Vec::new();
+                        kernels::collect_range(&values, r, &mut out);
+                        out
+                    })
+                    .collect();
+                black_box((n, outs))
+            })
+        });
+    }
+
+    let bounds = [frac(0.0, 0.33).hi(), frac(0.0, 0.66).hi()];
+    for (name, bounds) in [("2_way", &bounds[..1]), ("3_way", &bounds[..])] {
+        group.bench_function(BenchmarkId::new("partition_into", name), |b| {
+            b.iter(|| black_box(kernels::partition_into(&values, bounds)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_select,
     bench_overlap_lookup,
     bench_scan_kernels,
     bench_aggregate_kernels,
-    bench_packed_scans
+    bench_packed_scans,
+    bench_reorganizing_scans
 );
 criterion_main!(benches);

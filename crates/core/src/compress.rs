@@ -849,6 +849,37 @@ impl<V: ColumnValue> PiecePayload<V> {
         }
     }
 
+    /// `scanMat(s, M)`: counts the stored values inside `q` (appending
+    /// them to `result` when given) and appends to each `outs[i]` the
+    /// stored values inside `fills[i]` — ascending, disjoint ranges. A raw
+    /// payload does all of it in one pass ([`crate::kernels::scan_fill`]);
+    /// a packed one answers each range in the compressed domain, which
+    /// walks runs and keys, not elements.
+    pub fn scan_fill(
+        &self,
+        q: &ValueRange<V>,
+        result: Option<&mut Vec<V>>,
+        fills: &[ValueRange<V>],
+        outs: &mut [Vec<V>],
+    ) -> u64 {
+        match self {
+            PiecePayload::Raw(v) => crate::kernels::scan_fill(v, q, result, fills, outs),
+            PiecePayload::Packed(_) => {
+                for (r, out) in fills.iter().zip(outs) {
+                    self.collect_range(r, out);
+                }
+                match result {
+                    Some(out) => {
+                        let before = out.len();
+                        self.collect_range(q, out);
+                        (out.len() - before) as u64
+                    }
+                    None => self.count_range(q),
+                }
+            }
+        }
+    }
+
     /// Appends every stored value to `out` (the covering fast path).
     pub fn collect_all(&self, out: &mut Vec<V>) {
         match self {

@@ -1,5 +1,5 @@
 //! Branchless, chunked scan kernels — the innermost loops of every range
-//! selection.
+//! selection and of every reorganizing scan.
 //!
 //! The paper's figures count *bytes* scanned; how fast those bytes move is
 //! the other half of the story once the layout has converged. Tuple-at-a-time
@@ -7,10 +7,30 @@
 //! modern cores mispredict on the ~selectivity boundary of every query. The
 //! kernels here follow the column-store playbook (vectorized, predicate-as-
 //! arithmetic execution): fixed-size chunks that stay in L1, comparisons
-//! folded into `0/1` integers summed in a narrow accumulator (no flow
-//! control inside the hot loop, so LLVM autovectorizes it), a `covers` fast
-//! path that degenerates to `memcpy`, and a binary-search fast path for
+//! folded into `0/1` integers summed in a narrow accumulator, a `covers`
+//! fast path that degenerates to `memcpy`, and a binary-search fast path for
 //! sorted runs that skips the scan entirely.
+//!
+//! "No flow control inside the hot loop, so LLVM autovectorizes it" holds
+//! only if the comparison itself is flow-free. For the integer types it
+//! always was; for [`crate::value::OrdF64`] it is because the type
+//! overrides `lt`/`le`/`gt`/`ge` with bare `f64` comparisons — the default
+//! operators go through `Ord::cmp`, whose NaN check puts a panic edge inside
+//! every `lo <= v` and keeps the whole loop scalar.
+//!
+//! Reorganization rides on the same passes (Algorithm 2's `scanMat`: "one
+//! scan of each covering segment answers the query and fills every replica
+//! in M"):
+//!
+//! - [`scan_fill`] counts (or collects) the query **and** fills every
+//!   replica of the materialization list in one pass over the payload. The
+//!   values that qualify are moved by a branchless compress-store
+//!   (`dst[k] = v; k += in_range`), never by a `filter` loop. Element order
+//!   is preserved in every output.
+//! - [`partition_into`] splits a payload at 1–2 inner bounds with a
+//!   vectorized count (exact piece sizes) followed by one scatter pass into
+//!   exactly-sized buckets: order within a piece preserved, no bucket ever
+//!   reallocates or holds spare capacity.
 //!
 //! Everything downstream — [`crate::segment::SegmentData`], the cracked
 //! column, adaptive replication's cover scans, the fully-sorted baseline —
@@ -19,6 +39,9 @@
 
 use crate::range::ValueRange;
 use crate::value::ColumnValue;
+
+#[cfg(test)]
+mod reference;
 
 /// Elements per chunk. Small enough that a chunk of 8-byte values sits in
 /// L1 alongside the output, large enough to amortize the loop bookkeeping.
@@ -51,24 +74,170 @@ pub fn count_range<V: ColumnValue>(values: &[V], q: &ValueRange<V>) -> u64 {
     total
 }
 
-/// Chunked copy of the values inside `q` into `out`.
+/// Appends the `n` values of `chunk` inside `[lo, hi]` to `out`, order
+/// preserved; `n` is what [`count_chunk`] returned for the same arguments.
+///
+/// A fully matching chunk is one `extend_from_slice` (the per-chunk
+/// `covers` fast path) and a fully missing one is skipped. A mixed chunk
+/// is compress-stored: every value is written at the cursor
+/// unconditionally and the cursor advances by the predicate as a `0/1`,
+/// so the loop carries no data-dependent branch. `out` is grown by the
+/// `n` matches plus one slot — where the values failing the predicate
+/// after the last match land — and cut back to the matches afterwards.
+#[inline]
+fn append_matches<V: ColumnValue>(chunk: &[V], n: usize, lo: V, hi: V, out: &mut Vec<V>) {
+    if n == chunk.len() {
+        out.extend_from_slice(chunk);
+        return;
+    }
+    if n == 0 {
+        return;
+    }
+    let (start, pad) = (out.len(), chunk[0]);
+    out.resize(start + n + 1, pad);
+    let dst = &mut out[start..];
+    let mut k = 0usize;
+    for &v in chunk {
+        dst[k] = v;
+        k += usize::from(lo <= v) & usize::from(v <= hi);
+    }
+    debug_assert_eq!(k, n, "append_matches needs the chunk's exact match count");
+    out.truncate(start + n);
+}
+
+/// Chunked copy of the values inside `q` into `out`, order preserved.
 ///
 /// Each chunk is first counted branchlessly (cheap, vectorized, and the
-/// chunk is then hot in L1): a fully matching chunk is appended with
-/// `extend_from_slice` (the per-chunk `covers` fast path), a fully missing
-/// chunk is skipped, and only mixed chunks pay the per-element filter —
-/// with the exact reservation already made, so the `Vec` never reallocates
-/// mid-chunk.
+/// chunk is then hot in L1), then moved by [`append_matches`]: `memcpy`
+/// for a fully matching chunk, nothing for a fully missing one, a
+/// branchless compress-store for a mixed one.
 pub fn collect_range<V: ColumnValue>(values: &[V], q: &ValueRange<V>, out: &mut Vec<V>) {
     let (lo, hi) = (q.lo(), q.hi());
     for chunk in values.chunks(CHUNK) {
         let n = count_chunk(chunk, lo, hi) as usize;
-        if n == chunk.len() {
-            out.extend_from_slice(chunk);
-        } else if n > 0 {
-            out.reserve(n);
-            out.extend(chunk.iter().copied().filter(|&v| lo <= v && v <= hi));
+        append_matches(chunk, n, lo, hi, out);
+    }
+}
+
+/// `scanMat(s, M)` over a raw payload: one pass answers `q` **and** fills
+/// every replica of the materialization list.
+///
+/// Returns the number of values inside `q`, appending them to `result`
+/// when one is given. `fills` are the value ranges of the replicas to
+/// fill — ascending and pairwise disjoint — and `outs[i]` receives, in
+/// storage order, exactly the values inside `fills[i]` (what
+/// `collect_range(values, &fills[i], &mut outs[i])` would append).
+///
+/// Per chunk one vectorized loop counts `q` and the hull of the fills
+/// together; a chunk with no hull hit moves nothing. A single fill *is*
+/// its hull and is moved by [`append_matches`]. With several fills the
+/// hull's values are compress-stored once into a chunk-sized scratch and
+/// each fill is then counted and compress-stored out of those survivors —
+/// branchless throughout, and the per-fill work scales with the hull's
+/// hits, not with the chunk (values in a gap between fills match no fill
+/// and are dropped there).
+pub fn scan_fill<V: ColumnValue>(
+    values: &[V],
+    q: &ValueRange<V>,
+    mut result: Option<&mut Vec<V>>,
+    fills: &[ValueRange<V>],
+    outs: &mut [Vec<V>],
+) -> u64 {
+    debug_assert_eq!(fills.len(), outs.len(), "one output per fill range");
+    debug_assert!(
+        fills.windows(2).all(|w| w[0].hi() < w[1].lo()),
+        "fill ranges must be ascending and disjoint"
+    );
+    let (Some(first), Some(last)) = (fills.first(), fills.last()) else {
+        return match result {
+            Some(out) => {
+                let before = out.len();
+                collect_range(values, q, out);
+                (out.len() - before) as u64
+            }
+            None => count_range(values, q),
+        };
+    };
+    let (qlo, qhi) = (q.lo(), q.hi());
+    let (hlo, hhi) = (first.lo(), last.hi());
+    let mut survivors = Vec::new();
+    let mut total = 0u64;
+    for chunk in values.chunks(CHUNK) {
+        let (mut nq, mut nh) = (0u32, 0u32);
+        for &v in chunk {
+            nq += u32::from(qlo <= v) & u32::from(v <= qhi);
+            nh += u32::from(hlo <= v) & u32::from(v <= hhi);
         }
+        total += nq as u64;
+        if let Some(out) = result.as_deref_mut() {
+            append_matches(chunk, nq as usize, qlo, qhi, out);
+        }
+        if let [out] = &mut *outs {
+            append_matches(chunk, nh as usize, hlo, hhi, out);
+        } else if nh > 0 {
+            survivors.clear();
+            append_matches(chunk, nh as usize, hlo, hhi, &mut survivors);
+            for (r, out) in fills.iter().zip(outs.iter_mut()) {
+                let n = count_chunk(&survivors, r.lo(), r.hi()) as usize;
+                append_matches(&survivors, n, r.lo(), r.hi(), out);
+            }
+        }
+    }
+    total
+}
+
+/// Splits `values` at the ascending inner `bounds` into `bounds.len() + 1`
+/// pieces: piece `i` holds, in storage order, the values with exactly `i`
+/// bounds strictly below them (`bounds[i - 1] < v <= bounds[i]`), so each
+/// bound is the inclusive upper end of the piece before it.
+///
+/// Two passes. A vectorized count of the values above each bound gives
+/// the exact piece sizes; then one scatter pass appends every value to
+/// `pieces[(b0 < v) + (b1 < v)]` — the piece index is arithmetic on the
+/// comparisons, not a probe, and every bucket was allocated at its final
+/// size, so an append is the indexed store plus the cursor bump: nothing
+/// reallocates and `capacity() == len()` on return.
+pub fn partition_into<V: ColumnValue>(values: &[V], bounds: &[V]) -> Vec<Vec<V>> {
+    debug_assert!(
+        bounds.windows(2).all(|w| w[0] < w[1]),
+        "partition bounds must be strictly ascending"
+    );
+    let mut above = vec![0u64; bounds.len()];
+    for chunk in values.chunks(CHUNK) {
+        for (total, &b) in above.iter_mut().zip(bounds) {
+            let mut acc = 0u32;
+            for &v in chunk {
+                acc += u32::from(b < v);
+            }
+            *total += acc as u64;
+        }
+    }
+    // Piece i: above bound i-1 (every value, for piece 0) but not above
+    // bound i (none, for the last piece).
+    let mut pieces: Vec<Vec<V>> = Vec::with_capacity(bounds.len() + 1);
+    let mut reach = values.len() as u64;
+    for &a in &above {
+        pieces.push(Vec::with_capacity((reach - a) as usize));
+        reach = a;
+    }
+    pieces.push(Vec::with_capacity(reach as usize));
+
+    match *bounds {
+        [b0] => scatter(values, &mut pieces, |v| usize::from(b0 < v)),
+        [b0, b1] => scatter(values, &mut pieces, |v| {
+            usize::from(b0 < v) + usize::from(b1 < v)
+        }),
+        _ => scatter(values, &mut pieces, |v| bounds.partition_point(|b| *b < v)),
+    }
+    pieces
+}
+
+/// The scatter pass of [`partition_into`]: `piece_of` maps a value to its
+/// piece, and `pieces` hold exactly the capacity they are about to fill.
+#[inline]
+fn scatter<V: ColumnValue>(values: &[V], pieces: &mut [Vec<V>], piece_of: impl Fn(V) -> usize) {
+    for &v in values {
+        pieces[piece_of(v)].push(v);
     }
 }
 
@@ -134,20 +303,40 @@ pub fn sum_all<V: ColumnValue>(values: &[V]) -> f64 {
 
 /// Min and max over the whole slice (no predicate); `None` when empty.
 /// The unconditioned fold behind synopsis construction for unsorted
-/// payloads — sorted callers read their first/last element instead.
+/// payloads — sorted callers read their first/last element instead. Each
+/// bound is a compare-select, not a branch.
 pub fn min_max_all<V: ColumnValue>(values: &[V]) -> Option<(V, V)> {
-    let mut iter = values.iter();
-    let &first = iter.next()?;
+    let &first = values.first()?;
     let (mut mn, mut mx) = (first, first);
-    for &v in iter {
-        if v < mn {
-            mn = v;
-        }
-        if mx < v {
-            mx = v;
-        }
+    for &v in values {
+        mn = if v < mn { v } else { mn };
+        mx = if mx < v { v } else { mx };
     }
     Some((mn, mx))
+}
+
+/// `(min, max, sum)` of the whole slice in one pass; `None` when empty.
+///
+/// What a piece synopsis needs right after a split has written the piece:
+/// the bounds of [`min_max_all`] and the sum of [`sum_all`] without
+/// walking the values twice. The sum uses **exactly** `sum_all`'s chunk
+/// and accumulator structure, so it is bit-identical to it (and hence to
+/// a covering [`sum_range`]); the two compare-selects ride in the shadow
+/// of the floating-point add's latency.
+pub fn min_max_sum_all<V: ColumnValue>(values: &[V]) -> Option<(V, V, f64)> {
+    let &first = values.first()?;
+    let (mut mn, mut mx) = (first, first);
+    let mut total = 0.0f64;
+    for chunk in values.chunks(CHUNK) {
+        let mut acc = 0.0f64;
+        for &v in chunk {
+            acc += v.to_f64();
+            mn = if v < mn { v } else { mn };
+            mx = if mx < v { v } else { mx };
+        }
+        total += acc;
+    }
+    Some((mn, mx, total))
 }
 
 /// One-pass fused `MIN(v), MAX(v) WHERE v IN q`; `None` when no value

@@ -125,7 +125,9 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
     }
 
     /// `scanMat(s, M)`: one scan of covering segment `s` produces the query
-    /// answer and the data for every node in `M`.
+    /// answer and the data for every node in `M`
+    /// ([`crate::compress::PiecePayload::scan_fill`] — a single pass over a
+    /// raw payload however many replicas it fills).
     fn scan_cover_member(
         &mut self,
         q: &ValueRange<V>,
@@ -134,7 +136,16 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
         tracker: &mut dyn AccessTracker,
         out: Option<&mut Vec<V>>,
     ) -> u64 {
-        let (seg_id, bytes, matched, fills) = {
+        // M comes out of the analysis in range order and its nodes are
+        // leaves, so the fill ranges are ascending and disjoint.
+        let ranges: Vec<ValueRange<V>> = m_list.iter().map(|&n| self.tree.node(n).range).collect();
+        // Sized from the optimizer's estimate; trimmed to the fact below,
+        // because a replica keeps its buffer for life.
+        let mut fills: Vec<Vec<V>> = m_list
+            .iter()
+            .map(|&n| Vec::with_capacity(self.tree.node(n).len() as usize))
+            .collect();
+        let (seg_id, bytes, matched) = {
             let node = self.tree.node(s);
             let payload = node
                 .payload()
@@ -142,35 +153,25 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
                 .expect("covering-set members are materialized");
             // Compressed-domain dispatch: a count over a packed node never
             // decodes; only result extraction and replica fills do.
-            let matched = if let Some(out) = out {
-                let before = out.len();
-                if q.covers(&node.range) {
+            let matched = if m_list.is_empty() && q.covers(&node.range) {
+                // Every value qualifies and nothing is filled: no scan.
+                if let Some(out) = out {
                     payload.collect_all(out);
-                } else {
-                    payload.collect_range(q, out);
                 }
-                (out.len() - before) as u64
-            } else if q.covers(&node.range) {
                 payload.len()
             } else {
-                payload.count_range(q)
+                payload.scan_fill(q, out, &ranges, &mut fills)
             };
-            let fills: Vec<(NodeId, Vec<V>)> = m_list
-                .iter()
-                .map(|&n| {
-                    let r = self.tree.node(n).range;
-                    let mut vals = Vec::new();
-                    payload.collect_range(&r, &mut vals);
-                    (n, vals)
-                })
-                .collect();
-            (node.seg_id, node.bytes(), matched, fills)
+            (node.seg_id, node.bytes(), matched)
         };
+        for vals in &mut fills {
+            vals.shrink_to_fit();
+        }
         tracker.scan(seg_id, bytes);
         self.tree.note_read(s, self.tick);
 
         let mut parents: Vec<NodeId> = Vec::with_capacity(fills.len());
-        for (n, vals) in fills {
+        for (&n, vals) in m_list.iter().zip(fills) {
             // Storage-budget policy: declining a materialization simply
             // leaves the node virtual — it still has a materialized
             // ancestor, so the tree stays consistent and a later query can
@@ -622,6 +623,131 @@ mod tests {
             let expect = reference.iter().filter(|v| q.contains(**v)).count() as u64;
             assert_eq!(r.select_count(&q, &mut NullTracker), expect);
             r.tree().validate().unwrap();
+        }
+    }
+
+    /// Every live node, depth first in range order.
+    fn nodes(tree: &ReplicaTree<u32>) -> Vec<NodeId> {
+        let mut stack: Vec<NodeId> = tree.top().iter().rev().copied().collect();
+        let mut out = Vec::new();
+        while let Some(id) = stack.pop() {
+            out.push(id);
+            stack.extend(tree.node(id).children.iter().rev());
+        }
+        out
+    }
+
+    /// `(range, decoded values)` of every materialized node.
+    fn materialized(tree: &ReplicaTree<u32>) -> Vec<(ValueRange<u32>, Vec<u32>)> {
+        nodes(tree)
+            .into_iter()
+            .filter_map(|id| {
+                let node = tree.node(id);
+                Some((node.range, node.payload()?.decoded().into_owned()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn replicas_filled_by_the_cover_scan_hold_no_spare_capacity() {
+        use crate::compress::PiecePayload;
+        // Skewed data: the uniform-interpolation estimates the fills are
+        // sized from are wrong in both directions.
+        let values: Vec<u32> = column_values(40_000, 30)
+            .into_iter()
+            .map(|v| (v / 1000) * (v / 1000) * 10)
+            .collect();
+        for model in [
+            apm(),
+            Box::new(GaussianDice::new(31)) as Box<dyn SegmentationModel>,
+        ] {
+            let mut r = repl(values.clone(), model);
+            let mut rng = SmallRng::seed_from_u64(32);
+            for _ in 0..60 {
+                let lo = rng.gen_range(0..=DOMAIN_HI - 6_000);
+                r.select_count(&ValueRange::must(lo, lo + 5_999), &mut NullTracker);
+            }
+            assert!(r.replicas_created() > 0);
+            let tree = r.tree();
+            for id in nodes(tree) {
+                let node = tree.node(id);
+                // Every materialized node but a surviving root was filled
+                // by `scan_cover_member`.
+                let is_root = node.range == tree.domain();
+                if let (false, Some(PiecePayload::Raw(v))) = (is_root, node.payload()) {
+                    assert_eq!(v.capacity(), v.len(), "replica {:?}", node.range);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_cover_members_fill_the_same_replicas_as_raw_ones() {
+        use crate::compress::{EncodingMode, SegmentEncoding};
+        // Runs of equal values in storage order: RLE packs them.
+        let values: Vec<u32> = (0..30_000u32).map(|i| (i / 6) * 20 % 100_000).collect();
+        for model in [
+            || apm(),
+            || Box::new(GaussianDice::new(33)) as Box<dyn SegmentationModel>,
+        ] {
+            let mut raw = repl(values.clone(), model());
+            let mut rle = repl(values.clone(), model())
+                .with_encoding(EncodingMode::Fixed(SegmentEncoding::Rle));
+            let root = rle.tree().top()[0];
+            assert!(
+                rle.tree().node(root).values().is_none(),
+                "the root must be packed for the scan to take the Packed arm"
+            );
+            let mut rng = SmallRng::seed_from_u64(34);
+            for i in 0..40 {
+                let lo = rng.gen_range(0..=DOMAIN_HI - 9_000);
+                let q = ValueRange::must(lo, lo + 8_999);
+                assert_eq!(
+                    raw.select_count(&q, &mut NullTracker),
+                    rle.select_count(&q, &mut NullTracker),
+                    "query #{i} {q:?}"
+                );
+                // Same replicas, same values in the same storage order.
+                assert_eq!(
+                    materialized(raw.tree()),
+                    materialized(rle.tree()),
+                    "query #{i} {q:?}"
+                );
+            }
+            assert_eq!(raw.replicas_created(), rle.replicas_created());
+            assert!(raw.replicas_created() > 0);
+        }
+    }
+
+    #[test]
+    fn collect_returns_the_same_rows_while_replicas_are_filled() {
+        let values = column_values(30_000, 35);
+        for model in [
+            apm(),
+            Box::new(GaussianDice::new(36)) as Box<dyn SegmentationModel>,
+        ] {
+            let mut r = repl(values.clone(), model);
+            let mut rng = SmallRng::seed_from_u64(37);
+            let mut filled_while_collecting = 0;
+            for _ in 0..40 {
+                let lo = rng.gen_range(0..=DOMAIN_HI - 9_000);
+                let q = ValueRange::must(lo, lo + 8_999);
+                let before = r.replicas_created();
+                let mut got = r.select_collect(&q, &mut NullTracker);
+                let mut expect: Vec<u32> =
+                    values.iter().copied().filter(|v| q.contains(*v)).collect();
+                if before == 0 {
+                    // One cover member, the root: the rows come back in
+                    // storage order, exactly as the collecting scan alone
+                    // returned them.
+                    assert_eq!(got, expect, "{q:?}");
+                }
+                got.sort_unstable();
+                expect.sort_unstable();
+                assert_eq!(got, expect, "{q:?}");
+                filled_while_collecting += r.replicas_created() - before;
+            }
+            assert!(filled_while_collecting > 0, "M was never non-empty");
         }
     }
 

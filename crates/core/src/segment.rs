@@ -372,7 +372,10 @@ impl<V: ColumnValue> SegmentData<V> {
     /// of the replica tree. `ids` supplies a fresh id per piece. Products
     /// are always raw — a reorganization touches a segment precisely
     /// because the workload reads it, so it starts hot; the encoding
-    /// policy re-evaluates at the next boundary.
+    /// policy re-evaluates at the next boundary. The values move through
+    /// [`crate::kernels::partition_into`]: storage order is kept within
+    /// each product and each product's buffer is allocated at its exact
+    /// size, so a piece never carries spare capacity for life.
     ///
     /// # Panics
     /// Panics (debug) if the sub-ranges do not tile `self.range`.
@@ -394,18 +397,10 @@ impl<V: ColumnValue> SegmentData<V> {
         );
 
         let values = self.payload.into_values();
-        let est = values.len() / pieces.len() + 1;
-        let mut buckets: Vec<Vec<V>> = pieces.iter().map(|_| Vec::with_capacity(est)).collect();
-        'outer: for v in values {
-            // Pieces are few (2–3); a linear probe beats binary search here.
-            for (i, p) in pieces.iter().enumerate() {
-                if p.contains(v) {
-                    buckets[i].push(v);
-                    continue 'outer;
-                }
-            }
-            unreachable!("value {v:?} outside every piece of its own segment");
-        }
+        // Each piece but the last ends at an inner bound.
+        let inner = pieces.len().saturating_sub(1);
+        let bounds: Vec<V> = pieces.iter().take(inner).map(|p| p.hi()).collect();
+        let buckets = crate::kernels::partition_into(&values, &bounds);
         pieces
             .iter()
             .zip(buckets)
@@ -562,6 +557,34 @@ mod tests {
         assert_eq!(total, 1000);
         for p in &parts {
             assert!(p.values().iter().all(|v| p.range().contains(*v)));
+        }
+    }
+
+    #[test]
+    fn partition_products_are_exact_sized_and_keep_storage_order() {
+        // Uneven pieces: a len/pieces guess would over- and under-shoot.
+        let values: Vec<u32> = (0..10_000).map(|i| (i * 7919) % 1000).collect();
+        for pieces in [
+            vec![ValueRange::must(0, 99), ValueRange::must(100, 999)],
+            vec![
+                ValueRange::must(0, 9),
+                ValueRange::must(10, 899),
+                ValueRange::must(900, 999),
+            ],
+        ] {
+            let (s, mut ids) = seg(0, 999, &values);
+            for (p, range) in s.partition(&pieces, &mut ids).into_iter().zip(&pieces) {
+                let expect: Vec<u32> = values
+                    .iter()
+                    .copied()
+                    .filter(|v| range.contains(*v))
+                    .collect();
+                assert_eq!(p.values(), expect, "{range:?}");
+                let len = p.len() as usize;
+                // The buffer a piece keeps for life holds its values and
+                // nothing more.
+                assert_eq!(p.into_values().capacity(), len, "{range:?}");
+            }
         }
     }
 

@@ -80,15 +80,16 @@ impl<V: ColumnValue> PieceSynopsis<V> {
         })
     }
 
-    /// Synopsis of an arbitrary-order slice: one fold for the bounds, the
-    /// chunked kernel for the sum. `None` when empty.
+    /// Synopsis of an arbitrary-order slice, bounds and sum folded in one
+    /// pass ([`kernels::min_max_sum_all`], whose sum is bit-identical to
+    /// the chunked [`kernels::sum_all`]). `None` when empty.
     pub fn from_values(values: &[V]) -> Option<Self> {
-        let (min, max) = kernels::min_max_all(values)?;
+        let (min, max, sum) = kernels::min_max_sum_all(values)?;
         Some(PieceSynopsis {
             min,
             max,
             count: values.len() as u64,
-            sum: kernels::sum_all(values),
+            sum,
         })
     }
 

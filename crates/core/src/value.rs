@@ -185,10 +185,40 @@ impl std::fmt::Display for OrdF64 {
 
 impl Eq for OrdF64 {}
 
+/// The comparison operators compare the inner `f64`s directly. The default
+/// `lt`/`le`/`gt`/`ge` go through [`Ord::cmp`], whose NaN check is a panic
+/// edge inside every `lo <= v`: with it no scan kernel over an `OrdF64`
+/// column autovectorizes. Neither operand can be NaN (the field is private
+/// and every constructor rejects it), so the bare float comparison agrees
+/// with `cmp` on every pair of values — including `-0.0 == +0.0`.
 impl PartialOrd for OrdF64 {
     #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
+    }
+
+    #[inline]
+    fn lt(&self, other: &Self) -> bool {
+        debug_assert!(!self.0.is_nan() && !other.0.is_nan());
+        self.0 < other.0
+    }
+
+    #[inline]
+    fn le(&self, other: &Self) -> bool {
+        debug_assert!(!self.0.is_nan() && !other.0.is_nan());
+        self.0 <= other.0
+    }
+
+    #[inline]
+    fn gt(&self, other: &Self) -> bool {
+        debug_assert!(!self.0.is_nan() && !other.0.is_nan());
+        self.0 > other.0
+    }
+
+    #[inline]
+    fn ge(&self, other: &Self) -> bool {
+        debug_assert!(!self.0.is_nan() && !other.0.is_nan());
+        self.0 >= other.0
     }
 }
 
@@ -336,6 +366,68 @@ mod tests {
         let mut v = vec![b, a];
         v.sort();
         assert_eq!(v, vec![a, b]);
+    }
+
+    /// Every float class the operators could disagree with `cmp` on.
+    fn float_grid() -> Vec<OrdF64> {
+        [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -5e-324, // largest negative subnormal
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 2.0, // a subnormal
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + f64::EPSILON,
+            205.115,
+            f64::MAX,
+            f64::INFINITY,
+        ]
+        .into_iter()
+        .map(OrdF64::from_finite)
+        .collect()
+    }
+
+    #[test]
+    fn ordf64_operators_agree_with_cmp_on_the_whole_grid() {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let grid = float_grid();
+        for &a in &grid {
+            for &b in &grid {
+                let ord = a.cmp(&b);
+                assert_eq!(a < b, ord == Less, "{a:?} < {b:?}");
+                assert_eq!(a <= b, ord != Greater, "{a:?} <= {b:?}");
+                assert_eq!(a > b, ord == Greater, "{a:?} > {b:?}");
+                assert_eq!(a >= b, ord != Less, "{a:?} >= {b:?}");
+                assert_eq!(a == b, ord == Equal, "{a:?} == {b:?}");
+                assert_eq!(a.partial_cmp(&b), Some(ord));
+            }
+        }
+    }
+
+    #[test]
+    fn ordf64_sort_and_partition_point_are_unchanged() {
+        // A deterministic shuffle of the grid, twice over (duplicates).
+        let grid = float_grid();
+        let n = grid.len();
+        let shuffled: Vec<OrdF64> = (0..2 * n).map(|i| grid[(i * 7 + 3) % n]).collect();
+        let mut by_ord = shuffled.clone();
+        by_ord.sort();
+        let mut by_cmp = shuffled.clone();
+        by_cmp.sort_by(|a, b| a.get().partial_cmp(&b.get()).expect("no NaN in the grid"));
+        // Bitwise, so the stable order of the two zeros is pinned too.
+        let bits = |v: &[OrdF64]| v.iter().map(|x| x.get().to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_ord), bits(&by_cmp));
+        for &t in &grid {
+            let below = by_ord.iter().filter(|x| x.get() < t.get()).count();
+            let upto = by_ord.iter().filter(|x| x.get() <= t.get()).count();
+            assert_eq!(by_ord.partition_point(|x| *x < t), below, "{t:?}");
+            assert_eq!(by_ord.partition_point(|x| *x <= t), upto, "{t:?}");
+        }
     }
 
     #[test]

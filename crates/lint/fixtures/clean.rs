@@ -46,6 +46,12 @@ impl Documented {
         kernels::sum_sorted_run(&self.values, s, e)
     }
 
+    fn reorganized(&self, q: ValueRange<u64>, tracker: &mut dyn AccessTracker) -> u64 {
+        tracker.scan(self.id, self.payload_bytes);
+        let n = kernels::scan_fill(&self.values, &q, None, &self.fills, &mut self.outs);
+        n + kernels::partition_into(&self.values, &self.bounds).len() as u64
+    }
+
     fn replays(&self, events: &[TrackerEvent], target: &mut dyn AccessTracker) {
         for e in events {
             match e {

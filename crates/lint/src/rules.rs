@@ -218,7 +218,7 @@ pub fn l4_lock_across_send(file: &SourceFile, out: &mut Vec<Finding>) {
 
 /// Kernel-scan entry points that read segment payloads (the merge-on-read
 /// kernels walk delta-run payloads, which are reads all the same).
-const L5_KERNELS: [&str; 9] = [
+const L5_KERNELS: [&str; 11] = [
     "kernels::count_range",
     "kernels::collect_range",
     "kernels::count_partition",
@@ -226,6 +226,8 @@ const L5_KERNELS: [&str; 9] = [
     "kernels::select_count",
     "kernels::merge_sorted",
     "kernels::sum_sorted_run",
+    "kernels::scan_fill",
+    "kernels::partition_into",
     "kernels::subtract_sorted",
     "kernels::delta_count",
 ];

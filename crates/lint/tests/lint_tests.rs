@@ -82,7 +82,7 @@ fn l5_fixture_fires_on_unaccounted_kernel_scan() {
         "crates/core/src/fixture.rs",
         include_str!("../fixtures/l5_violation.rs"),
     );
-    assert_eq!(rules_hit(&report), ["L5-scan-accounting"; 2], "{report:?}");
+    assert_eq!(rules_hit(&report), ["L5-scan-accounting"; 4], "{report:?}");
 }
 
 #[test]
