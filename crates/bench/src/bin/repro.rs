@@ -11,14 +11,13 @@
 //! ablation-merge, ablation-buffer, ablation-budget, ablation-auto-apm,
 //! ablation-estimator, ablation-placement, ablation-sharding,
 //! ablation-sql-strategy, ablation-compress; perf-sharded, perf-kernels,
-//! perf-concurrent, perf-compress, perf-pruning, perf-morsel,
-//! perf-openloop, perf-overload, perf-delta (wall-clock measurements of
-//! the parallel executor, the scan kernels, the epoch-snapshot concurrent
-//! read path, the compressed-domain scan kernels, zone-map pruning, the
-//! morsel-driven batch reader, the open-loop tail-latency run, the
-//! admission-gate overload/recovery run, and the delta-compaction
-//! write-heavy run); or the groups `simulation`, `skyserver`, `ablation`,
-//! `perf`, `all`.
+//! perf-concurrent, perf-compress, perf-pruning, perf-openloop,
+//! perf-overload, perf-delta (wall-clock measurements of the parallel
+//! executor, the scan kernels, the epoch-snapshot concurrent read path,
+//! the compressed-domain scan kernels, zone-map pruning, the open-loop
+//! tail-latency run, the admission-gate overload/recovery run, and the
+//! delta-compaction write-heavy run); or the groups `simulation`,
+//! `skyserver`, `ablation`, `perf`, `all`.
 //!
 //! Each figure/table is printed (tables verbatim, figures as sparkline
 //! summaries) and written as CSV under `--out` (default `results/`).
@@ -27,9 +26,9 @@
 //! written to `<out>/BENCH_PR4.json`, the epoch-read-path experiments
 //! to `<out>/BENCH_PR5.json`, the compression experiments — raw vs
 //! encoded footprint, packed-scan vs decode-then-scan ms per codec — to
-//! `<out>/BENCH_PR6.json`, and the pruning/morsel/open-loop experiments
-//! — pruned vs unpruned bytes scanned, serial vs batch walk, p50/p99/
-//! p999 latency — to `<out>/BENCH_PR8.json`, and the overload/recovery
+//! `<out>/BENCH_PR6.json`, and the pruning/open-loop experiments —
+//! pruned vs unpruned bytes scanned, p50/p99/p999 latency — to
+//! `<out>/BENCH_PR8.json`, and the overload/recovery
 //! experiments — shed rate, goodput, served-tail quantiles with the
 //! admission gate off vs on at 2× saturation, worker-rebuild recovery
 //! time — to `<out>/BENCH_PR9.json`, and the delta-compaction
@@ -44,8 +43,8 @@ use std::time::Instant;
 use soc_bench::fig2;
 use soc_bench::perf::{
     aggregate_kernel_perf, compress_perf, concurrent_migration_perf, concurrent_read_perf,
-    delta_merge_perf, kernel_count_perf, morsel_scan_perf, open_loop_perf, overload_perf,
-    pruning_scan_perf, sharded_scan_perf, write_bench_json_named, PerfEntry,
+    delta_merge_perf, kernel_count_perf, open_loop_perf, overload_perf, pruning_scan_perf,
+    sharded_scan_perf, write_bench_json_named, PerfEntry,
 };
 use soc_sim::experiment::ablation;
 use soc_sim::experiment::simulation::{run_simulation_matrix, SimConfig, SimulationMatrix};
@@ -440,19 +439,6 @@ fn main() -> ExitCode {
         perf8.push(entry);
         ran_perf = true;
     }
-    if wants(e, "perf-morsel", "perf") {
-        eprintln!("measuring morsel-driven batch reads vs the serial snapshot walk…");
-        let entry = morsel_scan_perf(opts.quick);
-        println!(
-            "{}: serial {:.3} ms, batch {:.3} ms (ratio {:.2}), accounting bit-identical",
-            entry.id,
-            entry.serial_ms.unwrap_or(0.0),
-            entry.parallel_ms.unwrap_or(0.0),
-            entry.speedup.unwrap_or(0.0),
-        );
-        perf8.push(entry);
-        ran_perf = true;
-    }
     if wants(e, "perf-openloop", "perf") {
         eprintln!("running the open-loop Zipf workload for tail latency…");
         let entry = open_loop_perf(opts.quick);
@@ -516,8 +502,8 @@ fn main() -> ExitCode {
         eprintln!(
             "error: no experiment matched {e:?}; try fig2, fig5..fig16, tab1, tab2, \
              simulation, skyserver, ablation-*, perf-sharded, perf-kernels, \
-             perf-concurrent, perf-compress, perf-pruning, perf-morsel, \
-             perf-openloop, perf-overload, perf-delta, or all"
+             perf-concurrent, perf-compress, perf-pruning, perf-openloop, \
+             perf-overload, perf-delta, or all"
         );
         return ExitCode::FAILURE;
     }

@@ -18,8 +18,8 @@ use std::time::Instant;
 use criterion::quantile;
 use soc_core::{
     kernels, AdmissionConfig, AdmissionGate, AdmissionPolicy, CompactionPolicy, ConcurrentColumn,
-    CountingTracker, DeltaBatch, DeltaOp, EventLog, Fault, FaultPlan, FaultSite, NullTracker,
-    Permit, ScanPool, StrategyKind, StrategySnapshot, StrategySpec, ValueRange,
+    CountingTracker, DeltaBatch, DeltaOp, Fault, FaultPlan, FaultSite, NullTracker, Permit,
+    StrategyKind, StrategySnapshot, StrategySpec, ValueRange,
 };
 use soc_sim::{ExecMode, PlacementPolicy, ShardedColumn};
 use soc_workload::{uniform_values, Arrival, OpenLoopSpec, WorkloadSpec};
@@ -505,13 +505,22 @@ pub fn aggregate_kernel_perf(quick: bool) -> PerfEntry {
     }
 }
 
-/// Workload of the zone-map pruning and morsel experiments: the cold
-/// sorted column under APM segmentation, converged by one pass of the
-/// query stream so every piece carries tight synopsis bounds. The APM
-/// bounds are deliberately small relative to the ~10%-selectivity query
-/// width, so a typical query overlaps many pieces and only its two
-/// boundary pieces straddle.
-fn pruned_setup(quick: bool) -> (ConcurrentColumn<u32>, Vec<ValueRange<u32>>, Vec<u32>) {
+/// Measures zone-map piece pruning on the snapshot read path
+/// (`perf-pruning`): one audited pass of the query stream over the
+/// converged clustered column, with [`CountingTracker`] splitting the
+/// bytes actually scanned (`bytes_scanned`) from what the same walk
+/// reads with the synopses ignored (`bytes_unpruned` = scanned +
+/// skipped — the skip accounting carries the piece size precisely so
+/// the unpruned cost is reconstructible from one pruned run). The
+/// `speedup` field is the byte ratio; CI gates it at ≥ 3x here.
+///
+/// The column is the cold sorted one under APM segmentation, converged by
+/// one pass of the query stream so every piece carries tight synopsis
+/// bounds. The APM bounds are deliberately small relative to the
+/// ~10%-selectivity query width, so a typical query overlaps many pieces
+/// and only its two boundary pieces straddle.
+pub fn pruning_scan_perf(quick: bool) -> PerfEntry {
+    let section_start = Instant::now();
     let values = cold_sorted_column(quick);
     let hi = *values.last().expect("non-empty");
     let domain = ValueRange::must(0u32, hi);
@@ -523,20 +532,6 @@ fn pruned_setup(quick: bool) -> (ConcurrentColumn<u32>, Vec<ValueRange<u32>>, Ve
         let _ = column.select_count(q, &mut NullTracker);
     }
     column.quiesce();
-    (column, queries, values)
-}
-
-/// Measures zone-map piece pruning on the snapshot read path
-/// (`perf-pruning`): one audited pass of the query stream over the
-/// converged clustered column, with [`CountingTracker`] splitting the
-/// bytes actually scanned (`bytes_scanned`) from what the same walk
-/// reads with the synopses ignored (`bytes_unpruned` = scanned +
-/// skipped — the skip accounting carries the piece size precisely so
-/// the unpruned cost is reconstructible from one pruned run). The
-/// `speedup` field is the byte ratio; CI gates it at ≥ 3x here.
-pub fn pruning_scan_perf(quick: bool) -> PerfEntry {
-    let section_start = Instant::now();
-    let (column, queries, values) = pruned_setup(quick);
     let snapshot = column.snapshot();
 
     let mut tracker = CountingTracker::new();
@@ -557,57 +552,6 @@ pub fn pruning_scan_perf(quick: bool) -> PerfEntry {
         bytes_unpruned: Some(unpruned),
         speedup: Some(unpruned as f64 / pruned.max(1) as f64),
         ..PerfEntry::section("perf-pruning", section_start.elapsed().as_secs_f64() * 1e3)
-    }
-}
-
-/// Measures the morsel-driven batch read path against the serial
-/// per-query walk over the same snapshot (`perf-morsel`). Correctness
-/// first: the batch counts and the replayed [`EventLog`] must match the
-/// serial walk event for event (bit-identical accounting), then both
-/// paths are timed on a larger query stream. The pooled work per morsel
-/// is a binary search, so the interesting regime is overhead: the batch
-/// must stay in the same ballpark as serial, not win big.
-pub fn morsel_scan_perf(quick: bool) -> PerfEntry {
-    let section_start = Instant::now();
-    let (column, _, _) = pruned_setup(quick);
-    let snapshot = column.snapshot();
-    let mut pool = ScanPool::with_default_workers();
-    let count = if quick { 1_024 } else { 4_096 };
-    let queries = WorkloadSpec::uniform(0.1, count, 60).generate(&snapshot.domain());
-
-    let mut serial_log = EventLog::new();
-    let serial: Vec<u64> = queries
-        .iter()
-        .map(|q| snapshot.select_count(q, &mut serial_log))
-        .collect();
-    let mut batch_log = EventLog::new();
-    let batch = snapshot.select_count_batch(&queries, &mut pool, &mut batch_log);
-    assert_eq!(serial, batch, "morsel batch diverged from serial counts");
-    assert_eq!(
-        serial_log.events(),
-        batch_log.events(),
-        "morsel accounting diverged from the serial walk"
-    );
-
-    let (serial_ms, _) = best_ms(3, || {
-        queries
-            .iter()
-            .map(|q| snapshot.select_count(q, &mut NullTracker))
-            .sum::<u64>()
-    });
-    let (parallel_ms, _) = best_ms(3, || {
-        snapshot
-            .select_count_batch(&queries, &mut pool, &mut NullTracker)
-            .iter()
-            .sum::<u64>()
-    });
-
-    PerfEntry {
-        bytes_scanned: Some(batch_log.scan_bytes()),
-        serial_ms: Some(serial_ms),
-        parallel_ms: Some(parallel_ms),
-        speedup: Some(serial_ms / parallel_ms.max(1e-9)),
-        ..PerfEntry::section("perf-morsel", section_start.elapsed().as_secs_f64() * 1e3)
     }
 }
 
@@ -1266,16 +1210,6 @@ mod tests {
             "pruned {pruned} B must be at most a third of unpruned {unpruned} B"
         );
         assert!(e.speedup.unwrap() >= 3.0);
-    }
-
-    #[test]
-    fn morsel_perf_is_bit_identical_and_reports_both_paths() {
-        // The equality asserts live inside the measurement itself; a
-        // normal return means serial and batch agreed event for event.
-        let e = morsel_scan_perf(true);
-        assert_eq!(e.id, "perf-morsel");
-        assert!(e.bytes_scanned.unwrap() > 0);
-        assert!(e.serial_ms.unwrap() > 0.0 && e.parallel_ms.unwrap() > 0.0);
     }
 
     #[test]

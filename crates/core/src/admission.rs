@@ -239,7 +239,7 @@ impl AdmissionGate {
         &self.inner.cfg
     }
 
-    /// Requests a permit for one query (or one batch).
+    /// Requests a permit for one query.
     ///
     /// Returns the permit, or the typed reason the query must not run
     /// normally. Blocks at most [`AdmissionConfig::deadline`] and only

@@ -32,11 +32,9 @@
 //! disjoint pieces charge [`AccessTracker::skip`] (zero scan bytes, with
 //! the pruned cost still reconstructible as `read + pruned`), covered
 //! pieces answer counts and sums O(1) from the stored aggregates, and only
-//! straddling pieces scan. [`StrategySnapshot::select_count_batch`] fans
-//! the straddling pieces of a whole query batch out over a
-//! [`ScanPool`] as morsels, merging per-morsel [`EventLog`]s in (query,
-//! piece) order so parallel results and accounting are bit-identical to
-//! the serial walk.
+//! straddling pieces scan — one binary search each, the pieces being
+//! sorted. All four reads are folds over one private walk, so they charge
+//! the same events in the same order: pieces by value, then delta runs.
 //!
 //! Pending writes overlay the base as immutable sorted [`DeltaRun`]s (see
 //! [`crate::delta`]): every read folds them in on the fly (merge-on-read,
@@ -72,13 +70,12 @@ use crate::admission::{AdmissionGate, Admitted, QueryError};
 use crate::column::ColumnError;
 use crate::delta::{CompactionPolicy, DeltaBatch, DeltaRun};
 use crate::kernels;
-use crate::morsel::{ScanError, ScanPool};
 use crate::range::ValueRange;
 use crate::segment::{SegId, SegIdGen};
 use crate::spec::StrategySpec;
 use crate::strategy::{AdaptationStats, ColumnStrategy};
 use crate::synopsis::{PieceSynopsis, SynopsisClass};
-use crate::tracker::{AccessTracker, CountingTracker, EventLog, QueryStats};
+use crate::tracker::{AccessTracker, CountingTracker, QueryStats};
 use crate::validate::Violation;
 use crate::value::ColumnValue;
 
@@ -113,15 +110,6 @@ impl<V: ColumnValue> SnapshotPiece<V> {
             id,
             bytes,
             synopsis,
-        }
-    }
-
-    /// Classifies `q` against the zone map. An empty piece (no synopsis)
-    /// holds nothing to find and classifies as disjoint.
-    fn classify(&self, q: &ValueRange<V>) -> SynopsisClass {
-        match &self.synopsis {
-            Some(s) => s.classify(q),
-            None => SynopsisClass::Disjoint,
         }
     }
 }
@@ -168,17 +156,54 @@ impl<V: ColumnValue> std::fmt::Debug for StrategySnapshot<V> {
     }
 }
 
-/// One (query, piece) unit of a count-batch plan.
-enum BatchUnit {
-    /// Resolved inline by the coordinator: a pruned or covered piece —
-    /// `skip` accounting plus a synopsis-known count.
-    Inline { id: SegId, bytes: u64, count: u64 },
-    /// A straddling scan running on the pool, by job index.
-    Pooled(usize),
+/// The run of one ascending slice that qualifies for a query
+/// ([`kernels::sorted_run`]), kept with the whole slice:
+/// [`kernels::sum_sorted_run`] aligns its chunks to the slice start, so
+/// summing the sub-slice on its own would move f64 bits.
+struct Hit<'a, V> {
+    sorted: &'a [V],
+    start: usize,
+    end: usize,
 }
 
-/// A straddling piece's morsel: its count and its private event log.
-type CountJob = Box<dyn FnOnce() -> (u64, EventLog) + Send>;
+impl<'a, V: ColumnValue> Hit<'a, V> {
+    fn of(sorted: &'a [V], q: &ValueRange<V>) -> Self {
+        let (start, end) = kernels::sorted_run(sorted, q);
+        Hit { sorted, start, end }
+    }
+
+    fn len(&self) -> u64 {
+        (self.end - self.start) as u64
+    }
+
+    fn values(&self) -> &'a [V] {
+        &self.sorted[self.start..self.end]
+    }
+
+    fn sum(&self) -> f64 {
+        kernels::sum_sorted_run(self.sorted, self.start, self.end)
+    }
+}
+
+/// What [`StrategySnapshot::walk`] hands a read's fold, one part at a time.
+enum Part<'a, V: ColumnValue> {
+    /// A piece whose every value qualifies, with its synopsis.
+    Covered(&'a [V], &'a PieceSynopsis<V>),
+    /// The qualifying run of a piece the query cuts through.
+    Straddle(Hit<'a, V>),
+    /// The qualifying inserts and tombstones of one overlapping delta run.
+    Run(Hit<'a, V>, Hit<'a, V>),
+}
+
+/// Merges the ascending `more` into the ascending `into`
+/// ([`kernels::merge_sorted`]); an empty `more` costs nothing.
+fn merge_into<V: ColumnValue>(into: &mut Vec<V>, more: &[V]) {
+    if !more.is_empty() {
+        let mut merged = Vec::new();
+        kernels::merge_sorted(into, more, &mut merged);
+        *into = merged;
+    }
+}
 
 /// Extends `live` (a strategy's sorted, disjoint `segment_ranges()`) into a
 /// partition tiling all of `domain`: gaps between pieces — cracking omits
@@ -305,120 +330,104 @@ impl<V: ColumnValue> StrategySnapshot<V> {
         self.pieces.get(i).filter(|p| p.range == *range)
     }
 
-    /// Index of the first piece that can overlap `q`, for an in-order walk.
-    fn first_overlapping(&self, q: &ValueRange<V>) -> usize {
-        self.pieces.partition_point(|p| p.range.hi() < q.lo())
-    }
-
     /// Pieces overlapping `q`, in value order.
     fn overlapping<'a>(
         &'a self,
         q: &'a ValueRange<V>,
     ) -> impl Iterator<Item = &'a SnapshotPiece<V>> {
-        self.pieces[self.first_overlapping(q)..]
+        let first = self.pieces.partition_point(|p| p.range.hi() < q.lo());
+        self.pieces[first..]
             .iter()
             .take_while(move |p| p.range.lo() <= q.hi())
     }
 
-    /// Folds the overlay into a count: per run, one
-    /// [`AccessTracker::delta_scan`] charge and a pair of sorted-run masks
-    /// ([`kernels::delta_count`]) when either zone map overlaps `q`, or a
-    /// [`AccessTracker::skip`] when the run is provably disjoint. Returns
-    /// `(added, removed)` — qualifying inserts and tombstones.
-    fn delta_fold_count(&self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> (u64, u64) {
-        let (mut added, mut removed) = (0, 0);
+    /// The one walk behind every read: the pieces overlapping `q` in value
+    /// order, then the overlay's runs oldest first — the event order every
+    /// tracker sees, whichever read is asking. `fold` only accumulates the
+    /// [`Part`]s; it never sees the tracker, so no read's accounting can
+    /// drift from another's.
+    ///
+    /// Pieces prune through their zone maps: a disjoint (or empty) piece
+    /// charges [`AccessTracker::skip`] and moves no bytes; a covered piece
+    /// charges a scan when the read moves its values (`reads_covered`) and
+    /// a skip when the synopsis answers for it; a straddling piece charges
+    /// a scan and binary-searches its qualifying run. Each pending delta
+    /// run prunes the same way through its own zone maps: one
+    /// [`AccessTracker::delta_scan`] when it overlaps `q`, else a skip.
+    fn walk<'a>(
+        &'a self,
+        q: &'a ValueRange<V>,
+        tracker: &mut dyn AccessTracker,
+        reads_covered: bool,
+        mut fold: impl FnMut(Part<'a, V>),
+    ) {
+        for p in self.overlapping(q) {
+            match p.synopsis.as_ref().map(|s| (s.classify(q), s)) {
+                Some((SynopsisClass::Covered, synopsis)) => {
+                    if reads_covered {
+                        tracker.scan(p.id, p.bytes);
+                    } else {
+                        tracker.skip(p.id, p.bytes);
+                    }
+                    fold(Part::Covered(&p.values, synopsis));
+                }
+                Some((SynopsisClass::Straddle, _)) => {
+                    tracker.scan(p.id, p.bytes);
+                    fold(Part::Straddle(Hit::of(&p.values, q)));
+                }
+                // An empty piece has no synopsis and nothing to find.
+                Some((SynopsisClass::Disjoint, _)) | None => tracker.skip(p.id, p.bytes),
+            }
+        }
         for run in &self.deltas {
             if run.overlaps(q) {
                 tracker.delta_scan(run.id(), run.bytes());
-                let (a, r) = kernels::delta_count(run.inserts(), run.tombstones(), q);
-                added += a;
-                removed += r;
+                fold(Part::Run(
+                    Hit::of(run.inserts(), q),
+                    Hit::of(run.tombstones(), q),
+                ));
             } else {
                 tracker.skip(run.id(), run.bytes());
             }
         }
-        (added, removed)
     }
 
-    /// Counts the values in `q`, pruned through the per-piece zone maps:
-    /// a disjoint piece charges [`AccessTracker::skip`] and moves no
-    /// bytes, a covered piece answers O(1) from the synopsis count (also
-    /// a skip — nothing was read), and only straddling pieces scan, via
-    /// the same [`kernels::sorted_run`] as before, so the count is
-    /// bit-identical to the unpruned walk. Pending deltas fold in after
-    /// the base walk: qualifying inserts add, qualifying tombstones
-    /// cancel one occurrence each (multiset arithmetic — see
-    /// [`crate::delta`]), so the answer matches the catalog's Figure-1
-    /// merge without materializing it.
+    /// Counts the values in `q`: a covered piece answers O(1) from its
+    /// length, a straddling piece from the width of its qualifying run, so
+    /// the count is bit-identical to an unpruned walk. Pending deltas are
+    /// multiset arithmetic (see [`crate::delta`]): qualifying inserts add,
+    /// qualifying tombstones cancel one occurrence each, so the answer
+    /// matches the catalog's Figure-1 merge without materializing it.
     pub fn select_count(&self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
-        let mut n = 0;
-        for p in self.overlapping(q) {
-            match p.classify(q) {
-                SynopsisClass::Disjoint => tracker.skip(p.id, p.bytes),
-                SynopsisClass::Covered => {
-                    tracker.skip(p.id, p.bytes);
-                    n += p.values.len() as u64;
-                }
-                SynopsisClass::Straddle => {
-                    tracker.scan(p.id, p.bytes);
-                    let (s, e) = kernels::sorted_run(&p.values, q);
-                    n += (e - s) as u64;
-                }
+        let (mut n, mut added, mut removed) = (0u64, 0u64, 0u64);
+        self.walk(q, tracker, false, |part| match part {
+            Part::Covered(values, _) => n += values.len() as u64,
+            Part::Straddle(hit) => n += hit.len(),
+            Part::Run(inserts, tombstones) => {
+                added += inserts.len();
+                removed += tombstones.len();
             }
-        }
-        let (added, removed) = self.delta_fold_count(q, tracker);
+        });
         (n + added).saturating_sub(removed)
     }
 
     /// Materializes the values in `q`, ascending (the canonical order — see
-    /// the module docs). Disjoint pieces are pruned (a skip, zero bytes);
-    /// covered and straddling pieces scan — a collect has to move the
-    /// data, so only the disjoint class gets cheaper.
-    ///
-    /// Pending deltas fold in by galloping merge: each overlapping run's
-    /// qualifying inserts merge into the base result
-    /// ([`kernels::merge_sorted`]), its qualifying tombstones accumulate
-    /// into one sorted mask subtracted at the end
-    /// ([`kernels::subtract_sorted`] — one occurrence per tombstone).
+    /// the module docs). A collect has to move the data, so covered pieces
+    /// scan and only the disjoint class gets cheaper. Pending deltas fold
+    /// in by galloping merge: each overlapping run's qualifying inserts
+    /// merge into the result, its qualifying tombstones into one sorted
+    /// mask subtracted at the end ([`kernels::subtract_sorted`] — one
+    /// occurrence per tombstone).
     pub fn select_collect(&self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> Vec<V> {
-        let mut out = Vec::new();
-        for p in self.overlapping(q) {
-            match p.classify(q) {
-                SynopsisClass::Disjoint => tracker.skip(p.id, p.bytes),
-                SynopsisClass::Covered => {
-                    tracker.scan(p.id, p.bytes);
-                    out.extend_from_slice(&p.values);
-                }
-                SynopsisClass::Straddle => {
-                    tracker.scan(p.id, p.bytes);
-                    let (s, e) = kernels::sorted_run(&p.values, q);
-                    out.extend_from_slice(&p.values[s..e]);
-                }
+        let (mut out, mut tomb_mask) = (Vec::new(), Vec::new());
+        self.walk(q, tracker, true, |part| match part {
+            Part::Covered(values, _) => out.extend_from_slice(values),
+            Part::Straddle(hit) => out.extend_from_slice(hit.values()),
+            Part::Run(inserts, tombstones) => {
+                merge_into(&mut out, inserts.values());
+                merge_into(&mut tomb_mask, tombstones.values());
             }
-        }
-        if self.deltas.is_empty() {
-            return out;
-        }
-        let mut tomb_mask: Vec<V> = Vec::new();
-        for run in &self.deltas {
-            if run.overlaps(q) {
-                tracker.delta_scan(run.id(), run.bytes());
-                let (s, e) = kernels::sorted_run(run.inserts(), q);
-                if s < e {
-                    let mut merged = Vec::new();
-                    kernels::merge_sorted(&out, &run.inserts()[s..e], &mut merged);
-                    out = merged;
-                }
-                let (s, e) = kernels::sorted_run(run.tombstones(), q);
-                if s < e {
-                    let mut merged = Vec::new();
-                    kernels::merge_sorted(&tomb_mask, &run.tombstones()[s..e], &mut merged);
-                    tomb_mask = merged;
-                }
-            } else {
-                tracker.skip(run.id(), run.bytes());
-            }
-        }
+        });
         if tomb_mask.is_empty() {
             return out;
         }
@@ -427,259 +436,51 @@ impl<V: ColumnValue> StrategySnapshot<V> {
         net
     }
 
-    /// One-pass `SUM(v) WHERE v IN q` over the snapshot, pruned like
-    /// [`Self::select_count`]: covered pieces contribute their stored
-    /// synopsis sum, straddling pieces sum only their qualifying run
-    /// ([`kernels::sorted_run`] + [`kernels::sum_sorted_run`]) — both
-    /// accumulated with the chunking of the masked [`kernels::sum_range`]
-    /// they replace, so the total is bit-identical to an unpruned scan
-    /// while reading O(result), not O(piece).
-    ///
-    /// Pending deltas fold in as `+ inserts − tombstones` per overlapping
-    /// run. For integer-valued columns whose totals stay below 2^53 every
-    /// f64 addition is exact, so the delta-visible sum equals the
-    /// materialized merge's; float columns inherit the usual
-    /// accumulation-order caveat.
+    /// One-pass `SUM(v) WHERE v IN q`: covered pieces contribute their
+    /// stored synopsis sum, straddling pieces sum only their qualifying run
+    /// ([`kernels::sum_sorted_run`]) — both accumulated with the chunking of
+    /// the masked [`kernels::sum_range`] they replace, so the total is
+    /// bit-identical to an unpruned scan while reading O(result), not
+    /// O(piece). Pending deltas fold in as `+ inserts − tombstones` per
+    /// overlapping run: exact for integer-valued columns whose totals stay
+    /// below 2^53; float columns inherit the usual accumulation-order
+    /// caveat.
     pub fn select_sum(&self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> f64 {
-        let run_sum = |sorted: &[V]| {
-            let (start, end) = kernels::sorted_run(sorted, q);
-            kernels::sum_sorted_run(sorted, start, end)
-        };
         let mut total = 0.0f64;
-        for p in self.overlapping(q) {
-            match p.classify(q) {
-                SynopsisClass::Disjoint => tracker.skip(p.id, p.bytes),
-                SynopsisClass::Covered => {
-                    tracker.skip(p.id, p.bytes);
-                    if let Some(s) = &p.synopsis {
-                        total += s.sum();
-                    }
-                }
-                SynopsisClass::Straddle => {
-                    tracker.scan(p.id, p.bytes);
-                    total += run_sum(&p.values);
-                }
+        self.walk(q, tracker, false, |part| match part {
+            Part::Covered(_, synopsis) => total += synopsis.sum(),
+            Part::Straddle(hit) => total += hit.sum(),
+            Part::Run(inserts, tombstones) => {
+                total += inserts.sum();
+                total -= tombstones.sum();
             }
-        }
-        for run in &self.deltas {
-            if run.overlaps(q) {
-                tracker.delta_scan(run.id(), run.bytes());
-                total += run_sum(run.inserts());
-                total -= run_sum(run.tombstones());
-            } else {
-                tracker.skip(run.id(), run.bytes());
-            }
-        }
+        });
         total
     }
 
-    /// Fused `MIN/MAX(v) WHERE v IN q` over the snapshot (`None` when no
-    /// value qualifies). Covered pieces answer O(1) from the synopsis —
-    /// its bounds are exact by contract — and straddling pieces read the
-    /// ends of their qualifying run (the values are sorted).
-    ///
-    /// With pending deltas the synopsis alone cannot answer (a tombstone
-    /// may cancel a piece's extremum), so the walk gathers the qualifying
-    /// sorted slices — base and overlay — and resolves the net extrema
-    /// with [`kernels::net_min`] / [`kernels::net_max`], which inspect at
-    /// most the cancelled prefix (suffix) of each slice. Accounting is
-    /// unchanged: covered pieces still charge a skip, only straddling
-    /// pieces scan, and every overlapping run charges exactly one
-    /// [`AccessTracker::delta_scan`].
+    /// Fused `MIN/MAX(v) WHERE v IN q` (`None` when no value qualifies).
+    /// A tombstone may cancel a piece's extremum, so the synopsis bounds
+    /// alone cannot answer: the walk gathers the qualifying sorted slices —
+    /// base and overlay — and [`kernels::net_min`] / [`kernels::net_max`]
+    /// resolve the net extrema, inspecting at most the cancelled prefix
+    /// (suffix) of each slice; with no tombstones that is the smallest
+    /// first and the largest last element. Covered pieces are read no
+    /// further than that and charge a skip.
     pub fn select_min_max(
         &self,
         q: &ValueRange<V>,
         tracker: &mut dyn AccessTracker,
     ) -> Option<(V, V)> {
-        if self.deltas.is_empty() {
-            let mut acc: Option<(V, V)> = None;
-            for p in self.overlapping(q) {
-                let piece = match p.classify(q) {
-                    SynopsisClass::Disjoint => {
-                        tracker.skip(p.id, p.bytes);
-                        None
-                    }
-                    SynopsisClass::Covered => {
-                        tracker.skip(p.id, p.bytes);
-                        p.synopsis.as_ref().map(|s| (s.min(), s.max()))
-                    }
-                    SynopsisClass::Straddle => {
-                        tracker.scan(p.id, p.bytes);
-                        let (s, e) = kernels::sorted_run(&p.values, q);
-                        (s < e).then(|| (p.values[s], p.values[e - 1]))
-                    }
-                };
-                if let Some((lo, hi)) = piece {
-                    acc = Some(match acc {
-                        None => (lo, hi),
-                        Some((alo, ahi)) => (alo.min(lo), ahi.max(hi)),
-                    });
-                }
+        let (mut adds, mut tombs) = (Vec::new(), Vec::new());
+        self.walk(q, tracker, false, |part| match part {
+            Part::Covered(values, _) => adds.push(values),
+            Part::Straddle(hit) => adds.push(hit.values()),
+            Part::Run(inserts, tombstones) => {
+                adds.push(inserts.values());
+                tombs.push(tombstones.values());
             }
-            return acc;
-        }
-        let mut adds: Vec<&[V]> = Vec::new();
-        let mut tombs: Vec<&[V]> = Vec::new();
-        for p in self.overlapping(q) {
-            match p.classify(q) {
-                SynopsisClass::Disjoint => tracker.skip(p.id, p.bytes),
-                SynopsisClass::Covered => {
-                    tracker.skip(p.id, p.bytes);
-                    adds.push(&p.values[..]);
-                }
-                SynopsisClass::Straddle => {
-                    tracker.scan(p.id, p.bytes);
-                    let (s, e) = kernels::sorted_run(&p.values, q);
-                    if s < e {
-                        adds.push(&p.values[s..e]);
-                    }
-                }
-            }
-        }
-        for run in &self.deltas {
-            if run.overlaps(q) {
-                tracker.delta_scan(run.id(), run.bytes());
-                let (s, e) = kernels::sorted_run(run.inserts(), q);
-                if s < e {
-                    adds.push(&run.inserts()[s..e]);
-                }
-                let (s, e) = kernels::sorted_run(run.tombstones(), q);
-                if s < e {
-                    tombs.push(&run.tombstones()[s..e]);
-                }
-            } else {
-                tracker.skip(run.id(), run.bytes());
-            }
-        }
-        match (
-            kernels::net_min(&adds, &tombs),
-            kernels::net_max(&adds, &tombs),
-        ) {
-            (Some(lo), Some(hi)) => Some((lo, hi)),
-            _ => None,
-        }
-    }
-
-    /// Plans a batch of count queries: per query one [`BatchUnit`] per
-    /// overlapping piece, plus the pooled jobs the straddling units index.
-    /// Disjoint and covered pieces are O(1) decisions the coordinator
-    /// resolves inline; only straddlers become morsels, each scanning into
-    /// its own [`EventLog`].
-    fn plan_count_batch(&self, queries: &[ValueRange<V>]) -> (Vec<Vec<BatchUnit>>, Vec<CountJob>) {
-        let mut jobs: Vec<CountJob> = Vec::new();
-        let plans = queries
-            .iter()
-            .map(|q| {
-                let mut units = Vec::new();
-                for p in self.overlapping(q) {
-                    let inline = |count| BatchUnit::Inline {
-                        id: p.id,
-                        bytes: p.bytes,
-                        count,
-                    };
-                    units.push(match p.classify(q) {
-                        SynopsisClass::Disjoint => inline(0),
-                        SynopsisClass::Covered => inline(p.values.len() as u64),
-                        SynopsisClass::Straddle => {
-                            let values = Arc::clone(&p.values);
-                            let (id, bytes, q) = (p.id, p.bytes, *q);
-                            jobs.push(Box::new(move || {
-                                let mut log = EventLog::new();
-                                log.scan(id, bytes);
-                                let (s, e) = kernels::sorted_run(&values, &q);
-                                ((e - s) as u64, log)
-                            }));
-                            BatchUnit::Pooled(jobs.len() - 1)
-                        }
-                    });
-                }
-                units
-            })
-            .collect();
-        (plans, jobs)
-    }
-
-    /// Replays a planned batch's morsel outcomes into `tracker` in (query,
-    /// piece) order and folds each query's count. A query with a failed
-    /// morsel fails typed and replays **none** of its accounting — partial
-    /// replay would corrupt the tracker contract — overlay included.
-    fn replay_count_batch(
-        &self,
-        queries: &[ValueRange<V>],
-        plans: Vec<Vec<BatchUnit>>,
-        outcomes: Vec<Result<(u64, EventLog), ScanError>>,
-        tracker: &mut dyn AccessTracker,
-    ) -> Vec<Result<u64, ScanError>> {
-        plans
-            .into_iter()
-            .zip(queries)
-            .map(|(units, q)| {
-                let failed = units.iter().find_map(|unit| match unit {
-                    BatchUnit::Pooled(i) => outcomes[*i].as_ref().err().cloned(),
-                    BatchUnit::Inline { .. } => None,
-                });
-                if let Some(e) = failed {
-                    return Err(e);
-                }
-                let mut n = 0;
-                for unit in units {
-                    match unit {
-                        BatchUnit::Inline { id, bytes, count } => {
-                            tracker.skip(id, bytes);
-                            n += count;
-                        }
-                        BatchUnit::Pooled(i) => {
-                            if let Ok((count, log)) = &outcomes[i] {
-                                log.replay_into(tracker);
-                                n += count;
-                            }
-                        }
-                    }
-                }
-                let (added, removed) = self.delta_fold_count(q, tracker);
-                Ok((n + added).saturating_sub(removed))
-            })
-            .collect()
-    }
-
-    /// Answers a batch of count queries with straddling pieces fanned out
-    /// over `pool` as morsels, one per (query, piece).
-    ///
-    /// The morsel logs are replayed into `tracker` in (query, piece) order
-    /// after the whole batch completes, so the counts *and* the accounting
-    /// are bit-identical to calling [`Self::select_count`] serially per
-    /// query. Pending deltas fold in at the coordinator, per query after
-    /// its piece replay — the same position the serial walk charges them,
-    /// so the equivalence holds with an overlay too. A panicking morsel is
-    /// re-raised here ([`ScanPool::execute`]).
-    pub fn select_count_batch(
-        &self,
-        queries: &[ValueRange<V>],
-        pool: &mut ScanPool,
-        tracker: &mut dyn AccessTracker,
-    ) -> Vec<u64> {
-        let (plans, jobs) = self.plan_count_batch(queries);
-        let outcomes = pool.execute(jobs).into_iter().map(Ok).collect();
-        self.replay_count_batch(queries, plans, outcomes, tracker)
-            .into_iter()
-            // soc-lint: allow(L1-panic-free, every outcome was wrapped Ok above so no query can have failed)
-            .map(|count| count.expect("execute returns only completed morsels"))
-            .collect()
-    }
-
-    /// As [`Self::select_count_batch`], but a query whose pooled morsels
-    /// hit a dead or panicked worker fails typed instead of unwinding the
-    /// coordinator — the rest of the batch still answers, every successful
-    /// query bit-identical to the serial path.
-    pub fn try_select_count_batch(
-        &self,
-        queries: &[ValueRange<V>],
-        pool: &mut ScanPool,
-        tracker: &mut dyn AccessTracker,
-    ) -> Vec<Result<u64, ScanError>> {
-        let (plans, jobs) = self.plan_count_batch(queries);
-        let outcomes = pool.try_execute(jobs);
-        self.replay_count_batch(queries, plans, outcomes, tracker)
+        });
+        kernels::net_min(&adds, &tombs).zip(kernels::net_max(&adds, &tombs))
     }
 
     /// The epoch number (0 = the construction snapshot).
@@ -1280,23 +1081,6 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
         out
     }
 
-    /// Answers a batch of count queries with straddling pieces fanned out
-    /// over `pool` (see [`StrategySnapshot::select_count_batch`]), then
-    /// enqueues every query for background reorganization. The whole
-    /// batch reads one snapshot, so results are those of a single epoch.
-    pub fn select_count_batch(
-        &self,
-        queries: &[ValueRange<V>],
-        pool: &mut ScanPool,
-        tracker: &mut dyn AccessTracker,
-    ) -> Vec<u64> {
-        let out = self.snapshot().select_count_batch(queries, pool, tracker);
-        for q in queries {
-            self.hint_reorganize(q);
-        }
-        out
-    }
-
     /// As [`Self::select_count`], behind an [`AdmissionGate`]: the query
     /// first acquires a permit (queueing up to its deadline under the
     /// default policy) and holds it for the duration of the scan.
@@ -1323,36 +1107,6 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
             }),
             Err(QueryError::Degraded) => Ok(Admitted {
                 value: self.snapshot().select_count(q, tracker),
-                degraded: true,
-            }),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// As [`Self::select_count_batch`], behind an [`AdmissionGate`]. The
-    /// whole batch admits as one unit — one permit covers every query in
-    /// it — so shedding is all-or-nothing and the results stay those of a
-    /// single epoch. Degraded service (under
-    /// [`ServeStale`](crate::AdmissionPolicy::ServeStale)) answers from
-    /// the snapshot without enqueuing reorganization hints.
-    ///
-    /// # Errors
-    /// [`QueryError::Shed`] when refused outright,
-    /// [`QueryError::DeadlineExceeded`] when the queue wait timed out.
-    pub fn select_count_batch_gated(
-        &self,
-        gate: &AdmissionGate,
-        queries: &[ValueRange<V>],
-        pool: &mut ScanPool,
-        tracker: &mut dyn AccessTracker,
-    ) -> Result<Admitted<Vec<u64>>, QueryError> {
-        match gate.admit() {
-            Ok(_permit) => Ok(Admitted {
-                value: self.select_count_batch(queries, pool, tracker),
-                degraded: false,
-            }),
-            Err(QueryError::Degraded) => Ok(Admitted {
-                value: self.snapshot().select_count_batch(queries, pool, tracker),
                 degraded: true,
             }),
             Err(e) => Err(e),
@@ -1727,47 +1481,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_counts_and_accounting_are_bit_identical_to_serial() {
-        let snap = converged();
-        let qs = queries();
-        let mut serial_log = EventLog::new();
-        let serial: Vec<u64> = qs
-            .iter()
-            .map(|q| snap.select_count(q, &mut serial_log))
-            .collect();
-        for workers in [1, 4] {
-            let mut pool = crate::morsel::ScanPool::new(workers);
-            let mut batch_log = EventLog::new();
-            let batch = snap.select_count_batch(&qs, &mut pool, &mut batch_log);
-            assert_eq!(batch, serial, "{workers}-worker batch counts diverged");
-            assert_eq!(
-                batch_log.events(),
-                serial_log.events(),
-                "{workers}-worker batch accounting diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn concurrent_column_batch_matches_individual_reads() {
-        let spec = StrategySpec::new(StrategyKind::Cracking);
-        let concurrent =
-            ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
-        let qs = queries();
-        let expect: Vec<u64> = qs
-            .iter()
-            .map(|q| values().iter().filter(|v| q.contains(**v)).count() as u64)
-            .collect();
-        let mut pool = crate::morsel::ScanPool::new(3);
-        let got = concurrent.select_count_batch(&qs, &mut pool, &mut NullTracker);
-        assert_eq!(got, expect);
-        // The batch enqueued its queries: reorganization still folds.
-        concurrent.quiesce();
-        assert!(concurrent.epoch() >= 1);
-        concurrent.snapshot().validate().unwrap();
-    }
-
-    #[test]
     fn full_writer_queue_drops_hints_and_counts_them() {
         let spec = StrategySpec::new(StrategyKind::ApmSegm);
         let strategy = spec.build(domain(), values()).expect("values in domain");
@@ -1831,80 +1544,6 @@ mod tests {
         );
         assert_eq!(gate.stats().degraded, 1);
         drop(held);
-    }
-
-    #[test]
-    fn gated_batch_is_all_or_nothing_per_permit() {
-        let spec = StrategySpec::new(StrategyKind::ApmSegm);
-        let concurrent =
-            ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
-        let gate = AdmissionGate::new(
-            crate::admission::AdmissionConfig::with_in_flight(1)
-                .policy(crate::admission::AdmissionPolicy::ShedImmediately),
-        );
-        let qs = queries();
-        let mut pool = crate::morsel::ScanPool::new(2);
-        let expect = concurrent
-            .snapshot()
-            .select_count_batch(&qs, &mut pool, &mut NullTracker);
-        let got = concurrent
-            .select_count_batch_gated(&gate, &qs, &mut pool, &mut NullTracker)
-            .expect("uncontended gate admits the batch");
-        assert_eq!(got.value, expect);
-        // With the single permit held, a shed-immediately gate refuses
-        // the whole batch typed — no partial answers.
-        let held = gate.admit().expect("permit");
-        assert_eq!(
-            concurrent
-                .select_count_batch_gated(&gate, &qs, &mut pool, &mut NullTracker)
-                .err(),
-            Some(crate::admission::QueryError::Shed)
-        );
-        drop(held);
-    }
-
-    #[test]
-    fn try_batch_fails_only_poisoned_queries_typed() {
-        use crate::faults::{Fault, FaultPlan, FaultSite};
-
-        // Adapted, so the snapshot has straddling pieces → pooled jobs.
-        let snap = converged();
-        let qs = queries();
-        let expect: Vec<u64> = qs
-            .iter()
-            .map(|q| snap.select_count(q, &mut NullTracker))
-            .collect();
-
-        // Fault-free: try-batch is Ok everywhere and bit-identical.
-        let mut clean_pool = crate::morsel::ScanPool::new(2);
-        let clean = snap.try_select_count_batch(&qs, &mut clean_pool, &mut NullTracker);
-        assert_eq!(
-            clean.into_iter().collect::<Result<Vec<_>, _>>().as_ref(),
-            Ok(&expect)
-        );
-
-        // One injected worker crash: the poisoned queries fail typed, every
-        // Ok answer is still bit-identical, and the pool self-heals.
-        let plan = Arc::new(FaultPlan::one_shot(FaultSite::MorselJob, Fault::Panic));
-        let mut pool = crate::morsel::ScanPool::with_fault_injector(2, plan);
-        let got = snap.try_select_count_batch(&qs, &mut pool, &mut NullTracker);
-        let mut failed = 0;
-        for (i, r) in got.iter().enumerate() {
-            match r {
-                Ok(n) => assert_eq!(*n, expect[i], "query {i} diverged"),
-                Err(_) => failed += 1,
-            }
-        }
-        assert!(
-            failed >= 1,
-            "the injected crash must fail at least one query"
-        );
-        // The next batch runs on a respawned worker and is fully clean.
-        let after = snap.try_select_count_batch(&qs, &mut pool, &mut NullTracker);
-        assert_eq!(
-            after.into_iter().collect::<Result<Vec<_>, _>>().as_ref(),
-            Ok(&expect)
-        );
     }
 
     #[test]
@@ -2069,49 +1708,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_counts_fold_deltas_identically_to_serial() {
-        let concurrent = converged_column();
-        let mut batch = insert_batch(800_000, (0..300u32).map(|i| (i * 61) % 10_000));
-        for (oid, v) in values().into_iter().enumerate().take(40) {
-            batch.push(DeltaOp::Delete {
-                oid: oid as u64,
-                value: v,
-            });
-        }
-        concurrent.apply_deltas(batch);
-        concurrent.quiesce();
-        let snap = concurrent.snapshot();
-        assert!(snap.delta_runs() >= 1, "the overlay must be pending");
-        let qs = queries();
-        let mut serial_log = EventLog::new();
-        let serial: Vec<u64> = qs
-            .iter()
-            .map(|q| snap.select_count(q, &mut serial_log))
-            .collect();
-        for workers in [1, 4] {
-            let mut pool = crate::morsel::ScanPool::new(workers);
-            let mut batch_log = EventLog::new();
-            let got = snap.select_count_batch(&qs, &mut pool, &mut batch_log);
-            assert_eq!(got, serial, "{workers}-worker batch counts diverged");
-            assert_eq!(
-                batch_log.events(),
-                serial_log.events(),
-                "{workers}-worker batch accounting diverged"
-            );
-        }
-        let mut pool = crate::morsel::ScanPool::new(2);
-        let tried = snap.try_select_count_batch(&qs, &mut pool, &mut NullTracker);
-        assert_eq!(
-            tried
-                .into_iter()
-                .collect::<Result<Vec<_>, _>>()
-                .ok()
-                .as_deref(),
-            Some(serial.as_slice())
-        );
-    }
-
-    #[test]
     fn a_stray_tombstone_is_counted_and_changes_nothing() {
         let concurrent = converged_column();
         let before = concurrent.snapshot();
@@ -2176,6 +1772,60 @@ mod tests {
         );
         assert!(worst_pending <= policy.start_above() + policy.rows_per_step());
         assert!(concurrent.reorg_hints_dropped() > 0, "the reader saturated");
+    }
+
+    /// One walk serves every read: pieces in value order, then runs oldest
+    /// first, the same events whichever read asks — except that a collect
+    /// moves covered pieces, so their skip becomes a scan.
+    #[test]
+    fn every_read_charges_the_one_walk() {
+        use crate::tracker::{EventLog, TrackerEvent as E};
+
+        let q = ValueRange::must(2_000u32, 5_499);
+        // Sealed one run each: two overlap `q`, the last is disjoint from it.
+        let rows = [(700_000, 2_500), (700_001, 4_000), (700_002, 9_990)];
+        for (kind, pending) in StrategyKind::ALL.into_iter().flat_map(|k| [(k, 0), (k, 3)]) {
+            let spec = StrategySpec::new(kind).with_apm_bounds(256, 1024);
+            let column =
+                ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
+            for q in queries() {
+                column.select_count(&q, &mut NullTracker);
+            }
+            for (oid, value) in rows.into_iter().take(pending) {
+                column.apply_deltas(insert_batch(oid, [value]));
+                column.quiesce();
+            }
+            column.quiesce();
+            let snap = column.snapshot();
+            let overlaps: Vec<bool> = snap.deltas.iter().map(|r| r.overlaps(&q)).collect();
+            assert_eq!(overlaps, [true, true, false][..pending], "{kind:?}");
+            let expected = |reads_covered: bool| -> Vec<E> {
+                let piece = |p: &SnapshotPiece<u32>| match p.synopsis.map(|s| s.classify(&q)) {
+                    Some(SynopsisClass::Straddle) => E::Scan(p.id, p.bytes),
+                    Some(SynopsisClass::Covered) if reads_covered => E::Scan(p.id, p.bytes),
+                    _ => E::Skip(p.id, p.bytes),
+                };
+                let run = |r: &DeltaRun<u32>| match r.overlaps(&q) {
+                    true => E::DeltaScan(r.id(), r.bytes()),
+                    false => E::Skip(r.id(), r.bytes()),
+                };
+                let pieces = snap.overlapping(&q).map(piece);
+                pieces.chain(snap.deltas.iter().map(run)).collect()
+            };
+            assert!(kind != StrategyKind::ApmSegm || expected(true) != expected(false));
+            let mut logs = [(); 4].map(|()| EventLog::new());
+            let _ = snap.select_count(&q, &mut logs[0]);
+            let _ = snap.select_sum(&q, &mut logs[1]);
+            let _ = snap.select_min_max(&q, &mut logs[2]);
+            let _ = snap.select_collect(&q, &mut logs[3]);
+            for (read, log) in ["count", "sum", "min/max", "collect"]
+                .into_iter()
+                .zip(&logs)
+            {
+                let case = format!("{read}, {kind:?}, {pending} runs");
+                assert_eq!(log.events(), expected(read == "collect"), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -4,12 +4,11 @@
 //! against, and ad-hoc `#[cfg(test)]` panics scattered through the code
 //! rot quickly. This module centralizes the seam instead: production code
 //! consults a [`FaultInjector`] at the few places a real deployment can
-//! fail — a shard worker about to run a task, a morsel job about to scan,
-//! a checkpoint save or restore about to touch the filesystem — and a
-//! seeded [`FaultPlan`] decides *deterministically* whether that
-//! consultation faults. The default [`NoFaults`] injector compiles to a
-//! no-op, so the seams cost one virtual call on paths that already cross
-//! a channel or the filesystem.
+//! fail — a shard worker about to run a task, a checkpoint save or restore
+//! about to touch the filesystem — and a seeded [`FaultPlan`] decides
+//! *deterministically* whether that consultation faults. The default
+//! [`NoFaults`] injector compiles to a no-op, so the seams cost one virtual
+//! call on paths that already cross a channel or the filesystem.
 //!
 //! Determinism: each site keeps a draw counter, and the decision for draw
 //! `n` is a pure function of `(seed, site, n)` (a SplitMix64 hash against
@@ -28,8 +27,6 @@ use std::time::Duration;
 pub enum FaultSite {
     /// A shard node worker, before executing one dispatched task.
     ShardTask,
-    /// A [`ScanPool`](crate::ScanPool) worker, before running one morsel job.
-    MorselJob,
     /// A segment-store checkpoint save, before writing the temp file.
     StoreSave,
     /// A segment-store checkpoint load, before reading the segment file.
@@ -38,9 +35,8 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, in index order.
-    pub const ALL: [FaultSite; 4] = [
+    pub const ALL: [FaultSite; 3] = [
         FaultSite::ShardTask,
-        FaultSite::MorselJob,
         FaultSite::StoreSave,
         FaultSite::StoreRestore,
     ];
@@ -48,16 +44,22 @@ impl FaultSite {
     fn index(self) -> usize {
         match self {
             FaultSite::ShardTask => 0,
-            FaultSite::MorselJob => 1,
-            FaultSite::StoreSave => 2,
-            FaultSite::StoreRestore => 3,
+            FaultSite::StoreSave => 1,
+            FaultSite::StoreRestore => 2,
         }
     }
 
     /// A per-site tag folded into the hash so two sites with the same
-    /// seed draw independent streams.
+    /// seed draw independent streams. The low byte is pinned per site, not
+    /// derived from [`Self::index`] (1 belonged to a site since removed):
+    /// a seeded plan must keep drawing the stream it always drew.
     fn tag(self) -> u64 {
-        0x5157_4f52_4b45_5200 | self.index() as u64
+        let site = match self {
+            FaultSite::ShardTask => 0,
+            FaultSite::StoreSave => 2,
+            FaultSite::StoreRestore => 3,
+        };
+        0x5157_4f52_4b45_5200 | site
     }
 }
 
@@ -124,8 +126,8 @@ struct SiteState {
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
-    plans: [Option<SitePlan>; 4],
-    states: [SiteState; 4],
+    plans: [Option<SitePlan>; 3],
+    states: [SiteState; 3],
 }
 
 impl FaultPlan {
@@ -133,7 +135,7 @@ impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
-            plans: [None; 4],
+            plans: [None; 3],
             states: Default::default(),
         }
     }
@@ -241,9 +243,9 @@ mod tests {
     #[test]
     fn same_seed_same_pattern_different_seed_differs() {
         let pattern = |seed: u64| -> Vec<bool> {
-            let p = FaultPlan::new(seed).with_fault(FaultSite::MorselJob, Fault::Panic, 0.5);
+            let p = FaultPlan::new(seed).with_fault(FaultSite::ShardTask, Fault::Panic, 0.5);
             (0..256)
-                .map(|_| p.inject(FaultSite::MorselJob).is_some())
+                .map(|_| p.inject(FaultSite::ShardTask).is_some())
                 .collect()
         };
         assert_eq!(pattern(1), pattern(1));
@@ -252,6 +254,13 @@ mod tests {
             pattern(2),
             "256 draws at p=0.5 must differ across seeds"
         );
+    }
+
+    #[test]
+    fn site_tags_survive_the_removal_of_a_site() {
+        // Seeded plans in the sim and store suites replay by tag.
+        let tags = FaultSite::ALL.map(|site| site.tag() & 0xff);
+        assert_eq!(tags, [0, 2, 3]);
     }
 
     #[test]

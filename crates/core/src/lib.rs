@@ -64,7 +64,6 @@ pub mod kernels;
 pub mod merge;
 pub mod meta;
 pub mod model;
-pub mod morsel;
 pub mod paired;
 pub mod range;
 pub mod replication;
@@ -96,7 +95,6 @@ pub use model::{
     AdaptivePageModel, AlwaysSplit, AutoTunedApm, GaussianDice, NeverSplit, SegmentationModel,
     SplitDecision, SplitGeometry, Technique, WhichBound,
 };
-pub use morsel::{ScanError, ScanPool};
 pub use paired::{pair_rows, Pair};
 pub use range::ValueRange;
 pub use replication::{AdaptiveReplication, ReplicaTree};

@@ -13,7 +13,7 @@
 //! | `L3-segment-bytes-route` | `segment_bytes` bodies route through sanctioned byte accessors |
 //! | `L4-lock-across-send` | no named lock guard live across `send()`/`spawn()` in `epoch.rs`/`shard.rs` |
 //! | `L5-scan-accounting` | kernel scans in tracker-taking functions charge (or forward) the tracker |
-//! | `L6-bounded-queues` | no unbounded `mpsc::channel()` on serving paths (`epoch.rs`/`shard.rs`/`morsel.rs`) |
+//! | `L6-bounded-queues` | no unbounded `mpsc::channel()` on serving paths (`epoch.rs`/`shard.rs`) |
 //!
 //! Findings can be waived with a written justification:
 //!

@@ -58,7 +58,7 @@ pub mod prelude {
         pair_rows, AccessTracker, AdaptationStats, AdaptivePageModel, AdaptiveReplication,
         AdaptiveSegmentation, ColumnStrategy, ColumnValue, ConcurrentColumn, CountingTracker,
         CrackedColumn, EventLog, FullySorted, GaussianDice, MergePolicy, NonSegmented, NullTracker,
-        OrdF64, Pair, PieceSynopsis, ReplicaTree, ScanPool, SegmentationModel, SegmentedColumn,
+        OrdF64, Pair, PieceSynopsis, ReplicaTree, SegmentationModel, SegmentedColumn,
         SizeEstimator, StrategyKind, StrategySnapshot, StrategySpec, SynopsisClass, TrackerEvent,
         ValueRange,
     };
