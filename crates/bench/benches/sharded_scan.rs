@@ -88,11 +88,9 @@ fn bench_sharded_scan(c: &mut Criterion) {
 
 /// The full-fanout, real-work case the parallel executor exists for: wide
 /// queries over round-robin placement, every node scanning for every
-/// query. This is the `BENCH_PR4.json` `perf-sharded-*` experiment run
-/// under the criterion harness. The column is 4× the routed-scan bench so
-/// per-batch scan work dominates the one-spawn-per-node coordination cost
-/// — on multi-core hardware the parallel/serial ratio then approaches the
-/// core count.
+/// query. The column is 4× the routed-scan bench so per-batch scan work
+/// dominates the one-spawn-per-node coordination cost — on multi-core
+/// hardware the parallel/serial ratio then approaches the core count.
 fn bench_sharded_fanout_scan(c: &mut Criterion) {
     const FANOUT_COLUMN_LEN: usize = 400_000;
     let queries = WorkloadSpec::uniform(0.5, BATCH, 24).generate(&domain());

@@ -5,15 +5,11 @@
 //! * Criterion benches (`benches/`) — micro-benchmarks of the kernels,
 //!   models, covering-set search and reorganization cost.
 //!
-//! This library only hosts small helpers shared between the two, plus the
-//! [`perf`] module backing `repro --json`'s machine-readable baseline
-//! (`BENCH_PR4.json`).
+//! This library only hosts small helpers shared between the two.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
-
-pub mod perf;
 
 use soc_core::GaussianDice;
 use soc_sim::{Figure, Series};

@@ -3,7 +3,7 @@
 //! The paper's serving story — answer queries *while* the column
 //! reorganizes itself — says nothing about what happens when queries
 //! arrive faster than they complete. Without a bound, overload turns into
-//! unbounded queueing and the open-loop tail (`perf-openloop`) inflates
+//! unbounded queueing and the tail latency of open-loop arrivals inflates
 //! without limit. An [`AdmissionGate`] bounds the damage at the door: a
 //! fixed number of in-flight permits, a bounded wait queue with a
 //! per-query deadline, and a typed [`QueryError`] for everything that

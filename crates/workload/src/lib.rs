@@ -7,8 +7,6 @@
 //! * range-query workloads — uniform / Zipf positions with a selectivity
 //!   factor, the two-hot-areas "skew" load, and the four-phase "changing"
 //!   load,
-//! * open-loop (arrival-rate-driven) schedules over any query regime, for
-//!   tail-latency measurement ([`OpenLoopSpec`]),
 //! * a small exact [`zipf::Zipf`] sampler.
 //!
 //! All generators are pure functions of their seed.
@@ -18,13 +16,11 @@
 #![deny(unsafe_code)]
 
 pub mod dataset;
-pub mod openloop;
 pub mod oracle;
 pub mod queries;
 pub mod zipf;
 
 pub use dataset::{skyserver_domain, skyserver_ra, skyserver_ra_with, uniform_values, zipf_values};
-pub use openloop::{Arrival, OpenLoopSpec};
 pub use oracle::Oracle;
 pub use queries::{QueryDistribution, WorkloadSpec};
 pub use zipf::Zipf;
