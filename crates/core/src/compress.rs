@@ -613,12 +613,20 @@ pub fn encode<V: ColumnValue>(values: &[V], enc: SegmentEncoding) -> Option<Enco
     if !packable::<V>() {
         return None;
     }
-    let keys: Vec<u64> = values
-        .iter()
-        // soc-lint: allow(L1-panic-free, packing is only attempted for keyed value types)
-        .map(|v| v.to_key().expect("packable type"))
-        .collect();
+    let keys = keys_of(values);
     Some(encode_keys(&keys, enc))
+}
+
+#[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "packing is only attempted for keyed value types"
+)]
+fn keys_of<V: ColumnValue>(values: &[V]) -> Vec<u64> {
+    values
+        .iter()
+        .map(|v| v.to_key().expect("packable type"))
+        .collect()
 }
 
 fn encode_keys(keys: &[u64], enc: SegmentEncoding) -> EncodedPayload {
@@ -675,11 +683,7 @@ pub fn best_encoding<V: ColumnValue>(values: &[V]) -> Option<EncodedPayload> {
     if values.is_empty() || !packable::<V>() {
         return None;
     }
-    let keys: Vec<u64> = values
-        .iter()
-        // soc-lint: allow(L1-panic-free, packing is only attempted for keyed value types)
-        .map(|v| v.to_key().expect("packable type"))
-        .collect();
+    let keys = keys_of(values);
     let raw_bytes = values.len() as u64 * V::BYTES;
     let n = keys.len() as u64;
 
@@ -705,6 +709,10 @@ pub fn best_encoding<V: ColumnValue>(values: &[V]) -> Option<EncodedPayload> {
         + 16
         + (n as usize).div_ceil(fields_per_word(dict_width)) as u64 * 8;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the candidates array holds exactly three entries"
+    )]
     let (enc, bytes) = [
         (SegmentEncoding::Rle, rle_bytes),
         (SegmentEncoding::For, for_bytes),
@@ -712,7 +720,6 @@ pub fn best_encoding<V: ColumnValue>(values: &[V]) -> Option<EncodedPayload> {
     ]
     .into_iter()
     .min_by_key(|&(_, b)| b)
-    // soc-lint: allow(L1-panic-free, the candidates array holds exactly three entries)
     .expect("three candidates");
     if bytes >= raw_bytes {
         return None;
@@ -784,8 +791,7 @@ impl<V: ColumnValue> PiecePayload<V> {
             PiecePayload::Packed(p) => {
                 let mut out = Vec::with_capacity(p.len() as usize);
                 p.visit_all_keys(|k, n| {
-                    // soc-lint: allow(L1-panic-free, keys round-trip: produced by to_key on the same value type)
-                    let v = V::from_key(k).expect("packed key decodes");
+                    let v = Self::decode_key(k);
                     out.extend(std::iter::repeat_n(v, n as usize));
                 });
                 Cow::Owned(out)
@@ -801,12 +807,23 @@ impl<V: ColumnValue> PiecePayload<V> {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "a packed payload exists only for keyed value types"
+    )]
     fn query_keys(q: &ValueRange<V>) -> (u64, u64) {
-        // soc-lint: allow(L1-panic-free, a packed payload exists only for keyed value types)
         let lo = q.lo().to_key().expect("packed payload implies keyed type");
-        // soc-lint: allow(L1-panic-free, a packed payload exists only for keyed value types)
         let hi = q.hi().to_key().expect("packed payload implies keyed type");
         (lo, hi)
+    }
+
+    #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "keys round-trip: produced by to_key on the same value type"
+    )]
+    fn decode_key(k: u64) -> V {
+        V::from_key(k).expect("packed key decodes")
     }
 
     /// Counts stored values inside `q`. Packed payloads are counted in the
@@ -841,8 +858,7 @@ impl<V: ColumnValue> PiecePayload<V> {
             PiecePayload::Packed(p) => {
                 let (lo, hi) = Self::query_keys(q);
                 p.visit_keys_in(lo, hi, |k, n| {
-                    // soc-lint: allow(L1-panic-free, keys round-trip: produced by to_key on the same value type)
-                    let v = V::from_key(k).expect("packed key decodes");
+                    let v = Self::decode_key(k);
                     out.extend(std::iter::repeat_n(v, n as usize));
                 });
             }
@@ -887,8 +903,7 @@ impl<V: ColumnValue> PiecePayload<V> {
             PiecePayload::Packed(p) => {
                 out.reserve(p.len() as usize);
                 p.visit_all_keys(|k, n| {
-                    // soc-lint: allow(L1-panic-free, keys round-trip: produced by to_key on the same value type)
-                    let v = V::from_key(k).expect("packed key decodes");
+                    let v = Self::decode_key(k);
                     out.extend(std::iter::repeat_n(v, n as usize));
                 });
             }
@@ -904,8 +919,7 @@ impl<V: ColumnValue> PiecePayload<V> {
                 let (lo, hi) = Self::query_keys(q);
                 let mut acc = 0.0f64;
                 p.visit_keys_in(lo, hi, |k, n| {
-                    // soc-lint: allow(L1-panic-free, keys round-trip: produced by to_key on the same value type)
-                    let v = V::from_key(k).expect("packed key decodes");
+                    let v = Self::decode_key(k);
                     acc += v.to_f64() * n as f64;
                 });
                 acc
@@ -928,14 +942,7 @@ impl<V: ColumnValue> PiecePayload<V> {
                         Some((mn, mx)) => (mn.min(k), mx.max(k)),
                     });
                 });
-                bounds.map(|(mn, mx)| {
-                    (
-                        // soc-lint: allow(L1-panic-free, keys round-trip: produced by to_key on the same value type)
-                        V::from_key(mn).expect("packed key decodes"),
-                        // soc-lint: allow(L1-panic-free, keys round-trip: produced by to_key on the same value type)
-                        V::from_key(mx).expect("packed key decodes"),
-                    )
-                })
+                bounds.map(|(mn, mx)| (Self::decode_key(mn), Self::decode_key(mx)))
             }
         }
     }

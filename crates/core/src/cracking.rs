@@ -452,7 +452,6 @@ impl<V: ColumnValue> ColumnStrategy<V> for CrackedColumn<V> {
         self.piece_count()
     }
 
-    // soc-lint: allow(L3-segment-bytes-route, flat_pieces sizes every piece via raw_piece_bytes internally)
     fn segment_bytes(&self) -> Vec<u64> {
         self.flat_pieces().into_iter().map(|(_, b)| b).collect()
     }
@@ -547,7 +546,6 @@ mod tests {
     }
 
     #[test]
-    // soc-lint: allow(L3-segment-bytes-route, flat_pieces sizes every piece via raw_piece_bytes internally)
     fn segment_bytes_pair_with_ranges_when_boundaries_fall_outside_the_data() {
         // Regression: a crack below the data minimum (query lo under every
         // value) used to leave segment_bytes() with one more entry than

@@ -221,9 +221,15 @@ fn tile_domain<V: ColumnValue>(
         };
         match cursor {
             Some(c) if c < r.lo() => {
-                // soc-lint: allow(L1-panic-free, guarded: c is strictly below r.lo so a predecessor exists)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "guarded: c is strictly below r.lo so a predecessor exists"
+                )]
                 let gap_hi = r.lo().pred().expect("c < r.lo() implies a predecessor");
-                // soc-lint: allow(L1-panic-free, c is at most gap_hi by the gap construction)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "c is at most gap_hi by the gap construction"
+                )]
                 out.push(ValueRange::new(c, gap_hi).expect("c <= gap_hi"));
             }
             _ => {}
@@ -233,7 +239,10 @@ fn tile_domain<V: ColumnValue>(
     }
     if let Some(c) = cursor {
         if c <= domain.hi() {
-            // soc-lint: allow(L1-panic-free, every loop path leaves c at most domain.hi)
+            #[expect(
+                clippy::expect_used,
+                reason = "every loop path leaves c at most domain.hi"
+            )]
             out.push(ValueRange::new(c, domain.hi()).expect("c <= domain.hi()"));
         }
     }
@@ -594,23 +603,44 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     }
 }
 
-/// The published-snapshot cell readers load from: an `Arc` swapped under a
-/// write lock the writer holds only for the O(1) pointer exchange, so a
-/// reader's `load` is never blocked by reorganization work.
-struct SnapshotCell<V: ColumnValue> {
-    snap: RwLock<Arc<StrategySnapshot<V>>>,
-    epoch: AtomicU64,
-}
+use cell::SnapshotCell;
 
-impl<V: ColumnValue> SnapshotCell<V> {
-    fn load(&self) -> Arc<StrategySnapshot<V>> {
-        Arc::clone(&self.snap.read().unwrap_or_else(|e| e.into_inner()))
+/// A module of its own so the lock is private to these four methods:
+/// none hands out a guard, so writer and reader code cannot hold one
+/// across a `send`, a `spawn` or reorganization work.
+mod cell {
+    use super::*;
+
+    /// The published-snapshot cell readers load from: an `Arc` swapped
+    /// under a write lock the writer holds only for the O(1) pointer
+    /// exchange, so a reader's `load` is never blocked by reorganization
+    /// work.
+    pub(super) struct SnapshotCell<V: ColumnValue> {
+        snap: RwLock<Arc<StrategySnapshot<V>>>,
+        epoch: AtomicU64,
     }
 
-    fn publish(&self, snap: StrategySnapshot<V>) {
-        let epoch = snap.epoch;
-        *self.snap.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(snap);
-        self.epoch.store(epoch, Ordering::Release);
+    impl<V: ColumnValue> SnapshotCell<V> {
+        pub(super) fn new(initial: StrategySnapshot<V>) -> Self {
+            SnapshotCell {
+                epoch: AtomicU64::new(initial.epoch),
+                snap: RwLock::new(Arc::new(initial)),
+            }
+        }
+
+        pub(super) fn load(&self) -> Arc<StrategySnapshot<V>> {
+            Arc::clone(&self.snap.read().unwrap_or_else(|e| e.into_inner()))
+        }
+
+        pub(super) fn publish(&self, snap: StrategySnapshot<V>) {
+            let epoch = snap.epoch;
+            *self.snap.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(snap);
+            self.epoch.store(epoch, Ordering::Release);
+        }
+
+        pub(super) fn epoch(&self) -> u64 {
+            self.epoch.load(Ordering::Acquire)
+        }
     }
 }
 
@@ -933,12 +963,10 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
             (0, 0),
             Vec::new(),
         );
-        let cell = Arc::new(SnapshotCell {
-            snap: RwLock::new(Arc::new(initial)),
-            epoch: AtomicU64::new(0),
-        });
+        let cell = Arc::new(SnapshotCell::new(initial));
         // Bounded by design: an unbounded channel here would let overload
-        // buffer reorganization work without limit (soc-lint rule L6).
+        // buffer reorganization work without limit (clippy.toml disallows
+        // `mpsc::channel` for that reason).
         let queue_capacity = queue_capacity.max(1);
         let (tx, rx) = mpsc::sync_channel(queue_capacity);
         let writer_state = Writer {
@@ -958,10 +986,13 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
             absorbs: true,
             batch_limit: queue_capacity,
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn fails only on process resource exhaustion and new has no error channel"
+        )]
         let writer = thread::Builder::new()
             .name("soc-epoch-writer".into())
             .spawn(move || writer_state.run(rx))
-            // soc-lint: allow(L1-panic-free, spawn fails only on process resource exhaustion and new has no error channel)
             .expect("spawn epoch writer thread");
         ConcurrentColumn {
             cell,
@@ -1006,10 +1037,13 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
         ))
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "tx is only taken by into_strategy, which consumes self"
+    )]
     fn sender(&self) -> &mpsc::SyncSender<WriterCmd<V>> {
         self.tx
             .as_ref()
-            // soc-lint: allow(L1-panic-free, tx is only taken by into_strategy, which consumes self)
             .expect("writer channel lives as long as self")
     }
 
@@ -1038,7 +1072,7 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
 
     /// The latest published epoch number.
     pub fn epoch(&self) -> u64 {
-        self.cell.epoch.load(Ordering::Acquire)
+        self.cell.epoch()
     }
 
     /// Counts the values in `q` against the current snapshot and enqueues
@@ -1188,7 +1222,10 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
     /// hold them.
     pub fn into_strategy(mut self) -> Box<dyn ColumnStrategy<V>> {
         self.tx.take();
-        // soc-lint: allow(L1-panic-free, writer is taken exactly once: into_strategy consumes self)
+        #[expect(
+            clippy::expect_used,
+            reason = "writer is taken exactly once: into_strategy consumes self"
+        )]
         let writer = self.writer.take().expect("writer joined exactly once");
         match writer.join() {
             Ok(strategy) => strategy,

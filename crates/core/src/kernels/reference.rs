@@ -74,10 +74,6 @@ fn min_max_all<V: ColumnValue>(values: &[V]) -> Option<(V, V)> {
     Some((mn, mx))
 }
 
-// The whole file is test-only (`#[cfg(test)] mod reference;` in the
-// parent); the attribute is repeated here because soc-lint scans one file
-// at a time and recognizes test code by it.
-#[cfg(test)]
 mod properties {
     use super::*;
     use crate::kernels;

@@ -50,6 +50,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod admission;
 pub mod baseline;

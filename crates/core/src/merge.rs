@@ -73,9 +73,12 @@ impl MergePolicy {
                 run += 1;
             }
             if run >= 2 {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "run bounds come from the column's own piece table"
+                )]
                 column
                     .merge_segments(idx, run, tracker)
-                    // soc-lint: allow(L1-panic-free, run bounds come from the column's own piece table)
                     .expect("run bounds are valid");
                 merges += 1;
                 end -= run - 1;

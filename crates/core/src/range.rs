@@ -30,8 +30,11 @@ impl<V: ColumnValue> ValueRange<V> {
     /// # Panics
     /// Panics if `lo > hi`.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "must is the documented panic-on-misuse constructor; fallible callers use new"
+    )]
     pub fn must(lo: V, hi: V) -> Self {
-        // soc-lint: allow(L1-panic-free, must is the documented panic-on-misuse constructor; fallible callers use new)
         Self::new(lo, hi).expect("ValueRange::must called with lo > hi")
     }
 

@@ -74,7 +74,10 @@ impl<V: ColumnValue> ReplicaTree<V> {
             // stay virtual.
             SplitDecision::QueryBounds => {
                 let (below, mid, above) = seg_range.partition_by(q);
-                // soc-lint: allow(L1-panic-free, the overlap test above guarantees a midpoint)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the overlap test above guarantees a midpoint"
+                )]
                 let mid = mid.expect("overlap checked above");
                 if let Some(below) = below {
                     self.add_virtual_child(s, below, lower_est.unwrap_or(0));
@@ -91,8 +94,11 @@ impl<V: ColumnValue> ReplicaTree<V> {
                 // v = [lo, ql-1] virtual, m = [ql, hi] materialized.
                 match seg_range.split_below(q.lo()) {
                     Some(below) => {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "q.lo lies inside seg_range so lo is at most hi"
+                        )]
                         let rest =
-                            // soc-lint: allow(L1-panic-free, q.lo lies inside seg_range so lo is at most hi)
                             ValueRange::new(q.lo(), seg_range.hi()).expect("ql inside the segment");
                         self.add_virtual_child(s, below, lower_est.unwrap_or(0));
                         let mat = self.add_virtual_child(s, rest, mid_est + upper_est.unwrap_or(0));
@@ -110,8 +116,11 @@ impl<V: ColumnValue> ReplicaTree<V> {
                 // m = [lo, qh] materialized, v = [qh+1, hi] virtual.
                 match seg_range.split_above(q.hi()) {
                     Some(above) => {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "q.hi lies inside seg_range so lo is at most hi"
+                        )]
                         let rest =
-                            // soc-lint: allow(L1-panic-free, q.hi lies inside seg_range so lo is at most hi)
                             ValueRange::new(seg_range.lo(), q.hi()).expect("qh inside the segment");
                         let mat = self.add_virtual_child(s, rest, lower_est.unwrap_or(0) + mid_est);
                         self.add_virtual_child(s, above, upper_est.unwrap_or(0));

@@ -68,7 +68,10 @@ impl<T> Arena<T> {
             slot.item = Some(item);
             NodeId { idx, gen: slot.gen }
         } else {
-            // soc-lint: allow(L1-panic-free, node count is bounded by segment count, far below u32::MAX)
+            #[expect(
+                clippy::expect_used,
+                reason = "node count is bounded by segment count, far below u32::MAX"
+            )]
             let idx = u32::try_from(self.slots.len()).expect("arena exceeds u32 slots");
             self.slots.push(Slot {
                 gen: 0,
@@ -102,8 +105,11 @@ impl<T> Arena<T> {
     ///
     /// # Panics
     /// Panics on a stale or foreign handle — tree logic must never hold one.
+    #[expect(
+        clippy::expect_used,
+        reason = "NodeId handles are never retained across removals"
+    )]
     pub fn get(&self, id: NodeId) -> &T {
-        // soc-lint: allow(L1-panic-free, NodeId handles are never retained across removals)
         self.try_get(id).expect("stale NodeId")
     }
 
@@ -111,8 +117,11 @@ impl<T> Arena<T> {
     ///
     /// # Panics
     /// Panics on a stale or foreign handle.
+    #[expect(
+        clippy::expect_used,
+        reason = "NodeId handles are never retained across removals"
+    )]
     pub fn get_mut(&mut self, id: NodeId) -> &mut T {
-        // soc-lint: allow(L1-panic-free, NodeId handles are never retained across removals)
         self.try_get_mut(id).expect("stale NodeId")
     }
 

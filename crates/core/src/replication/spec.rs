@@ -84,7 +84,7 @@ impl<V: ColumnValue> ReplicaTree<V> {
         if first.range.lo() != domain.lo() {
             return Err(ColumnError::BadPartition);
         }
-        // soc-lint: allow(L1-panic-free, tops is checked non-empty above)
+        #[expect(clippy::expect_used, reason = "tops is checked non-empty above")]
         let last = tops.last().expect("non-empty");
         if last.range.hi() != domain.hi() {
             return Err(ColumnError::BadPartition);

@@ -147,9 +147,12 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
             .collect();
         let (seg_id, bytes, matched) = {
             let node = self.tree.node(s);
+            #[expect(
+                clippy::expect_used,
+                reason = "replica-tree invariant: covering-set nodes hold materialized payloads"
+            )]
             let payload = node
                 .payload()
-                // soc-lint: allow(L1-panic-free, replica-tree invariant: covering-set nodes hold materialized payloads)
                 .expect("covering-set members are materialized");
             // Compressed-domain dispatch: a count over a packed node never
             // decodes; only result extraction and replica fills do.
@@ -250,9 +253,12 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveReplication<V> {
         let mut out = Vec::new();
         for s in self.tree.covering_set(q) {
             let node = self.tree.node(s);
+            #[expect(
+                clippy::expect_used,
+                reason = "replica-tree invariant: covering-set nodes hold materialized payloads"
+            )]
             let payload = node
                 .payload()
-                // soc-lint: allow(L1-panic-free, replica-tree invariant: covering-set nodes hold materialized payloads)
                 .expect("covering-set members are materialized");
             if q.covers(&node.range) {
                 payload.collect_all(&mut out);

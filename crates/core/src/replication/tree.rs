@@ -450,7 +450,10 @@ impl<V: ColumnValue> ReplicaTree<V> {
     /// Panics if `s` has no children (only interior nodes can be dropped —
     /// the children take over responsibility for the range).
     pub fn drop_node(&mut self, s: NodeId, tracker: &mut dyn AccessTracker) {
-        // soc-lint: allow(L1-panic-free, the traversal above yielded a live node id)
+        #[expect(
+            clippy::expect_used,
+            reason = "the traversal above yielded a live node id"
+        )]
         let node = self.arena.remove(s).expect("dropping a stale node");
         assert!(
             !node.children.is_empty(),
@@ -462,21 +465,27 @@ impl<V: ColumnValue> ReplicaTree<V> {
         match node.parent {
             Some(q) => {
                 let qn = self.arena.get_mut(q);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "tree invariant: every child's parent link is live"
+                )]
                 let pos = qn
                     .children
                     .iter()
                     .position(|&c| c == s)
-                    // soc-lint: allow(L1-panic-free, tree invariant: every child's parent link is live)
                     .expect("parent/child link broken");
                 qn.children
                     .splice(pos..pos + 1, node.children.iter().copied());
             }
             None => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "tree invariant: every top-level node is in the top list"
+                )]
                 let pos = self
                     .top
                     .iter()
                     .position(|&c| c == s)
-                    // soc-lint: allow(L1-panic-free, tree invariant: every top-level node is in the top list)
                     .expect("top list missing node");
                 self.top.splice(pos..pos + 1, node.children.iter().copied());
             }
@@ -524,7 +533,7 @@ impl<V: ColumnValue> ReplicaTree<V> {
             return Err("empty top level".into());
         }
         let first = self.node(self.top[0]);
-        // soc-lint: allow(L1-panic-free, top is non-empty for a built tree)
+        #[expect(clippy::expect_used, reason = "top is non-empty for a built tree")]
         let last = self.node(*self.top.last().expect("non-empty"));
         if first.range.lo() != self.domain.lo() || last.range.hi() != self.domain.hi() {
             return Err("top level does not span the domain".into());

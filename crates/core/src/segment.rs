@@ -137,10 +137,13 @@ impl<V: ColumnValue> SegmentData<V> {
     /// Panics if the segment is packed — encoding-agnostic callers use
     /// [`Self::decoded`] (or the dispatching scan methods) instead.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: values is only called on raw segments"
+    )]
     pub fn values(&self) -> &[V] {
         self.payload
             .raw_values()
-            // soc-lint: allow(L1-panic-free, documented contract: values is only called on raw segments)
             .expect("values() on a packed segment; use decoded()")
     }
 

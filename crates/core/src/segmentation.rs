@@ -8,7 +8,7 @@
 
 use crate::column::SegmentedColumn;
 use crate::compress::EncodingMode;
-use crate::estimate::{exact_pieces_payload, interpolate_pieces, SizeEstimator};
+use crate::estimate::{exact_pieces_payload, interpolate_pieces, PieceLens, SizeEstimator};
 use crate::model::{SegmentationModel, SplitDecision, SplitGeometry, Technique, WhichBound};
 use crate::range::ValueRange;
 use crate::strategy::ColumnStrategy;
@@ -24,6 +24,16 @@ pub struct AdaptiveSegmentation<V> {
     encoding: EncodingMode,
     tick: u64,
     splits: u64,
+}
+
+/// The estimators answer `None` for a segment the query misses.
+#[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "process_segment is only handed segments that passed the overlap test"
+)]
+fn overlapping(pieces: Option<PieceLens>) -> PieceLens {
+    pieces.expect("segment passed the overlap test")
 }
 
 impl<V: ColumnValue> AdaptiveSegmentation<V> {
@@ -141,9 +151,7 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
         // One pass over the segment: exact piece counts + result extraction.
         // Packed payloads are counted in the compressed domain; only a
         // `collect` (partial overlap) materializes decoded values.
-        let exact = exact_pieces_payload(&seg_range, seg.payload(), q)
-            // soc-lint: allow(L1-panic-free, the segment passed the overlap test above)
-            .expect("segment passed the overlap test");
+        let exact = overlapping(exact_pieces_payload(&seg_range, seg.payload(), q));
         if let Some(out) = out {
             seg.collect_in(q, out);
         }
@@ -152,19 +160,19 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
         // The model decides on estimates (what the optimizer level can know).
         let pieces = match self.estimator {
             SizeEstimator::Exact => exact,
-            SizeEstimator::Uniform => {
-                // soc-lint: allow(L1-panic-free, the segment passed the overlap test above)
-                interpolate_pieces(&seg_range, seg_len, q).expect("segment passed the overlap test")
-            }
+            SizeEstimator::Uniform => overlapping(interpolate_pieces(&seg_range, seg_len, q)),
         };
         let geom = SplitGeometry::from_piece_lens::<V>(pieces, seg_len, total_len);
         let decision = self.model.decide(&geom, Technique::Segmentation);
 
         if let Some(ranges) = Self::ranges_for(decision, seg_range, q) {
             let n_pieces = ranges.len();
+            #[expect(
+                clippy::expect_used,
+                reason = "interpolated piece ranges tile the segment by construction"
+            )]
             self.column
                 .replace_segment(idx, &ranges, tracker)
-                // soc-lint: allow(L1-panic-free, interpolated piece ranges tile the segment by construction)
                 .expect("piece ranges tile the segment by construction");
             // Split products are born (and were just read) at this tick, so
             // the encoding policy's idle clock starts now, not at zero.

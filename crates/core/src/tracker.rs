@@ -58,18 +58,19 @@ pub trait AccessTracker {
     /// `read_bytes + pruned_bytes` reconstructs the unpruned cost of the
     /// same query without a second execution.
     ///
-    /// Pruned segments charge **zero** scan bytes by contract (soc-lint
-    /// rule L5 guards the event-replay side of this). The default is a
-    /// no-op so trackers that predate pruning keep compiling.
+    /// Pruned segments charge **zero** scan bytes by contract (pinned on
+    /// the replay side by `tests::event_log_replays_verbatim`). The
+    /// default is a no-op so trackers that predate pruning keep compiling.
     fn skip(&mut self, seg: SegId, bytes: u64) {
         let _ = (seg, bytes);
     }
 
     /// A merge-on-read scan of delta run `seg` (`bytes` = the footprint
     /// of both its sides). Fired **exactly once per run per query** —
-    /// the delta half of soc-lint rule L5 — when the query's range
-    /// overlaps either side's zone map; a run disjoint from the query
-    /// charges [`AccessTracker::skip`] instead.
+    /// pinned by `epoch`'s
+    /// `delta_reads_charge_one_delta_scan_per_overlapping_run` test —
+    /// when the query's range overlaps either side's zone map; a run
+    /// disjoint from the query charges [`AccessTracker::skip`] instead.
     ///
     /// Delta reads are real reads: the default forwards to
     /// [`AccessTracker::scan`] so trackers that predate delta visibility
@@ -278,7 +279,7 @@ impl EventLog {
     /// Re-fires every recorded event, in order, at `target`. A recorded
     /// prune replays as a prune — mapping [`TrackerEvent::Skip`] to a
     /// scan charge would re-introduce exactly the bytes the pruner proved
-    /// were never read (soc-lint rule L5 watches for that mistake).
+    /// were never read (`tests::event_log_replays_verbatim` pins it).
     pub fn replay_into(&self, target: &mut dyn AccessTracker) {
         for e in &self.events {
             match *e {

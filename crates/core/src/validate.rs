@@ -412,8 +412,10 @@ macro_rules! debug_assert_valid {
     ($check:expr, $boundary:expr) => {
         if cfg!(debug_assertions) {
             if let Err(violation) = $check {
-                // soc-lint: allow(L1-panic-free, debug-only invariant assert: a violation here is a programming error, not a runtime condition)
-                panic!("structural invariant violated at {}: {}", $boundary, violation);
+                panic!(
+                    "structural invariant violated at {}: {}",
+                    $boundary, violation
+                );
             }
         }
     };

@@ -159,8 +159,11 @@ impl OrdF64 {
     /// # Panics
     /// Panics if `v` is NaN.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: from_finite panics on NaN; fallible callers use new"
+    )]
     pub fn from_finite(v: f64) -> Self {
-        // soc-lint: allow(L1-panic-free, documented contract: from_finite panics on NaN; fallible callers use new)
         Self::new(v).expect("OrdF64::from_finite called with NaN")
     }
 
@@ -224,11 +227,14 @@ impl PartialOrd for OrdF64 {
 
 impl Ord for OrdF64 {
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "constructors reject NaN, so the stored value is always finite"
+    )]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Safe: NaN is rejected at construction.
         self.0
             .partial_cmp(&other.0)
-            // soc-lint: allow(L1-panic-free, constructors reject NaN, so the stored value is always finite)
             .expect("OrdF64 invariant violated: NaN")
     }
 }

@@ -101,6 +101,18 @@ proptest! {
                     }
                 }
             }
+            // The per-piece footprints are the stored bytes, not a
+            // recomputation from tuple counts: they add up to the column's
+            // footprint (the covering set of a replica tree to at most it).
+            let replicating = matches!(kind, StrategyKind::GdRepl | StrategyKind::ApmRepl);
+            for s in std::iter::once(&raw).chain(&packed) {
+                let pieces: u64 = s.segment_bytes().iter().sum();
+                prop_assert!(
+                    pieces == s.storage_bytes() || replicating && pieces < s.storage_bytes(),
+                    "{} segment_bytes sum to {}, storage_bytes is {}",
+                    s.name(), pieces, s.storage_bytes()
+                );
+            }
             // Footprint sanity after the run: the adaptive policy only
             // packs when the codec beats raw, so its footprint never
             // exceeds the raw baseline's. (A *forced* codec may inflate —

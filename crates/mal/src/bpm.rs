@@ -88,11 +88,12 @@ trait TailValue: ColumnValue {
     /// Rebuilds this type's tail from extracted values.
     fn make_tail(values: Vec<Self>) -> Tail;
 
-    /// The typed value a delta [`Atom`] lands as — the **same** coercion
-    /// rules `atoms_to_bat` applies when a bulk merge materializes the
-    /// delta, so snapshot-visible reads and merged reads agree bit for
-    /// bit. `None` only for a NaN landing in a `:dbl` tail (which a merge
-    /// would also reject, via [`BpmError::NanTail`]).
+    /// The typed value a delta [`Atom`] lands as — for every atom a bulk
+    /// merge accepts, the **same** coercion rules `atoms_to_bat` applies
+    /// when it materializes the delta, so snapshot-visible reads and
+    /// merged reads agree bit for bit. `None` only for a NaN landing in a
+    /// `:dbl` tail (which a merge would also reject, via
+    /// [`BpmError::NanTail`]).
     fn from_atom(a: &Atom) -> Option<Self>;
 
     /// Smallest representable value `>= x`; `None` when no such value

@@ -135,46 +135,75 @@ impl ColumnDeltas {
     }
 }
 
+/// Materializes delta atoms as a bat typed like the base column. `Int`,
+/// `Dbl` and `Oid` atoms coerce into each other's tails; an atom the tail
+/// type cannot hold (`Str`/`Nil` into a numeric tail, a negative `Int` or
+/// a `Dbl` into an `:oid` tail) is [`CatalogError::MalformedDelta`], never
+/// a made-up `0`/`NaN` row.
 fn atoms_to_bat(key: &str, heads: &[Oid], vals: &[Atom], like: &Bat) -> Result<Bat, CatalogError> {
+    // An exact-size `map().collect()` (no per-element capacity check or
+    // early exit) with the failure recorded on the side: this runs per
+    // delta bind per statement.
+    fn land<T: Default>(
+        vals: &[Atom],
+        expected: &'static str,
+        typed: impl Fn(&Atom) -> Option<T>,
+    ) -> Result<Arc<Vec<T>>, BatError> {
+        let mut untyped = None;
+        let out = vals
+            .iter()
+            .map(|a| {
+                typed(a).unwrap_or_else(|| {
+                    untyped.get_or_insert(a);
+                    T::default()
+                })
+            })
+            .collect();
+        match untyped {
+            None => Ok(Arc::new(out)),
+            Some(a) => Err(BatError::TypeMismatch {
+                expected,
+                got: match a {
+                    Atom::Int(_) => "int",
+                    Atom::Dbl(_) => "dbl",
+                    Atom::Oid(_) => "oid",
+                    Atom::Str(_) => "str",
+                    Atom::Nil => "nil",
+                },
+            }),
+        }
+    }
+    let expected = like.tail().type_name();
     let tail = match like.tail() {
-        Tail::Int(_) => Tail::Int(Arc::new(
-            vals.iter()
-                .map(|a| match a {
-                    Atom::Int(v) => *v,
-                    Atom::Oid(v) => *v as i64,
-                    Atom::Dbl(v) => *v as i64,
-                    _ => 0,
-                })
-                .collect(),
-        )),
-        Tail::Dbl(_) => Tail::Dbl(Arc::new(
-            vals.iter()
-                .map(|a| a.as_f64().unwrap_or(f64::NAN))
-                .collect(),
-        )),
-        Tail::Oid(_) => Tail::Oid(Arc::new(
-            vals.iter()
-                .map(|a| match a {
-                    Atom::Oid(v) => *v,
-                    Atom::Int(v) => *v as u64,
-                    _ => 0,
-                })
-                .collect(),
-        )),
-        Tail::Str(_) => Tail::Str(Arc::new(
+        Tail::Int(_) => land(vals, expected, |a| match a {
+            Atom::Int(v) => Some(*v),
+            Atom::Oid(v) => Some(*v as i64),
+            Atom::Dbl(v) => Some(*v as i64),
+            _ => None,
+        })
+        .map(Tail::Int),
+        Tail::Dbl(_) => land(vals, expected, Atom::as_f64).map(Tail::Dbl),
+        Tail::Oid(_) => land(vals, expected, |a| match a {
+            Atom::Oid(v) => Some(*v),
+            Atom::Int(v) => u64::try_from(*v).ok(),
+            _ => None,
+        })
+        .map(Tail::Oid),
+        Tail::Str(_) => Ok(Tail::Str(Arc::new(
             vals.iter()
                 .map(|a| match a {
                     Atom::Str(s) => s.clone(),
                     other => other.to_string(),
                 })
                 .collect(),
-        )),
-        Tail::Nil(_) => Tail::Nil(vals.len()),
+        ))),
+        Tail::Nil(_) => Ok(Tail::Nil(vals.len())),
     };
-    Bat::new(Head::from_oids(heads.to_vec()), tail).map_err(|source| CatalogError::MalformedDelta {
-        key: key.to_owned(),
-        source,
-    })
+    tail.and_then(|tail| Bat::new(Head::from_oids(heads.to_vec()), tail))
+        .map_err(|source| CatalogError::MalformedDelta {
+            key: key.to_owned(),
+            source,
+        })
 }
 
 /// The registered domain of a segmented column, kept so the column can be
@@ -924,7 +953,10 @@ impl Catalog {
             // The merged logical rows, keyed (and thus ordered) by oid.
             let mut rows: BTreeMap<Oid, Atom> = BTreeMap::new();
             let (like, seg_rebuild) = if let Some(seg) = self.segmented.get(key) {
-                // soc-lint: allow(L1-panic-free, seg_meta is inserted in lockstep with segmented)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "seg_meta is inserted in lockstep with segmented"
+                )]
                 let meta = self.seg_meta.get(key).copied().expect("segmented has meta");
                 let Some(spec) = meta.spec else {
                     return Err(CatalogError::NoSpec(key.clone()));
@@ -932,8 +964,12 @@ impl Catalog {
                 let prior_reorg = seg.reorg_write_bytes();
                 (seg.pack()?, Some((meta, spec, prior_reorg)))
             } else {
-                // soc-lint: allow(L1-panic-free, table_columns enumerates only registered keys)
-                (self.bats.get(key).expect("key is registered").clone(), None)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "table_columns enumerates only registered keys"
+                )]
+                let bat = self.bats.get(key).expect("key is registered");
+                (bat.clone(), None)
             };
             for i in 0..like.len() {
                 rows.insert(like.head_at(i), atom_at(like.tail(), i));
@@ -1414,6 +1450,24 @@ mod tests {
             raw.merge_deltas("s", "t"),
             Err(CatalogError::NoSpec(_))
         ));
+        // An atom the column's type cannot hold: typed error, not a
+        // made-up 0 row.
+        for (atom, got) in [(Atom::Str("forty".into()), "str"), (Atom::Nil, "nil")] {
+            let mut plain = Catalog::new();
+            plain.register_bat("sys", "T", "k", Bat::dense_int(vec![10, 20, 30]));
+            plain.insert_row("sys", "T", &[("k", atom)]);
+            match plain.merge_deltas("sys", "T") {
+                Err(CatalogError::MalformedDelta { key, source }) => {
+                    assert_eq!(key, "sys.T.k");
+                    let expected = "int";
+                    assert_eq!(source, BatError::TypeMismatch { expected, got });
+                }
+                other => panic!("expected MalformedDelta, got {other:?}"),
+            }
+            assert_eq!(plain.pending_delta_rows("sys", "T"), 1, "deltas kept");
+            let unchanged = Bat::dense_int(vec![10, 20, 30]);
+            assert_eq!(plain.bat("sys.T.k"), Some(&unchanged));
+        }
     }
 
     #[test]

@@ -209,11 +209,20 @@ fn save_values<V: soc_core::ColumnValue + FixedCodec>(
     if values.is_empty() {
         return Ok(());
     }
-    // soc-lint: allow(L1-panic-free, guarded by the is_empty early return above; min/max of a non-empty slice always exist)
+    #[expect(
+        clippy::expect_used,
+        reason = "guarded by the is_empty early return above; min/max of a non-empty slice always exist"
+    )]
     let lo = *values.iter().min().expect("non-empty");
-    // soc-lint: allow(L1-panic-free, guarded by the is_empty early return above; min/max of a non-empty slice always exist)
+    #[expect(
+        clippy::expect_used,
+        reason = "guarded by the is_empty early return above; min/max of a non-empty slice always exist"
+    )]
     let hi = *values.iter().max().expect("non-empty");
-    // soc-lint: allow(L1-panic-free, min <= max by definition, so the range constructor cannot reject)
+    #[expect(
+        clippy::expect_used,
+        reason = "min <= max by definition, so the range constructor cannot reject"
+    )]
     let range = ValueRange::new(lo, hi).expect("min <= max");
     store.save(id, &range, values)?;
     Ok(())
@@ -418,7 +427,10 @@ impl Catalog {
                 );
                 save_column(dir, key, &packed.head_oids(), packed.tail())?;
             } else {
-                // soc-lint: allow(L1-panic-free, the key came from the union of the maps and is not segmented)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the key came from the union of the maps and is not segmented"
+                )]
                 let bat = self.bats.get(key).expect("key from the union");
                 let _ = writeln!(
                     manifest,

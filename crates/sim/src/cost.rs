@@ -3,8 +3,9 @@
 //! Section 6.2 measured wall-clock times on a dual Opteron 270 with 8 GB of
 //! memory and a 100 GB on-disk database. We do not have that machine; the
 //! model converts the simulator's byte/seek counters into milliseconds with
-//! era-plausible constants. Absolute numbers are model outputs (EXPERIMENTS
-//! compares shapes, not milliseconds); *relative* behaviour — who wins and
+//! era-plausible constants. Absolute numbers are model outputs (`repro
+//! --experiment skyserver` and PAPER.md's Section 6.2 paragraph compare
+//! shapes, not milliseconds); *relative* behaviour — who wins and
 //! when the reorganization overhead amortizes — depends only on the byte
 //! counts, which are measured, not modelled.
 

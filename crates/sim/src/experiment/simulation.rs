@@ -35,7 +35,8 @@ pub struct SimConfig {
     pub model_seed: u64,
     /// Zipf exponent for the skewed workloads. The paper leaves it
     /// unstated; 1.3 is calibrated against Table 1's Zipf column
-    /// (see EXPERIMENTS.md for the sweep).
+    /// (`repro --experiment tab1` regenerates it; PAPER.md's Section 6.1
+    /// paragraph states the setting).
     pub zipf_exponent: f64,
 }
 

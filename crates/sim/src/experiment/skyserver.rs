@@ -400,7 +400,8 @@ impl SkyServerResults {
         crossing
     }
 
-    /// Per-load mean total time of a scheme (diagnostics, EXPERIMENTS.md).
+    /// Per-load mean total time of a scheme (a diagnostic next to the
+    /// Table 2 figures `repro --experiment tab2` generates).
     pub fn mean_total_ms(&self, load: SkyLoad, scheme: SkyScheme) -> f64 {
         let t: Vec<f64> = self
             .get(load, scheme)

@@ -232,7 +232,10 @@ impl<V: ColumnValue> ShardNode<V> {
     /// never queues more than one in-flight task per node per call, so
     /// the task channel is effectively bounded at the routed fan-out.
     fn start_worker(&mut self, strategy: Box<dyn ColumnStrategy<V>>) {
-        // soc-lint: allow(L6-bounded-queues, at most one in-flight task per node per coordinator call bounds this queue)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "at most one in-flight task per node per coordinator call bounds this queue"
+        )]
         let (tx, rx) = mpsc::channel::<NodeTask<V>>();
         let injector = Arc::clone(&self.injector);
         let worker = thread::Builder::new()
@@ -245,14 +248,19 @@ impl<V: ColumnValue> ShardNode<V> {
                             thread::sleep(d);
                             task(&mut strategy);
                         }
-                        Some(_) => panic!("injected shard-worker crash"),
+                        // Not `panic!`: an injected kill is not a bug, so it
+                        // skips the panic hook (no report on stderr) and still
+                        // reaches `join()` with the payload `down_error` reads.
+                        Some(_) => {
+                            std::panic::resume_unwind(Box::new("injected shard-worker crash"))
+                        }
                         None => task(&mut strategy),
                     }
                 }
             })
             .expect("spawn shard node worker");
         self.tx = Some(tx);
-        *self.worker.lock().unwrap_or_else(|e| e.into_inner()) = Some(worker);
+        self.put_worker(worker);
     }
 
     /// A channel operation failed, meaning the worker thread died (a task
@@ -260,8 +268,7 @@ impl<V: ColumnValue> ShardNode<V> {
     /// payload text into a typed [`NodeError::Down`] — the coordinator
     /// decides whether to recover or surface the error; it never unwinds.
     fn down_error(&self) -> NodeError {
-        let handle = self.worker.lock().unwrap_or_else(|e| e.into_inner()).take();
-        let detail = match handle.map(|h| h.join()) {
+        let detail = match self.take_worker().map(|h| h.join()) {
             Some(Err(payload)) => {
                 if let Some(s) = payload.downcast_ref::<&str>() {
                     (*s).to_owned()
@@ -338,15 +345,23 @@ impl<V: ColumnValue> ShardNode<V> {
     }
 }
 
+/// The worker-handle slot. These two methods are the only code that locks
+/// it, and each hands back at most the handle, never a guard — so no lock
+/// can be live across a `send`, a `spawn` or a `join`.
+impl<V> ShardNode<V> {
+    fn put_worker(&self, worker: thread::JoinHandle<()>) {
+        *self.worker.lock().unwrap_or_else(|e| e.into_inner()) = Some(worker);
+    }
+
+    fn take_worker(&self) -> Option<thread::JoinHandle<()>> {
+        self.worker.lock().unwrap_or_else(|e| e.into_inner()).take()
+    }
+}
+
 impl<V> Drop for ShardNode<V> {
     fn drop(&mut self) {
         self.tx.take(); // closes the channel; the worker drains and exits
-        if let Some(worker) = self
-            .worker
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
+        if let Some(worker) = self.take_worker() {
             let _ = worker.join();
         }
     }
@@ -1155,7 +1170,6 @@ impl<V: ColumnValue> ColumnStrategy<V> for ShardedColumn<V> {
             .sum()
     }
 
-    // soc-lint: allow(L3-segment-bytes-route, the cached partition stores byte sizes refreshed from node-local segment_bytes)
     fn segment_bytes(&self) -> Vec<u64> {
         self.partition.iter().map(|(_, b)| *b).collect()
     }

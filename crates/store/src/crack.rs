@@ -89,9 +89,12 @@ pub fn load_cracked<V: ColumnValue + FixedCodec>(
     if body.len() % 8 != 0 {
         return Err(malformed("body not word-aligned"));
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "chunks_exact yields exactly 8-byte chunks"
+    )]
     let mut words = body
         .chunks_exact(8)
-        // soc-lint: allow(L1-panic-free, chunks_exact yields exactly 8-byte chunks)
         .map(|c| u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")));
     let mut sum = CHECKSUM_SEED;
     let mut next = |what: &str| -> Result<u64, StoreError> {
@@ -127,7 +130,10 @@ pub fn load_cracked<V: ColumnValue + FixedCodec>(
     if words.next().is_some() {
         return Err(malformed("trailing bytes"));
     }
-    // soc-lint: allow(L1-panic-free, the length was checked against the checksum frame above)
+    #[expect(
+        clippy::expect_used,
+        reason = "the length was checked against the checksum frame above"
+    )]
     let stored_sum = u64::from_le_bytes(buf[buf.len() - 8..].try_into().expect("length checked"));
     if stored_sum != sum {
         return Err(StoreError::Corrupt { path });

@@ -266,8 +266,11 @@ impl SegmentStore {
             });
         }
         let enc = buf[9];
+        #[expect(
+            clippy::expect_used,
+            reason = "slice bounds are checked before the loop"
+        )]
         let word = |i: usize| -> u64 {
-            // soc-lint: allow(L1-panic-free, slice bounds are checked before the loop)
             u64::from_le_bytes(buf[i..i + 8].try_into().expect("bounds checked"))
         };
         let count = word(10) as usize;

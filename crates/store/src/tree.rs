@@ -51,7 +51,10 @@ impl<'a> Reader<'a> {
                 reason: "truncated".to_owned(),
             });
         }
-        // soc-lint: allow(L1-panic-free, the reader bounds-checks pos before slicing)
+        #[expect(
+            clippy::expect_used,
+            reason = "the reader bounds-checks pos before slicing"
+        )]
         let w = u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().expect("len ok"));
         self.pos += 8;
         self.sum = self.sum.rotate_left(9) ^ w;
@@ -200,7 +203,10 @@ pub fn load_tree<V: ColumnValue + FixedCodec>(
     if r.pos != body.len() {
         return Err(malformed("trailing bytes"));
     }
-    // soc-lint: allow(L1-panic-free, the length was checked against the checksum frame above)
+    #[expect(
+        clippy::expect_used,
+        reason = "the length was checked against the checksum frame above"
+    )]
     let stored_sum = u64::from_le_bytes(buf[buf.len() - 8..].try_into().expect("length checked"));
     if stored_sum != r.sum {
         return Err(StoreError::Corrupt { path });

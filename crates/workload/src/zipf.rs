@@ -2,10 +2,11 @@
 //!
 //! The Section 6.1 simulation uses "uniform and skewed (Zipf) distribution
 //! of the queries over the attribute domain". The paper does not state the
-//! exponent; we default to the classic `s = 1.0` (documented in
-//! EXPERIMENTS.md). The sampler precomputes the CDF over `n` ranks and
-//! inverts it with a binary search — exact, allocation-free per sample, and
-//! fast enough for millions of draws.
+//! exponent; we default to the classic `s = 1.0` (the Section 6.1
+//! experiments, `repro --experiment simulation`, set their own — see
+//! `SimConfig::zipf_exponent`). The sampler precomputes the CDF over `n`
+//! ranks and inverts it with a binary search — exact, allocation-free per
+//! sample, and fast enough for millions of draws.
 
 use rand::Rng;
 

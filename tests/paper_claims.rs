@@ -1,8 +1,9 @@
 //! The paper's evaluation claims, asserted at test scale.
 //!
-//! Each test encodes one qualitative result of Section 6 — the shapes the
-//! benchmark harness reproduces at full scale (see EXPERIMENTS.md). Tests
-//! use reduced configurations so the suite stays fast.
+//! Each test encodes one qualitative result of Section 6 — the shapes
+//! `repro --experiment all` generates at full scale (PAPER.md's Section 6
+//! paragraph states them). Tests use reduced configurations so the suite
+//! stays fast.
 
 use socdb::sim::experiment::simulation::{
     run_sim_cell, run_simulation_matrix, SimConfig, SimDistribution,
