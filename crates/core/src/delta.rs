@@ -15,16 +15,18 @@
 //! * Sealing produces an immutable [`DeltaRun`]: two ascending-sorted
 //!   sides — **inserts** (new values, including the new side of updates)
 //!   and **tombstones** (deleted values and the old side of updates) —
-//!   each carrying a [`PieceSynopsis`] zone map, so range reads prune
-//!   whole runs exactly like base pieces. Values sort ascending; columns
-//!   of [`Pair`](crate::Pair) rows therefore order by value with oid
+//!   each carrying a [`PieceSynopsis`] zone map, so range reads prune the
+//!   run exactly like a base piece. Values sort ascending; columns of
+//!   [`Pair`](crate::Pair) rows therefore order by value with oid
 //!   tiebreak, which is what keeps reconstruction joins exact.
-//! * Runs fold into the base **oldest first** ([`DeltaRun::seq`] order):
-//!   a run's tombstones always target rows that are in the base by the
-//!   time it folds (seal-time shadowing cancels intra-batch targets, and
-//!   older runs fold before younger ones reference their inserts). Any
-//!   prefix of the oldest run therefore folds safely, which is what the
-//!   incremental compactor exploits ([`DeltaRun::split_for_fold`],
+//! * The overlay is **one run**: an arriving batch coalesces into the
+//!   pending run ([`DeltaRun::merged`], a galloping merge per side), and
+//!   an insert and a tombstone of equal value cancel wherever they meet,
+//!   at seal and at merge — the multiset arithmetic every read applies to
+//!   pending rows anyway, so no answer changes. A run therefore never
+//!   holds a value on both sides: each tombstone targets a row of the
+//!   base, and any part of the run folds safely — the incremental
+//!   compactor splits it off the head ([`DeltaRun::split_for_fold`],
 //!   bounded by [`CompactionPolicy::rows_per_step`]).
 //! * A fold is an LSM flush in the small: it rewrites the components it
 //!   overlaps, not the store. The compactor hands each step's rows to
@@ -35,8 +37,8 @@
 //!   in the overlay, where every read already sees them.
 //!
 //! Read semantics are multiset arithmetic by value: a query's answer is
-//! `base + inserts − tombstones`, evaluated per run through the
-//! branchless kernels in [`crate::kernels`] (`sorted_run` masks for
+//! `base + inserts − tombstones`, evaluated through the branchless
+//! kernels in [`crate::kernels`] (`sorted_run` binary searches for
 //! counts, the galloping [`merge_sorted`](crate::kernels::merge_sorted)
 //! for collects, [`subtract_sorted`](crate::kernels::subtract_sorted)
 //! for tombstones). The epoch snapshot proves the resulting answers
@@ -45,6 +47,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use crate::kernels;
 use crate::range::ValueRange;
 use crate::segment::SegId;
 use crate::synopsis::{PieceSynopsis, SynopsisClass};
@@ -98,8 +101,9 @@ enum Slot<V> {
 /// value but keeps the *original* old value (only one base row is ever
 /// tombstoned); updating or deleting a row inserted in the same batch
 /// rewrites or cancels the insert instead of emitting a tombstone;
-/// operations on a row already deleted in the batch are no-ops (the
-/// catalog applies updates to existing rows only).
+/// updates and deletes of a row already deleted in the batch are no-ops
+/// (the catalog applies updates to existing rows only), while an insert
+/// over a deleted or updated oid keeps that tombstone beside its value.
 #[derive(Debug, Clone)]
 pub struct DeltaBatch<V> {
     slots: BTreeMap<u64, Slot<V>>,
@@ -134,7 +138,13 @@ impl<V: ColumnValue> DeltaBatch<V> {
     pub fn push(&mut self, op: DeltaOp<V>) {
         match op {
             DeltaOp::Insert { oid, value } => {
-                self.slots.insert(oid, Slot::Inserted(value));
+                let slot = match self.slots.get(&oid) {
+                    Some(&(Slot::Deleted(old) | Slot::Updated { old, .. })) => {
+                        Slot::Updated { old, new: value }
+                    }
+                    Some(Slot::Inserted(_)) | None => Slot::Inserted(value),
+                };
+                self.slots.insert(oid, slot);
             }
             DeltaOp::Update { oid, old, new } => match self.slots.get(&oid).copied() {
                 Some(Slot::Inserted(_)) => {
@@ -163,11 +173,11 @@ impl<V: ColumnValue> DeltaBatch<V> {
         }
     }
 
-    /// Seals the batch into an immutable sorted run, or `None` when
-    /// shadowing cancelled everything. `seq` orders the run among its
-    /// siblings (fold oldest — smallest — first); `id` is its stable
-    /// scan-attribution identity.
-    pub fn seal(self, seq: u64, id: SegId) -> Option<DeltaRun<V>> {
+    /// Seals the batch into an immutable sorted run with equal values on
+    /// the two sides cancelled (an update to the same value, or one row's
+    /// insert meeting another's delete), or `None` when nothing survives.
+    /// `id` is the run's scan-attribution identity.
+    pub fn seal(self, id: SegId) -> Option<DeltaRun<V>> {
         let mut inserts = Vec::new();
         let mut tombstones = Vec::new();
         for slot in self.slots.into_values() {
@@ -180,24 +190,22 @@ impl<V: ColumnValue> DeltaBatch<V> {
                 Slot::Deleted(v) => tombstones.push(v),
             }
         }
-        if inserts.is_empty() && tombstones.is_empty() {
-            return None;
-        }
-        Some(DeltaRun::from_parts(seq, id, inserts, tombstones))
+        inserts.sort_unstable();
+        tombstones.sort_unstable();
+        DeltaRun::net(id, inserts, tombstones)
     }
 }
 
-/// An immutable, sorted run of pending writes: the unit the epoch
-/// snapshot overlays on its base pieces and the unit the compactor folds.
+/// An immutable, sorted run of pending writes: what the epoch snapshot
+/// overlays on its base pieces and what the compactor folds from.
 ///
 /// Both sides are ascending; each carries an exact [`PieceSynopsis`]
 /// (`None` for an empty side), so the read path classifies a query
-/// against the run in O(1) and prunes disjoint runs with a
+/// against the run in O(1) and prunes a disjoint run with a
 /// [`skip`](crate::AccessTracker::skip) charge — zone maps apply to
 /// deltas exactly as they do to base pieces.
 #[derive(Clone)]
 pub struct DeltaRun<V> {
-    seq: u64,
     id: SegId,
     /// New values (inserts and the new side of updates), ascending.
     inserts: Arc<Vec<V>>,
@@ -212,7 +220,6 @@ pub struct DeltaRun<V> {
 impl<V: ColumnValue> std::fmt::Debug for DeltaRun<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeltaRun")
-            .field("seq", &self.seq)
             .field("inserts", &self.inserts.len())
             .field("tombstones", &self.tombstones.len())
             .finish_non_exhaustive()
@@ -220,19 +227,17 @@ impl<V: ColumnValue> std::fmt::Debug for DeltaRun<V> {
 }
 
 impl<V: ColumnValue> DeltaRun<V> {
-    /// Assembles a run from its two sides, sorting them ascending (a
-    /// defensive re-sort: already-sorted input costs one verification
-    /// pass). Used by [`DeltaBatch::seal`], by the compactor when it
-    /// retains the unfolded remainder of a run, and by bridge layers
-    /// (the MAL catalog) that stage deltas outside this module.
-    pub fn from_parts(seq: u64, id: SegId, mut inserts: Vec<V>, mut tombstones: Vec<V>) -> Self {
+    /// Assembles a run from its two sides verbatim, sorting them ascending
+    /// (a defensive re-sort: already-sorted input costs one verification
+    /// pass). Callers keep the sides free of common values, as every path
+    /// of this module does; [`Self::validate`] rejects a run that is not.
+    pub fn from_parts(id: SegId, mut inserts: Vec<V>, mut tombstones: Vec<V>) -> Self {
         inserts.sort_unstable();
         tombstones.sort_unstable();
         let bytes = (inserts.len() + tombstones.len()) as u64 * V::BYTES;
         let insert_synopsis = PieceSynopsis::from_sorted(&inserts);
         let tombstone_synopsis = PieceSynopsis::from_sorted(&tombstones);
         DeltaRun {
-            seq,
             id,
             inserts: Arc::new(inserts),
             tombstones: Arc::new(tombstones),
@@ -242,17 +247,38 @@ impl<V: ColumnValue> DeltaRun<V> {
         }
     }
 
-    /// The run's fold-order position: smaller seals earlier, folds first.
-    pub fn seq(&self) -> u64 {
-        self.seq
+    /// The run over ascending `inserts − tombstones` and `tombstones −
+    /// inserts` (multiset differences, one occurrence each), or `None`
+    /// when everything cancels.
+    fn net(id: SegId, inserts: Vec<V>, tombstones: Vec<V>) -> Option<Self> {
+        let (mut net_ins, mut net_tombs) = (Vec::new(), Vec::new());
+        kernels::subtract_sorted(&inserts, &tombstones, &mut net_ins);
+        kernels::subtract_sorted(&tombstones, &inserts, &mut net_tombs);
+        (!net_ins.is_empty() || !net_tombs.is_empty())
+            .then(|| DeltaRun::from_parts(id, net_ins, net_tombs))
     }
 
-    /// Stable scan-attribution identity (one charge per query, rule L5).
+    /// Coalesces `newer` into `older`, keeping the older id:
+    /// [`kernels::merge_sorted`] on each side, then the cancellation of
+    /// [`DeltaBatch::seal`] across the two. `None` when nothing is left.
+    /// Associative, so arriving batches may meet in any grouping.
+    pub fn merged(older: Option<Self>, newer: Option<Self>) -> Option<Self> {
+        let (a, b) = match (older, newer) {
+            (Some(a), Some(b)) => (a, b),
+            (a, b) => return a.or(b),
+        };
+        let (mut inserts, mut tombstones) = (Vec::new(), Vec::new());
+        kernels::merge_sorted(&a.inserts, &b.inserts, &mut inserts);
+        kernels::merge_sorted(&a.tombstones, &b.tombstones, &mut tombstones);
+        DeltaRun::net(a.id, inserts, tombstones)
+    }
+
+    /// Scan-attribution identity: one charge per query.
     pub fn id(&self) -> SegId {
         self.id
     }
 
-    /// Footprint of both sides, as charged to the tracker.
+    /// Footprint of both sides — what a query the zone maps prune skips.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
@@ -297,9 +323,9 @@ impl<V: ColumnValue> DeltaRun<V> {
     /// Splits off up to `budget` rows for folding into the base:
     /// tombstones first (they only shrink the base), then inserts.
     /// Returns `(inserts, tombstones, remainder)`; `remainder` is `None`
-    /// when the whole run fit the budget. Safe for the **oldest** run
-    /// only: its tombstones target rows already in the base (see the
-    /// module docs), so any subset folds without reordering effects.
+    /// when the whole run fit the budget. Any subset folds safely: no
+    /// tombstone of the run targets one of its own inserts (see the module
+    /// docs), so all of them target rows already in the base.
     pub fn split_for_fold(&self, budget: usize) -> (Vec<V>, Vec<V>, Option<DeltaRun<V>>) {
         let t_take = budget.min(self.tombstones.len());
         let i_take = (budget - t_take).min(self.inserts.len());
@@ -308,13 +334,14 @@ impl<V: ColumnValue> DeltaRun<V> {
         let rest_ins = self.inserts[i_take..].to_vec();
         let rest_tombs = self.tombstones[t_take..].to_vec();
         let remainder = (!rest_ins.is_empty() || !rest_tombs.is_empty())
-            .then(|| DeltaRun::from_parts(self.seq, self.id, rest_ins, rest_tombs));
+            .then(|| DeltaRun::from_parts(self.id, rest_ins, rest_tombs));
         (fold_ins, fold_tombs, remainder)
     }
 
-    /// Structural invariants: both sides ascending, zone maps exact.
-    /// Folded into [`StrategySnapshot::validate`](crate::StrategySnapshot)
-    /// at every epoch publish.
+    /// Structural invariants: both sides ascending, zone maps exact, no
+    /// value on both sides. Folded into
+    /// [`StrategySnapshot::validate`](crate::StrategySnapshot) at every
+    /// epoch publish.
     pub fn validate(&self) -> Result<(), Violation> {
         for (what, values, syn) in [
             ("insert", &self.inserts, self.insert_synopsis.as_ref()),
@@ -334,6 +361,13 @@ impl<V: ColumnValue> DeltaRun<V> {
                 },
                 other => other,
             })?;
+        }
+        let on_both = |v: &&V| self.tombstones.binary_search(v).is_ok();
+        if let Some(v) = self.inserts.iter().find(on_both) {
+            return Err(Violation::Payload {
+                index: 0,
+                reason: format!("delta run holds {v:?} as both insert and tombstone"),
+            });
         }
         Ok(())
     }
@@ -421,7 +455,7 @@ mod tests {
     use crate::paired::Pair;
 
     fn seal(batch: DeltaBatch<u32>) -> DeltaRun<u32> {
-        batch.seal(0, SegId(1)).expect("non-empty batch")
+        batch.seal(SegId(1)).expect("non-empty batch")
     }
 
     #[test]
@@ -485,9 +519,45 @@ mod tests {
             old: 50,
             new: 51,
         });
+        // Delete then insert: the base row stays tombstoned, the new
+        // value lands — and again over the update that produces.
+        b.push(DeltaOp::Delete { oid: 6, value: 60 });
+        b.push(DeltaOp::Insert { oid: 6, value: 61 });
+        b.push(DeltaOp::Insert { oid: 6, value: 62 });
         let run = seal(b);
-        assert_eq!(run.inserts(), &[11, 32]);
-        assert_eq!(run.tombstones(), &[30, 40, 50]);
+        assert_eq!(run.inserts(), &[11, 32, 62]);
+        assert_eq!(run.tombstones(), &[30, 40, 50, 60]);
+    }
+
+    #[test]
+    fn equal_values_cancel_one_occurrence_each_at_seal_and_merge() {
+        let mut b = DeltaBatch::new();
+        b.push(DeltaOp::Update {
+            oid: 1,
+            old: 10,
+            new: 10,
+        });
+        assert!(b.seal(SegId(1)).is_none(), "an update to itself is nothing");
+
+        let mut older = DeltaBatch::new();
+        older.push(DeltaOp::Insert { oid: 1, value: 10 });
+        older.push(DeltaOp::Insert { oid: 2, value: 10 });
+        older.push(DeltaOp::Delete { oid: 3, value: 30 });
+        let mut newer = DeltaBatch::new();
+        newer.push(DeltaOp::Delete { oid: 1, value: 10 });
+        newer.push(DeltaOp::Insert { oid: 4, value: 30 });
+        newer.push(DeltaOp::Insert { oid: 5, value: 5 });
+        let (older, newer) = (seal(older), newer.seal(SegId(2)));
+        let run = DeltaRun::merged(Some(older.clone()), newer).expect("rows survive");
+        assert_eq!(run.inserts(), &[5, 10]);
+        assert!(run.tombstones().is_empty());
+        assert_eq!(run.id(), older.id(), "the pending run keeps its identity");
+        run.validate().expect("merged runs validate");
+
+        let undo = DeltaRun::from_parts(SegId(3), Vec::new(), vec![5, 10]);
+        assert!(DeltaRun::merged(Some(run.clone()), Some(undo)).is_none());
+        let alone = DeltaRun::merged(None, Some(run.clone())).expect("passes through");
+        assert_eq!(alone.inserts(), run.inserts());
     }
 
     #[test]
@@ -496,7 +566,7 @@ mod tests {
         b.push(DeltaOp::Insert { oid: 1, value: 10 });
         b.push(DeltaOp::Delete { oid: 1, value: 10 });
         assert!(b.is_empty());
-        assert!(b.seal(0, SegId(1)).is_none());
+        assert!(b.seal(SegId(1)).is_none());
     }
 
     #[test]
@@ -514,7 +584,7 @@ mod tests {
             oid: 1,
             value: Pair::new(4, 1),
         });
-        let run = b.seal(0, SegId(1)).expect("non-empty");
+        let run = b.seal(SegId(1)).expect("non-empty");
         assert_eq!(
             run.inserts(),
             &[Pair::new(4, 1), Pair::new(5, 3), Pair::new(5, 9)]
@@ -552,7 +622,7 @@ mod tests {
         assert_eq!(rest.rows(), 3);
         assert_eq!(rest.inserts(), &[11, 12, 13]);
         assert!(rest.tombstones().is_empty());
-        assert_eq!(rest.seq(), run.seq());
+        assert_eq!(rest.id(), run.id());
 
         // A budget covering the whole run leaves no remainder.
         let (ins, tombs, rest) = run.split_for_fold(6);
@@ -573,9 +643,12 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_a_drifted_synopsis() {
-        let run = DeltaRun::from_parts(0, SegId(1), vec![3u32, 1, 2], vec![9]);
+    fn validate_accepts_fresh_runs_and_rejects_a_value_on_both_sides() {
+        let run = DeltaRun::from_parts(SegId(1), vec![3u32, 1, 2], vec![9]);
         assert_eq!(run.inserts(), &[1, 2, 3], "from_parts sorts");
         run.validate().expect("fresh runs validate");
+        let bad = DeltaRun::from_parts(SegId(1), vec![1u32, 2, 3], vec![0, 2]);
+        let err = bad.validate().expect_err("2 sits on both sides");
+        assert!(matches!(err, Violation::Payload { .. }), "{err}");
     }
 }

@@ -34,21 +34,21 @@
 //! pieces answer counts and sums O(1) from the stored aggregates, and only
 //! straddling pieces scan — one binary search each, the pieces being
 //! sorted. All four reads are folds over one private walk, so they charge
-//! the same events in the same order: pieces by value, then delta runs.
+//! the same events in the same order: pieces by value, then the delta run.
 //!
-//! Pending writes overlay the base as immutable sorted [`DeltaRun`]s (see
-//! [`crate::delta`]): every read folds them in on the fly (merge-on-read,
-//! through the galloping kernels), each run prunes through its own zone
-//! maps, and the writer *compacts* the oldest runs into the base a bounded
-//! number of rows per reorganization step — hysteresis watermarks in
-//! [`CompactionPolicy`]. A fold is **piece-local**
+//! Pending writes overlay the base as **one** immutable sorted
+//! [`DeltaRun`] (see [`crate::delta`]) the writer coalesces every arriving
+//! batch into: a read makes one zone-map test and one pair of binary
+//! searches, folds the qualifying rows in on the fly (merge-on-read) and
+//! is charged those rows, not the run; the writer *compacts* the head of
+//! the run into the base a bounded number of rows per reorganization step
+//! — hysteresis watermarks in [`CompactionPolicy`]. A fold is **piece-local**
 //! ([`ColumnStrategy::fold_delta`]): each row lands in the piece(s) owning
 //! its value and no boundary moves, so the organization the workload
 //! earned survives the write. A strategy that cannot absorb a fold (one
 //! that only wraps others, such as a sharded column) keeps its rows in the
 //! overlay, visible to every read. A column with no pending deltas takes
-//! exactly the pre-overlay read path: the overlay loop is over an empty
-//! vector.
+//! exactly the pre-overlay read path: the overlay is `None`.
 //!
 //! # Equivalence to the serial `&mut` path
 //!
@@ -139,10 +139,10 @@ pub struct StrategySnapshot<V: ColumnValue> {
     /// Folded tombstones that found no occurrence to cancel: an invariant
     /// break upstream, counted instead of vanishing into the arithmetic.
     unmatched_tombstones: u64,
-    /// Pending delta runs overlaid on the base pieces, oldest (smallest
-    /// seq) first. Every read folds them in; the vector is empty on a
-    /// column with no pending writes, restoring the exact pre-delta path.
-    deltas: Vec<DeltaRun<V>>,
+    /// The pending delta run overlaid on the base pieces. Every read folds
+    /// it in; `None` on a column with no pending writes, restoring the
+    /// exact pre-delta path.
+    delta: Option<DeltaRun<V>>,
 }
 
 impl<V: ColumnValue> std::fmt::Debug for StrategySnapshot<V> {
@@ -151,7 +151,7 @@ impl<V: ColumnValue> std::fmt::Debug for StrategySnapshot<V> {
             .field("epoch", &self.epoch)
             .field("strategy", &self.name)
             .field("pieces", &self.pieces.len())
-            .field("delta_runs", &self.deltas.len())
+            .field("delta_runs", &self.delta_runs())
             .finish_non_exhaustive()
     }
 }
@@ -191,18 +191,8 @@ enum Part<'a, V: ColumnValue> {
     Covered(&'a [V], &'a PieceSynopsis<V>),
     /// The qualifying run of a piece the query cuts through.
     Straddle(Hit<'a, V>),
-    /// The qualifying inserts and tombstones of one overlapping delta run.
+    /// The qualifying inserts and tombstones of the overlapping delta run.
     Run(Hit<'a, V>, Hit<'a, V>),
-}
-
-/// Merges the ascending `more` into the ascending `into`
-/// ([`kernels::merge_sorted`]); an empty `more` costs nothing.
-fn merge_into<V: ColumnValue>(into: &mut Vec<V>, more: &[V]) {
-    if !more.is_empty() {
-        let mut merged = Vec::new();
-        kernels::merge_sorted(into, more, &mut merged);
-        *into = merged;
-    }
 }
 
 /// Extends `live` (a strategy's sorted, disjoint `segment_ranges()`) into a
@@ -269,7 +259,7 @@ impl<V: ColumnValue> StrategySnapshot<V> {
         retired: AdaptationStats,
         reorg: QueryStats,
         (failed_migrations, unmatched_tombstones): (u64, u64),
-        deltas: Vec<DeltaRun<V>>,
+        delta: Option<DeltaRun<V>>,
     ) -> Self {
         let untouched = |range: &ValueRange<V>| crate::delta::run_in(folded, range).is_empty();
         let pieces = tile_domain(domain, strategy.segment_ranges())
@@ -304,20 +294,20 @@ impl<V: ColumnValue> StrategySnapshot<V> {
             reorg,
             failed_migrations,
             unmatched_tombstones,
-            deltas,
+            delta,
         }
     }
 
     /// Freezes a strategy's current organization into a standalone epoch-0
-    /// snapshot with `deltas` overlaid — the bridge layers (the MAL
+    /// snapshot with `delta` overlaid — the bridge layers (the MAL
     /// catalog) use to serve delta-visible reads over a column they own,
-    /// without spawning a writer thread. Run ids are caller-assigned
-    /// attribution identities; the snapshot allocates piece ids from a
+    /// without spawning a writer thread. The run id is a caller-assigned
+    /// attribution identity; the snapshot allocates piece ids from a
     /// fresh generator of its own.
     pub fn freeze(
         strategy: &dyn ColumnStrategy<V>,
         domain: ValueRange<V>,
-        deltas: Vec<DeltaRun<V>>,
+        delta: Option<DeltaRun<V>>,
     ) -> Self {
         let mut ids = SegIdGen::new();
         Self::capture(
@@ -330,7 +320,7 @@ impl<V: ColumnValue> StrategySnapshot<V> {
             AdaptationStats::default(),
             QueryStats::default(),
             (0, 0),
-            deltas,
+            delta,
         )
     }
 
@@ -351,8 +341,8 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     }
 
     /// The one walk behind every read: the pieces overlapping `q` in value
-    /// order, then the overlay's runs oldest first — the event order every
-    /// tracker sees, whichever read is asking. `fold` only accumulates the
+    /// order, then the overlay's run — the event order every tracker sees,
+    /// whichever read is asking. `fold` only accumulates the
     /// [`Part`]s; it never sees the tracker, so no read's accounting can
     /// drift from another's.
     ///
@@ -360,9 +350,10 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     /// charges [`AccessTracker::skip`] and moves no bytes; a covered piece
     /// charges a scan when the read moves its values (`reads_covered`) and
     /// a skip when the synopsis answers for it; a straddling piece charges
-    /// a scan and binary-searches its qualifying run. Each pending delta
-    /// run prunes the same way through its own zone maps: one
-    /// [`AccessTracker::delta_scan`] when it overlaps `q`, else a skip.
+    /// a scan and binary-searches its qualifying run. The pending delta
+    /// run prunes the same way through its own zone maps: a skip when they
+    /// are disjoint from `q`, else one [`AccessTracker::delta_scan`] of the
+    /// qualifying rows — what the read touches, however long the run.
     fn walk<'a>(
         &'a self,
         q: &'a ValueRange<V>,
@@ -388,16 +379,15 @@ impl<V: ColumnValue> StrategySnapshot<V> {
                 Some((SynopsisClass::Disjoint, _)) | None => tracker.skip(p.id, p.bytes),
             }
         }
-        for run in &self.deltas {
-            if run.overlaps(q) {
-                tracker.delta_scan(run.id(), run.bytes());
-                fold(Part::Run(
-                    Hit::of(run.inserts(), q),
-                    Hit::of(run.tombstones(), q),
-                ));
-            } else {
-                tracker.skip(run.id(), run.bytes());
+        match &self.delta {
+            Some(run) if run.overlaps(q) => {
+                let inserts = Hit::of(run.inserts(), q);
+                let tombstones = Hit::of(run.tombstones(), q);
+                tracker.delta_scan(run.id(), (inserts.len() + tombstones.len()) * V::BYTES);
+                fold(Part::Run(inserts, tombstones));
             }
+            Some(run) => tracker.skip(run.id(), run.bytes()),
+            None => {}
         }
     }
 
@@ -423,26 +413,29 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     /// Materializes the values in `q`, ascending (the canonical order — see
     /// the module docs). A collect has to move the data, so covered pieces
     /// scan and only the disjoint class gets cheaper. Pending deltas fold
-    /// in by galloping merge: each overlapping run's qualifying inserts
-    /// merge into the result, its qualifying tombstones into one sorted
-    /// mask subtracted at the end ([`kernels::subtract_sorted`] — one
-    /// occurrence per tombstone).
+    /// in by galloping merge: the run's qualifying inserts merge into the
+    /// result, then its qualifying tombstones subtract
+    /// ([`kernels::subtract_sorted`] — one occurrence per tombstone).
     pub fn select_collect(&self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> Vec<V> {
-        let (mut out, mut tomb_mask) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
         self.walk(q, tracker, true, |part| match part {
             Part::Covered(values, _) => out.extend_from_slice(values),
             Part::Straddle(hit) => out.extend_from_slice(hit.values()),
+            // The walk's last part: `out` holds every base value by now.
             Part::Run(inserts, tombstones) => {
-                merge_into(&mut out, inserts.values());
-                merge_into(&mut tomb_mask, tombstones.values());
+                if !inserts.values().is_empty() {
+                    let mut merged = Vec::new();
+                    kernels::merge_sorted(&out, inserts.values(), &mut merged);
+                    out = merged;
+                }
+                if !tombstones.values().is_empty() {
+                    let mut net = Vec::new();
+                    kernels::subtract_sorted(&out, tombstones.values(), &mut net);
+                    out = net;
+                }
             }
         });
-        if tomb_mask.is_empty() {
-            return out;
-        }
-        let mut net = Vec::new();
-        kernels::subtract_sorted(&out, &tomb_mask, &mut net);
-        net
+        out
     }
 
     /// One-pass `SUM(v) WHERE v IN q`: covered pieces contribute their
@@ -450,7 +443,7 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     /// ([`kernels::sum_sorted_run`]) — both accumulated with the chunking of
     /// the masked [`kernels::sum_range`] they replace, so the total is
     /// bit-identical to an unpruned scan while reading O(result), not
-    /// O(piece). Pending deltas fold in as `+ inserts − tombstones` per
+    /// O(piece). Pending deltas fold in as `+ inserts − tombstones` of the
     /// overlapping run: exact for integer-valued columns whose totals stay
     /// below 2^53; float columns inherit the usual accumulation-order
     /// caveat.
@@ -550,21 +543,22 @@ impl<V: ColumnValue> StrategySnapshot<V> {
         self.unmatched_tombstones
     }
 
-    /// Pending delta runs overlaid on this epoch.
+    /// Delta runs overlaid on this epoch: 1 while writes are pending.
     pub fn delta_runs(&self) -> usize {
-        self.deltas.len()
+        usize::from(self.delta.is_some())
     }
 
-    /// Pending delta rows (inserts plus tombstones) across the overlay —
-    /// the level the compaction watermarks act on.
+    /// Pending delta rows (inserts plus tombstones) in the overlay — the
+    /// level the compaction watermarks act on.
     pub fn pending_delta_rows(&self) -> u64 {
-        self.deltas.iter().map(|r| r.rows()).sum()
+        self.delta.as_ref().map_or(0, DeltaRun::rows)
     }
 
     /// Structural invariants: pieces sorted, disjoint, tiling the domain;
     /// values ascending and inside their piece's range; every zone-map
     /// synopsis exact against its values (a stale synopsis silently
-    /// corrupts pruning decisions). Asserted at every epoch publish
+    /// corrupts pruning decisions); the delta run valid
+    /// ([`DeltaRun::validate`]). Asserted at every epoch publish
     /// (debug builds) and exercised by the corruption proptests.
     pub fn validate(&self) -> Result<(), Violation> {
         if self.pieces.is_empty() {
@@ -591,15 +585,7 @@ impl<V: ColumnValue> StrategySnapshot<V> {
                 }
             })?;
         }
-        let mut last_seq: Option<u64> = None;
-        for (i, run) in self.deltas.iter().enumerate() {
-            run.validate()?;
-            if last_seq.is_some_and(|s| s >= run.seq()) {
-                return Err(Violation::NotSorted { index: i });
-            }
-            last_seq = Some(run.seq());
-        }
-        Ok(())
+        self.delta.as_ref().map_or(Ok(()), DeltaRun::validate)
     }
 }
 
@@ -650,11 +636,11 @@ enum WriterCmd<V: ColumnValue> {
     /// Rebuild the column under a different spec from a content snapshot,
     /// then swap — the background migration behind `set_strategy`.
     Migrate(StrategySpec),
-    /// Seal a batch of pending writes into a [`DeltaRun`] for the next
-    /// epoch's overlay. Deltas are data, not hints: senders block on a
-    /// full queue instead of dropping.
+    /// Seal a batch of pending writes and coalesce it into the next
+    /// epoch's [`DeltaRun`]. Deltas are data, not hints: senders block on
+    /// a full queue instead of dropping.
     Deltas(DeltaBatch<V>),
-    /// Fold **every** pending run into the base in one step — the bulk
+    /// Fold **every** pending row into the base in one step — the bulk
     /// merge the benchmarks baseline incremental compaction against —
     /// then reply like `Sync`.
     Drain(mpsc::SyncSender<()>),
@@ -677,10 +663,8 @@ struct Writer<V: ColumnValue> {
     failed_migrations: u64,
     /// Folded tombstones that found no occurrence, cumulative.
     unmatched_tombstones: u64,
-    /// Pending delta runs, oldest (smallest seq) first.
-    runs: Vec<DeltaRun<V>>,
-    /// Seal order for the next run.
-    next_seq: u64,
+    /// The pending delta run every arriving batch coalesces into.
+    run: Option<DeltaRun<V>>,
     /// Hysteresis watermarks and per-step budget for incremental folds.
     policy: CompactionPolicy,
     /// Whether the compactor is between its start and stop watermarks.
@@ -702,6 +686,7 @@ impl<V: ColumnValue> Writer<V> {
             let mut dirty = false;
             let mut drain = false;
             let mut syncs: Vec<mpsc::SyncSender<()>> = Vec::new();
+            let mut arrived: Option<DeltaRun<V>> = None;
             let batch = std::iter::once(first).chain(rx.try_iter());
             for cmd in batch.take(self.batch_limit) {
                 match cmd {
@@ -714,11 +699,7 @@ impl<V: ColumnValue> Writer<V> {
                         dirty = true;
                     }
                     WriterCmd::Deltas(batch) => {
-                        if let Some(run) = batch.seal(self.next_seq, self.ids.fresh()) {
-                            self.next_seq += 1;
-                            self.runs.push(run);
-                            dirty = true;
-                        }
+                        arrived = DeltaRun::merged(arrived, batch.seal(self.ids.fresh()));
                     }
                     WriterCmd::Drain(reply) => {
                         drain = true;
@@ -726,6 +707,11 @@ impl<V: ColumnValue> Writer<V> {
                     }
                     WriterCmd::Sync(reply) => syncs.push(reply),
                 }
+            }
+            // One O(pending) merge per epoch, however many batches arrived.
+            if arrived.is_some() {
+                self.run = DeltaRun::merged(self.run.take(), arrived);
+                dirty = true;
             }
             // One compaction step per folded batch: the bounded fold that
             // amortizes merge cost across epochs instead of spiking. A
@@ -775,11 +761,13 @@ impl<V: ColumnValue> Writer<V> {
     /// stops once they fall to `policy.stop_below()` — so a column
     /// hovering at the threshold does not thrash.
     fn should_compact(&mut self) -> bool {
-        if self.runs.is_empty() || !self.absorbs {
-            self.compacting = false;
-            return false;
-        }
-        let pending: u64 = self.runs.iter().map(|r| r.rows()).sum();
+        let pending = match &self.run {
+            Some(run) if self.absorbs => run.rows(),
+            _ => {
+                self.compacting = false;
+                return false;
+            }
+        };
         if !self.compacting && pending >= self.policy.start_above() {
             self.compacting = true;
         }
@@ -789,41 +777,18 @@ impl<V: ColumnValue> Writer<V> {
         self.compacting
     }
 
-    /// Folds up to `budget` delta rows from the oldest runs into the pieces
-    /// of the base that own them ([`ColumnStrategy::fold_delta`]), charged
-    /// as reorganization bytes of the touched pieces only. Returns the
-    /// folded values, ascending — what the next capture re-extracts around
-    /// — or nothing when the strategy cannot absorb the step, which leaves
-    /// the runs untouched and both base and overlay serving.
+    /// Folds up to `budget` delta rows off the head of the pending run into
+    /// the pieces of the base that own them ([`ColumnStrategy::fold_delta`]),
+    /// charged as reorganization bytes of the touched pieces only. Returns
+    /// the folded values, ascending — what the next capture re-extracts
+    /// around — or nothing when the strategy cannot absorb the step, which
+    /// leaves the run untouched and both base and overlay serving.
     fn fold_step(&mut self, budget: u64) -> Vec<V> {
-        // Gather parts oldest-run first, tombstones before inserts within
-        // a run — the only order whose tombstones are guaranteed to target
-        // rows already in (base ∪ folded inserts); see crate::delta.
-        let mut ins_parts: Vec<Vec<V>> = Vec::new();
-        let mut tomb_parts: Vec<Vec<V>> = Vec::new();
-        let mut replaced = 0usize;
-        let mut remainder: Option<DeltaRun<V>> = None;
-        let mut left = budget;
-        for run in &self.runs {
-            if left == 0 {
-                break;
-            }
-            let step = usize::try_from(left).unwrap_or(usize::MAX);
-            let (ins, tombs, rest) = run.split_for_fold(step);
-            left -= ((ins.len() + tombs.len()) as u64).min(left);
-            ins_parts.push(ins);
-            tomb_parts.push(tombs);
-            replaced += 1;
-            if rest.is_some() {
-                remainder = rest;
-                break;
-            }
-        }
-        let fold_ins = merge_parts(ins_parts);
-        let fold_tombs = merge_parts(tomb_parts);
-        // The strategy applies inserts before tombstones, so a younger
-        // run's tombstone still cancels an older run's insert folded in
-        // the very same step.
+        let Some(run) = &self.run else {
+            return Vec::new();
+        };
+        let (fold_ins, fold_tombs, rest) =
+            run.split_for_fold(usize::try_from(budget).unwrap_or(usize::MAX));
         let Some(unmatched) = self
             .strategy
             .fold_delta(&fold_ins, &fold_tombs, &mut self.reorg)
@@ -834,8 +799,10 @@ impl<V: ColumnValue> Writer<V> {
             return Vec::new();
         };
         self.unmatched_tombstones += unmatched;
-        self.runs.splice(0..replaced, remainder);
-        merge_parts(vec![fold_ins, fold_tombs])
+        self.run = rest;
+        let mut folded = Vec::new();
+        kernels::merge_sorted(&fold_ins, &fold_tombs, &mut folded);
+        folded
     }
 
     /// Publishes the next epoch; `folded` are the values a fold step put
@@ -853,22 +820,11 @@ impl<V: ColumnValue> Writer<V> {
             self.retired,
             self.reorg.totals(),
             (self.failed_migrations, self.unmatched_tombstones),
-            self.runs.clone(),
+            self.run.clone(),
         );
         crate::debug_assert_valid!(snap.validate(), "epoch publish");
         self.cell.publish(snap);
     }
-}
-
-/// Merges per-run sorted parts into one ascending multiset (repeated
-/// two-run gallops; the part count is small — one per folded run).
-fn merge_parts<V: ColumnValue>(parts: Vec<Vec<V>>) -> Vec<V> {
-    let merge = |acc: Vec<V>, part: Vec<V>| {
-        let mut next = Vec::new();
-        kernels::merge_sorted(&acc, &part, &mut next);
-        next
-    };
-    parts.into_iter().reduce(merge).unwrap_or_default()
 }
 
 /// A column any number of threads read while a single writer thread folds
@@ -961,7 +917,7 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
             AdaptationStats::default(),
             QueryStats::default(),
             (0, 0),
-            Vec::new(),
+            None,
         );
         let cell = Arc::new(SnapshotCell::new(initial));
         // Bounded by design: an unbounded channel here would let overload
@@ -979,8 +935,7 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
             reorg: CountingTracker::new(),
             failed_migrations: 0,
             unmatched_tombstones: 0,
-            runs: Vec::new(),
-            next_seq: 0,
+            run: None,
             policy,
             compacting: false,
             absorbs: true,
@@ -1173,8 +1128,8 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
         let _ = self.sender().send(WriterCmd::Migrate(spec));
     }
 
-    /// Queues a batch of pending writes for the writer to seal into a
-    /// sorted [`DeltaRun`] and overlay on the next published epoch.
+    /// Queues a batch of pending writes for the writer to seal, coalesce
+    /// into the sorted [`DeltaRun`] and overlay on the next published epoch.
     /// Readers see the batch once that epoch publishes
     /// ([`Self::quiesce`] is the visibility barrier); the writer folds it
     /// into the base incrementally under the compaction watermarks.
@@ -1192,7 +1147,7 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
         self.snapshot().pending_delta_rows()
     }
 
-    /// Folds **every** pending run into the base in one step and blocks
+    /// Folds **every** pending row into the base in one step and blocks
     /// until the resulting epoch publishes — the bulk merge the benchmarks
     /// baseline incremental compaction against, and the barrier to call
     /// before [`Self::into_strategy`] when the handed-back strategy must
@@ -1217,7 +1172,7 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
 
     /// Shuts the writer down and hands the (fully folded) strategy back —
     /// the hand-off layers use to move a column between execution modes.
-    /// Pending delta runs are **not** folded on the way out; call
+    /// Pending delta rows are **not** folded on the way out; call
     /// [`Self::drain_deltas`] first when the handed-back strategy must
     /// hold them.
     pub fn into_strategy(mut self) -> Box<dyn ColumnStrategy<V>> {
@@ -1246,7 +1201,7 @@ impl<V: ColumnValue> Drop for ConcurrentColumn<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::DeltaOp;
+    use crate::delta::{run_in, DeltaOp};
     use crate::spec::StrategyKind;
     use crate::tracker::NullTracker;
 
@@ -1645,29 +1600,132 @@ mod tests {
     }
 
     #[test]
-    fn delta_reads_charge_one_delta_scan_per_overlapping_run() {
+    fn a_delta_read_charges_the_rows_it_touches() {
+        use crate::tracker::{EventLog, TrackerEvent as E};
+
         let spec = StrategySpec::new(StrategyKind::FullSort);
         let concurrent =
             ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
-        concurrent.apply_deltas(insert_batch(900_000, [5]));
+        let overlay_event = |q: ValueRange<u32>| {
+            let mut log = EventLog::new();
+            let _ = concurrent.snapshot().select_count(&q, &mut log);
+            log.events().last().copied()
+        };
+        concurrent.apply_deltas(insert_batch(900_000, [9_990, 9_995]));
         concurrent.quiesce();
-        concurrent.apply_deltas(insert_batch(900_001, [9_995]));
+        let run = concurrent.snapshot().delta.clone().expect("pending");
+        // The zone maps prune the run: a skip of its whole footprint.
+        let low = ValueRange::must(0u32, 50);
+        assert_eq!(overlay_event(low), Some(E::Skip(run.id(), 8)));
+
+        concurrent.apply_deltas(insert_batch(900_002, [5]));
         concurrent.quiesce();
         let snap = concurrent.snapshot();
-        assert_eq!(snap.delta_runs(), 2);
-        // A low query overlaps only the low run: the high run prunes
-        // through its zone maps and charges a skip, not a scan.
-        let q = ValueRange::must(0u32, 50);
+        assert_eq!(snap.delta_runs(), 1, "batches coalesce into one run");
+        // The low query touches one of the run's three rows and is
+        // charged that row, not the run.
+        assert_eq!(overlay_event(low), Some(E::DeltaScan(run.id(), 4)));
         let mut t = CountingTracker::new();
         t.begin_query();
-        let _ = snap.select_count(&q, &mut t);
+        let _ = snap.select_count(&low, &mut t);
         let s = t.query_stats();
-        assert_eq!(s.delta_read_bytes, 4, "exactly the 1-row u32 run scans");
-        assert!(s.segments_pruned >= 1, "the distant run must prune");
+        assert_eq!(s.delta_read_bytes, 4, "exactly the one qualifying u32");
         assert!(
             s.read_bytes >= s.delta_read_bytes,
             "delta reads are a sub-attribution of reads"
         );
+        // Between the rows the zone maps still overlap: the probe runs,
+        // finds nothing and charges nothing.
+        let between = ValueRange::must(4_000u32, 4_100);
+        assert_eq!(overlay_event(between), Some(E::DeltaScan(run.id(), 0)));
+    }
+
+    #[test]
+    fn batches_coalesce_into_one_run_that_answers_like_the_reference() {
+        let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(256, 1024);
+        let concurrent =
+            ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
+        let mut expected = values();
+        for round in 0..130u32 {
+            let rows: Vec<u32> = (0..4).map(|i| (round * 389 + i * 53) % 10_000).collect();
+            let mut batch = insert_batch(2_000_000 + u64::from(round) * 4, rows.clone());
+            // One base row leaves per batch, too.
+            batch.push(DeltaOp::Delete {
+                oid: u64::from(round),
+                value: expected[0],
+            });
+            expected.remove(0);
+            expected.extend(rows);
+            concurrent.apply_deltas(batch);
+            concurrent.quiesce();
+        }
+        let snap = concurrent.snapshot();
+        assert_eq!(snap.delta_runs(), 1, "130 batches, one run");
+        let pending = snap.pending_delta_rows();
+        assert!(0 < pending && pending <= 130 * 5, "equal values may cancel");
+        snap.validate().unwrap();
+        expected.sort_unstable();
+        for q in queries() {
+            let inside = run_in(&expected, &q);
+            assert_eq!(snap.select_count(&q, &mut NullTracker), inside.len() as u64);
+            assert_eq!(snap.select_collect(&q, &mut NullTracker), inside, "{q:?}");
+            let sum: f64 = inside.iter().map(|v| f64::from(*v)).sum();
+            assert_eq!(snap.select_sum(&q, &mut NullTracker), sum, "{q:?}");
+            let min_max = inside.first().copied().zip(inside.last().copied());
+            assert_eq!(snap.select_min_max(&q, &mut NullTracker), min_max, "{q:?}");
+        }
+    }
+
+    #[test]
+    fn a_pending_insert_and_a_later_delete_of_it_cancel() {
+        let spec = StrategySpec::new(StrategyKind::FullSort);
+        let concurrent =
+            ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
+        let absent = (0..10_000u32)
+            .find(|v| !values().contains(v))
+            .expect("6000 rows leave gaps in a 10000-value domain");
+        let only = ValueRange::must(absent, absent);
+        concurrent.apply_deltas(insert_batch(900_000, [absent, absent, 7]));
+        concurrent.quiesce();
+        assert_eq!(concurrent.pending_delta_rows(), 3);
+        assert_eq!(concurrent.peek_collect(&only), [absent, absent]);
+
+        let mut batch = DeltaBatch::new();
+        batch.push(DeltaOp::Delete {
+            oid: 900_001,
+            value: absent,
+        });
+        concurrent.apply_deltas(batch);
+        concurrent.quiesce();
+        let snap = concurrent.snapshot();
+        assert_eq!(snap.pending_delta_rows(), 2, "3 + 1 arrived, 2 cancelled");
+        assert_eq!(snap.select_count(&only, &mut NullTracker), 1);
+        assert_eq!(concurrent.peek_collect(&only), [absent]);
+        snap.validate().unwrap();
+
+        // An update to the value a row already holds seals to nothing:
+        // no run, no publish.
+        let mut batch = DeltaBatch::new();
+        batch.push(DeltaOp::Update {
+            oid: 900_002,
+            old: 7,
+            new: 7,
+        });
+        concurrent.apply_deltas(batch);
+        concurrent.quiesce();
+        assert_eq!(concurrent.epoch(), snap.epoch());
+
+        // The overlay can cancel away entirely; the fold sees none of it.
+        let mut batch = DeltaBatch::new();
+        for (oid, value) in [(900_000, absent), (900_002, 7)] {
+            batch.push(DeltaOp::Delete { oid, value });
+        }
+        concurrent.apply_deltas(batch);
+        concurrent.drain_deltas();
+        let snap = concurrent.snapshot();
+        assert_eq!((snap.delta_runs(), snap.pending_delta_rows()), (0, 0));
+        assert_eq!(snap.unmatched_tombstones(), 0);
+        assert_eq!(snap.total_rows(), 6_000);
     }
 
     #[test]
@@ -1811,15 +1869,15 @@ mod tests {
         assert!(concurrent.reorg_hints_dropped() > 0, "the reader saturated");
     }
 
-    /// One walk serves every read: pieces in value order, then runs oldest
-    /// first, the same events whichever read asks — except that a collect
-    /// moves covered pieces, so their skip becomes a scan.
+    /// One walk serves every read: pieces in value order, then the one run,
+    /// the same events whichever read asks — except that a collect moves
+    /// covered pieces, so their skip becomes a scan.
     #[test]
     fn every_read_charges_the_one_walk() {
         use crate::tracker::{EventLog, TrackerEvent as E};
 
         let q = ValueRange::must(2_000u32, 5_499);
-        // Sealed one run each: two overlap `q`, the last is disjoint from it.
+        // Three batches, one run: two of its rows qualify, the last does not.
         let rows = [(700_000, 2_500), (700_001, 4_000), (700_002, 9_990)];
         for (kind, pending) in StrategyKind::ALL.into_iter().flat_map(|k| [(k, 0), (k, 3)]) {
             let spec = StrategySpec::new(kind).with_apm_bounds(256, 1024);
@@ -1834,20 +1892,18 @@ mod tests {
             }
             column.quiesce();
             let snap = column.snapshot();
-            let overlaps: Vec<bool> = snap.deltas.iter().map(|r| r.overlaps(&q)).collect();
-            assert_eq!(overlaps, [true, true, false][..pending], "{kind:?}");
+            assert_eq!(snap.pending_delta_rows(), pending as u64, "{kind:?}");
             let expected = |reads_covered: bool| -> Vec<E> {
                 let piece = |p: &SnapshotPiece<u32>| match p.synopsis.map(|s| s.classify(&q)) {
                     Some(SynopsisClass::Straddle) => E::Scan(p.id, p.bytes),
                     Some(SynopsisClass::Covered) if reads_covered => E::Scan(p.id, p.bytes),
                     _ => E::Skip(p.id, p.bytes),
                 };
-                let run = |r: &DeltaRun<u32>| match r.overlaps(&q) {
-                    true => E::DeltaScan(r.id(), r.bytes()),
-                    false => E::Skip(r.id(), r.bytes()),
+                let run = |r: &DeltaRun<u32>| {
+                    E::DeltaScan(r.id(), run_in(r.inserts(), &q).len() as u64 * 4)
                 };
                 let pieces = snap.overlapping(&q).map(piece);
-                pieces.chain(snap.deltas.iter().map(run)).collect()
+                pieces.chain(snap.delta.iter().map(run)).collect()
             };
             assert!(kind != StrategyKind::ApmSegm || expected(true) != expected(false));
             let mut logs = [(); 4].map(|()| EventLog::new());

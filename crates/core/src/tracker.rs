@@ -65,12 +65,13 @@ pub trait AccessTracker {
         let _ = (seg, bytes);
     }
 
-    /// A merge-on-read scan of delta run `seg` (`bytes` = the footprint
-    /// of both its sides). Fired **exactly once per run per query** —
-    /// pinned by `epoch`'s
-    /// `delta_reads_charge_one_delta_scan_per_overlapping_run` test —
-    /// when the query's range overlaps either side's zone map; a run
-    /// disjoint from the query charges [`AccessTracker::skip`] instead.
+    /// A merge-on-read probe of delta run `seg` (`bytes` = the qualifying
+    /// inserts and tombstones its binary searches delimit — what the read
+    /// touches, not the run's footprint). Fired **exactly once per
+    /// query** — pinned by `epoch`'s
+    /// `a_delta_read_charges_the_rows_it_touches` test — when the
+    /// query's range overlaps either side's zone map; a run disjoint from
+    /// the query charges [`AccessTracker::skip`] of its footprint instead.
     ///
     /// Delta reads are real reads: the default forwards to
     /// [`AccessTracker::scan`] so trackers that predate delta visibility

@@ -371,7 +371,7 @@ impl<V: TailValue> TypedSeg<V> {
                 });
             }
         }
-        Ok(batch.seal(0, SegIdGen::new().fresh()))
+        Ok(batch.seal(SegIdGen::new().fresh()))
     }
 
     /// A delta-visible [`StrategySnapshot`]: the current pieces with the
@@ -386,7 +386,7 @@ impl<V: TailValue> TypedSeg<V> {
         Ok(StrategySnapshot::freeze(
             self.strategy.as_ref(),
             self.value_domain.paired(),
-            run.into_iter().collect(),
+            run,
         ))
     }
 

@@ -5,7 +5,8 @@
 //! seeded corruption class — overlapping pieces, gapped/out-of-order
 //! piece lists, truncated or length-drifted encoded payloads, zero-length
 //! RLE runs, out-of-bounds dictionary codes, out-of-range raw values,
-//! drifted or missing piece synopses —
+//! drifted or missing piece synopses, a delta run holding one value as
+//! both insert and tombstone —
 //! the matching validator must reject. This is the proptest counterpart
 //! of the `debug_assert_valid!` boundary checks: a reorganization bug
 //! that produces any of these shapes cannot pass silently.
@@ -14,7 +15,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use socdb::adaptive::validate;
-use socdb::adaptive::{EncodedPayload, PiecePayload, Violation};
+use socdb::adaptive::{DeltaRun, EncodedPayload, PiecePayload, SegId, Violation};
 use socdb::prelude::*;
 
 const DOMAIN_HI: u32 = 9_999;
@@ -219,6 +220,23 @@ proptest! {
         };
         let err = validate::synopsis_consistent(Some(&bad), &values);
         prop_assert!(matches!(err, Err(Violation::Synopsis { .. })), "{err:?}");
+    }
+
+    #[test]
+    fn a_delta_run_with_a_value_on_both_sides_is_rejected(
+        inserts in vec(0..=DOMAIN_HI, 1..100),
+        tombstones in vec(0..=DOMAIN_HI, 0..100),
+        pick in any::<usize>(),
+    ) {
+        // What cancellation leaves: no tombstone equals an insert.
+        let mut tombstones = tombstones;
+        tombstones.retain(|t| !inserts.contains(t));
+        let good = DeltaRun::from_parts(SegId(0), inserts.clone(), tombstones.clone());
+        prop_assert!(good.validate().is_ok());
+
+        tombstones.push(inserts[pick % inserts.len()]);
+        let err = DeltaRun::from_parts(SegId(0), inserts, tombstones).validate();
+        prop_assert!(matches!(err, Err(Violation::Payload { .. })), "{err:?}");
     }
 
     #[test]
