@@ -38,6 +38,18 @@ impl Atom {
             Atom::Nil | Atom::Str(_) => None,
         }
     }
+
+    /// The name of the tail type this atom's variant belongs to, as
+    /// [`crate::Tail::type_name`] spells it.
+    pub fn type_name(&self) -> &'static str {
+        match self {
+            Atom::Int(_) => "int",
+            Atom::Dbl(_) => "dbl",
+            Atom::Oid(_) => "oid",
+            Atom::Str(_) => "str",
+            Atom::Nil => "nil",
+        }
+    }
 }
 
 impl std::fmt::Display for Atom {

@@ -1,21 +1,22 @@
-//! Sharded range selection: throughput of the placement-routed executor
-//! against the single-node baseline, sweeping the node count and the
-//! execution mode.
+//! Sharded range selection: the cost of the placement-routed column, whose
+//! node strategies all run inline on the caller's thread.
 //!
-//! Three effects interact as nodes grow: routing skips ever more of the
-//! data for narrow queries (contiguous placement), per-query coordination
-//! over more strategies adds overhead (round-robin fans out to
-//! everything), and — since the executor went parallel — the fanned-out
-//! scans overlap on worker threads. The serial/parallel sweep at 1/4/16
-//! nodes separates the three: the 1-node shard bounds the executor's own
-//! overhead, contiguous shows routing selectivity, and round-robin
-//! full-fanout is where parallel overlap pays (on multi-core hardware;
-//! a single-core runner only measures the coordination overhead).
+//! * `sharded_scan` — a 64-query batch of narrow (1 %) selections on a
+//!   converged shard at 1/4/16 nodes. The 1-node shard bounds the router's
+//!   own overhead over the plain strategy; contiguous placement shows
+//!   routing selectivity (few nodes per query), round-robin what the wide
+//!   fan-out of a range-blind placement costs.
+//! * `sharded_fanout_scan` — wide (50 %) selections over round-robin
+//!   placement of unsegmented nodes: every node scans for every query, so
+//!   the batch is pure scan work, done one node after another.
+//! * `sharded_replace` — one re-placement epoch on a converged shard:
+//!   collecting the live partitioning, extracting every piece, planning
+//!   and rebuilding the nodes.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use soc_core::{ColumnStrategy, NullTracker, StrategyKind, StrategySpec, ValueRange};
-use soc_sim::{ExecMode, PlacementPolicy, ShardedColumn};
+use soc_sim::{PlacementPolicy, ShardedColumn};
 use soc_workload::{uniform_values, WorkloadSpec};
 
 const DOMAIN_HI: u32 = 999_999;
@@ -36,20 +37,20 @@ fn spec() -> StrategySpec {
 /// reorganization.
 fn converged_shard(policy: PlacementPolicy, nodes: usize) -> ShardedColumn<u32> {
     let values = uniform_values(COLUMN_LEN, &domain(), 21);
-    let mut sharded = ShardedColumn::new(spec(), policy, nodes, domain(), values)
-        .expect("valid shard")
-        .with_exec_mode(ExecMode::Serial);
+    let mut sharded =
+        ShardedColumn::new(spec(), policy, nodes, domain(), values).expect("valid shard");
     for q in WorkloadSpec::uniform(0.01, 400, 22).generate(&domain()) {
         sharded.select_count(&q, &mut NullTracker);
     }
     sharded
 }
 
-fn mode_name(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Serial => "serial",
-        ExecMode::Parallel => "parallel",
-    }
+/// One count per query of `queries`, summed.
+fn count_all(sharded: &mut ShardedColumn<u32>, queries: &[ValueRange<u32>]) -> u64 {
+    queries
+        .iter()
+        .map(|q| sharded.select_count(q, &mut NullTracker))
+        .sum()
 }
 
 fn bench_sharded_scan(c: &mut Criterion) {
@@ -64,33 +65,18 @@ fn bench_sharded_scan(c: &mut Criterion) {
         for nodes in NODE_COUNTS {
             let mut sharded = converged_shard(policy, nodes);
             // Also converge on the benchmark queries themselves, so the
-            // adapting strategy reaches a fixed point before either mode
-            // is timed — otherwise whichever mode runs first would absorb
-            // the residual reorganization and bias the comparison.
+            // adapting strategy reaches a fixed point before it is timed.
             for _ in 0..3 {
-                let _ = sharded.select_count_batch(&queries, &mut NullTracker);
+                count_all(&mut sharded, &queries);
             }
-            for mode in [ExecMode::Serial, ExecMode::Parallel] {
-                sharded.set_exec_mode(mode);
-                let id = format!("{}-{}", policy.name(), mode_name(mode));
-                group.bench_function(BenchmarkId::new(id, nodes), |b| {
-                    b.iter(|| {
-                        let counts =
-                            sharded.select_count_batch(black_box(&queries), &mut NullTracker);
-                        black_box(counts.iter().sum::<u64>())
-                    })
-                });
-            }
+            group.bench_function(BenchmarkId::new(policy.name(), nodes), |b| {
+                b.iter(|| black_box(count_all(&mut sharded, black_box(&queries))))
+            });
         }
     }
     group.finish();
 }
 
-/// The full-fanout, real-work case the parallel executor exists for: wide
-/// queries over round-robin placement, every node scanning for every
-/// query. The column is 4× the routed-scan bench so per-batch scan work
-/// dominates the one-spawn-per-node coordination cost — on multi-core
-/// hardware the parallel/serial ratio then approaches the core count.
 fn bench_sharded_fanout_scan(c: &mut Criterion) {
     const FANOUT_COLUMN_LEN: usize = 400_000;
     let queries = WorkloadSpec::uniform(0.5, BATCH, 24).generate(&domain());
@@ -107,15 +93,9 @@ fn bench_sharded_fanout_scan(c: &mut Criterion) {
             values,
         )
         .expect("valid shard");
-        for mode in [ExecMode::Serial, ExecMode::Parallel] {
-            sharded.set_exec_mode(mode);
-            group.bench_function(BenchmarkId::new(mode_name(mode), nodes), |b| {
-                b.iter(|| {
-                    let counts = sharded.select_count_batch(black_box(&queries), &mut NullTracker);
-                    black_box(counts.iter().sum::<u64>())
-                })
-            });
-        }
+        group.bench_function(BenchmarkId::from_parameter(nodes), |b| {
+            b.iter(|| black_box(count_all(&mut sharded, black_box(&queries))))
+        });
     }
     group.finish();
 }

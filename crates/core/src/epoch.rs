@@ -45,10 +45,10 @@
 //! — hysteresis watermarks in [`CompactionPolicy`]. A fold is **piece-local**
 //! ([`ColumnStrategy::fold_delta`]): each row lands in the piece(s) owning
 //! its value and no boundary moves, so the organization the workload
-//! earned survives the write. A strategy that cannot absorb a fold (one
-//! that only wraps others, such as a sharded column) keeps its rows in the
-//! overlay, visible to every read. A column with no pending deltas takes
-//! exactly the pre-overlay read path: the overlay is `None`.
+//! earned survives the write. A strategy that cannot absorb a fold keeps
+//! its rows in the overlay, visible to every read. A column with no
+//! pending deltas takes exactly the pre-overlay read path: the overlay is
+//! `None`.
 //!
 //! # Equivalence to the serial `&mut` path
 //!

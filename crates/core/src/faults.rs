@@ -3,12 +3,12 @@
 //! Robustness claims are only as good as the faults they were tested
 //! against, and ad-hoc `#[cfg(test)]` panics scattered through the code
 //! rot quickly. This module centralizes the seam instead: production code
-//! consults a [`FaultInjector`] at the few places a real deployment can
-//! fail — a shard worker about to run a task, a checkpoint save or restore
-//! about to touch the filesystem — and a seeded [`FaultPlan`] decides
-//! *deterministically* whether that consultation faults. The default
-//! [`NoFaults`] injector compiles to a no-op, so the seams cost one virtual
-//! call on paths that already cross a channel or the filesystem.
+//! consults a [`FaultInjector`] at the places a real deployment can fail —
+//! a checkpoint save or restore about to touch the filesystem — and a
+//! seeded [`FaultPlan`] decides *deterministically* whether that
+//! consultation faults. The default [`NoFaults`] injector compiles to a
+//! no-op, so the seams cost one virtual call on paths that already cross
+//! the filesystem.
 //!
 //! Determinism: each site keeps a draw counter, and the decision for draw
 //! `n` is a pure function of `(seed, site, n)` (a SplitMix64 hash against
@@ -25,8 +25,6 @@ use std::time::Duration;
 /// Where the serving layer consults the injector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// A shard node worker, before executing one dispatched task.
-    ShardTask,
     /// A segment-store checkpoint save, before writing the temp file.
     StoreSave,
     /// A segment-store checkpoint load, before reading the segment file.
@@ -35,27 +33,21 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, in index order.
-    pub const ALL: [FaultSite; 3] = [
-        FaultSite::ShardTask,
-        FaultSite::StoreSave,
-        FaultSite::StoreRestore,
-    ];
+    pub const ALL: [FaultSite; 2] = [FaultSite::StoreSave, FaultSite::StoreRestore];
 
     fn index(self) -> usize {
         match self {
-            FaultSite::ShardTask => 0,
-            FaultSite::StoreSave => 1,
-            FaultSite::StoreRestore => 2,
+            FaultSite::StoreSave => 0,
+            FaultSite::StoreRestore => 1,
         }
     }
 
     /// A per-site tag folded into the hash so two sites with the same
     /// seed draw independent streams. The low byte is pinned per site, not
-    /// derived from [`Self::index`] (1 belonged to a site since removed):
-    /// a seeded plan must keep drawing the stream it always drew.
+    /// derived from [`Self::index`] (0 and 1 belonged to sites since
+    /// removed): a seeded plan must keep drawing the stream it always drew.
     fn tag(self) -> u64 {
         let site = match self {
-            FaultSite::ShardTask => 0,
             FaultSite::StoreSave => 2,
             FaultSite::StoreRestore => 3,
         };
@@ -66,18 +58,15 @@ impl FaultSite {
 /// What an injection does at the seam that drew it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Panic the executing worker (a crashed thread).
-    Panic,
-    /// Stall the executing worker for the given duration (a wedged or
-    /// slow node; deadline and retry logic must absorb it).
+    /// Stall the operation for the given duration (a wedged or slow disk;
+    /// the caller must absorb it).
     Slow(Duration),
-    /// Fail the operation with a transient IO error (store seams only;
-    /// worker seams treat it as [`Fault::Panic`]).
+    /// Fail the operation with a transient IO error.
     IoError,
 }
 
 /// The seam production code consults. Implementations must be cheap and
-/// lock-free on the `None` path — it runs once per task/job/IO call.
+/// lock-free on the `None` path — it runs once per IO call.
 pub trait FaultInjector: Send + Sync {
     /// Decides whether the operation about to run at `site` faults, and
     /// if so how.
@@ -115,19 +104,19 @@ struct SiteState {
 /// ```
 /// use soc_core::{Fault, FaultInjector, FaultPlan, FaultSite};
 ///
-/// // Panic roughly 30% of shard tasks, deterministically per seed.
-/// let plan = FaultPlan::new(7).with_fault(FaultSite::ShardTask, Fault::Panic, 0.3);
-/// let a: Vec<bool> = (0..64).map(|_| plan.inject(FaultSite::ShardTask).is_some()).collect();
-/// let again = FaultPlan::new(7).with_fault(FaultSite::ShardTask, Fault::Panic, 0.3);
-/// let b: Vec<bool> = (0..64).map(|_| again.inject(FaultSite::ShardTask).is_some()).collect();
+/// // Fail roughly 30% of checkpoint saves, deterministically per seed.
+/// let plan = FaultPlan::new(7).with_fault(FaultSite::StoreSave, Fault::IoError, 0.3);
+/// let a: Vec<bool> = (0..64).map(|_| plan.inject(FaultSite::StoreSave).is_some()).collect();
+/// let again = FaultPlan::new(7).with_fault(FaultSite::StoreSave, Fault::IoError, 0.3);
+/// let b: Vec<bool> = (0..64).map(|_| again.inject(FaultSite::StoreSave).is_some()).collect();
 /// assert_eq!(a, b, "same seed, same draw order, same faults");
 /// assert!(a.iter().any(|&f| f) && a.iter().any(|&f| !f));
 /// ```
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
-    plans: [Option<SitePlan>; 3],
-    states: [SiteState; 3],
+    plans: [Option<SitePlan>; 2],
+    states: [SiteState; 2],
 }
 
 impl FaultPlan {
@@ -135,7 +124,7 @@ impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
-            plans: [None; 3],
+            plans: [None; 2],
             states: Default::default(),
         }
     }
@@ -154,7 +143,7 @@ impl FaultPlan {
     }
 
     /// Caps the number of injections at `site` (e.g. `1` for a one-shot
-    /// worker kill whose recovery time the overload benchmark measures).
+    /// failure).
     #[must_use]
     pub fn with_budget(mut self, site: FaultSite, budget: u64) -> Self {
         if let Some(plan) = &mut self.plans[site.index()] {
@@ -231,9 +220,9 @@ mod tests {
     #[test]
     fn unarmed_sites_never_fire_and_count_nothing() {
         let plan = FaultPlan::new(99).with_fault(FaultSite::StoreSave, Fault::IoError, 1.0);
-        assert_eq!(plan.inject(FaultSite::ShardTask), None);
+        assert_eq!(plan.inject(FaultSite::StoreRestore), None);
         assert_eq!(
-            plan.draws(FaultSite::ShardTask),
+            plan.draws(FaultSite::StoreRestore),
             0,
             "unarmed sites skip the stream"
         );
@@ -243,9 +232,9 @@ mod tests {
     #[test]
     fn same_seed_same_pattern_different_seed_differs() {
         let pattern = |seed: u64| -> Vec<bool> {
-            let p = FaultPlan::new(seed).with_fault(FaultSite::ShardTask, Fault::Panic, 0.5);
+            let p = FaultPlan::new(seed).with_fault(FaultSite::StoreSave, Fault::IoError, 0.5);
             (0..256)
-                .map(|_| p.inject(FaultSite::ShardTask).is_some())
+                .map(|_| p.inject(FaultSite::StoreSave).is_some())
                 .collect()
         };
         assert_eq!(pattern(1), pattern(1));
@@ -258,33 +247,33 @@ mod tests {
 
     #[test]
     fn site_tags_survive_the_removal_of_a_site() {
-        // Seeded plans in the sim and store suites replay by tag.
+        // Seeded plans in the store suites replay by tag.
         let tags = FaultSite::ALL.map(|site| site.tag() & 0xff);
-        assert_eq!(tags, [0, 2, 3]);
+        assert_eq!(tags, [2, 3]);
     }
 
     #[test]
     fn probability_is_roughly_respected() {
-        let plan = FaultPlan::new(5).with_fault(FaultSite::ShardTask, Fault::Panic, 0.25);
+        let plan = FaultPlan::new(5).with_fault(FaultSite::StoreRestore, Fault::IoError, 0.25);
         let hits = (0..4_000)
-            .filter(|_| plan.inject(FaultSite::ShardTask).is_some())
+            .filter(|_| plan.inject(FaultSite::StoreRestore).is_some())
             .count();
         assert!(
             (800..1200).contains(&hits),
             "p=0.25 over 4000 draws hit {hits} times"
         );
-        assert_eq!(plan.draws(FaultSite::ShardTask), 4_000);
-        assert_eq!(plan.injected(FaultSite::ShardTask), hits as u64);
+        assert_eq!(plan.draws(FaultSite::StoreRestore), 4_000);
+        assert_eq!(plan.injected(FaultSite::StoreRestore), hits as u64);
     }
 
     #[test]
     fn one_shot_fires_exactly_once() {
-        let plan = FaultPlan::one_shot(FaultSite::ShardTask, Fault::Panic);
-        assert_eq!(plan.inject(FaultSite::ShardTask), Some(Fault::Panic));
+        let plan = FaultPlan::one_shot(FaultSite::StoreSave, Fault::IoError);
+        assert_eq!(plan.inject(FaultSite::StoreSave), Some(Fault::IoError));
         for _ in 0..100 {
-            assert_eq!(plan.inject(FaultSite::ShardTask), None);
+            assert_eq!(plan.inject(FaultSite::StoreSave), None);
         }
-        assert_eq!(plan.injected(FaultSite::ShardTask), 1);
+        assert_eq!(plan.injected(FaultSite::StoreSave), 1);
     }
 
     #[test]

@@ -110,8 +110,8 @@ impl SplitGeometry {
 /// therefore differ between calls with identical geometry.
 ///
 /// `Send + Sync` because models live inside [`crate::ColumnStrategy`]
-/// objects, which carry the same bound so per-node strategy instances can
-/// run on worker threads (decisions stay single-threaded: `decide` takes
+/// objects, which carry the same bound so a strategy can be owned by the
+/// epoch writer thread (decisions stay single-threaded: `decide` takes
 /// `&mut self` through the owning strategy's exclusive borrow).
 pub trait SegmentationModel: Send + Sync {
     /// Short display name ("GD", "APM 1-25", …) used in experiment output.

@@ -50,15 +50,13 @@ impl AdaptationStats {
 ///
 /// Every strategy is `Send + Sync`, so `Box<dyn ColumnStrategy<V>>` (what
 /// [`crate::spec::StrategySpec::build`] produces) can be owned by, and
-/// handed between, worker threads — the contract the parallel sharded
-/// executor in `soc-sim` relies on when it runs one strategy per node on
-/// scoped threads. Concretely:
+/// handed between, threads — the contract [`crate::ConcurrentColumn`]
+/// relies on when its writer thread owns the strategy. Concretely:
 ///
 /// * the **mutating** methods ([`Self::select_count`],
 ///   [`Self::select_collect`], [`Self::fold_delta`]) take `&mut self`, so
 ///   they are exclusive per strategy *instance*; concurrency comes from
-///   running *distinct* instances (one per shard node) in parallel, never
-///   from sharing one;
+///   running *distinct* instances in parallel, never from sharing one;
 /// * the **read-only** methods ([`Self::peek_collect`],
 ///   [`Self::storage_bytes`], [`Self::segment_count`],
 ///   [`Self::segment_bytes`], [`Self::segment_ranges`],
@@ -134,9 +132,9 @@ pub trait ColumnStrategy<V: ColumnValue>: Send + Sync {
     /// break made countable — the survivors are never touched by one), or
     /// `None` when the strategy cannot absorb the batch, in which case it
     /// must have changed nothing and the rows stay in the caller's overlay.
-    /// The default absorbs nothing, which is correct for any strategy that
-    /// only wraps others (a sharded column); every data-holding strategy
-    /// of this crate overrides it.
+    /// The default absorbs nothing, which is always correct; every
+    /// strategy of this crate overrides it, and so does `soc-sim`'s sharded
+    /// column, which routes each row to the node that owns its value.
     fn fold_delta(
         &mut self,
         inserts: &[V],

@@ -14,20 +14,20 @@ use crate::segment::SegId;
 /// Implementations range from plain counters ([`CountingTracker`]) to the
 /// buffer-managed, cost-modelled simulator in `soc-sim`.
 ///
-/// # Merge contract (parallel execution)
+/// # Merge contract (per-part attribution)
 ///
-/// Trackers are deliberately *not* shared across threads. A parallel
-/// executor gives each worker a private tracker — an [`EventLog`] when the
-/// caller's tracker must see every individual event (buffer simulation,
-/// per-segment cost models), or a [`CountingTracker`] when only totals
-/// matter — and merges the per-worker state into the caller's tracker
-/// *after* joining, in a deterministic order (ascending node index, which
-/// is exactly the order the serial executor visits nodes). Under that
-/// discipline a parallel run reports byte-for-byte the same totals, and
-/// replays byte-for-byte the same event sequence, as its serial
-/// counterpart: the three callbacks are pure accumulation, so regrouping
-/// them per worker and concatenating in serial order is exact. The merge
-/// primitives are [`EventLog::replay_into`] and
+/// Trackers are deliberately *not* shared across threads. A caller that
+/// must attribute work to the part that did it gives each part a private
+/// tracker — an [`EventLog`] when the caller's tracker must see every
+/// individual event (buffer simulation, per-segment cost models), or a
+/// [`CountingTracker`] when only totals matter — and merges it into the
+/// caller's tracker in a deterministic order. Replaying part logs in the
+/// order the parts ran reports byte-for-byte the same totals, and the same
+/// event sequence, as handing the caller's tracker to each part directly:
+/// the callbacks are pure accumulation. `soc-sim`'s sharded column does
+/// exactly this per routed node, in ascending node order, so each node's
+/// scanned bytes are measured ([`EventLog::scan_bytes`]) on the way
+/// through. The merge primitives are [`EventLog::replay_into`] and
 /// [`CountingTracker::absorb`].
 pub trait AccessTracker {
     /// A full sequential scan of segment `seg` (`bytes` = its footprint).
@@ -172,10 +172,9 @@ impl CountingTracker {
     /// Merges another tracker's counters into this one: `other`'s lifetime
     /// totals into our totals and `other`'s current epoch into our current
     /// epoch. This is the merge half of the [`AccessTracker`] contract for
-    /// parallel executors whose workers count into private
-    /// `CountingTracker`s: absorbing the workers in ascending node order
-    /// yields exactly the counters a serial run would have produced,
-    /// because every field is a sum.
+    /// parts that count into private `CountingTracker`s: absorbing them in
+    /// the order they ran yields exactly the counters one shared tracker
+    /// would have produced, because every field is a sum.
     pub fn absorb(&mut self, other: &CountingTracker) {
         self.total.absorb(&other.total);
         self.current.absorb(&other.current);
@@ -235,12 +234,12 @@ pub enum TrackerEvent {
 /// A tracker that records every event verbatim for later replay.
 ///
 /// This is the exactness half of the [`AccessTracker`] merge contract:
-/// a worker thread counts into its own `EventLog`, and after the join the
-/// coordinator replays the logs into the caller's real tracker in
-/// deterministic (serial-execution) order. Because the individual events —
-/// segment identities, byte counts, ordering within a worker — are all
-/// preserved, even stateful trackers (the buffer-pool simulator keyed on
-/// [`SegId`]) observe a parallel run exactly as they would the serial one.
+/// a part counts into its own `EventLog`, and the caller replays the logs
+/// into its real tracker in the order the parts ran. Because the
+/// individual events — segment identities, byte counts, ordering within a
+/// part — are all preserved, even stateful trackers (the buffer-pool
+/// simulator keyed on [`SegId`]) observe the replay exactly as they would
+/// the direct run.
 #[derive(Debug, Default, Clone)]
 pub struct EventLog {
     events: Vec<TrackerEvent>,
@@ -263,9 +262,9 @@ impl EventLog {
     }
 
     /// Total bytes of the recorded [`TrackerEvent::Scan`] and
-    /// [`TrackerEvent::DeltaScan`] events — the per-worker read attribution
-    /// a coordinator charges to the node that produced this log (the other
-    /// half of the merge contract). Delta scans are real reads, so they
+    /// [`TrackerEvent::DeltaScan`] events — the per-part read attribution
+    /// a caller charges to the part that produced this log (the other half
+    /// of the merge contract). Delta scans are real reads, so they
     /// count here; skips never do.
     pub fn scan_bytes(&self) -> u64 {
         self.events

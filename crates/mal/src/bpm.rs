@@ -84,16 +84,20 @@ impl From<ColumnError> for BpmError {
 
 /// A tail value type the bpm layer can organize: conversions between the
 /// `f64` boundary space MAL atoms live in and the typed value domain.
-trait TailValue: ColumnValue {
+pub(crate) trait TailValue: ColumnValue {
+    /// The tail's type name, as [`Tail::type_name`] spells it.
+    const TYPE_NAME: &'static str;
+
     /// Rebuilds this type's tail from extracted values.
     fn make_tail(values: Vec<Self>) -> Tail;
 
-    /// The typed value a delta [`Atom`] lands as — for every atom a bulk
-    /// merge accepts, the **same** coercion rules `atoms_to_bat` applies
-    /// when it materializes the delta, so snapshot-visible reads and
-    /// merged reads agree bit for bit. `None` only for a NaN landing in a
-    /// `:dbl` tail (which a merge would also reject, via
-    /// [`BpmError::NanTail`]).
+    /// The typed value a delta [`Atom`] lands as. The `:int` and `:oid`
+    /// coercions *are* the ones `atoms_to_bat` applies when a merge
+    /// materializes the delta, so snapshot-visible reads and merged reads
+    /// agree bit for bit, and `None` is exactly an atom the merge rejects
+    /// (`Str`/`Nil`, a `Dbl` or negative `Int` into `:oid`). A `:dbl`
+    /// tail is `None` for `Str`/`Nil` and for NaN, which a merge also
+    /// rejects (via [`BpmError::NanTail`]).
     fn from_atom(a: &Atom) -> Option<Self>;
 
     /// Smallest representable value `>= x`; `None` when no such value
@@ -110,6 +114,8 @@ trait TailValue: ColumnValue {
 }
 
 impl TailValue for i64 {
+    const TYPE_NAME: &'static str = "int";
+
     fn make_tail(values: Vec<Self>) -> Tail {
         Tail::Int(values.into())
     }
@@ -134,16 +140,18 @@ impl TailValue for i64 {
     }
 
     fn from_atom(a: &Atom) -> Option<Self> {
-        Some(match a {
-            Atom::Int(v) => *v,
-            Atom::Oid(v) => *v as i64,
-            Atom::Dbl(v) => *v as i64,
-            _ => 0,
-        })
+        match a {
+            Atom::Int(v) => Some(*v),
+            Atom::Oid(v) => Some(*v as i64),
+            Atom::Dbl(v) => Some(*v as i64),
+            Atom::Str(_) | Atom::Nil => None,
+        }
     }
 }
 
 impl TailValue for u64 {
+    const TYPE_NAME: &'static str = "oid";
+
     fn make_tail(values: Vec<Self>) -> Tail {
         Tail::Oid(values.into())
     }
@@ -168,15 +176,17 @@ impl TailValue for u64 {
     }
 
     fn from_atom(a: &Atom) -> Option<Self> {
-        Some(match a {
-            Atom::Oid(v) => *v,
-            Atom::Int(v) => *v as u64,
-            _ => 0,
-        })
+        match a {
+            Atom::Oid(v) => Some(*v),
+            Atom::Int(v) => u64::try_from(*v).ok(),
+            Atom::Dbl(_) | Atom::Str(_) | Atom::Nil => None,
+        }
     }
 }
 
 impl TailValue for OrdF64 {
+    const TYPE_NAME: &'static str = "dbl";
+
     fn make_tail(values: Vec<Self>) -> Tail {
         Tail::Dbl(Arc::new(values.into_iter().map(OrdF64::get).collect()))
     }
@@ -194,7 +204,7 @@ impl TailValue for OrdF64 {
     }
 
     fn from_atom(a: &Atom) -> Option<Self> {
-        OrdF64::new(a.as_f64().unwrap_or(f64::NAN))
+        a.as_f64().and_then(OrdF64::new)
     }
 }
 
@@ -338,10 +348,21 @@ impl<V: TailValue> TypedSeg<V> {
             .into_iter()
             .map(|p| (p.oid, p.value))
             .collect();
+        // An atom the tail cannot hold fails the read as it fails a merge:
+        // no row is invented for it.
+        let land = |row: usize, a: &Atom| {
+            V::from_atom(a).ok_or_else(|| match a {
+                Atom::Dbl(x) if x.is_nan() && V::TYPE_NAME == "dbl" => BpmError::NanTail { row },
+                _ => BpmError::Bat(BatError::TypeMismatch {
+                    expected: V::TYPE_NAME,
+                    got: a.type_name(),
+                }),
+            })
+        };
         let mut batch = DeltaBatch::new();
         if let Some(d) = d {
             for (row, (oid, a)) in d.insert_heads.iter().zip(&d.insert_vals).enumerate() {
-                let v = V::from_atom(a).ok_or(BpmError::NanTail { row })?;
+                let v = land(row, a)?;
                 batch.push(DeltaOp::Insert {
                     oid: *oid,
                     value: Pair::new(v, *oid),
@@ -349,7 +370,7 @@ impl<V: TailValue> TypedSeg<V> {
                 current.insert(*oid, v);
             }
             for (row, (oid, a)) in d.update_heads.iter().zip(&d.update_vals).enumerate() {
-                let new = V::from_atom(a).ok_or(BpmError::NanTail { row })?;
+                let new = land(row, a)?;
                 // Updates of rows this column never held are inert — the
                 // Figure 1 merge applies updates by matching oid only.
                 if let Some(old) = current.insert(*oid, new) {

@@ -44,7 +44,7 @@ use soc_bat::{algebra::Atom, Bat, BatError, Head, Oid, Tail};
 use soc_core::model::SegmentationModel;
 use soc_core::{StrategyKind, StrategySpec};
 
-use crate::bpm::{BpmError, SegmentedBat};
+use crate::bpm::{BpmError, SegmentedBat, TailValue};
 
 /// Typed catalog failures (no panics on query paths).
 #[derive(Debug)]
@@ -163,32 +163,15 @@ fn atoms_to_bat(key: &str, heads: &[Oid], vals: &[Atom], like: &Bat) -> Result<B
             None => Ok(Arc::new(out)),
             Some(a) => Err(BatError::TypeMismatch {
                 expected,
-                got: match a {
-                    Atom::Int(_) => "int",
-                    Atom::Dbl(_) => "dbl",
-                    Atom::Oid(_) => "oid",
-                    Atom::Str(_) => "str",
-                    Atom::Nil => "nil",
-                },
+                got: a.type_name(),
             }),
         }
     }
     let expected = like.tail().type_name();
     let tail = match like.tail() {
-        Tail::Int(_) => land(vals, expected, |a| match a {
-            Atom::Int(v) => Some(*v),
-            Atom::Oid(v) => Some(*v as i64),
-            Atom::Dbl(v) => Some(*v as i64),
-            _ => None,
-        })
-        .map(Tail::Int),
+        Tail::Int(_) => land(vals, expected, i64::from_atom).map(Tail::Int),
         Tail::Dbl(_) => land(vals, expected, Atom::as_f64).map(Tail::Dbl),
-        Tail::Oid(_) => land(vals, expected, |a| match a {
-            Atom::Oid(v) => Some(*v),
-            Atom::Int(v) => u64::try_from(*v).ok(),
-            _ => None,
-        })
-        .map(Tail::Oid),
+        Tail::Oid(_) => land(vals, expected, u64::from_atom).map(Tail::Oid),
         Tail::Str(_) => Ok(Tail::Str(Arc::new(
             vals.iter()
                 .map(|a| match a {
@@ -720,7 +703,8 @@ impl Catalog {
     /// # Errors
     /// [`CatalogError::NotSegmented`]/`UnknownColumn` when `key` does not
     /// name a segmented column; [`CatalogError::Bpm`] when a pending
-    /// `:dbl` delta holds NaN.
+    /// `:dbl` delta holds NaN, or a pending atom is one the column's tail
+    /// type cannot hold (a `BatError::TypeMismatch`, as the merge reports).
     pub fn snapshot_count(&self, key: &str, lo: f64, hi: f64) -> Result<u64, CatalogError> {
         let seg = self.require_segmented(key)?;
         let (d, deleted) = self.overlay(key);
@@ -1611,6 +1595,40 @@ mod tests {
         assert!(matches!(
             c.snapshot_count("sys.T.nope", 0.0, 1.0),
             Err(CatalogError::UnknownColumn(_))
+        ));
+    }
+
+    #[test]
+    fn a_pending_atom_the_tail_cannot_hold_fails_the_snapshot_read() {
+        // The domain holds 0, so a `Str` that landed as a made-up 0 would
+        // be counted; the merge refuses the same row.
+        let mut c = Catalog::new();
+        c.register_segmented(
+            "sys",
+            "T",
+            "v",
+            Bat::dense_int((0..50).collect()),
+            0.0,
+            100.0,
+            StrategySpec::new(StrategyKind::ApmSegm),
+        )
+        .unwrap();
+        c.insert_row("sys", "T", &[("v", Atom::Str("forty".into()))]);
+        let (expected, got) = ("int", "str");
+        let mismatch = |e: &CatalogError| {
+            matches!(e, CatalogError::Bpm(BpmError::Bat(source))
+                if *source == BatError::TypeMismatch { expected, got })
+        };
+        assert!(c
+            .snapshot_count("sys.T.v", 0.0, 0.0)
+            .is_err_and(|e| mismatch(&e)));
+        assert!(c
+            .snapshot_collect("sys.T.v", 0.0, 99.0)
+            .is_err_and(|e| mismatch(&e)));
+        assert!(matches!(
+            c.merge_deltas("sys", "T"),
+            Err(CatalogError::MalformedDelta { source, .. })
+                if source == BatError::TypeMismatch { expected, got }
         ));
     }
 

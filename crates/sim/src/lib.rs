@@ -15,8 +15,9 @@
 //!   (cracking, APM bounds, merging, buffer, budget, auto-APM,
 //!   estimator, placement, sharding, SQL×strategy);
 //! * [`placement`] — segment-to-node assignment policies (the §8 outlook);
-//! * [`shard`] — the sharded executor running one strategy per node and
-//!   routing range selections via the placement plan;
+//! * [`shard`] — the sharded column: a `ColumnStrategy` combinator holding
+//!   one strategy per node and routing range selections, and delta folds,
+//!   via the placement plan;
 //! * [`output`] — text/CSV renderers used by the `repro` binary.
 
 #![warn(missing_docs)]
@@ -37,4 +38,4 @@ pub use cost::CostModel;
 pub use experiment::{build_strategy, Figure, Series, StrategyKind, StrategySpec, TableOut};
 pub use placement::{mean_fanout, overlapping_span, Placement, PlacementError, PlacementPolicy};
 pub use runner::{run_queries, QueryRecord, RunResult, SimTracker};
-pub use shard::{ExecMode, MigrationReport, NodeError, ShardError, ShardedColumn};
+pub use shard::{MigrationReport, ShardError, ShardedColumn};

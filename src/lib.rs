@@ -63,8 +63,8 @@ pub mod prelude {
         ValueRange,
     };
     pub use soc_sim::{
-        build_strategy, run_queries, CostModel, ExecMode, MigrationReport, Placement,
-        PlacementError, PlacementPolicy, RunResult, ShardError, ShardedColumn, SimTracker,
+        build_strategy, run_queries, CostModel, MigrationReport, Placement, PlacementError,
+        PlacementPolicy, RunResult, ShardError, ShardedColumn, SimTracker,
     };
     pub use soc_workload::{skyserver_domain, skyserver_ra, uniform_values, WorkloadSpec};
 }

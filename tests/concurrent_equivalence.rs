@@ -1,8 +1,9 @@
 //! Property: N concurrent readers interleaved with reorganizing writes on
 //! a [`ConcurrentColumn`] return **exactly** the results of the serial
 //! `&mut` execution — for every one of the nine strategy kinds, and for a
-//! whole sharded column (placement-routed, persistent node workers)
-//! wrapped in the epoch layer (the PR-5 acceptance criterion).
+//! whole sharded column (placement-routed, its node strategies run inline
+//! by the epoch writer) wrapped in the epoch layer (the PR-5 acceptance
+//! criterion).
 //!
 //! Counts are compared bit-identically: they depend only on the logical
 //! content, which reorganization never touches. Collects are compared in
@@ -123,9 +124,9 @@ proptest! {
     }
 
     /// The epoch layer composes with sharded placement: a ShardedColumn
-    /// (one self-organizing strategy per node, persistent channel-fed
-    /// workers) is itself a ColumnStrategy, so readers race the epoch
-    /// writer which in turn fans reorganizations out to node workers.
+    /// (one self-organizing strategy per node) is itself a ColumnStrategy,
+    /// so readers race the epoch writer, which routes each reorganization
+    /// to the nodes and runs it there inline.
     #[test]
     fn concurrent_readers_equal_serial_over_sharded_placement(
         values in arb_values(),

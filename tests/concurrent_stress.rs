@@ -78,8 +78,8 @@ fn readers_survive_reorganization_and_migration_storm() {
 }
 
 /// The epoch layer over a whole sharded column: reader threads above the
-/// epoch writer, which drives persistent node workers underneath — three
-/// layers of threads, one correct answer.
+/// epoch writer, which runs every node strategy inline — two layers of
+/// threads, one correct answer.
 #[test]
 fn sharded_column_behind_the_epoch_layer_under_load() {
     let values = uniform_values(30_000, &domain(), 73);

@@ -210,21 +210,35 @@ proptest! {
     }
 
     #[test]
-    fn parallel_sharded_execution_is_bit_identical_to_serial_and_single_node(
+    fn sharded_execution_with_a_folded_delta_matches_single_node(
         values in arb_values(),
         queries in vec((0..=DOMAIN_HI, 0..=DOMAIN_HI), 1..12),
+        inserts in vec(0..=DOMAIN_HI, 0..200),
+        deletes in vec(any::<usize>(), 0..100),
         nodes in 2usize..6,
         seed in any::<u64>(),
     ) {
-        // The parallel executor's determinism contract, as a property over
-        // arbitrary columns and query sequences: for every strategy kind
-        // and placement policy, parallel execution returns the same counts
-        // and collected multisets as serial execution and as a plain
-        // single-node strategy, and the per-node event logs merged into
-        // the caller's tracker reproduce the serial byte totals exactly —
-        // before and after a re-placement epoch.
+        // Distribution transparency under writes: for every strategy kind
+        // and placement policy, a sharded column that folded a delta batch
+        // into its nodes returns the same counts and collected multisets
+        // as a plain single-node strategy that folded the same batch, and
+        // as a `Vec` model of the rows — before and after a re-placement
+        // epoch.
         let domain = ValueRange::must(0u32, DOMAIN_HI);
-        let whole = ValueRange::must(0u32, DOMAIN_HI);
+        let mut inserts = inserts;
+        inserts.sort_unstable();
+        let doomed: std::collections::BTreeSet<usize> =
+            deletes.iter().map(|i| i % values.len()).collect();
+        let mut tombstones: Vec<u32> = doomed.iter().map(|&i| values[i]).collect();
+        tombstones.sort_unstable();
+        let mut model: Vec<u32> = values
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !doomed.contains(i))
+            .map(|(_, v)| *v)
+            .chain(inserts.iter().copied())
+            .collect();
+        model.sort_unstable();
         for kind in StrategyKind::ALL {
             let spec = StrategySpec::new(kind)
                 .with_apm_bounds(128, 512)
@@ -232,52 +246,46 @@ proptest! {
             for policy in PlacementPolicy::ALL {
                 let mut single = spec.build(domain, values.clone())
                     .map_err(TestCaseError::fail)?;
-                let mut serial = ShardedColumn::new(
+                let mut sharded = ShardedColumn::new(
                     spec, policy, nodes, domain, values.clone(),
-                ).map_err(TestCaseError::fail)?.with_exec_mode(ExecMode::Serial);
-                let mut parallel = ShardedColumn::new(
-                    spec, policy, nodes, domain, values.clone(),
-                ).map_err(TestCaseError::fail)?.with_exec_mode(ExecMode::Parallel);
-                let mut t_serial = CountingTracker::new();
-                let mut t_parallel = CountingTracker::new();
+                ).map_err(TestCaseError::fail)?;
+                prop_assert_eq!(
+                    single.fold_delta(&inserts, &tombstones, &mut NullTracker), Some(0)
+                );
+                prop_assert_eq!(
+                    sharded.fold_delta(&inserts, &tombstones, &mut NullTracker), Some(0),
+                    "{:?}/{:?}", kind, policy
+                );
 
                 for epoch in 0..2 {
                     for (lo, hi) in &queries {
                         let q = to_range(*lo, *hi);
-                        let expect = single.select_count(&q, &mut NullTracker);
-                        let got_serial = serial.select_count(&q, &mut t_serial);
-                        let got_parallel = parallel.select_count(&q, &mut t_parallel);
+                        let expect = model.iter().filter(|v| q.contains(**v)).count() as u64;
                         prop_assert_eq!(
-                            got_serial, expect,
-                            "serial vs single-node: {:?}/{:?} epoch {} query {:?}",
+                            single.select_count(&q, &mut NullTracker), expect,
+                            "single-node vs model: {:?}/{:?} epoch {} query {:?}",
                             kind, policy, epoch, q
                         );
                         prop_assert_eq!(
-                            got_parallel, expect,
-                            "parallel vs single-node: {:?}/{:?} epoch {} query {:?}",
+                            sharded.select_count(&q, &mut NullTracker), expect,
+                            "sharded vs model: {:?}/{:?} epoch {} query {:?}",
                             kind, policy, epoch, q
                         );
                     }
-                    // Collected multisets agree (node-order merge makes the
-                    // sequences — not just the multisets — comparable
-                    // between the two shard modes).
-                    let mut from_serial = serial.select_collect(&whole, &mut t_serial);
-                    let from_parallel = parallel.select_collect(&whole, &mut t_parallel);
-                    prop_assert_eq!(&from_serial, &from_parallel, "{:?}/{:?}", kind, policy);
-                    let mut from_single = single.select_collect(&whole, &mut NullTracker);
-                    from_serial.sort_unstable();
+                    let mut from_sharded = sharded.select_collect(&domain, &mut NullTracker);
+                    let mut from_single = single.select_collect(&domain, &mut NullTracker);
+                    from_sharded.sort_unstable();
                     from_single.sort_unstable();
-                    prop_assert_eq!(from_serial, from_single, "{:?}/{:?}", kind, policy);
-                    // Merged per-node accounting is exact, not just close.
+                    prop_assert_eq!(&from_sharded, &model, "{:?}/{:?}", kind, policy);
+                    prop_assert_eq!(&from_single, &model, "{:?}/{:?}", kind, policy);
                     prop_assert_eq!(
-                        t_serial.totals(), t_parallel.totals(),
-                        "tracker totals: {:?}/{:?} epoch {}", kind, policy, epoch
+                        sharded.segment_bytes().iter().sum::<u64>(),
+                        model.len() as u64 * 4,
+                        "{:?}/{:?} epoch {}", kind, policy, epoch
                     );
-                    prop_assert_eq!(serial.node_read_bytes(), parallel.node_read_bytes());
 
                     if epoch == 0 {
-                        serial.replace(&mut t_serial).map_err(TestCaseError::fail)?;
-                        parallel.replace(&mut t_parallel).map_err(TestCaseError::fail)?;
+                        sharded.replace(&mut NullTracker).map_err(TestCaseError::fail)?;
                     }
                 }
             }
