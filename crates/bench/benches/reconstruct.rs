@@ -11,7 +11,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use soc_bat::{algebra, Atom, Bat};
-use soc_core::model::AlwaysSplit;
+use soc_core::{StrategyKind, StrategySpec};
 use soc_mal::SegmentedBat;
 
 const N: usize = 200_000;
@@ -46,8 +46,8 @@ fn bench_reconstruction(c: &mut Criterion) {
 
     // Segmented path: the same rows, collected from value-ranged pieces
     // (oids arrive grouped by value range, not by position).
-    let mut seg =
-        SegmentedBat::new(ra.clone(), 0.0, 360.0, Box::new(AlwaysSplit)).expect("dbl column");
+    let spec = StrategySpec::new(StrategyKind::Cracking);
+    let mut seg = SegmentedBat::from_spec(ra.clone(), 0.0, 360.0, &spec).expect("dbl column");
     for k in 0..8 {
         let qlo = k as f64 * 45.0;
         seg.adapt(&Atom::Dbl(qlo), &Atom::Dbl(qlo + 20.0))

@@ -20,7 +20,6 @@
 //! error, regardless of which thread absorbed the fault.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Where the serving layer consults the injector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,9 +57,6 @@ impl FaultSite {
 /// What an injection does at the seam that drew it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Stall the operation for the given duration (a wedged or slow disk;
-    /// the caller must absorb it).
-    Slow(Duration),
     /// Fail the operation with a transient IO error.
     IoError,
 }

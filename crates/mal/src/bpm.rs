@@ -14,19 +14,21 @@
 //! from `segment_ranges()`, reorganization is the strategy's own
 //! `select_count` run by [`SegmentedBat::adapt`] (the Section 3.3 hook the
 //! segment optimizer injects), and reorganization accounting flows out of
-//! `adaptation()` uniformly.
+//! `adaptation()` uniformly. A catalog merge is the strategy's own
+//! `fold_delta` too: the pending deltas land in the pieces that own them,
+//! and the organization the queries built survives.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use soc_bat::{algebra::Atom, Bat, BatError, Head, Oid, Tail};
-use soc_core::model::SegmentationModel;
 use soc_core::{
-    AccessTracker, AdaptationStats, AdaptiveSegmentation, ColumnError, ColumnStrategy, ColumnValue,
-    CountingTracker, DeltaBatch, DeltaOp, DeltaRun, OrdF64, Pair, SegIdGen, SegmentedColumn,
-    SizeEstimator, StrategySnapshot, StrategySpec, ValueRange,
+    AccessTracker, AdaptationStats, ColumnError, ColumnStrategy, ColumnValue, CountingTracker,
+    DeltaBatch, DeltaOp, DeltaRun, OrdF64, Pair, SegIdGen, StrategySnapshot, StrategySpec,
+    ValueRange,
 };
 
-use crate::catalog::ColumnDeltas;
+use crate::catalog::{ColumnDeltas, MergeReport};
 
 /// Errors from segmented-bat operations.
 #[derive(Debug)]
@@ -92,12 +94,12 @@ pub(crate) trait TailValue: ColumnValue {
     fn make_tail(values: Vec<Self>) -> Tail;
 
     /// The typed value a delta [`Atom`] lands as. The `:int` and `:oid`
-    /// coercions *are* the ones `atoms_to_bat` applies when a merge
-    /// materializes the delta, so snapshot-visible reads and merged reads
-    /// agree bit for bit, and `None` is exactly an atom the merge rejects
-    /// (`Str`/`Nil`, a `Dbl` or negative `Int` into `:oid`). A `:dbl`
-    /// tail is `None` for `Str`/`Nil` and for NaN, which a merge also
-    /// rejects (via [`BpmError::NanTail`]).
+    /// coercions *are* the ones `atoms_to_bat` applies to the delta bats
+    /// the Figure 1 plan binds, so snapshot-visible reads and plan reads
+    /// agree bit for bit, and `None` is exactly an atom a delta bind
+    /// rejects (`Str`/`Nil`, a `Dbl` or negative `Int` into `:oid`). A
+    /// `:dbl` tail is `None` for `Str`/`Nil` and for NaN, which has no
+    /// place in a value order ([`BpmError::NanTail`]).
     fn from_atom(a: &Atom) -> Option<Self>;
 
     /// Smallest representable value `>= x`; `None` when no such value
@@ -210,6 +212,14 @@ impl TailValue for OrdF64 {
 
 /// What a strategy constructor yields for one tail type.
 type BuiltStrategy<V> = Result<Box<dyn ColumnStrategy<Pair<V>>>, ColumnError>;
+
+/// A column's pending deltas sealed into one run over pair space, `None`
+/// when nothing survives shadowing.
+type PendingRun<V> = Option<DeltaRun<Pair<V>>>;
+
+/// A column's checked share of a merge, ready to fold — see
+/// [`SegmentedBat::stage_fold`].
+pub(crate) type StagedFold<'a> = Box<dyn FnOnce() + 'a>;
 
 /// One typed column behind the adapter: the boxed strategy plus the
 /// bookkeeping the MAL layer reports upward.
@@ -325,30 +335,37 @@ impl<V: TailValue> TypedSeg<V> {
     }
 
     /// Seals the column's pending catalog deltas into one sorted
-    /// [`DeltaRun`] over pair space: inserts land verbatim, updates and
-    /// deletes probe their *old* value from the current pieces (tombstones
-    /// cancel by value, not by oid). Per-oid shadowing — a later update
-    /// wins, a delete of an inserted row cancels it — is [`DeltaBatch`]'s
-    /// seal semantics, which match what a bulk merge would materialize.
-    /// `None` when nothing survives shadowing.
+    /// [`DeltaRun`] over pair space — the one translation of oid-keyed
+    /// operations that both the overlay read and the merge use: inserts
+    /// land verbatim, updates and deletes probe their *old* value from the
+    /// current pieces (tombstones cancel by value, not by oid). Per-oid
+    /// shadowing — a later update wins, a delete of an inserted row
+    /// cancels it — is [`DeltaBatch`]'s seal semantics. `None` when
+    /// nothing survives shadowing. The report counts what the merge folds
+    /// for this column: every insert entry, the update entries that hit a
+    /// row, the rows the deletions remove.
     fn pending_run(
         &self,
         d: Option<&ColumnDeltas>,
         deleted: &[Oid],
-    ) -> Result<Option<DeltaRun<Pair<V>>>, BpmError> {
+    ) -> Result<(PendingRun<V>, MergeReport), BpmError> {
+        let mut report = MergeReport {
+            columns: 1,
+            ..MergeReport::default()
+        };
         let no_entries = d.is_none_or(|d| d.insert_heads.is_empty() && d.update_heads.is_empty());
         if no_entries && deleted.is_empty() {
-            return Ok(None);
+            return Ok((None, report));
         }
         // Current value per oid: the base pieces, then pending ops replayed
         // in recorded order, so each op sees the value it overwrites.
-        let mut current: std::collections::BTreeMap<Oid, V> = self
+        let mut current: BTreeMap<Oid, V> = self
             .strategy
             .peek_collect(&self.value_domain.paired())
             .into_iter()
             .map(|p| (p.oid, p.value))
             .collect();
-        // An atom the tail cannot hold fails the read as it fails a merge:
+        // An atom the tail cannot hold fails the read and the merge alike:
         // no row is invented for it.
         let land = |row: usize, a: &Atom| {
             V::from_atom(a).ok_or_else(|| match a {
@@ -368,17 +385,20 @@ impl<V: TailValue> TypedSeg<V> {
                     value: Pair::new(v, *oid),
                 });
                 current.insert(*oid, v);
+                report.inserted += 1;
             }
             for (row, (oid, a)) in d.update_heads.iter().zip(&d.update_vals).enumerate() {
                 let new = land(row, a)?;
                 // Updates of rows this column never held are inert — the
-                // Figure 1 merge applies updates by matching oid only.
-                if let Some(old) = current.insert(*oid, new) {
+                // merge applies updates by matching oid only.
+                if let Some(slot) = current.get_mut(oid) {
+                    let old = std::mem::replace(slot, new);
                     batch.push(DeltaOp::Update {
                         oid: *oid,
                         old: Pair::new(old, *oid),
                         new: Pair::new(new, *oid),
                     });
+                    report.updated += 1;
                 }
             }
         }
@@ -390,9 +410,51 @@ impl<V: TailValue> TypedSeg<V> {
                     oid: *oid,
                     value: Pair::new(old, *oid),
                 });
+                report.deleted += 1;
             }
         }
-        Ok(batch.seal(SegIdGen::new().fresh()))
+        Ok((batch.seal(SegIdGen::new().fresh()), report))
+    }
+
+    /// See [`SegmentedBat::stage_fold`]. An insert outside the domain is
+    /// the one fold [`ColumnStrategy::fold_delta`] refuses, so checking it
+    /// here leaves nothing fallible in the returned fold.
+    fn stage_fold(
+        &mut self,
+        d: Option<&ColumnDeltas>,
+        deleted: &[Oid],
+    ) -> Result<(MergeReport, StagedFold<'_>), BpmError> {
+        let (run, report) = self.pending_run(d, deleted)?;
+        let domain = self.value_domain.paired();
+        if run
+            .as_ref()
+            .is_some_and(|r| r.inserts().iter().any(|p| !domain.contains(*p)))
+        {
+            return Err(ColumnError::ValueOutsideDomain.into());
+        }
+        Ok((report, Box::new(move || self.fold(run))))
+    }
+
+    /// Folds a staged run into the pieces that own its rows: no piece
+    /// boundary moves, and only the touched pieces' rewrite is charged to
+    /// the reorganization bill.
+    fn fold(&mut self, run: PendingRun<V>) {
+        let Some(run) = run else {
+            return;
+        };
+        let mut tracker = CountingTracker::new();
+        #[expect(
+            clippy::expect_used,
+            reason = "stage_fold checked every insert against the domain, the only fold a strategy refuses"
+        )]
+        let unmatched = self
+            .strategy
+            .fold_delta(run.inserts(), run.tombstones(), &mut tracker)
+            .expect("inserts inside the domain");
+        debug_assert_eq!(unmatched, 0, "tombstones were read off the current rows");
+        self.rows = self.rows + run.inserts().len() as u64 - run.tombstones().len() as u64;
+        self.reorg_write_bytes += tracker.totals().write_bytes;
+        soc_core::debug_assert_valid!(self.validate(), "catalog merge fold");
     }
 
     /// A delta-visible [`StrategySnapshot`]: the current pieces with the
@@ -403,7 +465,7 @@ impl<V: TailValue> TypedSeg<V> {
         d: Option<&ColumnDeltas>,
         deleted: &[Oid],
     ) -> Result<StrategySnapshot<Pair<V>>, BpmError> {
-        let run = self.pending_run(d, deleted)?;
+        let (run, _) = self.pending_run(d, deleted)?;
         Ok(StrategySnapshot::freeze(
             self.strategy.as_ref(),
             self.value_domain.paired(),
@@ -574,33 +636,6 @@ impl SegmentedBat {
         Ok(SegmentedBat { inner })
     }
 
-    /// Organizes `bat` under adaptive segmentation driven by a raw
-    /// [`SegmentationModel`] — the deterministic hook tests and benches
-    /// use (e.g. `AlwaysSplit`). Still routed through the unified
-    /// [`ColumnStrategy`] layer; production call sites go through
-    /// [`Self::from_spec`].
-    pub fn new(
-        bat: Bat,
-        domain_lo: f64,
-        domain_hi_excl: f64,
-        model: Box<dyn SegmentationModel>,
-    ) -> Result<Self, BpmError> {
-        fn seg_make<V: TailValue>(
-            model: Box<dyn SegmentationModel>,
-        ) -> impl FnOnce(ValueRange<V>, Vec<(u64, V)>) -> BuiltStrategy<V> {
-            |domain, rows| {
-                let column = SegmentedColumn::new(domain.paired(), soc_core::pair_rows(rows))?;
-                Ok(Box::new(AdaptiveSegmentation::new(
-                    column,
-                    model,
-                    SizeEstimator::Uniform,
-                )))
-            }
-        }
-        let inner = build_column!(&bat, domain_lo, domain_hi_excl, seg_make(model));
-        Ok(SegmentedBat { inner })
-    }
-
     /// Number of placeable pieces (the strategy's flat segment partition).
     pub fn piece_count(&self) -> usize {
         on_seg!(&self.inner, s => s.ranges().len())
@@ -627,8 +662,9 @@ impl SegmentedBat {
     }
 
     /// Bytes written by reorganization across all [`Self::adapt`] calls
-    /// (plus any rebuild cost carried in by the catalog's strategy
-    /// switch) — the reorganization bill SQL-level ablations report.
+    /// and merge folds (plus any rebuild cost carried in by the catalog's
+    /// strategy switch) — the reorganization bill SQL-level ablations
+    /// report.
     pub fn reorg_write_bytes(&self) -> u64 {
         on_seg!(&self.inner, s => s.reorg_write_bytes)
     }
@@ -740,6 +776,24 @@ impl SegmentedBat {
         on_seg!(&self.inner, s => s.delta_visible_collect(d, deleted, lo, hi, tracker))
     }
 
+    /// Stages a merge of the column's pending deltas: seals them into the
+    /// run the delta-visible reads overlay and checks its inserts against
+    /// the column's domain. The returned fold cannot fail; it hands the run
+    /// to the strategy's [`ColumnStrategy::fold_delta`], which folds it
+    /// into the pieces that own its rows and keeps every piece boundary.
+    /// The report counts what the fold merges for this column.
+    ///
+    /// # Errors
+    /// As [`Self::delta_visible_count`], plus [`BpmError::Column`] for an
+    /// insert or update outside the registered domain.
+    pub(crate) fn stage_fold(
+        &mut self,
+        d: Option<&ColumnDeltas>,
+        deleted: &[Oid],
+    ) -> Result<(MergeReport, StagedFold<'_>), BpmError> {
+        on_seg!(&mut self.inner, s => s.stage_fold(d, deleted))
+    }
+
     /// Structural invariant check (tests): pieces disjoint and ascending,
     /// values in range, rows conserved.
     pub fn validate(&self) -> Result<(), String> {
@@ -750,13 +804,16 @@ impl SegmentedBat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soc_core::model::AlwaysSplit;
     use soc_core::StrategyKind;
+
+    /// Cracking: every query bound becomes a piece boundary.
+    fn cracked(bat: Bat, lo: f64, hi_excl: f64) -> Result<SegmentedBat, BpmError> {
+        SegmentedBat::from_spec(bat, lo, hi_excl, &StrategySpec::new(StrategyKind::Cracking))
+    }
 
     fn seg_bat() -> SegmentedBat {
         // 1000 int rows, value == oid, domain [0, 1000).
-        let bat = Bat::dense_int((0..1000).collect());
-        SegmentedBat::new(bat, 0.0, 1000.0, Box::new(AlwaysSplit)).unwrap()
+        cracked(Bat::dense_int((0..1000).collect()), 0.0, 1000.0).unwrap()
     }
 
     #[test]
@@ -769,10 +826,9 @@ mod tests {
 
     #[test]
     fn empty_like_reads_the_tail_type_without_reading_a_piece() {
-        let model = || Box::new(AlwaysSplit);
-        let int = SegmentedBat::new(Bat::dense_int(vec![]), 0.0, 10.0, model()).unwrap();
-        let dbl = SegmentedBat::new(Bat::dense_dbl(vec![1.5]), 0.0, 10.0, model()).unwrap();
-        let oid = SegmentedBat::new(Bat::dense_oid(vec![]), 0.0, 10.0, model()).unwrap();
+        let int = cracked(Bat::dense_int(vec![]), 0.0, 10.0).unwrap();
+        let dbl = cracked(Bat::dense_dbl(vec![1.5]), 0.0, 10.0).unwrap();
+        let oid = cracked(Bat::dense_oid(vec![]), 0.0, 10.0).unwrap();
         for (seg, name) in [(int, "int"), (dbl, "dbl"), (oid, "oid")] {
             let e = seg.empty_like();
             assert!(e.is_empty());
@@ -788,7 +844,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            SegmentedBat::new(bat, 0.0, 1.0, Box::new(AlwaysSplit)),
+            cracked(bat, 0.0, 1.0),
             Err(BpmError::UnsupportedTail("str"))
         ));
     }
@@ -797,7 +853,7 @@ mod tests {
     fn rejects_nan_dbl_tails() {
         let bat = Bat::dense_dbl(vec![1.0, f64::NAN]);
         assert!(matches!(
-            SegmentedBat::new(bat, 0.0, 10.0, Box::new(AlwaysSplit)),
+            cracked(bat, 0.0, 10.0),
             Err(BpmError::NanTail { row: 1 })
         ));
     }
@@ -806,7 +862,7 @@ mod tests {
     fn rejects_empty_domains() {
         let bat = Bat::dense_int(vec![]);
         assert!(matches!(
-            SegmentedBat::new(bat, 5.0, 5.0, Box::new(AlwaysSplit)),
+            cracked(bat, 5.0, 5.0),
             Err(BpmError::EmptyDomain { .. })
         ));
     }
@@ -815,13 +871,15 @@ mod tests {
     fn adapt_splits_at_query_bounds_preserving_oids() {
         let mut s = seg_bat();
         let n = s.adapt(&Atom::Int(400), &Atom::Int(599)).unwrap();
-        assert_eq!(n, 1);
+        assert_eq!(n, 2);
         assert_eq!(s.piece_count(), 3);
         s.validate().unwrap();
         // The middle piece holds exactly the selected rows with true oids.
         let mid = s.piece_bat(1).unwrap();
         assert_eq!(mid.len(), 200);
-        assert_eq!(mid.head_at(0), 400);
+        let mut oids = mid.head_oids();
+        oids.sort_unstable();
+        assert_eq!(oids, (400..600).collect::<Vec<u64>>());
         // Row count is conserved.
         assert_eq!(s.rows(), 1000);
         let total: usize = (0..s.piece_count())
@@ -853,14 +911,16 @@ mod tests {
     #[test]
     fn dbl_tails_split_with_exact_boundaries() {
         let bat = Bat::dense_dbl(vec![204.9, 205.05, 205.11, 205.115, 205.13]);
-        let mut s = SegmentedBat::new(bat, 204.0, 206.0, Box::new(AlwaysSplit)).unwrap();
+        let mut s = cracked(bat, 204.0, 206.0).unwrap();
         s.adapt(&Atom::Dbl(205.1), &Atom::Dbl(205.12)).unwrap();
         s.validate().unwrap();
         assert_eq!(s.piece_count(), 3);
         let mid = s.piece_bat(1).unwrap();
         assert_eq!(mid.len(), 2); // 205.11 and 205.115
                                   // Oids preserved: positions 2 and 3 of the base bat.
-        assert_eq!(mid.head_oids(), vec![2, 3]);
+        let mut oids = mid.head_oids();
+        oids.sort_unstable();
+        assert_eq!(oids, vec![2, 3]);
     }
 
     #[test]
@@ -878,8 +938,8 @@ mod tests {
     #[test]
     fn adapt_with_never_split_is_inert() {
         let bat = Bat::dense_int((0..100).collect());
-        let mut s =
-            SegmentedBat::new(bat, 0.0, 100.0, Box::new(soc_core::model::NeverSplit)).unwrap();
+        let spec = StrategySpec::new(StrategyKind::NoSegm);
+        let mut s = SegmentedBat::from_spec(bat, 0.0, 100.0, &spec).unwrap();
         assert_eq!(s.adapt(&Atom::Int(10), &Atom::Int(20)).unwrap(), 0);
         assert_eq!(s.piece_count(), 1);
     }

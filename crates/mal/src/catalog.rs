@@ -12,36 +12,31 @@
 //! layer — so SQL queries can drive any of the nine strategy kinds, not
 //! just segmentation. [`Catalog::set_strategy`] re-organizes a live
 //! column under a different kind (the `ALTER COLUMN … SET STRATEGY` DDL
-//! hook), preserving its rows and pending deltas — as a **background
-//! migration**: the rebuild runs on a builder thread against a content
-//! snapshot while the old organization keeps serving reads, and the
-//! finished column is installed atomically by
-//! [`Catalog::integrate_migrations`] / [`Catalog::await_migrations`]
-//! (mirroring the epoch publishes of `soc_core::ConcurrentColumn`).
+//! hook), preserving its rows and pending deltas: the rows are rebuilt
+//! through the spec factory, and the rewrite is charged to the column's
+//! reorganization bill.
 //!
-//! Deltas no longer accumulate forever: [`Catalog::merge_deltas`] folds a
-//! table's pending inserts/updates/deletes into the base columns through
-//! the same snapshot-rebuild machinery (segmented columns re-organize
-//! under their registered spec with the rewrite charged as
-//! reorganization). Automatic merging is **incremental**: once a table's
-//! pending rows cross the threshold (global default, overridable per
-//! table), each subsequent mutation folds one bounded
-//! [`Catalog::merge_deltas_step`] — oldest rows first — until the backlog
-//! drains below the stop watermark (threshold/4), so no single mutation
-//! pays for a full backlog rebuild.
+//! Deltas do not accumulate forever: [`Catalog::merge_deltas`] folds a
+//! table's pending inserts/updates/deletes into the base columns. A
+//! segmented column folds them through its strategy's own
+//! `ColumnStrategy::fold_delta` — the seam the epoch writer of
+//! `soc_core::ConcurrentColumn` folds through — so each row lands in the
+//! piece that owns it, the organization the queries built survives the
+//! merge, and only the touched pieces are charged as reorganization.
+//! Plain columns are positional and are rebuilt in oid order. Once a
+//! table's pending rows reach the threshold (global default, overridable
+//! per table), the mutation that reached it merges the whole backlog.
 //!
 //! Pending deltas are also **readable without merging**:
 //! [`Catalog::snapshot_count`]/[`Catalog::snapshot_collect`] freeze a
 //! [`soc_core::StrategySnapshot`] of the column with its deltas sealed
-//! into a sorted run, and answer by merge-on-read — bit-identical to the
-//! Figure 1 merged bat.
+//! into a sorted run — the same run a merge folds — and answer by
+//! merge-on-read, bit-identical to the Figure 1 merged bat.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use std::thread;
 
 use soc_bat::{algebra::Atom, Bat, BatError, Head, Oid, Tail};
-use soc_core::model::SegmentationModel;
 use soc_core::{StrategyKind, StrategySpec};
 
 use crate::bpm::{BpmError, SegmentedBat, TailValue};
@@ -64,14 +59,6 @@ pub enum CatalogError {
         /// The kernel's complaint.
         source: BatError,
     },
-    /// The column was registered through the raw-model test hook, so it
-    /// carries no [`StrategySpec`] to rebuild under (bulk merges and
-    /// checkpoints need one).
-    NoSpec(String),
-    /// A background migration could not run: the builder thread failed to
-    /// spawn, or panicked before producing a column. The old organization
-    /// stays in force.
-    Migration(String),
 }
 
 impl std::fmt::Display for CatalogError {
@@ -84,13 +71,6 @@ impl std::fmt::Display for CatalogError {
             CatalogError::MalformedDelta { key, source } => {
                 write!(f, "delta bat for {key}: {source}")
             }
-            CatalogError::NoSpec(k) => {
-                write!(
-                    f,
-                    "column {k} has no registered StrategySpec (raw-model registration)"
-                )
-            }
-            CatalogError::Migration(m) => write!(f, "migration failed: {m}"),
         }
     }
 }
@@ -112,27 +92,6 @@ pub(crate) struct ColumnDeltas {
     /// In-place updates of base rows: (oid, new value).
     pub(crate) update_heads: Vec<Oid>,
     pub(crate) update_vals: Vec<Atom>,
-}
-
-impl ColumnDeltas {
-    /// Drops every entry whose row is in `folded` (those rows just merged
-    /// into the base), preserving the recorded order of the remainder.
-    fn retain_rows_outside(&mut self, folded: &BTreeSet<Oid>) {
-        fn retain_pair(heads: &mut Vec<Oid>, vals: &mut Vec<Atom>, folded: &BTreeSet<Oid>) {
-            let mut kept_heads = Vec::with_capacity(heads.len());
-            let mut kept_vals = Vec::with_capacity(vals.len());
-            for (h, v) in heads.drain(..).zip(vals.drain(..)) {
-                if !folded.contains(&h) {
-                    kept_heads.push(h);
-                    kept_vals.push(v);
-                }
-            }
-            *heads = kept_heads;
-            *vals = kept_vals;
-        }
-        retain_pair(&mut self.insert_heads, &mut self.insert_vals, folded);
-        retain_pair(&mut self.update_heads, &mut self.update_vals, folded);
-    }
 }
 
 /// Materializes delta atoms as a bat typed like the base column. `Int`,
@@ -195,25 +154,13 @@ fn atoms_to_bat(key: &str, heads: &[Oid], vals: &[Atom], like: &Bat) -> Result<B
 pub(crate) struct SegMeta {
     pub(crate) domain_lo: f64,
     pub(crate) domain_hi_excl: f64,
-    /// `None` for columns registered through the raw-model test hook.
-    pub(crate) spec: Option<StrategySpec>,
-}
-
-/// One in-flight background strategy migration: the builder thread
-/// re-organizing a content snapshot, plus what the install needs.
-#[derive(Debug)]
-struct PendingMigration {
-    spec: StrategySpec,
-    /// The full-column rewrite the rebuild performs, charged to the
-    /// column's reorganization bill at install time.
-    rewrite_bytes: u64,
-    handle: thread::JoinHandle<Result<SegmentedBat, BpmError>>,
+    pub(crate) spec: StrategySpec,
 }
 
 /// What one [`Catalog::merge_deltas`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeReport {
-    /// Columns rebuilt (plain and segmented).
+    /// Columns merged (plain and segmented).
     pub columns: usize,
     /// Insert-delta entries folded into the base (one per row × column).
     pub inserted: usize,
@@ -223,16 +170,21 @@ pub struct MergeReport {
     pub deleted: usize,
 }
 
+impl MergeReport {
+    /// Adds one column's share: entries add up, deleted rows are the
+    /// table's.
+    fn add(&mut self, column: MergeReport) {
+        self.columns += column.columns;
+        self.inserted += column.inserted;
+        self.updated += column.updated;
+        self.deleted = self.deleted.max(column.deleted);
+    }
+}
+
 /// Pending delta rows that trigger an automatic [`Catalog::merge_deltas`]
 /// when crossed (per table). Small enough that delta scans stay cheap,
-/// large enough that a bulk load does not thrash rebuilds.
+/// large enough that a bulk load does not thrash merges.
 pub const DEFAULT_DELTA_MERGE_THRESHOLD: usize = 4096;
-
-/// Smallest number of rows one automatic compaction step folds. Keeps the
-/// per-step rebuild from degenerating into one-row rewrites under tiny
-/// thresholds (tests, demos) while the default threshold compacts in
-/// `threshold/4` chunks between the watermarks.
-pub const MIN_AUTO_MERGE_STEP: usize = 256;
 
 /// Retry state for a table whose automatic delta merge failed.
 #[derive(Debug, Clone, Copy, Default)]
@@ -259,8 +211,6 @@ pub struct Catalog {
     pub(crate) deleted: HashMap<String, Vec<Oid>>,
     /// Next fresh oid per `schema.table` (rows appended so far + base).
     pub(crate) next_oid: HashMap<String, Oid>,
-    /// In-flight background strategy migrations, by column key.
-    migrations: HashMap<String, PendingMigration>,
     /// Pending-delta-row count at which a table auto-merges (0 disables).
     delta_merge_threshold: usize,
     /// Per-table retry state for failed automatic merges: a failed
@@ -276,11 +226,6 @@ pub struct Catalog {
     /// Per-table threshold overrides (the `ALTER TABLE … SET MERGE
     /// THRESHOLD` DDL); absent tables use [`Self::delta_merge_threshold`].
     merge_thresholds: HashMap<String, usize>,
-    /// Tables between the compaction watermarks: pending rows crossed the
-    /// threshold and have not yet drained below threshold/4, so each
-    /// mutation folds one bounded step (hysteresis — mirrors
-    /// `soc_core::CompactionPolicy`).
-    compacting: HashSet<String>,
 }
 
 impl Default for Catalog {
@@ -292,12 +237,10 @@ impl Default for Catalog {
             deltas: HashMap::new(),
             deleted: HashMap::new(),
             next_oid: HashMap::new(),
-            migrations: HashMap::new(),
             delta_merge_threshold: DEFAULT_DELTA_MERGE_THRESHOLD,
             auto_merge_backoff: HashMap::new(),
             pending_rows: HashMap::new(),
             merge_thresholds: HashMap::new(),
-            compacting: HashSet::new(),
         }
     }
 }
@@ -377,44 +320,7 @@ impl Catalog {
             SegMeta {
                 domain_lo,
                 domain_hi_excl,
-                spec: Some(spec),
-            },
-        );
-        let was_registered = self.is_registered(&key);
-        self.segmented.insert(key.clone(), seg);
-        self.on_register(schema, table, &key, was_registered);
-        Ok(())
-    }
-
-    /// Registers a segmented column governed by a raw
-    /// [`SegmentationModel`] — the deterministic hook tests use
-    /// (`AlwaysSplit`/`NeverSplit`); production call sites register a
-    /// [`StrategySpec`] via [`Self::register_segmented`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn register_segmented_with_model(
-        &mut self,
-        schema: &str,
-        table: &str,
-        column: &str,
-        bat: Bat,
-        domain_lo: f64,
-        domain_hi_excl: f64,
-        model: Box<dyn SegmentationModel>,
-    ) -> Result<(), BpmError> {
-        let rows = bat.len() as u64;
-        let seg = SegmentedBat::new(bat, domain_lo, domain_hi_excl, model)?;
-        let key = Self::key(schema, table, column);
-        let n = self
-            .next_oid
-            .entry(Self::table_key(schema, table))
-            .or_insert(0);
-        *n = (*n).max(rows);
-        self.seg_meta.insert(
-            key.clone(),
-            SegMeta {
-                domain_lo,
-                domain_hi_excl,
-                spec: None,
+                spec,
             },
         );
         let was_registered = self.is_registered(&key);
@@ -424,145 +330,40 @@ impl Catalog {
     }
 
     /// Re-organizes a live segmented column under a different strategy
-    /// kind — as a **background migration**: the rows are snapshotted
-    /// (oids intact, a read-only `pack`), a builder thread rebuilds them
-    /// through the spec factory, and the old column keeps serving reads
-    /// and adaptation until the finished one is installed atomically by
-    /// [`Self::integrate_migrations`] / [`Self::await_migrations`]. This
-    /// is what the `ALTER COLUMN … SET STRATEGY` DDL and the
-    /// `bpm.setStrategy` MAL operator execute; pending deltas are
-    /// untouched. A migration already in flight for the same column is
-    /// awaited first (builds never race; last request wins).
+    /// kind: the rows are packed (oids intact) and rebuilt through the spec
+    /// factory. The column keeps its accumulated reorganization bill plus
+    /// the full-column rewrite (adaptation counters restart — they
+    /// describe the live strategy's organization, not the column's
+    /// history). This is what the `ALTER COLUMN … SET STRATEGY` DDL and
+    /// the `bpm.setStrategy` MAL operator execute; pending deltas are
+    /// untouched.
     ///
     /// # Errors
     /// [`CatalogError::NotSegmented`] (or `UnknownColumn`) when `key` does
-    /// not name a segmented column; [`CatalogError::Bpm`] when the content
-    /// snapshot — or a prior migration of this column — fails (the column
-    /// is left unchanged in that case). A failure of *this* rebuild
-    /// surfaces at integration time; the old column stays in force.
+    /// not name a segmented column; [`CatalogError::Bpm`] when the rebuild
+    /// fails, in which case the column is left unchanged.
     pub fn set_strategy(&mut self, key: &str, kind: StrategyKind) -> Result<(), CatalogError> {
-        self.await_column(key)?;
+        let seg = self.require_segmented(key)?;
         let Some(meta) = self.seg_meta.get(key).copied() else {
-            return Err(if self.bats.contains_key(key) {
-                CatalogError::NotSegmented(key.to_owned())
-            } else {
-                CatalogError::UnknownColumn(key.to_owned())
-            });
-        };
-        let Some(seg) = self.segmented.get(key) else {
             return Err(CatalogError::UnknownColumn(key.to_owned()));
         };
-        let spec = StrategySpec {
-            kind,
-            ..meta.spec.unwrap_or_else(|| StrategySpec::new(kind))
-        };
+        let spec = StrategySpec { kind, ..meta.spec };
         let packed = seg.pack()?;
-        let rewrite_bytes = packed.bytes();
-        let (lo, hi) = (meta.domain_lo, meta.domain_hi_excl);
-        let handle = thread::Builder::new()
-            .name("soc-catalog-migrate".into())
-            .spawn(move || SegmentedBat::from_spec(packed, lo, hi, &spec))
-            .map_err(|e| CatalogError::Migration(format!("spawn builder for {key}: {e}")))?;
-        self.migrations.insert(
-            key.to_owned(),
-            PendingMigration {
-                spec,
-                rewrite_bytes,
-                handle,
-            },
-        );
-        Ok(())
-    }
-
-    /// Installs one finished migration: reorganization accounting survives
-    /// the switch — the column keeps its accumulated bill (including any
-    /// adaptation the old strategy performed *while* the rebuild ran),
-    /// plus the full-column rewrite the rebuild performed (adaptation
-    /// counters restart — they describe the live strategy's organization,
-    /// not the column's history).
-    fn install_migration(&mut self, key: &str, m: PendingMigration) -> Result<(), CatalogError> {
-        let mut rebuilt = m
-            .handle
-            .join()
-            .map_err(|_| CatalogError::Migration(format!("builder thread panicked for {key}")))??;
-        let prior_reorg = self
-            .segmented
-            .get(key)
-            .map(|s| s.reorg_write_bytes())
-            .unwrap_or(0);
-        rebuilt.add_reorg_write_bytes(prior_reorg + m.rewrite_bytes);
-        soc_core::debug_assert_valid!(rebuilt.validate(), "catalog migration install");
+        let billed = seg.reorg_write_bytes() + packed.bytes();
+        let mut rebuilt =
+            SegmentedBat::from_spec(packed, meta.domain_lo, meta.domain_hi_excl, &spec)?;
+        rebuilt.add_reorg_write_bytes(billed);
+        soc_core::debug_assert_valid!(rebuilt.validate(), "catalog strategy switch");
+        self.seg_meta
+            .insert(key.to_owned(), SegMeta { spec, ..meta });
         self.segmented.insert(key.to_owned(), rebuilt);
-        if let Some(meta) = self.seg_meta.get_mut(key) {
-            meta.spec = Some(m.spec);
-        }
         Ok(())
-    }
-
-    /// Installs every background migration that has already finished
-    /// building, without blocking on the ones still running. Returns the
-    /// columns whose rebuild failed (their old organization stays in
-    /// force). The MAL interpreter calls this at program entry, so DDL
-    /// issued earlier lands at the next statement boundary.
-    pub fn integrate_migrations(&mut self) -> Vec<(String, CatalogError)> {
-        let finished: Vec<String> = self
-            .migrations
-            .iter()
-            .filter(|(_, m)| m.handle.is_finished())
-            .map(|(k, _)| k.clone())
-            .collect();
-        let mut failures = Vec::new();
-        for key in finished {
-            let Some(m) = self.migrations.remove(&key) else {
-                continue;
-            };
-            if let Err(e) = self.install_migration(&key, m) {
-                failures.push((key, e));
-            }
-        }
-        failures
-    }
-
-    /// Blocks until every in-flight migration has built and installed —
-    /// the explicit completion barrier (tests, checkpoints, shutdown).
-    /// Returns the columns whose rebuild failed.
-    pub fn await_migrations(&mut self) -> Vec<(String, CatalogError)> {
-        let keys: Vec<String> = self.migrations.keys().cloned().collect();
-        keys.into_iter()
-            .filter_map(|key| {
-                let m = self.migrations.remove(&key)?;
-                self.install_migration(&key, m).err().map(|e| (key, e))
-            })
-            .collect()
-    }
-
-    /// Awaits (and installs) the migration in flight for `key`, if any —
-    /// the per-column barrier metadata readers use.
-    ///
-    /// # Errors
-    /// The rebuild's [`CatalogError`] when it failed; the old column
-    /// stays in force.
-    pub fn await_column(&mut self, key: &str) -> Result<(), CatalogError> {
-        match self.migrations.remove(key) {
-            Some(m) => self.install_migration(key, m),
-            None => Ok(()),
-        }
-    }
-
-    /// Whether a background migration is in flight for `key`.
-    pub fn migration_in_progress(&self, key: &str) -> bool {
-        self.migrations.contains_key(key)
-    }
-
-    /// Number of background migrations currently in flight.
-    pub fn migrations_pending(&self) -> usize {
-        self.migrations.len()
     }
 
     /// The spec a segmented column was registered (or last re-organized)
-    /// with; `None` for plain columns and raw-model registrations.
+    /// with; `None` for plain columns.
     pub fn strategy_spec(&self, key: &str) -> Option<StrategySpec> {
-        self.seg_meta.get(key).and_then(|m| m.spec)
+        self.seg_meta.get(key).map(|m| m.spec)
     }
 
     /// Looks up a plain column.
@@ -697,8 +498,6 @@ impl Catalog {
     /// `[lo, hi]` **including** its pending deltas, by merge-on-read
     /// against a frozen [`soc_core::StrategySnapshot`] — no merge, no
     /// rebuild, and bit-identical to counting the Figure 1 merged bat.
-    /// An in-flight background migration keeps serving from the old
-    /// organization (same rows, same answer).
     ///
     /// # Errors
     /// [`CatalogError::NotSegmented`]/`UnknownColumn` when `key` does not
@@ -733,10 +532,10 @@ impl Catalog {
         })
     }
 
-    // ---- bulk delta merge ----------------------------------------------
+    // ---- delta merge ---------------------------------------------------
 
-    /// Sets the pending-delta-row count at which a table's deltas start
-    /// compacting into the base columns automatically (0 disables
+    /// Sets the pending-delta-row count at which a table's deltas merge
+    /// into the base columns automatically (0 disables
     /// auto-merging; the default is [`DEFAULT_DELTA_MERGE_THRESHOLD`]).
     /// Tables with a per-table override ([`Self::set_table_merge_threshold`])
     /// keep it.
@@ -811,305 +610,135 @@ impl Catalog {
         self.pending_rows = pending;
     }
 
-    /// Keys of every registered column of `schema.table` (plain and
-    /// segmented), sorted.
-    fn table_columns(&self, schema: &str, table: &str) -> Vec<String> {
-        let prefix = format!("{}.", Self::table_key(schema, table));
-        let mut keys: Vec<String> = self
-            .bats
-            .keys()
-            .chain(self.segmented.keys())
-            .filter(|k| k.starts_with(&prefix))
-            .cloned()
-            .collect();
-        keys.sort();
-        keys.dedup();
-        keys
-    }
-
     /// Folds every pending delta of `schema.table` into its base columns —
-    /// the bulk-merge pass MonetDB's delta scheme assumes happens at the
-    /// next bulk load, closing the "deltas stay unorganized" gap: inserts
-    /// append, updates overwrite in place, deleted rows are physically
-    /// removed, and each **segmented** column is re-organized from the
-    /// merged snapshot under its registered [`StrategySpec`] (the same
-    /// snapshot-rebuild machinery background migrations use) with the
-    /// full-column rewrite charged to its reorganization bill. Plain
-    /// columns are rebuilt in oid order — with a void head while no row
-    /// is missing, explicit oids once a delete has been folded in.
-    /// Afterwards the table's delta bats and deletion list are empty.
+    /// the merge MonetDB's delta scheme assumes happens at the next bulk
+    /// load: inserts append, updates overwrite in place, deleted rows are
+    /// physically removed. A **segmented** column folds the run its
+    /// delta-visible reads overlay ([`Self::snapshot_count`]) through its
+    /// strategy's `ColumnStrategy::fold_delta`: each row lands in the piece
+    /// that owns it, no piece boundary moves, and the rewrite of the
+    /// touched pieces is charged to the column's reorganization bill.
+    /// Plain columns are positional and are rebuilt in oid order — with a
+    /// void head while no row is missing, explicit oids once a delete has
+    /// been folded in. Afterwards the table's delta bats and deletion list
+    /// are empty.
     ///
     /// Deltas recorded against column names that were never registered
     /// are inert (no base column ever binds them): they are neither
     /// merged nor counted by [`Self::pending_delta_rows`], and they stay
     /// in place in case the column is registered later.
     ///
-    /// The merge is staged: every rebuilt column is validated before any
-    /// is installed, so a failure (an inserted value outside a column's
-    /// registered domain, a NaN update) leaves the catalog unchanged.
+    /// The merge is all-or-nothing: every plain column is rebuilt, and
+    /// every segmented column's run sealed and checked against its domain,
+    /// before the first fold, so a failure (an inserted value outside a
+    /// column's registered domain, a NaN update, an atom the column's type
+    /// cannot hold) leaves the catalog unchanged.
     ///
     /// # Errors
-    /// [`CatalogError::NoSpec`] for raw-model segmented columns (no spec
-    /// to rebuild under); [`CatalogError::Bpm`] when a segmented rebuild
-    /// fails; [`CatalogError::MalformedDelta`] when a delta cannot be
-    /// typed like its base column.
+    /// [`CatalogError::MalformedDelta`] when a delta cannot be typed like
+    /// its base column; [`CatalogError::Bpm`] when a segmented column
+    /// cannot take a pending value (outside its domain, NaN).
     pub fn merge_deltas(&mut self, schema: &str, table: &str) -> Result<MergeReport, CatalogError> {
-        self.fold_deltas(schema, table, None)
-    }
-
-    /// One **incremental** compaction step: folds the pending deltas of
-    /// at most `max_rows` distinct logical rows — smallest oids first,
-    /// the oldest pending rows — into the base columns, retaining the
-    /// rest for later steps. Per-row delta operations are folded
-    /// all-or-nothing (ops on different rows commute), so any prefix of
-    /// steps leaves the catalog in a state bit-identical to what reads
-    /// already saw through the delta overlay. This is the driver the
-    /// automatic merge runs one bounded step of per mutation; `merge
-    /// everything` is [`Self::merge_deltas`]. Same staging and errors.
-    pub fn merge_deltas_step(
-        &mut self,
-        schema: &str,
-        table: &str,
-        max_rows: usize,
-    ) -> Result<MergeReport, CatalogError> {
-        self.fold_deltas(schema, table, Some(max_rows))
-    }
-
-    /// The shared fold machinery: `limit = None` folds every pending
-    /// delta (bulk merge), `Some(k)` folds the `k` oldest pending rows
-    /// (compaction step). Staged all-or-nothing: every rebuilt column is
-    /// validated before any is installed.
-    fn fold_deltas(
-        &mut self,
-        schema: &str,
-        table: &str,
-        limit: Option<usize>,
-    ) -> Result<MergeReport, CatalogError> {
-        let tk = Self::table_key(schema, table);
-        let keys = self.table_columns(schema, table);
-        // Land in-flight migrations on this table first: the merge below
-        // replaces the segmented bats wholesale.
-        for key in &keys {
-            self.await_column(key)?;
-        }
-        let deleted_all: BTreeSet<Oid> = self
-            .deleted
-            .get(&tk)
-            .map(|v| v.iter().copied().collect())
-            .unwrap_or_default();
         let mut report = MergeReport::default();
         if self.pending_delta_rows(schema, table) == 0 {
             return Ok(report);
         }
-        // The fold set: which logical rows this pass folds (`None` = all).
-        let fold: Option<BTreeSet<Oid>> = limit.map(|max| {
-            let mut oids: BTreeSet<Oid> = BTreeSet::new();
-            for key in &keys {
-                if let Some(d) = self.deltas.get(key) {
-                    oids.extend(d.insert_heads.iter().copied());
-                    oids.extend(d.update_heads.iter().copied());
-                }
-            }
-            oids.extend(deleted_all.iter().copied());
-            oids.into_iter().take(max).collect()
-        });
-        if fold.as_ref().is_some_and(|f| f.is_empty()) {
-            return Ok(report);
-        }
-        let folds = |oid: &Oid| fold.as_ref().is_none_or(|f| f.contains(oid));
-        let deleted: BTreeSet<Oid> = deleted_all.iter().copied().filter(folds).collect();
+        let tk = Self::table_key(schema, table);
+        let prefix = format!("{tk}.");
+        let deleted = self.deleted.get(&tk).map_or(&[][..], Vec::as_slice);
 
-        enum Staged {
-            Plain(Bat),
-            Seg(SegmentedBat),
-        }
-        let mut staged: Vec<(String, Staged)> = Vec::with_capacity(keys.len());
-        for key in &keys {
-            // A partial fold leaves columns it does not touch alone — no
-            // entries of theirs in the fold set and no row deletions means
-            // no content change, so no rewrite to charge.
-            let has_entries = self.deltas.get(key).is_some_and(|d| {
-                d.insert_heads.iter().any(folds) || d.update_heads.iter().any(folds)
-            });
-            if fold.is_some() && !has_entries && deleted.is_empty() {
-                continue;
-            }
-            // The merged logical rows, keyed (and thus ordered) by oid.
-            let mut rows: BTreeMap<Oid, Atom> = BTreeMap::new();
-            let (like, seg_rebuild) = if let Some(seg) = self.segmented.get(key) {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "seg_meta is inserted in lockstep with segmented"
-                )]
-                let meta = self.seg_meta.get(key).copied().expect("segmented has meta");
-                let Some(spec) = meta.spec else {
-                    return Err(CatalogError::NoSpec(key.clone()));
-                };
-                let prior_reorg = seg.reorg_write_bytes();
-                (seg.pack()?, Some((meta, spec, prior_reorg)))
-            } else {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "table_columns enumerates only registered keys"
-                )]
-                let bat = self.bats.get(key).expect("key is registered");
-                (bat.clone(), None)
-            };
-            for i in 0..like.len() {
-                rows.insert(like.head_at(i), atom_at(like.tail(), i));
-            }
-            if let Some(d) = self.deltas.get(key) {
-                for (oid, v) in d.insert_heads.iter().zip(&d.insert_vals) {
-                    if !folds(oid) {
-                        continue;
-                    }
-                    rows.insert(*oid, v.clone());
-                    report.inserted += 1;
-                }
-                // Recorded order: a later update of the same row wins.
-                for (oid, v) in d.update_heads.iter().zip(&d.update_vals) {
-                    if !folds(oid) {
-                        continue;
-                    }
-                    if let Some(slot) = rows.get_mut(oid) {
-                        *slot = v.clone();
-                        report.updated += 1;
-                    }
-                }
-            }
-            let before = rows.len();
-            rows.retain(|oid, _| !deleted.contains(oid));
-            report.deleted = report.deleted.max(before - rows.len());
-            let heads: Vec<Oid> = rows.keys().copied().collect();
-            let vals: Vec<Atom> = rows.into_values().collect();
-            let merged = atoms_to_bat(key, &heads, &vals, &like)?;
-            report.columns += 1;
-            match seg_rebuild {
-                Some((meta, spec, prior_reorg)) => {
-                    let rewrite = merged.bytes();
-                    let mut rebuilt = SegmentedBat::from_spec(
-                        merged,
-                        meta.domain_lo,
-                        meta.domain_hi_excl,
-                        &spec,
-                    )?;
-                    rebuilt.add_reorg_write_bytes(prior_reorg + rewrite);
-                    staged.push((key.clone(), Staged::Seg(rebuilt)));
-                }
-                None => staged.push((key.clone(), Staged::Plain(merged))),
-            }
+        let mut plain: Vec<(&String, &Bat)> = self
+            .bats
+            .iter()
+            .filter(|(k, _)| k.starts_with(&prefix))
+            .collect();
+        plain.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut rebuilt = Vec::with_capacity(plain.len());
+        for (key, bat) in plain {
+            let (bat, r) = merge_plain(key, bat, self.deltas.get(key), deleted)?;
+            report.add(r);
+            rebuilt.push((key.clone(), bat));
         }
 
-        // Commit: every column rebuilt successfully — install and clear
-        // (or, for a partial fold, retain the unfolded remainder).
-        for (key, s) in staged {
-            match s {
-                Staged::Plain(bat) => {
-                    self.bats.insert(key, bat);
-                }
-                Staged::Seg(seg) => {
-                    self.segmented.insert(key, seg);
-                }
-            }
+        let mut segmented: Vec<(&String, &mut SegmentedBat)> = self
+            .segmented
+            .iter_mut()
+            .filter(|(k, _)| k.starts_with(&prefix))
+            .collect();
+        segmented.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut folds = Vec::with_capacity(segmented.len());
+        for (key, seg) in segmented {
+            let (r, fold) = seg
+                .stage_fold(self.deltas.get(key), deleted)
+                .map_err(|e| match e {
+                    BpmError::Bat(source) => CatalogError::MalformedDelta {
+                        key: key.clone(),
+                        source,
+                    },
+                    other => CatalogError::Bpm(other),
+                })?;
+            report.add(r);
+            folds.push((key, fold));
         }
-        match &fold {
-            None => {
-                for key in &keys {
-                    self.deltas.remove(key);
-                }
-                self.deleted.remove(&tk);
-                // All counted (registered-column) deltas were folded;
-                // deltas against never-registered column names are inert
-                // and uncounted, so the table's pending total is zero by
-                // construction.
-                self.pending_rows.remove(&tk);
-            }
-            Some(f) => {
-                for key in &keys {
-                    if let Some(d) = self.deltas.get_mut(key) {
-                        d.retain_rows_outside(f);
-                        if d.insert_heads.is_empty() && d.update_heads.is_empty() {
-                            self.deltas.remove(key);
-                        }
-                    }
-                }
-                if let Some(v) = self.deleted.get_mut(&tk) {
-                    v.retain(|o| !f.contains(o));
-                    if v.is_empty() {
-                        self.deleted.remove(&tk);
-                    }
-                }
-                self.recompute_pending();
-            }
+
+        // Every column staged: fold, install and clear.
+        for (key, fold) in folds {
+            fold();
+            self.deltas.remove(key);
         }
+        for (key, bat) in rebuilt {
+            self.deltas.remove(&key);
+            self.bats.insert(key, bat);
+        }
+        self.deleted.remove(&tk);
+        // All counted (registered-column) deltas were folded; deltas
+        // against never-registered column names are inert and uncounted,
+        // so the table's pending total is zero by construction.
+        self.pending_rows.remove(&tk);
         self.auto_merge_backoff.remove(&tk);
         Ok(report)
     }
 
-    /// Auto-merge hook run after every delta mutation, now an
-    /// **incremental compactor with hysteresis** (mirroring
-    /// `soc_core::CompactionPolicy`): once the table's pending rows reach
-    /// the threshold in force, each mutation folds one bounded
-    /// [`Self::merge_deltas_step`] — at most `max(threshold/4,`
-    /// [`MIN_AUTO_MERGE_STEP`]`)` rows, oldest first — until the backlog
-    /// drains to the stop watermark (`threshold/4`). No single mutation
-    /// pays for the whole backlog. A failed step (e.g. an out-of-domain
-    /// insert among the oldest rows) leaves compaction and enters
-    /// exponential backoff — the next `2^failures` mutations (capped at
-    /// 64) only decrement a cooldown, keeping mutation O(1) — and is then
-    /// retried, so pending deltas are never silently dropped; success
-    /// (auto or explicit) clears the backoff.
+    /// Auto-merge hook run after every delta mutation: once the table's
+    /// pending rows reach the threshold in force, the mutation merges the
+    /// whole backlog ([`Self::merge_deltas`]). A failed merge (e.g. an
+    /// out-of-domain insert) enters exponential backoff — the next
+    /// `2^failures` mutations (capped at 64) only decrement a cooldown,
+    /// keeping mutation O(1) — and is then retried, so pending deltas are
+    /// never silently dropped; success (auto or explicit) clears the
+    /// backoff.
     fn maybe_auto_merge(&mut self, schema: &str, table: &str) {
-        let tk = Self::table_key(schema, table);
         let threshold = self.table_merge_threshold(schema, table);
         if threshold == 0 {
-            self.compacting.remove(&tk);
             return;
         }
+        let tk = Self::table_key(schema, table);
         if let Some(b) = self.auto_merge_backoff.get_mut(&tk) {
             if b.cooldown > 0 {
                 b.cooldown -= 1;
                 return;
             }
         }
-        let stop = threshold / 4;
-        if self.pending_delta_rows(schema, table) >= threshold {
-            self.compacting.insert(tk.clone());
-        }
-        if !self.compacting.contains(&tk) {
-            return;
-        }
-        let step = (threshold / 4).max(MIN_AUTO_MERGE_STEP);
-        match self.merge_deltas_step(schema, table, step) {
-            Ok(_) => {
-                if self.pending_delta_rows(schema, table) <= stop {
-                    self.compacting.remove(&tk);
-                }
-            }
-            Err(_) => {
-                self.compacting.remove(&tk);
-                let b = self.auto_merge_backoff.entry(tk).or_default();
-                b.failures += 1;
-                b.cooldown = 1u32 << b.failures.min(6);
-            }
+        if self.pending_delta_rows(schema, table) >= threshold
+            && self.merge_deltas(schema, table).is_err()
+        {
+            let b = self.auto_merge_backoff.entry(tk).or_default();
+            b.failures += 1;
+            b.cooldown = 1u32 << b.failures.min(6);
         }
     }
 
     /// Drops a registered column (plain or segmented): its base storage,
-    /// strategy metadata, pending deltas and any in-flight migration are
-    /// discarded, and the table's failed-merge backoff is released — a
-    /// poisoned column (say, an out-of-domain insert that latched the
-    /// auto-merge into backoff) stops blocking the table the moment it is
-    /// gone, instead of the backoff surviving until an unrelated success.
-    /// Returns whether the column existed. The table's deleted-oid list
-    /// is untouched (deletions are rows, not cells).
+    /// strategy metadata and pending deltas are discarded, and the table's
+    /// failed-merge backoff is released — a poisoned column (say, an
+    /// out-of-domain insert that latched the auto-merge into backoff)
+    /// stops blocking the table the moment it is gone, instead of the
+    /// backoff surviving until an unrelated success. Returns whether the
+    /// column existed. The table's deleted-oid list is untouched
+    /// (deletions are rows, not cells).
     pub fn drop_column(&mut self, schema: &str, table: &str, column: &str) -> bool {
         let key = Self::key(schema, table, column);
         let tk = Self::table_key(schema, table);
-        if let Some(m) = self.migrations.remove(&key) {
-            // The builder's output has no home any more; reap the thread.
-            let _ = m.handle.join();
-        }
         let had_plain = self.bats.remove(&key).is_some();
         let had_seg = self.segmented.remove(&key).is_some();
         if !(had_plain || had_seg) {
@@ -1128,9 +757,43 @@ impl Catalog {
             }
         }
         self.auto_merge_backoff.remove(&tk);
-        self.compacting.remove(&tk);
         true
     }
+}
+
+/// One plain column's share of a merge: the base rows with the column's
+/// pending entries and the table's deletions applied, in oid order.
+fn merge_plain(
+    key: &str,
+    bat: &Bat,
+    d: Option<&ColumnDeltas>,
+    deleted: &[Oid],
+) -> Result<(Bat, MergeReport), CatalogError> {
+    let mut report = MergeReport {
+        columns: 1,
+        ..MergeReport::default()
+    };
+    let mut rows: BTreeMap<Oid, Atom> = (0..bat.len())
+        .map(|i| (bat.head_at(i), atom_at(bat.tail(), i)))
+        .collect();
+    if let Some(d) = d {
+        for (oid, v) in d.insert_heads.iter().zip(&d.insert_vals) {
+            rows.insert(*oid, v.clone());
+            report.inserted += 1;
+        }
+        // Recorded order: a later update of the same row wins.
+        for (oid, v) in d.update_heads.iter().zip(&d.update_vals) {
+            if let Some(slot) = rows.get_mut(oid) {
+                *slot = v.clone();
+                report.updated += 1;
+            }
+        }
+    }
+    for oid in deleted {
+        report.deleted += usize::from(rows.remove(oid).is_some());
+    }
+    let (heads, vals): (Vec<Oid>, Vec<Atom>) = rows.into_iter().unzip();
+    Ok((atoms_to_bat(key, &heads, &vals, bat)?, report))
 }
 
 /// The `i`-th tail value as an [`Atom`] (the inverse of `atoms_to_bat`).
@@ -1147,7 +810,6 @@ fn atom_at(tail: &Tail, i: usize) -> Atom {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soc_core::model::AlwaysSplit;
 
     #[test]
     fn register_and_lookup() {
@@ -1181,8 +843,9 @@ mod tests {
     fn segmented_registration_rejects_bad_tails() {
         let mut c = Catalog::new();
         let bat = Bat::new(soc_bat::Head::Void { base: 0 }, soc_bat::Tail::Nil(3)).unwrap();
+        let spec = StrategySpec::new(StrategyKind::Cracking);
         assert!(c
-            .register_segmented_with_model("s", "t", "c", bat, 0.0, 1.0, Box::new(AlwaysSplit))
+            .register_segmented("s", "t", "c", bat, 0.0, 1.0, spec)
             .is_err());
     }
 
@@ -1208,10 +871,6 @@ mod tests {
         let reorg_before = c.segmented("sys.T.v").unwrap().reorg_write_bytes();
         assert!(reorg_before > 0, "the adapt pass must have written");
         c.set_strategy("sys.T.v", StrategyKind::Cracking).unwrap();
-        // The rebuild runs on a builder thread; the old column serves
-        // until the explicit barrier installs the new one.
-        assert!(c.migration_in_progress("sys.T.v") || c.strategy_spec("sys.T.v").is_some());
-        assert!(c.await_migrations().is_empty(), "rebuild must succeed");
         assert_eq!(
             c.strategy_spec("sys.T.v").map(|s| s.kind),
             Some(StrategyKind::Cracking)
@@ -1234,37 +893,25 @@ mod tests {
     }
 
     #[test]
-    fn old_column_serves_reads_while_a_migration_builds() {
+    fn re_registering_a_switched_column_keeps_the_new_rows() {
         let mut c = Catalog::new();
-        let values: Vec<i64> = (0..4_000).map(|i| (i * 31) % 1000).collect();
-        c.register_segmented(
-            "sys",
-            "T",
-            "v",
-            Bat::dense_int(values),
-            0.0,
-            1000.0,
-            StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(128, 512),
-        )
-        .unwrap();
-        c.set_strategy("sys.T.v", StrategyKind::GdRepl).unwrap();
-        // Whether or not the builder has finished yet, reads through the
-        // catalog keep answering from a complete column (the old one
-        // until install, the new one after) — never a gap, never a block
-        // on the build.
-        let packed = c.segmented("sys.T.v").unwrap().pack().unwrap();
-        assert_eq!(packed.len(), 4_000);
-        let n = c
-            .segmented_mut("sys.T.v")
-            .unwrap()
-            .adapt(&Atom::Int(100), &Atom::Int(300))
+        let spec = StrategySpec::new(StrategyKind::ApmSegm);
+        let old: Vec<i64> = (0..500).map(|i| i % 100).collect();
+        c.register_segmented("sys", "T", "v", Bat::dense_int(old), 0.0, 100.0, spec)
             .unwrap();
-        let _ = n; // adaptation on the serving column is allowed mid-build
-        assert!(c.await_migrations().is_empty());
-        assert!(!c.migration_in_progress("sys.T.v"));
+        c.set_strategy("sys.T.v", StrategyKind::Cracking).unwrap();
+        // A strategy switch still in flight must not outlive the column
+        // it was switching: the new registration wins.
+        let new: Vec<i64> = (0..10).collect();
+        c.register_segmented("sys", "T", "v", Bat::dense_int(new), 0.0, 100.0, spec)
+            .unwrap();
+        c.merge_deltas("sys", "T").unwrap();
         let seg = c.segmented("sys.T.v").unwrap();
-        assert_eq!(seg.strategy_name(), "GD Repl");
-        assert_eq!(seg.pack().unwrap().len(), 4_000);
+        assert_eq!(seg.rows(), 10);
+        assert_eq!(
+            c.strategy_spec("sys.T.v").map(|s| s.kind),
+            Some(StrategyKind::ApmSegm)
+        );
     }
 
     #[test]
@@ -1403,7 +1050,7 @@ mod tests {
             StrategySpec::new(StrategyKind::ApmSegm),
         )
         .unwrap();
-        // Out of the registered domain: the staged rebuild must fail.
+        // Out of the registered domain: the staged merge must fail.
         c.insert_row("sys", "T", &[("v", Atom::Int(500))]);
         assert!(matches!(
             c.merge_deltas("sys", "T"),
@@ -1412,28 +1059,11 @@ mod tests {
         assert_eq!(c.pending_delta_rows("sys", "T"), 1, "deltas kept");
         assert_eq!(c.segmented("sys.T.v").unwrap().rows(), 50);
         // The auto-trigger gives up after one failed attempt instead of
-        // re-trying the rebuild on every subsequent mutation.
+        // re-trying the merge on every subsequent mutation.
         c.set_delta_merge_threshold(1);
         c.insert_row("sys", "T", &[("v", Atom::Int(1))]);
         c.insert_row("sys", "T", &[("v", Atom::Int(2))]);
         assert_eq!(c.pending_delta_rows("sys", "T"), 3);
-        // Raw-model columns have no spec to rebuild under: typed error.
-        let mut raw = Catalog::new();
-        raw.register_segmented_with_model(
-            "s",
-            "t",
-            "c",
-            Bat::dense_int((0..10).collect()),
-            0.0,
-            100.0,
-            Box::new(AlwaysSplit),
-        )
-        .unwrap();
-        raw.insert_row("s", "t", &[("c", Atom::Int(5))]);
-        assert!(matches!(
-            raw.merge_deltas("s", "t"),
-            Err(CatalogError::NoSpec(_))
-        ));
         // An atom the column's type cannot hold: typed error, not a
         // made-up 0 row.
         for (atom, got) in [(Atom::Str("forty".into()), "str"), (Atom::Nil, "nil")] {
@@ -1478,7 +1108,7 @@ mod tests {
         );
 
         // First failure → cooldown 2: the next two mutations only tick
-        // the clock (no rebuild attempt, so the pending count grows).
+        // the clock (no merge attempt, so the pending count grows).
         c.insert_row("sys", "T", &[("v", Atom::Int(10))]);
         c.insert_row("sys", "T", &[("v", Atom::Int(11))]);
         assert_eq!(
@@ -1633,52 +1263,101 @@ mod tests {
     }
 
     #[test]
-    fn merge_deltas_step_folds_oldest_rows_first() {
+    fn merge_keeps_every_piece_for_every_kind() {
+        // 2 000 rows, every value of [0, 1000) exactly twice, so no pending
+        // operation below moves the column's min or max.
+        let base: Vec<i64> = (0..2_000).map(|i| (i * 7919) % 1000).collect();
+        for kind in StrategyKind::ALL {
+            let mut c = Catalog::new();
+            let spec = StrategySpec::new(kind)
+                .with_apm_bounds(128, 512)
+                .with_model_seed(7);
+            c.register_segmented(
+                "sys",
+                "T",
+                "v",
+                Bat::dense_int(base.clone()),
+                0.0,
+                1000.0,
+                spec,
+            )
+            .unwrap();
+            for k in 0..8 {
+                let lo = (k * 117) % 800;
+                c.segmented_mut("sys.T.v")
+                    .unwrap()
+                    .adapt(&Atom::Int(lo), &Atom::Int(lo + 150))
+                    .unwrap();
+            }
+            let mut model: BTreeMap<Oid, i64> = (0u64..).zip(base.iter().copied()).collect();
+            for v in [150, 420, 777] {
+                let oid = c.insert_row("sys", "T", &[("v", Atom::Int(v))]);
+                model.insert(oid, v);
+            }
+            for (oid, v) in [(10, 333), (11, 640), (2_000, 151)] {
+                c.update_value("sys", "T", "v", oid, Atom::Int(v));
+                model.insert(oid, v);
+            }
+            for oid in [20, 21, 2_001] {
+                c.delete_row("sys", "T", oid);
+                model.remove(&oid);
+            }
+            let seg = c.segmented("sys.T.v").unwrap();
+            let (spans, bill) = (seg.piece_spans(), seg.reorg_write_bytes());
+
+            c.merge_deltas("sys", "T").unwrap();
+            let seg = c.segmented("sys.T.v").unwrap();
+            assert_eq!(seg.piece_spans(), spans, "{kind:?}: a merge moved a piece");
+            seg.validate().unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+            let packed = seg.pack().unwrap();
+            let Tail::Int(vals) = packed.tail() else {
+                panic!("{kind:?}: int tail expected");
+            };
+            let got: BTreeMap<Oid, i64> = packed
+                .head_oids()
+                .into_iter()
+                .zip(vals.iter().copied())
+                .collect();
+            assert_eq!(got, model, "{kind:?}");
+            // The fold rewrites only the pieces (and replicas) its rows
+            // land in: never more than the column stores, and less than
+            // one full copy once the rows are spread over several pieces.
+            let grew = seg.reorg_write_bytes() - bill;
+            let full = model.len() as u64 * 16;
+            assert!(grew <= seg.storage_bytes(), "{kind:?}: billed {grew}");
+            if seg.piece_count() > 1 && seg.storage_bytes() == full {
+                assert!(grew < full, "{kind:?}: billed {grew}, a full rewrite");
+            }
+        }
+    }
+
+    #[test]
+    fn updates_of_a_row_the_column_never_held_stay_inert() {
         let mut c = Catalog::new();
-        c.set_delta_merge_threshold(0); // drive the steps by hand
+        let spec = StrategySpec::new(StrategyKind::Cracking);
         c.register_segmented(
             "sys",
             "T",
             "v",
-            Bat::dense_int((0..50).collect()),
+            Bat::dense_int((0..10).collect()),
             0.0,
-            200.0,
-            StrategySpec::new(StrategyKind::Cracking),
+            100.0,
+            spec,
         )
         .unwrap();
-        let mut oids = Vec::new();
-        for i in 0..10 {
-            oids.push(c.insert_row("sys", "T", &[("v", Atom::Int(100 + i))]));
-        }
-        c.delete_row("sys", "T", 3);
-        assert_eq!(c.pending_delta_rows("sys", "T"), 11);
-
-        // Step 1: the four oldest pending rows are oid 3 (the deletion)
-        // and the first three inserts.
-        let r = c.merge_deltas_step("sys", "T", 4).unwrap();
-        assert_eq!((r.inserted, r.deleted), (3, 1));
-        assert_eq!(c.pending_delta_rows("sys", "T"), 7);
-        assert_eq!(c.segmented("sys.T.v").unwrap().rows(), 52);
-        // The overlay still answers for the retained rows.
-        assert_eq!(c.snapshot_count("sys.T.v", 100.0, 200.0).unwrap(), 10);
-
-        // Remaining steps drain the rest; a step past the backlog is a
-        // clean no-op.
-        while c.pending_delta_rows("sys", "T") > 0 {
-            c.merge_deltas_step("sys", "T", 4).unwrap();
-        }
-        assert_eq!(c.segmented("sys.T.v").unwrap().rows(), 59);
-        assert_eq!(
-            c.merge_deltas_step("sys", "T", 4).unwrap(),
-            MergeReport::default()
-        );
-        assert_eq!(c.snapshot_count("sys.T.v", 100.0, 200.0).unwrap(), 10);
+        // Oid 50 never was a row: neither update may conjure one, in the
+        // overlay or in the merge that folds the same run.
+        c.update_value("sys", "T", "v", 50, Atom::Int(70));
+        c.update_value("sys", "T", "v", 50, Atom::Int(80));
+        assert_eq!(c.snapshot_count("sys.T.v", 80.0, 80.0).unwrap(), 0);
+        assert_eq!(c.snapshot_collect("sys.T.v", 0.0, 99.0).unwrap().len(), 10);
+        assert_eq!(c.merge_deltas("sys", "T").unwrap().updated, 0);
+        assert_eq!(c.segmented("sys.T.v").unwrap().rows(), 10);
     }
 
     #[test]
-    fn auto_merge_compacts_incrementally_with_hysteresis() {
+    fn crossing_the_threshold_folds_the_whole_backlog_and_keeps_the_pieces() {
         let mut c = Catalog::new();
-        // threshold 1024 → stop watermark 256, step 256.
         c.register_segmented(
             "sys",
             "T",
@@ -1689,32 +1368,26 @@ mod tests {
             StrategySpec::new(StrategyKind::Cracking),
         )
         .unwrap();
+        c.segmented_mut("sys.T.v")
+            .unwrap()
+            .adapt(&Atom::Int(20), &Atom::Int(60))
+            .unwrap();
+        let spans = c.segmented("sys.T.v").unwrap().piece_spans();
         c.set_table_merge_threshold("sys", "T", 1024);
         assert_eq!(c.table_merge_threshold("sys", "T"), 1024);
         for i in 0..1023 {
-            c.insert_row("sys", "T", &[("v", Atom::Int(1000 + i))]);
+            c.insert_row("sys", "T", &[("v", Atom::Int(i % 90))]);
         }
         assert_eq!(c.pending_rows("sys", "T"), 1023, "below the threshold");
-        // Crossing the threshold folds one bounded step, not the backlog.
-        c.insert_row("sys", "T", &[("v", Atom::Int(5000))]);
-        let after_first = c.pending_rows("sys", "T");
-        assert_eq!(after_first, 1024 - 256, "one 256-row step folded");
-        // Hysteresis: still above the stop watermark, so mutations below
-        // the threshold keep folding until the backlog drains to ≤ 256.
-        let mut steps = 0;
-        while c.pending_rows("sys", "T") > 256 {
-            c.insert_row("sys", "T", &[("v", Atom::Int(6000 + steps))]);
-            steps += 1;
-            assert!(steps < 100, "compaction must converge");
-        }
-        assert!(c.pending_rows("sys", "T") <= 256);
-        // Once drained below the watermark, mutations stop folding.
-        let resting = c.pending_rows("sys", "T");
-        c.insert_row("sys", "T", &[("v", Atom::Int(9000))]);
-        assert_eq!(c.pending_rows("sys", "T"), resting + 1, "compactor idle");
-        // Nothing was lost across the incremental folds.
-        let total = c.segmented("sys.T.v").unwrap().rows() as usize + c.pending_rows("sys", "T");
-        assert_eq!(total, 100 + 1024 + steps as usize + 1);
+        // The mutation that reaches the threshold merges every pending row.
+        c.insert_row("sys", "T", &[("v", Atom::Int(42))]);
+        assert_eq!(c.pending_rows("sys", "T"), 0, "the whole backlog folded");
+        let seg = c.segmented("sys.T.v").unwrap();
+        assert_eq!(seg.rows(), 100 + 1024);
+        assert_eq!(seg.piece_spans(), spans, "the cracks survive the merge");
+        // Below the threshold again, mutations only pend.
+        c.insert_row("sys", "T", &[("v", Atom::Int(7))]);
+        assert_eq!(c.pending_rows("sys", "T"), 1);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use soc_core::{MergePolicy, OrdF64, SegId, SizeEstimator, StrategyKind, Strategy
 use soc_store::{FixedCodec, SegmentStore, StoreError};
 
 use crate::bpm::BpmError;
-use crate::catalog::{Catalog, CatalogError};
+use crate::catalog::Catalog;
 
 /// Errors saving or loading a whole-catalog checkpoint.
 #[derive(Debug)]
@@ -40,11 +40,8 @@ pub enum CheckpointError {
     Store(StoreError),
     /// The manifest is syntactically or semantically invalid.
     Malformed(String),
-    /// A column cannot be persisted (NaN in a plain `:dbl` bat, a
-    /// raw-model segmented column without a spec).
+    /// A column cannot be persisted (NaN in a plain `:dbl` bat).
     Unsupported(String),
-    /// Re-registering a restored column failed.
-    Catalog(CatalogError),
     /// Rebuilding a restored segmented column failed.
     Bpm(BpmError),
 }
@@ -56,7 +53,6 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Store(e) => write!(f, "segment store: {e}"),
             CheckpointError::Malformed(m) => write!(f, "manifest: {m}"),
             CheckpointError::Unsupported(m) => write!(f, "unsupported: {m}"),
-            CheckpointError::Catalog(e) => write!(f, "catalog: {e}"),
             CheckpointError::Bpm(e) => write!(f, "rebuild: {e}"),
         }
     }
@@ -73,12 +69,6 @@ impl From<std::io::Error> for CheckpointError {
 impl From<StoreError> for CheckpointError {
     fn from(e: StoreError) -> Self {
         CheckpointError::Store(e)
-    }
-}
-
-impl From<CatalogError> for CheckpointError {
-    fn from(e: CatalogError) -> Self {
-        CheckpointError::Catalog(e)
     }
 }
 
@@ -349,8 +339,7 @@ impl Catalog {
     /// Checkpoints the whole catalog under `dir` in one operation: every
     /// plain and segmented column (each with its [`StrategySpec`] and
     /// accumulated reorganization bill), all pending deltas, the deletion
-    /// lists, and the per-table oid counters. In-flight background
-    /// migrations are awaited first (a checkpoint is a natural barrier).
+    /// lists, and the per-table oid counters.
     ///
     /// The directory is replaced wholesale — but only after the new
     /// checkpoint has been written completely: everything lands in a
@@ -359,15 +348,11 @@ impl Catalog {
     /// previous checkpoint intact.
     ///
     /// # Errors
-    /// [`CheckpointError::Unsupported`] for raw-model segmented columns
-    /// (no spec to persist) and NaN-bearing plain `:dbl` bats; I/O and
-    /// store errors otherwise. On error the previous checkpoint under
-    /// `dir` is untouched.
-    pub fn save_all(&mut self, dir: impl AsRef<Path>) -> Result<(), CheckpointError> {
+    /// [`CheckpointError::Unsupported`] for NaN-bearing plain `:dbl`
+    /// bats; I/O and store errors otherwise. On error the previous
+    /// checkpoint under `dir` is untouched.
+    pub fn save_all(&self, dir: impl AsRef<Path>) -> Result<(), CheckpointError> {
         let target = dir.as_ref();
-        if let Some((_, e)) = self.await_migrations().into_iter().next() {
-            return Err(CheckpointError::Catalog(e));
-        }
         // Write the whole checkpoint next to the target, swap on success.
         let mut tmp_name = target
             .file_name()
@@ -409,11 +394,6 @@ impl Catalog {
                 let meta = self.seg_meta.get(key).copied().ok_or_else(|| {
                     CheckpointError::Unsupported(format!("{key} has no strategy metadata"))
                 })?;
-                let Some(spec) = meta.spec else {
-                    return Err(CheckpointError::Unsupported(format!(
-                        "{key} was registered without a StrategySpec (raw model)"
-                    )));
-                };
                 let packed = seg.pack()?;
                 let _ = writeln!(
                     manifest,
@@ -423,7 +403,7 @@ impl Catalog {
                     meta.domain_lo.to_bits(),
                     meta.domain_hi_excl.to_bits(),
                     seg.reorg_write_bytes(),
-                    spec_to_text(&spec),
+                    spec_to_text(&meta.spec),
                 );
                 save_column(dir, key, &packed.head_oids(), packed.tail())?;
             } else {
@@ -652,7 +632,7 @@ mod tests {
     #[test]
     fn whole_catalog_round_trips() {
         let dir = tmp("roundtrip");
-        let mut c = sample_catalog();
+        let c = sample_catalog();
         let reorg_before = c.segmented("sys.P.ra").unwrap().reorg_write_bytes();
         assert!(reorg_before > 0);
         c.save_all(&dir).unwrap();
@@ -724,7 +704,7 @@ mod tests {
     #[test]
     fn failed_save_preserves_the_previous_checkpoint() {
         let dir = tmp("failsafe");
-        let mut c = sample_catalog();
+        let c = sample_catalog();
         c.save_all(&dir).unwrap();
 
         // A catalog that cannot checkpoint (NaN in a plain :dbl bat)
@@ -737,27 +717,6 @@ mod tests {
         ));
         let restored = Catalog::load_all(&dir).expect("old checkpoint intact");
         assert_eq!(restored.keys(), c.keys());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn raw_model_columns_are_a_typed_error() {
-        let dir = tmp("rawmodel");
-        let mut c = Catalog::new();
-        c.register_segmented_with_model(
-            "s",
-            "t",
-            "c",
-            Bat::dense_int((0..10).collect()),
-            0.0,
-            100.0,
-            Box::new(soc_core::model::AlwaysSplit),
-        )
-        .unwrap();
-        assert!(matches!(
-            c.save_all(&dir),
-            Err(CheckpointError::Unsupported(_))
-        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -130,16 +130,6 @@ impl<'a> Interp<'a> {
         self.env.clear();
         self.iters.clear();
         self.result = None;
-        // Land any finished background strategy migrations at the
-        // statement boundary: never blocks on the ones still building
-        // (the old organization keeps serving this program). A failed
-        // rebuild surfaces as a typed error; if several failed at once,
-        // the first (all name their column; the affected columns keep
-        // their old organization) is returned — callers that need every
-        // failure inspect `Catalog::integrate_migrations` directly.
-        if let Some((_, e)) = self.catalog.integrate_migrations().into_iter().next() {
-            return Err(ExecError::Catalog(e));
-        }
         for (p, a) in prog.params().iter().zip(args) {
             self.env.insert(p.clone(), MalValue::Atom(a.clone()));
         }
@@ -584,12 +574,9 @@ impl<'a> Interp<'a> {
                 Ok(MalValue::Atom(Atom::Int(splits as i64)))
             }
             ("bpm", "strategy") => {
-                // Inspect a column's live strategy. Metadata reads want
-                // the post-DDL truth, so a migration still building for
-                // this column is awaited (the data path never waits).
+                // Inspect a column's live strategy.
                 self.need_args(i, 1)?;
                 let key = self.column_key(i, 0)?;
-                self.catalog.await_column(&key)?;
                 let seg = self
                     .catalog
                     .segmented(&key)
@@ -616,7 +603,6 @@ impl<'a> Interp<'a> {
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use soc_core::model::AlwaysSplit;
 
     /// sys.P with ra (dbl) and objid (int); ra values indexed by oid.
     fn catalog(segmented_ra: bool) -> Catalog {
@@ -624,14 +610,14 @@ mod tests {
         let objid = vec![9000, 9001, 9002, 9003, 9004, 9005];
         let mut c = Catalog::new();
         if segmented_ra {
-            c.register_segmented_with_model(
+            c.register_segmented(
                 "sys",
                 "P",
                 "ra",
                 Bat::dense_dbl(ra),
                 204.0,
                 207.0,
-                Box::new(AlwaysSplit),
+                soc_core::StrategySpec::new(StrategyKind::Cracking),
             )
             .unwrap();
         } else {

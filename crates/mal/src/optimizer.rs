@@ -332,20 +332,20 @@ mod tests {
     use crate::interp::Interp;
     use crate::parser::parse;
     use soc_bat::Bat;
-    use soc_core::model::AlwaysSplit;
+    use soc_core::{StrategyKind, StrategySpec};
 
     fn catalog() -> Catalog {
         let ra: Vec<f64> = (0..1000).map(|i| 200.0 + i as f64 * 0.01).collect();
         let objid: Vec<i64> = (0..1000).map(|i| 9000 + i).collect();
         let mut c = Catalog::new();
-        c.register_segmented_with_model(
+        c.register_segmented(
             "sys",
             "P",
             "ra",
             Bat::dense_dbl(ra),
             200.0,
             210.0,
-            Box::new(AlwaysSplit),
+            StrategySpec::new(StrategyKind::Cracking),
         )
         .unwrap();
         c.register_bat("sys", "P", "objid", Bat::dense_int(objid));

@@ -595,7 +595,6 @@ mod tests {
     use crate::interp::Interp;
     use crate::Catalog;
     use soc_bat::{Bat, Tail};
-    use soc_core::model::AlwaysSplit;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -729,9 +728,6 @@ mod tests {
         Interp::new(&mut c)
             .run(&compile_stmt(&ddl), &[])
             .expect("DDL executes");
-        // The DDL starts a background migration; the old column serves
-        // reads until it lands, and the explicit barrier awaits it.
-        assert!(c.await_migrations().is_empty(), "rebuild must succeed");
         assert_eq!(c.segmented("sys.P.ra").unwrap().strategy_name(), "GD Repl");
         // Queries still answer correctly on the re-organized column.
         let q = parse_stmt("select objid from P where ra between 90.0 and 180.0").unwrap();
@@ -775,7 +771,7 @@ mod tests {
             assert!(parse_alter_table(bad).is_err(), "{bad:?} should fail");
         }
 
-        // End to end: the DDL changes the threshold the auto-compactor
+        // End to end: the DDL changes the threshold the auto-merge
         // consults, per table.
         let mut c = Catalog::new();
         c.register_segmented(
@@ -803,14 +799,14 @@ mod tests {
     #[test]
     fn compiled_plan_composes_with_the_segment_optimizer() {
         let mut c = Catalog::new();
-        c.register_segmented_with_model(
+        c.register_segmented(
             "sys",
             "P",
             "ra",
             Bat::dense_dbl((0..1000).map(|i| i as f64 * 0.36).collect()),
             0.0,
             360.0,
-            Box::new(AlwaysSplit),
+            soc_core::StrategySpec::new(soc_core::StrategyKind::Cracking),
         )
         .unwrap();
         c.register_bat("sys", "P", "objid", Bat::dense_int((0..1000).collect()));

@@ -153,16 +153,11 @@ impl SegmentStore {
         self
     }
 
-    /// Consults the fault plan at `site`: a [`Fault::Slow`] delays the
-    /// operation, any other fault aborts it with a transient
-    /// [`StoreError::Io`].
+    /// Consults the fault plan at `site`: a [`Fault::IoError`] aborts the
+    /// operation with a transient [`StoreError::Io`].
     fn injected_io(&self, site: FaultSite) -> Result<(), StoreError> {
         match self.injector.inject(site) {
-            Some(Fault::Slow(d)) => {
-                std::thread::sleep(d);
-                Ok(())
-            }
-            Some(_) => Err(StoreError::Io(std::io::Error::other(
+            Some(Fault::IoError) => Err(StoreError::Io(std::io::Error::other(
                 "injected transient store fault",
             ))),
             None => Ok(()),

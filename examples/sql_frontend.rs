@@ -80,13 +80,8 @@ fn main() {
     Interp::new(&mut catalog)
         .run(&compile_stmt(&stmt), &[])
         .expect("DDL executes");
-    // The DDL returns immediately: the rebuild runs on a builder thread
-    // while the old organization keeps serving queries. Awaiting is the
-    // explicit barrier (the interpreter otherwise installs finished
-    // migrations at the next statement boundary).
-    assert!(catalog.await_migrations().is_empty(), "rebuild succeeds");
     println!(
-        "ra now runs under {:?} (rebuilt in the background)",
+        "ra now runs under {:?} (rebuilt from its rows, oids intact)",
         catalog.segmented("sys.P.ra").unwrap().strategy_name()
     );
     let plan = compile_select("SELECT objid FROM sys.P WHERE ra BETWEEN 205.1 AND 205.12")
@@ -104,7 +99,7 @@ fn main() {
 
     // 4. Updates accumulate beside the base column (MonetDB's delta
     //    scheme) and stay visible to reads through the snapshot overlay —
-    //    no merge needed. Compaction pace is SQL-visible too.
+    //    no merge needed. The merge threshold is SQL-visible too.
     let ddl = "ALTER TABLE sys.P SET MERGE THRESHOLD 50000";
     println!("\nSQL> {ddl}\n");
     let stmt = parse_stmt(ddl).expect("DDL parses");
@@ -133,18 +128,21 @@ fn main() {
         catalog.pending_rows("sys", "P")
     );
     println!("overlay already counts {visible} rows in ra ∈ [205.1, 205.12]");
-    let report = catalog
-        .merge_deltas_step("sys", "P", 500)
-        .expect("compaction step");
+    let pieces = catalog.segmented("sys.P.ra").unwrap().piece_count();
+    let report = catalog.merge_deltas("sys", "P").expect("merge");
+    let after = catalog.segmented("sys.P.ra").unwrap().piece_count();
     println!(
-        "one 500-row compaction step folded {} inserts; {} pending remain,",
+        "the merge folded {} insert entries (rows × columns), each ra value into the piece\nthat owns it; {} pending remain,",
         report.inserted,
         catalog.pending_rows("sys", "P")
     );
-    println!(
-        "and the delta-visible answer is unchanged: {}",
+    println!("and the column kept its organization: {pieces} pieces before, {after} after");
+    assert_eq!(pieces, after, "a merge keeps every piece");
+    assert_eq!(
         catalog
             .snapshot_count("sys.P.ra", 205.1, 205.12)
-            .expect("delta-visible read")
+            .expect("delta-visible read"),
+        visible,
+        "the merged column answers what the overlay answered"
     );
 }
