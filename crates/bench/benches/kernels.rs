@@ -224,11 +224,20 @@ fn bench_reorganizing_scans(c: &mut Criterion) {
         });
     }
 
-    // APM's rule 3 keeps "the smallest superset" of the query — up to half
-    // the segment — so the fills are wide while the query is narrow.
+    // Adaptive replication mostly fills a replica of exactly the query's
+    // range: of the 2 149 M elements `scan_fill` scans with a fill over the
+    // twelve `sky_adapt` cells (seed 7), 1 518 M (71 %) are scanned with
+    // fill == `q` — 1 301 M of 1 353 M (96 %) on `apm_repl/random` — and
+    // segmentation never calls it. The wide `1_fill`/`3_fills` shapes are
+    // the rest of the traffic: fills wider than a narrow query.
+    let eq_q = vec![q];
     let one = vec![frac(0.4, 0.9)];
     let three = vec![frac(0.1, 0.2), frac(0.4, 0.6), frac(0.7, 0.9)];
-    for (name, fills) in [("1_fill", &one), ("3_fills", &three)] {
+    for (name, fills) in [
+        ("1_fill_eq_q", &eq_q),
+        ("1_fill", &one),
+        ("3_fills", &three),
+    ] {
         group.bench_function(BenchmarkId::new("scan_fill", name), |b| {
             b.iter(|| {
                 let mut outs = vec![Vec::new(); fills.len()];

@@ -327,18 +327,25 @@ impl AdmissionGate {
 }
 
 /// One admitted query's slot; dropping it frees the permit and wakes one
-/// queued waiter.
+/// queued waiter, if there is one.
 #[derive(Debug)]
 pub struct Permit {
     inner: Arc<GateInner>,
 }
 
 impl Drop for Permit {
+    /// Notifies only when someone is queued: the condvar's wake is a
+    /// syscall whether or not anyone waits. No wakeup is lost, because a
+    /// waiter counts itself in `queued` and checks `in_flight` under the
+    /// same lock it holds until `wait_timeout` releases it.
     fn drop(&mut self) {
         let mut st = lock_clean(&self.inner.state);
         st.in_flight = st.in_flight.saturating_sub(1);
+        let waiters = st.queued > 0;
         drop(st);
-        self.inner.freed.notify_one();
+        if waiters {
+            self.inner.freed.notify_one();
+        }
     }
 }
 
@@ -432,6 +439,34 @@ mod tests {
         let s = g.stats();
         assert_eq!(s.admitted, 2);
         assert_eq!(s.queued_waits, 1);
+        assert_eq!(g.in_flight(), 0);
+    }
+
+    /// Four threads contend for one permit, 10 000 times each, yielding
+    /// while they hold it so the others queue: a permit drop that skipped
+    /// a needed wakeup would leave a waiter asleep past the 5 s deadline.
+    #[test]
+    fn contended_permits_never_strand_a_waiter() {
+        const THREADS: usize = 4;
+        const ADMITS: usize = 10_000;
+        let g = gate(AdmissionPolicy::QueueThenShed, 1, THREADS, 5_000);
+        let start = std::sync::Barrier::new(THREADS);
+        thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..ADMITS {
+                        let permit = g.admit().expect("a queued waiter is woken");
+                        thread::yield_now();
+                        drop(permit);
+                    }
+                });
+            }
+        });
+        let st = g.stats();
+        assert_eq!(st.admitted, (THREADS * ADMITS) as u64);
+        assert_eq!((st.shed, st.deadline_exceeded), (0, 0));
+        assert!(st.queued_waits > 0, "the permit was contended");
         assert_eq!(g.in_flight(), 0);
     }
 

@@ -3,7 +3,7 @@
 //! whatever the value type, the length relative to [`CHUNK`], or the way
 //! the query and the fill ranges relate.
 
-use super::{count_chunk, count_range, CHUNK};
+use super::{count_chunk, count_range, BLOCK, CHUNK};
 use crate::range::ValueRange;
 use crate::value::ColumnValue;
 
@@ -83,8 +83,18 @@ mod properties {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    /// Lengths straddling every chunk boundary case.
-    const LENS: [usize; 6] = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7];
+    /// Lengths straddling every block and chunk boundary case.
+    const LENS: [usize; 9] = [
+        0,
+        1,
+        BLOCK - 1,
+        BLOCK,
+        BLOCK + 1,
+        CHUNK - 1,
+        CHUNK,
+        CHUNK + 1,
+        3 * CHUNK + 7,
+    ];
     /// Every pool below has at least this many values, ascending.
     const POOL: usize = 40;
 
@@ -199,8 +209,10 @@ mod properties {
     }
 
     fn check_scans<V: ColumnValue>(pool: &[V], values: &[V]) {
-        for fills in fill_shapes(pool) {
-            for q in queries(pool) {
+        for q in queries(pool) {
+            // The six shapes, plus the one fill adaptive replication
+            // mostly asks for: the query's own range.
+            for fills in fill_shapes(pool).into_iter().chain([vec![q]]) {
                 let what = format!("len {} fills {fills:?} q {q:?}", values.len());
                 let (count, want) = count_then_collect_per_fill(values, &q, &fills);
                 assert_eq!(count, naive(values, &q).len() as u64, "{what}");
@@ -271,16 +283,51 @@ mod properties {
         }
     }
 
+    /// Any pool value at every position: almost no block of 64 is without
+    /// a hit of any range.
+    fn uniform<V: ColumnValue>(pool: &[V], len: usize, rng: &mut SmallRng) -> Vec<V> {
+        (0..len)
+            .map(|_| pool[rng.gen_range(0..pool.len())])
+            .collect()
+    }
+
+    /// The pool's top value — inside no query and no bounded fill — with
+    /// about one value in 1 024 drawn from the pool, so most blocks hold no
+    /// hit and the skip path runs. Forced hits sit at offsets 0,
+    /// `BLOCK - 1`, `BLOCK` and `len - 1`; the one at `BLOCK - 1` lies in
+    /// ranges the one at 0 misses, so for those ranges the first block's
+    /// only hit is its last value.
+    fn sparse<V: ColumnValue>(pool: &[V], len: usize, rng: &mut SmallRng) -> Vec<V> {
+        let top = pool[pool.len() - 1];
+        let mut values: Vec<V> = (0..len)
+            .map(|_| match rng.gen_range(0..1024) {
+                0 => pool[rng.gen_range(0..pool.len())],
+                _ => top,
+            })
+            .collect();
+        for (at, i) in [
+            (0, 11),
+            (BLOCK - 1, 20),
+            (BLOCK, 12),
+            (len.wrapping_sub(1), 36),
+        ] {
+            if let Some(v) = values.get_mut(at) {
+                *v = pool[i];
+            }
+        }
+        values
+    }
+
     fn check<V: ColumnValue>(pool: Vec<V>, seed: u64) {
         assert!(pool.len() >= POOL && pool.windows(2).all(|w| w[0] <= w[1]));
         let mut rng = SmallRng::seed_from_u64(seed);
         for len in LENS {
-            let values: Vec<V> = (0..len)
-                .map(|_| pool[rng.gen_range(0..pool.len())])
-                .collect();
-            check_scans(&pool, &values);
-            check_partitions(&pool, &values);
-            check_folds(&values);
+            for generate in [uniform, sparse] {
+                let values: Vec<V> = generate(&pool, len, &mut rng);
+                check_scans(&pool, &values);
+                check_partitions(&pool, &values);
+                check_folds(&values);
+            }
         }
     }
 
