@@ -304,15 +304,11 @@ pub fn reverse(b: &Bat) -> Result<Bat, BatError> {
     Bat::new(Head::Oids(Arc::clone(tails)), tail).map_err(|_| BatError::LengthMismatch)
 }
 
-/// `algebra.join(a, b)`: matches `a`'s tail oids against `b`'s head oids,
-/// producing `(a.head, b.tail)` pairs in `a`'s row order (then `b`'s).
-/// A void inner head is a positional fetch per outer row; explicit inner
-/// heads hash the shorter input and stream the longer once.
-pub fn join(a: &Bat, b: &Bat) -> Result<Bat, BatError> {
-    let Tail::Oid(probe) = a.tail() else {
-        return Err(BatError::OidTailRequired);
-    };
-    // (row of a, row of b) per match.
+/// `(position in probe, row of b)` for every match of a `probe` oid
+/// against `b`'s head oids, in probe order (then `b`'s). A void head is a
+/// positional fetch per probe oid; explicit heads hash the shorter side and
+/// stream the longer once.
+fn join_pairs(probe: &[Oid], b: &Bat) -> Vec<(usize, usize)> {
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     match b.head() {
         Head::Void { base } => {
@@ -334,8 +330,171 @@ pub fn join(a: &Bat, b: &Bat) -> Result<Bat, BatError> {
             pairs.sort_unstable();
         }
     }
-    let (outer_rows, inner_rows): (Vec<usize>, Vec<usize>) = pairs.into_iter().unzip();
+    pairs
+}
+
+/// `algebra.join(a, b)`: matches `a`'s tail oids against `b`'s head oids,
+/// producing `(a.head, b.tail)` pairs in `a`'s row order (then `b`'s).
+/// A void inner head is a positional fetch per outer row; explicit inner
+/// heads hash the shorter input and stream the longer once.
+pub fn join(a: &Bat, b: &Bat) -> Result<Bat, BatError> {
+    let Tail::Oid(probe) = a.tail() else {
+        return Err(BatError::OidTailRequired);
+    };
+    let (outer_rows, inner_rows): (Vec<usize>, Vec<usize>) =
+        join_pairs(probe, b).into_iter().unzip();
     Bat::new(take_head(a, &outer_rows), take_tail(b, &inner_rows))
+}
+
+/// `sql.subdelta(selected, inserts, updates, deletes, lo, hi)`: the
+/// predicate side of Figure 1's delta merge in one call — `selected` (the
+/// base column's `uselect`) plus the qualifying inserts, minus the updated
+/// rows, plus the updated rows that qualify now, minus the deleted oids
+/// (`deletes` is the `sql.bind_dbat` bat, deleted oids in its tail). It is
+/// the six-operator chain it replaces, called in the chain's order, so its
+/// rows and errors are the chain's.
+pub fn sub_delta(
+    selected: &Bat,
+    inserts: &Bat,
+    updates: &Bat,
+    deletes: &Bat,
+    lo: &Atom,
+    hi: &Atom,
+) -> Result<Bat, BatError> {
+    let merged = kunion(selected, &uselect(inserts, lo, hi)?)?;
+    let merged = kunion(&kdifference(&merged, updates)?, &uselect(updates, lo, hi)?)?;
+    kdifference(&merged, &reverse(deletes)?)
+}
+
+/// Where [`project_delta`] takes a row from: the base, the inserts or the
+/// updates — the order the merged column lists them in.
+const BASE: usize = 0;
+const INSERTS: usize = 1;
+const UPDATES: usize = 2;
+
+/// Whether `kdifference(kunion(base, inserts), updates)` keeps a row: a
+/// base row no update replaces, or an insert that neither the base nor an
+/// update shadows.
+fn merge_keeps_a_row(base: &Bat, inserts: &Bat, updates: &Bat) -> bool {
+    head_hits(base, updates).contains(&false)
+        || head_hits(inserts, base)
+            .into_iter()
+            .zip(head_hits(inserts, updates))
+            .any(|(in_base, updated)| !in_base && !updated)
+}
+
+/// A tail of `like`'s type holding, per `(source, row)` pick, that row of
+/// that source's tail. A source of another type is never picked.
+fn gather(like: &Tail, sources: [&Tail; 3], picks: &[(usize, usize)]) -> Tail {
+    fn pick<'a, T: Clone + 'a>(
+        sources: [&'a Tail; 3],
+        picks: &[(usize, usize)],
+        values: fn(&'a Tail) -> Option<&'a [T]>,
+    ) -> Arc<Vec<T>> {
+        let sources = sources.map(|t| values(t).unwrap_or_default());
+        Arc::new(
+            picks
+                .iter()
+                .map(|&(s, row)| sources[s][row].clone())
+                .collect(),
+        )
+    }
+    match like {
+        Tail::Int(_) => Tail::Int(pick(sources, picks, |t| match t {
+            Tail::Int(v) => Some(v.as_slice()),
+            _ => None,
+        })),
+        Tail::Dbl(_) => Tail::Dbl(pick(sources, picks, |t| match t {
+            Tail::Dbl(v) => Some(v.as_slice()),
+            _ => None,
+        })),
+        Tail::Oid(_) => Tail::Oid(pick(sources, picks, |t| match t {
+            Tail::Oid(v) => Some(v.as_slice()),
+            _ => None,
+        })),
+        Tail::Str(_) => Tail::Str(pick(sources, picks, |t| match t {
+            Tail::Str(v) => Some(v.as_slice()),
+            _ => None,
+        })),
+        Tail::Nil(_) => Tail::Nil(picks.len()),
+    }
+}
+
+/// `sql.projectdelta(probe, base, inserts, updates)`: the projected
+/// column's values for `probe`'s tail oids with its pending deltas merged
+/// in, without building the merged column. Equal — rows, order, head
+/// variant and error — to Figure 1's
+/// `join(probe, kunion(kdifference(kunion(base, inserts), updates), updates))`.
+///
+/// Per probe oid an update wins, then the base row, then an insert (one
+/// that repeats a base oid is shadowed, as `kunion` shadows it). Each of
+/// the three is matched against the probe as [`join`] matches its inner
+/// side — positionally under a void head, otherwise by hashing the shorter
+/// of probe and heads (the few update and insert heads) and streaming the
+/// other once — so against a void base the cost is O(result + |inserts| +
+/// |updates|) and the base is never copied.
+pub fn project_delta(
+    probe: &Bat,
+    base: &Bat,
+    inserts: &Bat,
+    updates: &Bat,
+) -> Result<Bat, BatError> {
+    let same_type =
+        |a: &Bat, b: &Bat| std::mem::discriminant(a.tail()) == std::mem::discriminant(b.tail());
+    // The chain's first union: both sides non-empty must agree in type.
+    if !base.is_empty() && !inserts.is_empty() && !same_type(base, inserts) {
+        return Err(BatError::TypeMismatch {
+            expected: base.tail().type_name(),
+            got: inserts.tail().type_name(),
+        });
+    }
+    // Its result is typed like the base, or like the inserts when the base
+    // is empty. The second union hands `updates` back when the difference
+    // left nothing, and fails only when both of its sides hold rows.
+    let merged = if base.is_empty() { inserts } else { base };
+    let like = if same_type(merged, updates) {
+        merged
+    } else if !merge_keeps_a_row(base, inserts, updates) {
+        updates
+    } else if updates.is_empty() {
+        merged
+    } else {
+        return Err(BatError::TypeMismatch {
+            expected: merged.tail().type_name(),
+            got: updates.tail().type_name(),
+        });
+    };
+    let Tail::Oid(oids) = probe.tail() else {
+        return Err(BatError::OidTailRequired);
+    };
+
+    let matches = [base, inserts, updates].map(|b| join_pairs(oids, b));
+    let mut next = [0; 3];
+    let mut outer: Vec<usize> = Vec::with_capacity(oids.len());
+    let mut picks: Vec<(usize, usize)> = Vec::with_capacity(oids.len());
+    for i in 0..oids.len() {
+        // This probe row's matches in each source.
+        let runs = [BASE, INSERTS, UPDATES].map(|s| {
+            let first = next[s];
+            while matches[s].get(next[s]).is_some_and(|&(p, _)| p == i) {
+                next[s] += 1;
+            }
+            &matches[s][first..next[s]]
+        });
+        if let Some(s) = [UPDATES, BASE, INSERTS]
+            .into_iter()
+            .find(|&s| !runs[s].is_empty())
+        {
+            picks.extend(runs[s].iter().map(|&(_, row)| (s, row)));
+            outer.resize(picks.len(), i);
+        }
+    }
+    let tail = gather(
+        like.tail(),
+        [base.tail(), inserts.tail(), updates.tail()],
+        &picks,
+    );
+    Bat::new(take_head(probe, &outer), tail)
 }
 
 /// `bat.slice(b, lo, hi)`: rows `lo..=hi` (clamped).

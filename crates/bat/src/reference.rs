@@ -116,7 +116,7 @@ mod properties {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::algebra;
+    use crate::algebra::{self, Atom};
 
     const HEAD_SHAPES: usize = 5;
     const TAIL_TYPES: usize = 5;
@@ -218,6 +218,192 @@ mod properties {
         }
     }
 
+    /// Figure 1's predicate-side delta merge, `X14`/`X16`/`X19`/`X23` in,
+    /// `X25` out, one public operator per instruction.
+    fn sub_delta_chain(
+        x14: &Bat,
+        x16: &Bat,
+        x19: &Bat,
+        x23: &Bat,
+        lo: &Atom,
+        hi: &Atom,
+    ) -> Result<Bat, BatError> {
+        let x17 = algebra::uselect(x16, lo, hi)?;
+        let x18 = algebra::kunion(x14, &x17)?;
+        let x20 = algebra::kdifference(&x18, x19)?;
+        let x21 = algebra::uselect(x19, lo, hi)?;
+        let x22 = algebra::kunion(&x20, &x21)?;
+        let x24 = algebra::reverse(x23)?;
+        algebra::kdifference(&x22, &x24)
+    }
+
+    /// Figure 1's projection-side delta merge and reconstruction join,
+    /// `X29`/`X30`/`X32`/`X34` in, `X37` out.
+    fn project_delta_chain(x29: &Bat, x30: &Bat, x32: &Bat, x34: &Bat) -> Result<Bat, BatError> {
+        let x33 = algebra::kunion(x30, x32)?;
+        let x35 = algebra::kdifference(&x33, x34)?;
+        let x36 = algebra::kunion(&x35, x34)?;
+        algebra::join(x29, &x36)
+    }
+
+    /// A projection kernel that consults the base before the updates: an
+    /// update of a base row loses to the stale base value.
+    fn base_first(probe: &Bat, base: &Bat, inserts: &Bat, updates: &Bat) -> Result<Bat, BatError> {
+        algebra::join(
+            probe,
+            &algebra::kunion(&algebra::kunion(base, inserts)?, updates)?,
+        )
+    }
+
+    /// `(probe, base, inserts, updates)`.
+    type Projection = (Bat, Bat, Bat, Bat);
+    type ProjectDelta = fn(&Bat, &Bat, &Bat, &Bat) -> Result<Bat, BatError>;
+
+    /// Whether `kernel` answers `case` as the chain does: an equal bat —
+    /// `==`, so the same head variant, rows and row order — or the same
+    /// error.
+    fn equals_chain(kernel: ProjectDelta, (probe, base, inserts, updates): &Projection) -> bool {
+        kernel(probe, base, inserts, updates) == project_delta_chain(probe, base, inserts, updates)
+    }
+
+    /// A head shape, a tail type, a void base and raw oids.
+    fn arb_side() -> impl Strategy<Value = (usize, usize, Oid, Vec<Oid>)> {
+        (0..HEAD_SHAPES, 0..TAIL_TYPES, 0u64..40, arb_raw())
+    }
+
+    /// Every head shape × tail type × {empty, non-empty} on each of the
+    /// four sides. The three column sides share one tail type four times
+    /// in five (otherwise each keeps its own, so the unions' type checks
+    /// fire, or do not because a side is empty or fully shadowed); the
+    /// probe's tail is `oid` seven times in eight (otherwise `int`, which
+    /// the join refuses).
+    fn arb_projection() -> impl Strategy<Value = Projection> {
+        (
+            (arb_side(), 0usize..8),
+            arb_side(),
+            arb_side(),
+            arb_side(),
+            0usize..5,
+            any::<u64>(),
+        )
+            .prop_map(|((probe, oid_tail), base, ins, upd, mix, salt)| {
+                let kind = |k: usize| if mix == 0 { k } else { base.1 };
+                (
+                    bat_of(
+                        probe.0,
+                        if oid_tail == 0 { 0 } else { 2 },
+                        probe.2,
+                        &probe.3,
+                        salt,
+                    ),
+                    bat_of(base.0, base.1, base.2, &base.3, salt ^ 1),
+                    bat_of(ins.0, kind(ins.1), ins.2, &ins.3, salt ^ 2),
+                    bat_of(upd.0, kind(upd.1), upd.2, &upd.3, salt ^ 3),
+                )
+            })
+    }
+
+    /// The shape a SQL statement sees: a void base of `rows` rows, inserts
+    /// whose oids continue its range (`gap == back`) or leave a gap or
+    /// overlap it, updates that punch holes into it (and may hit an insert
+    /// or no row at all), and a dense probe whose oids fall on the base and
+    /// the inserts' oid range, or half the time also a few oids past both.
+    fn arb_void_base_projection() -> impl Strategy<Value = Projection> {
+        (
+            (0u64..40, 1usize..40, 0..TAIL_TYPES),
+            (0usize..8, 0u64..3, 0u64..3, any::<bool>()),
+            vec(0u64..48, 0..6),
+            (vec(0u64..52, 0..30), any::<bool>()),
+            any::<u64>(),
+        )
+            .prop_map(
+                |(
+                    (first, rows, kind),
+                    (extra, gap, back, void_inserts),
+                    upd,
+                    (probe, past),
+                    salt,
+                )| {
+                    let base =
+                        Bat::new(Head::Void { base: first }, tail_of(kind, rows, salt)).unwrap();
+                    let next = (first + rows as u64 + gap).saturating_sub(back);
+                    let head = if void_inserts {
+                        Head::Void { base: next }
+                    } else {
+                        Head::Oids(Arc::new((next..next + extra as u64).collect()))
+                    };
+                    let inserts = Bat::new(head, tail_of(kind, extra, salt ^ 1)).unwrap();
+                    let updated = upd.len();
+                    let upd = Head::from_oids(upd.iter().map(|o| first + o).collect());
+                    let updates = Bat::new(upd, tail_of(kind, updated, salt ^ 2)).unwrap();
+                    let span = if past {
+                        u64::MAX
+                    } else {
+                        (rows + extra) as u64
+                    };
+                    let probe = probe.iter().map(|o| first + o % span).collect();
+                    (Bat::dense_oid(probe), base, inserts, updates)
+                },
+            )
+    }
+
+    /// `(selected, inserts, updates, deletes, lo, hi)`.
+    type Selection = (Bat, Bat, Bat, Bat, Atom, Atom);
+
+    /// What `sql.subdelta` is handed, over every head shape × {empty,
+    /// non-empty} on each side: a selection, nil-tailed (a `uselect`
+    /// result) four times in five; inserts and updates of one valued tail
+    /// type four times in five, otherwise of any type (`nil` included,
+    /// which `uselect` refuses); a deletion bat whose tail is `oid` seven
+    /// times in eight (otherwise `int`, which `reverse` refuses); and
+    /// bounds of every kind `uselect` accepts for the inserts' type seven
+    /// times in eight, otherwise a pair it refuses.
+    fn arb_selection() -> impl Strategy<Value = Selection> {
+        (
+            (arb_side(), 0usize..5),
+            (arb_side(), arb_side(), 0usize..4, 0usize..5),
+            (arb_side(), 0usize..8),
+            (0usize..8, -45i64..90, 0i64..40),
+            any::<u64>(),
+        )
+            .prop_map(
+                |((sel, nil), (ins, upd, kind, mix), (del, oid_tail), (bounds, lo, span), salt)| {
+                    let kinds = if mix == 0 {
+                        (ins.1, upd.1)
+                    } else {
+                        (kind, kind)
+                    };
+                    let (lo, hi) = match (bounds, kinds.0) {
+                        (0, _) => (Atom::Int(lo), Atom::Str(format!("s{span}"))),
+                        (_, 3) => (
+                            Atom::Str(format!("s{}", lo.abs())),
+                            Atom::Str(format!("s{}", lo.abs() + span)),
+                        ),
+                        (1 | 2, _) => (Atom::Int(lo), Atom::Int(lo + span)),
+                        (3 | 4, _) => (Atom::Dbl(lo as f64 + 0.5), Atom::Dbl((lo + span) as f64)),
+                        _ => (
+                            Atom::Oid(lo.unsigned_abs()),
+                            Atom::Oid((lo + span).unsigned_abs()),
+                        ),
+                    };
+                    (
+                        bat_of(sel.0, if nil == 0 { sel.1 } else { 4 }, sel.2, &sel.3, salt),
+                        bat_of(ins.0, kinds.0, ins.2, &ins.3, salt ^ 1),
+                        bat_of(upd.0, kinds.1, upd.2, &upd.3, salt ^ 2),
+                        bat_of(
+                            del.0,
+                            if oid_tail == 0 { 0 } else { 2 },
+                            del.2,
+                            &del.3,
+                            salt ^ 3,
+                        ),
+                        lo,
+                        hi,
+                    )
+                },
+            )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -283,6 +469,161 @@ mod properties {
                 prop_assert_eq!(u.len(), rows + extra);
             }
             prop_assert!(same(u, kunion(&a, &b)), "{:?} ∪ {:?}", a, b);
+        }
+
+        /// `sql.subdelta` is its chain: the same bat (`==`) or the same
+        /// error.
+        #[test]
+        fn sub_delta_equals_its_chain(
+            (selected, inserts, updates, deletes, lo, hi) in arb_selection(),
+        ) {
+            prop_assert_eq!(
+                algebra::sub_delta(&selected, &inserts, &updates, &deletes, &lo, &hi),
+                sub_delta_chain(&selected, &inserts, &updates, &deletes, &lo, &hi),
+                "{:?} {:?} {:?} {:?} [{}, {}]", selected, inserts, updates, deletes, lo, hi
+            );
+        }
+
+        #[test]
+        fn project_delta_equals_its_chain(case in arb_projection()) {
+            prop_assert!(equals_chain(algebra::project_delta, &case), "{:?}", case);
+        }
+
+        #[test]
+        fn project_delta_over_a_void_base_equals_its_chain(case in arb_void_base_projection()) {
+            prop_assert!(equals_chain(algebra::project_delta, &case), "{:?}", case);
+        }
+    }
+
+    /// The two projection properties, replayed case for case (the runner
+    /// seeds each property from its name), both catch a kernel that reads
+    /// the base before the updates.
+    #[test]
+    fn the_projection_properties_catch_a_kernel_that_reads_the_base_first() {
+        let properties = [
+            ("project_delta_equals_its_chain", arb_projection().boxed()),
+            (
+                "project_delta_over_a_void_base_equals_its_chain",
+                arb_void_base_projection().boxed(),
+            ),
+        ];
+        for (name, cases) in properties {
+            let mut rng = proptest::test_runner::rng_for(&format!("{}::{name}", module_path!()));
+            let caught = (0..512).any(|_| !equals_chain(base_first, &cases.new_value(&mut rng)));
+            assert!(caught, "{name} passes a base-first kernel");
+        }
+    }
+
+    /// The errors the chains raise, case by case: a non-oid probe, a base
+    /// and inserts of different types, a merged column and updates of
+    /// different types — unless every merged row is updated, when the
+    /// chain's last union hands the updates back and no error is raised.
+    #[test]
+    fn fused_operators_fail_where_their_chains_fail() {
+        let ints = |heads: Vec<Oid>, vals: Vec<i64>| {
+            Bat::new(Head::Oids(heads.into()), Tail::Int(vals.into())).unwrap()
+        };
+        let dbls = |heads: Vec<Oid>, vals: Vec<f64>| {
+            Bat::new(Head::Oids(heads.into()), Tail::Dbl(vals.into())).unwrap()
+        };
+        let probe = Bat::dense_oid(vec![0, 1, 2]);
+        let base = Bat::dense_int(vec![10, 11, 12]);
+        let none = base.empty_like();
+        let cases: [(Projection, Result<Bat, BatError>); 5] = [
+            (
+                (
+                    Bat::dense_int(vec![0]),
+                    base.clone(),
+                    none.clone(),
+                    none.clone(),
+                ),
+                Err(BatError::OidTailRequired),
+            ),
+            (
+                (
+                    probe.clone(),
+                    base.clone(),
+                    dbls(vec![3], vec![1.5]),
+                    none.clone(),
+                ),
+                Err(BatError::TypeMismatch {
+                    expected: "int",
+                    got: "dbl",
+                }),
+            ),
+            (
+                (
+                    probe.clone(),
+                    base.clone(),
+                    none.clone(),
+                    dbls(vec![1], vec![1.5]),
+                ),
+                Err(BatError::TypeMismatch {
+                    expected: "int",
+                    got: "dbl",
+                }),
+            ),
+            (
+                (
+                    probe.clone(),
+                    ints(vec![1], vec![11]),
+                    none.clone(),
+                    dbls(vec![1], vec![1.5]),
+                ),
+                Ok(Bat::new(Head::Oids(vec![1].into()), Tail::Dbl(vec![1.5].into())).unwrap()),
+            ),
+            (
+                (
+                    probe.clone(),
+                    base.clone(),
+                    ints(vec![3], vec![13]),
+                    ints(vec![1], vec![99]),
+                ),
+                Ok(Bat::new(Head::Void { base: 0 }, Tail::Int(vec![10, 99, 12].into())).unwrap()),
+            ),
+        ];
+        for (case, want) in &cases {
+            assert_eq!(
+                &project_delta_chain(&case.0, &case.1, &case.2, &case.3),
+                want
+            );
+            assert!(equals_chain(algebra::project_delta, case), "{case:?}");
+        }
+        let (lo, hi) = (Atom::Int(0), Atom::Int(20));
+        let deletes = Bat::new(Head::Void { base: 0 }, Tail::Oid(vec![2].into())).unwrap();
+        let picked = algebra::uselect(&base, &lo, &hi).unwrap();
+        let strs = Bat::new(
+            Head::Oids(vec![3].into()),
+            Tail::Str(vec!["s".into()].into()),
+        )
+        .unwrap();
+        for (inserts, deletes, bounds, want) in [
+            (&none, &base, (&lo, &hi), Err(BatError::OidTailRequired)),
+            (
+                &strs,
+                &deletes,
+                (&lo, &hi),
+                Err(BatError::TypeMismatch {
+                    expected: "str bounds",
+                    got: "non-str",
+                }),
+            ),
+            (
+                &none,
+                &deletes,
+                (&lo, &Atom::Str("x".into())),
+                Err(BatError::TypeMismatch {
+                    expected: "int",
+                    got: "non-numeric bound",
+                }),
+            ),
+        ] {
+            let chain = sub_delta_chain(&picked, inserts, &none, deletes, bounds.0, bounds.1);
+            assert_eq!(chain, want);
+            assert_eq!(
+                algebra::sub_delta(&picked, inserts, &none, deletes, bounds.0, bounds.1),
+                chain
+            );
         }
     }
 }

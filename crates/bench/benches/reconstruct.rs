@@ -3,14 +3,30 @@
 //! not kept, operators that rely on it, e.g., tuple reconstruction, may
 //! become somewhat slower."
 //!
-//! Measures the `markT`/`reverse`/`join` pipeline of Figure 1 against a
-//! projected column when the qualifying oids come (a) positionally ordered
-//! (non-segmented select) vs (b) value-ordered / scattered (segmented
-//! select over bpm pieces).
+//! `tuple_reconstruction` measures the `markT`/`reverse`/`join` pipeline of
+//! Figure 1 against a projected column when the qualifying oids come (a)
+//! positionally ordered (non-segmented select) vs (b) value-ordered /
+//! scattered (segmented select over bpm pieces).
+//!
+//! `delta_projection` measures the same reconstruction with deltas pending
+//! on the projected column: Figure 1's
+//! `join(X29, kunion(kdifference(kunion(X30, X32), X34), X34))` chain
+//! against `algebra::project_delta`, which probes updates, base and inserts
+//! per oid. A 25-oid probe (a SQL statement's result) meets a 200 000-row
+//! void base in two shapes:
+//!
+//! - `inserts`: 30 pending inserts continuing the base's oid range. The
+//!   chain keeps the merged column void, but its first `kunion` copies the
+//!   whole base tail (1.6 MB) to append them; the kernel touches the 25
+//!   probed rows and the 30 insert heads.
+//! - `inserts_and_update`: the same plus one update of a base row. The
+//!   update punches a hole into the merged column, so the chain's
+//!   `kdifference` copies it again with an explicit head and its join
+//!   streams all 200 000 heads; the kernel's cost does not change.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use soc_bat::{algebra, Atom, Bat};
+use soc_bat::{algebra, Atom, Bat, Head, Tail};
 use soc_core::{StrategyKind, StrategySpec};
 use soc_mal::SegmentedBat;
 
@@ -76,5 +92,48 @@ fn bench_reconstruction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_reconstruction);
+fn bench_delta_projection(c: &mut Criterion) {
+    let base = objid_bat();
+    // X29: result oid -> row oid, 25 rows spread over the column.
+    let probe = Bat::dense_oid((0..25u64).map(|k| k * 7_919 % N as u64).collect());
+    let inserts = Bat::new(
+        Head::Void { base: N as u64 },
+        Tail::Int((0..30).map(|k| 1_000_000 + k).collect::<Vec<i64>>().into()),
+    )
+    .expect("30 insert rows");
+    let none = base.empty_like();
+    let one_update = Bat::new(
+        Head::Oids(vec![probe.head_at(0) + 7_919].into()),
+        Tail::Int(vec![-1].into()),
+    )
+    .expect("one update row");
+    let chain = |updates: &Bat| {
+        let merged = algebra::kunion(&base, &inserts).expect("kunion");
+        let merged = algebra::kdifference(&merged, updates).expect("kdifference");
+        let merged = algebra::kunion(&merged, updates).expect("kunion");
+        algebra::join(&probe, &merged).expect("join")
+    };
+
+    let mut group = c.benchmark_group("delta_projection");
+    group.sample_size(20);
+    for (shape, updates) in [("inserts", &none), ("inserts_and_update", &one_update)] {
+        let fused = algebra::project_delta(&probe, &base, &inserts, updates).expect("fused");
+        assert_eq!(fused, chain(updates), "{shape}: the kernel is the chain");
+        group.bench_function(BenchmarkId::new("chain", shape), |b| {
+            b.iter(|| black_box(chain(updates).len()))
+        });
+        group.bench_function(BenchmarkId::new("project_delta", shape), |b| {
+            b.iter(|| {
+                black_box(
+                    algebra::project_delta(&probe, &base, &inserts, updates)
+                        .expect("fused")
+                        .len(),
+                )
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_reconstruction, bench_delta_projection);
 criterion_main!(benches);

@@ -341,6 +341,26 @@ impl<'a> Interp<'a> {
                 let n = self.catalog.pending_rows(&schema, &table);
                 Ok(MalValue::Atom(Atom::Int(n as i64)))
             }
+            ("sql", "subdelta") => {
+                self.need_args(i, 6)?;
+                Ok(MalValue::Bat(algebra::sub_delta(
+                    &self.bat(i, 0)?,
+                    &self.bat(i, 1)?,
+                    &self.bat(i, 2)?,
+                    &self.bat(i, 3)?,
+                    &self.atom(i, 4)?,
+                    &self.atom(i, 5)?,
+                )?))
+            }
+            ("sql", "projectdelta") => {
+                self.need_args(i, 4)?;
+                Ok(MalValue::Bat(algebra::project_delta(
+                    &self.bat(i, 0)?,
+                    &self.bat(i, 1)?,
+                    &self.bat(i, 2)?,
+                    &self.bat(i, 3)?,
+                )?))
+            }
             ("sql", "resultSet") => {
                 self.need_args(i, 3)?;
                 let b = self.bat(i, 2)?;

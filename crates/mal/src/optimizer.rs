@@ -148,21 +148,27 @@ impl SegmentOptimizer {
         }
 
         // Pass 3: drop binds that no remaining instruction references.
-        let referenced: std::collections::HashSet<String> = out
-            .iter()
-            .filter_map(|s| match s {
-                Stmt::Assign(i) | Stmt::Barrier(i) | Stmt::Redo(i) => Some(i),
-                _ => None,
-            })
-            .flat_map(|i| i.args.iter().filter_map(|a| a.var().map(str::to_owned)))
-            .collect();
-        let before = out.len();
-        out.retain(|s| {
-            let Stmt::Assign(i) = s else { return true };
-            let Some(t) = &i.target else { return true };
-            !(i.is("sql", "bind") && rewritten_bind_vars.contains(t) && !referenced.contains(t))
-        });
-        report.dropped_binds = before - out.len();
+        let dead: Vec<bool> = {
+            let referenced: std::collections::HashSet<&str> = out
+                .iter()
+                .filter_map(|s| match s {
+                    Stmt::Assign(i) | Stmt::Barrier(i) | Stmt::Redo(i) => Some(i),
+                    _ => None,
+                })
+                .flat_map(|i| i.args.iter().filter_map(Arg::var))
+                .collect();
+            out.iter()
+                .map(|s| match s {
+                    Stmt::Assign(i) if i.is("sql", "bind") => i.target.as_ref().is_some_and(|t| {
+                        rewritten_bind_vars.contains(t) && !referenced.contains(t.as_str())
+                    }),
+                    _ => false,
+                })
+                .collect()
+        };
+        report.dropped_binds = dead.iter().filter(|&&d| d).count();
+        let mut dead = dead.into_iter();
+        out.retain(|_| !dead.next().unwrap_or(false));
 
         (Program { stmts: out }, report)
     }

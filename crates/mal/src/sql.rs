@@ -11,11 +11,20 @@
 //! SELECT objid FROM sys.P WHERE ra BETWEEN ? AND ?   -- plan parameters
 //! ```
 //!
-//! The generated plan has exactly the Figure 1 shape: base + delta binds,
-//! `uselect` over the predicate column, `kunion`/`kdifference` delta
-//! merging, `markT`/`reverse` renumbering, and a positional `join` against
-//! the projected column. It is deliberately *not* segment-aware — that is
-//! the tactical [`crate::SegmentOptimizer`]'s job, downstream.
+//! The generated plan keeps Figure 1's binds (base + insert/update deltas
+//! of both columns, the deletions bat), its `uselect` over the predicate
+//! column and its `markT`/`reverse` renumbering. Figure 1's ten delta
+//! instructions and its final `join` become two fused operators:
+//! `sql.subdelta` merges the predicate side's deltas into the selection,
+//! and `sql.projectdelta` fetches the projected values for the selected
+//! oids by probing that column's updates, base and inserts. Both return
+//! exactly what the `kunion`/`kdifference`/`join` chain they replace
+//! returns, but `sql.projectdelta` never builds the merged projected
+//! column: the chain copied the whole column per statement while inserts
+//! were pending, and hashed it when an update was. The Figure 1 text
+//! itself still parses and runs unchanged. The plan is deliberately *not*
+//! segment-aware — that is the tactical [`crate::SegmentOptimizer`]'s job,
+//! downstream.
 //!
 //! Physical design is SQL-visible through one DDL hint:
 //!
@@ -407,7 +416,10 @@ pub fn parse_select(sql: &str) -> Result<SelectBetween, SqlError> {
     })
 }
 
-/// Compiles a parsed query into a Figure-1-shaped MAL plan.
+/// Compiles a parsed query into a MAL plan: Figure 1's binds, base
+/// selection and renumbering, with its delta merges as `sql.subdelta` and
+/// `sql.projectdelta` (see the module doc for why). The plan answers what
+/// the Figure 1 plan answers, to the bat.
 ///
 /// Placeholder bounds become the function parameters `A0`/`A1`; literal
 /// bounds are inlined as constants (enabling the segment optimizer's
@@ -485,7 +497,9 @@ pub fn compile(q: &SelectBetween) -> Program {
         "bind",
         vec![s(&q.schema), s(&q.table), s(&q.projection), int(2)],
     );
-    // Range selection over base and deltas (Figure 1's uselect cascade).
+    // Range selection over the base (what the segment optimizer rewrites),
+    // then the predicate-side delta merge: + qualifying inserts, − updated
+    // rows, + updated rows that qualify, − deleted rows.
     push(
         Some("X14"),
         "algebra",
@@ -493,44 +507,20 @@ pub fn compile(q: &SelectBetween) -> Program {
         vec![var("X1"), lo_arg.clone(), hi_arg.clone()],
     );
     push(
-        Some("X17"),
-        "algebra",
-        "uselect",
-        vec![var("X16"), lo_arg.clone(), hi_arg.clone()],
-    );
-    push(
-        Some("X18"),
-        "algebra",
-        "kunion",
-        vec![var("X14"), var("X17")],
-    );
-    push(
-        Some("X20"),
-        "algebra",
-        "kdifference",
-        vec![var("X18"), var("X19")],
-    );
-    push(
-        Some("X21"),
-        "algebra",
-        "uselect",
-        vec![var("X19"), lo_arg, hi_arg],
-    );
-    push(
-        Some("X22"),
-        "algebra",
-        "kunion",
-        vec![var("X20"), var("X21")],
-    );
-    // Drop deleted rows.
-    push(Some("X24"), "bat", "reverse", vec![var("X23")]);
-    push(
         Some("X25"),
-        "algebra",
-        "kdifference",
-        vec![var("X22"), var("X24")],
+        "sql",
+        "subdelta",
+        vec![
+            var("X14"),
+            var("X16"),
+            var("X19"),
+            var("X23"),
+            lo_arg,
+            hi_arg,
+        ],
     );
-    // Renumber and reconstruct tuples.
+    // Renumber, then reconstruct tuples by probing the projected column's
+    // updates, base and inserts for the selected oids.
     push(Some("X26"), "calc", "oid", vec![Arg::Const(Atom::Oid(0))]);
     push(
         Some("X28"),
@@ -540,24 +530,11 @@ pub fn compile(q: &SelectBetween) -> Program {
     );
     push(Some("X29"), "bat", "reverse", vec![var("X28")]);
     push(
-        Some("X33"),
-        "algebra",
-        "kunion",
-        vec![var("X30"), var("X32")],
+        Some("X37"),
+        "sql",
+        "projectdelta",
+        vec![var("X29"), var("X30"), var("X32"), var("X34")],
     );
-    push(
-        Some("X35"),
-        "algebra",
-        "kdifference",
-        vec![var("X33"), var("X34")],
-    );
-    push(
-        Some("X36"),
-        "algebra",
-        "kunion",
-        vec![var("X35"), var("X34")],
-    );
-    push(Some("X37"), "algebra", "join", vec![var("X29"), var("X36")]);
     // Export.
     push(
         Some("X38"),
@@ -665,6 +642,31 @@ mod tests {
         let mut ids = ids.to_vec();
         ids.sort_unstable();
         assert_eq!(ids, vec![2, 4]);
+    }
+
+    #[test]
+    fn compiled_plan_merges_deltas_with_the_two_fused_operators() {
+        for sql in [
+            "SELECT objid FROM sys.P WHERE ra BETWEEN ? AND ?",
+            "select objid from P where ra between 205.1 and 205.12",
+        ] {
+            let plan = compile_select(sql).unwrap();
+            let calls: Vec<String> = plan
+                .stmts
+                .iter()
+                .filter_map(|s| match s {
+                    Stmt::Assign(i) => Some(i.qualified()),
+                    _ => None,
+                })
+                .collect();
+            let count = |name: &str| calls.iter().filter(|c| *c == name).count();
+            assert_eq!(count("sql.subdelta"), 1, "{calls:?}");
+            assert_eq!(count("sql.projectdelta"), 1, "{calls:?}");
+            for chain in ["algebra.kunion", "algebra.kdifference", "algebra.join"] {
+                assert_eq!(count(chain), 0, "{chain} in {calls:?}");
+            }
+            assert_eq!(crate::parse(&plan.render()).unwrap(), plan, "{sql}");
+        }
     }
 
     #[test]

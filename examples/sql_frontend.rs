@@ -37,7 +37,8 @@ fn main() {
     println!("SQL> {sql}\n");
     let plan = compile_select(sql).expect("the paper's query class");
     println!(
-        "compiled to {} MAL statements (the Figure 1 shape)\n",
+        "compiled to {} MAL statements (Figure 1's binds, selection and renumbering;\n\
+         its delta merges fused into sql.subdelta and sql.projectdelta)\n",
         plan.stmts.len()
     );
     let (optimized, report) = SegmentOptimizer::new().optimize(&plan, &catalog);

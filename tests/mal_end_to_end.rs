@@ -2,7 +2,9 @@
 //! with self-organization enabled (the Section 3.1 integration story).
 
 use socdb::bat::{Atom, Bat, Head, Tail};
-use socdb::mal::{parse, Catalog, Interp, MalValue, RewriteStrategy, SegmentOptimizer};
+use socdb::mal::{
+    compile_select, parse, Catalog, Interp, MalValue, Program, RewriteStrategy, SegmentOptimizer,
+};
 use socdb::prelude::{StrategyKind, StrategySpec};
 
 const FIGURE1: &str = r#"
@@ -265,6 +267,139 @@ fn figure1_merges_inserts_updates_and_deletes() {
     // Delete the inserted row too.
     c.delete_row("sys", "P", 5);
     assert_eq!(run(&mut c), vec![9000]);
+}
+
+/// The compiled statement and the verbatim Figure 1 plan return the same
+/// bat — head variant, rows and row order — both unoptimized and through
+/// the segment optimizer (without its `bpm.adapt`, so that the two runs
+/// see the same pieces; a third, adapting run reorganizes the column
+/// between checks).
+fn assert_compiled_equals_figure1(c: &mut Catalog, args: &[Atom], step: &str) {
+    let figure1 = parse(FIGURE1).unwrap();
+    let compiled = compile_select("SELECT objid FROM sys.P WHERE ra BETWEEN ? AND ?").unwrap();
+    let frozen = SegmentOptimizer {
+        inject_adaptation: false,
+        ..SegmentOptimizer::new()
+    };
+    for optimize in [false, true] {
+        let run = |c: &mut Catalog, plan: &Program| {
+            let plan = if optimize {
+                frozen.optimize(plan, c).0
+            } else {
+                plan.clone()
+            };
+            Interp::new(c).run(&plan, args).unwrap().unwrap()
+        };
+        let want = run(c, &figure1);
+        assert_eq!(run(c, &compiled), want, "{step}, optimize={optimize}");
+    }
+    let (adapting, _) = SegmentOptimizer::new().optimize(&figure1, c);
+    Interp::new(c).run(&adapting, args).unwrap();
+}
+
+/// The lifecycle of `figure1_merges_inserts_updates_and_deletes`, on a
+/// plain and on a segmented `ra`: at every step the compiled statement's
+/// two fused delta operators answer what Figure 1's ten instructions do.
+#[test]
+fn compiled_select_equals_figure1_through_inserts_updates_and_deletes() {
+    for segmented in [false, true] {
+        let mut c = Catalog::new();
+        let ra = Bat::dense_dbl(vec![204.9, 205.05, 205.11, 205.13, 205.115]);
+        if segmented {
+            c.register_segmented(
+                "sys",
+                "P",
+                "ra",
+                ra,
+                200.0,
+                210.0,
+                StrategySpec::new(StrategyKind::Cracking),
+            )
+            .unwrap();
+        } else {
+            c.register_bat("sys", "P", "ra", ra);
+        }
+        c.register_bat(
+            "sys",
+            "P",
+            "objid",
+            Bat::dense_int(vec![9000, 9001, 9002, 9003, 9004]),
+        );
+        let args = [Atom::Dbl(205.1), Atom::Dbl(205.12)];
+        let check = |c: &mut Catalog, step: &str| {
+            assert_compiled_equals_figure1(c, &args, &format!("segmented={segmented}, {step}"))
+        };
+
+        check(&mut c, "base");
+        c.insert_row(
+            "sys",
+            "P",
+            &[("ra", Atom::Dbl(205.111)), ("objid", Atom::Int(9005))],
+        );
+        check(&mut c, "qualifying insert");
+        c.insert_row(
+            "sys",
+            "P",
+            &[("ra", Atom::Dbl(190.0)), ("objid", Atom::Int(9006))],
+        );
+        check(&mut c, "non-qualifying insert");
+        c.update_value("sys", "P", "ra", 2, Atom::Dbl(204.0));
+        check(&mut c, "ra updated out of the range");
+        c.update_value("sys", "P", "ra", 0, Atom::Dbl(205.118));
+        check(&mut c, "ra updated into the range");
+        c.update_value("sys", "P", "objid", 4, Atom::Int(9999));
+        check(&mut c, "objid updated");
+        c.update_value("sys", "P", "objid", 5, Atom::Int(8888));
+        check(&mut c, "an inserted row's objid updated");
+        c.delete_row("sys", "P", 4);
+        check(&mut c, "updated row deleted");
+        c.delete_row("sys", "P", 5);
+        check(&mut c, "inserted row deleted");
+    }
+}
+
+/// The compiled statement answers what Figure 1 answers on a restored
+/// catalog with an insert, a delete and an `objid` update pending — the
+/// state in which Figure 1's merged projection column turns explicit.
+#[test]
+fn compiled_select_equals_figure1_on_a_restored_catalog_with_an_objid_update() {
+    let mut c = catalog(2_000, true);
+    let args = [Atom::Dbl(150.0), Atom::Dbl(152.0)];
+    c.insert_row(
+        "sys",
+        "P",
+        &[("ra", Atom::Dbl(151.0)), ("objid", Atom::Int(77_777))],
+    );
+    let ids = result_ids(
+        &Interp::new(&mut c)
+            .run(&parse(FIGURE1).unwrap(), &args)
+            .unwrap()
+            .unwrap(),
+    );
+    c.update_value(
+        "sys",
+        "P",
+        "objid",
+        (ids[0] - 9_000) as u64,
+        Atom::Int(99_999),
+    );
+    c.delete_row("sys", "P", (ids[1] - 9_000) as u64);
+    assert_compiled_equals_figure1(&mut c, &args, "before the checkpoint");
+
+    let dir = std::env::temp_dir().join(format!("socdb_e2e_compiled_{}", std::process::id()));
+    c.save_all(&dir).unwrap();
+    let mut restored = Catalog::load_all(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_compiled_equals_figure1(&mut restored, &args, "restored");
+    let result = Interp::new(&mut restored)
+        .run(
+            &compile_select("SELECT objid FROM sys.P WHERE ra BETWEEN 150.0 AND 152.0").unwrap(),
+            &[],
+        )
+        .unwrap()
+        .unwrap();
+    let ids = result_ids(&result);
+    assert!(ids.contains(&77_777) && ids.contains(&99_999), "{ids:?}");
 }
 
 /// A restored catalog answers like the one that was saved, on both
