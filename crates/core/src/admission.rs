@@ -8,27 +8,18 @@
 //! fixed number of in-flight permits, a bounded wait queue with a
 //! per-query deadline, and a typed [`QueryError`] for everything that
 //! does not get served, so callers distinguish "the system said no"
-//! (shed), "the system said not-in-time" (deadline), and "the system
-//! served a possibly stale answer" (degraded) from an actual result.
+//! (shed) and "the system said not-in-time" (deadline) from an actual
+//! result.
 //!
-//! Three [`AdmissionPolicy`] modes cover the design space the overload
-//! benchmark compares:
-//!
-//! * **queue-then-shed** — wait (bounded queue, bounded time) for a
-//!   permit; shed only when the queue itself is full, time out when the
-//!   deadline passes first.
-//! * **shed-immediately** — no queue at all; an arrival that finds every
-//!   permit taken is shed on the spot (the lowest-latency contract: every
-//!   admitted query runs immediately).
-//! * **serve-stale** — over capacity, degrade instead of refuse: the
-//!   caller is told to answer from the current published snapshot
-//!   *without* enqueueing reorganization work, trading adaptation
-//!   progress for availability.
+//! One over-capacity policy: an arrival that finds every permit taken
+//! waits in the bounded queue until a permit frees (admitted) or its
+//! deadline passes (deadline exceeded), and is shed on the spot when the
+//! queue itself is full. A queue bound of 0 is the shed-immediately
+//! contract: every admitted query runs at once.
 //!
 //! The gate is strategy-agnostic: it hands out permits, it does not run
-//! queries. The [`ConcurrentColumn`](crate::ConcurrentColumn) gated
-//! wrappers (`select_count_gated`, …) tie a permit's lifetime to one
-//! query and implement the degraded snapshot path.
+//! queries. [`crate::ConcurrentColumn::select_count_gated`] ties a
+//! permit's lifetime to one query.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,17 +29,11 @@ use std::time::{Duration, Instant};
 /// Why a query was not served normally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryError {
-    /// Load shedding: the gate refused the query outright (permits and,
-    /// under queue-then-shed, the wait queue were full).
+    /// Load shedding: the gate refused the query outright (permits and
+    /// the wait queue were full).
     Shed,
     /// The query waited for a permit past its deadline.
     DeadlineExceeded,
-    /// The gate is over capacity and the policy is
-    /// [`AdmissionPolicy::ServeStale`]: the caller should serve from the
-    /// current snapshot without scheduling reorganization. The gated
-    /// column wrappers absorb this variant into a degraded answer; it
-    /// only surfaces to direct [`AdmissionGate::admit`] callers.
-    Degraded,
 }
 
 impl fmt::Display for QueryError {
@@ -56,38 +41,22 @@ impl fmt::Display for QueryError {
         match self {
             QueryError::Shed => write!(f, "query shed by admission control"),
             QueryError::DeadlineExceeded => write!(f, "query deadline exceeded while queued"),
-            QueryError::Degraded => write!(f, "over capacity: serve from the stale snapshot"),
         }
     }
 }
 
 impl std::error::Error for QueryError {}
 
-/// What the gate does with an arrival that finds every permit taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionPolicy {
-    /// Wait in a bounded queue until a permit frees or the deadline
-    /// passes; shed only when the queue is full.
-    #[default]
-    QueueThenShed,
-    /// Never queue: shed on the spot.
-    ShedImmediately,
-    /// Never queue: tell the caller to serve a degraded (stale-snapshot,
-    /// no-reorganization) answer.
-    ServeStale,
-}
-
-/// Gate sizing and policy.
+/// Gate sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Queries allowed to execute concurrently.
     pub max_in_flight: usize,
-    /// Arrivals allowed to wait for a permit (queue-then-shed only).
+    /// Arrivals allowed to wait for a permit; 0 sheds every arrival that
+    /// finds the permits taken.
     pub max_queue: usize,
     /// How long a queued arrival may wait before `DeadlineExceeded`.
     pub deadline: Duration,
-    /// What happens when every permit is taken.
-    pub policy: AdmissionPolicy,
 }
 
 impl Default for AdmissionConfig {
@@ -100,7 +69,6 @@ impl Default for AdmissionConfig {
             max_in_flight: cores,
             max_queue: cores * 2,
             deadline: Duration::from_millis(50),
-            policy: AdmissionPolicy::QueueThenShed,
         }
     }
 }
@@ -127,13 +95,6 @@ impl AdmissionConfig {
         self.deadline = deadline;
         self
     }
-
-    /// Replaces the over-capacity policy.
-    #[must_use]
-    pub fn policy(mut self, policy: AdmissionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
 }
 
 /// Counter snapshot of everything the gate decided so far.
@@ -145,8 +106,6 @@ pub struct AdmissionStats {
     pub shed: u64,
     /// Queries that timed out waiting for a permit.
     pub deadline_exceeded: u64,
-    /// Queries redirected to the degraded stale-snapshot path.
-    pub degraded: u64,
     /// Admitted queries that had to wait in the queue first.
     pub queued_waits: u64,
 }
@@ -154,7 +113,7 @@ pub struct AdmissionStats {
 impl AdmissionStats {
     /// Arrivals the gate saw, over every outcome.
     pub fn arrivals(&self) -> u64 {
-        self.admitted + self.shed + self.deadline_exceeded + self.degraded
+        self.admitted + self.shed + self.deadline_exceeded
     }
 
     /// Fraction of arrivals refused (shed or deadline-exceeded); 0 when
@@ -184,7 +143,6 @@ struct GateInner {
     admitted: AtomicU64,
     shed: AtomicU64,
     deadline_exceeded: AtomicU64,
-    degraded: AtomicU64,
     queued_waits: AtomicU64,
 }
 
@@ -197,11 +155,9 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A bounded-concurrency admission gate. Cloning shares the gate.
 ///
 /// ```
-/// use soc_core::{AdmissionConfig, AdmissionGate, AdmissionPolicy, QueryError};
+/// use soc_core::{AdmissionConfig, AdmissionGate, QueryError};
 ///
-/// let gate = AdmissionGate::new(
-///     AdmissionConfig::with_in_flight(1).policy(AdmissionPolicy::ShedImmediately),
-/// );
+/// let gate = AdmissionGate::new(AdmissionConfig::with_in_flight(1).queue(0));
 /// let permit = gate.admit().expect("first query admitted");
 /// assert_eq!(gate.admit().unwrap_err(), QueryError::Shed);
 /// drop(permit);
@@ -228,7 +184,6 @@ impl AdmissionGate {
                 admitted: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
                 deadline_exceeded: AtomicU64::new(0),
-                degraded: AtomicU64::new(0),
                 queued_waits: AtomicU64::new(0),
             }),
         }
@@ -241,15 +196,13 @@ impl AdmissionGate {
 
     /// Requests a permit for one query.
     ///
-    /// Returns the permit, or the typed reason the query must not run
-    /// normally. Blocks at most [`AdmissionConfig::deadline`] and only
-    /// under [`AdmissionPolicy::QueueThenShed`]; the other policies
-    /// return immediately.
+    /// Returns the permit, or the typed reason the query must not run.
+    /// Blocks at most [`AdmissionConfig::deadline`], and only when every
+    /// permit is taken and the queue has room.
     ///
     /// # Errors
     /// [`QueryError::Shed`] when refused, [`QueryError::DeadlineExceeded`]
-    /// when the queued wait timed out, [`QueryError::Degraded`] when the
-    /// policy asks the caller to serve a stale answer instead.
+    /// when the queued wait timed out.
     pub fn admit(&self) -> Result<Permit, QueryError> {
         let inner = &self.inner;
         let mut st = lock_clean(&inner.state);
@@ -261,50 +214,36 @@ impl AdmissionGate {
                 inner: Arc::clone(inner),
             });
         }
-        match inner.cfg.policy {
-            AdmissionPolicy::ShedImmediately => {
+        if st.queued >= inner.cfg.max_queue {
+            drop(st);
+            inner.shed.fetch_add(1, Ordering::Relaxed);
+            return Err(QueryError::Shed);
+        }
+        st.queued += 1;
+        inner.queued_waits.fetch_add(1, Ordering::Relaxed);
+        let deadline = Instant::now() + inner.cfg.deadline;
+        loop {
+            if st.in_flight < inner.cfg.max_in_flight {
+                st.queued -= 1;
+                st.in_flight += 1;
                 drop(st);
-                inner.shed.fetch_add(1, Ordering::Relaxed);
-                Err(QueryError::Shed)
+                inner.admitted.fetch_add(1, Ordering::Relaxed);
+                return Ok(Permit {
+                    inner: Arc::clone(inner),
+                });
             }
-            AdmissionPolicy::ServeStale => {
+            let now = Instant::now();
+            if now >= deadline {
+                st.queued -= 1;
                 drop(st);
-                inner.degraded.fetch_add(1, Ordering::Relaxed);
-                Err(QueryError::Degraded)
+                inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                return Err(QueryError::DeadlineExceeded);
             }
-            AdmissionPolicy::QueueThenShed => {
-                if st.queued >= inner.cfg.max_queue {
-                    drop(st);
-                    inner.shed.fetch_add(1, Ordering::Relaxed);
-                    return Err(QueryError::Shed);
-                }
-                st.queued += 1;
-                inner.queued_waits.fetch_add(1, Ordering::Relaxed);
-                let deadline = Instant::now() + inner.cfg.deadline;
-                loop {
-                    if st.in_flight < inner.cfg.max_in_flight {
-                        st.queued -= 1;
-                        st.in_flight += 1;
-                        drop(st);
-                        inner.admitted.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Permit {
-                            inner: Arc::clone(inner),
-                        });
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        st.queued -= 1;
-                        drop(st);
-                        inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                        return Err(QueryError::DeadlineExceeded);
-                    }
-                    st = inner
-                        .freed
-                        .wait_timeout(st, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-            }
+            st = inner
+                .freed
+                .wait_timeout(st, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
@@ -320,7 +259,6 @@ impl AdmissionGate {
             admitted: inner.admitted.load(Ordering::Relaxed),
             shed: inner.shed.load(Ordering::Relaxed),
             deadline_exceeded: inner.deadline_exceeded.load(Ordering::Relaxed),
-            degraded: inner.degraded.load(Ordering::Relaxed),
             queued_waits: inner.queued_waits.load(Ordering::Relaxed),
         }
     }
@@ -349,15 +287,11 @@ impl Drop for Permit {
     }
 }
 
-/// A served answer plus whether it took the degraded (stale-snapshot,
-/// no-reorganization) path.
+/// An answer served under an admission permit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Admitted<T> {
     /// The query result.
     pub value: T,
-    /// True when served from the stale snapshot under
-    /// [`AdmissionPolicy::ServeStale`] overload.
-    pub degraded: bool,
 }
 
 #[cfg(test)]
@@ -365,18 +299,17 @@ mod tests {
     use super::*;
     use std::thread;
 
-    fn gate(policy: AdmissionPolicy, in_flight: usize, queue: usize, ms: u64) -> AdmissionGate {
+    fn gate(in_flight: usize, queue: usize, ms: u64) -> AdmissionGate {
         AdmissionGate::new(
             AdmissionConfig::with_in_flight(in_flight)
                 .queue(queue)
-                .deadline(Duration::from_millis(ms))
-                .policy(policy),
+                .deadline(Duration::from_millis(ms)),
         )
     }
 
     #[test]
     fn permits_free_on_drop() {
-        let g = gate(AdmissionPolicy::ShedImmediately, 2, 0, 10);
+        let g = gate(2, 0, 10);
         let a = g.admit().unwrap();
         let b = g.admit().unwrap();
         assert_eq!(g.in_flight(), 2);
@@ -392,21 +325,8 @@ mod tests {
     }
 
     #[test]
-    fn serve_stale_reports_degraded_not_shed() {
-        let g = gate(AdmissionPolicy::ServeStale, 1, 0, 10);
-        let _p = g.admit().unwrap();
-        assert_eq!(g.admit().unwrap_err(), QueryError::Degraded);
-        let s = g.stats();
-        assert_eq!((s.shed, s.degraded), (0, 1));
-        assert!(
-            s.shed_rate() == 0.0,
-            "degraded answers are served, not refused"
-        );
-    }
-
-    #[test]
     fn queue_then_shed_times_out_with_a_deadline_error() {
-        let g = gate(AdmissionPolicy::QueueThenShed, 1, 4, 20);
+        let g = gate(1, 4, 20);
         let _p = g.admit().unwrap();
         let t0 = Instant::now();
         assert_eq!(g.admit().unwrap_err(), QueryError::DeadlineExceeded);
@@ -416,7 +336,7 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_immediately() {
-        let g = gate(AdmissionPolicy::QueueThenShed, 1, 0, 1_000);
+        let g = gate(1, 0, 1_000);
         let _p = g.admit().unwrap();
         let t0 = Instant::now();
         assert_eq!(g.admit().unwrap_err(), QueryError::Shed);
@@ -428,7 +348,7 @@ mod tests {
 
     #[test]
     fn queued_waiter_wakes_when_a_permit_frees() {
-        let g = gate(AdmissionPolicy::QueueThenShed, 1, 4, 5_000);
+        let g = gate(1, 4, 5_000);
         let p = g.admit().unwrap();
         let g2 = g.clone();
         let waiter = thread::spawn(move || g2.admit().map(drop));
@@ -449,7 +369,7 @@ mod tests {
     fn contended_permits_never_strand_a_waiter() {
         const THREADS: usize = 4;
         const ADMITS: usize = 10_000;
-        let g = gate(AdmissionPolicy::QueueThenShed, 1, THREADS, 5_000);
+        let g = gate(1, THREADS, 5_000);
         let start = std::sync::Barrier::new(THREADS);
         thread::scope(|s| {
             for _ in 0..THREADS {
@@ -475,12 +395,11 @@ mod tests {
         let s = AdmissionStats {
             admitted: 6,
             shed: 2,
-            deadline_exceeded: 1,
-            degraded: 1,
+            deadline_exceeded: 2,
             queued_waits: 3,
         };
         assert_eq!(s.arrivals(), 10);
-        assert!((s.shed_rate() - 0.3).abs() < 1e-12);
+        assert!((s.shed_rate() - 0.4).abs() < 1e-12);
         assert_eq!(AdmissionStats::default().shed_rate(), 0.0);
     }
 }

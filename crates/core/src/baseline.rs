@@ -112,15 +112,6 @@ impl<V: ColumnValue> ColumnStrategy<V> for NonSegmented<V> {
         n
     }
 
-    fn select_collect(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> Vec<V> {
-        self.begin_select();
-        tracker.scan(self.segment.id(), self.segment.bytes());
-        let mut out = Vec::new();
-        self.segment.collect_in(q, &mut out);
-        self.end_select(tracker);
-        out
-    }
-
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
         let mut out = Vec::new();
         self.segment.collect_in(q, &mut out);
@@ -229,24 +220,6 @@ impl<V: ColumnValue> ColumnStrategy<V> for FullySorted<V> {
         n
     }
 
-    fn select_collect(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> Vec<V> {
-        self.charge_sort(tracker);
-        self.tick += 1;
-        self.segment.note_read(self.tick);
-        let out = if let Some(values) = self.segment.payload().raw_values() {
-            let (start, end) = crate::kernels::sorted_run(values, q);
-            tracker.scan(self.segment.id(), (end - start) as u64 * V::BYTES);
-            values[start..end].to_vec()
-        } else {
-            tracker.scan(self.segment.id(), self.segment.bytes());
-            let mut out = Vec::new();
-            self.segment.collect_in(q, &mut out);
-            out
-        };
-        self.end_select(tracker);
-        out
-    }
-
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
         if let Some(values) = self.segment.payload().raw_values() {
             let (start, end) = crate::kernels::sorted_run(values, q);
@@ -310,8 +283,9 @@ mod tests {
         let mut col = NonSegmented::new(ValueRange::must(0, 99), values);
         let mut t = CountingTracker::new();
         let q = ValueRange::must(10, 19);
-        let got = col.select_collect(&q, &mut t);
-        assert_eq!(got.len() as u64, col.select_count(&q, &mut t));
+        let n = col.select_count(&q, &mut t);
+        let got = col.peek_collect(&q);
+        assert_eq!(got.len() as u64, n);
         assert!(got.iter().all(|v| q.contains(*v)));
     }
 
@@ -351,7 +325,7 @@ mod tests {
             let q = ValueRange::must(lo, hi);
             let expect = reference.iter().filter(|v| q.contains(**v)).count() as u64;
             assert_eq!(col.select_count(&q, &mut t), expect);
-            let collected = col.select_collect(&q, &mut t);
+            let collected = col.peek_collect(&q);
             assert!(collected.windows(2).all(|w| w[0] <= w[1]), "sorted output");
             assert_eq!(collected.len() as u64, expect);
         }
@@ -371,7 +345,7 @@ mod tests {
         let mut t = CountingTracker::new();
         assert_eq!(ns.select_count(&q, &mut t), expect);
         assert_eq!(t.totals().read_bytes, ns.storage_bytes());
-        let mut got = ns.select_collect(&q, &mut t);
+        let mut got = ns.peek_collect(&q);
         got.sort_unstable();
         let mut want: Vec<u32> = reference
             .iter()
@@ -386,7 +360,6 @@ mod tests {
         assert!(fs.storage_bytes() < 16_000);
         let mut t = CountingTracker::new();
         assert_eq!(fs.select_count(&q, &mut t), expect);
-        assert_eq!(fs.select_collect(&q, &mut t), want);
         assert_eq!(fs.peek_collect(&q), want);
     }
 

@@ -865,33 +865,24 @@ impl<V: ColumnValue> PiecePayload<V> {
         }
     }
 
-    /// `scanMat(s, M)`: counts the stored values inside `q` (appending
-    /// them to `result` when given) and appends to each `outs[i]` the
-    /// stored values inside `fills[i]` — ascending, disjoint ranges. A raw
-    /// payload does all of it in one pass ([`crate::kernels::scan_fill`]);
-    /// a packed one answers each range in the compressed domain, which
-    /// walks runs and keys, not elements.
+    /// `scanMat(s, M)`: counts the stored values inside `q` and appends to
+    /// each `outs[i]` the stored values inside `fills[i]` — ascending,
+    /// disjoint ranges. A raw payload does all of it in one pass
+    /// ([`crate::kernels::scan_fill`]); a packed one answers each range in
+    /// the compressed domain, which walks runs and keys, not elements.
     pub fn scan_fill(
         &self,
         q: &ValueRange<V>,
-        result: Option<&mut Vec<V>>,
         fills: &[ValueRange<V>],
         outs: &mut [Vec<V>],
     ) -> u64 {
         match self {
-            PiecePayload::Raw(v) => crate::kernels::scan_fill(v, q, result, fills, outs),
+            PiecePayload::Raw(v) => crate::kernels::scan_fill(v, q, fills, outs),
             PiecePayload::Packed(_) => {
                 for (r, out) in fills.iter().zip(outs) {
                     self.collect_range(r, out);
                 }
-                match result {
-                    Some(out) => {
-                        let before = out.len();
-                        self.collect_range(q, out);
-                        (out.len() - before) as u64
-                    }
-                    None => self.count_range(q),
-                }
+                self.count_range(q)
             }
         }
     }
@@ -910,50 +901,10 @@ impl<V: ColumnValue> PiecePayload<V> {
         }
     }
 
-    /// One-pass fused `SUM(v) WHERE v IN q` (as `f64`); packed payloads
-    /// aggregate per key without materializing a vector.
-    pub fn sum_range(&self, q: &ValueRange<V>) -> f64 {
-        match self {
-            PiecePayload::Raw(v) => crate::kernels::sum_range(v, q),
-            PiecePayload::Packed(p) => {
-                let (lo, hi) = Self::query_keys(q);
-                let mut acc = 0.0f64;
-                p.visit_keys_in(lo, hi, |k, n| {
-                    let v = Self::decode_key(k);
-                    acc += v.to_f64() * n as f64;
-                });
-                acc
-            }
-        }
-    }
-
-    /// One-pass fused `MIN/MAX(v) WHERE v IN q`; `None` when nothing
-    /// matches. Packed payloads compare keys (the projection is monotone)
-    /// and decode exactly two values at the end.
-    pub fn min_max_range(&self, q: &ValueRange<V>) -> Option<(V, V)> {
-        match self {
-            PiecePayload::Raw(v) => crate::kernels::min_max_range(v, q),
-            PiecePayload::Packed(p) => {
-                let (lo, hi) = Self::query_keys(q);
-                let mut bounds: Option<(u64, u64)> = None;
-                p.visit_keys_in(lo, hi, |k, _| {
-                    bounds = Some(match bounds {
-                        None => (k, k),
-                        Some((mn, mx)) => (mn.min(k), mx.max(k)),
-                    });
-                });
-                bounds.map(|(mn, mx)| (Self::decode_key(mn), Self::decode_key(mx)))
-            }
-        }
-    }
-
     /// The piece's zone-map synopsis — exact min/max/count/sum, derived
-    /// without materializing a packed payload. The sum folds keys with
-    /// multiplicities in exactly the order [`Self::sum_range`] visits
-    /// them, so a covered query answered from the stored sum reproduces
-    /// the compressed-domain scan it replaces bit for bit. `None` for an
-    /// empty payload (or keys that no longer decode, which
-    /// [`EncodedPayload::validate_for`] rejects upstream).
+    /// without materializing a packed payload (the sum folds keys with
+    /// multiplicities). `None` for an empty payload (or keys that no longer
+    /// decode, which [`EncodedPayload::validate_for`] rejects upstream).
     pub fn synopsis(&self) -> Option<PieceSynopsis<V>> {
         match self {
             PiecePayload::Raw(v) => PieceSynopsis::from_values(v),
@@ -1276,7 +1227,7 @@ mod tests {
         assert_eq!(raw_syn.count(), values.len() as u64);
         assert_eq!(
             raw_syn.sum().to_bits(),
-            raw.sum_range(&covering).to_bits(),
+            crate::kernels::sum_range(&values, &covering).to_bits(),
             "raw synopsis sum must reproduce a covering sum_range exactly"
         );
         for enc in [
@@ -1292,11 +1243,8 @@ mod tests {
                 "{enc}"
             );
             assert_eq!(syn.count(), raw_syn.count(), "{enc}");
-            assert_eq!(
-                syn.sum().to_bits(),
-                packed.sum_range(&covering).to_bits(),
-                "{enc}: packed synopsis sum must reproduce its own covering scan"
-            );
+            // Integer sums below 2^53 are exact in any order.
+            assert_eq!(syn.sum().to_bits(), raw_syn.sum().to_bits(), "{enc}");
         }
         assert!(PiecePayload::<u32>::Raw(Vec::new()).synopsis().is_none());
     }
@@ -1365,32 +1313,6 @@ mod tests {
             } else {
                 assert_eq!(decoded, values, "{enc}");
             }
-        }
-    }
-
-    #[test]
-    fn fused_aggregates_match_naive() {
-        let values = mixed_values(5_000, 4);
-        let q = ValueRange::must(2_000, 41_000);
-        let naive_sum: f64 = values
-            .iter()
-            .filter(|v| q.contains(**v))
-            .map(|&v| v as f64)
-            .sum();
-        let naive_min = values.iter().copied().filter(|v| q.contains(*v)).min();
-        let naive_max = values.iter().copied().filter(|v| q.contains(*v)).max();
-        for enc in SegmentEncoding::ALL {
-            let p = if enc == SegmentEncoding::Raw {
-                PiecePayload::Raw(values.clone())
-            } else {
-                payload_of(&values, enc)
-            };
-            assert!((p.sum_range(&q) - naive_sum).abs() < 1e-6, "{enc}");
-            assert_eq!(
-                p.min_max_range(&q),
-                naive_min.map(|mn| (mn, naive_max.unwrap())),
-                "{enc}"
-            );
         }
     }
 

@@ -361,13 +361,6 @@ impl<V: ColumnValue> ColumnStrategy<V> for CrackedColumn<V> {
         (hi - lo) as u64
     }
 
-    fn select_collect(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> Vec<V> {
-        let (lo, hi) = self.crack_range(q, tracker);
-        let result_bytes = (hi - lo) as u64 * V::BYTES;
-        tracker.scan(self.id, result_bytes);
-        self.data[lo..hi].to_vec()
-    }
-
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
         // Values in [q.lo, q.hi] can only live between the start of the
         // piece holding q.lo and the end of the piece holding q.hi; scan
@@ -376,10 +369,12 @@ impl<V: ColumnValue> ColumnStrategy<V> for CrackedColumn<V> {
         // them spans boundary values inside (q.lo, q.hi], so its slice is
         // copied wholesale — the cracked analogue of the `covers` fast
         // path — and the boundary pieces go through the branchless kernel.
+        // "One piece" compares whole pieces: an empty piece shares its start
+        // with the piece above it.
         let (lo_start, lo_end) = self.piece_of(q.lo());
         let (hi_start, hi_end) = self.piece_of(q.hi());
         let mut out = Vec::new();
-        if lo_start == hi_start {
+        if (lo_start, lo_end) == (hi_start, hi_end) {
             crate::kernels::collect_range(&self.data[lo_start..lo_end], q, &mut out);
             return out;
         }
@@ -505,11 +500,30 @@ mod tests {
         let reference = values.clone();
         let mut c = CrackedColumn::new(values);
         let q = ValueRange::must(20_000, 39_999);
-        let mut got = c.select_collect(&q, &mut NullTracker);
+        c.select_count(&q, &mut NullTracker);
+        let mut got = c.peek_collect(&q);
         let mut expect: Vec<u32> = reference.into_iter().filter(|v| q.contains(*v)).collect();
         got.sort_unstable();
         expect.sort_unstable();
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn peek_sees_every_row_after_a_crack_below_the_data() {
+        // Regression: cracking [10, 20] over 100..199 leaves two boundaries
+        // at position 0, so the piece holding 0 is empty and starts where
+        // the piece holding 999 does; the peek took them for one piece and
+        // returned none of the 100 rows.
+        let mut c = CrackedColumn::new((100..200u32).collect());
+        assert_eq!(
+            c.select_count(&ValueRange::must(10, 20), &mut NullTracker),
+            0
+        );
+        assert_eq!(c.boundaries(), vec![(10, 0), (21, 0)]);
+        let mut got = c.peek_collect(&ValueRange::must(0, 999));
+        got.sort_unstable();
+        assert_eq!(got, (100..200).collect::<Vec<u32>>());
+        assert_eq!(c.peek_collect(&ValueRange::must(15, 150)).len(), 51);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Epoch-snapshot read path: concurrent readers during reorganization.
 //!
 //! The paper makes reorganization "an integral part of query execution",
-//! which is why every mutating `select_*` on [`ColumnStrategy`] takes
-//! `&mut self` — and why, without this module, a single reorganizing query
-//! would block every other reader on the column. This module splits the two
-//! roles the way production systems do (Hyrise's automatic clustering runs
+//! which is why [`ColumnStrategy::select_count`] takes `&mut self` — and
+//! why, without this module, a single reorganizing query would block every
+//! other reader on the column. This module splits the two roles the way
+//! production systems do (Hyrise's automatic clustering runs
 //! reorganization as a background job against a consistent snapshot):
 //!
 //! * [`StrategySnapshot`] is an **immutable, `Arc`-published epoch** of the
@@ -13,12 +13,12 @@
 //!   read one snapshot concurrently; a snapshot never changes.
 //! * [`ConcurrentColumn`] owns the actual (mutable) strategy on a **single
 //!   writer thread**. Readers answer `select_count` / `select_collect` /
-//!   `peek_collect` against the current snapshot and merely *enqueue* the
-//!   query for the writer, which folds the strategy's own reorganization
-//!   (split, crack, replicate — Algorithm 1/2 unchanged) off the read path
-//!   and publishes the next epoch. Publishing swaps one `Arc` under a
-//!   short-lived write lock; readers never wait for reorganization or for
-//!   a [`ConcurrentColumn::set_strategy`] migration.
+//!   `select_sum` / `select_min_max` against the current snapshot and
+//!   merely *enqueue* the query for the writer, which folds the strategy's
+//!   own reorganization (split, crack, replicate — Algorithm 1/2
+//!   unchanged) off the read path and publishes the next epoch. Publishing
+//!   swaps one `Arc` under a short-lived write lock; readers never wait for
+//!   reorganization or for a [`ConcurrentColumn::set_strategy`] migration.
 //!
 //! Epochs share structure: reorganization is purely physical, so a piece
 //! whose value range is unchanged between two epochs holds byte-identical
@@ -56,10 +56,16 @@
 //! depend only on the logical content, which reorganization never touches
 //! (the transparency claim of Section 3.1). `select_collect` returns the
 //! qualifying values in **canonical ascending order** — the physical order
-//! a serial `select_collect` exposes is an epoch-dependent artifact, so the
-//! concurrent column normalizes it; sorting the serial result yields the
-//! identical sequence. The property tests in `tests/` prove both, for all
-//! nine strategy kinds, under concurrent readers racing the writer.
+//! a strategy's [`ColumnStrategy::peek_collect`] exposes after the same
+//! queries is an epoch-dependent artifact, so the concurrent column
+//! normalizes it; sorting the serial peek yields the identical sequence.
+//! The property tests in `tests/` prove both, for all nine strategy kinds,
+//! under concurrent readers racing the writer.
+//!
+//! The snapshot's `walk` is the one materializing read of this layer: a
+//! strategy materializes only through `peek_collect`, which is how a
+//! snapshot piece is extracted and how a migration reads the column it
+//! rebuilds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -296,32 +302,6 @@ impl<V: ColumnValue> StrategySnapshot<V> {
             unmatched_tombstones,
             delta,
         }
-    }
-
-    /// Freezes a strategy's current organization into a standalone epoch-0
-    /// snapshot with `delta` overlaid — the bridge layers (the MAL
-    /// catalog) use to serve delta-visible reads over a column they own,
-    /// without spawning a writer thread. The run id is a caller-assigned
-    /// attribution identity; the snapshot allocates piece ids from a
-    /// fresh generator of its own.
-    pub fn freeze(
-        strategy: &dyn ColumnStrategy<V>,
-        domain: ValueRange<V>,
-        delta: Option<DeltaRun<V>>,
-    ) -> Self {
-        let mut ids = SegIdGen::new();
-        Self::capture(
-            strategy,
-            domain,
-            None,
-            &[],
-            &mut ids,
-            0,
-            AdaptationStats::default(),
-            QueryStats::default(),
-            (0, 0),
-            delta,
-        )
     }
 
     fn piece_with_range(&self, range: &ValueRange<V>) -> Option<&SnapshotPiece<V>> {
@@ -1071,14 +1051,8 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
     }
 
     /// As [`Self::select_count`], behind an [`AdmissionGate`]: the query
-    /// first acquires a permit (queueing up to its deadline under the
-    /// default policy) and holds it for the duration of the scan.
-    ///
-    /// Under [`ServeStale`](crate::AdmissionPolicy::ServeStale) an
-    /// over-capacity query still answers — from the current snapshot,
-    /// marked [`degraded`](Admitted::degraded), with no reorganization
-    /// hint enqueued (a saturated system should not buy itself more
-    /// background work).
+    /// first acquires a permit (queueing up to its deadline) and holds it
+    /// for the duration of the scan.
     ///
     /// # Errors
     /// [`QueryError::Shed`] when refused outright,
@@ -1089,17 +1063,10 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
         q: &ValueRange<V>,
         tracker: &mut dyn AccessTracker,
     ) -> Result<Admitted<u64>, QueryError> {
-        match gate.admit() {
-            Ok(_permit) => Ok(Admitted {
-                value: self.select_count(q, tracker),
-                degraded: false,
-            }),
-            Err(QueryError::Degraded) => Ok(Admitted {
-                value: self.snapshot().select_count(q, tracker),
-                degraded: true,
-            }),
-            Err(e) => Err(e),
-        }
+        let _permit = gate.admit()?;
+        Ok(Admitted {
+            value: self.select_count(q, tracker),
+        })
     }
 
     /// The writer's cumulative reorganization accounting as of the
@@ -1110,13 +1077,6 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
         let mut totals = self.snapshot().reorg_totals();
         totals.reorg_hints_dropped += self.hints_dropped.load(Ordering::Relaxed);
         totals
-    }
-
-    /// Read-only materialization: like [`Self::select_collect`] but with
-    /// no tracker reporting and no reorganization enqueued.
-    pub fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
-        self.snapshot()
-            .select_collect(q, &mut crate::tracker::NullTracker)
     }
 
     /// Starts a background migration to the strategy `spec` describes: the
@@ -1262,7 +1222,8 @@ mod tests {
         let concurrent =
             ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
         for q in queries() {
-            let mut expect = serial.select_collect(&q, &mut NullTracker);
+            serial.select_count(&q, &mut NullTracker);
+            let mut expect = serial.peek_collect(&q);
             expect.sort_unstable();
             assert_eq!(concurrent.select_collect(&q, &mut NullTracker), expect);
         }
@@ -1367,6 +1328,31 @@ mod tests {
         // Retired adaptation history survives the swap.
         assert!(snap.adaptation().splits >= adaptation_before.splits);
         assert_eq!(concurrent.select_count(&q, &mut NullTracker), expect);
+    }
+
+    #[test]
+    fn migrating_a_column_cracked_below_its_data_keeps_every_row() {
+        // Cracking [10, 20] over 100..199 leaves an empty piece below the
+        // data; the migration reads the column through `peek_collect`,
+        // which used to return none of its rows.
+        let values: Vec<u32> = (100..200).collect();
+        let concurrent = ConcurrentColumn::from_spec(
+            &StrategySpec::new(StrategyKind::Cracking),
+            domain(),
+            values,
+        )
+        .expect("values in domain");
+        assert_eq!(
+            concurrent.select_count(&ValueRange::must(10, 20), &mut NullTracker),
+            0
+        );
+        concurrent.quiesce();
+        concurrent.set_strategy(StrategySpec::new(StrategyKind::FullSort));
+        concurrent.quiesce();
+        let snap = concurrent.snapshot();
+        assert_eq!(snap.name(), "FullSort");
+        assert_eq!(snap.total_rows(), 100);
+        assert_eq!(concurrent.select_count(&domain(), &mut NullTracker), 100);
     }
 
     #[test]
@@ -1504,38 +1490,10 @@ mod tests {
             let got = concurrent
                 .select_count_gated(&gate, &q, &mut NullTracker)
                 .expect("uncontended gate admits");
-            assert!(!got.degraded);
             assert_eq!(got.value, expect);
         }
         assert_eq!(gate.in_flight(), 0, "permits release on drop");
         assert_eq!(gate.stats().admitted, queries().len() as u64);
-    }
-
-    #[test]
-    fn serve_stale_gate_degrades_without_enqueuing_hints() {
-        let spec = StrategySpec::new(StrategyKind::ApmSegm);
-        let concurrent =
-            ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
-        let gate = AdmissionGate::new(
-            crate::admission::AdmissionConfig::with_in_flight(1)
-                .policy(crate::admission::AdmissionPolicy::ServeStale),
-        );
-        let held = gate.admit().expect("first permit");
-        let before = concurrent.reorg_hints_dropped();
-        let q = ValueRange::must(100u32, 900);
-        let expect = concurrent.snapshot().select_count(&q, &mut NullTracker);
-        let got = concurrent
-            .select_count_gated(&gate, &q, &mut NullTracker)
-            .expect("ServeStale never refuses");
-        assert!(got.degraded, "over-capacity ServeStale marks degraded");
-        assert_eq!(got.value, expect, "degraded answers are still correct");
-        assert_eq!(
-            concurrent.reorg_hints_dropped(),
-            before,
-            "degraded reads enqueue no hints, so none can be dropped"
-        );
-        assert_eq!(gate.stats().degraded, 1);
-        drop(held);
     }
 
     #[test]
@@ -1688,7 +1646,12 @@ mod tests {
         concurrent.apply_deltas(insert_batch(900_000, [absent, absent, 7]));
         concurrent.quiesce();
         assert_eq!(concurrent.pending_delta_rows(), 3);
-        assert_eq!(concurrent.peek_collect(&only), [absent, absent]);
+        assert_eq!(
+            concurrent
+                .snapshot()
+                .select_collect(&only, &mut NullTracker),
+            [absent, absent]
+        );
 
         let mut batch = DeltaBatch::new();
         batch.push(DeltaOp::Delete {
@@ -1700,7 +1663,7 @@ mod tests {
         let snap = concurrent.snapshot();
         assert_eq!(snap.pending_delta_rows(), 2, "3 + 1 arrived, 2 cancelled");
         assert_eq!(snap.select_count(&only, &mut NullTracker), 1);
-        assert_eq!(concurrent.peek_collect(&only), [absent]);
+        assert_eq!(snap.select_collect(&only, &mut NullTracker), [absent]);
         snap.validate().unwrap();
 
         // An update to the value a row already holds seals to nothing:

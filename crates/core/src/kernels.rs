@@ -22,11 +22,11 @@
 //! scan of each covering segment answers the query and fills every replica
 //! in M"):
 //!
-//! - [`scan_fill`] counts (or collects) the query **and** fills every
-//!   replica of the materialization list in one pass over the payload. The
-//!   values that qualify are counted and moved in 64-element blocks: an
-//!   empty block moves nothing, a full one is a `memcpy`, and only a mixed
-//!   block is compress-stored (`dst[k] = v; k += in_range`) — never a
+//! - [`scan_fill`] counts the query **and** fills every replica of the
+//!   materialization list in one pass over the payload. The values that
+//!   qualify are counted and moved in 64-element blocks: an empty block
+//!   moves nothing, a full one is a `memcpy`, and only a mixed block is
+//!   compress-stored (`dst[k] = v; k += in_range`) — never a
 //!   `filter` loop. A selective fill therefore costs about what a count
 //!   costs, and when the only fill is the query one count answers both.
 //!   Element order is preserved in every output.
@@ -38,7 +38,10 @@
 //! Everything downstream — [`crate::segment::SegmentData`], the cracked
 //! column, adaptive replication's cover scans, the fully-sorted baseline —
 //! routes its per-element work through this module, so a kernel improvement
-//! lands in every strategy at once.
+//! lands in every strategy at once. Aggregates have no strategy-side
+//! kernel: a served `SUM`/`MIN`/`MAX` folds the epoch snapshot's sorted
+//! pieces ([`sum_sorted_run`], [`net_min`], [`net_max`]), and the masked
+//! [`sum_range`] survives as the specification those sums reproduce.
 
 use crate::range::ValueRange;
 use crate::value::ColumnValue;
@@ -172,11 +175,11 @@ pub fn collect_range<V: ColumnValue>(values: &[V], q: &ValueRange<V>, out: &mut 
 /// `scanMat(s, M)` over a raw payload: one pass answers `q` **and** fills
 /// every replica of the materialization list.
 ///
-/// Returns the number of values inside `q`, appending them to `result`
-/// when one is given. `fills` are the value ranges of the replicas to
-/// fill — ascending and pairwise disjoint — and `outs[i]` receives, in
-/// storage order, exactly the values inside `fills[i]` (what
-/// `collect_range(values, &fills[i], &mut outs[i])` would append).
+/// Returns the number of values inside `q`. `fills` are the value ranges
+/// of the replicas to fill — ascending and pairwise disjoint — and
+/// `outs[i]` receives, in storage order, exactly the values inside
+/// `fills[i]` (what `collect_range(values, &fills[i], &mut outs[i])`
+/// would append).
 ///
 /// Per chunk the hull of the fills is counted and moved in blocks by
 /// [`append_matches`], so only its mixed blocks are compress-stored. A
@@ -188,12 +191,11 @@ pub fn collect_range<V: ColumnValue>(values: &[V], q: &ValueRange<V>, out: &mut 
 /// The query is answered from the same chunk while it is hot in L1: when
 /// the only fill *is* the query — the common case of adaptive replication
 /// — the hull's one count is the answer; when the hull holds the query,
-/// the query's values are cut from the hull's hits; otherwise from the
-/// chunk. Branchless throughout.
+/// the query is counted over the hull's hits; otherwise over the chunk.
+/// Branchless throughout.
 pub fn scan_fill<V: ColumnValue>(
     values: &[V],
     q: &ValueRange<V>,
-    mut result: Option<&mut Vec<V>>,
     fills: &[ValueRange<V>],
     outs: &mut [Vec<V>],
 ) -> u64 {
@@ -203,10 +205,7 @@ pub fn scan_fill<V: ColumnValue>(
         "fill ranges must be ascending and disjoint"
     );
     let (Some(first), Some(last)) = (fills.first(), fills.last()) else {
-        return match result {
-            Some(out) => append_matches(values, q.lo(), q.hi(), out) as u64,
-            None => count_range(values, q),
-        };
+        return count_range(values, q);
     };
     let (qlo, qhi) = (q.lo(), q.hi());
     let (hlo, hhi) = (first.lo(), last.hi());
@@ -232,14 +231,14 @@ pub fn scan_fill<V: ColumnValue>(
                 &survivors[..]
             }
         };
-        // Inside the hull the query's values are among the hits, in order;
-        // when the only fill is the query they are the hits.
-        let src = if q_in_hull { hits } else { chunk };
-        total += match result.as_deref_mut() {
-            Some(out) => append_matches(src, qlo, qhi, out),
-            None if fill_is_query => hits.len(),
-            None => count_chunk(src, qlo, qhi) as usize,
-        } as u64;
+        // Inside the hull the query's values are among the hits; when the
+        // only fill is the query they are the hits.
+        total += if fill_is_query {
+            hits.len() as u64
+        } else {
+            let src = if q_in_hull { hits } else { chunk };
+            u64::from(count_chunk(src, qlo, qhi))
+        };
     }
     total
 }
@@ -323,10 +322,11 @@ pub fn count_partition<V: ColumnValue>(values: &[V], q: &ValueRange<V>) -> (u64,
     (below, mid, above)
 }
 
-/// One-pass fused `SUM(v) WHERE v IN q` (as `f64`): the predicate folds
-/// into a `0.0/1.0` multiplier, so the loop carries no branch and never
-/// materializes the qualifying values — replacing collect-then-fold
-/// aggregate call sites with a single scan.
+/// Masked `SUM(v) WHERE v IN q` (as `f64`): the predicate folds into a
+/// `0.0/1.0` multiplier, so the loop carries no branch. No read calls it —
+/// a served `SUM` adds a sorted run ([`sum_sorted_run`]) or a synopsis —
+/// but it is the specification both reproduce bit for bit, and the
+/// benchmark harness times it as `kernels.sum_ns_per_elem`.
 pub fn sum_range<V: ColumnValue>(values: &[V], q: &ValueRange<V>) -> f64 {
     let (lo, hi) = (q.lo(), q.hi());
     let mut total = 0.0f64;
@@ -395,23 +395,6 @@ pub fn min_max_sum_all<V: ColumnValue>(values: &[V]) -> Option<(V, V, f64)> {
         total += acc;
     }
     Some((mn, mx, total))
-}
-
-/// One-pass fused `MIN(v), MAX(v) WHERE v IN q`; `None` when no value
-/// qualifies. The in-range test gates a pair of compare-selects, so a
-/// match never copies more than two registers — again no materialization.
-pub fn min_max_range<V: ColumnValue>(values: &[V], q: &ValueRange<V>) -> Option<(V, V)> {
-    let (lo, hi) = (q.lo(), q.hi());
-    let mut cur: Option<(V, V)> = None;
-    for &v in values {
-        if lo <= v && v <= hi {
-            cur = Some(match cur {
-                None => (v, v),
-                Some((mn, mx)) => (if v < mn { v } else { mn }, if mx < v { v } else { mx }),
-            });
-        }
-    }
-    cur
 }
 
 /// The positions `[start, end)` of the values inside `q` within a *sorted*
@@ -745,18 +728,6 @@ mod tests {
                 .sum();
             assert_eq!(sum_range(&values, &q), expect, "{q:?}");
         }
-    }
-
-    #[test]
-    fn fused_min_max_matches_collect_then_fold() {
-        let values = shuffled(CHUNK + 11, 19);
-        for (lo, hi) in [(0, 99_999), (20_000, 59_999), (1, 1)] {
-            let q = ValueRange::must(lo, hi);
-            let mn = values.iter().copied().filter(|v| q.contains(*v)).min();
-            let mx = values.iter().copied().filter(|v| q.contains(*v)).max();
-            assert_eq!(min_max_range(&values, &q), mn.map(|m| (m, mx.unwrap())));
-        }
-        assert_eq!(min_max_range::<u32>(&[], &ValueRange::must(0, 9)), None);
     }
 
     #[test]

@@ -218,18 +218,8 @@ mod properties {
                 assert_eq!(count, naive(values, &q).len() as u64, "{what}");
 
                 let mut outs = vec![Vec::new(); fills.len()];
-                let got = kernels::scan_fill(values, &q, None, &fills, &mut outs);
+                let got = kernels::scan_fill(values, &q, &fills, &mut outs);
                 assert_eq!(got, count, "{what}");
-                for (o, w) in outs.iter().zip(&want) {
-                    assert_same(o, w, &what);
-                }
-
-                // Collecting the result too: appended after what is there.
-                let mut result = vec![pool[0]];
-                let mut outs = vec![Vec::new(); fills.len()];
-                let got = kernels::scan_fill(values, &q, Some(&mut result), &fills, &mut outs);
-                assert_eq!(got, count, "{what}");
-                assert_same(&result[1..], &naive(values, &q), &what);
                 for (o, w) in outs.iter().zip(&want) {
                     assert_same(o, w, &what);
                 }

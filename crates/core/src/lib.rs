@@ -80,9 +80,7 @@ pub mod tracker;
 pub mod validate;
 pub mod value;
 
-pub use admission::{
-    AdmissionConfig, AdmissionGate, AdmissionPolicy, AdmissionStats, Admitted, Permit, QueryError,
-};
+pub use admission::{AdmissionConfig, AdmissionGate, AdmissionStats, Admitted, Permit, QueryError};
 pub use baseline::{FullySorted, NonSegmented};
 pub use column::{ColumnError, SegmentedColumn};
 pub use compress::{

@@ -147,12 +147,6 @@ impl<V: ColumnValue> ColumnStrategy<V> for MergingSegmentation<V> {
         n
     }
 
-    fn select_collect(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> Vec<V> {
-        let out = self.inner.select_collect(q, tracker);
-        self.merge_after(q, tracker);
-        out
-    }
-
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
         self.inner.peek_collect(q)
     }

@@ -124,8 +124,8 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
         self.tree
     }
 
-    /// `scanMat(s, M)`: one scan of covering segment `s` produces the query
-    /// answer and the data for every node in `M`
+    /// `scanMat(s, M)`: one scan of covering segment `s` counts the query
+    /// answer and fills every node in `M`
     /// ([`crate::compress::PiecePayload::scan_fill`] — a single pass over a
     /// raw payload however many replicas it fills).
     fn scan_cover_member(
@@ -134,7 +134,6 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
         s: NodeId,
         m_list: &[NodeId],
         tracker: &mut dyn AccessTracker,
-        out: Option<&mut Vec<V>>,
     ) -> u64 {
         // M comes out of the analysis in range order and its nodes are
         // leaves, so the fill ranges are ascending and disjoint.
@@ -155,15 +154,12 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
                 .payload()
                 .expect("covering-set members are materialized");
             // Compressed-domain dispatch: a count over a packed node never
-            // decodes; only result extraction and replica fills do.
+            // decodes; only replica fills do.
             let matched = if m_list.is_empty() && q.covers(&node.range) {
                 // Every value qualifies and nothing is filled: no scan.
-                if let Some(out) = out {
-                    payload.collect_all(out);
-                }
                 payload.len()
             } else {
-                payload.scan_fill(q, out, &ranges, &mut fills)
+                payload.scan_fill(q, &ranges, &mut fills)
             };
             (node.seg_id, node.bytes(), matched)
         };
@@ -204,18 +200,13 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
         matched
     }
 
-    fn run_select(
-        &mut self,
-        q: &ValueRange<V>,
-        tracker: &mut dyn AccessTracker,
-        mut out: Option<&mut Vec<V>>,
-    ) -> u64 {
+    fn run_select(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
         self.tick += 1;
         let cover = self.tree.covering_set(q);
         let mut matched = 0u64;
         for s in cover {
             let m_list = self.tree.analyze_repl(q, s, self.model.as_mut());
-            matched += self.scan_cover_member(q, s, &m_list, tracker, out.as_deref_mut());
+            matched += self.scan_cover_member(q, s, &m_list, tracker);
             let before = self.tree.node_count();
             self.tree.check4drop(s, tracker);
             self.drops += (before - self.tree.node_count()) as u64;
@@ -238,13 +229,7 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveReplication<V> {
     }
 
     fn select_count(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
-        self.run_select(q, tracker, None)
-    }
-
-    fn select_collect(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> Vec<V> {
-        let mut out = Vec::new();
-        self.run_select(q, tracker, Some(&mut out));
-        out
+        self.run_select(q, tracker)
     }
 
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
@@ -381,7 +366,8 @@ mod tests {
         let values = column_values(5_000, 5);
         let mut r = repl(values.clone(), apm());
         let q = ValueRange::must(10_000, 29_999);
-        let mut got = r.select_collect(&q, &mut NullTracker);
+        r.select_count(&q, &mut NullTracker);
+        let mut got = r.peek_collect(&q);
         got.sort_unstable();
         let mut expect: Vec<u32> = values.into_iter().filter(|v| q.contains(*v)).collect();
         expect.sort_unstable();
@@ -726,7 +712,7 @@ mod tests {
     }
 
     #[test]
-    fn collect_returns_the_same_rows_while_replicas_are_filled() {
+    fn peek_returns_the_same_rows_after_replicas_are_filled() {
         let values = column_values(30_000, 35);
         for model in [
             apm(),
@@ -734,26 +720,21 @@ mod tests {
         ] {
             let mut r = repl(values.clone(), model);
             let mut rng = SmallRng::seed_from_u64(37);
-            let mut filled_while_collecting = 0;
+            let mut filled = 0;
             for _ in 0..40 {
                 let lo = rng.gen_range(0..=DOMAIN_HI - 9_000);
                 let q = ValueRange::must(lo, lo + 8_999);
                 let before = r.replicas_created();
-                let mut got = r.select_collect(&q, &mut NullTracker);
+                r.select_count(&q, &mut NullTracker);
+                let mut got = r.peek_collect(&q);
                 let mut expect: Vec<u32> =
                     values.iter().copied().filter(|v| q.contains(*v)).collect();
-                if before == 0 {
-                    // One cover member, the root: the rows come back in
-                    // storage order, exactly as the collecting scan alone
-                    // returned them.
-                    assert_eq!(got, expect, "{q:?}");
-                }
                 got.sort_unstable();
                 expect.sort_unstable();
                 assert_eq!(got, expect, "{q:?}");
-                filled_while_collecting += r.replicas_created() - before;
+                filled += r.replicas_created() - before;
             }
-            assert!(filled_while_collecting > 0, "M was never non-empty");
+            assert!(filled > 0, "M was never non-empty");
         }
     }
 

@@ -138,7 +138,6 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
         idx: usize,
         q: &ValueRange<V>,
         tracker: &mut dyn AccessTracker,
-        out: Option<&mut Vec<V>>,
     ) -> u64 {
         let total_len = self.column.total_len();
         let tick = self.tick;
@@ -148,13 +147,9 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
         let seg_len = seg.len();
         tracker.scan(seg.id(), seg.bytes());
 
-        // One pass over the segment: exact piece counts + result extraction.
-        // Packed payloads are counted in the compressed domain; only a
-        // `collect` (partial overlap) materializes decoded values.
+        // One pass over the segment: exact piece counts, the middle one being
+        // the answer. Packed payloads are counted in the compressed domain.
         let exact = overlapping(exact_pieces_payload(&seg_range, seg.payload(), q));
-        if let Some(out) = out {
-            seg.collect_in(q, out);
-        }
         let matched = exact.1;
 
         // The model decides on estimates (what the optimizer level can know).
@@ -184,18 +179,13 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
         matched
     }
 
-    fn run_select(
-        &mut self,
-        q: &ValueRange<V>,
-        tracker: &mut dyn AccessTracker,
-        mut out: Option<&mut Vec<V>>,
-    ) -> u64 {
+    fn run_select(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
         self.tick += 1;
         let span = self.column.overlapping_span(q);
         let mut matched = 0;
         // Right-to-left so splice-induced index shifts stay ahead of us.
         for idx in span.rev() {
-            matched += self.process_segment(idx, q, tracker, out.as_deref_mut());
+            matched += self.process_segment(idx, q, tracker);
         }
         // The reorganization boundary is also where the physical
         // representation is reconsidered.
@@ -226,13 +216,7 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveSegmentation<V> {
     }
 
     fn select_count(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
-        self.run_select(q, tracker, None)
-    }
-
-    fn select_collect(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> Vec<V> {
-        let mut out = Vec::new();
-        self.run_select(q, tracker, Some(&mut out));
-        out
+        self.run_select(q, tracker)
     }
 
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
@@ -343,7 +327,8 @@ mod tests {
         let reference: Vec<u32> = column.segments()[0].values().to_vec();
         let mut s = AdaptiveSegmentation::new(column, apm(), SizeEstimator::Exact);
         let q = ValueRange::must(25_000, 74_999);
-        let mut got = s.select_collect(&q, &mut NullTracker);
+        s.select_count(&q, &mut NullTracker);
+        let mut got = s.peek_collect(&q);
         let mut expect: Vec<u32> = reference.into_iter().filter(|v| q.contains(*v)).collect();
         got.sort_unstable();
         expect.sort_unstable();
@@ -490,8 +475,8 @@ mod tests {
         assert_eq!(t.totals().read_bytes, enc_bytes);
         assert_eq!(t.totals().write_bytes, 0);
         assert_eq!(t.totals().freed_bytes, 0);
-        // A collect over the same packed segment still returns the values.
-        let got = s.select_collect(&ValueRange::must(100, 499), &mut t);
+        // A peek over the same packed segment still returns the values.
+        let got = s.peek_collect(&ValueRange::must(100, 499));
         assert_eq!(got.len(), 1600);
     }
 

@@ -3,7 +3,10 @@
 //! The evaluation (Section 6) compares four self-organizing strategies
 //! ({GD, APM} × {segmentation, replication}) against a non-segmented
 //! baseline; the experiment drivers in `soc-sim` treat them uniformly
-//! through [`ColumnStrategy`].
+//! through [`ColumnStrategy`]. A strategy has one reorganizing read,
+//! [`ColumnStrategy::select_count`] (the query every workload and figure
+//! runs), and one materializing read, the read-only
+//! [`ColumnStrategy::peek_collect`].
 
 use crate::range::ValueRange;
 use crate::tracker::AccessTracker;
@@ -54,7 +57,7 @@ impl AdaptationStats {
 /// relies on when its writer thread owns the strategy. Concretely:
 ///
 /// * the **mutating** methods ([`Self::select_count`],
-///   [`Self::select_collect`], [`Self::fold_delta`]) take `&mut self`, so
+///   [`Self::fold_delta`]) take `&mut self`, so
 ///   they are exclusive per strategy *instance*; concurrency comes from
 ///   running *distinct* instances in parallel, never from sharing one;
 /// * the **read-only** methods ([`Self::peek_collect`],
@@ -75,18 +78,16 @@ pub trait ColumnStrategy<V: ColumnValue>: Send + Sync {
     /// the way.
     fn select_count(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64;
 
-    /// As [`Self::select_count`] but materializes the qualifying values
-    /// (unordered). Used by tests and examples; the simulation figures use
-    /// the counting path.
-    fn select_collect(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> Vec<V>;
-
-    /// Read-only variant of [`Self::select_collect`]: returns the values in
-    /// `q` without reorganizing, adapting, or reporting accesses.
+    /// Returns the values in `q` (unordered) without reorganizing,
+    /// adapting, or reporting accesses — the one way to materialize a
+    /// strategy's values.
     ///
     /// This is the extraction path for layers that present a strategy's
     /// segments as data (the MAL `bpm` module materializes per-segment
-    /// bats, checkpointing reads pieces) — those reads must not perturb
-    /// the self-organization the workload is driving.
+    /// bats, checkpointing reads pieces, the epoch layer publishes
+    /// snapshots from it) — those reads must not perturb the
+    /// self-organization the workload is driving, which only
+    /// [`Self::select_count`] does.
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V>;
 
     /// Bytes of materialized segment storage currently held, including the

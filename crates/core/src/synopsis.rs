@@ -20,11 +20,11 @@
 //!
 //! The bounds are *exact*, not conservative: a covered `MIN`/`MAX` is
 //! answered straight from the synopsis, which a loose bound would corrupt.
-//! The stored sum is produced by the same accumulation the scan kernels
-//! use ([`crate::kernels::sum_all`] for raw sorted pieces, the packed
-//! key-visitor for encoded ones), so substituting it for a covered scan
-//! changes no bits. `validate::synopsis_consistent` guards all of this at
-//! every `debug_assert_valid!` boundary.
+//! The stored sum of a raw piece is produced by the same accumulation the
+//! scan kernels use ([`crate::kernels::sum_all`]), so substituting it for a
+//! covered scan of a served piece changes no bits.
+//! `validate::synopsis_consistent` guards all of this at every
+//! `debug_assert_valid!` boundary.
 
 use crate::kernels;
 use crate::range::ValueRange;

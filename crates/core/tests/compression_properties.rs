@@ -77,28 +77,23 @@ proptest! {
             };
             let mut raw = build(EncodingMode::Raw);
             let mut packed: Vec<_> = modes().iter().map(|m| build(*m)).collect();
-            for (i, q) in queries.iter().enumerate() {
-                if i % 2 == 0 {
-                    let expect = raw.select_count(q, &mut NullTracker);
-                    for (m, s) in modes().iter().zip(packed.iter_mut()) {
-                        prop_assert_eq!(
-                            s.select_count(q, &mut NullTracker),
-                            expect,
-                            "{:?} under {:?} count diverged on {:?}", kind, m, q
-                        );
-                    }
-                } else {
-                    let mut expect = raw.select_collect(q, &mut NullTracker);
-                    expect.sort_unstable();
-                    for (m, s) in modes().iter().zip(packed.iter_mut()) {
-                        let mut got = s.select_collect(q, &mut NullTracker);
-                        got.sort_unstable();
-                        prop_assert_eq!(
-                            &got,
-                            &expect,
-                            "{:?} under {:?} collect diverged on {:?}", kind, m, q
-                        );
-                    }
+            for q in &queries {
+                let expect = raw.select_count(q, &mut NullTracker);
+                let mut rows = raw.peek_collect(q);
+                rows.sort_unstable();
+                for (m, s) in modes().iter().zip(packed.iter_mut()) {
+                    prop_assert_eq!(
+                        s.select_count(q, &mut NullTracker),
+                        expect,
+                        "{:?} under {:?} count diverged on {:?}", kind, m, q
+                    );
+                    let mut got = s.peek_collect(q);
+                    got.sort_unstable();
+                    prop_assert_eq!(
+                        &got,
+                        &rows,
+                        "{:?} under {:?} collect diverged on {:?}", kind, m, q
+                    );
                 }
             }
             // The per-piece footprints are the stored bytes, not a

@@ -246,7 +246,8 @@ proptest! {
         let mut model = sorted.peek_collect(&domain());
         prop_assert!(model.windows(2).all(|w| w[0] <= w[1]));
         model.retain(|v| q.contains(*v));
-        prop_assert_eq!(sorted.select_collect(&q, &mut NullTracker), model);
+        prop_assert_eq!(sorted.select_count(&q, &mut NullTracker), model.len() as u64);
+        prop_assert_eq!(sorted.peek_collect(&q), model);
         let mut packed = FullySorted::new(domain(), base.clone())
             .with_encoding(EncodingMode::Fixed(SegmentEncoding::Rle));
         check_folds(&mut packed, base.clone(), &batches, PACKED)?;

@@ -17,15 +17,20 @@
 //! `adaptation()` uniformly. A catalog merge is the strategy's own
 //! `fold_delta` too: the pending deltas land in the pieces that own them,
 //! and the organization the queries built survives.
+//!
+//! The adapter materializes rows one way: the strategy's read-only
+//! `peek_collect`, into the piece bats a compiled plan binds. Pending
+//! deltas are the plan's to merge (`sql.subdelta`/`sql.projectdelta` over
+//! the catalog's delta bats); this module only seals them into a run when
+//! the catalog merges them into the pieces.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use soc_bat::{algebra::Atom, Bat, BatError, Head, Oid, Tail};
 use soc_core::{
-    AccessTracker, AdaptationStats, ColumnError, ColumnStrategy, ColumnValue, CountingTracker,
-    DeltaBatch, DeltaOp, DeltaRun, OrdF64, Pair, SegIdGen, StrategySnapshot, StrategySpec,
-    ValueRange,
+    AdaptationStats, ColumnError, ColumnStrategy, ColumnValue, CountingTracker, DeltaBatch,
+    DeltaOp, DeltaRun, OrdF64, Pair, SegIdGen, StrategySpec, ValueRange,
 };
 
 use crate::catalog::{ColumnDeltas, MergeReport};
@@ -95,11 +100,11 @@ pub(crate) trait TailValue: ColumnValue {
 
     /// The typed value a delta [`Atom`] lands as. The `:int` and `:oid`
     /// coercions *are* the ones `atoms_to_bat` applies to the delta bats
-    /// the Figure 1 plan binds, so snapshot-visible reads and plan reads
-    /// agree bit for bit, and `None` is exactly an atom a delta bind
-    /// rejects (`Str`/`Nil`, a `Dbl` or negative `Int` into `:oid`). A
-    /// `:dbl` tail is `None` for `Str`/`Nil` and for NaN, which has no
-    /// place in a value order ([`BpmError::NanTail`]).
+    /// the Figure 1 plan binds, so a merge folds exactly the rows the plan
+    /// read, and `None` is exactly an atom a delta bind rejects
+    /// (`Str`/`Nil`, a `Dbl` or negative `Int` into `:oid`). A `:dbl` tail
+    /// is `None` for `Str`/`Nil` and for NaN, which has no place in a
+    /// value order ([`BpmError::NanTail`]).
     fn from_atom(a: &Atom) -> Option<Self>;
 
     /// Smallest representable value `>= x`; `None` when no such value
@@ -335,10 +340,10 @@ impl<V: TailValue> TypedSeg<V> {
     }
 
     /// Seals the column's pending catalog deltas into one sorted
-    /// [`DeltaRun`] over pair space — the one translation of oid-keyed
-    /// operations that both the overlay read and the merge use: inserts
-    /// land verbatim, updates and deletes probe their *old* value from the
-    /// current pieces (tombstones cancel by value, not by oid). Per-oid
+    /// [`DeltaRun`] over pair space — the merge's translation of oid-keyed
+    /// operations: inserts land verbatim, updates and deletes probe their
+    /// *old* value from the current pieces (tombstones cancel by value,
+    /// not by oid). Per-oid
     /// shadowing — a later update wins, a delete of an inserted row
     /// cancels it — is [`DeltaBatch`]'s seal semantics. `None` when
     /// nothing survives shadowing. The report counts what the merge folds
@@ -455,50 +460,6 @@ impl<V: TailValue> TypedSeg<V> {
         self.rows = self.rows + run.inserts().len() as u64 - run.tombstones().len() as u64;
         self.reorg_write_bytes += tracker.totals().write_bytes;
         soc_core::debug_assert_valid!(self.validate(), "catalog merge fold");
-    }
-
-    /// A delta-visible [`StrategySnapshot`]: the current pieces with the
-    /// pending run carried in the overlay, so reads merge deltas on the
-    /// fly without rebuilding the column.
-    fn delta_snapshot(
-        &self,
-        d: Option<&ColumnDeltas>,
-        deleted: &[Oid],
-    ) -> Result<StrategySnapshot<Pair<V>>, BpmError> {
-        let (run, _) = self.pending_run(d, deleted)?;
-        Ok(StrategySnapshot::freeze(
-            self.strategy.as_ref(),
-            self.value_domain.paired(),
-            run,
-        ))
-    }
-
-    fn delta_visible_count(
-        &self,
-        d: Option<&ColumnDeltas>,
-        deleted: &[Oid],
-        lo: f64,
-        hi: f64,
-        tracker: &mut dyn AccessTracker,
-    ) -> Result<u64, BpmError> {
-        let Some(q) = self.query(lo, hi) else {
-            return Ok(0);
-        };
-        Ok(self.delta_snapshot(d, deleted)?.select_count(&q, tracker))
-    }
-
-    fn delta_visible_collect(
-        &self,
-        d: Option<&ColumnDeltas>,
-        deleted: &[Oid],
-        lo: f64,
-        hi: f64,
-        tracker: &mut dyn AccessTracker,
-    ) -> Result<Bat, BpmError> {
-        let Some(q) = self.query(lo, hi) else {
-            return bat_of_pairs(Vec::<Pair<V>>::new());
-        };
-        bat_of_pairs(self.delta_snapshot(d, deleted)?.select_collect(&q, tracker))
     }
 
     /// Structural invariant check (tests): pieces disjoint and ascending,
@@ -747,45 +708,17 @@ impl SegmentedBat {
         Ok(on_seg!(&mut self.inner, s => s.adapt(ql, qh)))
     }
 
-    /// Counts rows in the closed query `[lo, hi]` **including** the
-    /// column's pending deltas, by merge-on-read against a frozen
-    /// [`StrategySnapshot`] — no decode of the base pieces, no rebuild.
-    /// Bit-identical to counting the Figure 1 merged bat.
-    pub(crate) fn delta_visible_count(
-        &self,
-        d: Option<&ColumnDeltas>,
-        deleted: &[Oid],
-        lo: f64,
-        hi: f64,
-        tracker: &mut dyn AccessTracker,
-    ) -> Result<u64, BpmError> {
-        on_seg!(&self.inner, s => s.delta_visible_count(d, deleted, lo, hi, tracker))
-    }
-
-    /// Materializes the rows in the closed query `[lo, hi]` including
-    /// pending deltas, in value order (oid tiebreak) — the delta-visible
-    /// twin of [`Self::piece_bats`] + Figure 1's merge.
-    pub(crate) fn delta_visible_collect(
-        &self,
-        d: Option<&ColumnDeltas>,
-        deleted: &[Oid],
-        lo: f64,
-        hi: f64,
-        tracker: &mut dyn AccessTracker,
-    ) -> Result<Bat, BpmError> {
-        on_seg!(&self.inner, s => s.delta_visible_collect(d, deleted, lo, hi, tracker))
-    }
-
-    /// Stages a merge of the column's pending deltas: seals them into the
-    /// run the delta-visible reads overlay and checks its inserts against
-    /// the column's domain. The returned fold cannot fail; it hands the run
-    /// to the strategy's [`ColumnStrategy::fold_delta`], which folds it
-    /// into the pieces that own its rows and keeps every piece boundary.
+    /// Stages a merge of the column's pending deltas: seals them into one
+    /// sorted run and checks its inserts against the column's domain. The
+    /// returned fold cannot fail; it hands the run to the strategy's
+    /// [`ColumnStrategy::fold_delta`], which folds it into the pieces that
+    /// own its rows and keeps every piece boundary.
     /// The report counts what the fold merges for this column.
     ///
     /// # Errors
-    /// As [`Self::delta_visible_count`], plus [`BpmError::Column`] for an
-    /// insert or update outside the registered domain.
+    /// [`BpmError::Bat`] (or [`BpmError::NanTail`]) for a pending atom the
+    /// tail cannot hold, and [`BpmError::Column`] for an insert or update
+    /// outside the registered domain.
     pub(crate) fn stage_fold(
         &mut self,
         d: Option<&ColumnDeltas>,

@@ -27,11 +27,10 @@
 //! table's pending rows reach the threshold (global default, overridable
 //! per table), the mutation that reached it merges the whole backlog.
 //!
-//! Pending deltas are also **readable without merging**:
-//! [`Catalog::snapshot_count`]/[`Catalog::snapshot_collect`] freeze a
-//! [`soc_core::StrategySnapshot`] of the column with its deltas sealed
-//! into a sorted run — the same run a merge folds — and answer by
-//! merge-on-read, bit-identical to the Figure 1 merged bat.
+//! Pending deltas are read one way: through the compiled plan, whose
+//! `sql.subdelta`/`sql.projectdelta` merge the delta bats `sql.bind`
+//! hands out (Figure 1's merge, fused). The catalog has no second read
+//! path of its own.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -454,7 +453,8 @@ impl Catalog {
     }
 
     /// The delta bat `sql.bind(schema, table, column, access)` returns for
-    /// `access` 1 (inserts) or 2 (updates); typed like the base column.
+    /// `access` 1 (inserts) or 2 (updates — the interpreter rejects every
+    /// other code); typed like the base column.
     pub(crate) fn delta_bat(
         &self,
         key: &str,
@@ -463,11 +463,8 @@ impl Catalog {
     ) -> Result<Bat, CatalogError> {
         match self.deltas.get(key) {
             None => Ok(like.empty_like()),
-            Some(d) => match access {
-                1 => atoms_to_bat(key, &d.insert_heads, &d.insert_vals, like),
-                2 => atoms_to_bat(key, &d.update_heads, &d.update_vals, like),
-                _ => Ok(like.empty_like()),
-            },
+            Some(d) if access == 1 => atoms_to_bat(key, &d.insert_heads, &d.insert_vals, like),
+            Some(d) => atoms_to_bat(key, &d.update_heads, &d.update_vals, like),
         }
     }
 
@@ -478,48 +475,6 @@ impl Catalog {
         let deleted = self.deleted.get(&key).cloned().unwrap_or_default();
         Bat::new(Head::Void { base: 0 }, Tail::Oid(deleted.into()))
             .map_err(|source| CatalogError::MalformedDelta { key, source })
-    }
-
-    /// The delta overlay of column `key`: its pending insert/update
-    /// entries plus the table's deleted oids.
-    fn overlay(&self, key: &str) -> (Option<&ColumnDeltas>, &[Oid]) {
-        let d = self.deltas.get(key);
-        let deleted = key
-            .rfind('.')
-            .and_then(|dot| self.deleted.get(&key[..dot]))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[]);
-        (d, deleted)
-    }
-
-    // ---- delta-visible snapshot reads ----------------------------------
-
-    /// Counts the rows of segmented column `key` in the closed query
-    /// `[lo, hi]` **including** its pending deltas, by merge-on-read
-    /// against a frozen [`soc_core::StrategySnapshot`] — no merge, no
-    /// rebuild, and bit-identical to counting the Figure 1 merged bat.
-    ///
-    /// # Errors
-    /// [`CatalogError::NotSegmented`]/`UnknownColumn` when `key` does not
-    /// name a segmented column; [`CatalogError::Bpm`] when a pending
-    /// `:dbl` delta holds NaN, or a pending atom is one the column's tail
-    /// type cannot hold (a `BatError::TypeMismatch`, as the merge reports).
-    pub fn snapshot_count(&self, key: &str, lo: f64, hi: f64) -> Result<u64, CatalogError> {
-        let seg = self.require_segmented(key)?;
-        let (d, deleted) = self.overlay(key);
-        let mut tracker = soc_core::NullTracker;
-        Ok(seg.delta_visible_count(d, deleted, lo, hi, &mut tracker)?)
-    }
-
-    /// Materializes the rows of segmented column `key` in the closed
-    /// query `[lo, hi]` including pending deltas, in value order (oid
-    /// tiebreak) — the delta-visible snapshot twin of the Figure 1 merge
-    /// plan. Same errors as [`Self::snapshot_count`].
-    pub fn snapshot_collect(&self, key: &str, lo: f64, hi: f64) -> Result<Bat, CatalogError> {
-        let seg = self.require_segmented(key)?;
-        let (d, deleted) = self.overlay(key);
-        let mut tracker = soc_core::NullTracker;
-        Ok(seg.delta_visible_collect(d, deleted, lo, hi, &mut tracker)?)
     }
 
     fn require_segmented(&self, key: &str) -> Result<&SegmentedBat, CatalogError> {
@@ -613,9 +568,9 @@ impl Catalog {
     /// Folds every pending delta of `schema.table` into its base columns —
     /// the merge MonetDB's delta scheme assumes happens at the next bulk
     /// load: inserts append, updates overwrite in place, deleted rows are
-    /// physically removed. A **segmented** column folds the run its
-    /// delta-visible reads overlay ([`Self::snapshot_count`]) through its
-    /// strategy's `ColumnStrategy::fold_delta`: each row lands in the piece
+    /// physically removed. A **segmented** column seals its pending deltas
+    /// into one sorted run and folds it through its strategy's
+    /// `ColumnStrategy::fold_delta`: each row lands in the piece
     /// that owns it, no piece boundary moves, and the rewrite of the
     /// touched pieces is charged to the column's reorganization bill.
     /// Plain columns are positional and are rebuilt in oid order — with a
@@ -893,6 +848,35 @@ mod tests {
     }
 
     #[test]
+    fn set_strategy_after_a_crack_below_the_data_keeps_every_row() {
+        // A query below every value leaves the cracked column an empty
+        // first piece; the switch packs the column through the strategy's
+        // peek, which used to return none of its rows.
+        let mut c = Catalog::new();
+        c.register_segmented(
+            "sys",
+            "T",
+            "v",
+            Bat::dense_int((100..200).collect()),
+            0.0,
+            1000.0,
+            StrategySpec::new(StrategyKind::Cracking),
+        )
+        .unwrap();
+        c.segmented_mut("sys.T.v")
+            .unwrap()
+            .adapt(&Atom::Int(10), &Atom::Int(20))
+            .unwrap();
+        assert_eq!(c.segmented("sys.T.v").unwrap().pack().unwrap().len(), 100);
+        c.set_strategy("sys.T.v", StrategyKind::ApmSegm).unwrap();
+        let seg = c.segmented("sys.T.v").unwrap();
+        assert_eq!(seg.rows(), 100);
+        let mut oids = seg.pack().unwrap().head_oids();
+        oids.sort_unstable();
+        assert_eq!(oids, (0..100u64).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn re_registering_a_switched_column_keeps_the_new_rows() {
         let mut c = Catalog::new();
         let spec = StrategySpec::new(StrategyKind::ApmSegm);
@@ -1156,82 +1140,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reads_see_pending_deltas_without_merging() {
-        let mut c = Catalog::new();
-        let base: Vec<i64> = (0..100).map(|i| (i * 7) % 50).collect();
-        c.register_segmented(
-            "sys",
-            "T",
-            "v",
-            Bat::dense_int(base.clone()),
-            0.0,
-            50.0,
-            StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(64, 256),
-        )
-        .unwrap();
-        let b = c.insert_row("sys", "T", &[("v", Atom::Int(22))]);
-        c.update_value("sys", "T", "v", 0, Atom::Int(33));
-        c.update_value("sys", "T", "v", 0, Atom::Int(44)); // later update wins
-        c.update_value("sys", "T", "v", b, Atom::Int(23)); // update of an insert
-        c.delete_row("sys", "T", 1);
-        assert!(c.pending_delta_rows("sys", "T") > 0, "nothing merged yet");
-
-        // Expected logical rows after the (not yet run) merge.
-        let mut expect: BTreeMap<Oid, i64> = base
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i as Oid, *v))
-            .collect();
-        expect.insert(0, 44);
-        expect.insert(b, 23);
-        expect.remove(&1);
-
-        let snap = c.snapshot_collect("sys.T.v", 0.0, 49.0).unwrap();
-        let got: BTreeMap<Oid, i64> = match snap.tail() {
-            Tail::Int(vals) => snap
-                .head_oids()
-                .into_iter()
-                .zip(vals.iter().copied())
-                .collect(),
-            other => panic!("unexpected tail {other:?}"),
-        };
-        assert_eq!(got, expect, "snapshot read ≡ merged read, before merging");
-        assert_eq!(
-            c.snapshot_count("sys.T.v", 0.0, 49.0).unwrap(),
-            expect.len() as u64
-        );
-        // Sub-range probes agree with the expected multiset too.
-        for (lo, hi) in [(0.0, 10.0), (20.0, 25.0), (44.0, 44.0), (45.0, 49.0)] {
-            let want = expect
-                .values()
-                .filter(|v| lo <= **v as f64 && **v as f64 <= hi)
-                .count() as u64;
-            assert_eq!(c.snapshot_count("sys.T.v", lo, hi).unwrap(), want);
-        }
-        // The base column is untouched: pending rows still pending, and
-        // after the real merge the answers do not move.
-        assert!(c.pending_delta_rows("sys", "T") > 0);
-        c.merge_deltas("sys", "T").unwrap();
-        assert_eq!(
-            c.snapshot_count("sys.T.v", 0.0, 49.0).unwrap(),
-            expect.len() as u64
-        );
-        // Errors are typed.
-        c.register_bat("sys", "T", "plain", Bat::dense_int(vec![1]));
-        assert!(matches!(
-            c.snapshot_count("sys.T.plain", 0.0, 1.0),
-            Err(CatalogError::NotSegmented(_))
-        ));
-        assert!(matches!(
-            c.snapshot_count("sys.T.nope", 0.0, 1.0),
-            Err(CatalogError::UnknownColumn(_))
-        ));
-    }
-
-    #[test]
-    fn a_pending_atom_the_tail_cannot_hold_fails_the_snapshot_read() {
+    fn a_pending_atom_the_tail_cannot_hold_fails_the_merge() {
         // The domain holds 0, so a `Str` that landed as a made-up 0 would
-        // be counted; the merge refuses the same row.
+        // fold in unnoticed; the merge refuses the row instead.
         let mut c = Catalog::new();
         c.register_segmented(
             "sys",
@@ -1245,16 +1156,6 @@ mod tests {
         .unwrap();
         c.insert_row("sys", "T", &[("v", Atom::Str("forty".into()))]);
         let (expected, got) = ("int", "str");
-        let mismatch = |e: &CatalogError| {
-            matches!(e, CatalogError::Bpm(BpmError::Bat(source))
-                if *source == BatError::TypeMismatch { expected, got })
-        };
-        assert!(c
-            .snapshot_count("sys.T.v", 0.0, 0.0)
-            .is_err_and(|e| mismatch(&e)));
-        assert!(c
-            .snapshot_collect("sys.T.v", 0.0, 99.0)
-            .is_err_and(|e| mismatch(&e)));
         assert!(matches!(
             c.merge_deltas("sys", "T"),
             Err(CatalogError::MalformedDelta { source, .. })
@@ -1345,14 +1246,14 @@ mod tests {
             spec,
         )
         .unwrap();
-        // Oid 50 never was a row: neither update may conjure one, in the
-        // overlay or in the merge that folds the same run.
+        // Oid 50 never was a row: neither update may conjure one in the
+        // merge that folds them.
         c.update_value("sys", "T", "v", 50, Atom::Int(70));
         c.update_value("sys", "T", "v", 50, Atom::Int(80));
-        assert_eq!(c.snapshot_count("sys.T.v", 80.0, 80.0).unwrap(), 0);
-        assert_eq!(c.snapshot_collect("sys.T.v", 0.0, 99.0).unwrap().len(), 10);
         assert_eq!(c.merge_deltas("sys", "T").unwrap().updated, 0);
-        assert_eq!(c.segmented("sys.T.v").unwrap().rows(), 10);
+        let seg = c.segmented("sys.T.v").unwrap();
+        assert_eq!(seg.rows(), 10);
+        assert_eq!(seg.pack().unwrap().len(), 10);
     }
 
     #[test]

@@ -293,26 +293,34 @@ impl<'a> Interp<'a> {
                     &self.str_atom(i, 1)?,
                     &self.str_atom(i, 2)?,
                 );
-                let access = self.int_atom(i, 3)?;
-                if access == 0 {
-                    if let Some(b) = self.catalog.bat(&key) {
-                        Ok(MalValue::Bat(b.clone()))
-                    } else if let Some(seg) = self.catalog.segmented(&key) {
-                        // Fallback for non-optimized plans: reconstruct.
-                        Ok(MalValue::Bat(seg.pack()?))
-                    } else {
-                        Err(ExecError::UnknownColumn(key))
+                match self.int_atom(i, 3)? {
+                    0 => {
+                        if let Some(b) = self.catalog.bat(&key) {
+                            Ok(MalValue::Bat(b.clone()))
+                        } else if let Some(seg) = self.catalog.segmented(&key) {
+                            // Fallback for non-optimized plans: reconstruct.
+                            Ok(MalValue::Bat(seg.pack()?))
+                        } else {
+                            Err(ExecError::UnknownColumn(key))
+                        }
                     }
-                } else {
-                    // Insert/update deltas, typed like the base column.
-                    let like = if let Some(b) = self.catalog.bat(&key) {
-                        b.empty_like()
-                    } else if let Some(seg) = self.catalog.segmented(&key) {
-                        seg.empty_like()
-                    } else {
-                        return Err(ExecError::UnknownColumn(key));
-                    };
-                    Ok(MalValue::Bat(self.catalog.delta_bat(&key, access, &like)?))
+                    access @ (1 | 2) => {
+                        // Insert/update deltas, typed like the base column.
+                        let like = if let Some(b) = self.catalog.bat(&key) {
+                            b.empty_like()
+                        } else if let Some(seg) = self.catalog.segmented(&key) {
+                            seg.empty_like()
+                        } else {
+                            return Err(ExecError::UnknownColumn(key));
+                        };
+                        Ok(MalValue::Bat(self.catalog.delta_bat(&key, access, &like)?))
+                    }
+                    access => Err(ExecError::BadArg {
+                        call: i.qualified(),
+                        expected: format!(
+                            "access code 0 (base), 1 (inserts) or 2 (updates) at arg 3, got {access}"
+                        ),
+                    }),
                 }
             }
             ("sql", "bind_dbat") => {
@@ -739,6 +747,27 @@ end s1_0;
         };
         assert!(upd.is_empty());
         assert_eq!(upd.tail().type_name(), "dbl");
+    }
+
+    #[test]
+    fn an_unknown_bind_access_code_is_an_error_not_an_empty_delta() {
+        // With an insert pending, an access code that silently bound
+        // nothing would answer as if no delta were pending.
+        for segmented in [false, true] {
+            let mut c = catalog(segmented);
+            c.insert_row("sys", "P", &[("ra", Atom::Dbl(205.111))]);
+            for access in [3, -1] {
+                let prog = parse(&format!(r#"I := sql.bind("sys","P","ra",{access});"#)).unwrap();
+                match Interp::new(&mut c).run(&prog, &[]) {
+                    Err(ExecError::BadArg { call, expected }) => {
+                        assert_eq!(call, "sql.bind");
+                        assert!(expected.contains("0 (base), 1 (inserts) or 2 (updates)"));
+                        assert!(expected.ends_with(&format!("got {access}")), "{expected}");
+                    }
+                    other => panic!("access {access} must be rejected, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@
 
 use soc_core::kernels::sorted_run;
 use soc_core::{
-    AccessTracker, AdaptationStats, ColumnError, ColumnStrategy, ColumnValue, EventLog,
-    NullTracker, SegIdGen, StrategySpec, ValueRange,
+    AccessTracker, AdaptationStats, ColumnError, ColumnStrategy, ColumnValue, EventLog, SegIdGen,
+    StrategySpec, ValueRange,
 };
 
 use crate::placement::{overlapping_span, Placement, PlacementError, PlacementPolicy};
@@ -308,12 +308,7 @@ impl<V: ColumnValue> ShardedColumn<V> {
             .collect()
     }
 
-    fn run_select(
-        &mut self,
-        q: &ValueRange<V>,
-        tracker: &mut dyn AccessTracker,
-        mut out: Option<&mut Vec<V>>,
-    ) -> u64 {
+    fn run_select(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
         let routed = self.route(q);
         self.queries += 1;
         self.fanout_sum += routed.len() as u64;
@@ -324,15 +319,7 @@ impl<V: ColumnValue> ShardedColumn<V> {
             // "measured, not estimated" per-node balance the ablation
             // tables report — before they reach the caller's tracker.
             let mut log = EventLog::new();
-            matched += match out.as_deref_mut() {
-                Some(out) => {
-                    let part = node.strategy.select_collect(q, &mut log);
-                    let n = part.len() as u64;
-                    out.extend(part);
-                    n
-                }
-                None => node.strategy.select_count(q, &mut log),
-            };
+            matched += node.strategy.select_count(q, &mut log);
             log.replay_into(tracker);
             node.read_bytes += log.scan_bytes();
             node.queries_touched += 1;
@@ -356,10 +343,7 @@ impl<V: ColumnValue> ShardedColumn<V> {
         &mut self,
         tracker: &mut dyn AccessTracker,
     ) -> Result<MigrationReport, ShardError> {
-        // Snapshot the workload-caused adaptation history up front: the
-        // extraction pass below issues adaptive queries of its own
-        // (cracking cracks at piece boundaries, replication materializes),
-        // and that self-inflicted activity must not count.
+        // Snapshot the adaptation history of the nodes about to be retired.
         let mut retired = self.retired;
         for node in &self.nodes {
             retired.absorb(&node.strategy.adaptation());
@@ -381,14 +365,13 @@ impl<V: ColumnValue> ShardedColumn<V> {
         }
         pieces.sort_by_key(|(r, _)| r.lo());
 
-        // 2. Extract each piece's values from its current owner. The
-        //    extraction itself is not charged: data that stays on its node
-        //    does not cross the (simulated) network.
+        // 2. Extract each piece's values from its current owner with a
+        //    read-only peek: it neither reorganizes the node nor is charged,
+        //    as data that stays on its node does not cross the (simulated)
+        //    network.
         let piece_values: Vec<Vec<V>> = pieces
             .iter()
-            .map(|(range, owner)| {
-                (self.nodes[*owner].strategy).select_collect(range, &mut NullTracker)
-            })
+            .map(|(range, owner)| self.nodes[*owner].strategy.peek_collect(range))
             .collect();
         let sizes: Vec<u64> = piece_values
             .iter()
@@ -503,13 +486,7 @@ impl<V: ColumnValue> ColumnStrategy<V> for ShardedColumn<V> {
     }
 
     fn select_count(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
-        self.run_select(q, tracker, None)
-    }
-
-    fn select_collect(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> Vec<V> {
-        let mut out = Vec::new();
-        self.run_select(q, tracker, Some(&mut out));
-        out
+        self.run_select(q, tracker)
     }
 
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
@@ -654,7 +631,8 @@ mod tests {
         )
         .expect("shard construction");
         let q = ValueRange::must(20_000, 59_999);
-        let mut got = sharded.select_collect(&q, &mut NullTracker);
+        sharded.select_count(&q, &mut NullTracker);
+        let mut got = sharded.peek_collect(&q);
         got.sort_unstable();
         let mut expect: Vec<u32> = values.into_iter().filter(|v| q.contains(*v)).collect();
         expect.sort_unstable();

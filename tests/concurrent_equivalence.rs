@@ -41,7 +41,8 @@ fn ranges(raw: &[(u32, u32)]) -> Vec<ValueRange<u32>> {
 }
 
 /// Serial reference: the `&mut` path, queries in order, reorganization
-/// inline — counts and (sorted) collects per query.
+/// inline — per query the count, then the (sorted) read-only peek of the
+/// organization that count left behind.
 fn serial_reference(
     strategy: &mut dyn ColumnStrategy<u32>,
     queries: &[ValueRange<u32>],
@@ -50,7 +51,7 @@ fn serial_reference(
     let mut collects = Vec::with_capacity(queries.len());
     for q in queries {
         counts.push(strategy.select_count(q, &mut NullTracker));
-        let mut vals = strategy.select_collect(q, &mut NullTracker);
+        let mut vals = strategy.peek_collect(q);
         vals.sort_unstable();
         collects.push(vals);
     }

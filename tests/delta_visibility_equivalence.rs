@@ -1,11 +1,10 @@
-//! Property: delta visibility is exact. A snapshot read that overlays
-//! pending insert/update/delete runs on the frozen base organization
-//! must answer **bit-identically** to the catalog's Figure-1 merge plan
-//! (bind deltas, union, difference) — for all nine strategy kinds under
-//! every encoding mode, before and after the catalog merge folds the
-//! deltas into the pieces — and concurrent readers racing the epoch
-//! writer's fold steps may only ever observe exact prefix states, never a
-//! torn one.
+//! Property: delta visibility is exact. A compiled SQL select over
+//! pending insert/update/delete deltas answers exactly the logical column
+//! the deltas describe — for all nine strategy kinds under every encoding
+//! mode, before and after the catalog merge folds the deltas into the
+//! pieces, which then hold exactly those rows — and concurrent readers
+//! racing the epoch writer's fold steps may only ever observe exact prefix
+//! states, never a torn one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -16,7 +15,7 @@ use proptest::prelude::*;
 use socdb::adaptive::{
     CompactionPolicy, DeltaBatch, DeltaOp, EncodingMode, EncodingPolicy, SegmentEncoding,
 };
-use socdb::bat::{Atom, Bat, Head, Tail};
+use socdb::bat::{Atom, Bat, Tail};
 use socdb::mal::{compile_select, Catalog, Interp, SegmentOptimizer};
 use socdb::prelude::*;
 
@@ -42,29 +41,29 @@ fn figure1_oids(result: &Bat) -> Result<BTreeSet<u64>, TestCaseError> {
     Ok(ids.iter().map(|id| (id - ID_BASE) as u64).collect())
 }
 
-/// (oid, value) rows of a delta-visible snapshot collect, which carries
-/// the oids in its head directly.
-fn snapshot_rows(result: &Bat) -> Result<Vec<(u64, i64)>, TestCaseError> {
-    let Head::Oids(oids) = result.head() else {
-        return Err(TestCaseError::fail("snapshot collect must have oid head"));
+/// `oid -> value` of a packed segmented column, whose head carries the
+/// oids.
+fn packed_rows(packed: &Bat) -> Result<BTreeMap<u64, i64>, TestCaseError> {
+    let Tail::Int(vals) = packed.tail() else {
+        return Err(TestCaseError::fail("packed column must have an int tail"));
     };
-    let Tail::Int(vals) = result.tail() else {
-        return Err(TestCaseError::fail("snapshot collect must have int tail"));
-    };
-    Ok(oids.iter().copied().zip(vals.iter().copied()).collect())
+    Ok(packed
+        .head_oids()
+        .into_iter()
+        .zip(vals.iter().copied())
+        .collect())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The tentpole equivalence, across the full kind × encoding matrix:
-    /// `Catalog::snapshot_count`/`snapshot_collect` (merge-on-read over
-    /// sorted delta runs, no materialization) answer exactly what the
-    /// compiled Figure-1 plan answers over the same pending deltas —
-    /// same oids, same values, value-ordered with oid tiebreak — and the
-    /// answers survive `merge_deltas` unchanged, which keeps every piece.
+    /// Across the full kind × encoding matrix the compiled plan, which
+    /// merges the pending deltas with `sql.subdelta`/`sql.projectdelta`,
+    /// names exactly the model's rows; the answers survive `merge_deltas`
+    /// unchanged, the merge keeps every piece, and the merged column holds
+    /// exactly the model's `(oid, value)` rows.
     #[test]
-    fn snapshot_overlay_reads_equal_figure1_merge_for_every_kind_and_encoding(
+    fn figure1_merge_equals_the_model_for_every_kind_and_encoding(
         base in vec(0i64..=DOMAIN_HI, 20..100),
         inserts in vec(0i64..=DOMAIN_HI, 0..6),
         updates in vec((0usize..10_000, 0i64..=DOMAIN_HI), 0..6),
@@ -146,17 +145,11 @@ proptest! {
                 for phase in ["pending", "merged"] {
                     for (a, b) in &raw_queries {
                         let (lo, hi) = (*a.min(b), *a.max(b));
-                        let expected: Vec<(u64, i64)> = {
-                            let mut rows: Vec<(i64, u64)> = visible
-                                .iter()
-                                .filter(|(_, v)| (lo..=hi).contains(*v))
-                                .map(|(&oid, &v)| (v, oid))
-                                .collect();
-                            rows.sort_unstable(); // value order, oid tiebreak
-                            rows.into_iter().map(|(v, oid)| (oid, v)).collect()
-                        };
-                        let expected_oids: BTreeSet<u64> =
-                            expected.iter().map(|(oid, _)| *oid).collect();
+                        let expected_oids: BTreeSet<u64> = visible
+                            .iter()
+                            .filter(|(_, v)| (lo..=hi).contains(*v))
+                            .map(|(&oid, _)| oid)
+                            .collect();
 
                         let (optimized, _) = optimizer.optimize(&plan, &catalog);
                         let merged = Interp::new(&mut catalog)
@@ -168,27 +161,6 @@ proptest! {
                         prop_assert_eq!(
                             &figure1_oids(&merged)?, &expected_oids,
                             "{:?}/{:?}/{}: Figure-1 merge diverged on [{}, {}]",
-                            kind, mode, phase, lo, hi
-                        );
-
-                        let count = catalog
-                            .snapshot_count("sys.T.v", lo as f64, hi as f64)
-                            .map_err(|e| {
-                                TestCaseError::fail(format!("{kind:?}/{mode:?}/{phase}: {e}"))
-                            })?;
-                        prop_assert_eq!(
-                            count, expected.len() as u64,
-                            "{:?}/{:?}/{}: snapshot count diverged on [{}, {}]",
-                            kind, mode, phase, lo, hi
-                        );
-                        let collected = catalog
-                            .snapshot_collect("sys.T.v", lo as f64, hi as f64)
-                            .map_err(|e| {
-                                TestCaseError::fail(format!("{kind:?}/{mode:?}/{phase}: {e}"))
-                            })?;
-                        prop_assert_eq!(
-                            &snapshot_rows(&collected)?, &expected,
-                            "{:?}/{:?}/{}: snapshot collect diverged on [{}, {}]",
                             kind, mode, phase, lo, hi
                         );
                     }
@@ -211,11 +183,16 @@ proptest! {
                         }
                     }
                 }
-                catalog
-                    .segmented("sys.T.v")
-                    .expect("still registered")
-                    .validate()
+                let seg = catalog.segmented("sys.T.v").expect("still registered");
+                seg.validate()
                     .map_err(|e| TestCaseError::fail(format!("{kind:?}/{mode:?}: {e}")))?;
+                let packed = seg
+                    .pack()
+                    .map_err(|e| TestCaseError::fail(format!("{kind:?}/{mode:?}: {e}")))?;
+                prop_assert_eq!(
+                    &packed_rows(&packed)?, &visible,
+                    "{:?}/{:?}: the merged column is not the model", kind, mode
+                );
             }
         }
     }

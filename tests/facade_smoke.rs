@@ -30,7 +30,7 @@ fn every_strategy_answers_correctly_through_the_facade() {
             .expect("values lie in domain");
         let mut tracker = CountingTracker::new();
         assert_eq!(strategy.select_count(&q, &mut tracker), expect, "{kind:?}");
-        let collected = strategy.select_collect(&q, &mut tracker);
+        let collected = strategy.peek_collect(&q);
         assert_eq!(collected.len() as u64, expect, "{kind:?}");
         assert!(collected.iter().all(|v| q.contains(*v)), "{kind:?}");
     }

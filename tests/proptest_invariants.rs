@@ -272,8 +272,10 @@ proptest! {
                             kind, policy, epoch, q
                         );
                     }
-                    let mut from_sharded = sharded.select_collect(&domain, &mut NullTracker);
-                    let mut from_single = single.select_collect(&domain, &mut NullTracker);
+                    sharded.select_count(&domain, &mut NullTracker);
+                    single.select_count(&domain, &mut NullTracker);
+                    let mut from_sharded = sharded.peek_collect(&domain);
+                    let mut from_single = single.peek_collect(&domain);
                     from_sharded.sort_unstable();
                     from_single.sort_unstable();
                     prop_assert_eq!(&from_sharded, &model, "{:?}/{:?}", kind, policy);

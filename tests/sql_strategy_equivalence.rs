@@ -127,9 +127,12 @@ proptest! {
                 let (lo, hi) = (*a.min(b), *a.max(b));
                 let q = ValueRange::must(lo, hi);
 
-                // Direct ColumnStrategy execution over the base rows.
-                let direct_oids: BTreeSet<u64> = direct
-                    .select_collect(&q.paired(), &mut NullTracker)
+                // Direct ColumnStrategy execution over the base rows: the
+                // reorganizing count, then a peek of what it left behind.
+                let n = direct.select_count(&q.paired(), &mut NullTracker);
+                let rows = direct.peek_collect(&q.paired());
+                prop_assert_eq!(n, rows.len() as u64, "{:?}: count and peek disagree", kind);
+                let direct_oids: BTreeSet<u64> = rows
                     .into_iter()
                     .map(|p| p.oid)
                     .collect();

@@ -72,22 +72,51 @@ fn all_strategies_agree_under_skewed_load() {
     }
 }
 
+/// Every kind, built through its spec over clustered data: after each
+/// reorganizing count, the read-only peek of the query and of the whole
+/// domain must hold exactly the model's values. Many queries fall wholly
+/// below, between or above the two clusters, so cracks and splits land
+/// where no value is — empty pieces next to full ones.
 #[test]
 fn collect_and_count_agree_for_every_strategy() {
     let domain = ValueRange::must(0u32, 9_999);
-    let values = uniform_values(4_000, &domain, 105);
-    let queries = WorkloadSpec::uniform(0.1, 40, 106).generate(&domain);
+    let values: Vec<u32> = (0..3_000u32)
+        .map(|i| match i % 3 {
+            0 | 1 => 4_000 + (i * 7_919) % 2_000,
+            _ => 8_000 + (i * 104_729) % 1_000,
+        })
+        .collect();
+    let mut all = values.clone();
+    all.sort_unstable();
+    let queries: Vec<ValueRange<u32>> = (0..40u32)
+        .map(|k| {
+            let lo = (k * 2_477) % 9_800;
+            let width = [10, 150, 900, 3_000][k as usize % 4];
+            ValueRange::must(lo, (lo + width).min(9_999))
+        })
+        .collect();
 
-    let mut strategies = strategies_u32(domain, &values);
-    for q in &queries {
-        for s in &mut strategies {
-            let collected = s.select_collect(q, &mut NullTracker);
-            let counted = s.select_count(q, &mut NullTracker);
-            assert_eq!(collected.len() as u64, counted, "{}", s.name());
-            assert!(
-                collected.iter().all(|v| q.contains(*v)),
-                "{} returned out-of-range values",
-                s.name()
+    for kind in StrategyKind::ALL {
+        let mut s = StrategySpec::new(kind)
+            .with_apm_bounds(512, 4096)
+            .with_model_seed(19)
+            .build(domain, values.clone())
+            .expect("values lie in domain");
+        for (i, q) in queries.iter().enumerate() {
+            let want: Vec<u32> = all.iter().copied().filter(|v| q.contains(*v)).collect();
+            assert_eq!(
+                s.select_count(q, &mut NullTracker),
+                want.len() as u64,
+                "{kind:?}: count of query #{i} {q:?}"
+            );
+            let mut got = s.peek_collect(q);
+            got.sort_unstable();
+            assert_eq!(got, want, "{kind:?}: peek of query #{i} {q:?}");
+            let mut got = s.peek_collect(&domain);
+            got.sort_unstable();
+            assert_eq!(
+                got, all,
+                "{kind:?}: peek of the domain after query #{i} {q:?}"
             );
         }
     }
