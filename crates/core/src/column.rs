@@ -6,7 +6,7 @@
 //! segment which is gradually reorganized into a list of segments as
 //! selection queries arrive."
 
-use crate::compress::{EncodingMode, PiecePayload};
+use crate::compress::EncodingMode;
 use crate::meta::{MetaEntry, MetaIndex};
 use crate::range::ValueRange;
 use crate::segment::{SegIdGen, SegmentData};
@@ -59,90 +59,6 @@ impl<V: ColumnValue> SegmentedColumn<V> {
         })
     }
 
-    /// Loads a column from pre-partitioned pieces (bulk load of an already
-    /// segmented column, e.g. restored from a checkpoint).
-    ///
-    /// The pieces must be ordered, adjacent, tile `domain`, and each
-    /// piece's values must lie within its range.
-    pub fn from_pieces(
-        domain: ValueRange<V>,
-        pieces: Vec<(ValueRange<V>, Vec<V>)>,
-    ) -> Result<Self, ColumnError> {
-        if pieces.is_empty() {
-            return Err(ColumnError::BadPartition);
-        }
-        let tiles = pieces[0].0.lo() == domain.lo()
-            && pieces[pieces.len() - 1].0.hi() == domain.hi()
-            && pieces.windows(2).all(|w| w[0].0.adjacent_before(&w[1].0));
-        if !tiles {
-            return Err(ColumnError::BadPartition);
-        }
-        for (range, values) in &pieces {
-            if !values.iter().all(|v| range.contains(*v)) {
-                return Err(ColumnError::ValueOutsideDomain);
-            }
-        }
-        let mut ids = SegIdGen::new();
-        let mut total_len = 0u64;
-        let segments = pieces
-            .into_iter()
-            .map(|(range, values)| {
-                total_len += values.len() as u64;
-                SegmentData::new(ids.fresh(), range, values)
-            })
-            .collect();
-        Ok(SegmentedColumn {
-            domain,
-            segments,
-            ids,
-            total_len,
-        })
-    }
-
-    /// Loads a column from pre-partitioned pieces carrying their physical
-    /// payloads verbatim — the store's restore path, which must not decode
-    /// packed segments it read from disk.
-    ///
-    /// Tiling is checked here; raw payloads are value-checked against their
-    /// range, packed payloads are expected to have been key-validated by
-    /// the caller (`EncodedPayload::validate_for`) before decoding anything.
-    pub fn from_encoded_pieces(
-        domain: ValueRange<V>,
-        pieces: Vec<(ValueRange<V>, PiecePayload<V>)>,
-    ) -> Result<Self, ColumnError> {
-        if pieces.is_empty() {
-            return Err(ColumnError::BadPartition);
-        }
-        let tiles = pieces[0].0.lo() == domain.lo()
-            && pieces[pieces.len() - 1].0.hi() == domain.hi()
-            && pieces.windows(2).all(|w| w[0].0.adjacent_before(&w[1].0));
-        if !tiles {
-            return Err(ColumnError::BadPartition);
-        }
-        for (range, payload) in &pieces {
-            if let Some(values) = payload.raw_values() {
-                if !values.iter().all(|v| range.contains(*v)) {
-                    return Err(ColumnError::ValueOutsideDomain);
-                }
-            }
-        }
-        let mut ids = SegIdGen::new();
-        let mut total_len = 0u64;
-        let segments = pieces
-            .into_iter()
-            .map(|(range, payload)| {
-                total_len += payload.len();
-                SegmentData::from_payload(ids.fresh(), range, payload)
-            })
-            .collect();
-        Ok(SegmentedColumn {
-            domain,
-            segments,
-            ids,
-            total_len,
-        })
-    }
-
     /// The attribute domain this column tiles.
     pub fn domain(&self) -> ValueRange<V> {
         self.domain
@@ -180,11 +96,6 @@ impl<V: ColumnValue> SegmentedColumn<V> {
     /// sizes. Equal to [`Self::total_bytes`] while everything is raw.
     pub fn encoded_bytes(&self) -> u64 {
         self.segments.iter().map(|s| s.bytes()).sum()
-    }
-
-    /// Fresh-id generator, shared with split materialization.
-    pub fn ids_mut(&mut self) -> &mut SegIdGen {
-        &mut self.ids
     }
 
     /// Index range of segments whose value ranges overlap `q`.
@@ -339,7 +250,7 @@ impl<V: ColumnValue> SegmentedColumn<V> {
     /// and in range, tuple count preserved.
     ///
     /// Delegates to [`crate::validate::column`], the deep validator the
-    /// store's restore path and the corruption-injection proptests share.
+    /// debug-build checks and the corruption-injection proptests share.
     pub fn validate(&self) -> Result<(), crate::validate::Violation> {
         crate::validate::column(self)
     }
@@ -488,27 +399,6 @@ mod tests {
         c.segment_mut(0).note_read(8);
         assert_eq!(c.encoding_pass(&mode, 8, &mut t), 1);
         assert_eq!(c.segments()[0].encoding(), SegmentEncoding::Raw);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn from_encoded_pieces_preserves_packed_payloads() {
-        use crate::compress::{encode, PiecePayload, SegmentEncoding};
-        let lo_vals: Vec<u32> = (0..500u32).map(|i| i % 100).collect();
-        let hi_vals: Vec<u32> = (0..400u32).map(|i| 5_000 + i % 7).collect();
-        let packed = PiecePayload::Packed(encode(&hi_vals, SegmentEncoding::Rle).unwrap());
-        let packed_bytes = packed.bytes();
-        let c = SegmentedColumn::from_encoded_pieces(
-            ValueRange::must(0, 9_999),
-            vec![
-                (ValueRange::must(0, 4_999), PiecePayload::Raw(lo_vals)),
-                (ValueRange::must(5_000, 9_999), packed),
-            ],
-        )
-        .unwrap();
-        assert_eq!(c.total_len(), 900);
-        assert_eq!(c.segments()[1].encoding(), SegmentEncoding::Rle);
-        assert_eq!(c.segments()[1].bytes(), packed_bytes);
         c.validate().unwrap();
     }
 

@@ -446,8 +446,9 @@ impl EncodedPayload {
     }
 
     /// Structural + decodability validation: every key must decode to a
-    /// `V` inside `range`. Used by the store on load so a corrupt or
-    /// wrong-typed file fails loudly instead of materializing garbage.
+    /// `V` inside `range`. Used by [`crate::validate::payload`] so a
+    /// corrupt or wrong-typed payload fails loudly instead of decoding
+    /// garbage.
     pub fn validate_for<V: ColumnValue>(&self, range: &ValueRange<V>) -> Result<(), String> {
         if let EncodedPayload::Dict { table, .. } = self {
             if !table.windows(2).all(|w| w[0] < w[1]) {
@@ -468,137 +469,6 @@ impl EncodedPayload {
         match err {
             Some(e) => Err(e),
             None => Ok(()),
-        }
-    }
-
-    // -- wire (de)serialization: flat u64 words for the segment store -----
-
-    /// Stable one-byte codec tag for the on-disk header (0 is raw).
-    pub fn wire_tag(&self) -> u8 {
-        match self {
-            EncodedPayload::Rle { .. } => 1,
-            EncodedPayload::For { .. } => 2,
-            EncodedPayload::Dict { .. } => 3,
-        }
-    }
-
-    /// Serializes the payload to a flat word vector — the exact in-memory
-    /// representation, so checkpointing never decodes.
-    pub fn to_words(&self) -> Vec<u64> {
-        match self {
-            EncodedPayload::Rle { runs } => {
-                let mut w = Vec::with_capacity(1 + runs.len() * 2);
-                w.push(runs.len() as u64);
-                for &(k, n) in runs {
-                    w.push(k);
-                    w.push(n as u64);
-                }
-                w
-            }
-            EncodedPayload::For {
-                base,
-                width,
-                len,
-                words,
-            } => {
-                let mut w = Vec::with_capacity(4 + words.len());
-                w.extend([*base, *width as u64, *len, words.len() as u64]);
-                w.extend_from_slice(words);
-                w
-            }
-            EncodedPayload::Dict {
-                table,
-                width,
-                len,
-                words,
-            } => {
-                let mut w = Vec::with_capacity(4 + table.len() + words.len());
-                w.push(table.len() as u64);
-                w.extend_from_slice(table);
-                w.extend([*width as u64, *len, words.len() as u64]);
-                w.extend_from_slice(words);
-                w
-            }
-        }
-    }
-
-    /// Inverse of [`Self::to_words`]; `tag` selects the codec.
-    pub fn from_words(tag: u8, w: &[u64]) -> Result<EncodedPayload, String> {
-        let take = |i: usize| -> Result<u64, String> {
-            w.get(i).copied().ok_or_else(|| "truncated payload".into())
-        };
-        match tag {
-            1 => {
-                let n = take(0)? as usize;
-                if w.len() != 1 + n * 2 {
-                    return Err("RLE payload length mismatch".into());
-                }
-                let mut runs = Vec::with_capacity(n);
-                for i in 0..n {
-                    let k = w[1 + i * 2];
-                    let run = w[2 + i * 2];
-                    let run = u32::try_from(run).map_err(|_| "RLE run length overflow")?;
-                    runs.push((k, run));
-                }
-                Ok(EncodedPayload::Rle { runs })
-            }
-            2 => {
-                let base = take(0)?;
-                let width = u32::try_from(take(1)?).map_err(|_| "bad FOR width")?;
-                if !(1..=64).contains(&width) {
-                    return Err("FOR width out of range".into());
-                }
-                let len = take(2)?;
-                let n_words = take(3)? as usize;
-                if w.len() != 4 + n_words {
-                    return Err("FOR payload length mismatch".into());
-                }
-                if n_words != (len as usize).div_ceil(fields_per_word(width)) {
-                    return Err("FOR word count inconsistent with len/width".into());
-                }
-                Ok(EncodedPayload::For {
-                    base,
-                    width,
-                    len,
-                    words: w[4..].to_vec(),
-                })
-            }
-            3 => {
-                let t = take(0)? as usize;
-                if w.len() < 1 + t + 3 {
-                    return Err("truncated dictionary payload".into());
-                }
-                let table = w[1..1 + t].to_vec();
-                let width = u32::try_from(w[1 + t]).map_err(|_| "bad dict width")?;
-                if !(1..=64).contains(&width) {
-                    return Err("dict width out of range".into());
-                }
-                let len = w[2 + t];
-                let n_words = w[3 + t] as usize;
-                if w.len() != 4 + t + n_words {
-                    return Err("dict payload length mismatch".into());
-                }
-                if n_words != (len as usize).div_ceil(fields_per_word(width)) {
-                    return Err("dict word count inconsistent with len/width".into());
-                }
-                let code_words = &w[4 + t..];
-                if table.is_empty() && len > 0 {
-                    return Err("dict has codes but no table".into());
-                }
-                let max_code = table.len().saturating_sub(1) as u64;
-                let mut bad = false;
-                for_each_field(code_words, width, len as usize, |c| bad |= c > max_code);
-                if bad {
-                    return Err("dict code out of table range".into());
-                }
-                Ok(EncodedPayload::Dict {
-                    table,
-                    width,
-                    len,
-                    words: code_words.to_vec(),
-                })
-            }
-            t => Err(format!("unknown payload tag {t}")),
         }
     }
 }
@@ -735,8 +605,7 @@ pub fn best_encoding<V: ColumnValue>(values: &[V]) -> Option<EncodedPayload> {
 ///
 /// This is the **one shared helper** every strategy's storage accounting
 /// routes through: [`Self::bytes`] is the encoded footprint, identical in
-/// meaning across segmentation, replication, the static baselines and the
-/// store.
+/// meaning across segmentation, replication and the static baselines.
 #[derive(Debug, Clone)]
 pub enum PiecePayload<V> {
     /// Plain values in storage order.
@@ -1368,23 +1237,6 @@ mod tests {
             b.sort_unstable();
             assert_eq!(a, b, "{enc}");
         }
-    }
-
-    #[test]
-    fn wire_roundtrips_every_codec() {
-        let values = mixed_values(2_345, 5);
-        for enc in [
-            SegmentEncoding::Rle,
-            SegmentEncoding::For,
-            SegmentEncoding::Dict,
-        ] {
-            let p = encode(&values, enc).unwrap();
-            let words = p.to_words();
-            let back = EncodedPayload::from_words(p.wire_tag(), &words).unwrap();
-            assert_eq!(p, back, "{enc}");
-        }
-        assert!(EncodedPayload::from_words(9, &[]).is_err());
-        assert!(EncodedPayload::from_words(1, &[5]).is_err());
     }
 
     #[test]

@@ -45,9 +45,7 @@ pub struct CrackedColumn<V> {
 
 impl<V: ColumnValue> CrackedColumn<V> {
     /// Takes ownership of the column copy to crack, computing the data's
-    /// `(min, max)` with one fold. Callers that already know the bounds
-    /// (a checkpoint restore, a loader that tracked them) should use
-    /// [`Self::with_bounds`] and skip the pass.
+    /// `(min, max)` with one fold.
     pub fn new(values: Vec<V>) -> Self {
         let bounds = values
             .iter()
@@ -55,27 +53,6 @@ impl<V: ColumnValue> CrackedColumn<V> {
                 None => Some((v, v)),
                 Some((lo, hi)) => Some((lo.min(v), hi.max(v))),
             });
-        Self::with_bounds(values, bounds)
-    }
-
-    /// As [`Self::new`] but with the data's `(min, max)` supplied by the
-    /// caller instead of recomputed by a per-element fold — `None` iff
-    /// `values` is empty. The bounds are invariant under cracking (which
-    /// only permutes values in place), so a restore path that persisted
-    /// the data can pass what it already validated.
-    ///
-    /// Debug builds verify the claim; release builds trust it.
-    pub fn with_bounds(values: Vec<V>, bounds: Option<(V, V)>) -> Self {
-        debug_assert_eq!(
-            bounds,
-            values
-                .iter()
-                .fold(None, |acc: Option<(V, V)>, &v| match acc {
-                    None => Some((v, v)),
-                    Some((lo, hi)) => Some((lo.min(v), hi.max(v))),
-                }),
-            "supplied bounds must be the data's (min, max)"
-        );
         let mut ids = SegIdGen::new();
         CrackedColumn {
             id: ids.fresh(),
@@ -113,31 +90,9 @@ impl<V: ColumnValue> CrackedColumn<V> {
 
     /// The cracker index as `(boundary value, first position >= boundary)`
     /// entries, ascending by value — together with [`Self::values`] the
-    /// complete reorganization state, which is what a checkpoint must
-    /// carry for a restart to skip re-cracking.
+    /// complete reorganization state.
     pub fn boundaries(&self) -> Vec<(V, usize)> {
         self.index.iter().map(|(&v, &p)| (v, p)).collect()
-    }
-
-    /// Rebuilds a cracked column from checkpointed state: `values` in
-    /// cracked order plus the `boundaries` of [`Self::boundaries`], with
-    /// `cracks` restoring the adaptation counter.
-    ///
-    /// # Errors
-    /// Returns a description of the violated invariant when the boundaries
-    /// are not ascending, point outside the data, or do not actually
-    /// partition `values` (every value left of a boundary's position must
-    /// be `<` the boundary, every value at or right of it `>=`).
-    pub fn from_parts(
-        values: Vec<V>,
-        boundaries: Vec<(V, usize)>,
-        cracks: u64,
-    ) -> Result<Self, String> {
-        let bounds = Self::check_partition(&values, &boundaries)?;
-        let mut restored = CrackedColumn::with_bounds(values, bounds);
-        restored.index = boundaries.into_iter().collect();
-        restored.cracks = cracks;
-        Ok(restored)
     }
 
     /// The cracker-index invariant over `values` and ascending
@@ -197,8 +152,7 @@ impl<V: ColumnValue> CrackedColumn<V> {
 
     /// Full structural check of the live state: the cracker index
     /// partitions the data and the cached bounds are the data's exact
-    /// `(min, max)` — what a restore verifies, run after every delta fold
-    /// in debug builds.
+    /// `(min, max)` — run after every delta fold in debug builds.
     pub fn validate(&self) -> Result<(), String> {
         let bounds = Self::check_partition(&self.data, &self.boundaries())?;
         if bounds != self.bounds {
@@ -589,29 +543,32 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_roundtrips_live_state_and_rejects_invalid() {
+    fn check_partition_accepts_live_state_and_rejects_invalid() {
         let mut c = CrackedColumn::new(shuffled(5_000, 9));
         for k in 0..10u32 {
             let lo = (k * 997) % 90_000;
             c.select_count(&ValueRange::must(lo, lo + 5_000), &mut NullTracker);
         }
-        let restored =
-            CrackedColumn::from_parts(c.values().to_vec(), c.boundaries(), c.cracks()).unwrap();
-        assert_eq!(restored.piece_count(), c.piece_count());
-        assert_eq!(restored.cracks(), c.cracks());
-        // Restored column answers without consulting the original.
-        let q = ValueRange::must(997, 5_997);
-        let expect = c.values().iter().filter(|v| q.contains(**v)).count() as u64;
-        let mut restored = restored;
-        assert_eq!(restored.select_count(&q, &mut NullTracker), expect);
+        assert!(c.piece_count() > 1);
+        c.validate().unwrap();
 
         // Violations are rejected, not absorbed.
-        let err = CrackedColumn::from_parts(vec![5u32, 1], vec![(3, 1)], 1);
-        assert!(err.is_err(), "value 5 left of boundary 3 must fail");
-        let err = CrackedColumn::from_parts(vec![1u32, 5], vec![(3, 9)], 1);
-        assert!(err.is_err(), "position beyond the data must fail");
-        let err = CrackedColumn::from_parts(vec![1u32, 5], vec![(3, 1), (2, 1)], 2);
-        assert!(err.is_err(), "descending boundaries must fail");
+        let check = |values: &[u32], boundaries: &[(u32, usize)]| {
+            CrackedColumn::check_partition(values, boundaries)
+        };
+        assert_eq!(check(&[1, 5], &[(3, 1)]), Ok(Some((1, 5))));
+        assert!(
+            check(&[5, 1], &[(3, 1)]).is_err(),
+            "value 5 left of boundary 3 must fail"
+        );
+        assert!(
+            check(&[1, 5], &[(3, 9)]).is_err(),
+            "position beyond the data must fail"
+        );
+        assert!(
+            check(&[1, 5], &[(3, 1), (2, 1)]).is_err(),
+            "descending boundaries must fail"
+        );
     }
 
     #[test]

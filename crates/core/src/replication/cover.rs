@@ -7,6 +7,7 @@
 //! are discarded (backtracking) and the node itself — if materialized —
 //! covers its whole share of the query.
 
+use crate::compress::PiecePayload;
 use crate::range::ValueRange;
 use crate::value::ColumnValue;
 
@@ -30,6 +31,18 @@ impl<V: ColumnValue> ReplicaTree<V> {
             }
         }
         cover
+    }
+
+    /// The payload of a [`Self::covering_set`] member. Every member is
+    /// materialized, so the lookup cannot miss.
+    #[expect(
+        clippy::expect_used,
+        reason = "replica-tree invariant: covering-set nodes hold materialized payloads"
+    )]
+    pub(crate) fn cover_payload(&self, id: NodeId) -> &PiecePayload<V> {
+        self.node(id)
+            .payload()
+            .expect("covering-set members are materialized")
     }
 
     /// Algorithm 3's recursive step. Appends to `cover` and returns whether

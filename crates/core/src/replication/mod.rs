@@ -10,11 +10,9 @@
 pub mod analyze;
 pub mod arena;
 pub mod cover;
-pub mod spec;
 pub mod strategy;
 pub mod tree;
 
 pub use arena::{Arena, NodeId};
-pub use spec::ReplicaNodeSpec;
 pub use strategy::AdaptiveReplication;
 pub use tree::{NodePayload, ReplicaNode, ReplicaTree};

@@ -146,13 +146,7 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
             .collect();
         let (seg_id, bytes, matched) = {
             let node = self.tree.node(s);
-            #[expect(
-                clippy::expect_used,
-                reason = "replica-tree invariant: covering-set nodes hold materialized payloads"
-            )]
-            let payload = node
-                .payload()
-                .expect("covering-set members are materialized");
+            let payload = self.tree.cover_payload(s);
             // Compressed-domain dispatch: a count over a packed node never
             // decodes; only replica fills do.
             let matched = if m_list.is_empty() && q.covers(&node.range) {
@@ -238,13 +232,7 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveReplication<V> {
         let mut out = Vec::new();
         for s in self.tree.covering_set(q) {
             let node = self.tree.node(s);
-            #[expect(
-                clippy::expect_used,
-                reason = "replica-tree invariant: covering-set nodes hold materialized payloads"
-            )]
-            let payload = node
-                .payload()
-                .expect("covering-set members are materialized");
+            let payload = self.tree.cover_payload(s);
             if q.covers(&node.range) {
                 payload.collect_all(&mut out);
             } else {

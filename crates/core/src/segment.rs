@@ -55,8 +55,8 @@ impl SegIdGen {
 /// `SegmentData` inherits per-segment compression transparently.
 ///
 /// Each segment also caches a [`PieceSynopsis`] (exact min/max/count/sum),
-/// recomputed whenever the payload changes — construction, restore, and
-/// every encode step. The pure-read scan methods consult it first: a
+/// recomputed whenever the payload changes — construction, every fold
+/// and every encode step. The pure-read scan methods consult it first: a
 /// provably disjoint predicate answers without touching the payload, and
 /// a covering one answers a count O(1) from the stored length. The
 /// synopsis bounds are usually *tighter* than `range`
@@ -80,23 +80,6 @@ impl<V: ColumnValue> SegmentData<V> {
             "segment values must lie within the segment range"
         );
         let payload = PiecePayload::Raw(values);
-        let synopsis = payload.synopsis();
-        SegmentData {
-            id,
-            range,
-            payload,
-            heat: SegmentHeat::default(),
-            synopsis,
-        }
-    }
-
-    /// Wraps an existing payload (possibly packed) — the store's restore
-    /// path, which must not decode what it read verbatim.
-    pub fn from_payload(id: SegId, range: ValueRange<V>, payload: PiecePayload<V>) -> Self {
-        debug_assert!(
-            payload.decoded().iter().all(|v| range.contains(*v)),
-            "segment values must lie within the segment range"
-        );
         let synopsis = payload.synopsis();
         SegmentData {
             id,
@@ -204,8 +187,7 @@ impl<V: ColumnValue> SegmentData<V> {
         self.heat.note_read(tick);
     }
 
-    /// Stamps the segment as created at `tick` (split products,
-    /// restored checkpoints).
+    /// Stamps the segment as created at `tick` (split products).
     #[inline]
     pub fn stamp_born(&mut self, tick: u64) {
         self.heat = SegmentHeat::born_at(tick);

@@ -84,7 +84,7 @@ pub trait ColumnStrategy<V: ColumnValue>: Send + Sync {
     ///
     /// This is the extraction path for layers that present a strategy's
     /// segments as data (the MAL `bpm` module materializes per-segment
-    /// bats, checkpointing reads pieces, the epoch layer publishes
+    /// bats, the catalog checkpoint reads rows, the epoch layer publishes
     /// snapshots from it) — those reads must not perturb the
     /// self-organization the workload is driving, which only
     /// [`Self::select_count`] does.

@@ -5,12 +5,12 @@
 //! disjoint, adjacent, and tile the attribute domain** (Section 4's
 //! segment list, Section 5's covering leaf set of the replica tree, the
 //! epoch snapshot's frozen piece array). PRs 4–6 multiplied the surfaces
-//! where that can silently break — parallel shard workers, background
-//! migrations, epoch publication, compressed payload restore — so the
-//! checks live here once, as public functions over the public types, and
-//! are invoked at every reorganization boundary through
-//! [`debug_assert_valid!`](crate::debug_assert_valid) and on untrusted
-//! load paths (store restore, checkpoint load) as typed errors.
+//! where that can silently break — sharded nodes, migrations, epoch
+//! publication, packed payloads — so the checks live here once, as public
+//! functions over the public types, and are invoked at every
+//! reorganization boundary through
+//! [`debug_assert_valid!`](crate::debug_assert_valid) and by the
+//! corruption-injection tests, which expect typed errors.
 //!
 //! Two cost tiers, by design:
 //!
@@ -18,7 +18,7 @@
 //!   [`replica_tree`]) — O(#pieces) range arithmetic, no payload access.
 //!   Safe to run after every query inside `debug_assert_valid!`.
 //! * **Deep** ([`column`], [`payload`], [`encoded_consistent`]) — decodes
-//!   payloads and walks values. For load boundaries and tests.
+//!   payloads and walks values. For debug builds and tests.
 
 use crate::column::SegmentedColumn;
 use crate::compress::{EncodedPayload, PiecePayload};
@@ -199,8 +199,8 @@ fn fields_per_word(width: u32) -> u64 {
 /// for the declared tuple count, dictionary codes inside the table.
 ///
 /// [`EncodedPayload::validate_for`] assumes these hold (its key visitor
-/// indexes the dictionary table directly), so untrusted payloads must
-/// pass through here first.
+/// indexes the dictionary table directly), so [`payload`] runs this
+/// first.
 pub fn encoded_consistent(payload: &EncodedPayload) -> Result<(), Violation> {
     let fail = |reason: String| Violation::Payload { index: 0, reason };
     match payload {

@@ -1,22 +1,20 @@
-//! Catalog-level checkpointing: every registered column — with its
-//! [`StrategySpec`], pending deltas, deletion lists, and oid counters —
-//! persisted in one operation through `soc-store`, and restored with one
-//! call.
+//! The checkpoint: every registered column — with its [`StrategySpec`],
+//! pending deltas, deletion lists, and oid counters — persisted in one
+//! operation through `soc-store`, and restored with one call.
 //!
-//! The storage layer already round-trips *individual* columns
-//! (`SegmentStore::checkpoint`, `save_tree`, `save_cracked`); what it
-//! lacked was the catalog: a restart had to re-register and re-load every
-//! column by hand. [`Catalog::save_all`] writes a `catalog.manifest`
-//! describing the whole catalog plus one segment-store directory per
-//! column (values and oid heads as checksummed segment files), and
-//! [`Catalog::load_all`] rebuilds the catalog from it — segmented columns
-//! re-organize under their persisted spec (physical adaptation state is
-//! rebuilt by the workload; the logical rows, the spec, and the
-//! accumulated reorganization bill survive exactly).
+//! [`Catalog::save_all`] writes a `catalog.manifest` describing the whole
+//! catalog plus one segment-store directory per column (values and oid
+//! heads as checksummed segment files), and [`Catalog::load_all`] rebuilds
+//! the catalog from it. Only logical rows are saved, never a physical
+//! organization: segmented columns re-organize under their persisted spec
+//! and the workload rebuilds their pieces, as the paper's premise has it;
+//! the rows, the spec, and the accumulated reorganization bill survive
+//! exactly.
 //!
 //! The manifest is a line-oriented text file (the build is offline — no
 //! serde): one line per column/table fact, atoms encoded as
-//! `i:`/`d:`/`o:` numerics or `s:` hex-encoded UTF-8.
+//! `i:`/`d:`/`o:` numerics or `s:` hex-encoded UTF-8. A damaged manifest
+//! is a [`CheckpointError`], never a panic.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -25,7 +23,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use soc_bat::{algebra::Atom, Bat, Head, Oid, Tail};
-use soc_core::{MergePolicy, OrdF64, SegId, SizeEstimator, StrategyKind, StrategySpec, ValueRange};
+use soc_core::{
+    kernels, EncodingMode, EncodingPolicy, MergePolicy, OrdF64, SegId, SizeEstimator, StrategyKind,
+    StrategySpec, ValueRange,
+};
 use soc_store::{FixedCodec, SegmentStore, StoreError};
 
 use crate::bpm::BpmError;
@@ -94,14 +95,15 @@ fn hex_encode(s: &str) -> String {
 }
 
 fn hex_decode(s: &str) -> Result<String, CheckpointError> {
-    if s.len() % 2 != 0 {
-        return Err(CheckpointError::Malformed(format!("odd hex: {s:?}")));
-    }
-    let bytes: Result<Vec<u8>, _> = (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16))
-        .collect();
-    let bytes = bytes.map_err(|_| CheckpointError::Malformed(format!("bad hex: {s:?}")))?;
+    let bad = || CheckpointError::Malformed(format!("bad hex: {s:?}"));
+    let digit = |b: u8| char::from(b).to_digit(16).ok_or_else(bad);
+    let pairs = s.as_bytes().chunks(2);
+    let bytes = pairs
+        .map(|p| match *p {
+            [hi, lo] => Ok(((digit(hi)? << 4) | digit(lo)?) as u8),
+            _ => Err(bad()),
+        })
+        .collect::<Result<Vec<u8>, _>>()?;
     String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed(format!("non-utf8: {s:?}")))
 }
 
@@ -133,8 +135,8 @@ fn atom_from_text(s: &str) -> Result<Atom, CheckpointError> {
     }
 }
 
-/// `StrategySpec` as one manifest token run (everything is `Copy` and
-/// numeric; f64 fields travel as bit patterns so the round-trip is exact).
+/// `StrategySpec` as one manifest token run of [`SPEC_FIELDS`] fields
+/// (everything is `Copy` and integral, so the round-trip is exact).
 fn spec_to_text(spec: &StrategySpec) -> String {
     let estimator = match spec.estimator {
         SizeEstimator::Uniform => "uniform",
@@ -146,8 +148,15 @@ fn spec_to_text(spec: &StrategySpec) -> String {
     let merge = spec.merge.map_or("-".to_owned(), |m| {
         format!("{},{}", m.small_bytes, m.max_merged_bytes)
     });
+    let encoding = match spec.encoding {
+        EncodingMode::Adaptive(p) => format!(
+            "adaptive:{},{},{}",
+            p.cold_after, p.promote_reads, p.min_flip_gap
+        ),
+        mode => mode.token().to_owned(),
+    };
     format!(
-        "{} {} {} {} {estimator} {budget} {merge}",
+        "{} {} {} {} {estimator} {budget} {merge} {encoding}",
         spec.kind.token(),
         spec.mmin,
         spec.mmax,
@@ -155,32 +164,71 @@ fn spec_to_text(spec: &StrategySpec) -> String {
     )
 }
 
+/// Fields [`spec_to_text`] writes.
+const SPEC_FIELDS: usize = 8;
+
+/// Parses `a,b,…` into exactly `N` integers.
+fn parse_list<const N: usize>(s: &str) -> Option<[u64; N]> {
+    let mut out = [0; N];
+    let mut parts = s.split(',');
+    for slot in &mut out {
+        *slot = parts.next()?.parse().ok()?;
+    }
+    parts.next().is_none().then_some(out)
+}
+
 fn spec_from_fields(fields: &[&str]) -> Result<StrategySpec, CheckpointError> {
     let bad = |what: &str| CheckpointError::Malformed(format!("bad spec {what}: {fields:?}"));
-    if fields.len() != 7 {
+    let &[kind, mmin, mmax, seed, estimator, budget, merge, encoding] = fields else {
         return Err(bad("arity"));
+    };
+    let kind = StrategyKind::from_token(kind).ok_or_else(|| bad("kind"))?;
+    let mmin: u64 = mmin.parse().map_err(|_| bad("mmin"))?;
+    let mmax: u64 = mmax.parse().map_err(|_| bad("mmax"))?;
+    // Only what a kind's constructor asserts is checked, so every spec
+    // that builds in code also loads.
+    let bounds_ok = match kind {
+        StrategyKind::ApmSegm | StrategyKind::ApmRepl => 0 < mmin && mmin < mmax,
+        StrategyKind::GdSegmMerged if merge == "-" => 0 < mmin && mmin <= mmax,
+        _ => true,
+    };
+    if !bounds_ok {
+        return Err(bad("bounds"));
     }
-    let kind = StrategyKind::from_token(fields[0]).ok_or_else(|| bad("kind"))?;
     let mut spec = StrategySpec::new(kind)
-        .with_apm_bounds(
-            fields[1].parse().map_err(|_| bad("mmin"))?,
-            fields[2].parse().map_err(|_| bad("mmax"))?,
-        )
-        .with_model_seed(fields[3].parse().map_err(|_| bad("seed"))?);
-    spec = spec.with_estimator(match fields[4] {
-        "uniform" => SizeEstimator::Uniform,
-        "exact" => SizeEstimator::Exact,
-        _ => return Err(bad("estimator")),
-    });
-    if fields[5] != "-" {
-        spec = spec.with_storage_budget(fields[5].parse().map_err(|_| bad("budget"))?);
+        .with_apm_bounds(mmin, mmax)
+        .with_model_seed(seed.parse().map_err(|_| bad("seed"))?)
+        .with_estimator(match estimator {
+            "uniform" => SizeEstimator::Uniform,
+            "exact" => SizeEstimator::Exact,
+            _ => return Err(bad("estimator")),
+        })
+        .with_encoding(match encoding.split_once(':') {
+            Some(("adaptive", policy)) => {
+                let [cold_after, promote_reads, min_flip_gap] =
+                    parse_list(policy).ok_or_else(|| bad("encoding"))?;
+                EncodingMode::Adaptive(EncodingPolicy {
+                    cold_after,
+                    promote_reads,
+                    min_flip_gap,
+                })
+            }
+            Some(_) => return Err(bad("encoding")),
+            None => match EncodingMode::from_token(encoding) {
+                Some(EncodingMode::Adaptive(_)) | None => return Err(bad("encoding")),
+                Some(mode) => mode,
+            },
+        });
+    if budget != "-" {
+        spec = spec.with_storage_budget(budget.parse().map_err(|_| bad("budget"))?);
     }
-    if fields[6] != "-" {
-        let (small, max) = fields[6].split_once(',').ok_or_else(|| bad("merge"))?;
-        spec = spec.with_merge(MergePolicy::new(
-            small.parse().map_err(|_| bad("merge"))?,
-            max.parse().map_err(|_| bad("merge"))?,
-        ));
+    if merge != "-" {
+        let [small_bytes, max_merged_bytes] = parse_list(merge).ok_or_else(|| bad("merge"))?;
+        // The literal, not `MergePolicy::new`: a policy is used as given.
+        spec.merge = Some(MergePolicy {
+            small_bytes,
+            max_merged_bytes,
+        });
     }
     Ok(spec)
 }
@@ -196,24 +244,12 @@ fn save_values<V: soc_core::ColumnValue + FixedCodec>(
     id: SegId,
     values: &[V],
 ) -> Result<(), CheckpointError> {
-    if values.is_empty() {
+    let Some((lo, hi)) = kernels::min_max_all(values) else {
         return Ok(());
-    }
-    #[expect(
-        clippy::expect_used,
-        reason = "guarded by the is_empty early return above; min/max of a non-empty slice always exist"
-    )]
-    let lo = *values.iter().min().expect("non-empty");
-    #[expect(
-        clippy::expect_used,
-        reason = "guarded by the is_empty early return above; min/max of a non-empty slice always exist"
-    )]
-    let hi = *values.iter().max().expect("non-empty");
-    #[expect(
-        clippy::expect_used,
-        reason = "min <= max by definition, so the range constructor cannot reject"
-    )]
-    let range = ValueRange::new(lo, hi).expect("min <= max");
+    };
+    let range = ValueRange::new(lo, hi).ok_or_else(|| {
+        CheckpointError::Unsupported(format!("segment {id:?}: min {lo:?} above max {hi:?}"))
+    })?;
     store.save(id, &range, values)?;
     Ok(())
 }
@@ -283,7 +319,15 @@ fn load_column(
     rows: usize,
     strrows: &[(Oid, String)],
 ) -> Result<Bat, CheckpointError> {
-    let store = SegmentStore::open(col_dir(dir, key))?;
+    // Every saved column has its directory, so a missing one is a damaged
+    // key — and opening it would create it.
+    let path = col_dir(dir, key);
+    if !path.is_dir() {
+        return Err(CheckpointError::Malformed(format!(
+            "{key}: no column directory"
+        )));
+    }
+    let store = SegmentStore::open(path)?;
     let heads: Vec<Oid> = load_values(&store, HEADS, rows)?;
     let tail = match tag {
         "int" => Tail::Int(load_values(&store, VALUES, rows)?.into()),
@@ -295,20 +339,20 @@ fn load_column(
                 .collect(),
         )),
         "str" => {
-            let mut vals = vec![String::new(); rows];
             if strrows.len() != rows {
                 return Err(CheckpointError::Malformed(format!(
                     "{key}: {} strrow lines, manifest says {rows}",
                     strrows.len()
                 )));
             }
+            let mut vals = Vec::with_capacity(rows);
             for (i, (oid, s)) in strrows.iter().enumerate() {
                 if heads.get(i) != Some(oid) {
                     return Err(CheckpointError::Malformed(format!(
                         "{key}: strrow oid {oid} out of order"
                     )));
                 }
-                vals[i] = s.clone();
+                vals.push(s.clone());
             }
             Tail::Str(vals.into())
         }
@@ -476,6 +520,7 @@ impl Catalog {
         // Collected first so `strrow` lines may follow their column line.
         let mut plain: Vec<(String, String, usize)> = Vec::new();
         let mut strrows: Vec<(String, Oid, String)> = Vec::new();
+        let mut columns: BTreeSet<&str> = BTreeSet::new();
 
         let bad = |line: &str| CheckpointError::Malformed(format!("bad line: {line:?}"));
         for line in lines {
@@ -483,6 +528,15 @@ impl Catalog {
                 continue;
             }
             let fields: Vec<&str> = line.split(' ').collect();
+            if matches!(fields[0], "plain" | "segmented")
+                && fields.len() > 1
+                && !columns.insert(fields[1])
+            {
+                return Err(CheckpointError::Malformed(format!(
+                    "column {} listed twice",
+                    fields[1]
+                )));
+            }
             match fields[0] {
                 "plain" if fields.len() == 4 => {
                     plain.push((
@@ -498,7 +552,7 @@ impl Catalog {
                         hex_decode(fields[3])?,
                     ));
                 }
-                "segmented" if fields.len() == 14 => {
+                "segmented" if fields.len() == 7 + SPEC_FIELDS => {
                     let key = fields[1];
                     let rows: usize = fields[3].parse().map_err(|_| bad(line))?;
                     let domain_lo = f64::from_bits(fields[4].parse().map_err(|_| bad(line))?);
@@ -720,25 +774,161 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn spec_round_trip(spec: &StrategySpec) -> Result<StrategySpec, CheckpointError> {
+        let text = spec_to_text(spec);
+        let fields: Vec<&str> = text.split(' ').collect();
+        spec_from_fields(&fields)
+    }
+
     #[test]
     fn spec_text_round_trips_every_field() {
-        let spec = StrategySpec::new(StrategyKind::GdSegmMerged)
-            .with_apm_bounds(1111, 2222)
-            .with_model_seed(33)
-            .with_estimator(SizeEstimator::Exact)
-            .with_storage_budget(9999)
-            .with_merge(MergePolicy::new(10, 100));
-        let text = spec_to_text(&spec);
-        let fields: Vec<&str> = text.split(' ').collect();
-        let back = spec_from_fields(&fields).unwrap();
-        assert_eq!(back.kind, spec.kind);
-        assert_eq!(back.mmin, 1111);
-        assert_eq!(back.mmax, 2222);
-        assert_eq!(back.model_seed, 33);
-        assert_eq!(back.storage_budget, Some(9999));
-        assert!(matches!(back.estimator, SizeEstimator::Exact));
-        let m = back.merge.unwrap();
-        assert_eq!((m.small_bytes, m.max_merged_bytes), (10, 100));
+        use soc_core::SegmentEncoding;
+        let policy = EncodingPolicy {
+            cold_after: 5,
+            promote_reads: 7,
+            min_flip_gap: 11,
+        };
+        assert_ne!(policy, EncodingPolicy::default());
+        for encoding in [
+            EncodingMode::Raw,
+            EncodingMode::Fixed(SegmentEncoding::Rle),
+            EncodingMode::Fixed(SegmentEncoding::For),
+            EncodingMode::Fixed(SegmentEncoding::Dict),
+            EncodingMode::Adaptive(policy),
+        ] {
+            let spec = StrategySpec::new(StrategyKind::GdSegmMerged)
+                .with_apm_bounds(1111, 2222)
+                .with_model_seed(33)
+                .with_estimator(SizeEstimator::Exact)
+                .with_storage_budget(9999)
+                .with_merge(MergePolicy::new(10, 100))
+                .with_encoding(encoding);
+            let back = spec_round_trip(&spec).unwrap();
+            assert_eq!(back.kind, spec.kind);
+            assert_eq!(back.mmin, 1111);
+            assert_eq!(back.mmax, 2222);
+            assert_eq!(back.model_seed, 33);
+            assert_eq!(back.storage_budget, Some(9999));
+            assert!(matches!(back.estimator, SizeEstimator::Exact));
+            let m = back.merge.unwrap();
+            assert_eq!((m.small_bytes, m.max_merged_bytes), (10, 100));
+            assert_eq!(back.encoding, encoding);
+        }
+    }
+
+    #[test]
+    fn encoding_survives_save_and_load() {
+        let dir = tmp("encoding");
+        let mut c = Catalog::new();
+        let spec = StrategySpec::new(StrategyKind::ApmSegm)
+            .with_apm_bounds(512, 2048)
+            .with_encoding(EncodingMode::Fixed(soc_core::SegmentEncoding::Rle));
+        c.register_segmented(
+            "sys",
+            "T",
+            "v",
+            Bat::dense_int((0..300).collect()),
+            0.0,
+            300.0,
+            spec,
+        )
+        .unwrap();
+        c.save_all(&dir).unwrap();
+        let restored = Catalog::load_all(&dir).unwrap();
+        assert_eq!(
+            restored.strategy_spec("sys.T.v").map(|s| s.encoding),
+            Some(spec.encoding)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_spec_of_the_old_arity_is_a_typed_error() {
+        let fields = ["apm_segm", "3072", "12288", "0", "uniform", "-", "-"];
+        assert!(matches!(
+            spec_from_fields(&fields),
+            Err(CheckpointError::Malformed(_))
+        ));
+        // A whole segmented line of the old arity is rejected the same way.
+        let dir = tmp("old-arity");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join(MANIFEST),
+            format!(
+                "{MAGIC}\nsegmented sys.T.v int 0 0 4636737291354636288 0 {}\n",
+                fields.join(" ")
+            ),
+        )
+        .unwrap();
+        assert!(matches!(
+            Catalog::load_all(&dir),
+            Err(CheckpointError::Malformed(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn specs_breaking_a_constructor_precondition_are_typed_errors() {
+        let apm = |kind, mmin, mmax| StrategySpec::new(kind).with_apm_bounds(mmin, mmax);
+        for bad in [
+            // AdaptivePageModel::new needs 0 < mmin < mmax.
+            apm(StrategyKind::ApmSegm, 4096, 4096),
+            apm(StrategyKind::ApmRepl, 5000, 10),
+            apm(StrategyKind::ApmSegm, 0, 10),
+            // The default MergePolicy::new(mmin, mmax) needs 0 < mmin <= mmax.
+            apm(StrategyKind::GdSegmMerged, 0, 4096),
+            apm(StrategyKind::GdSegmMerged, 9, 8),
+        ] {
+            assert!(
+                matches!(spec_round_trip(&bad), Err(CheckpointError::Malformed(_))),
+                "{bad:?}"
+            );
+        }
+        // Kinds that ignore the bounds load whatever they hold, and an
+        // explicit merge policy replaces the bounds-derived one.
+        for ok in [
+            apm(StrategyKind::GdSegm, 0, 0),
+            apm(StrategyKind::Cracking, 9, 8),
+            apm(StrategyKind::AutoApmSegm, 0, 0),
+            apm(StrategyKind::GdSegmMerged, 0, 0).with_merge(MergePolicy::new(1, 2)),
+        ] {
+            let back = spec_round_trip(&ok).unwrap();
+            let built = back.build(ValueRange::must(0u32, 99), (0..100).collect());
+            assert!(built.is_ok(), "{ok:?}");
+        }
+    }
+
+    #[test]
+    fn a_duplicate_or_unsaved_column_is_a_typed_error() {
+        let dir = tmp("columns");
+        let mut c = Catalog::new();
+        c.register_bat("sys", "T", "i", Bat::dense_int(vec![1, 2, 3]));
+        c.save_all(&dir).unwrap();
+        let manifest = std::fs::read_to_string(dir.join(MANIFEST)).unwrap();
+        for damaged in [
+            format!("{manifest}plain sys.T.i int 3\n"),
+            manifest.replace("sys.T.i", "sys.T.j"),
+        ] {
+            std::fs::write(dir.join(MANIFEST), damaged).unwrap();
+            assert!(matches!(
+                Catalog::load_all(&dir),
+                Err(CheckpointError::Malformed(_))
+            ));
+        }
+        // The load created no directory for the key it could not find.
+        assert!(!col_dir(&dir, "sys.T.j").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hex_decode_rejects_multibyte_and_signed_digits() {
+        assert_eq!(hex_decode("c3a9").unwrap(), "é");
+        for bad in ["0é0", "é0", "+f+f", "-1", "0", "zz", " 1"] {
+            assert!(
+                matches!(hex_decode(bad), Err(CheckpointError::Malformed(_))),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

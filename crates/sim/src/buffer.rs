@@ -98,11 +98,6 @@ impl BufferPool {
         self.used
     }
 
-    /// Number of resident segments.
-    pub fn resident_count(&self) -> usize {
-        self.resident.len()
-    }
-
     /// Whether `seg` is resident.
     pub fn is_resident(&self, seg: SegId) -> bool {
         self.resident.contains_key(&seg)

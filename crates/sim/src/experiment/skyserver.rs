@@ -14,7 +14,6 @@ use soc_workload::{skyserver_domain, skyserver_ra, WorkloadSpec};
 
 use crate::cost::CostModel;
 use crate::runner::{run_queries, RunResult, SimTracker};
-use crate::stats;
 
 use super::{build_strategy, Figure, Series, StrategyKind, TableOut};
 
@@ -398,18 +397,6 @@ impl SkyServerResults {
             }
         }
         crossing
-    }
-
-    /// Per-load mean total time of a scheme (a diagnostic next to the
-    /// Table 2 figures `repro --experiment tab2` generates).
-    pub fn mean_total_ms(&self, load: SkyLoad, scheme: SkyScheme) -> f64 {
-        let t: Vec<f64> = self
-            .get(load, scheme)
-            .records
-            .iter()
-            .map(|r| r.total_ms())
-            .collect();
-        stats::mean(&t)
     }
 }
 

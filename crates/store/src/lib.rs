@@ -2,28 +2,22 @@
 //!
 //! The paper's simulator models "read/write behavior as data is flushed to
 //! secondary store" (Section 6.1); this crate makes the secondary store
-//! real: one checksummed file per segment, incremental checkpointing of a
-//! [`soc_core::SegmentedColumn`] (only segments created since the last
-//! checkpoint are written, dropped segments are unlinked — mirroring the
-//! `materialize`/`free` tracker events), and byte-exact restore. Replica
-//! trees round-trip whole through [`save_tree`]/[`load_tree`]; cracked
-//! columns — data in cracked order plus the cracker index — through
-//! [`save_cracked`]/[`load_cracked`], so every strategy family survives a
-//! restart with its reorganization intact.
+//! real: one checksummed file per segment, written atomically and checked
+//! value by value on load. The catalog checkpoint (`soc_mal`'s
+//! `Catalog::save_all`/`load_all`) persists every column's rows through
+//! it; the physical organization is not saved — the workload rebuilds it.
 //!
 //! ```
-//! use soc_core::{SegmentedColumn, ValueRange};
+//! use soc_core::{SegId, ValueRange};
 //! use soc_store::SegmentStore;
 //!
 //! let dir = std::env::temp_dir().join("soc-store-doc");
 //! let store = SegmentStore::open(&dir).unwrap();
-//! let column = SegmentedColumn::new(
-//!     ValueRange::must(0u32, 999),
-//!     (0..1000).collect(),
-//! ).unwrap();
-//! store.checkpoint(&column).unwrap();
-//! let restored: SegmentedColumn<u32> = store.restore().unwrap();
-//! assert_eq!(restored.total_len(), 1000);
+//! let values: Vec<u32> = (0..1000).collect();
+//! store.save(SegId(0), &ValueRange::must(0u32, 999), &values).unwrap();
+//! let (range, back) = store.load::<u32>(SegId(0)).unwrap();
+//! assert_eq!(range, ValueRange::must(0, 999));
+//! assert_eq!(back, values);
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
@@ -36,11 +30,7 @@
 )]
 
 pub mod codec;
-pub mod crack;
 pub mod store;
-pub mod tree;
 
 pub use codec::FixedCodec;
-pub use crack::{load_cracked, save_cracked};
 pub use store::{SegmentStore, StoreError};
-pub use tree::{load_tree, save_tree};

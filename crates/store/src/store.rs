@@ -1,33 +1,27 @@
-//! The on-disk segment store and column checkpointing.
+//! The on-disk segment file.
 //!
 //! One file per segment, named by [`SegId`]. The file carries the
-//! segment's value range and payload, checksummed, so a whole segmented
-//! column can be checkpointed incrementally (only segments whose id
-//! appeared since the last checkpoint are written; dropped ids are
-//! unlinked) and restored byte-exactly.
+//! segment's value range and its values, checksummed, and is replaced
+//! atomically (temp file + rename), so a crash mid-save leaves the
+//! previously committed file intact.
 //!
-//! Format v2 (`SOCSEG02`) stores the segment's *physical* payload: an
-//! encoding byte (the [`soc_core::EncodedPayload`] wire tag, `0` for raw)
-//! followed by either the raw values or the packed words verbatim. A
-//! checkpoint of a compressed column therefore never decodes — the bytes
-//! on disk are the bytes in memory — and a restore hands the packed
-//! payloads straight back to the column.
+//! Format `SOCSEG02`: magic, the value type's [`FixedCodec::KIND`] byte, an
+//! encoding byte (always `0`, raw), then little-endian `u64` words — value
+//! count, range `lo`, range `hi`, one word per value, and a checksum over
+//! the encoding byte, the range and the values.
 
-use std::collections::HashSet;
 use std::fs;
-use std::io::{Read as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::io::Write as _;
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use soc_core::validate::{self, Violation};
-use soc_core::{
-    ColumnValue, EncodedPayload, Fault, FaultInjector, FaultSite, NoFaults, PiecePayload, SegId,
-    SegmentedColumn, ValueRange,
-};
+use soc_core::{ColumnValue, Fault, FaultInjector, FaultSite, NoFaults, SegId, ValueRange};
 
 use crate::codec::FixedCodec;
 
 const MAGIC: &[u8; 8] = b"SOCSEG02";
+/// The encoding byte of a raw payload, the only one the store writes.
+const RAW: u8 = 0;
 
 /// Errors from the segment store.
 #[derive(Debug)]
@@ -53,14 +47,6 @@ pub enum StoreError {
         /// Found type tag.
         found: u8,
     },
-    /// The restored pieces do not form a valid column.
-    BadColumn(String),
-    /// The stored segments belong to a strategy the store cannot restore
-    /// (only [`SegmentedColumn`] checkpoints round-trip).
-    UnsupportedStrategy {
-        /// What the piece layout looked like.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -75,15 +61,6 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::WrongKind { expected, found } => {
                 write!(f, "wrong value kind: expected {expected}, found {found}")
-            }
-            StoreError::BadColumn(m) => write!(f, "restored column invalid: {m}"),
-            StoreError::UnsupportedStrategy { reason } => {
-                write!(
-                    f,
-                    "unsupported strategy checkpoint: {reason}; only segmented-column \
-                     checkpoints (adjacent, non-overlapping ranges) can be restored here — \
-                     replica trees round-trip through save_tree/load_tree instead"
-                )
             }
         }
     }
@@ -114,7 +91,7 @@ pub struct SegmentStore {
     /// Fault seam: consulted before each save's commit rename
     /// ([`FaultSite::StoreSave`] — an injected fault crashes "between
     /// temp-write and rename", leaving a stale `.tmp`) and before each
-    /// payload read ([`FaultSite::StoreRestore`]).
+    /// read ([`FaultSite::StoreRestore`]).
     injector: Arc<dyn FaultInjector>,
 }
 
@@ -164,44 +141,35 @@ impl SegmentStore {
         }
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn path_of(&self, id: SegId) -> PathBuf {
         self.dir.join(format!("seg_{:016x}.seg", id.0))
     }
 
-    /// Writes one segment in its physical representation: range + encoding
-    /// byte + payload words, checksummed. A packed payload's words go to
-    /// disk verbatim — no decode. Atomic via a temp-file rename.
-    pub fn save_payload<V: ColumnValue + FixedCodec>(
+    /// Writes one segment: range + values, checksummed. Atomic via a
+    /// temp-file rename.
+    pub fn save<V: ColumnValue + FixedCodec>(
         &self,
         id: SegId,
         range: &ValueRange<V>,
-        payload: &PiecePayload<V>,
+        values: &[V],
     ) -> Result<(), StoreError> {
-        let (enc, body): (u8, Vec<u64>) = match payload {
-            PiecePayload::Raw(values) => (0, values.iter().map(|v| v.to_bits()).collect()),
-            PiecePayload::Packed(p) => (p.wire_tag(), p.to_words()),
-        };
-        let mut buf = Vec::with_capacity(8 + 2 + 8 + 16 + body.len() * 8 + 8);
+        let (lo, hi) = (range.lo().to_bits(), range.hi().to_bits());
+        let mut buf = Vec::with_capacity(8 + 2 + 8 + 16 + values.len() * 8 + 8);
         buf.extend_from_slice(MAGIC);
         buf.push(V::KIND);
-        buf.push(enc);
-        buf.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&range.lo().to_bits().to_le_bytes());
-        buf.extend_from_slice(&range.hi().to_bits().to_le_bytes());
-        let mut words = Vec::with_capacity(body.len() + 3);
-        words.push(enc as u64);
-        words.push(range.lo().to_bits());
-        words.push(range.hi().to_bits());
-        for w in &body {
-            buf.extend_from_slice(&w.to_le_bytes());
-            words.push(*w);
+        buf.push(RAW);
+        buf.extend_from_slice(&(values.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&lo.to_le_bytes());
+        buf.extend_from_slice(&hi.to_le_bytes());
+        for v in values {
+            buf.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        buf.extend_from_slice(&xor_checksum(words).to_le_bytes());
+        let sum = xor_checksum(
+            [u64::from(RAW), lo, hi]
+                .into_iter()
+                .chain(values.iter().map(|v| v.to_bits())),
+        );
+        buf.extend_from_slice(&sum.to_le_bytes());
 
         let tmp = self.path_of(id).with_extension("tmp");
         {
@@ -213,153 +181,84 @@ impl SegmentStore {
         }
         // The crash window the atomic rename protects: an injected fault
         // here leaves the fully written `.tmp` behind and the previous
-        // checkpoint untouched — exactly a mid-save crash.
+        // file untouched — exactly a mid-save crash.
         self.injected_io(FaultSite::StoreSave)?;
         fs::rename(&tmp, self.path_of(id))?;
         Ok(())
     }
 
-    /// Writes one raw segment: range + values. Convenience wrapper over
-    /// [`Self::save_payload`] for call sites that hold plain slices (the
-    /// cracker and replica-tree checkpoints).
-    pub fn save<V: ColumnValue + FixedCodec>(
-        &self,
-        id: SegId,
-        range: &ValueRange<V>,
-        values: &[V],
-    ) -> Result<(), StoreError> {
-        self.save_payload(id, range, &PiecePayload::Raw(values.to_vec()))
-    }
-
-    /// Reads one segment back in its stored physical representation. Raw
-    /// payloads are value-checked against the range; packed payloads are
-    /// structurally validated ([`EncodedPayload::validate_for`]) without
-    /// being expanded.
-    pub fn load_payload<V: ColumnValue + FixedCodec>(
-        &self,
-        id: SegId,
-    ) -> Result<(ValueRange<V>, PiecePayload<V>), StoreError> {
-        self.injected_io(FaultSite::StoreRestore)?;
-        let path = self.path_of(id);
-        let mut buf = Vec::new();
-        fs::File::open(&path)?.read_to_end(&mut buf)?;
-        let malformed = |reason: &str| StoreError::Malformed {
-            path: path.clone(),
-            reason: reason.to_owned(),
-        };
-        if buf.len() < 8 + 2 + 8 + 16 + 8 {
-            return Err(malformed("too short"));
-        }
-        if &buf[..8] != MAGIC {
-            return Err(malformed("bad magic"));
-        }
-        let kind = buf[8];
-        if kind != V::KIND {
-            return Err(StoreError::WrongKind {
-                expected: V::KIND,
-                found: kind,
-            });
-        }
-        let enc = buf[9];
-        #[expect(
-            clippy::expect_used,
-            reason = "slice bounds are checked before the loop"
-        )]
-        let word = |i: usize| -> u64 {
-            u64::from_le_bytes(buf[i..i + 8].try_into().expect("bounds checked"))
-        };
-        let count = word(10) as usize;
-        let expected_len = 8 + 2 + 8 + 16 + count * 8 + 8;
-        if buf.len() != expected_len {
-            return Err(malformed("length mismatch"));
-        }
-        let lo_bits = word(18);
-        let hi_bits = word(26);
-        let mut words = Vec::with_capacity(count + 3);
-        words.push(enc as u64);
-        words.push(lo_bits);
-        words.push(hi_bits);
-        let mut body = Vec::with_capacity(count);
-        for k in 0..count {
-            let bits = word(34 + k * 8);
-            words.push(bits);
-            body.push(bits);
-        }
-        let stored_sum = word(34 + count * 8);
-        if stored_sum != xor_checksum(words) {
-            return Err(StoreError::Corrupt { path });
-        }
-        let lo = V::from_bits(lo_bits).ok_or_else(|| malformed("invalid range lo"))?;
-        let hi = V::from_bits(hi_bits).ok_or_else(|| malformed("invalid range hi"))?;
-        let range = ValueRange::new(lo, hi).ok_or_else(|| malformed("inverted range"))?;
-        let payload = if enc == 0 {
-            let mut values = Vec::with_capacity(count);
-            for bits in body {
-                values.push(V::from_bits(bits).ok_or_else(|| malformed("invalid value bits"))?);
-            }
-            if !values.iter().all(|v| range.contains(*v)) {
-                return Err(malformed("values outside the stored range"));
-            }
-            PiecePayload::Raw(values)
-        } else {
-            let packed = EncodedPayload::from_words(enc, &body)
-                .map_err(|e| malformed(&format!("bad packed payload: {e}")))?;
-            // Internal consistency first (word counts, dictionary code
-            // bounds) — `validate_for` assumes it and would index the
-            // dictionary table with untrusted codes otherwise.
-            validate::encoded_consistent(&packed)
-                .map_err(|v| malformed(&format!("packed payload inconsistent: {v}")))?;
-            packed
-                .validate_for::<V>(&range)
-                .map_err(|e| malformed(&format!("packed payload violates its range: {e}")))?;
-            PiecePayload::Packed(packed)
-        };
-        Ok((range, payload))
-    }
-
-    /// Reads one segment back as values, decoding a packed payload if the
-    /// file stores one.
+    /// Reads one segment back. The checksum, the value type, every value's
+    /// bit pattern and its membership in the stored range are checked.
     pub fn load<V: ColumnValue + FixedCodec>(
         &self,
         id: SegId,
     ) -> Result<(ValueRange<V>, Vec<V>), StoreError> {
-        let (range, payload) = self.load_payload::<V>(id)?;
-        Ok((range, payload.into_values()))
-    }
-
-    /// Removes a segment file (idempotent).
-    pub fn delete(&self, id: SegId) -> Result<(), StoreError> {
-        match fs::remove_file(self.path_of(id)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
+        self.injected_io(FaultSite::StoreRestore)?;
+        let path = self.path_of(id);
+        let buf = fs::read(&path)?;
+        let malformed = |reason: &str| StoreError::Malformed {
+            path: path.clone(),
+            reason: reason.to_owned(),
+        };
+        let Some((header, rest)) = buf.split_first_chunk::<10>() else {
+            return Err(malformed("too short"));
+        };
+        if &header[..8] != MAGIC {
+            return Err(malformed("bad magic"));
         }
-    }
-
-    /// Ids of every segment currently stored (unordered).
-    pub fn list(&self) -> Result<Vec<SegId>, StoreError> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if let Some(hex) = name
-                .strip_prefix("seg_")
-                .and_then(|s| s.strip_suffix(".seg"))
-            {
-                if let Ok(id) = u64::from_str_radix(hex, 16) {
-                    out.push(SegId(id));
-                }
-            }
+        if header[8] != V::KIND {
+            return Err(StoreError::WrongKind {
+                expected: V::KIND,
+                found: header[8],
+            });
         }
-        Ok(out)
+        if header[9] != RAW {
+            return Err(malformed("unknown payload encoding"));
+        }
+        if rest.len() % 8 != 0 {
+            return Err(malformed("length mismatch"));
+        }
+        let words: Vec<u64> = rest
+            .chunks_exact(8)
+            .map(|c| {
+                let mut w = [0; 8];
+                w.copy_from_slice(c);
+                u64::from_le_bytes(w)
+            })
+            .collect();
+        let [count, lo_bits, hi_bits, body @ .., stored_sum] = words.as_slice() else {
+            return Err(malformed("too short"));
+        };
+        if *count != body.len() as u64 {
+            return Err(malformed("length mismatch"));
+        }
+        let sum = xor_checksum(
+            [u64::from(RAW), *lo_bits, *hi_bits]
+                .into_iter()
+                .chain(body.iter().copied()),
+        );
+        if *stored_sum != sum {
+            return Err(StoreError::Corrupt { path });
+        }
+        let lo = V::from_bits(*lo_bits).ok_or_else(|| malformed("invalid range lo"))?;
+        let hi = V::from_bits(*hi_bits).ok_or_else(|| malformed("invalid range hi"))?;
+        let range = ValueRange::new(lo, hi).ok_or_else(|| malformed("inverted range"))?;
+        let values = body
+            .iter()
+            .map(|&bits| V::from_bits(bits))
+            .collect::<Option<Vec<V>>>()
+            .ok_or_else(|| malformed("invalid value bits"))?;
+        if !values.iter().all(|v| range.contains(*v)) {
+            return Err(malformed("values outside the stored range"));
+        }
+        Ok((range, values))
     }
 
     /// Removes stale `*.tmp` files — the residue of a crash between a
-    /// save's temp-write and its commit rename. The previous committed
-    /// `.seg` files are untouched (the rename never happened), so the
-    /// last checkpoint stays fully loadable. Returns how many were
-    /// swept. [`Self::restore`] runs this first; it is also safe to call
-    /// any time.
+    /// save's temp-write and its commit rename. The committed `.seg` files
+    /// are untouched (the rename never happened), so the last saved
+    /// content stays fully loadable. Returns how many were swept; safe to
+    /// call any time.
     pub fn sweep_stale_tmp(&self) -> Result<usize, StoreError> {
         let mut removed = 0;
         for entry in fs::read_dir(&self.dir)? {
@@ -373,101 +272,5 @@ impl SegmentStore {
             }
         }
         Ok(removed)
-    }
-
-    /// Bytes of segment files on disk.
-    pub fn bytes_on_disk(&self) -> Result<u64, StoreError> {
-        let mut total = 0;
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            if entry.path().extension().is_some_and(|e| e == "seg") {
-                total += entry.metadata()?.len();
-            }
-        }
-        Ok(total)
-    }
-
-    /// Incrementally checkpoints a segmented column: segments already on
-    /// disk (by id) are kept, new ones written, stale ones unlinked.
-    /// Returns `(written, deleted)` counts.
-    pub fn checkpoint<V: ColumnValue + FixedCodec>(
-        &self,
-        column: &SegmentedColumn<V>,
-    ) -> Result<(usize, usize), StoreError> {
-        let live: HashSet<SegId> = column.segments().iter().map(|s| s.id()).collect();
-        let on_disk: HashSet<SegId> = self.list()?.into_iter().collect();
-        let mut written = 0;
-        for seg in column.segments() {
-            if !on_disk.contains(&seg.id()) {
-                // Physical payload verbatim: a packed segment checkpoints
-                // its packed words, never a decoded copy.
-                self.save_payload(seg.id(), &seg.range(), seg.payload())?;
-                written += 1;
-            }
-        }
-        let mut deleted = 0;
-        for id in on_disk.difference(&live) {
-            self.delete(*id)?;
-            deleted += 1;
-        }
-        Ok((written, deleted))
-    }
-
-    /// Restores a checkpointed column. The segment files' ranges must tile
-    /// a domain; the restored column gets fresh segment ids (so a
-    /// follow-up checkpoint rewrites everything — call sites that care
-    /// should checkpoint into a fresh directory).
-    ///
-    /// Only [`SegmentedColumn`] checkpoints are restorable. Segment sets
-    /// from other strategies are recognized by their layout and rejected
-    /// with [`StoreError::UnsupportedStrategy`] instead of an opaque
-    /// decode failure: a replica tree materializes nested/overlapping
-    /// ranges, and a partially cracked or partially checkpointed column
-    /// leaves gaps between ranges.
-    pub fn restore<V: ColumnValue + FixedCodec>(&self) -> Result<SegmentedColumn<V>, StoreError> {
-        // A crash between temp-write and rename leaves `.tmp` residue;
-        // it was never committed, so it is swept, not loaded.
-        self.sweep_stale_tmp()?;
-        let mut pieces: Vec<(ValueRange<V>, PiecePayload<V>)> = Vec::new();
-        for id in self.list()? {
-            let (range, payload) = self.load_payload::<V>(id)?;
-            pieces.push((range, payload));
-        }
-        if pieces.is_empty() {
-            return Err(StoreError::BadColumn("store is empty".into()));
-        }
-        pieces.sort_by(|a, b| a.0.lo().cmp(&b.0.lo()).then(a.0.hi().cmp(&b.0.hi())));
-        let domain = ValueRange::new(pieces[0].0.lo(), pieces[pieces.len() - 1].0.hi())
-            .ok_or_else(|| StoreError::BadColumn("empty domain".into()))?;
-        // Structural screening through the shared validators: a piece set
-        // whose every file passes its checksum can still be the wrong
-        // *shape* — overlapping (replica-tree checkpoint) or gapped
-        // (cracked/partial checkpoint) — and must be rejected before
-        // anything is installed.
-        let ranges: Vec<ValueRange<V>> = pieces.iter().map(|(r, _)| *r).collect();
-        match validate::ranges_partition(&domain, &ranges) {
-            Ok(()) => {}
-            Err(v @ Violation::Overlap { .. }) => {
-                return Err(StoreError::UnsupportedStrategy {
-                    reason: format!(
-                        "{v} (a replica-tree checkpoint stores nested parent and child replicas)"
-                    ),
-                });
-            }
-            Err(v @ Violation::Gap { .. }) => {
-                return Err(StoreError::UnsupportedStrategy {
-                    reason: format!(
-                        "{v} (a cracked or partial checkpoint does not tile its domain)"
-                    ),
-                });
-            }
-            Err(v) => return Err(StoreError::BadColumn(v.to_string())),
-        }
-        let restored = SegmentedColumn::from_encoded_pieces(domain, pieces)
-            .map_err(|e| StoreError::BadColumn(e.to_string()))?;
-        // Deep validation (payload consistency, tuple-count conservation)
-        // before the column is handed to the caller.
-        validate::column(&restored).map_err(|v| StoreError::BadColumn(v.to_string()))?;
-        Ok(restored)
     }
 }

@@ -1,16 +1,11 @@
 //! Segment-store integration tests: roundtrips, corruption detection,
-//! incremental checkpointing mirroring a live self-organizing column.
+//! and the crash window of the atomic save.
 
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use soc_core::{
-    AdaptivePageModel, AdaptiveSegmentation, ColumnStrategy, NullTracker, OrdF64, SegId,
-    SegmentedColumn, SizeEstimator, ValueRange,
-};
+use soc_core::{Fault, FaultPlan, FaultSite, OrdF64, SegId, ValueRange};
 use soc_store::{SegmentStore, StoreError};
 
 struct TempDir(std::path::PathBuf);
@@ -22,12 +17,41 @@ impl TempDir {
         let _ = fs::remove_dir_all(&path);
         TempDir(path)
     }
+
+    /// The one segment file in the directory.
+    fn only_file(&self) -> std::path::PathBuf {
+        fs::read_dir(&self.0)
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap()
+            .path()
+    }
+
+    fn tmp_files(&self) -> usize {
+        fs::read_dir(&self.0)
+            .unwrap()
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .path()
+                    .extension()
+                    .is_some_and(|x| x == "tmp")
+            })
+            .count()
+    }
 }
 
 impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.0);
     }
+}
+
+fn crashing_store(dir: &TempDir, site: FaultSite) -> SegmentStore {
+    SegmentStore::open(&dir.0)
+        .unwrap()
+        .with_fault_injector(Arc::new(FaultPlan::one_shot(site, Fault::IoError)))
 }
 
 #[test]
@@ -40,8 +64,11 @@ fn segment_roundtrip_u32() {
     let (r, v) = store.load::<u32>(SegId(7)).unwrap();
     assert_eq!(r, range);
     assert_eq!(v, values);
-    assert_eq!(store.list().unwrap(), vec![SegId(7)]);
-    assert!(store.bytes_on_disk().unwrap() > 0);
+    // Header (8 magic + 2 tag bytes + count, lo, hi) + values + checksum.
+    assert_eq!(
+        fs::metadata(dir.only_file()).unwrap().len(),
+        8 + 2 + 24 + 4 * 8 + 8
+    );
 }
 
 #[test]
@@ -87,16 +114,10 @@ fn bit_flip_is_detected() {
         .save(SegId(9), &ValueRange::must(0u32, 99), &values)
         .unwrap();
     // Flip one byte in the middle of the payload.
-    let path = fs::read_dir(&dir.0)
-        .unwrap()
-        .next()
-        .unwrap()
-        .unwrap()
-        .path();
     let mut f = fs::OpenOptions::new()
         .read(true)
         .write(true)
-        .open(&path)
+        .open(dir.only_file())
         .unwrap();
     f.seek(SeekFrom::Start(60)).unwrap();
     let mut b = [0u8; 1];
@@ -118,451 +139,82 @@ fn truncation_is_detected() {
     store
         .save(SegId(4), &ValueRange::must(0u32, 49), &values)
         .unwrap();
-    let path = fs::read_dir(&dir.0)
-        .unwrap()
-        .next()
-        .unwrap()
-        .unwrap()
-        .path();
+    let path = dir.only_file();
     let len = fs::metadata(&path).unwrap().len();
-    let f = fs::OpenOptions::new().write(true).open(&path).unwrap();
-    f.set_len(len - 16).unwrap();
-    drop(f);
-    assert!(matches!(
-        store.load::<u32>(SegId(4)),
-        Err(StoreError::Malformed { .. })
-    ));
-}
-
-#[test]
-fn checkpoint_restore_roundtrips_a_converged_column() {
-    let dir = TempDir::new("ckpt");
-    let store = SegmentStore::open(&dir.0).unwrap();
-
-    // Self-organize a column, then checkpoint it.
-    let domain = ValueRange::must(0u32, 99_999);
-    let mut rng = SmallRng::seed_from_u64(11);
-    let values: Vec<u32> = (0..30_000).map(|_| rng.gen_range(0..=99_999)).collect();
-    let mut strategy = AdaptiveSegmentation::new(
-        SegmentedColumn::new(domain, values.clone()).unwrap(),
-        Box::new(AdaptivePageModel::new(2_048, 8_192)),
-        SizeEstimator::Uniform,
-    );
-    for _ in 0..200 {
-        let lo = rng.gen_range(0..=90_000);
-        strategy.select_count(&ValueRange::must(lo, lo + 9_999), &mut NullTracker);
-    }
-    let (written, deleted) = store.checkpoint(strategy.column()).unwrap();
-    assert_eq!(written, strategy.segment_count());
-    assert_eq!(deleted, 0);
-
-    // Restore and compare: same domain, same piece structure, same data.
-    let restored: SegmentedColumn<u32> = store.restore().unwrap();
-    restored.validate().unwrap();
-    assert_eq!(restored.domain(), domain);
-    assert_eq!(restored.segment_count(), strategy.segment_count());
-    assert_eq!(restored.total_len(), 30_000);
-    let mut orig: Vec<u32> = values;
-    let mut back: Vec<u32> = restored
-        .segments()
-        .iter()
-        .flat_map(|s| s.values().iter().copied())
-        .collect();
-    orig.sort_unstable();
-    back.sort_unstable();
-    assert_eq!(orig, back);
-}
-
-#[test]
-fn checkpoints_are_incremental() {
-    let dir = TempDir::new("incr");
-    let store = SegmentStore::open(&dir.0).unwrap();
-    let domain = ValueRange::must(0u32, 9_999);
-    let values: Vec<u32> = (0..10_000).collect();
-    let mut strategy = AdaptiveSegmentation::new(
-        SegmentedColumn::new(domain, values).unwrap(),
-        Box::new(AdaptivePageModel::new(1_024, 4_096)),
-        SizeEstimator::Uniform,
-    );
-
-    let (w1, d1) = store.checkpoint(strategy.column()).unwrap();
-    assert_eq!((w1, d1), (1, 0), "initial column is one segment");
-
-    // One reorganizing query: the old segment is replaced by pieces.
-    strategy.select_count(&ValueRange::must(3_000, 5_999), &mut NullTracker);
-    let pieces = strategy.segment_count();
-    assert!(pieces > 1);
-    let (w2, d2) = store.checkpoint(strategy.column()).unwrap();
-    assert_eq!(w2, pieces, "every new piece is written");
-    assert_eq!(d2, 1, "the replaced segment is unlinked");
-
-    // No change -> checkpoint is a no-op.
-    let (w3, d3) = store.checkpoint(strategy.column()).unwrap();
-    assert_eq!((w3, d3), (0, 0));
-}
-
-#[test]
-fn restore_from_empty_store_fails_cleanly() {
-    let dir = TempDir::new("empty");
-    let store = SegmentStore::open(&dir.0).unwrap();
-    assert!(matches!(
-        store.restore::<u32>(),
-        Err(StoreError::BadColumn(_))
-    ));
-}
-
-#[test]
-fn restore_of_nested_replica_segments_is_a_typed_unsupported_error() {
-    // A replica tree's materialized segments nest: the parent [0,999] and
-    // its children both occupy storage. Saving them as plain segment files
-    // used to make restore fail with an opaque decode error; it must name
-    // the actual problem instead.
-    let dir = TempDir::new("nested");
-    let store = SegmentStore::open(&dir.0).unwrap();
-    let parent: Vec<u32> = (0..1000).collect();
-    let child: Vec<u32> = (0..500).collect();
-    store
-        .save(SegId(1), &ValueRange::must(0u32, 999), &parent)
-        .unwrap();
-    store
-        .save(SegId(2), &ValueRange::must(0u32, 499), &child)
-        .unwrap();
-    match store.restore::<u32>() {
-        Err(StoreError::UnsupportedStrategy { reason }) => {
-            assert!(reason.contains("overlap"), "reason: {reason}");
-        }
-        other => panic!("expected UnsupportedStrategy, got {other:?}"),
-    }
-}
-
-#[test]
-fn restore_of_gapped_segments_is_a_typed_unsupported_error() {
-    // A partially cracked (or partially checkpointed) column leaves holes
-    // between ranges; the restore error must say so.
-    let dir = TempDir::new("gapped");
-    let store = SegmentStore::open(&dir.0).unwrap();
-    store
-        .save(SegId(1), &ValueRange::must(0u32, 99), &[5u32, 50])
-        .unwrap();
-    store
-        .save(SegId(2), &ValueRange::must(200u32, 299), &[250u32])
-        .unwrap();
-    match store.restore::<u32>() {
-        Err(StoreError::UnsupportedStrategy { reason }) => {
-            assert!(reason.contains("gap"), "reason: {reason}");
-        }
-        other => panic!("expected UnsupportedStrategy, got {other:?}"),
-    }
-    // The error is descriptive end-to-end.
-    let err = store.restore::<u32>().unwrap_err();
-    assert!(err.to_string().contains("save_tree"), "{err}");
-}
-
-#[test]
-fn delete_is_idempotent() {
-    let dir = TempDir::new("del");
-    let store = SegmentStore::open(&dir.0).unwrap();
-    store
-        .save(SegId(5), &ValueRange::must(0u32, 1), &[0u32, 1])
-        .unwrap();
-    store.delete(SegId(5)).unwrap();
-    store.delete(SegId(5)).unwrap();
-    assert!(store.list().unwrap().is_empty());
-}
-
-#[test]
-fn replica_tree_checkpoint_roundtrip() {
-    use soc_core::{AdaptiveReplication, ReplicaTree};
-    use soc_store::{load_tree, save_tree};
-
-    let dir = TempDir::new("tree");
-    fs::create_dir_all(&dir.0).unwrap();
-    let path = dir.0.join("column.soctree");
-
-    // Grow a tree with mixed materialized/virtual nodes.
-    let domain = ValueRange::must(0u32, 49_999);
-    let mut rng = SmallRng::seed_from_u64(33);
-    let values: Vec<u32> = (0..20_000).map(|_| rng.gen_range(0..=49_999)).collect();
-    let mut r = AdaptiveReplication::new(
-        ReplicaTree::new(domain, values).unwrap(),
-        Box::new(AdaptivePageModel::new(1_024, 4_096)),
-    );
-    for _ in 0..60 {
-        let lo = rng.gen_range(0..=45_000);
-        r.select_count(&ValueRange::must(lo, lo + 4_999), &mut NullTracker);
-    }
-    let tree = r.into_tree();
-    save_tree(&path, &tree).unwrap();
-
-    let restored: ReplicaTree<u32> = load_tree(&path).unwrap();
-    restored.validate().unwrap();
-    assert_eq!(restored.domain(), tree.domain());
-    assert_eq!(restored.node_count(), tree.node_count());
-    assert_eq!(restored.mat_count(), tree.mat_count());
-    assert_eq!(restored.mat_bytes(), tree.mat_bytes());
-    assert_eq!(restored.total_len(), tree.total_len());
-    assert_eq!(restored.depth(), tree.depth());
-
-    // The restored tree answers queries identically.
-    let mut a = AdaptiveReplication::new(tree, Box::new(soc_core::NeverSplit));
-    let mut b = AdaptiveReplication::new(restored, Box::new(soc_core::NeverSplit));
-    for lo in (0..45_000).step_by(3_333) {
-        let q = ValueRange::must(lo, lo + 4_999);
-        assert_eq!(
-            a.select_count(&q, &mut NullTracker),
-            b.select_count(&q, &mut NullTracker)
+    for cut in [16, 9, len - 5] {
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..(len - cut) as usize]).unwrap();
+        assert!(
+            matches!(
+                store.load::<u32>(SegId(4)),
+                Err(StoreError::Malformed { .. })
+            ),
+            "cut {cut}"
         );
+        store
+            .save(SegId(4), &ValueRange::must(0u32, 49), &values)
+            .unwrap();
     }
 }
 
 #[test]
-fn tree_file_corruption_is_detected() {
-    use soc_core::ReplicaTree;
-    use soc_store::{load_tree, save_tree, StoreError};
-
-    let dir = TempDir::new("treecorrupt");
-    fs::create_dir_all(&dir.0).unwrap();
-    let path = dir.0.join("t.soctree");
-    let tree = ReplicaTree::new(ValueRange::must(0u32, 99), (0..100).collect()).unwrap();
-    save_tree(&path, &tree).unwrap();
-
-    // Flip a payload byte.
-    let mut bytes = fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x10;
-    fs::write(&path, &bytes).unwrap();
-    match load_tree::<u32>(&path) {
-        Err(StoreError::Corrupt { .. }) | Err(StoreError::Malformed { .. }) => {}
-        other => panic!("expected corruption error, got {other:?}"),
-    }
-
-    // Wrong type tag.
-    save_tree(&path, &tree).unwrap();
-    match load_tree::<OrdF64>(&path) {
-        Err(StoreError::WrongKind { .. }) => {}
-        other => panic!("expected WrongKind, got {other:?}"),
-    }
-}
-
-#[test]
-fn cracked_column_checkpoint_restores_the_cracker_index() {
-    use soc_core::CrackedColumn;
-    use soc_store::{load_cracked, save_cracked};
-
-    let dir = TempDir::new("crack");
-    fs::create_dir_all(&dir.0).unwrap();
-    let path = dir.0.join("ra.soccrk");
-
-    // Crack a shuffled column with a handful of queries.
-    let mut rng = SmallRng::seed_from_u64(42);
-    let values: Vec<u32> = (0..20_000).map(|_| rng.gen_range(0..100_000u32)).collect();
-    let reference = values.clone();
-    let mut column = CrackedColumn::new(values);
-    for k in 0..12u32 {
-        let lo = (k * 7_919) % 90_000;
-        column.select_count(&ValueRange::must(lo, lo + 9_999), &mut NullTracker);
-    }
-    let cracks_before = column.cracks();
-    let pieces_before = column.piece_count();
-    assert!(cracks_before > 0);
-
-    // Restart round-trip.
-    save_cracked(&path, &column).unwrap();
-    let mut restored: CrackedColumn<u32> = load_cracked(&path).unwrap();
-    assert_eq!(restored.cracks(), cracks_before);
-    assert_eq!(restored.piece_count(), pieces_before);
-    assert_eq!(restored.values(), column.values());
-    assert_eq!(restored.boundaries(), column.boundaries());
-
-    // The index survived: repeating an already-cracked query performs no
-    // new cracks — the whole point of checkpointing the reorganization.
-    let q = ValueRange::must(7_919, 7_919 + 9_999);
-    let expect = reference.iter().filter(|v| q.contains(**v)).count() as u64;
-    assert_eq!(restored.select_count(&q, &mut NullTracker), expect);
-    assert_eq!(
-        restored.cracks(),
-        cracks_before,
-        "no re-cracking after restore"
-    );
-
-    // Fresh queries still crack and stay correct.
-    let q2 = ValueRange::must(12_345, 23_456);
-    let expect2 = reference.iter().filter(|v| q2.contains(**v)).count() as u64;
-    assert_eq!(restored.select_count(&q2, &mut NullTracker), expect2);
-    assert!(restored.cracks() > cracks_before);
-}
-
-#[test]
-fn encoded_checkpoint_roundtrips_every_codec_without_decoding() {
-    use soc_core::{EncodingMode, NeverSplit, SegmentEncoding};
-
-    // One round-trip per codec: the checkpoint must write the packed
-    // payload verbatim (file size tracks the encoded footprint, not the
-    // raw one) and the restore must hand the packed payload back.
-    for enc in [
-        SegmentEncoding::Raw,
-        SegmentEncoding::Rle,
-        SegmentEncoding::For,
-        SegmentEncoding::Dict,
-    ] {
-        let dir = TempDir::new(&format!("codec-{enc:?}"));
-        let store = SegmentStore::open(&dir.0).unwrap();
-        let domain = ValueRange::must(0u32, 9_999);
-        // Duplicate-heavy and low-cardinality so every codec beats raw.
-        let values: Vec<u32> = (0..8_000u32).map(|i| (i / 16) * 20).collect();
-        let strategy = AdaptiveSegmentation::new(
-            SegmentedColumn::new(domain, values.clone()).unwrap(),
-            Box::new(NeverSplit),
-            SizeEstimator::Uniform,
-        )
-        .with_encoding(EncodingMode::Fixed(enc));
-        let column = strategy.column();
-        assert_eq!(
-            column.segments()[0].encoding(),
-            enc,
-            "fixed mode applies at construction"
-        );
-        let encoded_bytes = column.encoded_bytes();
-
-        let (written, _) = store.checkpoint(column).unwrap();
-        assert_eq!(written, 1);
-        if enc != SegmentEncoding::Raw {
-            assert!(
-                store.bytes_on_disk().unwrap() < 8_000 * 4,
-                "{enc:?} checkpoint must be smaller than the raw column"
-            );
-        }
-
-        let restored: SegmentedColumn<u32> = store.restore().unwrap();
-        restored.validate().unwrap();
-        assert_eq!(
-            restored.segments()[0].encoding(),
-            enc,
-            "no decode on restore"
-        );
-        assert_eq!(restored.encoded_bytes(), encoded_bytes);
-        assert_eq!(restored.total_len(), 8_000);
-        let mut orig = values;
-        let mut back: Vec<u32> = restored
-            .segments()
-            .iter()
-            .flat_map(|s| s.decoded().into_owned())
-            .collect();
-        orig.sort_unstable();
-        back.sort_unstable();
-        assert_eq!(orig, back, "{enc:?} data survives the round-trip");
-    }
-}
-
-#[test]
-fn tampered_packed_payload_is_rejected_on_load() {
-    use soc_core::{EncodingMode, NeverSplit, SegmentEncoding};
-
-    let dir = TempDir::new("packedtamper");
+fn a_packed_encoding_byte_is_rejected() {
+    let dir = TempDir::new("encbyte");
     let store = SegmentStore::open(&dir.0).unwrap();
-    let strategy = AdaptiveSegmentation::new(
-        SegmentedColumn::new(ValueRange::must(0u32, 999), (0..1_000u32).collect()).unwrap(),
-        Box::new(NeverSplit),
-        SizeEstimator::Uniform,
-    )
-    .with_encoding(EncodingMode::Fixed(SegmentEncoding::For));
-    store.checkpoint(strategy.column()).unwrap();
-
-    let path = fs::read_dir(&dir.0)
-        .unwrap()
-        .next()
-        .unwrap()
-        .unwrap()
-        .path();
+    store
+        .save(SegId(1), &ValueRange::must(0u32, 999), &[1u32, 2, 3])
+        .unwrap();
+    let path = dir.only_file();
     let mut bytes = fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x80;
+    bytes[9] = 2;
     fs::write(&path, &bytes).unwrap();
-    assert!(
-        store.restore::<u32>().is_err(),
-        "a flipped packed word must fail the checksum or range validation"
-    );
+    match store.load::<u32>(SegId(1)) {
+        Err(StoreError::Malformed { reason, .. }) => assert!(reason.contains("encoding")),
+        other => panic!("expected Malformed, got {other:?}"),
+    }
 }
 
 #[test]
-fn cracked_checkpoint_corruption_and_tampering_are_detected() {
-    use soc_core::CrackedColumn;
-    use soc_store::{load_cracked, save_cracked};
-
-    let dir = TempDir::new("crackcorrupt");
-    fs::create_dir_all(&dir.0).unwrap();
-    let path = dir.0.join("c.soccrk");
-    let mut column = CrackedColumn::new((0..1_000u32).rev().collect());
-    column.select_count(&ValueRange::must(200, 599), &mut NullTracker);
-    save_cracked(&path, &column).unwrap();
-
-    // Bit flip in the body.
-    let mut bytes = fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x04;
-    fs::write(&path, &bytes).unwrap();
-    match load_cracked::<u32>(&path) {
-        Err(StoreError::Corrupt { .. })
-        | Err(StoreError::Malformed { .. })
-        | Err(StoreError::BadColumn(_)) => {}
-        other => panic!("expected corruption error, got {other:?}"),
+fn values_outside_the_stored_range_are_rejected() {
+    let dir = TempDir::new("outside");
+    let store = SegmentStore::open(&dir.0).unwrap();
+    // `save` trusts its caller; `load` does not.
+    store
+        .save(SegId(1), &ValueRange::must(0u32, 10), &[5u32, 50])
+        .unwrap();
+    match store.load::<u32>(SegId(1)) {
+        Err(StoreError::Malformed { reason, .. }) => assert!(reason.contains("range")),
+        other => panic!("expected Malformed, got {other:?}"),
     }
-
-    // Wrong value type tag.
-    save_cracked(&path, &column).unwrap();
-    match load_cracked::<OrdF64>(&path) {
-        Err(StoreError::WrongKind { .. }) => {}
-        other => panic!("expected WrongKind, got {other:?}"),
-    }
-
-    // Truncation.
-    save_cracked(&path, &column).unwrap();
-    let bytes = fs::read(&path).unwrap();
-    fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
-    assert!(load_cracked::<u32>(&path).is_err());
 }
 
 #[test]
 fn mid_save_crash_leaves_previous_checkpoint_fully_loadable() {
-    use std::sync::Arc;
-
-    use soc_core::{Fault, FaultPlan, FaultSite};
-
     let dir = TempDir::new("crash");
-    // First checkpoint commits cleanly.
+    // The first save commits cleanly.
     let store = SegmentStore::open(&dir.0).unwrap();
     let range = ValueRange::must(0u32, 999);
     let first: Vec<u32> = (0..500u32).collect();
     store.save(SegId(3), &range, &first).unwrap();
 
-    // Second save of the same segment "crashes" between temp-write and
+    // A second save of the same segment "crashes" between temp-write and
     // rename: the injected fault fires after the tmp file is fully
     // written but before the atomic commit.
-    let crashing = SegmentStore::open(&dir.0)
-        .unwrap()
-        .with_fault_injector(Arc::new(FaultPlan::one_shot(
-            FaultSite::StoreSave,
-            Fault::IoError,
-        )));
     let second: Vec<u32> = (500..999u32).collect();
-    let err = crashing.save(SegId(3), &range, &second).unwrap_err();
+    let err = crashing_store(&dir, FaultSite::StoreSave)
+        .save(SegId(3), &range, &second)
+        .unwrap_err();
     assert!(matches!(err, StoreError::Io(_)), "typed IO error: {err}");
 
     // The crash residue is on disk; the committed file is untouched.
-    let tmp_files = fs::read_dir(&dir.0)
-        .unwrap()
-        .filter(|e| {
-            e.as_ref()
-                .unwrap()
-                .path()
-                .extension()
-                .is_some_and(|x| x == "tmp")
-        })
-        .count();
-    assert_eq!(tmp_files, 1, "the aborted save leaves exactly its tmp file");
+    assert_eq!(
+        dir.tmp_files(),
+        1,
+        "the aborted save leaves exactly its tmp file"
+    );
 
-    // Restore-path hygiene: stale tmp is swept, never loaded, and the
-    // previous checkpoint's content comes back byte-exactly.
+    // Stale tmp is swept, never loaded, and the previous content comes
+    // back byte-exactly.
     let reopened = SegmentStore::open(&dir.0).unwrap();
     assert_eq!(reopened.sweep_stale_tmp().unwrap(), 1);
     assert_eq!(
@@ -572,77 +224,44 @@ fn mid_save_crash_leaves_previous_checkpoint_fully_loadable() {
     );
     let (r, v) = reopened.load::<u32>(SegId(3)).unwrap();
     assert_eq!(r, range);
-    assert_eq!(v, first, "the pre-crash checkpoint survives unchanged");
+    assert_eq!(v, first, "the pre-crash content survives unchanged");
 }
 
 #[test]
-fn restore_sweeps_stale_tmp_and_loads_the_committed_checkpoint() {
-    use std::sync::Arc;
-
-    use soc_core::{Fault, FaultPlan, FaultSite};
-
-    let dir = TempDir::new("crash-restore");
+fn a_crashed_first_save_commits_nothing_and_its_residue_is_swept() {
+    let dir = TempDir::new("crash-new");
     let store = SegmentStore::open(&dir.0).unwrap();
     let values: Vec<u32> = (0..2_000u32).map(|i| (i * 37) % 1_000).collect();
-    let column = SegmentedColumn::new(ValueRange::must(0u32, 999), values.clone()).unwrap();
-    store.checkpoint(&column).unwrap();
+    store
+        .save(SegId(0), &ValueRange::must(0u32, 999), &values)
+        .unwrap();
 
-    // A later incremental checkpoint dies mid-save (after one tmp write).
-    let crashing = SegmentStore::open(&dir.0)
-        .unwrap()
-        .with_fault_injector(Arc::new(FaultPlan::one_shot(
-            FaultSite::StoreSave,
-            Fault::IoError,
-        )));
-    let err = crashing
+    // A save of a segment that was never committed dies mid-save.
+    let err = crashing_store(&dir, FaultSite::StoreSave)
         .save(SegId(0xdead), &ValueRange::must(0u32, 999), &[1u32, 2, 3])
         .unwrap_err();
     assert!(matches!(err, StoreError::Io(_)));
 
-    // restore() sweeps the residue and rebuilds the committed column.
-    let restored = SegmentStore::open(&dir.0)
-        .unwrap()
-        .restore::<u32>()
-        .unwrap();
-    let mut expect = values;
-    expect.sort_unstable();
-    let mut got: Vec<u32> = restored
-        .segments()
-        .iter()
-        .flat_map(|s| s.values().to_vec())
-        .collect();
-    got.sort_unstable();
-    assert_eq!(
-        got, expect,
-        "restored content matches the committed checkpoint"
-    );
-    assert_eq!(
-        SegmentStore::open(&dir.0)
-            .unwrap()
-            .sweep_stale_tmp()
-            .unwrap(),
-        0,
-        "restore already swept the residue"
-    );
+    // The half-written segment does not exist; the committed one loads.
+    let reopened = SegmentStore::open(&dir.0).unwrap();
+    assert!(matches!(
+        reopened.load::<u32>(SegId(0xdead)),
+        Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound
+    ));
+    assert_eq!(reopened.sweep_stale_tmp().unwrap(), 1);
+    let (_, got) = reopened.load::<u32>(SegId(0)).unwrap();
+    assert_eq!(got, values, "the committed segment is untouched");
+    assert_eq!(dir.tmp_files(), 0, "the residue is gone");
 }
 
 #[test]
 fn transient_restore_io_fault_is_typed_and_retry_succeeds() {
-    use std::sync::Arc;
-
-    use soc_core::{Fault, FaultPlan, FaultSite};
-
     let dir = TempDir::new("restore-fault");
     let store = SegmentStore::open(&dir.0).unwrap();
     let range = ValueRange::must(0u32, 99);
     store.save(SegId(1), &range, &[5u32, 50, 99]).unwrap();
 
-    let flaky = SegmentStore::open(&dir.0)
-        .unwrap()
-        .with_fault_injector(Arc::new(FaultPlan::one_shot(
-            FaultSite::StoreRestore,
-            Fault::IoError,
-        )));
+    let flaky = crashing_store(&dir, FaultSite::StoreRestore);
     let err = flaky.load::<u32>(SegId(1)).unwrap_err();
     assert!(
         matches!(err, StoreError::Io(_)),

@@ -17,7 +17,7 @@
 //! | [`mal`] | `soc-mal` | MAL parser/interpreter + segment optimizer |
 //! | [`workload`] | `soc-workload` | dataset & query generators |
 //! | [`sim`] | `soc-sim` | buffer/cost simulator + experiment drivers |
-//! | [`store`] | `soc-store` | file-backed segment checkpoint/restore |
+//! | [`store`] | `soc-store` | checksummed segment files for the catalog checkpoint |
 //!
 //! ## Quick start
 //!
