@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use soc_core::{
     kernels, AdaptivePageModel, AdaptiveSegmentation, ColumnStrategy, ColumnValue, NonSegmented,
-    NullTracker, OrdF64, PiecePayload, SegmentEncoding, SegmentedColumn, SizeEstimator, ValueRange,
+    NullTracker, OrdF64, SegmentedColumn, SizeEstimator, ValueRange,
 };
 use soc_workload::{skyserver_domain, skyserver_ra, uniform_values, WorkloadSpec};
 
@@ -140,39 +140,6 @@ fn bench_aggregate_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Compressed-domain scans against decode-then-scan: the packed kernels
-/// evaluate the predicate over codec words without expanding them.
-fn bench_packed_scans(c: &mut Criterion) {
-    const N: usize = 1_000_000;
-    // Sorted, duplicate-heavy column: compressible under every codec.
-    let values: Vec<u32> = (0..N as u32).map(|i| i / 8).collect();
-    let q = ValueRange::must(N as u32 / 32, N as u32 / 32 + N as u32 / 20);
-    let mut group = c.benchmark_group("packed_scans");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(N as u64));
-
-    let raw = PiecePayload::Raw(values.clone());
-    group.bench_function(BenchmarkId::new("count_raw", N), |b| {
-        b.iter(|| black_box(raw.count_range(&q)))
-    });
-    for enc in [
-        SegmentEncoding::Rle,
-        SegmentEncoding::For,
-        SegmentEncoding::Dict,
-    ] {
-        let mut packed = PiecePayload::Raw(values.clone());
-        assert!(packed.reencode(enc), "column must pack under {enc:?}");
-        group.bench_function(BenchmarkId::new("count_packed", enc.token()), |b| {
-            b.iter(|| black_box(packed.count_range(&q)))
-        });
-        group.bench_function(
-            BenchmarkId::new("count_decode_then_scan", enc.token()),
-            |b| b.iter(|| black_box(kernels::count_range(&packed.decoded(), &q))),
-        );
-    }
-    group.finish();
-}
-
 /// The reorganizing scans on the paper's `ra` column (`OrdF64`, 8 MB): the
 /// kernels behind `scanMat` and segment splits. `scan_fill` runs against
 /// the loops it replaced — one `count_range` pass plus one `collect_range`
@@ -260,7 +227,6 @@ criterion_group!(
     bench_overlap_lookup,
     bench_scan_kernels,
     bench_aggregate_kernels,
-    bench_packed_scans,
     bench_reorganizing_scans
 );
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 //! fig10–fig16, tab2 (SkyServer); ablation-cracking, ablation-apm,
 //! ablation-merge, ablation-buffer, ablation-budget, ablation-auto-apm,
 //! ablation-estimator, ablation-placement, ablation-sharding,
-//! ablation-sql-strategy, ablation-compress; or the groups `simulation`,
+//! ablation-sql-strategy; or the groups `simulation`,
 //! `skyserver`, `ablation`, `all`.
 //!
 //! Each figure/table is printed (tables verbatim, figures as sparkline
@@ -228,7 +228,6 @@ fn main() -> ExitCode {
         "ablation-placement",
         "ablation-sharding",
         "ablation-sql-strategy",
-        "ablation-compress",
     ]
     .iter()
     .any(|id| wants(e, id, "ablation"))
@@ -274,9 +273,6 @@ fn main() -> ExitCode {
         }
         if wants(e, "ablation-sql-strategy", "ablation") {
             em.table(&ablation::sql_strategy_ablation(&cfg));
-        }
-        if wants(e, "ablation-compress", "ablation") {
-            em.table(&ablation::compress_ablation(&cfg));
         }
     }
 

@@ -11,11 +11,10 @@
 //!   segmentation" limit the adaptive strategies approach query by query,
 //!   at the total upfront cost they exist to avoid.
 
-use crate::compress::EncodingMode;
 use crate::range::ValueRange;
 use crate::segment::{SegIdGen, SegmentData};
 use crate::strategy::ColumnStrategy;
-use crate::tracker::{AccessTracker, NullTracker};
+use crate::tracker::AccessTracker;
 use crate::value::ColumnValue;
 
 /// The single-segment fold both baselines share: clip the delta to the
@@ -35,7 +34,7 @@ fn fold_segment<V: ColumnValue>(
     let unmatched = outside + segment.fold_delta(inserts, tombs, sorted, tracker);
     crate::debug_assert_valid!(
         crate::validate::segment(segment).and_then(|()| {
-            if sorted && !segment.decoded().windows(2).all(|w| w[0] <= w[1]) {
+            if sorted && !segment.values().windows(2).all(|w| w[0] <= w[1]) {
                 return Err(crate::validate::Violation::NotSorted { index: 0 });
             }
             Ok(())
@@ -49,8 +48,6 @@ fn fold_segment<V: ColumnValue>(
 #[derive(Debug)]
 pub struct NonSegmented<V> {
     segment: SegmentData<V>,
-    encoding: EncodingMode,
-    tick: u64,
 }
 
 impl<V: ColumnValue> NonSegmented<V> {
@@ -59,20 +56,7 @@ impl<V: ColumnValue> NonSegmented<V> {
         let mut ids = SegIdGen::new();
         NonSegmented {
             segment: SegmentData::new(ids.fresh(), domain, values),
-            encoding: EncodingMode::Raw,
-            tick: 0,
         }
-    }
-
-    /// Sets the encoding mode (builder style); a fixed codec is applied
-    /// immediately.
-    pub fn with_encoding(mut self, mode: EncodingMode) -> Self {
-        self.encoding = mode;
-        if matches!(self.encoding, EncodingMode::Fixed(_)) {
-            self.segment
-                .apply_encoding(&self.encoding, 0, &mut NullTracker);
-        }
-        self
     }
 
     /// Tuple count.
@@ -84,32 +68,17 @@ impl<V: ColumnValue> NonSegmented<V> {
     pub fn is_empty(&self) -> bool {
         self.segment.is_empty()
     }
-
-    fn begin_select(&mut self) {
-        self.tick += 1;
-        self.segment.note_read(self.tick);
-    }
-
-    fn end_select(&mut self, tracker: &mut dyn AccessTracker) {
-        if !matches!(self.encoding, EncodingMode::Raw) {
-            self.segment
-                .apply_encoding(&self.encoding, self.tick, tracker);
-        }
-    }
 }
 
-// contract: ColumnStrategy thread-safety: no interior mutability; re-encoding and delta folds happen only inside &mut self select / fold_delta calls, and &self accessors read immutable state.
+// contract: ColumnStrategy thread-safety: no interior mutability; delta folds happen only inside &mut self fold_delta calls, and &self accessors read immutable state.
 impl<V: ColumnValue> ColumnStrategy<V> for NonSegmented<V> {
     fn name(&self) -> String {
         "NoSegm".to_owned()
     }
 
     fn select_count(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
-        self.begin_select();
         tracker.scan(self.segment.id(), self.segment.bytes());
-        let n = self.segment.count_in(q);
-        self.end_select(tracker);
-        n
+        self.segment.count_in(q)
     }
 
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
@@ -150,8 +119,6 @@ impl<V: ColumnValue> ColumnStrategy<V> for NonSegmented<V> {
 pub struct FullySorted<V> {
     segment: SegmentData<V>,
     sort_cost_charged: bool,
-    encoding: EncodingMode,
-    tick: u64,
 }
 
 impl<V: ColumnValue> FullySorted<V> {
@@ -163,22 +130,7 @@ impl<V: ColumnValue> FullySorted<V> {
         FullySorted {
             segment: SegmentData::new(ids.fresh(), domain, values),
             sort_cost_charged: false,
-            encoding: EncodingMode::Raw,
-            tick: 0,
         }
-    }
-
-    /// Sets the encoding mode (builder style); a fixed codec is applied
-    /// immediately. A packed sorted column loses the binary-search fast
-    /// path and answers from the compressed-domain kernels instead —
-    /// reading the (smaller) encoded payload rather than result bytes.
-    pub fn with_encoding(mut self, mode: EncodingMode) -> Self {
-        self.encoding = mode;
-        if matches!(self.encoding, EncodingMode::Fixed(_)) {
-            self.segment
-                .apply_encoding(&self.encoding, 0, &mut NullTracker);
-        }
-        self
     }
 
     fn charge_sort(&mut self, tracker: &mut dyn AccessTracker) {
@@ -189,16 +141,9 @@ impl<V: ColumnValue> FullySorted<V> {
             self.sort_cost_charged = true;
         }
     }
-
-    fn end_select(&mut self, tracker: &mut dyn AccessTracker) {
-        if !matches!(self.encoding, EncodingMode::Raw) {
-            self.segment
-                .apply_encoding(&self.encoding, self.tick, tracker);
-        }
-    }
 }
 
-// contract: ColumnStrategy thread-safety: no interior mutability; re-encoding and delta folds happen only inside &mut self select / fold_delta calls, and &self accessors read immutable state.
+// contract: ColumnStrategy thread-safety: no interior mutability; the sort charge and delta folds happen only inside &mut self select / fold_delta calls, and &self accessors read immutable state.
 impl<V: ColumnValue> ColumnStrategy<V> for FullySorted<V> {
     fn name(&self) -> String {
         "FullSort".to_owned()
@@ -206,29 +151,15 @@ impl<V: ColumnValue> ColumnStrategy<V> for FullySorted<V> {
 
     fn select_count(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
         self.charge_sort(tracker);
-        self.tick += 1;
-        self.segment.note_read(self.tick);
-        let n = if let Some(values) = self.segment.payload().raw_values() {
-            let (start, end) = crate::kernels::sorted_run(values, q);
-            tracker.scan(self.segment.id(), (end - start) as u64 * V::BYTES);
-            (end - start) as u64
-        } else {
-            tracker.scan(self.segment.id(), self.segment.bytes());
-            self.segment.count_in(q)
-        };
-        self.end_select(tracker);
-        n
+        let (start, end) = crate::kernels::sorted_run(self.segment.values(), q);
+        tracker.scan(self.segment.id(), (end - start) as u64 * V::BYTES);
+        (end - start) as u64
     }
 
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
-        if let Some(values) = self.segment.payload().raw_values() {
-            let (start, end) = crate::kernels::sorted_run(values, q);
-            values[start..end].to_vec()
-        } else {
-            let mut out = Vec::new();
-            self.segment.collect_in(q, &mut out);
-            out
-        }
+        let values = self.segment.values();
+        let (start, end) = crate::kernels::sorted_run(values, q);
+        values[start..end].to_vec()
     }
 
     fn fold_delta(
@@ -329,38 +260,6 @@ mod tests {
             assert!(collected.windows(2).all(|w| w[0] <= w[1]), "sorted output");
             assert_eq!(collected.len() as u64, expect);
         }
-    }
-
-    #[test]
-    fn packed_baselines_answer_from_encoded_payloads() {
-        use crate::compress::{EncodingMode, SegmentEncoding};
-        let values: Vec<u32> = (0..4_000u32).map(|i| i / 16).collect();
-        let reference = values.clone();
-        let q = ValueRange::must(50, 149);
-        let expect = reference.iter().filter(|v| q.contains(**v)).count() as u64;
-
-        let mut ns = NonSegmented::new(ValueRange::must(0, 999), values.clone())
-            .with_encoding(EncodingMode::Fixed(SegmentEncoding::Dict));
-        assert!(ns.storage_bytes() < 16_000);
-        let mut t = CountingTracker::new();
-        assert_eq!(ns.select_count(&q, &mut t), expect);
-        assert_eq!(t.totals().read_bytes, ns.storage_bytes());
-        let mut got = ns.peek_collect(&q);
-        got.sort_unstable();
-        let mut want: Vec<u32> = reference
-            .iter()
-            .copied()
-            .filter(|v| q.contains(*v))
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-
-        let mut fs = FullySorted::new(ValueRange::must(0, 999), values)
-            .with_encoding(EncodingMode::Fixed(SegmentEncoding::Rle));
-        assert!(fs.storage_bytes() < 16_000);
-        let mut t = CountingTracker::new();
-        assert_eq!(fs.select_count(&q, &mut t), expect);
-        assert_eq!(fs.peek_collect(&q), want);
     }
 
     #[test]

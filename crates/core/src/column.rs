@@ -6,7 +6,6 @@
 //! segment which is gradually reorganized into a list of segments as
 //! selection queries arrive."
 
-use crate::compress::EncodingMode;
 use crate::meta::{MetaEntry, MetaIndex};
 use crate::range::ValueRange;
 use crate::segment::{SegIdGen, SegmentData};
@@ -69,12 +68,6 @@ impl<V: ColumnValue> SegmentedColumn<V> {
         &self.segments
     }
 
-    /// Mutable access to one segment — the `&mut` select paths use this to
-    /// record read heat on the segments a query touches.
-    pub fn segment_mut(&mut self, idx: usize) -> &mut SegmentData<V> {
-        &mut self.segments[idx]
-    }
-
     /// Number of segments.
     pub fn segment_count(&self) -> usize {
         self.segments.len()
@@ -85,17 +78,10 @@ impl<V: ColumnValue> SegmentedColumn<V> {
         self.total_len
     }
 
-    /// Logical storage footprint in bytes (tuples × width), invariant
-    /// under reorganization *and* encoding — the paper's notion of column
-    /// size.
+    /// Storage footprint in bytes (tuples × width), invariant under
+    /// reorganization — the paper's notion of column size.
     pub fn total_bytes(&self) -> u64 {
         self.total_len * V::BYTES
-    }
-
-    /// Physical footprint in bytes: the sum of per-segment *encoded*
-    /// sizes. Equal to [`Self::total_bytes`] while everything is raw.
-    pub fn encoded_bytes(&self) -> u64 {
-        self.segments.iter().map(|s| s.bytes()).sum()
     }
 
     /// Index range of segments whose value ranges overlap `q`.
@@ -180,9 +166,8 @@ impl<V: ColumnValue> SegmentedColumn<V> {
 
     /// Folds a delta (both sides ascending) into the segments that own its
     /// values: each touched segment absorbs its inserts and cancels one
-    /// occurrence per tombstone ([`SegmentData::fold_delta`] — a packed
-    /// payload is decoded and left raw), charged as one read plus one write
-    /// of that segment. Untouched segments, and every segment boundary,
+    /// occurrence per tombstone ([`SegmentData::fold_delta`]), charged as
+    /// one read plus one write of that segment. Untouched segments, and every segment boundary,
     /// stay exactly as they were.
     ///
     /// Returns the tombstones that found no occurrence, or `None` — with
@@ -214,35 +199,6 @@ impl<V: ColumnValue> SegmentedColumn<V> {
             (ins, tombs) = (&ins[i..], &tombs[t..]);
         }
         Some(unmatched)
-    }
-
-    /// One sweep of the per-segment encoding choice, applied at
-    /// reorganization boundaries (Section 4's reorganize step is also
-    /// where the physical representation is reconsidered).
-    ///
-    /// * [`EncodingMode::Raw`] — nothing to do.
-    /// * [`EncodingMode::Fixed`] — force the codec onto every segment that
-    ///   is not already in it (the static ablation arms).
-    /// * [`EncodingMode::Adaptive`] — ask the policy per segment, packing
-    ///   cold segments with their best codec and promoting re-read ones
-    ///   back to raw, with the policy's hysteresis preventing flip-flop.
-    ///
-    /// Every representation change is reported to `tracker` as a free of
-    /// the old footprint plus a materialization of the new one, so the
-    /// reorganization cost of compression is visible in the same byte
-    /// counters as splitting. Returns the number of segments whose
-    /// representation changed.
-    pub fn encoding_pass(
-        &mut self,
-        mode: &EncodingMode,
-        tick: u64,
-        tracker: &mut dyn AccessTracker,
-    ) -> usize {
-        let mut flips = 0usize;
-        for seg in &mut self.segments {
-            flips += usize::from(seg.apply_encoding(mode, tick, tracker));
-        }
-        flips
     }
 
     /// Full structural invariant check (test / debug aid):
@@ -362,44 +318,6 @@ mod tests {
         let mut c = column();
         assert!(c.merge_segments(0, 1, &mut NullTracker).is_err());
         assert!(c.merge_segments(0, 2, &mut NullTracker).is_err());
-    }
-
-    #[test]
-    fn encoding_pass_fixed_packs_and_accounts() {
-        use crate::compress::{EncodingMode, SegmentEncoding};
-        let values: Vec<u32> = (0..1000u32).map(|i| i / 8).collect();
-        let mut c = SegmentedColumn::new(ValueRange::must(0, 9_999), values).unwrap();
-        let raw = c.encoded_bytes();
-        let mut t = CountingTracker::new();
-        let flips = c.encoding_pass(&EncodingMode::Fixed(SegmentEncoding::Rle), 0, &mut t);
-        assert_eq!(flips, 1);
-        assert!(c.encoded_bytes() < raw);
-        assert_eq!(c.segments()[0].encoding(), SegmentEncoding::Rle);
-        assert_eq!(t.totals().freed_bytes, raw);
-        assert_eq!(t.totals().write_bytes, c.encoded_bytes());
-        c.validate().unwrap();
-        // Idempotent: already in the requested codec.
-        assert_eq!(
-            c.encoding_pass(&EncodingMode::Fixed(SegmentEncoding::Rle), 1, &mut t),
-            0
-        );
-    }
-
-    #[test]
-    fn encoding_pass_adaptive_packs_cold_promotes_hot() {
-        use crate::compress::{EncodingMode, EncodingPolicy, SegmentEncoding};
-        let values: Vec<u32> = (0..1000u32).map(|i| i / 8).collect();
-        let mut c = SegmentedColumn::new(ValueRange::must(0, 9_999), values).unwrap();
-        let mode = EncodingMode::Adaptive(EncodingPolicy::eager(2));
-        let mut t = NullTracker;
-        // Unread past cold_after: packs.
-        assert_eq!(c.encoding_pass(&mode, 5, &mut t), 1);
-        assert_ne!(c.segments()[0].encoding(), SegmentEncoding::Raw);
-        // Reads accumulate: promotes back to raw after the flip gap.
-        c.segment_mut(0).note_read(8);
-        assert_eq!(c.encoding_pass(&mode, 8, &mut t), 1);
-        assert_eq!(c.segments()[0].encoding(), SegmentEncoding::Raw);
-        c.validate().unwrap();
     }
 
     #[test]

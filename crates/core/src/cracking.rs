@@ -12,15 +12,9 @@
 //!
 //! Accounting model: every crack scans its piece (`reads += piece bytes`)
 //! and swaps values in place (`writes += 2 × swapped values`); answering the
-//! query reads the result slice (`reads += result bytes`).
-//!
-//! Cracking is exempt from per-segment encoding
-//! ([`crate::compress::EncodingMode`] is ignored by
-//! [`crate::spec::StrategySpec`] for this kind): its pieces are slices of
-//! one contiguous array reorganized by in-place swaps, which per-piece
-//! packing would break. Its footprint is always the raw column, reported
-//! through the shared [`crate::compress::raw_piece_bytes`] helper so the
-//! accounting stays comparable with the packed strategies.
+//! query reads the result slice (`reads += result bytes`). Its pieces are
+//! slices of one contiguous array, so its footprint is the column's
+//! tuples × width, like every other strategy's.
 
 use std::collections::BTreeMap;
 
@@ -278,10 +272,7 @@ impl<V: ColumnValue> CrackedColumn<V> {
             if b > cur {
                 if let Some(end) = b.pred() {
                     if let Some(r) = ValueRange::new(cur, end.min(hi)) {
-                        out.push((
-                            r,
-                            crate::compress::raw_piece_bytes::<V>((p - start_pos) as u64),
-                        ));
+                        out.push((r, (p - start_pos) as u64 * V::BYTES));
                     }
                 }
                 cur = b;
@@ -292,10 +283,7 @@ impl<V: ColumnValue> CrackedColumn<V> {
         }
         if cur <= hi {
             if let Some(r) = ValueRange::new(cur.max(lo), hi) {
-                out.push((
-                    r,
-                    crate::compress::raw_piece_bytes::<V>((self.data.len() - start_pos) as u64),
-                ));
+                out.push((r, (self.data.len() - start_pos) as u64 * V::BYTES));
             }
         }
         out
@@ -394,7 +382,7 @@ impl<V: ColumnValue> ColumnStrategy<V> for CrackedColumn<V> {
     }
 
     fn storage_bytes(&self) -> u64 {
-        crate::compress::raw_piece_bytes::<V>(self.data.len() as u64)
+        self.data.len() as u64 * V::BYTES
     }
 
     fn segment_count(&self) -> usize {

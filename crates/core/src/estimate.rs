@@ -8,7 +8,6 @@
 //! meta-index and no data access. An exact mode exists for testing and for
 //! callers that have already paid for a scan.
 
-use crate::compress::PiecePayload;
 use crate::range::ValueRange;
 use crate::value::ColumnValue;
 
@@ -73,44 +72,9 @@ pub fn exact_pieces<V: ColumnValue>(
     Some((below.map(|_| below_n), mid_n, above.map(|_| above_n)))
 }
 
-/// [`exact_pieces`] over a physical payload: raw payloads use the
-/// branchless kernel, packed ones the compressed-domain partition count —
-/// so a split decision over a packed segment never decodes it.
-pub fn exact_pieces_payload<V: ColumnValue>(
-    seg_range: &ValueRange<V>,
-    payload: &PiecePayload<V>,
-    q: &ValueRange<V>,
-) -> Option<PieceLens> {
-    let (below, mid, above) = seg_range.partition_by(q);
-    mid?;
-    let (below_n, mid_n, above_n) = payload.count_partition(q);
-    Some((below.map(|_| below_n), mid_n, above.map(|_| above_n)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn payload_pieces_match_exact_for_packed_data() {
-        use crate::compress::{encode, SegmentEncoding};
-        let seg = ValueRange::must(0u32, 999);
-        let values: Vec<u32> = (0..800u32).map(|i| i % 500).collect();
-        let q = ValueRange::must(100, 299);
-        let expect = exact_pieces(&seg, &values, &q).unwrap();
-        for enc in [
-            SegmentEncoding::Rle,
-            SegmentEncoding::For,
-            SegmentEncoding::Dict,
-        ] {
-            let payload = PiecePayload::Packed(encode(&values, enc).unwrap());
-            assert_eq!(
-                exact_pieces_payload(&seg, &payload, &q).unwrap(),
-                expect,
-                "{enc:?}"
-            );
-        }
-    }
 
     #[test]
     fn interpolation_sums_to_segment_len() {

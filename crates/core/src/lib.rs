@@ -83,9 +83,7 @@ pub mod value;
 pub use admission::{AdmissionConfig, AdmissionGate, AdmissionStats, Admitted, Permit, QueryError};
 pub use baseline::{FullySorted, NonSegmented};
 pub use column::{ColumnError, SegmentedColumn};
-pub use compress::{
-    EncodedPayload, EncodingMode, EncodingPolicy, PiecePayload, SegmentEncoding, SegmentHeat,
-};
+pub use compress::EncodedPayload;
 pub use cracking::CrackedColumn;
 pub use delta::{CompactionPolicy, DeltaBatch, DeltaOp, DeltaRun};
 pub use epoch::{ConcurrentColumn, StrategySnapshot};

@@ -105,8 +105,8 @@ impl<V: ColumnValue> ColumnValue for Pair<V> {
 
     #[inline]
     fn to_key(self) -> Option<u64> {
-        // A (value, oid) pair is wider than 64 bits; paired columns have no
-        // packed representation and always stay raw.
+        // A (value, oid) pair is wider than 64 bits, so it has no packed
+        // representation.
         None
     }
 

@@ -7,7 +7,6 @@
 //! are discarded (backtracking) and the node itself — if materialized —
 //! covers its whole share of the query.
 
-use crate::compress::PiecePayload;
 use crate::range::ValueRange;
 use crate::value::ColumnValue;
 
@@ -33,15 +32,15 @@ impl<V: ColumnValue> ReplicaTree<V> {
         cover
     }
 
-    /// The payload of a [`Self::covering_set`] member. Every member is
+    /// The values of a [`Self::covering_set`] member. Every member is
     /// materialized, so the lookup cannot miss.
     #[expect(
         clippy::expect_used,
-        reason = "replica-tree invariant: covering-set nodes hold materialized payloads"
+        reason = "replica-tree invariant: covering-set nodes hold materialized values"
     )]
-    pub(crate) fn cover_payload(&self, id: NodeId) -> &PiecePayload<V> {
+    pub(crate) fn cover_values(&self, id: NodeId) -> &[V] {
         self.node(id)
-            .payload()
+            .values()
             .expect("covering-set members are materialized")
     }
 

@@ -13,11 +13,10 @@
 //! replica in the materialization list — reorganization is almost entirely
 //! piggy-backed on query execution (lazy materialization).
 
-use crate::compress::EncodingMode;
 use crate::model::SegmentationModel;
 use crate::range::ValueRange;
 use crate::strategy::ColumnStrategy;
-use crate::tracker::{AccessTracker, NullTracker};
+use crate::tracker::AccessTracker;
 use crate::value::ColumnValue;
 
 use super::arena::NodeId;
@@ -58,8 +57,6 @@ pub struct AdaptiveReplication<V> {
     drops: u64,
     budget_bytes: Option<u64>,
     budget_declines: u64,
-    encoding: EncodingMode,
-    tick: u64,
 }
 
 impl<V: ColumnValue> AdaptiveReplication<V> {
@@ -72,20 +69,7 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
             drops: 0,
             budget_bytes: None,
             budget_declines: 0,
-            encoding: EncodingMode::Raw,
-            tick: 0,
         }
-    }
-
-    /// Sets the per-replica encoding mode (builder style). A fixed codec
-    /// is applied to the current tree immediately; adaptive packing starts
-    /// from the policy's idle threshold.
-    pub fn with_encoding(mut self, mode: EncodingMode) -> Self {
-        self.encoding = mode;
-        if matches!(self.encoding, EncodingMode::Fixed(_)) {
-            self.tree.encoding_pass(&self.encoding, 0, &mut NullTracker);
-        }
-        self
     }
 
     /// Caps total materialized storage (Section 8 names replica
@@ -125,9 +109,8 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
     }
 
     /// `scanMat(s, M)`: one scan of covering segment `s` counts the query
-    /// answer and fills every node in `M`
-    /// ([`crate::compress::PiecePayload::scan_fill`] — a single pass over a
-    /// raw payload however many replicas it fills).
+    /// answer and fills every node in `M` ([`crate::kernels::scan_fill`] —
+    /// a single pass however many replicas it fills).
     fn scan_cover_member(
         &mut self,
         q: &ValueRange<V>,
@@ -146,14 +129,12 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
             .collect();
         let (seg_id, bytes, matched) = {
             let node = self.tree.node(s);
-            let payload = self.tree.cover_payload(s);
-            // Compressed-domain dispatch: a count over a packed node never
-            // decodes; only replica fills do.
+            let values = self.tree.cover_values(s);
             let matched = if m_list.is_empty() && q.covers(&node.range) {
                 // Every value qualifies and nothing is filled: no scan.
-                payload.len()
+                values.len() as u64
             } else {
-                payload.scan_fill(q, &ranges, &mut fills)
+                crate::kernels::scan_fill(values, q, &ranges, &mut fills)
             };
             (node.seg_id, node.bytes(), matched)
         };
@@ -161,7 +142,6 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
             vals.shrink_to_fit();
         }
         tracker.scan(seg_id, bytes);
-        self.tree.note_read(s, self.tick);
 
         let mut parents: Vec<NodeId> = Vec::with_capacity(fills.len());
         for (&n, vals) in m_list.iter().zip(fills) {
@@ -177,9 +157,6 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
                 }
             }
             self.tree.materialize(n, vals, tracker);
-            // The replica is born of (and answers) this query: its idle
-            // clock for the encoding policy starts now.
-            self.tree.stamp_born(n, self.tick);
             self.replicas_created += 1;
             if let Some(p) = self.tree.node(n).parent {
                 if !parents.contains(&p) {
@@ -195,7 +172,6 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
     }
 
     fn run_select(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
-        self.tick += 1;
         let cover = self.tree.covering_set(q);
         let mut matched = 0u64;
         for s in cover {
@@ -204,9 +180,6 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
             let before = self.tree.node_count();
             self.tree.check4drop(s, tracker);
             self.drops += (before - self.tree.node_count()) as u64;
-        }
-        if !matches!(self.encoding, EncodingMode::Raw) {
-            self.tree.encoding_pass(&self.encoding, self.tick, tracker);
         }
         crate::debug_assert_valid!(
             crate::validate::replica_tree(&self.tree),
@@ -231,12 +204,11 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveReplication<V> {
         // them answers the query without growing the tree.
         let mut out = Vec::new();
         for s in self.tree.covering_set(q) {
-            let node = self.tree.node(s);
-            let payload = self.tree.cover_payload(s);
-            if q.covers(&node.range) {
-                payload.collect_all(&mut out);
+            let values = self.tree.cover_values(s);
+            if q.covers(&self.tree.node(s).range) {
+                out.extend_from_slice(values);
             } else {
-                payload.collect_range(q, &mut out);
+                crate::kernels::collect_range(values, q, &mut out);
             }
         }
         out
@@ -295,6 +267,7 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveReplication<V> {
 mod tests {
     use super::*;
     use crate::model::{AdaptivePageModel, GaussianDice};
+    use crate::replication::NodePayload;
     use crate::tracker::{CountingTracker, NullTracker};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -559,53 +532,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn adaptive_encoding_packs_cold_replicas_and_stays_exact() {
-        use crate::compress::{EncodingMode, EncodingPolicy, SegmentEncoding};
-        // Repetitive values compress well.
-        let values: Vec<u32> = (0..30_000u32).map(|i| (i * 613) % 12_500).collect();
-        let reference = values.clone();
-        let make = |mode: EncodingMode| {
-            let tree = ReplicaTree::new(ValueRange::must(0, DOMAIN_HI), reference.clone()).unwrap();
-            AdaptiveReplication::new(tree, apm()).with_encoding(mode)
-        };
-        let mut raw = make(EncodingMode::Raw);
-        let mut adaptive = make(EncodingMode::Adaptive(EncodingPolicy::eager(4)));
-        // Touch several areas, then hammer one so the rest go cold.
-        let mut queries: Vec<ValueRange<u32>> = [0u32, 20_000, 40_000, 60_000, 80_000]
-            .iter()
-            .map(|&lo| ValueRange::must(lo, lo + 9_999))
-            .collect();
-        queries.extend(std::iter::repeat_n(ValueRange::must(2_000, 2_999), 30));
-        for q in &queries {
-            let expect = values.iter().filter(|v| q.contains(**v)).count() as u64;
-            assert_eq!(raw.select_count(q, &mut NullTracker), expect);
-            assert_eq!(adaptive.select_count(q, &mut NullTracker), expect, "{q:?}");
-        }
-        raw.tree().validate().unwrap();
-        adaptive.tree().validate().unwrap();
-        assert!(
-            adaptive.storage_bytes() < raw.storage_bytes(),
-            "cold replicas packed: adaptive {} must undercut raw {}",
-            adaptive.storage_bytes(),
-            raw.storage_bytes()
-        );
-        // Fixed mode: every materialized replica in the forced codec.
-        let values: Vec<u32> = (0..10_000u32).map(|i| i / 4).collect();
-        let reference = values.clone();
-        let tree = ReplicaTree::new(ValueRange::must(0, 9_999), values).unwrap();
-        let raw_bytes = tree.mat_bytes();
-        let mut r = AdaptiveReplication::new(tree, apm())
-            .with_encoding(EncodingMode::Fixed(SegmentEncoding::Rle));
-        assert!(r.storage_bytes() < raw_bytes, "root packed at construction");
-        for lo in [0u32, 1_000, 2_000] {
-            let q = ValueRange::must(lo, lo + 499);
-            let expect = reference.iter().filter(|v| q.contains(**v)).count() as u64;
-            assert_eq!(r.select_count(&q, &mut NullTracker), expect);
-            r.tree().validate().unwrap();
-        }
-    }
-
     /// Every live node, depth first in range order.
     fn nodes(tree: &ReplicaTree<u32>) -> Vec<NodeId> {
         let mut stack: Vec<NodeId> = tree.top().iter().rev().copied().collect();
@@ -617,20 +543,8 @@ mod tests {
         out
     }
 
-    /// `(range, decoded values)` of every materialized node.
-    fn materialized(tree: &ReplicaTree<u32>) -> Vec<(ValueRange<u32>, Vec<u32>)> {
-        nodes(tree)
-            .into_iter()
-            .filter_map(|id| {
-                let node = tree.node(id);
-                Some((node.range, node.payload()?.decoded().into_owned()))
-            })
-            .collect()
-    }
-
     #[test]
     fn replicas_filled_by_the_cover_scan_hold_no_spare_capacity() {
-        use crate::compress::PiecePayload;
         // Skewed data: the uniform-interpolation estimates the fills are
         // sized from are wrong in both directions.
         let values: Vec<u32> = column_values(40_000, 30)
@@ -654,48 +568,10 @@ mod tests {
                 // Every materialized node but a surviving root was filled
                 // by `scan_cover_member`.
                 let is_root = node.range == tree.domain();
-                if let (false, Some(PiecePayload::Raw(v))) = (is_root, node.payload()) {
+                if let (false, NodePayload::Materialized(v)) = (is_root, &node.payload) {
                     assert_eq!(v.capacity(), v.len(), "replica {:?}", node.range);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn packed_cover_members_fill_the_same_replicas_as_raw_ones() {
-        use crate::compress::{EncodingMode, SegmentEncoding};
-        // Runs of equal values in storage order: RLE packs them.
-        let values: Vec<u32> = (0..30_000u32).map(|i| (i / 6) * 20 % 100_000).collect();
-        for model in [
-            || apm(),
-            || Box::new(GaussianDice::new(33)) as Box<dyn SegmentationModel>,
-        ] {
-            let mut raw = repl(values.clone(), model());
-            let mut rle = repl(values.clone(), model())
-                .with_encoding(EncodingMode::Fixed(SegmentEncoding::Rle));
-            let root = rle.tree().top()[0];
-            assert!(
-                rle.tree().node(root).values().is_none(),
-                "the root must be packed for the scan to take the Packed arm"
-            );
-            let mut rng = SmallRng::seed_from_u64(34);
-            for i in 0..40 {
-                let lo = rng.gen_range(0..=DOMAIN_HI - 9_000);
-                let q = ValueRange::must(lo, lo + 8_999);
-                assert_eq!(
-                    raw.select_count(&q, &mut NullTracker),
-                    rle.select_count(&q, &mut NullTracker),
-                    "query #{i} {q:?}"
-                );
-                // Same replicas, same values in the same storage order.
-                assert_eq!(
-                    materialized(raw.tree()),
-                    materialized(rle.tree()),
-                    "query #{i} {q:?}"
-                );
-            }
-            assert_eq!(raw.replicas_created(), rle.replicas_created());
-            assert!(raw.replicas_created() > 0);
         }
     }
 

@@ -10,7 +10,6 @@
 //! falling inside its range. Virtual nodes always have a materialized
 //! ancestor, so their data can be recovered by one scan of that ancestor.
 
-use crate::compress::{apply_encoding_step, EncodingMode, PiecePayload, SegmentHeat};
 use crate::range::ValueRange;
 use crate::segment::{SegId, SegIdGen};
 use crate::tracker::AccessTracker;
@@ -21,9 +20,8 @@ use super::arena::{Arena, NodeId};
 /// What a replica-tree node holds.
 #[derive(Debug, Clone)]
 pub enum NodePayload<V> {
-    /// Real data: every column value within the node's range, raw or in
-    /// one of the packed encodings of [`crate::compress`].
-    Materialized(PiecePayload<V>),
+    /// Real data: every column value within the node's range.
+    Materialized(Vec<V>),
     /// No data; `est_len` is the optimizer's tuple-count estimate.
     Virtual {
         /// Estimated tuple count (refined as siblings materialize).
@@ -42,8 +40,8 @@ pub struct ReplicaNode<V> {
     pub parent: Option<NodeId>,
     /// Children ordered by range; they tile `range` exactly when non-empty.
     pub children: Vec<NodeId>,
-    payload: NodePayload<V>,
-    heat: SegmentHeat,
+    /// What the node holds; [`Self::values`] reads it.
+    pub(super) payload: NodePayload<V>,
 }
 
 impl<V: ColumnValue> ReplicaNode<V> {
@@ -55,7 +53,7 @@ impl<V: ColumnValue> ReplicaNode<V> {
     /// Tuple count: actual for materialized nodes, estimate for virtual.
     pub fn len(&self) -> u64 {
         match &self.payload {
-            NodePayload::Materialized(p) => p.len(),
+            NodePayload::Materialized(v) => v.len() as u64,
             NodePayload::Virtual { est_len } => *est_len,
         }
     }
@@ -65,39 +63,25 @@ impl<V: ColumnValue> ReplicaNode<V> {
         self.len() == 0
     }
 
-    /// Storage footprint in bytes (0 for virtual nodes; the *encoded*
-    /// size for packed materialized nodes).
+    /// Storage footprint in bytes (0 for virtual nodes).
     pub fn bytes(&self) -> u64 {
         match &self.payload {
-            NodePayload::Materialized(p) => p.bytes(),
+            NodePayload::Materialized(v) => v.len() as u64 * V::BYTES,
             NodePayload::Virtual { .. } => 0,
         }
     }
 
-    /// Estimated footprint in bytes (est_len-based for virtual nodes;
-    /// always the raw size — estimates predate any encoding choice).
+    /// Estimated footprint in bytes (est_len-based for virtual nodes).
     pub fn est_bytes(&self) -> u64 {
         self.len() * V::BYTES
     }
 
-    /// The physical payload, if materialized.
-    pub fn payload(&self) -> Option<&PiecePayload<V>> {
+    /// The stored values, if materialized.
+    pub fn values(&self) -> Option<&[V]> {
         match &self.payload {
-            NodePayload::Materialized(p) => Some(p),
+            NodePayload::Materialized(v) => Some(v),
             NodePayload::Virtual { .. } => None,
         }
-    }
-
-    /// The stored values, if materialized *and* raw. Packed nodes return
-    /// `None` here too — encoding-agnostic callers go through
-    /// [`Self::payload`] and its dispatching kernels.
-    pub fn values(&self) -> Option<&[V]> {
-        self.payload().and_then(|p| p.raw_values())
-    }
-
-    /// The node's read-heat record (encoding-policy input).
-    pub fn heat(&self) -> SegmentHeat {
-        self.heat
     }
 
     /// Whether this node is a leaf.
@@ -133,8 +117,7 @@ impl<V: ColumnValue> ReplicaTree<V> {
             range: domain,
             parent: None,
             children: Vec::new(),
-            payload: NodePayload::Materialized(PiecePayload::Raw(values)),
-            heat: SegmentHeat::default(),
+            payload: NodePayload::Materialized(values),
         });
         Ok(ReplicaTree {
             arena,
@@ -277,7 +260,6 @@ impl<V: ColumnValue> ReplicaTree<V> {
             parent: Some(parent),
             children: Vec::new(),
             payload: NodePayload::Virtual { est_len },
-            heat: SegmentHeat::default(),
         });
         let pos = self
             .arena
@@ -306,58 +288,21 @@ impl<V: ColumnValue> ReplicaTree<V> {
             "materialized values must lie in the node range"
         );
         let bytes = values.len() as u64 * V::BYTES;
-        node.payload = NodePayload::Materialized(PiecePayload::Raw(values));
+        node.payload = NodePayload::Materialized(values);
         let seg_id = node.seg_id;
         self.mat_bytes += bytes;
         self.mat_count += 1;
         tracker.materialize(seg_id, bytes);
     }
 
-    /// Records a read of node `id` at `tick` (encoding-policy signal).
-    pub fn note_read(&mut self, id: NodeId, tick: u64) {
-        self.arena.get_mut(id).heat.note_read(tick);
-    }
-
-    /// Stamps node `id` as created at `tick`, so the encoding policy's
-    /// idle clock starts at its materialization, not at zero.
-    pub fn stamp_born(&mut self, id: NodeId, tick: u64) {
-        self.arena.get_mut(id).heat = SegmentHeat::born_at(tick);
-    }
-
-    /// One sweep of the per-node encoding choice over every materialized
-    /// replica (the replication twin of
-    /// [`crate::column::SegmentedColumn::encoding_pass`]). Representation
-    /// changes adjust the materialized-byte accounting and are reported to
-    /// `tracker` as free + materialize. Returns the number of flips.
-    pub fn encoding_pass(
-        &mut self,
-        mode: &EncodingMode,
-        tick: u64,
-        tracker: &mut dyn AccessTracker,
-    ) -> usize {
-        let mut flips = 0usize;
-        for (_, node) in self.arena.iter_mut() {
-            let NodePayload::Materialized(payload) = &mut node.payload else {
-                continue;
-            };
-            if let Some((old, new)) = apply_encoding_step(payload, &mut node.heat, mode, tick) {
-                self.mat_bytes = self.mat_bytes - old + new;
-                tracker.free(node.seg_id, old);
-                tracker.materialize(node.seg_id, new);
-                flips += 1;
-            }
-        }
-        flips
-    }
-
     /// Folds a delta (both sides ascending) into **every** materialized
     /// replica whose range holds one of its values, keeping the data
     /// invariant — each materialized node holds exactly the column values
-    /// inside its range — at every level of the tree. A packed replica is
-    /// decoded and left raw; each touched replica is charged one read of
-    /// its old payload plus one write of the new (a free and a
-    /// materialization, like an encoding flip). Virtual nodes hold no
-    /// data and keep their estimates; no node is created or dropped.
+    /// inside its range — at every level of the tree: inserts join the
+    /// replica's values, then each tombstone cancels one occurrence. Each
+    /// touched replica is charged one read of its old values plus one
+    /// write of the new (a free and a materialization). Virtual nodes hold
+    /// no data and keep their estimates; no node is created or dropped.
     ///
     /// Returns the tombstones that found no occurrence (counted once, at
     /// the top level, which tiles the domain with materialized nodes), or
@@ -371,7 +316,7 @@ impl<V: ColumnValue> ReplicaTree<V> {
     ) -> Option<u64> {
         let (tombs, mut unmatched) = crate::delta::clip_fold(&self.domain, inserts, tombstones)?;
         for (_, node) in self.arena.iter_mut() {
-            let NodePayload::Materialized(payload) = &mut node.payload else {
+            let NodePayload::Materialized(values) = &mut node.payload else {
                 continue;
             };
             let (ins, tombs) = (
@@ -381,10 +326,11 @@ impl<V: ColumnValue> ReplicaTree<V> {
             if ins.is_empty() && tombs.is_empty() {
                 continue;
             }
-            let old = payload.bytes();
+            let old = values.len() as u64 * V::BYTES;
             tracker.scan(node.seg_id, old);
-            let stray = payload.fold_delta(ins, tombs, false);
-            let new = payload.bytes();
+            values.extend_from_slice(ins);
+            let stray = crate::kernels::cancel_occurrences(values, tombs);
+            let new = values.len() as u64 * V::BYTES;
             tracker.free(node.seg_id, old);
             tracker.materialize(node.seg_id, new);
             self.mat_bytes = self.mat_bytes - old + new;
@@ -490,8 +436,8 @@ impl<V: ColumnValue> ReplicaTree<V> {
                 self.top.splice(pos..pos + 1, node.children.iter().copied());
             }
         }
-        if let NodePayload::Materialized(payload) = node.payload {
-            let bytes = payload.bytes();
+        if let NodePayload::Materialized(values) = node.payload {
+            let bytes = values.len() as u64 * V::BYTES;
             self.mat_bytes -= bytes;
             self.mat_count -= 1;
             tracker.free(node.seg_id, bytes);
@@ -563,8 +509,8 @@ impl<V: ColumnValue> ReplicaTree<V> {
             if n.is_virtual() && !has_mat_ancestor && parent.is_some() {
                 return Err(format!("virtual node {id:?} lacks a materialized ancestor"));
             }
-            if let Some(payload) = n.payload() {
-                if !payload.decoded().iter().all(|v| n.range.contains(*v)) {
+            if let Some(values) = n.values() {
+                if !values.iter().all(|v| n.range.contains(*v)) {
                     return Err(format!("node {id:?} holds out-of-range values"));
                 }
                 mat_bytes += n.bytes();

@@ -1,8 +1,5 @@
 //! Physical segments: a value range plus the tuples falling into it.
 
-use std::borrow::Cow;
-
-use crate::compress::{EncodingMode, PiecePayload, SegmentEncoding, SegmentHeat};
 use crate::range::ValueRange;
 use crate::synopsis::{PieceSynopsis, SynopsisClass};
 use crate::tracker::AccessTracker;
@@ -49,43 +46,34 @@ impl SegIdGen {
 /// (like a cracking piece). Positional correspondence across columns is
 /// deliberately given up (Section 1).
 ///
-/// The payload may be raw or in one of the packed encodings of
-/// [`crate::compress`]; [`Self::count_in`]/[`Self::collect_in`] dispatch
-/// to the compressed-domain kernels, so every strategy built on
-/// `SegmentData` inherits per-segment compression transparently.
-///
 /// Each segment also caches a [`PieceSynopsis`] (exact min/max/count/sum),
-/// recomputed whenever the payload changes — construction, every fold
-/// and every encode step. The pure-read scan methods consult it first: a
-/// provably disjoint predicate answers without touching the payload, and
-/// a covering one answers a count O(1) from the stored length. The
-/// synopsis bounds are usually *tighter* than `range`
-/// (the range is the reorganization partition; the data inside it
-/// clusters), which is where zone-map pruning wins over the range check
-/// alone.
+/// recomputed whenever the values change — construction and every fold.
+/// The pure-read scan methods consult it first: a provably disjoint
+/// predicate answers without touching the values, and a covering one
+/// answers a count O(1) from the stored length. The synopsis bounds are
+/// usually *tighter* than `range` (the range is the reorganization
+/// partition; the data inside it clusters), which is where zone-map
+/// pruning wins over the range check alone.
 #[derive(Debug, Clone)]
 pub struct SegmentData<V> {
     id: SegId,
     range: ValueRange<V>,
-    payload: PiecePayload<V>,
-    heat: SegmentHeat,
+    values: Vec<V>,
     synopsis: Option<PieceSynopsis<V>>,
 }
 
 impl<V: ColumnValue> SegmentData<V> {
-    /// Creates a raw segment, validating that every value is inside `range`.
+    /// Creates a segment, validating that every value is inside `range`.
     pub fn new(id: SegId, range: ValueRange<V>, values: Vec<V>) -> Self {
         debug_assert!(
             values.iter().all(|v| range.contains(*v)),
             "segment values must lie within the segment range"
         );
-        let payload = PiecePayload::Raw(values);
-        let synopsis = payload.synopsis();
+        let synopsis = PieceSynopsis::from_values(&values);
         SegmentData {
             id,
             range,
-            payload,
-            heat: SegmentHeat::default(),
+            values,
             synopsis,
         }
     }
@@ -94,12 +82,6 @@ impl<V: ColumnValue> SegmentData<V> {
     #[inline]
     pub fn synopsis(&self) -> Option<PieceSynopsis<V>> {
         self.synopsis
-    }
-
-    /// Recomputes the cached synopsis from the current payload — called
-    /// after every payload mutation so the cache can never go stale.
-    fn refresh_synopsis(&mut self) {
-        self.synopsis = self.payload.synopsis();
     }
 
     /// Segment identity.
@@ -114,154 +96,48 @@ impl<V: ColumnValue> SegmentData<V> {
         self.range
     }
 
-    /// The stored values (unordered), when the segment is raw.
-    ///
-    /// # Panics
-    /// Panics if the segment is packed — encoding-agnostic callers use
-    /// [`Self::decoded`] (or the dispatching scan methods) instead.
+    /// The stored values, in storage order (not sorted by value).
     #[inline]
-    #[expect(
-        clippy::expect_used,
-        reason = "documented contract: values is only called on raw segments"
-    )]
     pub fn values(&self) -> &[V] {
-        self.payload
-            .raw_values()
-            .expect("values() on a packed segment; use decoded()")
-    }
-
-    /// The stored values in storage order, decoding only if packed.
-    #[inline]
-    pub fn decoded(&self) -> Cow<'_, [V]> {
-        self.payload.decoded()
-    }
-
-    /// The physical payload.
-    #[inline]
-    pub fn payload(&self) -> &PiecePayload<V> {
-        &self.payload
-    }
-
-    /// The payload's current encoding.
-    #[inline]
-    pub fn encoding(&self) -> SegmentEncoding {
-        self.payload.encoding()
+        &self.values
     }
 
     /// Number of stored tuples.
     #[inline]
     pub fn len(&self) -> u64 {
-        self.payload.len()
+        self.values.len() as u64
     }
 
     /// Whether the segment holds no tuples (its range may still be non-empty).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
+        self.values.is_empty()
     }
 
-    /// Storage footprint in bytes, the unit of the paper's read/write
-    /// counters — the *encoded* size for packed segments, so trackers,
-    /// placement balance and the sharded executor see the real cost.
+    /// Storage footprint in bytes (tuples × width), the unit of the paper's
+    /// read/write counters.
     #[inline]
     pub fn bytes(&self) -> u64 {
-        self.payload.bytes()
+        self.len() * V::BYTES
     }
 
-    /// Consumes the segment, returning its values (decoded if packed).
+    /// Consumes the segment, returning its values.
     pub fn into_values(self) -> Vec<V> {
-        self.payload.into_values()
+        self.values
     }
 
-    /// The segment's read-heat record (encoding-policy input).
-    #[inline]
-    pub fn heat(&self) -> SegmentHeat {
-        self.heat
-    }
-
-    /// Records a read at `tick` — called from the `&mut` select paths
-    /// (never from `&self` peeks, preserving the no-interior-mutability
-    /// contract of [`crate::ColumnStrategy`]).
-    #[inline]
-    pub fn note_read(&mut self, tick: u64) {
-        self.heat.note_read(tick);
-    }
-
-    /// Stamps the segment as created at `tick` (split products).
-    #[inline]
-    pub fn stamp_born(&mut self, tick: u64) {
-        self.heat = SegmentHeat::born_at(tick);
-    }
-
-    /// Re-encodes the payload, recording the flip at `tick` for
-    /// hysteresis. Returns `(old_bytes, new_bytes)` when the
-    /// representation changed, `None` otherwise (already in that
-    /// encoding, or `V` cannot pack).
-    pub fn reencode(&mut self, enc: SegmentEncoding, tick: u64) -> Option<(u64, u64)> {
-        let old = self.payload.bytes();
-        if self.payload.reencode(enc) {
-            self.heat.note_flip(tick);
-            // The synopsis sum tracks the *current* layout's accumulation
-            // order (raw chunked vs. packed key-visit), so a representation
-            // change must refresh it even though the values are unchanged.
-            self.refresh_synopsis();
-            Some((old, self.payload.bytes()))
-        } else {
-            None
-        }
-    }
-
-    /// Packs with the best-shrinking codec (if any), recording the flip.
-    /// Returns `(old_bytes, new_bytes)` when the payload changed.
+    /// Folds the part of a delta this segment owns into its values (the
+    /// caller has already cut `inserts` and `tombstones` to the segment's
+    /// range): `inserts` join the stored values, then each `tombstones`
+    /// entry cancels one occurrence (both ascending; inserts first, so a
+    /// tombstone can cancel an insert folded in the same step). `sorted`
+    /// promises ascending values and keeps them ascending (the galloping
+    /// merge and subtraction instead of an append and a per-value cancel).
     ///
-    /// A failed pack (incompressible or unpackable payload) still advances
-    /// the hysteresis anchor, so the adaptive sweep does not re-size the
-    /// same hopeless segment on every pass.
-    pub fn pack_best(&mut self, tick: u64) -> Option<(u64, u64)> {
-        let old = self.payload.bytes();
-        if self.payload.pack_best() {
-            self.heat.note_flip(tick);
-            self.refresh_synopsis();
-            Some((old, self.payload.bytes()))
-        } else {
-            self.heat.note_flip(tick);
-            None
-        }
-    }
-
-    /// Applies one encoding-mode decision to this segment at `tick`,
-    /// reporting a representation change to `tracker` as a free of the old
-    /// footprint plus a materialization of the new one. Returns whether
-    /// the representation changed.
-    ///
-    /// This is the single place the [`EncodingMode`] semantics live —
-    /// the segmented column, the baselines and the replica tree all route
-    /// their encoding sweeps through it.
-    pub fn apply_encoding(
-        &mut self,
-        mode: &EncodingMode,
-        tick: u64,
-        tracker: &mut dyn AccessTracker,
-    ) -> bool {
-        let delta =
-            crate::compress::apply_encoding_step(&mut self.payload, &mut self.heat, mode, tick);
-        if let Some((old, new)) = delta {
-            self.refresh_synopsis();
-            tracker.free(self.id, old);
-            tracker.materialize(self.id, new);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Folds the part of a delta this segment owns into its payload (see
-    /// [`PiecePayload::fold_delta`]; the caller has already cut `inserts`
-    /// and `tombstones` to the segment's range), refreshing the synopsis
-    /// and charging one read of the old payload plus one write of the new
-    /// (reported, like every representation change, as a free of the old
-    /// footprint and a materialization of the new one). Returns the
-    /// tombstones that found no occurrence.
+    /// Refreshes the synopsis and charges one read of the old values plus
+    /// one write of the new (a free of the old footprint and a
+    /// materialization of the new one). Returns the tombstones that found
+    /// no occurrence.
     pub fn fold_delta(
         &mut self,
         inserts: &[V],
@@ -275,8 +151,18 @@ impl<V: ColumnValue> SegmentData<V> {
         );
         let old = self.bytes();
         tracker.scan(self.id, old);
-        let unmatched = self.payload.fold_delta(inserts, tombstones, sorted);
-        self.refresh_synopsis();
+        let unmatched = if sorted {
+            let (mut merged, mut kept) = (Vec::new(), Vec::new());
+            crate::kernels::merge_sorted(&self.values, inserts, &mut merged);
+            crate::kernels::subtract_sorted(&merged, tombstones, &mut kept);
+            let unmatched = (tombstones.len() + kept.len() - merged.len()) as u64;
+            self.values = kept;
+            unmatched
+        } else {
+            self.values.extend_from_slice(inserts);
+            crate::kernels::cancel_occurrences(&mut self.values, tombstones)
+        };
+        self.synopsis = PieceSynopsis::from_values(&self.values);
         tracker.free(self.id, old);
         tracker.materialize(self.id, self.bytes());
         unmatched
@@ -295,30 +181,27 @@ impl<V: ColumnValue> SegmentData<V> {
     /// Counts the stored values inside `q` without materializing them.
     ///
     /// The cached synopsis answers the easy classes without touching the
-    /// payload: a disjoint query is zero, a covering one is the length
+    /// values: a disjoint query is zero, a covering one is the length
     /// (the synopsis bounds are tighter than `range`, so this fires more
     /// often than the old whole-range shortcut). Only a straddling query
-    /// scans — branchless [`crate::kernels::count_range`] for raw
-    /// payloads, the compressed-domain kernels for packed ones. **No
-    /// decoded value is ever materialized on this path.**
+    /// scans, through the branchless [`crate::kernels::count_range`].
     pub fn count_in(&self, q: &ValueRange<V>) -> u64 {
         match self.classify(q) {
             SynopsisClass::Disjoint => 0,
             SynopsisClass::Covered => self.len(),
-            SynopsisClass::Straddle => self.payload.count_range(q),
+            SynopsisClass::Straddle => crate::kernels::count_range(&self.values, q),
         }
     }
 
     /// Copies the stored values inside `q` into `out`.
     ///
-    /// A disjoint query returns untouched; a covering one appends the
-    /// whole payload (decoding a packed one); only partial overlap
-    /// filters tuple by tuple.
+    /// A disjoint query returns untouched; a covering one appends every
+    /// value; only partial overlap filters tuple by tuple.
     pub fn collect_in(&self, q: &ValueRange<V>, out: &mut Vec<V>) {
         match self.classify(q) {
             SynopsisClass::Disjoint => {}
-            SynopsisClass::Covered => self.payload.collect_all(out),
-            SynopsisClass::Straddle => self.payload.collect_range(q, out),
+            SynopsisClass::Covered => out.extend_from_slice(&self.values),
+            SynopsisClass::Straddle => crate::kernels::collect_range(&self.values, q, out),
         }
     }
 
@@ -327,13 +210,10 @@ impl<V: ColumnValue> SegmentData<V> {
     ///
     /// This is the single scan that materializes split products in both
     /// Algorithm 1 (replace a segment by its sub-segments) and the eager part
-    /// of the replica tree. `ids` supplies a fresh id per piece. Products
-    /// are always raw — a reorganization touches a segment precisely
-    /// because the workload reads it, so it starts hot; the encoding
-    /// policy re-evaluates at the next boundary. The values move through
-    /// [`crate::kernels::partition_into`]: storage order is kept within
-    /// each product and each product's buffer is allocated at its exact
-    /// size, so a piece never carries spare capacity for life.
+    /// of the replica tree. `ids` supplies a fresh id per piece. The values
+    /// move through [`crate::kernels::partition_into`]: storage order is
+    /// kept within each product and each product's buffer is allocated at
+    /// its exact size, so a piece never carries spare capacity for life.
     ///
     /// # Panics
     /// Panics (debug) if the sub-ranges do not tile `self.range`.
@@ -354,11 +234,10 @@ impl<V: ColumnValue> SegmentData<V> {
             "pieces must be adjacent and ordered"
         );
 
-        let values = self.payload.into_values();
         // Each piece but the last ends at an inner bound.
         let inner = pieces.len().saturating_sub(1);
         let bounds: Vec<V> = pieces.iter().take(inner).map(|p| p.hi()).collect();
-        let buckets = crate::kernels::partition_into(&values, &bounds);
+        let buckets = crate::kernels::partition_into(&self.values, &bounds);
         pieces
             .iter()
             .zip(buckets)
@@ -423,45 +302,6 @@ mod tests {
         assert!(out.is_empty());
         // ...and one covering only the data (not the range) answers O(1).
         assert_eq!(s.count_in(&ValueRange::must(20, 60)), 3);
-    }
-
-    #[test]
-    fn fast_paths_agree_with_payload_scans_when_packed() {
-        let values: Vec<u32> = (0..512).map(|i| 100 + (i * 7) % 400).collect();
-        let (mut s, _) = seg(0, 999, &values);
-        for enc in [
-            SegmentEncoding::Rle,
-            SegmentEncoding::For,
-            SegmentEncoding::Dict,
-        ] {
-            s.reencode(enc, 1).expect("u32 payloads pack");
-            assert_eq!(s.encoding(), enc);
-            for q in [
-                ValueRange::must(0, 99),    // disjoint below the data
-                ValueRange::must(500, 999), // disjoint above the data
-                ValueRange::must(100, 499), // covers the data exactly
-                ValueRange::must(0, 999),   // covers via the range too
-                ValueRange::must(150, 350), // straddles
-            ] {
-                assert_eq!(s.count_in(&q), s.payload().count_range(&q), "{q:?}");
-                let (mut fast, mut slow) = (Vec::new(), Vec::new());
-                s.collect_in(&q, &mut fast);
-                s.payload().collect_range(&q, &mut slow);
-                assert_eq!(fast, slow, "{q:?}");
-            }
-            s.reencode(SegmentEncoding::Raw, 2).expect("unpack");
-        }
-    }
-
-    #[test]
-    fn encode_steps_keep_the_synopsis_fresh() {
-        let (mut s, _) = seg(0, 999, &[7, 7, 7, 900]);
-        let before = s.synopsis().expect("non-empty");
-        s.pack_best(5);
-        let after = s.synopsis().expect("still non-empty");
-        assert_eq!((before.min(), before.max()), (after.min(), after.max()));
-        assert_eq!(before.count(), after.count());
-        assert_eq!(before.sum().to_bits(), after.sum().to_bits());
     }
 
     #[test]

@@ -7,13 +7,11 @@
 //! query pays for anyway.
 
 use crate::column::SegmentedColumn;
-use crate::compress::EncodingMode;
-use crate::estimate::{exact_pieces_payload, interpolate_pieces, PieceLens, SizeEstimator};
+use crate::estimate::{exact_pieces, interpolate_pieces, PieceLens, SizeEstimator};
 use crate::model::{SegmentationModel, SplitDecision, SplitGeometry, Technique, WhichBound};
 use crate::range::ValueRange;
 use crate::strategy::ColumnStrategy;
 use crate::tracker::AccessTracker;
-use crate::tracker::NullTracker;
 use crate::value::ColumnValue;
 
 /// A self-organizing column using in-place adaptive segmentation.
@@ -21,8 +19,6 @@ pub struct AdaptiveSegmentation<V> {
     column: SegmentedColumn<V>,
     model: Box<dyn SegmentationModel>,
     estimator: SizeEstimator,
-    encoding: EncodingMode,
-    tick: u64,
     splits: u64,
 }
 
@@ -50,28 +46,8 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
             column,
             model,
             estimator,
-            encoding: EncodingMode::Raw,
-            tick: 0,
             splits: 0,
         }
-    }
-
-    /// Sets the per-segment encoding mode (builder style). A
-    /// [`EncodingMode::Fixed`] codec is applied to the current segments
-    /// immediately; adaptive packing starts from the policy's idle
-    /// threshold.
-    pub fn with_encoding(mut self, mode: EncodingMode) -> Self {
-        self.encoding = mode;
-        if matches!(self.encoding, EncodingMode::Fixed(_)) {
-            self.column
-                .encoding_pass(&self.encoding, 0, &mut NullTracker);
-        }
-        self
-    }
-
-    /// The active encoding mode.
-    pub fn encoding(&self) -> EncodingMode {
-        self.encoding
     }
 
     /// The underlying segmented column.
@@ -140,16 +116,14 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
         tracker: &mut dyn AccessTracker,
     ) -> u64 {
         let total_len = self.column.total_len();
-        let tick = self.tick;
-        self.column.segment_mut(idx).note_read(tick);
         let seg = &self.column.segments()[idx];
         let seg_range = seg.range();
         let seg_len = seg.len();
         tracker.scan(seg.id(), seg.bytes());
 
         // One pass over the segment: exact piece counts, the middle one being
-        // the answer. Packed payloads are counted in the compressed domain.
-        let exact = overlapping(exact_pieces_payload(&seg_range, seg.payload(), q));
+        // the answer.
+        let exact = overlapping(exact_pieces(&seg_range, seg.values(), q));
         let matched = exact.1;
 
         // The model decides on estimates (what the optimizer level can know).
@@ -161,7 +135,6 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
         let decision = self.model.decide(&geom, Technique::Segmentation);
 
         if let Some(ranges) = Self::ranges_for(decision, seg_range, q) {
-            let n_pieces = ranges.len();
             #[expect(
                 clippy::expect_used,
                 reason = "interpolated piece ranges tile the segment by construction"
@@ -169,29 +142,17 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
             self.column
                 .replace_segment(idx, &ranges, tracker)
                 .expect("piece ranges tile the segment by construction");
-            // Split products are born (and were just read) at this tick, so
-            // the encoding policy's idle clock starts now, not at zero.
-            for i in idx..idx + n_pieces {
-                self.column.segment_mut(i).stamp_born(tick);
-            }
             self.splits += 1;
         }
         matched
     }
 
     fn run_select(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
-        self.tick += 1;
         let span = self.column.overlapping_span(q);
         let mut matched = 0;
         // Right-to-left so splice-induced index shifts stay ahead of us.
         for idx in span.rev() {
             matched += self.process_segment(idx, q, tracker);
-        }
-        // The reorganization boundary is also where the physical
-        // representation is reconsidered.
-        if !matches!(self.encoding, EncodingMode::Raw) {
-            self.column
-                .encoding_pass(&self.encoding, self.tick, tracker);
         }
         crate::debug_assert_valid!(
             crate::validate::ranges_partition(
@@ -239,9 +200,8 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveSegmentation<V> {
     }
 
     fn storage_bytes(&self) -> u64 {
-        // In-place reorganization: storage never exceeds the bare column,
-        // and packed segments count at their encoded size.
-        self.column.encoded_bytes()
+        // In-place reorganization: storage never exceeds the bare column.
+        self.column.total_bytes()
     }
 
     fn segment_count(&self) -> usize {
@@ -455,63 +415,6 @@ mod tests {
             "whole column rewritten on first split"
         );
         assert_eq!(st.freed_bytes, 400_000);
-    }
-
-    #[test]
-    fn packed_count_reads_encoded_bytes_and_never_materializes() {
-        use crate::compress::{EncodingMode, SegmentEncoding};
-        // Highly repetitive column: RLE crushes it.
-        let values: Vec<u32> = (0..10_000u32).map(|i| i / 4).collect();
-        let column = SegmentedColumn::new(ValueRange::must(0, 9_999), values).unwrap();
-        let mut s = AdaptiveSegmentation::new(column, Box::new(NeverSplit), SizeEstimator::Uniform)
-            .with_encoding(EncodingMode::Fixed(SegmentEncoding::Rle));
-        let enc_bytes = s.storage_bytes();
-        assert!(enc_bytes < 40_000, "RLE must beat the 40KB raw footprint");
-        let mut t = CountingTracker::new();
-        let n = s.select_count(&ValueRange::must(100, 499), &mut t);
-        assert_eq!(n, 1600);
-        // The count reads exactly the encoded payload and writes nothing:
-        // no decoded value was ever materialized on this path.
-        assert_eq!(t.totals().read_bytes, enc_bytes);
-        assert_eq!(t.totals().write_bytes, 0);
-        assert_eq!(t.totals().freed_bytes, 0);
-        // A peek over the same packed segment still returns the values.
-        let got = s.peek_collect(&ValueRange::must(100, 499));
-        assert_eq!(got.len(), 1600);
-    }
-
-    #[test]
-    fn adaptive_encoding_packs_cold_area_and_answers_stay_exact() {
-        use crate::compress::{EncodingMode, EncodingPolicy, SegmentEncoding};
-        let values: Vec<u32> = (0..50_000u32).map(|i| (i * 7919) % 6_250).collect();
-        let column = SegmentedColumn::new(ValueRange::must(0, 99_999), values.clone()).unwrap();
-        let mut s = AdaptiveSegmentation::new(column, apm(), SizeEstimator::Uniform)
-            .with_encoding(EncodingMode::Adaptive(EncodingPolicy::eager(4)));
-        // First query splits off the populated low area; afterwards hammer
-        // a narrow hot range so everything else goes cold and packs.
-        for _ in 0..40 {
-            let q = ValueRange::must(1_000, 1_499);
-            let expect = values.iter().filter(|v| q.contains(**v)).count() as u64;
-            assert_eq!(s.select_count(&q, &mut NullTracker), expect);
-        }
-        s.column().validate().unwrap();
-        assert!(
-            s.column()
-                .segments()
-                .iter()
-                .any(|seg| seg.encoding() != SegmentEncoding::Raw),
-            "cold segments should have packed"
-        );
-        assert!(s.storage_bytes() < s.column().total_bytes());
-        // Results over the mixed raw/packed layout stay exact.
-        for q in [
-            ValueRange::must(0, 99_999),
-            ValueRange::must(500, 5_999),
-            ValueRange::must(6_000, 99_999),
-        ] {
-            let expect = values.iter().filter(|v| q.contains(**v)).count() as u64;
-            assert_eq!(s.select_count(&q, &mut NullTracker), expect, "{q:?}");
-        }
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use crate::baseline::{FullySorted, NonSegmented};
 use crate::column::{ColumnError, SegmentedColumn};
-use crate::compress::EncodingMode;
 use crate::cracking::CrackedColumn;
 use crate::estimate::SizeEstimator;
 use crate::merge::{MergePolicy, MergingSegmentation};
@@ -136,11 +135,6 @@ pub struct StrategySpec {
     /// Merge policy for [`StrategyKind::GdSegmMerged`]; defaults to
     /// `MergePolicy::new(mmin, mmax)` when unset.
     pub merge: Option<MergePolicy>,
-    /// How segments choose their physical encoding (raw, one fixed codec,
-    /// or the self-organizing adaptive policy). Cracking ignores this: its
-    /// pieces are slices of one contiguous array it cracks in place, which
-    /// per-piece packing would break.
-    pub encoding: EncodingMode,
 }
 
 impl StrategySpec {
@@ -155,15 +149,7 @@ impl StrategySpec {
             estimator: SizeEstimator::Uniform,
             storage_budget: None,
             merge: None,
-            encoding: EncodingMode::Raw,
         }
-    }
-
-    /// Chooses the per-segment encoding mode.
-    #[must_use]
-    pub fn with_encoding(mut self, encoding: EncodingMode) -> Self {
-        self.encoding = encoding;
-        self
     }
 
     /// Sets the APM `(Mmin, Mmax)` band in bytes.
@@ -216,10 +202,11 @@ impl StrategySpec {
         values: Vec<V>,
         model: Box<dyn SegmentationModel>,
     ) -> Result<AdaptiveSegmentation<V>, ColumnError> {
-        Ok(
-            AdaptiveSegmentation::new(SegmentedColumn::new(domain, values)?, model, self.estimator)
-                .with_encoding(self.encoding),
-        )
+        Ok(AdaptiveSegmentation::new(
+            SegmentedColumn::new(domain, values)?,
+            model,
+            self.estimator,
+        ))
     }
 
     fn replication<V: ColumnValue>(
@@ -228,8 +215,7 @@ impl StrategySpec {
         values: Vec<V>,
         model: Box<dyn SegmentationModel>,
     ) -> Result<AdaptiveReplication<V>, ColumnError> {
-        let mut strategy = AdaptiveReplication::new(ReplicaTree::new(domain, values)?, model)
-            .with_encoding(self.encoding);
+        let mut strategy = AdaptiveReplication::new(ReplicaTree::new(domain, values)?, model);
         if let Some(budget) = self.storage_budget {
             strategy = strategy.with_storage_budget(budget);
         }
@@ -248,9 +234,7 @@ impl StrategySpec {
         values: Vec<V>,
     ) -> Result<Box<dyn ColumnStrategy<V>>, ColumnError> {
         Ok(match self.kind {
-            StrategyKind::NoSegm => {
-                Box::new(NonSegmented::new(domain, values).with_encoding(self.encoding))
-            }
+            StrategyKind::NoSegm => Box::new(NonSegmented::new(domain, values)),
             StrategyKind::GdSegm => Box::new(self.segmentation(domain, values, self.gd())?),
             StrategyKind::ApmSegm => Box::new(self.segmentation(domain, values, self.apm())?),
             StrategyKind::AutoApmSegm => {
@@ -259,9 +243,7 @@ impl StrategySpec {
             StrategyKind::GdRepl => Box::new(self.replication(domain, values, self.gd())?),
             StrategyKind::ApmRepl => Box::new(self.replication(domain, values, self.apm())?),
             StrategyKind::Cracking => Box::new(CrackedColumn::new(values)),
-            StrategyKind::FullSort => {
-                Box::new(FullySorted::new(domain, values).with_encoding(self.encoding))
-            }
+            StrategyKind::FullSort => Box::new(FullySorted::new(domain, values)),
             StrategyKind::GdSegmMerged => {
                 let policy = self
                     .merge
@@ -317,47 +299,6 @@ mod tests {
             assert_eq!(s.select_count(&q, &mut NullTracker), expect, "{kind:?}");
             assert!(s.storage_bytes() >= 20_000, "{kind:?}");
             assert!(s.segment_count() >= 1, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn every_kind_answers_identically_under_every_encoding_mode() {
-        use crate::compress::{EncodingPolicy, SegmentEncoding};
-        // Duplicate-heavy data so each codec actually engages.
-        let vals: Vec<u32> = (0..6_000u32).map(|i| (i / 3 * 5) % 10_000).collect();
-        let queries: Vec<ValueRange<u32>> = (0..25)
-            .map(|i| {
-                let lo = (i * 397) % 9_000;
-                ValueRange::must(lo, lo + 900)
-            })
-            .collect();
-        let modes = [
-            EncodingMode::Fixed(SegmentEncoding::Rle),
-            EncodingMode::Fixed(SegmentEncoding::For),
-            EncodingMode::Fixed(SegmentEncoding::Dict),
-            EncodingMode::Adaptive(EncodingPolicy::eager(4)),
-        ];
-        for kind in StrategyKind::ALL {
-            let build = |mode: EncodingMode| {
-                StrategySpec::new(kind)
-                    .with_apm_bounds(256, 1024)
-                    .with_model_seed(7)
-                    .with_encoding(mode)
-                    .build(domain(), vals.clone())
-                    .expect("values lie in domain")
-            };
-            let mut raw = build(EncodingMode::Raw);
-            let mut packed: Vec<_> = modes.iter().map(|m| build(*m)).collect();
-            for q in &queries {
-                let expect = raw.select_count(q, &mut NullTracker);
-                for (m, s) in modes.iter().zip(packed.iter_mut()) {
-                    assert_eq!(
-                        s.select_count(q, &mut NullTracker),
-                        expect,
-                        "{kind:?} under {m:?} diverged on {q:?}"
-                    );
-                }
-            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Per-piece zone maps — the "small materialized aggregates" of
 //! Moerkotte (1998) that Hyrise's automatic clustering work builds on
 //! (PAPERS.md): each piece carries `{min, max, count, sum}`, computed at
-//! reorganization and encode boundaries, consulted before every scan.
+//! reorganization and fold boundaries, consulted before every scan.
 //!
 //! The paper's whole premise is that reorganization buys cheap future
 //! scans; the synopsis makes that payoff explicit. A range predicate is
@@ -56,9 +56,8 @@ pub struct PieceSynopsis<V> {
 }
 
 impl<V: ColumnValue> PieceSynopsis<V> {
-    /// Assembles a synopsis from parts the caller already holds (packed
-    /// payloads derive bounds from their own structure). The caller
-    /// asserts exactness; `validate::synopsis_consistent` checks it.
+    /// Assembles a synopsis from parts the caller already holds. The
+    /// caller asserts exactness; `validate::synopsis_consistent` checks it.
     pub fn new(min: V, max: V, count: u64, sum: f64) -> Self {
         PieceSynopsis {
             min,

@@ -6,7 +6,7 @@
 //! segment list, Section 5's covering leaf set of the replica tree, the
 //! epoch snapshot's frozen piece array). PRs 4–6 multiplied the surfaces
 //! where that can silently break — sharded nodes, migrations, epoch
-//! publication, packed payloads — so the checks live here once, as public
+//! publication — so the checks live here once, as public
 //! functions over the public types, and are invoked at every
 //! reorganization boundary through
 //! [`debug_assert_valid!`](crate::debug_assert_valid) and by the
@@ -17,11 +17,10 @@
 //! * **Cheap** ([`ranges_partition`], [`strategy_pieces`],
 //!   [`replica_tree`]) — O(#pieces) range arithmetic, no payload access.
 //!   Safe to run after every query inside `debug_assert_valid!`.
-//! * **Deep** ([`column`], [`payload`], [`encoded_consistent`]) — decodes
-//!   payloads and walks values. For debug builds and tests.
+//! * **Deep** ([`column`], [`payload`], [`encoded_consistent`]) — walks
+//!   values or packed words. For debug builds and tests.
 
 use crate::column::SegmentedColumn;
-use crate::compress::{EncodedPayload, PiecePayload};
 use crate::kernels;
 use crate::range::ValueRange;
 use crate::replication::ReplicaTree;
@@ -29,6 +28,7 @@ use crate::segment::SegmentData;
 use crate::strategy::ColumnStrategy;
 use crate::synopsis::PieceSynopsis;
 use crate::value::ColumnValue;
+use crate::EncodedPayload;
 
 /// A structural invariant violation, carrying enough context to locate
 /// the broken piece without re-running the check under a debugger.
@@ -79,7 +79,7 @@ pub enum Violation {
         /// The sum over pieces.
         found: u64,
     },
-    /// A packed payload is internally inconsistent or fails to decode.
+    /// A packed payload or a delta run is internally inconsistent.
     Payload {
         /// Index of the offending piece (0 for standalone payloads).
         index: usize,
@@ -197,10 +197,6 @@ fn fields_per_word(width: u32) -> u64 {
 /// Structural self-consistency of a packed payload, checked **before**
 /// anything decodes it: declared width in `1..=64`, enough packed words
 /// for the declared tuple count, dictionary codes inside the table.
-///
-/// [`EncodedPayload::validate_for`] assumes these hold (its key visitor
-/// indexes the dictionary table directly), so [`payload`] runs this
-/// first.
 pub fn encoded_consistent(payload: &EncodedPayload) -> Result<(), Violation> {
     let fail = |reason: String| Violation::Payload { index: 0, reason };
     match payload {
@@ -253,38 +249,23 @@ pub fn encoded_consistent(payload: &EncodedPayload) -> Result<(), Violation> {
     Ok(())
 }
 
-/// Deep validation of one piece payload against its declared range:
-/// raw values in range; packed payloads structurally consistent
-/// ([`encoded_consistent`]) and decodable to in-range values
-/// ([`EncodedPayload::validate_for`]).
-pub fn payload<V: ColumnValue>(
-    range: &ValueRange<V>,
-    piece: &PiecePayload<V>,
-) -> Result<(), Violation> {
-    match piece {
-        PiecePayload::Raw(values) => {
-            if let Some(v) = values.iter().find(|v| !range.contains(**v)) {
-                return Err(Violation::OutOfRange {
-                    index: 0,
-                    detail: format!("{v:?} outside {}", render(range)),
-                });
-            }
-        }
-        PiecePayload::Packed(enc) => {
-            encoded_consistent(enc)?;
-            enc.validate_for::<V>(range)
-                .map_err(|reason| Violation::Payload { index: 0, reason })?;
-        }
+/// Deep validation of one piece's values against its declared range.
+pub fn payload<V: ColumnValue>(range: &ValueRange<V>, values: &[V]) -> Result<(), Violation> {
+    match values.iter().find(|v| !range.contains(**v)) {
+        Some(v) => Err(Violation::OutOfRange {
+            index: 0,
+            detail: format!("{v:?} outside {}", render(range)),
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
-/// Checks a piece's cached zone-map synopsis against its decoded values:
-/// exact bounds (they answer covered `MIN`/`MAX` directly, so "roughly
-/// right" is wrong), exact count, and a sum within a tiny relative
-/// tolerance of a fresh accumulation — the stored sum is computed in the
-/// *layout's* kernel order, which may differ from this check's re-fold by
-/// rounding only.
+/// Checks a piece's cached zone-map synopsis against its values: exact
+/// bounds (they answer covered `MIN`/`MAX` directly, so "roughly right"
+/// is wrong), exact count, and a sum bit-identical to a fresh
+/// [`kernels::sum_all`] over the same values. Every synopsis is built by
+/// [`PieceSynopsis::from_values`] or [`PieceSynopsis::from_sorted`], which
+/// accumulate in exactly that order, so any difference is drift.
 ///
 /// An empty piece must carry no synopsis, and a non-empty one must carry
 /// one: a missing synopsis silently disables pruning, which is a bug
@@ -318,23 +299,22 @@ pub fn synopsis_consistent<V: ColumnValue>(
         )));
     }
     let expect = kernels::sum_all(values);
-    let tolerance = expect.abs().max(1.0) * 1e-9;
-    if (syn.sum() - expect).abs() > tolerance {
+    if syn.sum().to_bits() != expect.to_bits() {
         return Err(fail(format!("sum {} but values total {expect}", syn.sum())));
     }
     Ok(())
 }
 
-/// Deep validation of one segment: payload consistent and inside the
-/// segment's range ([`payload`]), cached synopsis exact against the
-/// decoded values ([`synopsis_consistent`]).
+/// Deep validation of one segment: values inside the segment's range
+/// ([`payload`]), cached synopsis exact against them
+/// ([`synopsis_consistent`]).
 pub fn segment<V: ColumnValue>(seg: &SegmentData<V>) -> Result<(), Violation> {
-    payload(&seg.range(), seg.payload())?;
-    synopsis_consistent(seg.synopsis().as_ref(), &seg.decoded())
+    payload(&seg.range(), seg.values())?;
+    synopsis_consistent(seg.synopsis().as_ref(), seg.values())
 }
 
 /// Deep structural validation of a [`SegmentedColumn`]: segment ranges
-/// partition the domain, every payload is consistent and in range, every
+/// partition the domain, every segment's values are in range, every
 /// cached synopsis matches its data, and the per-segment tuple counts sum
 /// to the recorded total.
 pub fn column<V: ColumnValue>(col: &SegmentedColumn<V>) -> Result<(), Violation> {
@@ -506,9 +486,8 @@ mod tests {
 
     #[test]
     fn payload_rejects_raw_out_of_range() {
-        let p = PiecePayload::Raw(vec![5u32, 200]);
         assert!(matches!(
-            payload(&r(0, 99), &p),
+            payload(&r(0, 99), &[5u32, 200]),
             Err(Violation::OutOfRange { .. })
         ));
     }
@@ -546,6 +525,13 @@ mod tests {
         let missummed = PieceSynopsis::new(5u32, 20, 3, 36.5);
         assert!(matches!(
             synopsis_consistent(Some(&missummed), &values),
+            Err(Violation::Synopsis { .. })
+        ));
+        // So does one that is off by a single ulp: a covered SUM must be
+        // bit-identical to the scan it replaces.
+        let ulp = PieceSynopsis::new(5u32, 20, 3, f64::from_bits(35.0f64.to_bits() + 1));
+        assert!(matches!(
+            synopsis_consistent(Some(&ulp), &values),
             Err(Violation::Synopsis { .. })
         ));
     }

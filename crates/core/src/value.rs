@@ -53,9 +53,9 @@ pub trait ColumnValue: Copy + Ord + Debug + Send + Sync + 'static {
     fn range_width(lo: Self, hi: Self) -> f64;
 
     /// Order-preserving projection onto `u64`, the common currency of the
-    /// packed segment encodings (`crate::compress`): `a <= b` iff
+    /// packed codecs of the `compress` module: `a <= b` iff
     /// `a.to_key() <= b.to_key()`. Returns `None` for types wider than 64
-    /// bits ([`crate::paired::Pair`]), which simply stay raw.
+    /// bits ([`crate::paired::Pair`]), which do not pack.
     ///
     /// `-0.0` normalizes to `+0.0` so `Ord`-equal values share one key; the
     /// round trip through [`Self::from_key`] is otherwise lossless.

@@ -3,7 +3,7 @@
 //! exactly what a `Vec` model holds, **and** the organization it had before
 //! the fold — piece boundaries, piece count — is untouched. One harness,
 //! one generator; each test builds a concrete strategy, drives it into the
-//! shape the fold must cope with (packed segments, nested replicas, several
+//! shape the fold must cope with (split segments, nested replicas, several
 //! cracks) and hands it to [`check_folds`].
 
 use proptest::prelude::*;
@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use soc_core::validate;
 use soc_core::{
     AdaptiveReplication, AdaptiveSegmentation, AlwaysSplit, ColumnStrategy, CountingTracker,
-    CrackedColumn, EncodingMode, FullySorted, MergePolicy, MergingSegmentation, NonSegmented,
-    NullTracker, ReplicaTree, SegmentEncoding, SegmentedColumn, SizeEstimator, ValueRange,
+    CrackedColumn, FullySorted, MergePolicy, MergingSegmentation, NonSegmented, NullTracker,
+    ReplicaTree, SegmentedColumn, SizeEstimator, ValueRange,
 };
 
 const DOMAIN_HI: u32 = 9_999;
@@ -28,8 +28,8 @@ fn domain() -> ValueRange<u32> {
 fn arb_base() -> impl Strategy<Value = Vec<u32>> {
     prop_oneof![
         proptest::collection::vec(0u32..=DOMAIN_HI, 300..1_200),
-        // Heavy duplicates: what the codecs pack and tombstones must
-        // cancel one occurrence at a time.
+        // Heavy duplicates: tombstones must cancel one occurrence at a
+        // time.
         proptest::collection::vec(0u32..40, 300..1_200)
             .prop_map(|codes| codes.into_iter().map(|c| c * 250).collect()),
     ]
@@ -62,32 +62,15 @@ fn queries() -> Vec<ValueRange<u32>> {
         .collect()
 }
 
-/// What the harness may assume about a strategy's physical shape.
-#[derive(Clone, Copy)]
-struct Shape {
-    /// Every piece is raw, so its bytes are its rows times the width.
-    raw: bool,
-    /// Pieces nest (replication): a value lives in one piece per level.
-    nested: bool,
-}
-
-const RAW: Shape = Shape {
-    raw: true,
-    nested: false,
-};
-const PACKED: Shape = Shape {
-    raw: false,
-    nested: false,
-};
-
 /// Folds `batches` into `strategy` one by one, checking after each that
 /// content equals the model, that no piece boundary moved, that bytes and
 /// ranges still pair up, and that exactly the touched pieces were charged.
+/// `nested` pieces (replication) hold a value once per level.
 fn check_folds(
     strategy: &mut dyn ColumnStrategy<u32>,
     mut model: Vec<u32>,
     batches: &[Batch],
-    shape: Shape,
+    nested: bool,
 ) -> Result<(), TestCaseError> {
     for (k, (ins, picks)) in batches.iter().enumerate() {
         model.sort_unstable();
@@ -133,11 +116,9 @@ fn check_folds(
         prop_assert!(validate::strategy_pieces(strategy).is_ok());
         let bytes = strategy.segment_bytes();
         prop_assert!(strategy.storage_bytes() >= bytes.iter().sum::<u64>());
-        if shape.raw {
-            for (r, b) in strategy.segment_ranges().iter().zip(&bytes) {
-                let rows = model.iter().filter(|v| r.contains(**v)).count() as u64;
-                prop_assert_eq!(*b, rows * 4, "bytes of {:?}", r);
-            }
+        for (r, b) in strategy.segment_ranges().iter().zip(&bytes) {
+            let rows = model.iter().filter(|v| r.contains(**v)).count() as u64;
+            prop_assert_eq!(*b, rows * 4, "bytes of {:?}", r);
         }
 
         // Exactly the pieces owning a folded value are charged, each one
@@ -148,7 +129,7 @@ fn check_folds(
             .filter(|r| inserts.iter().chain(&tombstones).any(|v| r.contains(*v)))
             .count() as u64;
         prop_assert_eq!(stats.segments_scanned, stats.segments_materialized);
-        if shape.nested {
+        if nested {
             prop_assert!(stats.segments_scanned >= touched);
         } else {
             prop_assert_eq!(stats.segments_scanned, touched);
@@ -175,10 +156,9 @@ fn check_stray(strategy: &mut dyn ColumnStrategy<u32>, model: &[u32]) -> Result<
     Ok(())
 }
 
-fn segmentation(values: Vec<u32>, encoding: EncodingMode) -> AdaptiveSegmentation<u32> {
+fn segmentation(values: Vec<u32>) -> AdaptiveSegmentation<u32> {
     let column = SegmentedColumn::new(domain(), values).expect("values in domain");
-    let mut s = AdaptiveSegmentation::new(column, Box::new(AlwaysSplit), SizeEstimator::Uniform)
-        .with_encoding(encoding);
+    let mut s = AdaptiveSegmentation::new(column, Box::new(AlwaysSplit), SizeEstimator::Uniform);
     for q in queries() {
         s.select_count(&q, &mut NullTracker);
     }
@@ -190,34 +170,13 @@ proptest! {
 
     #[test]
     fn segmentation_folds_into_the_owning_segments(base in arb_base(), batches in arb_batches()) {
-        let mut s = segmentation(base.clone(), EncodingMode::Raw);
+        let mut s = segmentation(base.clone());
         prop_assert!(s.segment_count() > 2, "the workload must have split the column");
-        check_folds(&mut s, base.clone(), &batches, RAW)?;
+        check_folds(&mut s, base.clone(), &batches, false)?;
         s.column().validate().map_err(|e| TestCaseError::fail(e.to_string()))?;
         let mut model = s.peek_collect(&domain());
         model.sort_unstable();
         check_stray(&mut s, &model)?;
-    }
-
-    #[test]
-    fn packed_segments_decode_fold_and_stay_raw(base in arb_base(), batches in arb_batches()) {
-        for codec in [SegmentEncoding::Rle, SegmentEncoding::For, SegmentEncoding::Dict] {
-            let mut s = segmentation(base.clone(), EncodingMode::Fixed(codec));
-            prop_assert!(
-                s.column().segments().iter().any(|seg| seg.encoding() == codec),
-                "{codec:?}: the fold must meet a packed segment"
-            );
-            check_folds(&mut s, base.clone(), &batches, PACKED)?;
-            s.column().validate().map_err(|e| TestCaseError::fail(e.to_string()))?;
-            // Touched segments were left raw; the untouched keep their codec
-            // until the next encoding sweep.
-            let folded: Vec<u32> = batches.iter().flat_map(|(ins, _)| ins.clone()).collect();
-            for seg in s.column().segments() {
-                if folded.iter().any(|v| seg.range().contains(*v)) {
-                    prop_assert_eq!(seg.encoding(), SegmentEncoding::Raw);
-                }
-            }
-        }
     }
 
     #[test]
@@ -228,19 +187,18 @@ proptest! {
         for q in queries() {
             s.select_count(&q, &mut NullTracker);
         }
-        check_folds(&mut s, base, &batches, RAW)?;
+        check_folds(&mut s, base, &batches, false)?;
     }
 
     #[test]
     fn baselines_fold_into_their_single_segment(base in arb_base(), batches in arb_batches()) {
         let mut plain = NonSegmented::new(domain(), base.clone());
-        check_folds(&mut plain, base.clone(), &batches, RAW)?;
-        let mut packed = NonSegmented::new(domain(), base.clone())
-            .with_encoding(EncodingMode::Fixed(SegmentEncoding::Dict));
-        check_folds(&mut packed, base.clone(), &batches, PACKED)?;
+        check_folds(&mut plain, base.clone(), &batches, false)?;
+        let model = plain.peek_collect(&domain());
+        check_stray(&mut plain, &model)?;
 
         let mut sorted = FullySorted::new(domain(), base.clone());
-        check_folds(&mut sorted, base.clone(), &batches, RAW)?;
+        check_folds(&mut sorted, base.clone(), &batches, false)?;
         // Still sorted: the binary-search read path stays exact.
         let q = ValueRange::must(2_000, 6_999);
         let mut model = sorted.peek_collect(&domain());
@@ -248,10 +206,6 @@ proptest! {
         model.retain(|v| q.contains(*v));
         prop_assert_eq!(sorted.select_count(&q, &mut NullTracker), model.len() as u64);
         prop_assert_eq!(sorted.peek_collect(&q), model);
-        let mut packed = FullySorted::new(domain(), base.clone())
-            .with_encoding(EncodingMode::Fixed(SegmentEncoding::Rle));
-        check_folds(&mut packed, base.clone(), &batches, PACKED)?;
-        check_stray(&mut packed, &base)?;
     }
 
     #[test]
@@ -263,8 +217,7 @@ proptest! {
             s.select_count(&ValueRange::must(lo, hi), &mut NullTracker);
         }
         prop_assert!(s.tree().depth() >= 3 && s.tree().mat_count() >= 4, "replicas must nest");
-        let nested = Shape { raw: true, nested: true };
-        check_folds(&mut s, base.clone(), &batches, nested)?;
+        check_folds(&mut s, base.clone(), &batches, true)?;
         s.tree().validate().map_err(TestCaseError::fail)?;
         // Every materialized replica — not only the covering leaves — holds
         // exactly the model's values inside its range.
@@ -292,7 +245,7 @@ proptest! {
         }
         prop_assert!(s.cracks() >= 3);
         let boundaries: Vec<u32> = s.boundaries().into_iter().map(|(b, _)| b).collect();
-        check_folds(&mut s, base, &batches, RAW)?;
+        check_folds(&mut s, base, &batches, false)?;
         s.validate().map_err(TestCaseError::fail)?;
         let after: Vec<u32> = s.boundaries().into_iter().map(|(b, _)| b).collect();
         prop_assert_eq!(after, boundaries, "crack boundaries survive the fold");
@@ -309,7 +262,7 @@ proptest! {
 #[test]
 fn an_insert_outside_the_domain_is_refused_and_changes_nothing() {
     let base: Vec<u32> = (0..500u32).map(|i| (i * 37) % 10_000).collect();
-    let mut s = segmentation(base.clone(), EncodingMode::Raw);
+    let mut s = segmentation(base.clone());
     let ranges = s.segment_ranges();
     assert_eq!(
         s.fold_delta(&[5, DOMAIN_HI + 1], &[base[0]], &mut NullTracker),

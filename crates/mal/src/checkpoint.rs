@@ -24,8 +24,7 @@ use std::sync::Arc;
 
 use soc_bat::{algebra::Atom, Bat, Head, Oid, Tail};
 use soc_core::{
-    kernels, EncodingMode, EncodingPolicy, MergePolicy, OrdF64, SegId, SizeEstimator, StrategyKind,
-    StrategySpec, ValueRange,
+    kernels, MergePolicy, OrdF64, SegId, SizeEstimator, StrategyKind, StrategySpec, ValueRange,
 };
 use soc_store::{FixedCodec, SegmentStore, StoreError};
 
@@ -80,7 +79,7 @@ impl From<BpmError> for CheckpointError {
 }
 
 const MANIFEST: &str = "catalog.manifest";
-const MAGIC: &str = "SOCCAT 1";
+const MAGIC: &str = "SOCCAT 2";
 /// Segment-file id of a column's tail values within its store directory.
 const VALUES: SegId = SegId(0);
 /// Segment-file id of a column's head oids within its store directory.
@@ -148,15 +147,8 @@ fn spec_to_text(spec: &StrategySpec) -> String {
     let merge = spec.merge.map_or("-".to_owned(), |m| {
         format!("{},{}", m.small_bytes, m.max_merged_bytes)
     });
-    let encoding = match spec.encoding {
-        EncodingMode::Adaptive(p) => format!(
-            "adaptive:{},{},{}",
-            p.cold_after, p.promote_reads, p.min_flip_gap
-        ),
-        mode => mode.token().to_owned(),
-    };
     format!(
-        "{} {} {} {} {estimator} {budget} {merge} {encoding}",
+        "{} {} {} {} {estimator} {budget} {merge}",
         spec.kind.token(),
         spec.mmin,
         spec.mmax,
@@ -165,7 +157,7 @@ fn spec_to_text(spec: &StrategySpec) -> String {
 }
 
 /// Fields [`spec_to_text`] writes.
-const SPEC_FIELDS: usize = 8;
+const SPEC_FIELDS: usize = 7;
 
 /// Parses `a,b,…` into exactly `N` integers.
 fn parse_list<const N: usize>(s: &str) -> Option<[u64; N]> {
@@ -179,7 +171,7 @@ fn parse_list<const N: usize>(s: &str) -> Option<[u64; N]> {
 
 fn spec_from_fields(fields: &[&str]) -> Result<StrategySpec, CheckpointError> {
     let bad = |what: &str| CheckpointError::Malformed(format!("bad spec {what}: {fields:?}"));
-    let &[kind, mmin, mmax, seed, estimator, budget, merge, encoding] = fields else {
+    let &[kind, mmin, mmax, seed, estimator, budget, merge] = fields else {
         return Err(bad("arity"));
     };
     let kind = StrategyKind::from_token(kind).ok_or_else(|| bad("kind"))?;
@@ -202,22 +194,6 @@ fn spec_from_fields(fields: &[&str]) -> Result<StrategySpec, CheckpointError> {
             "uniform" => SizeEstimator::Uniform,
             "exact" => SizeEstimator::Exact,
             _ => return Err(bad("estimator")),
-        })
-        .with_encoding(match encoding.split_once(':') {
-            Some(("adaptive", policy)) => {
-                let [cold_after, promote_reads, min_flip_gap] =
-                    parse_list(policy).ok_or_else(|| bad("encoding"))?;
-                EncodingMode::Adaptive(EncodingPolicy {
-                    cold_after,
-                    promote_reads,
-                    min_flip_gap,
-                })
-            }
-            Some(_) => return Err(bad("encoding")),
-            None => match EncodingMode::from_token(encoding) {
-                Some(EncodingMode::Adaptive(_)) | None => return Err(bad("encoding")),
-                Some(mode) => mode,
-            },
         });
     if budget != "-" {
         spec = spec.with_storage_budget(budget.parse().map_err(|_| bad("budget"))?);
@@ -782,47 +758,31 @@ mod tests {
 
     #[test]
     fn spec_text_round_trips_every_field() {
-        use soc_core::SegmentEncoding;
-        let policy = EncodingPolicy {
-            cold_after: 5,
-            promote_reads: 7,
-            min_flip_gap: 11,
-        };
-        assert_ne!(policy, EncodingPolicy::default());
-        for encoding in [
-            EncodingMode::Raw,
-            EncodingMode::Fixed(SegmentEncoding::Rle),
-            EncodingMode::Fixed(SegmentEncoding::For),
-            EncodingMode::Fixed(SegmentEncoding::Dict),
-            EncodingMode::Adaptive(policy),
-        ] {
-            let spec = StrategySpec::new(StrategyKind::GdSegmMerged)
-                .with_apm_bounds(1111, 2222)
-                .with_model_seed(33)
-                .with_estimator(SizeEstimator::Exact)
-                .with_storage_budget(9999)
-                .with_merge(MergePolicy::new(10, 100))
-                .with_encoding(encoding);
-            let back = spec_round_trip(&spec).unwrap();
-            assert_eq!(back.kind, spec.kind);
-            assert_eq!(back.mmin, 1111);
-            assert_eq!(back.mmax, 2222);
-            assert_eq!(back.model_seed, 33);
-            assert_eq!(back.storage_budget, Some(9999));
-            assert!(matches!(back.estimator, SizeEstimator::Exact));
-            let m = back.merge.unwrap();
-            assert_eq!((m.small_bytes, m.max_merged_bytes), (10, 100));
-            assert_eq!(back.encoding, encoding);
-        }
+        let spec = StrategySpec::new(StrategyKind::GdSegmMerged)
+            .with_apm_bounds(1111, 2222)
+            .with_model_seed(33)
+            .with_estimator(SizeEstimator::Exact)
+            .with_storage_budget(9999)
+            .with_merge(MergePolicy::new(10, 100));
+        let back = spec_round_trip(&spec).unwrap();
+        assert_eq!(back.kind, spec.kind);
+        assert_eq!(back.mmin, 1111);
+        assert_eq!(back.mmax, 2222);
+        assert_eq!(back.model_seed, 33);
+        assert_eq!(back.storage_budget, Some(9999));
+        assert!(matches!(back.estimator, SizeEstimator::Exact));
+        let m = back.merge.unwrap();
+        assert_eq!((m.small_bytes, m.max_merged_bytes), (10, 100));
     }
 
     #[test]
-    fn encoding_survives_save_and_load() {
-        let dir = tmp("encoding");
+    fn spec_survives_save_and_load() {
+        let dir = tmp("spec");
         let mut c = Catalog::new();
         let spec = StrategySpec::new(StrategyKind::ApmSegm)
             .with_apm_bounds(512, 2048)
-            .with_encoding(EncodingMode::Fixed(soc_core::SegmentEncoding::Rle));
+            .with_model_seed(9)
+            .with_estimator(SizeEstimator::Exact);
         c.register_segmented(
             "sys",
             "T",
@@ -835,16 +795,18 @@ mod tests {
         .unwrap();
         c.save_all(&dir).unwrap();
         let restored = Catalog::load_all(&dir).unwrap();
-        assert_eq!(
-            restored.strategy_spec("sys.T.v").map(|s| s.encoding),
-            Some(spec.encoding)
-        );
+        let back = restored.strategy_spec("sys.T.v").expect("registered");
+        assert_eq!(back.kind, spec.kind);
+        assert_eq!((back.mmin, back.mmax, back.model_seed), (512, 2048, 9));
+        assert!(matches!(back.estimator, SizeEstimator::Exact));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn a_spec_of_the_old_arity_is_a_typed_error() {
-        let fields = ["apm_segm", "3072", "12288", "0", "uniform", "-", "-"];
+        // The 8-field spec of the `SOCCAT 1` manifest, its last field the
+        // dropped encoding.
+        let fields = ["apm_segm", "3072", "12288", "0", "uniform", "-", "-", "raw"];
         assert!(matches!(
             spec_from_fields(&fields),
             Err(CheckpointError::Malformed(_))
@@ -863,6 +825,20 @@ mod tests {
         assert!(matches!(
             Catalog::load_all(&dir),
             Err(CheckpointError::Malformed(_))
+        ));
+        // A whole manifest written under the old magic line is refused
+        // before any line is parsed.
+        std::fs::write(
+            dir.join(MANIFEST),
+            format!(
+                "SOCCAT 1\nsegmented sys.T.v int 0 0 4636737291354636288 0 {}\n",
+                fields.join(" ")
+            ),
+        )
+        .unwrap();
+        assert!(matches!(
+            Catalog::load_all(&dir),
+            Err(CheckpointError::Malformed(m)) if m == "bad magic line"
         ));
         std::fs::remove_dir_all(&dir).ok();
     }

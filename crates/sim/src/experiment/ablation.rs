@@ -579,73 +579,6 @@ pub fn sql_strategy_ablation(cfg: &SimConfig) -> TableOut {
     }
 }
 
-/// The SkyServer-style compression ablation: the same skewed two-hot-areas
-/// workload over a low-cardinality column, once per encoding mode — raw,
-/// each fixed codec, and the self-organizing adaptive policy. The table
-/// shows what the tentpole claims: adaptive matches raw's read cost (hot
-/// segments stay raw; cold packed segments scan *fewer* bytes in the
-/// compressed domain) while approaching the best static codec's footprint.
-pub fn compress_ablation(cfg: &SimConfig) -> TableOut {
-    use soc_core::EncodingMode;
-
-    let domain = ValueRange::must(0u32, cfg.domain_hi);
-    // Zipf-dense, quantized to a 16-wide grid: low cardinality inside the
-    // hot buckets (dictionary/RLE territory), narrow per-segment ranges
-    // after splitting (FOR territory) — the shape survey columns have.
-    let mut values = zipf_values::<u32>(cfg.column_len, &domain, 1.1, 64, cfg.data_seed);
-    for v in &mut values {
-        *v -= *v % 16;
-    }
-    let queries =
-        WorkloadSpec::skewed_two_areas(0.01, cfg.query_count, cfg.query_seed).generate(&domain);
-
-    let mut rows = Vec::new();
-    let mut raw_storage_kb = 0.0f64;
-    for token in ["raw", "rle", "for", "dict", "adaptive"] {
-        let mode = EncodingMode::from_token(token).expect("known encoding token");
-        let mut strategy = StrategySpec::new(StrategyKind::ApmSegm)
-            .with_apm_bounds(cfg.mmin, cfg.mmax)
-            .with_model_seed(cfg.model_seed)
-            .with_encoding(mode)
-            .build(domain, values.clone())
-            .expect("values lie in domain");
-        let mut tracker = SimTracker::unbuffered();
-        let r = run_queries(
-            strategy.as_mut(),
-            &queries,
-            &mut tracker,
-            &CostModel::era_2008_desktop(),
-        );
-        let storage_kb = strategy.storage_bytes() as f64 / 1024.0;
-        if token == "raw" {
-            raw_storage_kb = storage_kb;
-        }
-        rows.push(vec![
-            token.to_owned(),
-            format!("{:.1}", r.avg_read_kb()),
-            format!("{}", r.totals.mem_write_bytes / 1024),
-            format!("{storage_kb:.1}"),
-            format!("{:.0}", storage_kb / raw_storage_kb.max(1e-9) * 100.0),
-            r.final_segment_bytes.len().to_string(),
-        ]);
-    }
-    TableOut {
-        id: "abl-compress".to_owned(),
-        title: "Ablation: per-segment encoding on the skewed survey workload \
-                (raw vs fixed codecs vs adaptive)"
-            .to_owned(),
-        headers: vec![
-            "Encoding".to_owned(),
-            "Avg read (KB)".to_owned(),
-            "Total writes (KB)".to_owned(),
-            "Final storage (KB)".to_owned(),
-            "vs raw (%)".to_owned(),
-            "Segments".to_owned(),
-        ],
-        rows,
-    }
-}
-
 /// Upper bound on queries the SQL ablation interprets per strategy kind:
 /// MAL interpretation materializes intermediates per query, so the full
 /// 10k-query simulation workload would dominate the repro run for no
@@ -829,29 +762,6 @@ mod tests {
         assert!(
             apm < nosegm,
             "APM footprint {apm} must undercut NoSegm {nosegm}"
-        );
-    }
-
-    #[test]
-    fn compress_ablation_adaptive_shrinks_storage_without_changing_reads() {
-        let t = compress_ablation(&SimConfig::tiny());
-        assert_eq!(t.rows.len(), 5, "raw + three codecs + adaptive");
-        assert_eq!(t.rows[0][0], "raw");
-        assert_eq!(t.rows[4][0], "adaptive");
-        let storage = |i: usize| -> f64 { t.rows[i][3].parse().unwrap() };
-        // The data is quantized and zipf-skewed, so the adaptive policy must
-        // find something to pack: final storage strictly under raw.
-        assert!(
-            storage(4) < storage(0),
-            "adaptive storage {} must undercut raw {}",
-            storage(4),
-            storage(0)
-        );
-        // The relative column is consistent with the absolute ones.
-        let pct: f64 = t.rows[4][4].parse().unwrap();
-        assert!(
-            pct < 100.0,
-            "adaptive vs-raw percentage {pct} must be < 100"
         );
     }
 

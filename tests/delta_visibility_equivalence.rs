@@ -1,7 +1,7 @@
 //! Property: delta visibility is exact. A compiled SQL select over
 //! pending insert/update/delete deltas answers exactly the logical column
-//! the deltas describe — for all nine strategy kinds under every encoding
-//! mode, before and after the catalog merge folds the deltas into the
+//! the deltas describe — for all nine strategy kinds, before and after the
+//! catalog merge folds the deltas into the
 //! pieces, which then hold exactly those rows — and concurrent readers
 //! racing the epoch writer's fold steps may only ever observe exact prefix
 //! states, never a torn one.
@@ -12,22 +12,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use socdb::adaptive::{
-    CompactionPolicy, DeltaBatch, DeltaOp, EncodingMode, EncodingPolicy, SegmentEncoding,
-};
+use socdb::adaptive::{CompactionPolicy, DeltaBatch, DeltaOp};
 use socdb::bat::{Atom, Bat, Tail};
 use socdb::mal::{compile_select, Catalog, Interp, SegmentOptimizer};
 use socdb::prelude::*;
-
-fn all_modes() -> [EncodingMode; 5] {
-    [
-        EncodingMode::Raw,
-        EncodingMode::Fixed(SegmentEncoding::Rle),
-        EncodingMode::Fixed(SegmentEncoding::For),
-        EncodingMode::Fixed(SegmentEncoding::Dict),
-        EncodingMode::Adaptive(EncodingPolicy::eager(4)),
-    ]
-}
 
 const DOMAIN_HI: i64 = 999;
 const ID_BASE: i64 = 10_000;
@@ -57,13 +45,13 @@ fn packed_rows(packed: &Bat) -> Result<BTreeMap<u64, i64>, TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Across the full kind × encoding matrix the compiled plan, which
+    /// For every strategy kind the compiled plan, which
     /// merges the pending deltas with `sql.subdelta`/`sql.projectdelta`,
     /// names exactly the model's rows; the answers survive `merge_deltas`
     /// unchanged, the merge keeps every piece, and the merged column holds
     /// exactly the model's `(oid, value)` rows.
     #[test]
-    fn figure1_merge_equals_the_model_for_every_kind_and_encoding(
+    fn figure1_merge_equals_the_model_for_every_kind(
         base in vec(0i64..=DOMAIN_HI, 20..100),
         inserts in vec(0i64..=DOMAIN_HI, 0..6),
         updates in vec((0usize..10_000, 0i64..=DOMAIN_HI), 0..6),
@@ -101,99 +89,96 @@ proptest! {
             == (visible.values().min(), visible.values().max());
 
         for kind in StrategyKind::ALL {
-            for mode in all_modes() {
-                let spec = StrategySpec::new(kind)
-                    .with_apm_bounds(128, 512)
-                    .with_model_seed(seed)
-                    .with_encoding(mode);
-                let mut catalog = Catalog::new();
-                catalog.set_delta_merge_threshold(0); // deltas stay pending
-                catalog
-                    .register_segmented(
-                        "sys", "T", "v",
-                        Bat::dense_int(base.clone()),
-                        0.0, (DOMAIN_HI + 1) as f64,
-                        spec,
-                    )
-                    .map_err(|e| TestCaseError::fail(format!("{kind:?}/{mode:?}: {e}")))?;
-                catalog.register_bat(
-                    "sys", "T", "id",
-                    Bat::dense_int((0..base_len as i64).map(|i| ID_BASE + i).collect()),
-                );
-                for (i, v) in inserts.iter().enumerate() {
-                    catalog.insert_row(
-                        "sys", "T",
-                        &[
-                            ("v", Atom::Int(*v)),
-                            ("id", Atom::Int(ID_BASE + base_len as i64 + i as i64)),
-                        ],
-                    );
-                }
-                for (&oid, &v) in &updated {
-                    catalog.update_value("sys", "T", "v", oid, Atom::Int(v));
-                }
-                for &oid in &deleted {
-                    catalog.delete_row("sys", "T", oid);
-                }
-
-                let plan = compile_select("SELECT id FROM sys.T WHERE v BETWEEN ? AND ?")
-                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
-                let optimizer = SegmentOptimizer::new();
-
-                // Answers are checked pending (overlay) and after the merge
-                // (base only) — same reads, two states.
-                for phase in ["pending", "merged"] {
-                    for (a, b) in &raw_queries {
-                        let (lo, hi) = (*a.min(b), *a.max(b));
-                        let expected_oids: BTreeSet<u64> = visible
-                            .iter()
-                            .filter(|(_, v)| (lo..=hi).contains(*v))
-                            .map(|(&oid, _)| oid)
-                            .collect();
-
-                        let (optimized, _) = optimizer.optimize(&plan, &catalog);
-                        let merged = Interp::new(&mut catalog)
-                            .run(&optimized, &[Atom::Int(lo), Atom::Int(hi)])
-                            .map_err(|e| {
-                                TestCaseError::fail(format!("{kind:?}/{mode:?}/{phase}: {e}"))
-                            })?
-                            .ok_or_else(|| TestCaseError::fail("plan exported no result"))?;
-                        prop_assert_eq!(
-                            &figure1_oids(&merged)?, &expected_oids,
-                            "{:?}/{:?}/{}: Figure-1 merge diverged on [{}, {}]",
-                            kind, mode, phase, lo, hi
-                        );
-                    }
-                    if phase == "pending" {
-                        let seg = catalog.segmented("sys.T.v").expect("still registered");
-                        let spans = seg.piece_spans();
-                        catalog.merge_deltas("sys", "T").map_err(|e| {
-                            TestCaseError::fail(format!("{kind:?}/{mode:?}: {e}"))
-                        })?;
-                        prop_assert_eq!(catalog.pending_rows("sys", "T"), 0);
-                        // Cracking reports its edge pieces clipped to the
-                        // data's min and max, so its spans hold still only
-                        // when the merge moves neither.
-                        if kind != StrategyKind::Cracking || edges_kept {
-                            let seg = catalog.segmented("sys.T.v").expect("still registered");
-                            prop_assert_eq!(
-                                seg.piece_spans(), spans,
-                                "{:?}/{:?}: the merge moved a piece", kind, mode
-                            );
-                        }
-                    }
-                }
-                let seg = catalog.segmented("sys.T.v").expect("still registered");
-                seg.validate()
-                    .map_err(|e| TestCaseError::fail(format!("{kind:?}/{mode:?}: {e}")))?;
-                let packed = seg
-                    .pack()
-                    .map_err(|e| TestCaseError::fail(format!("{kind:?}/{mode:?}: {e}")))?;
-                prop_assert_eq!(
-                    &packed_rows(&packed)?, &visible,
-                    "{:?}/{:?}: the merged column is not the model", kind, mode
+            let spec = StrategySpec::new(kind)
+                .with_apm_bounds(128, 512)
+                .with_model_seed(seed);
+            let mut catalog = Catalog::new();
+            catalog.set_delta_merge_threshold(0); // deltas stay pending
+            catalog
+                .register_segmented(
+                    "sys", "T", "v",
+                    Bat::dense_int(base.clone()),
+                    0.0, (DOMAIN_HI + 1) as f64,
+                    spec,
+                )
+                .map_err(|e| TestCaseError::fail(format!("{kind:?}: {e}")))?;
+            catalog.register_bat(
+                "sys", "T", "id",
+                Bat::dense_int((0..base_len as i64).map(|i| ID_BASE + i).collect()),
+            );
+            for (i, v) in inserts.iter().enumerate() {
+                catalog.insert_row(
+                    "sys", "T",
+                    &[
+                        ("v", Atom::Int(*v)),
+                        ("id", Atom::Int(ID_BASE + base_len as i64 + i as i64)),
+                    ],
                 );
             }
+            for (&oid, &v) in &updated {
+                catalog.update_value("sys", "T", "v", oid, Atom::Int(v));
+            }
+            for &oid in &deleted {
+                catalog.delete_row("sys", "T", oid);
+            }
+
+            let plan = compile_select("SELECT id FROM sys.T WHERE v BETWEEN ? AND ?")
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let optimizer = SegmentOptimizer::new();
+
+            // Answers are checked pending (overlay) and after the merge
+            // (base only) — same reads, two states.
+            for phase in ["pending", "merged"] {
+                for (a, b) in &raw_queries {
+                    let (lo, hi) = (*a.min(b), *a.max(b));
+                    let expected_oids: BTreeSet<u64> = visible
+                        .iter()
+                        .filter(|(_, v)| (lo..=hi).contains(*v))
+                        .map(|(&oid, _)| oid)
+                        .collect();
+
+                    let (optimized, _) = optimizer.optimize(&plan, &catalog);
+                    let merged = Interp::new(&mut catalog)
+                        .run(&optimized, &[Atom::Int(lo), Atom::Int(hi)])
+                        .map_err(|e| {
+                            TestCaseError::fail(format!("{kind:?}/{phase}: {e}"))
+                        })?
+                        .ok_or_else(|| TestCaseError::fail("plan exported no result"))?;
+                    prop_assert_eq!(
+                        &figure1_oids(&merged)?, &expected_oids,
+                        "{:?}/{}: Figure-1 merge diverged on [{}, {}]",
+                        kind, phase, lo, hi
+                    );
+                }
+                if phase == "pending" {
+                    let seg = catalog.segmented("sys.T.v").expect("still registered");
+                    let spans = seg.piece_spans();
+                    catalog.merge_deltas("sys", "T").map_err(|e| {
+                        TestCaseError::fail(format!("{kind:?}: {e}"))
+                    })?;
+                    prop_assert_eq!(catalog.pending_rows("sys", "T"), 0);
+                    // Cracking reports its edge pieces clipped to the
+                    // data's min and max, so its spans hold still only
+                    // when the merge moves neither.
+                    if kind != StrategyKind::Cracking || edges_kept {
+                        let seg = catalog.segmented("sys.T.v").expect("still registered");
+                        prop_assert_eq!(
+                            seg.piece_spans(), spans,
+                            "{:?}: the merge moved a piece", kind
+                        );
+                    }
+                }
+            }
+            let seg = catalog.segmented("sys.T.v").expect("still registered");
+            seg.validate()
+                .map_err(|e| TestCaseError::fail(format!("{kind:?}: {e}")))?;
+            let packed = seg
+                .pack()
+                .map_err(|e| TestCaseError::fail(format!("{kind:?}: {e}")))?;
+            prop_assert_eq!(
+                &packed_rows(&packed)?, &visible,
+                "{:?}: the merged column is not the model", kind
+            );
         }
     }
 }
@@ -204,9 +189,9 @@ proptest! {
     /// Readers racing the epoch writer's incremental fold steps never
     /// see a torn answer: every observed count is the exact answer of
     /// some applied-batch prefix, and once the writer drains, reads are
-    /// the exact final multiset — for every strategy kind under the
-    /// adaptive codec, with a fold step small enough that compaction is
-    /// still running while the readers probe.
+    /// the exact final multiset — for every strategy kind, with a fold
+    /// step small enough that compaction is still running while the
+    /// readers probe.
     #[test]
     fn racing_readers_observe_only_exact_prefix_states_during_compaction(
         base in vec(0u32..=999, 40..120),
@@ -250,8 +235,7 @@ proptest! {
         for kind in StrategyKind::ALL {
             let spec = StrategySpec::new(kind)
                 .with_apm_bounds(64, 256)
-                .with_model_seed(seed)
-                .with_encoding(EncodingMode::Adaptive(EncodingPolicy::eager(4)));
+                .with_model_seed(seed);
             // Aggressive policy: folds start almost immediately and move
             // eight rows per step, so readers overlap live fold activity.
             let policy = CompactionPolicy::new(16, 8, 8);

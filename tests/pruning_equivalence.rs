@@ -1,40 +1,33 @@
 //! Property: zone-map pruning is invisible in every answer. The pruned
 //! snapshot read path — count, canonical collect, fused sum and min/max
 //! — must return exactly what the naive filter over the logical column
-//! returns, for **all nine strategy kinds under every encoding mode**,
-//! and the SQL path must keep doing so with pending insert/update/delete
-//! deltas stacked on top. Pruning may only change *what is charged to
-//! the tracker*, never what is answered.
+//! returns, for **all nine strategy kinds**, and the SQL path must keep
+//! doing so with pending insert/update/delete deltas stacked on top.
+//! Pruning may only change *what is charged to the tracker*, never what is
+//! answered.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use socdb::adaptive::{EncodingMode, EncodingPolicy, SegmentEncoding};
 use socdb::bat::{Atom, Bat, Tail};
 use socdb::mal::{compile_select, Catalog, Interp, SegmentOptimizer};
 use socdb::prelude::*;
 
-fn all_modes() -> [EncodingMode; 5] {
-    [
-        EncodingMode::Raw,
-        EncodingMode::Fixed(SegmentEncoding::Rle),
-        EncodingMode::Fixed(SegmentEncoding::For),
-        EncodingMode::Fixed(SegmentEncoding::Dict),
-        EncodingMode::Adaptive(EncodingPolicy::eager(4)),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Pruned snapshot reads == the naive filter, across the full
-    /// kind × encoding matrix. The sum comparison is on raw bits: the
-    /// values are small integers, so every partial sum is exact and the
-    /// synopsis-carried piece sums must reproduce the fold exactly.
+    /// Pruned snapshot reads == the naive filter, for every strategy kind.
+    /// The sum comparison is on raw bits: the values are small integers,
+    /// so every partial sum is exact and the synopsis-carried piece sums
+    /// must reproduce the fold exactly. The same queries also drive a bare
+    /// strategy of each kind, whose per-piece footprints must be the
+    /// stored bytes: they add up to the column's footprint (a replica
+    /// tree's covering set to less, while nested replicas occupy storage
+    /// too).
     #[test]
-    fn snapshot_pruned_reads_equal_naive_for_every_kind_and_encoding(
+    fn snapshot_pruned_reads_equal_naive_for_every_kind(
         values in vec(0u32..=999, 50..400),
         raw_queries in vec((0u32..=999, 0u32..=999), 1..6),
         seed in any::<u64>(),
@@ -45,45 +38,54 @@ proptest! {
             .map(|(a, b)| ValueRange::must(*a.min(b), *a.max(b)))
             .collect();
         for kind in StrategyKind::ALL {
-            for mode in all_modes() {
-                let spec = StrategySpec::new(kind)
-                    .with_apm_bounds(64, 256)
-                    .with_model_seed(seed)
-                    .with_encoding(mode);
-                let column = ConcurrentColumn::from_spec(&spec, domain, values.clone())
-                    .map_err(|e| TestCaseError::fail(format!("{kind:?}/{mode:?}: {e}")))?;
-                // Warm: every query reorganizes (and re-encodes) once, so
-                // the audited snapshot carries a converged organization.
-                for q in &queries {
-                    let _ = column.select_count(q, &mut NullTracker);
-                }
-                column.quiesce();
-                let snap = column.snapshot();
-                for q in &queries {
-                    let mut hits: Vec<u32> =
-                        values.iter().copied().filter(|v| q.contains(*v)).collect();
-                    hits.sort_unstable();
-                    prop_assert_eq!(
-                        snap.select_count(q, &mut NullTracker),
-                        hits.len() as u64,
-                        "{:?}/{:?} count diverged on {:?}", kind, mode, q
-                    );
-                    prop_assert_eq!(
-                        &snap.select_collect(q, &mut NullTracker), &hits,
-                        "{:?}/{:?} collect diverged on {:?}", kind, mode, q
-                    );
-                    let naive_sum: f64 = hits.iter().map(|&v| f64::from(v)).sum();
-                    prop_assert_eq!(
-                        snap.select_sum(q, &mut NullTracker).to_bits(),
-                        naive_sum.to_bits(),
-                        "{:?}/{:?} sum diverged on {:?}", kind, mode, q
-                    );
-                    let naive_mm = hits.first().copied().zip(hits.last().copied());
-                    prop_assert_eq!(
-                        snap.select_min_max(q, &mut NullTracker), naive_mm,
-                        "{:?}/{:?} min/max diverged on {:?}", kind, mode, q
-                    );
-                }
+            let spec = StrategySpec::new(kind)
+                .with_apm_bounds(64, 256)
+                .with_model_seed(seed);
+            let column = ConcurrentColumn::from_spec(&spec, domain, values.clone())
+                .map_err(|e| TestCaseError::fail(format!("{kind:?}: {e}")))?;
+            let mut strategy = spec
+                .build(domain, values.clone())
+                .map_err(|e| TestCaseError::fail(format!("{kind:?}: {e}")))?;
+            // Warm: every query reorganizes once, so the audited snapshot
+            // carries a converged organization.
+            for q in &queries {
+                let _ = column.select_count(q, &mut NullTracker);
+                let _ = strategy.select_count(q, &mut NullTracker);
+            }
+            let pieces: u64 = strategy.segment_bytes().iter().sum();
+            let replicating = matches!(kind, StrategyKind::GdRepl | StrategyKind::ApmRepl);
+            prop_assert!(
+                pieces == strategy.storage_bytes()
+                    || replicating && pieces < strategy.storage_bytes(),
+                "{:?}: segment_bytes sum to {}, storage_bytes is {}",
+                kind, pieces, strategy.storage_bytes()
+            );
+            column.quiesce();
+            let snap = column.snapshot();
+            for q in &queries {
+                let mut hits: Vec<u32> =
+                    values.iter().copied().filter(|v| q.contains(*v)).collect();
+                hits.sort_unstable();
+                prop_assert_eq!(
+                    snap.select_count(q, &mut NullTracker),
+                    hits.len() as u64,
+                    "{:?} count diverged on {:?}", kind, q
+                );
+                prop_assert_eq!(
+                    &snap.select_collect(q, &mut NullTracker), &hits,
+                    "{:?} collect diverged on {:?}", kind, q
+                );
+                let naive_sum: f64 = hits.iter().map(|&v| f64::from(v)).sum();
+                prop_assert_eq!(
+                    snap.select_sum(q, &mut NullTracker).to_bits(),
+                    naive_sum.to_bits(),
+                    "{:?} sum diverged on {:?}", kind, q
+                );
+                let naive_mm = hits.first().copied().zip(hits.last().copied());
+                prop_assert_eq!(
+                    snap.select_min_max(q, &mut NullTracker), naive_mm,
+                    "{:?} min/max diverged on {:?}", kind, q
+                );
             }
         }
     }
@@ -103,13 +105,12 @@ fn result_oids(result: &Bat) -> Result<BTreeSet<u64>, TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The full MAL stack with pending deltas, across kind × encoding:
-    /// pruned segment reads under any codec must not leak into the delta
-    /// algebra. Mirrors `sql_strategy_equivalence` with the encoding
-    /// axis added, and re-validates the column (synopsis consistency
-    /// included) after the queries.
+    /// The full MAL stack with pending deltas, for every kind: pruned
+    /// segment reads must not leak into the delta algebra. Mirrors
+    /// `sql_strategy_equivalence` and re-validates the column (synopsis
+    /// consistency included) after the queries.
     #[test]
-    fn sql_answers_with_pending_deltas_survive_pruned_encodings(
+    fn sql_answers_with_pending_deltas_survive_pruning(
         base in vec(0i64..=DOMAIN_HI, 20..120),
         inserts in vec(0i64..=DOMAIN_HI, 0..5),
         updates in vec((0usize..10_000, 0i64..=DOMAIN_HI), 0..5),
@@ -129,90 +130,87 @@ proptest! {
             .collect();
 
         for kind in StrategyKind::ALL {
-            for mode in all_modes() {
-                let spec = StrategySpec::new(kind)
-                    .with_apm_bounds(128, 512)
-                    .with_model_seed(seed)
-                    .with_encoding(mode);
-                let mut catalog = Catalog::new();
-                catalog
-                    .register_segmented(
-                        "sys", "T", "v",
-                        Bat::dense_int(base.clone()),
-                        0.0, (DOMAIN_HI + 1) as f64,
-                        spec,
-                    )
-                    .map_err(|e| TestCaseError::fail(format!("{kind:?}/{mode:?}: {e}")))?;
-                catalog.register_bat(
-                    "sys", "T", "id",
-                    Bat::dense_int((0..base_len as i64).map(|i| ID_BASE + i).collect()),
+            let spec = StrategySpec::new(kind)
+                .with_apm_bounds(128, 512)
+                .with_model_seed(seed);
+            let mut catalog = Catalog::new();
+            catalog
+                .register_segmented(
+                    "sys", "T", "v",
+                    Bat::dense_int(base.clone()),
+                    0.0, (DOMAIN_HI + 1) as f64,
+                    spec,
+                )
+                .map_err(|e| TestCaseError::fail(format!("{kind:?}: {e}")))?;
+            catalog.register_bat(
+                "sys", "T", "id",
+                Bat::dense_int((0..base_len as i64).map(|i| ID_BASE + i).collect()),
+            );
+            for (i, v) in inserts.iter().enumerate() {
+                let oid = catalog.insert_row(
+                    "sys", "T",
+                    &[
+                        ("v", Atom::Int(*v)),
+                        ("id", Atom::Int(ID_BASE + base_len as i64 + i as i64)),
+                    ],
                 );
-                for (i, v) in inserts.iter().enumerate() {
-                    let oid = catalog.insert_row(
-                        "sys", "T",
-                        &[
-                            ("v", Atom::Int(*v)),
-                            ("id", Atom::Int(ID_BASE + base_len as i64 + i as i64)),
-                        ],
-                    );
-                    prop_assert_eq!(oid, base_len + i as u64);
-                }
-                for (&oid, &v) in &updated {
-                    catalog.update_value("sys", "T", "v", oid, Atom::Int(v));
-                }
-                for &oid in &deleted {
-                    catalog.delete_row("sys", "T", oid);
-                }
-
-                let plan = compile_select("SELECT id FROM sys.T WHERE v BETWEEN ? AND ?")
-                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
-                let optimizer = SegmentOptimizer::new();
-                for (a, b) in &raw_queries {
-                    let (lo, hi) = (*a.min(b), *a.max(b));
-                    let q = ValueRange::must(lo, hi);
-
-                    // Expected: naive base filter, minus re-valued and
-                    // deleted rows, plus qualifying updates and inserts.
-                    let mut expected: BTreeSet<u64> = base
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, v)| {
-                            let oid = *i as u64;
-                            q.contains(**v)
-                                && !updated.contains_key(&oid)
-                                && !deleted.contains(&oid)
-                        })
-                        .map(|(i, _)| i as u64)
-                        .collect();
-                    for (&oid, &v) in &updated {
-                        if q.contains(v) && !deleted.contains(&oid) {
-                            expected.insert(oid);
-                        }
-                    }
-                    for (i, v) in inserts.iter().enumerate() {
-                        let oid = base_len + i as u64;
-                        if q.contains(*v) && !deleted.contains(&oid) {
-                            expected.insert(oid);
-                        }
-                    }
-
-                    let (optimized, _) = optimizer.optimize(&plan, &catalog);
-                    let result = Interp::new(&mut catalog)
-                        .run(&optimized, &[Atom::Int(lo), Atom::Int(hi)])
-                        .map_err(|e| TestCaseError::fail(format!("{kind:?}/{mode:?}: {e}")))?
-                        .ok_or_else(|| TestCaseError::fail("plan exported no result"))?;
-                    let got = result_oids(&result)?;
-                    prop_assert_eq!(
-                        &got, &expected,
-                        "{:?}/{:?}: SQL with deltas diverged on [{}, {}]", kind, mode, lo, hi
-                    );
-                }
-                catalog
-                    .segmented("sys.T.v")
-                    .expect("still registered")
-                    .validate()
-                    .map_err(|e| TestCaseError::fail(format!("{kind:?}/{mode:?}: {e}")))?;
+                prop_assert_eq!(oid, base_len + i as u64);
             }
+            for (&oid, &v) in &updated {
+                catalog.update_value("sys", "T", "v", oid, Atom::Int(v));
+            }
+            for &oid in &deleted {
+                catalog.delete_row("sys", "T", oid);
+            }
+
+            let plan = compile_select("SELECT id FROM sys.T WHERE v BETWEEN ? AND ?")
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let optimizer = SegmentOptimizer::new();
+            for (a, b) in &raw_queries {
+                let (lo, hi) = (*a.min(b), *a.max(b));
+                let q = ValueRange::must(lo, hi);
+
+                // Expected: naive base filter, minus re-valued and
+                // deleted rows, plus qualifying updates and inserts.
+                let mut expected: BTreeSet<u64> = base
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, v)| {
+                        let oid = *i as u64;
+                        q.contains(**v)
+                            && !updated.contains_key(&oid)
+                            && !deleted.contains(&oid)
+                    })
+                    .map(|(i, _)| i as u64)
+                    .collect();
+                for (&oid, &v) in &updated {
+                    if q.contains(v) && !deleted.contains(&oid) {
+                        expected.insert(oid);
+                    }
+                }
+                for (i, v) in inserts.iter().enumerate() {
+                    let oid = base_len + i as u64;
+                    if q.contains(*v) && !deleted.contains(&oid) {
+                        expected.insert(oid);
+                    }
+                }
+
+                let (optimized, _) = optimizer.optimize(&plan, &catalog);
+                let result = Interp::new(&mut catalog)
+                    .run(&optimized, &[Atom::Int(lo), Atom::Int(hi)])
+                    .map_err(|e| TestCaseError::fail(format!("{kind:?}: {e}")))?
+                    .ok_or_else(|| TestCaseError::fail("plan exported no result"))?;
+                let got = result_oids(&result)?;
+                prop_assert_eq!(
+                    &got, &expected,
+                    "{:?}: SQL with deltas diverged on [{}, {}]", kind, lo, hi
+                );
+            }
+            catalog
+                .segmented("sys.T.v")
+                .expect("still registered")
+                .validate()
+                .map_err(|e| TestCaseError::fail(format!("{kind:?}: {e}")))?;
         }
     }
 }

@@ -15,7 +15,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use socdb::adaptive::validate;
-use socdb::adaptive::{DeltaRun, EncodedPayload, PiecePayload, SegId, Violation};
+use socdb::adaptive::{DeltaRun, EncodedPayload, SegId, Violation};
 use socdb::prelude::*;
 
 const DOMAIN_HI: u32 = 9_999;
@@ -176,12 +176,10 @@ proptest! {
     ) {
         let range = ValueRange::must(lo, lo + span);
         let mut values: Vec<u32> = (0..20).map(|i| lo + (i * 37) % span).collect();
-        let good = PiecePayload::Raw(values.clone());
-        prop_assert!(validate::payload(&range, &good).is_ok());
+        prop_assert!(validate::payload(&range, &values).is_ok());
 
         values[stray % 20] = lo + span + 1;
-        let bad = PiecePayload::Raw(values);
-        prop_assert!(matches!(validate::payload(&range, &bad), Err(Violation::OutOfRange { .. })), "expected an OutOfRange violation");
+        prop_assert!(matches!(validate::payload(&range, &values), Err(Violation::OutOfRange { .. })), "expected an OutOfRange violation");
     }
 
     #[test]
@@ -194,8 +192,7 @@ proptest! {
         prop_assert!(validate::synopsis_consistent(Some(&good), &values).is_ok());
 
         // One corruption per class: every synopsis axis is exact (the
-        // sum up to a relative epsilon far below an off-by-one), so any
-        // injected drift must be caught.
+        // sum to the bit), so any injected drift must be caught.
         let bad = match class {
             0 => PieceSynopsis::new(good.min() + bump, good.max(), good.count(), good.sum()),
             1 => PieceSynopsis::new(good.min(), good.max() + bump, good.count(), good.sum()),
