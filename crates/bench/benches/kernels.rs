@@ -118,7 +118,10 @@ fn bench_scan_kernels(c: &mut Criterion) {
 }
 
 /// The masked one-pass sum (`kernels::sum_range`, the specification the
-/// served sums reproduce) vs collect-then-fold.
+/// served sums reproduce) vs collect-then-fold, and the served sum itself:
+/// `kernels::sum_sorted_run` over the same query's run of the sorted column
+/// — an exact integer sum per chunk on `u32`, the `f64` add chain on the
+/// `ra` column's `OrdF64`. Throughput counts the whole column for all four.
 fn bench_aggregate_kernels(c: &mut Criterion) {
     const N: usize = 1_000_000;
     let values = uniform_values(N, &domain(), 7);
@@ -136,6 +139,22 @@ fn bench_aggregate_kernels(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("sum_fused", N), |b| {
         b.iter(|| black_box(kernels::sum_range(&values, &q)))
+    });
+
+    let mut sorted = values;
+    sorted.sort_unstable();
+    let (start, end) = kernels::sorted_run(&sorted, &q);
+    group.bench_function(BenchmarkId::new("sum_sorted_run_u32", N), |b| {
+        b.iter(|| black_box(kernels::sum_sorted_run(&sorted, start, end)))
+    });
+
+    let mut ra = skyserver_ra(N, 7);
+    ra.sort_unstable();
+    let sky = skyserver_domain();
+    let at = |f: f64| OrdF64::from_f64(sky.lo().to_f64() + f * sky.width());
+    let (start, end) = kernels::sorted_run(&ra, &ValueRange::must(at(0.2), at(0.6)));
+    group.bench_function(BenchmarkId::new("sum_sorted_run_f64", N), |b| {
+        b.iter(|| black_box(kernels::sum_sorted_run(&ra, start, end)))
     });
     group.finish();
 }

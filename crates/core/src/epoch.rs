@@ -32,9 +32,13 @@
 //! disjoint pieces charge [`AccessTracker::skip`] (zero scan bytes, with
 //! the pruned cost still reconstructible as `read + pruned`), covered
 //! pieces answer counts and sums O(1) from the stored aggregates, and only
-//! straddling pieces scan — one binary search each, the pieces being
-//! sorted. All four reads are folds over one private walk, so they charge
-//! the same events in the same order: pieces by value, then the delta run.
+//! straddling pieces scan — the pieces being sorted, a binary search for
+//! each end of the qualifying run the zone map leaves open (a query that
+//! reaches the piece's minimum or maximum settles that end for free),
+//! and a collect copies every qualifying slice once into a result sized
+//! for all of them. All four reads are folds over one private walk, so
+//! they charge the same events in the same order: pieces by value, then
+//! the delta run.
 //!
 //! Pending writes overlay the base as **one** immutable sorted
 //! [`DeltaRun`] (see [`crate::delta`]) the writer coalesces every arriving
@@ -175,6 +179,23 @@ struct Hit<'a, V> {
 impl<'a, V: ColumnValue> Hit<'a, V> {
     fn of(sorted: &'a [V], q: &ValueRange<V>) -> Self {
         let (start, end) = kernels::sorted_run(sorted, q);
+        Hit { sorted, start, end }
+    }
+
+    /// The run of a piece `q` straddles: [`Self::of`], minus the search
+    /// the piece's zone map settles. A query reaching down to the piece's
+    /// minimum starts the run at 0 and one reaching up to its maximum ends
+    /// it at the end, so only the other end is binary-searched; a query
+    /// inside the piece searches both ends, independently (see
+    /// [`kernels::sorted_run`]).
+    fn of_straddled(sorted: &'a [V], q: &ValueRange<V>, synopsis: &PieceSynopsis<V>) -> Self {
+        let (start, end) = if q.lo() <= synopsis.min() {
+            (0, sorted.partition_point(|x| *x <= q.hi()))
+        } else if synopsis.max() <= q.hi() {
+            (sorted.partition_point(|x| *x < q.lo()), sorted.len())
+        } else {
+            kernels::sorted_run(sorted, q)
+        };
         Hit { sorted, start, end }
     }
 
@@ -330,7 +351,8 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     /// charges [`AccessTracker::skip`] and moves no bytes; a covered piece
     /// charges a scan when the read moves its values (`reads_covered`) and
     /// a skip when the synopsis answers for it; a straddling piece charges
-    /// a scan and binary-searches its qualifying run. The pending delta
+    /// a scan and binary-searches its qualifying run — one search per end
+    /// the zone map leaves open ([`Hit::of_straddled`]). The pending delta
     /// run prunes the same way through its own zone maps: a skip when they
     /// are disjoint from `q`, else one [`AccessTracker::delta_scan`] of the
     /// qualifying rows — what the read touches, however long the run.
@@ -351,9 +373,9 @@ impl<V: ColumnValue> StrategySnapshot<V> {
                     }
                     fold(Part::Covered(&p.values, synopsis));
                 }
-                Some((SynopsisClass::Straddle, _)) => {
+                Some((SynopsisClass::Straddle, synopsis)) => {
                     tracker.scan(p.id, p.bytes);
-                    fold(Part::Straddle(Hit::of(&p.values, q)));
+                    fold(Part::Straddle(Hit::of_straddled(&p.values, q, synopsis)));
                 }
                 // An empty piece has no synopsis and nothing to find.
                 Some((SynopsisClass::Disjoint, _)) | None => tracker.skip(p.id, p.bytes),
@@ -392,29 +414,36 @@ impl<V: ColumnValue> StrategySnapshot<V> {
 
     /// Materializes the values in `q`, ascending (the canonical order — see
     /// the module docs). A collect has to move the data, so covered pieces
-    /// scan and only the disjoint class gets cheaper. Pending deltas fold
-    /// in by galloping merge: the run's qualifying inserts merge into the
-    /// result, then its qualifying tombstones subtract
-    /// ([`kernels::subtract_sorted`] — one occurrence per tombstone).
+    /// scan and only the disjoint class gets cheaper. The walk hands over
+    /// slices; the base values are copied once into a result sized for all
+    /// of them. Pending deltas fold in by galloping merge: the run's
+    /// qualifying inserts merge into the result, then its qualifying
+    /// tombstones subtract ([`kernels::subtract_sorted`] — one occurrence
+    /// per tombstone).
     pub fn select_collect(&self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> Vec<V> {
-        let mut out = Vec::new();
+        let (mut parts, mut run) = (Vec::new(), None);
         self.walk(q, tracker, true, |part| match part {
-            Part::Covered(values, _) => out.extend_from_slice(values),
-            Part::Straddle(hit) => out.extend_from_slice(hit.values()),
-            // The walk's last part: `out` holds every base value by now.
-            Part::Run(inserts, tombstones) => {
-                if !inserts.values().is_empty() {
-                    let mut merged = Vec::new();
-                    kernels::merge_sorted(&out, inserts.values(), &mut merged);
-                    out = merged;
-                }
-                if !tombstones.values().is_empty() {
-                    let mut net = Vec::new();
-                    kernels::subtract_sorted(&out, tombstones.values(), &mut net);
-                    out = net;
-                }
-            }
+            Part::Covered(values, _) => parts.push(values),
+            Part::Straddle(hit) => parts.push(hit.values()),
+            Part::Run(inserts, tombstones) => run = Some((inserts.values(), tombstones.values())),
         });
+        let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+        for part in parts {
+            out.extend_from_slice(part);
+        }
+        let Some((inserts, tombstones)) = run else {
+            return out;
+        };
+        if !inserts.is_empty() {
+            let mut merged = Vec::new();
+            kernels::merge_sorted(&out, inserts, &mut merged);
+            out = merged;
+        }
+        if !tombstones.is_empty() {
+            let mut net = Vec::new();
+            kernels::subtract_sorted(&out, tombstones, &mut net);
+            out = net;
+        }
         out
     }
 
@@ -1830,6 +1859,116 @@ mod tests {
         );
         assert!(worst_pending <= policy.start_above() + policy.rows_per_step());
         assert!(concurrent.reorg_hints_dropped() > 0, "the reader saturated");
+    }
+
+    /// The four reads of `snap` over `q` against the ascending reference
+    /// column `sorted`.
+    fn assert_reads_match(snap: &StrategySnapshot<u32>, sorted: &[u32], q: &ValueRange<u32>) {
+        let inside = run_in(sorted, q);
+        let n = inside.len() as u64;
+        assert_eq!(snap.select_count(q, &mut NullTracker), n, "count {q:?}");
+        assert_eq!(snap.select_collect(q, &mut NullTracker), inside, "{q:?}");
+        let sum: f64 = inside.iter().map(|v| f64::from(*v)).sum();
+        assert_eq!(snap.select_sum(q, &mut NullTracker), sum, "sum {q:?}");
+        let min_max = inside.first().copied().zip(inside.last().copied());
+        assert_eq!(snap.select_min_max(q, &mut NullTracker), min_max, "{q:?}");
+    }
+
+    /// A straddled piece searches only the ends its zone map leaves open;
+    /// the run it finds is the two-search run, and every read still equals
+    /// the reference — with each value held up to eight times over, so the
+    /// runs start and end among duplicates.
+    #[test]
+    fn straddled_runs_with_duplicated_edges_equal_the_reference() {
+        let dup: Vec<u32> = values().into_iter().map(|v| v / 8 * 8).collect();
+        let strategy = StrategySpec::new(StrategyKind::ApmSegm)
+            .with_apm_bounds(256, 1024)
+            .with_model_seed(3)
+            .build(domain(), dup.clone())
+            .expect("values in domain");
+        let column = ConcurrentColumn::new(strategy, domain());
+        for q in queries() {
+            column.select_count(&q, &mut NullTracker);
+        }
+        column.quiesce();
+        let snap = column.snapshot();
+        let mut sorted = dup;
+        sorted.sort_unstable();
+        let (mut pieces, mut straddled) = (0, 0);
+        for (i, p) in snap.pieces.iter().enumerate() {
+            let mut distinct = p.values.to_vec();
+            distinct.dedup();
+            let (Some(syn), &[v0, v1, .., w1, w0]) = (p.synopsis, &distinct[..]) else {
+                continue;
+            };
+            pieces += 1;
+            let mut cases = vec![
+                (v0, w1),           // q.lo == min
+                (v1, w0),           // q.hi == max
+                (v1, w1),           // strictly inside the piece
+                (v1, p.range.hi()), // ends on the piece's upper boundary
+                (p.range.lo(), w1), // starts on its lower boundary
+            ];
+            if let Some(next) = snap.pieces.get(i + 1) {
+                // Ends on the first value of the next piece's range.
+                cases.push((v1, next.range.lo()));
+            }
+            for (lo, hi) in cases {
+                let q = ValueRange::must(lo, hi);
+                if syn.classify(&q) == SynopsisClass::Straddle {
+                    let hit = Hit::of_straddled(&p.values, &q, &syn);
+                    let run = kernels::sorted_run(&p.values, &q);
+                    assert_eq!((hit.start, hit.end), run, "piece {i}, {q:?}");
+                    straddled += 1;
+                }
+                assert_reads_match(&snap, &sorted, &q);
+            }
+        }
+        // Every piece straddles at least its first three cases.
+        assert!(pieces > 4, "the workload must have split the column");
+        assert!(
+            straddled >= 3 * pieces,
+            "{straddled} straddles of {pieces} pieces"
+        );
+    }
+
+    /// The base values move once, into a result sized for all of them;
+    /// an overlapping run still merges and subtracts to the reference.
+    #[test]
+    fn collect_allocates_once_and_merges_a_pending_run() {
+        let column = converged_column();
+        let mut sorted = values();
+        sorted.sort_unstable();
+        let snap = column.snapshot();
+        for q in queries() {
+            let got = snap.select_collect(&q, &mut NullTracker);
+            assert_eq!(got.capacity(), got.len(), "{q:?}");
+            assert_eq!(got, run_in(&sorted, &q), "{q:?}");
+        }
+
+        let mut expected = values();
+        let mut batch = insert_batch(1_000_000, [9_990, 4_200, 4_200, 4_203]);
+        for oid in 0..40u64 {
+            batch.push(DeltaOp::Delete {
+                oid,
+                value: expected[oid as usize],
+            });
+        }
+        expected.extend([9_990, 4_200, 4_200, 4_203]);
+        expected.drain(0..40);
+        expected.sort_unstable();
+        column.apply_deltas(batch);
+        column.quiesce();
+        let snap = column.snapshot();
+        assert_eq!(snap.delta_runs(), 1, "the run must be pending");
+        let run = snap.delta.as_ref().expect("pending");
+        for q in queries() {
+            let got = snap.select_collect(&q, &mut NullTracker);
+            if !run.overlaps(&q) {
+                assert_eq!(got.capacity(), got.len(), "{q:?}");
+            }
+            assert_reads_match(&snap, &expected, &q);
+        }
     }
 
     /// One walk serves every read: pieces in value order, then the one run,

@@ -18,6 +18,15 @@
 //! operators go through `Ord::cmp`, whose NaN check puts a panic edge inside
 //! every `lo <= v` and keeps the whole loop scalar.
 //!
+//! Sums are the exception to "bandwidth, not latency": one `f64`
+//! accumulator per chunk, added in order, is a chain of dependent adds and
+//! runs at the add's latency however the loop is written — and that order
+//! is what every served `SUM` reproduces bit for bit. For the integer
+//! types of at most 32 bits the chain is exact, so a chunk is summed in a
+//! 64-bit integer instead (vectorized, converted once) and lands on the
+//! same bits ([`ColumnValue::exact_chunk_sum`]); `u64`, `i64`, `OrdF64`
+//! and pairs keep the chain.
+//!
 //! Reorganization rides on the same passes (Algorithm 2's `scanMat`: "one
 //! scan of each covering segment answers the query and fills every replica
 //! in M"):
@@ -51,12 +60,14 @@ mod reference;
 
 /// Elements per chunk. Small enough that a chunk of 8-byte values sits in
 /// L1 alongside the output, large enough to amortize the loop bookkeeping.
-/// It fixes the accumulation order of every `f64` sum (one accumulator per
+/// It fixes the accumulation order of every `f64` sum: one accumulator per
 /// chunk, which [`sum_sorted_run`] and the piece synopses reproduce bit for
-/// bit) and the granularity at which [`scan_fill`] answers the query and
-/// cuts several fills out of the hull's survivors. Moving matches happens
-/// per [`BLOCK`]. Also bounds the inner `u32` match accumulator (4096 <
-/// `u32::MAX`).
+/// bit — as an exact integer sum where the value type has one
+/// ([`ColumnValue::exact_chunk_sum`]; 4096 values of at most 32 bits stay
+/// below 2⁵³). It is also the granularity at which [`scan_fill`] answers
+/// the query and cuts several fills out of the hull's survivors. Moving
+/// matches happens per [`BLOCK`]. Also bounds the inner `u32` match
+/// accumulator (4096 < `u32::MAX`).
 pub const CHUNK: usize = 4096;
 
 /// Elements per block: the unit in which [`collect_range`] and
@@ -341,20 +352,34 @@ pub fn sum_range<V: ColumnValue>(values: &[V], q: &ValueRange<V>) -> f64 {
     total
 }
 
+/// One chunk's accumulator: the sum of the `to_f64` projections of at most
+/// [`CHUNK`] values, added in order into one `f64` that starts at `+0.0` —
+/// or the value type's exact integer sum, which yields the same bits
+/// ([`ColumnValue::exact_chunk_sum`]) without the chain of dependent
+/// floating-point adds.
+#[inline]
+fn sum_chunk<V: ColumnValue>(chunk: &[V]) -> f64 {
+    V::exact_chunk_sum(chunk).unwrap_or_else(|| {
+        let mut acc = 0.0f64;
+        for &v in chunk {
+            acc += v.to_f64();
+        }
+        acc
+    })
+}
+
 /// Sum of every value's `to_f64` projection, chunked exactly like
 /// [`sum_range`]. This is what a piece synopsis stores: because IEEE-754
 /// guarantees `1.0 * x == x`, and the chunk/accumulator structure is the
 /// same, the stored sum is bit-identical to the `sum_range` result of any
 /// query that covers the whole slice — so a pruned aggregate that answers
 /// a covered piece from its synopsis reproduces the unpruned scan exactly.
+/// Each chunk is one [`sum_chunk`]: an integer sum for the narrow integer
+/// types, the `f64` chain for the rest.
 pub fn sum_all<V: ColumnValue>(values: &[V]) -> f64 {
     let mut total = 0.0f64;
     for chunk in values.chunks(CHUNK) {
-        let mut acc = 0.0f64;
-        for &v in chunk {
-            acc += v.to_f64();
-        }
-        total += acc;
+        total += sum_chunk(chunk);
     }
     total
 }
@@ -376,29 +401,47 @@ pub fn min_max_all<V: ColumnValue>(values: &[V]) -> Option<(V, V)> {
 /// `(min, max, sum)` of the whole slice in one pass; `None` when empty.
 ///
 /// What a piece synopsis needs right after a split has written the piece:
-/// the bounds of [`min_max_all`] and the sum of [`sum_all`] without
-/// walking the values twice. The sum uses **exactly** `sum_all`'s chunk
-/// and accumulator structure, so it is bit-identical to it (and hence to
-/// a covering [`sum_range`]); the two compare-selects ride in the shadow
-/// of the floating-point add's latency.
+/// the bounds of [`min_max_all`] and the sum of [`sum_all`], chunk by
+/// chunk while the chunk is in L1. The sum uses **exactly** `sum_all`'s
+/// chunk and accumulator structure, so it is bit-identical to it (and
+/// hence to a covering [`sum_range`]). A type with an exact chunk sum
+/// takes it, then folds the bounds in a second, vectorized pass over the
+/// chunk; on the `f64` chain the bounds share the chain's one loop, where
+/// the two compare-selects ride in the shadow of the floating-point add's
+/// latency.
 pub fn min_max_sum_all<V: ColumnValue>(values: &[V]) -> Option<(V, V, f64)> {
     let &first = values.first()?;
     let (mut mn, mut mx) = (first, first);
     let mut total = 0.0f64;
     for chunk in values.chunks(CHUNK) {
-        let mut acc = 0.0f64;
-        for &v in chunk {
-            acc += v.to_f64();
-            mn = if v < mn { v } else { mn };
-            mx = if mx < v { v } else { mx };
-        }
-        total += acc;
+        total += match V::exact_chunk_sum(chunk) {
+            Some(sum) => {
+                for &v in chunk {
+                    mn = if v < mn { v } else { mn };
+                    mx = if mx < v { v } else { mx };
+                }
+                sum
+            }
+            None => {
+                let mut acc = 0.0f64;
+                for &v in chunk {
+                    acc += v.to_f64();
+                    mn = if v < mn { v } else { mn };
+                    mx = if mx < v { v } else { mx };
+                }
+                acc
+            }
+        };
     }
     Some((mn, mx, total))
 }
 
 /// The positions `[start, end)` of the values inside `q` within a *sorted*
-/// run — two binary searches, no scan.
+/// run — two binary searches, no scan. The two do not depend on each
+/// other, so the core overlaps them; confining the second to
+/// `sorted[start..]` makes it wait for the first, which measured slower
+/// than the steps it saves (`scan_kernels/sorted_run_binary_search` in
+/// `crates/bench/benches/kernels.rs`).
 ///
 /// This is the fast path for data that is already totally ordered: the
 /// fully-sorted baseline, and the contiguous result slices a cracked
@@ -424,17 +467,15 @@ pub fn sorted_run<V: ColumnValue>(sorted: &[V], q: &ValueRange<V>) -> (usize, us
 /// zero, and an accumulator that starts at `+0.0` never changes by adding
 /// one), so per chunk both kernels add the same values in the same order,
 /// and chunks wholly outside the run contribute `0.0` to the total. Only
-/// the O(run) values are read instead of the whole piece.
+/// the O(run) values are read instead of the whole piece, each chunk's
+/// share as one [`sum_chunk`] — an integer sum for the narrow integer
+/// types.
 pub fn sum_sorted_run<V: ColumnValue>(sorted: &[V], start: usize, end: usize) -> f64 {
     let mut total = 0.0f64;
     let mut at = start;
     while at < end {
         let stop = ((at / CHUNK + 1) * CHUNK).min(end);
-        let mut acc = 0.0f64;
-        for &v in &sorted[at..stop] {
-            acc += v.to_f64();
-        }
-        total += acc;
+        total += sum_chunk(&sorted[at..stop]);
         at = stop;
     }
     total
@@ -902,9 +943,17 @@ mod tests {
         assert_eq!(cancel_occurrences(&mut Vec::<u32>::new(), &[1, 2]), 2);
     }
 
-    /// `sum_sorted_run` over the qualifying run must reproduce the masked
-    /// whole-slice `sum_range` bit for bit.
-    fn assert_run_sum_matches_masked_sum<V: ColumnValue>(mut values: Vec<V>, a: V, b: V) {
+    /// Every sum kernel against the masked `sum_range`, bit for bit: the
+    /// whole-slice `sum_all` and `min_max_sum_all` against a query covering
+    /// every value, and `sum_sorted_run` over the sorted values' run
+    /// qualifying for `[a, b]` against the masked sum of the whole slice.
+    fn assert_sums_match_masked_sum<V: ColumnValue>(mut values: Vec<V>, a: V, b: V) {
+        if let Some((mn, mx)) = min_max_all(&values) {
+            let all = sum_range(&values, &ValueRange::must(mn, mx)).to_bits();
+            assert_eq!(sum_all(&values).to_bits(), all, "sum_all");
+            let fused = min_max_sum_all(&values).map(|(lo, hi, sum)| (lo, hi, sum.to_bits()));
+            assert_eq!(fused, Some((mn, mx, all)), "min_max_sum_all");
+        }
         values.sort_unstable();
         let q = ValueRange::must(a.min(b), a.max(b));
         let (s, e) = sorted_run(&values, &q);
@@ -916,13 +965,44 @@ mod tests {
         );
     }
 
+    #[test]
+    fn full_chunks_of_u32_max_sum_exactly() {
+        // Three chunks of the largest u32 plus a stray: every chunk's
+        // accumulator peaks at 4096 · (2³² − 1), the widest an exact chunk
+        // sum gets. Runs start and end on and next to chunk boundaries.
+        let mut values = vec![u32::MAX; 3 * CHUNK];
+        values.push(7);
+        assert_sums_match_masked_sum(values.clone(), 0, u32::MAX);
+        assert_sums_match_masked_sum(values.clone(), u32::MAX, u32::MAX);
+        values.sort_unstable();
+        for (s, e) in [
+            (1, CHUNK),
+            (1, CHUNK + 1),
+            (CHUNK - 1, 2 * CHUNK + 1),
+            (0, 3 * CHUNK),
+        ] {
+            let exact: f64 = values[s..e].iter().map(|&v| f64::from(v)).sum();
+            assert_eq!(sum_sorted_run(&values, s, e), exact, "[{s}, {e})");
+        }
+    }
+
     mod properties {
         use super::*;
         use crate::value::OrdF64;
         use proptest::prelude::*;
+        use proptest::strategy::Union;
 
-        // Up to three chunks, narrow value bands: duplicates everywhere and
-        // runs that start, end and span across chunk boundaries.
+        /// The ends of a narrow integer domain, one step inside them, and
+        /// anything in between: sorted, equal extremes form long runs that
+        /// fill and cross chunks.
+        fn edgy<V: ColumnValue>(lo: V, hi: V, any: impl Strategy<Value = V> + 'static) -> Union<V> {
+            let (lo1, hi1) = (lo.succ().unwrap_or(lo), hi.pred().unwrap_or(hi));
+            prop_oneof![Just(lo), Just(lo1), Just(hi1), Just(hi), any]
+        }
+
+        // Up to three chunks of narrow value bands or of a domain's edges:
+        // duplicates everywhere and runs that start, end and span across
+        // chunk boundaries.
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -932,7 +1012,7 @@ mod tests {
                 a in 0u32..6_000,
                 b in 0u32..6_000,
             ) {
-                assert_run_sum_matches_masked_sum(values, a, b);
+                assert_sums_match_masked_sum(values, a, b);
             }
 
             #[test]
@@ -941,7 +1021,43 @@ mod tests {
                 a in -3_000i64..3_000,
                 b in -3_000i64..3_000,
             ) {
-                assert_run_sum_matches_masked_sum(values, a, b);
+                assert_sums_match_masked_sum(values, a, b);
+            }
+
+            #[test]
+            fn narrow_integer_sums_are_the_f64_chain_u32(
+                values in proptest::collection::vec(edgy(0, u32::MAX, any::<u32>()), 0..3 * CHUNK),
+                a in edgy(0, u32::MAX, any::<u32>()),
+                b in edgy(0, u32::MAX, any::<u32>()),
+            ) {
+                assert_sums_match_masked_sum(values, a, b);
+            }
+
+            #[test]
+            fn narrow_integer_sums_are_the_f64_chain_i32(
+                values in proptest::collection::vec(edgy(i32::MIN, i32::MAX, -3i32..3), 0..3 * CHUNK),
+                a in edgy(i32::MIN, i32::MAX, any::<i32>()),
+                b in edgy(i32::MIN, i32::MAX, any::<i32>()),
+            ) {
+                assert_sums_match_masked_sum(values, a, b);
+            }
+
+            #[test]
+            fn narrow_integer_sums_are_the_f64_chain_u16(
+                values in proptest::collection::vec(edgy(0, u16::MAX, any::<u16>()), 0..3 * CHUNK),
+                a in any::<u16>(),
+                b in any::<u16>(),
+            ) {
+                assert_sums_match_masked_sum(values, a, b);
+            }
+
+            #[test]
+            fn narrow_integer_sums_are_the_f64_chain_i16(
+                values in proptest::collection::vec(edgy(i16::MIN, i16::MAX, any::<i16>()), 0..3 * CHUNK),
+                a in any::<i16>(),
+                b in any::<i16>(),
+            ) {
+                assert_sums_match_masked_sum(values, a, b);
             }
 
             #[test]
@@ -953,8 +1069,27 @@ mod tests {
                 // Non-dyadic fractions: every addition rounds, so only the
                 // same order of the same additions gives the same bits.
                 let f = |i: i64| OrdF64::from_finite(i as f64 * 0.37);
-                assert_run_sum_matches_masked_sum(values.into_iter().map(f).collect(), f(a), f(b));
+                assert_sums_match_masked_sum(values.into_iter().map(f).collect(), f(a), f(b));
             }
+        }
+
+        /// 64-bit integers stay on the `f64` chain: `1 + 2⁵³` rounds to
+        /// 2⁵³ there, so the chain ends at 2⁵⁴, while the exact integer
+        /// sum 2⁵⁴ + 3 converts to 2⁵⁴ + 4.
+        #[test]
+        fn sixty_four_bit_sums_keep_the_rounding_chain() {
+            let chain = 2f64.powi(54);
+            let big = 1u64 << 53;
+            let unsigned = vec![1, big, big + 2];
+            let signed: Vec<i64> = unsigned.iter().map(|&v| v as i64).collect();
+            assert_ne!(unsigned.iter().sum::<u64>() as f64, chain);
+            assert_eq!(sum_all(&unsigned), chain);
+            assert_eq!(sum_sorted_run(&unsigned, 0, 3), chain);
+            assert_eq!(min_max_sum_all(&unsigned), Some((1, big + 2, chain)));
+            assert_eq!(sum_all(&signed), chain);
+            assert_eq!(sum_sorted_run(&signed, 0, 3), chain);
+            assert_sums_match_masked_sum(unsigned, 1, big + 2);
+            assert_sums_match_masked_sum(signed, 1, big as i64 + 2);
         }
     }
 

@@ -4,7 +4,9 @@
 //! `ql - 1` / `qh + 1` arithmetic over an integer domain (Section 5).  The
 //! [`ColumnValue`] trait captures exactly the operations the algorithms need:
 //! a total order, a discrete successor/predecessor, and a projection to `f64`
-//! used for uniform-interpolation size estimates and mean-split points.
+//! used for uniform-interpolation size estimates and mean-split points. The
+//! sum kernels ask one thing more: whether a chunk's sum can be taken
+//! exactly in an integer ([`ColumnValue::exact_chunk_sum`]).
 //!
 //! Implementations are provided for the unsigned/signed fixed-width integers
 //! used by the Section 6.1 simulation and for [`OrdF64`], a totally ordered
@@ -65,10 +67,26 @@ pub trait ColumnValue: Copy + Ord + Debug + Send + Sync + 'static {
     /// decode to a valid value (e.g. NaN keys for [`OrdF64`], out-of-width
     /// keys for narrow integers).
     fn from_key(key: u64) -> Option<Self>;
+
+    /// The sum of the [`Self::to_f64`] projections of `chunk` (at most
+    /// [`crate::kernels::CHUNK`] values) when an exact integer sum yields
+    /// the same bits as adding them into one `f64` accumulator from `+0.0`
+    /// in order; `None` — the default — sends the sum kernels down that
+    /// serial `f64` chain.
+    ///
+    /// Only integers of at most 32 bits override it. Every partial sum of
+    /// a chunk is below 4096 · 2³² = 2⁴⁴ < 2⁵³ in magnitude, so each step
+    /// of the chain is exact and ends where the integer sum does (`+0.0`
+    /// included: no integer projects to `-0.0`, and `x + -x` rounds to
+    /// `+0.0`). A 64-bit integer's chain can round, so it keeps the chain.
+    #[inline]
+    fn exact_chunk_sum(_chunk: &[Self]) -> Option<f64> {
+        None
+    }
 }
 
 macro_rules! impl_column_value_int {
-    ($($t:ty => $bytes:expr),* $(,)?) => {$(
+    ($($t:ty => $bytes:expr $(; exact sum in $acc:ty)?),* $(,)?) => {$(
         impl ColumnValue for $t {
             const BYTES: u64 = $bytes;
 
@@ -119,17 +137,29 @@ macro_rules! impl_column_value_int {
             fn from_key(key: u64) -> Option<Self> {
                 <$t>::try_from(key as i128 + <$t>::MIN as i128).ok()
             }
+
+            $(
+            #[inline]
+            fn exact_chunk_sum(chunk: &[Self]) -> Option<f64> {
+                debug_assert!(chunk.len() <= crate::kernels::CHUNK);
+                let mut acc: $acc = 0;
+                for &v in chunk {
+                    acc += <$acc>::from(v);
+                }
+                Some(acc as f64)
+            }
+            )?
         }
     )*};
 }
 
 impl_column_value_int! {
-    u32 => 4,
+    u32 => 4; exact sum in u64,
     u64 => 8,
-    i32 => 4,
+    i32 => 4; exact sum in i64,
     i64 => 8,
-    u16 => 2,
-    i16 => 2,
+    u16 => 2; exact sum in u64,
+    i16 => 2; exact sum in i64,
 }
 
 /// A totally ordered, non-NaN `f64` for real-valued columns.
