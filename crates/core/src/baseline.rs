@@ -12,35 +12,26 @@
 //!   at the total upfront cost they exist to avoid.
 
 use crate::range::ValueRange;
-use crate::segment::{SegIdGen, SegmentData};
+use crate::segment::{SegIdGen, SegmentData, Window};
 use crate::strategy::ColumnStrategy;
 use crate::tracker::AccessTracker;
 use crate::value::ColumnValue;
 
 /// The single-segment fold both baselines share: clip the delta to the
 /// segment's range (the column domain), fold it into the one payload, and
-/// re-check the segment. `sorted` keeps [`FullySorted`]'s order.
+/// re-check the segment (a sorted one — [`FullySorted`]'s — stays sorted).
 fn fold_segment<V: ColumnValue>(
     segment: &mut SegmentData<V>,
     inserts: &[V],
     tombstones: &[V],
-    sorted: bool,
     tracker: &mut dyn AccessTracker,
 ) -> Option<u64> {
     let (tombs, outside) = crate::delta::clip_fold(&segment.range(), inserts, tombstones)?;
     if inserts.is_empty() && tombs.is_empty() {
         return Some(outside);
     }
-    let unmatched = outside + segment.fold_delta(inserts, tombs, sorted, tracker);
-    crate::debug_assert_valid!(
-        crate::validate::segment(segment).and_then(|()| {
-            if sorted && !segment.values().windows(2).all(|w| w[0] <= w[1]) {
-                return Err(crate::validate::Violation::NotSorted { index: 0 });
-            }
-            Ok(())
-        }),
-        "baseline fold"
-    );
+    let unmatched = outside + segment.fold_delta(inserts, tombs, tracker);
+    crate::debug_assert_valid!(crate::validate::segment(segment), "baseline fold");
     Some(unmatched)
 }
 
@@ -93,7 +84,11 @@ impl<V: ColumnValue> ColumnStrategy<V> for NonSegmented<V> {
         tombstones: &[V],
         tracker: &mut dyn AccessTracker,
     ) -> Option<u64> {
-        fold_segment(&mut self.segment, inserts, tombstones, false, tracker)
+        fold_segment(&mut self.segment, inserts, tombstones, tracker)
+    }
+
+    fn share_sorted(&mut self) -> Option<Vec<(ValueRange<V>, Window<V>)>> {
+        Some(vec![(self.segment.range(), self.segment.share_sorted())])
     }
 
     fn storage_bytes(&self) -> u64 {
@@ -128,7 +123,7 @@ impl<V: ColumnValue> FullySorted<V> {
         values.sort_unstable();
         let mut ids = SegIdGen::new();
         FullySorted {
-            segment: SegmentData::new(ids.fresh(), domain, values),
+            segment: SegmentData::sorted(ids.fresh(), domain, values),
             sort_cost_charged: false,
         }
     }
@@ -168,7 +163,11 @@ impl<V: ColumnValue> ColumnStrategy<V> for FullySorted<V> {
         tombstones: &[V],
         tracker: &mut dyn AccessTracker,
     ) -> Option<u64> {
-        fold_segment(&mut self.segment, inserts, tombstones, true, tracker)
+        fold_segment(&mut self.segment, inserts, tombstones, tracker)
+    }
+
+    fn share_sorted(&mut self) -> Option<Vec<(ValueRange<V>, Window<V>)>> {
+        Some(vec![(self.segment.range(), self.segment.share_sorted())])
     }
 
     fn storage_bytes(&self) -> u64 {

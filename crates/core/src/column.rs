@@ -8,7 +8,7 @@
 
 use crate::meta::{MetaEntry, MetaIndex};
 use crate::range::ValueRange;
-use crate::segment::{SegIdGen, SegmentData};
+use crate::segment::{SegIdGen, SegmentData, Window};
 use crate::tracker::AccessTracker;
 use crate::value::ColumnValue;
 
@@ -154,11 +154,19 @@ impl<V: ColumnValue> SegmentedColumn<V> {
         )
         .ok_or(ColumnError::BadPartition)?;
         let mut values = Vec::new();
+        let mut sorted = true;
         for seg in self.segments.drain(idx..idx + count) {
             tracker.free(seg.id(), seg.bytes());
-            values.extend(seg.into_values());
+            values.extend_from_slice(seg.values());
+            sorted &= seg.is_sorted();
         }
-        let merged = SegmentData::new(self.ids.fresh(), merged_range, values);
+        // Adjacent ranges in order: sorted segments concatenate ascending.
+        let id = self.ids.fresh();
+        let merged = if sorted {
+            SegmentData::sorted(id, merged_range, values)
+        } else {
+            SegmentData::new(id, merged_range, values)
+        };
         tracker.materialize(merged.id(), merged.bytes());
         self.segments.insert(idx, merged);
         Ok(())
@@ -194,11 +202,22 @@ impl<V: ColumnValue> SegmentedColumn<V> {
                 tombs.partition_point(|v| *v <= hi),
             );
             let before = seg.len();
-            unmatched += seg.fold_delta(&ins[..i], &tombs[..t], false, tracker);
+            unmatched += seg.fold_delta(&ins[..i], &tombs[..t], tracker);
             self.total_len = self.total_len - before + seg.len();
             (ins, tombs) = (&ins[i..], &tombs[t..]);
         }
         Some(unmatched)
+    }
+
+    /// Every segment's range with its shared window, in value order, each
+    /// segment sorted in its own buffer the first time
+    /// ([`SegmentData::share_sorted`]) — the column's side of
+    /// [`crate::ColumnStrategy::share_sorted`].
+    pub fn share_sorted(&mut self) -> Vec<(ValueRange<V>, Window<V>)> {
+        self.segments
+            .iter_mut()
+            .map(|s| (s.range(), s.share_sorted()))
+            .collect()
     }
 
     /// Full structural invariant check (test / debug aid):
@@ -311,6 +330,58 @@ mod tests {
         c.validate().unwrap();
         assert_eq!(t.totals().write_bytes, 4000);
         assert_eq!(t.totals().freed_bytes, 4000);
+    }
+
+    #[test]
+    fn a_sorted_split_copies_nothing_and_charges_the_same() {
+        use crate::tracker::EventLog;
+
+        let pieces = [
+            ValueRange::must(0, 2_499),
+            ValueRange::must(2_500, 4_999),
+            ValueRange::must(5_000, 9_999),
+        ];
+        let (mut plain, mut sorted) = (column(), column());
+        let shared = sorted.share_sorted();
+        let (mut plain_log, mut sorted_log) = (EventLog::new(), EventLog::new());
+        plain.replace_segment(0, &pieces, &mut plain_log).unwrap();
+        sorted.replace_segment(0, &pieces, &mut sorted_log).unwrap();
+        // The same free and materializations, byte for byte, in the same
+        // order under the same ids: the split is the paper's rewrite
+        // whatever it costs in memory.
+        assert_eq!(sorted_log.events(), plain_log.events());
+        sorted.validate().unwrap();
+        for (s, p) in sorted.segments().iter().zip(plain.segments()) {
+            // Each product is ascending and windows the parent's buffer.
+            assert!(s.is_sorted() && !p.is_sorted());
+            let window = s.window().expect("sorted");
+            assert!(window.shares_buffer(&shared[0].1), "{:?}", s.range());
+            let mut expect = p.values().to_vec();
+            expect.sort_unstable();
+            assert_eq!(s.values(), expect);
+        }
+    }
+
+    #[test]
+    fn merging_sorted_neighbours_stays_sorted() {
+        let mut c = column();
+        let pieces = [
+            ValueRange::must(0, 2_499),
+            ValueRange::must(2_500, 4_999),
+            ValueRange::must(5_000, 9_999),
+        ];
+        c.replace_segment(0, &pieces, &mut NullTracker).unwrap();
+        let _ = c.share_sorted();
+        c.merge_segments(1, 2, &mut NullTracker).unwrap();
+        assert!(c.segments().iter().all(|s| s.is_sorted()));
+        c.validate().unwrap();
+        // One unsorted neighbour makes the merged segment unsorted.
+        let mut c = column();
+        c.replace_segment(0, &pieces, &mut NullTracker).unwrap();
+        let _ = c.segments[1].share_sorted();
+        c.merge_segments(0, 2, &mut NullTracker).unwrap();
+        assert!(!c.segments()[0].is_sorted());
+        c.validate().unwrap();
     }
 
     #[test]

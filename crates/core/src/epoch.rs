@@ -9,8 +9,8 @@
 //!
 //! * [`StrategySnapshot`] is an **immutable, `Arc`-published epoch** of the
 //!   column's physical organization: the strategy's live piece partition,
-//!   each piece's values frozen in ascending order. Any number of threads
-//!   read one snapshot concurrently; a snapshot never changes.
+//!   each piece an ascending, immutable [`Window`] of values. Any number of
+//!   threads read one snapshot concurrently; a snapshot never changes.
 //! * [`ConcurrentColumn`] owns the actual (mutable) strategy on a **single
 //!   writer thread**. Readers answer `select_count` / `select_collect` /
 //!   `select_sum` / `select_min_max` against the current snapshot and
@@ -20,13 +20,26 @@
 //!   swaps one `Arc` under a short-lived write lock; readers never wait for
 //!   reorganization or for a [`ConcurrentColumn::set_strategy`] migration.
 //!
-//! Epochs share structure: reorganization is purely physical, so a piece
-//! whose value range is unchanged between two epochs holds byte-identical
-//! content unless a delta fold put a value inside that range — and the
-//! writer knows which values it folded. The new snapshot reuses the old
-//! piece's `Arc` for every such range and re-extracts only the rest: a
-//! crack re-materializes one piece's successors, a fold of 1024 rows at
-//! most 1024 pieces.
+//! **One copy of the column.** A segment-based strategy (the adaptive
+//! segmentations, their merging variant, and both baselines) shares its
+//! pieces ([`ColumnStrategy::share_sorted`]): it sorts each segment in its
+//! own buffer once, and every snapshot piece *is* the segment's window, so
+//! the served column is held once, not as the strategy's payload plus a
+//! sorted copy. Sorted segments stay immutable: a split windows the same
+//! buffer and copies nothing, and a fold writes the one piece it touches
+//! into a fresh buffer while readers keep the old one. Cracking, the
+//! replica trees and the sharded column decline, and are served from a
+//! sorted copy of each piece instead.
+//!
+//! Epochs share structure. A shared piece whose window is the very one
+//! the previous epoch served keeps its id and synopsis, so an unchanged
+//! piece costs O(1) to publish. On the copy path, reorganization is
+//! purely physical, so a piece whose value range is unchanged between two
+//! epochs holds byte-identical content unless a delta fold put a value
+//! inside that range — and the writer knows which values it folded. The
+//! new snapshot reuses the old piece's window for every such range and
+//! re-extracts only the rest: a crack re-materializes one piece's
+//! successors, a fold of 1024 rows at most 1024 pieces.
 //!
 //! Every piece carries a [`PieceSynopsis`] zone map, so reads prune:
 //! disjoint pieces charge [`AccessTracker::skip`] (zero scan bytes, with
@@ -68,8 +81,8 @@
 //!
 //! The snapshot's `walk` is the one materializing read of this layer: a
 //! strategy materializes only through `peek_collect`, which is how a
-//! snapshot piece is extracted and how a migration reads the column it
-//! rebuilds.
+//! declining strategy's snapshot piece is extracted and how a migration
+//! reads the column it rebuilds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -81,7 +94,7 @@ use crate::column::ColumnError;
 use crate::delta::{CompactionPolicy, DeltaBatch, DeltaRun};
 use crate::kernels;
 use crate::range::ValueRange;
-use crate::segment::{SegId, SegIdGen};
+use crate::segment::{SegId, SegIdGen, Window};
 use crate::spec::StrategySpec;
 use crate::strategy::{AdaptationStats, ColumnStrategy};
 use crate::synopsis::{PieceSynopsis, SynopsisClass};
@@ -92,35 +105,42 @@ use crate::value::ColumnValue;
 /// One frozen piece of a snapshot: a value range and the column's values
 /// inside it, in ascending order, shared across epochs while the range
 /// survives reorganization.
+#[derive(Clone)]
 struct SnapshotPiece<V: ColumnValue> {
     range: ValueRange<V>,
-    /// Ascending values; `Arc` so unchanged pieces ride into the next
-    /// epoch without copying.
-    values: Arc<Vec<V>>,
+    /// Ascending values: a window of the strategy's own sorted segment
+    /// buffer when the strategy shares one, else of a sorted copy. Shared
+    /// either way, so unchanged pieces ride into the next epoch without
+    /// copying.
+    values: Window<V>,
     /// Stable scan-attribution id: reused along with the values, so a
     /// downstream tracker (buffer simulation) sees the same segment
     /// identity for the same physical piece across epochs.
     id: SegId,
     bytes: u64,
-    /// Zone map over the frozen values, computed once at extraction (the
-    /// values are already sorted, so bounds are the ends) and carried
-    /// across epochs with the values it describes.
+    /// Zone map over the frozen values, computed once when the piece is
+    /// first frozen (the values are sorted, so bounds are the ends) and
+    /// carried across epochs with the values it describes.
     synopsis: Option<PieceSynopsis<V>>,
 }
 
 impl<V: ColumnValue> SnapshotPiece<V> {
+    fn new(range: ValueRange<V>, values: Window<V>, id: SegId) -> Self {
+        SnapshotPiece {
+            range,
+            bytes: values.len() as u64 * V::BYTES,
+            synopsis: PieceSynopsis::from_sorted(&values),
+            values,
+            id,
+        }
+    }
+
+    /// A sorted copy of the strategy's values in `range`: the path of a
+    /// strategy that does not share its pieces.
     fn extract(strategy: &dyn ColumnStrategy<V>, range: ValueRange<V>, id: SegId) -> Self {
         let mut values = strategy.peek_collect(&range);
         values.sort_unstable();
-        let bytes = values.len() as u64 * V::BYTES;
-        let synopsis = PieceSynopsis::from_sorted(&values);
-        SnapshotPiece {
-            range,
-            values: Arc::new(values),
-            id,
-            bytes,
-            synopsis,
-        }
+        Self::new(range, Window::new(values), id)
     }
 }
 
@@ -270,14 +290,20 @@ fn tile_domain<V: ColumnValue>(
 }
 
 impl<V: ColumnValue> StrategySnapshot<V> {
-    /// Freezes `strategy`'s current organization, reusing the pieces of
-    /// `prev` whose value range is unchanged and holds none of the values
-    /// `folded` (ascending) into the base since `prev` was captured — a
-    /// piece's content is a pure function of its range and the logical
-    /// column, and only a fold changes the latter, only at those values.
+    /// Freezes `strategy`'s current organization. A strategy that shares
+    /// its pieces ([`ColumnStrategy::share_sorted`]) is served from them
+    /// directly: each snapshot piece is the strategy's own window, and one
+    /// that is the very window of `prev`'s piece over the same range keeps
+    /// that piece's id and synopsis, so an unchanged piece costs O(1).
+    /// Otherwise every piece is a sorted copy ([`SnapshotPiece::extract`]),
+    /// reusing the pieces of `prev` whose value range is unchanged and
+    /// holds none of the values `folded` (ascending) into the base since
+    /// `prev` was captured — a piece's content is a pure function of its
+    /// range and the logical column, and only a fold changes the latter,
+    /// only at those values.
     #[allow(clippy::too_many_arguments)]
     fn capture(
-        strategy: &dyn ColumnStrategy<V>,
+        strategy: &mut dyn ColumnStrategy<V>,
         domain: ValueRange<V>,
         prev: Option<&StrategySnapshot<V>>,
         folded: &[V],
@@ -288,26 +314,31 @@ impl<V: ColumnValue> StrategySnapshot<V> {
         (failed_migrations, unmatched_tombstones): (u64, u64),
         delta: Option<DeltaRun<V>>,
     ) -> Self {
-        let untouched = |range: &ValueRange<V>| crate::delta::run_in(folded, range).is_empty();
-        let pieces = tile_domain(domain, strategy.segment_ranges())
-            .into_iter()
-            .map(|range| {
-                let kept = prev
-                    .and_then(|s| s.piece_with_range(&range))
-                    .filter(|_| untouched(&range));
-                if let Some(p) = kept {
-                    SnapshotPiece {
-                        range,
-                        values: Arc::clone(&p.values),
-                        id: p.id,
-                        bytes: p.bytes,
-                        synopsis: p.synopsis,
-                    }
-                } else {
-                    SnapshotPiece::extract(strategy, range, ids.fresh())
-                }
-            })
-            .collect();
+        let prev_piece = |range: &ValueRange<V>| prev.and_then(|s| s.piece_with_range(range));
+        let shared = strategy.share_sorted().filter(|pieces| {
+            let ranges: Vec<ValueRange<V>> = pieces.iter().map(|(r, _)| *r).collect();
+            crate::validate::ranges_partition(&domain, &ranges).is_ok()
+        });
+        let pieces = match shared {
+            Some(shared) => shared
+                .into_iter()
+                .map(|(range, values)| match prev_piece(&range) {
+                    Some(p) if p.values.same(&values) => p.clone(),
+                    _ => SnapshotPiece::new(range, values, ids.fresh()),
+                })
+                .collect(),
+            None => {
+                let untouched =
+                    |range: &ValueRange<V>| crate::delta::run_in(folded, range).is_empty();
+                tile_domain(domain, strategy.segment_ranges())
+                    .into_iter()
+                    .map(|range| match prev_piece(&range) {
+                        Some(p) if untouched(&range) => p.clone(),
+                        _ => SnapshotPiece::extract(strategy, range, ids.fresh()),
+                    })
+                    .collect()
+            }
+        };
         let mut adaptation = strategy.adaptation();
         adaptation.absorb(&retired);
         StrategySnapshot {
@@ -820,7 +851,7 @@ impl<V: ColumnValue> Writer<V> {
         self.epoch += 1;
         let prev = self.cell.load();
         let snap = StrategySnapshot::capture(
-            self.strategy.as_ref(),
+            self.strategy.as_mut(),
             self.domain,
             Some(&prev),
             folded,
@@ -910,14 +941,14 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
     }
 
     fn build(
-        strategy: Box<dyn ColumnStrategy<V>>,
+        mut strategy: Box<dyn ColumnStrategy<V>>,
         domain: ValueRange<V>,
         queue_capacity: usize,
         policy: CompactionPolicy,
     ) -> Self {
         let mut ids = SegIdGen::new();
         let initial = StrategySnapshot::capture(
-            strategy.as_ref(),
+            strategy.as_mut(),
             domain,
             None,
             &[],
@@ -1305,7 +1336,7 @@ mod tests {
             .filter(|p| {
                 before
                     .piece_with_range(&p.range)
-                    .is_some_and(|old| Arc::ptr_eq(&old.values, &p.values))
+                    .is_some_and(|old| old.values.same(&p.values))
             })
             .count();
         assert!(
@@ -1325,11 +1356,120 @@ mod tests {
         assert_eq!(folded.total_rows(), after.total_rows() + 1);
         for (old, new) in after.pieces.iter().zip(&folded.pieces) {
             assert_eq!(
-                Arc::ptr_eq(&old.values, &new.values),
+                old.values.same(&new.values),
                 !new.range.contains(7_777),
                 "piece {:?}",
                 new.range
             );
+        }
+    }
+
+    /// Every piece of `snap` is the very window `strategy` shares for its
+    /// range, and the distinct buffers the two reach hold the column about
+    /// once: ≤ 1.1 × rows × width.
+    fn assert_held_once(
+        snap: &StrategySnapshot<u32>,
+        strategy: &mut dyn ColumnStrategy<u32>,
+        case: &str,
+    ) {
+        let shared = strategy.share_sorted().expect("segment kinds share");
+        assert_eq!(shared.len(), snap.pieces.len(), "{case}");
+        for ((range, window), p) in shared.iter().zip(&snap.pieces) {
+            assert_eq!(*range, p.range, "{case}");
+            assert!(window.same(&p.values), "{case}: piece {range:?}");
+        }
+        let mut distinct: Vec<&Window<u32>> = Vec::new();
+        let windows = shared.iter().map(|(_, w)| w);
+        for w in windows.chain(snap.pieces.iter().map(|p| &p.values)) {
+            if !distinct.iter().any(|d| d.shares_buffer(w)) {
+                distinct.push(w);
+            }
+        }
+        let held: u64 = distinct.iter().map(|w| w.buffer_bytes()).sum();
+        let rows = snap.total_rows() * u32::BYTES;
+        assert!(held * 10 <= rows * 11, "{case}: {held} B held for {rows} B");
+    }
+
+    /// The segment kinds serve their own sorted segments: after a workload
+    /// and after a drained fold, the snapshot's pieces are the strategy's
+    /// windows, and a fold re-freezes only the piece it touched. The
+    /// copy-path twin is `epochs_share_unchanged_pieces`.
+    #[test]
+    fn served_segment_kinds_hold_the_column_once() {
+        let kinds = [
+            StrategyKind::ApmSegm,
+            StrategyKind::GdSegm,
+            StrategyKind::NoSegm,
+            StrategyKind::FullSort,
+        ];
+        for (kind, drained) in kinds.into_iter().flat_map(|k| [(k, false), (k, true)]) {
+            let case = format!("{kind:?}, drained {drained}");
+            let spec = StrategySpec::new(kind)
+                .with_apm_bounds(256, 1024)
+                .with_model_seed(5);
+            let column =
+                ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
+            for q in queries().iter().cycle().take(200) {
+                column.select_count(q, &mut NullTracker);
+            }
+            column.quiesce();
+            if drained {
+                let before = column.snapshot();
+                let mut batch = insert_batch(900_000, [7_777]);
+                batch.push(DeltaOp::Delete {
+                    oid: 0,
+                    value: values()[0],
+                });
+                column.apply_deltas(batch);
+                column.drain_deltas();
+                let after = column.snapshot();
+                assert_eq!(after.total_rows(), 6_000, "{case}");
+                assert_eq!(after.piece_ranges(), before.piece_ranges(), "{case}");
+                for (old, new) in before.pieces.iter().zip(&after.pieces) {
+                    let touched = new.range.contains(7_777) || new.range.contains(values()[0]);
+                    let kept = old.values.same(&new.values) && old.id == new.id;
+                    assert_eq!(kept, !touched, "{case}: piece {:?}", new.range);
+                }
+            }
+            let snap = column.snapshot();
+            snap.validate().unwrap_or_else(|e| panic!("{case}: {e}"));
+            let mut strategy = column.into_strategy();
+            assert_held_once(&snap, strategy.as_mut(), &case);
+        }
+    }
+
+    /// The in-place sort reorders a float piece's sum; the synopsis is
+    /// recomputed from the sorted order, so a served `SUM` over real values
+    /// still equals the unpruned walk bit for bit.
+    #[test]
+    fn served_float_sums_are_bit_identical_to_an_unpruned_walk() {
+        use crate::value::OrdF64;
+
+        let f = OrdF64::from_finite;
+        let domain = ValueRange::must(f(0.0), f(1_000.0));
+        let values: Vec<OrdF64> = (0..6_000u32)
+            .map(|i| f(f64::from((i * 7919) % 10_000) * 0.1 + f64::from(i % 7) * 1e-3))
+            .collect();
+        let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(256, 1024);
+        let column = ConcurrentColumn::from_spec(&spec, domain, values).expect("values in domain");
+        let queries: Vec<ValueRange<OrdF64>> = queries()
+            .iter()
+            .map(|q| ValueRange::must(f(f64::from(q.lo()) * 0.1), f(f64::from(q.hi()) * 0.1)))
+            .collect();
+        for q in &queries {
+            column.select_count(q, &mut NullTracker);
+        }
+        column.quiesce();
+        let snap = column.snapshot();
+        snap.validate().unwrap();
+        assert!(snap.pieces.len() > 4, "the workload must have split");
+        for q in &queries {
+            let unpruned: f64 = snap
+                .overlapping(q)
+                .map(|p| kernels::sum_range(&p.values, q))
+                .sum();
+            let served = snap.select_sum(q, &mut NullTracker);
+            assert_eq!(served.to_bits(), unpruned.to_bits(), "{q:?}");
         }
     }
 

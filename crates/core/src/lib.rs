@@ -98,7 +98,7 @@ pub use model::{
 pub use paired::{pair_rows, Pair};
 pub use range::ValueRange;
 pub use replication::{AdaptiveReplication, ReplicaTree};
-pub use segment::{SegId, SegIdGen, SegmentData};
+pub use segment::{SegId, SegIdGen, SegmentData, Window};
 pub use segmentation::AdaptiveSegmentation;
 pub use spec::{StrategyKind, StrategySpec};
 pub use strategy::{AdaptationStats, ColumnStrategy};

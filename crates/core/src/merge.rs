@@ -9,6 +9,7 @@
 
 use crate::column::SegmentedColumn;
 use crate::range::ValueRange;
+use crate::segment::Window;
 use crate::segmentation::AdaptiveSegmentation;
 use crate::strategy::ColumnStrategy;
 use crate::tracker::AccessTracker;
@@ -158,6 +159,10 @@ impl<V: ColumnValue> ColumnStrategy<V> for MergingSegmentation<V> {
         tracker: &mut dyn AccessTracker,
     ) -> Option<u64> {
         self.inner.fold_delta(inserts, tombstones, tracker)
+    }
+
+    fn share_sorted(&mut self) -> Option<Vec<(ValueRange<V>, Window<V>)>> {
+        self.inner.share_sorted()
     }
 
     fn storage_bytes(&self) -> u64 {

@@ -1,5 +1,7 @@
 //! Physical segments: a value range plus the tuples falling into it.
 
+use std::sync::Arc;
+
 use crate::range::ValueRange;
 use crate::synopsis::{PieceSynopsis, SynopsisClass};
 use crate::tracker::AccessTracker;
@@ -39,16 +41,93 @@ impl SegIdGen {
     }
 }
 
+/// A window `start..end` of an immutable value buffer that any number of
+/// owners share: the segment that holds it and every epoch-snapshot piece
+/// serving it (see [`crate::ColumnStrategy::share_sorted`]). Cloning one
+/// clones an `Arc`, never the values.
+#[derive(Clone)]
+pub struct Window<V> {
+    buf: Arc<Vec<V>>,
+    start: usize,
+    end: usize,
+}
+
+impl<V: std::fmt::Debug> std::fmt::Debug for Window<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<V: ColumnValue> Window<V> {
+    /// A window over all of `values`, which it takes without copying.
+    pub fn new(values: Vec<V>) -> Self {
+        let end = values.len();
+        Window {
+            buf: Arc::new(values),
+            start: 0,
+            end,
+        }
+    }
+
+    /// Whether `other` is this very window: the same buffer, the same
+    /// bounds — so the same values without comparing one.
+    pub fn same(&self, other: &Window<V>) -> bool {
+        Arc::ptr_eq(&self.buf, &other.buf) && (self.start, self.end) == (other.start, other.end)
+    }
+
+    /// Whether `other` windows the same buffer, whatever its bounds.
+    #[cfg(test)]
+    pub(crate) fn shares_buffer(&self, other: &Window<V>) -> bool {
+        Arc::ptr_eq(&self.buf, &other.buf)
+    }
+
+    /// Bytes of the whole underlying buffer (its capacity, not just the
+    /// window): what keeping this window alive keeps resident.
+    #[cfg(test)]
+    pub(crate) fn buffer_bytes(&self) -> u64 {
+        self.buf.capacity() as u64 * V::BYTES
+    }
+
+    /// The sub-window `start..end`, relative to this window.
+    fn sub(&self, start: usize, end: usize) -> Window<V> {
+        Window {
+            buf: Arc::clone(&self.buf),
+            start: self.start + start,
+            end: self.start + end,
+        }
+    }
+}
+
+/// A window reads as the slice of values it spans.
+impl<V> std::ops::Deref for Window<V> {
+    type Target = [V];
+
+    #[inline]
+    fn deref(&self) -> &[V] {
+        &self.buf[self.start..self.end]
+    }
+}
+
 /// A materialized segment: contiguous storage of the values of one range.
 ///
-/// Values are *not* sorted within the segment — the paper's value-based
-/// organization only guarantees that every value lies inside `range`
-/// (like a cracking piece). Positional correspondence across columns is
-/// deliberately given up (Section 1).
+/// The paper's value-based organization only guarantees that every value
+/// lies inside `range` (like a cracking piece), so a segment's values are
+/// in storage order unless the segment is flagged **sorted**. Positional
+/// correspondence across columns is deliberately given up (Section 1).
+///
+/// An *unsorted* segment owns its values alone, as a plain vector: a
+/// split copies them into one exact-size buffer per product, and a fold
+/// appends and cancels in place. A *sorted* segment holds them as a
+/// [`Window`] of a shared, immutable buffer — shared with the segments it
+/// was split from or into, and with the epoch snapshot that serves it: a
+/// split hands each product a window of the same buffer, and a fold
+/// writes the merged piece into a fresh buffer, leaving the shared one
+/// untouched. [`Self::share_sorted`] turns the first kind into the
+/// second, once.
 ///
 /// Each segment also caches a [`PieceSynopsis`] (exact min/max/count/sum),
-/// recomputed whenever the values change — construction and every fold.
-/// The pure-read scan methods consult it first: a provably disjoint
+/// recomputed whenever the values change — construction, sort and every
+/// fold. The pure-read scan methods consult it first: a provably disjoint
 /// predicate answers without touching the values, and a covering one
 /// answers a count O(1) from the stored length. The synopsis bounds are
 /// usually *tighter* than `range` (the range is the reorganization
@@ -58,18 +137,59 @@ impl SegIdGen {
 pub struct SegmentData<V> {
     id: SegId,
     range: ValueRange<V>,
-    values: Vec<V>,
+    values: Payload<V>,
     synopsis: Option<PieceSynopsis<V>>,
 }
 
+/// A segment's values: in storage order and owned, or ascending in a
+/// window that may be shared.
+#[derive(Debug, Clone)]
+enum Payload<V> {
+    Unsorted(Vec<V>),
+    Sorted(Window<V>),
+}
+
+impl<V> std::ops::Deref for Payload<V> {
+    type Target = [V];
+
+    #[inline]
+    fn deref(&self) -> &[V] {
+        match self {
+            Payload::Unsorted(values) => values,
+            Payload::Sorted(window) => window,
+        }
+    }
+}
+
 impl<V: ColumnValue> SegmentData<V> {
-    /// Creates a segment, validating that every value is inside `range`.
+    /// Creates a segment of values in storage order, validating (debug)
+    /// that every value is inside `range`.
     pub fn new(id: SegId, range: ValueRange<V>, values: Vec<V>) -> Self {
+        let synopsis = PieceSynopsis::from_values(&values);
+        Self::with_payload(id, range, Payload::Unsorted(values), synopsis)
+    }
+
+    /// Creates a segment flagged sorted; `values` must be ascending
+    /// ([`crate::validate::segment`] checks it).
+    pub fn sorted(id: SegId, range: ValueRange<V>, values: Vec<V>) -> Self {
+        Self::from_window(id, range, Window::new(values))
+    }
+
+    fn from_window(id: SegId, range: ValueRange<V>, window: Window<V>) -> Self {
+        let synopsis = PieceSynopsis::from_sorted(&window);
+        Self::with_payload(id, range, Payload::Sorted(window), synopsis)
+    }
+
+    fn with_payload(
+        id: SegId,
+        range: ValueRange<V>,
+        values: Payload<V>,
+        synopsis: Option<PieceSynopsis<V>>,
+    ) -> Self {
         debug_assert!(
             values.iter().all(|v| range.contains(*v)),
             "segment values must lie within the segment range"
         );
-        let synopsis = PieceSynopsis::from_values(&values);
         SegmentData {
             id,
             range,
@@ -96,10 +216,26 @@ impl<V: ColumnValue> SegmentData<V> {
         self.range
     }
 
-    /// The stored values, in storage order (not sorted by value).
+    /// The stored values, in storage order (ascending when
+    /// [`Self::is_sorted`]).
     #[inline]
     pub fn values(&self) -> &[V] {
         &self.values
+    }
+
+    /// The shared window of a sorted segment.
+    #[cfg(test)]
+    pub(crate) fn window(&self) -> Option<&Window<V>> {
+        match &self.values {
+            Payload::Sorted(window) => Some(window),
+            Payload::Unsorted(_) => None,
+        }
+    }
+
+    /// Whether the values are ascending in a window that may be shared.
+    #[inline]
+    pub fn is_sorted(&self) -> bool {
+        matches!(self.values, Payload::Sorted(_))
     }
 
     /// Number of stored tuples.
@@ -121,18 +257,34 @@ impl<V: ColumnValue> SegmentData<V> {
         self.len() * V::BYTES
     }
 
-    /// Consumes the segment, returning its values.
-    pub fn into_values(self) -> Vec<V> {
-        self.values
+    /// The segment's window, for a served snapshot to share. An unsorted
+    /// segment is first sorted in its own buffer, once, and from then on
+    /// is a sorted one; the synopsis is recomputed from the new order (an
+    /// `f64` sum depends on it). Reorganization is physical, so nothing is
+    /// charged: no query asked for this.
+    pub fn share_sorted(&mut self) -> Window<V> {
+        let window = match &mut self.values {
+            Payload::Sorted(window) => return window.clone(),
+            Payload::Unsorted(values) => {
+                let mut values = std::mem::take(values);
+                values.sort_unstable();
+                self.synopsis = PieceSynopsis::from_sorted(&values);
+                Window::new(values)
+            }
+        };
+        self.values = Payload::Sorted(window.clone());
+        window
     }
 
     /// Folds the part of a delta this segment owns into its values (the
     /// caller has already cut `inserts` and `tombstones` to the segment's
     /// range): `inserts` join the stored values, then each `tombstones`
     /// entry cancels one occurrence (both ascending; inserts first, so a
-    /// tombstone can cancel an insert folded in the same step). `sorted`
-    /// promises ascending values and keeps them ascending (the galloping
-    /// merge and subtraction instead of an append and a per-value cancel).
+    /// tombstone can cancel an insert folded in the same step). A sorted
+    /// segment stays sorted: the galloping merge and subtraction write a
+    /// fresh buffer of the new size, so a shared one is never changed
+    /// under its readers. An unsorted one appends and cancels in its own
+    /// buffer.
     ///
     /// Refreshes the synopsis and charges one read of the old values plus
     /// one write of the new (a free of the old footprint and a
@@ -142,7 +294,6 @@ impl<V: ColumnValue> SegmentData<V> {
         &mut self,
         inserts: &[V],
         tombstones: &[V],
-        sorted: bool,
         tracker: &mut dyn AccessTracker,
     ) -> u64 {
         debug_assert!(
@@ -151,18 +302,30 @@ impl<V: ColumnValue> SegmentData<V> {
         );
         let old = self.bytes();
         tracker.scan(self.id, old);
-        let unmatched = if sorted {
-            let (mut merged, mut kept) = (Vec::new(), Vec::new());
-            crate::kernels::merge_sorted(&self.values, inserts, &mut merged);
-            crate::kernels::subtract_sorted(&merged, tombstones, &mut kept);
-            let unmatched = (tombstones.len() + kept.len() - merged.len()) as u64;
-            self.values = kept;
-            unmatched
-        } else {
-            self.values.extend_from_slice(inserts);
-            crate::kernels::cancel_occurrences(&mut self.values, tombstones)
+        let unmatched = match &mut self.values {
+            Payload::Sorted(window) => {
+                let mut merged = Vec::new();
+                crate::kernels::merge_sorted(window, inserts, &mut merged);
+                let kept = if tombstones.is_empty() {
+                    merged
+                } else {
+                    let mut kept = Vec::with_capacity(merged.len());
+                    crate::kernels::subtract_sorted(&merged, tombstones, &mut kept);
+                    kept.shrink_to_fit();
+                    kept
+                };
+                let cancelled = window.len() + inserts.len() - kept.len();
+                self.synopsis = PieceSynopsis::from_sorted(&kept);
+                *window = Window::new(kept);
+                (tombstones.len() - cancelled) as u64
+            }
+            Payload::Unsorted(values) => {
+                values.extend_from_slice(inserts);
+                let unmatched = crate::kernels::cancel_occurrences(values, tombstones);
+                self.synopsis = PieceSynopsis::from_values(values);
+                unmatched
+            }
         };
-        self.synopsis = PieceSynopsis::from_values(&self.values);
         tracker.free(self.id, old);
         tracker.materialize(self.id, self.bytes());
         unmatched
@@ -210,10 +373,15 @@ impl<V: ColumnValue> SegmentData<V> {
     ///
     /// This is the single scan that materializes split products in both
     /// Algorithm 1 (replace a segment by its sub-segments) and the eager part
-    /// of the replica tree. `ids` supplies a fresh id per piece. The values
-    /// move through [`crate::kernels::partition_into`]: storage order is
-    /// kept within each product and each product's buffer is allocated at
-    /// its exact size, so a piece never carries spare capacity for life.
+    /// of the replica tree. `ids` supplies a fresh id per piece. A sorted
+    /// segment copies nothing: one binary search per inner bound cuts its
+    /// window into the products' windows of the same buffer, each product
+    /// sorted in turn. An unsorted one moves its values through
+    /// [`crate::kernels::partition_into`]: storage order is kept within each
+    /// product and each product's buffer is allocated at its exact size, so
+    /// a piece never carries spare capacity for life. Either way the caller
+    /// charges the same free and materializations: the split is the
+    /// paper's rewrite, whatever it costs this process.
     ///
     /// # Panics
     /// Panics (debug) if the sub-ranges do not tile `self.range`.
@@ -234,10 +402,25 @@ impl<V: ColumnValue> SegmentData<V> {
             "pieces must be adjacent and ordered"
         );
 
+        let values = match self.values {
+            Payload::Sorted(window) => {
+                let mut start = 0;
+                return pieces
+                    .iter()
+                    .map(|range| {
+                        let end = start + window[start..].partition_point(|v| *v <= range.hi());
+                        let product = window.sub(start, end);
+                        start = end;
+                        SegmentData::from_window(ids.fresh(), *range, product)
+                    })
+                    .collect();
+            }
+            Payload::Unsorted(values) => values,
+        };
         // Each piece but the last ends at an inner bound.
         let inner = pieces.len().saturating_sub(1);
         let bounds: Vec<V> = pieces.iter().take(inner).map(|p| p.hi()).collect();
-        let buckets = crate::kernels::partition_into(&self.values, &bounds);
+        let buckets = crate::kernels::partition_into(&values, &bounds);
         pieces
             .iter()
             .zip(buckets)
@@ -367,12 +550,56 @@ mod tests {
                     .filter(|v| range.contains(*v))
                     .collect();
                 assert_eq!(p.values(), expect, "{range:?}");
-                let len = p.len() as usize;
                 // The buffer a piece keeps for life holds its values and
                 // nothing more.
-                assert_eq!(p.into_values().capacity(), len, "{range:?}");
+                let Payload::Unsorted(values) = &p.values else {
+                    panic!("an unsorted split yields unsorted products")
+                };
+                assert_eq!(values.capacity(), values.len(), "{range:?}");
             }
         }
+    }
+
+    #[test]
+    fn sharing_sorts_in_place_and_recomputes_the_synopsis() {
+        use crate::value::OrdF64;
+
+        // An f64 sum depends on the order: 1e16 + 1 - 1e16 + 1 is 1 in
+        // storage order and 0 ascending.
+        let values = [1e16, 1.0, -1e16, 1.0].map(OrdF64::from_finite).to_vec();
+        let range = ValueRange::must(OrdF64::from_finite(-1e17), OrdF64::from_finite(1e17));
+        let mut s = SegmentData::new(SegIdGen::new().fresh(), range, values);
+        let before = s.synopsis().expect("non-empty").sum();
+        let window = s.share_sorted();
+        assert!(s.is_sorted());
+        assert!(window.same(&s.share_sorted()), "sorted once, then shared");
+        assert!(s.values().windows(2).all(|w| w[0] <= w[1]));
+        crate::validate::segment(&s).unwrap();
+        assert_ne!(
+            s.synopsis().expect("non-empty").sum().to_bits(),
+            before.to_bits()
+        );
+    }
+
+    #[test]
+    fn a_sorted_fold_writes_a_fresh_buffer_and_leaves_the_shared_one() {
+        let mut ids = SegIdGen::new();
+        let s = SegmentData::sorted(ids.fresh(), ValueRange::must(0, 99), vec![10, 20, 30, 40]);
+        let mut parts = s.partition(
+            &[ValueRange::must(0, 24), ValueRange::must(25, 99)],
+            &mut ids,
+        );
+        let served = parts[0].share_sorted();
+        let unmatched = parts[0].fold_delta(&[15, 15], &[10, 11], &mut crate::tracker::NullTracker);
+        assert_eq!(unmatched, 1, "11 was never stored");
+        assert_eq!(parts[0].values(), [15, 15, 20]);
+        assert!(parts[0].is_sorted());
+        crate::validate::segment(&parts[0]).unwrap();
+        // The reader's window still holds the old values, and the
+        // untouched sibling still shares the buffer with it.
+        assert_eq!(&served[..], [10, 20]);
+        assert!(!parts[0].share_sorted().shares_buffer(&served));
+        assert!(parts[1].share_sorted().shares_buffer(&served));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::column::SegmentedColumn;
 use crate::estimate::{exact_pieces, interpolate_pieces, PieceLens, SizeEstimator};
 use crate::model::{SegmentationModel, SplitDecision, SplitGeometry, Technique, WhichBound};
 use crate::range::ValueRange;
+use crate::segment::Window;
 use crate::strategy::ColumnStrategy;
 use crate::tracker::AccessTracker;
 use crate::value::ColumnValue;
@@ -197,6 +198,10 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveSegmentation<V> {
         let unmatched = self.column.fold_delta(inserts, tombstones, tracker);
         crate::debug_assert_valid!(self.column.validate(), "adaptive segmentation fold");
         unmatched
+    }
+
+    fn share_sorted(&mut self) -> Option<Vec<(ValueRange<V>, Window<V>)>> {
+        Some(self.column.share_sorted())
     }
 
     fn storage_bytes(&self) -> u64 {

@@ -9,6 +9,7 @@
 //! [`ColumnStrategy::peek_collect`].
 
 use crate::range::ValueRange;
+use crate::segment::Window;
 use crate::tracker::AccessTracker;
 use crate::value::ColumnValue;
 
@@ -57,7 +58,7 @@ impl AdaptationStats {
 /// relies on when its writer thread owns the strategy. Concretely:
 ///
 /// * the **mutating** methods ([`Self::select_count`],
-///   [`Self::fold_delta`]) take `&mut self`, so
+///   [`Self::fold_delta`], [`Self::share_sorted`]) take `&mut self`, so
 ///   they are exclusive per strategy *instance*; concurrency comes from
 ///   running *distinct* instances in parallel, never from sharing one;
 /// * the **read-only** methods ([`Self::peek_collect`],
@@ -84,8 +85,9 @@ pub trait ColumnStrategy<V: ColumnValue>: Send + Sync {
     ///
     /// This is the extraction path for layers that present a strategy's
     /// segments as data (the MAL `bpm` module materializes per-segment
-    /// bats, the catalog checkpoint reads rows, the epoch layer publishes
-    /// snapshots from it) — those reads must not perturb the
+    /// bats, the catalog checkpoint reads rows, the epoch layer copies the
+    /// pieces of a strategy that does not [share](Self::share_sorted)
+    /// them) — those reads must not perturb the
     /// self-organization the workload is driving, which only
     /// [`Self::select_count`] does.
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V>;
@@ -143,6 +145,25 @@ pub trait ColumnStrategy<V: ColumnValue>: Send + Sync {
         tracker: &mut dyn AccessTracker,
     ) -> Option<u64> {
         let _ = (inserts, tombstones, tracker);
+        None
+    }
+
+    /// Sorts the strategy's pieces in their own buffers and hands out each
+    /// piece's range with a [`Window`] of its values — the one copy a
+    /// served column holds, shared by the strategy and every epoch
+    /// snapshot. The pieces come in value order and tile the strategy's
+    /// domain; each window is ascending and immutable, and stays valid
+    /// whatever the strategy does next (a split windows the same buffer, a
+    /// fold writes a fresh one).
+    ///
+    /// The sort happens once per piece, the first time it is shared; it
+    /// is physical reorganization, charged to nobody, and it moves no
+    /// answer or counted byte: pieces still split, fold and scan the same
+    /// tuples. [`crate::ConcurrentColumn`] calls this at every epoch it
+    /// publishes; a strategy that declines (the default, `None`) is served
+    /// from a sorted copy of each piece instead. The segment-based
+    /// strategies of this crate share; cracking and replication decline.
+    fn share_sorted(&mut self) -> Option<Vec<(ValueRange<V>, Window<V>)>> {
         None
     }
 

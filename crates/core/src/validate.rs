@@ -306,10 +306,14 @@ pub fn synopsis_consistent<V: ColumnValue>(
 }
 
 /// Deep validation of one segment: values inside the segment's range
-/// ([`payload`]), cached synopsis exact against them
-/// ([`synopsis_consistent`]).
+/// ([`payload`]), ascending when the segment is flagged sorted (a split
+/// or a served read would binary-search garbage otherwise), cached
+/// synopsis exact against them ([`synopsis_consistent`]).
 pub fn segment<V: ColumnValue>(seg: &SegmentData<V>) -> Result<(), Violation> {
     payload(&seg.range(), seg.values())?;
+    if seg.is_sorted() && !seg.values().windows(2).all(|w| w[0] <= w[1]) {
+        return Err(Violation::NotSorted { index: 0 });
+    }
     synopsis_consistent(seg.synopsis().as_ref(), seg.values())
 }
 
@@ -340,6 +344,7 @@ fn at_index(v: Violation, index: usize) -> Violation {
         Violation::OutOfRange { detail, .. } => Violation::OutOfRange { index, detail },
         Violation::Payload { reason, .. } => Violation::Payload { index, reason },
         Violation::Synopsis { detail, .. } => Violation::Synopsis { index, detail },
+        Violation::NotSorted { .. } => Violation::NotSorted { index },
         other => other,
     }
 }
@@ -534,6 +539,30 @@ mod tests {
             synopsis_consistent(Some(&ulp), &values),
             Err(Violation::Synopsis { .. })
         ));
+    }
+
+    #[test]
+    fn segment_accepts_a_sorted_flag_only_over_ascending_values() {
+        use crate::segment::SegIdGen;
+
+        let mut ids = SegIdGen::new();
+        let sorted = SegmentData::sorted(ids.fresh(), r(0, 99), vec![1u32, 5, 5, 9]);
+        segment(&sorted).unwrap();
+        // Storage order is fine for an unsorted segment; sorting it in
+        // place keeps it valid under the flag.
+        let mut unsorted = SegmentData::new(ids.fresh(), r(0, 99), vec![9u32, 1, 5]);
+        segment(&unsorted).unwrap();
+        let _ = unsorted.share_sorted();
+        segment(&unsorted).unwrap();
+    }
+
+    #[test]
+    fn segment_rejects_a_sorted_flag_over_unsorted_values() {
+        use crate::segment::SegIdGen;
+
+        let mut ids = SegIdGen::new();
+        let bad = SegmentData::sorted(ids.fresh(), r(0, 99), vec![5u32, 1]);
+        assert_eq!(segment(&bad), Err(Violation::NotSorted { index: 0 }));
     }
 
     #[test]
