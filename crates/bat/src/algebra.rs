@@ -68,10 +68,9 @@ fn selected_indices(b: &Bat, lo: &Atom, hi: &Atom) -> Result<Vec<usize>, BatErro
     let mut out = Vec::new();
     match b.tail() {
         Tail::Int(v) => {
-            let (lo, hi) = numeric_bounds(lo, hi, "int")?;
-            for (i, x) in v.iter().enumerate() {
-                let x = *x as f64;
-                if x >= lo && x <= hi {
+            let (lo, hi) = integer_bounds(lo, hi, "int")?;
+            for (i, &x) in v.iter().enumerate() {
+                if (lo..=hi).contains(&i128::from(x)) {
                     out.push(i);
                 }
             }
@@ -85,10 +84,9 @@ fn selected_indices(b: &Bat, lo: &Atom, hi: &Atom) -> Result<Vec<usize>, BatErro
             }
         }
         Tail::Oid(v) => {
-            let (lo, hi) = numeric_bounds(lo, hi, "oid")?;
-            for (i, x) in v.iter().enumerate() {
-                let x = *x as f64;
-                if x >= lo && x <= hi {
+            let (lo, hi) = integer_bounds(lo, hi, "oid")?;
+            for (i, &x) in v.iter().enumerate() {
+                if (lo..=hi).contains(&i128::from(x)) {
                     out.push(i);
                 }
             }
@@ -126,6 +124,29 @@ fn numeric_bounds(lo: &Atom, hi: &Atom, expected: &'static str) -> Result<(f64, 
             got: "non-numeric bound",
         }),
     }
+}
+
+/// The closed bounds `[lo, hi]` as the integers an `int` or `oid` row
+/// must lie between, compared exactly: every `i64` and `u64` fits an
+/// `i128`, and a fractional `dbl` bound rounds inward (`x ≥ 2.5` iff
+/// `x ≥ 3`). Widening the rows to `f64` instead would merge neighbouring
+/// integers above 2⁵³. A NaN bound selects nothing.
+fn integer_bounds(lo: &Atom, hi: &Atom, expected: &'static str) -> Result<(i128, i128), BatError> {
+    let bound = |a: &Atom, round: fn(f64) -> f64, nan: i128| match a {
+        Atom::Int(v) => Ok(i128::from(*v)),
+        Atom::Oid(v) => Ok(i128::from(*v)),
+        Atom::Dbl(v) if v.is_nan() => Ok(nan),
+        // `as` saturates: a bound beyond every integer stays beyond them.
+        Atom::Dbl(v) => Ok(round(*v) as i128),
+        Atom::Str(_) | Atom::Nil => Err(BatError::TypeMismatch {
+            expected,
+            got: "non-numeric bound",
+        }),
+    };
+    Ok((
+        bound(lo, f64::ceil, i128::MAX)?,
+        bound(hi, f64::floor, i128::MIN)?,
+    ))
 }
 
 /// Whether `idx` selects every one of `len` rows in place.
@@ -629,6 +650,46 @@ mod tests {
         let b = Bat::dense_int(vec![5, 10, 15, 20]);
         let r = select(&b, &Atom::Int(10), &Atom::Int(15)).unwrap();
         assert_eq!(r.head_oids(), vec![1, 2]);
+    }
+
+    #[test]
+    fn integer_selections_are_exact_above_2_pow_53() {
+        // 2^53 and 2^53 + 1 are one f64; the selection must tell them apart.
+        let big = 1i64 << 53;
+        let ints = Bat::dense_int(vec![big, big + 1, big + 2, i64::MAX, i64::MIN]);
+        let oids = Bat::dense_oid(vec![big as u64, big as u64 + 1, big as u64 + 2, u64::MAX]);
+        let one = Atom::Int(big + 1);
+        assert_eq!(uselect(&ints, &one, &one).unwrap().head_oids(), vec![1]);
+        assert_eq!(uselect(&oids, &one, &one).unwrap().head_oids(), vec![1]);
+        let one = Atom::Oid(big as u64 + 1);
+        assert_eq!(uselect(&ints, &one, &one).unwrap().head_oids(), vec![1]);
+        assert_eq!(uselect(&oids, &one, &one).unwrap().head_oids(), vec![1]);
+        let r = uselect(&ints, &Atom::Int(i64::MAX), &Atom::Oid(u64::MAX)).unwrap();
+        assert_eq!(r.head_oids(), vec![3]);
+        let r = uselect(&oids, &Atom::Int(-1), &Atom::Oid(u64::MAX - 1)).unwrap();
+        assert_eq!(r.head_oids(), vec![0, 1, 2]);
+        let r = uselect(&ints, &Atom::Int(i64::MIN), &Atom::Int(i64::MIN)).unwrap();
+        assert_eq!(r.head_oids(), vec![4]);
+    }
+
+    #[test]
+    fn fractional_bounds_on_integer_tails_round_inward() {
+        let ints = Bat::dense_int(vec![-3, -2, -1, 0, 1, 2, 3]);
+        let r = uselect(&ints, &Atom::Dbl(-2.5), &Atom::Dbl(1.5)).unwrap();
+        assert_eq!(r.head_oids(), vec![1, 2, 3, 4]);
+        let r = uselect(&ints, &Atom::Dbl(0.2), &Atom::Dbl(0.8)).unwrap();
+        assert!(r.is_empty());
+        let r = uselect(&ints, &Atom::Dbl(f64::NEG_INFINITY), &Atom::Dbl(1e300)).unwrap();
+        assert_eq!(r.len(), 7);
+        for nan in [(f64::NAN, 1.0), (-1.0, f64::NAN)] {
+            let r = uselect(&ints, &Atom::Dbl(nan.0), &Atom::Dbl(nan.1)).unwrap();
+            assert!(r.is_empty(), "a NaN bound selects nothing");
+        }
+        let oids = Bat::dense_oid(vec![0, 1, 2, 3]);
+        let r = uselect(&oids, &Atom::Dbl(0.5), &Atom::Dbl(2.0)).unwrap();
+        assert_eq!(r.head_oids(), vec![1, 2]);
+        assert!(uselect(&oids, &Atom::Str("a".into()), &Atom::Int(1)).is_err());
+        assert!(uselect(&ints, &Atom::Int(0), &Atom::Nil).is_err());
     }
 
     #[test]

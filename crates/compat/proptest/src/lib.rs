@@ -283,7 +283,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use rand::Rng;
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: core::ops::Range<usize>,

@@ -66,7 +66,7 @@ mod reference;
 /// ([`ColumnValue::exact_chunk_sum`]; 4096 values of at most 32 bits stay
 /// below 2⁵³). It is also the granularity at which [`scan_fill`] answers
 /// the query and cuts several fills out of the hull's survivors. Moving
-/// matches happens per [`BLOCK`]. Also bounds the inner `u32` match
+/// matches happens per `BLOCK`. Also bounds the inner `u32` match
 /// accumulator (4096 < `u32::MAX`).
 pub const CHUNK: usize = 4096;
 
@@ -176,7 +176,7 @@ fn compress_block<V: ColumnValue>(block: &[V], lo: V, hi: V, dst: &mut [V]) -> u
 
 /// Copy of the values inside `q` into `out`, order preserved.
 ///
-/// Counted and moved in blocks of 64 by [`append_matches`]: `memcpy` for a
+/// Counted and moved in blocks of 64 by `append_matches`: `memcpy` for a
 /// fully matching block, nothing for an empty one, a branchless
 /// compress-store for a mixed block only.
 pub fn collect_range<V: ColumnValue>(values: &[V], q: &ValueRange<V>, out: &mut Vec<V>) {
@@ -193,7 +193,7 @@ pub fn collect_range<V: ColumnValue>(values: &[V], q: &ValueRange<V>, out: &mut 
 /// would append).
 ///
 /// Per chunk the hull of the fills is counted and moved in blocks by
-/// [`append_matches`], so only its mixed blocks are compress-stored. A
+/// `append_matches`, so only its mixed blocks are compress-stored. A
 /// single fill is its hull and moves straight into its output. With
 /// several fills the hull's values are moved once into a chunk-sized
 /// scratch and each fill is then cut out of those survivors the same way
@@ -374,7 +374,7 @@ fn sum_chunk<V: ColumnValue>(chunk: &[V]) -> f64 {
 /// same, the stored sum is bit-identical to the `sum_range` result of any
 /// query that covers the whole slice — so a pruned aggregate that answers
 /// a covered piece from its synopsis reproduces the unpruned scan exactly.
-/// Each chunk is one [`sum_chunk`]: an integer sum for the narrow integer
+/// Each chunk is one `sum_chunk`: an integer sum for the narrow integer
 /// types, the `f64` chain for the rest.
 pub fn sum_all<V: ColumnValue>(values: &[V]) -> f64 {
     let mut total = 0.0f64;
@@ -468,7 +468,7 @@ pub fn sorted_run<V: ColumnValue>(sorted: &[V], q: &ValueRange<V>) -> (usize, us
 /// one), so per chunk both kernels add the same values in the same order,
 /// and chunks wholly outside the run contribute `0.0` to the total. Only
 /// the O(run) values are read instead of the whole piece, each chunk's
-/// share as one [`sum_chunk`] — an integer sum for the narrow integer
+/// share as one `sum_chunk` — an integer sum for the narrow integer
 /// types.
 pub fn sum_sorted_run<V: ColumnValue>(sorted: &[V], start: usize, end: usize) -> f64 {
     let mut total = 0.0f64;

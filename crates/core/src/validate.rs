@@ -17,7 +17,7 @@
 //! * **Cheap** ([`ranges_partition`], [`strategy_pieces`],
 //!   [`replica_tree`]) — O(#pieces) range arithmetic, no payload access.
 //!   Safe to run after every query inside `debug_assert_valid!`.
-//! * **Deep** ([`column`], [`payload`], [`encoded_consistent`]) — walks
+//! * **Deep** ([`column()`], [`payload`], [`encoded_consistent`]) — walks
 //!   values or packed words. For debug builds and tests.
 
 use crate::column::SegmentedColumn;

@@ -4,14 +4,33 @@
 //! segment-optimizer rewrites of Section 3.1: straight-line instructions
 //! `X := module.fn(args);`, guarded blocks (`barrier` / `redo` / `exit`),
 //! and `function`/`end` wrappers carrying the plan parameters.
+//!
+//! Every query builds, rewrites and runs a plan, so a plan is cheap to
+//! make and to copy:
+//!
+//! - Variable, module and function names are a [`Name`]: borrowed
+//!   (`&'static str`, no allocation) when the SQL compiler or the segment
+//!   optimizer emits a fixed name such as `X14` or `algebra.uselect`, and
+//!   owned only when the MAL parser reads a name from text, the optimizer
+//!   mints a fresh variable (`_Y1`, `_T3`, …) or the SQL compiler names
+//!   the plan's function after its table and column (`user.p_ra`).
+//! - Statements hold their instruction behind an [`Arc`], so a rewrite
+//!   passes every statement it leaves alone through as a pointer copy.
+
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use soc_bat::Atom;
+
+/// A variable, module or function name: static where the code that
+/// emits it knows it, owned where it is read from text or minted.
+pub type Name = Cow<'static, str>;
 
 /// An instruction argument: a variable reference or a literal.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Arg {
     /// Reference to a plan variable.
-    Var(String),
+    Var(Name),
     /// Literal constant.
     Const(Atom),
 }
@@ -30,22 +49,28 @@ impl Arg {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instruction {
     /// Assignment target (`X14` in `X14 := algebra.select(…)`), if any.
-    pub target: Option<String>,
+    pub target: Option<Name>,
     /// Module name (`algebra`, `bpm`, `sql`, …).
-    pub module: String,
+    pub module: Name,
     /// Function name within the module.
-    pub function: String,
+    pub function: Name,
     /// Arguments in call order.
     pub args: Vec<Arg>,
 }
 
 impl Instruction {
-    /// Convenience constructor.
-    pub fn new(target: Option<&str>, module: &str, function: &str, args: Vec<Arg>) -> Self {
+    /// Convenience constructor; a `&'static str` name is stored without
+    /// a copy.
+    pub fn new(
+        target: Option<Name>,
+        module: impl Into<Name>,
+        function: impl Into<Name>,
+        args: Vec<Arg>,
+    ) -> Self {
         Instruction {
-            target: target.map(str::to_owned),
-            module: module.to_owned(),
-            function: function.to_owned(),
+            target,
+            module: module.into(),
+            function: function.into(),
             args,
         }
     }
@@ -68,22 +93,22 @@ pub enum Stmt {
     /// `function user.name(P0:typ,…):typ;` — records the parameter names.
     Function {
         /// Qualified function name.
-        name: String,
+        name: Name,
         /// Parameter variable names in declaration order.
-        params: Vec<String>,
+        params: Vec<Name>,
     },
     /// `end name;`
     End,
     /// Plain instruction (with or without assignment).
-    Assign(Instruction),
+    Assign(Arc<Instruction>),
     /// `barrier X := call;` — enters the block when the call yields a
     /// non-nil value bound to `X`; otherwise skips to the matching `exit`.
-    Barrier(Instruction),
+    Barrier(Arc<Instruction>),
     /// `redo X := call;` — re-enters the block body when the call yields a
     /// non-nil value; otherwise falls through to the `exit`.
-    Redo(Instruction),
+    Redo(Arc<Instruction>),
     /// `exit X;` — closes the block of variable `X`.
-    Exit(String),
+    Exit(Name),
 }
 
 /// A parsed MAL program.
@@ -95,11 +120,11 @@ pub struct Program {
 
 impl Program {
     /// The declared parameters of the outermost `function`, if present.
-    pub fn params(&self) -> Vec<String> {
+    pub fn params(&self) -> &[Name] {
         self.stmts
             .iter()
             .find_map(|s| match s {
-                Stmt::Function { params, .. } => Some(params.clone()),
+                Stmt::Function { params, .. } => Some(params.as_slice()),
                 _ => None,
             })
             .unwrap_or_default()
@@ -135,7 +160,7 @@ fn render_instr(i: &Instruction) -> String {
         .args
         .iter()
         .map(|a| match a {
-            Arg::Var(v) => v.clone(),
+            Arg::Var(v) => v.to_string(),
             Arg::Const(c) => c.to_string(),
         })
         .collect::<Vec<_>>()
@@ -153,7 +178,7 @@ mod tests {
     #[test]
     fn qualified_name_and_render() {
         let i = Instruction::new(
-            Some("X14"),
+            Some("X14".into()),
             "algebra",
             "select",
             vec![
@@ -166,7 +191,7 @@ mod tests {
         assert!(i.is("algebra", "select"));
         assert!(!i.is("algebra", "uselect") && !i.is("bat", "select"));
         let p = Program {
-            stmts: vec![Stmt::Assign(i)],
+            stmts: vec![Stmt::Assign(Arc::new(i))],
         };
         assert_eq!(p.render().trim(), "X14 := algebra.select(X1,205.1,205.12);");
     }
@@ -179,7 +204,7 @@ mod tests {
                 params: vec!["A0".into(), "A1".into()],
             }],
         };
-        assert_eq!(p.params(), vec!["A0".to_owned(), "A1".to_owned()]);
+        assert_eq!(p.params(), ["A0", "A1"]);
         assert!(Program::default().params().is_empty());
     }
 }

@@ -147,6 +147,30 @@ fn atoms_to_bat(key: &str, heads: &[Oid], vals: &[Atom], like: &Bat) -> Result<B
         })
 }
 
+/// Calls `f` with `parts` joined by `.`, built in a stack buffer when the
+/// result fits in 64 bytes and in a `String` otherwise.
+fn with_joined<R>(parts: &[&str], f: impl FnOnce(&str) -> R) -> R {
+    let mut buf = [0u8; 64];
+    let mut len = 0;
+    for (k, part) in parts.iter().enumerate() {
+        let sep = usize::from(k > 0);
+        let end = len + sep + part.len();
+        if end > buf.len() {
+            return f(&parts.join("."));
+        }
+        if sep == 1 {
+            buf[len] = b'.';
+        }
+        buf[len + sep..end].copy_from_slice(part.as_bytes());
+        len = end;
+    }
+    match std::str::from_utf8(&buf[..len]) {
+        Ok(joined) => f(joined),
+        // Unreachable: `.`-joined `str`s are UTF-8.
+        Err(_) => f(&parts.join(".")),
+    }
+}
+
 /// The registered domain of a segmented column, kept so the column can be
 /// re-organized under a different strategy later.
 #[derive(Debug, Clone, Copy)]
@@ -257,6 +281,18 @@ impl Catalog {
 
     fn table_key(schema: &str, table: &str) -> String {
         format!("{schema}.{table}")
+    }
+
+    /// Calls `f` with the key [`Self::key`] would build, built on the
+    /// stack when it fits, so looking a column up by its parts allocates
+    /// nothing.
+    pub(crate) fn with_key<R>(
+        schema: &str,
+        table: &str,
+        column: &str,
+        f: impl FnOnce(&str) -> R,
+    ) -> R {
+        with_joined(&[schema, table, column], f)
     }
 
     /// Registration bookkeeping shared by every path: deltas recorded
@@ -454,27 +490,28 @@ impl Catalog {
 
     /// The delta bat `sql.bind(schema, table, column, access)` returns for
     /// `access` 1 (inserts) or 2 (updates — the interpreter rejects every
-    /// other code); typed like the base column.
-    pub(crate) fn delta_bat(
-        &self,
-        key: &str,
-        access: i64,
-        like: &Bat,
-    ) -> Result<Bat, CatalogError> {
+    /// other code); typed like the base column, as `like` is, which comes
+    /// back as it is when nothing is pending.
+    pub(crate) fn delta_bat(&self, key: &str, access: i64, like: Bat) -> Result<Bat, CatalogError> {
         match self.deltas.get(key) {
-            None => Ok(like.empty_like()),
-            Some(d) if access == 1 => atoms_to_bat(key, &d.insert_heads, &d.insert_vals, like),
-            Some(d) => atoms_to_bat(key, &d.update_heads, &d.update_vals, like),
+            None => Ok(like),
+            Some(d) if access == 1 => atoms_to_bat(key, &d.insert_heads, &d.insert_vals, &like),
+            Some(d) => atoms_to_bat(key, &d.update_heads, &d.update_vals, &like),
         }
     }
 
     /// The deletions bat `sql.bind_dbat` returns: head void, tail = the
     /// deleted oids (Figure 1 reverses it before `kdifference`).
     pub(crate) fn dbat(&self, schema: &str, table: &str) -> Result<Bat, CatalogError> {
-        let key = Self::table_key(schema, table);
-        let deleted = self.deleted.get(&key).cloned().unwrap_or_default();
-        Bat::new(Head::Void { base: 0 }, Tail::Oid(deleted.into()))
-            .map_err(|source| CatalogError::MalformedDelta { key, source })
+        with_joined(&[schema, table], |key| {
+            let deleted = self.deleted.get(key).cloned().unwrap_or_default();
+            Bat::new(Head::Void { base: 0 }, Tail::Oid(deleted.into())).map_err(|source| {
+                CatalogError::MalformedDelta {
+                    key: key.to_owned(),
+                    source,
+                }
+            })
+        })
     }
 
     fn require_segmented(&self, key: &str) -> Result<&SegmentedBat, CatalogError> {
@@ -1426,7 +1463,7 @@ mod tests {
         assert_eq!(a, 3);
         assert_eq!(b, 4);
         let like = Bat::dense_dbl(vec![]);
-        let ins = c.delta_bat("sys.P.ra", 1, &like).unwrap();
+        let ins = c.delta_bat("sys.P.ra", 1, like).unwrap();
         assert_eq!(ins.head_oids(), vec![3, 4]);
         assert_eq!(ins.tail(), &Tail::Dbl(vec![4.0, 5.0].into()));
     }
@@ -1438,12 +1475,12 @@ mod tests {
         c.update_value("sys", "P", "ra", 1, Atom::Dbl(9.0));
         c.delete_row("sys", "P", 0);
         let like = Bat::dense_dbl(vec![]);
-        let upd = c.delta_bat("sys.P.ra", 2, &like).unwrap();
+        let upd = c.delta_bat("sys.P.ra", 2, like.clone()).unwrap();
         assert_eq!(upd.head_oids(), vec![1]);
         assert_eq!(upd.tail(), &Tail::Dbl(vec![9.0].into()));
         let dbat = c.dbat("sys", "P").unwrap();
         assert_eq!(dbat.tail(), &Tail::Oid(vec![0].into()));
         // Untouched columns still produce empty deltas.
-        assert!(c.delta_bat("sys.P.nope", 1, &like).unwrap().is_empty());
+        assert!(c.delta_bat("sys.P.nope", 1, like).unwrap().is_empty());
     }
 }

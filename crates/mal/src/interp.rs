@@ -7,13 +7,13 @@
 //! optimizer injects (Section 3.1), including the predicate-enhanced
 //! segment iterator driving `barrier`/`redo`/`exit` blocks.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use soc_bat::{algebra, Atom, Bat, BatError, Head, Tail};
 
 use soc_core::StrategyKind;
 
-use crate::ast::{Arg, Instruction, Program, Stmt};
+use crate::ast::{Arg, Instruction, Name, Program, Stmt};
 use crate::bpm::BpmError;
 use crate::catalog::{Catalog, CatalogError};
 
@@ -105,11 +105,153 @@ impl From<CatalogError> for ExecError {
     }
 }
 
+/// An argument's value, borrowed from the plan (a constant) or from the
+/// environment (a bound variable).
+enum Val<'v> {
+    Const(&'v Atom),
+    Bound(&'v MalValue),
+}
+
+impl std::fmt::Debug for Val<'_> {
+    /// Formats as the [`MalValue`] the argument stands for.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Val::Const(c) => write!(f, "Atom({c:?})"),
+            Val::Bound(v) => v.fmt(f),
+        }
+    }
+}
+
+fn bad_arg(i: &Instruction, expected: String) -> ExecError {
+    ExecError::BadArg {
+        call: i.qualified(),
+        expected,
+    }
+}
+
+fn need_args(i: &Instruction, n: usize) -> Result<(), ExecError> {
+    if i.args.len() < n {
+        Err(bad_arg(
+            i,
+            format!("at least {n} arguments, got {}", i.args.len()),
+        ))
+    } else {
+        Ok(())
+    }
+}
+
+/// The plan variables of one execution. Every accessor borrows: reading
+/// an argument copies no name, string or bat handle the caller does not
+/// ask for.
+#[derive(Default)]
+struct Env(HashMap<Name, MalValue>);
+
+impl Env {
+    fn arg<'v>(&'v self, i: &'v Instruction, k: usize) -> Result<Val<'v>, ExecError> {
+        match i.args.get(k) {
+            None => Err(bad_arg(
+                i,
+                format!("at least {} arguments, got {}", k + 1, i.args.len()),
+            )),
+            Some(Arg::Const(c)) => Ok(Val::Const(c)),
+            Some(Arg::Var(v)) => self
+                .0
+                .get(v)
+                .map(Val::Bound)
+                .ok_or_else(|| ExecError::Unbound(v.to_string())),
+        }
+    }
+
+    fn bat(&self, i: &Instruction, k: usize) -> Result<Bat, ExecError> {
+        match self.arg(i, k)? {
+            Val::Bound(MalValue::Bat(b)) => Ok(b.clone()),
+            other => Err(bad_arg(i, format!("bat at arg {k}, got {other:?}"))),
+        }
+    }
+
+    fn atom<'v>(&'v self, i: &'v Instruction, k: usize) -> Result<&'v Atom, ExecError> {
+        match self.arg(i, k)? {
+            Val::Const(a) | Val::Bound(MalValue::Atom(a)) => Ok(a),
+            other => Err(bad_arg(i, format!("scalar at arg {k}, got {other:?}"))),
+        }
+    }
+
+    fn str_atom<'v>(&'v self, i: &'v Instruction, k: usize) -> Result<&'v str, ExecError> {
+        match self.atom(i, k)? {
+            Atom::Str(s) => Ok(s),
+            other => Err(bad_arg(i, format!("string at arg {k}, got {other}"))),
+        }
+    }
+
+    fn int_atom(&self, i: &Instruction, k: usize) -> Result<i64, ExecError> {
+        match self.atom(i, k)? {
+            Atom::Int(v) => Ok(*v),
+            Atom::Oid(v) => Ok(*v as i64),
+            other => Err(bad_arg(i, format!("int at arg {k}, got {other}"))),
+        }
+    }
+
+    fn handle<'v>(&'v self, i: &'v Instruction, k: usize) -> Result<&'v str, ExecError> {
+        match self.arg(i, k)? {
+            Val::Bound(MalValue::SegHandle(h)) => Ok(h),
+            other => Err(bad_arg(
+                i,
+                format!("segmented-bat handle at arg {k}, got {other:?}"),
+            )),
+        }
+    }
+
+    /// A column reference for the strategy-introspection ops: either a
+    /// `bpm.take` handle or a bare `schema.table.column` key string.
+    fn column_key<'v>(&'v self, i: &'v Instruction, k: usize) -> Result<&'v str, ExecError> {
+        match self.arg(i, k)? {
+            Val::Bound(MalValue::SegHandle(h))
+            | Val::Const(Atom::Str(h))
+            | Val::Bound(MalValue::Atom(Atom::Str(h))) => Ok(h),
+            other => Err(bad_arg(
+                i,
+                format!("handle or column key at arg {k}, got {other:?}"),
+            )),
+        }
+    }
+}
+
+/// `sql.bind` of `key`: the base column (access 0) or its insert (1) or
+/// update (2) delta, typed like the base.
+fn bind(catalog: &Catalog, i: &Instruction, key: &str, access: i64) -> Result<MalValue, ExecError> {
+    match access {
+        0 => {
+            if let Some(b) = catalog.bat(key) {
+                Ok(MalValue::Bat(b.clone()))
+            } else if let Some(seg) = catalog.segmented(key) {
+                // Fallback for non-optimized plans: reconstruct.
+                Ok(MalValue::Bat(seg.pack()?))
+            } else {
+                Err(ExecError::UnknownColumn(key.to_owned()))
+            }
+        }
+        1 | 2 => {
+            let like = if let Some(b) = catalog.bat(key) {
+                b.empty_like()
+            } else if let Some(seg) = catalog.segmented(key) {
+                seg.empty_like()
+            } else {
+                return Err(ExecError::UnknownColumn(key.to_owned()));
+            };
+            Ok(MalValue::Bat(catalog.delta_bat(key, access, like)?))
+        }
+        access => Err(bad_arg(
+            i,
+            format!("access code 0 (base), 1 (inserts) or 2 (updates) at arg 3, got {access}"),
+        )),
+    }
+}
+
 /// The interpreter: owns the variable environment for one plan execution.
 pub struct Interp<'a> {
     catalog: &'a mut Catalog,
-    env: HashMap<String, MalValue>,
-    iters: HashMap<String, std::collections::VecDeque<Bat>>,
+    env: Env,
+    iters: HashMap<Name, VecDeque<Bat>>,
     result: Option<Bat>,
 }
 
@@ -118,7 +260,7 @@ impl<'a> Interp<'a> {
     pub fn new(catalog: &'a mut Catalog) -> Self {
         Interp {
             catalog,
-            env: HashMap::new(),
+            env: Env::default(),
             iters: HashMap::new(),
             result: None,
         }
@@ -127,15 +269,16 @@ impl<'a> Interp<'a> {
     /// Executes `prog` with positional `args` bound to the declared
     /// function parameters. Returns the exported result set, if any.
     pub fn run(&mut self, prog: &Program, args: &[Atom]) -> Result<Option<Bat>, ExecError> {
-        self.env.clear();
+        self.env.0.clear();
+        self.env.0.reserve(prog.stmts.len());
         self.iters.clear();
         self.result = None;
         for (p, a) in prog.params().iter().zip(args) {
-            self.env.insert(p.clone(), MalValue::Atom(a.clone()));
+            self.env.0.insert(p.clone(), MalValue::Atom(a.clone()));
         }
 
         // var -> pc of the statement after its barrier.
-        let mut open_blocks: Vec<(String, usize)> = Vec::new();
+        let mut open_blocks: Vec<(&Name, usize)> = Vec::new();
         let mut pc = 0usize;
         while pc < prog.stmts.len() {
             match &prog.stmts[pc] {
@@ -143,31 +286,31 @@ impl<'a> Interp<'a> {
                 Stmt::Assign(i) => {
                     let v = self.exec(i)?;
                     if let Some(t) = &i.target {
-                        self.env.insert(t.clone(), v);
+                        self.env.0.insert(t.clone(), v);
                     }
                     pc += 1;
                 }
                 Stmt::Barrier(i) => {
                     let target = i
                         .target
-                        .clone()
+                        .as_ref()
                         .ok_or(ExecError::MissingTarget("barrier"))?;
                     let v = self.exec(i)?;
                     if v.truthy() {
-                        self.env.insert(target.clone(), v);
+                        self.env.0.insert(target.clone(), v);
                         open_blocks.push((target, pc + 1));
                         pc += 1;
                     } else {
                         // Skip to the matching exit.
                         let exit = prog.stmts[pc + 1..]
                             .iter()
-                            .position(|s| matches!(s, Stmt::Exit(v) if *v == target))
-                            .ok_or(ExecError::NoMatchingExit(target))?;
+                            .position(|s| matches!(s, Stmt::Exit(v) if v == target))
+                            .ok_or_else(|| ExecError::NoMatchingExit(target.to_string()))?;
                         pc = pc + 1 + exit + 1;
                     }
                 }
                 Stmt::Redo(i) => {
-                    let target = i.target.clone().ok_or(ExecError::MissingTarget("redo"))?;
+                    let target = i.target.as_ref().ok_or(ExecError::MissingTarget("redo"))?;
                     let v = self.exec(i)?;
                     if v.truthy() {
                         let body = open_blocks
@@ -175,338 +318,200 @@ impl<'a> Interp<'a> {
                             .rev()
                             .find(|(v, _)| *v == target)
                             .map(|(_, pc)| *pc)
-                            .ok_or_else(|| ExecError::RedoOutsideBlock(target.clone()))?;
-                        self.env.insert(target, v);
+                            .ok_or_else(|| ExecError::RedoOutsideBlock(target.to_string()))?;
+                        self.env.0.insert(target.clone(), v);
                         pc = body;
                     } else {
                         pc += 1;
                     }
                 }
                 Stmt::Exit(v) => {
-                    while open_blocks.last().is_some_and(|(b, _)| b == v) {
+                    while open_blocks.last().is_some_and(|(b, _)| *b == v) {
                         open_blocks.pop();
                     }
                     pc += 1;
                 }
             }
         }
-        Ok(self.result.clone())
+        Ok(self.result.take())
     }
 
     /// Reads a variable after a run (tests, diagnostics).
     pub fn get(&self, var: &str) -> Option<&MalValue> {
-        self.env.get(var)
-    }
-
-    fn value(&self, a: &Arg) -> Result<MalValue, ExecError> {
-        match a {
-            Arg::Const(c) => Ok(MalValue::Atom(c.clone())),
-            Arg::Var(v) => self
-                .env
-                .get(v)
-                .cloned()
-                .ok_or_else(|| ExecError::Unbound(v.clone())),
-        }
-    }
-
-    fn bat(&self, i: &Instruction, k: usize) -> Result<Bat, ExecError> {
-        match self.value(&i.args[k])? {
-            MalValue::Bat(b) => Ok(b),
-            other => Err(ExecError::BadArg {
-                call: i.qualified(),
-                expected: format!("bat at arg {k}, got {other:?}"),
-            }),
-        }
-    }
-
-    fn atom(&self, i: &Instruction, k: usize) -> Result<Atom, ExecError> {
-        match self.value(&i.args[k])? {
-            MalValue::Atom(a) => Ok(a),
-            other => Err(ExecError::BadArg {
-                call: i.qualified(),
-                expected: format!("scalar at arg {k}, got {other:?}"),
-            }),
-        }
-    }
-
-    fn str_atom(&self, i: &Instruction, k: usize) -> Result<String, ExecError> {
-        match self.atom(i, k)? {
-            Atom::Str(s) => Ok(s),
-            other => Err(ExecError::BadArg {
-                call: i.qualified(),
-                expected: format!("string at arg {k}, got {other}"),
-            }),
-        }
-    }
-
-    fn int_atom(&self, i: &Instruction, k: usize) -> Result<i64, ExecError> {
-        match self.atom(i, k)? {
-            Atom::Int(v) => Ok(v),
-            Atom::Oid(v) => Ok(v as i64),
-            other => Err(ExecError::BadArg {
-                call: i.qualified(),
-                expected: format!("int at arg {k}, got {other}"),
-            }),
-        }
-    }
-
-    fn handle(&self, i: &Instruction, k: usize) -> Result<String, ExecError> {
-        match self.value(&i.args[k])? {
-            MalValue::SegHandle(h) => Ok(h),
-            other => Err(ExecError::BadArg {
-                call: i.qualified(),
-                expected: format!("segmented-bat handle at arg {k}, got {other:?}"),
-            }),
-        }
-    }
-
-    /// A column reference for the strategy-introspection ops: either a
-    /// `bpm.take` handle or a bare `schema.table.column` key string.
-    fn column_key(&self, i: &Instruction, k: usize) -> Result<String, ExecError> {
-        match self.value(&i.args[k])? {
-            MalValue::SegHandle(h) => Ok(h),
-            MalValue::Atom(Atom::Str(s)) => Ok(s),
-            other => Err(ExecError::BadArg {
-                call: i.qualified(),
-                expected: format!("handle or column key at arg {k}, got {other:?}"),
-            }),
-        }
-    }
-
-    fn need_args(&self, i: &Instruction, n: usize) -> Result<(), ExecError> {
-        if i.args.len() < n {
-            Err(ExecError::BadArg {
-                call: i.qualified(),
-                expected: format!("at least {n} arguments, got {}", i.args.len()),
-            })
-        } else {
-            Ok(())
-        }
+        self.env.0.get(var)
     }
 
     fn exec(&mut self, i: &Instruction) -> Result<MalValue, ExecError> {
-        match (i.module.as_str(), i.function.as_str()) {
+        let env = &self.env;
+        match (i.module.as_ref(), i.function.as_ref()) {
             ("sql", "bind") => {
-                self.need_args(i, 4)?;
-                let key = Catalog::key(
-                    &self.str_atom(i, 0)?,
-                    &self.str_atom(i, 1)?,
-                    &self.str_atom(i, 2)?,
-                );
-                match self.int_atom(i, 3)? {
-                    0 => {
-                        if let Some(b) = self.catalog.bat(&key) {
-                            Ok(MalValue::Bat(b.clone()))
-                        } else if let Some(seg) = self.catalog.segmented(&key) {
-                            // Fallback for non-optimized plans: reconstruct.
-                            Ok(MalValue::Bat(seg.pack()?))
-                        } else {
-                            Err(ExecError::UnknownColumn(key))
-                        }
-                    }
-                    access @ (1 | 2) => {
-                        // Insert/update deltas, typed like the base column.
-                        let like = if let Some(b) = self.catalog.bat(&key) {
-                            b.empty_like()
-                        } else if let Some(seg) = self.catalog.segmented(&key) {
-                            seg.empty_like()
-                        } else {
-                            return Err(ExecError::UnknownColumn(key));
-                        };
-                        Ok(MalValue::Bat(self.catalog.delta_bat(&key, access, &like)?))
-                    }
-                    access => Err(ExecError::BadArg {
-                        call: i.qualified(),
-                        expected: format!(
-                            "access code 0 (base), 1 (inserts) or 2 (updates) at arg 3, got {access}"
-                        ),
-                    }),
-                }
+                need_args(i, 4)?;
+                let (schema, table) = (env.str_atom(i, 0)?, env.str_atom(i, 1)?);
+                let column = env.str_atom(i, 2)?;
+                let access = env.int_atom(i, 3)?;
+                let catalog = &*self.catalog;
+                Catalog::with_key(schema, table, column, |key| bind(catalog, i, key, access))
             }
             ("sql", "bind_dbat") => {
-                self.need_args(i, 2)?;
-                let schema = self.str_atom(i, 0)?;
-                let table = self.str_atom(i, 1)?;
-                Ok(MalValue::Bat(self.catalog.dbat(&schema, &table)?))
+                need_args(i, 2)?;
+                let (schema, table) = (env.str_atom(i, 0)?, env.str_atom(i, 1)?);
+                Ok(MalValue::Bat(self.catalog.dbat(schema, table)?))
             }
             ("sql", "setMergeThreshold") => {
                 // The `ALTER TABLE … SET MERGE THRESHOLD n` DDL: per-table
                 // override of the auto-compaction threshold (0 disables).
-                self.need_args(i, 3)?;
-                let schema = self.str_atom(i, 0)?;
-                let table = self.str_atom(i, 1)?;
-                let rows = self.int_atom(i, 2)?.max(0) as usize;
-                self.catalog
-                    .set_table_merge_threshold(&schema, &table, rows);
+                need_args(i, 3)?;
+                let (schema, table) = (env.str_atom(i, 0)?, env.str_atom(i, 1)?);
+                let rows = env.int_atom(i, 2)?.max(0) as usize;
+                self.catalog.set_table_merge_threshold(schema, table, rows);
                 Ok(MalValue::Atom(Atom::Int(rows as i64)))
             }
             ("sql", "pendingRows") => {
                 // Pending (un-merged) delta rows of a table — the overlay
                 // size readers currently merge on the fly.
-                self.need_args(i, 2)?;
-                let schema = self.str_atom(i, 0)?;
-                let table = self.str_atom(i, 1)?;
-                let n = self.catalog.pending_rows(&schema, &table);
+                need_args(i, 2)?;
+                let (schema, table) = (env.str_atom(i, 0)?, env.str_atom(i, 1)?);
+                let n = self.catalog.pending_rows(schema, table);
                 Ok(MalValue::Atom(Atom::Int(n as i64)))
             }
             ("sql", "subdelta") => {
-                self.need_args(i, 6)?;
+                need_args(i, 6)?;
                 Ok(MalValue::Bat(algebra::sub_delta(
-                    &self.bat(i, 0)?,
-                    &self.bat(i, 1)?,
-                    &self.bat(i, 2)?,
-                    &self.bat(i, 3)?,
-                    &self.atom(i, 4)?,
-                    &self.atom(i, 5)?,
+                    &env.bat(i, 0)?,
+                    &env.bat(i, 1)?,
+                    &env.bat(i, 2)?,
+                    &env.bat(i, 3)?,
+                    env.atom(i, 4)?,
+                    env.atom(i, 5)?,
                 )?))
             }
             ("sql", "projectdelta") => {
-                self.need_args(i, 4)?;
+                need_args(i, 4)?;
                 Ok(MalValue::Bat(algebra::project_delta(
-                    &self.bat(i, 0)?,
-                    &self.bat(i, 1)?,
-                    &self.bat(i, 2)?,
-                    &self.bat(i, 3)?,
+                    &env.bat(i, 0)?,
+                    &env.bat(i, 1)?,
+                    &env.bat(i, 2)?,
+                    &env.bat(i, 3)?,
                 )?))
             }
             ("sql", "resultSet") => {
-                self.need_args(i, 3)?;
-                let b = self.bat(i, 2)?;
-                self.result = Some(b);
+                need_args(i, 3)?;
+                self.result = Some(env.bat(i, 2)?);
                 Ok(MalValue::Atom(Atom::Int(1)))
             }
             ("sql", "rsColumn") | ("sql", "exportResult") => Ok(MalValue::Nil),
             ("calc", "oid") => {
-                self.need_args(i, 1)?;
-                match self.atom(i, 0)? {
-                    Atom::Oid(v) => Ok(MalValue::Atom(Atom::Oid(v))),
-                    Atom::Int(v) => Ok(MalValue::Atom(Atom::Oid(v as u64))),
-                    other => Err(ExecError::BadArg {
-                        call: i.qualified(),
-                        expected: format!("oid-coercible value, got {other}"),
-                    }),
+                need_args(i, 1)?;
+                match env.atom(i, 0)? {
+                    Atom::Oid(v) => Ok(MalValue::Atom(Atom::Oid(*v))),
+                    Atom::Int(v) => Ok(MalValue::Atom(Atom::Oid(*v as u64))),
+                    other => Err(bad_arg(i, format!("oid-coercible value, got {other}"))),
                 }
             }
             ("algebra", "select") => {
-                self.need_args(i, 3)?;
-                let b = self.bat(i, 0)?;
+                need_args(i, 3)?;
                 Ok(MalValue::Bat(algebra::select(
-                    &b,
-                    &self.atom(i, 1)?,
-                    &self.atom(i, 2)?,
+                    &env.bat(i, 0)?,
+                    env.atom(i, 1)?,
+                    env.atom(i, 2)?,
                 )?))
             }
             ("algebra", "uselect") => {
-                self.need_args(i, 3)?;
-                let b = self.bat(i, 0)?;
+                need_args(i, 3)?;
                 Ok(MalValue::Bat(algebra::uselect(
-                    &b,
-                    &self.atom(i, 1)?,
-                    &self.atom(i, 2)?,
+                    &env.bat(i, 0)?,
+                    env.atom(i, 1)?,
+                    env.atom(i, 2)?,
                 )?))
             }
             ("algebra", "kunion") => {
-                self.need_args(i, 2)?;
+                need_args(i, 2)?;
                 Ok(MalValue::Bat(algebra::kunion(
-                    &self.bat(i, 0)?,
-                    &self.bat(i, 1)?,
+                    &env.bat(i, 0)?,
+                    &env.bat(i, 1)?,
                 )?))
             }
             ("algebra", "kdifference") => {
-                self.need_args(i, 2)?;
+                need_args(i, 2)?;
                 Ok(MalValue::Bat(algebra::kdifference(
-                    &self.bat(i, 0)?,
-                    &self.bat(i, 1)?,
+                    &env.bat(i, 0)?,
+                    &env.bat(i, 1)?,
                 )?))
             }
             ("algebra", "kintersect") => {
-                self.need_args(i, 2)?;
+                need_args(i, 2)?;
                 Ok(MalValue::Bat(algebra::kintersect(
-                    &self.bat(i, 0)?,
-                    &self.bat(i, 1)?,
+                    &env.bat(i, 0)?,
+                    &env.bat(i, 1)?,
                 )?))
             }
             ("algebra", "markT") | ("algebra", "markt") => {
-                self.need_args(i, 2)?;
-                let b = self.bat(i, 0)?;
-                let base = match self.atom(i, 1)? {
-                    Atom::Oid(v) => v,
-                    Atom::Int(v) => v as u64,
-                    other => {
-                        return Err(ExecError::BadArg {
-                            call: i.qualified(),
-                            expected: format!("oid base, got {other}"),
-                        })
-                    }
+                need_args(i, 2)?;
+                let b = env.bat(i, 0)?;
+                let base = match env.atom(i, 1)? {
+                    Atom::Oid(v) => *v,
+                    Atom::Int(v) => *v as u64,
+                    other => return Err(bad_arg(i, format!("oid base, got {other}"))),
                 };
                 Ok(MalValue::Bat(algebra::mark_t(&b, base)))
             }
             ("bat", "reverse") => {
-                self.need_args(i, 1)?;
-                Ok(MalValue::Bat(algebra::reverse(&self.bat(i, 0)?)?))
+                need_args(i, 1)?;
+                Ok(MalValue::Bat(algebra::reverse(&env.bat(i, 0)?)?))
             }
             ("bat", "append") => {
-                self.need_args(i, 2)?;
+                need_args(i, 2)?;
                 Ok(MalValue::Bat(algebra::append(
-                    &self.bat(i, 0)?,
-                    &self.bat(i, 1)?,
+                    &env.bat(i, 0)?,
+                    &env.bat(i, 1)?,
                 )?))
             }
             ("bat", "slice") => {
-                self.need_args(i, 3)?;
-                let b = self.bat(i, 0)?;
-                let lo = self.int_atom(i, 1)?.max(0) as usize;
-                let hi = self.int_atom(i, 2)?.max(0) as usize;
+                need_args(i, 3)?;
+                let b = env.bat(i, 0)?;
+                let lo = env.int_atom(i, 1)?.max(0) as usize;
+                let hi = env.int_atom(i, 2)?.max(0) as usize;
                 Ok(MalValue::Bat(algebra::slice(&b, lo, hi)))
             }
             ("algebra", "join") => {
-                self.need_args(i, 2)?;
+                need_args(i, 2)?;
                 Ok(MalValue::Bat(algebra::join(
-                    &self.bat(i, 0)?,
-                    &self.bat(i, 1)?,
+                    &env.bat(i, 0)?,
+                    &env.bat(i, 1)?,
                 )?))
             }
-            ("aggr", "count") => Ok(MalValue::Atom(algebra::count(&self.bat(i, 0)?))),
-            ("aggr", "sum") => Ok(MalValue::Atom(algebra::sum(&self.bat(i, 0)?)?)),
-            ("aggr", "min") => Ok(MalValue::Atom(algebra::min(&self.bat(i, 0)?)?)),
-            ("aggr", "max") => Ok(MalValue::Atom(algebra::max(&self.bat(i, 0)?)?)),
+            ("aggr", "count") => Ok(MalValue::Atom(algebra::count(&env.bat(i, 0)?))),
+            ("aggr", "sum") => Ok(MalValue::Atom(algebra::sum(&env.bat(i, 0)?)?)),
+            ("aggr", "min") => Ok(MalValue::Atom(algebra::min(&env.bat(i, 0)?)?)),
+            ("aggr", "max") => Ok(MalValue::Atom(algebra::max(&env.bat(i, 0)?)?)),
             ("bpm", "take") => {
-                self.need_args(i, 1)?;
-                let key = match self.atom(i, 0)? {
+                need_args(i, 1)?;
+                let key = match env.atom(i, 0)? {
                     Atom::Str(s) => s,
-                    other => {
-                        return Err(ExecError::BadArg {
-                            call: i.qualified(),
-                            expected: format!("column key, got {other}"),
-                        })
-                    }
+                    other => return Err(bad_arg(i, format!("column key, got {other}"))),
                 };
-                if self.catalog.is_segmented(&key) {
-                    Ok(MalValue::SegHandle(key))
+                if self.catalog.is_segmented(key) {
+                    Ok(MalValue::SegHandle(key.clone()))
                 } else {
-                    Err(ExecError::UnknownColumn(key))
+                    Err(ExecError::UnknownColumn(key.clone()))
                 }
             }
             ("bpm", "new") => Ok(MalValue::SegResult(Vec::new())),
             ("bpm", "newIterator") => {
-                self.need_args(i, 3)?;
-                let key = self.handle(i, 0)?;
-                let lo = self.atom(i, 1)?;
-                let hi = self.atom(i, 2)?;
-                let (Some(lo), Some(hi)) = (lo.as_f64(), hi.as_f64()) else {
-                    return Err(ExecError::BadArg {
-                        call: i.qualified(),
-                        expected: "numeric bounds".to_owned(),
-                    });
+                need_args(i, 3)?;
+                let key = env.handle(i, 0)?;
+                let (Some(lo), Some(hi)) = (env.atom(i, 1)?.as_f64(), env.atom(i, 2)?.as_f64())
+                else {
+                    return Err(bad_arg(i, "numeric bounds".to_owned()));
                 };
                 let seg = self
                     .catalog
-                    .segmented(&key)
-                    .ok_or(ExecError::UnknownColumn(key.clone()))?;
-                let mut queue: std::collections::VecDeque<Bat> = seg.piece_bats(lo, hi)?.into();
-                let target = i.target.clone().unwrap_or_else(|| "_iter".to_owned());
+                    .segmented(key)
+                    .ok_or_else(|| ExecError::UnknownColumn(key.to_owned()))?;
+                let mut queue: VecDeque<Bat> = seg.piece_bats(lo, hi)?.into();
                 match queue.pop_front() {
                     Some(first) => {
+                        let target = i.target.clone().unwrap_or(Name::Borrowed("_iter"));
                         self.iters.insert(target, queue);
                         Ok(MalValue::Bat(first))
                     }
@@ -514,42 +519,36 @@ impl<'a> Interp<'a> {
                 }
             }
             ("bpm", "hasMoreElements") => {
-                let target = i.target.clone().unwrap_or_else(|| "_iter".to_owned());
-                match self.iters.get_mut(&target).and_then(|q| q.pop_front()) {
+                let target = i.target.as_deref().unwrap_or("_iter");
+                match self.iters.get_mut(target).and_then(VecDeque::pop_front) {
                     Some(b) => Ok(MalValue::Bat(b)),
                     None => Ok(MalValue::Nil),
                 }
             }
             ("bpm", "addSegment") => {
-                self.need_args(i, 2)?;
-                let b = self.bat(i, 1)?;
+                need_args(i, 2)?;
+                let b = env.bat(i, 1)?;
                 let Some(var) = i.args[0].var() else {
-                    return Err(ExecError::BadArg {
-                        call: i.qualified(),
-                        expected: "result variable".to_owned(),
-                    });
+                    return Err(bad_arg(i, "result variable".to_owned()));
                 };
-                match self.env.get_mut(var) {
+                match self.env.0.get_mut(var) {
                     Some(MalValue::SegResult(parts)) => {
                         parts.push(b);
                         Ok(MalValue::Nil)
                     }
-                    Some(_) => Err(ExecError::BadArg {
-                        call: i.qualified(),
-                        expected: format!("{var} to be a bpm.new result"),
-                    }),
+                    Some(_) => Err(bad_arg(i, format!("{var} to be a bpm.new result"))),
                     None => Err(ExecError::Unbound(var.to_owned())),
                 }
             }
             ("bpm", "pack") => {
-                self.need_args(i, 1)?;
-                match self.value(&i.args[0])? {
-                    MalValue::SegResult(parts) => {
+                need_args(i, 1)?;
+                match env.arg(i, 0)? {
+                    Val::Bound(MalValue::SegResult(parts)) => {
                         let mut acc: Option<Bat> = None;
                         for p in parts {
                             acc = Some(match acc {
-                                None => p,
-                                Some(a) => algebra::append(&a, &p)?,
+                                None => p.clone(),
+                                Some(a) => algebra::append(&a, p)?,
                             });
                         }
                         Ok(MalValue::Bat(acc.unwrap_or(Bat::new(
@@ -557,68 +556,68 @@ impl<'a> Interp<'a> {
                             Tail::Nil(0),
                         )?)))
                     }
-                    MalValue::SegHandle(key) => {
+                    Val::Bound(MalValue::SegHandle(key)) => {
                         let seg = self
                             .catalog
-                            .segmented(&key)
-                            .ok_or(ExecError::UnknownColumn(key.clone()))?;
+                            .segmented(key)
+                            .ok_or_else(|| ExecError::UnknownColumn(key.clone()))?;
                         Ok(MalValue::Bat(seg.pack()?))
                     }
-                    other => Err(ExecError::BadArg {
-                        call: i.qualified(),
-                        expected: format!("segmented result or handle, got {other:?}"),
-                    }),
+                    other => Err(bad_arg(
+                        i,
+                        format!("segmented result or handle, got {other:?}"),
+                    )),
                 }
             }
             ("bpm", "takeSegment") => {
-                self.need_args(i, 2)?;
-                let key = self.handle(i, 0)?;
-                let idx = self.int_atom(i, 1)?.max(0) as usize;
+                need_args(i, 2)?;
+                let key = env.handle(i, 0)?;
+                let idx = env.int_atom(i, 1)?.max(0) as usize;
                 let seg = self
                     .catalog
-                    .segmented(&key)
-                    .ok_or(ExecError::UnknownColumn(key.clone()))?;
+                    .segmented(key)
+                    .ok_or_else(|| ExecError::UnknownColumn(key.to_owned()))?;
                 Ok(MalValue::Bat(seg.piece_bat(idx)?))
             }
             ("bpm", "segments") => {
-                self.need_args(i, 1)?;
-                let key = self.handle(i, 0)?;
+                need_args(i, 1)?;
+                let key = env.handle(i, 0)?;
                 let seg = self
                     .catalog
-                    .segmented(&key)
-                    .ok_or(ExecError::UnknownColumn(key.clone()))?;
+                    .segmented(key)
+                    .ok_or_else(|| ExecError::UnknownColumn(key.to_owned()))?;
                 Ok(MalValue::Atom(Atom::Int(seg.piece_count() as i64)))
             }
             ("bpm", "adapt") => {
-                self.need_args(i, 3)?;
-                let key = self.handle(i, 0)?;
-                let lo = self.atom(i, 1)?;
-                let hi = self.atom(i, 2)?;
+                need_args(i, 3)?;
+                let key = env.handle(i, 0)?;
+                let (lo, hi) = (env.atom(i, 1)?, env.atom(i, 2)?);
                 let seg = self
                     .catalog
-                    .segmented_mut(&key)
-                    .ok_or(ExecError::UnknownColumn(key.clone()))?;
-                let splits = seg.adapt(&lo, &hi)?;
+                    .segmented_mut(key)
+                    .ok_or_else(|| ExecError::UnknownColumn(key.to_owned()))?;
+                let splits = seg.adapt(lo, hi)?;
                 Ok(MalValue::Atom(Atom::Int(splits as i64)))
             }
             ("bpm", "strategy") => {
                 // Inspect a column's live strategy.
-                self.need_args(i, 1)?;
-                let key = self.column_key(i, 0)?;
+                need_args(i, 1)?;
+                let key = env.column_key(i, 0)?;
                 let seg = self
                     .catalog
-                    .segmented(&key)
-                    .ok_or(ExecError::UnknownColumn(key.clone()))?;
+                    .segmented(key)
+                    .ok_or_else(|| ExecError::UnknownColumn(key.to_owned()))?;
                 Ok(MalValue::Atom(Atom::Str(seg.strategy_name())))
             }
             ("bpm", "setStrategy") => {
                 // The DDL hook: re-organize a column under another kind.
-                self.need_args(i, 2)?;
-                let key = self.column_key(i, 0)?;
-                let token = self.str_atom(i, 1)?;
-                let kind = StrategyKind::from_token(&token)
-                    .ok_or(ExecError::Catalog(CatalogError::UnknownStrategy(token)))?;
-                self.catalog.set_strategy(&key, kind)?;
+                need_args(i, 2)?;
+                let key = env.column_key(i, 0)?;
+                let token = env.str_atom(i, 1)?;
+                let kind = StrategyKind::from_token(token).ok_or_else(|| {
+                    ExecError::Catalog(CatalogError::UnknownStrategy(token.to_owned()))
+                })?;
+                self.catalog.set_strategy(key, kind)?;
                 Ok(MalValue::Atom(Atom::Str(kind.token().to_owned())))
             }
             ("io", "print") | ("language", "pass") => Ok(MalValue::Nil),

@@ -36,7 +36,7 @@ pub mod optimizer;
 pub mod parser;
 pub mod sql;
 
-pub use ast::{Arg, Instruction, Program, Stmt};
+pub use ast::{Arg, Instruction, Name, Program, Stmt};
 pub use bpm::{BpmError, SegmentedBat};
 pub use catalog::{Catalog, CatalogError, MergeReport};
 pub use checkpoint::CheckpointError;

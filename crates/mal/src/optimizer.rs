@@ -12,9 +12,11 @@
 //! Self-organization (Section 3.3) is injected as a `bpm.adapt` call after
 //! the rewritten selection, making reorganization part of query execution.
 
+use std::sync::Arc;
+
 use soc_bat::Atom;
 
-use crate::ast::{Arg, Instruction, Program, Stmt};
+use crate::ast::{Arg, Instruction, Name, Program, Stmt};
 use crate::catalog::Catalog;
 
 /// How one selection was rewritten.
@@ -33,7 +35,7 @@ pub enum RewriteStrategy {
 #[derive(Debug, Clone, Default)]
 pub struct OptimizerReport {
     /// One entry per rewritten selection: (target var, strategy).
-    pub rewrites: Vec<(String, RewriteStrategy)>,
+    pub rewrites: Vec<(Name, RewriteStrategy)>,
     /// `sql.bind` statements dropped as dead after rewriting.
     pub dropped_binds: usize,
 }
@@ -58,6 +60,41 @@ impl Default for SegmentOptimizer {
     }
 }
 
+/// `target := module.function(args)` as a fresh statement.
+fn assign(
+    target: Option<Name>,
+    module: &'static str,
+    function: &'static str,
+    args: Vec<Arg>,
+) -> Stmt {
+    Stmt::Assign(Arc::new(Instruction::new(target, module, function, args)))
+}
+
+/// `target := sql.bind(schema, table, column, 0)` with constant names —
+/// the bind of a base column — as its target and name parts.
+fn base_bind(i: &Instruction) -> Option<(&Name, [&str; 3])> {
+    let name = |k: usize| match i.args.get(k) {
+        Some(Arg::Const(Atom::Str(s))) => Some(s.as_str()),
+        _ => None,
+    };
+    match (&i.target, i.args.get(3)) {
+        (Some(target), Some(Arg::Const(Atom::Int(0)))) if i.is("sql", "bind") => {
+            Some((target, [name(0)?, name(1)?, name(2)?]))
+        }
+        _ => None,
+    }
+}
+
+/// Whether any instruction of `stmts` reads variable `var`.
+fn references(stmts: &[Stmt], var: &str) -> bool {
+    stmts.iter().any(|s| match s {
+        Stmt::Assign(i) | Stmt::Barrier(i) | Stmt::Redo(i) => {
+            i.args.iter().any(|a| a.var() == Some(var))
+        }
+        _ => false,
+    })
+}
+
 impl SegmentOptimizer {
     /// An optimizer with default settings.
     pub fn new() -> Self {
@@ -66,39 +103,20 @@ impl SegmentOptimizer {
 
     /// Rewrites `prog` against `catalog`, returning the new plan and a
     /// report of what changed. Plans without segmented selections come
-    /// back untouched.
+    /// back untouched; statements the rewrite leaves alone are shared
+    /// with `prog`, not copied.
     pub fn optimize(&self, prog: &Program, catalog: &Catalog) -> (Program, OptimizerReport) {
         let mut report = OptimizerReport::default();
 
         // Pass 1: binds of segmented base columns (access 0, const names).
-        let mut seg_binds: Vec<(String, String)> = Vec::new(); // (var, key)
+        let mut seg_binds: Vec<(&Name, String)> = Vec::new(); // (var, key)
         for s in &prog.stmts {
             let Stmt::Assign(i) = s else { continue };
-            if !i.is("sql", "bind") || i.args.len() < 4 {
-                continue;
-            }
-            let consts: Vec<Option<&Atom>> = i
-                .args
-                .iter()
-                .map(|a| match a {
-                    Arg::Const(c) => Some(c),
-                    Arg::Var(_) => None,
-                })
-                .collect();
-            let (
-                Some(Atom::Str(sch)),
-                Some(Atom::Str(tab)),
-                Some(Atom::Str(col)),
-                Some(Atom::Int(0)),
-            ) = (consts[0], consts[1], consts[2], consts[3])
-            else {
+            let Some((target, [sch, tab, col])) = base_bind(i) else {
                 continue;
             };
-            let key = Catalog::key(sch, tab, col);
-            if catalog.is_segmented(&key) {
-                if let Some(t) = &i.target {
-                    seg_binds.push((t.clone(), key));
-                }
+            if Catalog::with_key(sch, tab, col, |key| catalog.is_segmented(key)) {
+                seg_binds.push((target, Catalog::key(sch, tab, col)));
             }
         }
         if seg_binds.is_empty() {
@@ -108,19 +126,28 @@ impl SegmentOptimizer {
         // Pass 2: rewrite selections over segmented binds.
         let mut fresh = 0usize;
         let mut out: Vec<Stmt> = Vec::with_capacity(prog.stmts.len() + 16);
-        let mut rewritten_bind_vars: Vec<String> = Vec::new();
+        let mut rewritten_bind_vars: Vec<&Name> = Vec::new();
         for s in &prog.stmts {
             let Stmt::Assign(i) = s else {
                 out.push(s.clone());
                 continue;
             };
-            let is_select = i.is("algebra", "select") || i.is("algebra", "uselect");
+            let op = if i.is("algebra", "select") {
+                "select"
+            } else if i.is("algebra", "uselect") {
+                "uselect"
+            } else {
+                out.push(s.clone());
+                continue;
+            };
             let bind = i
                 .args
                 .first()
-                .and_then(|a| a.var())
-                .and_then(|v| seg_binds.iter().find(|(var, _)| var == v));
-            let (Some(target), true, Some((bind_var, key))) = (&i.target, is_select, bind) else {
+                .and_then(Arg::var)
+                .and_then(|v| seg_binds.iter().find(|(var, _)| *var == v));
+            let (Some(target), Some((bind_var, key)), [_, lo, hi, ..]) =
+                (&i.target, bind, i.args.as_slice())
+            else {
                 out.push(s.clone());
                 continue;
             };
@@ -131,44 +158,20 @@ impl SegmentOptimizer {
                 out.push(s.clone());
                 continue;
             };
-            let lo = i.args[1].clone();
-            let hi = i.args[2].clone();
-            let strategy = self.expand(
-                &mut out,
-                &mut fresh,
-                target,
-                &i.function,
-                key,
-                seg,
-                &lo,
-                &hi,
-            );
+            let strategy = self.expand(&mut out, &mut fresh, target, op, key, seg, lo, hi);
             report.rewrites.push((target.clone(), strategy));
-            rewritten_bind_vars.push(bind_var.clone());
+            rewritten_bind_vars.push(bind_var);
         }
 
-        // Pass 3: drop binds that no remaining instruction references.
-        let dead: Vec<bool> = {
-            let referenced: std::collections::HashSet<&str> = out
-                .iter()
-                .filter_map(|s| match s {
-                    Stmt::Assign(i) | Stmt::Barrier(i) | Stmt::Redo(i) => Some(i),
-                    _ => None,
-                })
-                .flat_map(|i| i.args.iter().filter_map(Arg::var))
-                .collect();
-            out.iter()
-                .map(|s| match s {
-                    Stmt::Assign(i) if i.is("sql", "bind") => i.target.as_ref().is_some_and(|t| {
-                        rewritten_bind_vars.contains(t) && !referenced.contains(t.as_str())
-                    }),
-                    _ => false,
-                })
-                .collect()
-        };
-        report.dropped_binds = dead.iter().filter(|&&d| d).count();
-        let mut dead = dead.into_iter();
-        out.retain(|_| !dead.next().unwrap_or(false));
+        // Pass 3: drop rewritten binds that no remaining instruction
+        // references.
+        rewritten_bind_vars.retain(|v| !references(&out, v));
+        let before = out.len();
+        out.retain(|s| {
+            !matches!(s, Stmt::Assign(i) if i.is("sql", "bind")
+                && i.target.as_ref().is_some_and(|t| rewritten_bind_vars.contains(&t)))
+        });
+        report.dropped_binds = before - out.len();
 
         (Program { stmts: out }, report)
     }
@@ -180,24 +183,24 @@ impl SegmentOptimizer {
         &self,
         out: &mut Vec<Stmt>,
         fresh: &mut usize,
-        target: &str,
-        op: &str,
+        target: &Name,
+        op: &'static str,
         key: &str,
         seg: &crate::bpm::SegmentedBat,
         lo: &Arg,
         hi: &Arg,
     ) -> RewriteStrategy {
-        let mut var = |prefix: &str| {
+        let mut var = |prefix: &str| -> Name {
             *fresh += 1;
-            format!("_{prefix}{fresh}")
+            format!("_{prefix}{fresh}").into()
         };
         let y = var("Y");
-        out.push(Stmt::Assign(Instruction::new(
-            Some(&y),
+        out.push(assign(
+            Some(y.clone()),
             "bpm",
             "take",
             vec![Arg::Const(Atom::Str(key.to_owned()))],
-        )));
+        ));
 
         // Relevant segments: pruned via the meta-index when the predicate
         // constants are known at optimization time.
@@ -212,62 +215,54 @@ impl SegmentOptimizer {
 
         let strategy = if relevant.len() <= self.unroll_threshold {
             // Unrolled: one instruction instance per relevant segment.
-            let mut partials: Vec<String> = Vec::new();
+            let mut partials: Vec<Name> = Vec::with_capacity(relevant.len());
             for idx in &relevant {
                 let s_var = var("S");
-                out.push(Stmt::Assign(Instruction::new(
-                    Some(&s_var),
+                out.push(assign(
+                    Some(s_var.clone()),
                     "bpm",
                     "takeSegment",
                     vec![Arg::Var(y.clone()), Arg::Const(Atom::Int(*idx as i64))],
-                )));
+                ));
                 let t_var = var("T");
-                out.push(Stmt::Assign(Instruction::new(
-                    Some(&t_var),
+                out.push(assign(
+                    Some(t_var.clone()),
                     "algebra",
                     op,
                     vec![Arg::Var(s_var), lo.clone(), hi.clone()],
-                )));
+                ));
                 partials.push(t_var);
             }
             match partials.len() {
                 0 => {
                     // Nothing overlaps: an empty result via an empty pack.
                     let r = var("R");
-                    out.push(Stmt::Assign(Instruction::new(
-                        Some(&r),
-                        "bpm",
-                        "new",
-                        vec![],
-                    )));
-                    out.push(Stmt::Assign(Instruction::new(
-                        Some(target),
+                    out.push(assign(Some(r.clone()), "bpm", "new", vec![]));
+                    out.push(assign(
+                        Some(target.clone()),
                         "bpm",
                         "pack",
                         vec![Arg::Var(r)],
-                    )));
+                    ));
                 }
                 1 => {
-                    // Rename the single partial into the original target.
+                    // Rename the single partial into the original target;
+                    // the statement was just built, so this copies nothing.
                     if let Some(Stmt::Assign(last)) = out.last_mut() {
-                        last.target = Some(target.to_owned());
+                        Arc::make_mut(last).target = Some(target.clone());
                     }
                 }
-                _ => {
+                n => {
                     // Fold with bat.append.
-                    let mut acc = partials[0].clone();
-                    for (k, p) in partials[1..].iter().enumerate() {
-                        let next = if k == partials.len() - 2 {
-                            target.to_owned()
-                        } else {
-                            var("U")
-                        };
-                        out.push(Stmt::Assign(Instruction::new(
-                            Some(&next),
+                    let mut acc = partials.remove(0);
+                    for (k, p) in partials.into_iter().enumerate() {
+                        let next = if k == n - 2 { target.clone() } else { var("U") };
+                        out.push(assign(
+                            Some(next.clone()),
                             "bat",
                             "append",
-                            vec![Arg::Var(acc), Arg::Var(p.clone())],
-                        )));
+                            vec![Arg::Var(acc), Arg::Var(p)],
+                        ));
                         acc = next;
                     }
                 }
@@ -279,54 +274,49 @@ impl SegmentOptimizer {
             // Iterator block (the Section 3.1 example rewrite).
             let r = var("R");
             let rseg = var("rseg");
-            out.push(Stmt::Assign(Instruction::new(
-                Some(&r),
-                "bpm",
-                "new",
-                vec![],
-            )));
-            out.push(Stmt::Barrier(Instruction::new(
-                Some(&rseg),
+            out.push(assign(Some(r.clone()), "bpm", "new", vec![]));
+            out.push(Stmt::Barrier(Arc::new(Instruction::new(
+                Some(rseg.clone()),
                 "bpm",
                 "newIterator",
                 vec![Arg::Var(y.clone()), lo.clone(), hi.clone()],
-            )));
+            ))));
             let t = var("T");
-            out.push(Stmt::Assign(Instruction::new(
-                Some(&t),
+            out.push(assign(
+                Some(t.clone()),
                 "algebra",
                 op,
                 vec![Arg::Var(rseg.clone()), lo.clone(), hi.clone()],
-            )));
-            out.push(Stmt::Assign(Instruction::new(
+            ));
+            out.push(assign(
                 None,
                 "bpm",
                 "addSegment",
                 vec![Arg::Var(r.clone()), Arg::Var(t)],
-            )));
-            out.push(Stmt::Redo(Instruction::new(
-                Some(&rseg),
+            ));
+            out.push(Stmt::Redo(Arc::new(Instruction::new(
+                Some(rseg.clone()),
                 "bpm",
                 "hasMoreElements",
                 vec![Arg::Var(y.clone()), lo.clone(), hi.clone()],
-            )));
+            ))));
             out.push(Stmt::Exit(rseg));
-            out.push(Stmt::Assign(Instruction::new(
-                Some(target),
+            out.push(assign(
+                Some(target.clone()),
                 "bpm",
                 "pack",
                 vec![Arg::Var(r)],
-            )));
+            ));
             RewriteStrategy::Iterator
         };
 
         if self.inject_adaptation {
-            out.push(Stmt::Assign(Instruction::new(
+            out.push(assign(
                 None,
                 "bpm",
                 "adapt",
                 vec![Arg::Var(y), lo.clone(), hi.clone()],
-            )));
+            ));
         }
         strategy
     }

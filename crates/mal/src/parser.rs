@@ -2,9 +2,11 @@
 //! verbatim, including type annotations (which are checked for shape and
 //! otherwise ignored), string/numeric/oid literals, and guarded blocks.
 
+use std::sync::Arc;
+
 use soc_bat::Atom;
 
-use crate::ast::{Arg, Instruction, Program, Stmt};
+use crate::ast::{Arg, Instruction, Name, Program, Stmt};
 
 /// A parse failure with a line number.
 #[derive(Debug, Clone, PartialEq)]
@@ -213,7 +215,7 @@ impl<'a> Cursor<'a> {
                     "true" => Arg::Const(Atom::Int(1)),
                     "false" => Arg::Const(Atom::Int(0)),
                     "nil" => Arg::Const(Atom::Nil),
-                    _ => Arg::Var(s.clone()),
+                    _ => Arg::Var(s.clone().into()),
                 },
                 Some(Tok::Str(s)) => Arg::Const(Atom::Str(s.clone())),
                 Some(Tok::OidLit(v)) => Arg::Const(Atom::Oid(*v)),
@@ -241,17 +243,12 @@ impl<'a> Cursor<'a> {
     }
 
     /// `module.fn(args)` with the module/function already split by Dot.
-    fn call(&mut self, target: Option<String>) -> Result<Instruction, ParseError> {
+    fn call(&mut self, target: Option<Name>) -> Result<Arc<Instruction>, ParseError> {
         let module = self.ident("module name")?;
         self.expect(&Tok::Dot, "'.'")?;
         let function = self.ident("function name")?;
         let args = self.args()?;
-        Ok(Instruction {
-            target,
-            module,
-            function,
-            args,
-        })
+        Ok(Arc::new(Instruction::new(target, module, function, args)))
     }
 }
 
@@ -275,8 +272,7 @@ fn parse_stmt(toks: &[Tok], line: usize) -> Result<Option<Stmt>, ParseError> {
             let mut params = Vec::new();
             if c.peek() != Some(&Tok::RParen) {
                 loop {
-                    let p = c.ident("parameter")?;
-                    params.push(p);
+                    params.push(c.ident("parameter")?.into());
                     if c.peek() == Some(&Tok::Colon) {
                         c.next();
                         c.skip_type()?;
@@ -294,13 +290,15 @@ fn parse_stmt(toks: &[Tok], line: usize) -> Result<Option<Stmt>, ParseError> {
                 c.next();
                 c.skip_type()?;
             }
-            Stmt::Function { name, params }
+            Stmt::Function {
+                name: name.into(),
+                params,
+            }
         }
         Some(Tok::Ident(kw)) if kw == "end" => Stmt::End,
         Some(Tok::Ident(kw)) if kw == "exit" => {
             c.next();
-            let v = c.ident("block variable")?;
-            Stmt::Exit(v)
+            Stmt::Exit(c.ident("block variable")?.into())
         }
         Some(Tok::Ident(kw)) if kw == "barrier" || kw == "redo" => {
             let kind = kw.clone();
@@ -311,7 +309,7 @@ fn parse_stmt(toks: &[Tok], line: usize) -> Result<Option<Stmt>, ParseError> {
                 c.skip_type()?;
             }
             c.expect(&Tok::Assign, "':='")?;
-            let instr = c.call(Some(target))?;
+            let instr = c.call(Some(target.into()))?;
             if kind == "barrier" {
                 Stmt::Barrier(instr)
             } else {
@@ -326,23 +324,18 @@ fn parse_stmt(toks: &[Tok], line: usize) -> Result<Option<Stmt>, ParseError> {
                     c.next();
                     c.skip_type()?;
                     c.expect(&Tok::Assign, "':='")?;
-                    Stmt::Assign(c.call(Some(first))?)
+                    Stmt::Assign(c.call(Some(first.into()))?)
                 }
                 Some(Tok::Assign) => {
                     c.next();
-                    Stmt::Assign(c.call(Some(first))?)
+                    Stmt::Assign(c.call(Some(first.into()))?)
                 }
                 Some(Tok::Dot) => {
                     // bare call: first is the module
                     c.next();
                     let function = c.ident("function name")?;
                     let args = c.args()?;
-                    Stmt::Assign(Instruction {
-                        target: None,
-                        module: first,
-                        function,
-                        args,
-                    })
+                    Stmt::Assign(Arc::new(Instruction::new(None, first, function, args)))
                 }
                 other => return Err(c.err(&format!("unexpected token {other:?}"))),
             }
@@ -424,7 +417,7 @@ mod tests {
     fn parses_function_header_and_end() {
         let p = parse("function user.s1_0(A0:dbl,A1:dbl):void;\nX1 := calc.oid(0@0);\nend s1_0;")
             .unwrap();
-        assert_eq!(p.params(), vec!["A0".to_owned(), "A1".to_owned()]);
+        assert_eq!(p.params(), ["A0", "A1"]);
         assert!(matches!(p.stmts.last(), Some(Stmt::End)));
     }
 

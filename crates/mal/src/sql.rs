@@ -36,10 +36,12 @@
 //! column under any [`StrategyKind`] token (see
 //! [`StrategyKind::from_token`]).
 
+use std::sync::Arc;
+
 use soc_bat::Atom;
 use soc_core::StrategyKind;
 
-use crate::ast::{Arg, Instruction, Program, Stmt};
+use crate::ast::{Arg, Instruction, Name, Program, Stmt};
 
 /// A parsed range-selection query.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,70 +120,93 @@ fn err(message: impl Into<String>) -> SqlError {
 }
 
 #[derive(Debug, PartialEq)]
-enum Tok {
-    Word(String),
-    Num(f64, bool), // value, had_fraction
+enum Tok<'s> {
+    /// An identifier or keyword, sliced from the input.
+    Word(&'s str),
+    /// A literal without a fraction or exponent, read as an exact `i64`.
+    Int(i64),
+    /// A literal with a fraction or exponent.
+    Dbl(f64),
     Placeholder,
     Dot,
     Star,
 }
 
-fn tokenize(sql: &str) -> Result<Vec<Tok>, SqlError> {
-    let mut toks = Vec::new();
-    let chars: Vec<char> = sql.chars().collect();
+/// Reads one numeric literal: an integer parses as an exact `i64` (an
+/// `f64` round trip would change integers above 2⁵³), anything with a
+/// fraction or an exponent (`e` or `E`) as a finite `f64`.
+fn number(text: &str) -> Result<Tok<'_>, SqlError> {
+    if !text.contains(['.', 'e', 'E']) {
+        return text.parse().map(Tok::Int).map_err(|e| match e.kind() {
+            std::num::IntErrorKind::PosOverflow | std::num::IntErrorKind::NegOverflow => {
+                err(format!("integer literal {text} is out of range"))
+            }
+            _ => err(format!("bad number {text:?}")),
+        });
+    }
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(Tok::Dbl(v)),
+        Ok(_) => Err(err(format!("literal {text} is out of range"))),
+        Err(_) => Err(err(format!("bad number {text:?}"))),
+    }
+}
+
+fn tokenize(sql: &str) -> Result<Vec<Tok<'_>>, SqlError> {
+    // Room for the usual statement, whose tokens are space-separated.
+    let mut toks = Vec::with_capacity(sql.len() / 2);
+    let b = sql.as_bytes();
     let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            c if c.is_whitespace() => i += 1,
-            ';' => i += 1,
-            '.' if chars.get(i + 1).is_some_and(|n| !n.is_ascii_digit()) => {
+    while i < b.len() {
+        match b[i] {
+            c if c.is_ascii_whitespace() || c == b';' => i += 1,
+            b'.' if b.get(i + 1).is_some_and(|n| !n.is_ascii_digit()) => {
                 toks.push(Tok::Dot);
                 i += 1;
             }
-            '*' => {
+            b'*' => {
                 toks.push(Tok::Star);
                 i += 1;
             }
-            '?' => {
+            b'?' => {
                 toks.push(Tok::Placeholder);
                 i += 1;
             }
-            c if c.is_ascii_digit() || c == '-' || c == '.' => {
+            c if c.is_ascii_digit() || c == b'-' || c == b'.' => {
                 let start = i;
                 i += 1;
-                while i < chars.len()
-                    && (chars[i].is_ascii_digit()
-                        || chars[i] == '.'
-                        || chars[i] == 'e'
-                        || chars[i] == '-')
+                while i < b.len() && matches!(b[i], b'0'..=b'9' | b'.' | b'e' | b'E' | b'-' | b'+')
                 {
                     i += 1;
                 }
-                let s: String = chars[start..i].iter().collect();
-                let had_fraction = s.contains('.') || s.contains('e');
-                let v: f64 = s.parse().map_err(|_| err(format!("bad number {s:?}")))?;
-                toks.push(Tok::Num(v, had_fraction));
+                toks.push(number(&sql[start..i])?);
             }
-            c if c.is_ascii_alphabetic() || c == '_' || c == '"' => {
-                let quoted = c == '"';
+            c if c.is_ascii_alphabetic() || c == b'_' || c == b'"' => {
+                let quoted = c == b'"';
                 if quoted {
                     i += 1;
                 }
                 let start = i;
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
+                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                     i += 1;
                 }
-                let s: String = chars[start..i].iter().collect();
+                let word = &sql[start..i];
                 if quoted {
-                    if chars.get(i) != Some(&'"') {
+                    if b.get(i) != Some(&b'"') {
                         return Err(err("unterminated quoted identifier"));
                     }
                     i += 1;
                 }
-                toks.push(Tok::Word(s));
+                toks.push(Tok::Word(word));
             }
-            other => return Err(err(format!("unexpected character {other:?}"))),
+            _ => {
+                // Every arm above consumed whole ASCII characters, so `i`
+                // is on a character boundary.
+                let c = sql[i..].chars().next().unwrap_or_default();
+                if !c.is_whitespace() {
+                    return Err(err(format!("unexpected character {c:?}")));
+                }
+                i += c.len_utf8();
+            }
         }
     }
     Ok(toks)
@@ -195,7 +220,7 @@ pub fn parse_alter(sql: &str) -> Result<AlterStrategy, SqlError> {
     };
     let word = |i: usize, what: &str| -> Result<String, SqlError> {
         match toks.get(i) {
-            Some(Tok::Word(w)) => Ok(w.clone()),
+            Some(Tok::Word(w)) => Ok((*w).to_owned()),
             other => Err(err(format!("expected {what}, got {other:?}"))),
         }
     };
@@ -238,15 +263,15 @@ pub fn parse_alter(sql: &str) -> Result<AlterStrategy, SqlError> {
 pub fn compile_alter(a: &AlterStrategy) -> Program {
     let key = format!("{}.{}.{}", a.schema, a.table, a.column);
     Program {
-        stmts: vec![Stmt::Assign(Instruction::new(
-            Some("X1"),
+        stmts: vec![Stmt::Assign(Arc::new(Instruction::new(
+            Some(Name::Borrowed("X1")),
             "bpm",
             "setStrategy",
             vec![
                 Arg::Const(Atom::Str(key)),
                 Arg::Const(Atom::Str(a.kind.token().to_owned())),
             ],
-        ))],
+        )))],
     }
 }
 
@@ -258,7 +283,7 @@ pub fn parse_alter_table(sql: &str) -> Result<AlterMergeThreshold, SqlError> {
     };
     let word = |i: usize, what: &str| -> Result<String, SqlError> {
         match toks.get(i) {
-            Some(Tok::Word(w)) => Ok(w.clone()),
+            Some(Tok::Word(w)) => Ok((*w).to_owned()),
             other => Err(err(format!("expected {what}, got {other:?}"))),
         }
     };
@@ -281,7 +306,7 @@ pub fn parse_alter_table(sql: &str) -> Result<AlterMergeThreshold, SqlError> {
     }
     i += 3;
     let rows = match toks.get(i) {
-        Some(Tok::Num(v, false)) if *v >= 0.0 => *v as usize,
+        Some(&Tok::Int(v)) if v >= 0 => v as usize,
         other => return Err(err(format!("expected a row count, got {other:?}"))),
     };
     i += 1;
@@ -298,8 +323,8 @@ pub fn parse_alter_table(sql: &str) -> Result<AlterMergeThreshold, SqlError> {
 /// Compiles the compaction DDL into its one-instruction MAL plan.
 pub fn compile_alter_table(a: &AlterMergeThreshold) -> Program {
     Program {
-        stmts: vec![Stmt::Assign(Instruction::new(
-            Some("X1"),
+        stmts: vec![Stmt::Assign(Arc::new(Instruction::new(
+            Some(Name::Borrowed("X1")),
             "sql",
             "setMergeThreshold",
             vec![
@@ -307,7 +332,7 @@ pub fn compile_alter_table(a: &AlterMergeThreshold) -> Program {
                 Arg::Const(Atom::Str(a.table.clone())),
                 Arg::Const(Atom::Int(a.rows as i64)),
             ],
-        ))],
+        )))],
     }
 }
 
@@ -344,12 +369,12 @@ pub fn compile_stmt(stmt: &SqlStmt) -> Program {
 pub fn parse_select(sql: &str) -> Result<SelectBetween, SqlError> {
     let toks = tokenize(sql)?;
     let mut i = 0;
-    let kw = |toks: &[Tok], i: usize, want: &str| -> bool {
+    let kw = |toks: &[Tok<'_>], i: usize, want: &str| -> bool {
         matches!(&toks.get(i), Some(Tok::Word(w)) if w.eq_ignore_ascii_case(want))
     };
-    let word = |toks: &[Tok], i: usize, what: &str| -> Result<String, SqlError> {
+    let word = |toks: &[Tok<'_>], i: usize, what: &str| -> Result<String, SqlError> {
         match toks.get(i) {
-            Some(Tok::Word(w)) => Ok(w.clone()),
+            Some(Tok::Word(w)) => Ok((*w).to_owned()),
             other => Err(err(format!("expected {what}, got {other:?}"))),
         }
     };
@@ -387,11 +412,8 @@ pub fn parse_select(sql: &str) -> Result<SelectBetween, SqlError> {
     let bound = |i: &mut usize| -> Result<Option<Atom>, SqlError> {
         let b = match toks.get(*i) {
             Some(Tok::Placeholder) => None,
-            Some(Tok::Num(v, frac)) => Some(if *frac {
-                Atom::Dbl(*v)
-            } else {
-                Atom::Int(*v as i64)
-            }),
+            Some(&Tok::Int(v)) => Some(Atom::Int(v)),
+            Some(&Tok::Dbl(v)) => Some(Atom::Dbl(v)),
             other => return Err(err(format!("expected bound, got {other:?}"))),
         };
         *i += 1;
@@ -427,31 +449,37 @@ pub fn parse_select(sql: &str) -> Result<SelectBetween, SqlError> {
 pub fn compile(q: &SelectBetween) -> Program {
     let s = |v: &str| Arg::Const(Atom::Str(v.to_owned()));
     let int = |v: i64| Arg::Const(Atom::Int(v));
-    let var = |v: &str| Arg::Var(v.to_owned());
+    let var = |v: &'static str| Arg::Var(Name::Borrowed(v));
     let lo_arg = q.lo.clone().map_or(var("A0"), Arg::Const);
     let hi_arg = q.hi.clone().map_or(var("A1"), Arg::Const);
 
     let mut params = Vec::new();
     if q.lo.is_none() {
-        params.push("A0".to_owned());
+        params.push(Name::Borrowed("A0"));
     }
     if q.hi.is_none() {
-        params.push("A1".to_owned());
+        params.push(Name::Borrowed("A1"));
     }
 
-    let mut p = vec![Stmt::Function {
+    let mut p = Vec::with_capacity(18);
+    p.push(Stmt::Function {
         name: format!(
             "user.{}_{}",
             q.table.to_lowercase(),
             q.predicate.to_lowercase()
-        ),
+        )
+        .into(),
         params,
-    }];
-    let mut push = |target: Option<&str>, module: &str, function: &str, args: Vec<Arg>| {
-        p.push(Stmt::Assign(Instruction::new(
-            target, module, function, args,
-        )));
-    };
+    });
+    let mut push =
+        |target: Option<&'static str>, module: &'static str, function: &'static str, args| {
+            p.push(Stmt::Assign(Arc::new(Instruction::new(
+                target.map(Name::Borrowed),
+                module,
+                function,
+                args,
+            ))));
+        };
 
     // Predicate column: base + insert/update deltas + deletions.
     push(
@@ -548,7 +576,7 @@ pub fn compile(q: &SelectBetween) -> Program {
         "rsColumn",
         vec![
             var("X38"),
-            s(&format!("{}.{}", q.schema, q.table)),
+            Arg::Const(Atom::Str(format!("{}.{}", q.schema, q.table))),
             s(&q.projection),
             s("bigint"),
             int(64),
@@ -604,7 +632,7 @@ mod tests {
         assert_eq!(q.lo, None);
         assert_eq!(q.hi, None);
         let plan = compile(&q);
-        assert_eq!(plan.params(), vec!["A0".to_owned(), "A1".to_owned()]);
+        assert_eq!(plan.params(), ["A0", "A1"]);
     }
 
     #[test]
@@ -612,6 +640,68 @@ mod tests {
         let q = parse_select("select v from t where k between 10 and 20").unwrap();
         assert_eq!(q.lo, Some(Atom::Int(10)));
         assert_eq!(q.hi, Some(Atom::Int(20)));
+    }
+
+    #[test]
+    fn integer_literals_are_exact_and_exponents_take_either_case() {
+        let q = parse_select(
+            "select v from t where k between 9007199254740993 and -9223372036854775808",
+        )
+        .unwrap();
+        assert_eq!(q.lo, Some(Atom::Int(9_007_199_254_740_993)));
+        assert_eq!(q.hi, Some(Atom::Int(i64::MIN)));
+        let q = parse_select("select v from t where k between 1e3 and 2.5E-1").unwrap();
+        assert_eq!(q.lo, Some(Atom::Dbl(1000.0)));
+        assert_eq!(q.hi, Some(Atom::Dbl(0.25)));
+        for bad in [
+            "select v from t where k between 9223372036854775808 and 1",
+            "select v from t where k between 1 and -9223372036854775809",
+            "select v from t where k between 1e999 and 1",
+        ] {
+            let e = parse_select(bad).unwrap_err();
+            assert!(e.message.contains("out of range"), "{bad:?}: {e}");
+        }
+        assert!(
+            parse_alter_table("ALTER TABLE P SET MERGE THRESHOLD 99999999999999999999").is_err()
+        );
+    }
+
+    #[test]
+    fn integer_range_selections_are_exact_above_2_pow_53() {
+        // 2^53 + 1 rounds to 2^53 as an f64; SDSS objIDs live up here.
+        let big = 1i64 << 53;
+        let sql = "SELECT v FROM sys.T WHERE k BETWEEN 9007199254740993 AND 9007199254740993";
+        for segmented in [false, true] {
+            let mut c = Catalog::new();
+            let k = Bat::dense_int(vec![big, big + 1, big + 2]);
+            if segmented {
+                c.register_segmented(
+                    "sys",
+                    "T",
+                    "k",
+                    k,
+                    big as f64,
+                    (big + 4) as f64,
+                    soc_core::StrategySpec::new(soc_core::StrategyKind::Cracking),
+                )
+                .unwrap();
+            } else {
+                c.register_bat("sys", "T", "k", k);
+            }
+            c.register_bat("sys", "T", "v", Bat::dense_int(vec![10, 11, 12]));
+            // Twice: the first statement's `bpm.adapt` splits a segmented
+            // column near the bound.
+            for _ in 0..2 {
+                let plan = compile_select(sql).unwrap();
+                let (plan, _) = crate::SegmentOptimizer::new().optimize(&plan, &c);
+                let result = Interp::new(&mut c).run(&plan, &[]).unwrap().unwrap();
+                assert_eq!(
+                    result.tail(),
+                    &Tail::Int(vec![11].into()),
+                    "segmented {segmented}"
+                );
+            }
+        }
     }
 
     #[test]

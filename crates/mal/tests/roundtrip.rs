@@ -3,6 +3,8 @@
 //! (this is what makes optimizer plan dumps trustworthy debugging
 //! artifacts).
 
+use std::sync::Arc;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -27,7 +29,7 @@ fn arb_atom() -> impl Strategy<Value = Atom> {
 
 fn arb_arg() -> impl Strategy<Value = Arg> {
     prop_oneof![
-        arb_ident("V").prop_map(Arg::Var),
+        arb_ident("V").prop_map(|v| Arg::Var(v.into())),
         arb_atom().prop_map(Arg::Const),
     ]
 }
@@ -40,9 +42,9 @@ fn arb_instruction() -> impl Strategy<Value = Instruction> {
         vec(arb_arg(), 0..5),
     )
         .prop_map(|(target, module, function, args)| Instruction {
-            target,
-            module,
-            function,
+            target: target.map(Into::into),
+            module: module.into(),
+            function: function.into(),
             args,
         })
 }
@@ -54,12 +56,13 @@ fn arb_program() -> impl Strategy<Value = Program> {
             // Sprinkle a well-formed barrier block in the middle.
             if i == 3 {
                 let mut b = instr.clone();
-                b.target = Some("blk".to_owned());
+                b.target = Some("blk".into());
+                let b = Arc::new(b);
                 stmts.push(Stmt::Barrier(b.clone()));
                 stmts.push(Stmt::Redo(b));
-                stmts.push(Stmt::Exit("blk".to_owned()));
+                stmts.push(Stmt::Exit("blk".into()));
             } else {
-                stmts.push(Stmt::Assign(instr));
+                stmts.push(Stmt::Assign(Arc::new(instr)));
             }
         }
         Program { stmts }
@@ -82,16 +85,16 @@ proptest! {
 fn float_constants_roundtrip_through_text() {
     // A regression-style check on the literals the paper's plan uses.
     let prog = Program {
-        stmts: vec![Stmt::Assign(Instruction {
-            target: Some("X".to_owned()),
-            module: "algebra".to_owned(),
-            function: "select".to_owned(),
+        stmts: vec![Stmt::Assign(Arc::new(Instruction {
+            target: Some("X".into()),
+            module: "algebra".into(),
+            function: "select".into(),
             args: vec![
-                Arg::Var("Y".to_owned()),
+                Arg::Var("Y".into()),
                 Arg::Const(Atom::Dbl(205.1)),
                 Arg::Const(Atom::Dbl(205.12)),
             ],
-        })],
+        }))],
     };
     let reparsed = parse(&prog.render()).unwrap();
     assert_eq!(reparsed, prog);

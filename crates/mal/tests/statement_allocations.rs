@@ -1,0 +1,158 @@
+//! The heap-allocation budget of one SQL statement, phase by phase.
+//!
+//! Compiling and rewriting a plan is on every query's path (the SQL
+//! compiler emits MAL, the segment optimizer rewrites it), so names,
+//! instructions and catalog keys must not be copied per statement. A
+//! counting global allocator, local to this test binary, runs the
+//! benchmark's `sql_session` statement shape — a 25-row window over a
+//! 25 000-row `ApmSegm` column, no pending deltas — and pins how many
+//! allocations `compile_select`, `SegmentOptimizer::optimize` and
+//! `Interp::run` make per statement.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use soc_bat::Bat;
+use soc_core::{StrategyKind, StrategySpec};
+use soc_mal::{compile_select, Catalog, Interp, SegmentOptimizer};
+
+/// Counts allocations (`alloc`, `alloc_zeroed` and `realloc` calls) made
+/// on the current thread, so the test harness's own threads stay out of
+/// the count.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counter is a
+// const-initialized thread-local without a destructor, so touching it
+// never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const ROWS: usize = 25_000;
+const RA_LO: f64 = 110.0;
+/// 25 rows of the 150-wide domain.
+const WINDOW: f64 = 150.0 * 25.0 / ROWS as f64;
+const HOT_WINDOWS: usize = 64;
+const WARMUP: usize = 2_000;
+const MEASURED: usize = 2_000;
+
+/// Per-statement ceilings: what the statement path needs (64, 28 and 34
+/// allocations) plus a little headroom. A name, instruction or key copied
+/// per statement again breaks them; with `String` names, deep-copied
+/// statements and formatted bind keys the path made 133, 145 and 88.
+const COMPILE_MAX: f64 = 68.0;
+const OPTIMIZE_MAX: f64 = 32.0;
+const RUN_MAX: f64 = 38.0;
+const TOTAL_MAX: f64 = 150.0;
+
+fn catalog() -> Catalog {
+    let ra: Vec<f64> = (0..ROWS)
+        .map(|i| RA_LO + 150.0 * ((i as f64 * 0.754_877_666).fract()))
+        .collect();
+    let objid: Vec<i64> = (0..ROWS as i64).map(|i| 587_730_000_000 + i).collect();
+    let mut c = Catalog::new();
+    c.register_segmented(
+        "sys",
+        "P",
+        "ra",
+        Bat::dense_dbl(ra),
+        RA_LO,
+        260.001,
+        StrategySpec::new(StrategyKind::ApmSegm),
+    )
+    .unwrap();
+    c.register_bat("sys", "P", "objid", Bat::dense_int(objid));
+    c
+}
+
+/// The statements of a session: hot windows visited in a scrambled order,
+/// bounds with three decimals like the benchmark's.
+fn statements(n: usize) -> Vec<String> {
+    (0..n)
+        .map(|k| {
+            let w = (k * 37 + k / HOT_WINDOWS) % HOT_WINDOWS;
+            let lo = RA_LO + (w as f64 + 0.5) * (150.0 - WINDOW) / HOT_WINDOWS as f64;
+            let lo = (lo * 1e3).round() / 1e3;
+            let hi = ((lo + WINDOW) * 1e3).round() / 1e3;
+            format!("SELECT objid FROM sys.P WHERE ra BETWEEN {lo} AND {hi}")
+        })
+        .collect()
+}
+
+/// Runs `sql` once; returns the allocations of compile, optimize and run.
+fn statement(c: &mut Catalog, sql: &str) -> [u64; 3] {
+    let a0 = allocations();
+    let plan = compile_select(sql).unwrap();
+    let a1 = allocations();
+    let (optimized, _report) = SegmentOptimizer::new().optimize(&plan, c);
+    let a2 = allocations();
+    let result = Interp::new(c).run(&optimized, &[]).unwrap();
+    let a3 = allocations();
+    assert!(result.is_some_and(|b| !b.is_empty()), "{sql} found no rows");
+    drop(optimized);
+    drop(plan);
+    [a1 - a0, a2 - a1, a3 - a2]
+}
+
+#[test]
+fn a_statement_stays_inside_its_allocation_budget() {
+    let mut c = catalog();
+    for sql in statements(WARMUP) {
+        statement(&mut c, &sql);
+    }
+    let mut total = [0u64; 3];
+    for sql in statements(MEASURED) {
+        let phase = statement(&mut c, &sql);
+        for (t, p) in total.iter_mut().zip(phase) {
+            *t += p;
+        }
+    }
+    let [compile, optimize, run] = total.map(|t| t as f64 / MEASURED as f64);
+    let sum = compile + optimize + run;
+    println!("allocations per statement: compile {compile:.1}, optimize {optimize:.1}, run {run:.1}, total {sum:.1}");
+    assert!(
+        compile <= COMPILE_MAX,
+        "compile_select: {compile:.1} allocations per statement"
+    );
+    assert!(
+        optimize <= OPTIMIZE_MAX,
+        "optimize: {optimize:.1} allocations per statement"
+    );
+    assert!(
+        run <= RUN_MAX,
+        "Interp::run: {run:.1} allocations per statement"
+    );
+    assert!(sum <= TOTAL_MAX, "{sum:.1} allocations per statement");
+}
