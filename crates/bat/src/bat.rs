@@ -84,7 +84,7 @@ impl Head {
     }
 
     /// Oid at position `i`.
-    pub fn get(&self, i: usize) -> Oid {
+    pub(crate) fn get(&self, i: usize) -> Oid {
         match self {
             Head::Void { base } => base + i as u64,
             Head::Oids(v) => v[i],
@@ -123,7 +123,7 @@ pub enum Tail {
 
 impl Tail {
     /// Number of tail entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Tail::Int(v) => v.len(),
             Tail::Dbl(v) => v.len(),
@@ -131,11 +131,6 @@ impl Tail {
             Tail::Str(v) => v.len(),
             Tail::Nil(n) => *n,
         }
-    }
-
-    /// Whether the tail has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Type name for error messages.

@@ -27,7 +27,7 @@
 #![deny(unsafe_code)]
 
 pub mod algebra;
-pub mod bat;
+pub(crate) mod bat;
 #[cfg(test)]
 mod reference;
 

@@ -6,8 +6,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use soc_core::{
-    kernels, AdaptivePageModel, AdaptiveSegmentation, ColumnStrategy, ColumnValue, NonSegmented,
-    NullTracker, OrdF64, SegmentedColumn, SizeEstimator, ValueRange,
+    kernels, AdaptivePageModel, AdaptiveSegmentation, ColumnStrategy, ColumnValue, NullTracker,
+    OrdF64, SegmentedColumn, SizeEstimator, StrategyKind, StrategySpec, ValueRange,
 };
 use soc_workload::{skyserver_domain, skyserver_ra, uniform_values, WorkloadSpec};
 
@@ -38,7 +38,9 @@ fn bench_select(c: &mut Criterion) {
 
     let queries = WorkloadSpec::uniform(0.1, 64, 3).generate(&domain());
 
-    let mut baseline = NonSegmented::new(domain(), uniform_values(COLUMN_LEN, &domain(), 1));
+    let mut baseline = StrategySpec::new(StrategyKind::NoSegm)
+        .build(domain(), uniform_values(COLUMN_LEN, &domain(), 1))
+        .unwrap();
     group.bench_function(BenchmarkId::new("full_scan", COLUMN_LEN), |b| {
         let mut i = 0;
         b.iter(|| {
@@ -58,20 +60,6 @@ fn bench_select(c: &mut Criterion) {
         })
     });
     group.finish();
-}
-
-fn bench_overlap_lookup(c: &mut Criterion) {
-    let segmented = converged_segmentation();
-    let meta = segmented.column().meta_index();
-    let queries = WorkloadSpec::uniform(0.01, 256, 4).generate(&domain());
-    c.bench_function("meta_index_overlap_lookup", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            let q = &queries[i % queries.len()];
-            i += 1;
-            black_box(meta.overlapping(q).len())
-        })
-    });
 }
 
 /// The raw scan kernels against the tuple-at-a-time loops they replaced —
@@ -105,10 +93,6 @@ fn bench_scan_kernels(c: &mut Criterion) {
         })
     });
 
-    group.bench_function(BenchmarkId::new("partition_branchless", N), |b| {
-        b.iter(|| black_box(kernels::count_partition(&values, &q)))
-    });
-
     let mut sorted = values.clone();
     sorted.sort_unstable();
     group.bench_function(BenchmarkId::new("sorted_run_binary_search", N), |b| {
@@ -118,10 +102,8 @@ fn bench_scan_kernels(c: &mut Criterion) {
 }
 
 /// The masked one-pass sum (`kernels::sum_range`, the specification the
-/// served sums reproduce) vs collect-then-fold, and the served sum itself:
-/// `kernels::sum_sorted_run` over the same query's run of the sorted column
-/// — an exact integer sum per chunk on `u32`, the `f64` add chain on the
-/// `ra` column's `OrdF64`. Throughput counts the whole column for all four.
+/// served sums reproduce) vs collect-then-fold. Throughput counts the whole
+/// column for both.
 fn bench_aggregate_kernels(c: &mut Criterion) {
     const N: usize = 1_000_000;
     let values = uniform_values(N, &domain(), 7);
@@ -140,34 +122,19 @@ fn bench_aggregate_kernels(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("sum_fused", N), |b| {
         b.iter(|| black_box(kernels::sum_range(&values, &q)))
     });
-
-    let mut sorted = values;
-    sorted.sort_unstable();
-    let (start, end) = kernels::sorted_run(&sorted, &q);
-    group.bench_function(BenchmarkId::new("sum_sorted_run_u32", N), |b| {
-        b.iter(|| black_box(kernels::sum_sorted_run(&sorted, start, end)))
-    });
-
-    let mut ra = skyserver_ra(N, 7);
-    ra.sort_unstable();
-    let sky = skyserver_domain();
-    let at = |f: f64| OrdF64::from_f64(sky.lo().to_f64() + f * sky.width());
-    let (start, end) = kernels::sorted_run(&ra, &ValueRange::must(at(0.2), at(0.6)));
-    group.bench_function(BenchmarkId::new("sum_sorted_run_f64", N), |b| {
-        b.iter(|| black_box(kernels::sum_sorted_run(&ra, start, end)))
-    });
     group.finish();
 }
 
 /// The reorganizing scans on the paper's `ra` column (`OrdF64`, 8 MB): the
-/// kernels behind `scanMat` and segment splits. `scan_fill` runs against
-/// the loops it replaced — one `count_range` pass plus one `collect_range`
-/// pass per replica — which live on only here, as the reference.
+/// count and collect kernels behind `scanMat` and segment splits.
 fn bench_reorganizing_scans(c: &mut Criterion) {
     const N: usize = 1_000_000;
     let values = skyserver_ra(N, 7);
     let domain = skyserver_domain();
-    let (lo, width) = (domain.lo().to_f64(), domain.width());
+    let (lo, width) = (
+        domain.lo().to_f64(),
+        domain.hi().to_f64() - domain.lo().to_f64(),
+    );
     // The closed range covering fractions [from, to] of the domain.
     let frac = |from: f64, to: f64| {
         ValueRange::must(
@@ -193,57 +160,12 @@ fn bench_reorganizing_scans(c: &mut Criterion) {
             })
         });
     }
-
-    // Adaptive replication mostly fills a replica of exactly the query's
-    // range: of the 2 149 M elements `scan_fill` scans with a fill over the
-    // twelve `sky_adapt` cells (seed 7), 1 518 M (71 %) are scanned with
-    // fill == `q` — 1 301 M of 1 353 M (96 %) on `apm_repl/random` — and
-    // segmentation never calls it. The wide `1_fill`/`3_fills` shapes are
-    // the rest of the traffic: fills wider than a narrow query.
-    let eq_q = vec![q];
-    let one = vec![frac(0.4, 0.9)];
-    let three = vec![frac(0.1, 0.2), frac(0.4, 0.6), frac(0.7, 0.9)];
-    for (name, fills) in [
-        ("1_fill_eq_q", &eq_q),
-        ("1_fill", &one),
-        ("3_fills", &three),
-    ] {
-        group.bench_function(BenchmarkId::new("scan_fill", name), |b| {
-            b.iter(|| {
-                let mut outs = vec![Vec::new(); fills.len()];
-                let n = kernels::scan_fill(&values, &q, fills, &mut outs);
-                black_box((n, outs))
-            })
-        });
-        group.bench_function(BenchmarkId::new("count_then_collect_per_fill", name), |b| {
-            b.iter(|| {
-                let n = kernels::count_range(&values, &q);
-                let outs: Vec<Vec<OrdF64>> = fills
-                    .iter()
-                    .map(|r| {
-                        let mut out = Vec::new();
-                        kernels::collect_range(&values, r, &mut out);
-                        out
-                    })
-                    .collect();
-                black_box((n, outs))
-            })
-        });
-    }
-
-    let bounds = [frac(0.0, 0.33).hi(), frac(0.0, 0.66).hi()];
-    for (name, bounds) in [("2_way", &bounds[..1]), ("3_way", &bounds[..])] {
-        group.bench_function(BenchmarkId::new("partition_into", name), |b| {
-            b.iter(|| black_box(kernels::partition_into(&values, bounds)))
-        });
-    }
     group.finish();
 }
 
 criterion_group!(
     benches,
     bench_select,
-    bench_overlap_lookup,
     bench_scan_kernels,
     bench_aggregate_kernels,
     bench_reorganizing_scans

@@ -6,7 +6,7 @@
 //! `tuple_reconstruction` measures the `markT`/`reverse`/`join` pipeline of
 //! Figure 1 against a projected column when the qualifying oids come (a)
 //! positionally ordered (non-segmented select) vs (b) value-ordered /
-//! scattered (segmented select over bpm pieces).
+//! scattered (as a select over value-ranged pieces returns them).
 //!
 //! `delta_projection` measures the same reconstruction with deltas pending
 //! on the projected column: Figure 1's
@@ -27,8 +27,6 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use soc_bat::{algebra, Atom, Bat, Head, Tail};
-use soc_core::{StrategyKind, StrategySpec};
-use soc_mal::SegmentedBat;
 
 const N: usize = 200_000;
 
@@ -60,25 +58,18 @@ fn bench_reconstruction(c: &mut Criterion) {
     // Positional path: one uselect over the whole column.
     let positional_oids = algebra::uselect(&ra, &lo, &hi).expect("uselect");
 
-    // Segmented path: the same rows, collected from value-ranged pieces
-    // (oids arrive grouped by value range, not by position).
-    let spec = StrategySpec::new(StrategyKind::Cracking);
-    let mut seg = SegmentedBat::from_spec(ra.clone(), 0.0, 360.0, &spec).expect("dbl column");
-    for k in 0..8 {
-        let qlo = k as f64 * 45.0;
-        seg.adapt(&Atom::Dbl(qlo), &Atom::Dbl(qlo + 20.0))
-            .expect("adapt");
-    }
-    let mut segmented_oids: Option<Bat> = None;
-    for idx in seg.overlapping(90.0, 126.0) {
-        let piece = seg.piece_bat(idx).expect("piece");
-        let part = algebra::uselect(&piece, &lo, &hi).expect("uselect");
-        segmented_oids = Some(match segmented_oids {
-            None => part,
-            Some(acc) => algebra::append(&acc, &part).expect("append"),
-        });
-    }
-    let segmented_oids = segmented_oids.expect("query overlaps pieces");
+    // Segmented path: the same rows in value order, as a select over
+    // value-ranged pieces returns them (oids grouped by value, not by
+    // position).
+    let Tail::Dbl(values) = ra.tail() else {
+        unreachable!("ra is a dbl column")
+    };
+    let mut oids: Vec<u64> = (0..positional_oids.len())
+        .map(|i| positional_oids.head_at(i))
+        .collect();
+    oids.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
+    let rows = oids.len();
+    let segmented_oids = Bat::new(Head::Oids(oids.into()), Tail::Nil(rows)).expect("oid bat");
     assert_eq!(positional_oids.len(), segmented_oids.len(), "same rows");
 
     let mut group = c.benchmark_group("tuple_reconstruction");

@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use soc_core::{
-    AdaptiveReplication, AdaptiveSegmentation, AlwaysSplit, ColumnStrategy, NullTracker,
+    AdaptivePageModel, AdaptiveReplication, AdaptiveSegmentation, ColumnStrategy, NullTracker,
     ReplicaTree, SegmentedColumn, SizeEstimator, ValueRange,
 };
 use soc_workload::uniform_values;
@@ -26,7 +26,11 @@ fn bench_split_cost(c: &mut Criterion) {
                 || {
                     let col =
                         SegmentedColumn::new(domain(), uniform_values(len, &domain(), 7)).unwrap();
-                    AdaptiveSegmentation::new(col, Box::new(AlwaysSplit), SizeEstimator::Uniform)
+                    AdaptiveSegmentation::new(
+                        col,
+                        Box::new(AdaptivePageModel::simulation_default()),
+                        SizeEstimator::Uniform,
+                    )
                 },
                 |mut s| {
                     black_box(s.select_count(&ValueRange::must(400_000, 499_999), &mut NullTracker))
@@ -40,7 +44,10 @@ fn bench_split_cost(c: &mut Criterion) {
                 || {
                     let tree =
                         ReplicaTree::new(domain(), uniform_values(len, &domain(), 7)).unwrap();
-                    AdaptiveReplication::new(tree, Box::new(AlwaysSplit))
+                    AdaptiveReplication::new(
+                        tree,
+                        Box::new(AdaptivePageModel::simulation_default()),
+                    )
                 },
                 |mut s| {
                     black_box(s.select_count(&ValueRange::must(400_000, 499_999), &mut NullTracker))

@@ -69,7 +69,7 @@ fn bench_sharded_scan(c: &mut Criterion) {
             for _ in 0..3 {
                 count_all(&mut sharded, &queries);
             }
-            group.bench_function(BenchmarkId::new(policy.name(), nodes), |b| {
+            group.bench_function(BenchmarkId::new(format!("{policy:?}"), nodes), |b| {
                 b.iter(|| black_box(count_all(&mut sharded, black_box(&queries))))
             });
         }

@@ -4,8 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use soc_core::StrategyKind;
 use soc_sim::experiment::simulation::{run_sim_cell, SimConfig, SimDistribution};
-use soc_sim::StrategyKind;
 
 fn bench_table1(c: &mut Criterion) {
     let cfg = SimConfig {

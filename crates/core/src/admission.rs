@@ -81,20 +81,6 @@ impl AdmissionConfig {
             ..AdmissionConfig::default()
         }
     }
-
-    /// Replaces the queue bound.
-    #[must_use]
-    pub fn queue(mut self, max_queue: usize) -> Self {
-        self.max_queue = max_queue;
-        self
-    }
-
-    /// Replaces the queued-wait deadline.
-    #[must_use]
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = deadline;
-        self
-    }
 }
 
 /// Counter snapshot of everything the gate decided so far.
@@ -112,7 +98,7 @@ pub struct AdmissionStats {
 
 impl AdmissionStats {
     /// Arrivals the gate saw, over every outcome.
-    pub fn arrivals(&self) -> u64 {
+    pub(crate) fn arrivals(&self) -> u64 {
         self.admitted + self.shed + self.deadline_exceeded
     }
 
@@ -155,11 +141,14 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A bounded-concurrency admission gate. Cloning shares the gate.
 ///
 /// ```
-/// use soc_core::{AdmissionConfig, AdmissionGate, QueryError};
+/// use soc_core::{AdmissionConfig, AdmissionGate};
 ///
-/// let gate = AdmissionGate::new(AdmissionConfig::with_in_flight(1).queue(0));
+/// let gate = AdmissionGate::new(AdmissionConfig {
+///     max_queue: 0,
+///     ..AdmissionConfig::with_in_flight(1)
+/// });
 /// let permit = gate.admit().expect("first query admitted");
-/// assert_eq!(gate.admit().unwrap_err(), QueryError::Shed);
+/// assert!(gate.admit().is_err(), "no permit and no queue: shed");
 /// drop(permit);
 /// assert!(gate.admit().is_ok(), "freed permit re-admits");
 /// assert_eq!(gate.stats().shed, 1);
@@ -189,11 +178,6 @@ impl AdmissionGate {
         }
     }
 
-    /// The configuration this gate enforces.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.inner.cfg
-    }
-
     /// Requests a permit for one query.
     ///
     /// Returns the permit, or the typed reason the query must not run.
@@ -201,7 +185,7 @@ impl AdmissionGate {
     /// permit is taken and the queue has room.
     ///
     /// # Errors
-    /// [`QueryError::Shed`] when refused, [`QueryError::DeadlineExceeded`]
+    /// `QueryError::Shed` when refused, `QueryError::DeadlineExceeded`
     /// when the queued wait timed out.
     pub fn admit(&self) -> Result<Permit, QueryError> {
         let inner = &self.inner;
@@ -248,7 +232,8 @@ impl AdmissionGate {
     }
 
     /// Permits currently held.
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
         lock_clean(&self.inner.state).in_flight
     }
 
@@ -300,11 +285,11 @@ mod tests {
     use std::thread;
 
     fn gate(in_flight: usize, queue: usize, ms: u64) -> AdmissionGate {
-        AdmissionGate::new(
-            AdmissionConfig::with_in_flight(in_flight)
-                .queue(queue)
-                .deadline(Duration::from_millis(ms)),
-        )
+        AdmissionGate::new(AdmissionConfig {
+            max_queue: queue,
+            deadline: Duration::from_millis(ms),
+            ..AdmissionConfig::with_in_flight(in_flight)
+        })
     }
 
     #[test]

@@ -49,16 +49,6 @@ impl<V: ColumnValue> NonSegmented<V> {
             segment: SegmentData::new(ids.fresh(), domain, values),
         }
     }
-
-    /// Tuple count.
-    pub fn len(&self) -> u64 {
-        self.segment.len()
-    }
-
-    /// Whether the column is empty.
-    pub fn is_empty(&self) -> bool {
-        self.segment.is_empty()
-    }
 }
 
 // contract: ColumnStrategy thread-safety: no interior mutability; delta folds happen only inside &mut self fold_delta calls, and &self accessors read immutable state.
@@ -119,7 +109,7 @@ pub struct FullySorted<V> {
 impl<V: ColumnValue> FullySorted<V> {
     /// Sorts `values` once; the write cost is reported to the tracker on
     /// the first query (the "upfront indexing" bill).
-    pub fn new(domain: ValueRange<V>, mut values: Vec<V>) -> Self {
+    pub(crate) fn new(domain: ValueRange<V>, mut values: Vec<V>) -> Self {
         values.sort_unstable();
         let mut ids = SegIdGen::new();
         FullySorted {

@@ -6,7 +6,6 @@
 //! segment which is gradually reorganized into a list of segments as
 //! selection queries arrive."
 
-use crate::meta::{MetaEntry, MetaIndex};
 use crate::range::ValueRange;
 use crate::segment::{SegIdGen, SegmentData, Window};
 use crate::tracker::AccessTracker;
@@ -59,58 +58,43 @@ impl<V: ColumnValue> SegmentedColumn<V> {
     }
 
     /// The attribute domain this column tiles.
-    pub fn domain(&self) -> ValueRange<V> {
+    pub(crate) fn domain(&self) -> ValueRange<V> {
         self.domain
     }
 
     /// The ordered segment list.
-    pub fn segments(&self) -> &[SegmentData<V>] {
+    pub(crate) fn segments(&self) -> &[SegmentData<V>] {
         &self.segments
     }
 
     /// Number of segments.
-    pub fn segment_count(&self) -> usize {
+    pub(crate) fn segment_count(&self) -> usize {
         self.segments.len()
     }
 
     /// Total tuple count (invariant under reorganization).
-    pub fn total_len(&self) -> u64 {
+    pub(crate) fn total_len(&self) -> u64 {
         self.total_len
     }
 
     /// Storage footprint in bytes (tuples × width), invariant under
     /// reorganization — the paper's notion of column size.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.total_len * V::BYTES
     }
 
     /// Index range of segments whose value ranges overlap `q`.
-    pub fn overlapping_span(&self, q: &ValueRange<V>) -> std::ops::Range<usize> {
+    pub(crate) fn overlapping_span(&self, q: &ValueRange<V>) -> std::ops::Range<usize> {
         let start = self.segments.partition_point(|s| s.range().hi() < q.lo());
         let end = self.segments.partition_point(|s| s.range().lo() <= q.hi());
         start..end.max(start)
-    }
-
-    /// A catalog snapshot for optimizer use (Section 3.1's meta-index).
-    pub fn meta_index(&self) -> MetaIndex<V> {
-        MetaIndex::from_entries(
-            self.segments
-                .iter()
-                .map(|s| MetaEntry {
-                    id: s.id(),
-                    range: s.range(),
-                    len: s.len(),
-                    bytes: s.bytes(),
-                })
-                .collect(),
-        )
     }
 
     /// Replaces the segment at `idx` by its partition over `pieces`,
     /// reporting the free + materializations to `tracker`.
     ///
     /// `pieces` must tile the segment's range exactly (checked).
-    pub fn replace_segment(
+    pub(crate) fn replace_segment(
         &mut self,
         idx: usize,
         pieces: &[ValueRange<V>],
@@ -139,7 +123,7 @@ impl<V: ColumnValue> SegmentedColumn<V> {
     ///
     /// Used by the anti-fragmentation merge policy (Section 8 names merging
     /// as the counter-measure to GD's fragmentation on skewed loads).
-    pub fn merge_segments(
+    pub(crate) fn merge_segments(
         &mut self,
         idx: usize,
         count: usize,
@@ -180,7 +164,7 @@ impl<V: ColumnValue> SegmentedColumn<V> {
     ///
     /// Returns the tombstones that found no occurrence, or `None` — with
     /// nothing changed — when an insert lies outside the domain.
-    pub fn fold_delta(
+    pub(crate) fn fold_delta(
         &mut self,
         inserts: &[V],
         tombstones: &[V],
@@ -213,7 +197,7 @@ impl<V: ColumnValue> SegmentedColumn<V> {
     /// segment sorted in its own buffer the first time
     /// ([`SegmentData::share_sorted`]) — the column's side of
     /// [`crate::ColumnStrategy::share_sorted`].
-    pub fn share_sorted(&mut self) -> Vec<(ValueRange<V>, Window<V>)> {
+    pub(crate) fn share_sorted(&mut self) -> Vec<(ValueRange<V>, Window<V>)> {
         self.segments
             .iter_mut()
             .map(|s| (s.range(), s.share_sorted()))
@@ -224,7 +208,7 @@ impl<V: ColumnValue> SegmentedColumn<V> {
     /// segments sorted, adjacent, tiling the domain, payloads consistent
     /// and in range, tuple count preserved.
     ///
-    /// Delegates to [`crate::validate::column`], the deep validator the
+    /// Delegates to `crate::validate::column`, the deep validator the
     /// debug-build checks and the corruption-injection proptests share.
     pub fn validate(&self) -> Result<(), crate::validate::Violation> {
         crate::validate::column(self)
@@ -389,17 +373,5 @@ mod tests {
         let mut c = column();
         assert!(c.merge_segments(0, 1, &mut NullTracker).is_err());
         assert!(c.merge_segments(0, 2, &mut NullTracker).is_err());
-    }
-
-    #[test]
-    fn meta_index_mirrors_segments() {
-        let mut c = column();
-        let pieces = [ValueRange::must(0, 4_999), ValueRange::must(5_000, 9_999)];
-        c.replace_segment(0, &pieces, &mut NullTracker).unwrap();
-        let ix = c.meta_index();
-        assert_eq!(ix.len(), 2);
-        assert!(ix.validate().is_ok());
-        assert_eq!(ix.total_len(), c.total_len());
-        assert_eq!(ix.total_bytes(), c.total_bytes());
     }
 }

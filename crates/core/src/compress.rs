@@ -146,19 +146,6 @@ pub enum EncodedPayload {
 }
 
 impl EncodedPayload {
-    /// Tuple count.
-    pub fn len(&self) -> u64 {
-        match self {
-            EncodedPayload::Rle { runs } => runs.iter().map(|&(_, n)| n as u64).sum(),
-            EncodedPayload::For { len, .. } | EncodedPayload::Dict { len, .. } => *len,
-        }
-    }
-
-    /// Whether the payload holds no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Encoded footprint in bytes.
     pub fn bytes(&self) -> u64 {
         match self {
@@ -175,7 +162,7 @@ impl EncodedPayload {
 
     /// Counts stored keys inside `[lo_key, hi_key]` **without decoding** —
     /// the compressed-domain scan kernels.
-    pub fn count_keys(&self, lo_key: u64, hi_key: u64) -> u64 {
+    pub(crate) fn count_keys(&self, lo_key: u64, hi_key: u64) -> u64 {
         match self {
             EncodedPayload::Rle { runs } => {
                 let mut acc = 0u64;
@@ -447,7 +434,6 @@ mod tests {
         let values = mixed_values(2_000, 3);
         for enc in CODECS {
             let packed = encode(&values, enc).expect("u32 packs");
-            assert_eq!(packed.len(), values.len() as u64, "{enc:?}");
             assert_eq!(decoded::<u32>(&packed), values, "{enc:?}");
         }
     }

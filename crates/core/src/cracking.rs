@@ -57,35 +57,21 @@ impl<V: ColumnValue> CrackedColumn<V> {
         }
     }
 
-    /// Tuple count.
-    pub fn len(&self) -> u64 {
-        self.data.len() as u64
-    }
-
-    /// Whether the column is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Number of crack operations performed.
-    pub fn cracks(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cracks(&self) -> u64 {
         self.cracks
     }
 
     /// Number of pieces the cracker index currently delimits.
-    pub fn piece_count(&self) -> usize {
+    pub(crate) fn piece_count(&self) -> usize {
         self.index.len() + 1
-    }
-
-    /// The cracker column's values in their current (cracked) order.
-    pub fn values(&self) -> &[V] {
-        &self.data
     }
 
     /// The cracker index as `(boundary value, first position >= boundary)`
     /// entries, ascending by value — together with [`Self::values`] the
     /// complete reorganization state.
-    pub fn boundaries(&self) -> Vec<(V, usize)> {
+    pub(crate) fn boundaries(&self) -> Vec<(V, usize)> {
         self.index.iter().map(|(&v, &p)| (v, p)).collect()
     }
 
@@ -147,7 +133,7 @@ impl<V: ColumnValue> CrackedColumn<V> {
     /// Full structural check of the live state: the cracker index
     /// partitions the data and the cached bounds are the data's exact
     /// `(min, max)` — run after every delta fold in debug builds.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let bounds = Self::check_partition(&self.data, &self.boundaries())?;
         if bounds != self.bounds {
             return Err(format!(

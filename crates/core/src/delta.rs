@@ -86,12 +86,26 @@ pub enum DeltaOp<V> {
     },
 }
 
-/// Per-oid net effect of a batch, after shadowing.
+/// Per-oid net effect of a batch, after shadowing, each side stamped
+/// with the push that produced it: `2 × push` for a tombstone and
+/// `2 × push + 1` for an inserted value, so an update's tombstone comes
+/// before its own insert.
 #[derive(Debug, Clone, Copy)]
 enum Slot<V> {
-    Inserted(V),
-    Updated { old: V, new: V },
-    Deleted(V),
+    Inserted {
+        new: V,
+        at: u64,
+    },
+    Updated {
+        old: V,
+        old_at: u64,
+        new: V,
+        at: u64,
+    },
+    Deleted {
+        old: V,
+        old_at: u64,
+    },
 }
 
 /// An order-preserving accumulator of pending writes, shadowed per oid.
@@ -107,6 +121,7 @@ enum Slot<V> {
 #[derive(Debug, Clone)]
 pub struct DeltaBatch<V> {
     slots: BTreeMap<u64, Slot<V>>,
+    pushes: u64,
 }
 
 impl<V: ColumnValue> Default for DeltaBatch<V> {
@@ -120,6 +135,7 @@ impl<V: ColumnValue> DeltaBatch<V> {
     pub fn new() -> Self {
         DeltaBatch {
             slots: BTreeMap::new(),
+            pushes: 0,
         }
     }
 
@@ -136,38 +152,62 @@ impl<V: ColumnValue> DeltaBatch<V> {
     /// Applies one operation, shadowing earlier operations on the same
     /// oid (see the type docs for the exact rules).
     pub fn push(&mut self, op: DeltaOp<V>) {
+        let (old_at, at) = (2 * self.pushes, 2 * self.pushes + 1);
+        self.pushes += 1;
         match op {
             DeltaOp::Insert { oid, value } => {
                 let slot = match self.slots.get(&oid) {
-                    Some(&(Slot::Deleted(old) | Slot::Updated { old, .. })) => {
-                        Slot::Updated { old, new: value }
+                    Some(&(Slot::Deleted { old, old_at } | Slot::Updated { old, old_at, .. })) => {
+                        Slot::Updated {
+                            old,
+                            old_at,
+                            new: value,
+                            at,
+                        }
                     }
-                    Some(Slot::Inserted(_)) | None => Slot::Inserted(value),
+                    Some(Slot::Inserted { .. }) | None => Slot::Inserted { new: value, at },
                 };
                 self.slots.insert(oid, slot);
             }
             DeltaOp::Update { oid, old, new } => match self.slots.get(&oid).copied() {
-                Some(Slot::Inserted(_)) => {
-                    self.slots.insert(oid, Slot::Inserted(new));
+                Some(Slot::Inserted { .. }) => {
+                    self.slots.insert(oid, Slot::Inserted { new, at });
                 }
-                Some(Slot::Updated { old: first, .. }) => {
-                    self.slots.insert(oid, Slot::Updated { old: first, new });
+                Some(Slot::Updated {
+                    old: first,
+                    old_at: first_at,
+                    ..
+                }) => {
+                    let slot = Slot::Updated {
+                        old: first,
+                        old_at: first_at,
+                        new,
+                        at,
+                    };
+                    self.slots.insert(oid, slot);
                 }
-                Some(Slot::Deleted(_)) => {}
+                Some(Slot::Deleted { .. }) => {}
                 None => {
-                    self.slots.insert(oid, Slot::Updated { old, new });
+                    let slot = Slot::Updated {
+                        old,
+                        old_at,
+                        new,
+                        at,
+                    };
+                    self.slots.insert(oid, slot);
                 }
             },
             DeltaOp::Delete { oid, value } => match self.slots.get(&oid).copied() {
-                Some(Slot::Inserted(_)) => {
+                Some(Slot::Inserted { .. }) => {
                     self.slots.remove(&oid);
                 }
-                Some(Slot::Updated { old, .. }) => {
-                    self.slots.insert(oid, Slot::Deleted(old));
+                Some(Slot::Updated { old, old_at, .. }) => {
+                    self.slots.insert(oid, Slot::Deleted { old, old_at });
                 }
-                Some(Slot::Deleted(_)) => {}
+                Some(Slot::Deleted { .. }) => {}
                 None => {
-                    self.slots.insert(oid, Slot::Deleted(value));
+                    let slot = Slot::Deleted { old: value, old_at };
+                    self.slots.insert(oid, slot);
                 }
             },
         }
@@ -178,21 +218,72 @@ impl<V: ColumnValue> DeltaBatch<V> {
     /// insert meeting another's delete), or `None` when nothing survives.
     /// `id` is the run's scan-attribution identity.
     pub fn seal(self, id: SegId) -> Option<DeltaRun<V>> {
-        let mut inserts = Vec::new();
-        let mut tombstones = Vec::new();
-        for slot in self.slots.into_values() {
-            match slot {
-                Slot::Inserted(v) => inserts.push(v),
-                Slot::Updated { old, new } => {
-                    tombstones.push(old);
-                    inserts.push(new);
-                }
-                Slot::Deleted(v) => tombstones.push(v),
+        let (mut inserts, mut tombstones) = (Vec::new(), Vec::new());
+        for (v, stamp) in self.stamped() {
+            if stamp % 2 == 1 {
+                inserts.push(v);
+            } else {
+                tombstones.push(v);
             }
         }
-        inserts.sort_unstable();
-        tombstones.sort_unstable();
         DeltaRun::net(id, inserts, tombstones)
+    }
+
+    /// [`Self::seal`] without the tombstones that cancel no row. Value by
+    /// value, in push order, a tombstone takes one of the `outside(v)`
+    /// rows the column holds beyond this batch or one the batch inserted
+    /// before it; a tombstone that finds none is a stray and is dropped,
+    /// so it cannot cancel an insert pushed after it. Returns the run and
+    /// the number of strays.
+    pub(crate) fn seal_matched(
+        self,
+        id: SegId,
+        mut outside: impl FnMut(V) -> usize,
+    ) -> (Option<DeltaRun<V>>, u64) {
+        let (mut inserts, mut tombstones, mut strays) = (Vec::new(), Vec::new(), 0);
+        // Rows of `value` free for its next tombstone; `outside` is asked
+        // once per value, and only when the batch's own inserts run out.
+        let (mut value, mut rows, mut asked) = (None, 0, false);
+        for (v, stamp) in self.stamped() {
+            if value != Some(v) {
+                (value, rows, asked) = (Some(v), 0, false);
+            }
+            if stamp % 2 == 1 {
+                inserts.push(v);
+                rows += 1;
+                continue;
+            }
+            if rows == 0 && !asked {
+                (rows, asked) = (outside(v), true);
+            }
+            if rows > 0 {
+                tombstones.push(v);
+                rows -= 1;
+            } else {
+                strays += 1;
+            }
+        }
+        (DeltaRun::net(id, inserts, tombstones), strays)
+    }
+
+    /// Every value the batch inserts or tombstones with its stamp (see
+    /// [`Slot`]), ascending by value, then in push order.
+    fn stamped(self) -> Vec<(V, u64)> {
+        let mut stamped = Vec::with_capacity(2 * self.slots.len());
+        for slot in self.slots.into_values() {
+            match slot {
+                Slot::Inserted { new, at } => stamped.push((new, at)),
+                Slot::Updated {
+                    old,
+                    old_at,
+                    new,
+                    at,
+                } => stamped.extend([(old, old_at), (new, at)]),
+                Slot::Deleted { old, old_at } => stamped.push((old, old_at)),
+            }
+        }
+        stamped.sort_unstable();
+        stamped
     }
 }
 
@@ -262,7 +353,7 @@ impl<V: ColumnValue> DeltaRun<V> {
     /// [`kernels::merge_sorted`] on each side, then the cancellation of
     /// [`DeltaBatch::seal`] across the two. `None` when nothing is left.
     /// Associative, so arriving batches may meet in any grouping.
-    pub fn merged(older: Option<Self>, newer: Option<Self>) -> Option<Self> {
+    pub(crate) fn merged(older: Option<Self>, newer: Option<Self>) -> Option<Self> {
         let (a, b) = match (older, newer) {
             (Some(a), Some(b)) => (a, b),
             (a, b) => return a.or(b),
@@ -274,18 +365,18 @@ impl<V: ColumnValue> DeltaRun<V> {
     }
 
     /// Scan-attribution identity: one charge per query.
-    pub fn id(&self) -> SegId {
+    pub(crate) fn id(&self) -> SegId {
         self.id
     }
 
     /// Footprint of both sides — what a query the zone maps prune skips.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
 
     /// Pending rows this run holds (inserts plus tombstones) — the unit
     /// the compaction watermarks and per-step budget count.
-    pub fn rows(&self) -> u64 {
+    pub(crate) fn rows(&self) -> u64 {
         (self.inserts.len() + self.tombstones.len()) as u64
     }
 
@@ -300,19 +391,21 @@ impl<V: ColumnValue> DeltaRun<V> {
     }
 
     /// Zone map of the insert side (`None` when empty).
-    pub fn insert_synopsis(&self) -> Option<&PieceSynopsis<V>> {
+    #[cfg(test)]
+    pub(crate) fn insert_synopsis(&self) -> Option<&PieceSynopsis<V>> {
         self.insert_synopsis.as_ref()
     }
 
     /// Zone map of the tombstone side (`None` when empty).
-    pub fn tombstone_synopsis(&self) -> Option<&PieceSynopsis<V>> {
+    #[cfg(test)]
+    pub(crate) fn tombstone_synopsis(&self) -> Option<&PieceSynopsis<V>> {
         self.tombstone_synopsis.as_ref()
     }
 
     /// Whether `q` can touch either side — the pruning decision. A run
     /// disjoint from `q` on both zone maps contributes nothing and
     /// charges only a [`skip`](crate::AccessTracker::skip).
-    pub fn overlaps(&self, q: &ValueRange<V>) -> bool {
+    pub(crate) fn overlaps(&self, q: &ValueRange<V>) -> bool {
         let side = |s: &Option<PieceSynopsis<V>>| {
             s.as_ref()
                 .is_some_and(|s| s.classify(q) != SynopsisClass::Disjoint)
@@ -326,7 +419,7 @@ impl<V: ColumnValue> DeltaRun<V> {
     /// when the whole run fit the budget. Any subset folds safely: no
     /// tombstone of the run targets one of its own inserts (see the module
     /// docs), so all of them target rows already in the base.
-    pub fn split_for_fold(&self, budget: usize) -> (Vec<V>, Vec<V>, Option<DeltaRun<V>>) {
+    pub(crate) fn split_for_fold(&self, budget: usize) -> (Vec<V>, Vec<V>, Option<DeltaRun<V>>) {
         let t_take = budget.min(self.tombstones.len());
         let i_take = (budget - t_take).min(self.inserts.len());
         let fold_tombs = self.tombstones[..t_take].to_vec();
@@ -397,11 +490,11 @@ pub(crate) fn clip_fold<'a, V: ColumnValue>(
 
 /// Hysteresis watermarks and the per-step budget of the incremental
 /// compactor: folding starts when the pending rows across all runs reach
-/// [`start_above`](Self::start_above), proceeds at most
-/// [`rows_per_step`](Self::rows_per_step) delta rows per reorganization
+/// `start_above`, proceeds at most
+/// `rows_per_step` delta rows per reorganization
 /// step (each step rewrites only the pieces its rows land in, charged as
 /// reorganization bytes), and stops once pending rows fall to
-/// [`stop_below`](Self::stop_below) — so a column hovering at the
+/// `stop_below` — so a column hovering at the
 /// threshold does not thrash between folding and accumulating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionPolicy {
@@ -434,17 +527,17 @@ impl CompactionPolicy {
     }
 
     /// Pending-row level at which folding starts.
-    pub fn start_above(&self) -> u64 {
+    pub(crate) fn start_above(&self) -> u64 {
         self.start_above
     }
 
     /// Pending-row level at which folding stops (hysteresis low side).
-    pub fn stop_below(&self) -> u64 {
+    pub(crate) fn stop_below(&self) -> u64 {
         self.stop_below
     }
 
     /// Maximum delta rows folded per reorganization step.
-    pub fn rows_per_step(&self) -> u64 {
+    pub(crate) fn rows_per_step(&self) -> u64 {
         self.rows_per_step
     }
 }
@@ -479,6 +572,29 @@ mod tests {
         let tom = run.tombstone_synopsis().expect("tombstone side non-empty");
         assert_eq!((tom.min(), tom.max()), (30, 40));
         run.validate().expect("sealed runs validate");
+    }
+
+    #[test]
+    fn seal_matched_drops_tombstones_no_earlier_row_backs() {
+        let mut b = DeltaBatch::new();
+        // Nothing holds 5 yet: a stray, which must not cancel the insert
+        // of 5 that follows it.
+        b.push(DeltaOp::Delete { oid: 1, value: 5 });
+        b.push(DeltaOp::Insert { oid: 2, value: 5 });
+        // The one 7 outside backs the update's tombstone; the delete
+        // after it takes the 7 the update wrote.
+        b.push(DeltaOp::Update {
+            oid: 3,
+            old: 7,
+            new: 7,
+        });
+        b.push(DeltaOp::Delete { oid: 4, value: 7 });
+        b.push(DeltaOp::Delete { oid: 5, value: 9 });
+        let (run, strays) = b.seal_matched(SegId(1), |v| usize::from(v == 7 || v == 9));
+        let run = run.expect("the insert of 5 survives");
+        assert_eq!(strays, 1);
+        assert_eq!(run.inserts(), &[5]);
+        assert_eq!(run.tombstones(), &[7, 9]);
     }
 
     #[test]

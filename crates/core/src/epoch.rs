@@ -91,12 +91,12 @@ use std::thread;
 
 use crate::admission::{AdmissionGate, Admitted, QueryError};
 use crate::column::ColumnError;
-use crate::delta::{CompactionPolicy, DeltaBatch, DeltaRun};
+use crate::delta::{run_in, CompactionPolicy, DeltaBatch, DeltaRun};
 use crate::kernels;
 use crate::range::ValueRange;
 use crate::segment::{SegId, SegIdGen, Window};
 use crate::spec::StrategySpec;
-use crate::strategy::{AdaptationStats, ColumnStrategy};
+use crate::strategy::ColumnStrategy;
 use crate::synopsis::{PieceSynopsis, SynopsisClass};
 use crate::tracker::{AccessTracker, CountingTracker, QueryStats};
 use crate::validate::Violation;
@@ -156,9 +156,7 @@ pub struct StrategySnapshot<V: ColumnValue> {
     pieces: Vec<SnapshotPiece<V>>,
     domain: ValueRange<V>,
     name: String,
-    storage_bytes: u64,
     segment_count: usize,
-    adaptation: AdaptationStats,
     /// The writer's cumulative reorganization accounting at publish time
     /// (reads at the old layout, writes of split/crack/replica products and
     /// migration rebuilds) — the tracker merge each epoch carries out.
@@ -309,7 +307,6 @@ impl<V: ColumnValue> StrategySnapshot<V> {
         folded: &[V],
         ids: &mut SegIdGen,
         epoch: u64,
-        retired: AdaptationStats,
         reorg: QueryStats,
         (failed_migrations, unmatched_tombstones): (u64, u64),
         delta: Option<DeltaRun<V>>,
@@ -328,8 +325,7 @@ impl<V: ColumnValue> StrategySnapshot<V> {
                 })
                 .collect(),
             None => {
-                let untouched =
-                    |range: &ValueRange<V>| crate::delta::run_in(folded, range).is_empty();
+                let untouched = |range: &ValueRange<V>| run_in(folded, range).is_empty();
                 tile_domain(domain, strategy.segment_ranges())
                     .into_iter()
                     .map(|range| match prev_piece(&range) {
@@ -339,16 +335,12 @@ impl<V: ColumnValue> StrategySnapshot<V> {
                     .collect()
             }
         };
-        let mut adaptation = strategy.adaptation();
-        adaptation.absorb(&retired);
         StrategySnapshot {
             epoch,
             pieces,
             domain,
             name: strategy.name(),
-            storage_bytes: strategy.storage_bytes(),
             segment_count: strategy.segment_count(),
-            adaptation,
             reorg,
             failed_migrations,
             unmatched_tombstones,
@@ -359,6 +351,23 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     fn piece_with_range(&self, range: &ValueRange<V>) -> Option<&SnapshotPiece<V>> {
         let i = self.pieces.partition_point(|p| p.range.lo() < range.lo());
         self.pieces.get(i).filter(|p| p.range == *range)
+    }
+
+    /// The rows of `v` the base pieces and the runs' inserts hold once the
+    /// runs' tombstones of `v` have cancelled theirs, or `None` when the
+    /// runs tombstone `v` more often than it is held: a stray.
+    fn rows_of(&self, v: V, runs: &[&DeltaRun<V>]) -> Option<usize> {
+        let point = ValueRange::must(v, v);
+        let mut held: usize = self
+            .overlapping(&point)
+            .map(|p| run_in(&p.values, &point).len())
+            .sum();
+        let mut cancelled = 0;
+        for run in runs {
+            held += run_in(run.inserts(), &point).len();
+            cancelled += run_in(run.tombstones(), &point).len();
+        }
+        held.checked_sub(cancelled)
     }
 
     /// Pieces overlapping `q`, in value order.
@@ -427,7 +436,7 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     /// Counts the values in `q`: a covered piece answers O(1) from its
     /// length, a straddling piece from the width of its qualifying run, so
     /// the count is bit-identical to an unpruned walk. Pending deltas are
-    /// multiset arithmetic (see [`crate::delta`]): qualifying inserts add,
+    /// multiset arithmetic (see `crate::delta`): qualifying inserts add,
     /// qualifying tombstones cancel one occurrence each, so the answer
     /// matches the catalog's Figure-1 merge without materializing it.
     pub fn select_count(&self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
@@ -440,7 +449,11 @@ impl<V: ColumnValue> StrategySnapshot<V> {
                 removed += tombstones.len();
             }
         });
-        (n + added).saturating_sub(removed)
+        // Every run tombstone cancels a base row or a run insert of its
+        // value (the writer drops strays before they reach a run, and
+        // `validate` checks it at every publish), and both lie in `q`
+        // with it: `removed` never exceeds `n + added`.
+        n + added - removed
     }
 
     /// Materializes the values in `q`, ascending (the canonical order — see
@@ -449,7 +462,7 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     /// slices; the base values are copied once into a result sized for all
     /// of them. Pending deltas fold in by galloping merge: the run's
     /// qualifying inserts merge into the result, then its qualifying
-    /// tombstones subtract ([`kernels::subtract_sorted`] — one occurrence
+    /// tombstones subtract (`kernels::subtract_sorted` — one occurrence
     /// per tombstone).
     pub fn select_collect(&self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> Vec<V> {
         let (mut parts, mut run) = (Vec::new(), None);
@@ -480,7 +493,7 @@ impl<V: ColumnValue> StrategySnapshot<V> {
 
     /// One-pass `SUM(v) WHERE v IN q`: covered pieces contribute their
     /// stored synopsis sum, straddling pieces sum only their qualifying run
-    /// ([`kernels::sum_sorted_run`]) — both accumulated with the chunking of
+    /// (`kernels::sum_sorted_run`) — both accumulated with the chunking of
     /// the masked [`kernels::sum_range`] they replace, so the total is
     /// bit-identical to an unpruned scan while reading O(result), not
     /// O(piece). Pending deltas fold in as `+ inserts − tombstones` of the
@@ -503,7 +516,7 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     /// Fused `MIN/MAX(v) WHERE v IN q` (`None` when no value qualifies).
     /// A tombstone may cancel a piece's extremum, so the synopsis bounds
     /// alone cannot answer: the walk gathers the qualifying sorted slices —
-    /// base and overlay — and [`kernels::net_min`] / [`kernels::net_max`]
+    /// base and overlay — and `kernels::net_min` / `kernels::net_max`
     /// resolve the net extrema, inspecting at most the cancelled prefix
     /// (suffix) of each slice; with no tombstones that is the smallest
     /// first and the largest last element. Covered pieces are read no
@@ -526,7 +539,8 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     }
 
     /// The epoch number (0 = the construction snapshot).
-    pub fn epoch(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
@@ -535,14 +549,10 @@ impl<V: ColumnValue> StrategySnapshot<V> {
         &self.name
     }
 
-    /// The domain the snapshot tiles.
-    pub fn domain(&self) -> ValueRange<V> {
-        self.domain
-    }
-
     /// Value ranges of the snapshot pieces (sorted, disjoint, tiling the
     /// domain).
-    pub fn piece_ranges(&self) -> Vec<ValueRange<V>> {
+    #[cfg(test)]
+    pub(crate) fn piece_ranges(&self) -> Vec<ValueRange<V>> {
         self.pieces.iter().map(|p| p.range).collect()
     }
 
@@ -551,23 +561,13 @@ impl<V: ColumnValue> StrategySnapshot<V> {
         self.pieces.iter().map(|p| p.values.len() as u64).sum()
     }
 
-    /// The strategy's materialized storage at capture time.
-    pub fn storage_bytes(&self) -> u64 {
-        self.storage_bytes
-    }
-
     /// The strategy's segment count at capture time.
     pub fn segment_count(&self) -> usize {
         self.segment_count
     }
 
-    /// Cumulative adaptation (including strategies retired by migrations).
-    pub fn adaptation(&self) -> AdaptationStats {
-        self.adaptation
-    }
-
     /// The writer's cumulative reorganization accounting at publish time.
-    pub fn reorg_totals(&self) -> QueryStats {
+    pub(crate) fn reorg_totals(&self) -> QueryStats {
         self.reorg
     }
 
@@ -625,7 +625,18 @@ impl<V: ColumnValue> StrategySnapshot<V> {
                 }
             })?;
         }
-        self.delta.as_ref().map_or(Ok(()), DeltaRun::validate)
+        let Some(run) = &self.delta else {
+            return Ok(());
+        };
+        run.validate()?;
+        let mut tombstones = run.tombstones().iter().copied();
+        match tombstones.find(|&v| self.rows_of(v, &[run]).is_none()) {
+            Some(v) => Err(Violation::Payload {
+                index: 0,
+                reason: format!("delta tombstone {v:?} matches no base row or insert"),
+            }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -696,8 +707,6 @@ struct Writer<V: ColumnValue> {
     cell: Arc<SnapshotCell<V>>,
     ids: SegIdGen,
     epoch: u64,
-    /// Adaptation performed by strategies retired by past migrations.
-    retired: AdaptationStats,
     /// Cumulative reorganization accounting (folded queries + migrations).
     reorg: CountingTracker,
     failed_migrations: u64,
@@ -739,7 +748,23 @@ impl<V: ColumnValue> Writer<V> {
                         dirty = true;
                     }
                     WriterCmd::Deltas(batch) => {
-                        arrived = DeltaRun::merged(arrived, batch.seal(self.ids.fresh()));
+                        // A tombstone matching no row is dropped and
+                        // counted here, so a run never holds one. The last
+                        // published pieces are the base: only a fold
+                        // changes their content, and every fold publishes.
+                        // A batch of strays alone still publishes, so the
+                        // count shows.
+                        let base = self.cell.load();
+                        let earlier: Vec<&DeltaRun<V>> = [self.run.as_ref(), arrived.as_ref()]
+                            .into_iter()
+                            .flatten()
+                            .collect();
+                        let (sealed, strays) = batch.seal_matched(self.ids.fresh(), |v| {
+                            base.rows_of(v, &earlier).unwrap_or(0)
+                        });
+                        self.unmatched_tombstones += strays;
+                        dirty |= sealed.is_some() || strays > 0;
+                        arrived = DeltaRun::merged(arrived, sealed);
                     }
                     WriterCmd::Drain(reply) => {
                         drain = true;
@@ -751,7 +776,6 @@ impl<V: ColumnValue> Writer<V> {
             // One O(pending) merge per epoch, however many batches arrived.
             if arrived.is_some() {
                 self.run = DeltaRun::merged(self.run.take(), arrived);
-                dirty = true;
             }
             // One compaction step per folded batch: the bounded fold that
             // amortizes merge cost across epochs instead of spiking. A
@@ -783,7 +807,6 @@ impl<V: ColumnValue> Writer<V> {
         let bytes = rows.len() as u64 * V::BYTES;
         match spec.build(self.domain, rows) {
             Ok(rebuilt) => {
-                self.retired.absorb(&self.strategy.adaptation());
                 // The migration is itself reorganization: one full read of
                 // the old layout, one full write of the new.
                 let seg = self.ids.fresh();
@@ -857,7 +880,6 @@ impl<V: ColumnValue> Writer<V> {
             folded,
             &mut self.ids,
             self.epoch,
-            self.retired,
             self.reorg.totals(),
             (self.failed_migrations, self.unmatched_tombstones),
             self.run.clone(),
@@ -911,13 +933,13 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
     /// The default bound of the writer command queue: deep enough that a
     /// bursty reader never drops hints in normal operation, small enough
     /// that overload cannot buffer unbounded reorganization debt.
-    pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
+    pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
     /// Wraps an already-built strategy (any of the nine kinds, or a whole
     /// sharded column — anything implementing the trait), spawning the
     /// writer thread. `domain` must cover the strategy's values; it is the
     /// range migrations rebuild over. The writer queue is bounded at
-    /// [`Self::DEFAULT_QUEUE_CAPACITY`]. Pending deltas compact under the
+    /// `Self::DEFAULT_QUEUE_CAPACITY`. Pending deltas compact under the
     /// default [`CompactionPolicy`] whenever the strategy can absorb them
     /// ([`ColumnStrategy::fold_delta`] — every strategy of this crate
     /// can); one that cannot keeps them in the overlay, visible to every
@@ -931,7 +953,7 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
     /// read path are dropped and counted (never blocked on — hints are
     /// advisory); control commands ([`Self::set_strategy`],
     /// [`Self::quiesce`]) block until the writer drains.
-    pub fn with_queue_capacity(
+    pub(crate) fn with_queue_capacity(
         strategy: Box<dyn ColumnStrategy<V>>,
         domain: ValueRange<V>,
         queue_capacity: usize,
@@ -954,7 +976,6 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
             &[],
             &mut ids,
             0,
-            AdaptationStats::default(),
             QueryStats::default(),
             (0, 0),
             None,
@@ -971,7 +992,6 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
             cell: Arc::clone(&cell),
             ids,
             epoch: 0,
-            retired: AdaptationStats::default(),
             reorg: CountingTracker::new(),
             failed_migrations: 0,
             unmatched_tombstones: 0,
@@ -1115,8 +1135,8 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
     /// for the duration of the scan.
     ///
     /// # Errors
-    /// [`QueryError::Shed`] when refused outright,
-    /// [`QueryError::DeadlineExceeded`] when the queue wait timed out.
+    /// `QueryError::Shed` when refused outright,
+    /// `QueryError::DeadlineExceeded` when the queue wait timed out.
     pub fn select_count_gated(
         &self,
         gate: &AdmissionGate,
@@ -1132,7 +1152,7 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
     /// The writer's cumulative reorganization accounting as of the
     /// current snapshot, with this column's dropped-hint backpressure
     /// count folded into
-    /// [`reorg_hints_dropped`](QueryStats::reorg_hints_dropped).
+    /// `reorg_hints_dropped`.
     pub fn reorg_totals(&self) -> QueryStats {
         let mut totals = self.snapshot().reorg_totals();
         totals.reorg_hints_dropped += self.hints_dropped.load(Ordering::Relaxed);
@@ -1295,14 +1315,13 @@ mod tests {
         let concurrent =
             ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
         assert_eq!(concurrent.epoch(), 0);
-        assert_eq!(concurrent.snapshot().adaptation(), Default::default());
         for q in queries() {
             concurrent.select_count(&q, &mut NullTracker);
         }
         concurrent.quiesce();
         let snap = concurrent.snapshot();
         assert!(snap.epoch() >= 1, "folding must have published epochs");
-        assert!(snap.adaptation().splits > 0, "the workload must split");
+        assert!(snap.segment_count() > 1, "the workload must split");
         assert!(
             snap.reorg_totals().write_bytes > 0,
             "reorganization writes must be accounted"
@@ -1482,7 +1501,6 @@ mod tests {
             concurrent.select_count(&q, &mut NullTracker);
         }
         concurrent.quiesce();
-        let adaptation_before = concurrent.snapshot().adaptation();
         concurrent.set_strategy(StrategySpec::new(StrategyKind::FullSort));
         // Readers keep answering correctly whether they hit the old or the
         // new epoch.
@@ -1494,8 +1512,6 @@ mod tests {
         assert_eq!(snap.name(), "FullSort", "migration must have landed");
         assert_eq!(snap.total_rows(), 6_000);
         assert_eq!(snap.failed_migrations(), 0);
-        // Retired adaptation history survives the swap.
-        assert!(snap.adaptation().splits >= adaptation_before.splits);
         assert_eq!(concurrent.select_count(&q, &mut NullTracker), expect);
     }
 
@@ -1579,14 +1595,9 @@ mod tests {
             values().iter().filter(|v| q.contains(**v)).count() as u64
         );
         let stats = tracker.query_stats();
-        // The narrow query must have pruned or covered something, and the
-        // unpruned cost must be reconstructible from one pruned run.
+        // The narrow query must have pruned something.
         assert!(stats.segments_pruned > 0, "zone maps must prune pieces");
-        assert_eq!(
-            stats.unpruned_read_bytes(),
-            stats.read_bytes + stats.pruned_bytes
-        );
-        assert!(stats.read_bytes < stats.unpruned_read_bytes());
+        assert!(stats.pruned_bytes > 0);
     }
 
     #[test]
@@ -1925,7 +1936,6 @@ mod tests {
         // The organization the queries earned survives the writes.
         assert_eq!(snap.segment_count(), before.segment_count());
         assert_eq!(snap.piece_ranges(), before.piece_ranges());
-        assert_eq!(snap.adaptation(), before.adaptation());
         assert_eq!(snap.unmatched_tombstones(), 0);
         for q in queries() {
             let expect = expected.iter().filter(|v| q.contains(**v)).count() as u64;
@@ -1947,9 +1957,33 @@ mod tests {
             value: absent,
         });
         concurrent.apply_deltas(batch);
+        // Pending, below every compaction watermark: the writer dropped
+        // the stray as it arrived, so every read answers as before it.
+        concurrent.quiesce();
+        let pending = concurrent.snapshot();
+        assert_eq!(
+            pending.unmatched_tombstones(),
+            1,
+            "the stray must be counted"
+        );
+        assert_eq!(pending.pending_delta_rows(), 0, "a run never holds a stray");
+        let all = domain();
+        assert_eq!(
+            pending.select_count(&all, &mut NullTracker),
+            before.select_count(&all, &mut NullTracker)
+        );
+        assert_eq!(
+            pending.select_sum(&all, &mut NullTracker),
+            before.select_sum(&all, &mut NullTracker)
+        );
+        assert_eq!(
+            pending.select_collect(&all, &mut NullTracker),
+            before.select_collect(&all, &mut NullTracker)
+        );
+        pending.validate().unwrap();
         concurrent.drain_deltas();
         let snap = concurrent.snapshot();
-        assert_eq!(snap.unmatched_tombstones(), 1, "the stray must be counted");
+        assert_eq!(snap.unmatched_tombstones(), 1, "the stray is counted once");
         assert_eq!(snap.pending_delta_rows(), 0);
         assert_eq!(snap.total_rows(), before.total_rows());
         assert_eq!(snap.piece_ranges(), before.piece_ranges());
@@ -1958,6 +1992,88 @@ mod tests {
             before.select_collect(&domain(), &mut NullTracker)
         );
         snap.validate().unwrap();
+
+        // Within one batch a tombstone matches only the inserts pushed
+        // before it: the stray delete stays a stray and must not cancel
+        // the insert of its value that follows it.
+        let mut batch = DeltaBatch::new();
+        batch.push(DeltaOp::Delete {
+            oid: 123_457,
+            value: absent,
+        });
+        batch.push(DeltaOp::Insert {
+            oid: 123_458,
+            value: absent,
+        });
+        concurrent.apply_deltas(batch);
+        concurrent.quiesce();
+        let pending = concurrent.snapshot();
+        assert_eq!(pending.unmatched_tombstones(), 2, "the second stray counts");
+        assert_eq!(pending.pending_delta_rows(), 1, "the insert survives");
+        assert_eq!(
+            pending.select_count(&all, &mut NullTracker),
+            before.select_count(&all, &mut NullTracker) + 1
+        );
+        let mut expected = before.select_collect(&all, &mut NullTracker);
+        expected.push(absent);
+        expected.sort_unstable();
+        assert_eq!(pending.select_collect(&all, &mut NullTracker), expected);
+        pending.validate().unwrap();
+
+        // The other order is no stray: the delete takes the row the
+        // batch inserted before it, and the two cancel.
+        let mut batch = DeltaBatch::new();
+        batch.push(DeltaOp::Insert {
+            oid: 123_459,
+            value: absent,
+        });
+        batch.push(DeltaOp::Delete {
+            oid: 123_460,
+            value: absent,
+        });
+        concurrent.apply_deltas(batch);
+        concurrent.quiesce();
+        let pending = concurrent.snapshot();
+        assert_eq!(pending.unmatched_tombstones(), 2);
+        assert_eq!(pending.select_collect(&all, &mut NullTracker), expected);
+        pending.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_a_run_tombstone_that_cancels_no_row() {
+        let absent = (0..10_000u32)
+            .find(|v| !values().contains(v))
+            .expect("6000 rows leave gaps in a 10000-value domain");
+        let present = values()[0];
+        let snapshot = |inserts: Vec<u32>, tombstones: Vec<u32>| {
+            let mut strategy = StrategySpec::new(StrategyKind::NoSegm)
+                .build(domain(), values())
+                .expect("values in domain");
+            let run = DeltaRun::from_parts(SegId(7), inserts, tombstones);
+            StrategySnapshot::capture(
+                strategy.as_mut(),
+                domain(),
+                None,
+                &[],
+                &mut SegIdGen::new(),
+                1,
+                QueryStats::default(),
+                (0, 0),
+                Some(run),
+            )
+        };
+        // A tombstone of a base value beside a pending insert: valid.
+        snapshot(vec![absent], vec![present]).validate().unwrap();
+        // A tombstone of a value neither the base nor the run holds.
+        assert!(matches!(
+            snapshot(vec![], vec![absent]).validate(),
+            Err(Violation::Payload { .. })
+        ));
+        // One occurrence too many of a base value.
+        let copies = values().iter().filter(|&&v| v == present).count();
+        assert!(snapshot(vec![], vec![present; copies + 1])
+            .validate()
+            .is_err());
     }
 
     #[test]

@@ -27,14 +27,14 @@ pub enum SizeEstimator {
 /// Tuple counts of the up-to-three pieces a query cuts out of a segment:
 /// `(below query, overlap, above query)`. A `None` side means the
 /// corresponding query bound lies outside the segment.
-pub type PieceLens = (Option<u64>, u64, Option<u64>);
+pub(crate) type PieceLens = (Option<u64>, u64, Option<u64>);
 
 /// Estimates piece tuple-counts by uniform interpolation over range widths.
 ///
 /// The three counts always sum to `seg_len` (the overlap piece absorbs the
 /// rounding), so downstream byte arithmetic cannot leak or invent tuples.
 /// Returns `None` when the query does not overlap the segment.
-pub fn interpolate_pieces<V: ColumnValue>(
+pub(crate) fn interpolate_pieces<V: ColumnValue>(
     seg_range: &ValueRange<V>,
     seg_len: u64,
     q: &ValueRange<V>,
@@ -61,7 +61,7 @@ pub fn interpolate_pieces<V: ColumnValue>(
 /// Counts the actual piece sizes with one pass over the segment's values.
 ///
 /// Returns `None` when the query does not overlap the segment's range.
-pub fn exact_pieces<V: ColumnValue>(
+pub(crate) fn exact_pieces<V: ColumnValue>(
     seg_range: &ValueRange<V>,
     values: &[V],
     q: &ValueRange<V>,

@@ -32,7 +32,8 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, in index order.
-    pub const ALL: [FaultSite; 2] = [FaultSite::StoreSave, FaultSite::StoreRestore];
+    #[cfg(test)]
+    pub(crate) const ALL: [FaultSite; 2] = [FaultSite::StoreSave, FaultSite::StoreRestore];
 
     fn index(self) -> usize {
         match self {
@@ -141,7 +142,7 @@ impl FaultPlan {
     /// Caps the number of injections at `site` (e.g. `1` for a one-shot
     /// failure).
     #[must_use]
-    pub fn with_budget(mut self, site: FaultSite, budget: u64) -> Self {
+    pub(crate) fn with_budget(mut self, site: FaultSite, budget: u64) -> Self {
         if let Some(plan) = &mut self.plans[site.index()] {
             plan.budget = budget;
         }
@@ -156,12 +157,14 @@ impl FaultPlan {
     }
 
     /// How many times `site` consulted the plan so far.
-    pub fn draws(&self, site: FaultSite) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn draws(&self, site: FaultSite) -> u64 {
         self.states[site.index()].draws.load(Ordering::Relaxed)
     }
 
     /// How many faults `site` actually injected so far.
-    pub fn injected(&self, site: FaultSite) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn injected(&self, site: FaultSite) -> u64 {
         self.states[site.index()].injected.load(Ordering::Relaxed)
     }
 }

@@ -31,7 +31,7 @@
 //! scan of each covering segment answers the query and fills every replica
 //! in M"):
 //!
-//! - [`scan_fill`] counts the query **and** fills every replica of the
+//! - `scan_fill` counts the query **and** fills every replica of the
 //!   materialization list in one pass over the payload. The values that
 //!   qualify are counted and moved in 64-element blocks: an empty block
 //!   moves nothing, a full one is a `memcpy`, and only a mixed block is
@@ -39,17 +39,17 @@
 //!   `filter` loop. A selective fill therefore costs about what a count
 //!   costs, and when the only fill is the query one count answers both.
 //!   Element order is preserved in every output.
-//! - [`partition_into`] splits a payload at 1–2 inner bounds with a
+//! - `partition_into` splits a payload at 1–2 inner bounds with a
 //!   vectorized count (exact piece sizes) followed by one scatter pass into
 //!   exactly-sized buckets: order within a piece preserved, no bucket ever
 //!   reallocates or holds spare capacity.
 //!
-//! Everything downstream — [`crate::segment::SegmentData`], the cracked
+//! Everything downstream — `crate::segment::SegmentData`, the cracked
 //! column, adaptive replication's cover scans, the fully-sorted baseline —
 //! routes its per-element work through this module, so a kernel improvement
 //! lands in every strategy at once. Aggregates have no strategy-side
 //! kernel: a served `SUM`/`MIN`/`MAX` folds the epoch snapshot's sorted
-//! pieces ([`sum_sorted_run`], [`net_min`], [`net_max`]), and the masked
+//! pieces (`sum_sorted_run`, `net_min`, `net_max`), and the masked
 //! [`sum_range`] survives as the specification those sums reproduce.
 
 use crate::range::ValueRange;
@@ -68,7 +68,7 @@ mod reference;
 /// the query and cuts several fills out of the hull's survivors. Moving
 /// matches happens per `BLOCK`. Also bounds the inner `u32` match
 /// accumulator (4096 < `u32::MAX`).
-pub const CHUNK: usize = 4096;
+pub(crate) const CHUNK: usize = 4096;
 
 /// Elements per block: the unit in which [`collect_range`] and
 /// [`scan_fill`] count and move matches. Moving happens per block because
@@ -204,7 +204,7 @@ pub fn collect_range<V: ColumnValue>(values: &[V], q: &ValueRange<V>, out: &mut 
 /// — the hull's one count is the answer; when the hull holds the query,
 /// the query is counted over the hull's hits; otherwise over the chunk.
 /// Branchless throughout.
-pub fn scan_fill<V: ColumnValue>(
+pub(crate) fn scan_fill<V: ColumnValue>(
     values: &[V],
     q: &ValueRange<V>,
     fills: &[ValueRange<V>],
@@ -265,7 +265,7 @@ pub fn scan_fill<V: ColumnValue>(
 /// comparisons, not a probe, and every bucket was allocated at its final
 /// size, so an append is the indexed store plus the cursor bump: nothing
 /// reallocates and `capacity() == len()` on return.
-pub fn partition_into<V: ColumnValue>(values: &[V], bounds: &[V]) -> Vec<Vec<V>> {
+pub(crate) fn partition_into<V: ColumnValue>(values: &[V], bounds: &[V]) -> Vec<Vec<V>> {
     debug_assert!(
         bounds.windows(2).all(|w| w[0] < w[1]),
         "partition bounds must be strictly ascending"
@@ -315,7 +315,7 @@ fn scatter<V: ColumnValue>(values: &[V], pieces: &mut [Vec<V>], piece_of: impl F
 /// This is the one-pass carve-up the segmentation models decide on
 /// ([`crate::estimate::exact_pieces`]); two accumulators per chunk, the
 /// overlap by subtraction.
-pub fn count_partition<V: ColumnValue>(values: &[V], q: &ValueRange<V>) -> (u64, u64, u64) {
+pub(crate) fn count_partition<V: ColumnValue>(values: &[V], q: &ValueRange<V>) -> (u64, u64, u64) {
     let (lo, hi) = (q.lo(), q.hi());
     let mut below = 0u64;
     let mut above = 0u64;
@@ -335,7 +335,7 @@ pub fn count_partition<V: ColumnValue>(values: &[V], q: &ValueRange<V>) -> (u64,
 
 /// Masked `SUM(v) WHERE v IN q` (as `f64`): the predicate folds into a
 /// `0.0/1.0` multiplier, so the loop carries no branch. No read calls it —
-/// a served `SUM` adds a sorted run ([`sum_sorted_run`]) or a synopsis —
+/// a served `SUM` adds a sorted run (`sum_sorted_run`) or a synopsis —
 /// but it is the specification both reproduce bit for bit, and the
 /// benchmark harness times it as `kernels.sum_ns_per_elem`.
 pub fn sum_range<V: ColumnValue>(values: &[V], q: &ValueRange<V>) -> f64 {
@@ -376,7 +376,7 @@ fn sum_chunk<V: ColumnValue>(chunk: &[V]) -> f64 {
 /// a covered piece from its synopsis reproduces the unpruned scan exactly.
 /// Each chunk is one `sum_chunk`: an integer sum for the narrow integer
 /// types, the `f64` chain for the rest.
-pub fn sum_all<V: ColumnValue>(values: &[V]) -> f64 {
+pub(crate) fn sum_all<V: ColumnValue>(values: &[V]) -> f64 {
     let mut total = 0.0f64;
     for chunk in values.chunks(CHUNK) {
         total += sum_chunk(chunk);
@@ -409,7 +409,7 @@ pub fn min_max_all<V: ColumnValue>(values: &[V]) -> Option<(V, V)> {
 /// chunk; on the `f64` chain the bounds share the chain's one loop, where
 /// the two compare-selects ride in the shadow of the floating-point add's
 /// latency.
-pub fn min_max_sum_all<V: ColumnValue>(values: &[V]) -> Option<(V, V, f64)> {
+pub(crate) fn min_max_sum_all<V: ColumnValue>(values: &[V]) -> Option<(V, V, f64)> {
     let &first = values.first()?;
     let (mut mn, mut mx) = (first, first);
     let mut total = 0.0f64;
@@ -470,7 +470,7 @@ pub fn sorted_run<V: ColumnValue>(sorted: &[V], q: &ValueRange<V>) -> (usize, us
 /// the O(run) values are read instead of the whole piece, each chunk's
 /// share as one `sum_chunk` — an integer sum for the narrow integer
 /// types.
-pub fn sum_sorted_run<V: ColumnValue>(sorted: &[V], start: usize, end: usize) -> f64 {
+pub(crate) fn sum_sorted_run<V: ColumnValue>(sorted: &[V], start: usize, end: usize) -> f64 {
     let mut total = 0.0f64;
     let mut at = start;
     while at < end {
@@ -516,7 +516,7 @@ pub fn merge_sorted<V: ColumnValue>(mut a: &[V], mut b: &[V], out: &mut Vec<V>) 
 /// Runs of surviving values move with `extend_from_slice` (the positions
 /// come from binary searches against the next tombstone), so the kernel
 /// never pays a per-element branch on the survivor path.
-pub fn subtract_sorted<V: ColumnValue>(base: &[V], tombstones: &[V], out: &mut Vec<V>) {
+pub(crate) fn subtract_sorted<V: ColumnValue>(base: &[V], tombstones: &[V], out: &mut Vec<V>) {
     let mut i = 0;
     for &t in tombstones {
         if i >= base.len() {
@@ -541,7 +541,7 @@ pub fn subtract_sorted<V: ColumnValue>(base: &[V], tombstones: &[V], out: &mut V
 /// One pass over `values`: each value binary-searches the start of its
 /// equal run among the tombstones, and a per-run cursor hands out the next
 /// unconsumed tombstone, so duplicates cancel one occurrence apiece.
-pub fn cancel_occurrences<V: ColumnValue>(values: &mut Vec<V>, tombstones: &[V]) -> u64 {
+pub(crate) fn cancel_occurrences<V: ColumnValue>(values: &mut Vec<V>, tombstones: &[V]) -> u64 {
     if tombstones.is_empty() {
         return 0;
     }
@@ -587,7 +587,7 @@ pub fn delta_count<V: ColumnValue>(
 /// below every add cancels nothing. The walk stops at the first
 /// uncancelled add, so the cost is O(cancelled prefix), not O(total) —
 /// the update-shadowing kernel behind delta-visible `MIN`.
-pub fn net_min<V: ColumnValue>(adds: &[&[V]], tombs: &[&[V]]) -> Option<V> {
+pub(crate) fn net_min<V: ColumnValue>(adds: &[&[V]], tombs: &[&[V]]) -> Option<V> {
     let mut ai = vec![0usize; adds.len()];
     let mut ti = vec![0usize; tombs.len()];
     loop {
@@ -630,7 +630,7 @@ pub fn net_min<V: ColumnValue>(adds: &[&[V]], tombs: &[&[V]]) -> Option<V> {
 /// Largest net-surviving value — the descending mirror of [`net_min`],
 /// walking both sides from their tails. The kernel behind delta-visible
 /// `MAX`.
-pub fn net_max<V: ColumnValue>(adds: &[&[V]], tombs: &[&[V]]) -> Option<V> {
+pub(crate) fn net_max<V: ColumnValue>(adds: &[&[V]], tombs: &[&[V]]) -> Option<V> {
     let mut ai: Vec<usize> = adds.iter().map(|s| s.len()).collect();
     let mut ti: Vec<usize> = tombs.iter().map(|s| s.len()).collect();
     loop {

@@ -55,32 +55,31 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod admission;
-pub mod baseline;
-pub mod column;
+pub(crate) mod admission;
+pub(crate) mod baseline;
+pub(crate) mod column;
 pub mod compress;
-pub mod cracking;
-pub mod delta;
-pub mod epoch;
-pub mod estimate;
-pub mod faults;
+pub(crate) mod cracking;
+pub(crate) mod delta;
+pub(crate) mod epoch;
+pub(crate) mod estimate;
+pub(crate) mod faults;
 pub mod kernels;
 pub mod merge;
-pub mod meta;
-pub mod model;
-pub mod paired;
-pub mod range;
+pub(crate) mod model;
+pub(crate) mod paired;
+pub(crate) mod range;
 pub mod replication;
-pub mod segment;
-pub mod segmentation;
-pub mod spec;
-pub mod strategy;
-pub mod synopsis;
-pub mod tracker;
+pub(crate) mod segment;
+pub(crate) mod segmentation;
+pub(crate) mod spec;
+pub(crate) mod strategy;
+pub(crate) mod synopsis;
+pub(crate) mod tracker;
 pub mod validate;
-pub mod value;
+pub(crate) mod value;
 
-pub use admission::{AdmissionConfig, AdmissionGate, AdmissionStats, Admitted, Permit, QueryError};
+pub use admission::{AdmissionConfig, AdmissionGate};
 pub use baseline::{FullySorted, NonSegmented};
 pub use column::{ColumnError, SegmentedColumn};
 pub use compress::EncodedPayload;
@@ -89,22 +88,23 @@ pub use delta::{CompactionPolicy, DeltaBatch, DeltaOp, DeltaRun};
 pub use epoch::{ConcurrentColumn, StrategySnapshot};
 pub use estimate::SizeEstimator;
 pub use faults::{Fault, FaultInjector, FaultPlan, FaultSite, NoFaults};
-pub use merge::{MergePolicy, MergingSegmentation};
-pub use meta::{MetaEntry, MetaIndex};
-pub use model::{
-    AdaptivePageModel, AlwaysSplit, AutoTunedApm, GaussianDice, NeverSplit, SegmentationModel,
-    SplitDecision, SplitGeometry, Technique, WhichBound,
-};
+pub use merge::MergePolicy;
+pub use model::{AdaptivePageModel, GaussianDice, SegmentationModel, SplitGeometry, Technique};
 pub use paired::{pair_rows, Pair};
 pub use range::ValueRange;
 pub use replication::{AdaptiveReplication, ReplicaTree};
-pub use segment::{SegId, SegIdGen, SegmentData, Window};
+pub use segment::{SegId, SegIdGen};
 pub use segmentation::AdaptiveSegmentation;
 pub use spec::{StrategyKind, StrategySpec};
 pub use strategy::{AdaptationStats, ColumnStrategy};
 pub use synopsis::{PieceSynopsis, SynopsisClass};
-pub use tracker::{
-    AccessTracker, CountingTracker, EventLog, NullTracker, QueryStats, TrackerEvent,
-};
+pub use tracker::{AccessTracker, CountingTracker, EventLog, NullTracker, TrackerEvent};
 pub use validate::Violation;
 pub use value::{ColumnValue, OrdF64};
+
+#[cfg(test)]
+mod tests {
+    mod figure3_walkthrough;
+    mod fold_delta_properties;
+    mod model_properties;
+}

@@ -43,7 +43,7 @@ impl MergePolicy {
     /// One merge pass over the segments overlapping `hint`: greedily glues
     /// maximal runs of small adjacent segments whose combined size stays
     /// under the cap. Returns the number of merge operations performed.
-    pub fn merge_pass<V: ColumnValue>(
+    pub(crate) fn merge_pass<V: ColumnValue>(
         &self,
         column: &mut SegmentedColumn<V>,
         hint: &ValueRange<V>,
@@ -109,13 +109,9 @@ impl<V: ColumnValue> MergingSegmentation<V> {
         }
     }
 
-    /// Number of merge operations performed so far.
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
-
     /// The wrapped strategy.
-    pub fn inner(&self) -> &AdaptiveSegmentation<V> {
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &AdaptiveSegmentation<V> {
         &self.inner
     }
 
@@ -253,7 +249,7 @@ mod tests {
             merged.select_count(&q, &mut NullTracker);
             frag.select_count(&q, &mut NullTracker);
         }
-        assert!(merged.merges() > 0);
+        assert!(merged.adaptation().merges > 0);
         assert!(
             merged.segment_count() < frag.segment_count(),
             "merging {} must beat bare fragmentation {}",

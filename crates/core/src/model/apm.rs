@@ -47,16 +47,6 @@ impl AdaptivePageModel {
         Self::new(3 * 1024, 12 * 1024)
     }
 
-    /// Lower bound in bytes.
-    pub fn mmin(&self) -> u64 {
-        self.mmin
-    }
-
-    /// Upper bound in bytes.
-    pub fn mmax(&self) -> u64 {
-        self.mmax
-    }
-
     fn small(&self, bytes: u64) -> bool {
         bytes < self.mmin
     }

@@ -19,7 +19,7 @@ use super::{SegmentationModel, SplitDecision, SplitGeometry, Technique};
 /// clamped below by `floor_bytes` (fragmentation guard when selections are
 /// tiny).
 #[derive(Debug, Clone)]
-pub struct AutoTunedApm {
+pub(crate) struct AutoTunedApm {
     lo_factor: f64,
     hi_factor: f64,
     alpha: f64,
@@ -35,7 +35,7 @@ impl AutoTunedApm {
     /// With the Section 6.1 workload (40 KB selections) this converges to
     /// a 12 KB / 48 KB band — the same order as the paper's hand-picked
     /// 3 KB / 12 KB.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_parameters(0.3, 1.2, 0.2, 256)
     }
 
@@ -44,7 +44,12 @@ impl AutoTunedApm {
     /// # Panics
     /// Panics unless `0 < lo_factor < hi_factor`, `0 < alpha <= 1` and
     /// `floor_bytes > 0`.
-    pub fn with_parameters(lo_factor: f64, hi_factor: f64, alpha: f64, floor_bytes: u64) -> Self {
+    pub(crate) fn with_parameters(
+        lo_factor: f64,
+        hi_factor: f64,
+        alpha: f64,
+        floor_bytes: u64,
+    ) -> Self {
         assert!(
             lo_factor > 0.0 && lo_factor < hi_factor,
             "need 0 < lo_factor < hi_factor"
@@ -62,16 +67,11 @@ impl AutoTunedApm {
     }
 
     /// The current `(Mmin, Mmax)` the tuner would hand to APM.
-    pub fn current_bounds(&self) -> Option<(u64, u64)> {
+    pub(crate) fn current_bounds(&self) -> Option<(u64, u64)> {
         let ewma = self.ewma_bytes?;
         let mmin = ((ewma * self.lo_factor) as u64).max(self.floor_bytes);
         let mmax = ((ewma * self.hi_factor) as u64).max(mmin * 2);
         Some((mmin, mmax))
-    }
-
-    /// Decisions taken so far.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
     }
 
     fn observe(&mut self, selected_bytes: u64) {

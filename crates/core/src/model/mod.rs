@@ -12,7 +12,7 @@ mod auto;
 mod gd;
 
 pub use apm::AdaptivePageModel;
-pub use auto::AutoTunedApm;
+pub(crate) use auto::AutoTunedApm;
 pub use gd::GaussianDice;
 
 use crate::estimate::PieceLens;
@@ -78,7 +78,7 @@ pub struct SplitGeometry {
 
 impl SplitGeometry {
     /// Builds a geometry from piece tuple-counts.
-    pub fn from_piece_lens<V: ColumnValue>(
+    pub(crate) fn from_piece_lens<V: ColumnValue>(
         pieces: PieceLens,
         seg_len: u64,
         total_len: u64,
@@ -94,12 +94,12 @@ impl SplitGeometry {
     }
 
     /// Number of query bounds that fall inside the segment (0, 1 or 2).
-    pub fn bounds_inside(&self) -> u8 {
+    pub(crate) fn bounds_inside(&self) -> u8 {
         self.lower_bytes.is_some() as u8 + self.upper_bytes.is_some() as u8
     }
 
     /// Whether the query covers the segment entirely (no bound inside).
-    pub fn full_cover(&self) -> bool {
+    pub(crate) fn full_cover(&self) -> bool {
         self.bounds_inside() == 0
     }
 }
@@ -133,9 +133,11 @@ impl<M: SegmentationModel + ?Sized> SegmentationModel for Box<M> {
 
 /// A model that never splits — turns either technique into the
 /// non-segmented baseline and is handy in tests.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NeverSplit;
+pub(crate) struct NeverSplit;
 
+#[cfg(test)]
 impl SegmentationModel for NeverSplit {
     fn name(&self) -> String {
         "NoSegm".to_owned()
@@ -148,9 +150,11 @@ impl SegmentationModel for NeverSplit {
 
 /// A model that always splits at the query bounds — maximally eager, used in
 /// tests and as a worst-case fragmentation stressor.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AlwaysSplit;
+pub(crate) struct AlwaysSplit;
 
+#[cfg(test)]
 impl SegmentationModel for AlwaysSplit {
     fn name(&self) -> String {
         "Always".to_owned()

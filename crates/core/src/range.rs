@@ -58,13 +58,13 @@ impl<V: ColumnValue> ValueRange<V> {
 
     /// Whether the two closed ranges share at least one value.
     #[inline]
-    pub fn overlaps(&self, other: &Self) -> bool {
+    pub(crate) fn overlaps(&self, other: &Self) -> bool {
         self.lo <= other.hi && other.lo <= self.hi
     }
 
     /// Whether `other` is fully inside `self`.
     #[inline]
-    pub fn covers(&self, other: &Self) -> bool {
+    pub(crate) fn covers(&self, other: &Self) -> bool {
         self.lo <= other.lo && other.hi <= self.hi
     }
 
@@ -90,7 +90,7 @@ impl<V: ColumnValue> ValueRange<V> {
     ///
     /// This is the `R1 = [SL, QL-1]` construction of Section 5.
     #[inline]
-    pub fn split_below(&self, at: V) -> Option<Self> {
+    pub(crate) fn split_below(&self, at: V) -> Option<Self> {
         if at <= self.lo {
             return None;
         }
@@ -102,7 +102,7 @@ impl<V: ColumnValue> ValueRange<V> {
     ///
     /// This is the `[QH+1, SH]` construction of Section 5.
     #[inline]
-    pub fn split_above(&self, at: V) -> Option<Self> {
+    pub(crate) fn split_above(&self, at: V) -> Option<Self> {
         if at >= self.hi {
             return None;
         }
@@ -112,7 +112,7 @@ impl<V: ColumnValue> ValueRange<V> {
 
     /// Width of the range for proportional size estimates.
     #[inline]
-    pub fn width(&self) -> f64 {
+    pub(crate) fn width(&self) -> f64 {
         V::range_width(self.lo, self.hi)
     }
 
@@ -126,7 +126,7 @@ impl<V: ColumnValue> ValueRange<V> {
     /// `(below query, overlap, above query)`.
     ///
     /// The overlap is `None` only when the ranges do not intersect.
-    pub fn partition_by(&self, q: &Self) -> (Option<Self>, Option<Self>, Option<Self>) {
+    pub(crate) fn partition_by(&self, q: &Self) -> (Option<Self>, Option<Self>, Option<Self>) {
         let mid = self.intersect(q);
         if mid.is_none() {
             return (None, None, None);

@@ -20,7 +20,7 @@ impl<V: ColumnValue> ReplicaTree<V> {
     ///
     /// New segments are attached to the tree immediately (virtual); the ids
     /// in `M` are the ones the covering scan must fill with data.
-    pub fn analyze_repl(
+    pub(crate) fn analyze_repl(
         &mut self,
         q: &ValueRange<V>,
         s: NodeId,

@@ -27,7 +27,7 @@ struct Slot<T> {
 
 /// Generational slot arena.
 #[derive(Debug)]
-pub struct Arena<T> {
+pub(crate) struct Arena<T> {
     slots: Vec<Slot<T>>,
     free: Vec<u32>,
     len: usize,
@@ -45,22 +45,25 @@ impl<T> Default for Arena<T> {
 
 impl<T> Arena<T> {
     /// An empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of live nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether no nodes are live.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// Whether the handle refers to a live node.
+    #[cfg(test)]
+    pub(crate) fn contains(&self, id: NodeId) -> bool {
+        self.slots
+            .get(id.idx as usize)
+            .is_some_and(|s| s.gen == id.gen && s.item.is_some())
     }
 
     /// Inserts an item, returning its handle.
-    pub fn insert(&mut self, item: T) -> NodeId {
+    pub(crate) fn insert(&mut self, item: T) -> NodeId {
         self.len += 1;
         if let Some(idx) = self.free.pop() {
             let slot = &mut self.slots[idx as usize];
@@ -82,7 +85,7 @@ impl<T> Arena<T> {
     }
 
     /// Removes an item; returns `None` when the handle is stale.
-    pub fn remove(&mut self, id: NodeId) -> Option<T> {
+    pub(crate) fn remove(&mut self, id: NodeId) -> Option<T> {
         let slot = self.slots.get_mut(id.idx as usize)?;
         if slot.gen != id.gen {
             return None;
@@ -94,13 +97,6 @@ impl<T> Arena<T> {
         Some(item)
     }
 
-    /// Whether the handle refers to a live node.
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.slots
-            .get(id.idx as usize)
-            .is_some_and(|s| s.gen == id.gen && s.item.is_some())
-    }
-
     /// Borrows a node.
     ///
     /// # Panics
@@ -109,7 +105,7 @@ impl<T> Arena<T> {
         clippy::expect_used,
         reason = "NodeId handles are never retained across removals"
     )]
-    pub fn get(&self, id: NodeId) -> &T {
+    pub(crate) fn get(&self, id: NodeId) -> &T {
         self.try_get(id).expect("stale NodeId")
     }
 
@@ -121,12 +117,12 @@ impl<T> Arena<T> {
         clippy::expect_used,
         reason = "NodeId handles are never retained across removals"
     )]
-    pub fn get_mut(&mut self, id: NodeId) -> &mut T {
+    pub(crate) fn get_mut(&mut self, id: NodeId) -> &mut T {
         self.try_get_mut(id).expect("stale NodeId")
     }
 
     /// Borrows a node, `None` on stale handles.
-    pub fn try_get(&self, id: NodeId) -> Option<&T> {
+    pub(crate) fn try_get(&self, id: NodeId) -> Option<&T> {
         let slot = self.slots.get(id.idx as usize)?;
         if slot.gen != id.gen {
             return None;
@@ -135,7 +131,7 @@ impl<T> Arena<T> {
     }
 
     /// Mutably borrows a node, `None` on stale handles.
-    pub fn try_get_mut(&mut self, id: NodeId) -> Option<&mut T> {
+    pub(crate) fn try_get_mut(&mut self, id: NodeId) -> Option<&mut T> {
         let slot = self.slots.get_mut(id.idx as usize)?;
         if slot.gen != id.gen {
             return None;
@@ -144,7 +140,7 @@ impl<T> Arena<T> {
     }
 
     /// Iterates mutably over live `(handle, item)` pairs in slot order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut T)> {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut T)> {
         self.slots.iter_mut().enumerate().filter_map(|(i, s)| {
             let gen = s.gen;
             s.item
@@ -154,7 +150,8 @@ impl<T> Arena<T> {
     }
 
     /// Iterates over live `(handle, item)` pairs in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &T)> {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, &T)> {
         self.slots.iter().enumerate().filter_map(|(i, s)| {
             s.item.as_ref().map(|item| {
                 (
@@ -227,7 +224,7 @@ mod tests {
                 a.remove(id);
             }
         }
-        assert!(a.is_empty());
+        assert_eq!(a.len(), 0);
         // All slots came from the free list after the first round.
         assert_eq!(a.slots.len(), 100);
     }

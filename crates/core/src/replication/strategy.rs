@@ -78,14 +78,9 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
     /// materialization would push storage past the budget is declined, and
     /// its tree node is removed again so the range bookkeeping stays
     /// clean). The cap cannot be smaller than the column itself.
-    pub fn with_storage_budget(mut self, budget_bytes: u64) -> Self {
+    pub(crate) fn with_storage_budget(mut self, budget_bytes: u64) -> Self {
         self.budget_bytes = Some(budget_bytes.max(self.tree.total_bytes()));
         self
-    }
-
-    /// Materializations declined because of the storage budget.
-    pub fn budget_declines(&self) -> u64 {
-        self.budget_declines
     }
 
     /// The underlying replica tree.
@@ -101,11 +96,6 @@ impl<V: ColumnValue> AdaptiveReplication<V> {
     /// Number of fully replicated segments dropped so far (Algorithm 5).
     pub fn drops(&self) -> u64 {
         self.drops
-    }
-
-    /// Consumes the strategy, releasing the tree.
-    pub fn into_tree(self) -> ReplicaTree<V> {
-        self.tree
     }
 
     /// `scanMat(s, M)`: one scan of covering segment `s` counts the query
@@ -267,7 +257,7 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveReplication<V> {
 mod tests {
     use super::*;
     use crate::model::{AdaptivePageModel, GaussianDice};
-    use crate::replication::NodePayload;
+    use crate::replication::tree::NodePayload;
     use crate::tracker::{CountingTracker, NullTracker};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -469,7 +459,7 @@ mod tests {
         }
         assert!(peak <= budget, "peak {peak} must respect budget {budget}");
         assert!(
-            r.budget_declines() > 0,
+            r.adaptation().budget_declines > 0,
             "a tight budget must have declined something"
         );
         // Progress still happens: replicas are created when space allows.

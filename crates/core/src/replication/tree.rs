@@ -19,7 +19,7 @@ use super::arena::{Arena, NodeId};
 
 /// What a replica-tree node holds.
 #[derive(Debug, Clone)]
-pub enum NodePayload<V> {
+pub(crate) enum NodePayload<V> {
     /// Real data: every column value within the node's range.
     Materialized(Vec<V>),
     /// No data; `est_len` is the optimizer's tuple-count estimate.
@@ -58,26 +58,16 @@ impl<V: ColumnValue> ReplicaNode<V> {
         }
     }
 
-    /// Whether the node holds/estimates zero tuples.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Storage footprint in bytes (0 for virtual nodes).
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         match &self.payload {
             NodePayload::Materialized(v) => v.len() as u64 * V::BYTES,
             NodePayload::Virtual { .. } => 0,
         }
     }
 
-    /// Estimated footprint in bytes (est_len-based for virtual nodes).
-    pub fn est_bytes(&self) -> u64 {
-        self.len() * V::BYTES
-    }
-
     /// The stored values, if materialized.
-    pub fn values(&self) -> Option<&[V]> {
+    pub(crate) fn values(&self) -> Option<&[V]> {
         match &self.payload {
             NodePayload::Materialized(v) => Some(v),
             NodePayload::Virtual { .. } => None,
@@ -85,7 +75,7 @@ impl<V: ColumnValue> ReplicaNode<V> {
     }
 
     /// Whether this node is a leaf.
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         self.children.is_empty()
     }
 }
@@ -131,12 +121,12 @@ impl<V: ColumnValue> ReplicaTree<V> {
     }
 
     /// The attribute domain.
-    pub fn domain(&self) -> ValueRange<V> {
+    pub(crate) fn domain(&self) -> ValueRange<V> {
         self.domain
     }
 
     /// Tuple count of the logical column (invariant).
-    pub fn total_len(&self) -> u64 {
+    pub(crate) fn total_len(&self) -> u64 {
         self.total_len
     }
 
@@ -157,8 +147,14 @@ impl<V: ColumnValue> ReplicaTree<V> {
     }
 
     /// Number of live nodes (materialized + virtual).
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.arena.len()
+    }
+
+    /// Whether `id` is still a live node.
+    #[cfg(test)]
+    pub(crate) fn contains(&self, id: NodeId) -> bool {
+        self.arena.contains(id)
     }
 
     /// Top-level nodes in range order (they tile the domain).
@@ -171,16 +167,12 @@ impl<V: ColumnValue> ReplicaTree<V> {
         self.arena.get(id)
     }
 
-    /// Whether `id` is still a live node.
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.arena.contains(id)
-    }
-
     /// `(range, bytes)` of every materialized segment, sorted by range
     /// start — the one ordering [`Self::mat_segment_bytes`] and
     /// [`Self::mat_segment_ranges`] both derive from, so index `i` of one
     /// always describes the same segment as index `i` of the other.
-    pub fn mat_segments(&self) -> Vec<(ValueRange<V>, u64)> {
+    #[cfg(test)]
+    pub(crate) fn mat_segments(&self) -> Vec<(ValueRange<V>, u64)> {
         let mut segs: Vec<(ValueRange<V>, u64)> = self
             .arena
             .iter()
@@ -189,21 +181,6 @@ impl<V: ColumnValue> ReplicaTree<V> {
             .collect();
         segs.sort_by(|(a, _), (b, _)| a.lo().cmp(&b.lo()).then(a.hi().cmp(&b.hi())));
         segs
-    }
-
-    /// Sizes in bytes of all materialized segments, sorted by range start.
-    pub fn mat_segment_bytes(&self) -> Vec<u64> {
-        self.mat_segments().into_iter().map(|(_, b)| b).collect()
-    }
-
-    /// Value ranges of all materialized segments, sorted by range start.
-    ///
-    /// Parents and children can both be materialized, so ranges may nest —
-    /// callers auditing every replica that occupies storage see all of
-    /// them. Positional placement must NOT use this (nested ranges
-    /// double-count data); use [`Self::covering_partition`] instead.
-    pub fn mat_segment_ranges(&self) -> Vec<ValueRange<V>> {
-        self.mat_segments().into_iter().map(|(r, _)| r).collect()
     }
 
     /// `(range, bytes)` of the flat covering leaf set: the deepest
@@ -216,7 +193,7 @@ impl<V: ColumnValue> ReplicaTree<V> {
     /// pairing is positionally consistent and summing bytes counts every
     /// tuple exactly once. The returned ranges are sorted, pairwise
     /// disjoint, adjacent, and span the domain.
-    pub fn covering_partition(&self) -> Vec<(ValueRange<V>, u64)> {
+    pub(crate) fn covering_partition(&self) -> Vec<(ValueRange<V>, u64)> {
         self.covering_set(&self.domain)
             .into_iter()
             .map(|id| {
@@ -244,7 +221,7 @@ impl<V: ColumnValue> ReplicaTree<V> {
     ///
     /// New segments always enter the tree virtual; [`Self::materialize`]
     /// fills them during the covering scan (Algorithm 2's `scanMat`).
-    pub fn add_virtual_child(
+    pub(crate) fn add_virtual_child(
         &mut self,
         parent: NodeId,
         range: ValueRange<V>,
@@ -280,7 +257,12 @@ impl<V: ColumnValue> ReplicaTree<V> {
     /// # Panics
     /// Panics if the node is already materialized or a value falls outside
     /// its range.
-    pub fn materialize(&mut self, id: NodeId, values: Vec<V>, tracker: &mut dyn AccessTracker) {
+    pub(crate) fn materialize(
+        &mut self,
+        id: NodeId,
+        values: Vec<V>,
+        tracker: &mut dyn AccessTracker,
+    ) {
         let node = self.arena.get_mut(id);
         assert!(node.is_virtual(), "node {id:?} is already materialized");
         debug_assert!(
@@ -308,7 +290,7 @@ impl<V: ColumnValue> ReplicaTree<V> {
     /// the top level, which tiles the domain with materialized nodes), or
     /// `None` — with nothing changed — when an insert lies outside the
     /// domain.
-    pub fn fold_delta(
+    pub(crate) fn fold_delta(
         &mut self,
         inserts: &[V],
         tombstones: &[V],
@@ -348,7 +330,7 @@ impl<V: ColumnValue> ReplicaTree<V> {
     ///
     /// Called after materializations under `parent` turned estimates into
     /// facts; keeps later model decisions honest.
-    pub fn refine_virtual_children(&mut self, parent: NodeId) {
+    pub(crate) fn refine_virtual_children(&mut self, parent: NodeId) {
         let parent_len = self.node(parent).len();
         let children = self.node(parent).children.clone();
         if children.is_empty() {
@@ -395,7 +377,7 @@ impl<V: ColumnValue> ReplicaTree<V> {
     /// # Panics
     /// Panics if `s` has no children (only interior nodes can be dropped —
     /// the children take over responsibility for the range).
-    pub fn drop_node(&mut self, s: NodeId, tracker: &mut dyn AccessTracker) {
+    pub(crate) fn drop_node(&mut self, s: NodeId, tracker: &mut dyn AccessTracker) {
         #[expect(
             clippy::expect_used,
             reason = "the traversal above yielded a live node id"
@@ -450,7 +432,7 @@ impl<V: ColumnValue> ReplicaTree<V> {
     /// Children are visited first (their drops splice grandchildren up), and
     /// `s` itself is dropped only when *all* of its (current) children are
     /// materialized.
-    pub fn check4drop(&mut self, s: NodeId, tracker: &mut dyn AccessTracker) {
+    pub(crate) fn check4drop(&mut self, s: NodeId, tracker: &mut dyn AccessTracker) {
         if self.node(s).children.is_empty() {
             return;
         }
@@ -587,7 +569,6 @@ mod tests {
         assert_eq!(t.node(c1).len(), 500);
         assert!(t.node(c1).is_virtual());
         assert_eq!(t.node(c1).bytes(), 0);
-        assert_eq!(t.node(c1).est_bytes(), 2000);
         t.validate().unwrap();
         assert_eq!(t.depth(), 2);
     }

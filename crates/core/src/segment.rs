@@ -60,7 +60,7 @@ impl<V: std::fmt::Debug> std::fmt::Debug for Window<V> {
 
 impl<V: ColumnValue> Window<V> {
     /// A window over all of `values`, which it takes without copying.
-    pub fn new(values: Vec<V>) -> Self {
+    pub(crate) fn new(values: Vec<V>) -> Self {
         let end = values.len();
         Window {
             buf: Arc::new(values),
@@ -71,7 +71,7 @@ impl<V: ColumnValue> Window<V> {
 
     /// Whether `other` is this very window: the same buffer, the same
     /// bounds — so the same values without comparing one.
-    pub fn same(&self, other: &Window<V>) -> bool {
+    pub(crate) fn same(&self, other: &Window<V>) -> bool {
         Arc::ptr_eq(&self.buf, &other.buf) && (self.start, self.end) == (other.start, other.end)
     }
 
@@ -134,7 +134,7 @@ impl<V> std::ops::Deref for Window<V> {
 /// partition; the data inside it clusters), which is where zone-map
 /// pruning wins over the range check alone.
 #[derive(Debug, Clone)]
-pub struct SegmentData<V> {
+pub(crate) struct SegmentData<V> {
     id: SegId,
     range: ValueRange<V>,
     values: Payload<V>,
@@ -164,14 +164,14 @@ impl<V> std::ops::Deref for Payload<V> {
 impl<V: ColumnValue> SegmentData<V> {
     /// Creates a segment of values in storage order, validating (debug)
     /// that every value is inside `range`.
-    pub fn new(id: SegId, range: ValueRange<V>, values: Vec<V>) -> Self {
+    pub(crate) fn new(id: SegId, range: ValueRange<V>, values: Vec<V>) -> Self {
         let synopsis = PieceSynopsis::from_values(&values);
         Self::with_payload(id, range, Payload::Unsorted(values), synopsis)
     }
 
     /// Creates a segment flagged sorted; `values` must be ascending
     /// ([`crate::validate::segment`] checks it).
-    pub fn sorted(id: SegId, range: ValueRange<V>, values: Vec<V>) -> Self {
+    pub(crate) fn sorted(id: SegId, range: ValueRange<V>, values: Vec<V>) -> Self {
         Self::from_window(id, range, Window::new(values))
     }
 
@@ -200,26 +200,26 @@ impl<V: ColumnValue> SegmentData<V> {
 
     /// The cached zone-map synopsis (`None` for an empty segment).
     #[inline]
-    pub fn synopsis(&self) -> Option<PieceSynopsis<V>> {
+    pub(crate) fn synopsis(&self) -> Option<PieceSynopsis<V>> {
         self.synopsis
     }
 
     /// Segment identity.
     #[inline]
-    pub fn id(&self) -> SegId {
+    pub(crate) fn id(&self) -> SegId {
         self.id
     }
 
     /// The closed value range this segment is responsible for.
     #[inline]
-    pub fn range(&self) -> ValueRange<V> {
+    pub(crate) fn range(&self) -> ValueRange<V> {
         self.range
     }
 
     /// The stored values, in storage order (ascending when
     /// [`Self::is_sorted`]).
     #[inline]
-    pub fn values(&self) -> &[V] {
+    pub(crate) fn values(&self) -> &[V] {
         &self.values
     }
 
@@ -234,26 +234,20 @@ impl<V: ColumnValue> SegmentData<V> {
 
     /// Whether the values are ascending in a window that may be shared.
     #[inline]
-    pub fn is_sorted(&self) -> bool {
+    pub(crate) fn is_sorted(&self) -> bool {
         matches!(self.values, Payload::Sorted(_))
     }
 
     /// Number of stored tuples.
     #[inline]
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.values.len() as u64
-    }
-
-    /// Whether the segment holds no tuples (its range may still be non-empty).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// Storage footprint in bytes (tuples × width), the unit of the paper's
     /// read/write counters.
     #[inline]
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.len() * V::BYTES
     }
 
@@ -262,7 +256,7 @@ impl<V: ColumnValue> SegmentData<V> {
     /// is a sorted one; the synopsis is recomputed from the new order (an
     /// `f64` sum depends on it). Reorganization is physical, so nothing is
     /// charged: no query asked for this.
-    pub fn share_sorted(&mut self) -> Window<V> {
+    pub(crate) fn share_sorted(&mut self) -> Window<V> {
         let window = match &mut self.values {
             Payload::Sorted(window) => return window.clone(),
             Payload::Unsorted(values) => {
@@ -290,7 +284,7 @@ impl<V: ColumnValue> SegmentData<V> {
     /// one write of the new (a free of the old footprint and a
     /// materialization of the new one). Returns the tombstones that found
     /// no occurrence.
-    pub fn fold_delta(
+    pub(crate) fn fold_delta(
         &mut self,
         inserts: &[V],
         tombstones: &[V],
@@ -348,7 +342,7 @@ impl<V: ColumnValue> SegmentData<V> {
     /// (the synopsis bounds are tighter than `range`, so this fires more
     /// often than the old whole-range shortcut). Only a straddling query
     /// scans, through the branchless [`crate::kernels::count_range`].
-    pub fn count_in(&self, q: &ValueRange<V>) -> u64 {
+    pub(crate) fn count_in(&self, q: &ValueRange<V>) -> u64 {
         match self.classify(q) {
             SynopsisClass::Disjoint => 0,
             SynopsisClass::Covered => self.len(),
@@ -360,7 +354,7 @@ impl<V: ColumnValue> SegmentData<V> {
     ///
     /// A disjoint query returns untouched; a covering one appends every
     /// value; only partial overlap filters tuple by tuple.
-    pub fn collect_in(&self, q: &ValueRange<V>, out: &mut Vec<V>) {
+    pub(crate) fn collect_in(&self, q: &ValueRange<V>, out: &mut Vec<V>) {
         match self.classify(q) {
             SynopsisClass::Disjoint => {}
             SynopsisClass::Covered => out.extend_from_slice(&self.values),
@@ -385,7 +379,11 @@ impl<V: ColumnValue> SegmentData<V> {
     ///
     /// # Panics
     /// Panics (debug) if the sub-ranges do not tile `self.range`.
-    pub fn partition(self, pieces: &[ValueRange<V>], ids: &mut SegIdGen) -> Vec<SegmentData<V>> {
+    pub(crate) fn partition(
+        self,
+        pieces: &[ValueRange<V>],
+        ids: &mut SegIdGen,
+    ) -> Vec<SegmentData<V>> {
         debug_assert!(!pieces.is_empty());
         debug_assert_eq!(
             pieces[0].lo(),
@@ -609,7 +607,6 @@ mod tests {
         let parts = s.partition(&pieces, &mut ids);
         assert_eq!(parts[0].len(), 3);
         assert_eq!(parts[1].len(), 0);
-        assert!(parts[1].is_empty());
         assert_eq!(parts[1].bytes(), 0);
     }
 }

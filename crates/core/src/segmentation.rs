@@ -57,18 +57,8 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
     }
 
     /// Mutable access to the column for maintenance passes (merging).
-    pub fn column_mut(&mut self) -> &mut SegmentedColumn<V> {
+    pub(crate) fn column_mut(&mut self) -> &mut SegmentedColumn<V> {
         &mut self.column
-    }
-
-    /// Number of segment splits performed so far.
-    pub fn splits(&self) -> u64 {
-        self.splits
-    }
-
-    /// Consumes the strategy, releasing the column.
-    pub fn into_column(self) -> SegmentedColumn<V> {
-        self.column
     }
 
     /// Computes the piece ranges a decision implies for one segment.
@@ -283,7 +273,10 @@ mod tests {
             assert_eq!(got, expect, "query {q:?}");
             s.column().validate().unwrap();
         }
-        assert!(s.splits() > 0, "APM should have reorganized at least once");
+        assert!(
+            s.adaptation().splits > 0,
+            "APM should have reorganized at least once"
+        );
     }
 
     #[test]
@@ -402,7 +395,7 @@ mod tests {
             s.select_count(&q, &mut NullTracker);
             s.column().validate().unwrap();
         }
-        assert!(s.splits() > 0);
+        assert!(s.adaptation().splits > 0);
     }
 
     #[test]

@@ -181,13 +181,6 @@ impl StrategySpec {
         self
     }
 
-    /// Overrides the merge policy ([`StrategyKind::GdSegmMerged`]).
-    #[must_use]
-    pub fn with_merge(mut self, policy: MergePolicy) -> Self {
-        self.merge = Some(policy);
-        self
-    }
-
     fn gd(&self) -> Box<dyn SegmentationModel> {
         Box::new(GaussianDice::new(self.model_seed))
     }

@@ -149,7 +149,7 @@ pub trait ColumnStrategy<V: ColumnValue>: Send + Sync {
     }
 
     /// Sorts the strategy's pieces in their own buffers and hands out each
-    /// piece's range with a [`Window`] of its values — the one copy a
+    /// piece's range with a `Window` of its values — the one copy a
     /// served column holds, shared by the strategy and every epoch
     /// snapshot. The pieces come in value order and tile the strategy's
     /// domain; each window is ascending and immutable, and stays valid

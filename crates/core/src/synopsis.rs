@@ -69,7 +69,7 @@ impl<V: ColumnValue> PieceSynopsis<V> {
 
     /// Synopsis of an ascending-sorted slice: bounds O(1) from the ends,
     /// sum via the chunked kernel. `None` when empty.
-    pub fn from_sorted(values: &[V]) -> Option<Self> {
+    pub(crate) fn from_sorted(values: &[V]) -> Option<Self> {
         let (&min, &max) = (values.first()?, values.last()?);
         Some(PieceSynopsis {
             min,
@@ -80,8 +80,8 @@ impl<V: ColumnValue> PieceSynopsis<V> {
     }
 
     /// Synopsis of an arbitrary-order slice, bounds and sum folded in one
-    /// pass ([`kernels::min_max_sum_all`], whose sum is bit-identical to
-    /// the chunked [`kernels::sum_all`]). `None` when empty.
+    /// pass (`kernels::min_max_sum_all`, whose sum is bit-identical to
+    /// the chunked `kernels::sum_all`). `None` when empty.
     pub fn from_values(values: &[V]) -> Option<Self> {
         let (min, max, sum) = kernels::min_max_sum_all(values)?;
         Some(PieceSynopsis {
@@ -113,7 +113,7 @@ impl<V: ColumnValue> PieceSynopsis<V> {
     }
 
     /// Classifies `q` against the bounds — the pruning decision.
-    pub fn classify(&self, q: &ValueRange<V>) -> SynopsisClass {
+    pub(crate) fn classify(&self, q: &ValueRange<V>) -> SynopsisClass {
         if q.hi() < self.min || self.max < q.lo() {
             SynopsisClass::Disjoint
         } else if q.lo() <= self.min && self.max <= q.hi() {

@@ -11,7 +11,7 @@
 //! query. Finally, query Q3 with small selectivity causes a split at the
 //! mean value of the last segment (rule 3)."
 
-use soc_core::{
+use crate::{
     AdaptivePageModel, AdaptiveSegmentation, ColumnStrategy, CountingTracker, SegmentedColumn,
     SizeEstimator, ValueRange,
 };
@@ -110,7 +110,7 @@ fn figure3_three_query_walkthrough() {
 /// segments and need to scan the entire column."
 #[test]
 fn figure4_replication_contrast() {
-    use soc_core::{AdaptiveReplication, ReplicaTree};
+    use crate::{AdaptiveReplication, ReplicaTree};
     let values: Vec<u32> = (0..100_000).collect();
     let tree = ReplicaTree::new(ValueRange::must(0, 99_999), values).unwrap();
     let mut r = AdaptiveReplication::new(tree, Box::new(AdaptivePageModel::new(3 * KB, 12 * KB)));

@@ -8,11 +8,13 @@
 
 use proptest::prelude::*;
 
-use soc_core::validate;
-use soc_core::{
-    AdaptiveReplication, AdaptiveSegmentation, AlwaysSplit, ColumnStrategy, CountingTracker,
-    CrackedColumn, FullySorted, MergePolicy, MergingSegmentation, NonSegmented, NullTracker,
-    ReplicaTree, SegmentedColumn, SizeEstimator, ValueRange,
+use crate::merge::MergingSegmentation;
+use crate::model::AlwaysSplit;
+use crate::validate;
+use crate::{
+    AdaptiveReplication, AdaptiveSegmentation, ColumnStrategy, CountingTracker, CrackedColumn,
+    FullySorted, MergePolicy, NonSegmented, NullTracker, ReplicaTree, SegmentedColumn,
+    SizeEstimator, ValueRange,
 };
 
 const DOMAIN_HI: u32 = 9_999;

@@ -2,10 +2,8 @@
 
 use proptest::prelude::*;
 
-use soc_core::{
-    AdaptivePageModel, AutoTunedApm, GaussianDice, SegmentationModel, SplitDecision, SplitGeometry,
-    Technique, WhichBound,
-};
+use crate::model::{AutoTunedApm, SplitDecision, WhichBound};
+use crate::{AdaptivePageModel, GaussianDice, SegmentationModel, SplitGeometry, Technique};
 
 /// Arbitrary self-consistent geometry: pieces sum to the segment, segment
 /// is at most the column.

@@ -27,8 +27,9 @@ use crate::segment::SegId;
 /// the callbacks are pure accumulation. `soc-sim`'s sharded column does
 /// exactly this per routed node, in ascending node order, so each node's
 /// scanned bytes are measured ([`EventLog::scan_bytes`]) on the way
-/// through. The merge primitives are [`EventLog::replay_into`] and
-/// [`CountingTracker::absorb`].
+/// through. An [`EventLog`] merges through [`EventLog::replay_into`]; a
+/// [`CountingTracker`]'s totals merge by adding their `QueryStats`
+/// fields.
 pub trait AccessTracker {
     /// A full sequential scan of segment `seg` (`bytes` = its footprint).
     ///
@@ -77,7 +78,7 @@ pub trait AccessTracker {
     /// [`AccessTracker::scan`] so trackers that predate delta visibility
     /// keep counting every byte, while trackers that override it (the
     /// [`CountingTracker`]) additionally attribute the bytes to
-    /// [`QueryStats::delta_read_bytes`] — the overlay's read overhead,
+    /// `QueryStats::delta_read_bytes` — the overlay's read overhead,
     /// separable from base scans without a second execution.
     fn delta_scan(&mut self, seg: SegId, bytes: u64) {
         self.scan(seg, bytes);
@@ -116,27 +117,6 @@ pub struct QueryStats {
     pub delta_read_bytes: u64,
 }
 
-impl QueryStats {
-    /// Accumulates `other` into `self`.
-    pub fn absorb(&mut self, other: &QueryStats) {
-        self.read_bytes += other.read_bytes;
-        self.write_bytes += other.write_bytes;
-        self.freed_bytes += other.freed_bytes;
-        self.segments_scanned += other.segments_scanned;
-        self.segments_materialized += other.segments_materialized;
-        self.segments_pruned += other.segments_pruned;
-        self.pruned_bytes += other.pruned_bytes;
-        self.reorg_hints_dropped += other.reorg_hints_dropped;
-        self.delta_read_bytes += other.delta_read_bytes;
-    }
-
-    /// What an unpruned execution of the same queries would have read:
-    /// actual scan bytes plus the bytes synopsis pruning skipped.
-    pub fn unpruned_read_bytes(&self) -> u64 {
-        self.read_bytes + self.pruned_bytes
-    }
-}
-
 /// The basic tracker: running totals plus a per-query epoch.
 ///
 /// Call [`CountingTracker::begin_query`] before each query and read the
@@ -167,17 +147,6 @@ impl CountingTracker {
     /// Counters accumulated over the tracker's whole lifetime.
     pub fn totals(&self) -> QueryStats {
         self.total
-    }
-
-    /// Merges another tracker's counters into this one: `other`'s lifetime
-    /// totals into our totals and `other`'s current epoch into our current
-    /// epoch. This is the merge half of the [`AccessTracker`] contract for
-    /// parts that count into private `CountingTracker`s: absorbing them in
-    /// the order they ran yields exactly the counters one shared tracker
-    /// would have produced, because every field is a sum.
-    pub fn absorb(&mut self, other: &CountingTracker) {
-        self.total.absorb(&other.total);
-        self.current.absorb(&other.current);
     }
 }
 
@@ -251,16 +220,6 @@ impl EventLog {
         Self::default()
     }
 
-    /// The recorded events in arrival order.
-    pub fn events(&self) -> &[TrackerEvent] {
-        &self.events
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Total bytes of the recorded [`TrackerEvent::Scan`] and
     /// [`TrackerEvent::DeltaScan`] events — the per-part read attribution
     /// a caller charges to the part that produced this log (the other half
@@ -274,6 +233,18 @@ impl EventLog {
                 _ => 0,
             })
             .sum()
+    }
+
+    /// The recorded events in arrival order.
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> &[TrackerEvent] {
+        &self.events
+    }
+
+    /// Whether nothing has been recorded.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.events.is_empty()
     }
 
     /// Re-fires every recorded event, in order, at `target`. A recorded
@@ -354,29 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_sums_fields() {
-        let a = QueryStats {
-            read_bytes: 1,
-            write_bytes: 2,
-            freed_bytes: 3,
-            segments_scanned: 4,
-            segments_materialized: 5,
-            segments_pruned: 6,
-            pruned_bytes: 7,
-            reorg_hints_dropped: 8,
-            delta_read_bytes: 9,
-        };
-        let mut b = a;
-        b.absorb(&a);
-        assert_eq!(b.read_bytes, 2);
-        assert_eq!(b.segments_materialized, 10);
-        assert_eq!(b.segments_pruned, 12);
-        assert_eq!(b.pruned_bytes, 14);
-        assert_eq!(b.reorg_hints_dropped, 16);
-        assert_eq!(b.delta_read_bytes, 18);
-    }
-
-    #[test]
     fn delta_scan_charges_reads_and_attributes_overlay() {
         let mut t = CountingTracker::new();
         t.begin_query();
@@ -401,35 +349,6 @@ mod tests {
         assert_eq!(s.segments_scanned, 1);
         assert_eq!(s.segments_pruned, 2);
         assert_eq!(s.pruned_bytes, 450);
-        assert_eq!(s.unpruned_read_bytes(), 550);
-    }
-
-    #[test]
-    fn absorb_merges_totals_and_current_epoch() {
-        // One tracker observing a serial event stream…
-        let mut serial = CountingTracker::new();
-        serial.begin_query();
-        serial.scan(SegId(1), 100);
-        serial.materialize(SegId(2), 40);
-        serial.scan(SegId(3), 7);
-        serial.free(SegId(1), 100);
-
-        // …must equal two per-worker trackers absorbed in worker order.
-        let mut a = CountingTracker::new();
-        a.begin_query();
-        a.scan(SegId(1), 100);
-        a.materialize(SegId(2), 40);
-        let mut b = CountingTracker::new();
-        b.begin_query();
-        b.scan(SegId(3), 7);
-        b.free(SegId(1), 100);
-        let mut merged = CountingTracker::new();
-        merged.begin_query();
-        merged.absorb(&a);
-        merged.absorb(&b);
-
-        assert_eq!(merged.totals(), serial.totals());
-        assert_eq!(merged.query_stats(), serial.query_stats());
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! Two cost tiers, by design:
 //!
 //! * **Cheap** ([`ranges_partition`], [`strategy_pieces`],
-//!   [`replica_tree`]) — O(#pieces) range arithmetic, no payload access.
+//!   `replica_tree`) — O(#pieces) range arithmetic, no payload access.
 //!   Safe to run after every query inside `debug_assert_valid!`.
-//! * **Deep** ([`column()`], [`payload`], [`encoded_consistent`]) — walks
+//! * **Deep** (`column()`, [`payload`], [`encoded_consistent`]) — walks
 //!   values or packed words. For debug builds and tests.
 
 use crate::column::SegmentedColumn;
@@ -263,8 +263,8 @@ pub fn payload<V: ColumnValue>(range: &ValueRange<V>, values: &[V]) -> Result<()
 /// Checks a piece's cached zone-map synopsis against its values: exact
 /// bounds (they answer covered `MIN`/`MAX` directly, so "roughly right"
 /// is wrong), exact count, and a sum bit-identical to a fresh
-/// [`kernels::sum_all`] over the same values. Every synopsis is built by
-/// [`PieceSynopsis::from_values`] or [`PieceSynopsis::from_sorted`], which
+/// `kernels::sum_all` over the same values. Every synopsis is built by
+/// [`PieceSynopsis::from_values`] or `PieceSynopsis::from_sorted`, which
 /// accumulate in exactly that order, so any difference is drift.
 ///
 /// An empty piece must carry no synopsis, and a non-empty one must carry
@@ -309,7 +309,7 @@ pub fn synopsis_consistent<V: ColumnValue>(
 /// ([`payload`]), ascending when the segment is flagged sorted (a split
 /// or a served read would binary-search garbage otherwise), cached
 /// synopsis exact against them ([`synopsis_consistent`]).
-pub fn segment<V: ColumnValue>(seg: &SegmentData<V>) -> Result<(), Violation> {
+pub(crate) fn segment<V: ColumnValue>(seg: &SegmentData<V>) -> Result<(), Violation> {
     payload(&seg.range(), seg.values())?;
     if seg.is_sorted() && !seg.values().windows(2).all(|w| w[0] <= w[1]) {
         return Err(Violation::NotSorted { index: 0 });
@@ -321,7 +321,7 @@ pub fn segment<V: ColumnValue>(seg: &SegmentData<V>) -> Result<(), Violation> {
 /// partition the domain, every segment's values are in range, every
 /// cached synopsis matches its data, and the per-segment tuple counts sum
 /// to the recorded total.
-pub fn column<V: ColumnValue>(col: &SegmentedColumn<V>) -> Result<(), Violation> {
+pub(crate) fn column<V: ColumnValue>(col: &SegmentedColumn<V>) -> Result<(), Violation> {
     let domain = col.domain();
     let ranges: Vec<ValueRange<V>> = col.segments().iter().map(|s| s.range()).collect();
     ranges_partition(&domain, &ranges)?;
@@ -375,7 +375,7 @@ pub fn strategy_pieces<V: ColumnValue>(strategy: &dyn ColumnStrategy<V>) -> Resu
 /// Section 5 invariant that every point is covered exactly once by the
 /// deepest materialized layer (drops and lazy materialization both
 /// preserve it).
-pub fn replica_tree<V: ColumnValue>(tree: &ReplicaTree<V>) -> Result<(), Violation> {
+pub(crate) fn replica_tree<V: ColumnValue>(tree: &ReplicaTree<V>) -> Result<(), Violation> {
     let cover: Vec<ValueRange<V>> = tree
         .covering_partition()
         .into_iter()
@@ -390,7 +390,7 @@ pub fn replica_tree<V: ColumnValue>(tree: &ReplicaTree<V>) -> Result<(), Violati
 /// ```
 /// use soc_core::{debug_assert_valid, SegmentedColumn, ValueRange};
 /// let col = SegmentedColumn::new(ValueRange::must(0u32, 99), vec![1, 2]).unwrap();
-/// debug_assert_valid!(soc_core::validate::column(&col), "doc example");
+/// debug_assert_valid!(col.validate(), "doc example");
 /// ```
 #[macro_export]
 macro_rules! debug_assert_valid {

@@ -69,7 +69,7 @@ pub trait ColumnValue: Copy + Ord + Debug + Send + Sync + 'static {
     fn from_key(key: u64) -> Option<Self>;
 
     /// The sum of the [`Self::to_f64`] projections of `chunk` (at most
-    /// [`crate::kernels::CHUNK`] values) when an exact integer sum yields
+    /// `crate::kernels::CHUNK` values) when an exact integer sum yields
     /// the same bits as adding them into one `f64` accumulator from `+0.0`
     /// in order; `None` — the default — sends the sum kernels down that
     /// serial `f64` chain.

@@ -24,7 +24,7 @@ use soc_bat::Atom;
 
 /// A variable, module or function name: static where the code that
 /// emits it knows it, owned where it is read from text or minted.
-pub type Name = Cow<'static, str>;
+pub(crate) type Name = Cow<'static, str>;
 
 /// An instruction argument: a variable reference or a literal.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +37,7 @@ pub enum Arg {
 
 impl Arg {
     /// The variable name, if this is a reference.
-    pub fn var(&self) -> Option<&str> {
+    pub(crate) fn var(&self) -> Option<&str> {
         match self {
             Arg::Var(v) => Some(v),
             Arg::Const(_) => None,
@@ -61,7 +61,7 @@ pub struct Instruction {
 impl Instruction {
     /// Convenience constructor; a `&'static str` name is stored without
     /// a copy.
-    pub fn new(
+    pub(crate) fn new(
         target: Option<Name>,
         module: impl Into<Name>,
         function: impl Into<Name>,
@@ -77,12 +77,12 @@ impl Instruction {
 
     /// Whether this calls `module.function` — the allocation-free match
     /// the optimizer passes use.
-    pub fn is(&self, module: &str, function: &str) -> bool {
+    pub(crate) fn is(&self, module: &str, function: &str) -> bool {
         self.module == module && self.function == function
     }
 
     /// `module.function`, rendered for error messages.
-    pub fn qualified(&self) -> String {
+    pub(crate) fn qualified(&self) -> String {
         format!("{}.{}", self.module, self.function)
     }
 }

@@ -586,7 +586,7 @@ impl SegmentedBat {
     /// [`BpmError::NanTail`] for NaN in a `:dbl` tail,
     /// [`BpmError::EmptyDomain`] when the domain has no representable
     /// value, and [`BpmError::Column`] when a value lies outside it.
-    pub fn from_spec(
+    pub(crate) fn from_spec(
         bat: Bat,
         domain_lo: f64,
         domain_hi_excl: f64,
@@ -602,19 +602,21 @@ impl SegmentedBat {
         on_seg!(&self.inner, s => s.ranges().len())
     }
 
+    /// Materialized storage held by the strategy (replication exceeds the
+    /// bare column; in-place strategies equal it).
+    #[cfg(test)]
+    pub(crate) fn storage_bytes(&self) -> u64 {
+        on_seg!(&self.inner, s => s.strategy.storage_bytes())
+    }
+
     /// Row count of the whole column.
-    pub fn rows(&self) -> u64 {
+    pub(crate) fn rows(&self) -> u64 {
         on_seg!(&self.inner, s => s.rows)
     }
 
     /// The underlying strategy's display name ("APM Segm", "Cracking", …).
     pub fn strategy_name(&self) -> String {
         on_seg!(&self.inner, s => s.strategy.name())
-    }
-
-    /// Splits (or cracks) performed so far.
-    pub fn splits(&self) -> u64 {
-        self.adaptation().splits
     }
 
     /// The strategy's uniform adaptation counters.
@@ -639,12 +641,6 @@ impl SegmentedBat {
         on_seg!(&mut self.inner, s => s.reorg_write_bytes += bytes);
     }
 
-    /// Materialized storage held by the strategy (replication exceeds the
-    /// bare column; in-place strategies equal it).
-    pub fn storage_bytes(&self) -> u64 {
-        on_seg!(&self.inner, s => s.strategy.storage_bytes())
-    }
-
     /// Closed value spans of the pieces, projected to `f64` — the
     /// meta-index view diagnostics and tests read.
     pub fn piece_spans(&self) -> Vec<(f64, f64)> {
@@ -657,14 +653,14 @@ impl SegmentedBat {
 
     /// Piece `i`'s rows as a bat (materialized — MAL materializes
     /// intermediates). The read is strategy-state-preserving.
-    pub fn piece_bat(&self, i: usize) -> Result<Bat, BpmError> {
+    pub(crate) fn piece_bat(&self, i: usize) -> Result<Bat, BpmError> {
         on_seg!(&self.inner, s => s.piece_bat(i))
     }
 
     /// An empty bat typed like this column's tail — what a delta bind is
     /// shaped after. Read off the column's type, so it costs no piece
     /// read and holds for a column with no pieces at all.
-    pub fn empty_like(&self) -> Bat {
+    pub(crate) fn empty_like(&self) -> Bat {
         match &self.inner {
             PairColumn::Int(_) => Bat::dense_int(Vec::new()),
             PairColumn::Dbl(_) => Bat::dense_dbl(Vec::new()),
@@ -676,12 +672,12 @@ impl SegmentedBat {
     /// order — the bulk form of [`Self::piece_bat`] the interpreter's
     /// segment iterator uses (one piece-range computation for the whole
     /// set instead of one per piece).
-    pub fn piece_bats(&self, lo: f64, hi: f64) -> Result<Vec<Bat>, BpmError> {
+    pub(crate) fn piece_bats(&self, lo: f64, hi: f64) -> Result<Vec<Bat>, BpmError> {
         on_seg!(&self.inner, s => s.piece_bats(lo, hi))
     }
 
     /// Indices of the pieces overlapping the closed query `[lo, hi]`.
-    pub fn overlapping(&self, lo: f64, hi: f64) -> Vec<usize> {
+    pub(crate) fn overlapping(&self, lo: f64, hi: f64) -> Vec<usize> {
         on_seg!(&self.inner, s => s.overlapping(lo, hi))
     }
 

@@ -207,7 +207,7 @@ impl MergeReport {
 /// Pending delta rows that trigger an automatic [`Catalog::merge_deltas`]
 /// when crossed (per table). Small enough that delta scans stay cheap,
 /// large enough that a bulk load does not thrash merges.
-pub const DEFAULT_DELTA_MERGE_THRESHOLD: usize = 4096;
+pub(crate) const DEFAULT_DELTA_MERGE_THRESHOLD: usize = 4096;
 
 /// Retry state for a table whose automatic delta merge failed.
 #[derive(Debug, Clone, Copy, Default)]
@@ -224,7 +224,7 @@ struct MergeBackoff {
 /// Fields are crate-visible for the checkpoint module
 /// ([`Catalog::save_all`]/[`Catalog::load_all`] live in
 /// `crate::checkpoint`).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Catalog {
     pub(crate) bats: HashMap<String, Bat>,
     pub(crate) segmented: HashMap<String, SegmentedBat>,
@@ -234,8 +234,6 @@ pub struct Catalog {
     pub(crate) deleted: HashMap<String, Vec<Oid>>,
     /// Next fresh oid per `schema.table` (rows appended so far + base).
     pub(crate) next_oid: HashMap<String, Oid>,
-    /// Pending-delta-row count at which a table auto-merges (0 disables).
-    delta_merge_threshold: usize,
     /// Per-table retry state for failed automatic merges: a failed
     /// attempt (e.g. an out-of-domain insert) backs off exponentially in
     /// *mutations* rather than latching forever, so the pending deltas
@@ -247,25 +245,8 @@ pub struct Catalog {
     /// auto-merge threshold compares against, kept O(1) per mutation.
     pending_rows: HashMap<String, usize>,
     /// Per-table threshold overrides (the `ALTER TABLE … SET MERGE
-    /// THRESHOLD` DDL); absent tables use [`Self::delta_merge_threshold`].
+    /// THRESHOLD` DDL); absent tables use [`DEFAULT_DELTA_MERGE_THRESHOLD`].
     merge_thresholds: HashMap<String, usize>,
-}
-
-impl Default for Catalog {
-    fn default() -> Self {
-        Catalog {
-            bats: HashMap::new(),
-            segmented: HashMap::new(),
-            seg_meta: HashMap::new(),
-            deltas: HashMap::new(),
-            deleted: HashMap::new(),
-            next_oid: HashMap::new(),
-            delta_merge_threshold: DEFAULT_DELTA_MERGE_THRESHOLD,
-            auto_merge_backoff: HashMap::new(),
-            pending_rows: HashMap::new(),
-            merge_thresholds: HashMap::new(),
-        }
-    }
 }
 
 impl Catalog {
@@ -275,7 +256,7 @@ impl Catalog {
     }
 
     /// The canonical key for `schema.table.column`.
-    pub fn key(schema: &str, table: &str, column: &str) -> String {
+    pub(crate) fn key(schema: &str, table: &str, column: &str) -> String {
         format!("{schema}.{table}.{column}")
     }
 
@@ -374,8 +355,8 @@ impl Catalog {
     /// untouched.
     ///
     /// # Errors
-    /// [`CatalogError::NotSegmented`] (or `UnknownColumn`) when `key` does
-    /// not name a segmented column; [`CatalogError::Bpm`] when the rebuild
+    /// `CatalogError::NotSegmented` (or `UnknownColumn`) when `key` does
+    /// not name a segmented column; `CatalogError::Bpm` when the rebuild
     /// fails, in which case the column is left unchanged.
     pub fn set_strategy(&mut self, key: &str, kind: StrategyKind) -> Result<(), CatalogError> {
         let seg = self.require_segmented(key)?;
@@ -395,12 +376,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// The spec a segmented column was registered (or last re-organized)
-    /// with; `None` for plain columns.
-    pub fn strategy_spec(&self, key: &str) -> Option<StrategySpec> {
-        self.seg_meta.get(key).map(|m| m.spec)
-    }
-
     /// Looks up a plain column.
     pub fn bat(&self, key: &str) -> Option<&Bat> {
         self.bats.get(key)
@@ -416,13 +391,21 @@ impl Catalog {
         self.segmented.get_mut(key)
     }
 
+    /// The spec a segmented column was registered (or last re-organized)
+    /// with; `None` for plain columns.
+    #[cfg(test)]
+    pub(crate) fn strategy_spec(&self, key: &str) -> Option<StrategySpec> {
+        self.seg_meta.get(key).map(|m| m.spec)
+    }
+
     /// Whether `key` names a segmented column.
-    pub fn is_segmented(&self, key: &str) -> bool {
+    pub(crate) fn is_segmented(&self, key: &str) -> bool {
         self.segmented.contains_key(key)
     }
 
     /// All registered keys (diagnostics).
-    pub fn keys(&self) -> Vec<String> {
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> Vec<String> {
         let mut k: Vec<String> = self
             .bats
             .keys()
@@ -526,15 +509,6 @@ impl Catalog {
 
     // ---- delta merge ---------------------------------------------------
 
-    /// Sets the pending-delta-row count at which a table's deltas merge
-    /// into the base columns automatically (0 disables
-    /// auto-merging; the default is [`DEFAULT_DELTA_MERGE_THRESHOLD`]).
-    /// Tables with a per-table override ([`Self::set_table_merge_threshold`])
-    /// keep it.
-    pub fn set_delta_merge_threshold(&mut self, rows: usize) {
-        self.delta_merge_threshold = rows;
-    }
-
     /// Per-table override of the auto-merge threshold — what the
     /// `ALTER TABLE schema.table SET MERGE THRESHOLD n` DDL executes
     /// (0 disables auto-merging for this table only).
@@ -549,7 +523,7 @@ impl Catalog {
         self.merge_thresholds
             .get(&Self::table_key(schema, table))
             .copied()
-            .unwrap_or(self.delta_merge_threshold)
+            .unwrap_or(DEFAULT_DELTA_MERGE_THRESHOLD)
     }
 
     /// Pending delta rows against `schema.table` — the SQL-surface name
@@ -627,8 +601,8 @@ impl Catalog {
     /// cannot hold) leaves the catalog unchanged.
     ///
     /// # Errors
-    /// [`CatalogError::MalformedDelta`] when a delta cannot be typed like
-    /// its base column; [`CatalogError::Bpm`] when a segmented column
+    /// `CatalogError::MalformedDelta` when a delta cannot be typed like
+    /// its base column; `CatalogError::Bpm` when a segmented column
     /// cannot take a pending value (outside its domain, NaN).
     pub fn merge_deltas(&mut self, schema: &str, table: &str) -> Result<MergeReport, CatalogError> {
         let mut report = MergeReport::default();
@@ -718,38 +692,6 @@ impl Catalog {
             b.failures += 1;
             b.cooldown = 1u32 << b.failures.min(6);
         }
-    }
-
-    /// Drops a registered column (plain or segmented): its base storage,
-    /// strategy metadata and pending deltas are discarded, and the table's
-    /// failed-merge backoff is released — a poisoned column (say, an
-    /// out-of-domain insert that latched the auto-merge into backoff)
-    /// stops blocking the table the moment it is gone, instead of the
-    /// backoff surviving until an unrelated success. Returns whether the
-    /// column existed. The table's deleted-oid list is untouched
-    /// (deletions are rows, not cells).
-    pub fn drop_column(&mut self, schema: &str, table: &str, column: &str) -> bool {
-        let key = Self::key(schema, table, column);
-        let tk = Self::table_key(schema, table);
-        let had_plain = self.bats.remove(&key).is_some();
-        let had_seg = self.segmented.remove(&key).is_some();
-        if !(had_plain || had_seg) {
-            return false;
-        }
-        self.seg_meta.remove(&key);
-        if let Some(d) = self.deltas.remove(&key) {
-            let n = d.insert_heads.len() + d.update_heads.len();
-            if n > 0 {
-                if let Some(p) = self.pending_rows.get_mut(&tk) {
-                    *p = p.saturating_sub(n);
-                    if *p == 0 {
-                        self.pending_rows.remove(&tk);
-                    }
-                }
-            }
-        }
-        self.auto_merge_backoff.remove(&tk);
-        true
     }
 }
 
@@ -1017,7 +959,7 @@ mod tests {
             StrategySpec::new(StrategyKind::Cracking),
         )
         .unwrap();
-        c.set_delta_merge_threshold(4);
+        c.set_table_merge_threshold("sys", "T", 4);
         for i in 0..3 {
             c.insert_row("sys", "T", &[("v", Atom::Int(50 + i))]);
         }
@@ -1040,7 +982,7 @@ mod tests {
             StrategySpec::new(StrategyKind::Cracking),
         )
         .unwrap();
-        c.set_delta_merge_threshold(2);
+        c.set_table_merge_threshold("sys", "T", 2);
         // Deltas against a column name that was never registered are
         // inert: they must not count toward the threshold, and a merge
         // must leave them in place without looping.
@@ -1081,7 +1023,7 @@ mod tests {
         assert_eq!(c.segmented("sys.T.v").unwrap().rows(), 50);
         // The auto-trigger gives up after one failed attempt instead of
         // re-trying the merge on every subsequent mutation.
-        c.set_delta_merge_threshold(1);
+        c.set_table_merge_threshold("sys", "T", 1);
         c.insert_row("sys", "T", &[("v", Atom::Int(1))]);
         c.insert_row("sys", "T", &[("v", Atom::Int(2))]);
         assert_eq!(c.pending_delta_rows("sys", "T"), 3);
@@ -1118,7 +1060,7 @@ mod tests {
             StrategySpec::new(StrategyKind::ApmSegm),
         )
         .unwrap();
-        c.set_delta_merge_threshold(1);
+        c.set_table_merge_threshold("sys", "T", 1);
         // The poisoned insert: out of the registered domain, so every
         // merge attempt fails until the row is compensated.
         let bad = c.insert_row("sys", "T", &[("v", Atom::Int(500))]);
@@ -1329,72 +1271,42 @@ mod tests {
     }
 
     #[test]
-    fn dropping_the_poisoned_column_releases_the_merge_backoff() {
+    fn re_registering_a_poisoned_column_releases_the_merge_backoff() {
         let mut c = Catalog::new();
-        c.register_segmented(
-            "sys",
-            "T",
-            "v",
-            Bat::dense_int((0..50).collect()),
-            0.0,
-            100.0,
-            StrategySpec::new(StrategyKind::ApmSegm),
-        )
-        .unwrap();
-        c.set_delta_merge_threshold(1);
-        // Poison the column: every merge attempt fails, the backoff
-        // ladder climbs.
+        let register = |c: &mut Catalog, hi: f64| {
+            c.register_segmented(
+                "sys",
+                "T",
+                "v",
+                Bat::dense_int((0..50).collect()),
+                0.0,
+                hi,
+                StrategySpec::new(StrategyKind::ApmSegm),
+            )
+            .unwrap();
+        };
+        register(&mut c, 100.0);
+        c.set_table_merge_threshold("sys", "T", 1);
+        // Poison the column: a value outside its domain fails the merge,
+        // and the backoff latches.
         c.insert_row("sys", "T", &[("v", Atom::Int(500))]);
-        c.insert_row("sys", "T", &[("v", Atom::Int(10))]); // cooldown tick
-        c.insert_row("sys", "T", &[("v", Atom::Int(11))]); // cooldown tick
-        c.insert_row("sys", "T", &[("v", Atom::Int(12))]); // retry: fails again
-        assert_eq!(c.pending_delta_rows("sys", "T"), 4);
+        assert_eq!(c.pending_delta_rows("sys", "T"), 1);
         assert!(
             c.auto_merge_backoff.contains_key("sys.T"),
             "backoff latched"
         );
 
-        // The fix under test: dropping the poisoned column releases the
-        // table's backoff (before, only a successful merge reset it).
-        assert!(c.drop_column("sys", "T", "v"));
-        assert!(!c.auto_merge_backoff.contains_key("sys.T"), "drop resets");
-        assert_eq!(c.pending_delta_rows("sys", "T"), 0, "its deltas are gone");
-        assert!(!c.drop_column("sys", "T", "v"), "already dropped");
-
-        // Re-register clean: the very next mutation merges immediately
-        // instead of sitting out the surviving cooldown.
-        c.register_segmented(
-            "sys",
-            "T",
-            "v",
-            Bat::dense_int((0..50).collect()),
-            0.0,
-            100.0,
-            StrategySpec::new(StrategyKind::ApmSegm),
-        )
-        .unwrap();
-        c.insert_row("sys", "T", &[("v", Atom::Int(13))]);
-        assert_eq!(c.pending_delta_rows("sys", "T"), 0, "merged, no cooldown");
-        assert_eq!(c.segmented("sys.T.v").unwrap().rows(), 51);
-
-        // Re-registering over a poisoned column (without a drop) also
-        // releases the backoff — the regression twin of the drop path.
-        c.insert_row("sys", "T", &[("v", Atom::Int(600))]); // poison again
-        assert!(c.auto_merge_backoff.contains_key("sys.T"));
-        c.register_segmented(
-            "sys",
-            "T",
-            "v",
-            Bat::dense_int((0..51).collect()),
-            0.0,
-            1000.0,
-            StrategySpec::new(StrategyKind::ApmSegm),
-        )
-        .unwrap();
+        // Re-registering over the poisoned column (a domain that holds
+        // the value) releases the backoff: the very next mutation merges
+        // instead of sitting out the cooldown.
+        register(&mut c, 1000.0);
         assert!(
             !c.auto_merge_backoff.contains_key("sys.T"),
             "re-register resets"
         );
+        c.insert_row("sys", "T", &[("v", Atom::Int(13))]);
+        assert_eq!(c.pending_delta_rows("sys", "T"), 0, "merged, no cooldown");
+        assert_eq!(c.segmented("sys.T.v").unwrap().rows(), 52);
     }
 
     #[test]
@@ -1412,7 +1324,6 @@ mod tests {
             )
             .unwrap();
         }
-        c.set_delta_merge_threshold(100);
         c.set_table_merge_threshold("sys", "A", 2);
         // Table A merges at its own threshold…
         c.insert_row("sys", "A", &[("v", Atom::Int(11))]);

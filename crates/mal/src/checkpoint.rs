@@ -368,7 +368,7 @@ impl Catalog {
     /// previous checkpoint intact.
     ///
     /// # Errors
-    /// [`CheckpointError::Unsupported`] for NaN-bearing plain `:dbl`
+    /// `CheckpointError::Unsupported` for NaN-bearing plain `:dbl`
     /// bats; I/O and store errors otherwise. On error the previous
     /// checkpoint under `dir` is untouched.
     pub fn save_all(&self, dir: impl AsRef<Path>) -> Result<(), CheckpointError> {
@@ -483,7 +483,7 @@ impl Catalog {
     /// fresh oids continue where the saved catalog stopped.
     ///
     /// # Errors
-    /// [`CheckpointError::Malformed`] for a damaged manifest; store and
+    /// `CheckpointError::Malformed` for a damaged manifest; store and
     /// rebuild errors otherwise.
     pub fn load_all(dir: impl AsRef<Path>) -> Result<Catalog, CheckpointError> {
         let dir = dir.as_ref();
@@ -599,6 +599,17 @@ impl Catalog {
 mod tests {
     use super::*;
     use soc_core::{StrategyKind, StrategySpec};
+
+    /// `spec` with an explicit merge policy.
+    fn with_merge(spec: StrategySpec, small_bytes: u64, max_merged_bytes: u64) -> StrategySpec {
+        StrategySpec {
+            merge: Some(MergePolicy {
+                small_bytes,
+                max_merged_bytes,
+            }),
+            ..spec
+        }
+    }
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("soc_catalog_ckpt_{name}_{}", std::process::id()))
@@ -762,8 +773,8 @@ mod tests {
             .with_apm_bounds(1111, 2222)
             .with_model_seed(33)
             .with_estimator(SizeEstimator::Exact)
-            .with_storage_budget(9999)
-            .with_merge(MergePolicy::new(10, 100));
+            .with_storage_budget(9999);
+        let spec = with_merge(spec, 10, 100);
         let back = spec_round_trip(&spec).unwrap();
         assert_eq!(back.kind, spec.kind);
         assert_eq!(back.mmin, 1111);
@@ -866,7 +877,7 @@ mod tests {
             apm(StrategyKind::GdSegm, 0, 0),
             apm(StrategyKind::Cracking, 9, 8),
             apm(StrategyKind::AutoApmSegm, 0, 0),
-            apm(StrategyKind::GdSegmMerged, 0, 0).with_merge(MergePolicy::new(1, 2)),
+            with_merge(apm(StrategyKind::GdSegmMerged, 0, 0), 1, 2),
         ] {
             let back = spec_round_trip(&ok).unwrap();
             let built = back.build(ValueRange::must(0u32, 99), (0..100).collect());

@@ -9,7 +9,7 @@
 //! `bpm.adapt` reorganization hook of Section 3.3.
 //!
 //! Physical design flows through one currency: the catalog registers a
-//! [`soc_core::StrategySpec`] per segmented column, [`SegmentedBat`] is a
+//! [`soc_core::StrategySpec`] per segmented column, `SegmentedBat` is a
 //! thin `(oid, value)`-pair-preserving adapter over the boxed
 //! [`soc_core::ColumnStrategy`] it builds, and SQL can pick or inspect the
 //! strategy (`ALTER COLUMN … SET STRATEGY`, `bpm.strategy`). All nine
@@ -27,24 +27,24 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod ast;
-pub mod bpm;
-pub mod catalog;
-pub mod checkpoint;
-pub mod interp;
-pub mod optimizer;
-pub mod parser;
-pub mod sql;
+pub(crate) mod ast;
+pub(crate) mod bpm;
+pub(crate) mod catalog;
+pub(crate) mod checkpoint;
+pub(crate) mod interp;
+pub(crate) mod optimizer;
+pub(crate) mod parser;
+pub(crate) mod sql;
 
-pub use ast::{Arg, Instruction, Name, Program, Stmt};
-pub use bpm::{BpmError, SegmentedBat};
-pub use catalog::{Catalog, CatalogError, MergeReport};
-pub use checkpoint::CheckpointError;
-pub use interp::{ExecError, Interp, MalValue};
-pub use optimizer::{OptimizerReport, RewriteStrategy, SegmentOptimizer};
-pub use parser::{parse, ParseError};
-pub use sql::{
-    compile_alter, compile_alter_table, compile_select, compile_stmt, parse_alter,
-    parse_alter_table, parse_select, parse_stmt, AlterMergeThreshold, AlterStrategy, SelectBetween,
-    SqlError, SqlStmt,
-};
+pub use ast::Program;
+pub use catalog::Catalog;
+pub use interp::{Interp, MalValue};
+pub use optimizer::{RewriteStrategy, SegmentOptimizer};
+pub use parser::parse;
+pub use sql::{compile_select, compile_stmt, parse_stmt};
+
+#[cfg(test)]
+mod tests {
+    mod damaged_manifest;
+    mod roundtrip;
+}

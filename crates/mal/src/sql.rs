@@ -213,7 +213,7 @@ fn tokenize(sql: &str) -> Result<Vec<Tok<'_>>, SqlError> {
 }
 
 /// Parses `ALTER COLUMN [<schema>.]<table>.<column> SET STRATEGY <kind>`.
-pub fn parse_alter(sql: &str) -> Result<AlterStrategy, SqlError> {
+pub(crate) fn parse_alter(sql: &str) -> Result<AlterStrategy, SqlError> {
     let toks = tokenize(sql)?;
     let kw = |i: usize, want: &str| -> bool {
         matches!(&toks.get(i), Some(Tok::Word(w)) if w.eq_ignore_ascii_case(want))
@@ -260,7 +260,7 @@ pub fn parse_alter(sql: &str) -> Result<AlterStrategy, SqlError> {
 }
 
 /// Compiles the DDL hint into its one-instruction MAL plan.
-pub fn compile_alter(a: &AlterStrategy) -> Program {
+pub(crate) fn compile_alter(a: &AlterStrategy) -> Program {
     let key = format!("{}.{}.{}", a.schema, a.table, a.column);
     Program {
         stmts: vec![Stmt::Assign(Arc::new(Instruction::new(
@@ -276,7 +276,7 @@ pub fn compile_alter(a: &AlterStrategy) -> Program {
 }
 
 /// Parses `ALTER TABLE [<schema>.]<table> SET MERGE THRESHOLD <n>`.
-pub fn parse_alter_table(sql: &str) -> Result<AlterMergeThreshold, SqlError> {
+pub(crate) fn parse_alter_table(sql: &str) -> Result<AlterMergeThreshold, SqlError> {
     let toks = tokenize(sql)?;
     let kw = |i: usize, want: &str| -> bool {
         matches!(&toks.get(i), Some(Tok::Word(w)) if w.eq_ignore_ascii_case(want))
@@ -321,7 +321,7 @@ pub fn parse_alter_table(sql: &str) -> Result<AlterMergeThreshold, SqlError> {
 }
 
 /// Compiles the compaction DDL into its one-instruction MAL plan.
-pub fn compile_alter_table(a: &AlterMergeThreshold) -> Program {
+pub(crate) fn compile_alter_table(a: &AlterMergeThreshold) -> Program {
     Program {
         stmts: vec![Stmt::Assign(Arc::new(Instruction::new(
             Some(Name::Borrowed("X1")),
@@ -366,7 +366,7 @@ pub fn compile_stmt(stmt: &SqlStmt) -> Program {
 }
 
 /// Parses `SELECT <col> FROM [<schema>.]<table> WHERE <col> BETWEEN <b> AND <b>`.
-pub fn parse_select(sql: &str) -> Result<SelectBetween, SqlError> {
+pub(crate) fn parse_select(sql: &str) -> Result<SelectBetween, SqlError> {
     let toks = tokenize(sql)?;
     let mut i = 0;
     let kw = |toks: &[Tok<'_>], i: usize, want: &str| -> bool {
@@ -446,7 +446,7 @@ pub fn parse_select(sql: &str) -> Result<SelectBetween, SqlError> {
 /// Placeholder bounds become the function parameters `A0`/`A1`; literal
 /// bounds are inlined as constants (enabling the segment optimizer's
 /// meta-index pruning).
-pub fn compile(q: &SelectBetween) -> Program {
+pub(crate) fn compile(q: &SelectBetween) -> Program {
     let s = |v: &str| Arg::Const(Atom::Str(v.to_owned()));
     let int = |v: i64| Arg::Const(Atom::Int(v));
     let var = |v: &'static str| Arg::Var(Name::Borrowed(v));

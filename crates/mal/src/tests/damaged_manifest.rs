@@ -8,10 +8,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::Catalog;
 use proptest::prelude::*;
 use soc_bat::{Atom, Bat, Head, Tail};
 use soc_core::{StrategyKind, StrategySpec};
-use soc_mal::Catalog;
 
 const MANIFEST: &str = "catalog.manifest";
 

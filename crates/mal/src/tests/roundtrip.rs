@@ -8,8 +8,9 @@ use std::sync::Arc;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use crate::ast::{Arg, Instruction, Program, Stmt};
+use crate::parse;
 use soc_bat::Atom;
-use soc_mal::{parse, Arg, Instruction, Program, Stmt};
 
 fn arb_ident(prefix: &'static str) -> impl Strategy<Value = String> {
     (0u32..1000).prop_map(move |n| format!("{prefix}{n}"))

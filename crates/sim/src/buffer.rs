@@ -42,7 +42,7 @@ pub struct IoStats {
 
 impl IoStats {
     /// Accumulates `other` into `self`.
-    pub fn absorb(&mut self, other: &IoStats) {
+    pub(crate) fn absorb(&mut self, other: &IoStats) {
         self.mem_read_bytes += other.mem_read_bytes;
         self.mem_write_bytes += other.mem_write_bytes;
         self.disk_read_bytes += other.disk_read_bytes;
@@ -66,7 +66,7 @@ struct Resident {
 
 /// An LRU buffer pool over segments with write-back flushing.
 #[derive(Debug)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     capacity: u64,
     used: u64,
     tick: u64,
@@ -78,7 +78,7 @@ impl BufferPool {
     ///
     /// # Panics
     /// Panics on zero capacity.
-    pub fn new(capacity: u64) -> Self {
+    pub(crate) fn new(capacity: u64) -> Self {
         assert!(capacity > 0, "buffer capacity must be positive");
         BufferPool {
             capacity,
@@ -88,18 +88,15 @@ impl BufferPool {
         }
     }
 
-    /// Configured capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Bytes currently resident.
-    pub fn used(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn used(&self) -> u64 {
         self.used
     }
 
     /// Whether `seg` is resident.
-    pub fn is_resident(&self, seg: SegId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_resident(&self, seg: SegId) -> bool {
         self.resident.contains_key(&seg)
     }
 
@@ -129,7 +126,7 @@ impl BufferPool {
 
     /// A scan of `seg` (`bytes` big). Counts a disk read when non-resident,
     /// then caches it (clean).
-    pub fn on_scan(&mut self, seg: SegId, bytes: u64, io: &mut IoStats) {
+    pub(crate) fn on_scan(&mut self, seg: SegId, bytes: u64, io: &mut IoStats) {
         if bytes == 0 {
             return;
         }
@@ -157,7 +154,7 @@ impl BufferPool {
     }
 
     /// A fresh materialization of `seg`: enters the pool dirty.
-    pub fn on_materialize(&mut self, seg: SegId, bytes: u64, io: &mut IoStats) {
+    pub(crate) fn on_materialize(&mut self, seg: SegId, bytes: u64, io: &mut IoStats) {
         if bytes == 0 {
             return;
         }
@@ -181,7 +178,7 @@ impl BufferPool {
     }
 
     /// Segment dropped: leaves the pool with no flush (its data is dead).
-    pub fn on_free(&mut self, seg: SegId) {
+    pub(crate) fn on_free(&mut self, seg: SegId) {
         if let Some(r) = self.resident.remove(&seg) {
             self.used -= r.bytes;
         }

@@ -11,7 +11,7 @@
 
 use crate::buffer::IoStats;
 
-/// Throughput/latency constants converting [`IoStats`] to milliseconds.
+/// Throughput/latency constants converting `IoStats` to milliseconds.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Sequential scan throughput from memory, bytes/ms (predicated scan,
@@ -48,7 +48,7 @@ impl CostModel {
     /// Time spent answering the query: all read-side work. The scans that
     /// piggy-back reorganization are charged here, exactly because eager
     /// materialization shares the query's scan (Section 3.3).
-    pub fn selection_ms(&self, io: &IoStats) -> f64 {
+    pub(crate) fn selection_ms(&self, io: &IoStats) -> f64 {
         io.mem_read_bytes as f64 / self.mem_read_bytes_per_ms
             + io.disk_read_bytes as f64 / self.disk_read_bytes_per_ms
             + io.disk_read_seeks as f64 * self.seek_ms
@@ -57,7 +57,7 @@ impl CostModel {
 
     /// Time spent reorganizing: all write-side work (segment
     /// materialization, flushes) — Figure 10's "adaptation" share.
-    pub fn adaptation_ms(&self, io: &IoStats) -> f64 {
+    pub(crate) fn adaptation_ms(&self, io: &IoStats) -> f64 {
         io.mem_write_bytes as f64 / self.mem_write_bytes_per_ms
             + io.disk_write_bytes as f64 / self.disk_write_bytes_per_ms
             + io.disk_write_seeks as f64 * self.seek_ms
@@ -65,7 +65,7 @@ impl CostModel {
     }
 
     /// Selection + adaptation.
-    pub fn total_ms(&self, io: &IoStats) -> f64 {
+    pub(crate) fn total_ms(&self, io: &IoStats) -> f64 {
         self.selection_ms(io) + self.adaptation_ms(io)
     }
 }

@@ -497,7 +497,7 @@ pub fn sharding_ablation(cfg: &SimConfig, nodes: usize) -> TableOut {
 /// memory estimate), total reorganization writes incurred by the injected
 /// `bpm.adapt` hook, total adaptation operations, and the final piece
 /// count. SQL interpretation is per-query work, so the workload is capped
-/// at [`SQL_ABLATION_MAX_QUERIES`] queries.
+/// at `SQL_ABLATION_MAX_QUERIES` queries.
 pub fn sql_strategy_ablation(cfg: &SimConfig) -> TableOut {
     use soc_bat::{algebra::Atom, Bat};
     use soc_core::StrategySpec;
@@ -583,7 +583,7 @@ pub fn sql_strategy_ablation(cfg: &SimConfig) -> TableOut {
 /// MAL interpretation materializes intermediates per query, so the full
 /// 10k-query simulation workload would dominate the repro run for no
 /// additional signal.
-pub const SQL_ABLATION_MAX_QUERIES: usize = 400;
+pub(crate) const SQL_ABLATION_MAX_QUERIES: usize = 400;
 
 #[cfg(test)]
 mod tests {

@@ -16,7 +16,7 @@ pub mod skyserver;
 
 use soc_core::{ColumnStrategy, ColumnValue, ValueRange};
 
-pub use soc_core::{StrategyKind, StrategySpec};
+pub(crate) use soc_core::{StrategyKind, StrategySpec};
 
 /// One plotted line of a figure.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ pub struct Series {
 
 impl Series {
     /// Builds a series from y-values with x = 1, 2, 3, … (query number).
-    pub fn from_ys(label: impl Into<String>, ys: impl IntoIterator<Item = f64>) -> Self {
+    pub(crate) fn from_ys(label: impl Into<String>, ys: impl IntoIterator<Item = f64>) -> Self {
         Series {
             label: label.into(),
             points: ys

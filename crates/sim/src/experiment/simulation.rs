@@ -98,14 +98,6 @@ impl SimDistribution {
             }
         }
     }
-
-    /// Short tag used in experiment output ("U"/"Z", as in Table 1).
-    pub fn tag(self) -> &'static str {
-        match self {
-            SimDistribution::Uniform => "U",
-            SimDistribution::Zipf => "Z",
-        }
-    }
 }
 
 /// One cell of the simulation matrix.
@@ -182,7 +174,7 @@ pub fn run_simulation_matrix(cfg: &SimConfig) -> SimulationMatrix {
 
 impl SimulationMatrix {
     /// The run for one matrix cell.
-    pub fn get(
+    pub(crate) fn get(
         &self,
         distribution: SimDistribution,
         selectivity: f64,

@@ -38,7 +38,7 @@ pub fn render_table(t: &TableOut) -> String {
 }
 
 /// CSV for a table: headers then rows.
-pub fn table_csv(t: &TableOut) -> String {
+pub(crate) fn table_csv(t: &TableOut) -> String {
     let mut out = String::new();
     out.push_str(&t.headers.join(","));
     out.push('\n');
@@ -50,7 +50,7 @@ pub fn table_csv(t: &TableOut) -> String {
 }
 
 /// Long-format CSV for a figure: `series,x,y` per point.
-pub fn figure_csv(f: &Figure) -> String {
+pub(crate) fn figure_csv(f: &Figure) -> String {
     let mut out = String::from("series,x,y\n");
     for s in &f.series {
         for (x, y) in &s.points {

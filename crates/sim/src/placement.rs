@@ -36,7 +36,7 @@ impl PlacementPolicy {
     ];
 
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             PlacementPolicy::RoundRobin => "round-robin",
             PlacementPolicy::RangeContiguous => "range-contiguous",
@@ -138,7 +138,7 @@ impl Placement {
     }
 
     /// Imbalance factor: heaviest node / ideal share (1.0 = perfect).
-    pub fn imbalance(&self) -> f64 {
+    pub(crate) fn imbalance(&self) -> f64 {
         let total: u64 = self.node_bytes.iter().sum();
         if total == 0 {
             return 1.0;
@@ -150,7 +150,7 @@ impl Placement {
 
     /// Number of distinct nodes the segments `span` (by index range)
     /// touch — the fan-out of a query overlapping those segments.
-    pub fn fanout(&self, span: std::ops::Range<usize>) -> usize {
+    pub(crate) fn fanout(&self, span: std::ops::Range<usize>) -> usize {
         let mut nodes: Vec<usize> = span
             .filter_map(|i| self.node_of_segment.get(i).copied())
             .collect();
@@ -173,7 +173,7 @@ impl Placement {
 /// Nested ranges (the pre-flattening replication report) violate the
 /// sortedness assumption `partition_point` needs; segment providers must
 /// hand over a flat partition.
-pub fn overlapping_span<V: ColumnValue>(
+pub(crate) fn overlapping_span<V: ColumnValue>(
     segment_ranges: &[ValueRange<V>],
     q: &ValueRange<V>,
 ) -> std::ops::Range<usize> {
@@ -192,7 +192,7 @@ pub fn overlapping_span<V: ColumnValue>(
 
 /// Mean query fan-out of a placement over a workload, given the segment
 /// ranges in value order.
-pub fn mean_fanout<V: ColumnValue>(
+pub(crate) fn mean_fanout<V: ColumnValue>(
     placement: &Placement,
     segment_ranges: &[ValueRange<V>],
     queries: &[ValueRange<V>],

@@ -33,7 +33,7 @@ impl SimTracker {
     /// regime of the paper's Section 6.2 box, where the 173 MB column is
     /// memory-resident but reorganized segments must reach the 100 GB
     /// on-disk database.
-    pub fn unbuffered_write_through() -> Self {
+    pub(crate) fn unbuffered_write_through() -> Self {
         SimTracker {
             buffer: None,
             write_through: true,
@@ -43,7 +43,7 @@ impl SimTracker {
     }
 
     /// Accounting through a constrained buffer of `capacity` bytes.
-    pub fn buffered(capacity: u64) -> Self {
+    pub(crate) fn buffered(capacity: u64) -> Self {
         SimTracker {
             buffer: Some(BufferPool::new(capacity)),
             write_through: false,
@@ -54,26 +54,21 @@ impl SimTracker {
 
     /// Starts a new per-query epoch, folding the previous one into the
     /// lifetime totals.
-    pub fn begin_query(&mut self) {
+    pub(crate) fn begin_query(&mut self) {
         self.total.absorb(&self.current);
         self.current = IoStats::default();
     }
 
     /// Counters since the last [`Self::begin_query`].
-    pub fn query_stats(&self) -> IoStats {
+    pub(crate) fn query_stats(&self) -> IoStats {
         self.current
     }
 
     /// Lifetime totals (including the still-open epoch).
-    pub fn totals(&self) -> IoStats {
+    pub(crate) fn totals(&self) -> IoStats {
         let mut t = self.total;
         t.absorb(&self.current);
         t
-    }
-
-    /// The buffer pool, when buffered.
-    pub fn buffer(&self) -> Option<&BufferPool> {
-        self.buffer.as_ref()
     }
 }
 
@@ -133,7 +128,7 @@ pub struct QueryRecord {
 
 impl QueryRecord {
     /// Selection + adaptation.
-    pub fn total_ms(&self) -> f64 {
+    pub(crate) fn total_ms(&self) -> f64 {
         self.selection_ms + self.adaptation_ms
     }
 }
@@ -187,7 +182,7 @@ impl RunResult {
     }
 
     /// Moving-average modelled total time (Figures 12/14/16).
-    pub fn moving_avg_time_ms(&self, window: usize) -> Vec<f64> {
+    pub(crate) fn moving_avg_time_ms(&self, window: usize) -> Vec<f64> {
         let t: Vec<f64> = self.records.iter().map(|r| r.total_ms()).collect();
         stats::moving_average(&t, window)
     }
@@ -244,12 +239,19 @@ pub fn run_queries<V: ColumnValue>(
 mod tests {
     use super::*;
     use soc_core::{
-        AdaptivePageModel, AdaptiveSegmentation, NonSegmented, SegmentedColumn, SizeEstimator,
+        AdaptivePageModel, AdaptiveSegmentation, SegmentedColumn, SizeEstimator, StrategyKind,
+        StrategySpec,
     };
     use soc_workload::{uniform_values, WorkloadSpec};
 
     fn domain() -> ValueRange<u32> {
         ValueRange::must(0, 999_999)
+    }
+
+    fn nosegm(values: Vec<u32>) -> Box<dyn ColumnStrategy<u32>> {
+        StrategySpec::new(StrategyKind::NoSegm)
+            .build(domain(), values)
+            .unwrap()
     }
 
     fn queries(n: usize) -> Vec<ValueRange<u32>> {
@@ -259,10 +261,10 @@ mod tests {
     #[test]
     fn nosegm_run_has_constant_reads_and_zero_writes() {
         let values = uniform_values(10_000, &domain(), 1);
-        let mut s = NonSegmented::new(domain(), values);
+        let mut s = nosegm(values);
         let mut tr = SimTracker::unbuffered();
         let r = run_queries(
-            &mut s,
+            s.as_mut(),
             &queries(50),
             &mut tr,
             &CostModel::era_2008_desktop(),
@@ -301,11 +303,11 @@ mod tests {
     #[test]
     fn buffered_tracker_generates_disk_traffic_when_tight() {
         let values = uniform_values(100_000, &domain(), 4);
-        let mut s = NonSegmented::new(domain(), values);
+        let mut s = nosegm(values);
         // Buffer smaller than the column: every scan hits disk.
         let mut tr = SimTracker::buffered(100_000);
         let r = run_queries(
-            &mut s,
+            s.as_mut(),
             &queries(10),
             &mut tr,
             &CostModel::era_2008_desktop(),
@@ -313,10 +315,10 @@ mod tests {
         assert_eq!(r.totals.disk_read_bytes, 10 * 400_000);
         // Large buffer: only the cold first read.
         let values = uniform_values(100_000, &domain(), 4);
-        let mut s = NonSegmented::new(domain(), values);
+        let mut s = nosegm(values);
         let mut tr = SimTracker::buffered(1_000_000);
         let r = run_queries(
-            &mut s,
+            s.as_mut(),
             &queries(10),
             &mut tr,
             &CostModel::era_2008_desktop(),
@@ -351,10 +353,10 @@ mod tests {
     #[test]
     fn time_series_helpers_have_right_shapes() {
         let values = uniform_values(10_000, &domain(), 5);
-        let mut s = NonSegmented::new(domain(), values);
+        let mut s = nosegm(values);
         let mut tr = SimTracker::unbuffered();
         let r = run_queries(
-            &mut s,
+            s.as_mut(),
             &queries(40),
             &mut tr,
             &CostModel::era_2008_desktop(),
@@ -371,9 +373,14 @@ mod tests {
     #[test]
     fn segment_stats_summarize_final_state() {
         let values = uniform_values(10_000, &domain(), 6);
-        let mut s = NonSegmented::new(domain(), values);
+        let mut s = nosegm(values);
         let mut tr = SimTracker::unbuffered();
-        let r = run_queries(&mut s, &queries(5), &mut tr, &CostModel::era_2008_desktop());
+        let r = run_queries(
+            s.as_mut(),
+            &queries(5),
+            &mut tr,
+            &CostModel::era_2008_desktop(),
+        );
         let (n, avg_mb, dev_mb) = r.segment_stats_mb();
         assert_eq!(n, 1);
         assert!((avg_mb - 40_000.0 / 1024.0 / 1024.0).abs() < 1e-9);

@@ -411,24 +411,16 @@ impl<V: ColumnValue> ShardedColumn<V> {
         Ok(report)
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The placement policy in force.
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
-    }
-
     /// Read bytes per node since the last (re-)placement epoch — measured
     /// balance, not an estimate.
-    pub fn node_read_bytes(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn node_read_bytes(&self) -> Vec<u64> {
         self.nodes.iter().map(|n| n.read_bytes).collect()
     }
 
     /// Live storage bytes per node.
-    pub fn node_storage_bytes(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn node_storage_bytes(&self) -> Vec<u64> {
         self.nodes
             .iter()
             .map(|n| n.strategy.storage_bytes())
@@ -436,7 +428,8 @@ impl<V: ColumnValue> ShardedColumn<V> {
     }
 
     /// Queries each node served since the last (re-)placement epoch.
-    pub fn node_queries_touched(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn node_queries_touched(&self) -> Vec<u64> {
         self.nodes.iter().map(|n| n.queries_touched).collect()
     }
 
@@ -450,7 +443,7 @@ impl<V: ColumnValue> ShardedColumn<V> {
 
     /// Heaviest node's read bytes over the ideal (even) share — 1.0 is a
     /// perfectly balanced read load.
-    pub fn read_imbalance(&self) -> f64 {
+    pub(crate) fn read_imbalance(&self) -> f64 {
         let total: u64 = self.nodes.iter().map(|n| n.read_bytes).sum();
         if total == 0 {
             return 1.0;
@@ -460,12 +453,14 @@ impl<V: ColumnValue> ShardedColumn<V> {
     }
 
     /// Bytes shipped between nodes across all re-placement epochs.
-    pub fn moved_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn moved_bytes(&self) -> u64 {
         self.moved_bytes
     }
 
     /// Completed re-placement epochs.
-    pub fn epochs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn epochs(&self) -> u64 {
         self.epochs
     }
 }

@@ -1,7 +1,7 @@
 //! Small numeric helpers shared by the experiment drivers.
 
 /// Running cumulative sum of a series.
-pub fn cumulative(values: impl IntoIterator<Item = f64>) -> Vec<f64> {
+pub(crate) fn cumulative(values: impl IntoIterator<Item = f64>) -> Vec<f64> {
     let mut acc = 0.0;
     values
         .into_iter()
@@ -14,7 +14,7 @@ pub fn cumulative(values: impl IntoIterator<Item = f64>) -> Vec<f64> {
 
 /// Centred-window moving average with window `w` (clamped at the edges) —
 /// the smoothing behind the paper's "moving average query time" figures.
-pub fn moving_average(values: &[f64], w: usize) -> Vec<f64> {
+pub(crate) fn moving_average(values: &[f64], w: usize) -> Vec<f64> {
     assert!(w > 0, "window must be positive");
     let half = w / 2;
     (0..values.len())
@@ -28,7 +28,7 @@ pub fn moving_average(values: &[f64], w: usize) -> Vec<f64> {
 }
 
 /// Arithmetic mean; 0 for an empty slice.
-pub fn mean(values: &[f64]) -> f64 {
+pub(crate) fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         0.0
     } else {
@@ -37,7 +37,7 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// Population standard deviation; 0 for slices shorter than 2.
-pub fn std_dev(values: &[f64]) -> f64 {
+pub(crate) fn std_dev(values: &[f64]) -> f64 {
     if values.len() < 2 {
         return 0.0;
     }

@@ -29,8 +29,8 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod codec;
-pub mod store;
+pub(crate) mod codec;
+pub(crate) mod store;
 
 pub use codec::FixedCodec;
 pub use store::{SegmentStore, StoreError};

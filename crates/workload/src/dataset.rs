@@ -56,7 +56,7 @@ pub fn zipf_values<V: ColumnValue>(
 }
 
 /// The ra footprint our synthetic SkyServer column covers, in degrees.
-pub const RA_FOOTPRINT: (f64, f64) = (110.0, 260.0);
+pub(crate) const RA_FOOTPRINT: (f64, f64) = (110.0, 260.0);
 
 /// Synthetic SkyServer right-ascension column.
 ///
@@ -69,7 +69,7 @@ pub fn skyserver_ra(n: usize, seed: u64) -> Vec<OrdF64> {
 }
 
 /// [`skyserver_ra`] with an explicit stripe fraction in `[0, 1]`.
-pub fn skyserver_ra_with(n: usize, seed: u64, stripe_fraction: f64) -> Vec<OrdF64> {
+pub(crate) fn skyserver_ra_with(n: usize, seed: u64, stripe_fraction: f64) -> Vec<OrdF64> {
     assert!((0.0..=1.0).contains(&stripe_fraction));
     let (lo, hi) = RA_FOOTPRINT;
     let stripes: [f64; 6] = [125.0, 150.0, 172.5, 195.0, 217.5, 242.0];

@@ -7,7 +7,7 @@
 //! * range-query workloads — uniform / Zipf positions with a selectivity
 //!   factor, the two-hot-areas "skew" load, and the four-phase "changing"
 //!   load,
-//! * a small exact [`zipf::Zipf`] sampler.
+//! * a small exact `zipf::Zipf` sampler.
 //!
 //! All generators are pure functions of their seed.
 
@@ -15,12 +15,11 @@
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
 
-pub mod dataset;
-pub mod oracle;
-pub mod queries;
-pub mod zipf;
+pub(crate) mod dataset;
+pub(crate) mod oracle;
+pub(crate) mod queries;
+pub(crate) mod zipf;
 
-pub use dataset::{skyserver_domain, skyserver_ra, skyserver_ra_with, uniform_values, zipf_values};
+pub use dataset::{skyserver_domain, skyserver_ra, uniform_values, zipf_values};
 pub use oracle::Oracle;
-pub use queries::{QueryDistribution, WorkloadSpec};
-pub use zipf::Zipf;
+pub use queries::WorkloadSpec;

@@ -41,16 +41,6 @@ impl<V: ColumnValue> Oracle<V> {
         let hi = self.sorted.partition_point(|v| *v <= q.hi());
         self.sorted[lo..hi].to_vec()
     }
-
-    /// The value at quantile `f` in `[0, 1]` (`None` when empty) — handy
-    /// for constructing queries with a known result fraction.
-    pub fn quantile(&self, f: f64) -> Option<V> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let idx = ((self.sorted.len() - 1) as f64 * f.clamp(0.0, 1.0)).round() as usize;
-        Some(self.sorted[idx])
-    }
 }
 
 #[cfg(test)]
@@ -74,15 +64,6 @@ mod tests {
         let oracle = Oracle::new(values);
         let got = oracle.collect(&ValueRange::must(3, 5));
         assert_eq!(got, vec![3, 5, 5]);
-    }
-
-    #[test]
-    fn quantiles_bracket_the_data() {
-        let oracle = Oracle::new((0..100u32).collect());
-        assert_eq!(oracle.quantile(0.0), Some(0));
-        assert_eq!(oracle.quantile(1.0), Some(99));
-        assert_eq!(oracle.quantile(0.5), Some(50));
-        assert_eq!(Oracle::<u32>::new(vec![]).quantile(0.5), None);
     }
 
     #[test]

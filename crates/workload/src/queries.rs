@@ -59,18 +59,7 @@ pub enum QueryDistribution {
     },
 }
 
-impl QueryDistribution {
-    /// Short tag used in experiment output and CSV names.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            QueryDistribution::Uniform => "uniform",
-            QueryDistribution::PooledUniform { .. } => "pooled",
-            QueryDistribution::Zipf { .. } => "zipf",
-            QueryDistribution::Hotspot { .. } => "hotspot",
-            QueryDistribution::Changing { .. } => "changing",
-        }
-    }
-}
+impl QueryDistribution {}
 
 /// A complete, reproducible workload description.
 ///

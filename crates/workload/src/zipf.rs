@@ -13,7 +13,7 @@ use rand::Rng;
 /// Zipf distribution over ranks `1..=n` with exponent `s`:
 /// `P(k) ∝ 1 / k^s`.
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
@@ -22,7 +22,7 @@ impl Zipf {
     ///
     /// # Panics
     /// Panics if `n == 0` or `s` is negative/NaN.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(s >= 0.0 && !s.is_nan(), "Zipf exponent must be >= 0");
         let mut cdf = Vec::with_capacity(n);
@@ -42,26 +42,22 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Draws a rank in `1..=n` (rank 1 is the most probable).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        // First rank whose CDF value reaches u.
-        self.cdf.partition_point(|&c| c < u) + 1
-    }
-
     /// Probability mass of rank `k` (1-based).
-    pub fn pmf(&self, k: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn pmf(&self, k: usize) -> f64 {
         assert!((1..=self.cdf.len()).contains(&k));
         if k == 1 {
             self.cdf[0]
         } else {
             self.cdf[k - 1] - self.cdf[k - 2]
         }
+    }
+
+    /// Draws a rank in `1..=n` (rank 1 is the most probable).
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        let u: f64 = rng.gen();
+        // First rank whose CDF value reaches u.
+        self.cdf.partition_point(|&c| c < u) + 1
     }
 }
 

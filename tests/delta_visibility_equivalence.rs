@@ -93,7 +93,7 @@ proptest! {
                 .with_apm_bounds(128, 512)
                 .with_model_seed(seed);
             let mut catalog = Catalog::new();
-            catalog.set_delta_merge_threshold(0); // deltas stay pending
+            catalog.set_table_merge_threshold("sys", "T", 0); // deltas stay pending
             catalog
                 .register_segmented(
                     "sys", "T", "v",
@@ -202,12 +202,23 @@ proptest! {
         let full = ValueRange::must(0u32, 999);
         let sub = ValueRange::must(200u32, 700);
 
-        // Script the write stream once: batch i inserts its values and
-        // deletes the first row batch i-1 inserted (a cross-batch
-        // tombstone that must cancel by value during any fold split).
+        // Script the write stream once. It opens with one stray delete: a
+        // value no row holds, preferably one the next batch inserts. The
+        // stray must change nothing, no count and not that later insert.
+        // Then batch i inserts its values and deletes the first row batch
+        // i-1 inserted (a cross-batch tombstone that must cancel by value
+        // during any fold split).
+        let stray = batches[0]
+            .iter()
+            .copied()
+            .chain(0..=999)
+            .find(|v| !base.contains(v))
+            .expect("at most 120 rows leave gaps in 1000 values");
+        let mut stray_batch = DeltaBatch::new();
+        stray_batch.push(DeltaOp::Delete { oid: u64::MAX, value: stray });
         let mut next_oid = base.len() as u64;
         let mut prev_first: Option<(u64, u32)> = None;
-        let mut scripted: Vec<DeltaBatch<u32>> = Vec::new();
+        let mut scripted: Vec<DeltaBatch<u32>> = vec![stray_batch];
         let mut live: Vec<u32> = base.clone();
         let mut full_counts = BTreeSet::from([live.len() as u64]);
         let mut sub_counts =
@@ -266,7 +277,14 @@ proptest! {
                         }
                     });
                 }
-                for batch in scripted.iter().cloned() {
+                let mut stream = scripted.iter().cloned();
+                // The stray alone, settled below every watermark, leaves
+                // the count as it was.
+                column.apply_deltas(stream.next().expect("the stray batch"));
+                column.quiesce();
+                let n = column.select_count(&full, &mut NullTracker);
+                assert!(full_counts.contains(&n), "{kind:?}: a stray delete moved the count to {n}");
+                for batch in stream {
                     column.apply_deltas(batch);
                 }
                 column.drain_deltas();

@@ -5,11 +5,11 @@
 //! paragraph states them). Tests use reduced configurations so the suite
 //! stays fast.
 
+use socdb::adaptive::StrategyKind;
 use socdb::sim::experiment::simulation::{
     run_sim_cell, run_simulation_matrix, SimConfig, SimDistribution,
 };
 use socdb::sim::experiment::skyserver::{run_skyserver, SkyConfig, SkyLoad, SkyScheme};
-use socdb::sim::StrategyKind;
 
 fn cfg() -> SimConfig {
     SimConfig {

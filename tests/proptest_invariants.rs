@@ -48,7 +48,7 @@ proptest! {
             prop_assert_eq!(s.select_count(&q, &mut NullTracker), expect);
             s.column().validate().map_err(TestCaseError::fail)?;
         }
-        prop_assert_eq!(s.column().total_len(), values.len() as u64);
+        prop_assert_eq!(s.peek_collect(&domain).len(), values.len());
     }
 
     #[test]
@@ -123,9 +123,9 @@ proptest! {
         }
         // 3/4. members pairwise disjoint and each overlaps the query
         for (i, &a) in cover.iter().enumerate() {
-            prop_assert!(tree.node(a).range.overlaps(&q));
+            prop_assert!(tree.node(a).range.intersect(&q).is_some());
             for &b in &cover[i + 1..] {
-                prop_assert!(!tree.node(a).range.overlaps(&tree.node(b).range));
+                prop_assert!(tree.node(a).range.intersect(&tree.node(b).range).is_none());
             }
         }
     }
@@ -135,13 +135,16 @@ proptest! {
         values in arb_values(),
         queries in arb_queries(),
     ) {
-        let mut c = CrackedColumn::new(values.clone());
+        let mut c = StrategySpec::new(StrategyKind::Cracking)
+            .build(ValueRange::must(0u32, DOMAIN_HI), values.clone())
+            .unwrap();
         for (lo, hi) in queries {
             let q = to_range(lo, hi);
             let expect = values.iter().filter(|v| q.contains(**v)).count() as u64;
             prop_assert_eq!(c.select_count(&q, &mut NullTracker), expect);
         }
-        prop_assert_eq!(c.len(), values.len() as u64);
+        let rows = c.peek_collect(&ValueRange::must(0, DOMAIN_HI)).len();
+        prop_assert_eq!(rows, values.len());
     }
 
     #[test]
