@@ -16,7 +16,8 @@
 //!   `select_sum` / `select_min_max` against the current snapshot and
 //!   merely *enqueue* the query for the writer, which folds the strategy's
 //!   own reorganization (split, crack, replicate — Algorithm 1/2
-//!   unchanged) off the read path and publishes the next epoch. Publishing
+//!   unchanged) off the read path and publishes the next epoch whenever
+//!   a query reorganized something. Publishing
 //!   swaps one `Arc` under a short-lived write lock; readers never wait for
 //!   reorganization or for a [`ConcurrentColumn::set_strategy`] migration.
 //!
@@ -740,8 +741,16 @@ impl<V: ColumnValue> Writer<V> {
             for cmd in batch.take(self.batch_limit) {
                 match cmd {
                     WriterCmd::Reorganize(q) => {
+                        // A hint publishes only when it reorganized: every
+                        // split, crack, merge, sort and replica create or
+                        // drop writes, frees or materializes. The read
+                        // bytes of one that did none of these wait for the
+                        // next epoch.
+                        let moved =
+                            |t: QueryStats| (t.write_bytes, t.freed_bytes, t.segments_materialized);
+                        let before = moved(self.reorg.totals());
                         self.strategy.select_count(&q, &mut self.reorg);
-                        dirty = true;
+                        dirty |= moved(self.reorg.totals()) != before;
                     }
                     WriterCmd::Migrate(spec) => {
                         self.migrate(spec);
@@ -1152,7 +1161,8 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
     /// The writer's cumulative reorganization accounting as of the
     /// current snapshot, with this column's dropped-hint backpressure
     /// count folded into
-    /// `reorg_hints_dropped`.
+    /// `reorg_hints_dropped`. A hint that reorganized nothing publishes no
+    /// epoch, so its read bytes show with the next one.
     pub fn reorg_totals(&self) -> QueryStats {
         let mut totals = self.snapshot().reorg_totals();
         totals.reorg_hints_dropped += self.hints_dropped.load(Ordering::Relaxed);
@@ -1202,7 +1212,9 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
 
     /// Blocks until every command enqueued before this call has been
     /// folded and its epoch published — the determinism barrier tests and
-    /// benchmarks use; readers never need it.
+    /// benchmarks use; readers never need it. Hints that reorganized
+    /// nothing publish no epoch: their read bytes reach
+    /// [`Self::reorg_totals`] with the next one.
     pub fn quiesce(&self) {
         let (reply, done) = mpsc::sync_channel(1);
         if self.sender().send(WriterCmd::Sync(reply)).is_ok() {
@@ -1333,6 +1345,60 @@ mod tests {
             let expect = values().iter().filter(|v| q.contains(**v)).count() as u64;
             assert_eq!(strategy.select_count(&q, &mut NullTracker), expect);
         }
+    }
+
+    /// Why a hint that writes, frees and materializes nothing may skip its
+    /// publish: on every kind, a `select_count` that charges none of the
+    /// three leaves the strategy's pieces and their contents as they were.
+    #[test]
+    fn a_query_that_charges_no_reorganization_changes_no_piece() {
+        for kind in StrategyKind::ALL {
+            let spec = StrategySpec::new(kind)
+                .with_apm_bounds(256, 1024)
+                .with_model_seed(5);
+            let mut strategy = spec.build(domain(), values()).expect("values in domain");
+            let mut unchanged = 0;
+            for q in queries().iter().chain(&queries()) {
+                let ranges = strategy.segment_ranges();
+                let contents = strategy.peek_collect(&domain());
+                let mut tracker = CountingTracker::new();
+                strategy.select_count(q, &mut tracker);
+                let t = tracker.totals();
+                if (t.write_bytes, t.freed_bytes, t.segments_materialized) == (0, 0, 0) {
+                    assert_eq!(strategy.segment_ranges(), ranges, "{kind:?} on {q:?}");
+                    assert_eq!(
+                        strategy.peek_collect(&domain()),
+                        contents,
+                        "{kind:?} on {q:?}"
+                    );
+                    unchanged += 1;
+                }
+            }
+            assert!(unchanged > 0, "{kind:?}: the replay reorganizes nothing");
+        }
+    }
+
+    #[test]
+    fn replaying_a_converged_column_publishes_no_epoch() {
+        let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(256, 1024);
+        let concurrent =
+            ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
+        let mut replays = Vec::new();
+        for _ in 0..6 {
+            let (epoch, reads) = (concurrent.epoch(), concurrent.reorg_totals().read_bytes);
+            for q in queries() {
+                concurrent.select_count(&q, &mut NullTracker);
+            }
+            concurrent.quiesce();
+            replays.push(concurrent.epoch() - epoch);
+            if concurrent.epoch() == epoch {
+                // The read bytes of hints that changed nothing wait for
+                // the next epoch.
+                assert_eq!(concurrent.reorg_totals().read_bytes, reads);
+                return;
+            }
+        }
+        panic!("epochs published per replay: {replays:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! whatever the value type, the length relative to [`CHUNK`], or the way
 //! the query and the fill ranges relate.
 
-use super::{count_chunk, count_range, BLOCK, CHUNK};
+use super::{count_chunk, count_range, halves, BLOCK, CHUNK, PAR_MIN};
 use crate::range::ValueRange;
 use crate::value::ColumnValue;
 
@@ -319,6 +319,51 @@ mod properties {
                 check_folds(&values);
             }
         }
+    }
+
+    /// The two-thread path: a slice past [`PAR_MIN`] whose upper half ends
+    /// in a partial chunk. Counts, fills of the query, of one other range
+    /// and of three ranges — into empty outputs and into outputs sized at
+    /// their exact length — and partitions at 0–3 bounds all equal the
+    /// loops they replaced.
+    fn check_halves<V: ColumnValue>(pool: Vec<V>, seed: u64) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let two_cores = std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
+        for generate in [uniform, sparse] {
+            let values: Vec<V> = generate(&pool, PAR_MIN + 4099, &mut rng);
+            assert_eq!(halves(&values).1.is_empty(), !two_cores);
+            let shapes = fill_shapes(&pool);
+            for q in queries(&pool) {
+                let inside = naive(&values, &q).len() as u64;
+                assert_eq!(kernels::count_range(&values, &q), inside, "{q:?}");
+                let below = values.iter().filter(|v| **v < q.lo()).count() as u64;
+                let above = values.iter().filter(|v| q.hi() < **v).count() as u64;
+                let parts = kernels::count_partition(&values, &q);
+                assert_eq!(parts, (below, inside, above), "{q:?}");
+                for fills in [vec![q], shapes[1].clone(), shapes[2].clone()] {
+                    let what = format!("fills {fills:?} q {q:?}");
+                    let (count, want) = count_then_collect_per_fill(&values, &q, &fills);
+                    let sized = want.iter().map(|w| Vec::with_capacity(w.len()));
+                    for mut outs in [vec![Vec::new(); fills.len()], sized.collect()] {
+                        assert_eq!(kernels::scan_fill(&values, &q, &fills, &mut outs), count);
+                        for (o, w) in outs.iter().zip(&want) {
+                            assert_same(o, w, &what);
+                        }
+                    }
+                }
+            }
+            check_partitions(&pool, &values);
+        }
+    }
+
+    #[test]
+    fn two_halves_match_the_loops_they_replaced_u32() {
+        check_halves(u32_pool(), 1);
+    }
+
+    #[test]
+    fn two_halves_match_the_loops_they_replaced_f64() {
+        check_halves(f64_pool(), 2);
     }
 
     proptest! {

@@ -107,4 +107,5 @@ mod tests {
     mod figure3_walkthrough;
     mod fold_delta_properties;
     mod model_properties;
+    mod two_thread_scans;
 }
