@@ -6,6 +6,7 @@
 //! segment which is gradually reorganized into a list of segments as
 //! selection queries arrive."
 
+use crate::kernels::HalfLens;
 use crate::range::ValueRange;
 use crate::segment::{SegIdGen, SegmentData, Window};
 use crate::tracker::AccessTracker;
@@ -42,13 +43,15 @@ pub struct SegmentedColumn<V> {
 
 impl<V: ColumnValue> SegmentedColumn<V> {
     /// Loads a column: one segment covering the whole `domain`.
+    ///
+    /// # Errors
+    /// [`ColumnError::ValueOutsideDomain`] when a value lies outside
+    /// `domain`, found on the bounds of the segment's synopsis.
     pub fn new(domain: ValueRange<V>, values: Vec<V>) -> Result<Self, ColumnError> {
-        if !values.iter().all(|v| domain.contains(*v)) {
-            return Err(ColumnError::ValueOutsideDomain);
-        }
         let mut ids = SegIdGen::new();
         let total_len = values.len() as u64;
-        let initial = SegmentData::new(ids.fresh(), domain, values);
+        let initial = SegmentData::checked(ids.fresh(), domain, values)
+            .ok_or(ColumnError::ValueOutsideDomain)?;
         Ok(SegmentedColumn {
             domain,
             segments: vec![initial],
@@ -91,13 +94,16 @@ impl<V: ColumnValue> SegmentedColumn<V> {
     }
 
     /// Replaces the segment at `idx` by its partition over `pieces`,
-    /// reporting the free + materializations to `tracker`.
+    /// reporting the free + materializations to `tracker`. `lens` are the
+    /// pieces' sizes per half of the segment when the caller counted them
+    /// already ([`SegmentData::partition`]).
     ///
     /// `pieces` must tile the segment's range exactly (checked).
     pub(crate) fn replace_segment(
         &mut self,
         idx: usize,
         pieces: &[ValueRange<V>],
+        lens: Option<HalfLens>,
         tracker: &mut dyn AccessTracker,
     ) -> Result<(), ColumnError> {
         let old = &self.segments[idx];
@@ -110,7 +116,7 @@ impl<V: ColumnValue> SegmentedColumn<V> {
         }
         let old = self.segments.remove(idx);
         tracker.free(old.id(), old.bytes());
-        let parts = old.partition(pieces, &mut self.ids);
+        let parts = old.partition(pieces, lens, &mut self.ids);
         for p in &parts {
             tracker.materialize(p.id(), p.bytes());
         }
@@ -239,6 +245,24 @@ mod tests {
     fn new_rejects_out_of_domain_values() {
         let err = SegmentedColumn::new(ValueRange::must(0u32, 10), vec![5, 11]).unwrap_err();
         assert_eq!(err, ColumnError::ValueOutsideDomain);
+        // Both builds find a value one step outside either end, and take
+        // the ends themselves.
+        fn check<V: ColumnValue>(lo: V, hi: V, inside: V) {
+            let domain = ValueRange::must(lo, hi);
+            for outside in [lo.pred(), hi.succ()].map(Option::unwrap) {
+                let values = vec![inside, outside, inside];
+                let err = SegmentedColumn::new(domain, values.clone()).unwrap_err();
+                assert_eq!(err, ColumnError::ValueOutsideDomain, "{outside:?}");
+                let err = crate::ReplicaTree::new(domain, values).unwrap_err();
+                assert_eq!(err, ColumnError::ValueOutsideDomain, "{outside:?}");
+            }
+            let ends = vec![hi, inside, lo];
+            assert!(SegmentedColumn::new(domain, ends.clone()).is_ok());
+            assert!(crate::ReplicaTree::new(domain, ends).is_ok());
+        }
+        check(10u32, 20, 15);
+        let f = crate::value::OrdF64::from_finite;
+        check(f(-1.5), f(2.5), f(0.0));
     }
 
     #[test]
@@ -250,7 +274,7 @@ mod tests {
             ValueRange::must(2_500, 4_999),
             ValueRange::must(5_000, 9_999),
         ];
-        c.replace_segment(0, &pieces, &mut t).unwrap();
+        c.replace_segment(0, &pieces, None, &mut t).unwrap();
         assert_eq!(c.segment_count(), 3);
         c.validate().unwrap();
         // The whole segment is freed and rewritten.
@@ -265,13 +289,13 @@ mod tests {
         // Hole between pieces.
         let bad = [ValueRange::must(0u32, 100), ValueRange::must(102, 9_999)];
         assert_eq!(
-            c.replace_segment(0, &bad, &mut NullTracker),
+            c.replace_segment(0, &bad, None, &mut NullTracker),
             Err(ColumnError::BadPartition)
         );
         // Wrong span.
         let bad = [ValueRange::must(0u32, 100)];
         assert_eq!(
-            c.replace_segment(0, &bad, &mut NullTracker),
+            c.replace_segment(0, &bad, None, &mut NullTracker),
             Err(ColumnError::BadPartition)
         );
     }
@@ -285,7 +309,8 @@ mod tests {
             ValueRange::must(4_000, 6_999),
             ValueRange::must(7_000, 9_999),
         ];
-        c.replace_segment(0, &pieces, &mut NullTracker).unwrap();
+        c.replace_segment(0, &pieces, None, &mut NullTracker)
+            .unwrap();
         for q in [
             ValueRange::must(0u32, 9_999),
             ValueRange::must(500, 500),
@@ -307,7 +332,8 @@ mod tests {
     fn merge_restores_single_segment() {
         let mut c = column();
         let pieces = [ValueRange::must(0, 4_999), ValueRange::must(5_000, 9_999)];
-        c.replace_segment(0, &pieces, &mut NullTracker).unwrap();
+        c.replace_segment(0, &pieces, None, &mut NullTracker)
+            .unwrap();
         let mut t = CountingTracker::new();
         c.merge_segments(0, 2, &mut t).unwrap();
         assert_eq!(c.segment_count(), 1);
@@ -328,8 +354,12 @@ mod tests {
         let (mut plain, mut sorted) = (column(), column());
         let shared = sorted.share_sorted();
         let (mut plain_log, mut sorted_log) = (EventLog::new(), EventLog::new());
-        plain.replace_segment(0, &pieces, &mut plain_log).unwrap();
-        sorted.replace_segment(0, &pieces, &mut sorted_log).unwrap();
+        plain
+            .replace_segment(0, &pieces, None, &mut plain_log)
+            .unwrap();
+        sorted
+            .replace_segment(0, &pieces, None, &mut sorted_log)
+            .unwrap();
         // The same free and materializations, byte for byte, in the same
         // order under the same ids: the split is the paper's rewrite
         // whatever it costs in memory.
@@ -354,14 +384,16 @@ mod tests {
             ValueRange::must(2_500, 4_999),
             ValueRange::must(5_000, 9_999),
         ];
-        c.replace_segment(0, &pieces, &mut NullTracker).unwrap();
+        c.replace_segment(0, &pieces, None, &mut NullTracker)
+            .unwrap();
         let _ = c.share_sorted();
         c.merge_segments(1, 2, &mut NullTracker).unwrap();
         assert!(c.segments().iter().all(|s| s.is_sorted()));
         c.validate().unwrap();
         // One unsorted neighbour makes the merged segment unsorted.
         let mut c = column();
-        c.replace_segment(0, &pieces, &mut NullTracker).unwrap();
+        c.replace_segment(0, &pieces, None, &mut NullTracker)
+            .unwrap();
         let _ = c.segments[1].share_sorted();
         c.merge_segments(0, 2, &mut NullTracker).unwrap();
         assert!(!c.segments()[0].is_sorted());

@@ -498,9 +498,19 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     /// the masked [`kernels::sum_range`] they replace, so the total is
     /// bit-identical to an unpruned scan while reading O(result), not
     /// O(piece). Pending deltas fold in as `+ inserts − tombstones` of the
-    /// overlapping run: exact for integer-valued columns whose totals stay
-    /// below 2^53; float columns inherit the usual accumulation-order
-    /// caveat.
+    /// overlapping run.
+    ///
+    /// The order of the `f64` additions is fixed, so a float column's sum
+    /// repeats to the bit. A *run sum* of ascending values `s[start..end]`
+    /// cuts the run into chunks of 4 096 positions counted from `s[0]`,
+    /// adds each chunk's values in order into an accumulator starting at
+    /// `+0.0`, and adds the chunk accumulators in order into a total
+    /// starting at `+0.0`. The answer starts at `+0.0` and adds, piece by
+    /// piece in value order, the run sum of each piece's qualifying values
+    /// (all of a covered piece's, whose synopsis stores that sum); then
+    /// adds the run sum of the qualifying pending inserts and subtracts
+    /// that of the qualifying pending tombstones, each run counted from
+    /// the first value of the run's inserts or tombstones.
     pub fn select_sum(&self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> f64 {
         let mut total = 0.0f64;
         self.walk(q, tracker, false, |part| match part {
@@ -1556,6 +1566,105 @@ mod tests {
             let served = snap.select_sum(q, &mut NullTracker);
             assert_eq!(served.to_bits(), unpruned.to_bits(), "{q:?}");
         }
+    }
+
+    /// `select_sum` on a float column adds in the order its doc states:
+    /// piece by piece, covered and straddled alike, the run sums of the
+    /// qualifying values (4 096-value chunks counted from each piece's
+    /// first value), then the pending inserts' run sum, then minus the
+    /// pending tombstones'. Pieces and the insert run span several chunks.
+    #[test]
+    fn a_float_select_sum_adds_in_its_documented_order() {
+        use crate::value::OrdF64;
+
+        /// The run sum of `sorted[start..end]`, written out.
+        fn run_sum(sorted: &[OrdF64], start: usize, end: usize) -> f64 {
+            let (mut total, mut acc) = (0.0f64, 0.0f64);
+            for (i, v) in sorted.iter().enumerate().take(end).skip(start) {
+                acc += v.get();
+                if (i + 1) % kernels::CHUNK == 0 || i + 1 == end {
+                    total += acc;
+                    acc = 0.0;
+                }
+            }
+            total
+        }
+
+        let f = |i: u32| OrdF64::from_finite(f64::from(i) * 0.37);
+        let domain = ValueRange::must(f(0), f(100_000));
+        let values: Vec<OrdF64> = (0..120_000u32).map(|i| f((i * 7919) % 100_000)).collect();
+        let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(40 * 1024, 160 * 1024);
+        // No compaction: the whole batch stays pending.
+        let policy = CompactionPolicy::new(u64::MAX, u64::MAX, 1);
+        let column = ConcurrentColumn::from_spec_with_policy(&spec, domain, values, policy)
+            .expect("values in domain");
+        for lo in (0..85_000u32).step_by(5_000) {
+            column.select_count(&ValueRange::must(f(lo), f(lo + 15_000)), &mut NullTracker);
+        }
+        column.quiesce();
+        // Pending inserts across the domain, and tombstones for some base
+        // rows.
+        let mut batch = DeltaBatch::new();
+        for i in 0..5_000u32 {
+            let value = OrdF64::from_finite(f64::from(i) * 7.4 + 1e-3);
+            let oid = 1_000_000 + u64::from(i);
+            batch.push(DeltaOp::Insert { oid, value });
+        }
+        for i in 0..400u32 {
+            let value = f((i * 7919) % 100_000);
+            batch.push(DeltaOp::Delete {
+                oid: u64::from(i),
+                value,
+            });
+        }
+        column.apply_deltas(batch);
+        column.quiesce();
+        let snap = column.snapshot();
+        let run = snap.delta.as_ref().expect("the batch is pending");
+        let (inserts, tombstones) = (run.inserts(), run.tombstones());
+        assert_eq!((inserts.len(), tombstones.len()), (5_000, 400));
+        let ranges = snap.piece_ranges();
+        let mut shapes = (false, false);
+        let pairs = ranges.windows(2).flat_map(|w| {
+            // From the first value of one piece to the middle of the next,
+            // and from the middle of one to the last value of the next: one
+            // piece covered, the other straddled.
+            [
+                ValueRange::must(w[0].lo(), w[1].midpoint()),
+                ValueRange::must(w[0].midpoint(), w[1].hi()),
+            ]
+        });
+        for q in pairs {
+            let qualifying = |sorted: &[OrdF64]| {
+                let (start, end) = kernels::sorted_run(sorted, &q);
+                run_sum(sorted, start, end)
+            };
+            let classes: Vec<SynopsisClass> = snap
+                .overlapping(&q)
+                .filter_map(|p| p.synopsis.map(|s| s.classify(&q)))
+                .collect();
+            shapes.0 |= classes.contains(&SynopsisClass::Covered)
+                && classes.contains(&SynopsisClass::Straddle)
+                && snap
+                    .overlapping(&q)
+                    .all(|p| p.values.len() > kernels::CHUNK);
+            // Qualifying inserts on both sides of the run's first chunk end.
+            let (start, end) = kernels::sorted_run(inserts, &q);
+            shapes.1 |= start < kernels::CHUNK && kernels::CHUNK < end;
+            let mut want = 0.0f64;
+            for p in snap.overlapping(&q) {
+                want += qualifying(&p.values);
+            }
+            want += qualifying(inserts);
+            want -= qualifying(tombstones);
+            let got = snap.select_sum(&q, &mut NullTracker);
+            assert_eq!(got.to_bits(), want.to_bits(), "{q:?}");
+        }
+        assert_eq!(
+            shapes,
+            (true, true),
+            "covered and straddled pieces, a run across chunks"
+        );
     }
 
     #[test]

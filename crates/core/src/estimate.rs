@@ -58,18 +58,24 @@ pub(crate) fn interpolate_pieces<V: ColumnValue>(
     Some((below_len, mid_len, above_len))
 }
 
-/// Counts the actual piece sizes with one pass over the segment's values.
+/// The actual piece sizes, from the query's one counting pass over the
+/// segment's values ([`crate::kernels::count_partition`], its two halves
+/// added).
 ///
 /// Returns `None` when the query does not overlap the segment's range.
 pub(crate) fn exact_pieces<V: ColumnValue>(
     seg_range: &ValueRange<V>,
-    values: &[V],
+    counts: &[[u64; 3]; 2],
     q: &ValueRange<V>,
 ) -> Option<PieceLens> {
     let (below, mid, above) = seg_range.partition_by(q);
     mid?;
-    let (below_n, mid_n, above_n) = crate::kernels::count_partition(values, q);
-    Some((below.map(|_| below_n), mid_n, above.map(|_| above_n)))
+    let [[below_0, mid_0, above_0], [below_1, mid_1, above_1]] = *counts;
+    Some((
+        below.map(|_| below_0 + below_1),
+        mid_0 + mid_1,
+        above.map(|_| above_0 + above_1),
+    ))
 }
 
 #[cfg(test)]
@@ -122,7 +128,8 @@ mod tests {
         // All values huddle at the bottom; interpolation would be fooled.
         let values: Vec<u32> = (0..100).collect();
         let q = ValueRange::must(500, 599);
-        let (b, m, a) = exact_pieces(&seg, &values, &q).unwrap();
+        let counts = crate::kernels::count_partition(&values, &q);
+        let (b, m, a) = exact_pieces(&seg, &counts, &q).unwrap();
         assert_eq!(b.unwrap(), 100);
         assert_eq!(m, 0);
         assert_eq!(a.unwrap(), 0);
@@ -133,7 +140,8 @@ mod tests {
         let seg = ValueRange::must(0u32, 9999);
         let values: Vec<u32> = (0..10000).collect();
         let q = ValueRange::must(2500, 4999);
-        let (b1, m1, a1) = exact_pieces(&seg, &values, &q).unwrap();
+        let counts = crate::kernels::count_partition(&values, &q);
+        let (b1, m1, a1) = exact_pieces(&seg, &counts, &q).unwrap();
         let (b2, m2, a2) = interpolate_pieces(&seg, 10000, &q).unwrap();
         assert_eq!(b1.unwrap(), b2.unwrap());
         assert_eq!(m1, m2);

@@ -20,12 +20,17 @@
 //!
 //! Sums are the exception to "bandwidth, not latency": one `f64`
 //! accumulator per chunk, added in order, is a chain of dependent adds and
-//! runs at the add's latency however the loop is written — and that order
-//! is what every served `SUM` reproduces bit for bit. For the integer
-//! types of at most 32 bits the chain is exact, so a chunk is summed in a
-//! 64-bit integer instead (vectorized, converted once) and lands on the
-//! same bits ([`ColumnValue::exact_chunk_sum`]); `u64`, `i64`, `OrdF64`
-//! and pairs keep the chain.
+//! runs at the add's latency — and that order is what every served `SUM`
+//! reproduces bit for bit. For the integer types of at most 32 bits the
+//! chain is exact, so a chunk is summed in a 64-bit integer instead
+//! (vectorized, converted once) and lands on the same bits
+//! ([`ColumnValue::exact_chunk_sum`]). For `u64`, `i64`, `OrdF64` and
+//! pairs the chain stays, but a whole-slice fold (a piece synopsis,
+//! `min_max_sum_all` and `sum_all`) runs four consecutive chunks' chains
+//! side by side: each chunk still adds its values in order from `+0.0`, so
+//! the bits are the same and the latency is hidden. Only a sum over a run
+//! that ends inside a piece (`sum_sorted_run`, a served read) still waits
+//! on one chain per chunk.
 //!
 //! Reorganization rides on the same passes (Algorithm 2's `scanMat`: "one
 //! scan of each covering segment answers the query and fills every replica
@@ -39,27 +44,32 @@
 //!   `filter` loop. A selective fill therefore costs about what a count
 //!   costs, and when the only fill is the query one count answers both.
 //!   Element order is preserved in every output.
-//! - `partition_into` splits a payload at 1–2 inner bounds with a
-//!   vectorized count (exact piece sizes) followed by one scatter pass into
-//!   exactly-sized buckets: order within a piece preserved, no bucket ever
-//!   reallocates or holds spare capacity.
+//! - `partition_into` splits a payload at its inner bounds with a
+//!   vectorized count (exact piece sizes; skipped when the caller's query
+//!   counted them already) followed by one scatter pass: order within a
+//!   piece preserved, no piece ever reallocates or holds spare capacity,
+//!   and the largest piece keeps the payload's own buffer, compacted in
+//!   place, so only the other pieces take fresh memory.
 //!
 //! The four reorganizing scans — `count_range`, `count_partition`,
-//! `scan_fill` and `partition_into` — take a slice of at least `PAR_MIN`
-//! (2¹⁹) values in two halves: cut at a `CHUNK`-aligned midpoint, the
-//! upper half on one helper thread, the lower half on the caller, combined
-//! in order. Counts add; every output holds the lower half's values
-//! followed by the upper half's, so answers, storage order and
-//! `capacity() == len()` are those of one pass. One core counts at its
-//! own share of the memory bandwidth, not the memory's: on 2 cores a count
-//! of 2²⁰ `OrdF64` values takes 0.4–0.6× the time it takes on one. The
-//! helper is a scoped thread started per scan, not a pool: a start and a
-//! join cost about a tenth of a scan of `PAR_MIN` values, while a pool's
-//! hand-off cost more than the sub-microsecond queries it served. The
-//! caller allocates every buffer the helper fills (a `scan_fill` output
-//! grows on the helper only past a short estimate), and the byte charges
-//! stay with the callers, so every counter is that of one pass. On one
-//! core, or when the helper cannot start, the caller scans both halves.
+//! `scan_fill` and `partition_into` — and the whole-slice fold behind
+//! `min_max_sum_all`, `sum_all` and `min_max_all` take a slice of at least
+//! `PAR_MIN` (2¹⁹) values in two halves: cut at a `CHUNK`-aligned
+//! midpoint, the upper half on one helper thread, the lower half on the
+//! caller, combined in order. Counts add; every output holds the lower
+//! half's values followed by the upper half's, so answers, storage order
+//! and `capacity() == len()` are those of one pass; the fold adds the
+//! helper's chunk sums after the caller's, in order, so the sum is that of
+//! one pass too. One core counts at its own share of the memory
+//! bandwidth, not the memory's: on 2 cores a count of 2²⁰ `OrdF64` values
+//! takes 0.4–0.6× the time it takes on one. The helper is a scoped thread
+//! started per scan, not a pool: a start and a join cost about a tenth of
+//! a scan of `PAR_MIN` values, while a pool's hand-off cost more than the
+//! sub-microsecond queries it served. The caller allocates every buffer
+//! the helper fills (a `scan_fill` output grows on the helper only past a
+//! short estimate), and the byte charges stay with the callers, so every
+//! counter is that of one pass. On one core, or when the helper cannot
+//! start, the caller scans both halves.
 //!
 //! Everything downstream — `crate::segment::SegmentData`, the cracked
 //! column, adaptive replication's cover scans, the fully-sorted baseline —
@@ -69,6 +79,7 @@
 //! pieces (`sum_sorted_run`, `net_min`, `net_max`), and the masked
 //! [`sum_range`] survives as the specification those sums reproduce.
 
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 use crate::range::ValueRange;
@@ -370,25 +381,43 @@ fn fill_half<V: ColumnValue>(
     total
 }
 
+/// How many values of each half of a slice, as [`halves`] cuts it, go to
+/// each piece of its partition: `[lower, upper]`, one length per piece.
+pub(crate) type HalfLens = [Vec<usize>; 2];
+
 /// Splits `values` at the ascending inner `bounds` into `bounds.len() + 1`
 /// pieces: piece `i` holds, in storage order, the values with exactly `i`
 /// bounds strictly below them (`bounds[i - 1] < v <= bounds[i]`), so each
 /// bound is the inclusive upper end of the piece before it.
 ///
-/// Two passes. A vectorized count of the values above each bound gives
-/// the exact piece sizes; then one scatter pass writes every value to the
-/// next free slot of piece `(b0 < v) + (b1 < v)` — the piece index is
-/// arithmetic on the comparisons, not a probe, and every piece was
-/// allocated at its final size, so a write is the store plus the slot
-/// bump: nothing reallocates and `capacity() == len()` on return.
+/// `lens` gives the pieces' sizes in each half when the caller counted
+/// them already (a split at a query's own bounds, counted by that query's
+/// [`count_partition`]); otherwise a vectorized count of the values above
+/// each bound gives them. Then one scatter pass moves every value: the
+/// piece index is arithmetic on the comparisons (`(b0 < v) + (b1 < v)`),
+/// not a probe.
+///
+/// The largest piece keeps the buffer of `values`: the pass compacts its
+/// values, order kept, toward the front of the buffer over values already
+/// read, and writes every other value to the next free slot of its piece,
+/// each allocated at its final size. So the largest piece takes no fresh
+/// pages and no initialising pass, the split holds `n + (n - largest)`
+/// values at its peak instead of `2n`, and every piece returns with
+/// `capacity() == len()`.
 ///
 /// A slice of at least [`PAR_MIN`] values runs both passes in two halves.
-/// The counts give each half's share of every piece; the caller scatters
-/// the lower half into the front of each piece while the helper scatters
-/// the upper half into the back. Nothing is copied twice and no buffer
-/// outlives the call: appending the helper's half from buckets of its own
-/// measured no faster and peaked 6 MB higher on `socbench sky_adapt`.
-pub(crate) fn partition_into<V: ColumnValue>(values: &[V], bounds: &[V]) -> Vec<Vec<V>> {
+/// The caller scatters the lower half into the front of each piece and
+/// compacts its share of the largest one to the front of the buffer; the
+/// helper does the same with the upper half, into the back of each piece
+/// and the front of the upper half. One `copy_within` then closes the gap
+/// between the two shares of the largest piece. Appending the helper's
+/// half from buckets of its own instead measured no faster and peaked
+/// 6 MB higher on `socbench sky_adapt`.
+pub(crate) fn partition_into<V: ColumnValue>(
+    mut values: Vec<V>,
+    bounds: &[V],
+    lens: Option<HalfLens>,
+) -> Vec<Vec<V>> {
     debug_assert!(
         bounds.windows(2).all(|w| w[0] < w[1]),
         "partition bounds must be strictly ascending"
@@ -396,32 +425,73 @@ pub(crate) fn partition_into<V: ColumnValue>(values: &[V], bounds: &[V]) -> Vec<
     let Some(&first) = values.first() else {
         return vec![Vec::new(); bounds.len() + 1];
     };
-    let (lower, upper) = halves(values);
-    let two = !upper.is_empty();
-    let (mut above_lower, mut above_upper) = (vec![0; bounds.len()], vec![0; bounds.len()]);
-    join(
-        two,
-        || count_above(lower, bounds, &mut above_lower),
-        || count_above(upper, bounds, &mut above_upper),
-    );
-    let lens_lower = piece_lens(lower.len(), &above_lower);
-    let lens_upper = piece_lens(upper.len(), &above_upper);
-    let mut pieces: Vec<Vec<V>> = lens_lower
+    let [lens_lower, lens_upper] = match lens {
+        Some(lens) => {
+            debug_assert_eq!(lens, count_pieces(&values, bounds), "passed-in piece sizes");
+            lens
+        }
+        None => count_pieces(&values, bounds),
+    };
+    let sizes: Vec<usize> = lens_lower
         .iter()
         .zip(&lens_upper)
-        .map(|(a, b)| vec![first; a + b])
+        .map(|(a, b)| a + b)
+        .collect();
+    // A largest piece keeps the buffer; every other one gets its own.
+    let keep = (0..sizes.len()).max_by_key(|&i| sizes[i]).unwrap_or(0);
+    let mut pieces: Vec<Vec<V>> = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| {
+            if i == keep {
+                Vec::new()
+            } else {
+                vec![first; n]
+            }
+        })
         .collect();
     let (mut slots_lower, mut slots_upper): (Vec<&mut [V]>, Vec<&mut [V]>) = pieces
         .iter_mut()
         .zip(&lens_lower)
-        .map(|(piece, &n)| piece.split_at_mut(n))
+        .map(|(piece, &n)| {
+            // The kept piece has no buffer of its own yet.
+            let n = n.min(piece.len());
+            piece.split_at_mut(n)
+        })
         .unzip();
-    join(
-        two,
-        || scatter(lower, bounds, &mut slots_lower),
-        || scatter(upper, bounds, &mut slots_upper),
+    let lower_len = halves(&values).0.len();
+    let (lower, upper) = values.split_at_mut(lower_len);
+    let (kept_lower, kept_upper) = join(
+        !upper.is_empty(),
+        || scatter(lower, bounds, keep, &mut slots_lower),
+        || scatter(&mut upper[..], bounds, keep, &mut slots_upper),
     );
+    debug_assert_eq!(
+        [kept_lower, kept_upper],
+        [lens_lower[keep], lens_upper[keep]]
+    );
+    values.copy_within(lower_len..lower_len + kept_upper, kept_lower);
+    values.truncate(kept_lower + kept_upper);
+    values.shrink_to_fit();
+    pieces[keep] = values;
     pieces
+}
+
+/// The sizes of `values`' pieces at `bounds` in each half, from a count of
+/// the values above each bound (in two halves on two threads, as
+/// [`halves`] cuts them).
+fn count_pieces<V: ColumnValue>(values: &[V], bounds: &[V]) -> HalfLens {
+    let (lower, upper) = halves(values);
+    let (mut above_lower, mut above_upper) = (vec![0; bounds.len()], vec![0; bounds.len()]);
+    join(
+        !upper.is_empty(),
+        || count_above(lower, bounds, &mut above_lower),
+        || count_above(upper, bounds, &mut above_upper),
+    );
+    [
+        piece_lens(lower.len(), &above_lower),
+        piece_lens(upper.len(), &above_upper),
+    ]
 }
 
 /// Counts into `above[i]` the values of `values` above `bounds[i]`.
@@ -451,38 +521,96 @@ fn piece_lens(len: usize, above: &[u64]) -> Vec<usize> {
     lens
 }
 
-/// The scatter pass of [`partition_into`]: writes every value to the
-/// front of its piece's `slots` and moves that front past it. The slots
-/// are exactly as many as the values each piece receives.
-fn scatter<V: ColumnValue>(values: &[V], bounds: &[V], slots: &mut [&mut [V]]) {
+/// The scatter pass of [`partition_into`] over one half: compacts the
+/// values of piece `keep` to the front of `values`, order kept, and
+/// writes every other value to the front of its piece's `slots`, moving
+/// that front past it; returns how many values piece `keep` holds. The
+/// slots are exactly as many as the values each piece receives; the kept
+/// piece's slot is ignored.
+fn scatter<V: ColumnValue>(
+    values: &mut [V],
+    bounds: &[V],
+    keep: usize,
+    slots: &mut [&mut [V]],
+) -> usize {
     match *bounds {
-        [b0] => scatter_by(values, slots, |v| usize::from(b0 < v)),
-        [b0, b1] => scatter_by(values, slots, |v| usize::from(b0 < v) + usize::from(b1 < v)),
-        _ => scatter_by(values, slots, |v| bounds.partition_point(|b| *b < v)),
+        [b0] => scatter_n::<V, 2>(values, keep, slots, |v| usize::from(b0 < v)),
+        [b0, b1] => scatter_n::<V, 3>(values, keep, slots, |v| {
+            usize::from(b0 < v) + usize::from(b1 < v)
+        }),
+        _ => scatter_many(values, keep, slots, |v| bounds.partition_point(|b| *b < v)),
     }
 }
 
-/// [`scatter`] with the piece of a value computed by `piece_of`.
+/// [`scatter`] into `N` pieces, the piece of a value computed by
+/// `piece_of`. Every value is written at the cursor of every piece, and
+/// only its own piece's cursor advances past it, so the loop takes no
+/// branch on the piece and keeps the cursors in registers. The kept
+/// piece's cursor runs over `values` itself, never past the value being
+/// read: whatever it overwrites was read already.
 #[inline]
-fn scatter_by<V: ColumnValue>(values: &[V], slots: &mut [&mut [V]], piece_of: impl Fn(V) -> usize) {
-    for &v in values {
-        let free = &mut slots[piece_of(v)];
-        // The count pass sized every piece: a value always finds a slot.
-        if let Some((slot, rest)) = std::mem::take(free).split_first_mut() {
-            *slot = v;
-            *free = rest;
+fn scatter_n<V: ColumnValue, const N: usize>(
+    values: &mut [V],
+    keep: usize,
+    slots: &mut [&mut [V]],
+    piece_of: impl Fn(V) -> usize,
+) -> usize {
+    let values = Cell::from_mut(values).as_slice_of_cells();
+    let outs: [&[Cell<V>]; N] = std::array::from_fn(|k| match slots.get_mut(k) {
+        Some(slot) if k != keep => Cell::from_mut(std::mem::take(slot)).as_slice_of_cells(),
+        _ => values,
+    });
+    let mut at = [0usize; N];
+    for v in values {
+        let v = v.get();
+        let piece = piece_of(v);
+        for k in 0..N {
+            // Past its end only once a piece has all its values.
+            if let Some(cell) = outs[k].get(at[k]) {
+                cell.set(v);
+            }
+            at[k] += usize::from(k == piece);
         }
     }
+    at[keep]
 }
 
-/// Branchless three-way partition count against `q`:
-/// `(below q.lo, inside, above q.hi)`, summing to `values.len()`.
+/// [`scatter`] into any number of pieces: the kept values compact behind
+/// a cursor, every other value moves to the front of its piece's slot.
+fn scatter_many<V: ColumnValue>(
+    values: &mut [V],
+    keep: usize,
+    slots: &mut [&mut [V]],
+    piece_of: impl Fn(V) -> usize,
+) -> usize {
+    let mut kept = 0;
+    for at in 0..values.len() {
+        let v = values[at];
+        let piece = piece_of(v);
+        if piece == keep {
+            // `kept <= at`: the cursor never passes a value not yet read.
+            values[kept] = v;
+            kept += 1;
+        } else if let Some((slot, rest)) = std::mem::take(&mut slots[piece]).split_first_mut() {
+            *slot = v;
+            slots[piece] = rest;
+        }
+    }
+    kept
+}
+
+/// Branchless three-way partition count against `q`: `[below q.lo,
+/// inside, above q.hi]` for each half of `values` as [`halves`] cuts it
+/// (`[lower, upper]`, the upper one zeros when the slice is not cut),
+/// summing to `values.len()`.
 ///
 /// This is the one-pass carve-up the segmentation models decide on
-/// ([`crate::estimate::exact_pieces`]); two accumulators per chunk, the
-/// overlap by subtraction. A slice of at least [`PAR_MIN`] values is
-/// counted in two halves, the upper one on a helper thread.
-pub(crate) fn count_partition<V: ColumnValue>(values: &[V], q: &ValueRange<V>) -> (u64, u64, u64) {
+/// ([`crate::estimate::exact_pieces`]), and a split at the query's own
+/// bounds takes its pieces' sizes per half from it ([`partition_into`]);
+/// two accumulators per chunk, the overlap by subtraction. A slice of at
+/// least [`PAR_MIN`] values is counted in two halves, the upper one on a
+/// helper thread.
+pub(crate) fn count_partition<V: ColumnValue>(values: &[V], q: &ValueRange<V>) -> [[u64; 3]; 2] {
     let (lo, hi) = (q.lo(), q.hi());
     let count = |half: &[V]| {
         let mut below = 0u64;
@@ -497,13 +625,11 @@ pub(crate) fn count_partition<V: ColumnValue>(values: &[V], q: &ValueRange<V>) -
             below += b as u64;
             above += a as u64;
         }
-        (below, above)
+        [below, half.len() as u64 - below - above, above]
     };
     let (lower, upper) = halves(values);
-    let ((b0, a0), (b1, a1)) = join(!upper.is_empty(), || count(lower), || count(upper));
-    let (below, above) = (b0 + b1, a0 + a1);
-    let mid = values.len() as u64 - below - above;
-    (below, mid, above)
+    let (a, b) = join(!upper.is_empty(), || count(lower), || count(upper));
+    [a, b]
 }
 
 /// Masked `SUM(v) WHERE v IN q` (as `f64`): the predicate folds into a
@@ -541,72 +667,159 @@ fn sum_chunk<V: ColumnValue>(chunk: &[V]) -> f64 {
     })
 }
 
+/// Widens the bounds `b` to take in `lo` and `hi`. A value equal to a bound
+/// already held (`-0.0` and `+0.0`) leaves it, so bounds widened in storage
+/// order keep the earliest occurrence.
+#[inline(always)]
+fn widen<V: ColumnValue>(b: &mut (V, V), lo: V, hi: V) {
+    b.0 = if lo < b.0 { lo } else { b.0 };
+    b.1 = if b.1 < hi { hi } else { b.1 };
+}
+
+/// [`sum_chunk`] of one chunk, widening `b` by its values when `bounds` is
+/// set: after the exact sum in a second, vectorized pass over the chunk,
+/// on the `f64` chain in the chain's own loop.
+#[inline(always)]
+fn fold_chunk<V: ColumnValue>(chunk: &[V], bounds: bool, b: &mut (V, V)) -> f64 {
+    if !bounds {
+        return sum_chunk(chunk);
+    }
+    if let Some(sum) = V::exact_chunk_sum(chunk) {
+        for &v in chunk {
+            widen(b, v, v);
+        }
+        return sum;
+    }
+    let mut acc = 0.0f64;
+    for &v in chunk {
+        acc += v.to_f64();
+        widen(b, v, v);
+    }
+    acc
+}
+
+/// Four consecutive whole chunks of `quad` folded side by side, each into
+/// its own accumulator and bounds: the four sums, in chunk order, with `b`
+/// widened by each chunk's bounds in chunk order.
+#[inline(always)]
+fn fold_quad<V: ColumnValue>(quad: &[V], bounds: bool, b: &mut (V, V)) -> [f64; 4] {
+    let (c0, rest) = quad.split_at(CHUNK);
+    let (c1, rest) = rest.split_at(CHUNK);
+    let (c2, c3) = rest.split_at(CHUNK);
+    let mut acc = [0.0f64; 4];
+    let mut own = [c0[0], c1[0], c2[0], c3[0]].map(|v| (v, v));
+    for (((&v0, &v1), &v2), &v3) in c0.iter().zip(c1).zip(c2).zip(c3) {
+        for (k, v) in [v0, v1, v2, v3].into_iter().enumerate() {
+            acc[k] += v.to_f64();
+            if bounds {
+                widen(&mut own[k], v, v);
+            }
+        }
+    }
+    for (lo, hi) in own {
+        widen(b, lo, hi);
+    }
+    acc
+}
+
+/// The chunk fold behind every synopsis: hands each [`CHUNK`]'s sum
+/// ([`sum_chunk`]'s bits) to `emit` in chunk order and returns the slice's
+/// bounds as one compare-select pass in storage order finds them — or,
+/// when `bounds` is unset, the first value twice. `None` when empty.
+///
+/// One `f64` chain waits on the add's latency for every value. Here four
+/// consecutive chunks fold side by side, each still adding its values in
+/// order into its own accumulator from `+0.0`, so the four independent
+/// chains hide that latency without changing a bit. Each chunk keeps its
+/// own bounds as well, and they widen the result in chunk order, which
+/// keeps the earliest of equal values. A type with an exact chunk sum
+/// (asked of the empty chunk) has no chain to hide and folds chunk by
+/// chunk, as does the tail of fewer than four whole chunks.
+#[inline(always)]
+fn fold_chunks<V: ColumnValue>(
+    values: &[V],
+    bounds: bool,
+    mut emit: impl FnMut(f64),
+) -> Option<(V, V)> {
+    let &first = values.first()?;
+    let mut b = (first, first);
+    let quads = if V::exact_chunk_sum(&[]).is_some() {
+        0
+    } else {
+        values.len() / (4 * CHUNK)
+    };
+    let (whole, tail) = values.split_at(quads * 4 * CHUNK);
+    for quad in whole.chunks_exact(4 * CHUNK) {
+        for sum in fold_quad(quad, bounds, &mut b) {
+            emit(sum);
+        }
+    }
+    for chunk in tail.chunks(CHUNK) {
+        emit(fold_chunk(chunk, bounds, &mut b));
+    }
+    Some(b)
+}
+
+/// `(min, max, sum)` of `values` by [`fold_chunks`] — the chunk sums added
+/// in order into one total from `+0.0` — where the bounds are the first
+/// value twice unless `bounds` is set; `None` when empty.
+///
+/// A slice of at least [`PAR_MIN`] values folds in two halves. The helper
+/// folds the upper half and keeps its chunk sums in a buffer the caller
+/// allocated; the caller adds its own chunk sums, then the helper's, in
+/// order, and widens the lower half's bounds by the upper half's. So the
+/// total adds the same chunk sums in the same order, and the bounds are
+/// those of one pass.
+fn fold<V: ColumnValue>(values: &[V], bounds: bool) -> Option<(V, V, f64)> {
+    let (lower, upper) = halves(values);
+    let mut total = 0.0f64;
+    if upper.is_empty() {
+        let (mn, mx) = fold_chunks(values, bounds, |sum| total += sum)?;
+        return Some((mn, mx, total));
+    }
+    let mut upper_sums = Vec::with_capacity(upper.len().div_ceil(CHUNK));
+    let (b, upper_b) = join(
+        true,
+        || fold_chunks(lower, bounds, |sum| total += sum),
+        || fold_chunks(upper, bounds, |sum| upper_sums.push(sum)),
+    );
+    let (mut b, (lo, hi)) = (b?, upper_b?);
+    widen(&mut b, lo, hi);
+    for sum in upper_sums {
+        total += sum;
+    }
+    Some((b.0, b.1, total))
+}
+
 /// Sum of every value's `to_f64` projection, chunked exactly like
 /// [`sum_range`]. This is what a piece synopsis stores: because IEEE-754
 /// guarantees `1.0 * x == x`, and the chunk/accumulator structure is the
 /// same, the stored sum is bit-identical to the `sum_range` result of any
 /// query that covers the whole slice — so a pruned aggregate that answers
 /// a covered piece from its synopsis reproduces the unpruned scan exactly.
-/// Each chunk is one `sum_chunk`: an integer sum for the narrow integer
-/// types, the `f64` chain for the rest.
+/// The chunks fold four at a time, a long slice in two halves ([`fold`]).
 pub(crate) fn sum_all<V: ColumnValue>(values: &[V]) -> f64 {
-    let mut total = 0.0f64;
-    for chunk in values.chunks(CHUNK) {
-        total += sum_chunk(chunk);
-    }
-    total
+    fold(values, false).map_or(0.0, |(_, _, sum)| sum)
 }
 
 /// Min and max over the whole slice (no predicate); `None` when empty.
-/// The unconditioned fold behind synopsis construction for unsorted
-/// payloads — sorted callers read their first/last element instead. Each
-/// bound is a compare-select, not a branch.
+/// The bounds of the synopsis fold, four chunks side by side and a slice
+/// of at least 2¹⁹ values in two halves: those one compare-select pass in
+/// storage order finds, the earliest of equal values.
 pub fn min_max_all<V: ColumnValue>(values: &[V]) -> Option<(V, V)> {
-    let &first = values.first()?;
-    let (mut mn, mut mx) = (first, first);
-    for &v in values {
-        mn = if v < mn { v } else { mn };
-        mx = if mx < v { v } else { mx };
-    }
-    Some((mn, mx))
+    fold(values, true).map(|(min, max, _)| (min, max))
 }
 
 /// `(min, max, sum)` of the whole slice in one pass; `None` when empty.
 ///
 /// What a piece synopsis needs right after a split has written the piece:
 /// the bounds of [`min_max_all`] and the sum of [`sum_all`], chunk by
-/// chunk while the chunk is in L1. The sum uses **exactly** `sum_all`'s
-/// chunk and accumulator structure, so it is bit-identical to it (and
-/// hence to a covering [`sum_range`]). A type with an exact chunk sum
-/// takes it, then folds the bounds in a second, vectorized pass over the
-/// chunk; on the `f64` chain the bounds share the chain's one loop, where
-/// the two compare-selects ride in the shadow of the floating-point add's
-/// latency.
+/// chunk while the chunk is in L1. The sum is [`fold`]'s, as `sum_all`'s
+/// is, so the two are bit-identical (and hence equal to a covering
+/// [`sum_range`]); on the `f64` chain the bounds' compare-selects share
+/// the chain's loop, four chunks at a time.
 pub(crate) fn min_max_sum_all<V: ColumnValue>(values: &[V]) -> Option<(V, V, f64)> {
-    let &first = values.first()?;
-    let (mut mn, mut mx) = (first, first);
-    let mut total = 0.0f64;
-    for chunk in values.chunks(CHUNK) {
-        total += match V::exact_chunk_sum(chunk) {
-            Some(sum) => {
-                for &v in chunk {
-                    mn = if v < mn { v } else { mn };
-                    mx = if mx < v { v } else { mx };
-                }
-                sum
-            }
-            None => {
-                let mut acc = 0.0f64;
-                for &v in chunk {
-                    acc += v.to_f64();
-                    mn = if v < mn { v } else { mn };
-                    mx = if mx < v { v } else { mx };
-                }
-                acc
-            }
-        };
-    }
-    Some((mn, mx, total))
+    fold(values, true)
 }
 
 /// The positions `[start, end)` of the values inside `q` within a *sorted*
@@ -902,7 +1115,8 @@ mod tests {
     fn partition_counts_sum_and_match() {
         let values = shuffled(CHUNK + 999, 11);
         let q = ValueRange::must(25_000, 74_999);
-        let (b, m, a) = count_partition(&values, &q);
+        let [[b, m, a], upper] = count_partition(&values, &q);
+        assert_eq!(upper, [0; 3], "a slice below PAR_MIN is one half");
         assert_eq!(b + m + a, values.len() as u64);
         assert_eq!(b, values.iter().filter(|&&v| v < 25_000).count() as u64);
         assert_eq!(a, values.iter().filter(|&&v| v > 74_999).count() as u64);

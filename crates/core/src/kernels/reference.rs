@@ -74,6 +74,27 @@ fn min_max_all<V: ColumnValue>(values: &[V]) -> Option<(V, V)> {
     Some((mn, mx))
 }
 
+/// `min_max_sum_all` as one pass: one accumulator per chunk, each from
+/// `+0.0`, the chunk sums added in order, and a branch per bound.
+fn serial_fold<V: ColumnValue>(values: &[V]) -> Option<(V, V, f64)> {
+    let &first = values.first()?;
+    let (mut mn, mut mx, mut total) = (first, first, 0.0f64);
+    for chunk in values.chunks(CHUNK) {
+        let mut acc = 0.0f64;
+        for &v in chunk {
+            acc += v.to_f64();
+            if v < mn {
+                mn = v;
+            }
+            if mx < v {
+                mx = v;
+            }
+        }
+        total += acc;
+    }
+    Some((mn, mx, total))
+}
+
 mod properties {
     use super::*;
     use crate::kernels;
@@ -254,12 +275,19 @@ mod properties {
             pieces.push(ValueRange::must(lo, pool[top]));
             let bounds: Vec<V> = cuts.iter().map(|&c| pool[c]).collect();
 
-            let got = kernels::partition_into(values, &bounds);
             let want = partition(values, &pieces);
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert_same(g, w, &format!("len {} cuts {cuts:?}", values.len()));
-                assert_eq!(g.capacity(), g.len(), "exact-sized bucket, cuts {cuts:?}");
+            // The pieces' sizes in each half, as a caller that counted
+            // them passes them.
+            let (lower, upper) = halves(values);
+            let lens =
+                [lower, upper].map(|half| partition(half, &pieces).iter().map(Vec::len).collect());
+            for lens in [None, Some(lens)] {
+                let got = kernels::partition_into(values.to_vec(), &bounds, lens);
+                assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    assert_same(g, w, &format!("len {} cuts {cuts:?}", values.len()));
+                    assert_eq!(g.capacity(), g.len(), "exact-sized bucket, cuts {cuts:?}");
+                }
             }
         }
     }
@@ -338,8 +366,10 @@ mod properties {
                 assert_eq!(kernels::count_range(&values, &q), inside, "{q:?}");
                 let below = values.iter().filter(|v| **v < q.lo()).count() as u64;
                 let above = values.iter().filter(|v| q.hi() < **v).count() as u64;
-                let parts = kernels::count_partition(&values, &q);
-                assert_eq!(parts, (below, inside, above), "{q:?}");
+                let [lo, up] = kernels::count_partition(&values, &q);
+                assert_eq!(up == [0; 3], !two_cores, "{q:?}");
+                let parts = [0, 1, 2].map(|i| lo[i] + up[i]);
+                assert_eq!(parts, [below, inside, above], "{q:?}");
                 for fills in [vec![q], shapes[1].clone(), shapes[2].clone()] {
                     let what = format!("fills {fills:?} q {q:?}");
                     let (count, want) = count_then_collect_per_fill(&values, &q, &fills);
@@ -354,6 +384,122 @@ mod properties {
             }
             check_partitions(&pool, &values);
         }
+    }
+
+    /// Lengths around one chunk, around the four chunks folded side by
+    /// side, and past [`PAR_MIN`], where the fold runs in two halves.
+    const FOLD_LENS: [usize; 7] = [
+        0,
+        1,
+        CHUNK - 1,
+        CHUNK + 1,
+        4 * CHUNK - 1,
+        4 * CHUNK + 1,
+        PAR_MIN + 4099,
+    ];
+
+    /// The synopsis folds against [`serial_fold`]: sums by their bits,
+    /// bounds by value and by the bits of their `to_f64`, which tell
+    /// `-0.0` from `+0.0`.
+    fn check_fold<V: ColumnValue>(values: &[V]) {
+        let what = format!("len {}", values.len());
+        let want = serial_fold(values);
+        let got = kernels::min_max_sum_all(values);
+        let bits = |f: Option<(V, V, f64)>| {
+            f.map(|(mn, mx, sum)| [mn.to_f64(), mx.to_f64(), sum].map(f64::to_bits))
+        };
+        assert_eq!(bits(got), bits(want), "{what}");
+        let bounds = want.map(|(mn, mx, _)| (mn, mx));
+        assert_eq!(got.map(|(mn, mx, _)| (mn, mx)), bounds, "{what}");
+        let sum = want.map_or(0.0, |(_, _, sum)| sum);
+        assert_eq!(kernels::sum_all(values).to_bits(), sum.to_bits(), "{what}");
+        let min_max = kernels::min_max_all(values);
+        assert_eq!(min_max, bounds, "{what}");
+        let bits = |b: Option<(V, V)>| b.map(|(mn, mx)| [mn, mx].map(|v| v.to_f64().to_bits()));
+        assert_eq!(bits(min_max), bits(bounds), "{what}");
+    }
+
+    /// `len` copies of `fill` with about one value in 512 a zero of random
+    /// sign (`zeros` is `[-0.0, +0.0]`, equal under `Ord`): with `fill`
+    /// above zero the minimum is a zero, below zero the maximum, and its
+    /// sign shows whether the fold kept the earliest of the equal zeros.
+    fn signed_zeros<V: ColumnValue>(
+        zeros: [V; 2],
+        fill: V,
+        len: usize,
+        rng: &mut SmallRng,
+    ) -> Vec<V> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..1024) {
+                0 | 1 => zeros[rng.gen_range(0..2usize)],
+                _ => fill,
+            })
+            .collect()
+    }
+
+    /// `len` copies of `fill` with `zeros[0]` at `first` and `zeros[1]`
+    /// at `second`: the one at `first` is the earliest.
+    fn two_zeros<V: ColumnValue>(zeros: [V; 2], fill: V, len: usize, at: [usize; 2]) -> Vec<V> {
+        let mut values = vec![fill; len];
+        values[at[0]] = zeros[0];
+        values[at[1]] = zeros[1];
+        values
+    }
+
+    /// Every [`FOLD_LENS`] length drawn uniformly from `pool`, then, where
+    /// the type has signed zeros (`zeros` with fillers `[below, above]`),
+    /// zeros scattered among positive and among negative values, and two
+    /// zeros placed where a fold that does not combine in storage order
+    /// would pick the later one: the second chunk's sixth value before
+    /// the third chunk's first (which four chains side by side reach
+    /// first), and the lower half's last value before the upper half's
+    /// first.
+    fn check_folds_against_one_pass<V: ColumnValue>(
+        pool: Vec<V>,
+        zeros: Option<([V; 2], [V; 2])>,
+        seed: u64,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let two_cores = std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
+        for len in FOLD_LENS {
+            let values = uniform(&pool, len, &mut rng);
+            assert_eq!(halves(&values).1.is_empty(), !two_cores || len < PAR_MIN);
+            check_fold(&values);
+            let Some((signed, fills)) = zeros else {
+                continue;
+            };
+            for fill in fills {
+                check_fold(&signed_zeros(signed, fill, len, &mut rng));
+                let mid = halves(&vec![fill; len]).0.len();
+                for at in [[CHUNK + 5, 2 * CHUNK], [mid.wrapping_sub(1), mid]] {
+                    if at[0] < at[1] && at[1] < len {
+                        for order in [signed, [signed[1], signed[0]]] {
+                            check_fold(&two_zeros(order, fill, len, at));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn folds_match_one_pass_f64() {
+        let f = OrdF64::from_finite;
+        let fills = [f(-0.37), f(0.37)];
+        check_folds_against_one_pass(f64_pool(), Some(([f(-0.0), f(0.0)], fills)), 3);
+    }
+
+    #[test]
+    fn folds_match_one_pass_u64() {
+        let pool = i64_pool().into_iter().map(|v| v as u64).collect();
+        check_folds_against_one_pass::<u64>(pool, None, 4);
+    }
+
+    #[test]
+    fn folds_match_one_pass_paired_f64() {
+        let p = |v: f64| Pair::new(OrdF64::from_finite(v), 7);
+        let fills = [p(-0.37), p(0.37)];
+        check_folds_against_one_pass(pair_pool(), Some(([p(-0.0), p(0.0)], fills)), 5);
     }
 
     #[test]

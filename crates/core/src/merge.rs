@@ -210,7 +210,8 @@ mod tests {
         let pieces: Vec<ValueRange<u32>> = (0..10)
             .map(|i| ValueRange::must(i * 1000, i * 1000 + 999))
             .collect();
-        c.replace_segment(0, &pieces, &mut NullTracker).unwrap();
+        c.replace_segment(0, &pieces, None, &mut NullTracker)
+            .unwrap();
         assert_eq!(c.segment_count(), 10);
         // Everything under 5000 bytes is small; cap at 12000 bytes, so runs
         // of three merge (4000*3 = 12000).
@@ -227,7 +228,8 @@ mod tests {
     fn merge_pass_leaves_large_segments_alone() {
         let mut c = column();
         let pieces = [ValueRange::must(0, 4_999), ValueRange::must(5_000, 9_999)];
-        c.replace_segment(0, &pieces, &mut NullTracker).unwrap();
+        c.replace_segment(0, &pieces, None, &mut NullTracker)
+            .unwrap();
         let policy = MergePolicy::new(1_000, 100_000);
         let merges = policy.merge_pass(&mut c, &ValueRange::must(0, 9_999), &mut NullTracker);
         assert_eq!(merges, 0);

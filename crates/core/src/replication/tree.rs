@@ -95,7 +95,9 @@ pub struct ReplicaTree<V> {
 impl<V: ColumnValue> ReplicaTree<V> {
     /// Loads a column as a single materialized root covering `domain`.
     pub fn new(domain: ValueRange<V>, values: Vec<V>) -> Result<Self, crate::column::ColumnError> {
-        if !values.iter().all(|v| domain.contains(*v)) {
+        if crate::kernels::min_max_all(&values)
+            .is_some_and(|(min, max)| !domain.contains(min) || !domain.contains(max))
+        {
             return Err(crate::column::ColumnError::ValueOutsideDomain);
         }
         let mut ids = SegIdGen::new();

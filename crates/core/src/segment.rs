@@ -169,6 +169,22 @@ impl<V: ColumnValue> SegmentData<V> {
         Self::with_payload(id, range, Payload::Unsorted(values), synopsis)
     }
 
+    /// [`Self::new`] for values not known to lie inside `range`: `None`
+    /// when one does not. The synopsis's exact bounds decide, so the check
+    /// costs no pass of its own.
+    pub(crate) fn checked(id: SegId, range: ValueRange<V>, values: Vec<V>) -> Option<Self> {
+        let synopsis = PieceSynopsis::from_values(&values);
+        if synopsis.is_some_and(|s| !range.contains(s.min()) || !range.contains(s.max())) {
+            return None;
+        }
+        Some(Self::with_payload(
+            id,
+            range,
+            Payload::Unsorted(values),
+            synopsis,
+        ))
+    }
+
     /// Creates a segment flagged sorted; `values` must be ascending
     /// ([`crate::validate::segment`] checks it).
     pub(crate) fn sorted(id: SegId, range: ValueRange<V>, values: Vec<V>) -> Self {
@@ -372,16 +388,20 @@ impl<V: ColumnValue> SegmentData<V> {
     /// window into the products' windows of the same buffer, each product
     /// sorted in turn. An unsorted one moves its values through
     /// [`crate::kernels::partition_into`]: storage order is kept within each
-    /// product and each product's buffer is allocated at its exact size, so
-    /// a piece never carries spare capacity for life. Either way the caller
-    /// charges the same free and materializations: the split is the
-    /// paper's rewrite, whatever it costs this process.
+    /// product, the largest product keeps the segment's own buffer (cut to
+    /// its values), and every other product is allocated at its exact
+    /// size, so a piece never carries spare capacity for life. `lens`, the
+    /// products' sizes per half of the values when the caller's query
+    /// counted them already, spares that kernel its count; `None` counts.
+    /// Either way the caller charges the same free and materializations:
+    /// the split is the paper's rewrite, whatever it costs this process.
     ///
     /// # Panics
     /// Panics (debug) if the sub-ranges do not tile `self.range`.
     pub(crate) fn partition(
         self,
         pieces: &[ValueRange<V>],
+        lens: Option<crate::kernels::HalfLens>,
         ids: &mut SegIdGen,
     ) -> Vec<SegmentData<V>> {
         debug_assert!(!pieces.is_empty());
@@ -418,7 +438,7 @@ impl<V: ColumnValue> SegmentData<V> {
         // Each piece but the last ends at an inner bound.
         let inner = pieces.len().saturating_sub(1);
         let bounds: Vec<V> = pieces.iter().take(inner).map(|p| p.hi()).collect();
-        let buckets = crate::kernels::partition_into(&values, &bounds);
+        let buckets = crate::kernels::partition_into(values, &bounds, lens);
         pieces
             .iter()
             .zip(buckets)
@@ -503,7 +523,7 @@ mod tests {
             ValueRange::must(40, 59),
             ValueRange::must(60, 99),
         ];
-        let parts = s.partition(&pieces, &mut ids);
+        let parts = s.partition(&pieces, None, &mut ids);
         assert_eq!(parts.len(), 3);
         assert_eq!(parts[0].len(), 2); // 5, 10
         assert_eq!(parts[1].len(), 3); // 40, 41, 59
@@ -520,7 +540,7 @@ mod tests {
         let values: Vec<u32> = (0..1000).map(|i| (i * 37) % 1000).collect();
         let (s, mut ids) = seg(0, 999, &values);
         let pieces = [ValueRange::must(0, 499), ValueRange::must(500, 999)];
-        let parts = s.partition(&pieces, &mut ids);
+        let parts = s.partition(&pieces, None, &mut ids);
         let total: u64 = parts.iter().map(|p| p.len()).sum();
         assert_eq!(total, 1000);
         for p in &parts {
@@ -530,32 +550,58 @@ mod tests {
 
     #[test]
     fn partition_products_are_exact_sized_and_keep_storage_order() {
-        // Uneven pieces: a len/pieces guess would over- and under-shoot.
-        let values: Vec<u32> = (0..10_000).map(|i| (i * 7919) % 1000).collect();
+        // Values in [100, 999] of a segment over [0, 1999]: the pieces
+        // below 100 and above 999 stay empty. The largest product comes
+        // first, in the middle between empty ones, last, and among ten
+        // bounds; it keeps the segment's buffer, the others get their own.
+        let values: Vec<u32> = (0..10_000).map(|i| 100 + (i * 7919) % 900).collect();
+        let r = ValueRange::must;
+        let tens = (1..10).map(|i| r(i * 100, i * 100 + 99));
         for pieces in [
-            vec![ValueRange::must(0, 99), ValueRange::must(100, 999)],
-            vec![
-                ValueRange::must(0, 9),
-                ValueRange::must(10, 899),
-                ValueRange::must(900, 999),
-            ],
+            vec![r(0, 799), r(800, 1999)],
+            vec![r(0, 99), r(100, 999), r(1000, 1999)],
+            vec![r(0, 199), r(200, 299), r(300, 1999)],
+            std::iter::once(r(0, 99))
+                .chain(tens)
+                .chain([r(1000, 1999)])
+                .collect(),
         ] {
-            let (s, mut ids) = seg(0, 999, &values);
-            for (p, range) in s.partition(&pieces, &mut ids).into_iter().zip(&pieces) {
-                let expect: Vec<u32> = values
-                    .iter()
-                    .copied()
-                    .filter(|v| range.contains(*v))
-                    .collect();
-                assert_eq!(p.values(), expect, "{range:?}");
-                // The buffer a piece keeps for life holds its values and
-                // nothing more.
-                let Payload::Unsorted(values) = &p.values else {
-                    panic!("an unsorted split yields unsorted products")
-                };
-                assert_eq!(values.capacity(), values.len(), "{range:?}");
+            let want: Vec<Vec<u32>> = pieces
+                .iter()
+                .map(|range| {
+                    let inside = values.iter().filter(|v| range.contains(**v));
+                    inside.copied().collect()
+                })
+                .collect();
+            // The sizes a query that counted them passes: the values are
+            // fewer than the two-thread cut, so all of them in one half.
+            let counted = [want.iter().map(Vec::len).collect(), vec![0; pieces.len()]];
+            for lens in [None, Some(counted)] {
+                let (s, mut ids) = seg(0, 1999, &values);
+                let parts = s.partition(&pieces, lens, &mut ids);
+                assert_eq!(parts.len(), pieces.len());
+                for ((p, range), want) in parts.iter().zip(&pieces).zip(&want) {
+                    assert_eq!(p.range(), *range);
+                    assert_eq!(p.values(), want, "{range:?}");
+                    // The buffer a piece keeps for life holds its values
+                    // and nothing more.
+                    let Payload::Unsorted(values) = &p.values else {
+                        panic!("an unsorted split yields unsorted products")
+                    };
+                    assert_eq!(values.capacity(), values.len(), "{range:?}");
+                    crate::validate::segment(p).unwrap();
+                }
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "passed-in piece sizes")]
+    fn a_split_given_wrong_sizes_fails_its_debug_check() {
+        let (s, mut ids) = seg(0, 99, &[5, 60, 70]);
+        let pieces = [ValueRange::must(0, 49), ValueRange::must(50, 99)];
+        s.partition(&pieces, Some([vec![2, 1], vec![0, 0]]), &mut ids);
     }
 
     #[test]
@@ -585,6 +631,7 @@ mod tests {
         let s = SegmentData::sorted(ids.fresh(), ValueRange::must(0, 99), vec![10, 20, 30, 40]);
         let mut parts = s.partition(
             &[ValueRange::must(0, 24), ValueRange::must(25, 99)],
+            None,
             &mut ids,
         );
         let served = parts[0].share_sorted();
@@ -604,7 +651,7 @@ mod tests {
     fn partition_allows_empty_pieces() {
         let (s, mut ids) = seg(0, 99, &[1, 2, 3]);
         let pieces = [ValueRange::must(0, 49), ValueRange::must(50, 99)];
-        let parts = s.partition(&pieces, &mut ids);
+        let parts = s.partition(&pieces, None, &mut ids);
         assert_eq!(parts[0].len(), 3);
         assert_eq!(parts[1].len(), 0);
         assert_eq!(parts[1].bytes(), 0);

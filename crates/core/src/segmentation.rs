@@ -8,6 +8,7 @@
 
 use crate::column::SegmentedColumn;
 use crate::estimate::{exact_pieces, interpolate_pieces, PieceLens, SizeEstimator};
+use crate::kernels::HalfLens;
 use crate::model::{SegmentationModel, SplitDecision, SplitGeometry, Technique, WhichBound};
 use crate::range::ValueRange;
 use crate::segment::Window;
@@ -31,6 +32,37 @@ pub struct AdaptiveSegmentation<V> {
 )]
 fn overlapping(pieces: Option<PieceLens>) -> PieceLens {
     pieces.expect("segment passed the overlap test")
+}
+
+/// The sizes of `pieces`, cut at `q`'s own bounds, in each half of the
+/// segment, from the query's `counts` of the values below, inside and
+/// above `q` per half ([`crate::kernels::count_partition`]). A piece cut
+/// at the query's bounds holds all or none of each of those three sets:
+/// the values below `q` when it starts below `q.lo`, those inside when it
+/// overlaps `q`, those above when it ends above `q.hi`.
+fn query_piece_lens<V: ColumnValue>(
+    pieces: &[ValueRange<V>],
+    q: &ValueRange<V>,
+    counts: &[[u64; 3]; 2],
+) -> HalfLens {
+    counts.map(|[below, inside, above]| {
+        pieces
+            .iter()
+            .map(|p| {
+                let mut n = 0;
+                if p.lo() < q.lo() {
+                    n += below;
+                }
+                if p.lo() <= q.hi() && q.lo() <= p.hi() {
+                    n += inside;
+                }
+                if q.hi() < p.hi() {
+                    n += above;
+                }
+                n as usize
+            })
+            .collect()
+    })
 }
 
 impl<V: ColumnValue> AdaptiveSegmentation<V> {
@@ -114,7 +146,8 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
 
         // One pass over the segment: exact piece counts, the middle one being
         // the answer.
-        let exact = overlapping(exact_pieces(&seg_range, seg.values(), q));
+        let counts = crate::kernels::count_partition(seg.values(), q);
+        let exact = overlapping(exact_pieces(&seg_range, &counts, q));
         let matched = exact.1;
 
         // The model decides on estimates (what the optimizer level can know).
@@ -126,12 +159,19 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
         let decision = self.model.decide(&geom, Technique::Segmentation);
 
         if let Some(ranges) = Self::ranges_for(decision, seg_range, q) {
+            // Pieces cut at the query's own bounds take their sizes from the
+            // query's count, so the split does not count again.
+            let lens = matches!(
+                decision,
+                SplitDecision::QueryBounds | SplitDecision::SingleBound(_)
+            )
+            .then(|| query_piece_lens(&ranges, q, &counts));
             #[expect(
                 clippy::expect_used,
                 reason = "interpolated piece ranges tile the segment by construction"
             )]
             self.column
-                .replace_segment(idx, &ranges, tracker)
+                .replace_segment(idx, &ranges, lens, tracker)
                 .expect("piece ranges tile the segment by construction");
             self.splits += 1;
         }
@@ -195,7 +235,10 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveSegmentation<V> {
     }
 
     fn storage_bytes(&self) -> u64 {
-        // In-place reorganization: storage never exceeds the bare column.
+        // In-place reorganization: the stored values never exceed the bare
+        // column. While a split runs it holds the segment plus every
+        // product but the largest, which keeps the segment's own buffer
+        // (`kernels::partition_into`).
         self.column.total_bytes()
     }
 
