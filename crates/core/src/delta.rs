@@ -497,15 +497,16 @@ pub(crate) fn clip_fold<'a, V: ColumnValue>(
 /// `stop_below` — so a column hovering at the
 /// threshold does not thrash between folding and accumulating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionPolicy {
+pub(crate) struct CompactionPolicy {
     start_above: u64,
     stop_below: u64,
     rows_per_step: u64,
 }
 
 impl Default for CompactionPolicy {
-    /// Start at 4096 pending rows (the catalog's historical bulk-merge
-    /// threshold), drain to 1024, fold 1024 rows per step.
+    /// The epoch writer's watermarks: start at 4096 pending rows (the
+    /// catalog's historical bulk-merge threshold), drain to 1024, fold 1024
+    /// rows per step.
     fn default() -> Self {
         CompactionPolicy {
             start_above: 4096,
@@ -518,7 +519,8 @@ impl Default for CompactionPolicy {
 impl CompactionPolicy {
     /// A policy with explicit watermarks; `stop_below` is clamped to at
     /// most `start_above` and `rows_per_step` to at least 1.
-    pub fn new(start_above: u64, stop_below: u64, rows_per_step: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(start_above: u64, stop_below: u64, rows_per_step: u64) -> Self {
         CompactionPolicy {
             start_above,
             stop_below: stop_below.min(start_above),

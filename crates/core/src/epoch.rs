@@ -59,8 +59,9 @@
 //! batch into: a read makes one zone-map test and one pair of binary
 //! searches, folds the qualifying rows in on the fly (merge-on-read) and
 //! is charged those rows, not the run; the writer *compacts* the head of
-//! the run into the base a bounded number of rows per reorganization step
-//! — hysteresis watermarks in [`CompactionPolicy`]. A fold is **piece-local**
+//! the run into the base a bounded number of rows per reorganization step,
+//! between hysteresis watermarks: folding starts at 4 096 pending rows,
+//! moves 1 024 rows per step and stops at 1 024. A fold is **piece-local**
 //! ([`ColumnStrategy::fold_delta`]): each row lands in the piece(s) owning
 //! its value and no boundary moves, so the organization the workload
 //! earned survives the write. A strategy that cannot absorb a fold keeps
@@ -77,8 +78,14 @@
 //! a strategy's [`ColumnStrategy::peek_collect`] exposes after the same
 //! queries is an epoch-dependent artifact, so the concurrent column
 //! normalizes it; sorting the serial peek yields the identical sequence.
-//! The property tests in `tests/` prove both, for all nine strategy kinds,
-//! under concurrent readers racing the writer.
+//! The property tests of `tests/concurrent_equivalence.rs` prove both, for
+//! all nine strategy kinds, under concurrent readers racing the writer; the
+//! crate's own `tests::racing_compaction` proves that readers racing the
+//! writer's fold steps observe only exact batch-prefix states.
+//!
+//! All of the writer's work is one `Writer::step` per epoch, and its
+//! thread only receives and steps, so the crate's tests step a writer that
+//! has no thread and observe its behaviour deterministically.
 //!
 //! The snapshot's `walk` is the one materializing read of this layer: a
 //! strategy materializes only through `peek_collect`, which is how a
@@ -289,66 +296,6 @@ fn tile_domain<V: ColumnValue>(
 }
 
 impl<V: ColumnValue> StrategySnapshot<V> {
-    /// Freezes `strategy`'s current organization. A strategy that shares
-    /// its pieces ([`ColumnStrategy::share_sorted`]) is served from them
-    /// directly: each snapshot piece is the strategy's own window, and one
-    /// that is the very window of `prev`'s piece over the same range keeps
-    /// that piece's id and synopsis, so an unchanged piece costs O(1).
-    /// Otherwise every piece is a sorted copy ([`SnapshotPiece::extract`]),
-    /// reusing the pieces of `prev` whose value range is unchanged and
-    /// holds none of the values `folded` (ascending) into the base since
-    /// `prev` was captured — a piece's content is a pure function of its
-    /// range and the logical column, and only a fold changes the latter,
-    /// only at those values.
-    #[allow(clippy::too_many_arguments)]
-    fn capture(
-        strategy: &mut dyn ColumnStrategy<V>,
-        domain: ValueRange<V>,
-        prev: Option<&StrategySnapshot<V>>,
-        folded: &[V],
-        ids: &mut SegIdGen,
-        epoch: u64,
-        reorg: QueryStats,
-        (failed_migrations, unmatched_tombstones): (u64, u64),
-        delta: Option<DeltaRun<V>>,
-    ) -> Self {
-        let prev_piece = |range: &ValueRange<V>| prev.and_then(|s| s.piece_with_range(range));
-        let shared = strategy.share_sorted().filter(|pieces| {
-            let ranges: Vec<ValueRange<V>> = pieces.iter().map(|(r, _)| *r).collect();
-            crate::validate::ranges_partition(&domain, &ranges).is_ok()
-        });
-        let pieces = match shared {
-            Some(shared) => shared
-                .into_iter()
-                .map(|(range, values)| match prev_piece(&range) {
-                    Some(p) if p.values.same(&values) => p.clone(),
-                    _ => SnapshotPiece::new(range, values, ids.fresh()),
-                })
-                .collect(),
-            None => {
-                let untouched = |range: &ValueRange<V>| run_in(folded, range).is_empty();
-                tile_domain(domain, strategy.segment_ranges())
-                    .into_iter()
-                    .map(|range| match prev_piece(&range) {
-                        Some(p) if untouched(&range) => p.clone(),
-                        _ => SnapshotPiece::extract(strategy, range, ids.fresh()),
-                    })
-                    .collect()
-            }
-        };
-        StrategySnapshot {
-            epoch,
-            pieces,
-            domain,
-            name: strategy.name(),
-            segment_count: strategy.segment_count(),
-            reorg,
-            failed_migrations,
-            unmatched_tombstones,
-            delta,
-        }
-    }
-
     fn piece_with_range(&self, range: &ValueRange<V>) -> Option<&SnapshotPiece<V>> {
         let i = self.pieces.partition_point(|p| p.range.lo() < range.lo());
         self.pieces.get(i).filter(|p| p.range == *range)
@@ -550,7 +497,6 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     }
 
     /// The epoch number (0 = the construction snapshot).
-    #[cfg(test)]
     pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -653,7 +599,7 @@ impl<V: ColumnValue> StrategySnapshot<V> {
 
 use cell::SnapshotCell;
 
-/// A module of its own so the lock is private to these four methods:
+/// A module of its own so the lock is private to these three methods:
 /// none hands out a guard, so writer and reader code cannot hold one
 /// across a `send`, a `spawn` or reorganization work.
 mod cell {
@@ -665,13 +611,11 @@ mod cell {
     /// work.
     pub(super) struct SnapshotCell<V: ColumnValue> {
         snap: RwLock<Arc<StrategySnapshot<V>>>,
-        epoch: AtomicU64,
     }
 
     impl<V: ColumnValue> SnapshotCell<V> {
         pub(super) fn new(initial: StrategySnapshot<V>) -> Self {
             SnapshotCell {
-                epoch: AtomicU64::new(initial.epoch),
                 snap: RwLock::new(Arc::new(initial)),
             }
         }
@@ -681,16 +625,18 @@ mod cell {
         }
 
         pub(super) fn publish(&self, snap: StrategySnapshot<V>) {
-            let epoch = snap.epoch;
             *self.snap.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(snap);
-            self.epoch.store(epoch, Ordering::Release);
-        }
-
-        pub(super) fn epoch(&self) -> u64 {
-            self.epoch.load(Ordering::Acquire)
         }
     }
 }
+
+/// The bound of the writer command queue, and the most commands one epoch
+/// takes before it compacts and publishes: deep enough that a bursty
+/// reader never drops hints in normal operation, small enough that
+/// overload cannot buffer unbounded reorganization debt, and hints
+/// arriving faster than the writer drains them cannot keep folds,
+/// publishes and `quiesce` replies waiting forever.
+const QUEUE_CAPACITY: usize = 1024;
 
 enum WriterCmd<V: ColumnValue> {
     /// Fold one query's reorganization into the strategy.
@@ -711,13 +657,11 @@ enum WriterCmd<V: ColumnValue> {
     Sync(mpsc::SyncSender<()>),
 }
 
-/// The writer thread's state: the one place the strategy is mutated.
+/// The writer's state: the one place the strategy is mutated.
 struct Writer<V: ColumnValue> {
     strategy: Box<dyn ColumnStrategy<V>>,
     domain: ValueRange<V>,
-    cell: Arc<SnapshotCell<V>>,
     ids: SegIdGen,
-    epoch: u64,
     /// Cumulative reorganization accounting (folded queries + migrations).
     reorg: CountingTracker,
     failed_migrations: u64,
@@ -732,88 +676,96 @@ struct Writer<V: ColumnValue> {
     /// Cleared when the strategy refuses a fold, so the watermarks stop
     /// retrying one that cannot absorb; a migration installs one that can.
     absorbs: bool,
-    /// Most commands one epoch takes before it compacts and publishes (the
-    /// queue capacity): hints arriving faster than the writer drains them
-    /// must not keep folds, publishes and `quiesce` replies waiting forever.
-    batch_limit: usize,
 }
 
 impl<V: ColumnValue> Writer<V> {
-    fn run(mut self, rx: mpsc::Receiver<WriterCmd<V>>) -> Box<dyn ColumnStrategy<V>> {
-        while let Ok(first) = rx.recv() {
-            // Fold the whole pending batch into one published epoch: the
-            // "single writer that folds reorganizations" of the design.
-            let mut dirty = false;
-            let mut drain = false;
-            let mut syncs: Vec<mpsc::SyncSender<()>> = Vec::new();
-            let mut arrived: Option<DeltaRun<V>> = None;
-            let batch = std::iter::once(first).chain(rx.try_iter());
-            for cmd in batch.take(self.batch_limit) {
-                match cmd {
-                    WriterCmd::Reorganize(q) => {
-                        // A hint publishes only when it reorganized: every
-                        // split, crack, merge, sort and replica create or
-                        // drop writes, frees or materializes. The read
-                        // bytes of one that did none of these wait for the
-                        // next epoch.
-                        let moved =
-                            |t: QueryStats| (t.write_bytes, t.freed_bytes, t.segments_materialized);
-                        let before = moved(self.reorg.totals());
-                        self.strategy.select_count(&q, &mut self.reorg);
-                        dirty |= moved(self.reorg.totals()) != before;
-                    }
-                    WriterCmd::Migrate(spec) => {
-                        self.migrate(spec);
-                        dirty = true;
-                    }
-                    WriterCmd::Deltas(batch) => {
-                        // A tombstone matching no row is dropped and
-                        // counted here, so a run never holds one. The last
-                        // published pieces are the base: only a fold
-                        // changes their content, and every fold publishes.
-                        // A batch of strays alone still publishes, so the
-                        // count shows.
-                        let base = self.cell.load();
-                        let earlier: Vec<&DeltaRun<V>> = [self.run.as_ref(), arrived.as_ref()]
-                            .into_iter()
-                            .flatten()
-                            .collect();
-                        let (sealed, strays) = batch.seal_matched(self.ids.fresh(), |v| {
-                            base.rows_of(v, &earlier).unwrap_or(0)
-                        });
-                        self.unmatched_tombstones += strays;
-                        dirty |= sealed.is_some() || strays > 0;
-                        arrived = DeltaRun::merged(arrived, sealed);
-                    }
-                    WriterCmd::Drain(reply) => {
-                        drain = true;
-                        syncs.push(reply);
-                    }
-                    WriterCmd::Sync(reply) => syncs.push(reply),
+    /// A writer over `strategy`, compacting under the default watermarks.
+    fn new(strategy: Box<dyn ColumnStrategy<V>>, domain: ValueRange<V>) -> Self {
+        Writer {
+            strategy,
+            domain,
+            ids: SegIdGen::new(),
+            reorg: CountingTracker::new(),
+            failed_migrations: 0,
+            unmatched_tombstones: 0,
+            run: None,
+            policy: CompactionPolicy::default(),
+            compacting: false,
+            absorbs: true,
+        }
+    }
+
+    /// One epoch: takes at most [`QUEUE_CAPACITY`] of `cmds`, folds them
+    /// and at most one compaction step into the strategy, publishes the
+    /// result into `cell` at most once (only when something changed) and
+    /// then answers the `Sync`/`Drain` barriers among them — the "single
+    /// writer that folds reorganizations" of the design.
+    fn step(&mut self, cell: &SnapshotCell<V>, cmds: impl IntoIterator<Item = WriterCmd<V>>) {
+        let mut dirty = false;
+        let mut drain = false;
+        let mut syncs: Vec<mpsc::SyncSender<()>> = Vec::new();
+        let mut arrived: Option<DeltaRun<V>> = None;
+        for cmd in cmds.into_iter().take(QUEUE_CAPACITY) {
+            match cmd {
+                WriterCmd::Reorganize(q) => {
+                    // A hint publishes only when it reorganized: every
+                    // split, crack, merge, sort and replica create or drop
+                    // writes, frees or materializes. The read bytes of one
+                    // that did none of these wait for the next epoch.
+                    let moved =
+                        |t: QueryStats| (t.write_bytes, t.freed_bytes, t.segments_materialized);
+                    let before = moved(self.reorg.totals());
+                    self.strategy.select_count(&q, &mut self.reorg);
+                    dirty |= moved(self.reorg.totals()) != before;
                 }
-            }
-            // One O(pending) merge per epoch, however many batches arrived.
-            if arrived.is_some() {
-                self.run = DeltaRun::merged(self.run.take(), arrived);
-            }
-            // One compaction step per folded batch: the bounded fold that
-            // amortizes merge cost across epochs instead of spiking. A
-            // drain folds everything at once (the bulk-merge baseline).
-            let folded = if drain {
-                self.fold_step(u64::MAX)
-            } else if self.should_compact() {
-                self.fold_step(self.policy.rows_per_step())
-            } else {
-                Vec::new()
-            };
-            if dirty || !folded.is_empty() {
-                self.publish(&folded);
-            }
-            for reply in syncs {
-                let _ = reply.send(());
+                WriterCmd::Migrate(spec) => {
+                    self.migrate(spec);
+                    dirty = true;
+                }
+                WriterCmd::Deltas(batch) => {
+                    // A tombstone matching no row is dropped and counted
+                    // here, so a run never holds one. The last published
+                    // pieces are the base: only a fold changes their
+                    // content, and every fold publishes. A batch of strays
+                    // alone still publishes, so the count shows.
+                    let base = cell.load();
+                    let earlier: Vec<&DeltaRun<V>> = [self.run.as_ref(), arrived.as_ref()]
+                        .into_iter()
+                        .flatten()
+                        .collect();
+                    let (sealed, strays) = batch
+                        .seal_matched(self.ids.fresh(), |v| base.rows_of(v, &earlier).unwrap_or(0));
+                    self.unmatched_tombstones += strays;
+                    dirty |= sealed.is_some() || strays > 0;
+                    arrived = DeltaRun::merged(arrived, sealed);
+                }
+                WriterCmd::Drain(reply) => {
+                    drain = true;
+                    syncs.push(reply);
+                }
+                WriterCmd::Sync(reply) => syncs.push(reply),
             }
         }
-        self.strategy
+        // One O(pending) merge per epoch, however many batches arrived.
+        if arrived.is_some() {
+            self.run = DeltaRun::merged(self.run.take(), arrived);
+        }
+        // One compaction step per epoch: the bounded fold that amortizes
+        // merge cost across epochs instead of spiking. A drain folds
+        // everything at once (the bulk-merge baseline).
+        let folded = if drain {
+            self.fold_step(u64::MAX)
+        } else if self.should_compact() {
+            self.fold_step(self.policy.rows_per_step())
+        } else {
+            Vec::new()
+        };
+        if dirty || !folded.is_empty() {
+            self.publish(cell, &folded);
+        }
+        for reply in syncs {
+            let _ = reply.send(());
+        }
     }
 
     fn migrate(&mut self, spec: StrategySpec) {
@@ -887,24 +839,67 @@ impl<V: ColumnValue> Writer<V> {
         folded
     }
 
-    /// Publishes the next epoch; `folded` are the values a fold step put
-    /// into (or cancelled from) the base since the last publish.
-    fn publish(&mut self, folded: &[V]) {
-        self.epoch += 1;
-        let prev = self.cell.load();
-        let snap = StrategySnapshot::capture(
-            self.strategy.as_mut(),
-            self.domain,
-            Some(&prev),
-            folded,
-            &mut self.ids,
-            self.epoch,
-            self.reorg.totals(),
-            (self.failed_migrations, self.unmatched_tombstones),
-            self.run.clone(),
-        );
+    /// Publishes the next epoch into `cell`; `folded` are the values a fold
+    /// step put into (or cancelled from) the base since the last publish.
+    fn publish(&mut self, cell: &SnapshotCell<V>, folded: &[V]) {
+        let prev = cell.load();
+        let snap = self.capture(Some(&prev), folded);
         crate::debug_assert_valid!(snap.validate(), "epoch publish");
-        self.cell.publish(snap);
+        cell.publish(snap);
+    }
+
+    /// Freezes the strategy's current organization as the epoch after
+    /// `prev` (epoch 0 without one), with the writer's accounting and
+    /// pending run. A strategy that shares its pieces
+    /// ([`ColumnStrategy::share_sorted`]) is served from them directly: each
+    /// snapshot piece is the strategy's own window, and one that is the
+    /// very window of `prev`'s piece over the same range keeps that piece's
+    /// id and synopsis, so an unchanged piece costs O(1). Otherwise every
+    /// piece is a sorted copy ([`SnapshotPiece::extract`]), reusing the
+    /// pieces of `prev` whose value range is unchanged and holds none of
+    /// the values `folded` (ascending) into the base since `prev` was
+    /// captured — a piece's content is a pure function of its range and
+    /// the logical column, and only a fold changes the latter, only at
+    /// those values.
+    fn capture(&mut self, prev: Option<&StrategySnapshot<V>>, folded: &[V]) -> StrategySnapshot<V> {
+        let domain = self.domain;
+        let prev_piece = |range: &ValueRange<V>| prev.and_then(|s| s.piece_with_range(range));
+        let shared = self.strategy.share_sorted().filter(|pieces| {
+            let ranges: Vec<ValueRange<V>> = pieces.iter().map(|(r, _)| *r).collect();
+            crate::validate::ranges_partition(&domain, &ranges).is_ok()
+        });
+        let ids = &mut self.ids;
+        let pieces = match shared {
+            Some(shared) => shared
+                .into_iter()
+                .map(|(range, values)| match prev_piece(&range) {
+                    Some(p) if p.values.same(&values) => p.clone(),
+                    _ => SnapshotPiece::new(range, values, ids.fresh()),
+                })
+                .collect(),
+            None => {
+                let untouched = |range: &ValueRange<V>| run_in(folded, range).is_empty();
+                let strategy = self.strategy.as_ref();
+                tile_domain(domain, strategy.segment_ranges())
+                    .into_iter()
+                    .map(|range| match prev_piece(&range) {
+                        Some(p) if untouched(&range) => p.clone(),
+                        _ => SnapshotPiece::extract(strategy, range, ids.fresh()),
+                    })
+                    .collect()
+            }
+        };
+        StrategySnapshot {
+            epoch: prev.map_or(0, |p| p.epoch + 1),
+            pieces,
+            domain,
+            name: self.strategy.name(),
+            segment_count: self.strategy.segment_count(),
+            reorg: self.reorg.totals(),
+            failed_migrations: self.failed_migrations,
+            unmatched_tombstones: self.unmatched_tombstones,
+            delta: self.run.clone(),
+        }
     }
 }
 
@@ -949,95 +944,65 @@ impl<V: ColumnValue> std::fmt::Debug for ConcurrentColumn<V> {
 }
 
 impl<V: ColumnValue> ConcurrentColumn<V> {
-    /// The default bound of the writer command queue: deep enough that a
-    /// bursty reader never drops hints in normal operation, small enough
-    /// that overload cannot buffer unbounded reorganization debt.
-    pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 1024;
-
     /// Wraps an already-built strategy (any of the nine kinds, or a whole
     /// sharded column — anything implementing the trait), spawning the
     /// writer thread. `domain` must cover the strategy's values; it is the
-    /// range migrations rebuild over. The writer queue is bounded at
-    /// `Self::DEFAULT_QUEUE_CAPACITY`. Pending deltas compact under the
-    /// default [`CompactionPolicy`] whenever the strategy can absorb them
-    /// ([`ColumnStrategy::fold_delta`] — every strategy of this crate
-    /// can); one that cannot keeps them in the overlay, visible to every
-    /// read.
+    /// range migrations rebuild over.
+    ///
+    /// The writer's queue holds 1 024 commands. When it is full,
+    /// reorganization *hints* from the read path are dropped and counted
+    /// (never blocked on — hints are advisory); data and control commands
+    /// ([`Self::apply_deltas`], [`Self::set_strategy`], [`Self::quiesce`])
+    /// block until the writer drains. Pending deltas compact whenever the
+    /// strategy can absorb them ([`ColumnStrategy::fold_delta`] — every
+    /// strategy of this crate can): folding starts at 4 096 pending rows,
+    /// moves 1 024 rows per step and stops at 1 024. A strategy that cannot
+    /// absorb them keeps them in the overlay, visible to every read.
     pub fn new(strategy: Box<dyn ColumnStrategy<V>>, domain: ValueRange<V>) -> Self {
-        Self::with_queue_capacity(strategy, domain, Self::DEFAULT_QUEUE_CAPACITY)
+        Self::start(Writer::new(strategy, domain))
     }
 
-    /// As [`Self::new`] with an explicit writer-queue bound (clamped to at
-    /// least 1). When the queue is full, reorganization *hints* from the
-    /// read path are dropped and counted (never blocked on — hints are
-    /// advisory); control commands ([`Self::set_strategy`],
-    /// [`Self::quiesce`]) block until the writer drains.
-    pub(crate) fn with_queue_capacity(
-        strategy: Box<dyn ColumnStrategy<V>>,
-        domain: ValueRange<V>,
-        queue_capacity: usize,
-    ) -> Self {
-        let policy = CompactionPolicy::default();
-        Self::build(strategy, domain, queue_capacity, policy)
-    }
-
-    fn build(
-        mut strategy: Box<dyn ColumnStrategy<V>>,
-        domain: ValueRange<V>,
-        queue_capacity: usize,
-        policy: CompactionPolicy,
-    ) -> Self {
-        let mut ids = SegIdGen::new();
-        let initial = StrategySnapshot::capture(
-            strategy.as_mut(),
-            domain,
-            None,
-            &[],
-            &mut ids,
-            0,
-            QueryStats::default(),
-            (0, 0),
-            None,
-        );
-        let cell = Arc::new(SnapshotCell::new(initial));
+    /// The column `writer` serves, publishing its epoch 0, and the queue
+    /// its commands wait in until something steps them.
+    fn unstarted(writer: &mut Writer<V>) -> (Self, mpsc::Receiver<WriterCmd<V>>) {
+        let cell = Arc::new(SnapshotCell::new(writer.capture(None, &[])));
         // Bounded by design: an unbounded channel here would let overload
         // buffer reorganization work without limit (clippy.toml disallows
         // `mpsc::channel` for that reason).
-        let queue_capacity = queue_capacity.max(1);
-        let (tx, rx) = mpsc::sync_channel(queue_capacity);
-        let writer_state = Writer {
-            strategy,
-            domain,
-            cell: Arc::clone(&cell),
-            ids,
-            epoch: 0,
-            reorg: CountingTracker::new(),
-            failed_migrations: 0,
-            unmatched_tombstones: 0,
-            run: None,
-            policy,
-            compacting: false,
-            absorbs: true,
-            batch_limit: queue_capacity,
+        let (tx, rx) = mpsc::sync_channel(QUEUE_CAPACITY);
+        let column = ConcurrentColumn {
+            cell,
+            tx: Some(tx),
+            writer: None,
+            hints_dropped: AtomicU64::new(0),
         };
+        (column, rx)
+    }
+
+    /// The column `writer` serves, with the writer thread stepping it: it
+    /// waits for a command, then steps everything queued behind it.
+    fn start(mut writer: Writer<V>) -> Self {
+        let (mut column, rx) = Self::unstarted(&mut writer);
+        let cell = Arc::clone(&column.cell);
         #[expect(
             clippy::expect_used,
             reason = "spawn fails only on process resource exhaustion and new has no error channel"
         )]
-        let writer = thread::Builder::new()
+        let thread = thread::Builder::new()
             .name("soc-epoch-writer".into())
-            .spawn(move || writer_state.run(rx))
+            .spawn(move || {
+                while let Ok(first) = rx.recv() {
+                    writer.step(&cell, std::iter::once(first).chain(rx.try_iter()));
+                }
+                writer.strategy
+            })
             .expect("spawn epoch writer thread");
-        ConcurrentColumn {
-            cell,
-            tx: Some(tx),
-            writer: Some(writer),
-            hints_dropped: AtomicU64::new(0),
-        }
+        column.writer = Some(thread);
+        column
     }
 
-    /// Builds the spec's strategy over `values` and wraps it, with the
-    /// default [`CompactionPolicy`] watermarks.
+    /// Builds the spec's strategy over `values` and wraps it
+    /// ([`Self::new`]).
     ///
     /// # Errors
     /// The [`ColumnError`] of the underlying constructor when a value lies
@@ -1047,28 +1012,21 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
         domain: ValueRange<V>,
         values: Vec<V>,
     ) -> Result<Self, ColumnError> {
-        Self::from_spec_with_policy(spec, domain, values, CompactionPolicy::default())
+        Ok(Self::new(spec.build(domain, values)?, domain))
     }
 
-    /// As [`Self::from_spec`] with explicit compaction watermarks — the
-    /// knob the write-heavy benchmarks turn to compare incremental folds
-    /// against the bulk-merge baseline.
-    ///
-    /// # Errors
-    /// The [`ColumnError`] of the underlying constructor when a value lies
-    /// outside `domain`.
-    pub fn from_spec_with_policy(
+    /// As [`Self::from_spec`], compacting under `policy` instead of the
+    /// default watermarks.
+    #[cfg(test)]
+    pub(crate) fn with_policy(
         spec: &StrategySpec,
         domain: ValueRange<V>,
         values: Vec<V>,
         policy: CompactionPolicy,
     ) -> Result<Self, ColumnError> {
-        Ok(Self::build(
-            spec.build(domain, values)?,
-            domain,
-            Self::DEFAULT_QUEUE_CAPACITY,
-            policy,
-        ))
+        let mut writer = Writer::new(spec.build(domain, values)?, domain);
+        writer.policy = policy;
+        Ok(Self::start(writer))
     }
 
     #[expect(
@@ -1106,7 +1064,7 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
 
     /// The latest published epoch number.
     pub fn epoch(&self) -> u64 {
-        self.cell.epoch()
+        self.cell.load().epoch()
     }
 
     /// Counts the values in `q` against the current snapshot and enqueues
@@ -1293,6 +1251,54 @@ mod tests {
         batch
     }
 
+    /// A column whose writer has no thread: its commands wait in `queue`
+    /// until the test steps them, one epoch per step.
+    struct Stepped<V: ColumnValue> {
+        column: ConcurrentColumn<V>,
+        writer: Writer<V>,
+        queue: mpsc::Receiver<WriterCmd<V>>,
+    }
+
+    impl<V: ColumnValue> Stepped<V> {
+        fn new(
+            strategy: Box<dyn ColumnStrategy<V>>,
+            domain: ValueRange<V>,
+            policy: CompactionPolicy,
+        ) -> Self {
+            let mut writer = Writer::new(strategy, domain);
+            writer.policy = policy;
+            let (column, queue) = ConcurrentColumn::unstarted(&mut writer);
+            Stepped {
+                column,
+                writer,
+                queue,
+            }
+        }
+
+        /// One epoch over `cmds`.
+        fn step(&mut self, cmds: impl IntoIterator<Item = WriterCmd<V>>) {
+            self.writer.step(&self.column.cell, cmds);
+        }
+
+        /// One epoch over every command the column has queued.
+        fn step_queued(&mut self) {
+            self.writer.step(&self.column.cell, self.queue.try_iter());
+        }
+
+        /// Rows the strategy holds, folded deltas included.
+        fn base_rows(&self) -> u64 {
+            self.writer.strategy.peek_collect(&self.writer.domain).len() as u64
+        }
+    }
+
+    impl Stepped<u32> {
+        /// `spec` built over [`values`].
+        fn of(spec: &StrategySpec, policy: CompactionPolicy) -> Self {
+            let strategy = spec.build(domain(), values()).expect("values in domain");
+            Self::new(strategy, domain(), policy)
+        }
+    }
+
     #[test]
     fn counts_match_serial_for_every_kind() {
         for kind in StrategyKind::ALL {
@@ -1391,22 +1397,25 @@ mod tests {
     #[test]
     fn replaying_a_converged_column_publishes_no_epoch() {
         let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(256, 1024);
-        let concurrent =
-            ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
+        let mut s = Stepped::of(&spec, CompactionPolicy::default());
         let mut replays = Vec::new();
         for _ in 0..6 {
-            let (epoch, reads) = (concurrent.epoch(), concurrent.reorg_totals().read_bytes);
+            let (epoch, reads) = (s.column.epoch(), s.column.reorg_totals().read_bytes);
             for q in queries() {
-                concurrent.select_count(&q, &mut NullTracker);
+                s.column.select_count(&q, &mut NullTracker);
             }
-            concurrent.quiesce();
-            replays.push(concurrent.epoch() - epoch);
-            if concurrent.epoch() == epoch {
-                // The read bytes of hints that changed nothing wait for
-                // the next epoch.
-                assert_eq!(concurrent.reorg_totals().read_bytes, reads);
+            // One step takes the replay's 40 hints: at most one publish.
+            s.step_queued();
+            replays.push(s.column.epoch() - epoch);
+            if s.column.epoch() == epoch {
+                // The read bytes of hints that changed nothing wait in
+                // the writer for the next epoch.
+                assert_eq!(s.column.reorg_totals().read_bytes, reads);
+                assert!(s.writer.reorg.totals().read_bytes > reads);
+                assert_eq!(replays[0], 1, "{replays:?}");
                 return;
             }
+            assert_eq!(s.column.epoch(), epoch + 1);
         }
         panic!("epochs published per replay: {replays:?}");
     }
@@ -1593,15 +1602,18 @@ mod tests {
         let f = |i: u32| OrdF64::from_finite(f64::from(i) * 0.37);
         let domain = ValueRange::must(f(0), f(100_000));
         let values: Vec<OrdF64> = (0..120_000u32).map(|i| f((i * 7919) % 100_000)).collect();
-        let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(40 * 1024, 160 * 1024);
+        let strategy = StrategySpec::new(StrategyKind::ApmSegm)
+            .with_apm_bounds(40 * 1024, 160 * 1024)
+            .build(domain, values)
+            .expect("values in domain");
         // No compaction: the whole batch stays pending.
         let policy = CompactionPolicy::new(u64::MAX, u64::MAX, 1);
-        let column = ConcurrentColumn::from_spec_with_policy(&spec, domain, values, policy)
-            .expect("values in domain");
+        let mut s = Stepped::new(strategy, domain, policy);
         for lo in (0..85_000u32).step_by(5_000) {
-            column.select_count(&ValueRange::must(f(lo), f(lo + 15_000)), &mut NullTracker);
+            let q = ValueRange::must(f(lo), f(lo + 15_000));
+            s.column.select_count(&q, &mut NullTracker);
         }
-        column.quiesce();
+        s.step_queued();
         // Pending inserts across the domain, and tombstones for some base
         // rows.
         let mut batch = DeltaBatch::new();
@@ -1617,9 +1629,9 @@ mod tests {
                 value,
             });
         }
-        column.apply_deltas(batch);
-        column.quiesce();
-        let snap = column.snapshot();
+        s.column.apply_deltas(batch);
+        s.step_queued();
+        let snap = s.column.snapshot();
         let run = snap.delta.as_ref().expect("the batch is pending");
         let (inserts, tombstones) = (run.inserts(), run.tombstones());
         assert_eq!((inserts.len(), tombstones.len()), (5_000, 400));
@@ -1815,23 +1827,40 @@ mod tests {
 
     #[test]
     fn full_writer_queue_drops_hints_and_counts_them() {
-        let spec = StrategySpec::new(StrategyKind::ApmSegm);
-        let strategy = spec.build(domain(), values()).expect("values in domain");
-        let concurrent = ConcurrentColumn::with_queue_capacity(strategy, domain(), 1);
-        // Saturate the queue far past its bound: answers stay correct,
-        // nothing blocks, and the overflow is counted, not lost silently.
-        for q in queries().iter().cycle().take(5_000) {
-            let _ = concurrent.select_count(q, &mut NullTracker);
+        let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(256, 1024);
+        let mut s = Stepped::of(&spec, CompactionPolicy::default());
+        let counts: Vec<(ValueRange<u32>, u64)> = queries()
+            .into_iter()
+            .map(|q| {
+                (
+                    q,
+                    values().iter().filter(|v| q.contains(**v)).count() as u64,
+                )
+            })
+            .collect();
+        // Nothing steps the writer: exactly the queue bound of hints
+        // queue, and every later one is dropped and counted, not lost
+        // silently. Answers stay correct and no reader blocks.
+        let extra = 500;
+        for (q, expect) in counts.iter().cycle().take(QUEUE_CAPACITY + extra) {
+            assert_eq!(s.column.select_count(q, &mut NullTracker), *expect);
         }
-        assert!(
-            concurrent.reorg_hints_dropped() > 0,
-            "a capacity-1 queue under 5k hints must have dropped some"
-        );
-        let totals = concurrent.reorg_totals();
-        assert_eq!(totals.reorg_hints_dropped, concurrent.reorg_hints_dropped());
-        // Dropped hints are advisory: the column still folds and validates.
-        concurrent.quiesce();
-        concurrent.snapshot().validate().unwrap();
+        assert_eq!(s.column.reorg_hints_dropped(), extra as u64);
+        let totals = s.column.reorg_totals();
+        assert_eq!(totals.reorg_hints_dropped, extra as u64);
+        // Dropped hints are advisory: one step takes every queued hint,
+        // and the column reorganizes and validates.
+        let mut taken = 0;
+        let queued = s.queue.try_iter().inspect(|_| taken += 1);
+        s.writer.step(&s.column.cell, queued);
+        assert_eq!(taken, QUEUE_CAPACITY);
+        let snap = s.column.snapshot();
+        assert_eq!(snap.epoch(), 1);
+        assert!(snap.segment_count() > 1, "the hints must have split");
+        snap.validate().unwrap();
+        for (q, expect) in &counts {
+            assert_eq!(snap.select_count(q, &mut NullTracker), *expect, "{q:?}");
+        }
     }
 
     #[test]
@@ -2046,45 +2075,112 @@ mod tests {
         assert_eq!(snap.total_rows(), 6_000);
     }
 
+    /// The compactor's hysteresis, pinned step by step: folding starts
+    /// once pending rows reach `start_above`, moves `rows_per_step` rows a
+    /// step, stops once a step begins at or below `stop_below`, and does
+    /// not restart until `start_above` is reached again.
     #[test]
     fn incremental_compaction_folds_runs_and_charges_reorg() {
         let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(256, 1024);
-        let policy = CompactionPolicy::new(64, 16, 32);
-        let concurrent = ConcurrentColumn::from_spec_with_policy(&spec, domain(), values(), policy)
-            .expect("values in domain");
+        let mut s = Stepped::of(&spec, CompactionPolicy::new(64, 16, 32));
+        // Rows each step inserts, and the pending level after it.
+        let script: [(u32, u64); 17] = [
+            (10, 10),
+            (10, 20),
+            (10, 30),
+            (10, 40),
+            (10, 50),
+            (10, 60),
+            (20, 48), // 80 reach 64: fold 32
+            (0, 16),  // 48 is above 16: fold 32
+            (0, 16),  // 16 is at most 16: stop
+            (0, 16),
+            (10, 26), // between the watermarks: no fold
+            (10, 36),
+            (10, 46),
+            (10, 56),
+            (8, 32), // exactly 64 again: fold 32
+            (0, 0),  // 32 is above 16: fold 32
+            (0, 0),
+        ];
         let mut expected = values();
-        for round in 0..20u32 {
-            let rows: Vec<u32> = (0..10).map(|i| (round * 389 + i * 53) % 10_000).collect();
-            expected.extend(&rows);
-            concurrent.apply_deltas(insert_batch(500_000 + u64::from(round) * 10, rows));
-            concurrent.quiesce();
+        let mut pending = 0;
+        for (round, (rows, after)) in (0u32..).zip(script) {
+            let inserted: Vec<u32> = (0..rows).map(|i| (round * 389 + i * 53) % 10_000).collect();
+            expected.extend(&inserted);
+            let batch =
+                (rows > 0).then(|| insert_batch(500_000 + u64::from(round) * 100, inserted));
+            let (epoch, wrote) = (s.column.epoch(), s.writer.reorg.totals().write_bytes);
+            s.step(batch.map(WriterCmd::Deltas));
+            let folded = pending + u64::from(rows) - after;
+            assert!(matches!(folded, 0 | 32), "step {round}: folded {folded}");
+            assert_eq!(s.column.pending_delta_rows(), after, "step {round}");
+            assert_eq!(s.base_rows() + after, expected.len() as u64, "step {round}");
+            // Folds charge reorganization writes; a step that neither
+            // folded nor took a batch publishes nothing.
+            let wrote_now = s.writer.reorg.totals().write_bytes;
+            assert_eq!(wrote_now > wrote, folded > 0, "step {round}");
+            let published = rows > 0 || folded > 0;
+            assert_eq!(
+                s.column.epoch(),
+                epoch + u64::from(published),
+                "step {round}"
+            );
+            pending = after;
         }
-        // 200 rows arrived; with start_above=64 the writer must have been
-        // folding along the way instead of accumulating everything.
-        let snap = concurrent.snapshot();
-        assert!(
-            snap.pending_delta_rows() < 200,
-            "compaction must have folded runs (pending {})",
-            snap.pending_delta_rows()
-        );
-        assert!(
-            snap.reorg_totals().write_bytes > 0,
-            "folds charge reorganization writes"
-        );
+        let snap = s.column.snapshot();
+        assert!(snap.reorg_totals().write_bytes > 0);
         snap.validate().unwrap();
         // Answers include both folded and still-pending rows.
         for q in queries().into_iter().take(10) {
             let expect = expected.iter().filter(|v| q.contains(**v)).count() as u64;
             assert_eq!(snap.select_count(&q, &mut NullTracker), expect, "{q:?}");
         }
-        // The handed-back strategy holds exactly the folded rows; the
-        // still-pending remainder lives in the overlay.
-        let pending = concurrent.pending_delta_rows();
-        let folded = concurrent.into_strategy();
-        assert_eq!(
-            folded.peek_collect(&ValueRange::must(0, 9_999)).len() as u64 + pending,
-            expected.len() as u64
-        );
+    }
+
+    /// A fold the strategy refuses (an insert outside its domain) leaves
+    /// the run in place, and later steps neither retry it nor charge
+    /// anything, until a migration installs a strategy that may absorb
+    /// again: it gets one retry.
+    #[test]
+    fn a_refused_fold_waits_for_a_migration() {
+        let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(256, 1024);
+        let mut s = Stepped::of(&spec, CompactionPolicy::new(64, 16, 32));
+        let outside = insert_batch(700_000, 10_000..10_070);
+        s.step([WriterCmd::Deltas(outside)]);
+        assert_eq!(s.column.pending_delta_rows(), 70, "the fold was refused");
+        assert_eq!(s.column.epoch(), 1, "the batch publishes");
+        let refused = s.writer.reorg.totals();
+        assert_eq!(refused.write_bytes, 0, "a refused fold charges nothing");
+        // Rows inside the domain now lead the run, past the start
+        // watermark, and still nothing folds.
+        for round in 0..3u32 {
+            let rows = (0..20).map(|i| (round * 389 + i * 53) % 10_000);
+            s.step([WriterCmd::Deltas(insert_batch(
+                710_000 + u64::from(round) * 20,
+                rows,
+            ))]);
+            assert_eq!(s.column.pending_delta_rows(), 90 + 20 * u64::from(round));
+            assert_eq!(s.writer.reorg.totals(), refused, "round {round}");
+            assert_eq!(s.base_rows(), 6_000);
+        }
+        // The migration reads and rewrites the 6 000 base rows, then the
+        // retry folds the 32 rows at the head of the run.
+        s.step([WriterCmd::Migrate(spec)]);
+        assert_eq!(s.column.pending_delta_rows(), 98);
+        assert_eq!(s.base_rows(), 6_032);
+        let migrated = s.writer.reorg.totals();
+        assert!(migrated.write_bytes > 6_000 * 4, "the fold charged too");
+        // The next step reaches the rows outside the domain: refused
+        // again, and then nothing more until the next migration.
+        for _ in 0..2 {
+            s.step([]);
+            assert_eq!(s.column.pending_delta_rows(), 98);
+            assert_eq!(s.base_rows(), 6_032);
+            assert_eq!(s.writer.reorg.totals(), migrated);
+        }
+        assert!(!s.writer.absorbs);
+        s.column.snapshot().validate().unwrap();
     }
 
     #[test]
@@ -2221,21 +2317,12 @@ mod tests {
             .expect("6000 rows leave gaps in a 10000-value domain");
         let present = values()[0];
         let snapshot = |inserts: Vec<u32>, tombstones: Vec<u32>| {
-            let mut strategy = StrategySpec::new(StrategyKind::NoSegm)
+            let strategy = StrategySpec::new(StrategyKind::NoSegm)
                 .build(domain(), values())
                 .expect("values in domain");
-            let run = DeltaRun::from_parts(SegId(7), inserts, tombstones);
-            StrategySnapshot::capture(
-                strategy.as_mut(),
-                domain(),
-                None,
-                &[],
-                &mut SegIdGen::new(),
-                1,
-                QueryStats::default(),
-                (0, 0),
-                Some(run),
-            )
+            let mut writer = Writer::new(strategy, domain());
+            writer.run = Some(DeltaRun::from_parts(SegId(7), inserts, tombstones));
+            writer.capture(None, &[])
         };
         // A tombstone of a base value beside a pending insert: valid.
         snapshot(vec![absent], vec![present]).validate().unwrap();
@@ -2253,43 +2340,30 @@ mod tests {
 
     #[test]
     fn saturating_hints_cannot_starve_folds_publishes_or_barriers() {
-        use std::sync::atomic::AtomicBool;
-
         let spec = StrategySpec::new(StrategyKind::NoSegm);
-        let policy = CompactionPolicy::new(64, 16, 32);
-        let concurrent = ConcurrentColumn::from_spec_with_policy(&spec, domain(), values(), policy)
-            .expect("values in domain");
-        let stop = AtomicBool::new(false);
+        let mut s = Stepped::of(&spec, CompactionPolicy::new(64, 16, 32));
         let q = ValueRange::must(1_000u32, 1_999);
-        // Asserted after the scope: a panic inside it would leave the
-        // reader spinning and the scope's join hanging.
-        let (mut worst_pending, mut all_visible) = (0, true);
-        std::thread::scope(|s| {
-            // Each hint costs the writer a full scan of the unsegmented
-            // column and the reader only a try_send: the queue never runs
-            // empty, which used to keep the writer inside one epoch forever.
-            s.spawn(|| {
-                while !stop.load(Ordering::Relaxed) {
-                    concurrent.hint_reorganize(&q);
-                }
-            });
-            for round in 0..40u32 {
-                let rows = (0..10).map(|i| (round * 389 + i * 53) % 10_000);
-                concurrent.apply_deltas(insert_batch(800_000 + u64::from(round) * 10, rows));
-                concurrent.quiesce();
-                let snap = concurrent.snapshot();
-                let pending = snap.pending_delta_rows();
-                worst_pending = pending.max(worst_pending);
-                all_visible &= snap.total_rows() + pending == 6_010 + u64::from(round) * 10;
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-        assert!(
-            all_visible,
-            "every quiesce must publish the batch before it"
+        let (reply, done) = mpsc::sync_channel(1);
+        let batch = insert_batch(800_000, (0..70).map(|i| (i * 53) % 10_000));
+        // Hints without end, each a full scan of the unsegmented column:
+        // a queue that never runs empty once kept the writer inside one
+        // epoch forever. The step returns after the bound, with the batch
+        // folded and published and the barrier answered.
+        let mut taken = 0;
+        let hints = std::iter::repeat_with(|| WriterCmd::Reorganize(q));
+        let cmds = [WriterCmd::Deltas(batch), WriterCmd::Sync(reply)];
+        s.step(cmds.into_iter().chain(hints).inspect(|_| taken += 1));
+        assert_eq!(taken, QUEUE_CAPACITY);
+        assert_eq!(done.try_recv(), Ok(()), "the barrier is answered");
+        let snap = s.column.snapshot();
+        assert_eq!(snap.epoch(), 1, "one publish");
+        assert_eq!(
+            snap.pending_delta_rows(),
+            38,
+            "70 rows reach 64: one fold of 32"
         );
-        assert!(worst_pending <= policy.start_above() + policy.rows_per_step());
-        assert!(concurrent.reorg_hints_dropped() > 0, "the reader saturated");
+        assert_eq!(snap.total_rows(), 6_032);
+        snap.validate().unwrap();
     }
 
     /// The four reads of `snap` over `q` against the ascending reference

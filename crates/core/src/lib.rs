@@ -84,7 +84,7 @@ pub use baseline::{FullySorted, NonSegmented};
 pub use column::{ColumnError, SegmentedColumn};
 pub use compress::EncodedPayload;
 pub use cracking::CrackedColumn;
-pub use delta::{CompactionPolicy, DeltaBatch, DeltaOp, DeltaRun};
+pub use delta::{DeltaBatch, DeltaOp, DeltaRun};
 pub use epoch::{ConcurrentColumn, StrategySnapshot};
 pub use estimate::SizeEstimator;
 pub use faults::{Fault, FaultInjector, FaultPlan, FaultSite, NoFaults};
@@ -107,5 +107,6 @@ mod tests {
     mod figure3_walkthrough;
     mod fold_delta_properties;
     mod model_properties;
+    mod racing_compaction;
     mod two_thread_scans;
 }

@@ -381,9 +381,9 @@ impl<V: ColumnValue> SegmentData<V> {
     /// Splits the segment's values across an ordered list of sub-ranges that
     /// tile `self.range`, producing one new segment per sub-range.
     ///
-    /// This is the single scan that materializes split products in both
-    /// Algorithm 1 (replace a segment by its sub-segments) and the eager part
-    /// of the replica tree. `ids` supplies a fresh id per piece. A sorted
+    /// This is the single scan that materializes the split products of
+    /// Algorithm 1, which `SegmentedColumn::replace_segment` puts in place
+    /// of the segment. `ids` supplies a fresh id per piece. A sorted
     /// segment copies nothing: one binary search per inner bound cuts its
     /// window into the products' windows of the same buffer, each product
     /// sorted in turn. An unsorted one moves its values through
