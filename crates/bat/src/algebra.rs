@@ -9,6 +9,7 @@
 //! fetch, and rows appended past its end leave it void.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::{Range, RangeInclusive};
 use std::sync::Arc;
 
 use crate::bat::{Bat, BatError, Head, Oid, Tail};
@@ -64,64 +65,90 @@ impl std::fmt::Display for Atom {
     }
 }
 
-fn selected_indices(b: &Bat, lo: &Atom, hi: &Atom) -> Result<Vec<usize>, BatError> {
-    let mut out = Vec::new();
-    match b.tail() {
-        Tail::Int(v) => {
-            let (lo, hi) = integer_bounds(lo, hi, "int")?;
-            for (i, &x) in v.iter().enumerate() {
-                if (lo..=hi).contains(&i128::from(x)) {
-                    out.push(i);
-                }
-            }
-        }
-        Tail::Dbl(v) => {
-            let (lo, hi) = numeric_bounds(lo, hi, "dbl")?;
-            for (i, x) in v.iter().enumerate() {
-                if *x >= lo && *x <= hi {
-                    out.push(i);
-                }
-            }
-        }
-        Tail::Oid(v) => {
-            let (lo, hi) = integer_bounds(lo, hi, "oid")?;
-            for (i, &x) in v.iter().enumerate() {
-                if (lo..=hi).contains(&i128::from(x)) {
-                    out.push(i);
-                }
-            }
-        }
-        Tail::Str(v) => match (lo, hi) {
-            (Atom::Str(lo), Atom::Str(hi)) => {
-                for (i, x) in v.iter().enumerate() {
-                    if x >= lo && x <= hi {
-                        out.push(i);
-                    }
-                }
-            }
-            _ => {
-                return Err(BatError::TypeMismatch {
-                    expected: "str bounds",
-                    got: "non-str",
-                })
-            }
-        },
-        Tail::Nil(_) => {
-            return Err(BatError::TypeMismatch {
-                expected: "valued tail",
-                got: "nil",
-            })
-        }
-    }
-    Ok(out)
+/// A tail value `algebra.uselect` compares against closed `[lo, hi]`
+/// bounds — the one rule every selection over an `int`, `dbl` or `oid`
+/// column applies, whether its values sit in a bat or in a piece nobody
+/// has built a bat of. `int` and `oid` values compare as exact integers
+/// (`i128`), so neighbours above 2⁵³ stay apart and a fractional `dbl`
+/// bound rounds inward; `dbl` values compare as `f64`. A NaN bound
+/// selects nothing.
+pub trait Selectable: Copy {
+    /// What a value and the bounds compare as.
+    type Key: PartialOrd;
+
+    /// The values `[lo, hi]` keeps, or the error `uselect` raises for
+    /// bounds this tail type cannot compare against.
+    fn bounds(lo: &Atom, hi: &Atom) -> Result<RangeInclusive<Self::Key>, BatError>;
+
+    /// This value as the bounds see it.
+    fn key(self) -> Self::Key;
 }
 
-fn numeric_bounds(lo: &Atom, hi: &Atom, expected: &'static str) -> Result<(f64, f64), BatError> {
-    match (lo.as_f64(), hi.as_f64()) {
-        (Some(lo), Some(hi)) => Ok((lo, hi)),
-        _ => Err(BatError::TypeMismatch {
-            expected,
-            got: "non-numeric bound",
+impl Selectable for i64 {
+    type Key = i128;
+
+    fn bounds(lo: &Atom, hi: &Atom) -> Result<RangeInclusive<i128>, BatError> {
+        integer_bounds(lo, hi, "int")
+    }
+
+    fn key(self) -> i128 {
+        i128::from(self)
+    }
+}
+
+impl Selectable for Oid {
+    type Key = i128;
+
+    fn bounds(lo: &Atom, hi: &Atom) -> Result<RangeInclusive<i128>, BatError> {
+        integer_bounds(lo, hi, "oid")
+    }
+
+    fn key(self) -> i128 {
+        i128::from(self)
+    }
+}
+
+impl Selectable for f64 {
+    type Key = f64;
+
+    fn bounds(lo: &Atom, hi: &Atom) -> Result<RangeInclusive<f64>, BatError> {
+        match (lo.as_f64(), hi.as_f64()) {
+            (Some(lo), Some(hi)) => Ok(lo..=hi),
+            _ => Err(BatError::TypeMismatch {
+                expected: "dbl",
+                got: "non-numeric bound",
+            }),
+        }
+    }
+
+    fn key(self) -> f64 {
+        self
+    }
+}
+
+fn selected_indices(b: &Bat, lo: &Atom, hi: &Atom) -> Result<Vec<usize>, BatError> {
+    fn within<T: Selectable>(v: &[T], lo: &Atom, hi: &Atom) -> Result<Vec<usize>, BatError> {
+        let keep = T::bounds(lo, hi)?;
+        Ok((0..v.len())
+            .filter(|&i| keep.contains(&v[i].key()))
+            .collect())
+    }
+    match b.tail() {
+        Tail::Int(v) => within(v, lo, hi),
+        Tail::Dbl(v) => within(v, lo, hi),
+        Tail::Oid(v) => within(v, lo, hi),
+        Tail::Str(v) => match (lo, hi) {
+            (Atom::Str(lo), Atom::Str(hi)) => Ok((0..v.len())
+                .filter(|&i| v[i] >= *lo && v[i] <= *hi)
+                .collect()),
+            _ => Err(BatError::TypeMismatch {
+                expected: "str bounds",
+                got: "non-str",
+            }),
+        },
+        Tail::Nil(_) => Err(BatError::TypeMismatch {
+            expected: "valued tail",
+            got: "nil",
         }),
     }
 }
@@ -131,7 +158,11 @@ fn numeric_bounds(lo: &Atom, hi: &Atom, expected: &'static str) -> Result<(f64, 
 /// `i128`, and a fractional `dbl` bound rounds inward (`x ≥ 2.5` iff
 /// `x ≥ 3`). Widening the rows to `f64` instead would merge neighbouring
 /// integers above 2⁵³. A NaN bound selects nothing.
-fn integer_bounds(lo: &Atom, hi: &Atom, expected: &'static str) -> Result<(i128, i128), BatError> {
+fn integer_bounds(
+    lo: &Atom,
+    hi: &Atom,
+    expected: &'static str,
+) -> Result<RangeInclusive<i128>, BatError> {
     let bound = |a: &Atom, round: fn(f64) -> f64, nan: i128| match a {
         Atom::Int(v) => Ok(i128::from(*v)),
         Atom::Oid(v) => Ok(i128::from(*v)),
@@ -143,10 +174,7 @@ fn integer_bounds(lo: &Atom, hi: &Atom, expected: &'static str) -> Result<(i128,
             got: "non-numeric bound",
         }),
     };
-    Ok((
-        bound(lo, f64::ceil, i128::MAX)?,
-        bound(hi, f64::floor, i128::MIN)?,
-    ))
+    Ok(bound(lo, f64::ceil, i128::MAX)?..=bound(hi, f64::floor, i128::MIN)?)
 }
 
 /// Whether `idx` selects every one of `len` rows in place.
@@ -219,10 +247,38 @@ impl Positions {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Off, [`ascending`] answers no and every pair of explicit heads is
+    /// hashed: the tests run each operator both ways and hold the
+    /// binary-search paths to the hash paths they replace.
+    pub(crate) static BINARY_SEARCH: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
+}
+
+/// Whether `oids` ascend (repeats allowed), so that binary search can
+/// match other oids against them. One pass, no allocation.
+fn ascending(oids: &[Oid]) -> bool {
+    #[cfg(test)]
+    if !BINARY_SEARCH.get() {
+        return false;
+    }
+    oids.is_sorted()
+}
+
+/// The positions of `oid` in the ascending `sorted`: one binary search,
+/// then a step per duplicate.
+fn equal_range(sorted: &[Oid], oid: Oid) -> Range<usize> {
+    let first = sorted.partition_point(|&o| o < oid);
+    let dups = sorted[first..].iter().take_while(|&&o| o == oid).count();
+    first..first + dups
+}
+
 /// For each row of `b`, whether its head oid occurs among `other`'s heads.
 /// Density decides the work: a void `other` is a range check per row, a
-/// void `b` is one positional mark per row of `other`, and two explicit
-/// heads hash the shorter one and stream the longer.
+/// void `b` is one positional mark per row of `other`. Two explicit heads
+/// are matched by binary search when one of them ascends — the oids of
+/// the other side probe into it, into the longer when both ascend — and
+/// otherwise by hashing the shorter one and streaming the longer.
 fn head_hits(b: &Bat, other: &Bat) -> Vec<bool> {
     let mut hit = vec![false; b.len()];
     match (b.head(), other.head()) {
@@ -238,17 +294,27 @@ fn head_hits(b: &Bat, other: &Bat) -> Vec<bool> {
                 }
             }
         }
-        (Head::Oids(ours), Head::Oids(theirs)) if theirs.len() <= ours.len() => {
-            let theirs: HashSet<Oid> = theirs.iter().copied().collect();
-            for (h, oid) in hit.iter_mut().zip(ours.iter()) {
-                *h = theirs.contains(oid);
-            }
-        }
         (Head::Oids(ours), Head::Oids(theirs)) => {
-            let ours = Positions::of(ours);
-            for &oid in theirs.iter() {
-                for p in ours.at(oid) {
-                    hit[p] = true;
+            let (ours_up, theirs_up) = (ascending(ours), ascending(theirs));
+            if theirs_up && (!ours_up || theirs.len() >= ours.len()) {
+                for (h, oid) in hit.iter_mut().zip(ours.iter()) {
+                    *h = theirs.binary_search(oid).is_ok();
+                }
+            } else if ours_up {
+                for &oid in theirs.iter() {
+                    hit[equal_range(ours, oid)].fill(true);
+                }
+            } else if theirs.len() <= ours.len() {
+                let theirs: HashSet<Oid> = theirs.iter().copied().collect();
+                for (h, oid) in hit.iter_mut().zip(ours.iter()) {
+                    *h = theirs.contains(oid);
+                }
+            } else {
+                let ours = Positions::of(ours);
+                for &oid in theirs.iter() {
+                    for p in ours.at(oid) {
+                        hit[p] = true;
+                    }
                 }
             }
         }
@@ -256,9 +322,15 @@ fn head_hits(b: &Bat, other: &Bat) -> Vec<bool> {
     hit
 }
 
-/// The rows of `b` whose [`head_hits`] flag equals `want`.
+/// The rows of `b` whose [`head_hits`] flag equals `want`; all of them
+/// is `b` shared.
 fn rows_flagged(b: &Bat, hit: &[bool], want: bool) -> Bat {
-    let idx: Vec<usize> = (0..hit.len()).filter(|&i| hit[i] == want).collect();
+    let n = hit.iter().filter(|&&h| h == want).count();
+    if n == b.len() {
+        return b.clone();
+    }
+    let mut idx = Vec::with_capacity(n);
+    idx.extend((0..hit.len()).filter(|&i| hit[i] == want));
     take_rows(b, &idx)
 }
 
@@ -327,15 +399,29 @@ pub fn reverse(b: &Bat) -> Result<Bat, BatError> {
 
 /// `(position in probe, row of b)` for every match of a `probe` oid
 /// against `b`'s head oids, in probe order (then `b`'s). A void head is a
-/// positional fetch per probe oid; explicit heads hash the shorter side and
-/// stream the longer once.
+/// positional fetch per probe oid. Explicit heads that ascend take a
+/// binary search per probe oid, and so does each head against a probe
+/// that ascends; otherwise the shorter side is hashed and the longer
+/// streamed once.
 fn join_pairs(probe: &[Oid], b: &Bat) -> Vec<(usize, usize)> {
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    // Sized for one match per probe oid, what a key join makes at most.
+    let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(probe.len().min(b.len()));
     match b.head() {
         Head::Void { base } => {
             for (i, &t) in probe.iter().enumerate() {
                 pairs.extend(void_position(*base, b.len(), t).map(|j| (i, j)));
             }
+        }
+        Head::Oids(heads) if ascending(heads) => {
+            for (i, &t) in probe.iter().enumerate() {
+                pairs.extend(equal_range(heads, t).map(|j| (i, j)));
+            }
+        }
+        Head::Oids(heads) if ascending(probe) => {
+            for (j, &h) in heads.iter().enumerate() {
+                pairs.extend(equal_range(probe, h).map(|i| (i, j)));
+            }
+            pairs.sort_unstable();
         }
         Head::Oids(heads) if heads.len() <= probe.len() => {
             let inner = Positions::of(heads);
@@ -373,7 +459,9 @@ pub fn join(a: &Bat, b: &Bat) -> Result<Bat, BatError> {
 /// rows, plus the updated rows that qualify now, minus the deleted oids
 /// (`deletes` is the `sql.bind_dbat` bat, deleted oids in its tail). It is
 /// the six-operator chain it replaces, called in the chain's order, so its
-/// rows and errors are the chain's.
+/// rows and errors are the chain's. The last step matches against the
+/// deleted oids where they lie instead of reversing `deletes` into a bat
+/// of its own.
 pub fn sub_delta(
     selected: &Bat,
     inserts: &Bat,
@@ -384,7 +472,11 @@ pub fn sub_delta(
 ) -> Result<Bat, BatError> {
     let merged = kunion(selected, &uselect(inserts, lo, hi)?)?;
     let merged = kunion(&kdifference(&merged, updates)?, &uselect(updates, lo, hi)?)?;
-    kdifference(&merged, &reverse(deletes)?)
+    let Tail::Oid(deleted) = deletes.tail() else {
+        return Err(BatError::OidTailRequired);
+    };
+    let deleted = Bat::new(Head::Oids(Arc::clone(deleted)), Tail::Nil(deleted.len()))?;
+    kdifference(&merged, &deleted)
 }
 
 /// Where [`project_delta`] takes a row from: the base, the inserts or the
@@ -566,7 +658,10 @@ pub fn append(a: &Bat, b: &Bat) -> Result<Bat, BatError> {
         {
             a.head().clone()
         }
-        _ => Head::Oids(concat(&a.head_oids(), &b.head_oids())),
+        _ => Head::Oids(match (a.head(), b.head()) {
+            (Head::Oids(x), Head::Oids(y)) => concat(x, y),
+            _ => concat(&a.head_oids(), &b.head_oids()),
+        }),
     };
     Bat::new(head, tail)
 }

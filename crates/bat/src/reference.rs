@@ -118,7 +118,7 @@ mod properties {
     use super::*;
     use crate::algebra::{self, Atom};
 
-    const HEAD_SHAPES: usize = 5;
+    const HEAD_SHAPES: usize = 6;
     const TAIL_TYPES: usize = 5;
 
     /// A head over oids drawn from `raw`, in one of the shapes the kernels
@@ -145,7 +145,13 @@ mod properties {
                 explicit(raw.iter().copied().filter(|o| seen.insert(*o)).collect())
             }
             // As drawn: duplicates are likely (24 draws from 64 oids).
-            _ => explicit(raw.to_vec()),
+            4 => explicit(raw.to_vec()),
+            // Ascending with the duplicates kept.
+            _ => {
+                let mut oids = raw.to_vec();
+                oids.sort_unstable();
+                explicit(oids)
+            }
         }
     }
 
@@ -205,6 +211,46 @@ mod properties {
                     bat_of(a.0, a.1, a.2, &a.3, salt),
                     bat_of(b.0, b_kind, b.2, &b.3, salt ^ 0x5bd1),
                 )
+            })
+    }
+
+    /// `op` with every pair of explicit heads hashed, as the operators
+    /// matched oids before binary search.
+    fn hashed<T>(op: impl FnOnce() -> T) -> T {
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                algebra::BINARY_SEARCH.set(true);
+            }
+        }
+        let _restore = Restore;
+        algebra::BINARY_SEARCH.set(false);
+        op()
+    }
+
+    /// An outer side for a join whose tail oids are drawn from (and past)
+    /// the inner heads' oid space: as drawn, or ascending with repeats
+    /// kept, so both sides of the join can be the one that ascends.
+    fn arb_outer() -> impl Strategy<Value = Bat> {
+        (
+            0..HEAD_SHAPES,
+            0u64..40,
+            vec(0u64..90, 0..24),
+            any::<bool>(),
+            0usize..8,
+        )
+            .prop_map(|(shape, base, mut oids, sorted, kind)| {
+                let (head, n) = head_of(shape, base, &oids);
+                oids.truncate(n);
+                if sorted {
+                    oids.sort_unstable();
+                }
+                let tail = if kind == 0 {
+                    tail_of(0, n, base)
+                } else {
+                    Tail::Oid(Arc::new(oids))
+                };
+                Bat::new(head, tail).expect("one tail value per head oid")
             })
     }
 
@@ -492,6 +538,94 @@ mod properties {
         #[test]
         fn project_delta_over_a_void_base_equals_its_chain(case in arb_void_base_projection()) {
             prop_assert!(equals_chain(algebra::project_delta, &case), "{:?}", case);
+        }
+
+        /// Where a side ascends, the key operators match by binary search;
+        /// the bat (`==`: head variant, rows, order) or error is the one
+        /// hashing both sides gives.
+        #[test]
+        fn key_operators_match_by_binary_search_as_by_hashing((a, b) in arb_pair()) {
+            for op in [algebra::kunion, algebra::kdifference, algebra::kintersect] {
+                prop_assert_eq!(op(&a, &b), hashed(|| op(&a, &b)), "{:?} {:?}", a, b);
+            }
+        }
+
+        #[test]
+        fn join_matches_by_binary_search_as_by_hashing(outer in arb_outer(), inner in arb_bat()) {
+            let join = || algebra::join(&outer, &inner);
+            prop_assert_eq!(join(), hashed(join), "{:?} ⋈ {:?}", outer, inner);
+            prop_assert!(same(join(), self::join(&outer, &inner)), "{:?} ⋈ {:?}", outer, inner);
+        }
+
+        #[test]
+        fn sub_delta_matches_by_binary_search_as_by_hashing(
+            (selected, inserts, updates, deletes, lo, hi) in arb_selection(),
+        ) {
+            let sub = || algebra::sub_delta(&selected, &inserts, &updates, &deletes, &lo, &hi);
+            prop_assert_eq!(sub(), hashed(sub));
+        }
+
+        #[test]
+        fn project_delta_matches_by_binary_search_as_by_hashing(
+            (probe, base, inserts, updates) in prop_oneof![arb_projection(), arb_void_base_projection()],
+        ) {
+            let project = || algebra::project_delta(&probe, &base, &inserts, &updates);
+            prop_assert_eq!(project(), hashed(project));
+        }
+    }
+
+    /// A join emits every match: in probe order, and for one probe oid in
+    /// the inner side's order — whichever side ascends, repeats on it
+    /// included — and nothing against an empty side.
+    #[test]
+    fn joins_emit_every_repeated_match_in_probe_then_inner_order() {
+        let outer = |oids: Vec<Oid>| Bat::dense_oid(oids);
+        let inner = |heads: Vec<Oid>, vals: Vec<i64>| {
+            Bat::new(Head::Oids(heads.into()), Tail::Int(vals.into())).unwrap()
+        };
+        let cases = [
+            // The inner heads ascend, with a repeat.
+            (
+                outer(vec![5, 3, 5, 9]),
+                inner(vec![3, 5, 5], vec![30, 50, 51]),
+                (vec![0, 0, 1, 2, 2], vec![50, 51, 30, 50, 51]),
+            ),
+            // The probe ascends, with a repeat; the inner heads do not.
+            (
+                outer(vec![3, 5, 5]),
+                inner(vec![5, 3, 5], vec![50, 30, 51]),
+                (vec![0, 1, 1, 2, 2], vec![30, 50, 51, 50, 51]),
+            ),
+            // Both ascend.
+            (
+                outer(vec![3, 3, 5]),
+                inner(vec![3, 3, 4], vec![30, 31, 40]),
+                (vec![0, 0, 1, 1], vec![30, 31, 30, 31]),
+            ),
+            (
+                outer(vec![]),
+                inner(vec![1, 2], vec![10, 20]),
+                (vec![], vec![]),
+            ),
+            (outer(vec![1, 2]), inner(vec![], vec![]), (vec![], vec![])),
+        ];
+        for (a, b, (heads, vals)) in cases {
+            for j in [algebra::join(&a, &b), hashed(|| algebra::join(&a, &b))] {
+                let j = j.unwrap();
+                assert_eq!(j.head_oids(), heads, "{a:?} ⋈ {b:?}");
+                assert_eq!(j.tail(), &Tail::Int(vals.clone().into()), "{a:?} ⋈ {b:?}");
+            }
+        }
+        // Membership against an ascending side with repeats, both ways.
+        let sorted = inner(vec![2, 4, 4, 7], vec![0; 4]);
+        let unsorted = inner(vec![4, 9, 2, 4, 1], vec![0; 5]);
+        for (a, b) in [(&sorted, &unsorted), (&unsorted, &sorted)] {
+            for keep in [
+                algebra::kintersect(a, b),
+                hashed(|| algebra::kintersect(a, b)),
+            ] {
+                assert_eq!(keep.unwrap(), kintersect(a, b).unwrap());
+            }
         }
     }
 

@@ -171,6 +171,16 @@ fn render_instr(i: &Instruction) -> String {
     }
 }
 
+/// Whether any instruction of `stmts` reads variable `var`.
+pub(crate) fn references(stmts: &[Stmt], var: &str) -> bool {
+    stmts.iter().any(|s| match s {
+        Stmt::Assign(i) | Stmt::Barrier(i) | Stmt::Redo(i) => {
+            i.args.iter().any(|a| a.var() == Some(var))
+        }
+        _ => false,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

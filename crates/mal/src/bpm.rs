@@ -18,8 +18,10 @@
 //! `fold_delta` too: the pending deltas land in the pieces that own them,
 //! and the organization the queries built survives.
 //!
-//! The adapter materializes rows one way: the strategy's read-only
-//! `peek_collect`, into the piece bats a compiled plan binds. Pending
+//! The adapter reads rows one way: the strategy's read-only
+//! `peek_collect`. A plan's `uselect` over a piece keeps only the oids of
+//! the rows it selects ([`SegmentedBat::piece_uselect`]); any other
+//! consumer gets the piece's whole bat ([`SegmentedBat::piece_bat`]). Pending
 //! deltas are the plan's to merge (`sql.subdelta`/`sql.projectdelta` over
 //! the catalog's delta bats); this module only seals them into a run when
 //! the catalog merges them into the pieces.
@@ -27,7 +29,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use soc_bat::{algebra::Atom, Bat, BatError, Head, Oid, Tail};
+use soc_bat::algebra::{Atom, Selectable};
+use soc_bat::{Bat, BatError, Head, Oid, Tail};
 use soc_core::{
     AdaptationStats, ColumnError, ColumnStrategy, ColumnValue, CountingTracker, DeltaBatch,
     DeltaOp, DeltaRun, OrdF64, Pair, SegIdGen, StrategySpec, ValueRange,
@@ -95,6 +98,13 @@ pub(crate) trait TailValue: ColumnValue {
     /// The tail's type name, as [`Tail::type_name`] spells it.
     const TYPE_NAME: &'static str;
 
+    /// The value as its bat tail holds it, compared as `algebra.uselect`
+    /// compares that tail.
+    type Raw: Selectable;
+
+    /// This value as its bat tail holds it.
+    fn raw(self) -> Self::Raw;
+
     /// Rebuilds this type's tail from extracted values.
     fn make_tail(values: Vec<Self>) -> Tail;
 
@@ -122,6 +132,11 @@ pub(crate) trait TailValue: ColumnValue {
 
 impl TailValue for i64 {
     const TYPE_NAME: &'static str = "int";
+    type Raw = i64;
+
+    fn raw(self) -> i64 {
+        self
+    }
 
     fn make_tail(values: Vec<Self>) -> Tail {
         Tail::Int(values.into())
@@ -158,6 +173,11 @@ impl TailValue for i64 {
 
 impl TailValue for u64 {
     const TYPE_NAME: &'static str = "oid";
+    type Raw = u64;
+
+    fn raw(self) -> u64 {
+        self
+    }
 
     fn make_tail(values: Vec<Self>) -> Tail {
         Tail::Oid(values.into())
@@ -193,6 +213,11 @@ impl TailValue for u64 {
 
 impl TailValue for OrdF64 {
     const TYPE_NAME: &'static str = "dbl";
+    type Raw = f64;
+
+    fn raw(self) -> f64 {
+        self.get()
+    }
 
     fn make_tail(values: Vec<Self>) -> Tail {
         Tail::Dbl(Arc::new(values.into_iter().map(OrdF64::get).collect()))
@@ -290,18 +315,19 @@ impl<V: TailValue> TypedSeg<V> {
         bat_of_pairs(self.strategy.peek_collect(&range))
     }
 
-    /// All pieces overlapping the closed query `[lo, hi]`, materialized in
-    /// value order. One `segment_ranges()` build serves every piece — the
-    /// bulk path the interpreter's segment iterator uses.
-    fn piece_bats(&self, lo: f64, hi: f64) -> Result<Vec<Bat>, BpmError> {
-        if lo.is_nan() || hi.is_nan() {
-            return Ok(Vec::new());
-        }
-        self.ranges()
-            .into_iter()
-            .filter(|r| r.lo().value.to_f64() <= hi && lo <= r.hi().value.to_f64())
-            .map(|r| bat_of_pairs(self.strategy.peek_collect(&r)))
-            .collect()
+    /// See [`SegmentedBat::piece_uselect`].
+    fn piece_uselect(&self, i: usize, lo: &Atom, hi: &Atom) -> Result<Bat, BpmError> {
+        let range = *self.ranges().get(i).ok_or(BpmError::BadPiece(i))?;
+        let keep = V::Raw::bounds(lo, hi)?;
+        let rows = self.strategy.peek_collect(&range);
+        let mut heads = Vec::with_capacity(rows.len());
+        heads.extend(
+            rows.iter()
+                .filter(|p| keep.contains(&p.value.raw().key()))
+                .map(|p| p.oid),
+        );
+        let n = heads.len();
+        Ok(Bat::new(Head::Oids(heads.into()), Tail::Nil(n))?)
     }
 
     fn pack(&self) -> Result<Bat, BpmError> {
@@ -657,6 +683,20 @@ impl SegmentedBat {
         on_seg!(&self.inner, s => s.piece_bat(i))
     }
 
+    /// `algebra.uselect(piece_bat(i), lo, hi)` without building the
+    /// piece's bat: one read of the piece keeps the oids of the rows whose
+    /// value lies in `[lo, hi]`, in the piece's order, compared by the
+    /// tail's [`Selectable`] rule — the bat, head variant included, and
+    /// the error that call returns.
+    ///
+    /// # Errors
+    /// [`BpmError::BadPiece`] for an index past the last piece, and
+    /// [`BpmError::Bat`] with `uselect`'s error for bounds the tail type
+    /// cannot compare against.
+    pub(crate) fn piece_uselect(&self, i: usize, lo: &Atom, hi: &Atom) -> Result<Bat, BpmError> {
+        on_seg!(&self.inner, s => s.piece_uselect(i, lo, hi))
+    }
+
     /// An empty bat typed like this column's tail — what a delta bind is
     /// shaped after. Read off the column's type, so it costs no piece
     /// read and holds for a column with no pieces at all.
@@ -666,14 +706,6 @@ impl SegmentedBat {
             PairColumn::Dbl(_) => Bat::dense_dbl(Vec::new()),
             PairColumn::Oid(_) => Bat::dense_oid(Vec::new()),
         }
-    }
-
-    /// All pieces overlapping the closed query `[lo, hi]`, in value
-    /// order — the bulk form of [`Self::piece_bat`] the interpreter's
-    /// segment iterator uses (one piece-range computation for the whole
-    /// set instead of one per piece).
-    pub(crate) fn piece_bats(&self, lo: f64, hi: f64) -> Result<Vec<Bat>, BpmError> {
-        on_seg!(&self.inner, s => s.piece_bats(lo, hi))
     }
 
     /// Indices of the pieces overlapping the closed query `[lo, hi]`.

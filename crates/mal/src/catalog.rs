@@ -219,6 +219,46 @@ struct MergeBackoff {
     cooldown: u32,
 }
 
+/// The bats `sql.bind(…, 1|2)` and `sql.bind_dbat` hand out, each built
+/// once per pending state, so every later bind of it is a reference-count
+/// bump. Whatever changes what an entry was built from — the column's
+/// pending atoms, the table's deleted oids, the column's registration or
+/// strategy — drops the entry. A delta whose atoms the tail cannot hold
+/// is never stored: every bind of it fails anew.
+#[derive(Debug, Default)]
+struct BindMemo {
+    /// Per column key: the insert (access 1) and update (access 2) bats.
+    deltas: HashMap<String, [Option<Bat>; 2]>,
+    /// Per `schema.table`: the deletions bat.
+    dbats: HashMap<String, Bat>,
+}
+
+/// [`BindMemo`]'s slot for the insert and the update delta bat.
+const INSERTS: usize = 0;
+const UPDATES: usize = 1;
+
+impl BindMemo {
+    /// Drops column `key`'s insert or update bat.
+    fn forget_delta(&mut self, key: &str, slot: usize) {
+        if let Some(memo) = self.deltas.get_mut(key) {
+            memo[slot] = None;
+        }
+    }
+
+    /// Drops column `key`'s delta bats.
+    fn forget_column(&mut self, key: &str) {
+        self.deltas.remove(key);
+    }
+
+    /// Drops table `tk`'s deletions bat and every delta bat of its
+    /// columns.
+    fn forget_table(&mut self, tk: &str) {
+        self.dbats.remove(tk);
+        self.deltas
+            .retain(|key, _| !key.strip_prefix(tk).is_some_and(|c| c.starts_with('.')));
+    }
+}
+
 /// Named storage the MAL interpreter binds against.
 ///
 /// Fields are crate-visible for the checkpoint module
@@ -230,7 +270,8 @@ pub struct Catalog {
     pub(crate) segmented: HashMap<String, SegmentedBat>,
     pub(crate) seg_meta: HashMap<String, SegMeta>,
     pub(crate) deltas: HashMap<String, ColumnDeltas>,
-    /// Deleted row oids per `schema.table`.
+    /// Deleted row oids per `schema.table`, ascending (a row deleted
+    /// twice is listed twice).
     pub(crate) deleted: HashMap<String, Vec<Oid>>,
     /// Next fresh oid per `schema.table` (rows appended so far + base).
     pub(crate) next_oid: HashMap<String, Oid>,
@@ -247,6 +288,7 @@ pub struct Catalog {
     /// Per-table threshold overrides (the `ALTER TABLE … SET MERGE
     /// THRESHOLD` DDL); absent tables use [`DEFAULT_DELTA_MERGE_THRESHOLD`].
     merge_thresholds: HashMap<String, usize>,
+    bind_memo: BindMemo,
 }
 
 impl Catalog {
@@ -282,6 +324,7 @@ impl Catalog {
     /// auto-merge latch for the table is released — the table's content
     /// changed, so the merge deserves a fresh attempt.
     fn on_register(&mut self, schema: &str, table: &str, key: &str, was_registered: bool) {
+        self.bind_memo.forget_column(key);
         let tk = Self::table_key(schema, table);
         if !was_registered {
             if let Some(d) = self.deltas.get(key) {
@@ -373,6 +416,7 @@ impl Catalog {
         self.seg_meta
             .insert(key.to_owned(), SegMeta { spec, ..meta });
         self.segmented.insert(key.to_owned(), rebuilt);
+        self.bind_memo.forget_column(key);
         Ok(())
     }
 
@@ -434,6 +478,7 @@ impl Catalog {
         for (column, value) in row {
             let key = Self::key(schema, table, column);
             counted += usize::from(self.is_registered(&key));
+            self.bind_memo.forget_delta(&key, INSERTS);
             let d = self.deltas.entry(key).or_default();
             d.insert_heads.push(oid);
             d.insert_vals.push(value.clone());
@@ -451,6 +496,7 @@ impl Catalog {
     /// Records an in-place update of one column of row `oid`.
     pub fn update_value(&mut self, schema: &str, table: &str, column: &str, oid: Oid, value: Atom) {
         let key = Self::key(schema, table, column);
+        self.bind_memo.forget_delta(&key, UPDATES);
         if self.is_registered(&key) {
             *self
                 .pending_rows
@@ -466,34 +512,60 @@ impl Catalog {
     /// Marks row `oid` deleted.
     pub fn delete_row(&mut self, schema: &str, table: &str, oid: Oid) {
         let tk = Self::table_key(schema, table);
-        self.deleted.entry(tk.clone()).or_default().push(oid);
+        let deleted = self.deleted.entry(tk.clone()).or_default();
+        deleted.insert(deleted.partition_point(|&d| d <= oid), oid);
+        self.bind_memo.dbats.remove(&tk);
         *self.pending_rows.entry(tk).or_insert(0) += 1;
         self.maybe_auto_merge(schema, table);
     }
 
     /// The delta bat `sql.bind(schema, table, column, access)` returns for
     /// `access` 1 (inserts) or 2 (updates — the interpreter rejects every
-    /// other code); typed like the base column, as `like` is, which comes
-    /// back as it is when nothing is pending.
-    pub(crate) fn delta_bat(&self, key: &str, access: i64, like: Bat) -> Result<Bat, CatalogError> {
-        match self.deltas.get(key) {
-            None => Ok(like),
-            Some(d) if access == 1 => atoms_to_bat(key, &d.insert_heads, &d.insert_vals, &like),
-            Some(d) => atoms_to_bat(key, &d.update_heads, &d.update_vals, &like),
+    /// other code), typed like the base column: empty when nothing is
+    /// pending. Built once per pending state ([`BindMemo`]); `None` when
+    /// `key` names no registered column.
+    pub(crate) fn delta_bat(
+        &mut self,
+        key: &str,
+        access: i64,
+    ) -> Option<Result<Bat, CatalogError>> {
+        let slot = if access == 1 { INSERTS } else { UPDATES };
+        if let Some(b) = self
+            .bind_memo
+            .deltas
+            .get(key)
+            .and_then(|m| m[slot].as_ref())
+        {
+            return Some(Ok(b.clone()));
         }
+        let like = match (self.bats.get(key), self.segmented.get(key)) {
+            (Some(b), _) => b.empty_like(),
+            (None, Some(seg)) => seg.empty_like(),
+            (None, None) => return None,
+        };
+        let built = match self.deltas.get(key) {
+            None => Ok(like),
+            Some(d) if slot == INSERTS => atoms_to_bat(key, &d.insert_heads, &d.insert_vals, &like),
+            Some(d) => atoms_to_bat(key, &d.update_heads, &d.update_vals, &like),
+        };
+        if let Ok(b) = &built {
+            self.bind_memo.deltas.entry(key.to_owned()).or_default()[slot] = Some(b.clone());
+        }
+        Some(built)
     }
 
     /// The deletions bat `sql.bind_dbat` returns: head void, tail = the
-    /// deleted oids (Figure 1 reverses it before `kdifference`).
-    pub(crate) fn dbat(&self, schema: &str, table: &str) -> Result<Bat, CatalogError> {
+    /// deleted oids, ascending. Built once per deletion state
+    /// ([`BindMemo`]).
+    pub(crate) fn dbat(&mut self, schema: &str, table: &str) -> Bat {
         with_joined(&[schema, table], |key| {
+            if let Some(b) = self.bind_memo.dbats.get(key) {
+                return b.clone();
+            }
             let deleted = self.deleted.get(key).cloned().unwrap_or_default();
-            Bat::new(Head::Void { base: 0 }, Tail::Oid(deleted.into())).map_err(|source| {
-                CatalogError::MalformedDelta {
-                    key: key.to_owned(),
-                    source,
-                }
-            })
+            let b = Bat::dense_oid(deleted);
+            self.bind_memo.dbats.insert(key.to_owned(), b.clone());
+            b
         })
     }
 
@@ -657,6 +729,7 @@ impl Catalog {
             self.bats.insert(key, bat);
         }
         self.deleted.remove(&tk);
+        self.bind_memo.forget_table(&tk);
         // All counted (registered-column) deltas were folded; deltas
         // against never-registered column names are inert and uncounted,
         // so the table's pending total is zero by construction.
@@ -937,7 +1010,7 @@ mod tests {
 
         // Deltas and the deletion list are spent; the rewrite was charged.
         assert_eq!(c.pending_delta_rows("sys", "T"), 0);
-        assert!(c.dbat("sys", "T").unwrap().is_empty());
+        assert!(c.dbat("sys", "T").is_empty());
         assert!(c.segmented("sys.T.v").unwrap().reorg_write_bytes() > reorg_before);
         // Fresh oids keep growing past the merged rows.
         assert_eq!(
@@ -1373,8 +1446,7 @@ mod tests {
         );
         assert_eq!(a, 3);
         assert_eq!(b, 4);
-        let like = Bat::dense_dbl(vec![]);
-        let ins = c.delta_bat("sys.P.ra", 1, like).unwrap();
+        let ins = c.delta_bat("sys.P.ra", 1).unwrap().unwrap();
         assert_eq!(ins.head_oids(), vec![3, 4]);
         assert_eq!(ins.tail(), &Tail::Dbl(vec![4.0, 5.0].into()));
     }
@@ -1385,13 +1457,98 @@ mod tests {
         c.register_bat("sys", "P", "ra", Bat::dense_dbl(vec![1.0, 2.0]));
         c.update_value("sys", "P", "ra", 1, Atom::Dbl(9.0));
         c.delete_row("sys", "P", 0);
-        let like = Bat::dense_dbl(vec![]);
-        let upd = c.delta_bat("sys.P.ra", 2, like.clone()).unwrap();
+        let upd = c.delta_bat("sys.P.ra", 2).unwrap().unwrap();
         assert_eq!(upd.head_oids(), vec![1]);
         assert_eq!(upd.tail(), &Tail::Dbl(vec![9.0].into()));
-        let dbat = c.dbat("sys", "P").unwrap();
+        let dbat = c.dbat("sys", "P");
         assert_eq!(dbat.tail(), &Tail::Oid(vec![0].into()));
-        // Untouched columns still produce empty deltas.
-        assert!(c.delta_bat("sys.P.nope", 1, like).unwrap().is_empty());
+        // A delta with nothing pending is empty and typed like the base;
+        // a column never registered has none.
+        let ins = c.delta_bat("sys.P.ra", 1).unwrap().unwrap();
+        assert!(ins.is_empty());
+        assert_eq!(ins.tail().type_name(), "dbl");
+        assert!(c.delta_bat("sys.P.nope", 1).is_none());
+    }
+
+    #[test]
+    fn deleted_oids_stay_ascending_with_repeats_kept_and_counted() {
+        let mut c = Catalog::new();
+        c.register_bat("sys", "P", "ra", Bat::dense_dbl(vec![0.0; 10]));
+        for oid in [7, 2, 9, 2, 0, 7] {
+            c.delete_row("sys", "P", oid);
+        }
+        assert_eq!(c.deleted["sys.P"], vec![0, 2, 2, 7, 7, 9]);
+        assert_eq!(c.pending_delta_rows("sys", "P"), 6);
+        assert_eq!(
+            c.dbat("sys", "P").tail(),
+            &Tail::Oid(vec![0, 2, 2, 7, 7, 9].into())
+        );
+    }
+
+    /// Every mutation of what a delta bat is built from drops it; until
+    /// then each bind hands out the same buffers.
+    #[test]
+    fn delta_binds_share_one_bat_until_what_it_was_built_from_changes() {
+        let mut c = Catalog::new();
+        c.register_bat("sys", "P", "ra", Bat::dense_dbl(vec![1.0, 2.0]));
+        c.register_bat("sys", "P", "id", Bat::dense_int(vec![10, 11]));
+        c.set_table_merge_threshold("sys", "P", 0);
+        let ins = |c: &mut Catalog| c.delta_bat("sys.P.ra", 1).unwrap().unwrap();
+        let upd = |c: &mut Catalog| c.delta_bat("sys.P.ra", 2).unwrap().unwrap();
+        let shared = |a: &Bat, b: &Bat| a.shares_storage_with(b) && !a.is_empty();
+
+        let before = (ins(&mut c), upd(&mut c), c.dbat("sys", "P"));
+        c.insert_row("sys", "P", &[("ra", Atom::Dbl(3.0)), ("id", Atom::Int(12))]);
+        let after_insert = ins(&mut c);
+        assert_eq!(after_insert.tail(), &Tail::Dbl(vec![3.0].into()));
+        assert!(shared(&after_insert, &ins(&mut c)));
+        assert!(upd(&mut c).is_empty() && before.1.is_empty());
+
+        c.update_value("sys", "P", "ra", 0, Atom::Dbl(5.0));
+        let after_update = upd(&mut c);
+        assert_eq!(after_update.head_oids(), vec![0]);
+        assert!(shared(&after_update, &upd(&mut c)));
+        assert!(shared(&after_insert, &ins(&mut c)), "inserts untouched");
+
+        c.delete_row("sys", "P", 1);
+        let dbat = c.dbat("sys", "P");
+        assert_eq!(dbat.tail(), &Tail::Oid(vec![1].into()));
+        assert!(before.2.is_empty());
+        assert!(shared(&dbat, &c.dbat("sys", "P")));
+
+        // Re-registering the column under another type re-types its deltas.
+        c.register_bat("sys", "P", "ra", Bat::dense_int(vec![1, 2]));
+        assert_eq!(ins(&mut c).tail(), &Tail::Int(vec![3].into()));
+
+        c.merge_deltas("sys", "P").unwrap();
+        assert!(ins(&mut c).is_empty() && upd(&mut c).is_empty());
+        assert!(c.dbat("sys", "P").is_empty());
+    }
+
+    #[test]
+    fn a_delta_atom_the_tail_cannot_hold_fails_every_bind() {
+        let mut c = Catalog::new();
+        c.register_bat("sys", "P", "ra", Bat::dense_dbl(vec![1.0]));
+        c.insert_row("sys", "P", &[("ra", Atom::Str("x".into()))]);
+        for _ in 0..2 {
+            match c.delta_bat("sys.P.ra", 1) {
+                Some(Err(CatalogError::MalformedDelta { key, source })) => {
+                    assert_eq!(key, "sys.P.ra");
+                    assert_eq!(
+                        source,
+                        BatError::TypeMismatch {
+                            expected: "dbl",
+                            got: "str"
+                        }
+                    );
+                }
+                other => panic!("expected MalformedDelta, got {other:?}"),
+            }
+        }
+        assert!(c
+            .bind_memo
+            .deltas
+            .get("sys.P.ra")
+            .is_none_or(|m| m[0].is_none()));
     }
 }

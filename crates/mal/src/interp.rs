@@ -6,15 +6,24 @@
 //! which shares its buffers) — and implements the `bpm` calls the segment
 //! optimizer injects (Section 3.1), including the predicate-enhanced
 //! segment iterator driving `barrier`/`redo`/`exit` blocks.
+//!
+//! The one intermediate built late is a segmented column's piece:
+//! `bpm.takeSegment` and the segment iterator bind a
+//! [`MalValue::Piece`] handle, `algebra.uselect` over it reads the piece
+//! once and keeps only the qualifying oids, and any other consumer gets
+//! the piece's bat. Before `bpm.adapt` or `bpm.setStrategy` moves a
+//! column's pieces, the handles of that column a later instruction may
+//! still read are built into the bats they stood for.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use soc_bat::{algebra, Atom, Bat, BatError, Head, Tail};
 
 use soc_core::StrategyKind;
 
-use crate::ast::{Arg, Instruction, Name, Program, Stmt};
-use crate::bpm::BpmError;
+use crate::ast::{references, Arg, Instruction, Name, Program, Stmt};
+use crate::bpm::{BpmError, SegmentedBat};
 use crate::catalog::{Catalog, CatalogError};
 
 /// A runtime value bound to a plan variable.
@@ -25,7 +34,15 @@ pub enum MalValue {
     /// A scalar.
     Atom(Atom),
     /// Handle to a segmented column (`bpm.take`).
-    SegHandle(String),
+    SegHandle(Arc<str>),
+    /// Piece `index` of segmented column `key`, not yet read
+    /// (`bpm.takeSegment`, the segment iterator).
+    Piece {
+        /// The column's catalog key.
+        key: Arc<str>,
+        /// The piece's position in the column's value order.
+        index: usize,
+    },
     /// A segmented result under construction (`bpm.new`/`bpm.addSegment`).
     SegResult(Vec<Bat>),
     /// Absence of a value (ends iterator blocks).
@@ -162,9 +179,13 @@ impl Env {
         }
     }
 
-    fn bat(&self, i: &Instruction, k: usize) -> Result<Bat, ExecError> {
+    /// Argument `k` as a bat; a piece handle is read into its bat.
+    fn bat(&self, catalog: &Catalog, i: &Instruction, k: usize) -> Result<Bat, ExecError> {
         match self.arg(i, k)? {
             Val::Bound(MalValue::Bat(b)) => Ok(b.clone()),
+            Val::Bound(MalValue::Piece { key, index }) => {
+                Ok(segmented(catalog, key)?.piece_bat(*index)?)
+            }
             other => Err(bad_arg(i, format!("bat at arg {k}, got {other:?}"))),
         }
     }
@@ -191,7 +212,7 @@ impl Env {
         }
     }
 
-    fn handle<'v>(&'v self, i: &'v Instruction, k: usize) -> Result<&'v str, ExecError> {
+    fn handle<'v>(&'v self, i: &'v Instruction, k: usize) -> Result<&'v Arc<str>, ExecError> {
         match self.arg(i, k)? {
             Val::Bound(MalValue::SegHandle(h)) => Ok(h),
             other => Err(bad_arg(
@@ -205,9 +226,8 @@ impl Env {
     /// `bpm.take` handle or a bare `schema.table.column` key string.
     fn column_key<'v>(&'v self, i: &'v Instruction, k: usize) -> Result<&'v str, ExecError> {
         match self.arg(i, k)? {
-            Val::Bound(MalValue::SegHandle(h))
-            | Val::Const(Atom::Str(h))
-            | Val::Bound(MalValue::Atom(Atom::Str(h))) => Ok(h),
+            Val::Bound(MalValue::SegHandle(h)) => Ok(h),
+            Val::Const(Atom::Str(h)) | Val::Bound(MalValue::Atom(Atom::Str(h))) => Ok(h),
             other => Err(bad_arg(
                 i,
                 format!("handle or column key at arg {k}, got {other:?}"),
@@ -216,9 +236,21 @@ impl Env {
     }
 }
 
+/// The segmented column `key`.
+fn segmented<'c>(catalog: &'c Catalog, key: &str) -> Result<&'c SegmentedBat, ExecError> {
+    catalog
+        .segmented(key)
+        .ok_or_else(|| ExecError::UnknownColumn(key.to_owned()))
+}
+
 /// `sql.bind` of `key`: the base column (access 0) or its insert (1) or
 /// update (2) delta, typed like the base.
-fn bind(catalog: &Catalog, i: &Instruction, key: &str, access: i64) -> Result<MalValue, ExecError> {
+fn bind(
+    catalog: &mut Catalog,
+    i: &Instruction,
+    key: &str,
+    access: i64,
+) -> Result<MalValue, ExecError> {
     match access {
         0 => {
             if let Some(b) = catalog.bat(key) {
@@ -230,16 +262,10 @@ fn bind(catalog: &Catalog, i: &Instruction, key: &str, access: i64) -> Result<Ma
                 Err(ExecError::UnknownColumn(key.to_owned()))
             }
         }
-        1 | 2 => {
-            let like = if let Some(b) = catalog.bat(key) {
-                b.empty_like()
-            } else if let Some(seg) = catalog.segmented(key) {
-                seg.empty_like()
-            } else {
-                return Err(ExecError::UnknownColumn(key.to_owned()));
-            };
-            Ok(MalValue::Bat(catalog.delta_bat(key, access, like)?))
-        }
+        1 | 2 => match catalog.delta_bat(key, access) {
+            Some(delta) => Ok(MalValue::Bat(delta?)),
+            None => Err(ExecError::UnknownColumn(key.to_owned())),
+        },
         access => Err(bad_arg(
             i,
             format!("access code 0 (base), 1 (inserts) or 2 (updates) at arg 3, got {access}"),
@@ -251,7 +277,8 @@ fn bind(catalog: &Catalog, i: &Instruction, key: &str, access: i64) -> Result<Ma
 pub struct Interp<'a> {
     catalog: &'a mut Catalog,
     env: Env,
-    iters: HashMap<Name, VecDeque<Bat>>,
+    /// The pieces each open segment iterator has still to hand out.
+    iters: HashMap<Name, VecDeque<MalValue>>,
     result: Option<Bat>,
 }
 
@@ -281,10 +308,17 @@ impl<'a> Interp<'a> {
         let mut open_blocks: Vec<(&Name, usize)> = Vec::new();
         let mut pc = 0usize;
         while pc < prog.stmts.len() {
+            // What may still run: the rest of the plan, or all of it while
+            // a `redo` can jump back.
+            let later = if open_blocks.is_empty() {
+                &prog.stmts[pc + 1..]
+            } else {
+                &prog.stmts[..]
+            };
             match &prog.stmts[pc] {
                 Stmt::Function { .. } | Stmt::End => pc += 1,
                 Stmt::Assign(i) => {
-                    let v = self.exec(i)?;
+                    let v = self.exec(i, later)?;
                     if let Some(t) = &i.target {
                         self.env.0.insert(t.clone(), v);
                     }
@@ -295,7 +329,7 @@ impl<'a> Interp<'a> {
                         .target
                         .as_ref()
                         .ok_or(ExecError::MissingTarget("barrier"))?;
-                    let v = self.exec(i)?;
+                    let v = self.exec(i, later)?;
                     if v.truthy() {
                         self.env.0.insert(target.clone(), v);
                         open_blocks.push((target, pc + 1));
@@ -311,7 +345,7 @@ impl<'a> Interp<'a> {
                 }
                 Stmt::Redo(i) => {
                     let target = i.target.as_ref().ok_or(ExecError::MissingTarget("redo"))?;
-                    let v = self.exec(i)?;
+                    let v = self.exec(i, later)?;
                     if v.truthy() {
                         let body = open_blocks
                             .iter()
@@ -341,21 +375,45 @@ impl<'a> Interp<'a> {
         self.env.0.get(var)
     }
 
-    fn exec(&mut self, i: &Instruction) -> Result<MalValue, ExecError> {
+    /// Builds the bats of column `key`'s piece handles that an instruction
+    /// of `later` may still read — bound to a variable it reads, or queued
+    /// in an open segment iterator — before the column's pieces move.
+    fn pin_pieces(&mut self, key: &str, later: &[Stmt]) -> Result<(), ExecError> {
+        let Some(seg) = self.catalog.segmented(key) else {
+            return Ok(());
+        };
+        let of_key = |v: &MalValue| matches!(v, MalValue::Piece { key: k, .. } if **k == *key);
+        let bound = self
+            .env
+            .0
+            .iter_mut()
+            .filter(|(var, v)| of_key(v) && references(later, var))
+            .map(|(_, v)| v);
+        let queued = self.iters.values_mut().flatten().filter(|v| of_key(v));
+        for v in bound.chain(queued) {
+            if let MalValue::Piece { index, .. } = v {
+                *v = MalValue::Bat(seg.piece_bat(*index)?);
+            }
+        }
+        Ok(())
+    }
+
+    fn exec(&mut self, i: &Instruction, later: &[Stmt]) -> Result<MalValue, ExecError> {
         let env = &self.env;
+        let catalog = &*self.catalog;
         match (i.module.as_ref(), i.function.as_ref()) {
             ("sql", "bind") => {
                 need_args(i, 4)?;
                 let (schema, table) = (env.str_atom(i, 0)?, env.str_atom(i, 1)?);
                 let column = env.str_atom(i, 2)?;
                 let access = env.int_atom(i, 3)?;
-                let catalog = &*self.catalog;
+                let catalog = &mut *self.catalog;
                 Catalog::with_key(schema, table, column, |key| bind(catalog, i, key, access))
             }
             ("sql", "bind_dbat") => {
                 need_args(i, 2)?;
                 let (schema, table) = (env.str_atom(i, 0)?, env.str_atom(i, 1)?);
-                Ok(MalValue::Bat(self.catalog.dbat(schema, table)?))
+                Ok(MalValue::Bat(self.catalog.dbat(schema, table)))
             }
             ("sql", "setMergeThreshold") => {
                 // The `ALTER TABLE … SET MERGE THRESHOLD n` DDL: per-table
@@ -377,10 +435,10 @@ impl<'a> Interp<'a> {
             ("sql", "subdelta") => {
                 need_args(i, 6)?;
                 Ok(MalValue::Bat(algebra::sub_delta(
-                    &env.bat(i, 0)?,
-                    &env.bat(i, 1)?,
-                    &env.bat(i, 2)?,
-                    &env.bat(i, 3)?,
+                    &env.bat(catalog, i, 0)?,
+                    &env.bat(catalog, i, 1)?,
+                    &env.bat(catalog, i, 2)?,
+                    &env.bat(catalog, i, 3)?,
                     env.atom(i, 4)?,
                     env.atom(i, 5)?,
                 )?))
@@ -388,15 +446,15 @@ impl<'a> Interp<'a> {
             ("sql", "projectdelta") => {
                 need_args(i, 4)?;
                 Ok(MalValue::Bat(algebra::project_delta(
-                    &env.bat(i, 0)?,
-                    &env.bat(i, 1)?,
-                    &env.bat(i, 2)?,
-                    &env.bat(i, 3)?,
+                    &env.bat(catalog, i, 0)?,
+                    &env.bat(catalog, i, 1)?,
+                    &env.bat(catalog, i, 2)?,
+                    &env.bat(catalog, i, 3)?,
                 )?))
             }
             ("sql", "resultSet") => {
                 need_args(i, 3)?;
-                self.result = Some(env.bat(i, 2)?);
+                self.result = Some(env.bat(catalog, i, 2)?);
                 Ok(MalValue::Atom(Atom::Int(1)))
             }
             ("sql", "rsColumn") | ("sql", "exportResult") => Ok(MalValue::Nil),
@@ -411,15 +469,25 @@ impl<'a> Interp<'a> {
             ("algebra", "select") => {
                 need_args(i, 3)?;
                 Ok(MalValue::Bat(algebra::select(
-                    &env.bat(i, 0)?,
+                    &env.bat(catalog, i, 0)?,
                     env.atom(i, 1)?,
                     env.atom(i, 2)?,
                 )?))
             }
             ("algebra", "uselect") => {
                 need_args(i, 3)?;
+                if let Val::Bound(MalValue::Piece { key, index }) = env.arg(i, 0)? {
+                    let seg = segmented(catalog, key)?;
+                    let (lo, hi) = (env.atom(i, 1)?, env.atom(i, 2)?);
+                    // A bound error is `uselect`'s own, as over the bat.
+                    return match seg.piece_uselect(*index, lo, hi) {
+                        Ok(b) => Ok(MalValue::Bat(b)),
+                        Err(BpmError::Bat(e)) => Err(ExecError::Bat(e)),
+                        Err(e) => Err(ExecError::Bpm(e)),
+                    };
+                }
                 Ok(MalValue::Bat(algebra::uselect(
-                    &env.bat(i, 0)?,
+                    &env.bat(catalog, i, 0)?,
                     env.atom(i, 1)?,
                     env.atom(i, 2)?,
                 )?))
@@ -427,27 +495,27 @@ impl<'a> Interp<'a> {
             ("algebra", "kunion") => {
                 need_args(i, 2)?;
                 Ok(MalValue::Bat(algebra::kunion(
-                    &env.bat(i, 0)?,
-                    &env.bat(i, 1)?,
+                    &env.bat(catalog, i, 0)?,
+                    &env.bat(catalog, i, 1)?,
                 )?))
             }
             ("algebra", "kdifference") => {
                 need_args(i, 2)?;
                 Ok(MalValue::Bat(algebra::kdifference(
-                    &env.bat(i, 0)?,
-                    &env.bat(i, 1)?,
+                    &env.bat(catalog, i, 0)?,
+                    &env.bat(catalog, i, 1)?,
                 )?))
             }
             ("algebra", "kintersect") => {
                 need_args(i, 2)?;
                 Ok(MalValue::Bat(algebra::kintersect(
-                    &env.bat(i, 0)?,
-                    &env.bat(i, 1)?,
+                    &env.bat(catalog, i, 0)?,
+                    &env.bat(catalog, i, 1)?,
                 )?))
             }
             ("algebra", "markT") | ("algebra", "markt") => {
                 need_args(i, 2)?;
-                let b = env.bat(i, 0)?;
+                let b = env.bat(catalog, i, 0)?;
                 let base = match env.atom(i, 1)? {
                     Atom::Oid(v) => *v,
                     Atom::Int(v) => *v as u64,
@@ -457,18 +525,18 @@ impl<'a> Interp<'a> {
             }
             ("bat", "reverse") => {
                 need_args(i, 1)?;
-                Ok(MalValue::Bat(algebra::reverse(&env.bat(i, 0)?)?))
+                Ok(MalValue::Bat(algebra::reverse(&env.bat(catalog, i, 0)?)?))
             }
             ("bat", "append") => {
                 need_args(i, 2)?;
                 Ok(MalValue::Bat(algebra::append(
-                    &env.bat(i, 0)?,
-                    &env.bat(i, 1)?,
+                    &env.bat(catalog, i, 0)?,
+                    &env.bat(catalog, i, 1)?,
                 )?))
             }
             ("bat", "slice") => {
                 need_args(i, 3)?;
-                let b = env.bat(i, 0)?;
+                let b = env.bat(catalog, i, 0)?;
                 let lo = env.int_atom(i, 1)?.max(0) as usize;
                 let hi = env.int_atom(i, 2)?.max(0) as usize;
                 Ok(MalValue::Bat(algebra::slice(&b, lo, hi)))
@@ -476,14 +544,14 @@ impl<'a> Interp<'a> {
             ("algebra", "join") => {
                 need_args(i, 2)?;
                 Ok(MalValue::Bat(algebra::join(
-                    &env.bat(i, 0)?,
-                    &env.bat(i, 1)?,
+                    &env.bat(catalog, i, 0)?,
+                    &env.bat(catalog, i, 1)?,
                 )?))
             }
-            ("aggr", "count") => Ok(MalValue::Atom(algebra::count(&env.bat(i, 0)?))),
-            ("aggr", "sum") => Ok(MalValue::Atom(algebra::sum(&env.bat(i, 0)?)?)),
-            ("aggr", "min") => Ok(MalValue::Atom(algebra::min(&env.bat(i, 0)?)?)),
-            ("aggr", "max") => Ok(MalValue::Atom(algebra::max(&env.bat(i, 0)?)?)),
+            ("aggr", "count") => Ok(MalValue::Atom(algebra::count(&env.bat(catalog, i, 0)?))),
+            ("aggr", "sum") => Ok(MalValue::Atom(algebra::sum(&env.bat(catalog, i, 0)?)?)),
+            ("aggr", "min") => Ok(MalValue::Atom(algebra::min(&env.bat(catalog, i, 0)?)?)),
+            ("aggr", "max") => Ok(MalValue::Atom(algebra::max(&env.bat(catalog, i, 0)?)?)),
             ("bpm", "take") => {
                 need_args(i, 1)?;
                 let key = match env.atom(i, 0)? {
@@ -491,7 +559,7 @@ impl<'a> Interp<'a> {
                     other => return Err(bad_arg(i, format!("column key, got {other}"))),
                 };
                 if self.catalog.is_segmented(key) {
-                    Ok(MalValue::SegHandle(key.clone()))
+                    Ok(MalValue::SegHandle(key.as_str().into()))
                 } else {
                     Err(ExecError::UnknownColumn(key.clone()))
                 }
@@ -504,30 +572,34 @@ impl<'a> Interp<'a> {
                 else {
                     return Err(bad_arg(i, "numeric bounds".to_owned()));
                 };
-                let seg = self
-                    .catalog
-                    .segmented(key)
-                    .ok_or_else(|| ExecError::UnknownColumn(key.to_owned()))?;
-                let mut queue: VecDeque<Bat> = seg.piece_bats(lo, hi)?.into();
+                let mut queue: VecDeque<MalValue> = segmented(catalog, key)?
+                    .overlapping(lo, hi)
+                    .into_iter()
+                    .map(|index| MalValue::Piece {
+                        key: Arc::clone(key),
+                        index,
+                    })
+                    .collect();
                 match queue.pop_front() {
                     Some(first) => {
                         let target = i.target.clone().unwrap_or(Name::Borrowed("_iter"));
                         self.iters.insert(target, queue);
-                        Ok(MalValue::Bat(first))
+                        Ok(first)
                     }
                     None => Ok(MalValue::Nil),
                 }
             }
             ("bpm", "hasMoreElements") => {
                 let target = i.target.as_deref().unwrap_or("_iter");
-                match self.iters.get_mut(target).and_then(VecDeque::pop_front) {
-                    Some(b) => Ok(MalValue::Bat(b)),
-                    None => Ok(MalValue::Nil),
-                }
+                Ok(self
+                    .iters
+                    .get_mut(target)
+                    .and_then(VecDeque::pop_front)
+                    .unwrap_or(MalValue::Nil))
             }
             ("bpm", "addSegment") => {
                 need_args(i, 2)?;
-                let b = env.bat(i, 1)?;
+                let b = env.bat(catalog, i, 1)?;
                 let Some(var) = i.args[0].var() else {
                     return Err(bad_arg(i, "result variable".to_owned()));
                 };
@@ -557,11 +629,7 @@ impl<'a> Interp<'a> {
                         )?)))
                     }
                     Val::Bound(MalValue::SegHandle(key)) => {
-                        let seg = self
-                            .catalog
-                            .segmented(key)
-                            .ok_or_else(|| ExecError::UnknownColumn(key.clone()))?;
-                        Ok(MalValue::Bat(seg.pack()?))
+                        Ok(MalValue::Bat(segmented(catalog, key)?.pack()?))
                     }
                     other => Err(bad_arg(
                         i,
@@ -570,32 +638,35 @@ impl<'a> Interp<'a> {
                 }
             }
             ("bpm", "takeSegment") => {
+                // A handle, not the piece's bat: the index is checked now,
+                // the rows are read by whoever consumes it.
                 need_args(i, 2)?;
                 let key = env.handle(i, 0)?;
-                let idx = env.int_atom(i, 1)?.max(0) as usize;
-                let seg = self
-                    .catalog
-                    .segmented(key)
-                    .ok_or_else(|| ExecError::UnknownColumn(key.to_owned()))?;
-                Ok(MalValue::Bat(seg.piece_bat(idx)?))
+                let index = env.int_atom(i, 1)?.max(0) as usize;
+                if index >= segmented(catalog, key)?.piece_count() {
+                    return Err(BpmError::BadPiece(index).into());
+                }
+                Ok(MalValue::Piece {
+                    key: Arc::clone(key),
+                    index,
+                })
             }
             ("bpm", "segments") => {
                 need_args(i, 1)?;
                 let key = env.handle(i, 0)?;
-                let seg = self
-                    .catalog
-                    .segmented(key)
-                    .ok_or_else(|| ExecError::UnknownColumn(key.to_owned()))?;
-                Ok(MalValue::Atom(Atom::Int(seg.piece_count() as i64)))
+                Ok(MalValue::Atom(Atom::Int(
+                    segmented(catalog, key)?.piece_count() as i64,
+                )))
             }
             ("bpm", "adapt") => {
                 need_args(i, 3)?;
-                let key = env.handle(i, 0)?;
-                let (lo, hi) = (env.atom(i, 1)?, env.atom(i, 2)?);
+                let key = Arc::clone(env.handle(i, 0)?);
+                self.pin_pieces(&key, later)?;
+                let (lo, hi) = (self.env.atom(i, 1)?, self.env.atom(i, 2)?);
                 let seg = self
                     .catalog
-                    .segmented_mut(key)
-                    .ok_or_else(|| ExecError::UnknownColumn(key.to_owned()))?;
+                    .segmented_mut(&key)
+                    .ok_or_else(|| ExecError::UnknownColumn(key.to_string()))?;
                 let splits = seg.adapt(lo, hi)?;
                 Ok(MalValue::Atom(Atom::Int(splits as i64)))
             }
@@ -603,21 +674,20 @@ impl<'a> Interp<'a> {
                 // Inspect a column's live strategy.
                 need_args(i, 1)?;
                 let key = env.column_key(i, 0)?;
-                let seg = self
-                    .catalog
-                    .segmented(key)
-                    .ok_or_else(|| ExecError::UnknownColumn(key.to_owned()))?;
-                Ok(MalValue::Atom(Atom::Str(seg.strategy_name())))
+                Ok(MalValue::Atom(Atom::Str(
+                    segmented(catalog, key)?.strategy_name(),
+                )))
             }
             ("bpm", "setStrategy") => {
                 // The DDL hook: re-organize a column under another kind.
                 need_args(i, 2)?;
-                let key = env.column_key(i, 0)?;
+                let key = env.column_key(i, 0)?.to_owned();
                 let token = env.str_atom(i, 1)?;
                 let kind = StrategyKind::from_token(token).ok_or_else(|| {
                     ExecError::Catalog(CatalogError::UnknownStrategy(token.to_owned()))
                 })?;
-                self.catalog.set_strategy(key, kind)?;
+                self.pin_pieces(&key, later)?;
+                self.catalog.set_strategy(&key, kind)?;
                 Ok(MalValue::Atom(Atom::Str(kind.token().to_owned())))
             }
             ("io", "print") | ("language", "pass") => Ok(MalValue::Nil),

@@ -46,5 +46,6 @@ pub use sql::{compile_select, compile_stmt, parse_stmt};
 #[cfg(test)]
 mod tests {
     mod damaged_manifest;
+    mod lazy_pieces;
     mod roundtrip;
 }

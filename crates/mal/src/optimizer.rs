@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use soc_bat::Atom;
 
-use crate::ast::{Arg, Instruction, Name, Program, Stmt};
+use crate::ast::{references, Arg, Instruction, Name, Program, Stmt};
 use crate::catalog::Catalog;
 
 /// How one selection was rewritten.
@@ -83,16 +83,6 @@ fn base_bind(i: &Instruction) -> Option<(&Name, [&str; 3])> {
         }
         _ => None,
     }
-}
-
-/// Whether any instruction of `stmts` reads variable `var`.
-fn references(stmts: &[Stmt], var: &str) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::Assign(i) | Stmt::Barrier(i) | Stmt::Redo(i) => {
-            i.args.iter().any(|a| a.var() == Some(var))
-        }
-        _ => false,
-    })
 }
 
 impl SegmentOptimizer {

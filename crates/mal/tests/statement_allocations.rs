@@ -5,14 +5,18 @@
 //! instructions and catalog keys must not be copied per statement. A
 //! counting global allocator, local to this test binary, runs the
 //! benchmark's `sql_session` statement shape — a 25-row window over a
-//! 25 000-row `ApmSegm` column, no pending deltas — and pins how many
-//! allocations `compile_select`, `SegmentOptimizer::optimize` and
-//! `Interp::run` make per statement.
+//! 25 000-row `ApmSegm` column — and pins how many allocations
+//! `compile_select`, `SegmentOptimizer::optimize` and `Interp::run` make
+//! per statement, first with no pending deltas, then in the state the
+//! benchmark's trickle writes reach after 20 s: 200 inserted rows and 200
+//! deletions pending. A taken piece is read once into the oids its
+//! selection keeps, and the delta bats are bound by reference, so neither
+//! the piece's size nor the pending lists show in the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use soc_bat::Bat;
+use soc_bat::{Atom, Bat};
 use soc_core::{StrategyKind, StrategySpec};
 use soc_mal::{compile_select, Catalog, Interp, SegmentOptimizer};
 
@@ -68,14 +72,24 @@ const HOT_WINDOWS: usize = 64;
 const WARMUP: usize = 2_000;
 const MEASURED: usize = 2_000;
 
-/// Per-statement ceilings: what the statement path needs (64, 28 and 34
-/// allocations) plus a little headroom. A name, instruction or key copied
+/// Per-statement ceilings: what the statement path needs (64, 28 and 16
+/// allocations in release builds; `Interp::run` makes one more with debug
+/// assertions) plus a little headroom. A name, instruction or key copied
 /// per statement again breaks them; with `String` names, deep-copied
-/// statements and formatted bind keys the path made 133, 145 and 88.
+/// statements and formatted bind keys the path made 133, 145 and 88, and
+/// with every taken piece built into a bat and every delta bind rebuilt,
+/// `Interp::run` made 34.
 const COMPILE_MAX: f64 = 68.0;
 const OPTIMIZE_MAX: f64 = 32.0;
-const RUN_MAX: f64 = 38.0;
-const TOTAL_MAX: f64 = 150.0;
+const RUN_MAX: f64 = 20.0;
+const TOTAL_MAX: f64 = 132.0;
+/// `Interp::run` with 200 inserts and 200 deletions pending: what it
+/// needs (23.5 allocations; 60.7 with built pieces and rebuilt delta
+/// binds) plus the same headroom.
+const RUN_PENDING_MAX: f64 = 27.5;
+/// Trickle writes pending in the second state: each inserts a row, then
+/// deletes it, as the benchmark's alternating writes do.
+const PENDING_ROWS: usize = 200;
 
 fn catalog() -> Catalog {
     let ra: Vec<f64> = (0..ROWS)
@@ -97,15 +111,18 @@ fn catalog() -> Catalog {
     c
 }
 
-/// The statements of a session: hot windows visited in a scrambled order,
-/// bounds with three decimals like the benchmark's.
+/// Hot window `w`: bounds with three decimals like the benchmark's.
+fn window(w: usize) -> (f64, f64) {
+    let lo = RA_LO + (w as f64 + 0.5) * (150.0 - WINDOW) / HOT_WINDOWS as f64;
+    let lo = (lo * 1e3).round() / 1e3;
+    (lo, ((lo + WINDOW) * 1e3).round() / 1e3)
+}
+
+/// The statements of a session: hot windows visited in a scrambled order.
 fn statements(n: usize) -> Vec<String> {
     (0..n)
         .map(|k| {
-            let w = (k * 37 + k / HOT_WINDOWS) % HOT_WINDOWS;
-            let lo = RA_LO + (w as f64 + 0.5) * (150.0 - WINDOW) / HOT_WINDOWS as f64;
-            let lo = (lo * 1e3).round() / 1e3;
-            let hi = ((lo + WINDOW) * 1e3).round() / 1e3;
+            let (lo, hi) = window((k * 37 + k / HOT_WINDOWS) % HOT_WINDOWS);
             format!("SELECT objid FROM sys.P WHERE ra BETWEEN {lo} AND {hi}")
         })
         .collect()
@@ -126,20 +143,47 @@ fn statement(c: &mut Catalog, sql: &str) -> [u64; 3] {
     [a1 - a0, a2 - a1, a3 - a2]
 }
 
-#[test]
-fn a_statement_stays_inside_its_allocation_budget() {
+/// `catalog` with `PENDING_ROWS` rows inserted and as many deleted, half
+/// of the inserts inside a hot window; nothing is merged.
+fn catalog_with_pending_writes() -> Catalog {
     let mut c = catalog();
+    for k in 0..PENDING_ROWS {
+        let ra = if k % 2 == 0 {
+            window(k % HOT_WINDOWS).0 + WINDOW / 2.0
+        } else {
+            RA_LO + 150.0 * ((k as f64 * 0.618_034).fract())
+        };
+        let objid = 587_730_000_000 + (ROWS + k) as i64;
+        let oid = c.insert_row(
+            "sys",
+            "P",
+            &[("ra", Atom::Dbl(ra)), ("objid", Atom::Int(objid))],
+        );
+        c.delete_row("sys", "P", oid);
+    }
+    assert_eq!(c.pending_rows("sys", "P"), 3 * PENDING_ROWS);
+    c
+}
+
+/// Mean allocations per statement of compile, optimize and run, after a
+/// warm-up.
+fn allocations_per_statement(c: &mut Catalog) -> [f64; 3] {
     for sql in statements(WARMUP) {
-        statement(&mut c, &sql);
+        statement(c, &sql);
     }
     let mut total = [0u64; 3];
     for sql in statements(MEASURED) {
-        let phase = statement(&mut c, &sql);
+        let phase = statement(c, &sql);
         for (t, p) in total.iter_mut().zip(phase) {
             *t += p;
         }
     }
-    let [compile, optimize, run] = total.map(|t| t as f64 / MEASURED as f64);
+    total.map(|t| t as f64 / MEASURED as f64)
+}
+
+#[test]
+fn a_statement_stays_inside_its_allocation_budget() {
+    let [compile, optimize, run] = allocations_per_statement(&mut catalog());
     let sum = compile + optimize + run;
     println!("allocations per statement: compile {compile:.1}, optimize {optimize:.1}, run {run:.1}, total {sum:.1}");
     assert!(
@@ -155,4 +199,15 @@ fn a_statement_stays_inside_its_allocation_budget() {
         "Interp::run: {run:.1} allocations per statement"
     );
     assert!(sum <= TOTAL_MAX, "{sum:.1} allocations per statement");
+}
+
+#[test]
+fn pending_writes_do_not_grow_a_statements_allocations() {
+    let mut c = catalog_with_pending_writes();
+    let [compile, optimize, run] = allocations_per_statement(&mut c);
+    println!("with {PENDING_ROWS} inserts and deletes pending: compile {compile:.1}, optimize {optimize:.1}, run {run:.1}");
+    assert!(
+        run <= RUN_PENDING_MAX,
+        "Interp::run: {run:.1} allocations per statement"
+    );
 }
