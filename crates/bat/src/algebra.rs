@@ -74,7 +74,7 @@ impl std::fmt::Display for Atom {
 /// selects nothing.
 pub trait Selectable: Copy {
     /// What a value and the bounds compare as.
-    type Key: PartialOrd;
+    type Key: PartialOrd + Copy;
 
     /// The values `[lo, hi]` keeps, or the error `uselect` raises for
     /// bounds this tail type cannot compare against.
@@ -82,6 +82,30 @@ pub trait Selectable: Copy {
 
     /// This value as the bounds see it.
     fn key(self) -> Self::Key;
+
+    /// The one keep loop of a selection: appends `emit(i, x)` to `out` for
+    /// every item `x` of `items` (at position `i`) whose value `value(x)`
+    /// lies in `keep`, in order. The test is arithmetic, `(lo <= k) &
+    /// (k <= hi)`, and every item is written at a cursor that advances by
+    /// its outcome, so rows in storage order cost no mispredicted branch.
+    /// A NaN bound fails both comparisons and keeps nothing.
+    fn keep_into<X: Copy, O: Copy + Default>(
+        items: &[X],
+        keep: &RangeInclusive<Self::Key>,
+        value: impl Fn(X) -> Self,
+        emit: impl Fn(usize, X) -> O,
+        out: &mut Vec<O>,
+    ) {
+        let (lo, hi) = (*keep.start(), *keep.end());
+        let mut cursor = out.len();
+        out.resize(cursor + items.len(), O::default());
+        for (i, &x) in items.iter().enumerate() {
+            let k = value(x).key();
+            out[cursor] = emit(i, x);
+            cursor += usize::from((lo <= k) & (k <= hi));
+        }
+        out.truncate(cursor);
+    }
 }
 
 impl Selectable for i64 {
@@ -128,10 +152,9 @@ impl Selectable for f64 {
 
 fn selected_indices(b: &Bat, lo: &Atom, hi: &Atom) -> Result<Vec<usize>, BatError> {
     fn within<T: Selectable>(v: &[T], lo: &Atom, hi: &Atom) -> Result<Vec<usize>, BatError> {
-        let keep = T::bounds(lo, hi)?;
-        Ok((0..v.len())
-            .filter(|&i| keep.contains(&v[i].key()))
-            .collect())
+        let mut out = Vec::new();
+        T::keep_into(v, &T::bounds(lo, hi)?, |x| x, |i, _| i, &mut out);
+        Ok(out)
     }
     match b.tail() {
         Tail::Int(v) => within(v, lo, hi),

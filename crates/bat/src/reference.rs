@@ -5,6 +5,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use crate::algebra::{Atom, Selectable};
 use crate::bat::{Bat, BatError, Head, Oid, Tail};
 
 fn take_rows(b: &Bat, idx: &[usize]) -> Bat {
@@ -109,6 +110,15 @@ fn append(a: &Bat, b: &Bat) -> Result<Bat, BatError> {
         }
     };
     Bat::new(Head::Oids(heads.into()), tail)
+}
+
+/// The rows of `v` inside `[lo, hi]` as `selected_indices` kept them
+/// before the branch-free keep loop: a short-circuit range test per row.
+fn filtered<T: Selectable>(v: &[T], lo: &Atom, hi: &Atom) -> Result<Vec<usize>, BatError> {
+    let keep = T::bounds(lo, hi)?;
+    Ok((0..v.len())
+        .filter(|&i| keep.contains(&v[i].key()))
+        .collect())
 }
 
 mod properties {
@@ -450,8 +460,84 @@ mod properties {
             )
     }
 
+    /// `Selectable::keep_into` after a prefix it must leave alone, as
+    /// indices.
+    fn kept<T: Selectable>(v: &[T], lo: &Atom, hi: &Atom) -> Result<Vec<usize>, BatError> {
+        let mut out = vec![usize::MAX];
+        T::keep_into(v, &T::bounds(lo, hi)?, |x| x, |i, _| i, &mut out);
+        assert_eq!(
+            out[0],
+            usize::MAX,
+            "the keep loop overwrote what `out` held"
+        );
+        Ok(out.split_off(1))
+    }
+
+    const TWO_53: i64 = 1 << 53;
+
+    /// Bounds of every kind a selection meets: the edge values below, a
+    /// fractional and a NaN `dbl`, and a string (refused by every
+    /// numeric tail); `lo > hi` makes the range empty.
+    fn arb_bound() -> impl Strategy<Value = Atom> {
+        prop_oneof![
+            (-3i64..4).prop_map(Atom::Int),
+            Just(Atom::Int(TWO_53 + 1)),
+            Just(Atom::Int(i64::MIN)),
+            (0u64..4).prop_map(Atom::Oid),
+            Just(Atom::Oid(TWO_53 as u64 + 1)),
+            Just(Atom::Oid(u64::MAX)),
+            (-6i32..6).prop_map(|x| Atom::Dbl(f64::from(x) / 2.0)),
+            Just(Atom::Dbl(-0.0)),
+            Just(Atom::Dbl(0.0)),
+            Just(Atom::Dbl(TWO_53 as f64)),
+            Just(Atom::Dbl(f64::NAN)),
+            Just(Atom::Dbl(f64::INFINITY)),
+            Just(Atom::Dbl(f64::NEG_INFINITY)),
+            Just(Atom::Str("s".into())),
+        ]
+    }
+
+    fn arb_dbls() -> impl Strategy<Value = Vec<f64>> {
+        vec(
+            prop_oneof![
+                (-6i32..6).prop_map(|x| f64::from(x) / 2.0),
+                Just(-0.0),
+                Just(0.0),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(TWO_53 as f64),
+            ],
+            0..40,
+        )
+    }
+
+    fn arb_ints() -> impl Strategy<Value = Vec<i64>> {
+        vec(
+            prop_oneof![
+                -3i64..4,
+                TWO_53 - 1..TWO_53 + 3,
+                Just(i64::MIN),
+                Just(i64::MAX),
+            ],
+            0..40,
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_keep_loop_keeps_what_the_range_filter_kept(
+            dbls in arb_dbls(),
+            ints in arb_ints(),
+            lo in arb_bound(),
+            hi in arb_bound(),
+        ) {
+            let oids: Vec<Oid> = ints.iter().map(|x| x.unsigned_abs()).collect();
+            prop_assert_eq!(kept(&dbls, &lo, &hi), filtered(&dbls, &lo, &hi));
+            prop_assert_eq!(kept(&ints, &lo, &hi), filtered(&ints, &lo, &hi));
+            prop_assert_eq!(kept(&oids, &lo, &hi), filtered(&oids, &lo, &hi));
+        }
 
         #[test]
         fn kunion_matches_reference((a, b) in arb_pair()) {
@@ -572,6 +658,40 @@ mod properties {
             let project = || algebra::project_delta(&probe, &base, &inserts, &updates);
             prop_assert_eq!(project(), hashed(project));
         }
+    }
+
+    /// The edges the keep loop must treat as the range filter did: a NaN
+    /// bound keeps nothing, `-0.0` and `+0.0` are one value, `int` rows
+    /// either side of 2⁵³ stay apart, and `lo > hi` keeps nothing.
+    #[test]
+    fn the_keep_loop_keeps_the_edges_the_range_filter_kept() {
+        let dbls = [-0.0, 0.0, 1.0, f64::INFINITY];
+        let ints = [TWO_53, TWO_53 + 1, TWO_53 + 2];
+        let dbl_cases: [(Atom, Atom, Vec<usize>); 5] = [
+            (Atom::Dbl(f64::NAN), Atom::Dbl(1.0), vec![]),
+            (Atom::Dbl(-1.0), Atom::Dbl(f64::NAN), vec![]),
+            (Atom::Dbl(0.0), Atom::Dbl(-0.0), vec![0, 1]),
+            (Atom::Dbl(-0.0), Atom::Dbl(f64::INFINITY), vec![0, 1, 2, 3]),
+            (Atom::Dbl(1.0), Atom::Dbl(0.5), vec![]),
+        ];
+        for (lo, hi, want) in dbl_cases {
+            assert_eq!(kept(&dbls, &lo, &hi), Ok(want.clone()), "[{lo}, {hi}]");
+            assert_eq!(filtered(&dbls, &lo, &hi), Ok(want), "[{lo}, {hi}]");
+        }
+        let int_cases: [(Atom, Atom, Vec<usize>); 4] = [
+            (Atom::Int(TWO_53 + 1), Atom::Int(TWO_53 + 1), vec![1]),
+            (Atom::Dbl(TWO_53 as f64), Atom::Dbl(TWO_53 as f64), vec![0]),
+            (Atom::Dbl(f64::NAN), Atom::Int(TWO_53 + 2), vec![]),
+            (Atom::Int(TWO_53 + 2), Atom::Int(TWO_53), vec![]),
+        ];
+        for (lo, hi, want) in int_cases {
+            assert_eq!(kept(&ints, &lo, &hi), Ok(want.clone()), "[{lo}, {hi}]");
+            assert_eq!(filtered(&ints, &lo, &hi), Ok(want), "[{lo}, {hi}]");
+        }
+        assert_eq!(
+            kept::<f64>(&[], &Atom::Dbl(0.0), &Atom::Dbl(1.0)),
+            Ok(vec![])
+        );
     }
 
     /// A join emits every match: in probe order, and for one probe oid in

@@ -68,6 +68,10 @@ impl<V: ColumnValue> ColumnStrategy<V> for NonSegmented<V> {
         out
     }
 
+    fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V])) {
+        self.segment.peek_in(q, &mut Vec::new(), f);
+    }
+
     fn fold_delta(
         &mut self,
         inserts: &[V],
@@ -145,6 +149,12 @@ impl<V: ColumnValue> ColumnStrategy<V> for FullySorted<V> {
         let values = self.segment.values();
         let (start, end) = crate::kernels::sorted_run(values, q);
         values[start..end].to_vec()
+    }
+
+    fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V])) {
+        let values = self.segment.values();
+        let (start, end) = crate::kernels::sorted_run(values, q);
+        f(&values[start..end]);
     }
 
     fn fold_delta(

@@ -712,6 +712,15 @@ impl<V: ColumnValue> Writer<V> {
                     // split, crack, merge, sort and replica create or drop
                     // writes, frees or materializes. The read bytes of one
                     // that did none of these wait for the next epoch.
+                    // The hint stays on `select_count`, not the count-free
+                    // `reorganize`: a probe that routed hints through the
+                    // cheaper step made served reads slower (`serve_read`
+                    // 576–744 k → 432–519 k reads/s, p95 2.9–3.7 →
+                    // 5.3–6.1 µs; `serve_mixed` 514–527 k → 336–368 k;
+                    // three pairs of 5 s runs, 2 cores), most likely
+                    // because a writer that idles sooner must be woken by
+                    // more of the readers' `try_send`s. ROADMAP items 12
+                    // and 16 track the wake-up cost.
                     let moved =
                         |t: QueryStats| (t.write_bytes, t.freed_bytes, t.segments_materialized);
                     let before = moved(self.reorg.totals());

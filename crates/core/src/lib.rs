@@ -108,5 +108,6 @@ mod tests {
     mod fold_delta_properties;
     mod model_properties;
     mod racing_compaction;
+    mod reorganize_equivalence;
     mod two_thread_scans;
 }

@@ -144,8 +144,17 @@ impl<V: ColumnValue> ColumnStrategy<V> for MergingSegmentation<V> {
         n
     }
 
+    fn reorganize(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) {
+        self.inner.reorganize(q, tracker);
+        self.merge_after(q, tracker);
+    }
+
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
         self.inner.peek_collect(q)
+    }
+
+    fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V])) {
+        self.inner.peek_slices(q, f);
     }
 
     fn fold_delta(

@@ -378,6 +378,22 @@ impl<V: ColumnValue> SegmentData<V> {
         }
     }
 
+    /// Hands the stored values inside `q` to `f`, in the order
+    /// [`Self::collect_in`] copies them: a covered segment lends its own
+    /// values, a straddled one copies its matches into `scratch`. A
+    /// disjoint query calls nothing.
+    pub(crate) fn peek_in(&self, q: &ValueRange<V>, scratch: &mut Vec<V>, f: &mut dyn FnMut(&[V])) {
+        match self.classify(q) {
+            SynopsisClass::Disjoint => {}
+            SynopsisClass::Covered => f(&self.values),
+            SynopsisClass::Straddle => {
+                scratch.clear();
+                crate::kernels::collect_range(&self.values, q, scratch);
+                f(scratch);
+            }
+        }
+    }
+
     /// Splits the segment's values across an ordered list of sub-ranges that
     /// tile `self.range`, producing one new segment per sub-range.
     ///

@@ -132,11 +132,17 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
     }
 
     /// Algorithm 1 over one overlapping segment: scan, answer, maybe split.
+    /// With `answer` false ([`ColumnStrategy::reorganize`]) the segment is
+    /// counted only where a decision needs it — an exact estimate, or a
+    /// split at the query's bounds, whose piece sizes the count supplies —
+    /// and the return is 0. The model decides on the same estimate either
+    /// way, so a seeded model draws the same.
     fn process_segment(
         &mut self,
         idx: usize,
         q: &ValueRange<V>,
         tracker: &mut dyn AccessTracker,
+        answer: bool,
     ) -> u64 {
         let total_len = self.column.total_len();
         let seg = &self.column.segments()[idx];
@@ -146,14 +152,15 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
 
         // One pass over the segment: exact piece counts, the middle one being
         // the answer.
-        let counts = crate::kernels::count_partition(seg.values(), q);
-        let exact = overlapping(exact_pieces(&seg_range, &counts, q));
-        let matched = exact.1;
+        let count = || crate::kernels::count_partition(seg.values(), q);
+        let counts = (answer || self.estimator == SizeEstimator::Exact).then(count);
 
         // The model decides on estimates (what the optimizer level can know).
-        let pieces = match self.estimator {
-            SizeEstimator::Exact => exact,
-            SizeEstimator::Uniform => overlapping(interpolate_pieces(&seg_range, seg_len, q)),
+        let pieces = match (self.estimator, &counts) {
+            (SizeEstimator::Exact, Some(counts)) => {
+                overlapping(exact_pieces(&seg_range, counts, q))
+            }
+            _ => overlapping(interpolate_pieces(&seg_range, seg_len, q)),
         };
         let geom = SplitGeometry::from_piece_lens::<V>(pieces, seg_len, total_len);
         let decision = self.model.decide(&geom, Technique::Segmentation);
@@ -165,7 +172,7 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
                 decision,
                 SplitDecision::QueryBounds | SplitDecision::SingleBound(_)
             )
-            .then(|| query_piece_lens(&ranges, q, &counts));
+            .then(|| query_piece_lens(&ranges, q, &counts.unwrap_or_else(count)));
             #[expect(
                 clippy::expect_used,
                 reason = "interpolated piece ranges tile the segment by construction"
@@ -175,15 +182,20 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
                 .expect("piece ranges tile the segment by construction");
             self.splits += 1;
         }
-        matched
+        counts.map_or(0, |[lower, upper]| lower[1] + upper[1])
     }
 
-    fn run_select(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
+    fn run_select(
+        &mut self,
+        q: &ValueRange<V>,
+        tracker: &mut dyn AccessTracker,
+        answer: bool,
+    ) -> u64 {
         let span = self.column.overlapping_span(q);
         let mut matched = 0;
         // Right-to-left so splice-induced index shifts stay ahead of us.
         for idx in span.rev() {
-            matched += self.process_segment(idx, q, tracker);
+            matched += self.process_segment(idx, q, tracker, answer);
         }
         crate::debug_assert_valid!(
             crate::validate::ranges_partition(
@@ -208,7 +220,11 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveSegmentation<V> {
     }
 
     fn select_count(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
-        self.run_select(q, tracker)
+        self.run_select(q, tracker, true)
+    }
+
+    fn reorganize(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) {
+        self.run_select(q, tracker, false);
     }
 
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
@@ -217,6 +233,13 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveSegmentation<V> {
             self.column.segments()[idx].collect_in(q, &mut out);
         }
         out
+    }
+
+    fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V])) {
+        let mut scratch = Vec::new();
+        for idx in self.column.overlapping_span(q) {
+            self.column.segments()[idx].peek_in(q, &mut scratch, f);
+        }
     }
 
     fn fold_delta(

@@ -5,8 +5,10 @@
 //! baseline; the experiment drivers in `soc-sim` treat them uniformly
 //! through [`ColumnStrategy`]. A strategy has one reorganizing read,
 //! [`ColumnStrategy::select_count`] (the query every workload and figure
-//! runs), and one materializing read, the read-only
-//! [`ColumnStrategy::peek_collect`].
+//! runs) — with [`ColumnStrategy::reorganize`], its reorganization alone —
+//! and one materializing read, the read-only
+//! [`ColumnStrategy::peek_collect`], which
+//! [`ColumnStrategy::peek_slices`] hands over without the copy.
 
 use crate::range::ValueRange;
 use crate::segment::Window;
@@ -58,15 +60,16 @@ impl AdaptationStats {
 /// relies on when its writer thread owns the strategy. Concretely:
 ///
 /// * the **mutating** methods ([`Self::select_count`],
-///   [`Self::fold_delta`], [`Self::share_sorted`]) take `&mut self`, so
-///   they are exclusive per strategy *instance*; concurrency comes from
-///   running *distinct* instances in parallel, never from sharing one;
+///   [`Self::reorganize`], [`Self::fold_delta`], [`Self::share_sorted`])
+///   take `&mut self`, so they are exclusive per strategy *instance*;
+///   concurrency comes from running *distinct* instances in parallel,
+///   never from sharing one;
 /// * the **read-only** methods ([`Self::peek_collect`],
-///   [`Self::storage_bytes`], [`Self::segment_count`],
-///   [`Self::segment_bytes`], [`Self::segment_ranges`],
-///   [`Self::adaptation`]) take `&self` and may be called concurrently
-///   from multiple threads on one instance (`Sync`); implementations must
-///   not use interior mutability for them;
+///   [`Self::peek_slices`], [`Self::storage_bytes`],
+///   [`Self::segment_count`], [`Self::segment_bytes`],
+///   [`Self::segment_ranges`], [`Self::adaptation`]) take `&self` and may
+///   be called concurrently from multiple threads on one instance
+///   (`Sync`); implementations must not use interior mutability for them;
 /// * per-thread accounting goes to a private [`AccessTracker`] (e.g. an
 ///   event log) merged deterministically afterwards — see the merge
 ///   contract on [`crate::tracker::AccessTracker`].
@@ -78,6 +81,19 @@ pub trait ColumnStrategy<V: ColumnValue>: Send + Sync {
     /// every scan/materialization to `tracker` and self-organizing along
     /// the way.
     fn select_count(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64;
+
+    /// Performs exactly the reorganization [`Self::select_count`] would
+    /// for `q` — the same pieces, the same adaptation counters, the same
+    /// charges to `tracker`, the same draws of a seeded model — but
+    /// computes no answer: the Section 3.3 adaptation step of a plan that
+    /// reads its answer from the pieces afterwards.
+    ///
+    /// The default is `select_count` with the count dropped. Adaptive
+    /// segmentation overrides it to decide on its estimate first and
+    /// count only a segment it splits at the query's bounds.
+    fn reorganize(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) {
+        self.select_count(q, tracker);
+    }
 
     /// Returns the values in `q` (unordered) without reorganizing,
     /// adapting, or reporting accesses — the one way to materialize a
@@ -91,6 +107,19 @@ pub trait ColumnStrategy<V: ColumnValue>: Send + Sync {
     /// self-organization the workload is driving, which only
     /// [`Self::select_count`] does.
     fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V>;
+
+    /// Hands the values in `q` to `f` as one or more slices whose
+    /// concatenation is exactly [`Self::peek_collect`]`(q)`, in its order —
+    /// the borrowing read of a caller that only looks at the values once.
+    /// Like `peek_collect` it neither reorganizes nor reports accesses.
+    ///
+    /// The default hands over `peek_collect(q)`; the segment-based
+    /// strategies hand over a segment's own values wherever `q` covers it
+    /// (all of a fully sorted column's qualifying run) and copy only the
+    /// rest.
+    fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V])) {
+        f(&self.peek_collect(q));
+    }
 
     /// Bytes of materialized segment storage currently held, including the
     /// base column (the "Replica storage" axis of Figures 8–9).

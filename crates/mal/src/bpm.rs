@@ -11,17 +11,19 @@
 //! Because the adapter speaks only the [`ColumnStrategy`] trait, every
 //! strategy the evaluation compares — segmentation, replication, cracking,
 //! the static baselines — is drivable from the MAL/SQL stack: pieces come
-//! from `segment_ranges()`, reorganization is the strategy's own
-//! `select_count` run by [`SegmentedBat::adapt`] (the Section 3.3 hook the
-//! segment optimizer injects), and reorganization accounting flows out of
+//! from `segment_ranges()` (read once per organization), reorganization is
+//! the strategy's own `reorganize` — `select_count` without the count —
+//! run by [`SegmentedBat::adapt`] (the Section 3.3 hook the segment
+//! optimizer injects), and reorganization accounting flows out of
 //! `adaptation()` uniformly. A catalog merge is the strategy's own
 //! `fold_delta` too: the pending deltas land in the pieces that own them,
 //! and the organization the queries built survives.
 //!
-//! The adapter reads rows one way: the strategy's read-only
-//! `peek_collect`. A plan's `uselect` over a piece keeps only the oids of
-//! the rows it selects ([`SegmentedBat::piece_uselect`]); any other
-//! consumer gets the piece's whole bat ([`SegmentedBat::piece_bat`]). Pending
+//! The adapter reads rows through the strategy's read-only `peek_collect`,
+//! or its borrowing `peek_slices`. A plan's `uselect` over a piece keeps
+//! only the oids of the rows it selects, read where the strategy holds
+//! them ([`SegmentedBat::piece_uselect`]); any other consumer gets the
+//! piece's whole bat ([`SegmentedBat::piece_bat`]). Pending
 //! deltas are the plan's to merge (`sql.subdelta`/`sql.projectdelta` over
 //! the catalog's delta bats); this module only seals them into a run when
 //! the catalog merges them into the pieces.
@@ -255,6 +257,10 @@ pub(crate) type StagedFold<'a> = Box<dyn FnOnce() + 'a>;
 /// bookkeeping the MAL layer reports upward.
 struct TypedSeg<V: TailValue> {
     strategy: Box<dyn ColumnStrategy<Pair<V>>>,
+    /// The strategy's `segment_ranges()`, read once per organization: at
+    /// construction (a strategy switch and a restore construct), after an
+    /// adapt that moved an adaptation counter, and after a merge fold.
+    ranges: Vec<ValueRange<Pair<V>>>,
     value_domain: ValueRange<V>,
     rows: u64,
     reorg_write_bytes: u64,
@@ -277,6 +283,7 @@ impl<V: TailValue> TypedSeg<V> {
         let n = rows.len() as u64;
         let strategy = make(value_domain, rows)?;
         Ok(TypedSeg {
+            ranges: strategy.segment_ranges(),
             strategy,
             value_domain,
             rows: n,
@@ -284,22 +291,30 @@ impl<V: TailValue> TypedSeg<V> {
         })
     }
 
-    fn ranges(&self) -> Vec<ValueRange<Pair<V>>> {
-        self.strategy.segment_ranges()
+    fn ranges(&self) -> &[ValueRange<Pair<V>>] {
+        debug_assert!(
+            self.ranges == self.strategy.segment_ranges(),
+            "the piece ranges are the strategy's"
+        );
+        &self.ranges
+    }
+
+    /// Piece `i`'s range.
+    fn range(&self, i: usize) -> Result<ValueRange<Pair<V>>, BpmError> {
+        self.ranges().get(i).copied().ok_or(BpmError::BadPiece(i))
     }
 
     /// Indices of the pieces whose value span overlaps the closed query
-    /// `[lo, hi]` (in `f64` boundary space).
+    /// `[lo, hi]` (in `f64` boundary space). The pieces ascend and `to_f64`
+    /// keeps their order, so the overlap is one run, found by binary search.
     fn overlapping(&self, lo: f64, hi: f64) -> Vec<usize> {
         if lo.is_nan() || hi.is_nan() {
             return Vec::new();
         }
-        self.ranges()
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.lo().value.to_f64() <= hi && lo <= r.hi().value.to_f64())
-            .map(|(i, _)| i)
-            .collect()
+        let ranges = self.ranges();
+        let start = ranges.partition_point(|r| r.hi().value.to_f64() < lo);
+        let end = ranges.partition_point(|r| r.lo().value.to_f64() <= hi);
+        (start..end.max(start)).collect()
     }
 
     fn footprint_bytes(&self, lo: f64, hi: f64) -> u64 {
@@ -311,21 +326,17 @@ impl<V: TailValue> TypedSeg<V> {
     }
 
     fn piece_bat(&self, i: usize) -> Result<Bat, BpmError> {
-        let range = *self.ranges().get(i).ok_or(BpmError::BadPiece(i))?;
-        bat_of_pairs(self.strategy.peek_collect(&range))
+        bat_of_pairs(self.strategy.peek_collect(&self.range(i)?))
     }
 
     /// See [`SegmentedBat::piece_uselect`].
     fn piece_uselect(&self, i: usize, lo: &Atom, hi: &Atom) -> Result<Bat, BpmError> {
-        let range = *self.ranges().get(i).ok_or(BpmError::BadPiece(i))?;
+        let range = self.range(i)?;
         let keep = V::Raw::bounds(lo, hi)?;
-        let rows = self.strategy.peek_collect(&range);
-        let mut heads = Vec::with_capacity(rows.len());
-        heads.extend(
-            rows.iter()
-                .filter(|p| keep.contains(&p.value.raw().key()))
-                .map(|p| p.oid),
-        );
+        let mut heads = Vec::new();
+        self.strategy.peek_slices(&range, &mut |rows| {
+            V::Raw::keep_into(rows, &keep, |p| p.value.raw(), |_, p| p.oid, &mut heads);
+        });
         let n = heads.len();
         Ok(Bat::new(Head::Oids(heads.into()), Tail::Nil(n))?)
     }
@@ -347,19 +358,24 @@ impl<V: TailValue> TypedSeg<V> {
     }
 
     /// One self-organization pass for the closed query `[lo, hi]`: the
-    /// strategy's own `select_count` with its integral reorganization
-    /// (Algorithm 1 / Algorithm 2 at the bpm level). Returns the number of
-    /// adaptation operations performed; bytes written by reorganization
-    /// accumulate in [`Self::reorg_write_bytes`].
+    /// strategy's own reorganization, exactly as its `select_count` would
+    /// run it (Algorithm 1 / Algorithm 2 at the bpm level), without the
+    /// count nobody reads. Returns the number of adaptation operations
+    /// performed; bytes written by reorganization accumulate in
+    /// [`Self::reorg_write_bytes`].
     fn adapt(&mut self, lo: f64, hi: f64) -> u64 {
         let Some(q) = self.query(lo, hi) else {
             return 0;
         };
         let before = self.strategy.adaptation();
         let mut tracker = CountingTracker::new();
-        self.strategy.select_count(&q, &mut tracker);
+        self.strategy.reorganize(&q, &mut tracker);
         self.reorg_write_bytes += tracker.totals().write_bytes;
         let after = self.strategy.adaptation();
+        // Every move of a piece boundary moves a counter.
+        if after != before {
+            self.ranges = self.strategy.segment_ranges();
+        }
         (after.splits - before.splits)
             + (after.merges - before.merges)
             + (after.replicas_created - before.replicas_created)
@@ -485,6 +501,9 @@ impl<V: TailValue> TypedSeg<V> {
         debug_assert_eq!(unmatched, 0, "tombstones were read off the current rows");
         self.rows = self.rows + run.inserts().len() as u64 - run.tombstones().len() as u64;
         self.reorg_write_bytes += tracker.totals().write_bytes;
+        // A fold keeps every boundary, but cracking reports only the pieces
+        // its data's span reaches, which a fold can widen or narrow.
+        self.ranges = self.strategy.segment_ranges();
         soc_core::debug_assert_valid!(self.validate(), "catalog merge fold");
     }
 
@@ -684,10 +703,10 @@ impl SegmentedBat {
     }
 
     /// `algebra.uselect(piece_bat(i), lo, hi)` without building the
-    /// piece's bat: one read of the piece keeps the oids of the rows whose
-    /// value lies in `[lo, hi]`, in the piece's order, compared by the
-    /// tail's [`Selectable`] rule — the bat, head variant included, and
-    /// the error that call returns.
+    /// piece's bat: one read of the piece where the strategy holds it
+    /// keeps the oids of the rows whose value lies in `[lo, hi]`, in the
+    /// piece's order, through the tail's [`Selectable`] keep loop — the
+    /// bat, head variant included, and the error that call returns.
     ///
     /// # Errors
     /// [`BpmError::BadPiece`] for an index past the last piece, and
@@ -726,9 +745,10 @@ impl SegmentedBat {
     }
 
     /// Runs one self-organization pass for the closed query `[lo, hi]`:
-    /// the strategy executes the selection with its integral
-    /// reorganization (split, crack, or replicate — Section 3.3 made part
-    /// of query execution). Returns the number of adaptation operations.
+    /// the strategy reorganizes exactly as its selection would (split,
+    /// crack, or replicate — Section 3.3 made part of query execution),
+    /// without computing the selection's answer, which the plan reads
+    /// from the pieces. Returns the number of adaptation operations.
     pub fn adapt(&mut self, lo: &Atom, hi: &Atom) -> Result<u64, BpmError> {
         let (Some(ql), Some(qh)) = (lo.as_f64(), hi.as_f64()) else {
             return Ok(0);

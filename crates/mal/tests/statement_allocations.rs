@@ -72,21 +72,23 @@ const HOT_WINDOWS: usize = 64;
 const WARMUP: usize = 2_000;
 const MEASURED: usize = 2_000;
 
-/// Per-statement ceilings: what the statement path needs (64, 28 and 16
-/// allocations in release builds; `Interp::run` makes one more with debug
-/// assertions) plus a little headroom. A name, instruction or key copied
-/// per statement again breaks them; with `String` names, deep-copied
-/// statements and formatted bind keys the path made 133, 145 and 88, and
-/// with every taken piece built into a bat and every delta bind rebuilt,
-/// `Interp::run` made 34.
+/// Per-statement ceilings: what the statement path needs (64, 27 and 13
+/// allocations in release builds; with debug assertions every read of a
+/// column's piece ranges checks them against a fresh copy, 28 and 16)
+/// plus a little headroom. A name, instruction or key copied per
+/// statement again breaks them; with `String` names, deep-copied
+/// statements and formatted bind keys the path made 133, 145 and 88; with
+/// every taken piece built into a bat and every delta bind rebuilt,
+/// `Interp::run` made 34; with the piece ranges rebuilt at each read and
+/// the taken piece copied before its selection, 16.
 const COMPILE_MAX: f64 = 68.0;
-const OPTIMIZE_MAX: f64 = 32.0;
-const RUN_MAX: f64 = 20.0;
-const TOTAL_MAX: f64 = 132.0;
+const OPTIMIZE_MAX: f64 = 31.0;
+const RUN_MAX: f64 = 17.0;
+const TOTAL_MAX: f64 = 128.0;
 /// `Interp::run` with 200 inserts and 200 deletions pending: what it
-/// needs (23.5 allocations; 60.7 with built pieces and rebuilt delta
-/// binds) plus the same headroom.
-const RUN_PENDING_MAX: f64 = 27.5;
+/// needs (20.9 allocations; 23.5 with rebuilt ranges and a copied piece,
+/// 60.7 with built pieces and rebuilt delta binds) plus the same headroom.
+const RUN_PENDING_MAX: f64 = 24.9;
 /// Trickle writes pending in the second state: each inserts a row, then
 /// deletes it, as the benchmark's alternating writes do.
 const PENDING_ROWS: usize = 200;
