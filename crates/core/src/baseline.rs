@@ -62,12 +62,6 @@ impl<V: ColumnValue> ColumnStrategy<V> for NonSegmented<V> {
         self.segment.count_in(q)
     }
 
-    fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
-        let mut out = Vec::new();
-        self.segment.collect_in(q, &mut out);
-        out
-    }
-
     fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V])) {
         self.segment.peek_in(q, &mut Vec::new(), f);
     }
@@ -93,12 +87,8 @@ impl<V: ColumnValue> ColumnStrategy<V> for NonSegmented<V> {
         1
     }
 
-    fn segment_bytes(&self) -> Vec<u64> {
-        vec![self.segment.bytes()]
-    }
-
-    fn segment_ranges(&self) -> Vec<ValueRange<V>> {
-        vec![self.segment.range()]
+    fn pieces(&self) -> Vec<(ValueRange<V>, u64)> {
+        vec![(self.segment.range(), self.segment.bytes())]
     }
 }
 
@@ -145,12 +135,6 @@ impl<V: ColumnValue> ColumnStrategy<V> for FullySorted<V> {
         (end - start) as u64
     }
 
-    fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
-        let values = self.segment.values();
-        let (start, end) = crate::kernels::sorted_run(values, q);
-        values[start..end].to_vec()
-    }
-
     fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V])) {
         let values = self.segment.values();
         let (start, end) = crate::kernels::sorted_run(values, q);
@@ -178,12 +162,8 @@ impl<V: ColumnValue> ColumnStrategy<V> for FullySorted<V> {
         1
     }
 
-    fn segment_bytes(&self) -> Vec<u64> {
-        vec![self.segment.bytes()]
-    }
-
-    fn segment_ranges(&self) -> Vec<ValueRange<V>> {
-        vec![self.segment.range()]
+    fn pieces(&self) -> Vec<(ValueRange<V>, u64)> {
+        vec![(self.segment.range(), self.segment.bytes())]
     }
 }
 
@@ -224,7 +204,7 @@ mod tests {
         let col = NonSegmented::new(ValueRange::must(0u32, 99), (0..50).collect());
         assert_eq!(col.storage_bytes(), 200);
         assert_eq!(col.segment_count(), 1);
-        assert_eq!(col.segment_bytes(), vec![200]);
+        assert_eq!(col.pieces(), vec![(ValueRange::must(0, 99), 200)]);
     }
 
     #[test]

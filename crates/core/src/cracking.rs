@@ -207,11 +207,7 @@ impl<V: ColumnValue> CrackedColumn<V> {
         };
         crate::debug_assert_valid!(
             crate::validate::ranges_disjoint_sorted(
-                &self
-                    .flat_pieces()
-                    .iter()
-                    .map(|(r, _)| *r)
-                    .collect::<Vec<_>>(),
+                &self.pieces().iter().map(|(r, _)| *r).collect::<Vec<_>>(),
             ),
             "cracked column reorganize"
         );
@@ -239,41 +235,6 @@ impl<V: ColumnValue> CrackedColumn<V> {
             .zip(last.and_then(crate::kernels::min_max_all))
             .map(|((lo, _), (_, hi))| (lo, hi));
     }
-
-    /// The flat pieces as `(value range, stored bytes)` pairs, positionally
-    /// aligned: entry `i` of [`ColumnStrategy::segment_bytes`] must
-    /// describe the same piece as entry `i` of
-    /// [`ColumnStrategy::segment_ranges`]. Boundaries outside the data's
-    /// `[min, max]` delimit empty pieces with no representable range;
-    /// their (zero-byte) spans are folded away on both sides at once so
-    /// the pairing never shifts.
-    fn flat_pieces(&self) -> Vec<(ValueRange<V>, u64)> {
-        let Some((lo, hi)) = self.bounds else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let mut cur = lo;
-        let mut start_pos = 0usize;
-        for (&b, &p) in &self.index {
-            if b > cur {
-                if let Some(end) = b.pred() {
-                    if let Some(r) = ValueRange::new(cur, end.min(hi)) {
-                        out.push((r, (p - start_pos) as u64 * V::BYTES));
-                    }
-                }
-                cur = b;
-            }
-            // Positions are monotone in the boundary value, so this is the
-            // start of whatever piece `cur` now opens.
-            start_pos = start_pos.max(p);
-        }
-        if cur <= hi {
-            if let Some(r) = ValueRange::new(cur.max(lo), hi) {
-                out.push((r, (self.data.len() - start_pos) as u64 * V::BYTES));
-            }
-        }
-        out
-    }
 }
 
 // contract: ColumnStrategy thread-safety: cracking reorders data only inside &mut self selects, delta folds rebuild it only inside &mut self fold_delta; &self accessors are pure reads.
@@ -289,27 +250,27 @@ impl<V: ColumnValue> ColumnStrategy<V> for CrackedColumn<V> {
         (hi - lo) as u64
     }
 
-    fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
+    fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V])) {
         // Values in [q.lo, q.hi] can only live between the start of the
-        // piece holding q.lo and the end of the piece holding q.hi; scan
+        // piece holding q.lo and the end of the piece holding q.hi; read
         // just that window, without cracking. Only the two boundary pieces
         // can contain non-qualifying values: every piece strictly between
         // them spans boundary values inside (q.lo, q.hi], so its slice is
-        // copied wholesale — the cracked analogue of the `covers` fast
-        // path — and the boundary pieces go through the branchless kernel.
+        // lent in place — the cracked analogue of a covered segment — and
+        // the boundary pieces' matches are copied by the branchless kernel.
         // "One piece" compares whole pieces: an empty piece shares its start
         // with the piece above it.
         let (lo_start, lo_end) = self.piece_of(q.lo());
         let (hi_start, hi_end) = self.piece_of(q.hi());
-        let mut out = Vec::new();
-        if (lo_start, lo_end) == (hi_start, hi_end) {
-            crate::kernels::collect_range(&self.data[lo_start..lo_end], q, &mut out);
-            return out;
+        let mut scratch = Vec::new();
+        crate::kernels::collect_range(&self.data[lo_start..lo_end], q, &mut scratch);
+        f(&scratch);
+        if (lo_start, lo_end) != (hi_start, hi_end) {
+            f(&self.data[lo_end..hi_start]);
+            scratch.clear();
+            crate::kernels::collect_range(&self.data[hi_start..hi_end], q, &mut scratch);
+            f(&scratch);
         }
-        crate::kernels::collect_range(&self.data[lo_start..lo_end], q, &mut out);
-        out.extend_from_slice(&self.data[lo_end..hi_start]);
-        crate::kernels::collect_range(&self.data[hi_start..hi_end], q, &mut out);
-        out
     }
 
     fn fold_delta(
@@ -375,16 +336,36 @@ impl<V: ColumnValue> ColumnStrategy<V> for CrackedColumn<V> {
         self.piece_count()
     }
 
-    fn segment_bytes(&self) -> Vec<u64> {
-        self.flat_pieces().into_iter().map(|(_, b)| b).collect()
-    }
-
-    fn segment_ranges(&self) -> Vec<ValueRange<V>> {
+    fn pieces(&self) -> Vec<(ValueRange<V>, u64)> {
         // Crack boundaries partition the value space: piece k holds values
         // in [boundary_k, boundary_{k+1}). Boundaries outside the data's
-        // [min, max] delimit empty pieces and produce no range (and no
-        // paired byte entry).
-        self.flat_pieces().into_iter().map(|(r, _)| r).collect()
+        // [min, max] delimit empty pieces with no representable range;
+        // their (zero-byte) spans are folded away.
+        let Some((lo, hi)) = self.bounds else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        let mut cur = lo;
+        let mut start_pos = 0usize;
+        for (&b, &p) in &self.index {
+            if b > cur {
+                if let Some(end) = b.pred() {
+                    if let Some(r) = ValueRange::new(cur, end.min(hi)) {
+                        out.push((r, (p - start_pos) as u64 * V::BYTES));
+                    }
+                }
+                cur = b;
+            }
+            // Positions are monotone in the boundary value, so this is the
+            // start of whatever piece `cur` now opens.
+            start_pos = start_pos.max(p);
+        }
+        if cur <= hi {
+            if let Some(r) = ValueRange::new(cur.max(lo), hi) {
+                out.push((r, (self.data.len() - start_pos) as u64 * V::BYTES));
+            }
+        }
+        out
     }
 
     fn adaptation(&self) -> crate::strategy::AdaptationStats {
@@ -477,7 +458,7 @@ mod tests {
             let lo = rng.gen_range(0..90_000u32);
             c.select_count(&ValueRange::must(lo, lo + 9_999), &mut NullTracker);
         }
-        let total: u64 = c.segment_bytes().iter().sum();
+        let total: u64 = c.pieces().iter().map(|(_, b)| b).sum();
         assert_eq!(total, c.storage_bytes());
         assert_eq!(c.segment_count(), c.piece_count());
         // Cracker-index invariant: data left of each boundary < boundary.
@@ -488,32 +469,31 @@ mod tests {
     }
 
     #[test]
-    fn segment_bytes_pair_with_ranges_when_boundaries_fall_outside_the_data() {
-        // Regression: a crack below the data minimum (query lo under every
-        // value) used to leave segment_bytes() with one more entry than
-        // segment_ranges(), shifting every positional pairing downstream
-        // (footprint estimates, placement).
+    fn pieces_skip_boundaries_outside_the_data() {
+        // A crack below the data minimum (query lo under every value) or
+        // above its maximum delimits an empty piece with no representable
+        // range: it is left out, and the bytes still sum to the column.
         let values: Vec<u32> = (100..1100).collect();
         let mut c = CrackedColumn::new(values);
         c.select_count(&ValueRange::must(10, 499), &mut NullTracker);
-        let ranges = c.segment_ranges();
-        let bytes = c.segment_bytes();
-        assert_eq!(ranges.len(), bytes.len(), "positional pairing holds");
         assert_eq!(
-            ranges,
-            vec![ValueRange::must(100, 499), ValueRange::must(500, 1099)]
+            c.pieces(),
+            vec![
+                (ValueRange::must(100, 499), 400 * 4),
+                (ValueRange::must(500, 1099), 600 * 4)
+            ]
         );
-        assert_eq!(bytes, vec![400 * 4, 600 * 4]);
-        assert_eq!(bytes.iter().sum::<u64>(), c.storage_bytes());
 
-        // A crack above the data maximum keeps the pairing too.
         c.select_count(&ValueRange::must(900, 5_000), &mut NullTracker);
-        let ranges = c.segment_ranges();
-        let bytes = c.segment_bytes();
-        assert_eq!(ranges.len(), bytes.len());
-        assert_eq!(bytes.iter().sum::<u64>(), c.storage_bytes());
-        assert_eq!(*ranges.last().unwrap(), ValueRange::must(900, 1099));
-        assert_eq!(*bytes.last().unwrap(), 200 * 4);
+        let pieces = c.pieces();
+        assert_eq!(
+            pieces.iter().map(|(_, b)| b).sum::<u64>(),
+            c.storage_bytes()
+        );
+        assert_eq!(
+            *pieces.last().unwrap(),
+            (ValueRange::must(900, 1099), 200 * 4)
+        );
     }
 
     #[test]

@@ -22,15 +22,15 @@
 //!   reorganization or for a [`ConcurrentColumn::set_strategy`] migration.
 //!
 //! **One copy of the column.** A segment-based strategy (the adaptive
-//! segmentations, their merging variant, and both baselines) shares its
-//! pieces ([`ColumnStrategy::share_sorted`]): it sorts each segment in its
-//! own buffer once, and every snapshot piece *is* the segment's window, so
-//! the served column is held once, not as the strategy's payload plus a
-//! sorted copy. Sorted segments stay immutable: a split windows the same
-//! buffer and copies nothing, and a fold writes the one piece it touches
-//! into a fresh buffer while readers keep the old one. Cracking, the
-//! replica trees and the sharded column decline, and are served from a
-//! sorted copy of each piece instead.
+//! segmentations, with or without a merge policy, and both baselines)
+//! shares its pieces ([`ColumnStrategy::share_sorted`]): it sorts each
+//! segment in its own buffer once, and every snapshot piece *is* the
+//! segment's window, so the served column is held once, not as the
+//! strategy's payload plus a sorted copy. Sorted segments stay immutable:
+//! a split windows the same buffer and copies nothing, and a fold writes
+//! the one piece it touches into a fresh buffer while readers keep the old
+//! one. Cracking, the replica trees and the sharded column decline, and
+//! are served from a sorted copy of each piece instead.
 //!
 //! Epochs share structure. A shared piece whose window is the very one
 //! the previous epoch served keeps its id and synopsis, so an unchanged
@@ -75,7 +75,7 @@
 //! depend only on the logical content, which reorganization never touches
 //! (the transparency claim of Section 3.1). `select_collect` returns the
 //! qualifying values in **canonical ascending order** — the physical order
-//! a strategy's [`ColumnStrategy::peek_collect`] exposes after the same
+//! a strategy's [`ColumnStrategy::peek_slices`] exposes after the same
 //! queries is an epoch-dependent artifact, so the concurrent column
 //! normalizes it; sorting the serial peek yields the identical sequence.
 //! The property tests of `tests/concurrent_equivalence.rs` prove both, for
@@ -88,9 +88,9 @@
 //! has no thread and observe its behaviour deterministically.
 //!
 //! The snapshot's `walk` is the one materializing read of this layer: a
-//! strategy materializes only through `peek_collect`, which is how a
-//! declining strategy's snapshot piece is extracted and how a migration
-//! reads the column it rebuilds.
+//! strategy materializes only through `peek_slices` (copied out by
+//! `peek_collect`), which is how a declining strategy's snapshot piece is
+//! extracted and how a migration reads the column it rebuilds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -248,13 +248,13 @@ enum Part<'a, V: ColumnValue> {
     Run(Hit<'a, V>, Hit<'a, V>),
 }
 
-/// Extends `live` (a strategy's sorted, disjoint `segment_ranges()`) into a
-/// partition tiling all of `domain`: gaps between pieces — cracking omits
-/// empty boundary pieces, some strategies do not pad to the domain edges —
-/// become explicit ranges so no value can fall between pieces.
+/// Extends `live` (the sorted, disjoint ranges of a strategy's `pieces()`)
+/// into a partition tiling all of `domain`: gaps between pieces — cracking
+/// omits empty boundary pieces, some strategies do not pad to the domain
+/// edges — become explicit ranges so no value can fall between pieces.
 fn tile_domain<V: ColumnValue>(
     domain: ValueRange<V>,
-    live: Vec<ValueRange<V>>,
+    live: impl ExactSizeIterator<Item = ValueRange<V>>,
 ) -> Vec<ValueRange<V>> {
     let mut out = Vec::with_capacity(live.len() + 2);
     let mut cursor = Some(domain.lo());
@@ -889,7 +889,7 @@ impl<V: ColumnValue> Writer<V> {
             None => {
                 let untouched = |range: &ValueRange<V>| run_in(folded, range).is_empty();
                 let strategy = self.strategy.as_ref();
-                tile_domain(domain, strategy.segment_ranges())
+                tile_domain(domain, strategy.pieces().into_iter().map(|(r, _)| r))
                     .into_iter()
                     .map(|range| match prev_piece(&range) {
                         Some(p) if untouched(&range) => p.clone(),
@@ -1384,13 +1384,13 @@ mod tests {
             let mut strategy = spec.build(domain(), values()).expect("values in domain");
             let mut unchanged = 0;
             for q in queries().iter().chain(&queries()) {
-                let ranges = strategy.segment_ranges();
+                let pieces = strategy.pieces();
                 let contents = strategy.peek_collect(&domain());
                 let mut tracker = CountingTracker::new();
                 strategy.select_count(q, &mut tracker);
                 let t = tracker.totals();
                 if (t.write_bytes, t.freed_bytes, t.segments_materialized) == (0, 0, 0) {
-                    assert_eq!(strategy.segment_ranges(), ranges, "{kind:?} on {q:?}");
+                    assert_eq!(strategy.pieces(), pieces, "{kind:?} on {q:?}");
                     assert_eq!(
                         strategy.peek_collect(&domain()),
                         contents,
@@ -2540,7 +2540,10 @@ mod tests {
     #[test]
     fn tile_domain_fills_gaps_and_edges() {
         let d = ValueRange::must(0u32, 99);
-        let tiled = tile_domain(d, vec![ValueRange::must(10, 19), ValueRange::must(40, 59)]);
+        let tiled = tile_domain(
+            d,
+            [ValueRange::must(10, 19), ValueRange::must(40, 59)].into_iter(),
+        );
         assert_eq!(
             tiled,
             vec![
@@ -2551,7 +2554,7 @@ mod tests {
                 ValueRange::must(60, 99),
             ]
         );
-        assert_eq!(tile_domain(d, Vec::new()), vec![d]);
-        assert_eq!(tile_domain(d, vec![d]), vec![d]);
+        assert_eq!(tile_domain(d, std::iter::empty()), vec![d]);
+        assert_eq!(tile_domain(d, std::iter::once(d)), vec![d]);
     }
 }

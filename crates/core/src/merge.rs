@@ -5,13 +5,13 @@
 //! for some query workloads." — the skewed SkyServer load drives GD into
 //! thousands of sub-1000-tuple segments (Section 6.2); this module
 //! implements the obvious cure: after each query, adjacent runs of small
-//! segments inside the touched region are glued back together.
+//! segments inside the touched region are glued back together. A
+//! [`MergePolicy`] says when and how far; its pass runs at the end of every
+//! query of an adaptive segmentation built with it
+//! ([`crate::AdaptiveSegmentation::with_merge`]).
 
 use crate::column::SegmentedColumn;
 use crate::range::ValueRange;
-use crate::segment::Window;
-use crate::segmentation::AdaptiveSegmentation;
-use crate::strategy::ColumnStrategy;
 use crate::tracker::AccessTracker;
 use crate::value::ColumnValue;
 
@@ -90,115 +90,13 @@ impl MergePolicy {
     }
 }
 
-/// Adaptive segmentation with a post-query merge pass — the Section 8
-/// extension, kept separate from [`AdaptiveSegmentation`] so benches can
-/// ablate it.
-pub struct MergingSegmentation<V> {
-    inner: AdaptiveSegmentation<V>,
-    policy: MergePolicy,
-    merges: u64,
-}
-
-impl<V: ColumnValue> MergingSegmentation<V> {
-    /// Wraps a segmentation strategy with a merge policy.
-    pub fn new(inner: AdaptiveSegmentation<V>, policy: MergePolicy) -> Self {
-        MergingSegmentation {
-            inner,
-            policy,
-            merges: 0,
-        }
-    }
-
-    /// The wrapped strategy.
-    #[cfg(test)]
-    pub(crate) fn inner(&self) -> &AdaptiveSegmentation<V> {
-        &self.inner
-    }
-
-    fn merge_after(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) {
-        self.merges += self.policy.merge_pass(self.inner.column_mut(), q, tracker) as u64;
-        let column = self.inner.column();
-        crate::debug_assert_valid!(
-            crate::validate::ranges_partition(
-                &column.domain(),
-                &column
-                    .segments()
-                    .iter()
-                    .map(|s| s.range())
-                    .collect::<Vec<_>>(),
-            ),
-            "merge pass"
-        );
-    }
-}
-
-// contract: ColumnStrategy thread-safety: merge passes mutate only inside &mut self selects, delta folds inside &mut self fold_delta; &self accessors delegate to the inner column's immutable state.
-impl<V: ColumnValue> ColumnStrategy<V> for MergingSegmentation<V> {
-    fn name(&self) -> String {
-        format!("{}+Merge", self.inner.name())
-    }
-
-    fn select_count(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
-        let n = self.inner.select_count(q, tracker);
-        self.merge_after(q, tracker);
-        n
-    }
-
-    fn reorganize(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) {
-        self.inner.reorganize(q, tracker);
-        self.merge_after(q, tracker);
-    }
-
-    fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
-        self.inner.peek_collect(q)
-    }
-
-    fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V])) {
-        self.inner.peek_slices(q, f);
-    }
-
-    fn fold_delta(
-        &mut self,
-        inserts: &[V],
-        tombstones: &[V],
-        tracker: &mut dyn AccessTracker,
-    ) -> Option<u64> {
-        self.inner.fold_delta(inserts, tombstones, tracker)
-    }
-
-    fn share_sorted(&mut self) -> Option<Vec<(ValueRange<V>, Window<V>)>> {
-        self.inner.share_sorted()
-    }
-
-    fn storage_bytes(&self) -> u64 {
-        self.inner.storage_bytes()
-    }
-
-    fn segment_count(&self) -> usize {
-        self.inner.segment_count()
-    }
-
-    fn segment_bytes(&self) -> Vec<u64> {
-        self.inner.segment_bytes()
-    }
-
-    fn segment_ranges(&self) -> Vec<ValueRange<V>> {
-        self.inner.segment_ranges()
-    }
-
-    fn adaptation(&self) -> crate::strategy::AdaptationStats {
-        crate::strategy::AdaptationStats {
-            merges: self.merges,
-            ..self.inner.adaptation()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::estimate::SizeEstimator;
     use crate::model::AlwaysSplit;
+    use crate::segmentation::AdaptiveSegmentation;
+    use crate::strategy::ColumnStrategy;
     use crate::tracker::NullTracker;
 
     fn column() -> SegmentedColumn<u32> {
@@ -250,10 +148,9 @@ mod tests {
         // AlwaysSplit + point queries is the worst-case fragmenter; the
         // merge pass must keep the segment count bounded.
         let seg =
-            AdaptiveSegmentation::new(column(), Box::new(AlwaysSplit), SizeEstimator::Uniform);
-        let mut frag =
-            AdaptiveSegmentation::new(column(), Box::new(AlwaysSplit), SizeEstimator::Uniform);
-        let mut merged = MergingSegmentation::new(seg, MergePolicy::new(2_000, 8_000));
+            || AdaptiveSegmentation::new(column(), Box::new(AlwaysSplit), SizeEstimator::Uniform);
+        let mut frag = seg();
+        let mut merged = seg().with_merge(MergePolicy::new(2_000, 8_000));
         for i in 0..200u32 {
             let v = (i * 47) % 9_999;
             let q = ValueRange::must(v, v);
@@ -267,7 +164,7 @@ mod tests {
             merged.segment_count(),
             frag.segment_count()
         );
-        merged.inner().column().validate().unwrap();
+        merged.column().validate().unwrap();
     }
 
     #[test]
@@ -275,8 +172,9 @@ mod tests {
         let values: Vec<u32> = (0..10_000u32).rev().collect();
         let reference = values.clone();
         let col = SegmentedColumn::new(ValueRange::must(0, 9_999), values).unwrap();
-        let seg = AdaptiveSegmentation::new(col, Box::new(AlwaysSplit), SizeEstimator::Uniform);
-        let mut merged = MergingSegmentation::new(seg, MergePolicy::new(2_000, 8_000));
+        let mut merged =
+            AdaptiveSegmentation::new(col, Box::new(AlwaysSplit), SizeEstimator::Uniform)
+                .with_merge(MergePolicy::new(2_000, 8_000));
         for i in 0..100u32 {
             let lo = (i * 97) % 9_000;
             let q = ValueRange::must(lo, lo + 999);

@@ -189,19 +189,21 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveReplication<V> {
         self.run_select(q, tracker)
     }
 
-    fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
+    fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V])) {
         // The covering set tiles the query with materialized nodes; reading
-        // them answers the query without growing the tree.
-        let mut out = Vec::new();
+        // them answers the query without growing the tree. A node the query
+        // covers is lent whole, the others' matches are copied.
+        let mut scratch = Vec::new();
         for s in self.tree.covering_set(q) {
             let values = self.tree.cover_values(s);
             if q.covers(&self.tree.node(s).range) {
-                out.extend_from_slice(values);
+                f(values);
             } else {
-                crate::kernels::collect_range(values, q, &mut out);
+                scratch.clear();
+                crate::kernels::collect_range(values, q, &mut scratch);
+                f(&scratch);
             }
         }
-        out
     }
 
     fn fold_delta(
@@ -223,24 +225,11 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveReplication<V> {
         self.tree.mat_count()
     }
 
-    fn segment_bytes(&self) -> Vec<u64> {
+    fn pieces(&self) -> Vec<(ValueRange<V>, u64)> {
         // The flat covering leaf set, not every materialized replica:
-        // nested parent/child replicas would double-count data, so byte i
-        // here always describes the same segment as range i of
-        // [`Self::segment_ranges`] and the bytes sum to the logical column.
-        self.tree
-            .covering_partition()
-            .into_iter()
-            .map(|(_, b)| b)
-            .collect()
-    }
-
-    fn segment_ranges(&self) -> Vec<ValueRange<V>> {
-        self.tree
-            .covering_partition()
-            .into_iter()
-            .map(|(r, _)| r)
-            .collect()
+        // nested parent/child replicas would double-count data, so the
+        // bytes sum to the logical column.
+        self.tree.covering_partition()
     }
 
     fn adaptation(&self) -> crate::strategy::AdaptationStats {
@@ -476,11 +465,11 @@ mod tests {
     }
 
     #[test]
-    fn segment_ranges_flatten_to_a_disjoint_domain_covering_partition() {
+    fn pieces_flatten_to_a_disjoint_domain_covering_partition() {
         // Regression: materialized parent and child replicas used to be
         // reported together, so ranges nested and positional placement
         // double-counted data. The flat covering leaf set must tile the
-        // domain exactly once, with bytes paired per range.
+        // domain exactly once.
         let values = column_values(30_000, 13);
         let total_bytes = 30_000u64 * 4;
         for model in [
@@ -494,9 +483,7 @@ mod tests {
                 let lo = rng.gen_range(0..=DOMAIN_HI - 8_000);
                 r.select_count(&ValueRange::must(lo, lo + 7_999), &mut NullTracker);
 
-                let ranges = r.segment_ranges();
-                let bytes = r.segment_bytes();
-                assert_eq!(ranges.len(), bytes.len(), "byte/range pairing");
+                let (ranges, bytes): (Vec<_>, Vec<u64>) = r.pieces().into_iter().unzip();
                 // While parent and child replicas coexist, more segments
                 // occupy storage than the flat report lists.
                 saw_nesting |= r.segment_count() > ranges.len();
@@ -512,7 +499,7 @@ mod tests {
                         w[1]
                     );
                 }
-                // Summing paired bytes counts every tuple exactly once.
+                // Summing the pieces' bytes counts every tuple exactly once.
                 assert_eq!(bytes.iter().sum::<u64>(), total_bytes);
             }
             assert!(

@@ -170,9 +170,7 @@ impl<V: ColumnValue> ReplicaTree<V> {
     }
 
     /// `(range, bytes)` of every materialized segment, sorted by range
-    /// start — the one ordering [`Self::mat_segment_bytes`] and
-    /// [`Self::mat_segment_ranges`] both derive from, so index `i` of one
-    /// always describes the same segment as index `i` of the other.
+    /// start; nested replicas included.
     #[cfg(test)]
     pub(crate) fn mat_segments(&self) -> Vec<(ValueRange<V>, u64)> {
         let mut segs: Vec<(ValueRange<V>, u64)> = self
@@ -191,9 +189,8 @@ impl<V: ColumnValue> ReplicaTree<V> {
     /// full-domain selection).
     ///
     /// This is the partitioning a distributed placement ships to nodes —
-    /// unlike [`Self::mat_segments`], ranges never nest, so byte/range
-    /// pairing is positionally consistent and summing bytes counts every
-    /// tuple exactly once. The returned ranges are sorted, pairwise
+    /// unlike [`Self::mat_segments`], ranges never nest, so summing bytes
+    /// counts every tuple exactly once. The returned ranges are sorted, pairwise
     /// disjoint, adjacent, and span the domain.
     pub(crate) fn covering_partition(&self) -> Vec<(ValueRange<V>, u64)> {
         self.covering_set(&self.domain)

@@ -366,22 +366,9 @@ impl<V: ColumnValue> SegmentData<V> {
         }
     }
 
-    /// Copies the stored values inside `q` into `out`.
-    ///
-    /// A disjoint query returns untouched; a covering one appends every
-    /// value; only partial overlap filters tuple by tuple.
-    pub(crate) fn collect_in(&self, q: &ValueRange<V>, out: &mut Vec<V>) {
-        match self.classify(q) {
-            SynopsisClass::Disjoint => {}
-            SynopsisClass::Covered => out.extend_from_slice(&self.values),
-            SynopsisClass::Straddle => crate::kernels::collect_range(&self.values, q, out),
-        }
-    }
-
-    /// Hands the stored values inside `q` to `f`, in the order
-    /// [`Self::collect_in`] copies them: a covered segment lends its own
-    /// values, a straddled one copies its matches into `scratch`. A
-    /// disjoint query calls nothing.
+    /// Hands the stored values inside `q` to `f`, in storage order: a
+    /// covered segment lends its own values, a straddled one copies its
+    /// matches into `scratch`. A disjoint query calls nothing.
     pub(crate) fn peek_in(&self, q: &ValueRange<V>, scratch: &mut Vec<V>, f: &mut dyn FnMut(&[V])) {
         match self.classify(q) {
             SynopsisClass::Disjoint => {}
@@ -473,6 +460,13 @@ mod tests {
         (s, ids)
     }
 
+    /// The values `peek_in` hands over for `q`, concatenated.
+    fn peeked(s: &SegmentData<u32>, q: &ValueRange<u32>) -> Vec<u32> {
+        let mut out = Vec::new();
+        s.peek_in(q, &mut Vec::new(), &mut |part| out.extend_from_slice(part));
+        out
+    }
+
     #[test]
     fn ids_are_unique_and_monotone() {
         let mut g = SegIdGen::new();
@@ -494,10 +488,13 @@ mod tests {
         let (s, _) = seg(0, 100, &[5, 50, 95, 20, 60]);
         let q = ValueRange::must(20, 60);
         assert_eq!(s.count_in(&q), 3);
-        let mut out = Vec::new();
-        s.collect_in(&q, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![20, 50, 60]);
+        assert_eq!(peeked(&s, &q), vec![50, 20, 60]);
+        // A covered segment lends its own buffer.
+        let mut lent = false;
+        s.peek_in(&ValueRange::must(0, 100), &mut Vec::new(), &mut |part| {
+            lent = std::ptr::eq(part, s.values());
+        });
+        assert!(lent);
     }
 
     #[test]
@@ -514,9 +511,7 @@ mod tests {
         assert_eq!((syn.min(), syn.max(), syn.count()), (20, 60, 3));
         // A query inside the range but outside the data prunes to zero...
         assert_eq!(s.count_in(&ValueRange::must(61, 100)), 0);
-        let mut out = Vec::new();
-        s.collect_in(&ValueRange::must(61, 100), &mut out);
-        assert!(out.is_empty());
+        assert!(peeked(&s, &ValueRange::must(61, 100)).is_empty());
         // ...and one covering only the data (not the range) answers O(1).
         assert_eq!(s.count_in(&ValueRange::must(20, 60)), 3);
     }
@@ -526,9 +521,7 @@ mod tests {
         let (s, _) = seg(0, 99, &[]);
         assert_eq!(s.synopsis(), None);
         assert_eq!(s.count_in(&ValueRange::must(0, 99)), 0);
-        let mut out = Vec::new();
-        s.collect_in(&ValueRange::must(0, 99), &mut out);
-        assert!(out.is_empty());
+        assert!(peeked(&s, &ValueRange::must(0, 99)).is_empty());
     }
 
     #[test]

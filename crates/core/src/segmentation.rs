@@ -4,11 +4,14 @@
 //! range selection scans exactly the overlapping segments; for each, the
 //! segmentation model may decide to *eagerly* replace it with its two or
 //! three sub-segments, piggy-backing the reorganization on the scan the
-//! query pays for anyway.
+//! query pays for anyway. Under an optional [`MergePolicy`] (Section 8's
+//! counter-measure to fragmentation) every query ends with a merge pass
+//! over the segments it touched.
 
 use crate::column::SegmentedColumn;
 use crate::estimate::{exact_pieces, interpolate_pieces, PieceLens, SizeEstimator};
 use crate::kernels::HalfLens;
+use crate::merge::MergePolicy;
 use crate::model::{SegmentationModel, SplitDecision, SplitGeometry, Technique, WhichBound};
 use crate::range::ValueRange;
 use crate::segment::Window;
@@ -21,7 +24,9 @@ pub struct AdaptiveSegmentation<V> {
     column: SegmentedColumn<V>,
     model: Box<dyn SegmentationModel>,
     estimator: SizeEstimator,
+    merge: Option<MergePolicy>,
     splits: u64,
+    merges: u64,
 }
 
 /// The estimators answer `None` for a segment the query misses.
@@ -79,18 +84,23 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
             column,
             model,
             estimator,
+            merge: None,
             splits: 0,
+            merges: 0,
         }
+    }
+
+    /// Ends every query with `policy`'s merge pass over the segments it
+    /// touched — the "GD Segm+Merge" of the ablations.
+    #[must_use]
+    pub fn with_merge(mut self, policy: MergePolicy) -> Self {
+        self.merge = Some(policy);
+        self
     }
 
     /// The underlying segmented column.
     pub fn column(&self) -> &SegmentedColumn<V> {
         &self.column
-    }
-
-    /// Mutable access to the column for maintenance passes (merging).
-    pub(crate) fn column_mut(&mut self) -> &mut SegmentedColumn<V> {
-        &mut self.column
     }
 
     /// Computes the piece ranges a decision implies for one segment.
@@ -197,6 +207,9 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
         for idx in span.rev() {
             matched += self.process_segment(idx, q, tracker, answer);
         }
+        if let Some(policy) = self.merge {
+            self.merges += policy.merge_pass(&mut self.column, q, tracker) as u64;
+        }
         crate::debug_assert_valid!(
             crate::validate::ranges_partition(
                 &self.column.domain(),
@@ -213,10 +226,11 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
     }
 }
 
-// contract: ColumnStrategy thread-safety: splits and delta folds mutate the piece table only inside &mut self run_select / fold_delta; &self accessors are pure reads.
+// contract: ColumnStrategy thread-safety: splits, merges and delta folds mutate the piece table only inside &mut self run_select / fold_delta; &self accessors are pure reads.
 impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveSegmentation<V> {
     fn name(&self) -> String {
-        format!("{} Segm", self.model.name())
+        let merge = if self.merge.is_some() { "+Merge" } else { "" };
+        format!("{} Segm{merge}", self.model.name())
     }
 
     fn select_count(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
@@ -225,14 +239,6 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveSegmentation<V> {
 
     fn reorganize(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) {
         self.run_select(q, tracker, false);
-    }
-
-    fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
-        let mut out = Vec::new();
-        for idx in self.column.overlapping_span(q) {
-            self.column.segments()[idx].collect_in(q, &mut out);
-        }
-        out
     }
 
     fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V])) {
@@ -269,17 +275,15 @@ impl<V: ColumnValue> ColumnStrategy<V> for AdaptiveSegmentation<V> {
         self.column.segment_count()
     }
 
-    fn segment_bytes(&self) -> Vec<u64> {
-        self.column.segments().iter().map(|s| s.bytes()).collect()
-    }
-
-    fn segment_ranges(&self) -> Vec<ValueRange<V>> {
-        self.column.segments().iter().map(|s| s.range()).collect()
+    fn pieces(&self) -> Vec<(ValueRange<V>, u64)> {
+        let segments = self.column.segments().iter();
+        segments.map(|s| (s.range(), s.bytes())).collect()
     }
 
     fn adaptation(&self) -> crate::strategy::AdaptationStats {
         crate::strategy::AdaptationStats {
             splits: self.splits,
+            merges: self.merges,
             ..Default::default()
         }
     }
@@ -398,7 +402,7 @@ mod tests {
         }
         s.column().validate().unwrap();
         let mmax = 12 * 1024;
-        let oversized = s.segment_bytes().into_iter().filter(|b| *b > mmax).count();
+        let oversized = s.pieces().into_iter().filter(|(_, b)| *b > mmax).count();
         assert_eq!(
             oversized, 0,
             "after heavy uniform load no segment should exceed Mmax"

@@ -14,7 +14,7 @@ use crate::baseline::{FullySorted, NonSegmented};
 use crate::column::{ColumnError, SegmentedColumn};
 use crate::cracking::CrackedColumn;
 use crate::estimate::SizeEstimator;
-use crate::merge::{MergePolicy, MergingSegmentation};
+use crate::merge::MergePolicy;
 use crate::model::{AdaptivePageModel, AutoTunedApm, GaussianDice, SegmentationModel};
 use crate::range::ValueRange;
 use crate::replication::{AdaptiveReplication, ReplicaTree};
@@ -241,10 +241,10 @@ impl StrategySpec {
                 let policy = self
                     .merge
                     .unwrap_or_else(|| MergePolicy::new(self.mmin, self.mmax));
-                Box::new(MergingSegmentation::new(
-                    self.segmentation(domain, values, self.gd())?,
-                    policy,
-                ))
+                Box::new(
+                    self.segmentation(domain, values, self.gd())?
+                        .with_merge(policy),
+                )
             }
         })
     }
@@ -349,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn segment_ranges_tile_in_value_order_for_segmentation() {
+    fn pieces_tile_in_value_order_for_segmentation() {
         let mut s = StrategySpec::new(StrategyKind::ApmSegm)
             .with_apm_bounds(128, 512)
             .build(domain(), values())
@@ -358,7 +358,7 @@ mod tests {
             let lo = (i * 613) % 9_000;
             s.select_count(&ValueRange::must(lo, lo + 700), &mut NullTracker);
         }
-        let ranges = s.segment_ranges();
+        let ranges: Vec<ValueRange<u32>> = s.pieces().into_iter().map(|(r, _)| r).collect();
         assert_eq!(ranges.len(), s.segment_count());
         assert!(ranges.windows(2).all(|w| w[0].hi() < w[1].lo()));
         assert_eq!(ranges.first().expect("non-empty").lo(), 0);

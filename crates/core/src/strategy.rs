@@ -7,8 +7,10 @@
 //! [`ColumnStrategy::select_count`] (the query every workload and figure
 //! runs) — with [`ColumnStrategy::reorganize`], its reorganization alone —
 //! and one materializing read, the read-only
-//! [`ColumnStrategy::peek_collect`], which
-//! [`ColumnStrategy::peek_slices`] hands over without the copy.
+//! [`ColumnStrategy::peek_slices`], which lends the values in place;
+//! [`ColumnStrategy::peek_collect`] is that read copied into one `Vec`.
+//! Its organization is one list, [`ColumnStrategy::pieces`]: each placeable
+//! piece's value range with its size.
 
 use crate::range::ValueRange;
 use crate::segment::Window;
@@ -19,14 +21,14 @@ use crate::value::ColumnValue;
 ///
 /// Uniform across strategies so experiment drivers can report adaptation
 /// activity without downcasting: segmentation counts `splits` (and `merges`
-/// when wrapped in a merge policy), replication counts `replicas_created` /
+/// under a merge policy), replication counts `replicas_created` /
 /// `drops` / `budget_declines`, cracking counts its cracks as `splits`.
 /// Counters a strategy does not maintain stay zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptationStats {
     /// Segment splits (or cracks) performed.
     pub splits: u64,
-    /// Merge operations performed (merge-policy wrapper only).
+    /// Merge operations performed (segmentation under a merge policy only).
     pub merges: u64,
     /// Replica segments materialized (replication only).
     pub replicas_created: u64,
@@ -64,10 +66,10 @@ impl AdaptationStats {
 ///   take `&mut self`, so they are exclusive per strategy *instance*;
 ///   concurrency comes from running *distinct* instances in parallel,
 ///   never from sharing one;
-/// * the **read-only** methods ([`Self::peek_collect`],
-///   [`Self::peek_slices`], [`Self::storage_bytes`],
-///   [`Self::segment_count`], [`Self::segment_bytes`],
-///   [`Self::segment_ranges`], [`Self::adaptation`]) take `&self` and may
+/// * the **read-only** methods ([`Self::peek_slices`],
+///   [`Self::peek_collect`], [`Self::storage_bytes`],
+///   [`Self::segment_count`], [`Self::pieces`], [`Self::adaptation`])
+///   take `&self` and may
 ///   be called concurrently from multiple threads on one instance
 ///   (`Sync`); implementations must not use interior mutability for them;
 /// * per-thread accounting goes to a private [`AccessTracker`] (e.g. an
@@ -95,30 +97,26 @@ pub trait ColumnStrategy<V: ColumnValue>: Send + Sync {
         self.select_count(q, tracker);
     }
 
-    /// Returns the values in `q` (unordered) without reorganizing,
-    /// adapting, or reporting accesses — the one way to materialize a
-    /// strategy's values.
+    /// Hands the values in `q` (unordered) to `f` as one or more slices,
+    /// without reorganizing, adapting, or reporting accesses — the one way
+    /// to materialize a strategy's values. A piece `q` covers is lent in
+    /// place; only the matches of a piece `q` cuts through are copied.
     ///
     /// This is the extraction path for layers that present a strategy's
-    /// segments as data (the MAL `bpm` module materializes per-segment
-    /// bats, the catalog checkpoint reads rows, the epoch layer copies the
-    /// pieces of a strategy that does not [share](Self::share_sorted)
-    /// them) — those reads must not perturb the
+    /// pieces as data (the MAL `bpm` module builds per-piece bats and keeps
+    /// a `uselect`'s oids, the catalog checkpoint reads rows, the epoch
+    /// layer copies the pieces of a strategy that does not
+    /// [share](Self::share_sorted) them) — those reads must not perturb the
     /// self-organization the workload is driving, which only
-    /// [`Self::select_count`] does.
-    fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V>;
+    /// [`Self::select_count`] and [`Self::reorganize`] do.
+    fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V]));
 
-    /// Hands the values in `q` to `f` as one or more slices whose
-    /// concatenation is exactly [`Self::peek_collect`]`(q)`, in its order —
-    /// the borrowing read of a caller that only looks at the values once.
-    /// Like `peek_collect` it neither reorganizes nor reports accesses.
-    ///
-    /// The default hands over `peek_collect(q)`; the segment-based
-    /// strategies hand over a segment's own values wherever `q` covers it
-    /// (all of a fully sorted column's qualifying run) and copy only the
-    /// rest.
-    fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V])) {
-        f(&self.peek_collect(q));
+    /// The values [`Self::peek_slices`] hands over for `q`, concatenated
+    /// in its order: the read of a caller that keeps them.
+    fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
+        let mut out = Vec::new();
+        self.peek_slices(q, &mut |part| out.extend_from_slice(part));
+        out
     }
 
     /// Bytes of materialized segment storage currently held, including the
@@ -128,26 +126,18 @@ pub trait ColumnStrategy<V: ColumnValue>: Send + Sync {
     /// Number of materialized segments currently held (Table 2's "Segm.#").
     fn segment_count(&self) -> usize;
 
-    /// Sizes in bytes of the placeable segments, positionally paired with
-    /// [`Self::segment_ranges`] (Table 2's size stats).
+    /// The placeable pieces in value order, each as its value range and
+    /// its size in bytes (Table 2's size stats) — the partitioning a
+    /// distributed placement policy ships to nodes (Section 8's outlook).
     ///
-    /// For replication this is the flat covering leaf set, not every
-    /// replica in storage, so the bytes sum to the logical column.
-    fn segment_bytes(&self) -> Vec<u64>;
-
-    /// Value ranges of the placeable segments in value order — the
-    /// partitioning a distributed placement policy ships to nodes
-    /// (Section 8's outlook). Entry `i` describes the same segment as
-    /// entry `i` of [`Self::segment_bytes`].
-    ///
-    /// The ranges are pairwise disjoint and sorted; positional placement
-    /// over them never double-counts data. Replication reports the flat
-    /// covering leaf set (the deepest materialized replicas tiling the
-    /// domain), so nested parent replicas are excluded even though they
-    /// occupy storage; strategies whose pieces can be degenerate
-    /// (cracking's empty boundary pieces) may return fewer entries than
-    /// [`Self::segment_count`].
-    fn segment_ranges(&self) -> Vec<ValueRange<V>>;
+    /// The ranges are pairwise disjoint and sorted, so positional placement
+    /// over them never double-counts data, and the bytes sum to the logical
+    /// column. Replication reports the flat covering leaf set (the deepest
+    /// materialized replicas tiling the domain), so nested parent replicas
+    /// are excluded even though they occupy storage; strategies whose
+    /// pieces can be degenerate (cracking's empty boundary pieces) may
+    /// return fewer entries than [`Self::segment_count`].
+    fn pieces(&self) -> Vec<(ValueRange<V>, u64)>;
 
     /// Folds a batch of pending writes into the physical pieces that own
     /// them, **in place**: every value of `inserts` joins the piece(s)

@@ -8,7 +8,6 @@
 
 use proptest::prelude::*;
 
-use crate::merge::MergingSegmentation;
 use crate::model::AlwaysSplit;
 use crate::validate;
 use crate::{
@@ -94,8 +93,8 @@ fn check_folds(
             tombstones.sort_unstable();
         }
 
-        let ranges = strategy.segment_ranges();
-        let pieces = strategy.segment_count();
+        let ranges = ranges_of(strategy);
+        let count = strategy.segment_count();
         let mut tracker = CountingTracker::new();
         let unmatched = strategy.fold_delta(&inserts, &tombstones, &mut tracker);
         prop_assert_eq!(unmatched, Some(0), "batch {}", k);
@@ -113,12 +112,12 @@ fn check_folds(
         got.sort_unstable();
         prop_assert_eq!(&got, &model, "content after batch {}", k);
 
-        prop_assert_eq!(strategy.segment_ranges(), ranges, "boundaries moved");
-        prop_assert_eq!(strategy.segment_count(), pieces, "piece count changed");
+        prop_assert_eq!(ranges_of(strategy), ranges, "boundaries moved");
+        prop_assert_eq!(strategy.segment_count(), count, "piece count changed");
         prop_assert!(validate::strategy_pieces(strategy).is_ok());
-        let bytes = strategy.segment_bytes();
-        prop_assert!(strategy.storage_bytes() >= bytes.iter().sum::<u64>());
-        for (r, b) in strategy.segment_ranges().iter().zip(&bytes) {
+        let pieces = strategy.pieces();
+        prop_assert!(strategy.storage_bytes() >= pieces.iter().map(|(_, b)| b).sum::<u64>());
+        for (r, b) in &pieces {
             let rows = model.iter().filter(|v| r.contains(**v)).count() as u64;
             prop_assert_eq!(*b, rows * 4, "bytes of {:?}", r);
         }
@@ -146,7 +145,7 @@ fn check_stray(strategy: &mut dyn ColumnStrategy<u32>, model: &[u32]) -> Result<
     let absent = (0..=DOMAIN_HI)
         .find(|v| !model.contains(v))
         .expect("the model is far smaller than the domain");
-    let ranges = strategy.segment_ranges();
+    let ranges = ranges_of(strategy);
     let mut before = strategy.peek_collect(&domain());
     before.sort_unstable();
     let unmatched = strategy.fold_delta(&[], &[absent, DOMAIN_HI + 7], &mut NullTracker);
@@ -154,8 +153,12 @@ fn check_stray(strategy: &mut dyn ColumnStrategy<u32>, model: &[u32]) -> Result<
     let mut after = strategy.peek_collect(&domain());
     after.sort_unstable();
     prop_assert_eq!(after, before);
-    prop_assert_eq!(strategy.segment_ranges(), ranges);
+    prop_assert_eq!(ranges_of(strategy), ranges);
     Ok(())
+}
+
+fn ranges_of(strategy: &dyn ColumnStrategy<u32>) -> Vec<ValueRange<u32>> {
+    strategy.pieces().into_iter().map(|(r, _)| r).collect()
 }
 
 fn segmentation(values: Vec<u32>) -> AdaptiveSegmentation<u32> {
@@ -182,10 +185,13 @@ proptest! {
     }
 
     #[test]
-    fn merging_segmentation_delegates_the_fold(base in arb_base(), batches in arb_batches()) {
+    fn merging_segmentation_folds_into_the_owning_segments(
+        base in arb_base(),
+        batches in arb_batches(),
+    ) {
         let column = SegmentedColumn::new(domain(), base.clone()).expect("values in domain");
-        let inner = AdaptiveSegmentation::new(column, Box::new(AlwaysSplit), SizeEstimator::Uniform);
-        let mut s = MergingSegmentation::new(inner, MergePolicy::new(64, 512));
+        let mut s = AdaptiveSegmentation::new(column, Box::new(AlwaysSplit), SizeEstimator::Uniform)
+            .with_merge(MergePolicy::new(64, 512));
         for q in queries() {
             s.select_count(&q, &mut NullTracker);
         }
@@ -265,12 +271,12 @@ proptest! {
 fn an_insert_outside_the_domain_is_refused_and_changes_nothing() {
     let base: Vec<u32> = (0..500u32).map(|i| (i * 37) % 10_000).collect();
     let mut s = segmentation(base.clone());
-    let ranges = s.segment_ranges();
+    let pieces = s.pieces();
     assert_eq!(
         s.fold_delta(&[5, DOMAIN_HI + 1], &[base[0]], &mut NullTracker),
         None
     );
-    assert_eq!(s.segment_ranges(), ranges);
+    assert_eq!(s.pieces(), pieces);
     assert_eq!(s.peek_collect(&domain()).len(), base.len());
     let tree = ReplicaTree::new(domain(), base.clone()).expect("values in domain");
     let mut r = AdaptiveReplication::new(tree, Box::new(AlwaysSplit));

@@ -1,8 +1,9 @@
 //! `ColumnStrategy::reorganize` is `select_count` without the answer, and
-//! `ColumnStrategy::peek_slices` is `peek_collect` without the copy: for
-//! every kind, two instances built alike — one driven by `select_count`,
-//! one by `reorganize` — stay indistinguishable query after query, and
-//! the slices a strategy hands over concatenate to its `peek_collect`.
+//! `ColumnStrategy::peek_slices` hands over exactly the values in range:
+//! for every kind, two instances built alike — one driven by
+//! `select_count`, one by `reorganize` — stay indistinguishable query
+//! after query, and the slices a strategy hands over for a range hold the
+//! column's values in it, each once.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -99,12 +100,7 @@ fn reorganize_leaves_what_select_count_leaves_on_every_kind() {
             counted.select_count(q, &mut t_counted);
             reorganized.reorganize(q, &mut t_reorganized);
             let at = || format!("{:?}/{:?} query {i} {q:?}", spec.kind, spec.estimator);
-            assert_eq!(
-                reorganized.segment_ranges(),
-                counted.segment_ranges(),
-                "{}",
-                at()
-            );
+            assert_eq!(reorganized.pieces(), counted.pieces(), "{}", at());
             assert_eq!(reorganized.adaptation(), counted.adaptation(), "{}", at());
             let (a, b) = (t_reorganized.totals(), t_counted.totals());
             assert_eq!(
@@ -125,8 +121,15 @@ fn reorganize_leaves_what_select_count_leaves_on_every_kind() {
 }
 
 #[test]
-fn peek_slices_hands_over_exactly_peek_collect_on_every_kind() {
+fn peek_slices_hands_over_exactly_the_values_in_range_on_every_kind() {
     let queries = queries();
+    // The oracle: the column's values in range, cut from a sorted copy.
+    let oracle = sorted(values());
+    let in_range = |r: &ValueRange<u32>| {
+        let start = oracle.partition_point(|v| *v < r.lo());
+        let end = oracle.partition_point(|v| *v <= r.hi());
+        &oracle[start..end]
+    };
     for kind in StrategyKind::ALL {
         let spec = StrategySpec::new(kind)
             .with_apm_bounds(256, 1_024)
@@ -142,8 +145,9 @@ fn peek_slices_hands_over_exactly_peek_collect_on_every_kind() {
             // The next query's range, and the pieces' own ranges: both
             // straddled and covered pieces.
             let probe = queries[(i + 1) % QUERIES];
-            for r in std::iter::once(probe).chain(s.segment_ranges()) {
-                assert_eq!(sliced(&*s, &r), s.peek_collect(&r), "{kind:?} {r:?}");
+            let pieces = s.pieces().into_iter().map(|(r, _)| r);
+            for r in std::iter::once(probe).chain(pieces) {
+                assert_eq!(sorted(sliced(&*s, &r)), in_range(&r), "{kind:?} {r:?}");
             }
         }
     }

@@ -86,13 +86,6 @@ pub enum Violation {
         /// What was inconsistent.
         reason: String,
     },
-    /// `segment_ranges` and `segment_bytes` disagree on piece count.
-    Pairing {
-        /// Length of the range vector.
-        ranges: usize,
-        /// Length of the byte vector.
-        bytes: usize,
-    },
     /// A piece's zone-map synopsis disagrees with its data — pruning
     /// decisions made from it would be wrong.
     Synopsis {
@@ -125,9 +118,6 @@ impl std::fmt::Display for Violation {
             }
             Violation::Payload { index, reason } => {
                 write!(f, "piece {index} payload invalid: {reason}")
-            }
-            Violation::Pairing { ranges, bytes } => {
-                write!(f, "{ranges} piece ranges but {bytes} byte entries")
             }
             Violation::Synopsis { index, detail } => {
                 write!(f, "piece {index} synopsis inconsistent: {detail}")
@@ -350,21 +340,14 @@ fn at_index(v: Violation, index: usize) -> Violation {
 }
 
 /// Cheap per-query check over any strategy through its public catalog
-/// surface: `segment_ranges` and `segment_bytes` positionally paired,
-/// ranges sorted and pairwise disjoint.
+/// surface: [`ColumnStrategy::pieces`] non-empty, its ranges sorted and
+/// pairwise disjoint.
 ///
-/// Disjointness (not partition) is the common denominator: replication's
-/// `segment_ranges` reports the flat covering partition, segmentation's
-/// the segment list, but the trait does not promise domain coverage.
+/// Disjointness (not partition) is the common denominator: replication
+/// reports the flat covering partition, segmentation the segment list,
+/// but the trait does not promise domain coverage.
 pub fn strategy_pieces<V: ColumnValue>(strategy: &dyn ColumnStrategy<V>) -> Result<(), Violation> {
-    let ranges = strategy.segment_ranges();
-    let bytes = strategy.segment_bytes();
-    if ranges.len() != bytes.len() {
-        return Err(Violation::Pairing {
-            ranges: ranges.len(),
-            bytes: bytes.len(),
-        });
-    }
+    let ranges: Vec<ValueRange<V>> = strategy.pieces().into_iter().map(|(r, _)| r).collect();
     if ranges.is_empty() {
         return Err(Violation::Empty { what: "strategy" });
     }

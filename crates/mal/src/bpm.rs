@@ -11,7 +11,7 @@
 //! Because the adapter speaks only the [`ColumnStrategy`] trait, every
 //! strategy the evaluation compares — segmentation, replication, cracking,
 //! the static baselines — is drivable from the MAL/SQL stack: pieces come
-//! from `segment_ranges()` (read once per organization), reorganization is
+//! from `pieces()` (read once per organization), reorganization is
 //! the strategy's own `reorganize` — `select_count` without the count —
 //! run by [`SegmentedBat::adapt`] (the Section 3.3 hook the segment
 //! optimizer injects), and reorganization accounting flows out of
@@ -19,11 +19,12 @@
 //! `fold_delta` too: the pending deltas land in the pieces that own them,
 //! and the organization the queries built survives.
 //!
-//! The adapter reads rows through the strategy's read-only `peek_collect`,
-//! or its borrowing `peek_slices`. A plan's `uselect` over a piece keeps
-//! only the oids of the rows it selects, read where the strategy holds
-//! them ([`SegmentedBat::piece_uselect`]); any other consumer gets the
-//! piece's whole bat ([`SegmentedBat::piece_bat`]). Pending
+//! The adapter reads rows through the strategy's read-only, borrowing
+//! `peek_slices`, where the strategy holds them. A plan's `uselect` over a
+//! piece keeps only the oids of the rows it selects
+//! ([`SegmentedBat::piece_uselect`]); any other consumer gets the piece's
+//! whole bat ([`SegmentedBat::piece_bat`]), filled from the slices
+//! directly, and so does the checkpoint's [`SegmentedBat::pack`]. Pending
 //! deltas are the plan's to merge (`sql.subdelta`/`sql.projectdelta` over
 //! the catalog's delta bats); this module only seals them into a run when
 //! the catalog merges them into the pieces.
@@ -257,10 +258,10 @@ pub(crate) type StagedFold<'a> = Box<dyn FnOnce() + 'a>;
 /// bookkeeping the MAL layer reports upward.
 struct TypedSeg<V: TailValue> {
     strategy: Box<dyn ColumnStrategy<Pair<V>>>,
-    /// The strategy's `segment_ranges()`, read once per organization: at
+    /// The strategy's `pieces()`, read once per organization: at
     /// construction (a strategy switch and a restore construct), after an
     /// adapt that moved an adaptation counter, and after a merge fold.
-    ranges: Vec<ValueRange<Pair<V>>>,
+    pieces: Vec<(ValueRange<Pair<V>>, u64)>,
     value_domain: ValueRange<V>,
     rows: u64,
     reorg_write_bytes: u64,
@@ -283,7 +284,7 @@ impl<V: TailValue> TypedSeg<V> {
         let n = rows.len() as u64;
         let strategy = make(value_domain, rows)?;
         Ok(TypedSeg {
-            ranges: strategy.segment_ranges(),
+            pieces: strategy.pieces(),
             strategy,
             value_domain,
             rows: n,
@@ -291,47 +292,49 @@ impl<V: TailValue> TypedSeg<V> {
         })
     }
 
-    fn ranges(&self) -> &[ValueRange<Pair<V>>] {
+    fn pieces(&self) -> &[(ValueRange<Pair<V>>, u64)] {
         debug_assert!(
-            self.ranges == self.strategy.segment_ranges(),
-            "the piece ranges are the strategy's"
+            self.pieces == self.strategy.pieces(),
+            "the pieces are the strategy's"
         );
-        &self.ranges
+        &self.pieces
     }
 
-    /// Piece `i`'s range.
-    fn range(&self, i: usize) -> Result<ValueRange<Pair<V>>, BpmError> {
-        self.ranges().get(i).copied().ok_or(BpmError::BadPiece(i))
+    /// Piece `i`'s range and size in bytes.
+    fn piece(&self, i: usize) -> Result<(ValueRange<Pair<V>>, u64), BpmError> {
+        self.pieces().get(i).copied().ok_or(BpmError::BadPiece(i))
     }
 
-    /// Indices of the pieces whose value span overlaps the closed query
+    /// The run of pieces whose value span overlaps the closed query
     /// `[lo, hi]` (in `f64` boundary space). The pieces ascend and `to_f64`
     /// keeps their order, so the overlap is one run, found by binary search.
-    fn overlapping(&self, lo: f64, hi: f64) -> Vec<usize> {
+    fn span(&self, lo: f64, hi: f64) -> std::ops::Range<usize> {
         if lo.is_nan() || hi.is_nan() {
-            return Vec::new();
+            return 0..0;
         }
-        let ranges = self.ranges();
-        let start = ranges.partition_point(|r| r.hi().value.to_f64() < lo);
-        let end = ranges.partition_point(|r| r.lo().value.to_f64() <= hi);
-        (start..end.max(start)).collect()
+        let pieces = self.pieces();
+        let start = pieces.partition_point(|(r, _)| r.hi().value.to_f64() < lo);
+        let end = pieces.partition_point(|(r, _)| r.lo().value.to_f64() <= hi);
+        start..end.max(start)
+    }
+
+    fn overlapping(&self, lo: f64, hi: f64) -> Vec<usize> {
+        self.span(lo, hi).collect()
     }
 
     fn footprint_bytes(&self, lo: f64, hi: f64) -> u64 {
-        let bytes = self.strategy.segment_bytes();
-        self.overlapping(lo, hi)
-            .into_iter()
-            .filter_map(|i| bytes.get(i).copied())
-            .sum()
+        let span = self.span(lo, hi);
+        self.pieces()[span].iter().map(|(_, bytes)| bytes).sum()
     }
 
     fn piece_bat(&self, i: usize) -> Result<Bat, BpmError> {
-        bat_of_pairs(self.strategy.peek_collect(&self.range(i)?))
+        let (range, bytes) = self.piece(i)?;
+        self.bat_of(&range, (bytes / Pair::<V>::BYTES) as usize)
     }
 
     /// See [`SegmentedBat::piece_uselect`].
     fn piece_uselect(&self, i: usize, lo: &Atom, hi: &Atom) -> Result<Bat, BpmError> {
-        let range = self.range(i)?;
+        let (range, _) = self.piece(i)?;
         let keep = V::Raw::bounds(lo, hi)?;
         let mut heads = Vec::new();
         self.strategy.peek_slices(&range, &mut |rows| {
@@ -342,7 +345,18 @@ impl<V: TailValue> TypedSeg<V> {
     }
 
     fn pack(&self) -> Result<Bat, BpmError> {
-        bat_of_pairs(self.strategy.peek_collect(&self.value_domain.paired()))
+        self.bat_of(&self.value_domain.paired(), self.rows as usize)
+    }
+
+    /// The rows in `q` as a bat, explicit oid head and typed tail, both
+    /// filled from the slices the strategy lends; `rows` sizes them.
+    fn bat_of(&self, q: &ValueRange<Pair<V>>, rows: usize) -> Result<Bat, BpmError> {
+        let (mut heads, mut values) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+        self.strategy.peek_slices(q, &mut |part| {
+            heads.extend(part.iter().map(|p| p.oid));
+            values.extend(part.iter().map(|p| p.value));
+        });
+        Ok(Bat::new(Head::Oids(heads.into()), V::make_tail(values))?)
     }
 
     /// The typed pair query for closed `f64` bounds, clipped to the
@@ -374,7 +388,7 @@ impl<V: TailValue> TypedSeg<V> {
         let after = self.strategy.adaptation();
         // Every move of a piece boundary moves a counter.
         if after != before {
-            self.ranges = self.strategy.segment_ranges();
+            self.pieces = self.strategy.pieces();
         }
         (after.splits - before.splits)
             + (after.merges - before.merges)
@@ -404,14 +418,24 @@ impl<V: TailValue> TypedSeg<V> {
         if no_entries && deleted.is_empty() {
             return Ok((None, report));
         }
-        // Current value per oid: the base pieces, then pending ops replayed
-        // in recorded order, so each op sees the value it overwrites.
-        let mut current: BTreeMap<Oid, V> = self
-            .strategy
-            .peek_collect(&self.value_domain.paired())
-            .into_iter()
-            .map(|p| (p.oid, p.value))
-            .collect();
+        // Current value per oid: the base rows that the pending updates and
+        // deletes name — the only ones looked up below — read where the
+        // pieces hold them, then pending ops replayed in recorded order, so
+        // each op sees the value it overwrites.
+        let mut named: Vec<Oid> = deleted.to_vec();
+        named.extend(d.iter().flat_map(|d| &d.update_heads));
+        named.sort_unstable();
+        let mut current: BTreeMap<Oid, V> = BTreeMap::new();
+        if !named.is_empty() {
+            self.strategy
+                .peek_slices(&self.value_domain.paired(), &mut |rows| {
+                    for p in rows {
+                        if named.binary_search(&p.oid).is_ok() {
+                            current.insert(p.oid, p.value);
+                        }
+                    }
+                });
+        }
         // An atom the tail cannot hold fails the read and the merge alike:
         // no row is invented for it.
         let land = |row: usize, a: &Atom| {
@@ -503,30 +527,38 @@ impl<V: TailValue> TypedSeg<V> {
         self.reorg_write_bytes += tracker.totals().write_bytes;
         // A fold keeps every boundary, but cracking reports only the pieces
         // its data's span reaches, which a fold can widen or narrow.
-        self.ranges = self.strategy.segment_ranges();
+        self.pieces = self.strategy.pieces();
         soc_core::debug_assert_valid!(self.validate(), "catalog merge fold");
     }
 
     /// Structural invariant check (tests): pieces disjoint and ascending,
     /// values in range and domain, rows conserved.
     fn validate(&self) -> Result<(), String> {
-        let ranges = self.ranges();
-        for w in ranges.windows(2) {
-            if w[0].hi() >= w[1].lo() {
-                return Err(format!("pieces {:?} and {:?} out of order", w[0], w[1]));
+        let pieces = self.pieces();
+        for w in pieces.windows(2) {
+            if w[0].0.hi() >= w[1].0.lo() {
+                return Err(format!("pieces {:?} and {:?} out of order", w[0].0, w[1].0));
             }
         }
         let domain = self.value_domain.paired();
         let mut total = 0u64;
-        for (i, r) in ranges.iter().enumerate() {
-            for p in self.strategy.peek_collect(r) {
-                if !r.contains(p) {
-                    return Err(format!("piece {i} holds out-of-range row {p:?}"));
+        for (i, (r, _)) in pieces.iter().enumerate() {
+            let mut fault = None;
+            self.strategy.peek_slices(r, &mut |rows| {
+                total += rows.len() as u64;
+                let bad = rows
+                    .iter()
+                    .find(|p| !r.contains(**p) || !domain.contains(**p));
+                if let (None, Some(p)) = (&fault, bad) {
+                    fault = Some(if r.contains(*p) {
+                        format!("row {p:?} outside the column domain")
+                    } else {
+                        format!("piece {i} holds out-of-range row {p:?}")
+                    });
                 }
-                if !domain.contains(p) {
-                    return Err(format!("row {p:?} outside the column domain"));
-                }
-                total += 1;
+            });
+            if let Some(fault) = fault {
+                return Err(fault);
             }
         }
         if total != self.rows {
@@ -534,17 +566,6 @@ impl<V: TailValue> TypedSeg<V> {
         }
         Ok(())
     }
-}
-
-/// Builds a bat from pair rows: explicit oid head, typed tail.
-fn bat_of_pairs<V: TailValue>(pairs: Vec<Pair<V>>) -> Result<Bat, BpmError> {
-    let mut heads = Vec::with_capacity(pairs.len());
-    let mut values = Vec::with_capacity(pairs.len());
-    for p in pairs {
-        heads.push(p.oid);
-        values.push(p.value);
-    }
-    Ok(Bat::new(Head::Oids(heads.into()), V::make_tail(values))?)
 }
 
 enum PairColumn {
@@ -644,7 +665,7 @@ impl SegmentedBat {
 
     /// Number of placeable pieces (the strategy's flat segment partition).
     pub fn piece_count(&self) -> usize {
-        on_seg!(&self.inner, s => s.ranges().len())
+        on_seg!(&self.inner, s => s.pieces().len())
     }
 
     /// Materialized storage held by the strategy (replication exceeds the
@@ -690,9 +711,9 @@ impl SegmentedBat {
     /// meta-index view diagnostics and tests read.
     pub fn piece_spans(&self) -> Vec<(f64, f64)> {
         on_seg!(&self.inner, s => s
-            .ranges()
+            .pieces()
             .iter()
-            .map(|r| (r.lo().value.to_f64(), r.hi().value.to_f64()))
+            .map(|(r, _)| (r.lo().value.to_f64(), r.hi().value.to_f64()))
             .collect())
     }
 

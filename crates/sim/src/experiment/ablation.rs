@@ -381,8 +381,7 @@ pub fn placement_ablation(cfg: &SimConfig, nodes: usize) -> TableOut {
         for q in &queries {
             s.select_count(q, &mut NullTracker);
         }
-        let segment_bytes = s.segment_bytes();
-        let segment_ranges = s.segment_ranges();
+        let (segment_ranges, segment_bytes): (Vec<_>, Vec<u64>) = s.pieces().into_iter().unzip();
         for policy in PlacementPolicy::ALL {
             let p = Placement::assign(policy, &segment_bytes, nodes).expect("nodes > 0");
             rows.push(vec![
@@ -412,7 +411,7 @@ pub fn placement_ablation(cfg: &SimConfig, nodes: usize) -> TableOut {
 /// placement policy runs the same workload on a [`ShardedColumn`], so
 /// fan-out and per-node read balance are **measured** from the routed
 /// execution, not interpolated from segment lists — and replication
-/// strategies participate, since their `segment_ranges()` now report a
+/// strategies participate, since their `pieces()` report a
 /// flat, placeable partition.
 ///
 /// Mid-run, each shard performs one re-placement epoch from its live,

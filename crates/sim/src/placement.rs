@@ -161,7 +161,7 @@ impl Placement {
 }
 
 /// Indices of the segments in `segment_ranges` (sorted, pairwise
-/// disjoint — the [`soc_core::ColumnStrategy::segment_ranges`] contract)
+/// disjoint — the [`soc_core::ColumnStrategy::pieces`] contract)
 /// that a range selection `q` overlaps.
 ///
 /// Boundary semantics: closed ranges overlap when they share a single

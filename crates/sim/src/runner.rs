@@ -231,7 +231,7 @@ pub fn run_queries<V: ColumnValue>(
         name: strategy.name(),
         records,
         totals: tracker.totals(),
-        final_segment_bytes: strategy.segment_bytes(),
+        final_segment_bytes: strategy.pieces().into_iter().map(|(_, b)| b).collect(),
     }
 }
 

@@ -17,7 +17,7 @@
 //! snapshots and admission, and pending deltas fold into the nodes owning
 //! their values. A remote node would be one more `ColumnStrategy` behind
 //! the same router. [`ShardedColumn::replace`] re-plans from the nodes'
-//! live `segment_ranges()` and charges the moved bytes as reorganization.
+//! live `pieces()` and charges the moved bytes as reorganization.
 
 use soc_core::kernels::sorted_run;
 use soc_core::{
@@ -111,7 +111,7 @@ pub struct ShardedColumn<V> {
     nodes: Vec<Node<V>>,
     /// The placement-grain partition `(range, bytes)` of the current plan:
     /// sorted, disjoint and tiling the domain, so every value has exactly
-    /// one owning node. What [`ColumnStrategy::segment_ranges`] reports.
+    /// one owning node. What [`ColumnStrategy::pieces`] reports.
     partition: Vec<(ValueRange<V>, u64)>,
     /// Adaptation performed by node strategies retired in past epochs.
     retired: AdaptationStats,
@@ -354,8 +354,14 @@ impl<V: ColumnValue> ShardedColumn<V> {
         //    be clipped to the ranges whose values the node actually holds.
         let mut pieces: Vec<(ValueRange<V>, usize)> = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
-            let live = Some(node.strategy.segment_ranges()).filter(|l| !l.is_empty());
-            for r in live.unwrap_or_else(|| node.assigned.clone()) {
+            let live: Vec<ValueRange<V>> =
+                node.strategy.pieces().into_iter().map(|(r, _)| r).collect();
+            let live = if live.is_empty() {
+                &node.assigned
+            } else {
+                &live
+            };
+            for r in live {
                 for a in &node.assigned {
                     if let Some(piece) = r.intersect(a) {
                         pieces.push((piece, i));
@@ -484,20 +490,18 @@ impl<V: ColumnValue> ColumnStrategy<V> for ShardedColumn<V> {
         self.run_select(q, tracker)
     }
 
-    fn peek_collect(&self, q: &ValueRange<V>) -> Vec<V> {
-        // Values partition across nodes, so concatenating the routed
-        // nodes' answers is exact. Peeks are not queries: no accounting.
-        let mut out = Vec::new();
+    fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V])) {
+        // Values partition across nodes, so the routed nodes' slices, in
+        // node order, are exact. Peeks are not queries: no accounting.
         for i in self.route(q) {
-            out.extend(self.nodes[i].strategy.peek_collect(q));
+            self.nodes[i].strategy.peek_slices(q, f);
         }
-        out
     }
 
     /// Routes each insert and tombstone to the node whose pieces hold its
     /// value and folds them there, one [`ColumnStrategy::fold_delta`] per
     /// touched node in node order; the touched pieces then re-count their
-    /// bytes, so `segment_bytes` keeps summing to the column's rows.
+    /// bytes, so the bytes of `pieces` keep summing to the column's rows.
     /// `None`, with no node touched, when an insert lies outside the
     /// domain; a tombstone outside it matches nothing and counts as
     /// unmatched.
@@ -532,7 +536,9 @@ impl<V: ColumnValue> ColumnStrategy<V> for ShardedColumn<V> {
         for i in 0..self.partition.len() {
             let range = self.partition[i].0;
             if !run_in(inserts, &range).is_empty() || !run_in(tombstones, &range).is_empty() {
-                self.partition[i].1 = self.peek_collect(&range).len() as u64 * V::BYTES;
+                let mut rows = 0;
+                self.peek_slices(&range, &mut |part| rows += part.len() as u64);
+                self.partition[i].1 = rows * V::BYTES;
             }
         }
         Some(unmatched)
@@ -546,14 +552,10 @@ impl<V: ColumnValue> ColumnStrategy<V> for ShardedColumn<V> {
         self.nodes.iter().map(|n| n.strategy.segment_count()).sum()
     }
 
-    fn segment_bytes(&self) -> Vec<u64> {
-        self.partition.iter().map(|(_, b)| *b).collect()
-    }
-
-    fn segment_ranges(&self) -> Vec<ValueRange<V>> {
-        // The placement-grain partition, paired with `segment_bytes`. The
-        // nodes may have split further since; `replace` re-reads them.
-        self.partition.iter().map(|(r, _)| *r).collect()
+    fn pieces(&self) -> Vec<(ValueRange<V>, u64)> {
+        // The placement-grain partition. The nodes may have split further
+        // since; `replace` re-reads them.
+        self.partition.clone()
     }
 
     fn adaptation(&self) -> AdaptationStats {
@@ -813,7 +815,7 @@ mod tests {
     }
 
     #[test]
-    fn partition_tiles_and_pairs_with_bytes() {
+    fn partition_tiles_the_domain_and_holds_every_byte() {
         // Cracking reports no range beyond each node's data; the
         // re-placed partition must still tile the whole domain.
         for kind in [StrategyKind::GdSegm, StrategyKind::Cracking] {
@@ -825,9 +827,7 @@ mod tests {
                 sharded.select_count(&q, &mut NullTracker);
             }
             sharded.replace(&mut NullTracker).expect("replace");
-            let ranges = sharded.segment_ranges();
-            let bytes = sharded.segment_bytes();
-            assert_eq!(ranges.len(), bytes.len());
+            let (ranges, bytes): (Vec<_>, Vec<u64>) = sharded.pieces().into_iter().unzip();
             assert_eq!(bytes.iter().sum::<u64>(), 8_000 * 4);
             assert_eq!(ranges.first().map(|r| r.lo()), Some(0), "{kind:?}");
             assert_eq!(ranges.last().map(|r| r.hi()), Some(DOMAIN_HI), "{kind:?}");
@@ -906,7 +906,8 @@ mod tests {
         let rows_bytes = expected.len() as u64 * 4;
         let sharded = column.into_strategy();
         assert_eq!(sharded.storage_bytes(), rows_bytes);
-        assert_eq!(sharded.segment_bytes().iter().sum::<u64>(), rows_bytes);
+        let pieces = sharded.pieces();
+        assert_eq!(pieces.iter().map(|(_, b)| b).sum::<u64>(), rows_bytes);
     }
 
     #[test]
@@ -920,14 +921,11 @@ mod tests {
             values.iter().map(|v| v / 2).collect(),
         )
         .expect("shard construction");
-        let before = (sharded.node_storage_bytes(), sharded.segment_bytes());
+        let before = (sharded.node_storage_bytes(), sharded.pieces());
         let mut tracker = CountingTracker::new();
         // 10 is in the domain, 60 000 is not: the whole batch is refused.
         assert_eq!(sharded.fold_delta(&[10, 60_000], &[], &mut tracker), None);
-        assert_eq!(
-            (sharded.node_storage_bytes(), sharded.segment_bytes()),
-            before
-        );
+        assert_eq!((sharded.node_storage_bytes(), sharded.pieces()), before);
         assert_eq!(tracker.totals(), Default::default(), "no node was touched");
         // A tombstone outside the domain matches nothing; an insert and a
         // tombstone inside it land on their owners.

@@ -158,9 +158,7 @@ fn replication_segment_ranges_are_placeable_through_the_facade() {
     for q in WorkloadSpec::uniform(0.05, 120, 11).generate(&domain()) {
         strategy.select_count(&q, &mut NullTracker);
     }
-    let ranges = strategy.segment_ranges();
-    let bytes = strategy.segment_bytes();
-    assert_eq!(ranges.len(), bytes.len());
+    let (ranges, bytes): (Vec<_>, Vec<u64>) = strategy.pieces().into_iter().unzip();
     assert_eq!(ranges.first().expect("non-empty").lo(), 0);
     assert_eq!(ranges.last().expect("non-empty").hi(), DOMAIN_HI);
     assert!(ranges.windows(2).all(|w| w[0].adjacent_before(&w[1])));
@@ -178,7 +176,7 @@ fn segment_ranges_expose_the_partitioning_for_placement() {
     for q in &queries {
         strategy.select_count(q, &mut NullTracker);
     }
-    let ranges = strategy.segment_ranges();
+    let ranges: Vec<_> = strategy.pieces().into_iter().map(|(r, _)| r).collect();
     assert_eq!(ranges.len(), strategy.segment_count());
     assert!(
         ranges.windows(2).all(|w| w[0].hi() < w[1].lo()),

@@ -284,7 +284,7 @@ proptest! {
                     prop_assert_eq!(&from_sharded, &model, "{:?}/{:?}", kind, policy);
                     prop_assert_eq!(&from_single, &model, "{:?}/{:?}", kind, policy);
                     prop_assert_eq!(
-                        sharded.segment_bytes().iter().sum::<u64>(),
+                        sharded.pieces().iter().map(|(_, b)| b).sum::<u64>(),
                         model.len() as u64 * 4,
                         "{:?}/{:?} epoch {}", kind, policy, epoch
                     );

@@ -52,12 +52,12 @@ proptest! {
                 let _ = column.select_count(q, &mut NullTracker);
                 let _ = strategy.select_count(q, &mut NullTracker);
             }
-            let pieces: u64 = strategy.segment_bytes().iter().sum();
+            let pieces: u64 = strategy.pieces().iter().map(|(_, b)| b).sum();
             let replicating = matches!(kind, StrategyKind::GdRepl | StrategyKind::ApmRepl);
             prop_assert!(
                 pieces == strategy.storage_bytes()
                     || replicating && pieces < strategy.storage_bytes(),
-                "{:?}: segment_bytes sum to {}, storage_bytes is {}",
+                "{:?}: piece bytes sum to {}, storage_bytes is {}",
                 kind, pieces, strategy.storage_bytes()
             );
             column.quiesce();

@@ -3,7 +3,6 @@
 //! physical, invisible to results (the paper's core transparency claim,
 //! Section 3.1: "the user is unaware of any such decision").
 
-use socdb::adaptive::merge::MergingSegmentation;
 use socdb::adaptive::MergePolicy;
 use socdb::prelude::*;
 
@@ -30,14 +29,14 @@ fn strategies_u32(domain: ValueRange<u32>, values: &[u32]) -> Vec<Box<dyn Column
             Box::new(GaussianDice::new(18)),
         )),
         Box::new(CrackedColumn::new(values.to_vec())),
-        Box::new(MergingSegmentation::new(
+        Box::new(
             AdaptiveSegmentation::new(
                 SegmentedColumn::new(domain, values.to_vec()).unwrap(),
                 apm(),
                 SizeEstimator::Uniform,
-            ),
-            MergePolicy::new(512, 4096),
-        )),
+            )
+            .with_merge(MergePolicy::new(512, 4096)),
+        ),
     ]
 }
 
