@@ -23,8 +23,9 @@ pub enum Atom {
     Dbl(f64),
     /// Object identifier.
     Oid(Oid),
-    /// String.
-    Str(String),
+    /// String, shared: a plan's constant is cloned into every variable
+    /// it flows to without copying its bytes.
+    Str(Arc<str>),
     /// Missing value.
     Nil,
 }
@@ -86,10 +87,14 @@ pub trait Selectable: Copy {
     /// The one keep loop of a selection: appends `emit(i, x)` to `out` for
     /// every item `x` of `items` (at position `i`) whose value `value(x)`
     /// lies in `keep`, in order. The test is arithmetic, `(lo <= k) &
-    /// (k <= hi)`, and every item is written at a cursor that advances by
-    /// its outcome, so rows in storage order cost no mispredicted branch.
+    /// (k <= hi)`, written as one byte per item and packed into a 64-bit
+    /// mask word, so rows in storage order cost no mispredicted branch;
+    /// then each set bit is emitted. The items go in blocks of 512 whose
+    /// masks sit on the stack, and `out` grows by what a block keeps, not
+    /// by the block: a narrow selection over a large piece holds only its
+    /// rows.
     /// A NaN bound fails both comparisons and keeps nothing.
-    fn keep_into<X: Copy, O: Copy + Default>(
+    fn keep_into<X: Copy, O>(
         items: &[X],
         keep: &RangeInclusive<Self::Key>,
         value: impl Fn(X) -> Self,
@@ -97,16 +102,42 @@ pub trait Selectable: Copy {
         out: &mut Vec<O>,
     ) {
         let (lo, hi) = (*keep.start(), *keep.end());
-        let mut cursor = out.len();
-        out.resize(cursor + items.len(), O::default());
-        for (i, &x) in items.iter().enumerate() {
-            let k = value(x).key();
-            out[cursor] = emit(i, x);
-            cursor += usize::from((lo <= k) & (k <= hi));
+        let mut masks = [0u64; KEEP_BLOCK / 64];
+        for (b, block) in items.chunks(KEEP_BLOCK).enumerate() {
+            let mut kept = 0;
+            for (mask, word) in masks.iter_mut().zip(block.chunks(64)) {
+                let mut hits = [0u8; 64];
+                for (hit, &x) in hits.iter_mut().zip(word) {
+                    let k = value(x).key();
+                    *hit = u8::from((lo <= k) & (k <= hi));
+                }
+                *mask = 0;
+                for (g, group) in hits.chunks_exact(8).enumerate() {
+                    let mut bytes = [0u8; 8];
+                    bytes.copy_from_slice(group);
+                    // Eight 0/1 bytes into eight bits: the product moves
+                    // byte i's bit to bit 56 + i, and no two terms collide.
+                    let bits = u64::from_le_bytes(bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+                    *mask |= bits << (8 * g);
+                }
+                kept += mask.count_ones() as usize;
+            }
+            out.reserve(kept);
+            for (w, (mask, word)) in masks.iter().zip(block.chunks(64)).enumerate() {
+                let mut m = *mask;
+                while m != 0 {
+                    let j = m.trailing_zeros() as usize;
+                    out.push(emit(b * KEEP_BLOCK + w * 64 + j, word[j]));
+                    m &= m - 1;
+                }
+            }
         }
-        out.truncate(cursor);
     }
 }
+
+/// Items [`Selectable::keep_into`] tests before it emits what they keep:
+/// eight 64-bit mask words, 64 bytes of stack.
+const KEEP_BLOCK: usize = 512;
 
 impl Selectable for i64 {
     type Key = i128;
@@ -162,7 +193,7 @@ fn selected_indices(b: &Bat, lo: &Atom, hi: &Atom) -> Result<Vec<usize>, BatErro
         Tail::Oid(v) => within(v, lo, hi),
         Tail::Str(v) => match (lo, hi) {
             (Atom::Str(lo), Atom::Str(hi)) => Ok((0..v.len())
-                .filter(|&i| v[i] >= *lo && v[i] <= *hi)
+                .filter(|&i| *v[i] >= **lo && *v[i] <= **hi)
                 .collect()),
             _ => Err(BatError::TypeMismatch {
                 expected: "str bounds",
@@ -493,6 +524,17 @@ pub fn sub_delta(
     lo: &Atom,
     hi: &Atom,
 ) -> Result<Bat, BatError> {
+    if !selected.is_empty() && inserts.is_empty() && updates.is_empty() && deletes.is_empty() {
+        // Nothing to merge: the chain hands `selected` back, once its two
+        // selections and its deletion match have raised what they raise.
+        // (An empty `selected` it replaces by the empty update selection.)
+        selected_indices(inserts, lo, hi)?;
+        selected_indices(updates, lo, hi)?;
+        return match deletes.tail() {
+            Tail::Oid(_) => Ok(selected.clone()),
+            _ => Err(BatError::OidTailRequired),
+        };
+    }
     let merged = kunion(selected, &uselect(inserts, lo, hi)?)?;
     let merged = kunion(&kdifference(&merged, updates)?, &uselect(updates, lo, hi)?)?;
     let Tail::Oid(deleted) = deletes.tail() else {
@@ -604,25 +646,32 @@ pub fn project_delta(
         return Err(BatError::OidTailRequired);
     };
 
-    let matches = [base, inserts, updates].map(|b| join_pairs(oids, b));
-    let mut next = [0; 3];
-    let mut outer: Vec<usize> = Vec::with_capacity(oids.len());
+    let mut lookups = [base, inserts, updates].map(|b| Lookup::of(oids, b));
     let mut picks: Vec<(usize, usize)> = Vec::with_capacity(oids.len());
-    for i in 0..oids.len() {
-        // This probe row's matches in each source.
-        let runs = [BASE, INSERTS, UPDATES].map(|s| {
-            let first = next[s];
-            while matches[s].get(next[s]).is_some_and(|&(p, _)| p == i) {
-                next[s] += 1;
+    // The result's head oids, written only once the picks stop being
+    // probe row 0, 1, 2, … — until then the chain's join shares the
+    // probe's head.
+    let mut heads: Vec<Oid> = Vec::new();
+    let mut identity = true;
+    for (i, &oid) in oids.iter().enumerate() {
+        // An update wins, then the base row, then an insert.
+        for s in [UPDATES, BASE, INSERTS] {
+            let found = lookups[s].find(i, oid);
+            if found.is_empty() {
+                continue;
             }
-            &matches[s][first..next[s]]
-        });
-        if let Some(s) = [UPDATES, BASE, INSERTS]
-            .into_iter()
-            .find(|&s| !runs[s].is_empty())
-        {
-            picks.extend(runs[s].iter().map(|&(_, row)| (s, row)));
-            outer.resize(picks.len(), i);
+            for k in found {
+                if identity && picks.len() != i {
+                    identity = false;
+                    heads.reserve(oids.len());
+                    heads.extend((0..picks.len()).map(|r| probe.head_at(r)));
+                }
+                if !identity {
+                    heads.push(probe.head_at(i));
+                }
+                picks.push((s, lookups[s].row(k)));
+            }
+            break;
         }
     }
     let tail = gather(
@@ -630,7 +679,79 @@ pub fn project_delta(
         [base.tail(), inserts.tail(), updates.tail()],
         &picks,
     );
-    Bat::new(take_head(probe, &outer), tail)
+    let head = if identity && picks.len() == oids.len() {
+        probe.head().clone()
+    } else {
+        if identity {
+            heads.extend((0..picks.len()).map(|r| probe.head_at(r)));
+        }
+        Head::Oids(Arc::new(heads))
+    };
+    Bat::new(head, tail)
+}
+
+/// How [`project_delta`] finds a probe oid's rows in one source, probe
+/// row by probe row: positionally under a void head, by binary search in
+/// an ascending one, and otherwise through the pairs [`join_pairs`]
+/// matched up front, which come in probe order.
+enum Lookup<'a> {
+    Void {
+        base: Oid,
+        len: usize,
+    },
+    Sorted(&'a [Oid]),
+    Pairs {
+        pairs: Vec<(usize, usize)>,
+        next: usize,
+    },
+}
+
+impl<'a> Lookup<'a> {
+    fn of(probe: &[Oid], b: &'a Bat) -> Self {
+        match b.head() {
+            Head::Void { base } => Lookup::Void {
+                base: *base,
+                len: b.len(),
+            },
+            Head::Oids(heads) if heads.is_empty() || ascending(heads) => Lookup::Sorted(heads),
+            Head::Oids(_) => Lookup::Pairs {
+                pairs: join_pairs(probe, b),
+                next: 0,
+            },
+        }
+    }
+
+    /// The matches of probe row `i` (oid `oid`), as positions for
+    /// [`Lookup::row`]; rows are asked for in probe order.
+    fn find(&mut self, i: usize, oid: Oid) -> Range<usize> {
+        match self {
+            Lookup::Void { base, len } => match void_position(*base, *len, oid) {
+                Some(p) => p..p + 1,
+                None => 0..0,
+            },
+            Lookup::Sorted(heads) => equal_range(heads, oid),
+            Lookup::Pairs { pairs, next } => {
+                // Skip the rows of earlier probe rows a source of higher
+                // priority answered.
+                while pairs.get(*next).is_some_and(|&(p, _)| p < i) {
+                    *next += 1;
+                }
+                let first = *next;
+                while pairs.get(*next).is_some_and(|&(p, _)| p == i) {
+                    *next += 1;
+                }
+                first..*next
+            }
+        }
+    }
+
+    /// The source row at position `k` of a [`Lookup::find`] range.
+    fn row(&self, k: usize) -> usize {
+        match self {
+            Lookup::Pairs { pairs, .. } => pairs[k].1,
+            _ => k,
+        }
+    }
 }
 
 /// `bat.slice(b, lo, hi)`: rows `lo..=hi` (clamped).
@@ -753,6 +874,23 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r.head_oids(), vec![1, 3]);
         assert_eq!(r.tail(), &Tail::Dbl(vec![205.11, 205.115].into()));
+    }
+
+    #[test]
+    fn sub_delta_with_nothing_to_merge_hands_the_selection_back() {
+        let selected = uselect(&dbl_bat(), &Atom::Dbl(205.1), &Atom::Dbl(205.12)).unwrap();
+        let (lo, hi) = (Atom::Dbl(205.1), Atom::Dbl(205.12));
+        let none = Bat::dense_dbl(Vec::new());
+        let no_deletes = Bat::dense_oid(Vec::new());
+        let merged = sub_delta(&selected, &none, &none, &no_deletes, &lo, &hi).unwrap();
+        assert!(merged.shares_storage_with(&selected));
+        // The errors of the chain it stands for still surface.
+        let str_bound = Atom::Str("a".into());
+        assert!(sub_delta(&selected, &none, &none, &no_deletes, &str_bound, &hi).is_err());
+        assert_eq!(
+            sub_delta(&selected, &none, &none, &none, &lo, &hi).unwrap_err(),
+            BatError::OidTailRequired
+        );
     }
 
     #[test]

@@ -430,10 +430,10 @@ mod properties {
                         (kind, kind)
                     };
                     let (lo, hi) = match (bounds, kinds.0) {
-                        (0, _) => (Atom::Int(lo), Atom::Str(format!("s{span}"))),
+                        (0, _) => (Atom::Int(lo), Atom::Str(format!("s{span}").into())),
                         (_, 3) => (
-                            Atom::Str(format!("s{}", lo.abs())),
-                            Atom::Str(format!("s{}", lo.abs() + span)),
+                            Atom::Str(format!("s{}", lo.abs()).into()),
+                            Atom::Str(format!("s{}", lo.abs() + span).into()),
                         ),
                         (1 | 2, _) => (Atom::Int(lo), Atom::Int(lo + span)),
                         (3 | 4, _) => (Atom::Dbl(lo as f64 + 0.5), Atom::Dbl((lo + span) as f64)),
@@ -691,6 +691,40 @@ mod properties {
         assert_eq!(
             kept::<f64>(&[], &Atom::Dbl(0.0), &Atom::Dbl(1.0)),
             Ok(vec![])
+        );
+    }
+
+    /// The keep loop tests 64 rows per mask word and 512 per block: rows
+    /// past the first word and the first block keep their positions, at
+    /// every selectivity.
+    #[test]
+    fn the_keep_loop_keeps_across_mask_words_and_blocks() {
+        let dbls: Vec<f64> = (0..1300u32)
+            .map(|i| f64::from((i * 7919) % 1000) / 10.0)
+            .collect();
+        let ints: Vec<i64> = dbls.iter().map(|&v| v as i64).collect();
+        for (lo, hi) in [
+            (0.0, 100.0),
+            (20.0, 25.0),
+            (49.9, 50.0),
+            (-1.0, -0.5),
+            (99.9, 99.9),
+        ] {
+            let (lo, hi) = (Atom::Dbl(lo), Atom::Dbl(hi));
+            assert_eq!(
+                kept(&dbls, &lo, &hi),
+                filtered(&dbls, &lo, &hi),
+                "[{lo}, {hi}]"
+            );
+            assert_eq!(
+                kept(&ints, &lo, &hi),
+                filtered(&ints, &lo, &hi),
+                "[{lo}, {hi}]"
+            );
+        }
+        assert_eq!(
+            kept(&dbls, &Atom::Dbl(0.0), &Atom::Dbl(100.0)).map(|k| k.len()),
+            Ok(1300)
         );
     }
 

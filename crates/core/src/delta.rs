@@ -39,9 +39,10 @@
 //! Read semantics are multiset arithmetic by value: a query's answer is
 //! `base + inserts − tombstones`, evaluated through the branchless
 //! kernels in [`crate::kernels`] (`sorted_run` binary searches for
-//! counts, the galloping [`merge_sorted`](crate::kernels::merge_sorted)
-//! for collects, [`subtract_sorted`](crate::kernels::subtract_sorted)
-//! for tombstones). The epoch snapshot proves the resulting answers
+//! counts; for collects, one pass that merges the inserts in and cancels
+//! the tombstones,
+//! [`merge_subtract_sorted`](crate::kernels::merge_subtract_sorted)). The
+//! epoch snapshot proves the resulting answers
 //! bit-identical to the catalog's Figure-1 merge in `tests/`.
 
 use std::collections::BTreeMap;

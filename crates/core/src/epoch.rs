@@ -407,11 +407,11 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     /// Materializes the values in `q`, ascending (the canonical order — see
     /// the module docs). A collect has to move the data, so covered pieces
     /// scan and only the disjoint class gets cheaper. The walk hands over
-    /// slices; the base values are copied once into a result sized for all
-    /// of them. Pending deltas fold in by galloping merge: the run's
-    /// qualifying inserts merge into the result, then its qualifying
-    /// tombstones subtract (`kernels::subtract_sorted` — one occurrence
-    /// per tombstone).
+    /// slices, and each is copied once into a result sized for what the
+    /// read returns. Pending deltas fold in during that one copy
+    /// (`kernels::merge_subtract_sorted`): the run's qualifying inserts
+    /// merge in between the base runs, and each qualifying tombstone
+    /// cancels one occurrence of its value.
     pub fn select_collect(&self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> Vec<V> {
         let (mut parts, mut run) = (Vec::new(), None);
         self.walk(q, tracker, true, |part| match part {
@@ -419,23 +419,9 @@ impl<V: ColumnValue> StrategySnapshot<V> {
             Part::Straddle(hit) => parts.push(hit.values()),
             Part::Run(inserts, tombstones) => run = Some((inserts.values(), tombstones.values())),
         });
-        let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-        for part in parts {
-            out.extend_from_slice(part);
-        }
-        let Some((inserts, tombstones)) = run else {
-            return out;
-        };
-        if !inserts.is_empty() {
-            let mut merged = Vec::new();
-            kernels::merge_sorted(&out, inserts, &mut merged);
-            out = merged;
-        }
-        if !tombstones.is_empty() {
-            let mut net = Vec::new();
-            kernels::subtract_sorted(&out, tombstones, &mut net);
-            out = net;
-        }
+        let (inserts, tombstones) = run.unwrap_or_default();
+        let mut out = Vec::new();
+        kernels::merge_subtract_sorted(&parts, inserts, tombstones, &mut out);
         out
     }
 
@@ -2476,11 +2462,13 @@ mod tests {
         let snap = column.snapshot();
         assert_eq!(snap.delta_runs(), 1, "the run must be pending");
         let run = snap.delta.as_ref().expect("pending");
+        assert!(
+            queries().iter().any(|q| run.overlaps(q)),
+            "a read merges the run"
+        );
         for q in queries() {
             let got = snap.select_collect(&q, &mut NullTracker);
-            if !run.overlaps(&q) {
-                assert_eq!(got.capacity(), got.len(), "{q:?}");
-            }
+            assert_eq!(got.capacity(), got.len(), "{q:?}");
             assert_reads_match(&snap, &expected, &q);
         }
     }

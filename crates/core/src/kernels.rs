@@ -918,6 +918,73 @@ pub(crate) fn subtract_sorted<V: ColumnValue>(base: &[V], tombstones: &[V], out:
     out.extend_from_slice(&base[i..]);
 }
 
+/// `parts` (ascending, one after another) merged with `inserts` and less
+/// one occurrence per `tombstones` entry, appended to `out` in one pass:
+/// what [`merge_sorted`] of the concatenated parts with `inserts`, then
+/// [`subtract_sorted`] of `tombstones`, leave — the same values, and the
+/// same one of two equal values cancelled (the first in merged order, a
+/// base value before an insert), which for `OrdF64` tells `-0.0` from
+/// `+0.0`. Each part is copied once, in runs between the next insert and
+/// the next tombstone, into `out` grown by `parts + inserts − tombstones`
+/// values, which is exact when every tombstone cancels a value.
+pub(crate) fn merge_subtract_sorted<'a, V: ColumnValue>(
+    parts: &[&'a [V]],
+    mut inserts: &'a [V],
+    mut tombstones: &[V],
+    out: &mut Vec<V>,
+) {
+    let rows = parts.iter().map(|p| p.len()).sum::<usize>() + inserts.len();
+    out.reserve_exact(rows.saturating_sub(tombstones.len()));
+    let mut parts = parts.iter().copied();
+    let mut base: &'a [V] = &[];
+    loop {
+        if inserts.is_empty() && tombstones.is_empty() {
+            // Nothing (left) to merge or cancel — a read with no pending
+            // run in range starts here: the rest is copied part by part.
+            out.extend_from_slice(base);
+            for part in parts {
+                out.extend_from_slice(part);
+            }
+            return;
+        }
+        if base.is_empty() {
+            if let Some(part) = parts.next() {
+                base = part;
+                continue;
+            }
+        }
+        // The merged stream's head: a base value ties ahead of an insert.
+        let (from_base, other) = match (base.first(), inserts.first()) {
+            (Some(b), Some(y)) if b <= y => (true, Some(*y)),
+            (Some(b), Some(_)) => (false, Some(*b)),
+            (Some(_), None) => (true, None),
+            (None, Some(_)) => (false, None),
+            (None, None) => break,
+        };
+        let side = if from_base { &mut base } else { &mut inserts };
+        let head = side[0];
+        // A tombstone below the head matches nothing; one equal to it
+        // cancels it.
+        tombstones = &tombstones[tombstones.partition_point(|t| *t < head)..];
+        if tombstones.first() == Some(&head) {
+            *side = &side[1..];
+            tombstones = &tombstones[1..];
+            continue;
+        }
+        // A run of the side below the next tombstone and ahead of the other
+        // side's head: all of it when neither is left.
+        let n = match (tombstones.first().copied(), other) {
+            (None, None) => side.len(),
+            (next_tombstone, _) => side.partition_point(|x| {
+                next_tombstone.is_none_or(|t| *x < t)
+                    && other.is_none_or(|o| if from_base { *x <= o } else { *x < o })
+            }),
+        };
+        out.extend_from_slice(&side[..n]);
+        *side = &side[n..];
+    }
+}
+
 /// Cancels one occurrence of each `tombstones` entry (ascending) from
 /// `values` (any order, which is preserved), returning how many tombstones
 /// found **no** occurrence — the in-place counterpart of
@@ -1235,6 +1302,33 @@ mod tests {
     }
 
     #[test]
+    fn merge_subtract_sorted_cancels_the_first_equal_in_merged_order() {
+        use crate::value::OrdF64;
+        let z = |v: f64| OrdF64::from_finite(v);
+        // A base `-0.0` ties ahead of an inserted `+0.0`: a tombstone for
+        // zero cancels the base's.
+        let mut out = Vec::new();
+        merge_subtract_sorted(&[&[z(-0.0)][..], &[z(1.0)]], &[z(0.0)], &[z(0.0)], &mut out);
+        assert_eq!(
+            out.iter().map(|v| v.get().to_bits()).collect::<Vec<_>>(),
+            [0.0f64.to_bits(), 1.0f64.to_bits()]
+        );
+        assert_eq!(out.capacity(), out.len());
+        // Strays cancel nothing; empty sides are identities.
+        let mut out = Vec::new();
+        merge_subtract_sorted(
+            &[&[1u32, 2, 2][..], &[5]],
+            &[2, 9],
+            &[0, 2, 3, 9, 10],
+            &mut out,
+        );
+        assert_eq!(out, [1, 2, 2, 5]);
+        out.clear();
+        merge_subtract_sorted::<u32>(&[], &[], &[4], &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
     fn delta_count_masks_both_sides() {
         let ins = vec![10u32, 20, 30, 40];
         let tombs = vec![15u32, 25];
@@ -1385,6 +1479,50 @@ mod tests {
         fn edgy<V: ColumnValue>(lo: V, hi: V, any: impl Strategy<Value = V> + 'static) -> Union<V> {
             let (lo1, hi1) = (lo.succ().unwrap_or(lo), hi.pred().unwrap_or(hi));
             prop_oneof![Just(lo), Just(lo1), Just(hi1), Just(hi), any]
+        }
+
+        /// Few distinct values, `-0.0` and `+0.0` among them: duplicates
+        /// across base, inserts and tombstones, and a tie whose two sides
+        /// differ in sign.
+        fn zeroes_and_dups() -> impl Strategy<Value = Vec<OrdF64>> {
+            proptest::collection::vec(
+                prop_oneof![Just(-0.0), Just(0.0), (-3i32..4).prop_map(f64::from)],
+                0..48,
+            )
+            .prop_map(|mut v| {
+                v.sort_by(f64::total_cmp);
+                v.into_iter().map(OrdF64::from_finite).collect()
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The one-pass fold is the merge-then-subtract it replaces, to
+            /// the bit: the same occurrence of an equal value is cancelled.
+            #[test]
+            fn merge_subtract_equals_merge_then_subtract(
+                base in zeroes_and_dups(),
+                inserts in zeroes_and_dups(),
+                tombstones in zeroes_and_dups(),
+                mut cuts in proptest::collection::vec(0usize..48, 0..4),
+            ) {
+                cuts.iter_mut().for_each(|c| *c = (*c).min(base.len()));
+                cuts.sort_unstable();
+                let mut parts = Vec::new();
+                let mut from = 0;
+                for &c in cuts.iter().chain([&base.len()]) {
+                    parts.push(&base[from..c]);
+                    from = c;
+                }
+                let (mut merged, mut want) = (Vec::new(), Vec::new());
+                merge_sorted(&base, &inserts, &mut merged);
+                subtract_sorted(&merged, &tombstones, &mut want);
+                let mut got = Vec::new();
+                merge_subtract_sorted(&parts, &inserts, &tombstones, &mut got);
+                let bits = |v: &[OrdF64]| v.iter().map(|x| x.get().to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want));
+            }
         }
 
         // Up to three chunks of narrow value bands or of a domain's edges:

@@ -314,16 +314,10 @@ impl<V: ColumnValue> SegmentData<V> {
         tracker.scan(self.id, old);
         let unmatched = match &mut self.values {
             Payload::Sorted(window) => {
-                let mut merged = Vec::new();
-                crate::kernels::merge_sorted(window, inserts, &mut merged);
-                let kept = if tombstones.is_empty() {
-                    merged
-                } else {
-                    let mut kept = Vec::with_capacity(merged.len());
-                    crate::kernels::subtract_sorted(&merged, tombstones, &mut kept);
-                    kept.shrink_to_fit();
-                    kept
-                };
+                let mut kept = Vec::new();
+                crate::kernels::merge_subtract_sorted(&[window], inserts, tombstones, &mut kept);
+                // Exact unless a tombstone found no occurrence.
+                kept.shrink_to_fit();
                 let cancelled = window.len() + inserts.len() - kept.len();
                 self.synopsis = PieceSynopsis::from_sorted(&kept);
                 *window = Window::new(kept);

@@ -318,10 +318,6 @@ impl<V: TailValue> TypedSeg<V> {
         start..end.max(start)
     }
 
-    fn overlapping(&self, lo: f64, hi: f64) -> Vec<usize> {
-        self.span(lo, hi).collect()
-    }
-
     fn footprint_bytes(&self, lo: f64, hi: f64) -> u64 {
         let span = self.span(lo, hi);
         self.pieces()[span].iter().map(|(_, bytes)| bytes).sum()
@@ -748,9 +744,10 @@ impl SegmentedBat {
         }
     }
 
-    /// Indices of the pieces overlapping the closed query `[lo, hi]`.
-    pub(crate) fn overlapping(&self, lo: f64, hi: f64) -> Vec<usize> {
-        on_seg!(&self.inner, s => s.overlapping(lo, hi))
+    /// Indices of the pieces overlapping the closed query `[lo, hi]`:
+    /// one run, as the pieces ascend.
+    pub(crate) fn overlapping(&self, lo: f64, hi: f64) -> std::ops::Range<usize> {
+        on_seg!(&self.inner, s => s.span(lo, hi))
     }
 
     /// Estimated bytes a query over `[lo, hi]` must touch — the plan
@@ -816,6 +813,21 @@ mod tests {
     fn seg_bat() -> SegmentedBat {
         // 1000 int rows, value == oid, domain [0, 1000).
         cracked(Bat::dense_int((0..1000).collect()), 0.0, 1000.0).unwrap()
+    }
+
+    #[test]
+    fn a_narrow_piece_selection_holds_only_the_oids_it_keeps() {
+        // 25 of the piece's 1 000 rows qualify: the head the selection
+        // hands out is sized by them, not by the piece.
+        let s = seg_bat();
+        let b = s
+            .piece_uselect(0, &Atom::Int(500), &Atom::Int(524))
+            .unwrap();
+        let Head::Oids(heads) = b.head() else {
+            panic!("a piece selection has explicit oids")
+        };
+        assert_eq!(**heads, (500..525).collect::<Vec<u64>>());
+        assert_eq!(heads.capacity(), heads.len());
     }
 
     #[test]
@@ -895,11 +907,11 @@ mod tests {
         let mut s = seg_bat();
         s.adapt(&Atom::Int(400), &Atom::Int(599)).unwrap();
         // Pieces are [0,399], [400,599], [600,999].
-        assert_eq!(s.overlapping(600.0, 700.0), vec![2]);
-        assert_eq!(s.overlapping(599.0, 599.0), vec![1]);
-        assert_eq!(s.overlapping(0.0, 1000.0), vec![0, 1, 2]);
+        assert_eq!(s.overlapping(600.0, 700.0), 2..3);
+        assert_eq!(s.overlapping(599.0, 599.0), 1..2);
+        assert_eq!(s.overlapping(0.0, 1000.0), 0..3);
         // Fractional bounds between pieces touch nothing extra.
-        assert_eq!(s.overlapping(599.5, 599.9), Vec::<usize>::new());
+        assert!(s.overlapping(599.5, 599.9).is_empty());
     }
 
     #[test]

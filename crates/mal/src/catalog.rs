@@ -133,7 +133,7 @@ fn atoms_to_bat(key: &str, heads: &[Oid], vals: &[Atom], like: &Bat) -> Result<B
         Tail::Str(_) => Ok(Tail::Str(Arc::new(
             vals.iter()
                 .map(|a| match a {
-                    Atom::Str(s) => s.clone(),
+                    Atom::Str(s) => s.to_string(),
                     other => other.to_string(),
                 })
                 .collect(),
@@ -149,7 +149,7 @@ fn atoms_to_bat(key: &str, heads: &[Oid], vals: &[Atom], like: &Bat) -> Result<B
 
 /// Calls `f` with `parts` joined by `.`, built in a stack buffer when the
 /// result fits in 64 bytes and in a `String` otherwise.
-fn with_joined<R>(parts: &[&str], f: impl FnOnce(&str) -> R) -> R {
+pub(crate) fn with_joined<R>(parts: &[&str], f: impl FnOnce(&str) -> R) -> R {
     let mut buf = [0u8; 64];
     let mut len = 0;
     for (k, part) in parts.iter().enumerate() {
@@ -267,7 +267,9 @@ impl BindMemo {
 #[derive(Debug, Default)]
 pub struct Catalog {
     pub(crate) bats: HashMap<String, Bat>,
-    pub(crate) segmented: HashMap<String, SegmentedBat>,
+    /// Keyed by a shared key, which the segment optimizer hands to the
+    /// plans it rewrites instead of copying it per statement.
+    pub(crate) segmented: HashMap<Arc<str>, SegmentedBat>,
     pub(crate) seg_meta: HashMap<String, SegMeta>,
     pub(crate) deltas: HashMap<String, ColumnDeltas>,
     /// Deleted row oids per `schema.table`, ascending (a row deleted
@@ -383,7 +385,7 @@ impl Catalog {
             },
         );
         let was_registered = self.is_registered(&key);
-        self.segmented.insert(key.clone(), seg);
+        self.segmented.insert(key.as_str().into(), seg);
         self.on_register(schema, table, &key, was_registered);
         Ok(())
     }
@@ -415,7 +417,9 @@ impl Catalog {
         soc_core::debug_assert_valid!(rebuilt.validate(), "catalog strategy switch");
         self.seg_meta
             .insert(key.to_owned(), SegMeta { spec, ..meta });
-        self.segmented.insert(key.to_owned(), rebuilt);
+        if let Some(slot) = self.segmented.get_mut(key) {
+            *slot = rebuilt;
+        }
         self.bind_memo.forget_column(key);
         Ok(())
     }
@@ -447,14 +451,27 @@ impl Catalog {
         self.segmented.contains_key(key)
     }
 
+    /// The shared key of segmented column `schema.table.column`, looked
+    /// up without building the key on the heap.
+    pub(crate) fn segmented_key(
+        &self,
+        schema: &str,
+        table: &str,
+        column: &str,
+    ) -> Option<&Arc<str>> {
+        Self::with_key(schema, table, column, |key| {
+            self.segmented.get_key_value(key).map(|(k, _)| k)
+        })
+    }
+
     /// All registered keys (diagnostics).
     #[cfg(test)]
     pub(crate) fn keys(&self) -> Vec<String> {
         let mut k: Vec<String> = self
             .bats
             .keys()
-            .chain(self.segmented.keys())
             .cloned()
+            .chain(self.segmented.keys().map(|k| k.to_string()))
             .collect();
         k.sort();
         k.dedup();
@@ -698,7 +715,7 @@ impl Catalog {
             rebuilt.push((key.clone(), bat));
         }
 
-        let mut segmented: Vec<(&String, &mut SegmentedBat)> = self
+        let mut segmented: Vec<(&Arc<str>, &mut SegmentedBat)> = self
             .segmented
             .iter_mut()
             .filter(|(k, _)| k.starts_with(&prefix))
@@ -706,15 +723,15 @@ impl Catalog {
         segmented.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut folds = Vec::with_capacity(segmented.len());
         for (key, seg) in segmented {
-            let (r, fold) = seg
-                .stage_fold(self.deltas.get(key), deleted)
-                .map_err(|e| match e {
-                    BpmError::Bat(source) => CatalogError::MalformedDelta {
-                        key: key.clone(),
-                        source,
-                    },
-                    other => CatalogError::Bpm(other),
-                })?;
+            let (r, fold) =
+                seg.stage_fold(self.deltas.get(&**key), deleted)
+                    .map_err(|e| match e {
+                        BpmError::Bat(source) => CatalogError::MalformedDelta {
+                            key: key.to_string(),
+                            source,
+                        },
+                        other => CatalogError::Bpm(other),
+                    })?;
             report.add(r);
             folds.push((key, fold));
         }
@@ -722,7 +739,7 @@ impl Catalog {
         // Every column staged: fold, install and clear.
         for (key, fold) in folds {
             fold();
-            self.deltas.remove(key);
+            self.deltas.remove(&**key);
         }
         for (key, bat) in rebuilt {
             self.deltas.remove(&key);
@@ -809,7 +826,7 @@ fn atom_at(tail: &Tail, i: usize) -> Atom {
         Tail::Int(v) => Atom::Int(v[i]),
         Tail::Dbl(v) => Atom::Dbl(v[i]),
         Tail::Oid(v) => Atom::Oid(v[i]),
-        Tail::Str(v) => Atom::Str(v[i].clone()),
+        Tail::Str(v) => Atom::Str(v[i].as_str().into()),
         Tail::Nil(_) => Atom::Nil,
     }
 }

@@ -129,7 +129,7 @@ fn atom_from_text(s: &str) -> Result<Atom, CheckpointError> {
             .map(|bits| Atom::Dbl(f64::from_bits(bits)))
             .map_err(|_| bad()),
         "o" => body.parse().map(Atom::Oid).map_err(|_| bad()),
-        "s" => hex_decode(body).map(Atom::Str),
+        "s" => hex_decode(body).map(|s| Atom::Str(s.into())),
         _ => Err(bad()),
     }
 }
@@ -407,10 +407,10 @@ impl Catalog {
         let _ = writeln!(manifest, "{MAGIC}");
         let mut keys: BTreeSet<String> = BTreeSet::new();
         keys.extend(self.bats.keys().cloned());
-        keys.extend(self.segmented.keys().cloned());
+        keys.extend(self.segmented.keys().map(|k| k.to_string()));
 
         for key in &keys {
-            if let Some(seg) = self.segmented.get(key) {
+            if let Some(seg) = self.segmented.get(key.as_str()) {
                 let meta = self.seg_meta.get(key).copied().ok_or_else(|| {
                     CheckpointError::Unsupported(format!("{key} has no strategy metadata"))
                 })?;

@@ -15,14 +15,14 @@
 //! column's pieces, the handles of that column a later instruction may
 //! still read are built into the bats they stood for.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use soc_bat::{algebra, Atom, Bat, BatError, Head, Tail};
 
 use soc_core::StrategyKind;
 
-use crate::ast::{references, Arg, Instruction, Name, Program, Stmt};
+use crate::ast::{references, Arg, Instruction, Op, Program, Stmt, Var, VarName};
 use crate::bpm::{BpmError, SegmentedBat};
 use crate::catalog::{Catalog, CatalogError};
 
@@ -139,99 +139,119 @@ impl std::fmt::Debug for Val<'_> {
     }
 }
 
-fn bad_arg(i: &Instruction, expected: String) -> ExecError {
-    ExecError::BadArg {
-        call: i.qualified(),
-        expected,
-    }
-}
-
-fn need_args(i: &Instruction, n: usize) -> Result<(), ExecError> {
-    if i.args.len() < n {
-        Err(bad_arg(
-            i,
-            format!("at least {n} arguments, got {}", i.args.len()),
-        ))
-    } else {
-        Ok(())
-    }
-}
-
-/// The plan variables of one execution. Every accessor borrows: reading
-/// an argument copies no name, string or bat handle the caller does not
-/// ask for.
+/// The plan variables of one execution: a value per slot of the program's
+/// variable table, so binding a variable or reading one is an index, with
+/// no name hashed or copied.
 #[derive(Default)]
-struct Env(HashMap<Name, MalValue>);
+struct Env(Vec<Option<MalValue>>);
 
 impl Env {
-    fn arg<'v>(&'v self, i: &'v Instruction, k: usize) -> Result<Val<'v>, ExecError> {
-        match i.args.get(k) {
-            None => Err(bad_arg(
-                i,
-                format!("at least {} arguments, got {}", k + 1, i.args.len()),
-            )),
-            Some(Arg::Const(c)) => Ok(Val::Const(c)),
+    fn get(&self, v: Var) -> Option<&MalValue> {
+        self.0.get(v.slot()).and_then(Option::as_ref)
+    }
+
+    fn get_mut(&mut self, v: Var) -> Option<&mut MalValue> {
+        self.0.get_mut(v.slot()).and_then(Option::as_mut)
+    }
+
+    fn set(&mut self, v: Var, value: MalValue) {
+        if let Some(slot) = self.0.get_mut(v.slot()) {
+            *slot = Some(value);
+        }
+    }
+}
+
+/// Instruction `i` of `prog` as it runs: constants read from the
+/// program's table, variables from the run's slots. Every accessor
+/// borrows: reading an argument copies no string or bat handle the caller
+/// does not ask for.
+struct Frame<'v> {
+    prog: &'v Program,
+    env: &'v Env,
+    i: &'v Instruction,
+}
+
+impl<'v> Frame<'v> {
+    fn bad_arg(&self, expected: String) -> ExecError {
+        ExecError::BadArg {
+            call: self.prog.qualified(self.i),
+            expected,
+        }
+    }
+
+    fn need_args(&self, n: usize) -> Result<(), ExecError> {
+        let got = self.i.args().len();
+        if got < n {
+            Err(self.bad_arg(format!("at least {n} arguments, got {got}")))
+        } else {
+            Ok(())
+        }
+    }
+
+    fn arg(&self, k: usize) -> Result<Val<'v>, ExecError> {
+        match self.i.arg(k) {
+            None => Err(self.bad_arg(format!(
+                "at least {} arguments, got {}",
+                k + 1,
+                self.i.args().len()
+            ))),
+            Some(Arg::Const(c)) => Ok(Val::Const(self.prog.konst(c))),
             Some(Arg::Var(v)) => self
-                .0
+                .env
                 .get(v)
                 .map(Val::Bound)
-                .ok_or_else(|| ExecError::Unbound(v.to_string())),
+                .ok_or_else(|| ExecError::Unbound(self.prog.name(v).to_string())),
         }
     }
 
     /// Argument `k` as a bat; a piece handle is read into its bat.
-    fn bat(&self, catalog: &Catalog, i: &Instruction, k: usize) -> Result<Bat, ExecError> {
-        match self.arg(i, k)? {
+    fn bat(&self, catalog: &Catalog, k: usize) -> Result<Bat, ExecError> {
+        match self.arg(k)? {
             Val::Bound(MalValue::Bat(b)) => Ok(b.clone()),
             Val::Bound(MalValue::Piece { key, index }) => {
                 Ok(segmented(catalog, key)?.piece_bat(*index)?)
             }
-            other => Err(bad_arg(i, format!("bat at arg {k}, got {other:?}"))),
+            other => Err(self.bad_arg(format!("bat at arg {k}, got {other:?}"))),
         }
     }
 
-    fn atom<'v>(&'v self, i: &'v Instruction, k: usize) -> Result<&'v Atom, ExecError> {
-        match self.arg(i, k)? {
+    fn atom(&self, k: usize) -> Result<&'v Atom, ExecError> {
+        match self.arg(k)? {
             Val::Const(a) | Val::Bound(MalValue::Atom(a)) => Ok(a),
-            other => Err(bad_arg(i, format!("scalar at arg {k}, got {other:?}"))),
+            other => Err(self.bad_arg(format!("scalar at arg {k}, got {other:?}"))),
         }
     }
 
-    fn str_atom<'v>(&'v self, i: &'v Instruction, k: usize) -> Result<&'v str, ExecError> {
-        match self.atom(i, k)? {
+    fn str_atom(&self, k: usize) -> Result<&'v Arc<str>, ExecError> {
+        match self.atom(k)? {
             Atom::Str(s) => Ok(s),
-            other => Err(bad_arg(i, format!("string at arg {k}, got {other}"))),
+            other => Err(self.bad_arg(format!("string at arg {k}, got {other}"))),
         }
     }
 
-    fn int_atom(&self, i: &Instruction, k: usize) -> Result<i64, ExecError> {
-        match self.atom(i, k)? {
+    fn int_atom(&self, k: usize) -> Result<i64, ExecError> {
+        match self.atom(k)? {
             Atom::Int(v) => Ok(*v),
             Atom::Oid(v) => Ok(*v as i64),
-            other => Err(bad_arg(i, format!("int at arg {k}, got {other}"))),
+            other => Err(self.bad_arg(format!("int at arg {k}, got {other}"))),
         }
     }
 
-    fn handle<'v>(&'v self, i: &'v Instruction, k: usize) -> Result<&'v Arc<str>, ExecError> {
-        match self.arg(i, k)? {
+    fn handle(&self, k: usize) -> Result<&'v Arc<str>, ExecError> {
+        match self.arg(k)? {
             Val::Bound(MalValue::SegHandle(h)) => Ok(h),
-            other => Err(bad_arg(
-                i,
-                format!("segmented-bat handle at arg {k}, got {other:?}"),
-            )),
+            other => Err(self.bad_arg(format!("segmented-bat handle at arg {k}, got {other:?}"))),
         }
     }
 
     /// A column reference for the strategy-introspection ops: either a
     /// `bpm.take` handle or a bare `schema.table.column` key string.
-    fn column_key<'v>(&'v self, i: &'v Instruction, k: usize) -> Result<&'v str, ExecError> {
-        match self.arg(i, k)? {
-            Val::Bound(MalValue::SegHandle(h)) => Ok(h),
-            Val::Const(Atom::Str(h)) | Val::Bound(MalValue::Atom(Atom::Str(h))) => Ok(h),
-            other => Err(bad_arg(
-                i,
-                format!("handle or column key at arg {k}, got {other:?}"),
-            )),
+    fn column_key(&self, k: usize) -> Result<&'v Arc<str>, ExecError> {
+        match self.arg(k)? {
+            Val::Bound(MalValue::SegHandle(h))
+            | Val::Const(Atom::Str(h))
+            | Val::Bound(MalValue::Atom(Atom::Str(h))) => Ok(h),
+            other => Err(self.bad_arg(format!("handle or column key at arg {k}, got {other:?}"))),
         }
     }
 }
@@ -247,7 +267,7 @@ fn segmented<'c>(catalog: &'c Catalog, key: &str) -> Result<&'c SegmentedBat, Ex
 /// update (2) delta, typed like the base.
 fn bind(
     catalog: &mut Catalog,
-    i: &Instruction,
+    f: &Frame<'_>,
     key: &str,
     access: i64,
 ) -> Result<MalValue, ExecError> {
@@ -266,10 +286,9 @@ fn bind(
             Some(delta) => Ok(MalValue::Bat(delta?)),
             None => Err(ExecError::UnknownColumn(key.to_owned())),
         },
-        access => Err(bad_arg(
-            i,
-            format!("access code 0 (base), 1 (inserts) or 2 (updates) at arg 3, got {access}"),
-        )),
+        access => Err(f.bad_arg(format!(
+            "access code 0 (base), 1 (inserts) or 2 (updates) at arg 3, got {access}"
+        ))),
     }
 }
 
@@ -277,8 +296,11 @@ fn bind(
 pub struct Interp<'a> {
     catalog: &'a mut Catalog,
     env: Env,
-    /// The pieces each open segment iterator has still to hand out.
-    iters: HashMap<Name, VecDeque<MalValue>>,
+    /// The slot names of the program last run, for [`Interp::get`].
+    vars: Option<Arc<Vec<VarName>>>,
+    /// The pieces each open segment iterator (by its target) has still
+    /// to hand out.
+    iters: Vec<(Option<Var>, VecDeque<MalValue>)>,
     result: Option<Bat>,
 }
 
@@ -288,7 +310,8 @@ impl<'a> Interp<'a> {
         Interp {
             catalog,
             env: Env::default(),
-            iters: HashMap::new(),
+            vars: None,
+            iters: Vec::new(),
             result: None,
         }
     }
@@ -297,15 +320,16 @@ impl<'a> Interp<'a> {
     /// function parameters. Returns the exported result set, if any.
     pub fn run(&mut self, prog: &Program, args: &[Atom]) -> Result<Option<Bat>, ExecError> {
         self.env.0.clear();
-        self.env.0.reserve(prog.stmts.len());
+        self.env.0.resize_with(prog.vars.len(), || None);
+        self.vars = Some(Arc::clone(&prog.vars));
         self.iters.clear();
         self.result = None;
-        for (p, a) in prog.params().iter().zip(args) {
-            self.env.0.insert(p.clone(), MalValue::Atom(a.clone()));
+        for (&p, a) in prog.param_slots().iter().zip(args) {
+            self.env.set(p, MalValue::Atom(a.clone()));
         }
 
         // var -> pc of the statement after its barrier.
-        let mut open_blocks: Vec<(&Name, usize)> = Vec::new();
+        let mut open_blocks: Vec<(Var, usize)> = Vec::new();
         let mut pc = 0usize;
         while pc < prog.stmts.len() {
             // What may still run: the rest of the plan, or all of it while
@@ -318,49 +342,50 @@ impl<'a> Interp<'a> {
             match &prog.stmts[pc] {
                 Stmt::Function { .. } | Stmt::End => pc += 1,
                 Stmt::Assign(i) => {
-                    let v = self.exec(i, later)?;
-                    if let Some(t) = &i.target {
-                        self.env.0.insert(t.clone(), v);
+                    let v = self.exec(prog, i, later)?;
+                    if let Some(t) = i.target {
+                        self.env.set(t, v);
                     }
                     pc += 1;
                 }
                 Stmt::Barrier(i) => {
-                    let target = i
-                        .target
-                        .as_ref()
-                        .ok_or(ExecError::MissingTarget("barrier"))?;
-                    let v = self.exec(i, later)?;
+                    let target = i.target.ok_or(ExecError::MissingTarget("barrier"))?;
+                    let v = self.exec(prog, i, later)?;
                     if v.truthy() {
-                        self.env.0.insert(target.clone(), v);
+                        self.env.set(target, v);
                         open_blocks.push((target, pc + 1));
                         pc += 1;
                     } else {
                         // Skip to the matching exit.
                         let exit = prog.stmts[pc + 1..]
                             .iter()
-                            .position(|s| matches!(s, Stmt::Exit(v) if v == target))
-                            .ok_or_else(|| ExecError::NoMatchingExit(target.to_string()))?;
+                            .position(|s| matches!(s, Stmt::Exit(v) if *v == target))
+                            .ok_or_else(|| {
+                                ExecError::NoMatchingExit(prog.name(target).to_string())
+                            })?;
                         pc = pc + 1 + exit + 1;
                     }
                 }
                 Stmt::Redo(i) => {
-                    let target = i.target.as_ref().ok_or(ExecError::MissingTarget("redo"))?;
-                    let v = self.exec(i, later)?;
+                    let target = i.target.ok_or(ExecError::MissingTarget("redo"))?;
+                    let v = self.exec(prog, i, later)?;
                     if v.truthy() {
                         let body = open_blocks
                             .iter()
                             .rev()
                             .find(|(v, _)| *v == target)
                             .map(|(_, pc)| *pc)
-                            .ok_or_else(|| ExecError::RedoOutsideBlock(target.to_string()))?;
-                        self.env.0.insert(target.clone(), v);
+                            .ok_or_else(|| {
+                                ExecError::RedoOutsideBlock(prog.name(target).to_string())
+                            })?;
+                        self.env.set(target, v);
                         pc = body;
                     } else {
                         pc += 1;
                     }
                 }
                 Stmt::Exit(v) => {
-                    while open_blocks.last().is_some_and(|(b, _)| *b == v) {
+                    while open_blocks.last().is_some_and(|(b, _)| b == v) {
                         open_blocks.pop();
                     }
                     pc += 1;
@@ -370,9 +395,10 @@ impl<'a> Interp<'a> {
         Ok(self.result.take())
     }
 
-    /// Reads a variable after a run (tests, diagnostics).
+    /// Reads a variable of the last run by name (tests, diagnostics).
     pub fn get(&self, var: &str) -> Option<&MalValue> {
-        self.env.0.get(var)
+        let slot = self.vars.as_ref()?.iter().position(|n| n.is(var))?;
+        self.env.get(Var::at(slot as u32))
     }
 
     /// Builds the bats of column `key`'s piece handles that an instruction
@@ -387,9 +413,15 @@ impl<'a> Interp<'a> {
             .env
             .0
             .iter_mut()
-            .filter(|(var, v)| of_key(v) && references(later, var))
+            .enumerate()
+            .filter_map(|(slot, v)| v.as_mut().map(|v| (Var::at(slot as u32), v)))
+            .filter(|(var, v)| of_key(v) && references(later, *var))
             .map(|(_, v)| v);
-        let queued = self.iters.values_mut().flatten().filter(|v| of_key(v));
+        let queued = self
+            .iters
+            .iter_mut()
+            .flat_map(|(_, queue)| queue)
+            .filter(|v| of_key(v));
         for v in bound.chain(queued) {
             if let MalValue::Piece { index, .. } = v {
                 *v = MalValue::Bat(seg.piece_bat(*index)?);
@@ -398,87 +430,95 @@ impl<'a> Interp<'a> {
         Ok(())
     }
 
-    fn exec(&mut self, i: &Instruction, later: &[Stmt]) -> Result<MalValue, ExecError> {
-        let env = &self.env;
+    fn exec(
+        &mut self,
+        prog: &Program,
+        i: &Instruction,
+        later: &[Stmt],
+    ) -> Result<MalValue, ExecError> {
+        let f = Frame {
+            prog,
+            env: &self.env,
+            i,
+        };
         let catalog = &*self.catalog;
-        match (i.module.as_ref(), i.function.as_ref()) {
-            ("sql", "bind") => {
-                need_args(i, 4)?;
-                let (schema, table) = (env.str_atom(i, 0)?, env.str_atom(i, 1)?);
-                let column = env.str_atom(i, 2)?;
-                let access = env.int_atom(i, 3)?;
+        match i.op {
+            Op::SqlBind => {
+                f.need_args(4)?;
+                let (schema, table, column) = (f.str_atom(0)?, f.str_atom(1)?, f.str_atom(2)?);
+                let access = f.int_atom(3)?;
                 let catalog = &mut *self.catalog;
-                Catalog::with_key(schema, table, column, |key| bind(catalog, i, key, access))
+                Catalog::with_key(schema, table, column, |key| bind(catalog, &f, key, access))
             }
-            ("sql", "bind_dbat") => {
-                need_args(i, 2)?;
-                let (schema, table) = (env.str_atom(i, 0)?, env.str_atom(i, 1)?);
+            Op::SqlBindDbat => {
+                f.need_args(2)?;
+                let (schema, table) = (f.str_atom(0)?, f.str_atom(1)?);
                 Ok(MalValue::Bat(self.catalog.dbat(schema, table)))
             }
-            ("sql", "setMergeThreshold") => {
+            Op::SqlSetMergeThreshold => {
                 // The `ALTER TABLE … SET MERGE THRESHOLD n` DDL: per-table
                 // override of the auto-compaction threshold (0 disables).
-                need_args(i, 3)?;
-                let (schema, table) = (env.str_atom(i, 0)?, env.str_atom(i, 1)?);
-                let rows = env.int_atom(i, 2)?.max(0) as usize;
+                f.need_args(3)?;
+                let (schema, table) = (f.str_atom(0)?, f.str_atom(1)?);
+                let rows = f.int_atom(2)?.max(0) as usize;
                 self.catalog.set_table_merge_threshold(schema, table, rows);
                 Ok(MalValue::Atom(Atom::Int(rows as i64)))
             }
-            ("sql", "pendingRows") => {
+            Op::SqlPendingRows => {
                 // Pending (un-merged) delta rows of a table — the overlay
                 // size readers currently merge on the fly.
-                need_args(i, 2)?;
-                let (schema, table) = (env.str_atom(i, 0)?, env.str_atom(i, 1)?);
+                f.need_args(2)?;
+                let (schema, table) = (f.str_atom(0)?, f.str_atom(1)?);
                 let n = self.catalog.pending_rows(schema, table);
                 Ok(MalValue::Atom(Atom::Int(n as i64)))
             }
-            ("sql", "subdelta") => {
-                need_args(i, 6)?;
+            Op::SqlSubdelta => {
+                f.need_args(6)?;
                 Ok(MalValue::Bat(algebra::sub_delta(
-                    &env.bat(catalog, i, 0)?,
-                    &env.bat(catalog, i, 1)?,
-                    &env.bat(catalog, i, 2)?,
-                    &env.bat(catalog, i, 3)?,
-                    env.atom(i, 4)?,
-                    env.atom(i, 5)?,
+                    &f.bat(catalog, 0)?,
+                    &f.bat(catalog, 1)?,
+                    &f.bat(catalog, 2)?,
+                    &f.bat(catalog, 3)?,
+                    f.atom(4)?,
+                    f.atom(5)?,
                 )?))
             }
-            ("sql", "projectdelta") => {
-                need_args(i, 4)?;
+            Op::SqlProjectdelta => {
+                f.need_args(4)?;
                 Ok(MalValue::Bat(algebra::project_delta(
-                    &env.bat(catalog, i, 0)?,
-                    &env.bat(catalog, i, 1)?,
-                    &env.bat(catalog, i, 2)?,
-                    &env.bat(catalog, i, 3)?,
+                    &f.bat(catalog, 0)?,
+                    &f.bat(catalog, 1)?,
+                    &f.bat(catalog, 2)?,
+                    &f.bat(catalog, 3)?,
                 )?))
             }
-            ("sql", "resultSet") => {
-                need_args(i, 3)?;
-                self.result = Some(env.bat(catalog, i, 2)?);
+            Op::SqlResultSet => {
+                f.need_args(3)?;
+                self.result = Some(f.bat(catalog, 2)?);
                 Ok(MalValue::Atom(Atom::Int(1)))
             }
-            ("sql", "rsColumn") | ("sql", "exportResult") => Ok(MalValue::Nil),
-            ("calc", "oid") => {
-                need_args(i, 1)?;
-                match env.atom(i, 0)? {
+            Op::SqlRsColumn | Op::SqlExportResult => Ok(MalValue::Nil),
+            Op::CalcOid => {
+                f.need_args(1)?;
+                match f.atom(0)? {
                     Atom::Oid(v) => Ok(MalValue::Atom(Atom::Oid(*v))),
                     Atom::Int(v) => Ok(MalValue::Atom(Atom::Oid(*v as u64))),
-                    other => Err(bad_arg(i, format!("oid-coercible value, got {other}"))),
+                    other => Err(f.bad_arg(format!("oid-coercible value, got {other}"))),
                 }
             }
-            ("algebra", "select") => {
-                need_args(i, 3)?;
+            Op::AlgebraSelect => {
+                f.need_args(3)?;
                 Ok(MalValue::Bat(algebra::select(
-                    &env.bat(catalog, i, 0)?,
-                    env.atom(i, 1)?,
-                    env.atom(i, 2)?,
+                    &f.bat(catalog, 0)?,
+                    f.atom(1)?,
+                    f.atom(2)?,
                 )?))
             }
-            ("algebra", "uselect") => {
-                need_args(i, 3)?;
-                if let Val::Bound(MalValue::Piece { key, index }) = env.arg(i, 0)? {
+            Op::AlgebraUselect => {
+                f.need_args(3)?;
+                if let Val::Bound(MalValue::Piece { key, index }) = f.arg(0)? {
                     let seg = segmented(catalog, key)?;
-                    let (lo, hi) = (env.atom(i, 1)?, env.atom(i, 2)?);
+                    let (lo, hi) = (f.atom(1)?, f.atom(2)?);
                     // A bound error is `uselect`'s own, as over the bat.
                     return match seg.piece_uselect(*index, lo, hi) {
                         Ok(b) => Ok(MalValue::Bat(b)),
@@ -487,94 +527,92 @@ impl<'a> Interp<'a> {
                     };
                 }
                 Ok(MalValue::Bat(algebra::uselect(
-                    &env.bat(catalog, i, 0)?,
-                    env.atom(i, 1)?,
-                    env.atom(i, 2)?,
+                    &f.bat(catalog, 0)?,
+                    f.atom(1)?,
+                    f.atom(2)?,
                 )?))
             }
-            ("algebra", "kunion") => {
-                need_args(i, 2)?;
+            Op::AlgebraKunion => {
+                f.need_args(2)?;
                 Ok(MalValue::Bat(algebra::kunion(
-                    &env.bat(catalog, i, 0)?,
-                    &env.bat(catalog, i, 1)?,
+                    &f.bat(catalog, 0)?,
+                    &f.bat(catalog, 1)?,
                 )?))
             }
-            ("algebra", "kdifference") => {
-                need_args(i, 2)?;
+            Op::AlgebraKdifference => {
+                f.need_args(2)?;
                 Ok(MalValue::Bat(algebra::kdifference(
-                    &env.bat(catalog, i, 0)?,
-                    &env.bat(catalog, i, 1)?,
+                    &f.bat(catalog, 0)?,
+                    &f.bat(catalog, 1)?,
                 )?))
             }
-            ("algebra", "kintersect") => {
-                need_args(i, 2)?;
+            Op::AlgebraKintersect => {
+                f.need_args(2)?;
                 Ok(MalValue::Bat(algebra::kintersect(
-                    &env.bat(catalog, i, 0)?,
-                    &env.bat(catalog, i, 1)?,
+                    &f.bat(catalog, 0)?,
+                    &f.bat(catalog, 1)?,
                 )?))
             }
-            ("algebra", "markT") | ("algebra", "markt") => {
-                need_args(i, 2)?;
-                let b = env.bat(catalog, i, 0)?;
-                let base = match env.atom(i, 1)? {
+            Op::AlgebraMarkT | Op::AlgebraMarkt => {
+                f.need_args(2)?;
+                let b = f.bat(catalog, 0)?;
+                let base = match f.atom(1)? {
                     Atom::Oid(v) => *v,
                     Atom::Int(v) => *v as u64,
-                    other => return Err(bad_arg(i, format!("oid base, got {other}"))),
+                    other => return Err(f.bad_arg(format!("oid base, got {other}"))),
                 };
                 Ok(MalValue::Bat(algebra::mark_t(&b, base)))
             }
-            ("bat", "reverse") => {
-                need_args(i, 1)?;
-                Ok(MalValue::Bat(algebra::reverse(&env.bat(catalog, i, 0)?)?))
+            Op::BatReverse => {
+                f.need_args(1)?;
+                Ok(MalValue::Bat(algebra::reverse(&f.bat(catalog, 0)?)?))
             }
-            ("bat", "append") => {
-                need_args(i, 2)?;
+            Op::BatAppend => {
+                f.need_args(2)?;
                 Ok(MalValue::Bat(algebra::append(
-                    &env.bat(catalog, i, 0)?,
-                    &env.bat(catalog, i, 1)?,
+                    &f.bat(catalog, 0)?,
+                    &f.bat(catalog, 1)?,
                 )?))
             }
-            ("bat", "slice") => {
-                need_args(i, 3)?;
-                let b = env.bat(catalog, i, 0)?;
-                let lo = env.int_atom(i, 1)?.max(0) as usize;
-                let hi = env.int_atom(i, 2)?.max(0) as usize;
+            Op::BatSlice => {
+                f.need_args(3)?;
+                let b = f.bat(catalog, 0)?;
+                let lo = f.int_atom(1)?.max(0) as usize;
+                let hi = f.int_atom(2)?.max(0) as usize;
                 Ok(MalValue::Bat(algebra::slice(&b, lo, hi)))
             }
-            ("algebra", "join") => {
-                need_args(i, 2)?;
+            Op::AlgebraJoin => {
+                f.need_args(2)?;
                 Ok(MalValue::Bat(algebra::join(
-                    &env.bat(catalog, i, 0)?,
-                    &env.bat(catalog, i, 1)?,
+                    &f.bat(catalog, 0)?,
+                    &f.bat(catalog, 1)?,
                 )?))
             }
-            ("aggr", "count") => Ok(MalValue::Atom(algebra::count(&env.bat(catalog, i, 0)?))),
-            ("aggr", "sum") => Ok(MalValue::Atom(algebra::sum(&env.bat(catalog, i, 0)?)?)),
-            ("aggr", "min") => Ok(MalValue::Atom(algebra::min(&env.bat(catalog, i, 0)?)?)),
-            ("aggr", "max") => Ok(MalValue::Atom(algebra::max(&env.bat(catalog, i, 0)?)?)),
-            ("bpm", "take") => {
-                need_args(i, 1)?;
-                let key = match env.atom(i, 0)? {
+            Op::AggrCount => Ok(MalValue::Atom(algebra::count(&f.bat(catalog, 0)?))),
+            Op::AggrSum => Ok(MalValue::Atom(algebra::sum(&f.bat(catalog, 0)?)?)),
+            Op::AggrMin => Ok(MalValue::Atom(algebra::min(&f.bat(catalog, 0)?)?)),
+            Op::AggrMax => Ok(MalValue::Atom(algebra::max(&f.bat(catalog, 0)?)?)),
+            Op::BpmTake => {
+                f.need_args(1)?;
+                let key = match f.atom(0)? {
                     Atom::Str(s) => s,
-                    other => return Err(bad_arg(i, format!("column key, got {other}"))),
+                    other => return Err(f.bad_arg(format!("column key, got {other}"))),
                 };
                 if self.catalog.is_segmented(key) {
-                    Ok(MalValue::SegHandle(key.as_str().into()))
+                    Ok(MalValue::SegHandle(Arc::clone(key)))
                 } else {
-                    Err(ExecError::UnknownColumn(key.clone()))
+                    Err(ExecError::UnknownColumn(key.to_string()))
                 }
             }
-            ("bpm", "new") => Ok(MalValue::SegResult(Vec::new())),
-            ("bpm", "newIterator") => {
-                need_args(i, 3)?;
-                let key = env.handle(i, 0)?;
-                let (Some(lo), Some(hi)) = (env.atom(i, 1)?.as_f64(), env.atom(i, 2)?.as_f64())
-                else {
-                    return Err(bad_arg(i, "numeric bounds".to_owned()));
+            Op::BpmNew => Ok(MalValue::SegResult(Vec::new())),
+            Op::BpmNewIterator => {
+                f.need_args(3)?;
+                let key = f.handle(0)?;
+                let (Some(lo), Some(hi)) = (f.atom(1)?.as_f64(), f.atom(2)?.as_f64()) else {
+                    return Err(f.bad_arg("numeric bounds".to_owned()));
                 };
                 let mut queue: VecDeque<MalValue> = segmented(catalog, key)?
                     .overlapping(lo, hi)
-                    .into_iter()
                     .map(|index| MalValue::Piece {
                         key: Arc::clone(key),
                         index,
@@ -582,39 +620,43 @@ impl<'a> Interp<'a> {
                     .collect();
                 match queue.pop_front() {
                     Some(first) => {
-                        let target = i.target.clone().unwrap_or(Name::Borrowed("_iter"));
-                        self.iters.insert(target, queue);
+                        match self.iters.iter_mut().find(|(t, _)| *t == i.target) {
+                            Some((_, open)) => *open = queue,
+                            None => self.iters.push((i.target, queue)),
+                        }
                         Ok(first)
                     }
                     None => Ok(MalValue::Nil),
                 }
             }
-            ("bpm", "hasMoreElements") => {
-                let target = i.target.as_deref().unwrap_or("_iter");
-                Ok(self
-                    .iters
-                    .get_mut(target)
-                    .and_then(VecDeque::pop_front)
-                    .unwrap_or(MalValue::Nil))
-            }
-            ("bpm", "addSegment") => {
-                need_args(i, 2)?;
-                let b = env.bat(catalog, i, 1)?;
-                let Some(var) = i.args[0].var() else {
-                    return Err(bad_arg(i, "result variable".to_owned()));
+            Op::BpmHasMoreElements => Ok(self
+                .iters
+                .iter_mut()
+                .find(|(t, _)| *t == i.target)
+                .and_then(|(_, queue)| queue.pop_front())
+                .unwrap_or(MalValue::Nil)),
+            Op::BpmAddSegment => {
+                f.need_args(2)?;
+                let b = f.bat(catalog, 1)?;
+                let Some(Arg::Var(var)) = i.arg(0) else {
+                    return Err(f.bad_arg("result variable".to_owned()));
                 };
-                match self.env.0.get_mut(var) {
+                let name = || prog.name(var).to_string();
+                match self.env.get_mut(var) {
                     Some(MalValue::SegResult(parts)) => {
                         parts.push(b);
                         Ok(MalValue::Nil)
                     }
-                    Some(_) => Err(bad_arg(i, format!("{var} to be a bpm.new result"))),
-                    None => Err(ExecError::Unbound(var.to_owned())),
+                    Some(_) => Err(ExecError::BadArg {
+                        call: prog.qualified(i),
+                        expected: format!("{} to be a bpm.new result", name()),
+                    }),
+                    None => Err(ExecError::Unbound(name())),
                 }
             }
-            ("bpm", "pack") => {
-                need_args(i, 1)?;
-                match env.arg(i, 0)? {
+            Op::BpmPack => {
+                f.need_args(1)?;
+                match f.arg(0)? {
                     Val::Bound(MalValue::SegResult(parts)) => {
                         let mut acc: Option<Bat> = None;
                         for p in parts {
@@ -631,18 +673,15 @@ impl<'a> Interp<'a> {
                     Val::Bound(MalValue::SegHandle(key)) => {
                         Ok(MalValue::Bat(segmented(catalog, key)?.pack()?))
                     }
-                    other => Err(bad_arg(
-                        i,
-                        format!("segmented result or handle, got {other:?}"),
-                    )),
+                    other => Err(f.bad_arg(format!("segmented result or handle, got {other:?}"))),
                 }
             }
-            ("bpm", "takeSegment") => {
+            Op::BpmTakeSegment => {
                 // A handle, not the piece's bat: the index is checked now,
                 // the rows are read by whoever consumes it.
-                need_args(i, 2)?;
-                let key = env.handle(i, 0)?;
-                let index = env.int_atom(i, 1)?.max(0) as usize;
+                f.need_args(2)?;
+                let key = f.handle(0)?;
+                let index = f.int_atom(1)?.max(0) as usize;
                 if index >= segmented(catalog, key)?.piece_count() {
                     return Err(BpmError::BadPiece(index).into());
                 }
@@ -651,18 +690,23 @@ impl<'a> Interp<'a> {
                     index,
                 })
             }
-            ("bpm", "segments") => {
-                need_args(i, 1)?;
-                let key = env.handle(i, 0)?;
+            Op::BpmSegments => {
+                f.need_args(1)?;
+                let key = f.handle(0)?;
                 Ok(MalValue::Atom(Atom::Int(
                     segmented(catalog, key)?.piece_count() as i64,
                 )))
             }
-            ("bpm", "adapt") => {
-                need_args(i, 3)?;
-                let key = Arc::clone(env.handle(i, 0)?);
+            Op::BpmAdapt => {
+                f.need_args(3)?;
+                let key = Arc::clone(f.handle(0)?);
                 self.pin_pieces(&key, later)?;
-                let (lo, hi) = (self.env.atom(i, 1)?, self.env.atom(i, 2)?);
+                let f = Frame {
+                    prog,
+                    env: &self.env,
+                    i,
+                };
+                let (lo, hi) = (f.atom(1)?, f.atom(2)?);
                 let seg = self
                     .catalog
                     .segmented_mut(&key)
@@ -670,28 +714,28 @@ impl<'a> Interp<'a> {
                 let splits = seg.adapt(lo, hi)?;
                 Ok(MalValue::Atom(Atom::Int(splits as i64)))
             }
-            ("bpm", "strategy") => {
+            Op::BpmStrategy => {
                 // Inspect a column's live strategy.
-                need_args(i, 1)?;
-                let key = env.column_key(i, 0)?;
+                f.need_args(1)?;
+                let key = f.column_key(0)?;
                 Ok(MalValue::Atom(Atom::Str(
-                    segmented(catalog, key)?.strategy_name(),
+                    segmented(catalog, key)?.strategy_name().into(),
                 )))
             }
-            ("bpm", "setStrategy") => {
+            Op::BpmSetStrategy => {
                 // The DDL hook: re-organize a column under another kind.
-                need_args(i, 2)?;
-                let key = env.column_key(i, 0)?.to_owned();
-                let token = env.str_atom(i, 1)?;
+                f.need_args(2)?;
+                let key = Arc::clone(f.column_key(0)?);
+                let token = f.str_atom(1)?;
                 let kind = StrategyKind::from_token(token).ok_or_else(|| {
-                    ExecError::Catalog(CatalogError::UnknownStrategy(token.to_owned()))
+                    ExecError::Catalog(CatalogError::UnknownStrategy(token.to_string()))
                 })?;
                 self.pin_pieces(&key, later)?;
                 self.catalog.set_strategy(&key, kind)?;
-                Ok(MalValue::Atom(Atom::Str(kind.token().to_owned())))
+                Ok(MalValue::Atom(Atom::Str(kind.token().into())))
             }
-            ("io", "print") | ("language", "pass") => Ok(MalValue::Nil),
-            _ => Err(ExecError::UnknownFunction(i.qualified())),
+            Op::IoPrint | Op::LanguagePass => Ok(MalValue::Nil),
+            Op::Unknown { .. } => Err(ExecError::UnknownFunction(prog.qualified(i))),
         }
     }
 }
@@ -953,11 +997,11 @@ end q;
         let Some(MalValue::Atom(Atom::Str(s1))) = interp.get("S1") else {
             panic!("S1 must be a string")
         };
-        assert_eq!(s1, "APM 3K-12K Segm");
+        assert_eq!(&**s1, "APM 3K-12K Segm");
         let Some(MalValue::Atom(Atom::Str(s2))) = interp.get("S2") else {
             panic!("S2 must be a string")
         };
-        assert_eq!(s2, "Cracking");
+        assert_eq!(&**s2, "Cracking");
         assert_eq!(
             c.strategy_spec("sys.P.ra").map(|s| s.kind),
             Some(StrategyKind::Cracking)
@@ -989,6 +1033,133 @@ end q;
             Interp::new(&mut c).run(&prog, &[]),
             Err(ExecError::Unbound(_))
         ));
+    }
+
+    #[test]
+    fn a_variable_rebound_inside_a_block_reads_its_latest_value() {
+        let mut c = catalog(true);
+        c.segmented_mut("sys.P.ra")
+            .unwrap()
+            .adapt(&Atom::Dbl(205.0), &Atom::Dbl(205.12))
+            .unwrap();
+        let pieces = c.segmented("sys.P.ra").unwrap().piece_count();
+        assert!(pieces > 2);
+        // `rseg`, `T1` and `N` are rebound on every pass through the block;
+        // each read inside it sees the current pass's value.
+        let src = r#"
+    Y1 := bpm.take("sys.P.ra");
+    Y2 := bpm.new();
+    barrier rseg := bpm.newIterator(Y1,204.0,207.0);
+    T1 := algebra.uselect(rseg,204.0,207.0);
+    N := aggr.count(T1);
+    bpm.addSegment(Y2,T1);
+    redo rseg := bpm.hasMoreElements(Y1,204.0,207.0);
+    exit rseg;
+    X14 := bpm.pack(Y2);
+"#;
+        let prog = parse(src).unwrap();
+        let mut interp = Interp::new(&mut c);
+        interp.run(&prog, &[]).unwrap();
+        let Some(MalValue::Bat(all)) = interp.get("X14") else {
+            panic!("X14 must be a bat")
+        };
+        let mut oids = all.head_oids();
+        oids.sort_unstable();
+        assert_eq!(oids, (0..6).collect::<Vec<u64>>(), "each piece once");
+        let Some(MalValue::Bat(last)) = interp.get("T1") else {
+            panic!("T1 must be a bat")
+        };
+        let Some(MalValue::Atom(Atom::Int(n))) = interp.get("N") else {
+            panic!("N must be an int")
+        };
+        assert_eq!(*n, last.len() as i64, "N counted the last pass's T1");
+        let tail = algebra::slice(all, all.len() - last.len(), all.len());
+        assert_eq!(tail.head_oids(), last.head_oids(), "T1 is the last piece's");
+    }
+
+    #[test]
+    fn an_unknown_call_fails_only_when_it_runs() {
+        let mut c = catalog(true);
+        // The block is skipped: no piece overlaps [300, 301].
+        let skipped = parse(
+            r#"
+    Y1 := bpm.take("sys.P.ra");
+    barrier rseg := bpm.newIterator(Y1,300.0,301.0);
+    X := nosuch.fn(rseg);
+    redo rseg := bpm.hasMoreElements(Y1,300.0,301.0);
+    exit rseg;
+    K := bpm.segments(Y1);
+"#,
+        )
+        .unwrap();
+        let mut interp = Interp::new(&mut c);
+        interp.run(&skipped, &[]).unwrap();
+        assert!(interp.get("X").is_none());
+        assert!(matches!(
+            interp.get("K"),
+            Some(MalValue::Atom(Atom::Int(1)))
+        ));
+        // Entered, it fails with the call's own name.
+        let entered = parse(
+            r#"
+    Y1 := bpm.take("sys.P.ra");
+    barrier rseg := bpm.newIterator(Y1,204.0,207.0);
+    X := nosuch.fn(rseg);
+    redo rseg := bpm.hasMoreElements(Y1,204.0,207.0);
+    exit rseg;
+"#,
+        )
+        .unwrap();
+        match Interp::new(&mut c).run(&entered, &[]) {
+            Err(ExecError::UnknownFunction(name)) => assert_eq!(name, "nosuch.fn"),
+            other => panic!("expected an unknown function, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_compiled_plan_and_its_text_answer_alike_and_read_by_name() {
+        let sql = "SELECT objid FROM sys.P WHERE ra BETWEEN 205.1 AND 205.12";
+        for segmented in [false, true] {
+            let mut c = catalog(segmented);
+            c.insert_row(
+                "sys",
+                "P",
+                &[("ra", Atom::Dbl(205.111)), ("objid", Atom::Int(9006))],
+            );
+            c.delete_row("sys", "P", 2);
+            let compiled = crate::compile_select(sql).unwrap();
+            let mut answers = Vec::new();
+            for (optimize, from_text) in
+                [(false, false), (false, true), (true, false), (true, true)]
+            {
+                // An optimized plan names pieces, so it is built right
+                // before it runs: the last run's `bpm.adapt` moved them.
+                let mut plan = compiled.clone();
+                if optimize {
+                    plan = crate::SegmentOptimizer::new().optimize(&plan, &c).0;
+                }
+                if from_text {
+                    plan = parse(&plan.render()).unwrap();
+                }
+                let mut interp = Interp::new(&mut c);
+                let result = interp.run(&plan, &[]).unwrap().unwrap();
+                let Some(MalValue::Bat(x37)) = interp.get("X37") else {
+                    panic!("X37 must be a bat")
+                };
+                assert!(x37.shares_storage_with(&result), "X37 is the result");
+                answers.push(result);
+            }
+            let Tail::Int(ids) = answers[0].tail() else {
+                panic!("int tail")
+            };
+            let mut ids = ids.to_vec();
+            ids.sort_unstable();
+            assert_eq!(ids, [9004, 9006], "segmented {segmented}");
+            for a in &answers[1..] {
+                assert_eq!(a.head_oids(), answers[0].head_oids());
+                assert_eq!(a.tail(), answers[0].tail());
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@ use std::sync::Arc;
 
 use soc_bat::Atom;
 
-use crate::ast::{references, Arg, Instruction, Name, Program, Stmt};
+use crate::ast::{references, Arg, Const, Instruction, Name, Op, Program, Stmt, Var, VarName};
+use crate::bpm::SegmentedBat;
 use crate::catalog::Catalog;
 
 /// How one selection was rewritten.
@@ -60,28 +61,68 @@ impl Default for SegmentOptimizer {
     }
 }
 
-/// `target := module.function(args)` as a fresh statement.
-fn assign(
-    target: Option<Name>,
-    module: &'static str,
-    function: &'static str,
-    args: Vec<Arg>,
-) -> Stmt {
-    Stmt::Assign(Arc::new(Instruction::new(target, module, function, args)))
-}
-
-/// `target := sql.bind(schema, table, column, 0)` with constant names —
-/// the bind of a base column — as its target and name parts.
-fn base_bind(i: &Instruction) -> Option<(&Name, [&str; 3])> {
-    let name = |k: usize| match i.args.get(k) {
-        Some(Arg::Const(Atom::Str(s))) => Some(s.as_str()),
+/// The segmented column a selection `i` reads: `i` is an `algebra.select`
+/// or `algebra.uselect` with a target and two bounds whose first argument
+/// is bound by `target := sql.bind(schema, table, column, 0)` — the bind
+/// of a base column, with constant names — to a segmented column.
+/// Returns the column's shared catalog key and the column.
+fn segmented_selection<'c>(
+    prog: &Program,
+    catalog: &'c Catalog,
+    i: &Instruction,
+) -> Option<(&'c Arc<str>, &'c SegmentedBat)> {
+    if !matches!(i.op, Op::AlgebraSelect | Op::AlgebraUselect) || i.target.is_none() {
+        return None;
+    }
+    let (Some(Arg::Var(bound)), Some(_), Some(_)) = (i.arg(0), i.arg(1), i.arg(2)) else {
+        return None;
+    };
+    let name = |b: &Instruction, k: usize| match b.arg(k) {
+        Some(Arg::Const(c)) => match prog.konst(c) {
+            Atom::Str(s) => Some(&**s),
+            _ => None,
+        },
         _ => None,
     };
-    match (&i.target, i.args.get(3)) {
-        (Some(target), Some(Arg::Const(Atom::Int(0)))) if i.is("sql", "bind") => {
-            Some((target, [name(0)?, name(1)?, name(2)?]))
+    prog.stmts.iter().find_map(|s| {
+        let Stmt::Assign(b) = s else { return None };
+        let base = matches!(b.arg(3), Some(Arg::Const(c)) if *prog.konst(c) == Atom::Int(0));
+        if b.op != Op::SqlBind || b.target != Some(bound) || !base {
+            return None;
         }
-        _ => None,
+        let key = catalog.segmented_key(name(b, 0)?, name(b, 1)?, name(b, 2)?)?;
+        Some((key, catalog.segmented(key)?))
+    })
+}
+
+/// The plan a rewrite builds: its statements, and its variable and
+/// constant tables, which start as the input's so that every slot of a
+/// statement passed through keeps its meaning.
+struct Rewrite {
+    stmts: Vec<Stmt>,
+    names: Vec<VarName>,
+    consts: Vec<Atom>,
+    /// Variables minted so far; numbers the fresh names.
+    fresh: u32,
+}
+
+impl Rewrite {
+    /// A fresh variable `_{prefix}{n}`.
+    fn var(&mut self, prefix: &'static str) -> Var {
+        self.fresh += 1;
+        self.names.push(VarName::Fresh(prefix, self.fresh));
+        Var::at(self.names.len() as u32 - 1)
+    }
+
+    fn konst(&mut self, value: Atom) -> Arg {
+        self.consts.push(value);
+        Arg::Const(Const::at(self.consts.len() as u32 - 1))
+    }
+
+    /// `target := op(args)` as a fresh statement.
+    fn assign<const N: usize>(&mut self, target: Option<Var>, op: Op, args: [Arg; N]) {
+        self.stmts
+            .push(Stmt::Assign(Instruction::new(target, op, args)));
     }
 }
 
@@ -93,77 +134,64 @@ impl SegmentOptimizer {
 
     /// Rewrites `prog` against `catalog`, returning the new plan and a
     /// report of what changed. Plans without segmented selections come
-    /// back untouched; statements the rewrite leaves alone are shared
-    /// with `prog`, not copied.
+    /// back untouched. A statement the rewrite leaves alone is copied as
+    /// it is — its slots index the same names and constants in the new
+    /// plan — and a statement it adds refers to its fresh variables by
+    /// slot and to the column by the catalog's own shared key: no name is
+    /// formatted and no key copied.
     pub fn optimize(&self, prog: &Program, catalog: &Catalog) -> (Program, OptimizerReport) {
         let mut report = OptimizerReport::default();
-
-        // Pass 1: binds of segmented base columns (access 0, const names).
-        let mut seg_binds: Vec<(&Name, String)> = Vec::new(); // (var, key)
-        for s in &prog.stmts {
-            let Stmt::Assign(i) = s else { continue };
-            let Some((target, [sch, tab, col])) = base_bind(i) else {
-                continue;
-            };
-            if Catalog::with_key(sch, tab, col, |key| catalog.is_segmented(key)) {
-                seg_binds.push((target, Catalog::key(sch, tab, col)));
-            }
-        }
-        if seg_binds.is_empty() {
+        let rewritable = |s: &Stmt| match s {
+            Stmt::Assign(i) => segmented_selection(prog, catalog, i),
+            _ => None,
+        };
+        if !prog.stmts.iter().any(|s| rewritable(s).is_some()) {
             return (prog.clone(), report);
         }
 
-        // Pass 2: rewrite selections over segmented binds.
-        let mut fresh = 0usize;
-        let mut out: Vec<Stmt> = Vec::with_capacity(prog.stmts.len() + 16);
-        let mut rewritten_bind_vars: Vec<&Name> = Vec::new();
+        // Rewrite selections over segmented binds.
+        let mut out = Rewrite {
+            stmts: Vec::with_capacity(prog.stmts.len() + 16),
+            names: Vec::with_capacity(prog.vars.len() + 16),
+            consts: Vec::with_capacity(prog.consts.len() + 8),
+            fresh: 0,
+        };
+        out.names.extend_from_slice(&prog.vars);
+        out.consts.extend_from_slice(&prog.consts);
+        let mut rewritten_bind_vars: Vec<Var> = Vec::new();
         for s in &prog.stmts {
-            let Stmt::Assign(i) = s else {
-                out.push(s.clone());
+            let (Stmt::Assign(i), Some((key, seg))) = (s, rewritable(s)) else {
+                out.stmts.push(s.clone());
                 continue;
             };
-            let op = if i.is("algebra", "select") {
-                "select"
-            } else if i.is("algebra", "uselect") {
-                "uselect"
-            } else {
-                out.push(s.clone());
-                continue;
-            };
-            let bind = i
-                .args
-                .first()
-                .and_then(Arg::var)
-                .and_then(|v| seg_binds.iter().find(|(var, _)| *var == v));
-            let (Some(target), Some((bind_var, key)), [_, lo, hi, ..]) =
-                (&i.target, bind, i.args.as_slice())
+            let (Some(target), Some(Arg::Var(bind_var)), Some(lo), Some(hi)) =
+                (i.target, i.arg(0), i.arg(1), i.arg(2))
             else {
-                out.push(s.clone());
+                out.stmts.push(s.clone());
                 continue;
             };
-            let Some(seg) = catalog.segmented(key) else {
-                // Registered set changed between passes — leave the
-                // statement alone rather than rewriting against stale
-                // metadata.
-                out.push(s.clone());
-                continue;
-            };
-            let strategy = self.expand(&mut out, &mut fresh, target, op, key, seg, lo, hi);
-            report.rewrites.push((target.clone(), strategy));
+            let strategy = self.expand(&mut out, target, i.op, key, seg, lo, hi);
+            report
+                .rewrites
+                .push((prog.name(target).to_name(), strategy));
             rewritten_bind_vars.push(bind_var);
         }
 
-        // Pass 3: drop rewritten binds that no remaining instruction
-        // references.
-        rewritten_bind_vars.retain(|v| !references(&out, v));
-        let before = out.len();
-        out.retain(|s| {
-            !matches!(s, Stmt::Assign(i) if i.is("sql", "bind")
-                && i.target.as_ref().is_some_and(|t| rewritten_bind_vars.contains(&t)))
+        // Drop rewritten binds that no remaining instruction references.
+        rewritten_bind_vars.retain(|&v| !references(&out.stmts, v));
+        let before = out.stmts.len();
+        out.stmts.retain(|s| {
+            !matches!(s, Stmt::Assign(i) if i.op == Op::SqlBind
+                && i.target.is_some_and(|t| rewritten_bind_vars.contains(&t)))
         });
-        report.dropped_binds = before - out.len();
+        report.dropped_binds = before - out.stmts.len();
 
-        (Program { stmts: out }, report)
+        let rewritten = Program {
+            stmts: out.stmts,
+            vars: Arc::new(out.names),
+            consts: out.consts,
+        };
+        (rewritten, report)
     }
 
     /// Emits the replacement sequence for one selection; returns the
@@ -171,88 +199,59 @@ impl SegmentOptimizer {
     #[allow(clippy::too_many_arguments)]
     fn expand(
         &self,
-        out: &mut Vec<Stmt>,
-        fresh: &mut usize,
-        target: &Name,
-        op: &'static str,
-        key: &str,
-        seg: &crate::bpm::SegmentedBat,
-        lo: &Arg,
-        hi: &Arg,
+        out: &mut Rewrite,
+        target: Var,
+        op: Op,
+        key: &Arc<str>,
+        seg: &SegmentedBat,
+        lo: Arg,
+        hi: Arg,
     ) -> RewriteStrategy {
-        let mut var = |prefix: &str| -> Name {
-            *fresh += 1;
-            format!("_{prefix}{fresh}").into()
-        };
-        let y = var("Y");
-        out.push(assign(
-            Some(y.clone()),
-            "bpm",
-            "take",
-            vec![Arg::Const(Atom::Str(key.to_owned()))],
-        ));
+        let y = out.var("Y");
+        let key = out.konst(Atom::Str(Arc::clone(key)));
+        out.assign(Some(y), Op::BpmTake, [key]);
 
         // Relevant segments: pruned via the meta-index when the predicate
         // constants are known at optimization time.
-        let bounds = match (lo, hi) {
-            (Arg::Const(l), Arg::Const(h)) => l.as_f64().zip(h.as_f64()),
-            _ => None,
+        let bound = |out: &Rewrite, a: Arg| match a {
+            Arg::Const(c) => out.consts.get(c.slot()).and_then(Atom::as_f64),
+            Arg::Var(_) => None,
         };
-        let relevant: Vec<usize> = match bounds {
-            Some((l, h)) => seg.overlapping(l, h),
-            None => (0..seg.piece_count()).collect(),
+        let relevant = match (bound(out, lo), bound(out, hi)) {
+            (Some(l), Some(h)) => seg.overlapping(l, h),
+            _ => 0..seg.piece_count(),
         };
 
         let strategy = if relevant.len() <= self.unroll_threshold {
             // Unrolled: one instruction instance per relevant segment.
-            let mut partials: Vec<Name> = Vec::with_capacity(relevant.len());
-            for idx in &relevant {
-                let s_var = var("S");
-                out.push(assign(
-                    Some(s_var.clone()),
-                    "bpm",
-                    "takeSegment",
-                    vec![Arg::Var(y.clone()), Arg::Const(Atom::Int(*idx as i64))],
-                ));
-                let t_var = var("T");
-                out.push(assign(
-                    Some(t_var.clone()),
-                    "algebra",
-                    op,
-                    vec![Arg::Var(s_var), lo.clone(), hi.clone()],
-                ));
+            let mut partials: Vec<Var> = Vec::with_capacity(relevant.len());
+            for idx in relevant.clone() {
+                let s_var = out.var("S");
+                let index = out.konst(Atom::Int(idx as i64));
+                out.assign(Some(s_var), Op::BpmTakeSegment, [Arg::Var(y), index]);
+                let t_var = out.var("T");
+                out.assign(Some(t_var), op, [Arg::Var(s_var), lo, hi]);
                 partials.push(t_var);
             }
             match partials.len() {
                 0 => {
                     // Nothing overlaps: an empty result via an empty pack.
-                    let r = var("R");
-                    out.push(assign(Some(r.clone()), "bpm", "new", vec![]));
-                    out.push(assign(
-                        Some(target.clone()),
-                        "bpm",
-                        "pack",
-                        vec![Arg::Var(r)],
-                    ));
+                    let r = out.var("R");
+                    out.assign(Some(r), Op::BpmNew, []);
+                    out.assign(Some(target), Op::BpmPack, [Arg::Var(r)]);
                 }
                 1 => {
-                    // Rename the single partial into the original target;
-                    // the statement was just built, so this copies nothing.
-                    if let Some(Stmt::Assign(last)) = out.last_mut() {
-                        Arc::make_mut(last).target = Some(target.clone());
+                    // Rename the single partial into the original target.
+                    if let Some(Stmt::Assign(last)) = out.stmts.last_mut() {
+                        last.target = Some(target);
                     }
                 }
                 n => {
                     // Fold with bat.append.
-                    let mut acc = partials.remove(0);
-                    for (k, p) in partials.into_iter().enumerate() {
-                        let next = if k == n - 2 { target.clone() } else { var("U") };
-                        out.push(assign(
-                            Some(next.clone()),
-                            "bat",
-                            "append",
-                            vec![Arg::Var(acc), Arg::Var(p)],
-                        ));
+                    let mut acc = partials[0];
+                    for (k, &p) in partials[1..].iter().enumerate() {
+                        let next = if k == n - 2 { target } else { out.var("U") };
+                        out.assign(Some(next), Op::BatAppend, [Arg::Var(acc), Arg::Var(p)]);
                         acc = next;
                     }
                 }
@@ -262,51 +261,29 @@ impl SegmentOptimizer {
             }
         } else {
             // Iterator block (the Section 3.1 example rewrite).
-            let r = var("R");
-            let rseg = var("rseg");
-            out.push(assign(Some(r.clone()), "bpm", "new", vec![]));
-            out.push(Stmt::Barrier(Arc::new(Instruction::new(
-                Some(rseg.clone()),
-                "bpm",
-                "newIterator",
-                vec![Arg::Var(y.clone()), lo.clone(), hi.clone()],
-            ))));
-            let t = var("T");
-            out.push(assign(
-                Some(t.clone()),
-                "algebra",
-                op,
-                vec![Arg::Var(rseg.clone()), lo.clone(), hi.clone()],
-            ));
-            out.push(assign(
-                None,
-                "bpm",
-                "addSegment",
-                vec![Arg::Var(r.clone()), Arg::Var(t)],
-            ));
-            out.push(Stmt::Redo(Arc::new(Instruction::new(
-                Some(rseg.clone()),
-                "bpm",
-                "hasMoreElements",
-                vec![Arg::Var(y.clone()), lo.clone(), hi.clone()],
-            ))));
-            out.push(Stmt::Exit(rseg));
-            out.push(assign(
-                Some(target.clone()),
-                "bpm",
-                "pack",
-                vec![Arg::Var(r)],
-            ));
+            let r = out.var("R");
+            let rseg = out.var("rseg");
+            out.assign(Some(r), Op::BpmNew, []);
+            out.stmts.push(Stmt::Barrier(Instruction::new(
+                Some(rseg),
+                Op::BpmNewIterator,
+                [Arg::Var(y), lo, hi],
+            )));
+            let t = out.var("T");
+            out.assign(Some(t), op, [Arg::Var(rseg), lo, hi]);
+            out.assign(None, Op::BpmAddSegment, [Arg::Var(r), Arg::Var(t)]);
+            out.stmts.push(Stmt::Redo(Instruction::new(
+                Some(rseg),
+                Op::BpmHasMoreElements,
+                [Arg::Var(y), lo, hi],
+            )));
+            out.stmts.push(Stmt::Exit(rseg));
+            out.assign(Some(target), Op::BpmPack, [Arg::Var(r)]);
             RewriteStrategy::Iterator
         };
 
         if self.inject_adaptation {
-            out.push(assign(
-                None,
-                "bpm",
-                "adapt",
-                vec![Arg::Var(y), lo.clone(), hi.clone()],
-            ));
+            out.assign(None, Op::BpmAdapt, [Arg::Var(y), lo, hi]);
         }
         strategy
     }

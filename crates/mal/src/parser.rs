@@ -2,11 +2,9 @@
 //! verbatim, including type annotations (which are checked for shape and
 //! otherwise ignored), string/numeric/oid literals, and guarded blocks.
 
-use std::sync::Arc;
-
 use soc_bat::Atom;
 
-use crate::ast::{Arg, Instruction, Name, Program, Stmt};
+use crate::ast::{Arg, Instruction, Op, Program, Stmt, Var, VarName, MAX_ARGS};
 
 /// A parse failure with a line number.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,13 +143,30 @@ fn tokenize(line: &str, lineno: usize) -> Result<Vec<Tok>, ParseError> {
     Ok(toks)
 }
 
-struct Cursor<'a> {
+/// The program being parsed: names are interned into its variable
+/// table, literals appended to its constant table.
+struct Builder {
+    prog: Program,
+}
+
+impl Builder {
+    /// The slot of variable `name`, added on first sight.
+    fn var(&mut self, name: &str) -> Var {
+        match self.prog.slot_of(name) {
+            Some(v) => v,
+            None => self.prog.push_var(VarName::Text(name.into())),
+        }
+    }
+}
+
+struct Cursor<'a, 'b> {
     toks: &'a [Tok],
     pos: usize,
     line: usize,
+    b: &'b mut Builder,
 }
 
-impl<'a> Cursor<'a> {
+impl<'a> Cursor<'a, '_> {
     fn peek(&self) -> Option<&'a Tok> {
         self.toks.get(self.pos)
     }
@@ -176,11 +191,17 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, ParseError> {
+    fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
         match self.next() {
-            Some(Tok::Ident(s)) => Ok(s.clone()),
+            Some(Tok::Ident(s)) => Ok(s),
             other => Err(self.err(&format!("expected {what}, got {other:?}"))),
         }
+    }
+
+    /// A variable named by the next identifier.
+    fn var(&mut self, what: &str) -> Result<Var, ParseError> {
+        let name = self.ident(what)?;
+        Ok(self.b.var(name))
     }
 
     /// Skips a type annotation after ':' — an identifier optionally
@@ -210,25 +231,23 @@ impl<'a> Cursor<'a> {
             return Ok(args);
         }
         loop {
+            let konst = |b: &mut Builder, a: Atom| Arg::Const(b.prog.push_const(a));
             let arg = match self.next() {
                 Some(Tok::Ident(s)) => match s.as_str() {
-                    "true" => Arg::Const(Atom::Int(1)),
-                    "false" => Arg::Const(Atom::Int(0)),
-                    "nil" => Arg::Const(Atom::Nil),
-                    _ => Arg::Var(s.clone().into()),
+                    "true" => konst(self.b, Atom::Int(1)),
+                    "false" => konst(self.b, Atom::Int(0)),
+                    "nil" => konst(self.b, Atom::Nil),
+                    _ => Arg::Var(self.b.var(s)),
                 },
-                Some(Tok::Str(s)) => Arg::Const(Atom::Str(s.clone())),
-                Some(Tok::OidLit(v)) => Arg::Const(Atom::Oid(*v)),
+                Some(Tok::Str(s)) => konst(self.b, Atom::Str(s.as_str().into())),
+                Some(Tok::OidLit(v)) => konst(self.b, Atom::Oid(*v)),
                 Some(Tok::Num(s)) => {
-                    if s.contains('.') || s.contains('e') {
-                        Arg::Const(Atom::Dbl(
-                            s.parse().map_err(|_| self.err("bad float literal"))?,
-                        ))
+                    let atom = if s.contains('.') || s.contains('e') {
+                        Atom::Dbl(s.parse().map_err(|_| self.err("bad float literal"))?)
                     } else {
-                        Arg::Const(Atom::Int(
-                            s.parse().map_err(|_| self.err("bad int literal"))?,
-                        ))
-                    }
+                        Atom::Int(s.parse().map_err(|_| self.err("bad int literal"))?)
+                    };
+                    konst(self.b, atom)
                 }
                 other => return Err(self.err(&format!("bad argument: {other:?}"))),
             };
@@ -242,37 +261,60 @@ impl<'a> Cursor<'a> {
         Ok(args)
     }
 
-    /// `module.fn(args)` with the module/function already split by Dot.
-    fn call(&mut self, target: Option<Name>) -> Result<Arc<Instruction>, ParseError> {
+    /// `fn(args)` of module `module`, the dot already consumed: the pair
+    /// is resolved to its opcode here, once.
+    fn call_of(&mut self, target: Option<Var>, module: &str) -> Result<Instruction, ParseError> {
+        let function = self.ident("function name")?;
+        let op = match Op::resolve(module, function) {
+            Some(op) => op,
+            None => Op::Unknown {
+                module: self.b.prog.push_const(Atom::Str(module.into())),
+                function: self.b.prog.push_const(Atom::Str(function.into())),
+            },
+        };
+        let args = self.args()?;
+        Instruction::from_slice(target, op, &args).ok_or_else(|| {
+            self.err(&format!(
+                "{module}.{function} has {} arguments, at most {MAX_ARGS} are supported",
+                args.len()
+            ))
+        })
+    }
+
+    /// `module.fn(args)`.
+    fn call(&mut self, target: Option<Var>) -> Result<Instruction, ParseError> {
         let module = self.ident("module name")?;
         self.expect(&Tok::Dot, "'.'")?;
-        let function = self.ident("function name")?;
-        let args = self.args()?;
-        Ok(Arc::new(Instruction::new(target, module, function, args)))
+        self.call_of(target, module)
     }
 }
 
 /// Parses one MAL statement from tokens.
-fn parse_stmt(toks: &[Tok], line: usize) -> Result<Option<Stmt>, ParseError> {
+fn parse_stmt(b: &mut Builder, toks: &[Tok], line: usize) -> Result<Option<Stmt>, ParseError> {
     if toks.is_empty() {
         return Ok(None);
     }
-    let mut c = Cursor { toks, pos: 0, line };
+    let mut c = Cursor {
+        toks,
+        pos: 0,
+        line,
+        b,
+    };
     let stmt = match c.peek() {
         Some(Tok::Ident(kw)) if kw == "function" => {
             c.next();
             // function user.name(P:typ,...)[:rettyp];
-            let mut name = c.ident("function name")?;
+            let mut name = c.ident("function name")?.to_owned();
             while c.peek() == Some(&Tok::Dot) {
                 c.next();
                 name.push('.');
-                name.push_str(&c.ident("name part")?);
+                name.push_str(c.ident("name part")?);
             }
             c.expect(&Tok::LParen, "'('")?;
             let mut params = Vec::new();
             if c.peek() != Some(&Tok::RParen) {
                 loop {
-                    params.push(c.ident("parameter")?.into());
+                    params.push(c.var("parameter")?);
                     if c.peek() == Some(&Tok::Colon) {
                         c.next();
                         c.skip_type()?;
@@ -298,19 +340,19 @@ fn parse_stmt(toks: &[Tok], line: usize) -> Result<Option<Stmt>, ParseError> {
         Some(Tok::Ident(kw)) if kw == "end" => Stmt::End,
         Some(Tok::Ident(kw)) if kw == "exit" => {
             c.next();
-            Stmt::Exit(c.ident("block variable")?.into())
+            Stmt::Exit(c.var("block variable")?)
         }
         Some(Tok::Ident(kw)) if kw == "barrier" || kw == "redo" => {
-            let kind = kw.clone();
+            let barrier = kw == "barrier";
             c.next();
-            let target = c.ident("target variable")?;
+            let target = c.var("target variable")?;
             if c.peek() == Some(&Tok::Colon) {
                 c.next();
                 c.skip_type()?;
             }
             c.expect(&Tok::Assign, "':='")?;
-            let instr = c.call(Some(target.into()))?;
-            if kind == "barrier" {
+            let instr = c.call(Some(target))?;
+            if barrier {
                 Stmt::Barrier(instr)
             } else {
                 Stmt::Redo(instr)
@@ -321,21 +363,21 @@ fn parse_stmt(toks: &[Tok], line: usize) -> Result<Option<Stmt>, ParseError> {
             let first = c.ident("identifier")?;
             match c.peek() {
                 Some(Tok::Colon) => {
+                    let target = c.b.var(first);
                     c.next();
                     c.skip_type()?;
                     c.expect(&Tok::Assign, "':='")?;
-                    Stmt::Assign(c.call(Some(first.into()))?)
+                    Stmt::Assign(c.call(Some(target))?)
                 }
                 Some(Tok::Assign) => {
+                    let target = c.b.var(first);
                     c.next();
-                    Stmt::Assign(c.call(Some(first.into()))?)
+                    Stmt::Assign(c.call(Some(target))?)
                 }
                 Some(Tok::Dot) => {
                     // bare call: first is the module
                     c.next();
-                    let function = c.ident("function name")?;
-                    let args = c.args()?;
-                    Stmt::Assign(Arc::new(Instruction::new(None, first, function, args)))
+                    Stmt::Assign(c.call_of(None, first)?)
                 }
                 other => return Err(c.err(&format!("unexpected token {other:?}"))),
             }
@@ -349,7 +391,9 @@ fn parse_stmt(toks: &[Tok], line: usize) -> Result<Option<Stmt>, ParseError> {
 ///
 /// Statements are semicolon-terminated; `#` starts a comment.
 pub fn parse(src: &str) -> Result<Program, ParseError> {
-    let mut stmts = Vec::new();
+    let mut b = Builder {
+        prog: Program::default(),
+    };
     let mut pending: Vec<Tok> = Vec::new();
     for (lineno, line) in src.lines().enumerate() {
         let toks = tokenize(line, lineno + 1)?;
@@ -357,8 +401,8 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
         // Split on semicolons (a statement may span lines).
         while let Some(pos) = pending.iter().position(|t| *t == Tok::Semi) {
             let stmt_toks: Vec<Tok> = pending.drain(..=pos).take(pos).collect();
-            if let Some(s) = parse_stmt(&stmt_toks, lineno + 1)? {
-                stmts.push(s);
+            if let Some(s) = parse_stmt(&mut b, &stmt_toks, lineno + 1)? {
+                b.prog.stmts.push(s);
             }
         }
     }
@@ -368,12 +412,20 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
             message: "trailing tokens without ';'".to_owned(),
         });
     }
-    Ok(Program { stmts })
+    Ok(b.prog)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Argument `k` of `i`: a variable's name, or a constant.
+    fn arg(p: &Program, i: &Instruction, k: usize) -> Result<String, Atom> {
+        match i.args()[k] {
+            Arg::Var(v) => Ok(p.name(v).to_string()),
+            Arg::Const(c) => Err(p.konst(c).clone()),
+        }
+    }
 
     #[test]
     fn parses_simple_assignment() {
@@ -382,10 +434,25 @@ mod tests {
         let Stmt::Assign(i) = &p.stmts[0] else {
             panic!("expected assignment")
         };
-        assert_eq!(i.target.as_deref(), Some("X14"));
-        assert_eq!(i.qualified(), "algebra.select");
-        assert_eq!(i.args.len(), 3);
-        assert_eq!(i.args[0], Arg::Var("X1".into()));
+        assert!(p.name(i.target.unwrap()).is("X14"));
+        assert_eq!(i.op, Op::AlgebraSelect);
+        assert_eq!(p.qualified(i), "algebra.select");
+        assert_eq!(i.args().len(), 3);
+        assert_eq!(arg(&p, i, 0), Ok("X1".to_owned()));
+    }
+
+    #[test]
+    fn an_unknown_call_keeps_its_names_and_a_long_one_is_rejected() {
+        let p = parse("X := nosuch.fn(1);").unwrap();
+        let Stmt::Assign(i) = &p.stmts[0] else {
+            panic!("expected assignment")
+        };
+        assert!(matches!(i.op, Op::Unknown { .. }));
+        assert_eq!(p.qualified(i), "nosuch.fn");
+        assert_eq!(p.render().trim(), "X := nosuch.fn(1);");
+        assert!(parse("io.print(1,2,3,4,5,6,7,8);").is_ok());
+        let e = parse("io.print(1,2,3,4,5,6,7,8,9);").unwrap_err();
+        assert!(e.message.contains("at most 8"), "{e}");
     }
 
     #[test]
@@ -400,17 +467,17 @@ mod tests {
         let Stmt::Assign(bind) = &p.stmts[0] else {
             panic!()
         };
-        assert_eq!(bind.args[0], Arg::Const(Atom::Str("sys".into())));
-        assert_eq!(bind.args[3], Arg::Const(Atom::Int(0)));
+        assert_eq!(arg(&p, bind, 0), Err(Atom::Str("sys".into())));
+        assert_eq!(arg(&p, bind, 3), Err(Atom::Int(0)));
         let Stmt::Assign(sel) = &p.stmts[1] else {
             panic!()
         };
-        assert_eq!(sel.args[1], Arg::Const(Atom::Dbl(205.1)));
-        assert_eq!(sel.args[3], Arg::Const(Atom::Int(1)), "true -> 1");
+        assert_eq!(arg(&p, sel, 1), Err(Atom::Dbl(205.1)));
+        assert_eq!(arg(&p, sel, 3), Err(Atom::Int(1)), "true -> 1");
         let Stmt::Assign(oid) = &p.stmts[2] else {
             panic!()
         };
-        assert_eq!(oid.args[0], Arg::Const(Atom::Oid(0)));
+        assert_eq!(arg(&p, oid, 0), Err(Atom::Oid(0)));
     }
 
     #[test]
@@ -429,10 +496,11 @@ mod tests {
                    redo rseg := bpm.hasMoreElements(Y1,A0,A1);\n\
                    exit rseg;";
         let p = parse(src).unwrap();
-        assert!(matches!(&p.stmts[0], Stmt::Barrier(i) if i.target.as_deref() == Some("rseg")));
+        let rseg = p.slot_of("rseg").unwrap();
+        assert!(matches!(&p.stmts[0], Stmt::Barrier(i) if i.target == Some(rseg)));
         assert!(matches!(&p.stmts[2], Stmt::Assign(i) if i.target.is_none()));
-        assert!(matches!(&p.stmts[3], Stmt::Redo(_)));
-        assert_eq!(p.stmts[4], Stmt::Exit("rseg".into()));
+        assert!(matches!(&p.stmts[3], Stmt::Redo(i) if i.target == Some(rseg)));
+        assert!(matches!(p.stmts[4], Stmt::Exit(v) if v == rseg));
     }
 
     #[test]

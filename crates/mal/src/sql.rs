@@ -36,24 +36,25 @@
 //! column under any [`StrategyKind`] token (see
 //! [`StrategyKind::from_token`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use soc_bat::Atom;
 use soc_core::StrategyKind;
 
-use crate::ast::{Arg, Instruction, Name, Program, Stmt};
+use crate::ast::{Arg, Instruction, Op, Program, Stmt, Var, VarName};
+use crate::catalog::with_joined;
 
 /// A parsed range-selection query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectBetween {
     /// Schema (defaults to `sys` when the table is unqualified).
-    pub schema: String,
+    pub schema: Arc<str>,
     /// Table name.
-    pub table: String,
+    pub table: Arc<str>,
     /// Projected column.
-    pub projection: String,
+    pub projection: Arc<str>,
     /// Predicate column.
-    pub predicate: String,
+    pub predicate: Arc<str>,
     /// Lower bound, or `None` for a `?` placeholder.
     pub lo: Option<Atom>,
     /// Upper bound, or `None` for a `?` placeholder.
@@ -261,18 +262,18 @@ pub(crate) fn parse_alter(sql: &str) -> Result<AlterStrategy, SqlError> {
 
 /// Compiles the DDL hint into its one-instruction MAL plan.
 pub(crate) fn compile_alter(a: &AlterStrategy) -> Program {
-    let key = format!("{}.{}.{}", a.schema, a.table, a.column);
-    Program {
-        stmts: vec![Stmt::Assign(Arc::new(Instruction::new(
-            Some(Name::Borrowed("X1")),
-            "bpm",
-            "setStrategy",
-            vec![
-                Arg::Const(Atom::Str(key)),
-                Arg::Const(Atom::Str(a.kind.token().to_owned())),
-            ],
-        )))],
-    }
+    let mut p = compiled_program(1, 2);
+    let key = p.push_const(Atom::Str(with_joined(
+        &[&a.schema, &a.table, &a.column],
+        |k| k.into(),
+    )));
+    let kind = p.push_const(Atom::Str(a.kind.token().into()));
+    p.stmts.push(Stmt::Assign(Instruction::new(
+        Some(X1),
+        Op::BpmSetStrategy,
+        [Arg::Const(key), Arg::Const(kind)],
+    )));
+    p
 }
 
 /// Parses `ALTER TABLE [<schema>.]<table> SET MERGE THRESHOLD <n>`.
@@ -322,18 +323,19 @@ pub(crate) fn parse_alter_table(sql: &str) -> Result<AlterMergeThreshold, SqlErr
 
 /// Compiles the compaction DDL into its one-instruction MAL plan.
 pub(crate) fn compile_alter_table(a: &AlterMergeThreshold) -> Program {
-    Program {
-        stmts: vec![Stmt::Assign(Arc::new(Instruction::new(
-            Some(Name::Borrowed("X1")),
-            "sql",
-            "setMergeThreshold",
-            vec![
-                Arg::Const(Atom::Str(a.schema.clone())),
-                Arg::Const(Atom::Str(a.table.clone())),
-                Arg::Const(Atom::Int(a.rows as i64)),
-            ],
-        )))],
-    }
+    let mut p = compiled_program(1, 3);
+    let args = [
+        Atom::Str(a.schema.as_str().into()),
+        Atom::Str(a.table.as_str().into()),
+        Atom::Int(a.rows as i64),
+    ]
+    .map(|c| Arg::Const(p.push_const(c)));
+    p.stmts.push(Stmt::Assign(Instruction::new(
+        Some(X1),
+        Op::SqlSetMergeThreshold,
+        args,
+    )));
+    p
 }
 
 /// Parses any accepted statement: a range selection or one of the DDL
@@ -372,9 +374,9 @@ pub(crate) fn parse_select(sql: &str) -> Result<SelectBetween, SqlError> {
     let kw = |toks: &[Tok<'_>], i: usize, want: &str| -> bool {
         matches!(&toks.get(i), Some(Tok::Word(w)) if w.eq_ignore_ascii_case(want))
     };
-    let word = |toks: &[Tok<'_>], i: usize, what: &str| -> Result<String, SqlError> {
+    let word = |toks: &[Tok<'_>], i: usize, what: &str| -> Result<Arc<str>, SqlError> {
         match toks.get(i) {
-            Some(Tok::Word(w)) => Ok((*w).to_owned()),
+            Some(Tok::Word(w)) => Ok((*w).into()),
             other => Err(err(format!("expected {what}, got {other:?}"))),
         }
     };
@@ -397,7 +399,7 @@ pub(crate) fn parse_select(sql: &str) -> Result<SelectBetween, SqlError> {
         i += 1;
         (first, t)
     } else {
-        ("sys".to_owned(), first)
+        ("sys".into(), first)
     };
     if !kw(&toks, i, "where") {
         return Err(err("expected WHERE"));
@@ -438,6 +440,45 @@ pub(crate) fn parse_select(sql: &str) -> Result<SelectBetween, SqlError> {
     })
 }
 
+/// The variables of every plan [`compile`] builds, in slot order: one
+/// table, built once and shared by all of them.
+const COMPILED_NAMES: [&str; 16] = [
+    "X1", "X16", "X19", "X23", "X30", "X32", "X34", "X14", "X25", "X26", "X28", "X29", "X37",
+    "X38", "A0", "A1",
+];
+const X1: Var = Var::at(0);
+const X16: Var = Var::at(1);
+const X19: Var = Var::at(2);
+const X23: Var = Var::at(3);
+const X30: Var = Var::at(4);
+const X32: Var = Var::at(5);
+const X34: Var = Var::at(6);
+const X14: Var = Var::at(7);
+const X25: Var = Var::at(8);
+const X26: Var = Var::at(9);
+const X28: Var = Var::at(10);
+const X29: Var = Var::at(11);
+const X37: Var = Var::at(12);
+const X38: Var = Var::at(13);
+const A0: Var = Var::at(14);
+const A1: Var = Var::at(15);
+
+static COMPILED_VARS: LazyLock<Arc<Vec<VarName>>> =
+    LazyLock::new(|| Arc::new(COMPILED_NAMES.map(VarName::Fixed).to_vec()));
+
+/// The export's string constants `"bigint"` and `""`, built once.
+static EXPORT_STRS: LazyLock<[Atom; 2]> =
+    LazyLock::new(|| [Atom::Str("bigint".into()), Atom::Str("".into())]);
+
+/// An empty program over the compiler's shared variable table.
+fn compiled_program(stmts: usize, consts: usize) -> Program {
+    Program {
+        stmts: Vec::with_capacity(stmts),
+        vars: Arc::clone(&COMPILED_VARS),
+        consts: Vec::with_capacity(consts),
+    }
+}
+
 /// Compiles a parsed query into a MAL plan: Figure 1's binds, base
 /// selection and renumbering, with its delta merges as `sql.subdelta` and
 /// `sql.projectdelta` (see the module doc for why). The plan answers what
@@ -445,148 +486,83 @@ pub(crate) fn parse_select(sql: &str) -> Result<SelectBetween, SqlError> {
 ///
 /// Placeholder bounds become the function parameters `A0`/`A1`; literal
 /// bounds are inlined as constants (enabling the segment optimizer's
-/// meta-index pruning).
+/// meta-index pruning). Each name and number the plan repeats is one
+/// constant slot, its variables are the compiler's shared table, and its
+/// instructions hold their arguments inline: the plan costs a handful of
+/// allocations, not one per name.
 pub(crate) fn compile(q: &SelectBetween) -> Program {
-    let s = |v: &str| Arg::Const(Atom::Str(v.to_owned()));
-    let int = |v: i64| Arg::Const(Atom::Int(v));
-    let var = |v: &'static str| Arg::Var(Name::Borrowed(v));
-    let lo_arg = q.lo.clone().map_or(var("A0"), Arg::Const);
-    let hi_arg = q.hi.clone().map_or(var("A1"), Arg::Const);
+    let mut p = compiled_program(18, 14);
+    let mut konst = |a: Atom| Arg::Const(p.push_const(a));
+    let [schema, table, predicate, projection] = [&q.schema, &q.table, &q.predicate, &q.projection]
+        .map(|name| konst(Atom::Str(Arc::clone(name))));
+    let [int0, int1, int2, int64] = [0, 1, 2, 64].map(|v| konst(Atom::Int(v)));
+    let oid0 = konst(Atom::Oid(0));
+    let table_key = konst(Atom::Str(with_joined(&[&q.schema, &q.table], |k| k.into())));
+    let [bigint, empty] = EXPORT_STRS.clone().map(&mut konst);
+    let lo = q.lo.clone().map_or(Arg::Var(A0), &mut konst);
+    let hi = q.hi.clone().map_or(Arg::Var(A1), &mut konst);
 
-    let mut params = Vec::new();
-    if q.lo.is_none() {
-        params.push(Name::Borrowed("A0"));
-    }
-    if q.hi.is_none() {
-        params.push(Name::Borrowed("A1"));
-    }
-
-    let mut p = Vec::with_capacity(18);
-    p.push(Stmt::Function {
-        name: format!(
-            "user.{}_{}",
-            q.table.to_lowercase(),
-            q.predicate.to_lowercase()
-        )
-        .into(),
+    let params = [(q.lo.is_none(), A0), (q.hi.is_none(), A1)]
+        .into_iter()
+        .filter_map(|(placeholder, v)| placeholder.then_some(v))
+        .collect();
+    let mut name = format!("user.{}_{}", q.table, q.predicate);
+    name.make_ascii_lowercase();
+    p.stmts.push(Stmt::Function {
+        name: name.into(),
         params,
     });
-    let mut push =
-        |target: Option<&'static str>, module: &'static str, function: &'static str, args| {
-            p.push(Stmt::Assign(Arc::new(Instruction::new(
-                target.map(Name::Borrowed),
-                module,
-                function,
-                args,
-            ))));
-        };
-
-    // Predicate column: base + insert/update deltas + deletions.
-    push(
-        Some("X1"),
-        "sql",
-        "bind",
-        vec![s(&q.schema), s(&q.table), s(&q.predicate), int(0)],
-    );
-    push(
-        Some("X16"),
-        "sql",
-        "bind",
-        vec![s(&q.schema), s(&q.table), s(&q.predicate), int(1)],
-    );
-    push(
-        Some("X19"),
-        "sql",
-        "bind",
-        vec![s(&q.schema), s(&q.table), s(&q.predicate), int(2)],
-    );
-    push(
-        Some("X23"),
-        "sql",
-        "bind_dbat",
-        vec![s(&q.schema), s(&q.table), int(1)],
-    );
-    // Projected column: base + deltas.
-    push(
-        Some("X30"),
-        "sql",
-        "bind",
-        vec![s(&q.schema), s(&q.table), s(&q.projection), int(0)],
-    );
-    push(
-        Some("X32"),
-        "sql",
-        "bind",
-        vec![s(&q.schema), s(&q.table), s(&q.projection), int(1)],
-    );
-    push(
-        Some("X34"),
-        "sql",
-        "bind",
-        vec![s(&q.schema), s(&q.table), s(&q.projection), int(2)],
-    );
-    // Range selection over the base (what the segment optimizer rewrites),
-    // then the predicate-side delta merge: + qualifying inserts, − updated
-    // rows, + updated rows that qualify, − deleted rows.
-    push(
-        Some("X14"),
-        "algebra",
-        "uselect",
-        vec![var("X1"), lo_arg.clone(), hi_arg.clone()],
-    );
-    push(
-        Some("X25"),
-        "sql",
-        "subdelta",
-        vec![
-            var("X14"),
-            var("X16"),
-            var("X19"),
-            var("X23"),
-            lo_arg,
-            hi_arg,
-        ],
-    );
-    // Renumber, then reconstruct tuples by probing the projected column's
-    // updates, base and inserts for the selected oids.
-    push(Some("X26"), "calc", "oid", vec![Arg::Const(Atom::Oid(0))]);
-    push(
-        Some("X28"),
-        "algebra",
-        "markT",
-        vec![var("X25"), var("X26")],
-    );
-    push(Some("X29"), "bat", "reverse", vec![var("X28")]);
-    push(
-        Some("X37"),
-        "sql",
-        "projectdelta",
-        vec![var("X29"), var("X30"), var("X32"), var("X34")],
-    );
-    // Export.
-    push(
-        Some("X38"),
-        "sql",
-        "resultSet",
-        vec![int(1), int(1), var("X37")],
-    );
-    push(
-        None,
-        "sql",
-        "rsColumn",
-        vec![
-            var("X38"),
-            Arg::Const(Atom::Str(format!("{}.{}", q.schema, q.table))),
-            s(&q.projection),
-            s("bigint"),
-            int(64),
-            int(0),
-            var("X37"),
-        ],
-    );
-    push(None, "sql", "exportResult", vec![var("X38"), s("")]);
-    p.push(Stmt::End);
-    Program { stmts: p }
+    let var = Arg::Var;
+    let stmts = [
+        // Predicate column: base + insert/update deltas + deletions.
+        Instruction::new(Some(X1), Op::SqlBind, [schema, table, predicate, int0]),
+        Instruction::new(Some(X16), Op::SqlBind, [schema, table, predicate, int1]),
+        Instruction::new(Some(X19), Op::SqlBind, [schema, table, predicate, int2]),
+        Instruction::new(Some(X23), Op::SqlBindDbat, [schema, table, int1]),
+        // Projected column: base + deltas.
+        Instruction::new(Some(X30), Op::SqlBind, [schema, table, projection, int0]),
+        Instruction::new(Some(X32), Op::SqlBind, [schema, table, projection, int1]),
+        Instruction::new(Some(X34), Op::SqlBind, [schema, table, projection, int2]),
+        // Range selection over the base (what the segment optimizer
+        // rewrites), then the predicate-side delta merge: + qualifying
+        // inserts, − updated rows, + updated rows that qualify, − deleted
+        // rows.
+        Instruction::new(Some(X14), Op::AlgebraUselect, [var(X1), lo, hi]),
+        Instruction::new(
+            Some(X25),
+            Op::SqlSubdelta,
+            [var(X14), var(X16), var(X19), var(X23), lo, hi],
+        ),
+        // Renumber, then reconstruct tuples by probing the projected
+        // column's updates, base and inserts for the selected oids.
+        Instruction::new(Some(X26), Op::CalcOid, [oid0]),
+        Instruction::new(Some(X28), Op::AlgebraMarkT, [var(X25), var(X26)]),
+        Instruction::new(Some(X29), Op::BatReverse, [var(X28)]),
+        Instruction::new(
+            Some(X37),
+            Op::SqlProjectdelta,
+            [var(X29), var(X30), var(X32), var(X34)],
+        ),
+        // Export.
+        Instruction::new(Some(X38), Op::SqlResultSet, [int1, int1, var(X37)]),
+        Instruction::new(
+            None,
+            Op::SqlRsColumn,
+            [
+                var(X38),
+                table_key,
+                projection,
+                bigint,
+                int64,
+                int0,
+                var(X37),
+            ],
+        ),
+        Instruction::new(None, Op::SqlExportResult, [var(X38), empty]),
+    ];
+    p.stmts.extend(stmts.map(Stmt::Assign));
+    p.stmts.push(Stmt::End);
+    p
 }
 
 /// Parses and compiles in one step.
@@ -616,10 +592,10 @@ mod tests {
     #[test]
     fn parses_the_papers_query() {
         let q = parse_select("select objId from P where ra between 205.1 and 205.12").unwrap();
-        assert_eq!(q.schema, "sys");
-        assert_eq!(q.table, "P");
-        assert_eq!(q.projection, "objId");
-        assert_eq!(q.predicate, "ra");
+        assert_eq!(&*q.schema, "sys");
+        assert_eq!(&*q.table, "P");
+        assert_eq!(&*q.projection, "objId");
+        assert_eq!(&*q.predicate, "ra");
         assert_eq!(q.lo, Some(Atom::Dbl(205.1)));
         assert_eq!(q.hi, Some(Atom::Dbl(205.12)));
     }
@@ -627,8 +603,8 @@ mod tests {
     #[test]
     fn parses_qualified_table_and_placeholders() {
         let q = parse_select("SELECT objid FROM sky.photo WHERE ra BETWEEN ? AND ?").unwrap();
-        assert_eq!(q.schema, "sky");
-        assert_eq!(q.table, "photo");
+        assert_eq!(&*q.schema, "sky");
+        assert_eq!(&*q.table, "photo");
         assert_eq!(q.lo, None);
         assert_eq!(q.hi, None);
         let plan = compile(&q);
@@ -745,7 +721,7 @@ mod tests {
                 .stmts
                 .iter()
                 .filter_map(|s| match s {
-                    Stmt::Assign(i) => Some(i.qualified()),
+                    Stmt::Assign(i) => Some(plan.qualified(i)),
                     _ => None,
                 })
                 .collect();

@@ -2,7 +2,8 @@
 //!
 //! Compiling and rewriting a plan is on every query's path (the SQL
 //! compiler emits MAL, the segment optimizer rewrites it), so names,
-//! instructions and catalog keys must not be copied per statement. A
+//! constants, instructions and catalog keys must not be allocated or
+//! copied per statement. A
 //! counting global allocator, local to this test binary, runs the
 //! benchmark's `sql_session` statement shape — a 25-row window over a
 //! 25 000-row `ApmSegm` column — and pins how many allocations
@@ -72,23 +73,29 @@ const HOT_WINDOWS: usize = 64;
 const WARMUP: usize = 2_000;
 const MEASURED: usize = 2_000;
 
-/// Per-statement ceilings: what the statement path needs (64, 27 and 13
+/// Per-statement ceilings: what the statement path needs (10, 7 and 8.3
 /// allocations in release builds; with debug assertions every read of a
-/// column's piece ranges checks them against a fresh copy, 28 and 16)
-/// plus a little headroom. A name, instruction or key copied per
-/// statement again breaks them; with `String` names, deep-copied
-/// statements and formatted bind keys the path made 133, 145 and 88; with
-/// every taken piece built into a bat and every delta bind rebuilt,
-/// `Interp::run` made 34; with the piece ranges rebuilt at each read and
-/// the taken piece copied before its selection, 16.
-const COMPILE_MAX: f64 = 68.0;
-const OPTIMIZE_MAX: f64 = 31.0;
-const RUN_MAX: f64 = 17.0;
-const TOTAL_MAX: f64 = 128.0;
+/// column's piece ranges checks them against a fresh copy, 8 and 11.3)
+/// plus a little headroom. A name, constant, instruction or key allocated
+/// per statement again breaks them. With string-matched calls, name-keyed
+/// variables and a heap-allocated instruction, argument list and string
+/// constant per statement, the path made 64, 27 and 13 (28 and 16 with
+/// debug assertions); with `String` names, deep-copied statements and formatted
+/// bind keys, 133, 145 and 88; with every taken piece built into a bat and
+/// every delta bind rebuilt, `Interp::run` made 34; with the piece ranges
+/// rebuilt at each read and the taken piece copied before its selection,
+/// 16.
+const COMPILE_MAX: f64 = 14.0;
+const OPTIMIZE_MAX: f64 = 11.0;
+const RUN_MAX: f64 = 12.3;
+const TOTAL_MAX: f64 = 49.3;
 /// `Interp::run` with 200 inserts and 200 deletions pending: what it
-/// needs (20.9 allocations; 23.5 with rebuilt ranges and a copied piece,
-/// 60.7 with built pieces and rebuilt delta binds) plus the same headroom.
-const RUN_PENDING_MAX: f64 = 24.9;
+/// needs (14.8 allocations; 17.8 with debug assertions) plus the same
+/// headroom. With match lists per delta source in the projection and a
+/// keep loop sized by the piece, it made 20.9 (23.9); with rebuilt ranges
+/// and a copied piece, 23.5; with built pieces and rebuilt delta binds,
+/// 60.7.
+const RUN_PENDING_MAX: f64 = 18.8;
 /// Trickle writes pending in the second state: each inserts a row, then
 /// deletes it, as the benchmark's alternating writes do.
 const PENDING_ROWS: usize = 200;

@@ -68,7 +68,7 @@ fn main() {
     let plan = parse(FIGURE1).expect("Figure 1 parses verbatim");
     println!(
         "parsed Figure 1: {} statements, parameters {:?}\n",
-        plan.stmts.len(),
+        plan.render().lines().count(),
         plan.params()
     );
 

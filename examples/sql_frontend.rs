@@ -52,7 +52,7 @@ fn main() {
     println!(
         "compiled to {} MAL statements (Figure 1's binds, selection and renumbering;\n\
          its delta merges fused into sql.subdelta and sql.projectdelta)\n",
-        plan.stmts.len()
+        plan.render().lines().count()
     );
     let (optimized, report) = SegmentOptimizer::new().optimize(&plan, &catalog);
     println!(
