@@ -19,14 +19,14 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use soc_bench::fig2;
+use soc_core::GaussianDice;
 use soc_sim::experiment::ablation;
 use soc_sim::experiment::simulation::{run_simulation_matrix, SimConfig, SimulationMatrix};
 use soc_sim::experiment::skyserver::{
     run_skyserver, SkyConfig, SkyLoad, SkyScheme, SkyServerResults,
 };
 use soc_sim::output;
-use soc_sim::{Figure, TableOut};
+use soc_sim::{Figure, Series, TableOut};
 
 const USAGE: &str = "usage: repro [--experiment <id|group|all>] [--out DIR] [--quick] [--scale N]";
 
@@ -96,6 +96,32 @@ impl Emitter {
 
 fn wants(experiment: &str, id: &str, group: &str) -> bool {
     experiment == "all" || experiment == id || experiment == group
+}
+
+/// Figure 2 — the Gaussian Dice decision function `O(x)` for a spread of
+/// `σ` values. Pure function of the model, no workload needed.
+fn fig2() -> Figure {
+    let sigmas = [0.05, 0.1, 0.2, 0.3, 0.5, 1.0];
+    let series = sigmas
+        .iter()
+        .map(|&sigma| Series {
+            label: format!("sigma={sigma}"),
+            points: (0..=100)
+                .map(|i| {
+                    let x = i as f64 / 100.0;
+                    (x, GaussianDice::decision_probability(x, sigma))
+                })
+                .collect(),
+        })
+        .collect();
+    Figure {
+        id: "fig2".to_owned(),
+        title: "Gaussian Dice decision function O(x) = G(x)/G(0.5)".to_owned(),
+        xlabel: "partition ratio".to_owned(),
+        ylabel: "O(x)".to_owned(),
+        logy: false,
+        series,
+    }
 }
 
 fn main() -> ExitCode {
@@ -289,4 +315,26 @@ fn main() -> ExitCode {
         opts.out.display()
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fig2_has_bell_shapes() {
+        let f = fig2();
+        assert_eq!(f.series.len(), 6);
+        for s in &f.series {
+            assert_eq!(s.points.len(), 101);
+            // Peak at x = 0.5.
+            let mid = s.points[50].1;
+            assert!((mid - 1.0).abs() < 1e-12);
+            assert!(s.points[0].1 <= mid && s.points[100].1 <= mid);
+        }
+        // Wider sigma dominates at the edges.
+        let narrow = &f.series[0].points[10].1;
+        let wide = &f.series[5].points[10].1;
+        assert!(narrow < wide);
+    }
 }

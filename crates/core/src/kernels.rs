@@ -826,8 +826,8 @@ pub(crate) fn min_max_sum_all<V: ColumnValue>(values: &[V]) -> Option<(V, V, f64
 /// run — two binary searches, no scan. The two do not depend on each
 /// other, so the core overlaps them; confining the second to
 /// `sorted[start..]` makes it wait for the first, which measured slower
-/// than the steps it saves (`scan_kernels/sorted_run_binary_search` in
-/// `crates/bench/benches/kernels.rs`).
+/// than the steps it saves (`socbench`'s `kernels.sorted_run_ns` probe,
+/// PR 32 in CHANGES.md).
 ///
 /// This is the fast path for data that is already totally ordered: the
 /// fully-sorted baseline, and the contiguous result slices a cracked

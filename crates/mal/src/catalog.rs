@@ -615,23 +615,16 @@ impl Catalog {
             .unwrap_or(DEFAULT_DELTA_MERGE_THRESHOLD)
     }
 
-    /// Pending delta rows against `schema.table` — the SQL-surface name
-    /// for [`Self::pending_delta_rows`] (what `SELECT`s over the table
-    /// still see un-merged, and what the merge threshold compares
-    /// against). O(1).
-    pub fn pending_rows(&self, schema: &str, table: &str) -> usize {
-        self.pending_delta_rows(schema, table)
-    }
-
     /// Pending delta rows against `schema.table`: insert and update
     /// entries across its **registered** columns plus the deleted-oid
-    /// list — exactly what [`Self::merge_deltas`] will fold, and the size
-    /// the auto-merge threshold is compared against. Deltas recorded
-    /// against never-registered column names are inert (no base column
-    /// binds them) and deliberately excluded, so they can neither trigger
-    /// nor survive-past a merge into a thrash loop. Maintained
-    /// incrementally: reading it is O(1).
-    pub fn pending_delta_rows(&self, schema: &str, table: &str) -> usize {
+    /// list — what `SELECT`s over the table still see un-merged, exactly
+    /// what [`Self::merge_deltas`] will fold, and the size the auto-merge
+    /// threshold is compared against. Deltas recorded against
+    /// never-registered column names are inert (no base column binds
+    /// them) and deliberately excluded, so they can neither trigger nor
+    /// survive-past a merge into a thrash loop. Maintained incrementally:
+    /// reading it is O(1).
+    pub fn pending_rows(&self, schema: &str, table: &str) -> usize {
         self.pending_rows
             .get(&Self::table_key(schema, table))
             .copied()
@@ -680,7 +673,7 @@ impl Catalog {
     ///
     /// Deltas recorded against column names that were never registered
     /// are inert (no base column ever binds them): they are neither
-    /// merged nor counted by [`Self::pending_delta_rows`], and they stay
+    /// merged nor counted by [`Self::pending_rows`], and they stay
     /// in place in case the column is registered later.
     ///
     /// The merge is all-or-nothing: every plain column is rebuilt, and
@@ -695,7 +688,7 @@ impl Catalog {
     /// cannot take a pending value (outside its domain, NaN).
     pub fn merge_deltas(&mut self, schema: &str, table: &str) -> Result<MergeReport, CatalogError> {
         let mut report = MergeReport::default();
-        if self.pending_delta_rows(schema, table) == 0 {
+        if self.pending_rows(schema, table) == 0 {
             return Ok(report);
         }
         let tk = Self::table_key(schema, table);
@@ -775,7 +768,7 @@ impl Catalog {
                 return;
             }
         }
-        if self.pending_delta_rows(schema, table) >= threshold
+        if self.pending_rows(schema, table) >= threshold
             && self.merge_deltas(schema, table).is_err()
         {
             let b = self.auto_merge_backoff.entry(tk).or_default();
@@ -834,6 +827,27 @@ fn atom_at(tail: &Tail, i: usize) -> Atom {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Keys of 63 and 64 bytes are joined in the stack buffer, a 65-byte
+    /// key takes the `String` fallback; either way the result is the
+    /// `.`-joined parts, multi-byte names included (at 65 bytes the last
+    /// `é` straddles the buffer's end).
+    #[test]
+    fn with_joined_equals_join_on_both_sides_of_the_stack_buffer() {
+        let table = "τ".repeat(20); // 40 bytes
+        for total in [63, 64, 65] {
+            // "sys" + '.' + table + '.' = 45 bytes.
+            let column = format!("{}é", "c".repeat(total - 45 - 'é'.len_utf8()));
+            for parts in [
+                [column.as_str(), table.as_str(), "sys"],
+                ["sys", table.as_str(), column.as_str()],
+            ] {
+                let joined = with_joined(&parts, str::to_owned);
+                assert_eq!(joined.len(), total);
+                assert_eq!(joined, parts.join("."), "{total} bytes");
+            }
+        }
+    }
 
     #[test]
     fn register_and_lookup() {
@@ -1026,7 +1040,7 @@ mod tests {
         assert!(!id.head_oids().contains(&1));
 
         // Deltas and the deletion list are spent; the rewrite was charged.
-        assert_eq!(c.pending_delta_rows("sys", "T"), 0);
+        assert_eq!(c.pending_rows("sys", "T"), 0);
         assert!(c.dbat("sys", "T").is_empty());
         assert!(c.segmented("sys.T.v").unwrap().reorg_write_bytes() > reorg_before);
         // Fresh oids keep growing past the merged rows.
@@ -1053,9 +1067,9 @@ mod tests {
         for i in 0..3 {
             c.insert_row("sys", "T", &[("v", Atom::Int(50 + i))]);
         }
-        assert_eq!(c.pending_delta_rows("sys", "T"), 3, "below threshold");
+        assert_eq!(c.pending_rows("sys", "T"), 3, "below threshold");
         c.insert_row("sys", "T", &[("v", Atom::Int(60))]);
-        assert_eq!(c.pending_delta_rows("sys", "T"), 0, "threshold merged");
+        assert_eq!(c.pending_rows("sys", "T"), 0, "threshold merged");
         assert_eq!(c.segmented("sys.T.v").unwrap().rows(), 54);
     }
 
@@ -1079,14 +1093,14 @@ mod tests {
         c.insert_row("sys", "T", &[("typo_col", Atom::Int(1))]);
         c.insert_row("sys", "T", &[("typo_col", Atom::Int(2))]);
         c.insert_row("sys", "T", &[("typo_col", Atom::Int(3))]);
-        assert_eq!(c.pending_delta_rows("sys", "T"), 0);
+        assert_eq!(c.pending_rows("sys", "T"), 0);
         assert!(c.merge_deltas("sys", "T").unwrap() == MergeReport::default());
         // Registering the column later makes those deltas mergeable.
         c.register_bat("sys", "T", "typo_col", Bat::dense_int(vec![]));
-        assert_eq!(c.pending_delta_rows("sys", "T"), 3);
+        assert_eq!(c.pending_rows("sys", "T"), 3);
         let report = c.merge_deltas("sys", "T").unwrap();
         assert_eq!(report.inserted, 3);
-        assert_eq!(c.pending_delta_rows("sys", "T"), 0);
+        assert_eq!(c.pending_rows("sys", "T"), 0);
         assert_eq!(c.bat("sys.T.typo_col").unwrap().len(), 3);
     }
 
@@ -1109,14 +1123,14 @@ mod tests {
             c.merge_deltas("sys", "T"),
             Err(CatalogError::Bpm(_))
         ));
-        assert_eq!(c.pending_delta_rows("sys", "T"), 1, "deltas kept");
+        assert_eq!(c.pending_rows("sys", "T"), 1, "deltas kept");
         assert_eq!(c.segmented("sys.T.v").unwrap().rows(), 50);
         // The auto-trigger gives up after one failed attempt instead of
         // re-trying the merge on every subsequent mutation.
         c.set_table_merge_threshold("sys", "T", 1);
         c.insert_row("sys", "T", &[("v", Atom::Int(1))]);
         c.insert_row("sys", "T", &[("v", Atom::Int(2))]);
-        assert_eq!(c.pending_delta_rows("sys", "T"), 3);
+        assert_eq!(c.pending_rows("sys", "T"), 3);
         // An atom the column's type cannot hold: typed error, not a
         // made-up 0 row.
         for (atom, got) in [(Atom::Str("forty".into()), "str"), (Atom::Nil, "nil")] {
@@ -1131,7 +1145,7 @@ mod tests {
                 }
                 other => panic!("expected MalformedDelta, got {other:?}"),
             }
-            assert_eq!(plain.pending_delta_rows("sys", "T"), 1, "deltas kept");
+            assert_eq!(plain.pending_rows("sys", "T"), 1, "deltas kept");
             let unchanged = Bat::dense_int(vec![10, 20, 30]);
             assert_eq!(plain.bat("sys.T.k"), Some(&unchanged));
         }
@@ -1154,30 +1168,18 @@ mod tests {
         // The poisoned insert: out of the registered domain, so every
         // merge attempt fails until the row is compensated.
         let bad = c.insert_row("sys", "T", &[("v", Atom::Int(500))]);
-        assert_eq!(
-            c.pending_delta_rows("sys", "T"),
-            1,
-            "failed merge keeps deltas"
-        );
+        assert_eq!(c.pending_rows("sys", "T"), 1, "failed merge keeps deltas");
 
         // First failure → cooldown 2: the next two mutations only tick
         // the clock (no merge attempt, so the pending count grows).
         c.insert_row("sys", "T", &[("v", Atom::Int(10))]);
         c.insert_row("sys", "T", &[("v", Atom::Int(11))]);
-        assert_eq!(
-            c.pending_delta_rows("sys", "T"),
-            3,
-            "cooldown ticks, no merge"
-        );
+        assert_eq!(c.pending_rows("sys", "T"), 3, "cooldown ticks, no merge");
 
         // Cooldown elapsed: the next mutation retries — still poisoned,
         // so it fails again and the cooldown doubles to 4.
         c.insert_row("sys", "T", &[("v", Atom::Int(12))]);
-        assert_eq!(
-            c.pending_delta_rows("sys", "T"),
-            4,
-            "retry failed, deltas kept"
-        );
+        assert_eq!(c.pending_rows("sys", "T"), 4, "retry failed, deltas kept");
 
         // Compensate the poison (delete the out-of-domain row), then
         // mutate through the second cooldown window. The retry at its
@@ -1186,10 +1188,10 @@ mod tests {
         c.insert_row("sys", "T", &[("v", Atom::Int(13))]); // 3 → 2
         c.insert_row("sys", "T", &[("v", Atom::Int(14))]); // 2 → 1
         c.insert_row("sys", "T", &[("v", Atom::Int(15))]); // 1 → 0
-        assert!(c.pending_delta_rows("sys", "T") > 0, "still cooling down");
+        assert!(c.pending_rows("sys", "T") > 0, "still cooling down");
         c.insert_row("sys", "T", &[("v", Atom::Int(16))]); // retry: succeeds
         assert_eq!(
-            c.pending_delta_rows("sys", "T"),
+            c.pending_rows("sys", "T"),
             0,
             "the backed-off retry merged every pending delta"
         );
@@ -1202,7 +1204,7 @@ mod tests {
         c.insert_row("sys", "T", &[("v", Atom::Int(20))]);
         c.insert_row("sys", "T", &[("v", Atom::Int(21))]);
         assert_eq!(
-            c.pending_delta_rows("sys", "T"),
+            c.pending_rows("sys", "T"),
             3,
             "ladder restarted at cooldown 2 after the earlier success"
         );
@@ -1380,7 +1382,7 @@ mod tests {
         // Poison the column: a value outside its domain fails the merge,
         // and the backoff latches.
         c.insert_row("sys", "T", &[("v", Atom::Int(500))]);
-        assert_eq!(c.pending_delta_rows("sys", "T"), 1);
+        assert_eq!(c.pending_rows("sys", "T"), 1);
         assert!(
             c.auto_merge_backoff.contains_key("sys.T"),
             "backoff latched"
@@ -1395,7 +1397,7 @@ mod tests {
             "re-register resets"
         );
         c.insert_row("sys", "T", &[("v", Atom::Int(13))]);
-        assert_eq!(c.pending_delta_rows("sys", "T"), 0, "merged, no cooldown");
+        assert_eq!(c.pending_rows("sys", "T"), 0, "merged, no cooldown");
         assert_eq!(c.segmented("sys.T.v").unwrap().rows(), 52);
     }
 
@@ -1495,7 +1497,7 @@ mod tests {
             c.delete_row("sys", "P", oid);
         }
         assert_eq!(c.deleted["sys.P"], vec![0, 2, 2, 7, 7, 9]);
-        assert_eq!(c.pending_delta_rows("sys", "P"), 6);
+        assert_eq!(c.pending_rows("sys", "P"), 6);
         assert_eq!(
             c.dbat("sys", "P").tail(),
             &Tail::Oid(vec![0, 2, 2, 7, 7, 9].into())

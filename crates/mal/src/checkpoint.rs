@@ -701,8 +701,8 @@ mod tests {
             assert_eq!(c.bat(key).unwrap(), restored.bat(key).unwrap(), "{key}");
         }
         assert_eq!(
-            restored.pending_delta_rows("sys", "P"),
-            c.pending_delta_rows("sys", "P")
+            restored.pending_rows("sys", "P"),
+            c.pending_rows("sys", "P")
         );
         assert_eq!(restored.deleted, c.deleted);
         // Fresh oids continue where the saved catalog stopped (500 base

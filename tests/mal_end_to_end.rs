@@ -3,7 +3,8 @@
 
 use socdb::bat::{Atom, Bat, Head, Tail};
 use socdb::mal::{
-    compile_select, parse, Catalog, Interp, MalValue, Program, RewriteStrategy, SegmentOptimizer,
+    compile_select, compile_stmt, parse, parse_stmt, Catalog, Interp, MalValue, Program,
+    RewriteStrategy, SegmentOptimizer,
 };
 use socdb::prelude::{StrategyKind, StrategySpec};
 
@@ -506,7 +507,7 @@ fn bulk_delta_merge_is_invisible_to_figure1_results() {
 
     let report = c.merge_deltas("sys", "P").unwrap();
     assert!(report.columns >= 2 && report.inserted > 0);
-    assert_eq!(c.pending_delta_rows("sys", "P"), 0);
+    assert_eq!(c.pending_rows("sys", "P"), 0);
 
     let after = {
         let result = Interp::new(&mut c).run(&plan, &args).unwrap().unwrap();
@@ -544,4 +545,82 @@ fn deltas_survive_segment_optimization() {
     assert_eq!(result_ids(&expected), result_ids(&got));
     // The inserted row is in both results.
     assert!(result_ids(&got).contains(&77_777));
+}
+
+/// The SQL surface over names whose keys are longer than the 64 bytes up
+/// to which the catalog joins `schema.table` and `schema.table.column` on
+/// the stack: a segmented table answers a prepared `SELECT` through an
+/// insert, an update, a delete, a strategy change and a merge exactly as
+/// its short-named twin does.
+#[test]
+fn long_names_answer_like_short_names_through_writes_and_a_merge() {
+    /// Each step's answer, pending rows and piece count.
+    fn session(schema: &str, table: &str, ra: &str, objid: &str) -> Vec<(Vec<i64>, usize, usize)> {
+        let key = format!("{schema}.{table}.{ra}");
+        let sql = [
+            format!("SELECT {objid} FROM {schema}.{table} WHERE {ra} BETWEEN ? AND ?"),
+            format!("ALTER TABLE {schema}.{table} SET MERGE THRESHOLD 0"),
+            format!("ALTER COLUMN {key} SET STRATEGY cracking"),
+        ];
+        let [select, no_auto_merge, cracking] = sql.map(|s| compile_stmt(&parse_stmt(&s).unwrap()));
+        let values = (0..2_000).map(|i| 110.0 + 150.0 * (f64::from(i) * 0.754_877_666).fract());
+        let mut c = Catalog::new();
+        let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(1024, 8 * 1024);
+        let values = Bat::dense_dbl(values.collect());
+        c.register_segmented(schema, table, ra, values, 110.0, 260.0, spec)
+            .unwrap();
+        c.register_bat(
+            schema,
+            table,
+            objid,
+            Bat::dense_int((9_000..11_000).collect()),
+        );
+        Interp::new(&mut c).run(&no_auto_merge, &[]).unwrap();
+        let mut steps = Vec::new();
+        let mut step = |c: &mut Catalog| {
+            let (optimized, _) = SegmentOptimizer::new().optimize(&select, c);
+            let args = [Atom::Dbl(150.0), Atom::Dbl(152.0)];
+            let answer = result_ids(&Interp::new(c).run(&optimized, &args).unwrap().unwrap());
+            let pieces = c.segmented(&key).unwrap().piece_count();
+            steps.push((answer, c.pending_rows(schema, table), pieces));
+        };
+        step(&mut c);
+        c.insert_row(
+            schema,
+            table,
+            &[(ra, Atom::Dbl(151.5)), (objid, Atom::Int(77_777))],
+        );
+        step(&mut c);
+        c.update_value(schema, table, ra, 1, Atom::Dbl(150.25));
+        step(&mut c);
+        c.delete_row(schema, table, 2);
+        step(&mut c);
+        Interp::new(&mut c).run(&cracking, &[]).unwrap();
+        step(&mut c);
+        let report = c.merge_deltas(schema, table).unwrap();
+        assert_eq!((report.inserted, report.updated, report.deleted), (2, 1, 1));
+        step(&mut c);
+        steps
+    }
+
+    let (schema, table) = (
+        "skyserver_data_release_7",
+        "photo_objects_with_extinction_corrections",
+    );
+    assert!(
+        schema.len() + 1 + table.len() > 64,
+        "the table key outgrows the stack buffer"
+    );
+    let long = session(
+        schema,
+        table,
+        "right_ascension_j2000",
+        "sdss_object_identifier",
+    );
+    assert_eq!(long, session("sys", "P", "ra", "objid"));
+    assert!(long[1].0.contains(&77_777), "the pending insert qualifies");
+    assert_eq!(
+        long.iter().map(|s| s.1).collect::<Vec<_>>(),
+        [0, 2, 3, 4, 4, 0]
+    );
 }
