@@ -403,15 +403,14 @@ impl<V: TailValue> TypedSeg<V> {
     /// row, the rows the deletions remove.
     fn pending_run(
         &self,
-        d: Option<&ColumnDeltas>,
+        d: &ColumnDeltas,
         deleted: &[Oid],
     ) -> Result<(PendingRun<V>, MergeReport), BpmError> {
         let mut report = MergeReport {
             columns: 1,
             ..MergeReport::default()
         };
-        let no_entries = d.is_none_or(|d| d.insert_heads.is_empty() && d.update_heads.is_empty());
-        if no_entries && deleted.is_empty() {
+        if d.insert_heads.is_empty() && d.update_heads.is_empty() && deleted.is_empty() {
             return Ok((None, report));
         }
         // Current value per oid: the base rows that the pending updates and
@@ -419,7 +418,7 @@ impl<V: TailValue> TypedSeg<V> {
         // pieces hold them, then pending ops replayed in recorded order, so
         // each op sees the value it overwrites.
         let mut named: Vec<Oid> = deleted.to_vec();
-        named.extend(d.iter().flat_map(|d| &d.update_heads));
+        named.extend(&d.update_heads);
         named.sort_unstable();
         let mut current: BTreeMap<Oid, V> = BTreeMap::new();
         if !named.is_empty() {
@@ -444,29 +443,27 @@ impl<V: TailValue> TypedSeg<V> {
             })
         };
         let mut batch = DeltaBatch::new();
-        if let Some(d) = d {
-            for (row, (oid, a)) in d.insert_heads.iter().zip(&d.insert_vals).enumerate() {
-                let v = land(row, a)?;
-                batch.push(DeltaOp::Insert {
+        for (row, (oid, a)) in d.insert_heads.iter().zip(&d.insert_vals).enumerate() {
+            let v = land(row, a)?;
+            batch.push(DeltaOp::Insert {
+                oid: *oid,
+                value: Pair::new(v, *oid),
+            });
+            current.insert(*oid, v);
+            report.inserted += 1;
+        }
+        for (row, (oid, a)) in d.update_heads.iter().zip(&d.update_vals).enumerate() {
+            let new = land(row, a)?;
+            // Updates of rows this column never held are inert — the
+            // merge applies updates by matching oid only.
+            if let Some(slot) = current.get_mut(oid) {
+                let old = std::mem::replace(slot, new);
+                batch.push(DeltaOp::Update {
                     oid: *oid,
-                    value: Pair::new(v, *oid),
+                    old: Pair::new(old, *oid),
+                    new: Pair::new(new, *oid),
                 });
-                current.insert(*oid, v);
-                report.inserted += 1;
-            }
-            for (row, (oid, a)) in d.update_heads.iter().zip(&d.update_vals).enumerate() {
-                let new = land(row, a)?;
-                // Updates of rows this column never held are inert — the
-                // merge applies updates by matching oid only.
-                if let Some(slot) = current.get_mut(oid) {
-                    let old = std::mem::replace(slot, new);
-                    batch.push(DeltaOp::Update {
-                        oid: *oid,
-                        old: Pair::new(old, *oid),
-                        new: Pair::new(new, *oid),
-                    });
-                    report.updated += 1;
-                }
+                report.updated += 1;
             }
         }
         for oid in deleted {
@@ -488,7 +485,7 @@ impl<V: TailValue> TypedSeg<V> {
     /// here leaves nothing fallible in the returned fold.
     fn stage_fold(
         &mut self,
-        d: Option<&ColumnDeltas>,
+        d: &ColumnDeltas,
         deleted: &[Oid],
     ) -> Result<(MergeReport, StagedFold<'_>), BpmError> {
         let (run, report) = self.pending_run(d, deleted)?;
@@ -624,6 +621,11 @@ fn dbl_rows(b: &Bat, v: &[f64]) -> Result<Vec<(u64, OrdF64)>, BpmError> {
 /// `(oid, value)` pairs across reorganization.
 pub struct SegmentedBat {
     inner: PairColumn,
+    /// The half-open domain `[lo, hi_excl)` and the spec the column was
+    /// built under, kept so it can be re-organized under a different
+    /// strategy and checkpointed.
+    pub(crate) domain: (f64, f64),
+    pub(crate) spec: StrategySpec,
 }
 
 impl std::fmt::Debug for SegmentedBat {
@@ -656,7 +658,11 @@ impl SegmentedBat {
     ) -> Result<Self, BpmError> {
         let inner = build_column!(&bat, domain_lo, domain_hi_excl, |d, rows| spec
             .build_paired(d, rows));
-        Ok(SegmentedBat { inner })
+        Ok(SegmentedBat {
+            inner,
+            domain: (domain_lo, domain_hi_excl),
+            spec: *spec,
+        })
     }
 
     /// Number of placeable pieces (the strategy's flat segment partition).
@@ -787,7 +793,7 @@ impl SegmentedBat {
     /// outside the registered domain.
     pub(crate) fn stage_fold(
         &mut self,
-        d: Option<&ColumnDeltas>,
+        d: &ColumnDeltas,
         deleted: &[Oid],
     ) -> Result<(MergeReport, StagedFold<'_>), BpmError> {
         on_seg!(&mut self.inner, s => s.stage_fold(d, deleted))

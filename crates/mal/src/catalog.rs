@@ -1,11 +1,14 @@
-//! The engine catalog: plain BATs for `sql.bind`, the segmented-bat
-//! registry the segment optimizer consults (Section 3.1's meta-index at
-//! the MAL level), and the delta bats the Figure 1 plan merges at query
-//! time — pending inserts (`sql.bind` access 1), updates (access 2) and
-//! deletions (`sql.bind_dbat`). The paper targets "data warehouse
-//! applications with few large bulk loads and prevailing read-only
-//! queries" (Section 7), which is exactly MonetDB's delta scheme: updates
-//! accumulate beside the immutable base column.
+//! The engine catalog: one entry per column and one per table, the state
+//! MonetDB's delta scheme (Figure 1) keeps. A column entry holds its base
+//! — a plain positional BAT for `sql.bind`, or a [`SegmentedBat`] the
+//! segment optimizer consults (Section 3.1's meta-index at the MAL level)
+//! — its pending inserts (`sql.bind` access 1) and updates (access 2),
+//! and the two delta bats those binds hand out. A table entry holds the
+//! keys of its columns, its deleted oids (`sql.bind_dbat`), its next
+//! fresh oid, and its auto-merge threshold and retry state. The paper
+//! targets "data warehouse applications with few large bulk loads and
+//! prevailing read-only queries" (Section 7), which is exactly MonetDB's
+//! delta scheme: updates accumulate beside the immutable base column.
 //!
 //! A segmented column is registered with a [`StrategySpec`] — the one
 //! physical-design currency shared with the simulator and the storage
@@ -17,8 +20,8 @@
 //! reorganization bill.
 //!
 //! Deltas do not accumulate forever: [`Catalog::merge_deltas`] folds a
-//! table's pending inserts/updates/deletes into the base columns. A
-//! segmented column folds them through its strategy's own
+//! table's pending inserts/updates/deletes into the base columns its entry
+//! lists. A segmented column folds them through its strategy's own
 //! `ColumnStrategy::fold_delta` — the seam the epoch writer of
 //! `soc_core::ConcurrentColumn` folds through — so each row lands in the
 //! piece that owns it, the organization the queries built survives the
@@ -38,7 +41,7 @@ use std::sync::Arc;
 use soc_bat::{algebra::Atom, Bat, BatError, Head, Oid, Tail};
 use soc_core::{StrategyKind, StrategySpec};
 
-use crate::bpm::{BpmError, SegmentedBat, TailValue};
+use crate::bpm::{BpmError, SegmentedBat, StagedFold, TailValue};
 
 /// Typed catalog failures (no panics on query paths).
 #[derive(Debug)]
@@ -83,7 +86,7 @@ impl From<BpmError> for CatalogError {
 }
 
 /// Pending changes against one column.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(crate) struct ColumnDeltas {
     /// Appended rows: explicit (oid, value) pairs past the base.
     pub(crate) insert_heads: Vec<Oid>,
@@ -171,15 +174,6 @@ pub(crate) fn with_joined<R>(parts: &[&str], f: impl FnOnce(&str) -> R) -> R {
     }
 }
 
-/// The registered domain of a segmented column, kept so the column can be
-/// re-organized under a different strategy later.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SegMeta {
-    pub(crate) domain_lo: f64,
-    pub(crate) domain_hi_excl: f64,
-    pub(crate) spec: StrategySpec,
-}
-
 /// What one [`Catalog::merge_deltas`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeReport {
@@ -210,7 +204,7 @@ impl MergeReport {
 pub(crate) const DEFAULT_DELTA_MERGE_THRESHOLD: usize = 4096;
 
 /// Retry state for a table whose automatic delta merge failed.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct MergeBackoff {
     /// Consecutive failed auto-merge attempts.
     failures: u32,
@@ -219,43 +213,67 @@ struct MergeBackoff {
     cooldown: u32,
 }
 
-/// The bats `sql.bind(…, 1|2)` and `sql.bind_dbat` hand out, each built
-/// once per pending state, so every later bind of it is a reference-count
-/// bump. Whatever changes what an entry was built from — the column's
-/// pending atoms, the table's deleted oids, the column's registration or
-/// strategy — drops the entry. A delta whose atoms the tail cannot hold
-/// is never stored: every bind of it fails anew.
-#[derive(Debug, Default)]
-struct BindMemo {
-    /// Per column key: the insert (access 1) and update (access 2) bats.
-    deltas: HashMap<String, [Option<Bat>; 2]>,
-    /// Per `schema.table`: the deletions bat.
-    dbats: HashMap<String, Bat>,
+/// A column's rows: positional, or organized under a strategy.
+#[derive(Debug)]
+pub(crate) enum Base {
+    Plain(Bat),
+    Segmented(SegmentedBat),
 }
 
-/// [`BindMemo`]'s slot for the insert and the update delta bat.
+/// [`Column::memo`]'s slot for the insert and the update delta bat.
 const INSERTS: usize = 0;
 const UPDATES: usize = 1;
 
-impl BindMemo {
-    /// Drops column `key`'s insert or update bat.
-    fn forget_delta(&mut self, key: &str, slot: usize) {
-        if let Some(memo) = self.deltas.get_mut(key) {
-            memo[slot] = None;
-        }
-    }
+/// One column: its base, its pending deltas, and the delta bats
+/// `sql.bind(…, 1|2)` hands out. A column named only by a pending write
+/// has no base; its deltas are inert — no bind reads them, no merge folds
+/// them, the table's pending rows leave them out — until the column is
+/// registered.
+#[derive(Debug, Default)]
+pub(crate) struct Column {
+    pub(crate) base: Option<Base>,
+    pub(crate) deltas: ColumnDeltas,
+    /// The insert and the update bat, each built once per pending state,
+    /// so every later bind of it is a reference-count bump. A write to
+    /// the slot's deltas, a merge and a registration drop it. A delta
+    /// whose atoms the tail cannot hold is never stored: every bind of it
+    /// fails anew.
+    memo: [Option<Bat>; 2],
+}
 
-    /// Drops column `key`'s delta bats.
-    fn forget_column(&mut self, key: &str) {
-        self.deltas.remove(key);
-    }
+/// One table: its columns and the state the delta scheme keeps per table.
+#[derive(Debug, Default)]
+pub(crate) struct Table {
+    /// The keys of its column entries, ascending.
+    pub(crate) columns: Vec<Arc<str>>,
+    /// Deleted row oids, ascending (a row deleted twice is listed twice).
+    pub(crate) deleted: Vec<Oid>,
+    /// Next fresh oid (rows appended so far + base).
+    pub(crate) next_oid: Oid,
+    /// The `ALTER TABLE … SET MERGE THRESHOLD` override; without one the
+    /// table merges at [`DEFAULT_DELTA_MERGE_THRESHOLD`].
+    pub(crate) merge_threshold: Option<usize>,
+    /// A failed automatic merge (e.g. an out-of-domain insert) backs off
+    /// exponentially in *mutations* rather than latching forever, so the
+    /// pending deltas are retried — and never silently dropped — once
+    /// the blocking mutation is compensated (say, the offending row
+    /// deleted).
+    backoff: MergeBackoff,
+    /// The deletions bat `sql.bind_dbat` hands out, built once per
+    /// deletion state.
+    dbat: Option<Bat>,
+}
 
-    /// Drops table `tk`'s deletions bat and every delta bat of its
-    /// columns.
-    fn forget_table(&mut self, tk: &str) {
-        self.dbats.remove(tk);
-        self.deltas
-            .retain(|key, _| !key.strip_prefix(tk).is_some_and(|c| c.starts_with('.')));
+impl Table {
+    /// Pending delta rows: the entries of its columns that have a base
+    /// plus its deleted oids.
+    fn pending(&self, columns: &HashMap<Arc<str>, Column>) -> usize {
+        let registered = self.columns.iter().filter_map(|key| columns.get(key));
+        let entries = registered.filter(|c| c.base.is_some()).map(|c| &c.deltas);
+        let entries: usize = entries
+            .map(|d| d.insert_heads.len() + d.update_heads.len())
+            .sum();
+        entries + self.deleted.len()
     }
 }
 
@@ -266,31 +284,11 @@ impl BindMemo {
 /// `crate::checkpoint`).
 #[derive(Debug, Default)]
 pub struct Catalog {
-    pub(crate) bats: HashMap<String, Bat>,
-    /// Keyed by a shared key, which the segment optimizer hands to the
-    /// plans it rewrites instead of copying it per statement.
-    pub(crate) segmented: HashMap<Arc<str>, SegmentedBat>,
-    pub(crate) seg_meta: HashMap<String, SegMeta>,
-    pub(crate) deltas: HashMap<String, ColumnDeltas>,
-    /// Deleted row oids per `schema.table`, ascending (a row deleted
-    /// twice is listed twice).
-    pub(crate) deleted: HashMap<String, Vec<Oid>>,
-    /// Next fresh oid per `schema.table` (rows appended so far + base).
-    pub(crate) next_oid: HashMap<String, Oid>,
-    /// Per-table retry state for failed automatic merges: a failed
-    /// attempt (e.g. an out-of-domain insert) backs off exponentially in
-    /// *mutations* rather than latching forever, so the pending deltas
-    /// are retried — and never silently dropped — once the blocking
-    /// mutation is compensated (say, the offending row deleted).
-    auto_merge_backoff: HashMap<String, MergeBackoff>,
-    /// Incrementally maintained pending-delta-row count per table (delta
-    /// entries on *registered* columns + deleted oids) — what the
-    /// auto-merge threshold compares against, kept O(1) per mutation.
-    pending_rows: HashMap<String, usize>,
-    /// Per-table threshold overrides (the `ALTER TABLE … SET MERGE
-    /// THRESHOLD` DDL); absent tables use [`DEFAULT_DELTA_MERGE_THRESHOLD`].
-    merge_thresholds: HashMap<String, usize>,
-    bind_memo: BindMemo,
+    /// Per `schema.table.column`; the key is shared with the plans the
+    /// segment optimizer rewrites instead of copied per statement.
+    pub(crate) columns: HashMap<Arc<str>, Column>,
+    /// Per `schema.table`.
+    pub(crate) tables: HashMap<String, Table>,
 }
 
 impl Catalog {
@@ -299,55 +297,63 @@ impl Catalog {
         Self::default()
     }
 
-    /// The canonical key for `schema.table.column`.
-    pub(crate) fn key(schema: &str, table: &str, column: &str) -> String {
-        format!("{schema}.{table}.{column}")
+    /// Runs `f` on the entry of table `schema.table`, made when absent.
+    pub(crate) fn with_table<R>(
+        &mut self,
+        schema: &str,
+        table: &str,
+        f: impl FnOnce(&mut Table) -> R,
+    ) -> R {
+        with_joined(&[schema, table], |tk| {
+            if let Some(t) = self.tables.get_mut(tk) {
+                return f(t);
+            }
+            f(self.tables.entry(tk.to_owned()).or_default())
+        })
     }
 
-    fn table_key(schema: &str, table: &str) -> String {
-        format!("{schema}.{table}")
-    }
-
-    /// Calls `f` with the key [`Self::key`] would build, built on the
-    /// stack when it fits, so looking a column up by its parts allocates
-    /// nothing.
-    pub(crate) fn with_key<R>(
+    /// Runs `f` on the entry of column `schema.table.column`, made and
+    /// listed in its table's entry when absent.
+    pub(crate) fn with_column<R>(
+        &mut self,
         schema: &str,
         table: &str,
         column: &str,
-        f: impl FnOnce(&str) -> R,
+        f: impl FnOnce(&mut Column) -> R,
     ) -> R {
-        with_joined(&[schema, table, column], f)
+        with_joined(&[schema, table, column], |key| {
+            if let Some(c) = self.columns.get_mut(key) {
+                return f(c);
+            }
+            let key: Arc<str> = key.into();
+            self.with_table(schema, table, |t| {
+                if let Err(at) = t.columns.binary_search(&key) {
+                    t.columns.insert(at, Arc::clone(&key));
+                }
+            });
+            f(self.columns.entry(key).or_default())
+        })
     }
 
-    /// Registration bookkeeping shared by every path: deltas recorded
-    /// against this column *before* it was registered become mergeable
-    /// (they now count toward the table's pending rows), and a failed
-    /// auto-merge latch for the table is released — the table's content
-    /// changed, so the merge deserves a fresh attempt.
-    fn on_register(&mut self, schema: &str, table: &str, key: &str, was_registered: bool) {
-        self.bind_memo.forget_column(key);
-        let tk = Self::table_key(schema, table);
-        if !was_registered {
-            if let Some(d) = self.deltas.get(key) {
-                let n = d.insert_heads.len() + d.update_heads.len();
-                if n > 0 {
-                    *self.pending_rows.entry(tk.clone()).or_insert(0) += n;
-                }
-            }
-        }
-        self.auto_merge_backoff.remove(&tk);
+    /// Installs `base` as column `schema.table.column`. Its rows keep
+    /// fresh oids clear of them, deltas recorded against the column
+    /// before now count, and a backed-off auto-merge of the table gets a
+    /// fresh attempt: the table's content changed.
+    fn register(&mut self, schema: &str, table: &str, column: &str, base: Base, rows: usize) {
+        self.with_column(schema, table, column, |c| {
+            c.base = Some(base);
+            c.memo = Default::default();
+        });
+        self.with_table(schema, table, |t| {
+            t.next_oid = t.next_oid.max(rows as Oid);
+            t.backoff = MergeBackoff::default();
+        });
     }
 
     /// Registers a plain (positional) column.
     pub fn register_bat(&mut self, schema: &str, table: &str, column: &str, bat: Bat) {
-        let tk = Self::table_key(schema, table);
-        let n = self.next_oid.entry(tk).or_insert(0);
-        *n = (*n).max(bat.len() as u64);
-        let key = Self::key(schema, table, column);
-        let was_registered = self.is_registered(&key);
-        self.bats.insert(key.clone(), bat);
-        self.on_register(schema, table, &key, was_registered);
+        let rows = bat.len();
+        self.register(schema, table, column, Base::Plain(bat), rows);
     }
 
     /// Registers a column as self-organizing under the strategy `spec`
@@ -366,27 +372,9 @@ impl Catalog {
         domain_hi_excl: f64,
         spec: StrategySpec,
     ) -> Result<(), BpmError> {
-        let rows = bat.len() as u64;
+        let rows = bat.len();
         let seg = SegmentedBat::from_spec(bat, domain_lo, domain_hi_excl, &spec)?;
-        let key = Self::key(schema, table, column);
-        // Fresh oids must clear the base rows even when no plain column
-        // of the table was ever registered.
-        let n = self
-            .next_oid
-            .entry(Self::table_key(schema, table))
-            .or_insert(0);
-        *n = (*n).max(rows);
-        self.seg_meta.insert(
-            key.clone(),
-            SegMeta {
-                domain_lo,
-                domain_hi_excl,
-                spec,
-            },
-        );
-        let was_registered = self.is_registered(&key);
-        self.segmented.insert(key.as_str().into(), seg);
-        self.on_register(schema, table, &key, was_registered);
+        self.register(schema, table, column, Base::Segmented(seg), rows);
         Ok(())
     }
 
@@ -404,63 +392,78 @@ impl Catalog {
     /// not name a segmented column; `CatalogError::Bpm` when the rebuild
     /// fails, in which case the column is left unchanged.
     pub fn set_strategy(&mut self, key: &str, kind: StrategyKind) -> Result<(), CatalogError> {
-        let seg = self.require_segmented(key)?;
-        let Some(meta) = self.seg_meta.get(key).copied() else {
-            return Err(CatalogError::UnknownColumn(key.to_owned()));
+        let seg = match self.columns.get_mut(key).and_then(|c| c.base.as_mut()) {
+            Some(Base::Segmented(seg)) => seg,
+            Some(Base::Plain(_)) => return Err(CatalogError::NotSegmented(key.to_owned())),
+            None => return Err(CatalogError::UnknownColumn(key.to_owned())),
         };
-        let spec = StrategySpec { kind, ..meta.spec };
         let packed = seg.pack()?;
         let billed = seg.reorg_write_bytes() + packed.bytes();
-        let mut rebuilt =
-            SegmentedBat::from_spec(packed, meta.domain_lo, meta.domain_hi_excl, &spec)?;
+        let (domain_lo, domain_hi_excl) = seg.domain;
+        let spec = StrategySpec { kind, ..seg.spec };
+        let mut rebuilt = SegmentedBat::from_spec(packed, domain_lo, domain_hi_excl, &spec)?;
         rebuilt.add_reorg_write_bytes(billed);
         soc_core::debug_assert_valid!(rebuilt.validate(), "catalog strategy switch");
-        self.seg_meta
-            .insert(key.to_owned(), SegMeta { spec, ..meta });
-        if let Some(slot) = self.segmented.get_mut(key) {
-            *slot = rebuilt;
-        }
-        self.bind_memo.forget_column(key);
+        *seg = rebuilt;
         Ok(())
+    }
+
+    /// The base of column `key`; `None` when nothing is registered under
+    /// it.
+    pub(crate) fn base(&self, key: &str) -> Option<&Base> {
+        self.columns.get(key)?.base.as_ref()
     }
 
     /// Looks up a plain column.
     pub fn bat(&self, key: &str) -> Option<&Bat> {
-        self.bats.get(key)
+        match self.base(key)? {
+            Base::Plain(bat) => Some(bat),
+            Base::Segmented(_) => None,
+        }
     }
 
     /// Looks up a segmented column.
     pub fn segmented(&self, key: &str) -> Option<&SegmentedBat> {
-        self.segmented.get(key)
+        match self.base(key)? {
+            Base::Segmented(seg) => Some(seg),
+            Base::Plain(_) => None,
+        }
     }
 
     /// Mutable access to a segmented column (bpm adaptation).
     pub fn segmented_mut(&mut self, key: &str) -> Option<&mut SegmentedBat> {
-        self.segmented.get_mut(key)
+        match self.columns.get_mut(key)?.base.as_mut()? {
+            Base::Segmented(seg) => Some(seg),
+            Base::Plain(_) => None,
+        }
     }
 
     /// The spec a segmented column was registered (or last re-organized)
     /// with; `None` for plain columns.
     #[cfg(test)]
     pub(crate) fn strategy_spec(&self, key: &str) -> Option<StrategySpec> {
-        self.seg_meta.get(key).map(|m| m.spec)
+        self.segmented(key).map(|seg| seg.spec)
     }
 
-    /// Whether `key` names a segmented column.
-    pub(crate) fn is_segmented(&self, key: &str) -> bool {
-        self.segmented.contains_key(key)
-    }
-
-    /// The shared key of segmented column `schema.table.column`, looked
+    /// Segmented column `schema.table.column` with its shared key, looked
     /// up without building the key on the heap.
-    pub(crate) fn segmented_key(
+    pub(crate) fn segmented_column(
         &self,
         schema: &str,
         table: &str,
         column: &str,
-    ) -> Option<&Arc<str>> {
-        Self::with_key(schema, table, column, |key| {
-            self.segmented.get_key_value(key).map(|(k, _)| k)
+    ) -> Option<(&Arc<str>, &SegmentedBat)> {
+        with_joined(&[schema, table, column], |key| {
+            match self.columns.get_key_value(key)? {
+                (
+                    key,
+                    Column {
+                        base: Some(Base::Segmented(seg)),
+                        ..
+                    },
+                ) => Some((key, seg)),
+                _ => None,
+            }
         })
     }
 
@@ -468,13 +471,12 @@ impl Catalog {
     #[cfg(test)]
     pub(crate) fn keys(&self) -> Vec<String> {
         let mut k: Vec<String> = self
-            .bats
-            .keys()
-            .cloned()
-            .chain(self.segmented.keys().map(|k| k.to_string()))
+            .columns
+            .iter()
+            .filter(|(_, c)| c.base.is_some())
+            .map(|(k, _)| k.to_string())
             .collect();
         k.sort();
-        k.dedup();
         k
     }
 
@@ -484,27 +486,16 @@ impl Catalog {
     /// Returns the new row's oid. The base bats stay untouched; the row
     /// lives in the insert deltas until a (hypothetical) bulk merge.
     pub fn insert_row(&mut self, schema: &str, table: &str, row: &[(&str, Atom)]) -> Oid {
-        let tk = Self::table_key(schema, table);
-        let oid = {
-            let n = self.next_oid.entry(tk).or_insert(0);
-            let oid = *n;
-            *n += 1;
-            oid
-        };
-        let mut counted = 0usize;
+        let oid = self.with_table(schema, table, |t| {
+            t.next_oid += 1;
+            t.next_oid - 1
+        });
         for (column, value) in row {
-            let key = Self::key(schema, table, column);
-            counted += usize::from(self.is_registered(&key));
-            self.bind_memo.forget_delta(&key, INSERTS);
-            let d = self.deltas.entry(key).or_default();
-            d.insert_heads.push(oid);
-            d.insert_vals.push(value.clone());
-        }
-        if counted > 0 {
-            *self
-                .pending_rows
-                .entry(Self::table_key(schema, table))
-                .or_insert(0) += counted;
+            self.with_column(schema, table, column, |c| {
+                c.memo[INSERTS] = None;
+                c.deltas.insert_heads.push(oid);
+                c.deltas.insert_vals.push(value.clone());
+            });
         }
         self.maybe_auto_merge(schema, table);
         oid
@@ -512,87 +503,69 @@ impl Catalog {
 
     /// Records an in-place update of one column of row `oid`.
     pub fn update_value(&mut self, schema: &str, table: &str, column: &str, oid: Oid, value: Atom) {
-        let key = Self::key(schema, table, column);
-        self.bind_memo.forget_delta(&key, UPDATES);
-        if self.is_registered(&key) {
-            *self
-                .pending_rows
-                .entry(Self::table_key(schema, table))
-                .or_insert(0) += 1;
-        }
-        let d = self.deltas.entry(key).or_default();
-        d.update_heads.push(oid);
-        d.update_vals.push(value);
+        self.with_column(schema, table, column, |c| {
+            c.memo[UPDATES] = None;
+            c.deltas.update_heads.push(oid);
+            c.deltas.update_vals.push(value);
+        });
         self.maybe_auto_merge(schema, table);
     }
 
     /// Marks row `oid` deleted.
     pub fn delete_row(&mut self, schema: &str, table: &str, oid: Oid) {
-        let tk = Self::table_key(schema, table);
-        let deleted = self.deleted.entry(tk.clone()).or_default();
-        deleted.insert(deleted.partition_point(|&d| d <= oid), oid);
-        self.bind_memo.dbats.remove(&tk);
-        *self.pending_rows.entry(tk).or_insert(0) += 1;
+        self.with_table(schema, table, |t| {
+            t.deleted
+                .insert(t.deleted.partition_point(|&d| d <= oid), oid);
+            t.dbat = None;
+        });
         self.maybe_auto_merge(schema, table);
     }
 
     /// The delta bat `sql.bind(schema, table, column, access)` returns for
     /// `access` 1 (inserts) or 2 (updates — the interpreter rejects every
     /// other code), typed like the base column: empty when nothing is
-    /// pending. Built once per pending state ([`BindMemo`]); `None` when
-    /// `key` names no registered column.
+    /// pending. Built once per pending state ([`Column::memo`]); `None`
+    /// when `key` names no registered column.
     pub(crate) fn delta_bat(
         &mut self,
         key: &str,
         access: i64,
     ) -> Option<Result<Bat, CatalogError>> {
         let slot = if access == 1 { INSERTS } else { UPDATES };
-        if let Some(b) = self
-            .bind_memo
-            .deltas
-            .get(key)
-            .and_then(|m| m[slot].as_ref())
-        {
+        let column = self.columns.get_mut(key)?;
+        if let Some(b) = &column.memo[slot] {
             return Some(Ok(b.clone()));
         }
-        let like = match (self.bats.get(key), self.segmented.get(key)) {
-            (Some(b), _) => b.empty_like(),
-            (None, Some(seg)) => seg.empty_like(),
-            (None, None) => return None,
+        let like = match column.base.as_ref()? {
+            Base::Plain(bat) => bat.empty_like(),
+            Base::Segmented(seg) => seg.empty_like(),
         };
-        let built = match self.deltas.get(key) {
-            None => Ok(like),
-            Some(d) if slot == INSERTS => atoms_to_bat(key, &d.insert_heads, &d.insert_vals, &like),
-            Some(d) => atoms_to_bat(key, &d.update_heads, &d.update_vals, &like),
+        let d = &column.deltas;
+        let (heads, vals) = match slot {
+            INSERTS => (&d.insert_heads, &d.insert_vals),
+            _ => (&d.update_heads, &d.update_vals),
+        };
+        let built = if heads.is_empty() {
+            Ok(like)
+        } else {
+            atoms_to_bat(key, heads, vals, &like)
         };
         if let Ok(b) = &built {
-            self.bind_memo.deltas.entry(key.to_owned()).or_default()[slot] = Some(b.clone());
+            column.memo[slot] = Some(b.clone());
         }
         Some(built)
     }
 
     /// The deletions bat `sql.bind_dbat` returns: head void, tail = the
     /// deleted oids, ascending. Built once per deletion state
-    /// ([`BindMemo`]).
+    /// ([`Table::dbat`]).
     pub(crate) fn dbat(&mut self, schema: &str, table: &str) -> Bat {
-        with_joined(&[schema, table], |key| {
-            if let Some(b) = self.bind_memo.dbats.get(key) {
-                return b.clone();
-            }
-            let deleted = self.deleted.get(key).cloned().unwrap_or_default();
-            let b = Bat::dense_oid(deleted);
-            self.bind_memo.dbats.insert(key.to_owned(), b.clone());
-            b
-        })
-    }
-
-    fn require_segmented(&self, key: &str) -> Result<&SegmentedBat, CatalogError> {
-        self.segmented.get(key).ok_or_else(|| {
-            if self.bats.contains_key(key) {
-                CatalogError::NotSegmented(key.to_owned())
-            } else {
-                CatalogError::UnknownColumn(key.to_owned())
-            }
+        with_joined(&[schema, table], |tk| match self.tables.get_mut(tk) {
+            Some(t) => t
+                .dbat
+                .get_or_insert_with(|| Bat::dense_oid(t.deleted.clone()))
+                .clone(),
+            None => Bat::dense_oid(Vec::new()),
         })
     }
 
@@ -602,17 +575,16 @@ impl Catalog {
     /// `ALTER TABLE schema.table SET MERGE THRESHOLD n` DDL executes
     /// (0 disables auto-merging for this table only).
     pub fn set_table_merge_threshold(&mut self, schema: &str, table: &str, rows: usize) {
-        self.merge_thresholds
-            .insert(Self::table_key(schema, table), rows);
+        self.with_table(schema, table, |t| t.merge_threshold = Some(rows));
     }
 
     /// The auto-merge threshold in force for `schema.table`: the per-table
     /// override when one was set, the global default otherwise.
     pub fn table_merge_threshold(&self, schema: &str, table: &str) -> usize {
-        self.merge_thresholds
-            .get(&Self::table_key(schema, table))
-            .copied()
-            .unwrap_or(DEFAULT_DELTA_MERGE_THRESHOLD)
+        with_joined(&[schema, table], |tk| {
+            self.tables.get(tk).and_then(|t| t.merge_threshold)
+        })
+        .unwrap_or(DEFAULT_DELTA_MERGE_THRESHOLD)
     }
 
     /// Pending delta rows against `schema.table`: insert and update
@@ -622,40 +594,12 @@ impl Catalog {
     /// threshold is compared against. Deltas recorded against
     /// never-registered column names are inert (no base column binds
     /// them) and deliberately excluded, so they can neither trigger nor
-    /// survive-past a merge into a thrash loop. Maintained incrementally:
-    /// reading it is O(1).
+    /// survive-past a merge into a thrash loop. Read off the table's
+    /// entry and those of its columns.
     pub fn pending_rows(&self, schema: &str, table: &str) -> usize {
-        self.pending_rows
-            .get(&Self::table_key(schema, table))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Whether `key` names a registered column (plain or segmented).
-    fn is_registered(&self, key: &str) -> bool {
-        self.bats.contains_key(key) || self.segmented.contains_key(key)
-    }
-
-    /// Rebuilds the whole [`Self::pending_rows`] map from the delta and
-    /// deletion state — the bulk path checkpoint restore uses; everything
-    /// else maintains the counters incrementally.
-    pub(crate) fn recompute_pending(&mut self) {
-        let mut pending: HashMap<String, usize> = HashMap::new();
-        for (key, d) in &self.deltas {
-            if !self.is_registered(key) {
-                continue;
-            }
-            if let Some(dot) = key.rfind('.') {
-                *pending.entry(key[..dot].to_owned()).or_insert(0) +=
-                    d.insert_heads.len() + d.update_heads.len();
-            }
-        }
-        for (table, oids) in &self.deleted {
-            if !oids.is_empty() {
-                *pending.entry(table.clone()).or_insert(0) += oids.len();
-            }
-        }
-        self.pending_rows = pending;
+        with_joined(&[schema, table], |tk| {
+            self.tables.get(tk).map_or(0, |t| t.pending(&self.columns))
+        })
     }
 
     /// Folds every pending delta of `schema.table` into its base columns —
@@ -669,7 +613,7 @@ impl Catalog {
     /// Plain columns are positional and are rebuilt in oid order — with a
     /// void head while no row is missing, explicit oids once a delete has
     /// been folded in. Afterwards the table's delta bats and deletion list
-    /// are empty.
+    /// are empty. Only the columns the table's entry lists take part.
     ///
     /// Deltas recorded against column names that were never registered
     /// are inert (no base column ever binds them): they are neither
@@ -687,95 +631,97 @@ impl Catalog {
     /// its base column; `CatalogError::Bpm` when a segmented column
     /// cannot take a pending value (outside its domain, NaN).
     pub fn merge_deltas(&mut self, schema: &str, table: &str) -> Result<MergeReport, CatalogError> {
-        let mut report = MergeReport::default();
-        if self.pending_rows(schema, table) == 0 {
-            return Ok(report);
-        }
-        let tk = Self::table_key(schema, table);
-        let prefix = format!("{tk}.");
-        let deleted = self.deleted.get(&tk).map_or(&[][..], Vec::as_slice);
-
-        let mut plain: Vec<(&String, &Bat)> = self
-            .bats
-            .iter()
-            .filter(|(k, _)| k.starts_with(&prefix))
-            .collect();
-        plain.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut rebuilt = Vec::with_capacity(plain.len());
-        for (key, bat) in plain {
-            let (bat, r) = merge_plain(key, bat, self.deltas.get(key), deleted)?;
-            report.add(r);
-            rebuilt.push((key.clone(), bat));
-        }
-
-        let mut segmented: Vec<(&Arc<str>, &mut SegmentedBat)> = self
-            .segmented
-            .iter_mut()
-            .filter(|(k, _)| k.starts_with(&prefix))
-            .collect();
-        segmented.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut folds = Vec::with_capacity(segmented.len());
-        for (key, seg) in segmented {
-            let (r, fold) =
-                seg.stage_fold(self.deltas.get(&**key), deleted)
-                    .map_err(|e| match e {
-                        BpmError::Bat(source) => CatalogError::MalformedDelta {
-                            key: key.to_string(),
-                            source,
-                        },
-                        other => CatalogError::Bpm(other),
-                    })?;
-            report.add(r);
-            folds.push((key, fold));
-        }
-
-        // Every column staged: fold, install and clear.
-        for (key, fold) in folds {
-            fold();
-            self.deltas.remove(&**key);
-        }
-        for (key, bat) in rebuilt {
-            self.deltas.remove(&key);
-            self.bats.insert(key, bat);
-        }
-        self.deleted.remove(&tk);
-        self.bind_memo.forget_table(&tk);
-        // All counted (registered-column) deltas were folded; deltas
-        // against never-registered column names are inert and uncounted,
-        // so the table's pending total is zero by construction.
-        self.pending_rows.remove(&tk);
-        self.auto_merge_backoff.remove(&tk);
-        Ok(report)
+        with_joined(&[schema, table], |tk| {
+            let Some(t) = self.tables.get_mut(tk) else {
+                return Ok(MergeReport::default());
+            };
+            if t.pending(&self.columns) == 0 {
+                return Ok(MergeReport::default());
+            }
+            // The table's columns leave the map while they merge, so that
+            // each is borrowed on its own.
+            let mut columns: Vec<(Arc<str>, Column)> = t
+                .columns
+                .iter()
+                .filter_map(|key| self.columns.remove_entry(key))
+                .collect();
+            let merged = merge_columns(&mut columns, &t.deleted);
+            self.columns.extend(columns);
+            let report = merged?;
+            t.deleted.clear();
+            t.dbat = None;
+            t.backoff = MergeBackoff::default();
+            Ok(report)
+        })
     }
 
     /// Auto-merge hook run after every delta mutation: once the table's
     /// pending rows reach the threshold in force, the mutation merges the
     /// whole backlog ([`Self::merge_deltas`]). A failed merge (e.g. an
     /// out-of-domain insert) enters exponential backoff — the next
-    /// `2^failures` mutations (capped at 64) only decrement a cooldown,
-    /// keeping mutation O(1) — and is then retried, so pending deltas are
-    /// never silently dropped; success (auto or explicit) clears the
-    /// backoff.
+    /// `2^failures` mutations (capped at 64) only decrement a cooldown —
+    /// and is then retried, so pending deltas are never silently dropped;
+    /// success (auto or explicit) clears the backoff.
     fn maybe_auto_merge(&mut self, schema: &str, table: &str) {
-        let threshold = self.table_merge_threshold(schema, table);
-        if threshold == 0 {
-            return;
-        }
-        let tk = Self::table_key(schema, table);
-        if let Some(b) = self.auto_merge_backoff.get_mut(&tk) {
-            if b.cooldown > 0 {
-                b.cooldown -= 1;
-                return;
+        let due = with_joined(&[schema, table], |tk| {
+            let Some(t) = self.tables.get_mut(tk) else {
+                return false;
+            };
+            let threshold = t.merge_threshold.unwrap_or(DEFAULT_DELTA_MERGE_THRESHOLD);
+            if threshold == 0 {
+                return false;
             }
-        }
-        if self.pending_rows(schema, table) >= threshold
-            && self.merge_deltas(schema, table).is_err()
-        {
-            let b = self.auto_merge_backoff.entry(tk).or_default();
-            b.failures += 1;
-            b.cooldown = 1u32 << b.failures.min(6);
+            if t.backoff.cooldown > 0 {
+                t.backoff.cooldown -= 1;
+                return false;
+            }
+            t.pending(&self.columns) >= threshold
+        });
+        if due && self.merge_deltas(schema, table).is_err() {
+            self.with_table(schema, table, |t| {
+                let b = &mut t.backoff;
+                b.failures += 1;
+                b.cooldown = 1u32 << b.failures.min(6);
+            });
         }
     }
+}
+
+/// Merges the pending deltas of `columns` — one table's, those without a
+/// base left alone — and the table's `deleted` oids: every column is
+/// staged before the first one changes, so a failure changes none.
+fn merge_columns(
+    columns: &mut [(Arc<str>, Column)],
+    deleted: &[Oid],
+) -> Result<MergeReport, CatalogError> {
+    let mut report = MergeReport::default();
+    let mut staged: Vec<(StagedFold<'_>, &mut ColumnDeltas, &mut [Option<Bat>; 2])> = Vec::new();
+    for (key, column) in columns.iter_mut() {
+        let Column { base, deltas, memo } = column;
+        let (r, install): (MergeReport, StagedFold<'_>) = match base {
+            None => continue,
+            Some(Base::Plain(bat)) => {
+                let (merged, r) = merge_plain(key, bat, deltas, deleted)?;
+                (r, Box::new(move || *bat = merged))
+            }
+            Some(Base::Segmented(seg)) => seg.stage_fold(deltas, deleted).map_err(|e| match e {
+                BpmError::Bat(source) => CatalogError::MalformedDelta {
+                    key: key.to_string(),
+                    source,
+                },
+                other => CatalogError::Bpm(other),
+            })?,
+        };
+        report.add(r);
+        staged.push((install, deltas, memo));
+    }
+    // Every column staged: install, and clear what was folded.
+    for (install, deltas, memo) in staged {
+        install();
+        *deltas = ColumnDeltas::default();
+        *memo = Default::default();
+    }
+    Ok(report)
 }
 
 /// One plain column's share of a merge: the base rows with the column's
@@ -783,7 +729,7 @@ impl Catalog {
 fn merge_plain(
     key: &str,
     bat: &Bat,
-    d: Option<&ColumnDeltas>,
+    d: &ColumnDeltas,
     deleted: &[Oid],
 ) -> Result<(Bat, MergeReport), CatalogError> {
     let mut report = MergeReport {
@@ -793,17 +739,15 @@ fn merge_plain(
     let mut rows: BTreeMap<Oid, Atom> = (0..bat.len())
         .map(|i| (bat.head_at(i), atom_at(bat.tail(), i)))
         .collect();
-    if let Some(d) = d {
-        for (oid, v) in d.insert_heads.iter().zip(&d.insert_vals) {
-            rows.insert(*oid, v.clone());
-            report.inserted += 1;
-        }
-        // Recorded order: a later update of the same row wins.
-        for (oid, v) in d.update_heads.iter().zip(&d.update_vals) {
-            if let Some(slot) = rows.get_mut(oid) {
-                *slot = v.clone();
-                report.updated += 1;
-            }
+    for (oid, v) in d.insert_heads.iter().zip(&d.insert_vals) {
+        rows.insert(*oid, v.clone());
+        report.inserted += 1;
+    }
+    // Recorded order: a later update of the same row wins.
+    for (oid, v) in d.update_heads.iter().zip(&d.update_vals) {
+        if let Some(slot) = rows.get_mut(oid) {
+            *slot = v.clone();
+            report.updated += 1;
         }
     }
     for oid in deleted {
@@ -865,8 +809,8 @@ mod tests {
         .unwrap();
         assert!(c.bat("sys.P.objid").is_some());
         assert!(c.bat("sys.P.ra").is_none());
-        assert!(c.is_segmented("sys.P.ra"));
-        assert!(!c.is_segmented("sys.P.objid"));
+        assert!(c.segmented("sys.P.ra").is_some());
+        assert!(c.segmented("sys.P.objid").is_none());
         assert_eq!(
             c.strategy_spec("sys.P.ra").map(|s| s.kind),
             Some(StrategyKind::ApmSegm)
@@ -1383,17 +1327,19 @@ mod tests {
         // and the backoff latches.
         c.insert_row("sys", "T", &[("v", Atom::Int(500))]);
         assert_eq!(c.pending_rows("sys", "T"), 1);
-        assert!(
-            c.auto_merge_backoff.contains_key("sys.T"),
-            "backoff latched"
-        );
+        let latched = MergeBackoff {
+            failures: 1,
+            cooldown: 2,
+        };
+        assert_eq!(c.tables["sys.T"].backoff, latched, "backoff latched");
 
         // Re-registering over the poisoned column (a domain that holds
         // the value) releases the backoff: the very next mutation merges
         // instead of sitting out the cooldown.
         register(&mut c, 1000.0);
-        assert!(
-            !c.auto_merge_backoff.contains_key("sys.T"),
+        assert_eq!(
+            c.tables["sys.T"].backoff,
+            MergeBackoff::default(),
             "re-register resets"
         );
         c.insert_row("sys", "T", &[("v", Atom::Int(13))]);
@@ -1496,7 +1442,7 @@ mod tests {
         for oid in [7, 2, 9, 2, 0, 7] {
             c.delete_row("sys", "P", oid);
         }
-        assert_eq!(c.deleted["sys.P"], vec![0, 2, 2, 7, 7, 9]);
+        assert_eq!(c.tables["sys.P"].deleted, vec![0, 2, 2, 7, 7, 9]);
         assert_eq!(c.pending_rows("sys", "P"), 6);
         assert_eq!(
             c.dbat("sys", "P").tail(),
@@ -1564,10 +1510,22 @@ mod tests {
                 other => panic!("expected MalformedDelta, got {other:?}"),
             }
         }
-        assert!(c
-            .bind_memo
-            .deltas
-            .get("sys.P.ra")
-            .is_none_or(|m| m[0].is_none()));
+        assert!(c.columns["sys.P.ra"].memo[INSERTS].is_none());
+    }
+
+    /// A table's merge folds the columns its entry lists, and no column of
+    /// a table whose name merely extends it (`P` and `P.x`).
+    #[test]
+    fn merging_a_table_leaves_a_table_whose_name_extends_it_alone() {
+        let mut c = Catalog::new();
+        c.register_bat("sys", "P", "a", Bat::dense_int(vec![1, 2]));
+        c.register_bat("sys", "P.x", "c", Bat::dense_int(vec![10, 20]));
+        c.delete_row("sys", "P", 0);
+        let report = c.merge_deltas("sys", "P").unwrap();
+        assert_eq!(report.columns, 1);
+        assert_eq!(report.deleted, 1);
+        assert_eq!(c.bat("sys.P.a").unwrap().len(), 1);
+        assert_eq!(c.bat("sys.P.x.c"), Some(&Bat::dense_int(vec![10, 20])));
+        assert_eq!(c.pending_rows("sys", "P.x"), 0);
     }
 }

@@ -29,7 +29,7 @@ use soc_core::{
 use soc_store::{FixedCodec, SegmentStore, StoreError};
 
 use crate::bpm::BpmError;
-use crate::catalog::Catalog;
+use crate::catalog::{Base, Catalog};
 
 /// Errors saving or loading a whole-catalog checkpoint.
 #[derive(Debug)]
@@ -359,7 +359,7 @@ impl Catalog {
     /// Checkpoints the whole catalog under `dir` in one operation: every
     /// plain and segmented column (each with its [`StrategySpec`] and
     /// accumulated reorganization bill), all pending deltas, the deletion
-    /// lists, and the per-table oid counters.
+    /// lists, and the per-table oid counters and merge thresholds.
     ///
     /// The directory is replaced wholesale — but only after the new
     /// checkpoint has been written completely: everything lands in a
@@ -369,7 +369,9 @@ impl Catalog {
     ///
     /// # Errors
     /// `CheckpointError::Unsupported` for NaN-bearing plain `:dbl`
-    /// bats; I/O and store errors otherwise. On error the previous
+    /// bats and for names a manifest cannot hold (one with whitespace, a
+    /// column key that does not split back into its table's name and its
+    /// own); I/O and store errors otherwise. On error the previous
     /// checkpoint under `dir` is untouched.
     pub fn save_all(&self, dir: impl AsRef<Path>) -> Result<(), CheckpointError> {
         let target = dir.as_ref();
@@ -396,80 +398,87 @@ impl Catalog {
         }
     }
 
-    /// The write half of [`Self::save_all`], against a fresh directory.
+    /// The write half of [`Self::save_all`], against a fresh directory:
+    /// table by table, each column's lines, then the table's own.
     fn save_all_into(&self, dir: &Path) -> Result<(), CheckpointError> {
         if dir.exists() {
             fs::remove_dir_all(dir)?;
         }
         fs::create_dir_all(dir)?;
 
+        let unsupported = |name: &str| {
+            CheckpointError::Unsupported(format!("{name:?} cannot be named in a manifest"))
+        };
         let mut manifest = String::new();
         let _ = writeln!(manifest, "{MAGIC}");
-        let mut keys: BTreeSet<String> = BTreeSet::new();
-        keys.extend(self.bats.keys().cloned());
-        keys.extend(self.segmented.keys().map(|k| k.to_string()));
-
-        for key in &keys {
-            if let Some(seg) = self.segmented.get(key.as_str()) {
-                let meta = self.seg_meta.get(key).copied().ok_or_else(|| {
-                    CheckpointError::Unsupported(format!("{key} has no strategy metadata"))
-                })?;
-                let packed = seg.pack()?;
-                let _ = writeln!(
-                    manifest,
-                    "segmented {key} {} {} {} {} {} {}",
-                    tail_tag(packed.tail()),
-                    packed.len(),
-                    meta.domain_lo.to_bits(),
-                    meta.domain_hi_excl.to_bits(),
-                    seg.reorg_write_bytes(),
-                    spec_to_text(&meta.spec),
-                );
-                save_column(dir, key, &packed.head_oids(), packed.tail())?;
-            } else {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the key came from the union of the maps and is not segmented"
-                )]
-                let bat = self.bats.get(key).expect("key from the union");
-                let _ = writeln!(
-                    manifest,
-                    "plain {key} {} {}",
-                    tail_tag(bat.tail()),
-                    bat.len()
-                );
-                if let Tail::Str(vals) = bat.tail() {
-                    for (i, s) in vals.iter().enumerate() {
+        let mut tables: Vec<_> = self.tables.iter().collect();
+        tables.sort_unstable_by_key(|(tk, _)| *tk);
+        for (tk, t) in tables {
+            if tk.contains(char::is_whitespace) {
+                return Err(unsupported(tk));
+            }
+            for key in &t.columns {
+                let key = &**key;
+                // Lines split on spaces, and a load files a column under
+                // the table its key splits to.
+                let loads_back = !key.contains(char::is_whitespace)
+                    && split_key(key).is_ok_and(|(s, t, _)| s.len() + 1 + t.len() == tk.len());
+                let column = match self.columns.get(key) {
+                    Some(column) if loads_back => column,
+                    _ => return Err(unsupported(key)),
+                };
+                match &column.base {
+                    Some(Base::Segmented(seg)) => {
+                        let packed = seg.pack()?;
+                        let (domain_lo, domain_hi_excl) = seg.domain;
                         let _ = writeln!(
                             manifest,
-                            "strrow {key} {} {}",
-                            bat.head_at(i),
-                            hex_encode(s)
+                            "segmented {key} {} {} {} {} {} {}",
+                            tail_tag(packed.tail()),
+                            packed.len(),
+                            domain_lo.to_bits(),
+                            domain_hi_excl.to_bits(),
+                            seg.reorg_write_bytes(),
+                            spec_to_text(&seg.spec),
                         );
+                        save_column(dir, key, &packed.head_oids(), packed.tail())?;
                     }
+                    Some(Base::Plain(bat)) => {
+                        let _ = writeln!(
+                            manifest,
+                            "plain {key} {} {}",
+                            tail_tag(bat.tail()),
+                            bat.len()
+                        );
+                        if let Tail::Str(vals) = bat.tail() {
+                            for (i, s) in vals.iter().enumerate() {
+                                let _ = writeln!(
+                                    manifest,
+                                    "strrow {key} {} {}",
+                                    bat.head_at(i),
+                                    hex_encode(s)
+                                );
+                            }
+                        }
+                        save_column(dir, key, &bat.head_oids(), bat.tail())?;
+                    }
+                    None => {}
                 }
-                save_column(dir, key, &bat.head_oids(), bat.tail())?;
+                let d = &column.deltas;
+                for (oid, v) in d.insert_heads.iter().zip(&d.insert_vals) {
+                    let _ = writeln!(manifest, "ins {key} {oid} {}", atom_to_text(v));
+                }
+                for (oid, v) in d.update_heads.iter().zip(&d.update_vals) {
+                    let _ = writeln!(manifest, "upd {key} {oid} {}", atom_to_text(v));
+                }
             }
-        }
-        for (table, n) in self.next_oid.iter().collect::<BTreeSet<_>>() {
-            let _ = writeln!(manifest, "next_oid {table} {n}");
-        }
-        for (table, oids) in self.deleted.iter().collect::<BTreeSet<_>>() {
-            if oids.is_empty() {
-                continue;
+            let _ = writeln!(manifest, "next_oid {tk} {}", t.next_oid);
+            if !t.deleted.is_empty() {
+                let list: Vec<String> = t.deleted.iter().map(Oid::to_string).collect();
+                let _ = writeln!(manifest, "deleted {tk} {}", list.join(" "));
             }
-            let list: Vec<String> = oids.iter().map(Oid::to_string).collect();
-            let _ = writeln!(manifest, "deleted {table} {}", list.join(" "));
-        }
-        let mut delta_keys: Vec<&String> = self.deltas.keys().collect();
-        delta_keys.sort();
-        for key in delta_keys {
-            let d = &self.deltas[key];
-            for (oid, v) in d.insert_heads.iter().zip(&d.insert_vals) {
-                let _ = writeln!(manifest, "ins {key} {oid} {}", atom_to_text(v));
-            }
-            for (oid, v) in d.update_heads.iter().zip(&d.update_vals) {
-                let _ = writeln!(manifest, "upd {key} {oid} {}", atom_to_text(v));
+            if let Some(rows) = t.merge_threshold {
+                let _ = writeln!(manifest, "threshold {tk} {rows}");
             }
         }
         fs::write(dir.join(MANIFEST), manifest)?;
@@ -479,8 +488,10 @@ impl Catalog {
     /// Restores a catalog checkpointed by [`Catalog::save_all`]: every
     /// column re-registers under its persisted spec (segmented columns
     /// re-organize from their logical rows, keeping the accumulated
-    /// reorganization bill), deltas and deletions replay verbatim, and
-    /// fresh oids continue where the saved catalog stopped.
+    /// reorganization bill), deltas, deletions and merge thresholds replay
+    /// verbatim, and fresh oids continue where the saved catalog stopped.
+    /// A manifest without `threshold` lines loads with every table at the
+    /// default threshold.
     ///
     /// # Errors
     /// `CheckpointError::Malformed` for a damaged manifest; store and
@@ -550,10 +561,11 @@ impl Catalog {
                     );
                 }
                 "next_oid" if fields.len() == 3 => {
-                    catalog.next_oid.insert(
-                        fields[1].to_owned(),
-                        fields[2].parse().map_err(|_| bad(line))?,
-                    );
+                    let n: Oid = fields[2].parse().map_err(|_| bad(line))?;
+                    let t = catalog.tables.entry(fields[1].to_owned()).or_default();
+                    // Registration only raises it, so the persisted
+                    // counter (>= every bat length) wins in any order.
+                    t.next_oid = t.next_oid.max(n);
                 }
                 "deleted" if fields.len() >= 3 => {
                     let oids: Result<Vec<Oid>, _> = fields[2..].iter().map(|s| s.parse()).collect();
@@ -561,19 +573,30 @@ impl Catalog {
                     // A catalog lists its deleted oids ascending; a
                     // manifest written in recorded order is sorted here.
                     oids.sort_unstable();
-                    catalog.deleted.insert(fields[1].to_owned(), oids);
+                    catalog
+                        .tables
+                        .entry(fields[1].to_owned())
+                        .or_default()
+                        .deleted = oids;
                 }
-                "ins" if fields.len() == 4 => {
-                    let d = catalog.deltas.entry(fields[1].to_owned()).or_default();
-                    d.insert_heads
-                        .push(fields[2].parse().map_err(|_| bad(line))?);
-                    d.insert_vals.push(atom_from_text(fields[3])?);
+                "threshold" if fields.len() == 3 => {
+                    let rows = fields[2].parse().map_err(|_| bad(line))?;
+                    let t = catalog.tables.entry(fields[1].to_owned()).or_default();
+                    t.merge_threshold = Some(rows);
                 }
-                "upd" if fields.len() == 4 => {
-                    let d = catalog.deltas.entry(fields[1].to_owned()).or_default();
-                    d.update_heads
-                        .push(fields[2].parse().map_err(|_| bad(line))?);
-                    d.update_vals.push(atom_from_text(fields[3])?);
+                "ins" | "upd" if fields.len() == 4 => {
+                    let (schema, table, column) = split_key(fields[1])?;
+                    let oid: Oid = fields[2].parse().map_err(|_| bad(line))?;
+                    let atom = atom_from_text(fields[3])?;
+                    catalog.with_column(schema, table, column, |c| {
+                        let d = &mut c.deltas;
+                        let (heads, vals) = match fields[0] {
+                            "ins" => (&mut d.insert_heads, &mut d.insert_vals),
+                            _ => (&mut d.update_heads, &mut d.update_vals),
+                        };
+                        heads.push(oid);
+                        vals.push(atom);
+                    });
                 }
                 _ => return Err(bad(line)),
             }
@@ -586,13 +609,8 @@ impl Catalog {
                 .collect();
             let bat = load_column(dir, &key, &tag, rows, &rows_for_key)?;
             let (schema, table, column) = split_key(&key)?;
-            // Registration only raises next_oid, so the persisted counter
-            // (already replayed above, and >= every bat length) wins.
             catalog.register_bat(schema, table, column, bat);
         }
-        // Delta/deletion lines were replayed straight into the maps, so
-        // the incremental pending counters must be rebuilt once.
-        catalog.recompute_pending();
         Ok(catalog)
     }
 }
@@ -665,10 +683,14 @@ mod tests {
                 ("z", Atom::Int(42)),
                 ("objid", Atom::Int(9500)),
                 ("name", Atom::Str("späßchen".into())),
+                // A column no registration names: its delta is inert.
+                ("ghost", Atom::Int(5)),
             ],
         );
         c.update_value("sys", "P", "ra", 3, Atom::Dbl(111.5));
         c.delete_row("sys", "P", 7);
+        c.set_table_merge_threshold("sys", "P", 0);
+        c.set_table_merge_threshold("sys", "Q", 7);
         c
     }
 
@@ -704,7 +726,21 @@ mod tests {
             restored.pending_rows("sys", "P"),
             c.pending_rows("sys", "P")
         );
-        assert_eq!(restored.deleted, c.deleted);
+        assert_eq!(restored.tables["sys.P"].deleted, vec![7]);
+        for table in ["P", "Q", "R"] {
+            assert_eq!(
+                restored.table_merge_threshold("sys", table),
+                c.table_merge_threshold("sys", table),
+                "{table}"
+            );
+        }
+        assert_eq!(restored.table_merge_threshold("sys", "P"), 0);
+        // The delta against the never-registered column persists, still
+        // without a base, so it stays out of the pending rows.
+        let ghost = &restored.columns["sys.P.ghost"];
+        assert!(ghost.base.is_none());
+        assert_eq!(ghost.deltas.insert_heads, vec![500]);
+        assert_eq!(ghost.deltas.insert_vals, vec![Atom::Int(5)]);
         // Fresh oids continue where the saved catalog stopped (500 base
         // rows + the one pending insert -> next is 501).
         let mut r = restored;
@@ -757,6 +793,43 @@ mod tests {
         ));
         let restored = Catalog::load_all(&dir).expect("old checkpoint intact");
         assert_eq!(restored.keys(), c.keys());
+
+        // Names a manifest line cannot carry fail the save the same way:
+        // whitespace in a name, and a key whose `schema.table.column`
+        // split names another table (table `P.x`, column `c`).
+        let mut spaced = Catalog::new();
+        spaced.register_bat("sys", "my table", "c", Bat::dense_int(vec![1, 2, 3]));
+        let mut spaced_column = Catalog::new();
+        spaced_column.register_bat("sys", "T", "my c", Bat::dense_int(vec![1]));
+        let mut spaced_table = Catalog::new();
+        spaced_table.delete_row("sys", "my table", 0);
+        let mut dotted = Catalog::new();
+        dotted.register_bat("sys", "P.x", "c", Bat::dense_int(vec![1]));
+        for bad in [spaced, spaced_column, spaced_table, dotted] {
+            assert!(
+                matches!(bad.save_all(&dir), Err(CheckpointError::Unsupported(_))),
+                "{bad:?}"
+            );
+            let restored = Catalog::load_all(&dir).expect("old checkpoint intact");
+            assert_eq!(restored.keys(), c.keys());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_manifest_without_threshold_lines_loads_at_the_default() {
+        let dir = tmp("no-threshold");
+        sample_catalog().save_all(&dir).unwrap();
+        let manifest = std::fs::read_to_string(dir.join(MANIFEST)).unwrap();
+        assert!(manifest.contains("\nthreshold sys.P 0\n"));
+        let old: String = manifest
+            .lines()
+            .filter(|l| !l.starts_with("threshold "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        std::fs::write(dir.join(MANIFEST), old).unwrap();
+        let restored = Catalog::load_all(&dir).unwrap();
+        assert_eq!(restored.table_merge_threshold("sys", "P"), 4096);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -24,7 +24,7 @@ use soc_core::StrategyKind;
 
 use crate::ast::{references, Arg, Instruction, Op, Program, Stmt, Var, VarName};
 use crate::bpm::{BpmError, SegmentedBat};
-use crate::catalog::{Catalog, CatalogError};
+use crate::catalog::{with_joined, Base, Catalog, CatalogError};
 
 /// A runtime value bound to a plan variable.
 #[derive(Debug, Clone)]
@@ -272,16 +272,12 @@ fn bind(
     access: i64,
 ) -> Result<MalValue, ExecError> {
     match access {
-        0 => {
-            if let Some(b) = catalog.bat(key) {
-                Ok(MalValue::Bat(b.clone()))
-            } else if let Some(seg) = catalog.segmented(key) {
-                // Fallback for non-optimized plans: reconstruct.
-                Ok(MalValue::Bat(seg.pack()?))
-            } else {
-                Err(ExecError::UnknownColumn(key.to_owned()))
-            }
-        }
+        0 => match catalog.base(key) {
+            Some(Base::Plain(b)) => Ok(MalValue::Bat(b.clone())),
+            // Fallback for non-optimized plans: reconstruct.
+            Some(Base::Segmented(seg)) => Ok(MalValue::Bat(seg.pack()?)),
+            None => Err(ExecError::UnknownColumn(key.to_owned())),
+        },
         1 | 2 => match catalog.delta_bat(key, access) {
             Some(delta) => Ok(MalValue::Bat(delta?)),
             None => Err(ExecError::UnknownColumn(key.to_owned())),
@@ -448,7 +444,9 @@ impl<'a> Interp<'a> {
                 let (schema, table, column) = (f.str_atom(0)?, f.str_atom(1)?, f.str_atom(2)?);
                 let access = f.int_atom(3)?;
                 let catalog = &mut *self.catalog;
-                Catalog::with_key(schema, table, column, |key| bind(catalog, &f, key, access))
+                with_joined(&[schema, table, column], |key| {
+                    bind(catalog, &f, key, access)
+                })
             }
             Op::SqlBindDbat => {
                 f.need_args(2)?;
@@ -598,7 +596,7 @@ impl<'a> Interp<'a> {
                     Atom::Str(s) => s,
                     other => return Err(f.bad_arg(format!("column key, got {other}"))),
                 };
-                if self.catalog.is_segmented(key) {
+                if self.catalog.segmented(key).is_some() {
                     Ok(MalValue::SegHandle(Arc::clone(key)))
                 } else {
                     Err(ExecError::UnknownColumn(key.to_string()))

@@ -90,8 +90,7 @@ fn segmented_selection<'c>(
         if b.op != Op::SqlBind || b.target != Some(bound) || !base {
             return None;
         }
-        let key = catalog.segmented_key(name(b, 0)?, name(b, 1)?, name(b, 2)?)?;
-        Some((key, catalog.segmented(key)?))
+        catalog.segmented_column(name(b, 0)?, name(b, 1)?, name(b, 2)?)
     })
 }
 

@@ -39,7 +39,8 @@ impl Drop for TempDir {
 
 /// Segmented columns of two kinds (APM on `:dbl`, merging GD on `:int`,
 /// whose default merge policy derives from the APM bounds), plain `:int`
-/// and `:str` columns, and pending inserts, updates and deletes.
+/// and `:str` columns, pending inserts, updates and deletes, and a
+/// per-table merge threshold.
 fn sample_catalog() -> Catalog {
     let mut c = Catalog::new();
     c.register_segmented(
@@ -89,6 +90,7 @@ fn sample_catalog() -> Catalog {
     );
     c.update_value("sys", "P", "ra", 3, Atom::Dbl(111.5));
     c.delete_row("sys", "P", 7);
+    c.set_table_merge_threshold("sys", "P", 64);
     c
 }
 

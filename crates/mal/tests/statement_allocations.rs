@@ -12,7 +12,9 @@
 //! benchmark's trickle writes reach after 20 s: 200 inserted rows and 200
 //! deletions pending. A taken piece is read once into the oids its
 //! selection keeps, and the delta bats are bound by reference, so neither
-//! the piece's size nor the pending lists show in the count.
+//! the piece's size nor the pending lists show in the count. The two
+//! writes of the benchmark's trickle, `insert_row` and `delete_row`, get
+//! a budget of their own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,6 +98,16 @@ const TOTAL_MAX: f64 = 49.3;
 /// and a copied piece, 23.5; with built pieces and rebuilt delta binds,
 /// 60.7.
 const RUN_PENDING_MAX: f64 = 18.8;
+/// Per-call ceilings of `insert_row` and `delete_row` on the two-column
+/// `sys.P` with auto-merging off, so no merge runs: a write finds its
+/// table and column entries by a key joined on the stack, and only the
+/// amortized growth of the delta and deletion lists allocates. With a
+/// `format!`ed key per column and per table lookup they made 6.00 and
+/// 3.00.
+const INSERT_MAX: f64 = 0.1;
+const DELETE_MAX: f64 = 0.1;
+/// Insert-then-delete pairs, once to warm up and once measured.
+const WRITE_PAIRS: usize = 1_000;
 /// Trickle writes pending in the second state: each inserts a row, then
 /// deletes it, as the benchmark's alternating writes do.
 const PENDING_ROWS: usize = 200;
@@ -218,5 +230,40 @@ fn pending_writes_do_not_grow_a_statements_allocations() {
     assert!(
         run <= RUN_PENDING_MAX,
         "Interp::run: {run:.1} allocations per statement"
+    );
+}
+
+#[test]
+fn a_write_stays_inside_its_allocation_budget() {
+    let mut c = catalog();
+    c.set_table_merge_threshold("sys", "P", 0);
+    let pair = |c: &mut Catalog, k: usize| {
+        let a0 = allocations();
+        let objid = 587_730_000_000 + (ROWS + k) as i64;
+        let row = [("ra", Atom::Dbl(RA_LO + 1.0)), ("objid", Atom::Int(objid))];
+        let oid = c.insert_row("sys", "P", &row);
+        let a1 = allocations();
+        c.delete_row("sys", "P", oid);
+        [a1 - a0, allocations() - a1]
+    };
+    for k in 0..WRITE_PAIRS {
+        pair(&mut c, k);
+    }
+    let mut total = [0u64; 2];
+    for k in WRITE_PAIRS..2 * WRITE_PAIRS {
+        let [insert, delete] = pair(&mut c, k);
+        total[0] += insert;
+        total[1] += delete;
+    }
+    assert_eq!(c.pending_rows("sys", "P"), 3 * 2 * WRITE_PAIRS);
+    let [insert, delete] = total.map(|t| t as f64 / WRITE_PAIRS as f64);
+    println!("allocations per write: insert_row {insert:.3}, delete_row {delete:.3}");
+    assert!(
+        insert <= INSERT_MAX,
+        "insert_row: {insert:.3} allocations per call"
+    );
+    assert!(
+        delete <= DELETE_MAX,
+        "delete_row: {delete:.3} allocations per call"
     );
 }
