@@ -78,10 +78,12 @@
 //! a strategy's [`ColumnStrategy::peek_slices`] exposes after the same
 //! queries is an epoch-dependent artifact, so the concurrent column
 //! normalizes it; sorting the serial peek yields the identical sequence.
-//! The property tests of `tests/concurrent_equivalence.rs` prove both, for
-//! all nine strategy kinds, under concurrent readers racing the writer; the
-//! crate's own `tests::racing_compaction` proves that readers racing the
-//! writer's fold steps observe only exact batch-prefix states.
+//! The model harness `tests/model_equivalence.rs` checks both against the
+//! logical column, for all nine strategy kinds and over a sharded column,
+//! with two readers racing the writer's hints between writes, drains,
+//! migrations and restores; the crate's own `tests::racing_compaction`
+//! proves that readers racing the writer's fold steps observe only exact
+//! batch-prefix states.
 //!
 //! All of the writer's work is one `Writer::step` per epoch, and its
 //! thread only receives and steps, so the crate's tests step a writer that

@@ -91,9 +91,24 @@ pub(crate) struct ColumnDeltas {
     /// Appended rows: explicit (oid, value) pairs past the base.
     pub(crate) insert_heads: Vec<Oid>,
     pub(crate) insert_vals: Vec<Atom>,
-    /// In-place updates of base rows: (oid, new value).
+    /// In-place updates of base rows: (oid, new value), one per row.
     pub(crate) update_heads: Vec<Oid>,
     pub(crate) update_vals: Vec<Atom>,
+}
+
+impl ColumnDeltas {
+    /// Records that row `oid` is to hold `value`. A row keeps one pending
+    /// update, the later value replacing the earlier, so a select merging
+    /// the updates sees the value a merge would fold.
+    pub(crate) fn update(&mut self, oid: Oid, value: Atom) {
+        match self.update_heads.iter().position(|&h| h == oid) {
+            Some(i) => self.update_vals[i] = value,
+            None => {
+                self.update_heads.push(oid);
+                self.update_vals.push(value);
+            }
+        }
+    }
 }
 
 /// Materializes delta atoms as a bat typed like the base column. `Int`,
@@ -501,12 +516,12 @@ impl Catalog {
         oid
     }
 
-    /// Records an in-place update of one column of row `oid`.
+    /// Records an in-place update of one column of row `oid`, replacing
+    /// the row's pending update of that column, if any.
     pub fn update_value(&mut self, schema: &str, table: &str, column: &str, oid: Oid, value: Atom) {
         self.with_column(schema, table, column, |c| {
             c.memo[UPDATES] = None;
-            c.deltas.update_heads.push(oid);
-            c.deltas.update_vals.push(value);
+            c.deltas.update(oid, value);
         });
         self.maybe_auto_merge(schema, table);
     }
@@ -952,9 +967,10 @@ mod tests {
         let report = c.merge_deltas("sys", "T").unwrap();
         assert_eq!(report.columns, 2);
         // Delta *entries* across columns: each inserted row wrote both v
-        // and id, the three updates touched only v.
+        // and id; the updates touched only v, and row 0's second update
+        // replaced its first, so two rows are updated.
         assert_eq!(report.inserted, 4);
-        assert_eq!(report.updated, 3);
+        assert_eq!(report.updated, 2);
         assert_eq!(report.deleted, 2);
 
         // Expected logical rows: base with oid 0 -> 44, oid 1 and the

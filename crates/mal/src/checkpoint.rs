@@ -590,12 +590,14 @@ impl Catalog {
                     let atom = atom_from_text(fields[3])?;
                     catalog.with_column(schema, table, column, |c| {
                         let d = &mut c.deltas;
-                        let (heads, vals) = match fields[0] {
-                            "ins" => (&mut d.insert_heads, &mut d.insert_vals),
-                            _ => (&mut d.update_heads, &mut d.update_vals),
-                        };
-                        heads.push(oid);
-                        vals.push(atom);
+                        if fields[0] == "ins" {
+                            d.insert_heads.push(oid);
+                            d.insert_vals.push(atom);
+                        } else {
+                            // A manifest written before a row kept one
+                            // pending update may list several: the last wins.
+                            d.update(oid, atom);
+                        }
                     });
                 }
                 _ => return Err(bad(line)),
@@ -830,6 +832,23 @@ mod tests {
         std::fs::write(dir.join(MANIFEST), old).unwrap();
         let restored = Catalog::load_all(&dir).unwrap();
         assert_eq!(restored.table_merge_threshold("sys", "P"), 4096);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn two_pending_updates_of_one_row_load_as_the_last() {
+        let dir = tmp("stacked-updates");
+        sample_catalog().save_all(&dir).unwrap();
+        let manifest = std::fs::read_to_string(dir.join(MANIFEST)).unwrap();
+        let line = format!("upd sys.P.ra 3 {}\n", atom_to_text(&Atom::Dbl(111.5)));
+        assert!(manifest.contains(&line), "{manifest}");
+        let later = format!("upd sys.P.ra 3 {}\n", atom_to_text(&Atom::Dbl(230.5)));
+        let stacked = manifest.replace(&line, &format!("{line}{later}"));
+        std::fs::write(dir.join(MANIFEST), stacked).unwrap();
+        let restored = Catalog::load_all(&dir).unwrap();
+        let d = &restored.columns["sys.P.ra"].deltas;
+        assert_eq!(d.update_heads, [3]);
+        assert_eq!(d.update_vals, [Atom::Dbl(230.5)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

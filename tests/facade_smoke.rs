@@ -19,24 +19,6 @@ fn load() -> Vec<u32> {
 }
 
 #[test]
-fn every_strategy_answers_correctly_through_the_facade() {
-    let values = load();
-    let q = ValueRange::must(100_000, 199_999);
-    let expect = values.iter().filter(|v| q.contains(**v)).count() as u64;
-    for kind in StrategyKind::ALL {
-        let mut strategy: Box<dyn ColumnStrategy<u32>> = StrategySpec::new(kind)
-            .with_model_seed(7)
-            .build(domain(), values.clone())
-            .expect("values lie in domain");
-        let mut tracker = CountingTracker::new();
-        assert_eq!(strategy.select_count(&q, &mut tracker), expect, "{kind:?}");
-        let collected = strategy.peek_collect(&q);
-        assert_eq!(collected.len() as u64, expect, "{kind:?}");
-        assert!(collected.iter().all(|v| q.contains(*v)), "{kind:?}");
-    }
-}
-
-#[test]
 fn self_organization_shrinks_reads_for_every_adaptive_strategy() {
     let organize = WorkloadSpec::uniform(0.1, 200, 3).generate(&domain());
     let probe = ValueRange::must(400_000, 499_999);
