@@ -4,7 +4,12 @@
 //! [`StrategySpec`]. If any re-export in the facade or any strategy's
 //! trait wiring rots, this fails.
 
+mod model;
+
+use proptest::prelude::*;
 use socdb::prelude::*;
+
+use model::Cases;
 
 const DOMAIN_HI: u32 = 999_999;
 const COLUMN_LEN: usize = 20_000;
@@ -16,6 +21,17 @@ fn domain() -> ValueRange<u32> {
 
 fn load() -> Vec<u32> {
     uniform_values(COLUMN_LEN, &domain(), 42)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every kind built through the facade answers as the logical column
+    /// does (the shared harness's bare system, `model/mod.rs`).
+    #[test]
+    fn every_strategy_answers_correctly_through_the_facade(case in Cases) {
+        model::bare(&case, &StrategyKind::ALL)?;
+    }
 }
 
 #[test]

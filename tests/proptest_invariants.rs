@@ -1,13 +1,19 @@
-//! Property-based tests over the self-organization invariants that are
-//! not answers (those are `model_equivalence.rs`'s): for arbitrary
-//! columns and query sequences the covering set keeps its four formal
-//! properties (Section 5), replication's storage accounting adds up, and
-//! the workload generators stay in the domain.
+//! Property-based tests over the self-organization invariants: answers
+//! equal the logical column's for every strategy family and for sharded
+//! execution (the cases, the model and the systems are the shared
+//! harness's, `model/mod.rs`), the covering set keeps its four formal
+//! properties (Section 5) on arbitrary columns and query sequences,
+//! replication's storage accounting adds up, and the workload generators
+//! stay in the domain.
+
+mod model;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use socdb::prelude::*;
+
+use model::Cases;
 
 const DOMAIN_HI: u32 = 9_999;
 
@@ -105,5 +111,45 @@ proptest! {
         for q in queries {
             prop_assert!(q.hi() <= DOMAIN_HI);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn cracking_matches_naive_filter(case in Cases) {
+        model::bare(&case, &[StrategyKind::Cracking])?;
+    }
+
+    #[test]
+    fn segmentation_apm_matches_naive_filter(case in Cases) {
+        model::bare(&case, &[StrategyKind::ApmSegm, StrategyKind::AutoApmSegm])?;
+    }
+
+    #[test]
+    fn segmentation_gd_matches_naive_filter(case in Cases) {
+        model::bare(&case, &[StrategyKind::GdSegm, StrategyKind::GdSegmMerged])?;
+    }
+
+    /// The replica tree's validity is checked at every fold
+    /// (`debug_assert_valid!`) and by the bare system's validator.
+    #[test]
+    fn replication_matches_naive_filter_and_tree_stays_valid(case in Cases) {
+        model::bare(&case, &[StrategyKind::ApmRepl, StrategyKind::GdRepl])?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn sharded_execution_matches_single_node_for_every_kind_and_policy(case in Cases) {
+        model::sharded(&case, &StrategyKind::ALL)?;
+    }
+
+    #[test]
+    fn sharded_execution_with_a_folded_delta_matches_single_node(case in Cases) {
+        model::sharded(&case, &StrategyKind::ALL)?;
     }
 }
