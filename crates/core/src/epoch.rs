@@ -78,8 +78,9 @@
 //! a strategy's [`ColumnStrategy::peek_slices`] exposes after the same
 //! queries is an epoch-dependent artifact, so the concurrent column
 //! normalizes it; sorting the serial peek yields the identical sequence.
-//! The model harness `tests/model/mod.rs` (run by `concurrent_equivalence.rs`
-//! and others) checks both against the logical column, for all nine strategy kinds and over a sharded column,
+//! The model harness `tests/model/mod.rs` (run by
+//! `concurrent_equivalence.rs` and others) checks both against the
+//! logical column, for all nine strategy kinds and over a sharded column,
 //! with two readers racing the writer's hints between writes, drains,
 //! migrations and restores; the crate's own `tests::racing_compaction`
 //! proves that readers racing the writer's fold steps observe only exact

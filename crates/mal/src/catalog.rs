@@ -99,7 +99,10 @@ pub(crate) struct ColumnDeltas {
 impl ColumnDeltas {
     /// Records that row `oid` is to hold `value`. A row keeps one pending
     /// update, the later value replacing the earlier, so a select merging
-    /// the updates sees the value a merge would fold.
+    /// the updates sees the value a merge would fold. The search for the
+    /// row's earlier update is linear in the pending updates, so `n`
+    /// updates of distinct rows between merges cost O(n²); no workload
+    /// stacks many (`sql_session` writes no update).
     pub(crate) fn update(&mut self, oid: Oid, value: Atom) {
         match self.update_heads.iter().position(|&h| h == oid) {
             Some(i) => self.update_vals[i] = value,

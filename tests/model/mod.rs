@@ -16,16 +16,19 @@
 //!     through `ColumnStrategy::fold_delta`;
 //!   - [`Served`]: a `ConcurrentColumn`, each run of reads made by two
 //!     threads racing the writer's reorganization hints, and the same
-//!     column over a `ShardedColumn`;
+//!     column over a `ShardedColumn`, re-placed (`ShardedColumn::replace`)
+//!     whenever it is built, switched or restored;
 //!   - [`Sql`]: a catalog column read by the compiled, segment-optimized
 //!     select, checkpointed through `save_all`/`load_all`.
 //!
 //! This module holds no test. The properties that draw [`Cases`] and run
 //! them through [`bare`], [`served`], [`sharded`] or [`sql`] sit in the
-//! files named for what they check, and the shim seeds each property by
-//! its name, so each draws cases of its own. Per system and kind they run
-//! at least as many cases as the pairwise suites they replaced (bare and
-//! sharded 64, served 16, SQL 24).
+//! files named for what they check; each picks the systems, kinds,
+//! placements and [`Cases`] knobs (skewed reads, writes or none) its name
+//! asks for, and the shim seeds each property by its name, so each draws
+//! cases of its own. Together they run, per system and kind, at least as
+//! many cases as the pairwise suites they replaced (bare 64, served 16,
+//! sharded 64, SQL 24).
 //!
 //! The `proptest` shim does not shrink, so [`check`] does: it deletes ops
 //! and base rows for as long as the case still fails, and prints the
@@ -57,14 +60,20 @@ const DOMAIN_HI: i64 = 999;
 const NEVER: u64 = 1 << 40;
 /// The SQL table's `id` column holds `ID_BASE + oid`.
 const ID_BASE: i64 = 10_000;
-/// Every placement a sharded column takes, each kind in turn: the
-/// `(policy, nodes)` halves of `ApmSegm`/`RangeContiguous`/4,
-/// `Cracking`/`RoundRobin`/3 and `GdRepl`/`SizeBalanced`/5.
-const PLACEMENTS: [(PlacementPolicy, usize); 3] = [
+/// Three placements of a sharded column, the `(policy, nodes)` halves of
+/// `ApmSegm`/`RangeContiguous`/4, `Cracking`/`RoundRobin`/3 and
+/// `GdRepl`/`SizeBalanced`/5.
+pub const PLACEMENTS: [(PlacementPolicy, usize); 3] = [
     (PlacementPolicy::RangeContiguous, 4),
     (PlacementPolicy::RoundRobin, 3),
     (PlacementPolicy::SizeBalanced, 5),
 ];
+
+/// Every placement policy on one to six nodes.
+pub fn every_placement() -> Vec<(PlacementPolicy, usize)> {
+    let on = |policy| (1..=6).map(move |nodes| (policy, nodes));
+    PlacementPolicy::ALL.into_iter().flat_map(on).collect()
+}
 
 /// A row of every system: value first, so a value range is a pair range.
 type Row = Pair<i64>;
@@ -159,7 +168,21 @@ impl Case {
 
 /// Draws a [`Case`]: 20 to 200 base rows, 10 to 60 ops. A third of the
 /// writes name a row written before, a tenth a row that never existed.
-pub struct Cases;
+pub struct Cases {
+    /// Four reads in five start in one of two hot areas, `100..150` and
+    /// `700..750`, as under the paper's skewed load; else reads are uniform.
+    pub skewed: bool,
+    /// Whether to draw inserts, updates and deletes; without them, the
+    /// ops they would have been are reads.
+    pub writes: bool,
+}
+
+impl Cases {
+    pub const MIXED: Cases = Cases {
+        skewed: false,
+        writes: true,
+    };
+}
 
 impl Strategy for Cases {
     type Value = Case;
@@ -171,9 +194,16 @@ impl Strategy for Cases {
         let mut written: Vec<u64> = Vec::new();
         let mut ops = Vec::new();
         for _ in 0..rng.gen_range(10..60) {
-            let op = match rng.gen_range(0..100u32) {
+            let roll = match rng.gen_range(0..100u32) {
+                40..=79 if !self.writes => 0,
+                roll => roll,
+            };
+            let op = match roll {
                 0..=39 => {
-                    let lo = value(rng);
+                    let lo = match self.skewed && rng.gen_bool(0.8) {
+                        true => [100, 700][rng.gen_range(0..2usize)] + rng.gen_range(0..50i64),
+                        false => value(rng),
+                    };
                     let hi = if rng.gen_bool(0.5) {
                         lo + rng.gen_range(0..20i64)
                     } else {
@@ -387,20 +417,41 @@ impl System for Bare {
 }
 
 /// A served column, over a `ShardedColumn` when the layout places shards.
-/// A checkpoint restores a new column from the rows the old one serves.
+/// A checkpoint restores a new column from the rows the old one serves; a
+/// sharded column is switched the same way (`set_strategy` takes no
+/// placement).
 struct Served {
     column: ConcurrentColumn<Row>,
     layout: Layout,
     spec: StrategySpec,
     /// Whether a write was sent since the last barrier.
     unsynced: bool,
+    /// Every range read so far.
+    history: Vec<ValueRange<i64>>,
 }
 
-fn serve(layout: Layout, spec: StrategySpec, rows: Vec<Row>) -> Result<Served, String> {
+/// A column serving `rows`. A sharded one first replays `history` on its
+/// nodes, which adapt, then runs a re-placement epoch
+/// (`ShardedColumn::replace`) that moves their pieces to new homes; its
+/// counts must be the rows' before the epoch, and all its answers the
+/// model's after.
+fn serve(
+    layout: Layout,
+    spec: StrategySpec,
+    rows: Vec<Row>,
+    history: Vec<ValueRange<i64>>,
+) -> Result<Served, String> {
     let column = match layout.shards {
         None => ConcurrentColumn::from_spec(&spec, domain(), rows).map_err(why)?,
         Some((policy, nodes)) => {
-            let sharded = ShardedColumn::new(spec, policy, nodes, domain(), rows).map_err(why)?;
+            let new = ShardedColumn::new(spec, policy, nodes, domain(), rows.clone());
+            let mut sharded = new.map_err(why)?;
+            for q in &history {
+                let want = rows.iter().filter(|row| q.contains(row.value)).count();
+                let got = sharded.select_count(&q.paired(), &mut NullTracker);
+                same(format!("sharded count of {q:?}"), got, want as u64)?;
+            }
+            sharded.replace(&mut NullTracker).map_err(why)?;
             ConcurrentColumn::new(Box::new(sharded), domain())
         }
     };
@@ -409,6 +460,7 @@ fn serve(layout: Layout, spec: StrategySpec, rows: Vec<Row>) -> Result<Served, S
         layout,
         spec,
         unsynced: false,
+        history,
     })
 }
 
@@ -440,7 +492,7 @@ fn panic_message(panic: &(dyn Any + Send)) -> String {
 impl System for Served {
     fn build(layout: Layout, seed: u64, base: &[i64]) -> Result<Self, String> {
         let rows = pair_rows((0..).zip(base.iter().copied()));
-        serve(layout, spec(layout.kind, seed), rows)
+        serve(layout, spec(layout.kind, seed), rows, Vec::new())
     }
 
     fn write(&mut self, _: Op, effect: Option<DeltaOp<Row>>) -> Checked {
@@ -459,6 +511,7 @@ impl System for Served {
         if std::mem::take(&mut self.unsynced) {
             self.column.quiesce();
         }
+        self.history.extend(reads.iter().map(|(q, _)| *q));
         let column = &self.column;
         std::thread::scope(|s| {
             let backward = s.spawn(|| serves(column, reads.iter().rev()));
@@ -474,7 +527,10 @@ impl System for Served {
     }
 
     fn switch(&mut self, kind: StrategyKind) -> Checked {
-        self.spec.kind = kind;
+        (self.spec.kind, self.layout.kind) = (kind, kind);
+        if self.layout.shards.is_some() {
+            return self.checkpoint();
+        }
         self.column.set_strategy(self.spec);
         Ok(())
     }
@@ -483,7 +539,8 @@ impl System for Served {
         self.column.quiesce();
         let snapshot = self.column.snapshot();
         let rows = snapshot.select_collect(&domain(), &mut NullTracker);
-        *self = serve(self.layout, self.spec, rows)?;
+        let history = std::mem::take(&mut self.history);
+        *self = serve(self.layout, self.spec, rows, history)?;
         Ok(())
     }
 
@@ -734,14 +791,20 @@ pub fn served(case: &Case, kinds: &[StrategyKind]) -> Result<(), TestCaseError> 
     check::<Served>("served", case, &unsharded(kinds))
 }
 
-/// The served columns of `kinds`, each sharded by one of [`PLACEMENTS`]
+/// The served columns of `kinds`, each sharded by one of `placements`
 /// (the case's seed rotates them), answer `case` as the model.
-pub fn sharded(case: &Case, kinds: &[StrategyKind]) -> Result<(), TestCaseError> {
+pub fn sharded(
+    case: &Case,
+    kinds: &[StrategyKind],
+    placements: &[(PlacementPolicy, usize)],
+) -> Result<(), TestCaseError> {
     let layouts: Vec<Layout> = (0..)
         .zip(kinds)
         .map(|(k, &kind)| Layout {
             kind,
-            shards: Some(PLACEMENTS[(k + case.seed as usize) % PLACEMENTS.len()]),
+            shards: Some(
+                placements[(k + case.seed as usize % placements.len()) % placements.len()],
+            ),
         })
         .collect();
     check::<Served>("sharded", case, &layouts)

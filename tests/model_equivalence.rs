@@ -34,7 +34,7 @@ fn replayed_cases_answer_as_the_model() {
         let outcomes = [
             model::bare(case, &StrategyKind::ALL),
             model::served(case, &StrategyKind::ALL),
-            model::sharded(case, &StrategyKind::ALL),
+            model::sharded(case, &StrategyKind::ALL, &model::PLACEMENTS),
             model::sql(case, &StrategyKind::ALL),
         ];
         if let Some(Err(e)) = outcomes.into_iter().find(Result::is_err) {
