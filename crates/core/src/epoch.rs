@@ -767,14 +767,16 @@ impl<V: ColumnValue> Writer<V> {
     }
 
     fn migrate(&mut self, spec: StrategySpec) {
-        // Content snapshot off the live strategy (a read-only peek), then
-        // a fresh organization under the new spec. The values came out of
-        // the column, so the rebuild cannot leave the domain; a failure
-        // (only reachable through a pathological custom strategy) keeps
-        // the old strategy serving.
-        let rows = self.strategy.peek_collect(&self.domain);
-        let bytes = rows.len() as u64 * V::BYTES;
-        match spec.build(self.domain, rows) {
+        // A fresh organization of the live strategy's rows under the new
+        // spec (`ColumnStrategy::rebuilt`: a sharded column keeps its
+        // placement). The values came out of the column, so the rebuild
+        // cannot leave the domain; a failure (only reachable through a
+        // pathological custom strategy) keeps the old strategy serving.
+        let mut rows = 0;
+        self.strategy
+            .peek_slices(&self.domain, &mut |part| rows += part.len() as u64);
+        let bytes = rows * V::BYTES;
+        match self.strategy.rebuilt(&spec, self.domain) {
             Ok(rebuilt) => {
                 // The migration is itself reorganization: one full read of
                 // the old layout, one full write of the new.
@@ -1136,9 +1138,10 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
     }
 
     /// Starts a background migration to the strategy `spec` describes: the
-    /// writer rebuilds the column from a content snapshot and publishes
-    /// the swap as the next epoch, while readers keep answering from the
-    /// old organization. Returns immediately; [`Self::quiesce`] is the
+    /// writer rebuilds the column's rows under it
+    /// ([`ColumnStrategy::rebuilt`]: a sharded column keeps its nodes and
+    /// placement) and publishes the swap as the next epoch, while readers
+    /// keep answering from the old organization. Returns immediately; [`Self::quiesce`] is the
     /// explicit completion barrier.
     pub fn set_strategy(&self, spec: StrategySpec) {
         let _ = self.sender().send(WriterCmd::Migrate(spec));

@@ -12,8 +12,10 @@
 //! Its organization is one list, [`ColumnStrategy::pieces`]: each placeable
 //! piece's value range with its size.
 
+use crate::column::ColumnError;
 use crate::range::ValueRange;
 use crate::segment::Window;
+use crate::spec::StrategySpec;
 use crate::tracker::AccessTracker;
 use crate::value::ColumnValue;
 
@@ -192,5 +194,21 @@ pub trait ColumnStrategy<V: ColumnValue>: Send + Sync {
     /// baselines; adaptive strategies override it.
     fn adaptation(&self) -> AdaptationStats {
         AdaptationStats::default()
+    }
+
+    /// This column's rows organized afresh under `spec` over `domain` —
+    /// what a migration ([`crate::ConcurrentColumn::set_strategy`]) swaps
+    /// in. The default builds one `spec` strategy from every row; `soc-sim`'s
+    /// sharded column rebuilds each node under `spec` and keeps its
+    /// placement.
+    ///
+    /// # Errors
+    /// The [`ColumnError`] of the strategy constructor.
+    fn rebuilt(
+        &self,
+        spec: &StrategySpec,
+        domain: ValueRange<V>,
+    ) -> Result<Box<dyn ColumnStrategy<V>>, ColumnError> {
+        spec.build(domain, self.peek_collect(&domain))
     }
 }

@@ -26,10 +26,11 @@
 //! whole bat ([`SegmentedBat::piece_bat`]), filled from the slices
 //! directly, and so does the checkpoint's [`SegmentedBat::pack`]. Pending
 //! deltas are the plan's to merge (`sql.subdelta`/`sql.projectdelta` over
-//! the catalog's delta bats); this module only seals them into a run when
-//! the catalog merges them into the pieces.
+//! the catalog's delta bats); when the catalog merges them into the pieces,
+//! it hands this module typed bats — the rows the writes name, as the
+//! pieces hold them and as the plan reads them — and this module seals
+//! their difference into a run.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use soc_bat::algebra::{Atom, Selectable};
@@ -38,8 +39,6 @@ use soc_core::{
     AdaptationStats, ColumnError, ColumnStrategy, ColumnValue, CountingTracker, DeltaBatch,
     DeltaOp, DeltaRun, OrdF64, Pair, SegIdGen, StrategySpec, ValueRange,
 };
-
-use crate::catalog::{ColumnDeltas, MergeReport};
 
 /// Errors from segmented-bat operations.
 #[derive(Debug)]
@@ -111,14 +110,9 @@ pub(crate) trait TailValue: ColumnValue {
     /// Rebuilds this type's tail from extracted values.
     fn make_tail(values: Vec<Self>) -> Tail;
 
-    /// The typed value a delta [`Atom`] lands as. The `:int` and `:oid`
-    /// coercions *are* the ones `atoms_to_bat` applies to the delta bats
-    /// the Figure 1 plan binds, so a merge folds exactly the rows the plan
-    /// read, and `None` is exactly an atom a delta bind rejects
-    /// (`Str`/`Nil`, a `Dbl` or negative `Int` into `:oid`). A `:dbl` tail
-    /// is `None` for `Str`/`Nil` and for NaN, which has no place in a
-    /// value order ([`BpmError::NanTail`]).
-    fn from_atom(a: &Atom) -> Option<Self>;
+    /// The `(oid, value)` rows of `bat`, whose tail must be of this type;
+    /// a `:dbl` NaN has no place in a value order ([`BpmError::NanTail`]).
+    fn rows(bat: &Bat) -> Result<Vec<(u64, Self)>, BpmError>;
 
     /// Smallest representable value `>= x`; `None` when no such value
     /// exists (NaN, or `x` above the type's range) — an empty query.
@@ -164,12 +158,10 @@ impl TailValue for i64 {
         Self::bound_hi(if f == x { x - 1.0 } else { f })
     }
 
-    fn from_atom(a: &Atom) -> Option<Self> {
-        match a {
-            Atom::Int(v) => Some(*v),
-            Atom::Oid(v) => Some(*v as i64),
-            Atom::Dbl(v) => Some(*v as i64),
-            Atom::Str(_) | Atom::Nil => None,
+    fn rows(bat: &Bat) -> Result<Vec<(u64, Self)>, BpmError> {
+        match bat.tail() {
+            Tail::Int(v) => Ok(paired(bat, v)),
+            other => Err(mismatch::<Self>(other)),
         }
     }
 }
@@ -205,11 +197,10 @@ impl TailValue for u64 {
         Self::bound_hi(if f == x { x - 1.0 } else { f })
     }
 
-    fn from_atom(a: &Atom) -> Option<Self> {
-        match a {
-            Atom::Oid(v) => Some(*v),
-            Atom::Int(v) => u64::try_from(*v).ok(),
-            Atom::Dbl(_) | Atom::Str(_) | Atom::Nil => None,
+    fn rows(bat: &Bat) -> Result<Vec<(u64, Self)>, BpmError> {
+        match bat.tail() {
+            Tail::Oid(v) => Ok(paired(bat, v)),
+            other => Err(mismatch::<Self>(other)),
         }
     }
 }
@@ -238,16 +229,39 @@ impl TailValue for OrdF64 {
         OrdF64::new(x.next_down())
     }
 
-    fn from_atom(a: &Atom) -> Option<Self> {
-        a.as_f64().and_then(OrdF64::new)
+    fn rows(bat: &Bat) -> Result<Vec<(u64, Self)>, BpmError> {
+        let Tail::Dbl(v) = bat.tail() else {
+            return Err(mismatch::<Self>(bat.tail()));
+        };
+        let ordered = |(i, &x): (usize, &f64)| match OrdF64::new(x) {
+            Some(ord) => Ok((bat.head_at(i), ord)),
+            None => Err(BpmError::NanTail { row: i }),
+        };
+        v.iter().enumerate().map(ordered).collect()
     }
+}
+
+/// `bat`'s head oids beside its tail `values`.
+fn paired<T: Copy>(bat: &Bat, values: &[T]) -> Vec<(u64, T)> {
+    (0..)
+        .zip(values)
+        .map(|(i, &x)| (bat.head_at(i), x))
+        .collect()
+}
+
+/// The error for a tail that is not `V`'s type.
+fn mismatch<V: TailValue>(tail: &Tail) -> BpmError {
+    BpmError::Bat(BatError::TypeMismatch {
+        expected: V::TYPE_NAME,
+        got: tail.type_name(),
+    })
 }
 
 /// What a strategy constructor yields for one tail type.
 type BuiltStrategy<V> = Result<Box<dyn ColumnStrategy<Pair<V>>>, ColumnError>;
 
-/// A column's pending deltas sealed into one run over pair space, `None`
-/// when nothing survives shadowing.
+/// A merge's writes sealed into one run over pair space, `None` when
+/// nothing survives shadowing.
 type PendingRun<V> = Option<DeltaRun<Pair<V>>>;
 
 /// A column's checked share of a merge, ready to fold — see
@@ -391,112 +405,55 @@ impl<V: TailValue> TypedSeg<V> {
             + (after.replicas_created - before.replicas_created)
     }
 
-    /// Seals the column's pending catalog deltas into one sorted
-    /// [`DeltaRun`] over pair space — the merge's translation of oid-keyed
-    /// operations: inserts land verbatim, updates and deletes probe their
-    /// *old* value from the current pieces (tombstones cancel by value,
-    /// not by oid). Per-oid
-    /// shadowing — a later update wins, a delete of an inserted row
-    /// cancels it — is [`DeltaBatch`]'s seal semantics. `None` when
-    /// nothing survives shadowing. The report counts what the merge folds
-    /// for this column: every insert entry, the update entries that hit a
-    /// row, the rows the deletions remove.
-    fn pending_run(
-        &self,
-        d: &ColumnDeltas,
-        deleted: &[Oid],
-    ) -> Result<(PendingRun<V>, MergeReport), BpmError> {
-        let mut report = MergeReport {
-            columns: 1,
-            ..MergeReport::default()
-        };
-        if d.insert_heads.is_empty() && d.update_heads.is_empty() && deleted.is_empty() {
-            return Ok((None, report));
-        }
-        // Current value per oid: the base rows that the pending updates and
-        // deletes name — the only ones looked up below — read where the
-        // pieces hold them, then pending ops replayed in recorded order, so
-        // each op sees the value it overwrites.
-        let mut named: Vec<Oid> = deleted.to_vec();
-        named.extend(&d.update_heads);
-        named.sort_unstable();
-        let mut current: BTreeMap<Oid, V> = BTreeMap::new();
-        if !named.is_empty() {
+    /// The rows whose oid `oids` (ascending) lists, in piece order, as a
+    /// bat: one read of the pieces, none when `oids` is empty.
+    fn rows_of(&self, oids: &[Oid]) -> Result<Bat, BpmError> {
+        let (mut heads, mut values) = (Vec::new(), Vec::new());
+        if !oids.is_empty() {
             self.strategy
                 .peek_slices(&self.value_domain.paired(), &mut |rows| {
-                    for p in rows {
-                        if named.binary_search(&p.oid).is_ok() {
-                            current.insert(p.oid, p.value);
-                        }
+                    for p in rows.iter().filter(|p| oids.binary_search(&p.oid).is_ok()) {
+                        heads.push(p.oid);
+                        values.push(p.value);
                     }
                 });
         }
-        // An atom the tail cannot hold fails the read and the merge alike:
-        // no row is invented for it.
-        let land = |row: usize, a: &Atom| {
-            V::from_atom(a).ok_or_else(|| match a {
-                Atom::Dbl(x) if x.is_nan() && V::TYPE_NAME == "dbl" => BpmError::NanTail { row },
-                _ => BpmError::Bat(BatError::TypeMismatch {
-                    expected: V::TYPE_NAME,
-                    got: a.type_name(),
-                }),
-            })
-        };
-        let mut batch = DeltaBatch::new();
-        for (row, (oid, a)) in d.insert_heads.iter().zip(&d.insert_vals).enumerate() {
-            let v = land(row, a)?;
-            batch.push(DeltaOp::Insert {
-                oid: *oid,
-                value: Pair::new(v, *oid),
-            });
-            current.insert(*oid, v);
-            report.inserted += 1;
-        }
-        for (row, (oid, a)) in d.update_heads.iter().zip(&d.update_vals).enumerate() {
-            let new = land(row, a)?;
-            // Updates of rows this column never held are inert — the
-            // merge applies updates by matching oid only.
-            if let Some(slot) = current.get_mut(oid) {
-                let old = std::mem::replace(slot, new);
-                batch.push(DeltaOp::Update {
-                    oid: *oid,
-                    old: Pair::new(old, *oid),
-                    new: Pair::new(new, *oid),
-                });
-                report.updated += 1;
-            }
-        }
-        for oid in deleted {
-            // Repeated deletes of one oid collapse: the first removes the
-            // row from `current`, later ones find nothing to tombstone.
-            if let Some(old) = current.remove(oid) {
-                batch.push(DeltaOp::Delete {
-                    oid: *oid,
-                    value: Pair::new(old, *oid),
-                });
-                report.deleted += 1;
-            }
-        }
-        Ok((batch.seal(SegIdGen::new().fresh()), report))
+        Ok(Bat::new(Head::Oids(heads.into()), V::make_tail(values))?)
     }
 
-    /// See [`SegmentedBat::stage_fold`]. An insert outside the domain is
-    /// the one fold [`ColumnStrategy::fold_delta`] refuses, so checking it
-    /// here leaves nothing fallible in the returned fold.
-    fn stage_fold(
-        &mut self,
-        d: &ColumnDeltas,
-        deleted: &[Oid],
-    ) -> Result<(MergeReport, StagedFold<'_>), BpmError> {
-        let (run, report) = self.pending_run(d, deleted)?;
+    /// `bat`'s rows as pairs the column can hold: typed like it, no NaN,
+    /// inside the domain — the one fold [`ColumnStrategy::fold_delta`]
+    /// refuses is an insert outside it.
+    fn admitted(&self, bat: &Bat) -> Result<Vec<Pair<V>>, BpmError> {
+        let pairs: Vec<Pair<V>> = V::rows(bat)?
+            .into_iter()
+            .map(|(oid, v)| Pair::new(v, oid))
+            .collect();
         let domain = self.value_domain.paired();
-        if run
-            .as_ref()
-            .is_some_and(|r| r.inserts().iter().any(|p| !domain.contains(*p)))
-        {
-            return Err(ColumnError::ValueOutsideDomain.into());
+        match pairs.iter().all(|p| domain.contains(*p)) {
+            true => Ok(pairs),
+            false => Err(ColumnError::ValueOutsideDomain.into()),
         }
-        Ok((report, Box::new(move || self.fold(run))))
+    }
+
+    /// See [`SegmentedBat::stage_fold`]: the run that removes the `old`
+    /// rows and adds the `new` ones, per oid, with an update to the same
+    /// value cancelled ([`DeltaBatch`]'s seal semantics). Checking the
+    /// `new` rows here leaves nothing fallible in the returned fold.
+    fn stage_fold(&mut self, old: &Bat, new: &Bat) -> Result<StagedFold<'_>, BpmError> {
+        let mut batch = DeltaBatch::new();
+        for (oid, v) in V::rows(old)? {
+            let value = Pair::new(v, oid);
+            batch.push(DeltaOp::Delete { oid, value });
+        }
+        for value in self.admitted(new)? {
+            batch.push(DeltaOp::Insert {
+                oid: value.oid,
+                value,
+            });
+        }
+        let run = batch.seal(SegIdGen::new().fresh());
+        Ok(Box::new(move || self.fold(run)))
     }
 
     /// Folds a staged run into the pieces that own its rows: no piece
@@ -515,7 +472,7 @@ impl<V: TailValue> TypedSeg<V> {
             .strategy
             .fold_delta(run.inserts(), run.tombstones(), &mut tracker)
             .expect("inserts inside the domain");
-        debug_assert_eq!(unmatched, 0, "tombstones were read off the current rows");
+        debug_assert_eq!(unmatched, 0, "tombstones were read off the pieces");
         self.rows = self.rows + run.inserts().len() as u64 - run.tombstones().len() as u64;
         self.reorg_write_bytes += tracker.totals().write_bytes;
         // A fold keeps every boundary, but cracking reports only the pieces
@@ -585,36 +542,12 @@ macro_rules! on_seg {
 macro_rules! build_column {
     ($bat:expr, $lo:expr, $hi:expr, $make:expr) => {
         match $bat.tail() {
-            Tail::Int(v) => PairColumn::Int(TypedSeg::build(int_rows($bat, v), $lo, $hi, $make)?),
-            Tail::Dbl(v) => PairColumn::Dbl(TypedSeg::build(dbl_rows($bat, v)?, $lo, $hi, $make)?),
-            Tail::Oid(v) => PairColumn::Oid(TypedSeg::build(oid_rows($bat, v), $lo, $hi, $make)?),
+            Tail::Int(_) => PairColumn::Int(TypedSeg::build(i64::rows($bat)?, $lo, $hi, $make)?),
+            Tail::Dbl(_) => PairColumn::Dbl(TypedSeg::build(OrdF64::rows($bat)?, $lo, $hi, $make)?),
+            Tail::Oid(_) => PairColumn::Oid(TypedSeg::build(u64::rows($bat)?, $lo, $hi, $make)?),
             other => return Err(BpmError::UnsupportedTail(other.type_name())),
         }
     };
-}
-
-fn int_rows(b: &Bat, v: &[i64]) -> Vec<(u64, i64)> {
-    v.iter()
-        .enumerate()
-        .map(|(i, &x)| (b.head_at(i), x))
-        .collect()
-}
-
-fn oid_rows(b: &Bat, v: &[u64]) -> Vec<(u64, u64)> {
-    v.iter()
-        .enumerate()
-        .map(|(i, &x)| (b.head_at(i), x))
-        .collect()
-}
-
-fn dbl_rows(b: &Bat, v: &[f64]) -> Result<Vec<(u64, OrdF64)>, BpmError> {
-    v.iter()
-        .enumerate()
-        .map(|(i, &x)| match OrdF64::new(x) {
-            Some(ord) => Ok((b.head_at(i), ord)),
-            None => Err(BpmError::NanTail { row: i }),
-        })
-        .collect()
 }
 
 /// A bat organized by a self-organizing [`ColumnStrategy`], preserving
@@ -780,23 +713,34 @@ impl SegmentedBat {
         Ok(on_seg!(&mut self.inner, s => s.adapt(ql, qh)))
     }
 
-    /// Stages a merge of the column's pending deltas: seals them into one
-    /// sorted run and checks its inserts against the column's domain. The
-    /// returned fold cannot fail; it hands the run to the strategy's
-    /// [`ColumnStrategy::fold_delta`], which folds it into the pieces that
-    /// own its rows and keeps every piece boundary.
-    /// The report counts what the fold merges for this column.
+    /// The rows whose oid `oids` (ascending) lists, as the pieces hold
+    /// them: explicit oid head, typed tail, in piece order.
+    pub(crate) fn rows_of(&self, oids: &[Oid]) -> Result<Bat, BpmError> {
+        on_seg!(&self.inner, s => s.rows_of(oids))
+    }
+
+    /// Whether the column can hold every row of `bat`, as a merge would
+    /// fold it in.
     ///
     /// # Errors
-    /// [`BpmError::Bat`] (or [`BpmError::NanTail`]) for a pending atom the
-    /// tail cannot hold, and [`BpmError::Column`] for an insert or update
-    /// outside the registered domain.
-    pub(crate) fn stage_fold(
-        &mut self,
-        d: &ColumnDeltas,
-        deleted: &[Oid],
-    ) -> Result<(MergeReport, StagedFold<'_>), BpmError> {
-        on_seg!(&mut self.inner, s => s.stage_fold(d, deleted))
+    /// What [`Self::stage_fold`] raises for its `new` rows.
+    pub(crate) fn admits(&self, bat: &Bat) -> Result<(), BpmError> {
+        on_seg!(&self.inner, s => s.admitted(bat).map(drop))
+    }
+
+    /// Stages a merge that replaces the column's `old` rows (read off its
+    /// pieces, [`Self::rows_of`]) by the `new` ones: seals the change into
+    /// one sorted run and checks its inserts against the column's domain.
+    /// The returned fold cannot fail; it hands the run to the strategy's
+    /// [`ColumnStrategy::fold_delta`], which folds it into the pieces that
+    /// own its rows and keeps every piece boundary.
+    ///
+    /// # Errors
+    /// [`BpmError::Bat`] for a bat of another type than the column's,
+    /// [`BpmError::NanTail`] for a NaN, and [`BpmError::Column`] for a
+    /// `new` row outside the registered domain.
+    pub(crate) fn stage_fold(&mut self, old: &Bat, new: &Bat) -> Result<StagedFold<'_>, BpmError> {
+        on_seg!(&mut self.inner, s => s.stage_fold(old, new))
     }
 
     /// Structural invariant check (tests): pieces disjoint and ascending,

@@ -1,6 +1,9 @@
-//! The checkpoint: every registered column — with its [`StrategySpec`],
-//! pending deltas, deletion lists, and oid counters — persisted in one
-//! operation through `soc-store`, and restored with one call.
+//! The checkpoint: every registered column's logical rows — its base with
+//! its pending writes merged, as a plan reads it ([`logical_rows`]) — with
+//! its [`StrategySpec`], and each table's oid counter and merge threshold,
+//! persisted in one operation through `soc-store` and restored with one
+//! call. A checkpoint stores rows, not deltas: a restored catalog has
+//! nothing pending, and writes made after a save are a log's to replay.
 //!
 //! [`Catalog::save_all`] writes a `catalog.manifest` describing the whole
 //! catalog plus one segment-store directory per column (values and oid
@@ -12,9 +15,9 @@
 //! exactly.
 //!
 //! The manifest is a line-oriented text file (the build is offline — no
-//! serde): one line per column/table fact, atoms encoded as
-//! `i:`/`d:`/`o:` numerics or `s:` hex-encoded UTF-8. A damaged manifest
-//! is a [`CheckpointError`], never a panic.
+//! serde): one line per column/table fact, strings hex-encoded UTF-8. A
+//! damaged manifest, or one of another version, is a [`CheckpointError`],
+//! never a panic.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -22,14 +25,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use soc_bat::{algebra::Atom, Bat, Head, Oid, Tail};
+use soc_bat::{Bat, Head, Oid, Tail};
 use soc_core::{
     kernels, MergePolicy, OrdF64, SegId, SizeEstimator, StrategyKind, StrategySpec, ValueRange,
 };
 use soc_store::{FixedCodec, SegmentStore, StoreError};
 
 use crate::bpm::BpmError;
-use crate::catalog::{Base, Catalog};
+use crate::catalog::{logical_rows, Base, Catalog, Column};
 
 /// Errors saving or loading a whole-catalog checkpoint.
 #[derive(Debug)]
@@ -79,7 +82,7 @@ impl From<BpmError> for CheckpointError {
 }
 
 const MANIFEST: &str = "catalog.manifest";
-const MAGIC: &str = "SOCCAT 2";
+const MAGIC: &str = "SOCCAT 3";
 /// Segment-file id of a column's tail values within its store directory.
 const VALUES: SegId = SegId(0);
 /// Segment-file id of a column's head oids within its store directory.
@@ -104,34 +107,6 @@ fn hex_decode(s: &str) -> Result<String, CheckpointError> {
         })
         .collect::<Result<Vec<u8>, _>>()?;
     String::from_utf8(bytes).map_err(|_| CheckpointError::Malformed(format!("non-utf8: {s:?}")))
-}
-
-fn atom_to_text(a: &Atom) -> String {
-    match a {
-        Atom::Int(v) => format!("i:{v}"),
-        Atom::Dbl(v) => format!("d:{}", v.to_bits()),
-        Atom::Oid(v) => format!("o:{v}"),
-        Atom::Str(s) => format!("s:{}", hex_encode(s)),
-        Atom::Nil => "n".to_owned(),
-    }
-}
-
-fn atom_from_text(s: &str) -> Result<Atom, CheckpointError> {
-    let bad = || CheckpointError::Malformed(format!("bad atom: {s:?}"));
-    if s == "n" {
-        return Ok(Atom::Nil);
-    }
-    let (tag, body) = s.split_once(':').ok_or_else(bad)?;
-    match tag {
-        "i" => body.parse().map(Atom::Int).map_err(|_| bad()),
-        "d" => body
-            .parse::<u64>()
-            .map(|bits| Atom::Dbl(f64::from_bits(bits)))
-            .map_err(|_| bad()),
-        "o" => body.parse().map(Atom::Oid).map_err(|_| bad()),
-        "s" => hex_decode(body).map(|s| Atom::Str(s.into())),
-        _ => Err(bad()),
-    }
 }
 
 /// `StrategySpec` as one manifest token run of [`SPEC_FIELDS`] fields
@@ -357,9 +332,11 @@ fn split_key(key: &str) -> Result<(&str, &str, &str), CheckpointError> {
 
 impl Catalog {
     /// Checkpoints the whole catalog under `dir` in one operation: every
-    /// plain and segmented column (each with its [`StrategySpec`] and
-    /// accumulated reorganization bill), all pending deltas, the deletion
-    /// lists, and the per-table oid counters and merge thresholds.
+    /// plain and segmented column's logical rows (each with its
+    /// [`StrategySpec`] and accumulated reorganization bill), and the
+    /// per-table oid counters and merge thresholds. A column with nothing
+    /// pending is written as it stands; writes to a column that was never
+    /// registered are rows of no column and are not saved.
     ///
     /// The directory is replaced wholesale — but only after the new
     /// checkpoint has been written completely: everything lands in a
@@ -369,9 +346,12 @@ impl Catalog {
     ///
     /// # Errors
     /// `CheckpointError::Unsupported` for NaN-bearing plain `:dbl`
-    /// bats and for names a manifest cannot hold (one with whitespace, a
-    /// column key that does not split back into its table's name and its
-    /// own); I/O and store errors otherwise. On error the previous
+    /// bats, for a pending atom a column's type cannot hold, and for names
+    /// a manifest cannot hold (one with whitespace, a column key that does
+    /// not split back into its table's name and its own);
+    /// `CheckpointError::Bpm` for a pending value a segmented column
+    /// cannot take (NaN, outside its domain) — the writes a merge would
+    /// refuse; I/O and store errors otherwise. On error the previous
     /// checkpoint under `dir` is untouched.
     pub fn save_all(&self, dir: impl AsRef<Path>) -> Result<(), CheckpointError> {
         let target = dir.as_ref();
@@ -423,13 +403,32 @@ impl Catalog {
                 // the table its key splits to.
                 let loads_back = !key.contains(char::is_whitespace)
                     && split_key(key).is_ok_and(|(s, t, _)| s.len() + 1 + t.len() == tk.len());
-                let column = match self.columns.get(key) {
-                    Some(column) if loads_back => column,
+                let (base, d) = match self.columns.get(key) {
+                    // Writes to a never-registered column are rows of no
+                    // column.
+                    Some(Column { base: None, .. }) => continue,
+                    Some(Column {
+                        base: Some(base),
+                        deltas,
+                        ..
+                    }) if loads_back => (base, deltas),
                     _ => return Err(unsupported(key)),
                 };
-                match &column.base {
-                    Some(Base::Segmented(seg)) => {
-                        let packed = seg.pack()?;
+                let pending = !(d.insert_heads.is_empty()
+                    && d.update_heads.is_empty()
+                    && t.deleted.is_empty());
+                let rows = |base: Bat| match pending {
+                    false => Ok(base),
+                    true => logical_rows(key, &base, d, &t.deleted)
+                        .map(|(rows, _)| rows)
+                        .map_err(|e| CheckpointError::Unsupported(e.to_string())),
+                };
+                match base {
+                    Base::Segmented(seg) => {
+                        let packed = rows(seg.pack()?)?;
+                        if pending {
+                            seg.admits(&packed)?;
+                        }
                         let (domain_lo, domain_hi_excl) = seg.domain;
                         let _ = writeln!(
                             manifest,
@@ -443,7 +442,8 @@ impl Catalog {
                         );
                         save_column(dir, key, &packed.head_oids(), packed.tail())?;
                     }
-                    Some(Base::Plain(bat)) => {
+                    Base::Plain(bat) => {
+                        let bat = &rows(bat.clone())?;
                         let _ = writeln!(
                             manifest,
                             "plain {key} {} {}",
@@ -462,21 +462,9 @@ impl Catalog {
                         }
                         save_column(dir, key, &bat.head_oids(), bat.tail())?;
                     }
-                    None => {}
-                }
-                let d = &column.deltas;
-                for (oid, v) in d.insert_heads.iter().zip(&d.insert_vals) {
-                    let _ = writeln!(manifest, "ins {key} {oid} {}", atom_to_text(v));
-                }
-                for (oid, v) in d.update_heads.iter().zip(&d.update_vals) {
-                    let _ = writeln!(manifest, "upd {key} {oid} {}", atom_to_text(v));
                 }
             }
             let _ = writeln!(manifest, "next_oid {tk} {}", t.next_oid);
-            if !t.deleted.is_empty() {
-                let list: Vec<String> = t.deleted.iter().map(Oid::to_string).collect();
-                let _ = writeln!(manifest, "deleted {tk} {}", list.join(" "));
-            }
             if let Some(rows) = t.merge_threshold {
                 let _ = writeln!(manifest, "threshold {tk} {rows}");
             }
@@ -488,14 +476,15 @@ impl Catalog {
     /// Restores a catalog checkpointed by [`Catalog::save_all`]: every
     /// column re-registers under its persisted spec (segmented columns
     /// re-organize from their logical rows, keeping the accumulated
-    /// reorganization bill), deltas, deletions and merge thresholds replay
-    /// verbatim, and fresh oids continue where the saved catalog stopped.
+    /// reorganization bill), merge thresholds are restored, nothing is
+    /// pending, and fresh oids continue where the saved catalog stopped.
     /// A manifest without `threshold` lines loads with every table at the
     /// default threshold.
     ///
     /// # Errors
-    /// `CheckpointError::Malformed` for a damaged manifest; store and
-    /// rebuild errors otherwise.
+    /// `CheckpointError::Malformed` for a damaged manifest and for one of
+    /// another version (`SOCCAT 2` saved pending writes as deltas); store
+    /// and rebuild errors otherwise.
     pub fn load_all(dir: impl AsRef<Path>) -> Result<Catalog, CheckpointError> {
         let dir = dir.as_ref();
         let text = fs::read_to_string(dir.join(MANIFEST))?;
@@ -567,38 +556,10 @@ impl Catalog {
                     // counter (>= every bat length) wins in any order.
                     t.next_oid = t.next_oid.max(n);
                 }
-                "deleted" if fields.len() >= 3 => {
-                    let oids: Result<Vec<Oid>, _> = fields[2..].iter().map(|s| s.parse()).collect();
-                    let mut oids = oids.map_err(|_| bad(line))?;
-                    // A catalog lists its deleted oids ascending; a
-                    // manifest written in recorded order is sorted here.
-                    oids.sort_unstable();
-                    catalog
-                        .tables
-                        .entry(fields[1].to_owned())
-                        .or_default()
-                        .deleted = oids;
-                }
                 "threshold" if fields.len() == 3 => {
                     let rows = fields[2].parse().map_err(|_| bad(line))?;
                     let t = catalog.tables.entry(fields[1].to_owned()).or_default();
                     t.merge_threshold = Some(rows);
-                }
-                "ins" | "upd" if fields.len() == 4 => {
-                    let (schema, table, column) = split_key(fields[1])?;
-                    let oid: Oid = fields[2].parse().map_err(|_| bad(line))?;
-                    let atom = atom_from_text(fields[3])?;
-                    catalog.with_column(schema, table, column, |c| {
-                        let d = &mut c.deltas;
-                        if fields[0] == "ins" {
-                            d.insert_heads.push(oid);
-                            d.insert_vals.push(atom);
-                        } else {
-                            // A manifest written before a row kept one
-                            // pending update may list several: the last wins.
-                            d.update(oid, atom);
-                        }
-                    });
                 }
                 _ => return Err(bad(line)),
             }
@@ -620,6 +581,8 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{compile_select, Interp, SegmentOptimizer};
+    use soc_bat::Atom;
     use soc_core::{StrategyKind, StrategySpec};
 
     /// `spec` with an explicit merge policy.
@@ -696,6 +659,24 @@ mod tests {
         c
     }
 
+    /// `oid → value` of column `key`'s rows, plain or segmented.
+    fn rows_by_oid(c: &Catalog, key: &str) -> Vec<(Oid, String)> {
+        let bat = match c.base(key) {
+            Some(Base::Plain(bat)) => bat.clone(),
+            Some(Base::Segmented(seg)) => seg.pack().unwrap(),
+            None => panic!("{key} is not registered"),
+        };
+        let values: Vec<String> = match bat.tail() {
+            Tail::Int(v) => v.iter().map(i64::to_string).collect(),
+            Tail::Dbl(v) => v.iter().map(|x| x.to_bits().to_string()).collect(),
+            Tail::Str(v) => v.to_vec(),
+            other => panic!("unexpected tail {other:?}"),
+        };
+        let mut rows: Vec<(Oid, String)> = bat.head_oids().into_iter().zip(values).collect();
+        rows.sort_unstable();
+        rows
+    }
+
     #[test]
     fn whole_catalog_round_trips() {
         let dir = tmp("roundtrip");
@@ -704,31 +685,38 @@ mod tests {
         assert!(reorg_before > 0);
         c.save_all(&dir).unwrap();
         let restored = Catalog::load_all(&dir).unwrap();
+        // What the checkpoint holds: the rows a merge leaves behind.
+        let mut merged = sample_catalog();
+        merged.merge_deltas("sys", "P").unwrap();
 
         assert_eq!(restored.keys(), c.keys());
         for key in ["sys.P.ra", "sys.P.z"] {
             let (a, b) = (c.segmented(key).unwrap(), restored.segmented(key).unwrap());
-            assert_eq!(a.rows(), b.rows(), "{key}");
             assert_eq!(a.strategy_name(), b.strategy_name(), "{key}");
             assert_eq!(a.reorg_write_bytes(), b.reorg_write_bytes(), "{key}");
-            // Logical content is byte-identical (pack sorts by value).
-            let (pa, pb) = (a.pack().unwrap(), b.pack().unwrap());
-            assert_eq!(pa.head_oids(), pb.head_oids(), "{key}");
-            assert_eq!(pa.tail(), pb.tail(), "{key}");
+            assert_eq!(b.rows(), merged.segmented(key).unwrap().rows(), "{key}");
         }
         assert_eq!(
             c.strategy_spec("sys.P.ra").map(|s| s.kind),
             restored.strategy_spec("sys.P.ra").map(|s| s.kind)
         );
-        // Plain bats restore as they were saved, dense heads included.
-        for key in ["sys.P.objid", "sys.P.name"] {
-            assert_eq!(c.bat(key).unwrap(), restored.bat(key).unwrap(), "{key}");
+        for key in ["sys.P.ra", "sys.P.z", "sys.P.objid", "sys.P.name"] {
+            assert_eq!(
+                rows_by_oid(&restored, key),
+                rows_by_oid(&merged, key),
+                "{key}"
+            );
         }
-        assert_eq!(
-            restored.pending_rows("sys", "P"),
-            c.pending_rows("sys", "P")
-        );
-        assert_eq!(restored.tables["sys.P"].deleted, vec![7]);
+        // Plain bats restore as they were merged, explicit heads included.
+        for key in ["sys.P.objid", "sys.P.name"] {
+            assert_eq!(
+                merged.bat(key).unwrap(),
+                restored.bat(key).unwrap(),
+                "{key}"
+            );
+        }
+        assert_eq!(restored.pending_rows("sys", "P"), 0);
+        assert!(restored.tables["sys.P"].deleted.is_empty());
         for table in ["P", "Q", "R"] {
             assert_eq!(
                 restored.table_merge_threshold("sys", table),
@@ -737,16 +725,112 @@ mod tests {
             );
         }
         assert_eq!(restored.table_merge_threshold("sys", "P"), 0);
-        // The delta against the never-registered column persists, still
-        // without a base, so it stays out of the pending rows.
-        let ghost = &restored.columns["sys.P.ghost"];
-        assert!(ghost.base.is_none());
-        assert_eq!(ghost.deltas.insert_heads, vec![500]);
-        assert_eq!(ghost.deltas.insert_vals, vec![Atom::Int(5)]);
         // Fresh oids continue where the saved catalog stopped (500 base
         // rows + the one pending insert -> next is 501).
         let mut r = restored;
         assert_eq!(r.insert_row("sys", "P", &[("objid", Atom::Int(1))]), 501);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The delta against a column no registration names is a row of no
+    /// column: the checkpoint leaves it out, and the manifest names no
+    /// such column.
+    #[test]
+    fn writes_to_a_never_registered_column_are_not_saved() {
+        let dir = tmp("ghost");
+        let c = sample_catalog();
+        assert!(c.columns["sys.P.ghost"].base.is_none());
+        c.save_all(&dir).unwrap();
+        let manifest = std::fs::read_to_string(dir.join(MANIFEST)).unwrap();
+        assert!(!manifest.contains("ghost"), "{manifest}");
+        let restored = Catalog::load_all(&dir).unwrap();
+        assert!(!restored.columns.contains_key("sys.P.ghost"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every range's answer, through the compiled and segment-optimized
+    /// select, is the same before the save and after the restore, which
+    /// has nothing pending.
+    #[test]
+    fn a_restore_leaves_nothing_pending_and_answers_as_the_saved_catalog() {
+        let dir = tmp("answers");
+        let mut c = sample_catalog();
+        c.update_value("sys", "P", "objid", 4, Atom::Int(-4));
+        c.delete_row("sys", "P", 11);
+        assert!(c.pending_rows("sys", "P") > 0);
+        c.save_all(&dir).unwrap();
+        let mut restored = Catalog::load_all(&dir).unwrap();
+        assert_eq!(restored.pending_rows("sys", "P"), 0);
+        for column in ["ra", "z", "objid"] {
+            assert!(restored.columns[format!("sys.P.{column}").as_str()]
+                .deltas
+                .insert_heads
+                .is_empty());
+        }
+        let select = |c: &mut Catalog, sql: &str, lo: f64, hi: f64| {
+            let plan = compile_select(sql).unwrap();
+            let (plan, _) = SegmentOptimizer::new().optimize(&plan, c);
+            let result = Interp::new(c).run(&plan, &[Atom::Dbl(lo), Atom::Dbl(hi)]);
+            let result = result.unwrap().unwrap();
+            let Tail::Int(ids) = result.tail() else {
+                panic!("int projection expected")
+            };
+            let mut ids = ids.to_vec();
+            ids.sort_unstable();
+            ids
+        };
+        let by_ra = "SELECT objid FROM sys.P WHERE ra BETWEEN ? AND ?";
+        let by_z = "SELECT objid FROM sys.P WHERE z BETWEEN ? AND ?";
+        for (sql, lo, hi) in [
+            (by_ra, 110.0, 112.0),
+            (by_ra, 200.0, 201.0),
+            (by_ra, 110.0, 260.0),
+            (by_z, 40.0, 45.0),
+            (by_z, 0.0, 400.0),
+        ] {
+            let want = select(&mut c, sql, lo, hi);
+            assert!(!want.is_empty(), "{sql} [{lo}, {hi}]");
+            assert_eq!(
+                select(&mut restored, sql, lo, hi),
+                want,
+                "{sql} [{lo}, {hi}]"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Pending writes a merge would refuse fail the save, typed, and the
+    /// checkpoint saved before stays: an atom the column's type cannot
+    /// hold, a NaN in a segmented column, a value outside its domain.
+    #[test]
+    fn a_save_whose_pending_writes_cannot_merge_fails_and_keeps_the_previous_checkpoint() {
+        let dir = tmp("unmergeable");
+        sample_catalog().save_all(&dir).unwrap();
+        let mut merged = sample_catalog();
+        merged.merge_deltas("sys", "P").unwrap();
+        let mut unholdable = sample_catalog();
+        unholdable.update_value("sys", "P", "objid", 2, Atom::Str("two".into()));
+        let mut nan = sample_catalog();
+        nan.update_value("sys", "P", "ra", 2, Atom::Dbl(f64::NAN));
+        let mut outside = sample_catalog();
+        outside.insert_row("sys", "P", &[("z", Atom::Int(400))]);
+        for (bad, what) in [(unholdable, "str"), (nan, "NaN"), (outside, "domain")] {
+            let failed = bad.save_all(&dir);
+            match (what, &failed) {
+                ("str", Err(CheckpointError::Unsupported(_)))
+                | ("NaN", Err(CheckpointError::Bpm(BpmError::NanTail { .. })))
+                | ("domain", Err(CheckpointError::Bpm(BpmError::Column(_)))) => {}
+                _ => panic!("{what}: {failed:?}"),
+            }
+            let restored = Catalog::load_all(&dir).expect("old checkpoint intact");
+            for key in merged.keys() {
+                assert_eq!(
+                    rows_by_oid(&restored, &key),
+                    rows_by_oid(&merged, &key),
+                    "{key}"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -804,7 +888,7 @@ mod tests {
         let mut spaced_column = Catalog::new();
         spaced_column.register_bat("sys", "T", "my c", Bat::dense_int(vec![1]));
         let mut spaced_table = Catalog::new();
-        spaced_table.delete_row("sys", "my table", 0);
+        spaced_table.set_table_merge_threshold("sys", "my table", 0);
         let mut dotted = Catalog::new();
         dotted.register_bat("sys", "P.x", "c", Bat::dense_int(vec![1]));
         for bad in [spaced, spaced_column, spaced_table, dotted] {
@@ -832,23 +916,6 @@ mod tests {
         std::fs::write(dir.join(MANIFEST), old).unwrap();
         let restored = Catalog::load_all(&dir).unwrap();
         assert_eq!(restored.table_merge_threshold("sys", "P"), 4096);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn two_pending_updates_of_one_row_load_as_the_last() {
-        let dir = tmp("stacked-updates");
-        sample_catalog().save_all(&dir).unwrap();
-        let manifest = std::fs::read_to_string(dir.join(MANIFEST)).unwrap();
-        let line = format!("upd sys.P.ra 3 {}\n", atom_to_text(&Atom::Dbl(111.5)));
-        assert!(manifest.contains(&line), "{manifest}");
-        let later = format!("upd sys.P.ra 3 {}\n", atom_to_text(&Atom::Dbl(230.5)));
-        let stacked = manifest.replace(&line, &format!("{line}{later}"));
-        std::fs::write(dir.join(MANIFEST), stacked).unwrap();
-        let restored = Catalog::load_all(&dir).unwrap();
-        let d = &restored.columns["sys.P.ra"].deltas;
-        assert_eq!(d.update_heads, [3]);
-        assert_eq!(d.update_vals, [Atom::Dbl(230.5)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -945,6 +1012,34 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A `SOCCAT 2` manifest, whose pending writes were `ins`/`upd`/
+    /// `deleted` lines, is refused whole, and so is such a line under the
+    /// current magic.
+    #[test]
+    fn a_manifest_of_the_delta_format_is_a_typed_error() {
+        let dir = tmp("soccat2");
+        let mut c = Catalog::new();
+        c.register_bat("sys", "T", "i", Bat::dense_int(vec![1, 2, 3]));
+        c.save_all(&dir).unwrap();
+        let manifest = std::fs::read_to_string(dir.join(MANIFEST)).unwrap();
+        assert!(manifest.starts_with("SOCCAT 3\n"), "{manifest}");
+        let body = manifest.trim_start_matches("SOCCAT 3\n");
+        for damaged in [
+            format!("SOCCAT 2\n{body}"),
+            format!("SOCCAT 2\n{body}ins sys.T.i 3 i:4\n"),
+            format!("{MAGIC}\n{body}ins sys.T.i 3 i:4\n"),
+            format!("{MAGIC}\n{body}upd sys.T.i 0 i:9\n"),
+            format!("{MAGIC}\n{body}deleted sys.T 1\n"),
+        ] {
+            std::fs::write(dir.join(MANIFEST), &damaged).unwrap();
+            assert!(
+                matches!(Catalog::load_all(&dir), Err(CheckpointError::Malformed(_))),
+                "{damaged}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn specs_breaking_a_constructor_precondition_are_typed_errors() {
         let apm = |kind, mmin, mmax| StrategySpec::new(kind).with_apm_bounds(mmin, mmax);
@@ -1006,24 +1101,6 @@ mod tests {
                 matches!(hex_decode(bad), Err(CheckpointError::Malformed(_))),
                 "{bad:?}"
             );
-        }
-    }
-
-    #[test]
-    fn atoms_round_trip_including_strings() {
-        for a in [
-            Atom::Int(-5),
-            Atom::Dbl(205.115),
-            Atom::Dbl(f64::INFINITY),
-            Atom::Oid(9),
-            Atom::Str("hello wörld".into()),
-            Atom::Nil,
-        ] {
-            let back = atom_from_text(&atom_to_text(&a)).unwrap();
-            match (&a, &back) {
-                (Atom::Dbl(x), Atom::Dbl(y)) => assert_eq!(x.to_bits(), y.to_bits()),
-                _ => assert_eq!(format!("{a:?}"), format!("{back:?}")),
-            }
         }
     }
 }

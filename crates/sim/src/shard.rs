@@ -565,6 +565,31 @@ impl<V: ColumnValue> ColumnStrategy<V> for ShardedColumn<V> {
         }
         total
     }
+
+    /// Each node's rows rebuilt under `spec`, on the same node: the
+    /// placement, its node count and the routing statistics are kept; the
+    /// adaptation counters restart, as any migration's do.
+    fn rebuilt(
+        &self,
+        spec: &StrategySpec,
+        domain: ValueRange<V>,
+    ) -> Result<Box<dyn ColumnStrategy<V>>, ColumnError> {
+        let rebuild = |node: &Node<V>| {
+            Ok(Node {
+                strategy: spec.build(domain, node.strategy.peek_collect(&domain))?,
+                assigned: node.assigned.clone(),
+                ..*node
+            })
+        };
+        Ok(Box::new(ShardedColumn {
+            spec: *spec,
+            nodes: self.nodes.iter().map(rebuild).collect::<Result<_, _>>()?,
+            partition: self.partition.clone(),
+            retired: AdaptationStats::default(),
+            ids: SegIdGen::new(),
+            ..*self
+        }))
+    }
 }
 
 #[cfg(test)]
@@ -908,6 +933,41 @@ mod tests {
         assert_eq!(sharded.storage_bytes(), rows_bytes);
         let pieces = sharded.pieces();
         assert_eq!(pieces.iter().map(|(_, b)| b).sum::<u64>(), rows_bytes);
+    }
+
+    /// A migration behind the epoch layer rebuilds each node under the new
+    /// spec: the column stays sharded on its nodes, under its placement,
+    /// and answers as before.
+    #[test]
+    fn set_strategy_over_a_sharded_column_keeps_its_placement() {
+        use soc_core::ConcurrentColumn;
+
+        let values = uniform_values(6_000, &domain(), 31);
+        let mut sharded = ShardedColumn::new(
+            spec(StrategyKind::ApmSegm),
+            PlacementPolicy::RoundRobin,
+            3,
+            domain(),
+            values.clone(),
+        )
+        .expect("shard construction");
+        for q in workload(30, 32) {
+            sharded.select_count(&q, &mut NullTracker);
+        }
+        sharded.replace(&mut NullTracker).expect("re-placement");
+        let placement = sharded.pieces();
+        let column = ConcurrentColumn::new(Box::new(sharded), domain());
+        column.set_strategy(spec(StrategyKind::Cracking));
+        column.quiesce();
+        let snap = column.snapshot();
+        assert_eq!(snap.name(), "Sharded Cracking (3 nodes, round-robin)");
+        assert_eq!(snap.failed_migrations(), 0);
+        for q in workload(40, 33) {
+            let expect = values.iter().filter(|v| q.contains(**v)).count() as u64;
+            assert_eq!(column.select_count(&q, &mut NullTracker), expect, "{q:?}");
+        }
+        drop(snap);
+        assert_eq!(column.into_strategy().pieces(), placement);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * The **model** is the logical column, `oid → value`.
 //! * The **generator** ([`Cases`]) draws a base column and an op list:
 //!   range reads; inserts, updates and deletes (stacked on one row, of
-//!   deleted rows and of oids no row ever had); merges; strategy switches;
-//!   checkpoint → restore. They interleave, so writes are pending across
+//!   deleted rows, of the next oid to be handed out and of oids no row
+//!   ever had); merges; strategy switches; checkpoint → restore. They interleave, so writes are pending across
 //!   every other op.
 //! * Every [`System`] runs a case for the strategy kinds it is given. Each
 //!   answer it offers must be the model's, and its validator runs after
@@ -17,9 +17,10 @@
 //!   - [`Served`]: a `ConcurrentColumn`, each run of reads made by two
 //!     threads racing the writer's reorganization hints, and the same
 //!     column over a `ShardedColumn`, re-placed (`ShardedColumn::replace`)
-//!     whenever it is built, switched or restored;
+//!     whenever it is built or restored;
 //!   - [`Sql`]: a catalog column read by the compiled, segment-optimized
-//!     select, checkpointed through `save_all`/`load_all`.
+//!     selects of its oids and of its values, checkpointed through
+//!     `save_all`/`load_all`.
 //!
 //! This module holds no test. The properties that draw [`Cases`] and run
 //! them through [`bare`], [`served`], [`sharded`] or [`sql`] sit in the
@@ -134,8 +135,8 @@ impl fmt::Debug for Case {
 impl Case {
     /// The case without ops `at`, or without base rows `at` and with the
     /// oids past them renumbered. `None` unless every update and delete
-    /// still names a row handed out before it, or one that never will be,
-    /// as [`Cases`] draws them.
+    /// still names a row handed out before it, the next one to be, or one
+    /// that never will be, as [`Cases`] draws them.
     fn without(&self, rows: bool, at: Range<usize>) -> Option<Case> {
         let mut case = self.clone();
         if rows {
@@ -156,7 +157,7 @@ impl Case {
         }
         let mut next = case.base.len() as u64;
         let well_formed = case.ops.iter().all(|op| match *op {
-            Op::Update(oid, _) | Op::Delete(oid) => oid < next || oid >= NEVER,
+            Op::Update(oid, _) | Op::Delete(oid) => oid <= next || oid >= NEVER,
             op => {
                 next += u64::from(matches!(op, Op::Insert(_)));
                 true
@@ -166,8 +167,9 @@ impl Case {
     }
 }
 
-/// Draws a [`Case`]: 20 to 200 base rows, 10 to 60 ops. A third of the
-/// writes name a row written before, a tenth a row that never existed.
+/// Draws a [`Case`]: 20 to 200 base rows, 10 to 60 ops. Of the updates
+/// and deletes, a third name a row written before, a tenth the next oid
+/// to be handed out, a tenth a row that never existed.
 pub struct Cases {
     /// Four reads in five start in one of two hot areas, `100..150` and
     /// `700..750`, as under the paper's skewed load; else reads are uniform.
@@ -218,7 +220,8 @@ impl Strategy for Cases {
                 55..=79 => {
                     let oid = match rng.gen_range(0..10u32) {
                         0 => NEVER + rng.gen_range(0..4u64),
-                        1..=3 if !written.is_empty() => written[rng.gen_range(0..written.len())],
+                        1 => next,
+                        2..=4 if !written.is_empty() => written[rng.gen_range(0..written.len())],
                         _ => rng.gen_range(0..next),
                     };
                     written.push(oid);
@@ -418,7 +421,7 @@ impl System for Bare {
 
 /// A served column, over a `ShardedColumn` when the layout places shards.
 /// A checkpoint restores a new column from the rows the old one serves; a
-/// sharded column is switched the same way (`set_strategy` takes no
+/// switch migrates the column in place (a sharded one keeps its
 /// placement).
 struct Served {
     column: ConcurrentColumn<Row>,
@@ -528,9 +531,6 @@ impl System for Served {
 
     fn switch(&mut self, kind: StrategyKind) -> Checked {
         (self.spec.kind, self.layout.kind) = (kind, kind);
-        if self.layout.shards.is_some() {
-            return self.checkpoint();
-        }
         self.column.set_strategy(self.spec);
         Ok(())
     }
@@ -566,7 +566,11 @@ struct Sql {
     kind: StrategyKind,
 }
 
-const SELECT: &str = "SELECT id FROM sys.T WHERE v BETWEEN ? AND ?";
+/// The ids (`ID_BASE + oid`) and the values of the rows a read selects.
+const SELECTS: [&str; 2] = [
+    "SELECT id FROM sys.T WHERE v BETWEEN ? AND ?",
+    "SELECT v FROM sys.T WHERE v BETWEEN ? AND ?",
+];
 const KEY: &str = "sys.T.v";
 const UNSEGMENTED: &str = "sys.T.v is not segmented";
 
@@ -585,6 +589,23 @@ impl Sql {
         };
         let oids = packed.head_oids();
         Ok(oids.into_iter().zip(values.iter().copied()).collect())
+    }
+
+    /// What `select` returns for the read `q`, sorted.
+    fn select(&mut self, select: &str, q: &ValueRange<i64>) -> Result<Vec<i64>, String> {
+        let plan = compile_select(select).map_err(why)?;
+        let (optimized, _) = SegmentOptimizer::new().optimize(&plan, &self.catalog);
+        let bounds = [Atom::Int(q.lo()), Atom::Int(q.hi())];
+        let result = Interp::new(&mut self.catalog)
+            .run(&optimized, &bounds)
+            .map_err(why)?
+            .ok_or("the plan exported no result")?;
+        let Tail::Int(got) = result.tail() else {
+            return Err(format!("{select}: the projection must have an int tail"));
+        };
+        let mut got = got.to_vec();
+        got.sort_unstable();
+        Ok(got)
     }
 }
 
@@ -621,26 +642,17 @@ impl System for Sql {
         Ok(())
     }
 
-    /// The compiled select, segment-optimized against the live catalog
-    /// before each read (pieces move between reads), names exactly the
-    /// model's rows, each once.
+    /// The compiled selects, segment-optimized against the live catalog
+    /// before each read (pieces move between reads), name exactly the
+    /// model's rows, each once, and return exactly their values.
     fn read(&mut self, reads: &[Read]) -> Checked {
-        let plan = compile_select(SELECT).map_err(why)?;
         for (q, want) in reads {
-            let (optimized, _) = SegmentOptimizer::new().optimize(&plan, &self.catalog);
-            let bounds = [Atom::Int(q.lo()), Atom::Int(q.hi())];
-            let result = Interp::new(&mut self.catalog)
-                .run(&optimized, &bounds)
-                .map_err(why)?
-                .ok_or("the plan exported no result")?;
-            let Tail::Int(ids) = result.tail() else {
-                return Err("the id projection must have an int tail".into());
-            };
-            let mut got: Vec<u64> = ids.iter().map(|id| (id - ID_BASE) as u64).collect();
-            got.sort_unstable();
-            let mut oids: Vec<u64> = want.iter().map(|row| row.oid).collect();
-            oids.sort_unstable();
-            same(format!("oids of {q:?}"), got, oids)?;
+            let mut ids: Vec<i64> = want.iter().map(|row| ID_BASE + row.oid as i64).collect();
+            ids.sort_unstable();
+            let values = want.iter().map(|row| row.value).collect();
+            for (select, want) in SELECTS.into_iter().zip([ids, values]) {
+                same(format!("{select} for {q:?}"), self.select(select, q)?, want)?;
+            }
         }
         Ok(())
     }
@@ -674,7 +686,13 @@ impl System for Sql {
         let loaded = Catalog::load_all(&dir);
         let _ = std::fs::remove_dir_all(&dir);
         self.catalog = loaded.map_err(why)?;
-        Ok(())
+        // A checkpoint stores rows: the restore has nothing pending, so
+        // the validator compares the pieces with the model's rows.
+        same(
+            "pending rows after the restore",
+            self.catalog.pending_rows("sys", "T"),
+            0,
+        )
     }
 
     /// The column is structurally valid; with nothing pending, its pieces

@@ -29,6 +29,20 @@ fn replayed_cases_answer_as_the_model() {
                 Read(0, 10),
             ],
         },
+        // An update of the next oid to be handed out names no row: no
+        // select may return its value.
+        Case {
+            base: vec![366],
+            seed: 10339808099246257358,
+            ops: vec![Update(1, 607), Read(291, 702)],
+        },
+        // A delete of the next oid names no row: the insert that receives
+        // the oid is visible.
+        Case {
+            base: vec![300],
+            seed: 7,
+            ops: vec![Delete(1), Insert(70), Read(60, 80)],
+        },
     ];
     for case in &cases {
         let outcomes = [
