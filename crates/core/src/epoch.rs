@@ -86,9 +86,13 @@
 //! proves that readers racing the writer's fold steps observe only exact
 //! batch-prefix states.
 //!
-//! All of the writer's work is one `Writer::step` per epoch, and its
-//! thread only receives and steps, so the crate's tests step a writer that
-//! has no thread and observe its behaviour deterministically.
+//! All of the writer's work is one `Writer::step` per epoch.
+//! [`SteppedColumn`] is the writer and its snapshot cell, stepped by its
+//! owner on the owner's thread: the MAL catalog serves each segmented
+//! column this way, and the crate's tests observe the writer
+//! deterministically through it. The writer thread of a
+//! [`ConcurrentColumn`] is one more driver of the same column: it only
+//! receives the readers' commands and steps them.
 //!
 //! The snapshot's `walk` is the one materializing read of this layer: a
 //! strategy materializes only through `peek_slices` (copied out by
@@ -157,8 +161,9 @@ impl<V: ColumnValue> SnapshotPiece<V> {
 
 /// An immutable epoch of a column's physical organization.
 ///
-/// Produced and published by [`ConcurrentColumn`]'s writer; shared by
-/// readers through an `Arc`. All read methods take `&self` and are safe to
+/// Produced and published by the writer of a [`SteppedColumn`] (or of
+/// the [`ConcurrentColumn`] it runs as); shared by readers through an
+/// `Arc`. All read methods take `&self` and are safe to
 /// call from any number of threads at once.
 pub struct StrategySnapshot<V: ColumnValue> {
     /// Monotonic epoch number; 0 is the construction snapshot.
@@ -502,6 +507,17 @@ impl<V: ColumnValue> StrategySnapshot<V> {
         self.pieces.iter().map(|p| p.range).collect()
     }
 
+    /// Number of pieces: the strategy's pieces, with the gaps between them
+    /// and the domain's edges as pieces of their own.
+    pub fn piece_count(&self) -> usize {
+        self.pieces.len()
+    }
+
+    /// Piece `i` in value order: its range and its values, ascending.
+    pub fn piece(&self, i: usize) -> Option<(ValueRange<V>, &[V])> {
+        self.pieces.get(i).map(|p| (p.range, &*p.values))
+    }
+
     /// Total rows frozen in this snapshot.
     pub fn total_rows(&self) -> u64 {
         self.pieces.iter().map(|p| p.values.len() as u64).sum()
@@ -513,7 +529,7 @@ impl<V: ColumnValue> StrategySnapshot<V> {
     }
 
     /// The writer's cumulative reorganization accounting at publish time.
-    pub(crate) fn reorg_totals(&self) -> QueryStats {
+    pub fn reorg_totals(&self) -> QueryStats {
         self.reorg
     }
 
@@ -638,9 +654,8 @@ enum WriterCmd<V: ColumnValue> {
     /// a full queue instead of dropping.
     Deltas(DeltaBatch<V>),
     /// Fold **every** pending row into the base in one step — the bulk
-    /// merge the benchmarks baseline incremental compaction against —
-    /// then reply like `Sync`.
-    Drain(mpsc::SyncSender<()>),
+    /// merge the benchmarks baseline incremental compaction against.
+    Drain,
     /// Reply once every command sent before this one has been folded and
     /// the resulting epoch published.
     Sync(mpsc::SyncSender<()>),
@@ -687,7 +702,7 @@ impl<V: ColumnValue> Writer<V> {
     /// One epoch: takes at most [`QUEUE_CAPACITY`] of `cmds`, folds them
     /// and at most one compaction step into the strategy, publishes the
     /// result into `cell` at most once (only when something changed) and
-    /// then answers the `Sync`/`Drain` barriers among them — the "single
+    /// then answers the `Sync` barriers among them — the "single
     /// writer that folds reorganizations" of the design.
     fn step(&mut self, cell: &SnapshotCell<V>, cmds: impl IntoIterator<Item = WriterCmd<V>>) {
         let mut dirty = false;
@@ -737,10 +752,7 @@ impl<V: ColumnValue> Writer<V> {
                     dirty |= sealed.is_some() || strays > 0;
                     arrived = DeltaRun::merged(arrived, sealed);
                 }
-                WriterCmd::Drain(reply) => {
-                    drain = true;
-                    syncs.push(reply);
-                }
+                WriterCmd::Drain => drain = true,
                 WriterCmd::Sync(reply) => syncs.push(reply),
             }
         }
@@ -903,6 +915,77 @@ impl<V: ColumnValue> Writer<V> {
     }
 }
 
+/// A served column whose owner steps its writer: the one place the
+/// strategy is mutated, and the cell each epoch's snapshot is published
+/// into. Each mutating call is one `Writer::step` on the caller's thread,
+/// so the snapshot it publishes is there when the call returns. Readers
+/// read [`Self::snapshot`]; a snapshot they hold stays as it was.
+///
+/// [`ConcurrentColumn`] is this column moved onto a writer thread behind
+/// a bounded queue: the same writer, snapshot and walk, stepped by the
+/// readers' hints instead of by the owner.
+pub struct SteppedColumn<V: ColumnValue> {
+    writer: Writer<V>,
+    cell: Arc<SnapshotCell<V>>,
+}
+
+impl<V: ColumnValue> SteppedColumn<V> {
+    /// Serves `strategy` (see [`ConcurrentColumn::new`]), publishing its
+    /// epoch 0. `domain` must cover the strategy's values; it is the range
+    /// migrations rebuild over.
+    pub fn new(strategy: Box<dyn ColumnStrategy<V>>, domain: ValueRange<V>) -> Self {
+        let mut writer = Writer::new(strategy, domain);
+        let cell = Arc::new(SnapshotCell::new(writer.capture(None, &[])));
+        SteppedColumn { writer, cell }
+    }
+
+    /// One epoch over `cmds`.
+    fn step(&mut self, cmds: impl IntoIterator<Item = WriterCmd<V>>) {
+        self.writer.step(&self.cell, cmds);
+    }
+
+    /// The current epoch's snapshot.
+    pub fn snapshot(&self) -> Arc<StrategySnapshot<V>> {
+        self.cell.load()
+    }
+
+    /// Reorganizes for the query `q` exactly as the writer thread runs a
+    /// reader's hint (the strategy's `select_count`), publishing an epoch
+    /// when a piece moved.
+    pub fn reorganize(&mut self, q: &ValueRange<V>) {
+        self.step([WriterCmd::Reorganize(*q)]);
+    }
+
+    /// Seals `batch` and overlays it on the next epoch (see
+    /// [`ConcurrentColumn::apply_deltas`]); the compaction watermarks may
+    /// fold part of it in the same step.
+    pub fn apply_deltas(&mut self, batch: DeltaBatch<V>) {
+        if !batch.is_empty() {
+            self.step([WriterCmd::Deltas(batch)]);
+        }
+    }
+
+    /// Folds every pending row into the base (see
+    /// [`ConcurrentColumn::drain_deltas`]).
+    pub fn drain_deltas(&mut self) {
+        self.step([WriterCmd::Drain]);
+    }
+
+    /// Rebuilds the column under `spec` (see
+    /// [`ConcurrentColumn::set_strategy`]). A rebuild that fails keeps
+    /// the old strategy and counts in the snapshot's
+    /// [`StrategySnapshot::failed_migrations`].
+    pub fn set_strategy(&mut self, spec: StrategySpec) {
+        self.step([WriterCmd::Migrate(spec)]);
+    }
+
+    /// The live strategy, read-only: its name, adaptation counters and
+    /// pieces as of the last step.
+    pub fn strategy(&self) -> &dyn ColumnStrategy<V> {
+        self.writer.strategy.as_ref()
+    }
+}
+
 /// A column any number of threads read while a single writer thread folds
 /// reorganizations and publishes epochs.
 ///
@@ -959,31 +1042,17 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
     /// moves 1 024 rows per step and stops at 1 024. A strategy that cannot
     /// absorb them keeps them in the overlay, visible to every read.
     pub fn new(strategy: Box<dyn ColumnStrategy<V>>, domain: ValueRange<V>) -> Self {
-        Self::start(Writer::new(strategy, domain))
+        Self::start(SteppedColumn::new(strategy, domain))
     }
 
-    /// The column `writer` serves, publishing its epoch 0, and the queue
-    /// its commands wait in until something steps them.
-    fn unstarted(writer: &mut Writer<V>) -> (Self, mpsc::Receiver<WriterCmd<V>>) {
-        let cell = Arc::new(SnapshotCell::new(writer.capture(None, &[])));
+    /// `column` moved onto the writer thread, which waits for a command
+    /// and then steps everything queued behind it.
+    fn start(mut column: SteppedColumn<V>) -> Self {
+        let cell = Arc::clone(&column.cell);
         // Bounded by design: an unbounded channel here would let overload
         // buffer reorganization work without limit (clippy.toml disallows
         // `mpsc::channel` for that reason).
         let (tx, rx) = mpsc::sync_channel(QUEUE_CAPACITY);
-        let column = ConcurrentColumn {
-            cell,
-            tx: Some(tx),
-            writer: None,
-            hints_dropped: AtomicU64::new(0),
-        };
-        (column, rx)
-    }
-
-    /// The column `writer` serves, with the writer thread stepping it: it
-    /// waits for a command, then steps everything queued behind it.
-    fn start(mut writer: Writer<V>) -> Self {
-        let (mut column, rx) = Self::unstarted(&mut writer);
-        let cell = Arc::clone(&column.cell);
         #[expect(
             clippy::expect_used,
             reason = "spawn fails only on process resource exhaustion and new has no error channel"
@@ -992,13 +1061,17 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
             .name("soc-epoch-writer".into())
             .spawn(move || {
                 while let Ok(first) = rx.recv() {
-                    writer.step(&cell, std::iter::once(first).chain(rx.try_iter()));
+                    column.step(std::iter::once(first).chain(rx.try_iter()));
                 }
-                writer.strategy
+                column.writer.strategy
             })
             .expect("spawn epoch writer thread");
-        column.writer = Some(thread);
-        column
+        ConcurrentColumn {
+            cell,
+            tx: Some(tx),
+            writer: Some(thread),
+            hints_dropped: AtomicU64::new(0),
+        }
     }
 
     /// Builds the spec's strategy over `values` and wraps it
@@ -1013,20 +1086,6 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
         values: Vec<V>,
     ) -> Result<Self, ColumnError> {
         Ok(Self::new(spec.build(domain, values)?, domain))
-    }
-
-    /// As [`Self::from_spec`], compacting under `policy` instead of the
-    /// default watermarks.
-    #[cfg(test)]
-    pub(crate) fn with_policy(
-        spec: &StrategySpec,
-        domain: ValueRange<V>,
-        values: Vec<V>,
-        policy: CompactionPolicy,
-    ) -> Result<Self, ColumnError> {
-        let mut writer = Writer::new(spec.build(domain, values)?, domain);
-        writer.policy = policy;
-        Ok(Self::start(writer))
     }
 
     #[expect(
@@ -1173,10 +1232,8 @@ impl<V: ColumnValue> ConcurrentColumn<V> {
     /// hold the folded rows. Over a strategy that cannot absorb deltas
     /// (see [`Self::new`]) this degrades to a sync barrier.
     pub fn drain_deltas(&self) {
-        let (reply, done) = mpsc::sync_channel(1);
-        if self.sender().send(WriterCmd::Drain(reply)).is_ok() {
-            let _ = done.recv();
-        }
+        let _ = self.sender().send(WriterCmd::Drain);
+        self.quiesce();
     }
 
     /// Blocks until every command enqueued before this call has been
@@ -1252,52 +1309,42 @@ mod tests {
         batch
     }
 
-    /// A column whose writer has no thread: its commands wait in `queue`
-    /// until the test steps them, one epoch per step.
-    struct Stepped<V: ColumnValue> {
-        column: ConcurrentColumn<V>,
-        writer: Writer<V>,
-        queue: mpsc::Receiver<WriterCmd<V>>,
-    }
-
-    impl<V: ColumnValue> Stepped<V> {
-        fn new(
-            strategy: Box<dyn ColumnStrategy<V>>,
+    impl<V: ColumnValue> SteppedColumn<V> {
+        /// As [`Self::new`] over `spec` built on `values`, compacting
+        /// under `policy` instead of the default watermarks.
+        fn with_policy(
+            spec: &StrategySpec,
             domain: ValueRange<V>,
+            values: Vec<V>,
             policy: CompactionPolicy,
-        ) -> Self {
-            let mut writer = Writer::new(strategy, domain);
-            writer.policy = policy;
-            let (column, queue) = ConcurrentColumn::unstarted(&mut writer);
-            Stepped {
-                column,
-                writer,
-                queue,
-            }
-        }
-
-        /// One epoch over `cmds`.
-        fn step(&mut self, cmds: impl IntoIterator<Item = WriterCmd<V>>) {
-            self.writer.step(&self.column.cell, cmds);
-        }
-
-        /// One epoch over every command the column has queued.
-        fn step_queued(&mut self) {
-            self.writer.step(&self.column.cell, self.queue.try_iter());
-        }
-
-        /// Rows the strategy holds, folded deltas included.
-        fn base_rows(&self) -> u64 {
-            self.writer.strategy.peek_collect(&self.writer.domain).len() as u64
+        ) -> Result<Self, ColumnError> {
+            let mut column = Self::new(spec.build(domain, values)?, domain);
+            column.writer.policy = policy;
+            Ok(column)
         }
     }
 
-    impl Stepped<u32> {
-        /// `spec` built over [`values`].
-        fn of(spec: &StrategySpec, policy: CompactionPolicy) -> Self {
-            let strategy = spec.build(domain(), values()).expect("values in domain");
-            Self::new(strategy, domain(), policy)
+    impl<V: ColumnValue> ConcurrentColumn<V> {
+        /// As [`Self::from_spec`], compacting under `policy` instead of the
+        /// default watermarks.
+        pub(crate) fn with_policy(
+            spec: &StrategySpec,
+            domain: ValueRange<V>,
+            values: Vec<V>,
+            policy: CompactionPolicy,
+        ) -> Result<Self, ColumnError> {
+            SteppedColumn::with_policy(spec, domain, values, policy).map(Self::start)
         }
+    }
+
+    /// `spec` built over [`values`], stepped by the test.
+    fn stepped(spec: &StrategySpec, policy: CompactionPolicy) -> SteppedColumn<u32> {
+        SteppedColumn::with_policy(spec, domain(), values(), policy).expect("values in domain")
+    }
+
+    /// Rows the strategy holds, folded deltas included.
+    fn base_rows<V: ColumnValue>(s: &SteppedColumn<V>) -> u64 {
+        s.strategy().peek_collect(&s.writer.domain).len() as u64
     }
 
     #[test]
@@ -1398,25 +1445,24 @@ mod tests {
     #[test]
     fn replaying_a_converged_column_publishes_no_epoch() {
         let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(256, 1024);
-        let mut s = Stepped::of(&spec, CompactionPolicy::default());
+        let mut s = stepped(&spec, CompactionPolicy::default());
         let mut replays = Vec::new();
         for _ in 0..6 {
-            let (epoch, reads) = (s.column.epoch(), s.column.reorg_totals().read_bytes);
-            for q in queries() {
-                s.column.select_count(&q, &mut NullTracker);
-            }
+            let snap = s.snapshot();
+            let (epoch, reads) = (snap.epoch(), snap.reorg_totals().read_bytes);
             // One step takes the replay's 40 hints: at most one publish.
-            s.step_queued();
-            replays.push(s.column.epoch() - epoch);
-            if s.column.epoch() == epoch {
+            s.step(queries().into_iter().map(WriterCmd::Reorganize));
+            let snap = s.snapshot();
+            replays.push(snap.epoch() - epoch);
+            if snap.epoch() == epoch {
                 // The read bytes of hints that changed nothing wait in
                 // the writer for the next epoch.
-                assert_eq!(s.column.reorg_totals().read_bytes, reads);
+                assert_eq!(snap.reorg_totals().read_bytes, reads);
                 assert!(s.writer.reorg.totals().read_bytes > reads);
                 assert_eq!(replays[0], 1, "{replays:?}");
                 return;
             }
-            assert_eq!(s.column.epoch(), epoch + 1);
+            assert_eq!(snap.epoch(), epoch + 1);
         }
         panic!("epochs published per replay: {replays:?}");
     }
@@ -1609,12 +1655,11 @@ mod tests {
             .expect("values in domain");
         // No compaction: the whole batch stays pending.
         let policy = CompactionPolicy::new(u64::MAX, u64::MAX, 1);
-        let mut s = Stepped::new(strategy, domain, policy);
+        let mut s = SteppedColumn::new(strategy, domain);
+        s.writer.policy = policy;
         for lo in (0..85_000u32).step_by(5_000) {
-            let q = ValueRange::must(f(lo), f(lo + 15_000));
-            s.column.select_count(&q, &mut NullTracker);
+            s.reorganize(&ValueRange::must(f(lo), f(lo + 15_000)));
         }
-        s.step_queued();
         // Pending inserts across the domain, and tombstones for some base
         // rows.
         let mut batch = DeltaBatch::new();
@@ -1630,9 +1675,8 @@ mod tests {
                 value,
             });
         }
-        s.column.apply_deltas(batch);
-        s.step_queued();
-        let snap = s.column.snapshot();
+        s.apply_deltas(batch);
+        let snap = s.snapshot();
         let run = snap.delta.as_ref().expect("the batch is pending");
         let (inserts, tombstones) = (run.inserts(), run.tombstones());
         assert_eq!((inserts.len(), tombstones.len()), (5_000, 400));
@@ -1678,6 +1722,60 @@ mod tests {
             (true, true),
             "covered and straddled pieces, a run across chunks"
         );
+    }
+
+    /// The pieces, windows and reorganization totals `snap` publishes.
+    type Published = (Vec<(ValueRange<u32>, Vec<u32>)>, QueryStats);
+
+    fn published(snap: &StrategySnapshot<u32>) -> Published {
+        let pieces = (0..snap.piece_count()).filter_map(|i| snap.piece(i));
+        let pieces = pieces.map(|(r, values)| (r, values.to_vec())).collect();
+        (pieces, snap.reorg_totals())
+    }
+
+    /// A stepped column and a column on the writer thread, given the same
+    /// commands, publish the same pieces, windows and reorganization
+    /// totals: one writer, driven two ways. The threaded column is
+    /// quiesced after every command, so no hint is dropped, and the
+    /// pending rows stay below the compaction watermark, so how the
+    /// thread groups commands into steps moves nothing.
+    #[test]
+    fn a_stepped_column_publishes_what_the_writer_thread_publishes() {
+        for kind in StrategyKind::ALL {
+            let spec = StrategySpec::new(kind)
+                .with_apm_bounds(256, 1024)
+                .with_model_seed(5);
+            let build = || spec.build(domain(), values()).expect("values in domain");
+            let mut stepped = SteppedColumn::new(build(), domain());
+            let threaded = ConcurrentColumn::new(build(), domain());
+            for (round, q) in (0u32..).zip(queries()) {
+                stepped.reorganize(&q);
+                threaded.select_count(&q, &mut NullTracker);
+                if round % 8 == 7 {
+                    let rows = (0..16).map(|i| (round * 389 + i * 53) % 10_000);
+                    let batch = insert_batch(900_000 + u64::from(round) * 16, rows);
+                    stepped.apply_deltas(batch.clone());
+                    threaded.apply_deltas(batch);
+                }
+                if round % 16 == 15 {
+                    stepped.drain_deltas();
+                    threaded.drain_deltas();
+                }
+                threaded.quiesce();
+                let (pieces, _) = published(&stepped.snapshot());
+                assert_eq!(pieces, published(&threaded.snapshot()).0, "{kind:?} {q:?}");
+            }
+            // A migration publishes, so the totals of every hint are in.
+            stepped.set_strategy(spec);
+            threaded.set_strategy(spec);
+            threaded.quiesce();
+            assert_eq!(
+                published(&stepped.snapshot()),
+                published(&threaded.snapshot()),
+                "{kind:?}"
+            );
+            assert_eq!(threaded.reorg_hints_dropped(), 0);
+        }
     }
 
     #[test]
@@ -1829,7 +1927,8 @@ mod tests {
     #[test]
     fn full_writer_queue_drops_hints_and_counts_them() {
         let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(256, 1024);
-        let mut s = Stepped::of(&spec, CompactionPolicy::default());
+        let column =
+            ConcurrentColumn::from_spec(&spec, domain(), values()).expect("values in domain");
         let counts: Vec<(ValueRange<u32>, u64)> = queries()
             .into_iter()
             .map(|q| {
@@ -1839,24 +1938,34 @@ mod tests {
                 )
             })
             .collect();
-        // Nothing steps the writer: exactly the queue bound of hints
-        // queue, and every later one is dropped and counted, not lost
-        // silently. Answers stay correct and no reader blocks.
-        let extra = 500;
-        for (q, expect) in counts.iter().cycle().take(QUEUE_CAPACITY + extra) {
-            assert_eq!(s.column.select_count(q, &mut NullTracker), *expect);
+        // The writer answers a barrier nobody receives yet: it blocks
+        // after at most one step, which takes the barrier and fewer than
+        // the queue bound of the hints below. Then the queue fills, and
+        // every later hint is dropped and counted, not lost silently:
+        // between one bound less one (the barrier still holds a slot)
+        // and two bounds less one are taken. Answers stay correct and no
+        // reader blocks.
+        let (reply, release) = mpsc::sync_channel(0);
+        column
+            .sender()
+            .send(WriterCmd::Sync(reply))
+            .expect("the writer runs");
+        let hints = 3 * QUEUE_CAPACITY;
+        for (q, expect) in counts.iter().cycle().take(hints) {
+            assert_eq!(column.select_count(q, &mut NullTracker), *expect);
         }
-        assert_eq!(s.column.reorg_hints_dropped(), extra as u64);
-        let totals = s.column.reorg_totals();
-        assert_eq!(totals.reorg_hints_dropped, extra as u64);
-        // Dropped hints are advisory: one step takes every queued hint,
+        let dropped = column.reorg_hints_dropped();
+        let taken = hints - dropped as usize;
+        assert!(
+            (QUEUE_CAPACITY - 1..2 * QUEUE_CAPACITY).contains(&taken),
+            "{taken} taken"
+        );
+        assert_eq!(column.reorg_totals().reorg_hints_dropped, dropped);
+        // Dropped hints are advisory: the writer takes every queued hint,
         // and the column reorganizes and validates.
-        let mut taken = 0;
-        let queued = s.queue.try_iter().inspect(|_| taken += 1);
-        s.writer.step(&s.column.cell, queued);
-        assert_eq!(taken, QUEUE_CAPACITY);
-        let snap = s.column.snapshot();
-        assert_eq!(snap.epoch(), 1);
+        release.recv().expect("the writer answers the barrier");
+        column.quiesce();
+        let snap = column.snapshot();
         assert!(snap.segment_count() > 1, "the hints must have split");
         snap.validate().unwrap();
         for (q, expect) in &counts {
@@ -2083,7 +2192,7 @@ mod tests {
     #[test]
     fn incremental_compaction_folds_runs_and_charges_reorg() {
         let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(256, 1024);
-        let mut s = Stepped::of(&spec, CompactionPolicy::new(64, 16, 32));
+        let mut s = stepped(&spec, CompactionPolicy::new(64, 16, 32));
         // Rows each step inserts, and the pending level after it.
         let script: [(u32, u64); 17] = [
             (10, 10),
@@ -2111,25 +2220,25 @@ mod tests {
             expected.extend(&inserted);
             let batch =
                 (rows > 0).then(|| insert_batch(500_000 + u64::from(round) * 100, inserted));
-            let (epoch, wrote) = (s.column.epoch(), s.writer.reorg.totals().write_bytes);
+            let (epoch, wrote) = (s.snapshot().epoch(), s.writer.reorg.totals().write_bytes);
             s.step(batch.map(WriterCmd::Deltas));
             let folded = pending + u64::from(rows) - after;
             assert!(matches!(folded, 0 | 32), "step {round}: folded {folded}");
-            assert_eq!(s.column.pending_delta_rows(), after, "step {round}");
-            assert_eq!(s.base_rows() + after, expected.len() as u64, "step {round}");
+            assert_eq!(s.snapshot().pending_delta_rows(), after, "step {round}");
+            assert_eq!(base_rows(&s) + after, expected.len() as u64, "step {round}");
             // Folds charge reorganization writes; a step that neither
             // folded nor took a batch publishes nothing.
             let wrote_now = s.writer.reorg.totals().write_bytes;
             assert_eq!(wrote_now > wrote, folded > 0, "step {round}");
             let published = rows > 0 || folded > 0;
             assert_eq!(
-                s.column.epoch(),
+                s.snapshot().epoch(),
                 epoch + u64::from(published),
                 "step {round}"
             );
             pending = after;
         }
-        let snap = s.column.snapshot();
+        let snap = s.snapshot();
         assert!(snap.reorg_totals().write_bytes > 0);
         snap.validate().unwrap();
         // Answers include both folded and still-pending rows.
@@ -2146,42 +2255,45 @@ mod tests {
     #[test]
     fn a_refused_fold_waits_for_a_migration() {
         let spec = StrategySpec::new(StrategyKind::ApmSegm).with_apm_bounds(256, 1024);
-        let mut s = Stepped::of(&spec, CompactionPolicy::new(64, 16, 32));
-        let outside = insert_batch(700_000, 10_000..10_070);
-        s.step([WriterCmd::Deltas(outside)]);
-        assert_eq!(s.column.pending_delta_rows(), 70, "the fold was refused");
-        assert_eq!(s.column.epoch(), 1, "the batch publishes");
+        let mut s = stepped(&spec, CompactionPolicy::new(64, 16, 32));
+        s.apply_deltas(insert_batch(700_000, 10_000..10_070));
+        assert_eq!(
+            s.snapshot().pending_delta_rows(),
+            70,
+            "the fold was refused"
+        );
+        assert_eq!(s.snapshot().epoch(), 1, "the batch publishes");
         let refused = s.writer.reorg.totals();
         assert_eq!(refused.write_bytes, 0, "a refused fold charges nothing");
         // Rows inside the domain now lead the run, past the start
         // watermark, and still nothing folds.
         for round in 0..3u32 {
             let rows = (0..20).map(|i| (round * 389 + i * 53) % 10_000);
-            s.step([WriterCmd::Deltas(insert_batch(
-                710_000 + u64::from(round) * 20,
-                rows,
-            ))]);
-            assert_eq!(s.column.pending_delta_rows(), 90 + 20 * u64::from(round));
+            s.apply_deltas(insert_batch(710_000 + u64::from(round) * 20, rows));
+            assert_eq!(
+                s.snapshot().pending_delta_rows(),
+                90 + 20 * u64::from(round)
+            );
             assert_eq!(s.writer.reorg.totals(), refused, "round {round}");
-            assert_eq!(s.base_rows(), 6_000);
+            assert_eq!(base_rows(&s), 6_000);
         }
         // The migration reads and rewrites the 6 000 base rows, then the
         // retry folds the 32 rows at the head of the run.
-        s.step([WriterCmd::Migrate(spec)]);
-        assert_eq!(s.column.pending_delta_rows(), 98);
-        assert_eq!(s.base_rows(), 6_032);
+        s.set_strategy(spec);
+        assert_eq!(s.snapshot().pending_delta_rows(), 98);
+        assert_eq!(base_rows(&s), 6_032);
         let migrated = s.writer.reorg.totals();
         assert!(migrated.write_bytes > 6_000 * 4, "the fold charged too");
         // The next step reaches the rows outside the domain: refused
         // again, and then nothing more until the next migration.
         for _ in 0..2 {
             s.step([]);
-            assert_eq!(s.column.pending_delta_rows(), 98);
-            assert_eq!(s.base_rows(), 6_032);
+            assert_eq!(s.snapshot().pending_delta_rows(), 98);
+            assert_eq!(base_rows(&s), 6_032);
             assert_eq!(s.writer.reorg.totals(), migrated);
         }
         assert!(!s.writer.absorbs);
-        s.column.snapshot().validate().unwrap();
+        s.snapshot().validate().unwrap();
     }
 
     #[test]
@@ -2342,7 +2454,7 @@ mod tests {
     #[test]
     fn saturating_hints_cannot_starve_folds_publishes_or_barriers() {
         let spec = StrategySpec::new(StrategyKind::NoSegm);
-        let mut s = Stepped::of(&spec, CompactionPolicy::new(64, 16, 32));
+        let mut s = stepped(&spec, CompactionPolicy::new(64, 16, 32));
         let q = ValueRange::must(1_000u32, 1_999);
         let (reply, done) = mpsc::sync_channel(1);
         let batch = insert_batch(800_000, (0..70).map(|i| (i * 53) % 10_000));
@@ -2356,7 +2468,7 @@ mod tests {
         s.step(cmds.into_iter().chain(hints).inspect(|_| taken += 1));
         assert_eq!(taken, QUEUE_CAPACITY);
         assert_eq!(done.try_recv(), Ok(()), "the barrier is answered");
-        let snap = s.column.snapshot();
+        let snap = s.snapshot();
         assert_eq!(snap.epoch(), 1, "one publish");
         assert_eq!(
             snap.pending_delta_rows(),

@@ -85,7 +85,7 @@ pub use column::{ColumnError, SegmentedColumn};
 pub use compress::EncodedPayload;
 pub use cracking::CrackedColumn;
 pub use delta::{DeltaBatch, DeltaOp, DeltaRun};
-pub use epoch::{ConcurrentColumn, StrategySnapshot};
+pub use epoch::{ConcurrentColumn, SteppedColumn, StrategySnapshot};
 pub use estimate::SizeEstimator;
 pub use faults::{Fault, FaultInjector, FaultPlan, FaultSite, NoFaults};
 pub use merge::MergePolicy;

@@ -340,7 +340,8 @@ fn at_index(v: Violation, index: usize) -> Violation {
 }
 
 /// Cheap per-query check over any strategy through its public catalog
-/// surface: [`ColumnStrategy::pieces`] non-empty, its ranges sorted and
+/// surface: [`ColumnStrategy::pieces`] non-empty unless the strategy holds
+/// no rows (cracking then has no piece to report), its ranges sorted and
 /// pairwise disjoint.
 ///
 /// Disjointness (not partition) is the common denominator: replication
@@ -348,7 +349,7 @@ fn at_index(v: Violation, index: usize) -> Violation {
 /// but the trait does not promise domain coverage.
 pub fn strategy_pieces<V: ColumnValue>(strategy: &dyn ColumnStrategy<V>) -> Result<(), Violation> {
     let ranges: Vec<ValueRange<V>> = strategy.pieces().into_iter().map(|(r, _)| r).collect();
-    if ranges.is_empty() {
+    if ranges.is_empty() && strategy.storage_bytes() > 0 {
         return Err(Violation::Empty { what: "strategy" });
     }
     ranges_disjoint_sorted(&ranges)

@@ -526,14 +526,6 @@ impl PartialEq for Program {
     }
 }
 
-/// Whether any instruction of `stmts` reads variable `var`.
-pub(crate) fn references(stmts: &[Stmt], var: Var) -> bool {
-    stmts.iter().any(|s| {
-        s.instruction()
-            .is_some_and(|i| i.args().contains(&Arg::Var(var)))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,43 +1,46 @@
 //! The `bpm` (bat partition manager) runtime module of Section 3.1.
 //!
 //! A [`SegmentedBat`] is a bat organized by one of the unified
-//! self-organizing strategies: a thin `(oid, value)`-pair-preserving
-//! adapter over a boxed [`ColumnStrategy`] from `soc-core`. Rows are
+//! self-organizing strategies: a `soc-core` [`SteppedColumn`] over
 //! [`Pair`]s — ordered by value, carrying their head oid — so plans that
 //! reconstruct tuples (the `join` in Figure 1) stay correct through any
-//! reorganization, at the price the paper names: heads inside a piece are
-//! no longer positionally ordered.
+//! reorganization, at the price the paper names: heads are no longer
+//! positionally ordered.
 //!
-//! Because the adapter speaks only the [`ColumnStrategy`] trait, every
-//! strategy the evaluation compares — segmentation, replication, cracking,
-//! the static baselines — is drivable from the MAL/SQL stack: pieces come
-//! from `pieces()` (read once per organization), reorganization is
-//! the strategy's own `reorganize` — `select_count` without the count —
-//! run by [`SegmentedBat::adapt`] (the Section 3.3 hook the segment
-//! optimizer injects), and reorganization accounting flows out of
-//! `adaptation()` uniformly. A catalog merge is the strategy's own
-//! `fold_delta` too: the pending deltas land in the pieces that own them,
-//! and the organization the queries built survives.
+//! The column is served the way a `ConcurrentColumn` is, by the same
+//! writer, stepped by the catalog on the statement's thread. Everything
+//! this module reads — the piece list the segment optimizer consults (the
+//! meta-index), a piece's rows, the packed column — is read off the
+//! writer's published snapshot, whose pieces ascend and tile the domain
+//! and each hold their rows sorted by `(value, oid)`. A statement pins
+//! one snapshot per column ([`SegmentedBat::pinned`]) and reads it to the
+//! end of its plan. Everything that changes the column is a writer step:
+//! [`SegmentedBat::adapt`] (the Section 3.3 hook the segment optimizer
+//! injects) is the reorganization the writer runs for a reader's hint, a
+//! strategy switch is the writer's migration, and a catalog merge hands
+//! the writer one delta batch of the rows the pending writes change,
+//! which it folds into the pieces that own them, so the organization the
+//! queries built survives. Every step charges the writer's
+//! reorganization bill, which [`SegmentedBat::reorg_write_bytes`]
+//! reports.
 //!
-//! The adapter reads rows through the strategy's read-only, borrowing
-//! `peek_slices`, where the strategy holds them. A plan's `uselect` over a
-//! piece keeps only the oids of the rows it selects
-//! ([`SegmentedBat::piece_uselect`]); any other consumer gets the piece's
-//! whole bat ([`SegmentedBat::piece_bat`]), filled from the slices
-//! directly, and so does the checkpoint's [`SegmentedBat::pack`]. Pending
-//! deltas are the plan's to merge (`sql.subdelta`/`sql.projectdelta` over
-//! the catalog's delta bats); when the catalog merges them into the pieces,
-//! it hands this module typed bats — the rows the writes name, as the
-//! pieces hold them and as the plan reads them — and this module seals
-//! their difference into a run.
+//! A plan's `uselect` over a piece binary-searches the piece's sorted
+//! rows and keeps the oids of the run it selects
+//! ([`Pieces::uselect`]); any other consumer gets the piece's whole
+//! bat. So a select returns a segmented column's base rows in ascending
+//! `(value, oid)` order. Pending deltas are the plan's to merge
+//! (`sql.subdelta`/`sql.projectdelta` over the catalog's delta bats),
+//! which appends their rows after the base rows.
 
+use std::cmp::Ordering::{Equal, Less};
+use std::ops::Range;
 use std::sync::Arc;
 
 use soc_bat::algebra::{Atom, Selectable};
 use soc_bat::{Bat, BatError, Head, Oid, Tail};
 use soc_core::{
-    AdaptationStats, ColumnError, ColumnStrategy, ColumnValue, CountingTracker, DeltaBatch,
-    DeltaOp, DeltaRun, OrdF64, Pair, SegIdGen, StrategySpec, ValueRange,
+    AdaptationStats, ColumnError, ColumnStrategy, ColumnValue, DeltaBatch, DeltaOp, OrdF64, Pair,
+    SteppedColumn, StrategyKind, StrategySnapshot, StrategySpec, ValueRange,
 };
 
 /// Errors from segmented-bat operations.
@@ -63,6 +66,8 @@ pub enum BpmError {
     Bat(BatError),
     /// Piece index out of range.
     BadPiece(usize),
+    /// The rebuild under another strategy failed; the old one stays.
+    MigrationFailed(StrategyKind),
 }
 
 impl std::fmt::Display for BpmError {
@@ -76,6 +81,7 @@ impl std::fmt::Display for BpmError {
             BpmError::Column(e) => write!(f, "strategy construction: {e}"),
             BpmError::Bat(e) => write!(f, "{e}"),
             BpmError::BadPiece(i) => write!(f, "no piece #{i}"),
+            BpmError::MigrationFailed(kind) => write!(f, "rebuild as {kind:?} failed"),
         }
     }
 }
@@ -260,25 +266,138 @@ fn mismatch<V: TailValue>(tail: &Tail) -> BpmError {
 /// What a strategy constructor yields for one tail type.
 type BuiltStrategy<V> = Result<Box<dyn ColumnStrategy<Pair<V>>>, ColumnError>;
 
-/// A merge's writes sealed into one run over pair space, `None` when
-/// nothing survives shadowing.
-type PendingRun<V> = Option<DeltaRun<Pair<V>>>;
-
 /// A column's checked share of a merge, ready to fold — see
 /// [`SegmentedBat::stage_fold`].
 pub(crate) type StagedFold<'a> = Box<dyn FnOnce() + 'a>;
 
-/// One typed column behind the adapter: the boxed strategy plus the
-/// bookkeeping the MAL layer reports upward.
+/// What a statement reads of a segmented column: one published snapshot,
+/// whose pieces ascend and each hold their rows sorted by `(value, oid)`.
+pub(crate) trait Pieces: Send + Sync {
+    /// Number of pieces: the strategy's pieces, with the gaps between them
+    /// and the domain's edges as pieces of their own.
+    fn count(&self) -> usize;
+
+    /// Indices of the pieces overlapping the closed query `[lo, hi]`:
+    /// one run, as the pieces ascend.
+    fn overlapping(&self, lo: f64, hi: f64) -> Range<usize>;
+
+    /// Estimated bytes a query over `[lo, hi]` must touch.
+    fn footprint_bytes(&self, lo: f64, hi: f64) -> u64;
+
+    /// Closed value spans of the pieces, projected to `f64`.
+    fn spans(&self) -> Vec<(f64, f64)>;
+
+    /// Pieces `pieces`' rows as a bat (materialized — MAL materializes
+    /// intermediates): explicit oid head, typed tail, ascending.
+    ///
+    /// # Errors
+    /// [`BpmError::BadPiece`] for an index past the last piece.
+    fn bat(&self, pieces: Range<usize>) -> Result<Bat, BpmError>;
+
+    /// `algebra.uselect(bat(i..i + 1), lo, hi)` without building the
+    /// piece's bat: two binary searches in the piece's sorted rows find
+    /// the run whose value lies in `[lo, hi]` and keep its oids, in order
+    /// — the bat, head variant included, and the error that call returns.
+    ///
+    /// # Errors
+    /// [`BpmError::BadPiece`] for an index past the last piece, and
+    /// [`BpmError::Bat`] with `uselect`'s error for bounds the tail type
+    /// cannot compare against.
+    fn uselect(&self, i: usize, lo: &Atom, hi: &Atom) -> Result<Bat, BpmError>;
+
+    /// The rows whose oid `oids` (ascending) lists, as [`Self::bat`]: one
+    /// walk over the pieces, none when `oids` is empty.
+    fn rows_of(&self, oids: &[Oid]) -> Result<Bat, BpmError>;
+}
+
+/// A statement's pinned snapshot of one column.
+pub(crate) type Pinned = Arc<dyn Pieces>;
+
+impl<V: TailValue> Pieces for StrategySnapshot<Pair<V>> {
+    fn count(&self) -> usize {
+        self.piece_count()
+    }
+
+    fn overlapping(&self, lo: f64, hi: f64) -> Range<usize> {
+        if lo.is_nan() || hi.is_nan() {
+            return 0..0;
+        }
+        // How many leading pieces `before` holds for: a prefix of them,
+        // found by binary search, as `to_f64` keeps their order.
+        let leading = |before: &dyn Fn(&ValueRange<Pair<V>>) -> bool| {
+            let (mut lo, mut hi) = (0, self.piece_count());
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                match self.piece(mid) {
+                    Some((r, _)) if before(&r) => lo = mid + 1,
+                    _ => hi = mid,
+                }
+            }
+            lo
+        };
+        let start = leading(&|r| r.hi().value.to_f64() < lo);
+        let end = leading(&|r| r.lo().value.to_f64() <= hi);
+        start..end.max(start)
+    }
+
+    fn footprint_bytes(&self, lo: f64, hi: f64) -> u64 {
+        let rows = self.overlapping(lo, hi).filter_map(|i| self.piece(i));
+        rows.map(|(_, rows)| rows.len() as u64).sum::<u64>() * Pair::<V>::BYTES
+    }
+
+    fn spans(&self) -> Vec<(f64, f64)> {
+        let ranges = (0..self.piece_count()).filter_map(|i| self.piece(i));
+        ranges
+            .map(|(r, _)| (r.lo().value.to_f64(), r.hi().value.to_f64()))
+            .collect()
+    }
+
+    fn bat(&self, pieces: Range<usize>) -> Result<Bat, BpmError> {
+        if pieces.end > self.piece_count() {
+            return Err(BpmError::BadPiece(pieces.end - 1));
+        }
+        let parts = pieces.filter_map(|i| self.piece(i)).map(|(_, rows)| rows);
+        let n = parts.clone().map(<[_]>::len).sum();
+        let (mut heads, mut values) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for rows in parts {
+            heads.extend(rows.iter().map(|p| p.oid));
+            values.extend(rows.iter().map(|p| p.value));
+        }
+        Ok(Bat::new(Head::Oids(heads.into()), V::make_tail(values))?)
+    }
+
+    fn uselect(&self, i: usize, lo: &Atom, hi: &Atom) -> Result<Bat, BpmError> {
+        let (_, rows) = self.piece(i).ok_or(BpmError::BadPiece(i))?;
+        let keep = V::Raw::bounds(lo, hi)?;
+        // The rows ascend by value, and a value's key does not fall as it
+        // rises: the kept rows are one run. A NaN bound keeps none.
+        let key = |p: &Pair<V>| p.value.raw().key();
+        let below = |p: &Pair<V>| !matches!(keep.start().partial_cmp(&key(p)), Some(Less | Equal));
+        let start = rows.partition_point(below);
+        let end = rows.partition_point(|p| key(p) <= *keep.end());
+        let heads: Vec<Oid> = rows[start..end.max(start)].iter().map(|p| p.oid).collect();
+        let n = heads.len();
+        Ok(Bat::new(Head::Oids(heads.into()), Tail::Nil(n))?)
+    }
+
+    fn rows_of(&self, oids: &[Oid]) -> Result<Bat, BpmError> {
+        let (mut heads, mut values) = (Vec::new(), Vec::new());
+        let pieces = (0..self.piece_count()).filter_map(|i| self.piece(i));
+        for (_, rows) in pieces.take_while(|_| !oids.is_empty()) {
+            for p in rows.iter().filter(|p| oids.binary_search(&p.oid).is_ok()) {
+                heads.push(p.oid);
+                values.push(p.value);
+            }
+        }
+        Ok(Bat::new(Head::Oids(heads.into()), V::make_tail(values))?)
+    }
+}
+
+/// One typed column behind the adapter: the served column and its value
+/// domain.
 struct TypedSeg<V: TailValue> {
-    strategy: Box<dyn ColumnStrategy<Pair<V>>>,
-    /// The strategy's `pieces()`, read once per organization: at
-    /// construction (a strategy switch and a restore construct), after an
-    /// adapt that moved an adaptation counter, and after a merge fold.
-    pieces: Vec<(ValueRange<Pair<V>>, u64)>,
+    column: Box<SteppedColumn<Pair<V>>>,
     value_domain: ValueRange<V>,
-    rows: u64,
-    reorg_write_bytes: u64,
 }
 
 impl<V: TailValue> TypedSeg<V> {
@@ -295,135 +414,36 @@ impl<V: TailValue> TypedSeg<V> {
         let lo = V::bound_lo(domain_lo).ok_or_else(empty)?;
         let hi = V::below_excl(domain_hi_excl).ok_or_else(empty)?;
         let value_domain = ValueRange::new(lo, hi).ok_or_else(empty)?;
-        let n = rows.len() as u64;
         let strategy = make(value_domain, rows)?;
         Ok(TypedSeg {
-            pieces: strategy.pieces(),
-            strategy,
+            column: Box::new(SteppedColumn::new(strategy, value_domain.paired())),
             value_domain,
-            rows: n,
-            reorg_write_bytes: 0,
         })
     }
 
-    fn pieces(&self) -> &[(ValueRange<Pair<V>>, u64)] {
-        debug_assert!(
-            self.pieces == self.strategy.pieces(),
-            "the pieces are the strategy's"
-        );
-        &self.pieces
-    }
-
-    /// Piece `i`'s range and size in bytes.
-    fn piece(&self, i: usize) -> Result<(ValueRange<Pair<V>>, u64), BpmError> {
-        self.pieces().get(i).copied().ok_or(BpmError::BadPiece(i))
-    }
-
-    /// The run of pieces whose value span overlaps the closed query
-    /// `[lo, hi]` (in `f64` boundary space). The pieces ascend and `to_f64`
-    /// keeps their order, so the overlap is one run, found by binary search.
-    fn span(&self, lo: f64, hi: f64) -> std::ops::Range<usize> {
-        if lo.is_nan() || hi.is_nan() {
-            return 0..0;
-        }
-        let pieces = self.pieces();
-        let start = pieces.partition_point(|(r, _)| r.hi().value.to_f64() < lo);
-        let end = pieces.partition_point(|(r, _)| r.lo().value.to_f64() <= hi);
-        start..end.max(start)
-    }
-
-    fn footprint_bytes(&self, lo: f64, hi: f64) -> u64 {
-        let span = self.span(lo, hi);
-        self.pieces()[span].iter().map(|(_, bytes)| bytes).sum()
-    }
-
-    fn piece_bat(&self, i: usize) -> Result<Bat, BpmError> {
-        let (range, bytes) = self.piece(i)?;
-        self.bat_of(&range, (bytes / Pair::<V>::BYTES) as usize)
-    }
-
-    /// See [`SegmentedBat::piece_uselect`].
-    fn piece_uselect(&self, i: usize, lo: &Atom, hi: &Atom) -> Result<Bat, BpmError> {
-        let (range, _) = self.piece(i)?;
-        let keep = V::Raw::bounds(lo, hi)?;
-        let mut heads = Vec::new();
-        self.strategy.peek_slices(&range, &mut |rows| {
-            V::Raw::keep_into(rows, &keep, |p| p.value.raw(), |_, p| p.oid, &mut heads);
-        });
-        let n = heads.len();
-        Ok(Bat::new(Head::Oids(heads.into()), Tail::Nil(n))?)
-    }
-
-    fn pack(&self) -> Result<Bat, BpmError> {
-        self.bat_of(&self.value_domain.paired(), self.rows as usize)
-    }
-
-    /// The rows in `q` as a bat, explicit oid head and typed tail, both
-    /// filled from the slices the strategy lends; `rows` sizes them.
-    fn bat_of(&self, q: &ValueRange<Pair<V>>, rows: usize) -> Result<Bat, BpmError> {
-        let (mut heads, mut values) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
-        self.strategy.peek_slices(q, &mut |part| {
-            heads.extend(part.iter().map(|p| p.oid));
-            values.extend(part.iter().map(|p| p.value));
-        });
-        Ok(Bat::new(Head::Oids(heads.into()), V::make_tail(values))?)
-    }
-
-    /// The typed pair query for closed `f64` bounds, clipped to the
-    /// domain; `None` means the query selects nothing.
-    fn query(&self, lo: f64, hi: f64) -> Option<ValueRange<Pair<V>>> {
-        let lo_v = V::bound_lo(lo)?;
-        let hi_v = V::bound_hi(hi)?;
-        Some(
-            ValueRange::new(lo_v, hi_v)?
-                .intersect(&self.value_domain)?
-                .paired(),
-        )
-    }
-
-    /// One self-organization pass for the closed query `[lo, hi]`: the
-    /// strategy's own reorganization, exactly as its `select_count` would
-    /// run it (Algorithm 1 / Algorithm 2 at the bpm level), without the
-    /// count nobody reads. Returns the number of adaptation operations
-    /// performed; bytes written by reorganization accumulate in
-    /// [`Self::reorg_write_bytes`].
+    /// One self-organization pass for the closed query `[lo, hi]` (in
+    /// `f64` boundary space, clipped to the domain): the writer's
+    /// reorganization step, exactly as it runs a reader's hint. Returns the
+    /// number of adaptation operations performed.
     fn adapt(&mut self, lo: f64, hi: f64) -> u64 {
-        let Some(q) = self.query(lo, hi) else {
+        let (Some(lo_v), Some(hi_v)) = (V::bound_lo(lo), V::bound_hi(hi)) else {
             return 0;
         };
-        let before = self.strategy.adaptation();
-        let mut tracker = CountingTracker::new();
-        self.strategy.reorganize(&q, &mut tracker);
-        self.reorg_write_bytes += tracker.totals().write_bytes;
-        let after = self.strategy.adaptation();
-        // Every move of a piece boundary moves a counter.
-        if after != before {
-            self.pieces = self.strategy.pieces();
-        }
+        let Some(q) = ValueRange::new(lo_v, hi_v).and_then(|q| q.intersect(&self.value_domain))
+        else {
+            return 0;
+        };
+        let before = self.column.strategy().adaptation();
+        self.column.reorganize(&q.paired());
+        let after = self.column.strategy().adaptation();
         (after.splits - before.splits)
             + (after.merges - before.merges)
             + (after.replicas_created - before.replicas_created)
     }
 
-    /// The rows whose oid `oids` (ascending) lists, in piece order, as a
-    /// bat: one read of the pieces, none when `oids` is empty.
-    fn rows_of(&self, oids: &[Oid]) -> Result<Bat, BpmError> {
-        let (mut heads, mut values) = (Vec::new(), Vec::new());
-        if !oids.is_empty() {
-            self.strategy
-                .peek_slices(&self.value_domain.paired(), &mut |rows| {
-                    for p in rows.iter().filter(|p| oids.binary_search(&p.oid).is_ok()) {
-                        heads.push(p.oid);
-                        values.push(p.value);
-                    }
-                });
-        }
-        Ok(Bat::new(Head::Oids(heads.into()), V::make_tail(values))?)
-    }
-
     /// `bat`'s rows as pairs the column can hold: typed like it, no NaN,
-    /// inside the domain — the one fold [`ColumnStrategy::fold_delta`]
-    /// refuses is an insert outside it.
+    /// inside the domain — the one fold a strategy refuses is an insert
+    /// outside it.
     fn admitted(&self, bat: &Bat) -> Result<Vec<Pair<V>>, BpmError> {
         let pairs: Vec<Pair<V>> = V::rows(bat)?
             .into_iter()
@@ -436,10 +456,10 @@ impl<V: TailValue> TypedSeg<V> {
         }
     }
 
-    /// See [`SegmentedBat::stage_fold`]: the run that removes the `old`
-    /// rows and adds the `new` ones, per oid, with an update to the same
-    /// value cancelled ([`DeltaBatch`]'s seal semantics). Checking the
-    /// `new` rows here leaves nothing fallible in the returned fold.
+    /// See [`SegmentedBat::stage_fold`]: a `Delete` per `old` row and an
+    /// `Insert` per `new` one, shadowed per oid ([`DeltaBatch`]), so an
+    /// update to the same value cancels. Checking the `new` rows here
+    /// leaves nothing fallible in the returned fold.
     fn stage_fold(&mut self, old: &Bat, new: &Bat) -> Result<StagedFold<'_>, BpmError> {
         let mut batch = DeltaBatch::new();
         for (oid, v) in V::rows(old)? {
@@ -452,69 +472,10 @@ impl<V: TailValue> TypedSeg<V> {
                 value,
             });
         }
-        let run = batch.seal(SegIdGen::new().fresh());
-        Ok(Box::new(move || self.fold(run)))
-    }
-
-    /// Folds a staged run into the pieces that own its rows: no piece
-    /// boundary moves, and only the touched pieces' rewrite is charged to
-    /// the reorganization bill.
-    fn fold(&mut self, run: PendingRun<V>) {
-        let Some(run) = run else {
-            return;
-        };
-        let mut tracker = CountingTracker::new();
-        #[expect(
-            clippy::expect_used,
-            reason = "stage_fold checked every insert against the domain, the only fold a strategy refuses"
-        )]
-        let unmatched = self
-            .strategy
-            .fold_delta(run.inserts(), run.tombstones(), &mut tracker)
-            .expect("inserts inside the domain");
-        debug_assert_eq!(unmatched, 0, "tombstones were read off the pieces");
-        self.rows = self.rows + run.inserts().len() as u64 - run.tombstones().len() as u64;
-        self.reorg_write_bytes += tracker.totals().write_bytes;
-        // A fold keeps every boundary, but cracking reports only the pieces
-        // its data's span reaches, which a fold can widen or narrow.
-        self.pieces = self.strategy.pieces();
-        soc_core::debug_assert_valid!(self.validate(), "catalog merge fold");
-    }
-
-    /// Structural invariant check (tests): pieces disjoint and ascending,
-    /// values in range and domain, rows conserved.
-    fn validate(&self) -> Result<(), String> {
-        let pieces = self.pieces();
-        for w in pieces.windows(2) {
-            if w[0].0.hi() >= w[1].0.lo() {
-                return Err(format!("pieces {:?} and {:?} out of order", w[0].0, w[1].0));
-            }
-        }
-        let domain = self.value_domain.paired();
-        let mut total = 0u64;
-        for (i, (r, _)) in pieces.iter().enumerate() {
-            let mut fault = None;
-            self.strategy.peek_slices(r, &mut |rows| {
-                total += rows.len() as u64;
-                let bad = rows
-                    .iter()
-                    .find(|p| !r.contains(**p) || !domain.contains(**p));
-                if let (None, Some(p)) = (&fault, bad) {
-                    fault = Some(if r.contains(*p) {
-                        format!("row {p:?} outside the column domain")
-                    } else {
-                        format!("piece {i} holds out-of-range row {p:?}")
-                    });
-                }
-            });
-            if let Some(fault) = fault {
-                return Err(fault);
-            }
-        }
-        if total != self.rows {
-            return Err(format!("pieces hold {total} rows, expected {}", self.rows));
-        }
-        Ok(())
+        Ok(Box::new(move || {
+            self.column.apply_deltas(batch);
+            self.column.drain_deltas();
+        }))
     }
 }
 
@@ -559,6 +520,9 @@ pub struct SegmentedBat {
     /// strategy and checkpointed.
     pub(crate) domain: (f64, f64),
     pub(crate) spec: StrategySpec,
+    /// Reorganization writes billed before the column was restored from a
+    /// checkpoint.
+    restored_bill: u64,
 }
 
 impl std::fmt::Debug for SegmentedBat {
@@ -566,8 +530,7 @@ impl std::fmt::Debug for SegmentedBat {
         f.debug_struct("SegmentedBat")
             .field("strategy", &self.strategy_name())
             .field("pieces", &self.piece_count())
-            .field("rows", &self.rows())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -595,86 +558,67 @@ impl SegmentedBat {
             inner,
             domain: (domain_lo, domain_hi_excl),
             spec: *spec,
+            restored_bill: 0,
         })
     }
 
-    /// Number of placeable pieces (the strategy's flat segment partition).
+    /// The current snapshot, for a statement to read to its end.
+    pub(crate) fn pinned(&self) -> Pinned {
+        on_seg!(&self.inner, s => s.column.snapshot())
+    }
+
+    /// Number of pieces (the meta-index): the strategy's pieces, with the
+    /// gaps between them and the domain's edges as pieces of their own.
     pub fn piece_count(&self) -> usize {
-        on_seg!(&self.inner, s => s.pieces().len())
+        self.pinned().count()
     }
 
     /// Materialized storage held by the strategy (replication exceeds the
     /// bare column; in-place strategies equal it).
     #[cfg(test)]
     pub(crate) fn storage_bytes(&self) -> u64 {
-        on_seg!(&self.inner, s => s.strategy.storage_bytes())
+        on_seg!(&self.inner, s => s.column.strategy().storage_bytes())
     }
 
     /// Row count of the whole column.
+    #[cfg(test)]
     pub(crate) fn rows(&self) -> u64 {
-        on_seg!(&self.inner, s => s.rows)
+        on_seg!(&self.inner, s => s.column.snapshot().total_rows())
     }
 
     /// The underlying strategy's display name ("APM Segm", "Cracking", …).
     pub fn strategy_name(&self) -> String {
-        on_seg!(&self.inner, s => s.strategy.name())
+        on_seg!(&self.inner, s => s.column.strategy().name())
     }
 
     /// The strategy's uniform adaptation counters.
     pub fn adaptation(&self) -> AdaptationStats {
-        on_seg!(&self.inner, s => s.strategy.adaptation())
+        on_seg!(&self.inner, s => s.column.strategy().adaptation())
     }
 
-    /// Bytes written by reorganization across all [`Self::adapt`] calls
-    /// and merge folds (plus any rebuild cost carried in by the catalog's
-    /// strategy switch) — the reorganization bill SQL-level ablations
-    /// report.
+    /// Bytes written by reorganization — every [`Self::adapt`], merge fold
+    /// and strategy switch, plus the bill a checkpoint restored — the
+    /// reorganization bill SQL-level ablations report.
     pub fn reorg_write_bytes(&self) -> u64 {
-        on_seg!(&self.inner, s => s.reorg_write_bytes)
+        let billed = on_seg!(&self.inner, s => s.column.snapshot().reorg_totals().write_bytes);
+        self.restored_bill + billed
     }
 
-    /// Charges externally-incurred reorganization writes to this column's
-    /// cumulative bill. `Catalog::set_strategy` uses this to carry the old
-    /// column's history forward and to account the full-column rewrite the
-    /// switch performs — mirroring how the sharded executor charges
-    /// re-placement migration bytes.
+    /// Carries the bill of the column a checkpoint saved into the restored
+    /// one.
     pub(crate) fn add_reorg_write_bytes(&mut self, bytes: u64) {
-        on_seg!(&mut self.inner, s => s.reorg_write_bytes += bytes);
+        self.restored_bill += bytes;
     }
 
     /// Closed value spans of the pieces, projected to `f64` — the
     /// meta-index view diagnostics and tests read.
     pub fn piece_spans(&self) -> Vec<(f64, f64)> {
-        on_seg!(&self.inner, s => s
-            .pieces()
-            .iter()
-            .map(|(r, _)| (r.lo().value.to_f64(), r.hi().value.to_f64()))
-            .collect())
-    }
-
-    /// Piece `i`'s rows as a bat (materialized — MAL materializes
-    /// intermediates). The read is strategy-state-preserving.
-    pub(crate) fn piece_bat(&self, i: usize) -> Result<Bat, BpmError> {
-        on_seg!(&self.inner, s => s.piece_bat(i))
-    }
-
-    /// `algebra.uselect(piece_bat(i), lo, hi)` without building the
-    /// piece's bat: one read of the piece where the strategy holds it
-    /// keeps the oids of the rows whose value lies in `[lo, hi]`, in the
-    /// piece's order, through the tail's [`Selectable`] keep loop — the
-    /// bat, head variant included, and the error that call returns.
-    ///
-    /// # Errors
-    /// [`BpmError::BadPiece`] for an index past the last piece, and
-    /// [`BpmError::Bat`] with `uselect`'s error for bounds the tail type
-    /// cannot compare against.
-    pub(crate) fn piece_uselect(&self, i: usize, lo: &Atom, hi: &Atom) -> Result<Bat, BpmError> {
-        on_seg!(&self.inner, s => s.piece_uselect(i, lo, hi))
+        self.pinned().spans()
     }
 
     /// An empty bat typed like this column's tail — what a delta bind is
     /// shaped after. Read off the column's type, so it costs no piece
-    /// read and holds for a column with no pieces at all.
+    /// read and holds for a column with no rows at all.
     pub(crate) fn empty_like(&self) -> Bat {
         match &self.inner {
             PairColumn::Int(_) => Bat::dense_int(Vec::new()),
@@ -683,29 +627,24 @@ impl SegmentedBat {
         }
     }
 
-    /// Indices of the pieces overlapping the closed query `[lo, hi]`:
-    /// one run, as the pieces ascend.
-    pub(crate) fn overlapping(&self, lo: f64, hi: f64) -> std::ops::Range<usize> {
-        on_seg!(&self.inner, s => s.span(lo, hi))
-    }
-
     /// Estimated bytes a query over `[lo, hi]` must touch — the plan
     /// memory-footprint estimate of Section 3.1.
     pub fn footprint_bytes(&self, lo: f64, hi: f64) -> u64 {
-        on_seg!(&self.inner, s => s.footprint_bytes(lo, hi))
+        self.pinned().footprint_bytes(lo, hi)
     }
 
     /// Reconstructs the whole bat from the pieces (the fallback for plans
-    /// that were not segment-optimized).
+    /// that were not segment-optimized), ascending.
     pub fn pack(&self) -> Result<Bat, BpmError> {
-        on_seg!(&self.inner, s => s.pack())
+        let pinned = self.pinned();
+        pinned.bat(0..pinned.count())
     }
 
     /// Runs one self-organization pass for the closed query `[lo, hi]`:
     /// the strategy reorganizes exactly as its selection would (split,
     /// crack, or replicate — Section 3.3 made part of query execution),
-    /// without computing the selection's answer, which the plan reads
-    /// from the pieces. Returns the number of adaptation operations.
+    /// and the writer publishes the pieces it moved. The plan reads its
+    /// answer from the pieces. Returns the number of adaptation operations.
     pub fn adapt(&mut self, lo: &Atom, hi: &Atom) -> Result<u64, BpmError> {
         let (Some(ql), Some(qh)) = (lo.as_f64(), hi.as_f64()) else {
             return Ok(0);
@@ -713,10 +652,31 @@ impl SegmentedBat {
         Ok(on_seg!(&mut self.inner, s => s.adapt(ql, qh)))
     }
 
+    /// Re-organizes the column under `kind` through the writer's
+    /// migration: its rows rebuilt, its bill charged one full read and
+    /// write, its adaptation counters restarted.
+    ///
+    /// # Errors
+    /// [`BpmError::MigrationFailed`] when the rebuild fails, which leaves
+    /// the column as it was.
+    pub(crate) fn set_strategy(&mut self, kind: StrategyKind) -> Result<(), BpmError> {
+        let spec = StrategySpec { kind, ..self.spec };
+        let took = on_seg!(&mut self.inner, s => {
+            let failed = s.column.snapshot().failed_migrations();
+            s.column.set_strategy(spec);
+            s.column.snapshot().failed_migrations() == failed
+        });
+        if !took {
+            return Err(BpmError::MigrationFailed(kind));
+        }
+        self.spec = spec;
+        Ok(())
+    }
+
     /// The rows whose oid `oids` (ascending) lists, as the pieces hold
-    /// them: explicit oid head, typed tail, in piece order.
+    /// them: explicit oid head, typed tail, ascending.
     pub(crate) fn rows_of(&self, oids: &[Oid]) -> Result<Bat, BpmError> {
-        on_seg!(&self.inner, s => s.rows_of(oids))
+        self.pinned().rows_of(oids)
     }
 
     /// Whether the column can hold every row of `bat`, as a merge would
@@ -729,11 +689,11 @@ impl SegmentedBat {
     }
 
     /// Stages a merge that replaces the column's `old` rows (read off its
-    /// pieces, [`Self::rows_of`]) by the `new` ones: seals the change into
-    /// one sorted run and checks its inserts against the column's domain.
-    /// The returned fold cannot fail; it hands the run to the strategy's
-    /// [`ColumnStrategy::fold_delta`], which folds it into the pieces that
-    /// own its rows and keeps every piece boundary.
+    /// pieces, [`Self::rows_of`]) by the `new` ones: one delta batch,
+    /// whose inserts are checked against the column's domain. The returned
+    /// fold cannot fail; it hands the batch to the writer, which seals it
+    /// and folds it into the pieces that own its rows, keeping every piece
+    /// boundary.
     ///
     /// # Errors
     /// [`BpmError::Bat`] for a bat of another type than the column's,
@@ -743,17 +703,24 @@ impl SegmentedBat {
         on_seg!(&mut self.inner, s => s.stage_fold(old, new))
     }
 
-    /// Structural invariant check (tests): pieces disjoint and ascending,
-    /// values in range, rows conserved.
+    /// Structural invariant check: the snapshot's validator, and the
+    /// snapshot holds every row the strategy holds.
     pub fn validate(&self) -> Result<(), String> {
-        on_seg!(&self.inner, s => s.validate())
+        on_seg!(&self.inner, s => {
+            let snap = s.column.snapshot();
+            snap.validate().map_err(|v| v.to_string())?;
+            let held = s.column.strategy().peek_collect(&s.value_domain.paired()).len() as u64;
+            match snap.total_rows() == held {
+                true => Ok(()),
+                false => Err(format!("pieces serve {} rows, the strategy holds {held}", snap.total_rows())),
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soc_core::StrategyKind;
 
     /// Cracking: every query bound becomes a piece boundary.
     fn cracked(bat: Bat, lo: f64, hi_excl: f64) -> Result<SegmentedBat, BpmError> {
@@ -771,7 +738,8 @@ mod tests {
         // hands out is sized by them, not by the piece.
         let s = seg_bat();
         let b = s
-            .piece_uselect(0, &Atom::Int(500), &Atom::Int(524))
+            .pinned()
+            .uselect(0, &Atom::Int(500), &Atom::Int(524))
             .unwrap();
         let Head::Oids(heads) = b.head() else {
             panic!("a piece selection has explicit oids")
@@ -783,7 +751,10 @@ mod tests {
     #[test]
     fn starts_as_one_piece() {
         let s = seg_bat();
-        assert_eq!(s.piece_count(), 1);
+        // The rows' piece, and the empty one the snapshot tiles between
+        // the last row, (999, oid 999), and the domain's top.
+        assert_eq!(s.piece_count(), 2);
+        assert_eq!(s.pinned().bat(0..1).unwrap().len(), 1000);
         s.validate().unwrap();
         assert_eq!(s.pack().unwrap().len(), 1000);
     }
@@ -836,10 +807,10 @@ mod tests {
         let mut s = seg_bat();
         let n = s.adapt(&Atom::Int(400), &Atom::Int(599)).unwrap();
         assert_eq!(n, 2);
-        assert_eq!(s.piece_count(), 3);
+        assert_eq!(s.piece_count(), 4, "three pieces of rows and the top edge");
         s.validate().unwrap();
         // The middle piece holds exactly the selected rows with true oids.
-        let mid = s.piece_bat(1).unwrap();
+        let mid = s.pinned().bat(1..2).unwrap();
         assert_eq!(mid.len(), 200);
         let mut oids = mid.head_oids();
         oids.sort_unstable();
@@ -847,7 +818,7 @@ mod tests {
         // Row count is conserved.
         assert_eq!(s.rows(), 1000);
         let total: usize = (0..s.piece_count())
-            .map(|i| s.piece_bat(i).unwrap().len())
+            .map(|i| s.pinned().bat(i..i + 1).unwrap().len())
             .sum();
         assert_eq!(total, 1000);
     }
@@ -856,12 +827,12 @@ mod tests {
     fn overlapping_respects_piece_boundaries() {
         let mut s = seg_bat();
         s.adapt(&Atom::Int(400), &Atom::Int(599)).unwrap();
-        // Pieces are [0,399], [400,599], [600,999].
-        assert_eq!(s.overlapping(600.0, 700.0), 2..3);
-        assert_eq!(s.overlapping(599.0, 599.0), 1..2);
-        assert_eq!(s.overlapping(0.0, 1000.0), 0..3);
+        // Pieces are [0,399], [400,599], [600,999] and the empty top edge.
+        assert_eq!(s.pinned().overlapping(600.0, 700.0), 2..3);
+        assert_eq!(s.pinned().overlapping(599.0, 599.0), 1..2);
+        assert_eq!(s.pinned().overlapping(0.0, 1000.0), 0..4);
         // Fractional bounds between pieces touch nothing extra.
-        assert!(s.overlapping(599.5, 599.9).is_empty());
+        assert!(s.pinned().overlapping(599.5, 599.9).is_empty());
     }
 
     #[test]
@@ -878,8 +849,9 @@ mod tests {
         let mut s = cracked(bat, 204.0, 206.0).unwrap();
         s.adapt(&Atom::Dbl(205.1), &Atom::Dbl(205.12)).unwrap();
         s.validate().unwrap();
-        assert_eq!(s.piece_count(), 3);
-        let mid = s.piece_bat(1).unwrap();
+        // The three pieces of rows between an empty edge piece each side.
+        assert_eq!(s.piece_count(), 5);
+        let mid = s.pinned().bat(2..3).unwrap();
         assert_eq!(mid.len(), 2); // 205.11 and 205.115
                                   // Oids preserved: positions 2 and 3 of the base bat.
         let mut oids = mid.head_oids();
@@ -955,7 +927,7 @@ mod tests {
         // pieces tile it exactly once.
         assert!(s.storage_bytes() >= 2_000 * 16);
         let total: usize = (0..s.piece_count())
-            .map(|i| s.piece_bat(i).unwrap().len())
+            .map(|i| s.pinned().bat(i..i + 1).unwrap().len())
             .sum();
         assert_eq!(total, 2_000);
     }

@@ -13,22 +13,19 @@
 //! A segmented column is registered with a [`StrategySpec`] — the one
 //! physical-design currency shared with the simulator and the storage
 //! layer — so SQL queries can drive any of the nine strategy kinds, not
-//! just segmentation. [`Catalog::set_strategy`] re-organizes a live
-//! column under a different kind (the `ALTER COLUMN … SET STRATEGY` DDL
-//! hook), preserving its rows and pending deltas: the rows are rebuilt
-//! through the spec factory, and the rewrite is charged to the column's
-//! reorganization bill.
+//! just segmentation. It is served by the epoch writer of `soc-core`,
+//! which the catalog steps itself: [`Catalog::set_strategy`] (the `ALTER
+//! COLUMN … SET STRATEGY` DDL hook) is the writer's migration, which keeps
+//! the rows and the reorganization bill and charges the rewrite.
 //!
 //! Deltas do not accumulate forever: [`Catalog::merge_deltas`] folds a
 //! table's pending inserts/updates/deletes into the base columns its entry
-//! lists. A segmented column folds them through its strategy's own
-//! `ColumnStrategy::fold_delta` — the seam the epoch writer of
-//! `soc_core::ConcurrentColumn` folds through — so each row lands in the
-//! piece that owns it, the organization the queries built survives the
-//! merge, and only the touched pieces are charged as reorganization.
-//! Plain columns are positional and are rebuilt. Once a table's pending
-//! rows reach the threshold (global default, overridable per table), the
-//! mutation that reached it merges the whole backlog.
+//! lists. A segmented column hands the writer one delta batch, folded
+//! into the pieces that own its rows, so the organization the queries
+//! built survives the merge and only the touched pieces are charged as
+//! reorganization. Plain columns are positional and are rebuilt. Once a
+//! table's pending rows reach the threshold (global default, overridable
+//! per table), the mutation that reached it merges the whole backlog.
 //!
 //! Pending deltas are read one way: as the compiled plan reads them, whose
 //! `sql.subdelta`/`sql.projectdelta` merge the delta bats `sql.bind` hands
@@ -54,7 +51,8 @@ pub enum CatalogError {
     NotSegmented(String),
     /// The requested strategy name is not a known [`StrategyKind`] token.
     UnknownStrategy(String),
-    /// Re-organizing the column under the new strategy failed.
+    /// A segmented column refused a registration, a pending value or a
+    /// strategy switch.
     Bpm(BpmError),
     /// A delta bat could not be materialized (malformed pending changes).
     MalformedDelta {
@@ -71,7 +69,7 @@ impl std::fmt::Display for CatalogError {
             CatalogError::UnknownColumn(k) => write!(f, "unknown column {k}"),
             CatalogError::NotSegmented(k) => write!(f, "column {k} is not segmented"),
             CatalogError::UnknownStrategy(s) => write!(f, "unknown strategy {s:?}"),
-            CatalogError::Bpm(e) => write!(f, "strategy change: {e}"),
+            CatalogError::Bpm(e) => write!(f, "segmented column: {e}"),
             CatalogError::MalformedDelta { key, source } => {
                 write!(f, "delta bat for {key}: {source}")
             }
@@ -318,6 +316,24 @@ pub(crate) enum Base {
     Segmented(SegmentedBat),
 }
 
+impl Base {
+    /// Whether the base holds row `oid`: read off a plain column's head (a
+    /// binary search, linear when a registered head is unsorted), or off a
+    /// segmented column's pieces.
+    fn holds(&self, oid: Oid) -> bool {
+        match self {
+            Base::Plain(bat) => match bat.head() {
+                Head::Void { base } => (*base..*base + bat.len() as Oid).contains(&oid),
+                Head::Oids(heads) => {
+                    heads.binary_search(&oid).is_ok()
+                        || (!heads.is_sorted() && heads.contains(&oid))
+                }
+            },
+            Base::Segmented(seg) => seg.rows_of(&[oid]).is_ok_and(|b| !b.is_empty()),
+        }
+    }
+}
+
 /// [`Column::memo`]'s slot for the insert and the update delta bat.
 const INSERTS: usize = 0;
 const UPDATES: usize = 1;
@@ -432,9 +448,16 @@ impl Catalog {
     /// Installs `base` as column `schema.table.column`. Its rows keep
     /// fresh oids clear of them, deltas recorded against the column
     /// before now count, and a backed-off auto-merge of the table gets a
-    /// fresh attempt: the table's content changed.
+    /// fresh attempt: the table's content changed. A pending update of a
+    /// row neither `base` nor a pending insert holds is dropped, as a
+    /// merge would drop it ([`logical_rows`]), so no select returns it
+    /// meanwhile.
     fn register(&mut self, schema: &str, table: &str, column: &str, base: Base, rows: usize) {
         self.with_column(schema, table, column, |c| {
+            let d = &mut c.deltas;
+            let row = |oid: &Oid| base.holds(*oid) || d.insert_heads.binary_search(oid).is_ok();
+            let updates = d.update_heads.drain(..).zip(d.update_vals.drain(..));
+            (d.update_heads, d.update_vals) = updates.filter(|(oid, _)| row(oid)).unzip();
             c.base = Some(base);
             c.memo = Default::default();
         });
@@ -473,33 +496,23 @@ impl Catalog {
     }
 
     /// Re-organizes a live segmented column under a different strategy
-    /// kind: the rows are packed (oids intact) and rebuilt through the spec
-    /// factory. The column keeps its accumulated reorganization bill plus
-    /// the full-column rewrite (adaptation counters restart — they
-    /// describe the live strategy's organization, not the column's
-    /// history). This is what the `ALTER COLUMN … SET STRATEGY` DDL and
-    /// the `bpm.setStrategy` MAL operator execute; pending deltas are
-    /// untouched.
+    /// kind: its writer rebuilds the rows (oids intact) under the new
+    /// spec, adding the full-column rewrite to the column's bill
+    /// (adaptation counters restart). This is what the `ALTER COLUMN … SET
+    /// STRATEGY` DDL and the `bpm.setStrategy` MAL operator execute;
+    /// pending deltas are untouched.
     ///
     /// # Errors
     /// `CatalogError::NotSegmented` (or `UnknownColumn`) when `key` does
-    /// not name a segmented column; `CatalogError::Bpm` when the rebuild
-    /// fails, in which case the column is left unchanged.
+    /// not name a segmented column; `CatalogError::Bpm` with
+    /// `BpmError::MigrationFailed` when the rebuild fails, in which case
+    /// the column is left unchanged.
     pub fn set_strategy(&mut self, key: &str, kind: StrategyKind) -> Result<(), CatalogError> {
-        let seg = match self.columns.get_mut(key).and_then(|c| c.base.as_mut()) {
-            Some(Base::Segmented(seg)) => seg,
-            Some(Base::Plain(_)) => return Err(CatalogError::NotSegmented(key.to_owned())),
-            None => return Err(CatalogError::UnknownColumn(key.to_owned())),
-        };
-        let packed = seg.pack()?;
-        let billed = seg.reorg_write_bytes() + packed.bytes();
-        let (domain_lo, domain_hi_excl) = seg.domain;
-        let spec = StrategySpec { kind, ..seg.spec };
-        let mut rebuilt = SegmentedBat::from_spec(packed, domain_lo, domain_hi_excl, &spec)?;
-        rebuilt.add_reorg_write_bytes(billed);
-        soc_core::debug_assert_valid!(rebuilt.validate(), "catalog strategy switch");
-        *seg = rebuilt;
-        Ok(())
+        match self.columns.get_mut(key).and_then(|c| c.base.as_mut()) {
+            Some(Base::Segmented(seg)) => Ok(seg.set_strategy(kind)?),
+            Some(Base::Plain(_)) => Err(CatalogError::NotSegmented(key.to_owned())),
+            None => Err(CatalogError::UnknownColumn(key.to_owned())),
+        }
     }
 
     /// The base of column `key`; `None` when nothing is registered under
@@ -641,19 +654,10 @@ impl Catalog {
         if columns().any(|c| c.deltas.insert_heads.binary_search(&oid).is_ok()) {
             return true;
         }
-        let plain = columns().find_map(|c| match &c.base {
-            Some(Base::Plain(bat)) => Some(bat),
-            _ => None,
-        });
-        match plain.map(|bat| (bat.head(), bat.len() as Oid)) {
-            Some((Head::Void { base }, len)) => (*base..*base + len).contains(&oid),
-            Some((Head::Oids(heads), _)) => {
-                heads.binary_search(&oid).is_ok() || (!heads.is_sorted() && heads.contains(&oid))
-            }
-            None => columns().any(|c| match &c.base {
-                Some(Base::Segmented(seg)) => seg.rows_of(&[oid]).is_ok_and(|b| !b.is_empty()),
-                _ => false,
-            }),
+        let bases = || columns().filter_map(|c| c.base.as_ref());
+        match bases().find(|b| matches!(b, Base::Plain(_))) {
+            Some(plain) => plain.holds(oid),
+            None => bases().any(|b| b.holds(oid)),
         }
     }
 
@@ -743,15 +747,14 @@ impl Catalog {
     /// load: inserts append, updates overwrite in place, deleted rows are
     /// physically removed: each column is left holding its logical rows,
     /// the rows a plan reads. A **segmented** column reads the base rows the
-    /// pending updates and deletes name off its pieces, seals their change
-    /// and the inserts into one sorted run and folds it through its
-    /// strategy's `ColumnStrategy::fold_delta`: each row lands in the piece
-    /// that owns it, no piece boundary moves, and the rewrite of the
-    /// touched pieces is charged to the column's reorganization bill.
-    /// Plain columns are positional and are rebuilt — with a void head
-    /// while no row is missing, explicit oids once a delete has been folded
-    /// in. Afterwards the table's delta bats and deletion list are empty.
-    /// Only the columns the table's entry lists take part.
+    /// pending updates and deletes name off its pieces and hands their
+    /// change and the inserts to its writer as one delta batch: each row
+    /// lands in the piece that owns it, no piece boundary moves, and the
+    /// rewrite of the touched pieces is billed. Plain columns are
+    /// positional and are rebuilt — with a void head while no row is
+    /// missing, explicit oids once a delete has been folded in. Afterwards
+    /// the table's delta bats and deletion list are empty. Only the
+    /// columns the table's entry lists take part.
     ///
     /// Deltas recorded against column names that were never registered
     /// are inert (no base column ever binds them): they are neither
@@ -759,8 +762,8 @@ impl Catalog {
     /// in place in case the column is registered later.
     ///
     /// The merge is all-or-nothing: every plain column is rebuilt, and
-    /// every segmented column's run sealed and checked against its domain,
-    /// before the first fold, so a failure (an inserted value outside a
+    /// every segmented column's batch checked against its domain, before
+    /// the first fold, so a failure (an inserted value outside a
     /// column's registered domain, a NaN update, an atom the column's type
     /// cannot hold) leaves the catalog unchanged.
     ///
@@ -1623,6 +1626,32 @@ mod tests {
         c.update_value("sys", "T", "v", oid, Atom::Int(66));
         c.update_value("sys", "T", "v", 4, Atom::Int(77));
         assert_eq!(select_v(&mut c, 60, 80), [60, 66, 70, 77, 80]);
+    }
+
+    /// A re-registered column keeps the pending updates of rows its new
+    /// base or a pending insert holds, and drops the rest, which a merge
+    /// would drop: a select and a merge agree.
+    #[test]
+    fn re_registering_drops_updates_of_rows_the_new_base_lacks() {
+        for segmented in [true, false] {
+            let mut c = two_columns();
+            let oid = c.insert_row("sys", "T", &[("v", Atom::Int(5)), ("id", Atom::Int(110))]);
+            for (row, v) in [(8, 70), (2, 65), (oid, 75)] {
+                c.update_value("sys", "T", "v", row, Atom::Int(v));
+            }
+            let v = Bat::dense_int((0..5).map(|i| i * 10).collect());
+            if segmented {
+                let spec = StrategySpec::new(StrategyKind::Cracking);
+                c.register_segmented("sys", "T", "v", v, 0.0, 1000.0, spec)
+                    .unwrap();
+            } else {
+                c.register_bat("sys", "T", "v", v);
+            }
+            c.register_bat("sys", "T", "id", Bat::dense_int((100..105).collect()));
+            assert_eq!(select_v(&mut c, 60, 80), [65, 75], "segmented={segmented}");
+            c.merge_deltas("sys", "T").unwrap();
+            assert_eq!(select_v(&mut c, 60, 80), [65, 75], "segmented={segmented}");
+        }
     }
 
     /// A table with no plain column finds its base rows in a segmented

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use soc_bat::Atom;
 
-use crate::ast::{references, Arg, Const, Instruction, Name, Op, Program, Stmt, Var, VarName};
+use crate::ast::{Arg, Const, Instruction, Name, Op, Program, Stmt, Var, VarName};
 use crate::bpm::SegmentedBat;
 use crate::catalog::Catalog;
 
@@ -177,7 +177,10 @@ impl SegmentOptimizer {
         }
 
         // Drop rewritten binds that no remaining instruction references.
-        rewritten_bind_vars.retain(|&v| !references(&out.stmts, v));
+        rewritten_bind_vars.retain(|&v| {
+            let mut reads = out.stmts.iter().filter_map(Stmt::instruction);
+            !reads.any(|i| i.args().contains(&Arg::Var(v)))
+        });
         let before = out.stmts.len();
         out.stmts.retain(|s| {
             !matches!(s, Stmt::Assign(i) if i.op == Op::SqlBind
@@ -216,9 +219,10 @@ impl SegmentOptimizer {
             Arg::Const(c) => out.consts.get(c.slot()).and_then(Atom::as_f64),
             Arg::Var(_) => None,
         };
+        let pieces = seg.pinned();
         let relevant = match (bound(out, lo), bound(out, hi)) {
-            (Some(l), Some(h)) => seg.overlapping(l, h),
-            _ => 0..seg.piece_count(),
+            (Some(l), Some(h)) => pieces.overlapping(l, h),
+            _ => 0..pieces.count(),
         };
 
         let strategy = if relevant.len() <= self.unroll_threshold {
@@ -328,10 +332,12 @@ end q;
         let prog = parse(PLAN).unwrap();
         let (opt, report) = SegmentOptimizer::new().optimize(&prog, &c);
         assert_eq!(report.rewrites.len(), 1);
-        // Bounds are plan parameters (vars), one segment -> unrolled over 1.
+        // Bounds are plan parameters (vars), so every piece is relevant:
+        // the rows' one piece and the empty one the snapshot tiles between
+        // the last row and the domain's top -> unrolled over 2.
         assert_eq!(
             report.rewrites[0].1,
-            RewriteStrategy::Unrolled { segments: 1 }
+            RewriteStrategy::Unrolled { segments: 2 }
         );
         assert_eq!(
             report.dropped_binds, 1,
@@ -390,7 +396,8 @@ end q;
             .unwrap()
             .adapt(&Atom::Dbl(202.0), &Atom::Dbl(203.0))
             .unwrap();
-        assert_eq!(c.segmented("sys.P.ra").unwrap().piece_count(), 3);
+        // Three pieces of rows, and the empty top edge.
+        assert_eq!(c.segmented("sys.P.ra").unwrap().piece_count(), 4);
         let prog = parse(
             r#"X1 := sql.bind("sys","P","ra",0);
                X14 := algebra.select(X1,202.2,202.8);

@@ -245,8 +245,9 @@ fn optimized_plans_over_late_pieces_equal_the_plan_over_the_packed_column() {
 }
 
 /// A handle a later instruction reads stands for the piece as it was
-/// taken, even when `bpm.adapt` moves the pieces in between — bound to a
-/// variable, or still queued in an iterator block.
+/// taken, even when `bpm.adapt` and `bpm.setStrategy` move the pieces in
+/// between — bound to a variable, or still queued in an iterator block:
+/// the plan reads the snapshot its `bpm.take` pinned.
 #[test]
 fn handles_read_after_an_adaptation_are_the_pieces_as_taken() {
     let taken_then_adapted = parse(
@@ -255,6 +256,7 @@ function user.q(A0:dbl,A1:dbl):void;
     Y := bpm.take("sys.P.v");
     S := bpm.takeSegment(Y,0);
     N := bpm.adapt(Y,A0,A1);
+    K := bpm.setStrategy("sys.P.v","cracking");
     X := bat.slice(S,0,100000);
     X38 := sql.resultSet(1,1,X);
 end q;
@@ -280,15 +282,18 @@ end q;
         ))
         .unwrap()
     };
-    let (with_adapt, without) = (iterated("N := bpm.adapt(Y,A0,A1);"), iterated(""));
-    for kind in [
-        StrategyKind::Cracking,
-        StrategyKind::ApmSegm,
-        StrategyKind::GdRepl,
-    ] {
+    let without = iterated("");
+    for (k, kind) in StrategyKind::ALL.into_iter().enumerate() {
+        // Every pass adapts the column and switches it to another kind.
+        let to = StrategyKind::ALL[(k + 1) % StrategyKind::ALL.len()].token();
+        let moved = iterated(&format!(
+            r#"N := bpm.adapt(Y,A0,A1);
+    K := bpm.setStrategy("sys.P.v","{to}");"#
+        ));
         for b in bounds(&catalog(kind, Column::Dbl, Pending::Nothing), Column::Dbl) {
             let mut c = catalog(kind, Column::Dbl, Pending::Nothing);
-            let first = c.segmented("sys.P.v").unwrap().piece_bat(0).unwrap();
+            let first = c.segmented("sys.P.v").unwrap().pinned().bat(0..1);
+            let first = first.unwrap();
             assert_eq!(
                 run(&mut c, &taken_then_adapted, &b),
                 first,
@@ -298,12 +303,81 @@ end q;
             let mut adapted = catalog(kind, Column::Dbl, Pending::Nothing);
             let mut still = catalog(kind, Column::Dbl, Pending::Nothing);
             assert_eq!(
-                run(&mut adapted, &with_adapt, &b),
+                run(&mut adapted, &moved, &b),
                 run(&mut still, &without, &b),
                 "{kind:?} {b:?}"
             );
         }
     }
+}
+
+/// The order a select over a segmented column answers in: its base rows
+/// ascending by `(value, oid)` — the pieces ascend, and each holds its
+/// rows sorted — then the pending rows, in the order `sql.subdelta`
+/// appends them. For every kind, tail type and kind of pending write, and
+/// both rewrites, the selection `X25` the projection reads is
+/// `sql.subdelta` over the base rows `algebra.uselect` keeps, sorted.
+#[test]
+fn a_segmented_select_returns_base_rows_in_value_order_then_pending_rows() {
+    let key_order = |a: &Atom, b: &Atom| match (a, b) {
+        (Atom::Int(a), Atom::Int(b)) => a.cmp(b),
+        (Atom::Oid(a), Atom::Oid(b)) => a.cmp(b),
+        (Atom::Dbl(a), Atom::Dbl(b)) => a.partial_cmp(b).expect("no NaN"),
+        other => unreachable!("{other:?}"),
+    };
+    let plan = parse(PROJECT).unwrap();
+    let (mut unsorted, mut checked) = (0, 0);
+    for kind in StrategyKind::ALL {
+        for col in [Column::Dbl, Column::Int, Column::Oid] {
+            for pending in [
+                Pending::Nothing,
+                Pending::Inserts,
+                Pending::Updates,
+                Pending::Deletes,
+            ] {
+                let mut c = catalog(kind, col, pending);
+                let delta = |c: &mut Catalog, access| c.delta_bat("sys.P.v", access).unwrap();
+                let (ins, upd) = (delta(&mut c, 1).unwrap(), delta(&mut c, 2).unwrap());
+                let dbat = c.dbat("sys", "P");
+                for (lo, hi) in bounds(&c, col) {
+                    let Ok(kept) = algebra::uselect(&base(col), &lo, &hi) else {
+                        continue;
+                    };
+                    let mut oids = kept.head_oids();
+                    unsorted += usize::from(!oids.is_sorted_by_key(|&i| value(col, i).as_f64()));
+                    oids.sort_by(|&a, &b| {
+                        key_order(&value(col, a), &value(col, b)).then(a.cmp(&b))
+                    });
+                    let sorted = Bat::new(
+                        soc_bat::Head::Oids(oids.into()),
+                        soc_bat::Tail::Nil(kept.len()),
+                    );
+                    let want = algebra::sub_delta(&sorted.unwrap(), &ins, &upd, &dbat, &lo, &hi);
+                    let want = want.unwrap().head_oids();
+                    for unroll_threshold in [usize::MAX, 0] {
+                        let optimizer = SegmentOptimizer {
+                            unroll_threshold,
+                            inject_adaptation: false,
+                        };
+                        let form = optimizer.optimize(&plan, &c).0;
+                        let mut interp = Interp::new(&mut c);
+                        interp.run(&form, &[lo.clone(), hi.clone()]).unwrap();
+                        let Some(crate::MalValue::Bat(x25)) = interp.get("X25") else {
+                            panic!("X25 must be a bat")
+                        };
+                        assert_eq!(
+                            x25.head_oids(),
+                            want,
+                            "{kind:?} {col:?} {pending:?} [{lo}, {hi}]"
+                        );
+                        checked += usize::from(want.len() > 1);
+                    }
+                }
+            }
+        }
+    }
+    // Not vacuous: the rows arrive in another order than the oids'.
+    assert!(unsorted > 100 && checked > 800, "{unsorted} {checked}");
 }
 
 /// Every piece's late `uselect` is the `uselect` of the piece's bat: the
@@ -313,20 +387,20 @@ fn a_late_uselect_is_the_uselect_of_the_built_piece() {
     for kind in StrategyKind::ALL {
         for col in [Column::Dbl, Column::Int, Column::Oid] {
             let c = catalog(kind, col, Pending::Nothing);
-            let seg = c.segmented("sys.P.v").unwrap();
+            let seg = c.segmented("sys.P.v").unwrap().pinned();
             let mut cases = bounds(&c, col);
             cases.push((Atom::Str("a".into()), Atom::Int(3)));
             cases.push((Atom::Int(3), Atom::Nil));
-            for i in 0..seg.piece_count() {
-                let piece = seg.piece_bat(i).unwrap();
+            for i in 0..seg.count() {
+                let piece = seg.bat(i..i + 1).unwrap();
                 for (lo, hi) in &cases {
-                    let late = seg.piece_uselect(i, lo, hi).map_err(|e| e.to_string());
+                    let late = seg.uselect(i, lo, hi).map_err(|e| e.to_string());
                     let built = algebra::uselect(&piece, lo, hi).map_err(|e| e.to_string());
                     assert_eq!(late, built, "{kind:?} {col:?} piece {i} [{lo}, {hi}]");
                 }
             }
             assert!(seg
-                .piece_uselect(seg.piece_count(), &Atom::Int(0), &Atom::Int(1))
+                .uselect(seg.count(), &Atom::Int(0), &Atom::Int(1))
                 .is_err());
         }
     }

@@ -43,6 +43,14 @@ fn replayed_cases_answer_as_the_model() {
             seed: 7,
             ops: vec![Delete(1), Insert(70), Read(60, 80)],
         },
+        // A merge removes the last row: a cracked column has no piece
+        // left, which the validator accepts for a column with no rows. The
+        // update names a row the merge removed, so no select returns it.
+        Case {
+            base: vec![300],
+            seed: 7,
+            ops: vec![Delete(0), Merge, Update(0, 70), Read(60, 80)],
+        },
     ];
     for case in &cases {
         let outcomes = [
