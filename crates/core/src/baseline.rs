@@ -130,15 +130,13 @@ impl<V: ColumnValue> ColumnStrategy<V> for FullySorted<V> {
 
     fn select_count(&mut self, q: &ValueRange<V>, tracker: &mut dyn AccessTracker) -> u64 {
         self.charge_sort(tracker);
-        let (start, end) = crate::kernels::sorted_run(self.segment.values(), q);
-        tracker.scan(self.segment.id(), (end - start) as u64 * V::BYTES);
-        (end - start) as u64
+        let n = self.segment.count_in(q);
+        tracker.scan(self.segment.id(), n * V::BYTES);
+        n
     }
 
     fn peek_slices(&self, q: &ValueRange<V>, f: &mut dyn FnMut(&[V])) {
-        let values = self.segment.values();
-        let (start, end) = crate::kernels::sorted_run(values, q);
-        f(&values[start..end]);
+        self.segment.peek_in(q, &mut Vec::new(), f);
     }
 
     fn fold_delta(

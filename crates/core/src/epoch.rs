@@ -716,15 +716,19 @@ impl<V: ColumnValue> Writer<V> {
                     // split, crack, merge, sort and replica create or drop
                     // writes, frees or materializes. The read bytes of one
                     // that did none of these wait for the next epoch.
-                    // The hint stays on `select_count`, not the count-free
-                    // `reorganize`: a probe that routed hints through the
-                    // cheaper step made served reads slower (`serve_read`
-                    // 576–744 k → 432–519 k reads/s, p95 2.9–3.7 →
-                    // 5.3–6.1 µs; `serve_mixed` 514–527 k → 336–368 k;
-                    // three pairs of 5 s runs, 2 cores), most likely
-                    // because a writer that idles sooner must be woken by
-                    // more of the readers' `try_send`s. ROADMAP items 12
-                    // and 16 track the wake-up cost.
+                    // A served segment is sorted, so the hint's count of
+                    // each straddled one is two binary searches, and the
+                    // count-free `reorganize` would save only those. A
+                    // writer that cheap keeps up with the readers, and
+                    // they pay for it: when the count became a search,
+                    // traced `serve_mixed` (seed 7, 20 s, 2 cores) dropped
+                    // 0.6–0.7 % of hints instead of 48 %, published the
+                    // same 52 epochs/s (one fold per paced write), and
+                    // its `delta.apply_p99_us` rose from 0.41–0.45 to
+                    // 1.9–2.2 µs (read p99 1.6 → 2.6–2.7 µs). A queue the
+                    // writer keeps empty is written on every read, and
+                    // an idle writer must be woken; ROADMAP items 12 and
+                    // 25 replace this hint path.
                     let moved =
                         |t: QueryStats| (t.write_bytes, t.freed_bytes, t.segments_materialized);
                     let before = moved(self.reorg.totals());

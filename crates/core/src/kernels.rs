@@ -51,9 +51,16 @@
 //!   and the largest piece keeps the payload's own buffer, compacted in
 //!   place, so only the other pieces take fresh memory.
 //!
-//! The four reorganizing scans — `count_range`, `count_partition`,
-//! `scan_fill` and `partition_into` — and the whole-slice fold behind
-//! `min_max_sum_all`, `sum_all` and `min_max_all` take a slice of at least
+//! A sorted payload skips both: `SegmentData::count_partition` counts a
+//! sorted window with `sorted_partition`, two binary searches at the
+//! query's bounds, and a sorted split cuts its window by search into
+//! windows of the same buffer. Every segment of a served column is
+//! sorted, so only a bare strategy's unsorted payloads reach the scans.
+//! The callers bill Algorithm 1's whole-segment scan either way.
+//!
+//! The reorganizing scans — `count_partition`, `scan_fill` and
+//! `partition_into` — the plain `count_range`, and the whole-slice fold
+//! behind `min_max_sum_all`, `sum_all` and `min_max_all` take a slice of at least
 //! `PAR_MIN` (2¹⁹) values in two halves: cut at a `CHUNK`-aligned
 //! midpoint, the upper half on one helper thread, the lower half on the
 //! caller, combined in order. Counts add; every output holds the lower
@@ -630,6 +637,22 @@ pub(crate) fn count_partition<V: ColumnValue>(values: &[V], q: &ValueRange<V>) -
     let (lower, upper) = halves(values);
     let (a, b) = join(!upper.is_empty(), || count(lower), || count(upper));
     [a, b]
+}
+
+/// [`count_partition`] of an ascending slice, by search instead of a
+/// scan: the values below `q.lo` and those up to `q.hi` end where two
+/// binary searches ([`sorted_run`]) find them. All of them count in the
+/// lower half, the upper one zeros: a sorted split cuts its window by
+/// search and takes no per-half sizes.
+///
+/// The caller guarantees `sorted` is ascending, as for [`sorted_run`].
+pub(crate) fn sorted_partition<V: ColumnValue>(sorted: &[V], q: &ValueRange<V>) -> [[u64; 3]; 2] {
+    let (start, end) = sorted_run(sorted, q);
+    let len = sorted.len();
+    [
+        [start as u64, (end - start) as u64, (len - end) as u64],
+        [0; 3],
+    ]
 }
 
 /// Masked `SUM(v) WHERE v IN q` (as `f64`): the predicate folds into a
@@ -1446,6 +1469,94 @@ mod tests {
         );
     }
 
+    /// The values below, inside and above `[a, b]` (or `[b, a]`) that
+    /// [`sorted_partition`] finds by search in the sorted `values`, against
+    /// [`count_partition`]'s scan of the same slice, its halves added.
+    fn assert_search_counts_as_the_scan<V: ColumnValue>(mut values: Vec<V>, a: V, b: V) {
+        values.sort_unstable();
+        let q = ValueRange::must(a.min(b), a.max(b));
+        let [lower, upper] = count_partition(&values, &q);
+        let [searched, rest] = sorted_partition(&values, &q);
+        assert_eq!(rest, [0; 3], "a search counts in the lower half");
+        assert_eq!(
+            searched,
+            [0, 1, 2].map(|i| lower[i] + upper[i]),
+            "{q:?} over {} values",
+            values.len()
+        );
+    }
+
+    #[test]
+    fn sorted_partition_counts_the_edges_as_the_scan() {
+        use crate::value::OrdF64;
+        let z = OrdF64::from_finite;
+        // Empty slices, any query.
+        assert_search_counts_as_the_scan(Vec::<u32>::new(), 0, u32::MAX);
+        assert_search_counts_as_the_scan(Vec::<i64>::new(), -1, -1);
+        assert_search_counts_as_the_scan(Vec::<OrdF64>::new(), z(-0.0), z(0.0));
+        // Duplicates at both bounds; queries wholly below, wholly above,
+        // on the ends and covering everything.
+        let dups = vec![3u32, 5, 5, 5, 7, 7, 9, 9, 9, 3];
+        for (a, b) in [
+            (5, 9),
+            (5, 5),
+            (7, 7),
+            (0, 2),
+            (10, 99),
+            (0, 3),
+            (9, 99),
+            (0, 99),
+        ] {
+            assert_search_counts_as_the_scan(dups.clone(), a, b);
+        }
+        let signed: Vec<i64> = dups.iter().map(|&v| i64::from(v) - 6).collect();
+        for (a, b) in [(-1, 3), (-1, -1), (-9, -4), (4, 9), (i64::MIN, i64::MAX)] {
+            assert_search_counts_as_the_scan(signed.clone(), a, b);
+        }
+        // `-0.0` and `+0.0` compare equal, as values and as bounds: a query
+        // ending at either zero takes both, one starting past it neither.
+        let zeroes = [0.0, -0.0, -1.0, 0.0, 2.0, -0.0].map(z).to_vec();
+        for (a, b) in [
+            (-0.0, 0.0),
+            (0.0, 0.0),
+            (-0.0, -0.0),
+            (-1.0, -0.0),
+            (0.0, 2.0),
+            (-5.0, -2.0),
+            (3.0, 4.0),
+        ] {
+            assert_search_counts_as_the_scan(zeroes.clone(), z(a), z(b));
+        }
+    }
+
+    /// A slice past [`PAR_MIN`]: the scan counts it in two halves (one, on
+    /// one core), the search in one, and the three classes agree.
+    #[test]
+    fn sorted_partition_counts_a_two_half_slice_as_the_scan() {
+        use crate::value::OrdF64;
+        let n = PAR_MIN + 3 * CHUNK + 5;
+        let ints: Vec<u32> = (0..n as u32)
+            .map(|i| i.wrapping_mul(7919) % 1_000)
+            .collect();
+        let floats: Vec<OrdF64> = (0..n)
+            .map(|i| OrdF64::from_finite([-0.0, 0.0, 1.5, -2.0][i % 4]))
+            .collect();
+        for (a, b) in [
+            (0, 999),
+            (499, 500),
+            (500, 500),
+            (1_000, 5_000),
+            (0, 0),
+            (999, 999),
+        ] {
+            assert_search_counts_as_the_scan(ints.clone(), a, b);
+        }
+        for (a, b) in [(0.0, 0.0), (-2.0, -0.0), (1.5, 9.0), (-9.0, -3.0)] {
+            let (a, b) = (OrdF64::from_finite(a), OrdF64::from_finite(b));
+            assert_search_counts_as_the_scan(floats.clone(), a, b);
+        }
+    }
+
     #[test]
     fn full_chunks_of_u32_max_sum_exactly() {
         // Three chunks of the largest u32 plus a stray: every chunk's
@@ -1522,6 +1633,40 @@ mod tests {
                 merge_subtract_sorted(&parts, &inserts, &tombstones, &mut got);
                 let bits = |v: &[OrdF64]| v.iter().map(|x| x.get().to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(&got), bits(&want));
+            }
+        }
+
+        // Narrow value bands under wider query bounds: duplicates at both
+        // bounds, queries wholly below or above the values, empty slices,
+        // and `-0.0`/`+0.0` as values and as bounds.
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn sorted_partition_equals_count_partition_u32(
+                values in proptest::collection::vec(2u32..8, 0..64),
+                a in 0u32..10,
+                b in 0u32..10,
+            ) {
+                assert_search_counts_as_the_scan(values, a, b);
+            }
+
+            #[test]
+            fn sorted_partition_equals_count_partition_i64(
+                values in proptest::collection::vec(-3i64..3, 0..64),
+                a in -5i64..5,
+                b in -5i64..5,
+            ) {
+                assert_search_counts_as_the_scan(values, a, b);
+            }
+
+            #[test]
+            fn sorted_partition_equals_count_partition_f64(
+                values in zeroes_and_dups(),
+                a in prop_oneof![Just(-0.0), Just(0.0), (-5i32..6).prop_map(f64::from)],
+                b in prop_oneof![Just(-0.0), Just(0.0), (-5i32..6).prop_map(f64::from)],
+            ) {
+                assert_search_counts_as_the_scan(values, OrdF64::from_finite(a), OrdF64::from_finite(b));
             }
         }
 

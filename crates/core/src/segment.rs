@@ -345,31 +345,53 @@ impl<V: ColumnValue> SegmentData<V> {
         }
     }
 
+    /// How many stored values lie below, inside and above `q`, per half
+    /// of the values (`[lower, upper]`, as
+    /// [`crate::kernels::count_partition`] cuts them): the one count behind
+    /// every reorganizing and straddled read. A sorted window is searched
+    /// ([`crate::kernels::sorted_partition`]: two binary searches, all in
+    /// the lower half); an unsorted payload is scanned, in two halves past
+    /// [`crate::kernels::PAR_MIN`] values.
+    pub(crate) fn count_partition(&self, q: &ValueRange<V>) -> [[u64; 3]; 2] {
+        match &self.values {
+            Payload::Sorted(window) => crate::kernels::sorted_partition(window, q),
+            Payload::Unsorted(values) => crate::kernels::count_partition(values, q),
+        }
+    }
+
     /// Counts the stored values inside `q` without materializing them.
     ///
     /// The cached synopsis answers the easy classes without touching the
     /// values: a disjoint query is zero, a covering one is the length
     /// (the synopsis bounds are tighter than `range`, so this fires more
     /// often than the old whole-range shortcut). Only a straddling query
-    /// scans, through the branchless [`crate::kernels::count_range`].
+    /// counts, through [`Self::count_partition`].
     pub(crate) fn count_in(&self, q: &ValueRange<V>) -> u64 {
         match self.classify(q) {
             SynopsisClass::Disjoint => 0,
             SynopsisClass::Covered => self.len(),
-            SynopsisClass::Straddle => crate::kernels::count_range(&self.values, q),
+            SynopsisClass::Straddle => {
+                let [lower, upper] = self.count_partition(q);
+                lower[1] + upper[1]
+            }
         }
     }
 
     /// Hands the stored values inside `q` to `f`, in storage order: a
-    /// covered segment lends its own values, a straddled one copies its
-    /// matches into `scratch`. A disjoint query calls nothing.
+    /// covered segment lends its own values, a straddled sorted one the
+    /// run two binary searches find in them, and a straddled unsorted one
+    /// copies its matches into `scratch`. A disjoint query calls nothing.
     pub(crate) fn peek_in(&self, q: &ValueRange<V>, scratch: &mut Vec<V>, f: &mut dyn FnMut(&[V])) {
-        match self.classify(q) {
-            SynopsisClass::Disjoint => {}
-            SynopsisClass::Covered => f(&self.values),
-            SynopsisClass::Straddle => {
+        match (self.classify(q), &self.values) {
+            (SynopsisClass::Disjoint, _) => {}
+            (SynopsisClass::Covered, values) => f(values),
+            (SynopsisClass::Straddle, Payload::Sorted(window)) => {
+                let (start, end) = crate::kernels::sorted_run(window, q);
+                f(&window[start..end]);
+            }
+            (SynopsisClass::Straddle, Payload::Unsorted(values)) => {
                 scratch.clear();
-                crate::kernels::collect_range(&self.values, q, scratch);
+                crate::kernels::collect_range(values, q, scratch);
                 f(scratch);
             }
         }
@@ -648,6 +670,87 @@ mod tests {
         assert_eq!(&served[..], [10, 20]);
         assert!(!parts[0].share_sorted().shares_buffer(&served));
         assert!(parts[1].share_sorted().shares_buffer(&served));
+    }
+
+    /// A sorted segment counts and peeks as its unsorted twin, which holds
+    /// the same ascending values in a plain vector and scans them: every
+    /// class of query, duplicates on its bounds, `-0.0`/`+0.0`, and a
+    /// segment past `PAR_MIN`, which the twin scans in two halves. A
+    /// straddled sorted segment lends its run in place.
+    #[test]
+    fn sorted_and_unsorted_twins_count_and_peek_alike() {
+        use crate::value::OrdF64;
+
+        fn check<V: ColumnValue>(range: ValueRange<V>, mut values: Vec<V>, queries: &[(V, V)]) {
+            values.sort_unstable();
+            let mut ids = SegIdGen::new();
+            let sorted = SegmentData::sorted(ids.fresh(), range, values.clone());
+            let twin = SegmentData::new(ids.fresh(), range, values);
+            for &(lo, hi) in queries {
+                let q = ValueRange::must(lo, hi);
+                assert_eq!(sorted.count_in(&q), twin.count_in(&q), "{q:?}");
+                let total = |s: &SegmentData<V>| {
+                    let [lower, upper] = s.count_partition(&q);
+                    [0, 1, 2].map(|i| lower[i] + upper[i])
+                };
+                assert_eq!(total(&sorted), total(&twin), "{q:?}");
+                let peek = |s: &SegmentData<V>, scratch: &mut Vec<V>| {
+                    let mut out = Vec::new();
+                    s.peek_in(&q, scratch, &mut |part| {
+                        let inside = s.values().as_ptr_range();
+                        let lent = inside.contains(&part.as_ptr()) || part.is_empty();
+                        out.push((part.to_vec(), lent));
+                    });
+                    out
+                };
+                let mut scratch = Vec::new();
+                let got = peek(&sorted, &mut scratch);
+                assert_eq!(scratch.capacity(), 0, "a sorted segment copies nothing");
+                assert!(got.iter().all(|(_, lent)| *lent), "{q:?}");
+                let values = |parts: Vec<(Vec<V>, bool)>| {
+                    parts
+                        .into_iter()
+                        .flat_map(|(part, _)| part)
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(values(got), values(peek(&twin, &mut Vec::new())), "{q:?}");
+            }
+        }
+
+        let dups = vec![30u32, 10, 50, 50, 10, 70, 50, 30, 90, 90];
+        let queries = [
+            (0, 99),
+            (10, 90),
+            (0, 5),
+            (95, 99),
+            (50, 50),
+            (30, 70),
+            (11, 49),
+            (10, 10),
+            (90, 99),
+        ];
+        check(ValueRange::must(0, 99), dups, &queries);
+        check(ValueRange::must(0, 99), Vec::new(), &queries);
+
+        let z = OrdF64::from_finite;
+        let zeroes = [0.0, -0.0, -1.0, 0.0, 2.0, -0.0, 2.0].map(z).to_vec();
+        let range = ValueRange::must(z(-4.0), z(4.0));
+        let queries = [
+            (-0.0, 0.0),
+            (0.0, 0.0),
+            (-1.0, -0.0),
+            (0.0, 2.0),
+            (-4.0, -2.0),
+        ];
+        check(range, zeroes, &queries.map(|(a, b)| (z(a), z(b))));
+
+        let n = crate::kernels::PAR_MIN as u32 + 17;
+        let long: Vec<u32> = (0..n).map(|i| i.wrapping_mul(7919) % 5_000).collect();
+        check(
+            ValueRange::must(0, 4_999),
+            long,
+            &[(0, 4_999), (1_000, 2_499), (2_500, 2_500), (4_999, 4_999)],
+        );
     }
 
     #[test]

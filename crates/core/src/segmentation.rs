@@ -7,6 +7,10 @@
 //! query pays for anyway. Under an optional [`MergePolicy`] (Section 8's
 //! counter-measure to fragmentation) every query ends with a merge pass
 //! over the segments it touched.
+//!
+//! The scan is the paper's cost model: a segment is billed whole. The
+//! count behind it is a pass over an unsorted segment's values, but two
+//! binary searches in a sorted one (every segment of a served column).
 
 use crate::column::SegmentedColumn;
 use crate::estimate::{exact_pieces, interpolate_pieces, PieceLens, SizeEstimator};
@@ -39,9 +43,9 @@ fn overlapping(pieces: Option<PieceLens>) -> PieceLens {
     pieces.expect("segment passed the overlap test")
 }
 
-/// The sizes of `pieces`, cut at `q`'s own bounds, in each half of the
-/// segment, from the query's `counts` of the values below, inside and
-/// above `q` per half ([`crate::kernels::count_partition`]). A piece cut
+/// The sizes of `pieces`, cut at `q`'s own bounds, in each half of an
+/// unsorted segment, from the query's `counts` of the values below, inside
+/// and above `q` per half (`SegmentData::count_partition`). A piece cut
 /// at the query's bounds holds all or none of each of those three sets:
 /// the values below `q` when it starts below `q.lo`, those inside when it
 /// overlaps `q`, those above when it ends above `q.hi`.
@@ -141,11 +145,13 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
         (ranges.len() >= 2).then_some(ranges)
     }
 
-    /// Algorithm 1 over one overlapping segment: scan, answer, maybe split.
-    /// With `answer` false ([`ColumnStrategy::reorganize`]) the segment is
-    /// counted only where a decision needs it — an exact estimate, or a
-    /// split at the query's bounds, whose piece sizes the count supplies —
-    /// and the return is 0. The model decides on the same estimate either
+    /// Algorithm 1 over one overlapping segment: count (a search of a
+    /// sorted segment, a scan of an unsorted one; either is billed as the
+    /// scan), answer, maybe split. With `answer` false
+    /// ([`ColumnStrategy::reorganize`]) the segment is counted only where
+    /// a decision needs it — an exact estimate, or an unsorted split at
+    /// the query's bounds, whose piece sizes the count supplies — and the
+    /// return is 0. The model decides on the same estimate either
     /// way, so a seeded model draws the same.
     fn process_segment(
         &mut self,
@@ -158,11 +164,13 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
         let seg = &self.column.segments()[idx];
         let seg_range = seg.range();
         let seg_len = seg.len();
+        let sorted = seg.is_sorted();
         tracker.scan(seg.id(), seg.bytes());
 
-        // One pass over the segment: exact piece counts, the middle one being
-        // the answer.
-        let count = || crate::kernels::count_partition(seg.values(), q);
+        // One count of the segment (two binary searches when it is sorted,
+        // one pass when not): exact piece counts, the middle one being the
+        // answer.
+        let count = || seg.count_partition(q);
         let counts = (answer || self.estimator == SizeEstimator::Exact).then(count);
 
         // The model decides on estimates (what the optimizer level can know).
@@ -177,11 +185,13 @@ impl<V: ColumnValue> AdaptiveSegmentation<V> {
 
         if let Some(ranges) = Self::ranges_for(decision, seg_range, q) {
             // Pieces cut at the query's own bounds take their sizes from the
-            // query's count, so the split does not count again.
-            let lens = matches!(
-                decision,
-                SplitDecision::QueryBounds | SplitDecision::SingleBound(_)
-            )
+            // query's count, so an unsorted split does not count again; a
+            // sorted one cuts its window by search and needs no sizes.
+            let lens = (!sorted
+                && matches!(
+                    decision,
+                    SplitDecision::QueryBounds | SplitDecision::SingleBound(_)
+                ))
             .then(|| query_piece_lens(&ranges, q, &counts.unwrap_or_else(count)));
             #[expect(
                 clippy::expect_used,
@@ -483,6 +493,63 @@ mod tests {
             "whole column rewritten on first split"
         );
         assert_eq!(st.freed_bytes, 400_000);
+    }
+
+    /// Searching a sorted segment instead of scanning it changes no
+    /// decision and no bill. One query stream of answered and count-free
+    /// reads runs through a column whose segments were sorted for serving
+    /// and through its unsorted twin: the answers, the pieces, the splits
+    /// and merges and the tracker's totals are the same. The column is
+    /// past `PAR_MIN`, so the twin counts and splits its first segments in
+    /// two halves.
+    #[test]
+    fn sorted_and_unsorted_twins_decide_and_bill_alike() {
+        let n = crate::kernels::PAR_MIN as u32 + 4_096;
+        let gd = || Box::new(GaussianDice::new(5)) as Box<dyn SegmentationModel>;
+        let merge = Some(MergePolicy::new(2_000, 8_000));
+        let configs: [(&dyn Fn() -> Box<dyn SegmentationModel>, _, _); 3] = [
+            (&apm, SizeEstimator::Exact, None),
+            (&gd, SizeEstimator::Exact, merge),
+            (&gd, SizeEstimator::Uniform, None),
+        ];
+        for (model, estimator, merge) in configs {
+            let build = || {
+                let s = AdaptiveSegmentation::new(uniform_column(n), model(), estimator);
+                match merge {
+                    Some(policy) => s.with_merge(policy),
+                    None => s,
+                }
+            };
+            let (mut sorted, mut twin) = (build(), build());
+            sorted.share_sorted();
+            let (mut ts, mut tt) = (CountingTracker::new(), CountingTracker::new());
+            let mut rng = SmallRng::seed_from_u64(17);
+            for i in 0..150 {
+                let lo = rng.gen_range(0..=DOMAIN_HI);
+                let hi = lo.saturating_add(rng.gen_range(0..=DOMAIN_HI / 8));
+                let q = ValueRange::must(lo, hi.min(DOMAIN_HI));
+                if i % 3 == 2 {
+                    sorted.reorganize(&q, &mut ts);
+                    twin.reorganize(&q, &mut tt);
+                } else {
+                    let answer = sorted.select_count(&q, &mut ts);
+                    assert_eq!(answer, twin.select_count(&q, &mut tt), "{q:?}");
+                }
+            }
+            let name = sorted.name();
+            assert_eq!(sorted.pieces(), twin.pieces(), "{name}");
+            assert_eq!(sorted.adaptation(), twin.adaptation(), "{name}");
+            assert_eq!(ts.totals(), tt.totals(), "{name}");
+            assert!(sorted.adaptation().splits > 0, "{name}");
+            let sorted_segments = |s: &AdaptiveSegmentation<u32>, sorted| {
+                s.column()
+                    .segments()
+                    .iter()
+                    .all(|s| s.is_sorted() == sorted)
+            };
+            assert!(sorted_segments(&sorted, true), "{name}");
+            assert!(sorted_segments(&twin, false), "{name}");
+        }
     }
 
     #[test]

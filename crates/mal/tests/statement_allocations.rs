@@ -75,10 +75,9 @@ const HOT_WINDOWS: usize = 64;
 const WARMUP: usize = 2_000;
 const MEASURED: usize = 2_000;
 
-/// Per-statement ceilings: what the statement path needs (10, 7 and 8.3
-/// allocations in release builds; with debug assertions every read of a
-/// column's piece ranges checks them against a fresh copy, 8 and 11.3)
-/// plus a little headroom. A name, constant, instruction or key allocated
+/// Per-statement ceilings: what the statement path needs (10, 7 and 9
+/// allocations in release builds; 10, 7 and 10 with debug assertions,
+/// whose validators allocate) plus a little headroom. A name, constant, instruction or key allocated
 /// per statement again breaks them. With string-matched calls, name-keyed
 /// variables and a heap-allocated instruction, argument list and string
 /// constant per statement, the path made 64, 27 and 13 (28 and 16 with
@@ -92,7 +91,7 @@ const OPTIMIZE_MAX: f64 = 11.0;
 const RUN_MAX: f64 = 12.3;
 const TOTAL_MAX: f64 = 49.3;
 /// `Interp::run` with 200 inserts and 200 deletions pending: what it
-/// needs (14.8 allocations; 17.8 with debug assertions) plus the same
+/// needs (15.5 allocations; 16.5 with debug assertions) plus the same
 /// headroom. With match lists per delta source in the projection and a
 /// keep loop sized by the piece, it made 20.9 (23.9); with rebuilt ranges
 /// and a copied piece, 23.5; with built pieces and rebuilt delta binds,
