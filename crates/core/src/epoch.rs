@@ -257,48 +257,36 @@ enum Part<'a, V: ColumnValue> {
 }
 
 /// Extends `live` (the sorted, disjoint ranges of a strategy's `pieces()`)
-/// into a partition tiling all of `domain`: gaps between pieces — cracking
-/// omits empty boundary pieces, some strategies do not pad to the domain
-/// edges — become explicit ranges so no value can fall between pieces.
+/// into a partition tiling all of `domain`, so no value can fall between
+/// pieces: the first piece reaches down to the domain's floor and the last
+/// up to its top — cracking clips its pieces to its rows' least and
+/// greatest values, some strategies do not pad to the domain edges — and
+/// each gap between two pieces becomes a range of its own.
 fn tile_domain<V: ColumnValue>(
     domain: ValueRange<V>,
     live: impl ExactSizeIterator<Item = ValueRange<V>>,
 ) -> Vec<ValueRange<V>> {
-    let mut out = Vec::with_capacity(live.len() + 2);
-    let mut cursor = Some(domain.lo());
-    for r in live {
-        let Some(r) = r.intersect(&domain) else {
-            continue;
+    let mut out: Vec<ValueRange<V>> = Vec::with_capacity(live.len());
+    for r in live.filter_map(|r| r.intersect(&domain)) {
+        let lo = match out.last() {
+            None => domain.lo(),
+            Some(prev) => match prev.hi().succ() {
+                Some(next) if next < r.lo() => {
+                    out.extend(
+                        r.lo()
+                            .pred()
+                            .and_then(|gap_hi| ValueRange::new(next, gap_hi)),
+                    );
+                    r.lo()
+                }
+                _ => r.lo(),
+            },
         };
-        match cursor {
-            Some(c) if c < r.lo() => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "guarded: c is strictly below r.lo so a predecessor exists"
-                )]
-                let gap_hi = r.lo().pred().expect("c < r.lo() implies a predecessor");
-                #[expect(
-                    clippy::expect_used,
-                    reason = "c is at most gap_hi by the gap construction"
-                )]
-                out.push(ValueRange::new(c, gap_hi).expect("c <= gap_hi"));
-            }
-            _ => {}
-        }
-        out.push(r);
-        cursor = r.hi().succ();
+        out.extend(ValueRange::new(lo, r.hi()));
     }
-    if let Some(c) = cursor {
-        if c <= domain.hi() {
-            #[expect(
-                clippy::expect_used,
-                reason = "every loop path leaves c at most domain.hi"
-            )]
-            out.push(ValueRange::new(c, domain.hi()).expect("c <= domain.hi()"));
-        }
-    }
-    if out.is_empty() {
-        out.push(domain);
+    match out.last_mut() {
+        Some(last) => *last = ValueRange::new(last.lo(), domain.hi()).unwrap_or(*last),
+        None => out.push(domain),
     }
     out
 }
@@ -2657,11 +2645,9 @@ mod tests {
         assert_eq!(
             tiled,
             vec![
-                ValueRange::must(0, 9),
-                ValueRange::must(10, 19),
+                ValueRange::must(0, 19),
                 ValueRange::must(20, 39),
-                ValueRange::must(40, 59),
-                ValueRange::must(60, 99),
+                ValueRange::must(40, 99),
             ]
         );
         assert_eq!(tile_domain(d, std::iter::empty()), vec![d]);

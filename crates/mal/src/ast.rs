@@ -58,11 +58,6 @@ impl Var {
 pub(crate) struct Const(u32);
 
 impl Const {
-    /// Slot `slot`.
-    pub(crate) const fn at(slot: u32) -> Const {
-        Const(slot)
-    }
-
     /// The slot's index.
     pub(crate) fn slot(self) -> usize {
         self.0 as usize
@@ -319,17 +314,71 @@ impl Stmt {
     }
 }
 
+/// A program's constant table: a prefix shared with the plans built from
+/// the same one — every plan of a compiled statement shape, and their
+/// rewrites — then the constants of this plan alone. Copying the table
+/// copies its own constants; the shared ones' strings are not touched.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Consts {
+    shared: Arc<Vec<Atom>>,
+    own: Vec<Atom>,
+}
+
+impl Consts {
+    /// A table sharing this one's shared prefix, with `own` after it.
+    pub(crate) fn with_own(&self, own: impl IntoIterator<Item = Atom>) -> Consts {
+        Consts {
+            shared: Arc::clone(&self.shared),
+            own: own.into_iter().collect(),
+        }
+    }
+
+    /// A copy with room for `extra` more constants of its own.
+    pub(crate) fn with_room(&self, extra: usize) -> Consts {
+        let mut own = Vec::with_capacity(self.own.len() + extra);
+        own.extend_from_slice(&self.own);
+        Consts {
+            shared: Arc::clone(&self.shared),
+            own,
+        }
+    }
+
+    /// Constant `c`'s value.
+    pub(crate) fn get(&self, c: Const) -> Option<&Atom> {
+        match c.slot().checked_sub(self.shared.len()) {
+            None => self.shared.get(c.slot()),
+            Some(own) => self.own.get(own),
+        }
+    }
+
+    /// Appends `value`, returning its slot.
+    pub(crate) fn push(&mut self, value: Atom) -> Const {
+        self.own.push(value);
+        Const((self.shared.len() + self.own.len()) as u32 - 1)
+    }
+
+    /// Moves this table's own constants into its shared prefix, so the
+    /// tables made from it share them too.
+    pub(crate) fn share(&mut self) {
+        let mut all = Vec::with_capacity(self.shared.len() + self.own.len());
+        all.extend(self.shared.iter().cloned());
+        all.append(&mut self.own);
+        self.shared = Arc::new(all);
+    }
+}
+
 /// A MAL program: its statements and the tables their variables and
 /// constants index.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
-    /// Statements in order.
-    pub(crate) stmts: Vec<Stmt>,
+    /// Statements in order; shared between the plans a compiled statement
+    /// shape hands out (`crate::sql`).
+    pub(crate) stmts: Arc<Vec<Stmt>>,
     /// The name of each variable slot; shared between plans built from
     /// the same table.
     pub(crate) vars: Arc<Vec<VarName>>,
     /// The value of each constant slot.
-    pub(crate) consts: Vec<Atom>,
+    pub(crate) consts: Consts,
 }
 
 /// What an out-of-range slot reads as (never for a program built by
@@ -345,7 +394,7 @@ impl Program {
 
     /// Constant `c`'s value.
     pub(crate) fn konst(&self, c: Const) -> &Atom {
-        self.consts.get(c.slot()).unwrap_or(&NO_ATOM)
+        self.consts.get(c).unwrap_or(&NO_ATOM)
     }
 
     /// The slot named `name`, if the program has one.
@@ -358,8 +407,7 @@ impl Program {
 
     /// Appends constant `value`, returning its slot.
     pub(crate) fn push_const(&mut self, value: Atom) -> Const {
-        self.consts.push(value);
-        Const(self.consts.len() as u32 - 1)
+        self.consts.push(value)
     }
 
     /// Appends a variable named `name`, returning its slot; the table is
@@ -416,7 +464,7 @@ impl Program {
     /// the optimizer's plan dumps).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for s in &self.stmts {
+        for s in self.stmts.iter() {
             let _ = match s {
                 Stmt::Function { name, params } => {
                     let _ = write!(out, "function {name}(");
@@ -521,7 +569,7 @@ impl PartialEq for Program {
             && self
                 .stmts
                 .iter()
-                .zip(&other.stmts)
+                .zip(other.stmts.iter())
                 .all(|(a, b)| self.same_stmt(a, other, b))
     }
 }
@@ -550,7 +598,7 @@ mod tests {
         assert_eq!(Op::resolve("algebra", "select"), Some(Op::AlgebraSelect));
         assert_eq!(Op::resolve("algebra", "uselect"), Some(Op::AlgebraUselect));
         assert_eq!(Op::resolve("bat", "select"), None);
-        p.stmts.push(Stmt::Assign(i));
+        p.stmts = Arc::new(vec![Stmt::Assign(i)]);
         assert_eq!(p.render().trim(), "X14 := algebra.select(X1,205.1,205.12);");
     }
 
@@ -561,10 +609,10 @@ mod tests {
             p.push_var(VarName::Fixed("A0")),
             p.push_var(VarName::Fixed("A1")),
         ];
-        p.stmts.push(Stmt::Function {
+        p.stmts = Arc::new(vec![Stmt::Function {
             name: "user.s1_0".into(),
             params,
-        });
+        }]);
         assert_eq!(p.params(), ["A0", "A1"]);
         assert!(Program::default().params().is_empty());
     }

@@ -273,8 +273,9 @@ pub(crate) type StagedFold<'a> = Box<dyn FnOnce() + 'a>;
 /// What a statement reads of a segmented column: one published snapshot,
 /// whose pieces ascend and each hold their rows sorted by `(value, oid)`.
 pub(crate) trait Pieces: Send + Sync {
-    /// Number of pieces: the strategy's pieces, with the gaps between them
-    /// and the domain's edges as pieces of their own.
+    /// Number of pieces: the strategy's pieces, the first and last widened
+    /// to the domain's edges, with the gaps between them as pieces of
+    /// their own.
     fn count(&self) -> usize;
 
     /// Indices of the pieces overlapping the closed query `[lo, hi]`:
@@ -567,8 +568,9 @@ impl SegmentedBat {
         on_seg!(&self.inner, s => s.column.snapshot())
     }
 
-    /// Number of pieces (the meta-index): the strategy's pieces, with the
-    /// gaps between them and the domain's edges as pieces of their own.
+    /// Number of pieces (the meta-index): the strategy's pieces, the first
+    /// and last widened to the domain's edges, with the gaps between them
+    /// as pieces of their own.
     pub fn piece_count(&self) -> usize {
         self.pinned().count()
     }
@@ -751,9 +753,7 @@ mod tests {
     #[test]
     fn starts_as_one_piece() {
         let s = seg_bat();
-        // The rows' piece, and the empty one the snapshot tiles between
-        // the last row, (999, oid 999), and the domain's top.
-        assert_eq!(s.piece_count(), 2);
+        assert_eq!(s.piece_count(), 1);
         assert_eq!(s.pinned().bat(0..1).unwrap().len(), 1000);
         s.validate().unwrap();
         assert_eq!(s.pack().unwrap().len(), 1000);
@@ -807,7 +807,7 @@ mod tests {
         let mut s = seg_bat();
         let n = s.adapt(&Atom::Int(400), &Atom::Int(599)).unwrap();
         assert_eq!(n, 2);
-        assert_eq!(s.piece_count(), 4, "three pieces of rows and the top edge");
+        assert_eq!(s.piece_count(), 3);
         s.validate().unwrap();
         // The middle piece holds exactly the selected rows with true oids.
         let mid = s.pinned().bat(1..2).unwrap();
@@ -827,10 +827,10 @@ mod tests {
     fn overlapping_respects_piece_boundaries() {
         let mut s = seg_bat();
         s.adapt(&Atom::Int(400), &Atom::Int(599)).unwrap();
-        // Pieces are [0,399], [400,599], [600,999] and the empty top edge.
+        // Pieces are [0,399], [400,599], [600,999].
         assert_eq!(s.pinned().overlapping(600.0, 700.0), 2..3);
         assert_eq!(s.pinned().overlapping(599.0, 599.0), 1..2);
-        assert_eq!(s.pinned().overlapping(0.0, 1000.0), 0..4);
+        assert_eq!(s.pinned().overlapping(0.0, 1000.0), 0..3);
         // Fractional bounds between pieces touch nothing extra.
         assert!(s.pinned().overlapping(599.5, 599.9).is_empty());
     }
@@ -849,9 +849,8 @@ mod tests {
         let mut s = cracked(bat, 204.0, 206.0).unwrap();
         s.adapt(&Atom::Dbl(205.1), &Atom::Dbl(205.12)).unwrap();
         s.validate().unwrap();
-        // The three pieces of rows between an empty edge piece each side.
-        assert_eq!(s.piece_count(), 5);
-        let mid = s.pinned().bat(2..3).unwrap();
+        assert_eq!(s.piece_count(), 3);
+        let mid = s.pinned().bat(1..2).unwrap();
         assert_eq!(mid.len(), 2); // 205.11 and 205.115
                                   // Oids preserved: positions 2 and 3 of the base bat.
         let mut oids = mid.head_oids();

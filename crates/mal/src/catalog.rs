@@ -4,11 +4,19 @@
 //! segment optimizer consults (Section 3.1's meta-index at the MAL level)
 //! — its pending inserts (`sql.bind` access 1) and updates (access 2),
 //! and the two delta bats those binds hand out. A table entry holds the
-//! keys of its columns, its deleted oids (`sql.bind_dbat`), its next
+//! ids of its columns, its deleted oids (`sql.bind_dbat`), its next
 //! fresh oid, and its auto-merge threshold and retry state. The paper
 //! targets "data warehouse applications with few large bulk loads and
 //! prevailing read-only queries" (Section 7), which is exactly MonetDB's
 //! delta scheme: updates accumulate beside the immutable base column.
+//!
+//! Entries are keyed by their names — a column by its `(schema, table,
+//! column)` triple, never by the three joined, which two columns can
+//! share — and each gets a dense id when its name is first seen. A plan
+//! binds by names, and the catalog resolves each name it is handed once
+//! per catalog state (a registration starts a new one), so a statement's
+//! binds, `bpm.take` and the segment optimizer look their columns up by
+//! comparing the plan's shared name strings, with no key joined or hashed.
 //!
 //! A segmented column is registered with a [`StrategySpec`] — the one
 //! physical-design currency shared with the simulator and the storage
@@ -246,30 +254,6 @@ pub(crate) fn logical_rows(
     Ok((rows, report))
 }
 
-/// Calls `f` with `parts` joined by `.`, built in a stack buffer when the
-/// result fits in 64 bytes and in a `String` otherwise.
-pub(crate) fn with_joined<R>(parts: &[&str], f: impl FnOnce(&str) -> R) -> R {
-    let mut buf = [0u8; 64];
-    let mut len = 0;
-    for (k, part) in parts.iter().enumerate() {
-        let sep = usize::from(k > 0);
-        let end = len + sep + part.len();
-        if end > buf.len() {
-            return f(&parts.join("."));
-        }
-        if sep == 1 {
-            buf[len] = b'.';
-        }
-        buf[len + sep..end].copy_from_slice(part.as_bytes());
-        len = end;
-    }
-    match std::str::from_utf8(&buf[..len]) {
-        Ok(joined) => f(joined),
-        // Unreachable: `.`-joined `str`s are UTF-8.
-        Err(_) => f(&parts.join(".")),
-    }
-}
-
 /// What one [`Catalog::merge_deltas`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeReport {
@@ -338,13 +322,30 @@ impl Base {
 const INSERTS: usize = 0;
 const UPDATES: usize = 1;
 
-/// One column: its base, its pending deltas, and the delta bats
+/// A column's dense id: its slot in the catalog's column list, handed out
+/// when its name is first seen (by a registration or a pending write) and
+/// kept for the life of the catalog.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ColumnId(u32);
+
+/// A table's dense id: its slot in the catalog's table list, likewise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TableId(u32);
+
+/// One column: its names, its base, its pending deltas, and the delta bats
 /// `sql.bind(…, 1|2)` hands out. A column named only by a pending write
 /// has no base; its deltas are inert — no bind reads them, no merge folds
 /// them, no checkpoint saves them, the table's pending rows leave them
 /// out — until the column is registered.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Column {
+    /// Its own name within its table.
+    pub(crate) name: Arc<str>,
+    pub(crate) table: TableId,
+    /// `schema.table.column`: how MAL text and the `bpm` calls name the
+    /// column, and what its checkpoint files and errors are filed under.
+    /// Not a unique name: `P` + `x.c` and `P.x` + `c` join alike.
+    pub(crate) key: Arc<str>,
     pub(crate) base: Option<Base>,
     pub(crate) deltas: ColumnDeltas,
     /// The insert and the update bat, each built once per pending state,
@@ -355,11 +356,14 @@ pub(crate) struct Column {
     memo: [Option<Bat>; 2],
 }
 
-/// One table: its columns and the state the delta scheme keeps per table.
+/// One table: its names, its columns and the state the delta scheme keeps
+/// per table.
 #[derive(Debug, Default)]
 pub(crate) struct Table {
-    /// The keys of its column entries, ascending.
-    pub(crate) columns: Vec<Arc<str>>,
+    pub(crate) schema: Arc<str>,
+    pub(crate) name: Arc<str>,
+    /// Its columns, ascending by name.
+    pub(crate) columns: Vec<ColumnId>,
     /// Deleted row oids, ascending, each a row that was live when deleted
     /// and listed once.
     pub(crate) deleted: Vec<Oid>,
@@ -380,10 +384,15 @@ pub(crate) struct Table {
 }
 
 impl Table {
+    /// `schema.table`, as a manifest and an export name it.
+    pub(crate) fn key(&self) -> String {
+        format!("{}.{}", self.schema, self.name)
+    }
+
     /// Pending delta rows: the entries of its columns that have a base
     /// plus its deleted oids.
-    fn pending(&self, columns: &HashMap<Arc<str>, Column>) -> usize {
-        let registered = self.columns.iter().filter_map(|key| columns.get(key));
+    fn pending(&self, columns: &[Column]) -> usize {
+        let registered = self.columns.iter().filter_map(|id| columns.get(id.slot()));
         let entries = registered.filter(|c| c.base.is_some()).map(|c| &c.deltas);
         let entries: usize = entries
             .map(|d| d.insert_heads.len() + d.update_heads.len())
@@ -392,18 +401,72 @@ impl Table {
     }
 }
 
+impl ColumnId {
+    fn slot(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl TableId {
+    fn slot(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The most names of one kind [`Resolved`] holds; resolving one more
+/// starts it over.
+const RESOLVED_MAX: usize = 32;
+
+/// The names plans resolved in this catalog state, each beside the id it
+/// names. A compiled plan's names are strings shared by every statement of
+/// its shape (see `crate::sql`), so finding one costs a pointer compare
+/// per part; any other string compares by content. A registration — a new
+/// column or a replaced base — starts a new catalog state and empties it,
+/// and a restored catalog is a new catalog.
+#[derive(Debug, Default)]
+struct Resolved {
+    columns: Vec<([Arc<str>; 3], ColumnId)>,
+    tables: Vec<([Arc<str>; 2], TableId)>,
+    keys: Vec<([Arc<str>; 1], ColumnId)>,
+}
+
+/// The id `memo` holds for `names`: a pointer compare per part when the
+/// strings are the ones it holds, a content compare otherwise.
+fn recall<const N: usize, I: Copy>(
+    memo: &[([Arc<str>; N], I)],
+    names: [&Arc<str>; N],
+) -> Option<I> {
+    let same = |a: &Arc<str>, b: &Arc<str>| Arc::ptr_eq(a, b) || a == b;
+    let hit = memo
+        .iter()
+        .find(|(held, _)| held.iter().zip(names).all(|(a, b)| same(a, b)));
+    hit.map(|&(_, id)| id)
+}
+
+/// Remembers that `names` resolve to `id`.
+fn remember<const N: usize, I>(memo: &mut Vec<([Arc<str>; N], I)>, names: [&Arc<str>; N], id: I) {
+    if memo.len() == RESOLVED_MAX {
+        memo.clear();
+    }
+    memo.push((names.map(Arc::clone), id));
+}
+
 /// Named storage the MAL interpreter binds against.
 ///
-/// Fields are crate-visible for the checkpoint module
+/// Columns and tables are keyed by their names — a column by its
+/// `(schema, table, column)` triple — and held in lists indexed by their
+/// dense ids. Fields are crate-visible for the checkpoint module
 /// ([`Catalog::save_all`]/[`Catalog::load_all`] live in
 /// `crate::checkpoint`).
 #[derive(Debug, Default)]
 pub struct Catalog {
-    /// Per `schema.table.column`; the key is shared with the plans the
-    /// segment optimizer rewrites instead of copied per statement.
-    pub(crate) columns: HashMap<Arc<str>, Column>,
-    /// Per `schema.table`.
-    pub(crate) tables: HashMap<String, Table>,
+    /// Per [`ColumnId`].
+    pub(crate) columns: Vec<Column>,
+    /// Per [`TableId`].
+    pub(crate) tables: Vec<Table>,
+    /// Schema name → table name → id.
+    names: HashMap<Arc<str>, HashMap<Arc<str>, TableId>>,
+    resolved: Resolved,
 }
 
 impl Catalog {
@@ -412,37 +475,161 @@ impl Catalog {
         Self::default()
     }
 
-    /// Runs `f` on the entry of table `schema.table`, made when absent.
-    fn with_table<R>(&mut self, schema: &str, table: &str, f: impl FnOnce(&mut Table) -> R) -> R {
-        with_joined(&[schema, table], |tk| {
-            if let Some(t) = self.tables.get_mut(tk) {
-                return f(t);
-            }
-            f(self.tables.entry(tk.to_owned()).or_default())
-        })
+    /// Column `id`.
+    pub(crate) fn column(&self, id: ColumnId) -> &Column {
+        &self.columns[id.slot()]
     }
 
-    /// Runs `f` on the entry of column `schema.table.column`, made and
-    /// listed in its table's entry when absent.
-    fn with_column<R>(
-        &mut self,
-        schema: &str,
-        table: &str,
-        column: &str,
-        f: impl FnOnce(&mut Column) -> R,
-    ) -> R {
-        with_joined(&[schema, table, column], |key| {
-            if let Some(c) = self.columns.get_mut(key) {
-                return f(c);
-            }
-            let key: Arc<str> = key.into();
-            self.with_table(schema, table, |t| {
-                if let Err(at) = t.columns.binary_search(&key) {
-                    t.columns.insert(at, Arc::clone(&key));
+    /// Table `id`.
+    pub(crate) fn table(&self, id: TableId) -> &Table {
+        &self.tables[id.slot()]
+    }
+
+    /// The id of table `schema.table`.
+    pub(crate) fn table_id(&self, schema: &str, table: &str) -> Option<TableId> {
+        self.names.get(schema)?.get(table).copied()
+    }
+
+    /// The id of column `column` of table `t`.
+    fn column_in(&self, t: TableId, column: &str) -> Option<ColumnId> {
+        let ids = &self.table(t).columns;
+        let at = ids.binary_search_by(|&id| (*self.column(id).name).cmp(column));
+        at.ok().map(|at| ids[at])
+    }
+
+    /// The id of column `schema.table.column`.
+    pub(crate) fn column_id(&self, schema: &str, table: &str, column: &str) -> Option<ColumnId> {
+        self.column_in(self.table_id(schema, table)?, column)
+    }
+
+    /// The registered column the joined key `schema.table.column` names:
+    /// the one cut of `key` at two of its dots that names one. None when no
+    /// cut or more than one does — `sys.P.x.c` when both `P`'s column
+    /// `x.c` and `P.x`'s column `c` are registered.
+    pub(crate) fn key_id(&self, key: &str) -> Option<ColumnId> {
+        let mut found = None;
+        for (i, _) in key.match_indices('.') {
+            let (schema, rest) = (&key[..i], &key[i + 1..]);
+            for (j, _) in rest.match_indices('.') {
+                let id = self.column_id(schema, &rest[..j], &rest[j + 1..]);
+                if let Some(id) = id.filter(|&id| self.column(id).base.is_some()) {
+                    if found.replace(id).is_some() {
+                        return None;
+                    }
                 }
-            });
-            f(self.columns.entry(key).or_default())
-        })
+            }
+        }
+        found
+    }
+
+    /// [`Self::column_id`] of the names a plan holds, recalled when this
+    /// catalog state resolved them before.
+    pub(crate) fn recall_column(&self, names: [&Arc<str>; 3]) -> Option<ColumnId> {
+        let [schema, table, column] = names;
+        recall(&self.resolved.columns, names).or_else(|| self.column_id(schema, table, column))
+    }
+
+    /// [`Self::recall_column`], remembering what it resolves.
+    pub(crate) fn resolve_column(&mut self, names: [&Arc<str>; 3]) -> Option<ColumnId> {
+        if let Some(id) = recall(&self.resolved.columns, names) {
+            return Some(id);
+        }
+        let id = self.column_id(names[0], names[1], names[2])?;
+        remember(&mut self.resolved.columns, names, id);
+        Some(id)
+    }
+
+    /// [`Self::table_id`] of the names a plan holds, resolved once per
+    /// catalog state as [`Self::resolve_column`] resolves a column.
+    pub(crate) fn resolve_table(&mut self, names: [&Arc<str>; 2]) -> Option<TableId> {
+        if let Some(t) = recall(&self.resolved.tables, names) {
+            return Some(t);
+        }
+        let t = self.table_id(names[0], names[1])?;
+        remember(&mut self.resolved.tables, names, t);
+        Some(t)
+    }
+
+    /// The column a plan's `bpm.take` names by the joined key `key`: the
+    /// column whose own key string it is (the segment optimizer hands out
+    /// the catalog's), or else [`Self::key_id`]. Resolved once per catalog
+    /// state, and recalled by the string's address alone, which the
+    /// remembered copy keeps from being reused.
+    pub(crate) fn resolve_key(&mut self, key: &Arc<str>) -> Option<ColumnId> {
+        let held = self
+            .resolved
+            .keys
+            .iter()
+            .find(|([k], _)| Arc::ptr_eq(k, key));
+        if let Some(&(_, id)) = held {
+            return Some(id);
+        }
+        let own = self.columns.iter().position(|c| Arc::ptr_eq(&c.key, key));
+        let id = own
+            .map(|at| ColumnId(at as u32))
+            .or_else(|| self.key_id(key))?;
+        remember(&mut self.resolved.keys, [key], id);
+        Some(id)
+    }
+
+    /// Segmented column `id` with its shared key.
+    pub(crate) fn segmented_with_key(&self, id: ColumnId) -> Option<(&Arc<str>, &SegmentedBat)> {
+        let c = self.column(id);
+        match &c.base {
+            Some(Base::Segmented(seg)) => Some((&c.key, seg)),
+            _ => None,
+        }
+    }
+
+    /// The id of table `schema.table`, made when absent.
+    fn table_or_new(&mut self, schema: &str, table: &str) -> TableId {
+        if let Some(id) = self.table_id(schema, table) {
+            return id;
+        }
+        let id = TableId(self.tables.len() as u32);
+        let (schema, name): (Arc<str>, Arc<str>) = (schema.into(), table.into());
+        let tables = self.names.entry(Arc::clone(&schema)).or_default();
+        tables.insert(Arc::clone(&name), id);
+        self.tables.push(Table {
+            schema,
+            name,
+            ..Table::default()
+        });
+        id
+    }
+
+    /// The entry of the table a `schema.table` key cut at its first dot
+    /// names (a checkpoint manifest's), made when absent.
+    pub(crate) fn table_of_key(&mut self, key: &str) -> Option<&mut Table> {
+        let (schema, table) = key.split_once('.')?;
+        let t = self.table_or_new(schema, table);
+        Some(&mut self.tables[t.slot()])
+    }
+
+    /// The id of column `column` of table `t`, made and listed in the
+    /// table's entry when absent.
+    fn column_or_new(&mut self, t: TableId, column: &str) -> ColumnId {
+        if let Some(id) = self.column_in(t, column) {
+            return id;
+        }
+        let id = ColumnId(self.columns.len() as u32);
+        let table = self.table(t);
+        let key = format!("{}.{}.{column}", table.schema, table.name).into();
+        self.columns.push(Column {
+            name: column.into(),
+            table: t,
+            key,
+            base: None,
+            deltas: ColumnDeltas::default(),
+            memo: Default::default(),
+        });
+        let Catalog {
+            columns, tables, ..
+        } = self;
+        let ids = &mut tables[t.slot()].columns;
+        let at = ids.partition_point(|&c| *columns[c.slot()].name < *column);
+        ids.insert(at, id);
+        id
     }
 
     /// Installs `base` as column `schema.table.column`. Its rows keep
@@ -451,20 +638,21 @@ impl Catalog {
     /// fresh attempt: the table's content changed. A pending update of a
     /// row neither `base` nor a pending insert holds is dropped, as a
     /// merge would drop it ([`logical_rows`]), so no select returns it
-    /// meanwhile.
+    /// meanwhile. The catalog enters a new state: names resolve anew.
     fn register(&mut self, schema: &str, table: &str, column: &str, base: Base, rows: usize) {
-        self.with_column(schema, table, column, |c| {
-            let d = &mut c.deltas;
-            let row = |oid: &Oid| base.holds(*oid) || d.insert_heads.binary_search(oid).is_ok();
-            let updates = d.update_heads.drain(..).zip(d.update_vals.drain(..));
-            (d.update_heads, d.update_vals) = updates.filter(|(oid, _)| row(oid)).unzip();
-            c.base = Some(base);
-            c.memo = Default::default();
-        });
-        self.with_table(schema, table, |t| {
-            t.next_oid = t.next_oid.max(rows as Oid);
-            t.backoff = MergeBackoff::default();
-        });
+        let t = self.table_or_new(schema, table);
+        let id = self.column_or_new(t, column);
+        let c = &mut self.columns[id.slot()];
+        let d = &mut c.deltas;
+        let row = |oid: &Oid| base.holds(*oid) || d.insert_heads.binary_search(oid).is_ok();
+        let updates = d.update_heads.drain(..).zip(d.update_vals.drain(..));
+        (d.update_heads, d.update_vals) = updates.filter(|(oid, _)| row(oid)).unzip();
+        c.base = Some(base);
+        c.memo = Default::default();
+        let t = &mut self.tables[t.slot()];
+        t.next_oid = t.next_oid.max(rows as Oid);
+        t.backoff = MergeBackoff::default();
+        self.resolved = Resolved::default();
     }
 
     /// Registers a plain (positional) column.
@@ -500,7 +688,8 @@ impl Catalog {
     /// spec, adding the full-column rewrite to the column's bill
     /// (adaptation counters restart). This is what the `ALTER COLUMN … SET
     /// STRATEGY` DDL and the `bpm.setStrategy` MAL operator execute;
-    /// pending deltas are untouched.
+    /// pending deltas are untouched. `key` is the joined
+    /// `schema.table.column` ([`Self::segmented`]).
     ///
     /// # Errors
     /// `CatalogError::NotSegmented` (or `UnknownColumn`) when `key` does
@@ -508,41 +697,58 @@ impl Catalog {
     /// `BpmError::MigrationFailed` when the rebuild fails, in which case
     /// the column is left unchanged.
     pub fn set_strategy(&mut self, key: &str, kind: StrategyKind) -> Result<(), CatalogError> {
-        match self.columns.get_mut(key).and_then(|c| c.base.as_mut()) {
+        let id = self.key_id(key);
+        match id.and_then(|id| self.columns[id.slot()].base.as_mut()) {
             Some(Base::Segmented(seg)) => Ok(seg.set_strategy(kind)?),
             Some(Base::Plain(_)) => Err(CatalogError::NotSegmented(key.to_owned())),
             None => Err(CatalogError::UnknownColumn(key.to_owned())),
         }
     }
 
-    /// The base of column `key`; `None` when nothing is registered under
+    /// The base of column `id`; `None` when nothing is registered under
     /// it.
-    pub(crate) fn base(&self, key: &str) -> Option<&Base> {
-        self.columns.get(key)?.base.as_ref()
+    pub(crate) fn base(&self, id: ColumnId) -> Option<&Base> {
+        self.column(id).base.as_ref()
     }
 
-    /// Looks up a plain column.
+    /// The segmented column `id`.
+    pub(crate) fn segmented_at(&self, id: ColumnId) -> Option<&SegmentedBat> {
+        match self.base(id)? {
+            Base::Segmented(seg) => Some(seg),
+            Base::Plain(_) => None,
+        }
+    }
+
+    /// Mutable access to the segmented column `id`.
+    pub(crate) fn segmented_mut_at(&mut self, id: ColumnId) -> Option<&mut SegmentedBat> {
+        match self.columns[id.slot()].base.as_mut()? {
+            Base::Segmented(seg) => Some(seg),
+            Base::Plain(_) => None,
+        }
+    }
+
+    /// Looks up a plain column by its joined `schema.table.column` key
+    /// ([`Self::segmented`]).
     pub fn bat(&self, key: &str) -> Option<&Bat> {
-        match self.base(key)? {
+        match self.base(self.key_id(key)?)? {
             Base::Plain(bat) => Some(bat),
             Base::Segmented(_) => None,
         }
     }
 
-    /// Looks up a segmented column.
+    /// Looks up a segmented column by its joined `schema.table.column`
+    /// key: `None` when the key's dots can be cut into registered names in
+    /// more than one way (`sys.P.x.c` with both `P`.`x.c` and `P.x`.`c`
+    /// registered), which binding by names tells apart.
     pub fn segmented(&self, key: &str) -> Option<&SegmentedBat> {
-        match self.base(key)? {
-            Base::Segmented(seg) => Some(seg),
-            Base::Plain(_) => None,
-        }
+        self.segmented_at(self.key_id(key)?)
     }
 
-    /// Mutable access to a segmented column (bpm adaptation).
+    /// Mutable access to a segmented column (bpm adaptation), by its
+    /// joined key ([`Self::segmented`]).
     pub fn segmented_mut(&mut self, key: &str) -> Option<&mut SegmentedBat> {
-        match self.columns.get_mut(key)?.base.as_mut()? {
-            Base::Segmented(seg) => Some(seg),
-            Base::Plain(_) => None,
-        }
+        let id = self.key_id(key)?;
+        self.segmented_mut_at(id)
     }
 
     /// The spec a segmented column was registered (or last re-organized)
@@ -552,39 +758,26 @@ impl Catalog {
         self.segmented(key).map(|seg| seg.spec)
     }
 
-    /// Segmented column `schema.table.column` with its shared key, looked
-    /// up without building the key on the heap.
-    pub(crate) fn segmented_column(
-        &self,
-        schema: &str,
-        table: &str,
-        column: &str,
-    ) -> Option<(&Arc<str>, &SegmentedBat)> {
-        with_joined(&[schema, table, column], |key| {
-            match self.columns.get_key_value(key)? {
-                (
-                    key,
-                    Column {
-                        base: Some(Base::Segmented(seg)),
-                        ..
-                    },
-                ) => Some((key, seg)),
-                _ => None,
-            }
-        })
-    }
-
     /// All registered keys (diagnostics).
     #[cfg(test)]
     pub(crate) fn keys(&self) -> Vec<String> {
-        let mut k: Vec<String> = self
-            .columns
-            .iter()
-            .filter(|(_, c)| c.base.is_some())
-            .map(|(k, _)| k.to_string())
-            .collect();
+        let registered = self.columns.iter().filter(|c| c.base.is_some());
+        let mut k: Vec<String> = registered.map(|c| c.key.to_string()).collect();
         k.sort();
         k
+    }
+
+    /// Table `schema.table`'s entry.
+    #[cfg(test)]
+    pub(crate) fn table_entry(&self, schema: &str, table: &str) -> Option<&Table> {
+        self.table_id(schema, table).map(|t| self.table(t))
+    }
+
+    /// Column `schema.table.column`'s entry.
+    #[cfg(test)]
+    pub(crate) fn column_entry(&self, schema: &str, table: &str, column: &str) -> Option<&Column> {
+        self.column_id(schema, table, column)
+            .map(|id| self.column(id))
     }
 
     // ---- delta maintenance (MonetDB's update scheme) --------------------
@@ -593,18 +786,18 @@ impl Catalog {
     /// Returns the new row's oid. The base bats stay untouched; the row
     /// lives in the insert deltas until a (hypothetical) bulk merge.
     pub fn insert_row(&mut self, schema: &str, table: &str, row: &[(&str, Atom)]) -> Oid {
-        let oid = self.with_table(schema, table, |t| {
-            t.next_oid += 1;
-            t.next_oid - 1
-        });
+        let t = self.table_or_new(schema, table);
+        let entry = &mut self.tables[t.slot()];
+        entry.next_oid += 1;
+        let oid = entry.next_oid - 1;
         for (column, value) in row {
-            self.with_column(schema, table, column, |c| {
-                c.memo[INSERTS] = None;
-                c.deltas.insert_heads.push(oid);
-                c.deltas.insert_vals.push(value.clone());
-            });
+            let id = self.column_or_new(t, column);
+            let c = &mut self.columns[id.slot()];
+            c.memo[INSERTS] = None;
+            c.deltas.insert_heads.push(oid);
+            c.deltas.insert_vals.push(value.clone());
         }
-        self.maybe_auto_merge(schema, table);
+        self.maybe_auto_merge(t);
         oid
     }
 
@@ -613,44 +806,47 @@ impl Catalog {
     /// row is live: handed out, not deleted, and a pending insert or a row
     /// of the table's base.
     pub fn update_value(&mut self, schema: &str, table: &str, column: &str, oid: Oid, value: Atom) {
-        if !self.is_live(schema, table, oid) {
+        let Some(t) = self
+            .table_id(schema, table)
+            .filter(|&t| self.is_live(t, oid))
+        else {
             return;
-        }
-        self.with_column(schema, table, column, |c| {
-            c.memo[UPDATES] = None;
-            c.deltas.update(oid, value);
-        });
-        self.maybe_auto_merge(schema, table);
+        };
+        let id = self.column_or_new(t, column);
+        let c = &mut self.columns[id.slot()];
+        c.memo[UPDATES] = None;
+        c.deltas.update(oid, value);
+        self.maybe_auto_merge(t);
     }
 
     /// Marks row `oid` deleted. A no-op unless the row is live (see
     /// [`Self::update_value`]), so a row is listed once, and an oid not yet
     /// handed out stays free for the insert that receives it.
     pub fn delete_row(&mut self, schema: &str, table: &str, oid: Oid) {
-        if !self.is_live(schema, table, oid) {
+        let Some(t) = self
+            .table_id(schema, table)
+            .filter(|&t| self.is_live(t, oid))
+        else {
             return;
-        }
-        self.with_table(schema, table, |t| {
-            t.deleted
-                .insert(t.deleted.partition_point(|&d| d <= oid), oid);
-            t.dbat = None;
-        });
-        self.maybe_auto_merge(schema, table);
+        };
+        let entry = &mut self.tables[t.slot()];
+        let at = entry.deleted.partition_point(|&d| d <= oid);
+        entry.deleted.insert(at, oid);
+        entry.dbat = None;
+        self.maybe_auto_merge(t);
     }
 
-    /// Whether row `oid` of `schema.table` is live: handed out (below the
-    /// next fresh oid), not pending-deleted, and a pending insert (insert
-    /// heads ascend, so a binary search finds it) or a row of the base.
-    /// The base is read off a plain column's head; a segmented column's
-    /// pieces are scanned only when the table has no plain column.
-    fn is_live(&self, schema: &str, table: &str, oid: Oid) -> bool {
-        let Some(t) = with_joined(&[schema, table], |tk| self.tables.get(tk)) else {
-            return false;
-        };
+    /// Whether row `oid` of table `t` is live: handed out (below the next
+    /// fresh oid), not pending-deleted, and a pending insert (insert heads
+    /// ascend, so a binary search finds it) or a row of the base. The base
+    /// is read off a plain column's head; a segmented column's pieces are
+    /// scanned only when the table has no plain column.
+    fn is_live(&self, t: TableId, oid: Oid) -> bool {
+        let t = self.table(t);
         if oid >= t.next_oid || t.deleted.binary_search(&oid).is_ok() {
             return false;
         }
-        let columns = || t.columns.iter().filter_map(|key| self.columns.get(key));
+        let columns = || t.columns.iter().map(|&id| self.column(id));
         if columns().any(|c| c.deltas.insert_heads.binary_search(&oid).is_ok()) {
             return true;
         }
@@ -661,18 +857,18 @@ impl Catalog {
         }
     }
 
-    /// The delta bat `sql.bind(schema, table, column, access)` returns for
-    /// `access` 1 (inserts) or 2 (updates — the interpreter rejects every
-    /// other code), typed like the base column: empty when nothing is
-    /// pending. Built once per pending state ([`Column::memo`]); `None`
-    /// when `key` names no registered column.
+    /// The delta bat `sql.bind` returns for column `id` and `access` 1
+    /// (inserts) or 2 (updates — the interpreter rejects every other code),
+    /// typed like the base column: empty when nothing is pending. Built
+    /// once per pending state ([`Column::memo`]); `None` when the column
+    /// has no base.
     pub(crate) fn delta_bat(
         &mut self,
-        key: &str,
+        id: ColumnId,
         access: i64,
     ) -> Option<Result<Bat, CatalogError>> {
         let slot = if access == 1 { INSERTS } else { UPDATES };
-        let column = self.columns.get_mut(key)?;
+        let column = &mut self.columns[id.slot()];
         if let Some(b) = &column.memo[slot] {
             return Some(Ok(b.clone()));
         }
@@ -688,7 +884,7 @@ impl Catalog {
         let built = if heads.is_empty() {
             Ok(like)
         } else {
-            atoms_to_bat(key, heads, vals, &like)
+            atoms_to_bat(&column.key, heads, vals, &like)
         };
         if let Ok(b) = &built {
             column.memo[slot] = Some(b.clone());
@@ -696,17 +892,15 @@ impl Catalog {
         Some(built)
     }
 
-    /// The deletions bat `sql.bind_dbat` returns: head void, tail = the
-    /// deleted oids, ascending. Built once per deletion state
+    /// The deletions bat `sql.bind_dbat` returns for table `t`: head void,
+    /// tail = the deleted oids, ascending. Built once per deletion state
     /// ([`Table::dbat`]).
-    pub(crate) fn dbat(&mut self, schema: &str, table: &str) -> Bat {
-        with_joined(&[schema, table], |tk| match self.tables.get_mut(tk) {
-            Some(t) => t
-                .dbat
-                .get_or_insert_with(|| Bat::dense_oid(t.deleted.clone()))
-                .clone(),
-            None => Bat::dense_oid(Vec::new()),
-        })
+    pub(crate) fn dbat(&mut self, t: TableId) -> Bat {
+        let t = &mut self.tables[t.slot()];
+        let deleted = &t.deleted;
+        t.dbat
+            .get_or_insert_with(|| Bat::dense_oid(deleted.clone()))
+            .clone()
     }
 
     // ---- delta merge ---------------------------------------------------
@@ -715,16 +909,16 @@ impl Catalog {
     /// `ALTER TABLE schema.table SET MERGE THRESHOLD n` DDL executes
     /// (0 disables auto-merging for this table only).
     pub fn set_table_merge_threshold(&mut self, schema: &str, table: &str, rows: usize) {
-        self.with_table(schema, table, |t| t.merge_threshold = Some(rows));
+        let t = self.table_or_new(schema, table);
+        self.tables[t.slot()].merge_threshold = Some(rows);
     }
 
     /// The auto-merge threshold in force for `schema.table`: the per-table
     /// override when one was set, the global default otherwise.
     pub fn table_merge_threshold(&self, schema: &str, table: &str) -> usize {
-        with_joined(&[schema, table], |tk| {
-            self.tables.get(tk).and_then(|t| t.merge_threshold)
-        })
-        .unwrap_or(DEFAULT_DELTA_MERGE_THRESHOLD)
+        let t = self.table_id(schema, table);
+        t.and_then(|t| self.table(t).merge_threshold)
+            .unwrap_or(DEFAULT_DELTA_MERGE_THRESHOLD)
     }
 
     /// Pending delta rows against `schema.table`: insert and update
@@ -737,9 +931,8 @@ impl Catalog {
     /// survive-past a merge into a thrash loop. Read off the table's
     /// entry and those of its columns.
     pub fn pending_rows(&self, schema: &str, table: &str) -> usize {
-        with_joined(&[schema, table], |tk| {
-            self.tables.get(tk).map_or(0, |t| t.pending(&self.columns))
-        })
+        let t = self.table_id(schema, table);
+        t.map_or(0, |t| self.table(t).pending(&self.columns))
     }
 
     /// Folds every pending delta of `schema.table` into its base columns —
@@ -754,7 +947,7 @@ impl Catalog {
     /// positional and are rebuilt — with a void head while no row is
     /// missing, explicit oids once a delete has been folded in. Afterwards
     /// the table's delta bats and deletion list are empty. Only the
-    /// columns the table's entry lists take part.
+    /// table's own columns take part.
     ///
     /// Deltas recorded against column names that were never registered
     /// are inert (no base column ever binds them): they are neither
@@ -772,28 +965,27 @@ impl Catalog {
     /// its base column; `CatalogError::Bpm` when a segmented column
     /// cannot take a pending value (outside its domain, NaN).
     pub fn merge_deltas(&mut self, schema: &str, table: &str) -> Result<MergeReport, CatalogError> {
-        with_joined(&[schema, table], |tk| {
-            let Some(t) = self.tables.get_mut(tk) else {
-                return Ok(MergeReport::default());
-            };
-            if t.pending(&self.columns) == 0 {
-                return Ok(MergeReport::default());
-            }
-            // The table's columns leave the map while they merge, so that
-            // each is borrowed on its own.
-            let mut columns: Vec<(Arc<str>, Column)> = t
-                .columns
-                .iter()
-                .filter_map(|key| self.columns.remove_entry(key))
-                .collect();
-            let merged = merge_columns(&mut columns, &t.deleted);
-            self.columns.extend(columns);
-            let report = merged?;
-            t.deleted.clear();
-            t.dbat = None;
-            t.backoff = MergeBackoff::default();
-            Ok(report)
-        })
+        match self.table_id(schema, table) {
+            Some(t) => self.merge_table(t),
+            None => Ok(MergeReport::default()),
+        }
+    }
+
+    /// [`Self::merge_deltas`] of table `t`.
+    fn merge_table(&mut self, t: TableId) -> Result<MergeReport, CatalogError> {
+        let Catalog {
+            columns, tables, ..
+        } = self;
+        let table = &mut tables[t.slot()];
+        if table.pending(columns) == 0 {
+            return Ok(MergeReport::default());
+        }
+        let own = columns.iter_mut().filter(|c| c.table == t);
+        let report = merge_columns(own, &table.deleted)?;
+        table.deleted.clear();
+        table.dbat = None;
+        table.backoff = MergeBackoff::default();
+        Ok(report)
     }
 
     /// Auto-merge hook run after every delta mutation: once the table's
@@ -803,27 +995,22 @@ impl Catalog {
     /// `2^failures` mutations (capped at 64) only decrement a cooldown —
     /// and is then retried, so pending deltas are never silently dropped;
     /// success (auto or explicit) clears the backoff.
-    fn maybe_auto_merge(&mut self, schema: &str, table: &str) {
-        let due = with_joined(&[schema, table], |tk| {
-            let Some(t) = self.tables.get_mut(tk) else {
-                return false;
-            };
-            let threshold = t.merge_threshold.unwrap_or(DEFAULT_DELTA_MERGE_THRESHOLD);
-            if threshold == 0 {
-                return false;
-            }
-            if t.backoff.cooldown > 0 {
-                t.backoff.cooldown -= 1;
-                return false;
-            }
-            t.pending(&self.columns) >= threshold
-        });
-        if due && self.merge_deltas(schema, table).is_err() {
-            self.with_table(schema, table, |t| {
-                let b = &mut t.backoff;
-                b.failures += 1;
-                b.cooldown = 1u32 << b.failures.min(6);
-            });
+    fn maybe_auto_merge(&mut self, t: TableId) {
+        let table = &mut self.tables[t.slot()];
+        let threshold = table
+            .merge_threshold
+            .unwrap_or(DEFAULT_DELTA_MERGE_THRESHOLD);
+        if threshold == 0 {
+            return;
+        }
+        if table.backoff.cooldown > 0 {
+            table.backoff.cooldown -= 1;
+            return;
+        }
+        if table.pending(&self.columns) >= threshold && self.merge_table(t).is_err() {
+            let b = &mut self.tables[t.slot()].backoff;
+            b.failures += 1;
+            b.cooldown = 1u32 << b.failures.min(6);
         }
     }
 }
@@ -831,17 +1018,24 @@ impl Catalog {
 /// Merges the pending deltas of `columns` — one table's, those without a
 /// base left alone — and the table's `deleted` oids: every column is
 /// staged before the first one changes, so a failure changes none.
-fn merge_columns(
-    columns: &mut [(Arc<str>, Column)],
+fn merge_columns<'a>(
+    columns: impl Iterator<Item = &'a mut Column>,
     deleted: &[Oid],
 ) -> Result<MergeReport, CatalogError> {
     let mut report = MergeReport::default();
-    let mut staged: Vec<(StagedFold<'_>, &mut ColumnDeltas, &mut [Option<Bat>; 2])> = Vec::new();
-    for (key, column) in columns.iter_mut() {
-        let Column { base, deltas, memo } = column;
+    let mut staged: Vec<(StagedFold<'a>, &mut ColumnDeltas, &mut [Option<Bat>; 2])> = Vec::new();
+    for column in columns {
+        let Column {
+            key,
+            base,
+            deltas,
+            memo,
+            ..
+        } = column;
+        let key = &**key;
         let bpm = |e| match e {
             BpmError::Bat(source) => CatalogError::MalformedDelta {
-                key: key.to_string(),
+                key: key.to_owned(),
                 source,
             },
             other => CatalogError::Bpm(other),
@@ -877,25 +1071,16 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    /// Keys of 63 and 64 bytes are joined in the stack buffer, a 65-byte
-    /// key takes the `String` fallback; either way the result is the
-    /// `.`-joined parts, multi-byte names included (at 65 bytes the last
-    /// `é` straddles the buffer's end).
-    #[test]
-    fn with_joined_equals_join_on_both_sides_of_the_stack_buffer() {
-        let table = "τ".repeat(20); // 40 bytes
-        for total in [63, 64, 65] {
-            // "sys" + '.' + table + '.' = 45 bytes.
-            let column = format!("{}é", "c".repeat(total - 45 - 'é'.len_utf8()));
-            for parts in [
-                [column.as_str(), table.as_str(), "sys"],
-                ["sys", table.as_str(), column.as_str()],
-            ] {
-                let joined = with_joined(&parts, str::to_owned);
-                assert_eq!(joined.len(), total);
-                assert_eq!(joined, parts.join("."), "{total} bytes");
-            }
-        }
+    /// Column `column` of `sys.P`'s delta bat for `access`.
+    fn delta_bat(c: &mut Catalog, column: &str, access: i64) -> Option<Result<Bat, CatalogError>> {
+        let id = c.column_id("sys", "P", column)?;
+        c.delta_bat(id, access)
+    }
+
+    /// Table `sys.{table}`'s deletions bat.
+    fn deletions(c: &mut Catalog, table: &str) -> Bat {
+        let t = c.table_id("sys", table).unwrap();
+        c.dbat(t)
     }
 
     #[test]
@@ -1091,7 +1276,7 @@ mod tests {
 
         // Deltas and the deletion list are spent; the rewrite was charged.
         assert_eq!(c.pending_rows("sys", "T"), 0);
-        assert!(c.dbat("sys", "T").is_empty());
+        assert!(deletions(&mut c, "T").is_empty());
         assert!(c.segmented("sys.T.v").unwrap().reorg_write_bytes() > reorg_before);
         // Fresh oids keep growing past the merged rows.
         assert_eq!(
@@ -1437,14 +1622,18 @@ mod tests {
             failures: 1,
             cooldown: 2,
         };
-        assert_eq!(c.tables["sys.T"].backoff, latched, "backoff latched");
+        assert_eq!(
+            c.table_entry("sys", "T").unwrap().backoff,
+            latched,
+            "backoff latched"
+        );
 
         // Re-registering over the poisoned column (a domain that holds
         // the value) releases the backoff: the very next mutation merges
         // instead of sitting out the cooldown.
         register(&mut c, 1000.0);
         assert_eq!(
-            c.tables["sys.T"].backoff,
+            c.table_entry("sys", "T").unwrap().backoff,
             MergeBackoff::default(),
             "re-register resets"
         );
@@ -1517,7 +1706,7 @@ mod tests {
         );
         assert_eq!(a, 3);
         assert_eq!(b, 4);
-        let ins = c.delta_bat("sys.P.ra", 1).unwrap().unwrap();
+        let ins = delta_bat(&mut c, "ra", 1).unwrap().unwrap();
         assert_eq!(ins.head_oids(), vec![3, 4]);
         assert_eq!(ins.tail(), &Tail::Dbl(vec![4.0, 5.0].into()));
     }
@@ -1528,17 +1717,17 @@ mod tests {
         c.register_bat("sys", "P", "ra", Bat::dense_dbl(vec![1.0, 2.0]));
         c.update_value("sys", "P", "ra", 1, Atom::Dbl(9.0));
         c.delete_row("sys", "P", 0);
-        let upd = c.delta_bat("sys.P.ra", 2).unwrap().unwrap();
+        let upd = delta_bat(&mut c, "ra", 2).unwrap().unwrap();
         assert_eq!(upd.head_oids(), vec![1]);
         assert_eq!(upd.tail(), &Tail::Dbl(vec![9.0].into()));
-        let dbat = c.dbat("sys", "P");
+        let dbat = deletions(&mut c, "P");
         assert_eq!(dbat.tail(), &Tail::Oid(vec![0].into()));
         // A delta with nothing pending is empty and typed like the base;
         // a column never registered has none.
-        let ins = c.delta_bat("sys.P.ra", 1).unwrap().unwrap();
+        let ins = delta_bat(&mut c, "ra", 1).unwrap().unwrap();
         assert!(ins.is_empty());
         assert_eq!(ins.tail().type_name(), "dbl");
-        assert!(c.delta_bat("sys.P.nope", 1).is_none());
+        assert!(c.column_id("sys", "P", "nope").is_none());
     }
 
     /// A repeated delete, and one of an oid not yet handed out, names no
@@ -1550,10 +1739,10 @@ mod tests {
         for oid in [7, 2, 9, 2, 0, 7, 10] {
             c.delete_row("sys", "P", oid);
         }
-        assert_eq!(c.tables["sys.P"].deleted, vec![0, 2, 7, 9]);
+        assert_eq!(c.table_entry("sys", "P").unwrap().deleted, vec![0, 2, 7, 9]);
         assert_eq!(c.pending_rows("sys", "P"), 4);
         assert_eq!(
-            c.dbat("sys", "P").tail(),
+            deletions(&mut c, "P").tail(),
             &Tail::Oid(vec![0, 2, 7, 9].into())
         );
     }
@@ -1658,18 +1847,20 @@ mod tests {
     /// column's pieces.
     #[test]
     fn a_segmented_only_table_updates_its_live_rows_alone() {
-        let mut c = two_columns();
-        c.columns.remove("sys.T.id");
-        c.tables
-            .get_mut("sys.T")
-            .unwrap()
-            .columns
-            .retain(|k| &**k != "sys.T.id");
+        let mut c = Catalog::new();
+        c.set_table_merge_threshold("sys", "T", 0);
+        let spec = StrategySpec::new(StrategyKind::Cracking);
+        let v = Bat::dense_int((0..10).map(|i| i * 10).collect());
+        c.register_segmented("sys", "T", "v", v, 0.0, 1000.0, spec)
+            .unwrap();
         c.delete_row("sys", "T", 2);
         c.merge_deltas("sys", "T").unwrap();
         c.update_value("sys", "T", "v", 2, Atom::Int(21));
         c.update_value("sys", "T", "v", 6, Atom::Int(61));
-        assert_eq!(c.columns["sys.T.v"].deltas.update_heads, [6]);
+        assert_eq!(
+            c.column_entry("sys", "T", "v").unwrap().deltas.update_heads,
+            [6]
+        );
     }
 
     /// Every mutation of what a delta bat is built from drops it; until
@@ -1680,11 +1871,11 @@ mod tests {
         c.register_bat("sys", "P", "ra", Bat::dense_dbl(vec![1.0, 2.0]));
         c.register_bat("sys", "P", "id", Bat::dense_int(vec![10, 11]));
         c.set_table_merge_threshold("sys", "P", 0);
-        let ins = |c: &mut Catalog| c.delta_bat("sys.P.ra", 1).unwrap().unwrap();
-        let upd = |c: &mut Catalog| c.delta_bat("sys.P.ra", 2).unwrap().unwrap();
+        let ins = |c: &mut Catalog| delta_bat(c, "ra", 1).unwrap().unwrap();
+        let upd = |c: &mut Catalog| delta_bat(c, "ra", 2).unwrap().unwrap();
         let shared = |a: &Bat, b: &Bat| a.shares_storage_with(b) && !a.is_empty();
 
-        let before = (ins(&mut c), upd(&mut c), c.dbat("sys", "P"));
+        let before = (ins(&mut c), upd(&mut c), deletions(&mut c, "P"));
         c.insert_row("sys", "P", &[("ra", Atom::Dbl(3.0)), ("id", Atom::Int(12))]);
         let after_insert = ins(&mut c);
         assert_eq!(after_insert.tail(), &Tail::Dbl(vec![3.0].into()));
@@ -1698,10 +1889,10 @@ mod tests {
         assert!(shared(&after_insert, &ins(&mut c)), "inserts untouched");
 
         c.delete_row("sys", "P", 1);
-        let dbat = c.dbat("sys", "P");
+        let dbat = deletions(&mut c, "P");
         assert_eq!(dbat.tail(), &Tail::Oid(vec![1].into()));
         assert!(before.2.is_empty());
-        assert!(shared(&dbat, &c.dbat("sys", "P")));
+        assert!(shared(&dbat, &deletions(&mut c, "P")));
 
         // Re-registering the column under another type re-types its deltas.
         c.register_bat("sys", "P", "ra", Bat::dense_int(vec![1, 2]));
@@ -1709,7 +1900,7 @@ mod tests {
 
         c.merge_deltas("sys", "P").unwrap();
         assert!(ins(&mut c).is_empty() && upd(&mut c).is_empty());
-        assert!(c.dbat("sys", "P").is_empty());
+        assert!(deletions(&mut c, "P").is_empty());
     }
 
     #[test]
@@ -1718,7 +1909,7 @@ mod tests {
         c.register_bat("sys", "P", "ra", Bat::dense_dbl(vec![1.0]));
         c.insert_row("sys", "P", &[("ra", Atom::Str("x".into()))]);
         for _ in 0..2 {
-            match c.delta_bat("sys.P.ra", 1) {
+            match delta_bat(&mut c, "ra", 1) {
                 Some(Err(CatalogError::MalformedDelta { key, source })) => {
                     assert_eq!(key, "sys.P.ra");
                     assert_eq!(
@@ -1732,7 +1923,45 @@ mod tests {
                 other => panic!("expected MalformedDelta, got {other:?}"),
             }
         }
-        assert!(c.columns["sys.P.ra"].memo[INSERTS].is_none());
+        assert!(c.column_entry("sys", "P", "ra").unwrap().memo[INSERTS].is_none());
+    }
+
+    /// Columns are keyed by their names, not by the joined key: `P`'s
+    /// column `x.c` and `P.x`'s column `c` are two columns, each bound by
+    /// its own names, and the joined `sys.P.x.c` names neither.
+    #[test]
+    fn columns_whose_names_join_alike_bind_their_own_rows() {
+        for segmented in [false, true] {
+            let mut c = Catalog::new();
+            let (a, b) = (Bat::dense_int(vec![1, 2, 3]), Bat::dense_int(vec![7]));
+            if segmented {
+                let spec = StrategySpec::new(StrategyKind::Cracking);
+                c.register_segmented("sys", "P", "x.c", a, 0.0, 10.0, spec)
+                    .unwrap();
+                c.register_segmented("sys", "P.x", "c", b, 0.0, 10.0, spec)
+                    .unwrap();
+            } else {
+                c.register_bat("sys", "P", "x.c", a);
+                c.register_bat("sys", "P.x", "c", b);
+            }
+            let plan = crate::parse(
+                r#"A := sql.bind("sys","P","x.c",0);
+                   B := sql.bind("sys","P.x","c",0);"#,
+            )
+            .unwrap();
+            let mut interp = crate::Interp::new(&mut c);
+            interp.run(&plan, &[]).unwrap();
+            let tail = |var: &str| match interp.get(var) {
+                Some(crate::MalValue::Bat(b)) => b.tail().clone(),
+                other => panic!("{var}: {other:?}"),
+            };
+            assert_eq!(tail("A"), Tail::Int(vec![1, 2, 3].into()), "{segmented}");
+            assert_eq!(tail("B"), Tail::Int(vec![7].into()), "{segmented}");
+            drop(interp);
+            assert!(c.bat("sys.P.x.c").is_none());
+            assert!(c.segmented("sys.P.x.c").is_none());
+            assert!(c.segmented_mut("sys.P.x.c").is_none());
+        }
     }
 
     /// A table's merge folds the columns its entry lists, and no column of

@@ -391,28 +391,29 @@ impl Catalog {
         };
         let mut manifest = String::new();
         let _ = writeln!(manifest, "{MAGIC}");
-        let mut tables: Vec<_> = self.tables.iter().collect();
-        tables.sort_unstable_by_key(|(tk, _)| *tk);
+        let mut tables: Vec<_> = self.tables.iter().map(|t| (t.key(), t)).collect();
+        tables.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
         for (tk, t) in tables {
-            if tk.contains(char::is_whitespace) {
-                return Err(unsupported(tk));
+            // Lines split on spaces, and a load files a table under the
+            // names its key splits to at its first dot.
+            if tk.contains(char::is_whitespace) || t.schema.contains('.') {
+                return Err(unsupported(&tk));
             }
-            for key in &t.columns {
+            for &id in &t.columns {
+                let Column {
+                    key, base, deltas, ..
+                } = self.column(id);
                 let key = &**key;
-                // Lines split on spaces, and a load files a column under
-                // the table its key splits to.
+                // A load files a column under the names its key splits to
+                // at its first two dots.
                 let loads_back = !key.contains(char::is_whitespace)
-                    && split_key(key).is_ok_and(|(s, t, _)| s.len() + 1 + t.len() == tk.len());
-                let (base, d) = match self.columns.get(key) {
+                    && split_key(key).is_ok_and(|(s, n, _)| *s == *t.schema && *n == *t.name);
+                let (base, d) = match base {
                     // Writes to a never-registered column are rows of no
                     // column.
-                    Some(Column { base: None, .. }) => continue,
-                    Some(Column {
-                        base: Some(base),
-                        deltas,
-                        ..
-                    }) if loads_back => (base, deltas),
-                    _ => return Err(unsupported(key)),
+                    None => continue,
+                    Some(base) if loads_back => (base, deltas),
+                    Some(_) => return Err(unsupported(key)),
                 };
                 let pending = !(d.insert_heads.is_empty()
                     && d.update_heads.is_empty()
@@ -540,7 +541,9 @@ impl Catalog {
                     catalog
                         .register_segmented(schema, table, column, bat, domain_lo, domain_hi, spec)
                         .map_err(CheckpointError::Bpm)?;
-                    let col = catalog.segmented_mut(key).ok_or_else(|| {
+                    let id = catalog.column_id(schema, table, column);
+                    let col = id.and_then(|id| catalog.segmented_mut_at(id));
+                    let col = col.ok_or_else(|| {
                         CheckpointError::Malformed(format!("{key} did not register"))
                     })?;
                     col.add_reorg_write_bytes(reorg);
@@ -551,14 +554,14 @@ impl Catalog {
                 }
                 "next_oid" if fields.len() == 3 => {
                     let n: Oid = fields[2].parse().map_err(|_| bad(line))?;
-                    let t = catalog.tables.entry(fields[1].to_owned()).or_default();
+                    let t = catalog.table_of_key(fields[1]).ok_or_else(|| bad(line))?;
                     // Registration only raises it, so the persisted
                     // counter (>= every bat length) wins in any order.
                     t.next_oid = t.next_oid.max(n);
                 }
                 "threshold" if fields.len() == 3 => {
                     let rows = fields[2].parse().map_err(|_| bad(line))?;
-                    let t = catalog.tables.entry(fields[1].to_owned()).or_default();
+                    let t = catalog.table_of_key(fields[1]).ok_or_else(|| bad(line))?;
                     t.merge_threshold = Some(rows);
                 }
                 _ => return Err(bad(line)),
@@ -661,7 +664,7 @@ mod tests {
 
     /// `oid → value` of column `key`'s rows, plain or segmented.
     fn rows_by_oid(c: &Catalog, key: &str) -> Vec<(Oid, String)> {
-        let bat = match c.base(key) {
+        let bat = match c.key_id(key).and_then(|id| c.base(id)) {
             Some(Base::Plain(bat)) => bat.clone(),
             Some(Base::Segmented(seg)) => seg.pack().unwrap(),
             None => panic!("{key} is not registered"),
@@ -716,7 +719,7 @@ mod tests {
             );
         }
         assert_eq!(restored.pending_rows("sys", "P"), 0);
-        assert!(restored.tables["sys.P"].deleted.is_empty());
+        assert!(restored.table_entry("sys", "P").unwrap().deleted.is_empty());
         for table in ["P", "Q", "R"] {
             assert_eq!(
                 restored.table_merge_threshold("sys", table),
@@ -739,12 +742,12 @@ mod tests {
     fn writes_to_a_never_registered_column_are_not_saved() {
         let dir = tmp("ghost");
         let c = sample_catalog();
-        assert!(c.columns["sys.P.ghost"].base.is_none());
+        assert!(c.column_entry("sys", "P", "ghost").unwrap().base.is_none());
         c.save_all(&dir).unwrap();
         let manifest = std::fs::read_to_string(dir.join(MANIFEST)).unwrap();
         assert!(!manifest.contains("ghost"), "{manifest}");
         let restored = Catalog::load_all(&dir).unwrap();
-        assert!(!restored.columns.contains_key("sys.P.ghost"));
+        assert!(restored.column_entry("sys", "P", "ghost").is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -762,7 +765,9 @@ mod tests {
         let mut restored = Catalog::load_all(&dir).unwrap();
         assert_eq!(restored.pending_rows("sys", "P"), 0);
         for column in ["ra", "z", "objid"] {
-            assert!(restored.columns[format!("sys.P.{column}").as_str()]
+            assert!(restored
+                .column_entry("sys", "P", column)
+                .unwrap()
                 .deltas
                 .insert_heads
                 .is_empty());

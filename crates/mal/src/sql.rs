@@ -35,14 +35,26 @@
 //! which compiles to a `bpm.setStrategy` call re-organizing the live
 //! column under any [`StrategyKind`] token (see
 //! [`StrategyKind::from_token`]).
+//!
+//! A select is compiled once per statement shape, as MonetDB's SQL front
+//! end keeps compiled plans in a query cache keyed by the query with its
+//! literals lifted out. [`compile_select`] keeps a bounded, process-wide
+//! cache of compiled plans keyed by the statement's tokens, each numeric
+//! literal reduced to its kind (`Int`, `Dbl`, or a `?` placeholder). A
+//! statement of a cached shape costs its tokenizing — one scan of the
+//! text and the parse of its two literals — and a plan that shares the
+//! shape's statements, variables and named constants and holds its own
+//! bounds as its own constants, so the segment optimizer still prunes by
+//! them. The names the plan binds resolve to catalog column ids once per
+//! catalog state (see [`crate::Catalog`]), not per statement.
 
-use std::sync::{Arc, LazyLock};
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 
 use soc_bat::Atom;
 use soc_core::StrategyKind;
 
 use crate::ast::{Arg, Instruction, Op, Program, Stmt, Var, VarName};
-use crate::catalog::with_joined;
 
 /// A parsed range-selection query.
 #[derive(Debug, Clone, PartialEq)]
@@ -262,17 +274,15 @@ pub(crate) fn parse_alter(sql: &str) -> Result<AlterStrategy, SqlError> {
 
 /// Compiles the DDL hint into its one-instruction MAL plan.
 pub(crate) fn compile_alter(a: &AlterStrategy) -> Program {
-    let mut p = compiled_program(1, 2);
-    let key = p.push_const(Atom::Str(with_joined(
-        &[&a.schema, &a.table, &a.column],
-        |k| k.into(),
-    )));
+    let mut p = compiled_program();
+    let key = format!("{}.{}.{}", a.schema, a.table, a.column);
+    let key = p.push_const(Atom::Str(key.into()));
     let kind = p.push_const(Atom::Str(a.kind.token().into()));
-    p.stmts.push(Stmt::Assign(Instruction::new(
+    p.stmts = Arc::new(vec![Stmt::Assign(Instruction::new(
         Some(X1),
         Op::BpmSetStrategy,
         [Arg::Const(key), Arg::Const(kind)],
-    )));
+    ))]);
     p
 }
 
@@ -323,18 +333,18 @@ pub(crate) fn parse_alter_table(sql: &str) -> Result<AlterMergeThreshold, SqlErr
 
 /// Compiles the compaction DDL into its one-instruction MAL plan.
 pub(crate) fn compile_alter_table(a: &AlterMergeThreshold) -> Program {
-    let mut p = compiled_program(1, 3);
+    let mut p = compiled_program();
     let args = [
         Atom::Str(a.schema.as_str().into()),
         Atom::Str(a.table.as_str().into()),
         Atom::Int(a.rows as i64),
     ]
     .map(|c| Arg::Const(p.push_const(c)));
-    p.stmts.push(Stmt::Assign(Instruction::new(
+    p.stmts = Arc::new(vec![Stmt::Assign(Instruction::new(
         Some(X1),
         Op::SqlSetMergeThreshold,
         args,
-    )));
+    ))]);
     p
 }
 
@@ -369,7 +379,11 @@ pub fn compile_stmt(stmt: &SqlStmt) -> Program {
 
 /// Parses `SELECT <col> FROM [<schema>.]<table> WHERE <col> BETWEEN <b> AND <b>`.
 pub(crate) fn parse_select(sql: &str) -> Result<SelectBetween, SqlError> {
-    let toks = tokenize(sql)?;
+    select_of(&tokenize(sql)?)
+}
+
+/// [`parse_select`] of the statement's tokens.
+fn select_of(toks: &[Tok<'_>]) -> Result<SelectBetween, SqlError> {
     let mut i = 0;
     let kw = |toks: &[Tok<'_>], i: usize, want: &str| -> bool {
         matches!(&toks.get(i), Some(Tok::Word(w)) if w.eq_ignore_ascii_case(want))
@@ -381,33 +395,33 @@ pub(crate) fn parse_select(sql: &str) -> Result<SelectBetween, SqlError> {
         }
     };
 
-    if !kw(&toks, i, "select") {
+    if !kw(toks, i, "select") {
         return Err(err("expected SELECT"));
     }
     i += 1;
-    let projection = word(&toks, i, "projected column")?;
+    let projection = word(toks, i, "projected column")?;
     i += 1;
-    if !kw(&toks, i, "from") {
+    if !kw(toks, i, "from") {
         return Err(err("expected FROM"));
     }
     i += 1;
-    let first = word(&toks, i, "table name")?;
+    let first = word(toks, i, "table name")?;
     i += 1;
     let (schema, table) = if toks.get(i) == Some(&Tok::Dot) {
         i += 1;
-        let t = word(&toks, i, "table name after schema")?;
+        let t = word(toks, i, "table name after schema")?;
         i += 1;
         (first, t)
     } else {
         ("sys".into(), first)
     };
-    if !kw(&toks, i, "where") {
+    if !kw(toks, i, "where") {
         return Err(err("expected WHERE"));
     }
     i += 1;
-    let predicate = word(&toks, i, "predicate column")?;
+    let predicate = word(toks, i, "predicate column")?;
     i += 1;
-    if !kw(&toks, i, "between") {
+    if !kw(toks, i, "between") {
         return Err(err("expected BETWEEN"));
     }
     i += 1;
@@ -422,7 +436,7 @@ pub(crate) fn parse_select(sql: &str) -> Result<SelectBetween, SqlError> {
         Ok(b)
     };
     let lo = bound(&mut i)?;
-    if !kw(&toks, i, "and") {
+    if !kw(toks, i, "and") {
         return Err(err("expected AND"));
     }
     i += 1;
@@ -471,11 +485,10 @@ static EXPORT_STRS: LazyLock<[Atom; 2]> =
     LazyLock::new(|| [Atom::Str("bigint".into()), Atom::Str("".into())]);
 
 /// An empty program over the compiler's shared variable table.
-fn compiled_program(stmts: usize, consts: usize) -> Program {
+fn compiled_program() -> Program {
     Program {
-        stmts: Vec::with_capacity(stmts),
         vars: Arc::clone(&COMPILED_VARS),
-        consts: Vec::with_capacity(consts),
+        ..Program::default()
     }
 }
 
@@ -490,17 +503,26 @@ fn compiled_program(stmts: usize, consts: usize) -> Program {
 /// constant slot, its variables are the compiler's shared table, and its
 /// instructions hold their arguments inline: the plan costs a handful of
 /// allocations, not one per name.
+///
+/// Every constant but the literal bounds sits in the shared prefix of the
+/// plan's table, so its own constants are the literal bounds, lower bound
+/// first: what a plan of the same statement shape replaces
+/// ([`Template::instance`]).
 pub(crate) fn compile(q: &SelectBetween) -> Program {
-    let mut p = compiled_program(18, 14);
-    let mut konst = |a: Atom| Arg::Const(p.push_const(a));
+    let mut p = compiled_program();
+    let konst = |p: &mut Program, a: Atom| Arg::Const(p.push_const(a));
     let [schema, table, predicate, projection] = [&q.schema, &q.table, &q.predicate, &q.projection]
-        .map(|name| konst(Atom::Str(Arc::clone(name))));
-    let [int0, int1, int2, int64] = [0, 1, 2, 64].map(|v| konst(Atom::Int(v)));
-    let oid0 = konst(Atom::Oid(0));
-    let table_key = konst(Atom::Str(with_joined(&[&q.schema, &q.table], |k| k.into())));
-    let [bigint, empty] = EXPORT_STRS.clone().map(&mut konst);
-    let lo = q.lo.clone().map_or(Arg::Var(A0), &mut konst);
-    let hi = q.hi.clone().map_or(Arg::Var(A1), &mut konst);
+        .map(|name| konst(&mut p, Atom::Str(Arc::clone(name))));
+    let [int0, int1, int2, int64] = [0, 1, 2, 64].map(|v| konst(&mut p, Atom::Int(v)));
+    let oid0 = konst(&mut p, Atom::Oid(0));
+    let table_key = konst(
+        &mut p,
+        Atom::Str(format!("{}.{}", q.schema, q.table).into()),
+    );
+    let [bigint, empty] = EXPORT_STRS.clone().map(|s| konst(&mut p, s));
+    p.consts.share();
+    let lo = q.lo.clone().map_or(Arg::Var(A0), |b| konst(&mut p, b));
+    let hi = q.hi.clone().map_or(Arg::Var(A1), |b| konst(&mut p, b));
 
     let params = [(q.lo.is_none(), A0), (q.hi.is_none(), A1)]
         .into_iter()
@@ -508,10 +530,6 @@ pub(crate) fn compile(q: &SelectBetween) -> Program {
         .collect();
     let mut name = format!("user.{}_{}", q.table, q.predicate);
     name.make_ascii_lowercase();
-    p.stmts.push(Stmt::Function {
-        name: name.into(),
-        params,
-    });
     let var = Arg::Var;
     let stmts = [
         // Predicate column: base + insert/update deltas + deletions.
@@ -560,14 +578,165 @@ pub(crate) fn compile(q: &SelectBetween) -> Program {
         ),
         Instruction::new(None, Op::SqlExportResult, [var(X38), empty]),
     ];
-    p.stmts.extend(stmts.map(Stmt::Assign));
-    p.stmts.push(Stmt::End);
+    let mut all = Vec::with_capacity(stmts.len() + 2);
+    all.push(Stmt::Function {
+        name: name.into(),
+        params,
+    });
+    all.extend(stmts.map(Stmt::Assign));
+    all.push(Stmt::End);
+    p.stmts = Arc::new(all);
     p
 }
 
-/// Parses and compiles in one step.
+/// A token of a statement's shape: a word as written, a number by its kind
+/// alone.
+#[derive(Debug, PartialEq)]
+enum ShapeTok {
+    Word(Box<str>),
+    Int,
+    Dbl,
+    Placeholder,
+    Dot,
+    Star,
+}
+
+impl ShapeTok {
+    /// `tok`'s place in a shape.
+    fn of(tok: &Tok<'_>) -> ShapeTok {
+        match tok {
+            Tok::Word(w) => ShapeTok::Word((*w).into()),
+            Tok::Int(_) => ShapeTok::Int,
+            Tok::Dbl(_) => ShapeTok::Dbl,
+            Tok::Placeholder => ShapeTok::Placeholder,
+            Tok::Dot => ShapeTok::Dot,
+            Tok::Star => ShapeTok::Star,
+        }
+    }
+
+    /// Whether `tok` takes this place.
+    fn fits(&self, tok: &Tok<'_>) -> bool {
+        match (self, tok) {
+            (ShapeTok::Word(s), Tok::Word(w)) => **s == **w,
+            (ShapeTok::Int, Tok::Int(_))
+            | (ShapeTok::Dbl, Tok::Dbl(_))
+            | (ShapeTok::Placeholder, Tok::Placeholder)
+            | (ShapeTok::Dot, Tok::Dot)
+            | (ShapeTok::Star, Tok::Star) => true,
+            _ => false,
+        }
+    }
+}
+
+/// The hash of the shape of `toks`: each token's kind, and a word's bytes,
+/// mixed multiply-rotate (`FxHash`'s step), which costs a few cycles a
+/// byte: a hit hashes every statement's words.
+fn shape_hash(toks: &[Tok<'_>]) -> u64 {
+    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    toks.iter().fold(0, |h, tok| match tok {
+        Tok::Word(w) => w.bytes().fold(mix(h, 1), |h, b| mix(h, u64::from(b))),
+        Tok::Int(_) => mix(h, 2),
+        Tok::Dbl(_) => mix(h, 3),
+        Tok::Placeholder => mix(h, 4),
+        Tok::Dot => mix(h, 5),
+        Tok::Star => mix(h, 6),
+    })
+}
+
+/// A compiled statement shape: the plan of one statement of it, whose own
+/// constants are its literal bounds ([`compile`]).
+struct Template {
+    shape: Box<[ShapeTok]>,
+    plan: Program,
+    /// The cache's clock when a statement last took this shape.
+    used: u64,
+}
+
+impl Template {
+    /// Whether `toks` are a statement of this shape.
+    fn fits(&self, toks: &[Tok<'_>]) -> bool {
+        self.shape.len() == toks.len() && self.shape.iter().zip(toks).all(|(s, t)| s.fits(t))
+    }
+
+    /// The plan of `toks`, a statement of this shape: the template's
+    /// statements, variables and shared constants, and the statement's own
+    /// literal bounds as its own constants, so the segment optimizer still
+    /// prunes by them.
+    fn instance(&self, toks: &[Tok<'_>]) -> Program {
+        let literals = toks.iter().filter_map(|t| match *t {
+            Tok::Int(v) => Some(Atom::Int(v)),
+            Tok::Dbl(v) => Some(Atom::Dbl(v)),
+            _ => None,
+        });
+        Program {
+            stmts: Arc::clone(&self.plan.stmts),
+            vars: Arc::clone(&self.plan.vars),
+            consts: self.plan.consts.with_own(literals),
+        }
+    }
+}
+
+/// Statement shapes the compile cache holds.
+pub(crate) const CACHED_SHAPES: usize = 64;
+
+/// The compiled shapes, by [`shape_hash`]; a new shape past
+/// [`CACHED_SHAPES`] evicts the one least recently taken. A statement is
+/// checked against the whole shape it finds, so two shapes whose hashes
+/// collide take turns in one entry: a collision costs a compile, never a
+/// wrong plan. Each update leaves the map whole — a template is compiled
+/// outside the lock and inserted by one call — so a thread that panics
+/// holding the lock leaves it usable by the next.
+#[derive(Default)]
+struct Cache {
+    shapes: HashMap<u64, Template>,
+    /// Counts the statements compiled.
+    clock: u64,
+}
+
+/// The compile cache every thread shares.
+static CACHE: LazyLock<Mutex<Cache>> = LazyLock::new(Mutex::default);
+
+/// Shapes in the compile cache now.
+#[cfg(test)]
+pub(crate) fn cached_shapes() -> usize {
+    CACHE
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .shapes
+        .len()
+}
+
+/// Parses and compiles in one step, once per statement shape (see the
+/// module doc): a statement of a shape compiled before is tokenized and
+/// handed the shape's plan with its own bounds. A text that fails to
+/// parse is never cached and fails as it always does.
 pub fn compile_select(sql: &str) -> Result<Program, SqlError> {
-    Ok(compile(&parse_select(sql)?))
+    let toks = tokenize(sql)?;
+    let hash = shape_hash(&toks);
+    let mut cache = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
+    cache.clock += 1;
+    let now = cache.clock;
+    if let Some(t) = cache.shapes.get_mut(&hash).filter(|t| t.fits(&toks)) {
+        t.used = now;
+        return Ok(t.instance(&toks));
+    }
+    drop(cache);
+    let template = Template {
+        shape: toks.iter().map(ShapeTok::of).collect(),
+        plan: compile(&select_of(&toks)?),
+        used: now,
+    };
+    let instance = template.instance(&toks);
+    let mut cache = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
+    let shapes = &mut cache.shapes;
+    if shapes.len() >= CACHED_SHAPES && !shapes.contains_key(&hash) {
+        let oldest = shapes.iter().min_by_key(|(_, t)| t.used).map(|(&h, _)| h);
+        if let Some(oldest) = oldest {
+            shapes.remove(&oldest);
+        }
+    }
+    shapes.insert(hash, template);
+    Ok(instance)
 }
 
 #[cfg(test)]

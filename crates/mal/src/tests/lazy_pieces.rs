@@ -336,9 +336,10 @@ fn a_segmented_select_returns_base_rows_in_value_order_then_pending_rows() {
                 Pending::Deletes,
             ] {
                 let mut c = catalog(kind, col, pending);
-                let delta = |c: &mut Catalog, access| c.delta_bat("sys.P.v", access).unwrap();
+                let id = c.column_id("sys", "P", "v").unwrap();
+                let delta = |c: &mut Catalog, access| c.delta_bat(id, access).unwrap();
                 let (ins, upd) = (delta(&mut c, 1).unwrap(), delta(&mut c, 2).unwrap());
-                let dbat = c.dbat("sys", "P");
+                let dbat = c.dbat(c.table_id("sys", "P").unwrap());
                 for (lo, hi) in bounds(&c, col) {
                     let Ok(kept) = algebra::uselect(&base(col), &lo, &hi) else {
                         continue;

@@ -3,6 +3,8 @@
 //! (this is what makes optimizer plan dumps trustworthy debugging
 //! artifacts).
 
+use std::sync::Arc;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -103,12 +105,12 @@ fn arb_program() -> impl Strategy<Value = Program> {
                 let mut instr = b.instruction(spec);
                 let blk = b.var("blk");
                 instr.target = Some(blk);
-                b.0.stmts.push(Stmt::Barrier(instr));
-                b.0.stmts.push(Stmt::Redo(instr));
-                b.0.stmts.push(Stmt::Exit(blk));
+                Arc::make_mut(&mut b.0.stmts).push(Stmt::Barrier(instr));
+                Arc::make_mut(&mut b.0.stmts).push(Stmt::Redo(instr));
+                Arc::make_mut(&mut b.0.stmts).push(Stmt::Exit(blk));
             } else {
                 let instr = b.instruction(spec);
-                b.0.stmts.push(Stmt::Assign(instr));
+                Arc::make_mut(&mut b.0.stmts).push(Stmt::Assign(instr));
             }
         }
         b.0
@@ -141,7 +143,7 @@ fn float_constants_roundtrip_through_text() {
             ArgSpec::Const(Atom::Dbl(205.12)),
         ],
     ));
-    b.0.stmts.push(Stmt::Assign(instr));
+    Arc::make_mut(&mut b.0.stmts).push(Stmt::Assign(instr));
     let reparsed = parse(&b.0.render()).unwrap();
     assert_eq!(reparsed, b.0);
 }

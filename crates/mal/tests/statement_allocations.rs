@@ -75,10 +75,13 @@ const HOT_WINDOWS: usize = 64;
 const WARMUP: usize = 2_000;
 const MEASURED: usize = 2_000;
 
-/// Per-statement ceilings: what the statement path needs (10, 7 and 9
-/// allocations in release builds; 10, 7 and 10 with debug assertions,
+/// Per-statement ceilings: what the statement path needs (2, 8 and 9
+/// allocations in release builds; 2, 8 and 10 with debug assertions,
 /// whose validators allocate) plus a little headroom. A name, constant, instruction or key allocated
-/// per statement again breaks them. With string-matched calls, name-keyed
+/// per statement again breaks them. A statement of a cached shape
+/// allocates its tokens and its literal bounds; compiled from its parse
+/// each time, it made 10, and the rewrite made 7 before it wrapped its
+/// statements to share them. With string-matched calls, name-keyed
 /// variables and a heap-allocated instruction, argument list and string
 /// constant per statement, the path made 64, 27 and 13 (28 and 16 with
 /// debug assertions); with `String` names, deep-copied statements and formatted
@@ -86,10 +89,10 @@ const MEASURED: usize = 2_000;
 /// every delta bind rebuilt, `Interp::run` made 34; with the piece ranges
 /// rebuilt at each read and the taken piece copied before its selection,
 /// 16.
-const COMPILE_MAX: f64 = 14.0;
+const COMPILE_MAX: f64 = 4.0;
 const OPTIMIZE_MAX: f64 = 11.0;
 const RUN_MAX: f64 = 12.3;
-const TOTAL_MAX: f64 = 49.3;
+const TOTAL_MAX: f64 = 27.3;
 /// `Interp::run` with 200 inserts and 200 deletions pending: what it
 /// needs (15.5 allocations; 16.5 with debug assertions) plus the same
 /// headroom. With match lists per delta source in the projection and a
@@ -99,8 +102,8 @@ const TOTAL_MAX: f64 = 49.3;
 const RUN_PENDING_MAX: f64 = 18.8;
 /// Per-call ceilings of `insert_row` and `delete_row` on the two-column
 /// `sys.P` with auto-merging off, so no merge runs: a write finds its
-/// table and column entries by a key joined on the stack, and only the
-/// amortized growth of the delta and deletion lists allocates. With a
+/// table entry by its names and its column entries by theirs, and only
+/// the amortized growth of the delta and deletion lists allocates. With a
 /// `format!`ed key per column and per table lookup they made 6.00 and
 /// 3.00.
 const INSERT_MAX: f64 = 0.1;
